@@ -4,13 +4,19 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fix lint-cache-check race chaos-smoke bench-kernels bench-ldl bench-obs bench-scale bench-active verify bench clean
+.PHONY: build test vet lint lint-fix lint-cache-check race chaos-smoke bench-kernels bench-ldl bench-obs bench-scale bench-active bench-e2e verify bench clean
 
 build:
 	$(GO) build ./...
 
+# The suite runs at one, two and four scheduler threads: bit-identity
+# between the sequential, pool and neighborhood engines is the repo's
+# central promise, and it is only checked where the pool really runs
+# concurrently (the retained-window aliasing bug passed at GOMAXPROCS=1).
 test:
-	$(GO) test ./...
+	GOMAXPROCS=1 $(GO) test ./...
+	GOMAXPROCS=2 $(GO) test ./...
+	GOMAXPROCS=4 $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -97,6 +103,14 @@ bench-scale:
 bench-active:
 	$(GO) test -run 'TestActiveAllocGate' ./internal/rma/
 	$(GO) test -bench 'BenchmarkActivePhases' -benchtime 1x -run '^$$' ./internal/rma/ >/dev/null
+
+# End-to-end benchmark (benchmarks/e2e, contract in BENCHMARK.json): four
+# workloads, an untraced end-to-end pass and a traced per-layer pass, output
+# under benchmarks/e2e/out/. Takes about a minute, so it is not part of
+# verify. Compare two output directories with
+#   go run ./benchmarks/e2e -compare A B
+bench-e2e:
+	$(GO) run ./benchmarks/e2e -seed 1
 
 verify: build lint test race chaos-smoke bench-kernels bench-ldl bench-obs bench-scale bench-active
 

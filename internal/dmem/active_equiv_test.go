@@ -10,52 +10,30 @@ import (
 	"southwell/internal/rma"
 )
 
-// compareRuns asserts two results agree bit-for-bit in everything that is
-// part of results: the per-step history (norms, messages by tag, simulated
-// time, fault counters), cumulative runtime stats, the watchdog verdict,
-// and the gathered solution. Diagnostics (ActiveHist, SchedWaits) are
-// engine observations and deliberately excluded.
-func compareRuns(t *testing.T, label string, a, b *Result) {
-	t.Helper()
-	if len(a.History) != len(b.History) {
-		t.Fatalf("%s: history lengths differ: %d vs %d", label, len(a.History), len(b.History))
-	}
-	for s := range a.History {
-		if a.History[s] != b.History[s] {
-			t.Fatalf("%s: step %d differs:\na %+v\nb %+v", label, s, a.History[s], b.History[s])
-		}
-	}
-	if a.Stats != b.Stats {
-		t.Fatalf("%s: stats differ:\na %+v\nb %+v", label, a.Stats, b.Stats)
-	}
-	if a.Deadlocked != b.Deadlocked || a.DeadlockStep != b.DeadlockStep {
-		t.Fatalf("%s: watchdog verdicts differ: (%v,%d) vs (%v,%d)",
-			label, a.Deadlocked, a.DeadlockStep, b.Deadlocked, b.DeadlockStep)
-	}
-	for i := range a.X {
-		if a.X[i] != b.X[i] {
-			t.Fatalf("%s: solution differs at row %d: %.17g vs %.17g", label, i, a.X[i], b.X[i])
-		}
-	}
-}
-
-// TestActiveDenseEquivalence is the active-set engine's core invariant:
-// skipping provably quiescent ranks must be invisible in results. Every
-// method × rank count × world engine × fault setting runs once densely
-// (Config.Dense) and once with active stepping, and the two runs must be
-// bit-identical — histories, cumulative stats, watchdog verdicts, and
-// solutions. Run under -race via `make race`.
+// TestActiveDenseEquivalence is the step driver's core invariant: skipping
+// provably quiescent ranks must be invisible in results. Every method ×
+// rank count × world engine × fault setting runs once pinned (Config.Dense)
+// and once with the zero value, and the two runs must be bit-identical —
+// histories, cumulative stats, watchdog verdicts, and solutions. Only the
+// methods that promise quiescence may report an occupancy histogram: BJ and
+// Piggyback2016 never do, and neither does DS under a negative UpdateSlack
+// (its phase-2 trigger no longer self-extinguishes, so Config.pinned must
+// pin it). Run under -race via `make race`.
 func TestActiveDenseEquivalence(t *testing.T) {
 	ranks := []int{64}
 	if !testing.Short() {
 		ranks = append(ranks, 256)
+	}
+	ms := methodsWithPB()
+	ms["DistributedSouthwellNegSlack"] = func(l *Layout, b, x []float64, cfg Config) *Result {
+		return DistributedSouthwellOpt(l, b, x, cfg, DistSWOptions{UpdateSlack: -0.1})
 	}
 	for _, p := range ranks {
 		grid := 32
 		if p > 64 {
 			grid = 48
 		}
-		for mname, run := range methods() {
+		for mname, run := range ms {
 			for _, par := range []bool{false, true} {
 				for _, chaos := range []bool{false, true} {
 					name := mname
@@ -84,6 +62,10 @@ func TestActiveDenseEquivalence(t *testing.T) {
 						compareRuns(t, name, dense, active)
 						if dense.ActiveHist != nil {
 							t.Errorf("dense run reported an active histogram")
+						}
+						quiescent := mname == "DistributedSouthwell" || mname == "ParallelSouthwell"
+						if got := active.ActiveHist != nil; got != quiescent {
+							t.Errorf("active histogram reported = %v, want %v", got, quiescent)
 						}
 					})
 				}
@@ -188,5 +170,33 @@ func TestActiveWatchdogWhileAsleep(t *testing.T) {
 	}
 	if got, want := len(active.History)-1, active.DeadlockStep; got != want {
 		t.Errorf("run continued past the stop: %d steps recorded, stopped at %d", got, want)
+	}
+}
+
+// TestConfigPinned walks the one predicate that decides whether ranks may
+// sleep: each of the five rules pins on its own, and only a quiescent method
+// under a plain configuration is left unpinned.
+func TestConfigPinned(t *testing.T) {
+	quiescent := stepSpec{quiescent: true}
+	cases := []struct {
+		name string
+		cfg  Config
+		spec stepSpec
+		want bool
+	}{
+		{"all clear", Config{}, quiescent, false},
+		{"all clear, pool", Config{Parallel: true}, quiescent, false},
+		{"all clear, message faults", Config{Faults: fullChaosPlan(1)}, quiescent, false},
+		{"never quiescent (BJ, PB16)", Config{}, stepSpec{}, true},
+		{"starvation clock without the promise (DS, UpdateSlack < 0)", Config{}, stepSpec{starvation: true}, true},
+		{"Dense", Config{Dense: true}, quiescent, true},
+		{"SchedNeighbor", Config{Parallel: true, Sched: rma.SchedNeighbor}, quiescent, true},
+		{"SpinStragglers", Config{Faults: &rma.FaultPlan{SpinStragglers: true}}, quiescent, true},
+		{"HostDelay", Config{Faults: &rma.FaultPlan{HostDelay: func(int, int64, float64) {}}}, quiescent, true},
+	}
+	for _, c := range cases {
+		if got := c.cfg.pinned(c.spec); got != c.want {
+			t.Errorf("%s: pinned = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

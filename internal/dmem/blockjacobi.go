@@ -21,91 +21,53 @@ func (pl *bjPayload) CloneMessage() any {
 // completes and every rank absorbs the incoming deltas before the next
 // step, so residuals are exact at step boundaries.
 func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
-	w := newWorld(l, cfg)
-	defer w.Close()
-	states := newRankStates(l, b, x)
-	configureLocal(states, cfg)
-	res := &Result{Method: "Block Jacobi", P: l.P, N: l.A.N}
-	record(res, w, states, globalNorm(states), 0, 0, 0)
-
-	// Persistent per-(rank, neighbor) payloads: pointers cross the simulated
-	// network, so the steady-state message path allocates nothing.
-	solvePl := make([][]bjPayload, l.P)
-	for p, rs := range states {
-		solvePl[p] = make([]bjPayload, rs.rd.Degree())
-	}
-
-	// absorb drains rank p's window in any phase: deltas always applied,
-	// fault-injected duplicate landings skipped (a real duplicated
-	// one-sided write is idempotent). BJ carries no estimates, so there is
-	// nothing to guard against staleness.
-	absorb := func(p int) {
-		rs := states[p]
-		for _, m := range w.Inbox(p) {
-			if m.Dup {
-				continue
-			}
-			rs.applyDeltas(rs.rd.NbrIdx[m.From], m.Payload.(*bjPayload).deltas)
+	return solve(l, b, x, cfg, func(w *rma.World, states []*rankState, step *int) stepSpec {
+		// Persistent per-(rank, neighbor) payloads: pointers cross the
+		// simulated network, so the steady-state message path allocates
+		// nothing.
+		solvePl := make([][]bjPayload, l.P)
+		for p, rs := range states {
+			solvePl[p] = make([]bjPayload, rs.rd.Degree())
 		}
-	}
 
-	wd := newWatchdog(cfg, w)
-	cumRelax := 0
-	// BJ's quiescence declaration (engine.go): never quiescent. Every
-	// unpaused rank relaxes unconditionally every step, so the active-set
-	// engine could never put one to sleep correctly (a paused rank holds
-	// with no mail, yet dense BJ relaxes it again the moment it unpauses).
-	// The dense RunPhases path IS the active set here, so Config.Dense has
-	// no effect on this method.
-	for step := 1; step <= cfg.steps(); step++ {
-		relaxedRanks := 0
-		// Reset relax flags on the driving goroutine: a rank paused by the
-		// fault layer skips the sweep phase and must not be recounted.
-		for _, rs := range states {
-			rs.relaxed = false
-		}
-		// The step's two access epochs form one scheduler group: under
-		// rma.SchedNeighbor a rank moves from its sweep phase to its read
-		// phase as soon as its own neighborhood is done, without waiting on
-		// the rest of the machine.
-		w.RunPhases(
-			// Relax and write (absorbing any late deliveries first).
-			func(p int) {
-				absorb(p)
-				rs := states[p]
-				traceDecision(w, step, p, rs, true)
-				rs.relaxed = true
-				rs.zeroExtDelta()
-				flops := rs.relaxLocal()
-				w.Charge(p, flops)
-				for j, q := range rs.rd.Nbrs {
-					pl := &solvePl[p][j]
-					pl.deltas = rs.deltasFor(j)
-					w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)), pl)
+		// absorb drains rank p's window in any phase: deltas always applied,
+		// fault-injected duplicate landings skipped (a real duplicated
+		// one-sided write is idempotent). BJ carries no estimates, so there
+		// is nothing to guard against staleness.
+		absorb := func(p int) {
+			rs := states[p]
+			for _, m := range w.Inbox(p) {
+				if m.Dup {
+					continue
 				}
-			},
-			// Wait for neighbors to finish writing, then read.
-			func(p int) {
-				rs := states[p]
-				absorb(p)
-				rs.norm = rs.computeNorm()
-				w.Charge(p, 2*float64(rs.rd.M()))
-			})
-		for p := range states {
-			if states[p].relaxed {
-				relaxedRanks++
-				cumRelax += states[p].rd.M()
+				rs.applyDeltas(rs.rd.NbrIdx[m.From], m.Payload.(*bjPayload).deltas)
 			}
 		}
-		record(res, w, states, globalNorm(states), step, relaxedRanks, cumRelax)
-		if wd.observe(w, step, relaxedRanks) {
-			res.deadlockAt(step)
-			break
+		// Relax and write (absorbing any late deliveries first).
+		sweep := func(p int) {
+			absorb(p)
+			rs := states[p]
+			traceDecision(w, *step, p, rs, true)
+			rs.relaxed = true
+			rs.zeroExtDelta()
+			flops := rs.relaxLocal()
+			w.Charge(p, flops)
+			for j, q := range rs.rd.Nbrs {
+				pl := &solvePl[p][j]
+				pl.deltas = rs.deltasFor(j)
+				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)), pl)
+			}
 		}
-		if cfg.Target > 0 && res.Final().ResNorm <= cfg.Target {
-			break
+		// Wait for neighbors to finish writing, then read.
+		read := func(p int) {
+			rs := states[p]
+			absorb(p)
+			rs.norm = rs.computeNorm()
+			w.Charge(p, 2*float64(rs.rd.M()))
 		}
-	}
-	finish(res, l, w, states)
-	return res
+		// Never quiescent: every unpaused rank relaxes unconditionally every
+		// step, so no rank could ever be put to sleep correctly (a paused
+		// rank holds with no mail, yet relaxes again the moment it unpauses).
+		return stepSpec{name: "Block Jacobi", phases: []func(int){sweep, read}}
+	})
 }

@@ -21,19 +21,13 @@ func fullChaosPlan(seed int64) *rma.FaultPlan {
 	}
 }
 
-func chaosMethods() map[string]method {
-	m := methods()
-	m["Piggyback2016"] = Piggyback2016
-	return m
-}
-
 // TestChaosEngineEquivalence: a chaos run is a deterministic function of
 // the FaultPlan seed and identical on both engines — same history (step
 // stats including fault counters), same cumulative stats, same solution,
 // on the sequential engine run twice and on the worker-pool engine. Run
 // under -race via `make race`.
 func TestChaosEngineEquivalence(t *testing.T) {
-	for mname, run := range chaosMethods() {
+	for mname, run := range methodsWithPB() {
 		mname, run := mname, run
 		t.Run(mname, func(t *testing.T) {
 			t.Parallel()
@@ -48,22 +42,7 @@ func TestChaosEngineEquivalence(t *testing.T) {
 			seq := results[0]
 			for i, other := range results[1:] {
 				label := []string{"seq rerun", "pool"}[i]
-				if len(seq.History) != len(other.History) {
-					t.Fatalf("%s: history lengths differ: %d vs %d", label, len(seq.History), len(other.History))
-				}
-				for s := range seq.History {
-					if seq.History[s] != other.History[s] {
-						t.Fatalf("%s: step %d differs:\nseq  %+v\n%s %+v", label, s, seq.History[s], label, other.History[s])
-					}
-				}
-				if seq.Stats != other.Stats {
-					t.Fatalf("%s: stats differ:\nseq  %+v\n%s %+v", label, seq.Stats, label, other.Stats)
-				}
-				for r := range seq.X {
-					if seq.X[r] != other.X[r] {
-						t.Fatalf("%s: solution differs at row %d", label, r)
-					}
-				}
+				compareRuns(t, label, seq, other)
 			}
 			fin := seq.Final()
 			if fin.Delayed == 0 || fin.Duped == 0 || fin.Reordered == 0 || fin.Paused == 0 {

@@ -72,13 +72,11 @@ type Config struct {
 	// deliveries, stragglers, rank pauses). Nil is a perfect network. The
 	// plan is copied per run, so one plan value can drive many runs.
 	Faults *rma.FaultPlan
-	// Dense disables the active-set step engine: every rank's phase
-	// function runs every step, as the paper's pseudocode is written. The
-	// zero value steps only the active set (engine.go), which is
-	// bit-identical to dense stepping — results, statistics, and simulated
-	// time never differ — but skips provably quiescent ranks' host work.
-	// Runs on rma.SchedNeighbor or under host-time fault hooks
-	// (SpinStragglers, HostDelay) fall back to dense automatically.
+	// Dense pins every rank: each rank's phase functions run every step, as
+	// the paper's pseudocode is written. The zero value lets the step driver
+	// skip provably quiescent ranks' host work (engine.go), which is
+	// bit-identical — results, statistics, and simulated time never differ.
+	// Config.pinned lists what else pins a run.
 	Dense bool
 	// Watchdog is the patience window, in parallel steps, of the
 	// stagnation/deadlock watchdog (see Result.Deadlocked): a provably
@@ -114,6 +112,10 @@ func (c Config) watchdogWindow() int {
 	}
 	return c.Watchdog
 }
+
+// refreshAfter is the starvation re-announce threshold, in consecutive
+// steps without a relaxation or a receipt: half the watchdog's patience.
+func (c Config) refreshAfter() int { return (c.watchdogWindow() + 1) / 2 }
 
 // newWorld builds the simulated world for one run: the configured cost
 // model and engine, with the fault plan (if any) installed before the
@@ -182,11 +184,10 @@ type Result struct {
 	// not seconds) — nil unless the run executed groups on
 	// rma.SchedNeighbor. Scheduling-dependent; never part of results.
 	SchedWaits *obs.WaitTally
-	// ActiveHist is the active-set engine's diagnostic: per step, the
-	// number of ranks scheduled to execute phase 1 (mid-step wakeups by
-	// landed traffic are not recounted). Nil when the run stepped densely.
-	// An engine-occupancy observation, like SchedWaits — never part of
-	// results.
+	// ActiveHist is the step driver's diagnostic: per step, the number of
+	// ranks scheduled to execute phase 1 (mid-step wakeups by landed traffic
+	// are not recounted). Nil when every rank was pinned (Config.pinned).
+	// An occupancy observation, like SchedWaits — never part of results.
 	ActiveHist []int
 }
 
@@ -272,12 +273,11 @@ type rankState struct {
 	// fault-desynced Γ/Γ̃ estimates become exact again (see distsw.go).
 	gotMsg  bool
 	starved int
-	// starveStamp is the step through which starved is materialized under
-	// the active-set engine: a sleeping rank's dense counter would grow by
-	// one per step, so its true value at the end of step s is
-	// starved + (s - starveStamp), reconciled when the rank wakes
-	// (stepEngine.admit). Always equal to the current step under dense
-	// stepping semantics; unused on a perfect network.
+	// starveStamp is the step through which starved is materialized: a
+	// sleeping rank's counter would grow by one per step, so its true value
+	// at the end of step s is starved + (s - starveStamp), reconciled when
+	// the rank wakes (stepEngine.admit). Always the last completed step for
+	// a rank that executed it; unused on a perfect network.
 	starveStamp int
 
 	// Persistent per-neighbor send buffers: message payloads point into
@@ -626,20 +626,10 @@ func winsOver(np float64, p int, nq float64, q int) bool {
 	return p < q
 }
 
-// globalNorm combines exact local norms.
-func globalNorm(states []*rankState) float64 {
-	s := 0.0
-	for _, rs := range states {
-		s += rs.norm * rs.norm
-	}
-	return math.Sqrt(s)
-}
-
-// flatNorm is globalNorm over a maintained flat table of squared local
-// norms (stepEngine.tally refreshes the member slots; sleepers' norms
-// cannot change). The summands and their rank order are exactly
-// globalNorm's, so the result is bit-identical — the flat walk just
-// replaces P pointer chases with a sequential read.
+// flatNorm combines exact local norms into the global residual norm, from
+// a maintained flat table of their squares in rank order (stepEngine.tally
+// refreshes the member slots; sleepers' norms cannot change) — a sequential
+// read instead of P pointer chases.
 func flatNorm(norms2 []float64) float64 {
 	s := 0.0
 	for _, v := range norms2 {
@@ -668,8 +658,7 @@ var debugHook func(states []*rankState)
 
 // record appends a step record with cumulative counters (and mirrors it
 // onto the trace's control track when tracing is on). norm is the global
-// residual norm — globalNorm(states), or the bit-identical flatNorm when
-// the active-set engine maintains the squared-norm table.
+// residual norm (flatNorm).
 func record(res *Result, w *rma.World, states []*rankState, norm float64, step, relaxedRanks, cumRelax int) {
 	if debugHook != nil {
 		debugHook(states)

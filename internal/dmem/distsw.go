@@ -60,296 +60,212 @@ type DistSWOptions struct {
 // when q's estimate of this rank's norm (Γ̃, maintained exactly without
 // communication) exceeds the actual norm — the deadlock-risk condition.
 func DistributedSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
-	return distributedSouthwell(l, b, x, cfg, DistSWOptions{})
+	return DistributedSouthwellOpt(l, b, x, cfg, DistSWOptions{})
 }
 
 // DistributedSouthwellOpt is DistributedSouthwell with ablation options.
 func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWOptions) *Result {
-	return distributedSouthwell(l, b, x, cfg, opts)
-}
+	return solve(l, b, x, cfg, func(w *rma.World, states []*rankState, step *int) stepSpec {
+		// Persistent payloads (pointers cross the network; see blockjacobi.go).
+		// Explicit updates get their own per-neighbor structs: they are sent one
+		// phase after the solve messages, whose buffers are still in flight.
+		solvePl := make([][]dsSolvePayload, l.P)
+		resPl := make([][]dsResPayload, l.P)
+		for p, rs := range states {
+			solvePl[p] = make([]dsSolvePayload, rs.rd.Degree())
+			resPl[p] = make([]dsResPayload, rs.rd.Degree())
+		}
 
-func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOptions) *Result {
-	w := newWorld(l, cfg)
-	defer w.Close()
-	states := newRankStates(l, b, x)
-	configureLocal(states, cfg)
-	res := &Result{Method: "Distributed Southwell", P: l.P, N: l.A.N}
-	record(res, w, states, globalNorm(states), 0, 0, 0)
-
-	// Persistent payloads (pointers cross the network; see blockjacobi.go).
-	// Explicit updates get their own per-neighbor structs: they are sent one
-	// phase after the solve messages, whose buffers are still in flight.
-	solvePl := make([][]dsSolvePayload, l.P)
-	resPl := make([][]dsResPayload, l.P)
-	for p, rs := range states {
-		solvePl[p] = make([]dsSolvePayload, rs.rd.Degree())
-		resPl[p] = make([]dsResPayload, rs.rd.Degree())
-	}
-
-	// absorb drains rank p's window — callable from any phase. Residual
-	// deltas are always applied: they are additive and exact regardless of
-	// arrival order or lateness. Ghost refreshes and the Γ/Γ̃ estimates are
-	// guarded by the payload sequence number, so a delayed message cannot
-	// overwrite fresher information with stale values. Duplicate landings
-	// injected by the fault layer are skipped (a real duplicated one-sided
-	// write is idempotent). On a perfect network phase-1 windows are empty
-	// and every sequence number is fresh, so this reduces exactly to the
-	// paper's phase-2/phase-3 reads.
-	absorb := func(p int) {
-		rs := states[p]
-		changed := false
-		for _, m := range w.Inbox(p) {
-			if m.Dup {
-				continue
-			}
-			rs.gotMsg = true
-			j := rs.rd.NbrIdx[m.From]
-			switch pl := m.Payload.(type) {
-			case *dsSolvePayload:
-				rs.applyDeltas(j, pl.deltas)
-				changed = true
-				if pl.seq < rs.seqSeen[j] {
-					continue // keep the deltas, drop the stale estimates
-				}
-				rs.seqSeen[j] = pl.seq
-				// Crossing correction only when this rank itself relaxed
-				// this step and wrote to j (so lastSentNorm/sentBnd/extDelta
-				// describe this step's send). Fault-free this is exactly the
-				// phase-2 sentTo condition; under faults sentTo[j] can also
-				// mean an explicit update was sent, which has no crossing.
-				if rs.relaxed && rs.sentTo[j] {
-					// Crossing relaxations: the sender's ghost refresh and
-					// norm predate this rank's own deltas to it, so re-apply
-					// them on top (the "better estimate than doing nothing"
-					// of §3). The sender mirrors this arithmetic when it
-					// processes this rank's message, and Γ̃ is recomputed
-					// from the values this rank sent, so Γ̃ stays exactly
-					// equal to the sender's corrected estimate.
-					adj := 0.0
-					for k, e := range rs.rd.BndExt[j] {
-						nz := pl.bnd[k] + rs.extDelta[e]
-						adj += nz*nz - pl.bnd[k]*pl.bnd[k]
-						if !opts.NoGhostEstimate {
-							rs.z[e] = nz
-						} else {
-							rs.z[e] = pl.bnd[k]
-						}
-					}
-					if opts.NoGhostEstimate {
-						rs.gamma[j] = pl.norm
-						// Γ̃ keeps the value set at send time: the sender
-						// applies no correction either in this mode.
-					} else {
-						rs.gamma[j] = sqrtNonNeg(pl.norm*pl.norm + adj)
-						adjMine := 0.0
-						for k := range rs.rd.MyBnd[j] {
-							b0 := rs.sentBnd[j][k]
-							nb := b0 + pl.deltas[k]
-							adjMine += nb*nb - b0*b0
-						}
-						rs.gammaTilde[j] = sqrtNonNeg(rs.lastSentNorm*rs.lastSentNorm + adjMine)
-					}
-				} else {
-					rs.overwriteGhost(j, pl.bnd)
-					rs.gamma[j] = pl.norm
-					rs.gammaTilde[j] = pl.estRecv
-				}
-			case *dsResPayload:
-				if pl.seq < rs.seqSeen[j] {
+		// absorb drains rank p's window — callable from any phase. Residual
+		// deltas are always applied: they are additive and exact regardless of
+		// arrival order or lateness. Ghost refreshes and the Γ/Γ̃ estimates are
+		// guarded by the payload sequence number, so a delayed message cannot
+		// overwrite fresher information with stale values. Duplicate landings
+		// injected by the fault layer are skipped (a real duplicated one-sided
+		// write is idempotent). On a perfect network phase-1 windows are empty
+		// and every sequence number is fresh, so this reduces exactly to the
+		// paper's phase-2/phase-3 reads.
+		absorb := func(p int) {
+			rs := states[p]
+			changed := false
+			for _, m := range w.Inbox(p) {
+				if m.Dup {
 					continue
 				}
-				rs.seqSeen[j] = pl.seq
-				rs.overwriteGhost(j, pl.bnd)
-				rs.gamma[j] = pl.norm
-				if !rs.sentTo[j] {
-					rs.gammaTilde[j] = pl.estRecv
+				rs.gotMsg = true
+				j := rs.rd.NbrIdx[m.From]
+				switch pl := m.Payload.(type) {
+				case *dsSolvePayload:
+					rs.applyDeltas(j, pl.deltas)
+					changed = true
+					if pl.seq < rs.seqSeen[j] {
+						continue // keep the deltas, drop the stale estimates
+					}
+					rs.seqSeen[j] = pl.seq
+					// Crossing correction only when this rank itself relaxed
+					// this step and wrote to j (so lastSentNorm/sentBnd/extDelta
+					// describe this step's send). Fault-free this is exactly the
+					// phase-2 sentTo condition; under faults sentTo[j] can also
+					// mean an explicit update was sent, which has no crossing.
+					if rs.relaxed && rs.sentTo[j] {
+						// Crossing relaxations: the sender's ghost refresh and
+						// norm predate this rank's own deltas to it, so re-apply
+						// them on top (the "better estimate than doing nothing"
+						// of §3). The sender mirrors this arithmetic when it
+						// processes this rank's message, and Γ̃ is recomputed
+						// from the values this rank sent, so Γ̃ stays exactly
+						// equal to the sender's corrected estimate.
+						adj := 0.0
+						for k, e := range rs.rd.BndExt[j] {
+							nz := pl.bnd[k] + rs.extDelta[e]
+							adj += nz*nz - pl.bnd[k]*pl.bnd[k]
+							if !opts.NoGhostEstimate {
+								rs.z[e] = nz
+							} else {
+								rs.z[e] = pl.bnd[k]
+							}
+						}
+						if opts.NoGhostEstimate {
+							rs.gamma[j] = pl.norm
+							// Γ̃ keeps the value set at send time: the sender
+							// applies no correction either in this mode.
+						} else {
+							rs.gamma[j] = sqrtNonNeg(pl.norm*pl.norm + adj)
+							adjMine := 0.0
+							for k := range rs.rd.MyBnd[j] {
+								b0 := rs.sentBnd[j][k]
+								nb := b0 + pl.deltas[k]
+								adjMine += nb*nb - b0*b0
+							}
+							rs.gammaTilde[j] = sqrtNonNeg(rs.lastSentNorm*rs.lastSentNorm + adjMine)
+						}
+					} else {
+						rs.overwriteGhost(j, pl.bnd)
+						rs.gamma[j] = pl.norm
+						rs.gammaTilde[j] = pl.estRecv
+					}
+				case *dsResPayload:
+					if pl.seq < rs.seqSeen[j] {
+						continue
+					}
+					rs.seqSeen[j] = pl.seq
+					rs.overwriteGhost(j, pl.bnd)
+					rs.gamma[j] = pl.norm
+					if !rs.sentTo[j] {
+						rs.gammaTilde[j] = pl.estRecv
+					}
 				}
 			}
+			if changed {
+				rs.norm = rs.computeNorm()
+				w.Charge(p, 2*float64(rs.rd.M()))
+			}
 		}
-		if changed {
-			rs.norm = rs.computeNorm()
-			w.Charge(p, 2*float64(rs.rd.M()))
-		}
-	}
 
-	wd := newWatchdog(cfg, w)
-	chaotic := cfg.Faults != nil
-	refreshAfter := (cfg.watchdogWindow() + 1) / 2
-	cumRelax := 0
-	// DS's quiescence rule (engine.go): a rank that held with an empty
-	// window re-decides identically until its state changes, and its phase-2
-	// trigger self-extinguishes (a fired send sets Γ̃[j] = ‖r‖, or lastTold
-	// under UpdateSlack, closing the trigger). The starvation re-announce is
-	// the one per-step poll; the engine converts it to step stamps plus a
-	// wakeup calendar, so starvation=true here.
-	eng := newStepEngine(w, states, cfg, true)
-	if opts.UpdateSlack < 0 {
-		// A negative slack keeps the trigger Γ̃ > (1+s)·‖r‖ open even after a
-		// send resets Γ̃ = ‖r‖, so the phase-2 action is not self-extinguishing
-		// and the quiescence invariant does not hold: stay dense.
-		eng.dense = true
-	}
-	// The phase closures are hoisted out of the step loop and capture the
-	// shared step variable, so the active engine can re-dispatch them
-	// per-phase without per-step closure allocations.
-	var step int
-	// Phase 1: absorb any late deliveries; decide from estimates;
-	// relax; write updates.
-	phase1 := func(p int) {
-		absorb(p)
-		rs := states[p]
-		wins := rs.norm > 0
-		for j, q := range rs.rd.Nbrs {
-			if !winsOver(rs.norm, p, rs.gamma[j], q) {
-				wins = false
-				break
-			}
-		}
-		w.Charge(p, float64(rs.rd.Degree()))
-		traceDecision(w, step, p, rs, wins)
-		if !wins {
-			return
-		}
-		rs.relaxed = true
-		rs.zeroExtDelta()
-		flops := rs.relaxLocal()
-		rs.norm = rs.computeNorm()
-		rs.lastSentNorm = rs.norm
-		w.Charge(p, flops+2*float64(rs.rd.M()))
-		for j, q := range rs.rd.Nbrs {
-			// Local, communication-free improvement of the estimate of
-			// q's norm using the ghost layer (skippable for ablation).
-			if opts.NoGhostEstimate {
-				for _, e := range rs.rd.BndExt[j] {
-					rs.z[e] += rs.extDelta[e]
+		chaotic := cfg.Faults != nil
+		refreshAfter := cfg.refreshAfter()
+		// Phase 1: absorb any late deliveries; decide from estimates;
+		// relax; write updates.
+		phase1 := func(p int) {
+			absorb(p)
+			rs := states[p]
+			wins := rs.norm > 0
+			for j, q := range rs.rd.Nbrs {
+				if !winsOver(rs.norm, p, rs.gamma[j], q) {
+					wins = false
+					break
 				}
-			} else {
-				rs.updateGhostAndGamma(j)
 			}
-			w.Charge(p, 2*float64(len(rs.rd.BndExt[j])))
-			rs.gammaTilde[j] = rs.norm
-			rs.sentTo[j] = true
-			pl := &solvePl[p][j]
-			pl.deltas = rs.deltasFor(j)
-			pl.bnd = rs.boundaryResiduals(j)
-			pl.norm = rs.norm
-			pl.estRecv = rs.gamma[j]
-			pl.seq = 2 * int64(step)
-			rs.sentBnd[j] = pl.bnd
-			w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+len(pl.bnd)+2), pl)
-		}
-	}
-	// Phase 2: absorb writes; detect deadlock risk; write explicit
-	// residual updates where needed.
-	phase2 := func(p int) {
-		absorb(p)
-		rs := states[p]
-		for j := range rs.sentTo {
-			rs.sentTo[j] = false
-		}
-		// Starvation re-announce (fault injection only): delayed or
-		// crossing messages can desync the Γ̃ mirror arithmetic from the
-		// neighbor's actual estimate, and a mutual overestimate cycle
-		// would then stall forever — the fault-free §2.4 proof assumes
-		// faithful tracking. A rank that has neither relaxed nor
-		// received anything for half the watchdog patience re-sends its
-		// exact residual state to every neighbor, making the estimates
-		// exact again, so Distributed Southwell stays deadlock-free on
-		// any eventually-quiescent network.
-		refresh := chaotic && rs.starved >= refreshAfter
-		if refresh {
-			rs.starved = 0
-		}
-		// Deadlock-risk detection (Algorithm 3, lines 27-30).
-		for j, q := range rs.rd.Nbrs {
-			if refresh || rs.gammaTilde[j] > rs.norm*(1+opts.UpdateSlack) {
-				traceResSend(w, step, p, q, rs.gammaTilde[j], rs, refresh)
+			w.Charge(p, float64(rs.rd.Degree()))
+			traceDecision(w, *step, p, rs, wins)
+			if !wins {
+				return
+			}
+			rs.relaxed = true
+			rs.zeroExtDelta()
+			flops := rs.relaxLocal()
+			rs.norm = rs.computeNorm()
+			rs.lastSentNorm = rs.norm
+			w.Charge(p, flops+2*float64(rs.rd.M()))
+			for j, q := range rs.rd.Nbrs {
+				// Local, communication-free improvement of the estimate of
+				// q's norm using the ghost layer (skippable for ablation).
+				if opts.NoGhostEstimate {
+					for _, e := range rs.rd.BndExt[j] {
+						rs.z[e] += rs.extDelta[e]
+					}
+				} else {
+					rs.updateGhostAndGamma(j)
+				}
+				w.Charge(p, 2*float64(len(rs.rd.BndExt[j])))
 				rs.gammaTilde[j] = rs.norm
 				rs.sentTo[j] = true
-				pl := &resPl[p][j]
-				pl.bnd = rs.resBoundaryResiduals(j)
+				pl := &solvePl[p][j]
+				pl.deltas = rs.deltasFor(j)
+				pl.bnd = rs.boundaryResiduals(j)
 				pl.norm = rs.norm
 				pl.estRecv = rs.gamma[j]
-				pl.seq = 2*int64(step) + 1
-				w.Put(p, q, rma.TagResidual, msgBytes(len(pl.bnd)+2), pl)
+				pl.seq = 2 * int64(*step)
+				rs.sentBnd[j] = pl.bnd
+				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+len(pl.bnd)+2), pl)
 			}
 		}
-	}
-	// Phase 3: absorb explicit updates.
-	phase3 := func(p int) {
-		absorb(p)
-		rs := states[p]
-		for j := range rs.sentTo {
-			rs.sentTo[j] = false
-		}
-	}
-	// Squared local norms for the flat global-norm sum on the active path;
-	// tally refreshes member slots, sleepers cannot change theirs.
-	var norms2 []float64
-	if !eng.dense {
-		norms2 = make([]float64, len(states))
-		for p, rs := range states {
-			norms2[p] = rs.norm * rs.norm
-		}
-	}
-	for step = 1; step <= cfg.steps(); step++ {
-		relaxedRanks := 0
-		var norm float64
-		if eng.dense {
-			// Reset relax flags on the driving goroutine: a rank paused by
-			// the fault layer does not execute phase 1 and must not be
-			// counted as having relaxed again.
-			for _, rs := range states {
-				rs.relaxed = false
+		// Phase 2: absorb writes; detect deadlock risk; write explicit
+		// residual updates where needed.
+		phase2 := func(p int) {
+			absorb(p)
+			rs := states[p]
+			for j := range rs.sentTo {
+				rs.sentTo[j] = false
 			}
-			// The step's three access epochs form one scheduler group: under
-			// rma.SchedNeighbor each rank advances phase to phase on its own
-			// neighborhood's progress alone.
-			w.RunPhases(phase1, phase2, phase3)
-			for p := range states {
-				if states[p].relaxed {
-					relaxedRanks++
-					cumRelax += states[p].rd.M()
+			// Starvation re-announce (fault injection only): delayed or
+			// crossing messages can desync the Γ̃ mirror arithmetic from the
+			// neighbor's actual estimate, and a mutual overestimate cycle
+			// would then stall forever — the fault-free §2.4 proof assumes
+			// faithful tracking. A rank that has neither relaxed nor
+			// received anything for half the watchdog patience re-sends its
+			// exact residual state to every neighbor, making the estimates
+			// exact again, so Distributed Southwell stays deadlock-free on
+			// any eventually-quiescent network.
+			refresh := chaotic && rs.starved >= refreshAfter
+			if refresh {
+				rs.starved = 0
+			}
+			// Deadlock-risk detection (Algorithm 3, lines 27-30).
+			for j, q := range rs.rd.Nbrs {
+				if refresh || rs.gammaTilde[j] > rs.norm*(1+opts.UpdateSlack) {
+					traceResSend(w, *step, p, q, rs.gammaTilde[j], rs, refresh)
+					rs.gammaTilde[j] = rs.norm
+					rs.sentTo[j] = true
+					pl := &resPl[p][j]
+					pl.bnd = rs.resBoundaryResiduals(j)
+					pl.norm = rs.norm
+					pl.estRecv = rs.gamma[j]
+					pl.seq = 2*int64(*step) + 1
+					w.Put(p, q, rma.TagResidual, msgBytes(len(pl.bnd)+2), pl)
 				}
 			}
-			if chaotic {
-				for _, rs := range states {
-					if rs.relaxed || rs.gotMsg {
-						rs.starved = 0
-					} else {
-						rs.starved++
-					}
-					rs.gotMsg = false
-				}
+		}
+		// Phase 3: absorb explicit updates.
+		phase3 := func(p int) {
+			absorb(p)
+			rs := states[p]
+			for j := range rs.sentTo {
+				rs.sentTo[j] = false
 			}
-			norm = globalNorm(states)
-		} else {
-			eng.resetRelaxed()
-			eng.beginStep(step)
-			eng.runPhase(step, phase1, eng.idleDeg)
-			eng.runPhase(step, phase2, nil)
-			eng.runPhase(step, phase3, nil)
-			rr, rows := eng.tally(norms2)
-			relaxedRanks = rr
-			cumRelax += rows
-			// Executed ranks take the dense starvation rule; quiescent ones
-			// sleep with a stamped counter and a calendar wakeup.
-			eng.endStep(step)
-			norm = flatNorm(norms2)
 		}
-		record(res, w, states, norm, step, relaxedRanks, cumRelax)
-		eng.traceStep(step)
-		if wd.observe(w, step, relaxedRanks) {
-			res.deadlockAt(step)
-			break
+		// Quiescent: a rank that held with an empty window re-decides
+		// identically until its state changes, and its phase-2 trigger
+		// self-extinguishes (a fired send sets Γ̃[j] = ‖r‖, closing the
+		// trigger) — unless the slack is negative: Γ̃ > (1+s)·‖r‖ then stays
+		// open after the reset. The starvation re-announce is the one
+		// per-step poll; the driver converts it to step stamps plus a wakeup
+		// calendar.
+		return stepSpec{
+			name:       "Distributed Southwell",
+			phases:     []func(int){phase1, phase2, phase3},
+			quiescent:  opts.UpdateSlack >= 0,
+			starvation: true,
 		}
-		if cfg.Target > 0 && res.Final().ResNorm <= cfg.Target {
-			break
-		}
-	}
-	if !eng.dense {
-		res.ActiveHist = eng.hist
-	}
-	finish(res, l, w, states)
-	return res
+	})
 }

@@ -102,6 +102,48 @@ func methods() map[string]method {
 	}
 }
 
+// methodsWithPB is methods() plus the deadlock-prone piggyback variant, for
+// the invariants that must hold on it too (watchdog timing depends on sim
+// time, which depends on the per-phase cost folds).
+func methodsWithPB() map[string]method {
+	ms := methods()
+	ms["Piggyback2016"] = Piggyback2016
+	return ms
+}
+
+// compareRuns is the package's one bit-identity comparator: two results
+// must agree bit-for-bit in everything that is part of results — the
+// per-step history (norms, messages by tag, simulated time, fault
+// counters), cumulative runtime stats, the watchdog verdict, and the
+// gathered solution. Diagnostics (ActiveHist, SchedWaits) are engine
+// observations and deliberately excluded.
+func compareRuns(t *testing.T, label string, a, b *Result) {
+	t.Helper()
+	if len(a.History) != len(b.History) {
+		t.Fatalf("%s: history lengths differ: %d vs %d", label, len(a.History), len(b.History))
+	}
+	for s := range a.History {
+		if a.History[s] != b.History[s] {
+			t.Fatalf("%s: step %d differs:\na %+v\nb %+v", label, s, a.History[s], b.History[s])
+		}
+	}
+	if a.Stats != b.Stats {
+		t.Fatalf("%s: stats differ:\na %+v\nb %+v", label, a.Stats, b.Stats)
+	}
+	if a.Deadlocked != b.Deadlocked || a.DeadlockStep != b.DeadlockStep {
+		t.Fatalf("%s: watchdog verdicts differ: (%v,%d) vs (%v,%d)",
+			label, a.Deadlocked, a.DeadlockStep, b.Deadlocked, b.DeadlockStep)
+	}
+	if len(a.X) != len(b.X) {
+		t.Fatalf("%s: solution lengths differ: %d vs %d", label, len(a.X), len(b.X))
+	}
+	for i := range a.X {
+		if a.X[i] != b.X[i] {
+			t.Fatalf("%s: solution differs at row %d: %.17g vs %.17g", label, i, a.X[i], b.X[i])
+		}
+	}
+}
+
 // Core invariant: for every method, the reported residual norm at the end
 // exactly matches ‖b - A x‖ of the gathered solution.
 func TestMethodsResidualExact(t *testing.T) {
@@ -250,14 +292,7 @@ func TestParallelEngineIdenticalHistory(t *testing.T) {
 		seq := run(l, b, x, Config{Steps: 25})
 		l2, b2, x2 := buildCase(t, a.Clone(), 12, 9)
 		par := run(l2, b2, x2, Config{Steps: 25, Parallel: true})
-		if len(seq.History) != len(par.History) {
-			t.Fatalf("%s: history lengths differ", name)
-		}
-		for i := range seq.History {
-			if seq.History[i] != par.History[i] {
-				t.Fatalf("%s: step %d differs: %+v vs %+v", name, i, seq.History[i], par.History[i])
-			}
-		}
+		compareRuns(t, name, seq, par)
 	}
 }
 

@@ -5,20 +5,27 @@ import (
 	"southwell/internal/rma"
 )
 
-// Active-set step engine (DESIGN.md §14). Distributed and Parallel
-// Southwell relax only local residual-norm maxima, so at paper scale most
-// ranks spend most steps provably idle: empty window, unchanged state, and
-// a decision that a replay of last step's hold. The engine tracks exactly
-// that quiescence and dispatches each phase over the active subset through
+// The step driver (DESIGN.md §14). In the paper all methods are one program
+// shape — a parallel step is two or three one-sided access epochs — and
+// differ only in what a rank does inside an epoch. solve owns everything
+// else: world and rank-state construction, the step loop (reset relax flags
+// → run the step's epochs → tally → starvation rule → record → trace →
+// watchdog → target) and the result summary. A method supplies a stepSpec.
+//
+// The driver steps an active set. Distributed and Parallel Southwell relax
+// only local residual-norm maxima, so at paper scale most ranks spend most
+// steps provably idle: empty window, unchanged state, and a decision that is
+// a replay of last step's hold. The driver tracks exactly that quiescence
+// and dispatches each epoch over the active subset through
 // rma.RunPhaseActive, charging sleepers their unconditional phase-1 flops
 // (the Degree() decision scan) through the idle vector so simulated time,
-// message statistics, and chaos schedules stay bit-identical to dense
-// stepping.
+// message statistics, and chaos schedules stay bit-identical to running
+// every rank.
 //
 // The quiescence invariant: a rank may sleep only after an executed step
 // in which it did not relax and read no mail. Its state is then unchanged
 // since a step in which it held, and every step function is deterministic
-// in (state, inbox), so dense stepping would reproduce that hold — and its
+// in (state, inbox), so running it would reproduce that hold — and its
 // phase-2 triggers are self-extinguishing (a fired send sets the trigger's
 // guard variable to its threshold) — for as long as the state stays
 // unchanged. State can change only through its own relaxation (it is
@@ -27,28 +34,92 @@ import (
 // or the starvation clock (converted from a per-step poll into a stamped
 // counter plus a wakeup calendar). Waking a clean rank is always safe: its
 // executed step is an exact no-op beyond the idle charge, so running any
-// superset of the minimal active set is bit-identical — running all ranks
-// IS dense stepping.
-//
-// Methods declare their own quiescence rules by how they drive the engine:
-// DS (starvation stamps + wakeup calendar under chaos), PS (no starvation
-// clock), BJ (never quiescent — every rank relaxes unconditionally every
-// step, so it stays on the dense RunPhases path by construction).
+// superset of the minimal active set is bit-identical. Running all ranks is
+// the paper's pseudocode as written; it is not a second code path but the
+// case "no rank ever sleeps" (Config.pinned).
 
-// activeEligible reports whether this configuration can run the active-set
-// step engine. Dense opts out explicitly; the neighborhood scheduler runs
-// whole step groups per rank (the active set is a per-phase, driver-side
-// notion, and SchedNeighbor already pipelines idle ranks cheaply); host-
-// time fault hooks (SpinStragglers, HostDelay) stall only executed ranks,
-// so skipping would under-stall the wall clock those studies measure.
-func (c Config) activeEligible() bool {
-	if c.Dense || c.Sched == rma.SchedNeighbor {
-		return false
+// stepSpec is what a method hands the driver: its name, the step's access
+// epochs in order, and two promises.
+//
+// quiescent promises the invariant above: the first phase charges exactly
+// Degree() flops unconditionally (the decision scan) and later phases charge
+// nothing unconditionally; a rank that held with an empty window replays
+// that hold until its state changes; phase-2 triggers self-extinguish. The
+// zero value is "never quiescent": every rank runs every step.
+//
+// starvation marks a method whose ranks keep the starvation re-announce
+// clock (rankState.starved); it ticks only under a fault plan.
+type stepSpec struct {
+	name       string
+	phases     []func(rank int)
+	quiescent  bool
+	starvation bool
+}
+
+// pinned reports whether every rank must run every step of this method
+// under this configuration — the one place the rules live. The method may
+// not promise quiescence; Dense asks for the pseudocode as written; the
+// neighborhood scheduler pipelines whole step groups per rank (the active
+// set is a per-epoch, driver-side notion) and needs the step as one
+// RunPhases group; host-time fault hooks (SpinStragglers, HostDelay) stall
+// only executed ranks, so skipping would under-stall the wall clock those
+// studies measure.
+func (c Config) pinned(spec stepSpec) bool {
+	if !spec.quiescent || c.Dense || c.Sched == rma.SchedNeighbor {
+		return true
 	}
-	if f := c.Faults; f != nil && (f.SpinStragglers || f.HostDelay != nil) {
-		return false
+	f := c.Faults
+	return f != nil && (f.SpinStragglers || f.HostDelay != nil)
+}
+
+// solve runs one method to completion. build is called once, after the
+// world and rank states exist, and returns the method's stepSpec; the phase
+// closures it builds read the current step through the pointer (sequence
+// numbers, trace events), so the driver re-dispatches the same closures
+// every step without allocating.
+func solve(l *Layout, b, x []float64, cfg Config, build func(w *rma.World, states []*rankState, step *int) stepSpec) *Result {
+	w := newWorld(l, cfg)
+	defer w.Close()
+	states := newRankStates(l, b, x)
+	configureLocal(states, cfg)
+	var step int
+	spec := build(w, states, &step)
+	e := newStepEngine(w, states, cfg, spec)
+	res := &Result{Method: spec.name, P: l.P, N: l.A.N}
+	// Squared local norms for the flat global-norm sum: tally refreshes the
+	// member slots, sleepers cannot change theirs.
+	norms2 := make([]float64, len(states))
+	for p, rs := range states {
+		norms2[p] = rs.norm * rs.norm
 	}
-	return true
+	record(res, w, states, flatNorm(norms2), 0, 0, 0)
+	wd := newWatchdog(cfg, w)
+	cumRelax := 0
+	for step = 1; step <= cfg.steps(); step++ {
+		// Relax flags are reset here, on the driving goroutine: a rank paused
+		// by the fault layer does not execute phase 1 and must not be counted
+		// as having relaxed again.
+		e.resetRelaxed()
+		e.runStep(step, spec.phases)
+		relaxedRanks, rows := e.tally(norms2)
+		cumRelax += rows
+		e.endStep(step)
+		record(res, w, states, flatNorm(norms2), step, relaxedRanks, cumRelax)
+		e.traceStep(step)
+		if wd.observe(w, step, relaxedRanks) {
+			// On a perfect network this fires at the first step without
+			// relaxations — nothing was sent, so no estimate can ever change;
+			// under faults it also waits out in-flight deliveries.
+			res.deadlockAt(step)
+			break
+		}
+		if cfg.Target > 0 && res.Final().ResNorm <= cfg.Target {
+			break
+		}
+	}
+	res.ActiveHist = e.hist
+	finish(res, l, w, states)
+	return res
 }
 
 // stepEngine tracks the active set for one run. All fields are touched
@@ -56,54 +127,53 @@ func (c Config) activeEligible() bool {
 type stepEngine struct {
 	w      *rma.World
 	states []*rankState
-	dense  bool // fall back to w.RunPhases for every step
+	pinned bool // no rank ever sleeps: list is all ranks for the whole run
 
-	starve       bool // DS under chaos: starvation stamps + wakeup calendar
+	starve       bool // starvation rule + (unpinned) stamps and wakeup calendar
 	refreshAfter int
 
-	inSet   []bool    // rank executes the current step's remaining phases
-	sawMail []bool    // rank's window was nonempty at a boundary this step
-	idleDeg []float64 // phase-1 idle charge: the unconditional Degree() scan
-	// list mirrors inSet as an ascending member list — the O(active) view
-	// every per-step walk (phase dispatch, flag reset, norm tally, sleep
-	// scan) runs over instead of all P. Admissions mark it dirty and
+	// list is the ascending member list — the view every per-step walk
+	// (phase dispatch, flag reset, norm tally, sleep scan) runs over. When
+	// ranks may sleep it mirrors inSet: admissions mark it dirty and
 	// syncList rebuilds it lazily, so the O(P) rebuild is paid only on
 	// steps where membership grew; endStep compacts removals in place.
 	list      []int32
 	listDirty bool
+
+	// Unpinned runs only.
+	inSet   []bool    // rank executes the current step's remaining phases
+	sawMail []bool    // rank's window was nonempty at a boundary this step
+	idleDeg []float64 // phase-1 idle charge: the unconditional Degree() scan
 	// calendar maps a future step to the ranks whose starvation refresh
 	// first fires there. Consumed by exact-key lookup at beginStep, never
 	// iterated, so map order cannot influence the run.
 	calendar map[int][]int32
-
-	active int   // current membership count, maintained by admit/endStep
-	hist   []int // per-step phase-1 active counts → Result.ActiveHist
+	hist     []int // per-step phase-1 active counts → Result.ActiveHist
 }
 
-// newStepEngine builds the engine for one run. starvation marks methods
-// with a starvation re-announce clock (DS); it matters only under a fault
-// plan, mirroring the dense drivers' `chaotic` guard.
-func newStepEngine(w *rma.World, states []*rankState, cfg Config, starvation bool) *stepEngine {
-	e := &stepEngine{w: w, states: states}
-	if !cfg.activeEligible() {
-		e.dense = true
+// newStepEngine builds the engine for one run of spec under cfg.
+func newStepEngine(w *rma.World, states []*rankState, cfg Config, spec stepSpec) *stepEngine {
+	p := len(states)
+	e := &stepEngine{
+		w: w, states: states, pinned: cfg.pinned(spec),
+		starve: spec.starvation && cfg.Faults != nil, refreshAfter: cfg.refreshAfter(),
+		list: make([]int32, p),
+	}
+	for i := range e.list {
+		e.list[i] = int32(i) // step 1 runs every rank: no hold has been observed yet
+	}
+	if e.pinned {
 		return e
 	}
-	p := len(states)
 	e.inSet = make([]bool, p)
 	e.sawMail = make([]bool, p)
 	e.idleDeg = make([]float64, p)
-	e.list = make([]int32, p)
 	for i, rs := range states {
-		e.inSet[i] = true // step 1 runs densely: no hold has been observed yet
+		e.inSet[i] = true
 		e.idleDeg[i] = float64(rs.rd.Degree())
-		e.list[i] = int32(i)
 	}
-	e.active = p
 	e.hist = make([]int, 0, cfg.steps())
-	if starvation && cfg.Faults != nil {
-		e.starve = true
-		e.refreshAfter = (cfg.watchdogWindow() + 1) / 2
+	if e.starve {
 		e.calendar = make(map[int][]int32)
 	}
 	return e
@@ -111,8 +181,8 @@ func newStepEngine(w *rma.World, states []*rankState, cfg Config, starvation boo
 
 // admit ensures rank p executes the step's remaining phases, reconciling
 // its lazily-stamped starvation counter on the sleep→active edge so the
-// phase-2 refresh test reads exactly the value dense stepping would have
-// accumulated by the end of step-1.
+// phase-2 refresh test reads exactly the value the per-step rule would
+// have accumulated by the end of step-1.
 func (e *stepEngine) admit(p, step int, mail bool) {
 	if mail {
 		e.sawMail[p] = true
@@ -121,12 +191,11 @@ func (e *stepEngine) admit(p, step int, mail bool) {
 		return
 	}
 	e.inSet[p] = true
-	e.active++
 	e.listDirty = true
 	if e.starve {
-		// While asleep the rank neither relaxed nor received, so dense
-		// stepping would have incremented starved once per step since the
-		// stamp.
+		// While asleep the rank neither relaxed nor received, so the
+		// per-step rule would have incremented starved once per step since
+		// the stamp.
 		rs := e.states[p]
 		rs.starved += (step - 1) - rs.starveStamp
 		rs.starveStamp = step - 1
@@ -142,8 +211,8 @@ func (e *stepEngine) admit(p, step int, mail bool) {
 func (e *stepEngine) scanMail(step int) {
 	// LiveInboxes is exactly the set of nonempty windows on the barrier
 	// delivery path (including windows retained across pauses), so the scan
-	// is O(receivers), not O(P). SchedNeighbor — where the list is not
-	// maintained — never runs the engine (activeEligible).
+	// is O(receivers), not O(P). SchedNeighbor — where that list is not
+	// maintained — pins every rank and never scans (Config.pinned).
 	for _, p := range e.w.LiveInboxes() {
 		e.admit(int(p), step, true)
 	}
@@ -161,7 +230,8 @@ func (e *stepEngine) beginStep(step int) {
 		}
 	}
 	e.scanMail(step)
-	e.hist = append(e.hist, e.active)
+	e.syncList()
+	e.hist = append(e.hist, len(e.list))
 }
 
 // syncList rebuilds the member list from inSet if admissions dirtied it.
@@ -183,7 +253,7 @@ func (e *stepEngine) syncList() {
 // resetRelaxed clears the per-step relax flags. Only current members can
 // carry a stale flag: a rank is put to sleep only at the end of a step it
 // did not relax in, and nothing sets the flag while it sleeps — so the
-// dense O(P) pointer walk shrinks to the member list.
+// O(P) pointer walk shrinks to the member list.
 func (e *stepEngine) resetRelaxed() {
 	e.syncList()
 	for _, p := range e.list {
@@ -209,29 +279,39 @@ func (e *stepEngine) tally(norms2 []float64) (relaxedRanks, rows int) {
 	return
 }
 
-// runPhase executes one access epoch over the active set (idle is the
-// per-rank flop charge dense stepping would make for a skipped rank; nil
-// for zero-cost phases), then rescans windows: membership grows
+// runStep executes the step's access epochs. Pinned, the step goes out as
+// one RunPhases group — which is what lets rma.SchedNeighbor advance each
+// rank phase to phase on its own neighborhood's progress alone. Otherwise
+// each epoch runs over the active set (idle is the per-rank flop charge a
+// skipped rank would have made: the decision scan in the first phase,
+// nothing after), then windows are rescanned: membership grows
 // monotonically within a step, so a rank reached by phase-k traffic runs
-// every later phase exactly as dense stepping would.
-func (e *stepEngine) runPhase(step int, f func(rank int), idle []float64) {
-	e.syncList()
-	e.w.RunPhaseActive(e.inSet, e.list, idle, f)
-	e.scanMail(step)
+// every later phase exactly as if no rank ever slept.
+func (e *stepEngine) runStep(step int, phases []func(rank int)) {
+	if e.pinned {
+		e.w.RunPhases(phases...)
+		return
+	}
+	e.beginStep(step)
+	idle := e.idleDeg
+	for _, f := range phases {
+		e.syncList()
+		e.w.RunPhaseActive(e.inSet, e.list, idle, f)
+		e.scanMail(step)
+		idle = nil
+	}
 }
 
-// endStep closes a step: executed ranks that changed state stay active,
-// quiescent ones go to sleep. For starvation-clocked methods it also
-// applies the dense per-step starvation rule to executed ranks (sleepers
-// accumulate lazily via the stamp) and schedules the sleeper's refresh
-// wakeup at the first step whose phase 2 would fire it.
+// endStep closes a step. Starvation-clocked methods apply the per-step
+// starvation rule to every executed rank (sleepers accumulate lazily via
+// the stamp). Then, unless pinned, executed ranks that changed state stay
+// active and quiescent ones go to sleep, with the sleeper's refresh wakeup
+// scheduled at the first step whose phase 2 would fire it.
 func (e *stepEngine) endStep(step int) {
-	e.syncList() // the post-phase-3 mail scan may have admitted ranks
-	kept := e.list[:0]
-	for _, p32 := range e.list {
-		p := int(p32)
-		rs := e.states[p]
-		if e.starve {
+	e.syncList() // the last phase's mail scan may have admitted ranks
+	if e.starve {
+		for _, p := range e.list {
+			rs := e.states[p]
 			if rs.relaxed || rs.gotMsg {
 				rs.starved = 0
 			} else {
@@ -240,13 +320,20 @@ func (e *stepEngine) endStep(step int) {
 			rs.gotMsg = false
 			rs.starveStamp = step
 		}
+	}
+	if e.pinned {
+		return
+	}
+	kept := e.list[:0]
+	for _, p32 := range e.list {
+		p := int(p32)
+		rs := e.states[p]
 		if rs.relaxed || e.sawMail[p] {
 			e.sawMail[p] = false
 			kept = append(kept, p32) // in-place compaction keeps order
 			continue                 // state changed: next step's decision must be evaluated
 		}
 		e.inSet[p] = false
-		e.active--
 		if e.starve {
 			// Refresh fires in phase 2 of step u once starved at the end of
 			// u-1 reaches refreshAfter; asleep, starved grows by one per
@@ -262,18 +349,18 @@ func (e *stepEngine) endStep(step int) {
 }
 
 // traceStep mirrors the step's active-set occupancy onto the trace's
-// control track (skip rate = sleeping fraction). Dense runs emit nothing:
-// there is no engine to observe.
+// control track (skip rate = sleeping fraction). Pinned runs emit nothing:
+// there is no occupancy to observe.
 func (e *stepEngine) traceStep(step int) {
-	if e.dense {
+	if e.pinned {
 		return
 	}
 	tr := e.w.Tracer()
 	if tr == nil {
 		return
 	}
-	// e.active has already been shrunk by endStep; the step's phase-1
-	// occupancy is the hist entry beginStep recorded.
+	// endStep has already put this step's sleepers to bed; the step's
+	// phase-1 occupancy is the hist entry beginStep recorded.
 	p, executing := len(e.states), e.hist[len(e.hist)-1]
 	tr.Emit(obs.Event{
 		Kind:  obs.KindActiveSet,

@@ -30,22 +30,7 @@ func TestEngineEquivalenceOnSuite(t *testing.T) {
 				seq := run(l, b, x, Config{Steps: steps})
 				l2, b2, x2 := buildCase(t, e.Gen(), ranks, 1)
 				par := run(l2, b2, x2, Config{Steps: steps, Parallel: true})
-				if len(seq.History) != len(par.History) {
-					t.Fatalf("history lengths differ: %d vs %d", len(seq.History), len(par.History))
-				}
-				for i := range seq.History {
-					if seq.History[i] != par.History[i] {
-						t.Fatalf("step %d differs:\nseq %+v\npool %+v", i, seq.History[i], par.History[i])
-					}
-				}
-				if seq.Stats != par.Stats {
-					t.Fatalf("cumulative stats differ:\nseq %+v\npool %+v", seq.Stats, par.Stats)
-				}
-				for i := range seq.X {
-					if seq.X[i] != par.X[i] {
-						t.Fatalf("solution differs at row %d: %.17g vs %.17g", i, seq.X[i], par.X[i])
-					}
-				}
+				compareRuns(t, "pool", seq, par)
 			})
 		}
 	}

@@ -43,169 +43,103 @@ func (pl *psResPayload) CloneMessage() any {
 // Norms in Γ are therefore exact at every decision, making the method
 // mathematically identical to shared-memory block Parallel Southwell.
 func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
-	w := newWorld(l, cfg)
-	defer w.Close()
-	states := newRankStates(l, b, x)
-	configureLocal(states, cfg)
-	res := &Result{Method: "Parallel Southwell", P: l.P, N: l.A.N}
-	record(res, w, states, globalNorm(states), 0, 0, 0)
-
-	// Persistent payloads (pointers cross the network; see blockjacobi.go).
-	// The explicit update carries one norm for all neighbors, so a single
-	// struct per rank suffices.
-	solvePl := make([][]psSolvePayload, l.P)
-	resPl := make([]psResPayload, l.P)
-	for p, rs := range states {
-		solvePl[p] = make([]psSolvePayload, rs.rd.Degree())
-	}
-
-	// absorb drains rank p's window in any phase: deltas are always applied
-	// (additive, exact regardless of arrival order), the piggybacked norm is
-	// taken only when at least as fresh as what was already absorbed, and
-	// fault-injected duplicate landings are skipped (a real duplicated
-	// one-sided write is idempotent). Reduces to the paper's phase-2/phase-3
-	// reads on a perfect network.
-	absorb := func(p int) {
-		rs := states[p]
-		changed := false
-		for _, m := range w.Inbox(p) {
-			if m.Dup {
-				continue
-			}
-			j := rs.rd.NbrIdx[m.From]
-			switch pl := m.Payload.(type) {
-			case *psSolvePayload:
-				rs.applyDeltas(j, pl.deltas)
-				changed = true
-				if pl.seq >= rs.seqSeen[j] {
-					rs.seqSeen[j] = pl.seq
-					rs.gamma[j] = pl.norm
-				}
-			case *psResPayload:
-				if pl.seq >= rs.seqSeen[j] {
-					rs.seqSeen[j] = pl.seq
-					rs.gamma[j] = pl.norm
-				}
-			}
-		}
-		if changed {
-			rs.norm = rs.computeNorm()
-			w.Charge(p, 2*float64(rs.rd.M()))
-		}
-	}
-
-	wd := newWatchdog(cfg, w)
-	cumRelax := 0
-	// PS's quiescence rule (engine.go): a held decision replays until the
-	// state changes, and the phase-2 announce self-extinguishes (a fired
-	// announce sets lastTold = norm, closing the trigger). PS has no
-	// starvation clock — exact norms cannot deadlock — so starvation=false.
-	eng := newStepEngine(w, states, cfg, false)
-	// Phase closures are hoisted out of the step loop, capturing the shared
-	// step variable, so the engine re-dispatches them phase by phase.
-	var step int
-	// Phase 1: absorb late deliveries; decide and relax.
-	phase1 := func(p int) {
-		absorb(p)
-		rs := states[p]
-		wins := rs.norm > 0
-		for j, q := range rs.rd.Nbrs {
-			if !winsOver(rs.norm, p, rs.gamma[j], q) {
-				wins = false
-				break
-			}
-		}
-		w.Charge(p, float64(rs.rd.Degree()))
-		traceDecision(w, step, p, rs, wins)
-		if !wins {
-			return
-		}
-		rs.relaxed = true
-		rs.zeroExtDelta()
-		flops := rs.relaxLocal()
-		rs.norm = rs.computeNorm()
-		rs.lastTold = rs.norm
-		w.Charge(p, flops+2*float64(rs.rd.M()))
-		for j, q := range rs.rd.Nbrs {
-			pl := &solvePl[p][j]
-			pl.deltas = rs.deltasFor(j)
-			pl.norm = rs.norm
-			pl.seq = 2 * int64(step)
-			w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
-		}
-	}
-	// Phase 2: absorb writes; announce changed norms.
-	phase2 := func(p int) {
-		absorb(p)
-		rs := states[p]
-		// Bit-exact by design: any change at all to the norm since the
-		// last announcement must be broadcast (Algorithm 2, line 20) —
-		// a tolerance here would let stale Γ entries persist.
-		if rs.norm != rs.lastTold { //dslint:ignore floatcmp
-
-			traceResSend(w, step, p, -1, rs.lastTold, rs, false)
-			rs.lastTold = rs.norm
-			resPl[p].norm = rs.norm
-			resPl[p].seq = 2*int64(step) + 1
-			for _, q := range rs.rd.Nbrs {
-				w.Put(p, q, rma.TagResidual, msgBytes(1), &resPl[p])
-			}
-		}
-	}
-	// Squared local norms for the flat global-norm sum on the active path
-	// (see distsw.go).
-	var norms2 []float64
-	if !eng.dense {
-		norms2 = make([]float64, len(states))
+	return solve(l, b, x, cfg, func(w *rma.World, states []*rankState, step *int) stepSpec {
+		// Persistent payloads (pointers cross the network; see blockjacobi.go).
+		// The explicit update carries one norm for all neighbors, so a single
+		// struct per rank suffices.
+		solvePl := make([][]psSolvePayload, l.P)
+		resPl := make([]psResPayload, l.P)
 		for p, rs := range states {
-			norms2[p] = rs.norm * rs.norm
+			solvePl[p] = make([]psSolvePayload, rs.rd.Degree())
 		}
-	}
-	for step = 1; step <= cfg.steps(); step++ {
-		relaxedRanks := 0
-		var norm float64
-		if eng.dense {
-			// Reset relax flags on the driving goroutine: a rank paused by
-			// the fault layer does not execute phase 1 and must not be
-			// recounted.
-			for _, rs := range states {
-				rs.relaxed = false
-			}
-			// One scheduler group per step (see blockjacobi.go). Phase 3
-			// absorbs explicit updates.
-			w.RunPhases(phase1, phase2, absorb)
-			for p := range states {
-				if states[p].relaxed {
-					relaxedRanks++
-					cumRelax += states[p].rd.M()
+
+		// absorb drains rank p's window in any phase: deltas are always applied
+		// (additive, exact regardless of arrival order), the piggybacked norm is
+		// taken only when at least as fresh as what was already absorbed, and
+		// fault-injected duplicate landings are skipped (a real duplicated
+		// one-sided write is idempotent). Reduces to the paper's phase-2/phase-3
+		// reads on a perfect network.
+		absorb := func(p int) {
+			rs := states[p]
+			changed := false
+			for _, m := range w.Inbox(p) {
+				if m.Dup {
+					continue
+				}
+				j := rs.rd.NbrIdx[m.From]
+				switch pl := m.Payload.(type) {
+				case *psSolvePayload:
+					rs.applyDeltas(j, pl.deltas)
+					changed = true
+					if pl.seq >= rs.seqSeen[j] {
+						rs.seqSeen[j] = pl.seq
+						rs.gamma[j] = pl.norm
+					}
+				case *psResPayload:
+					if pl.seq >= rs.seqSeen[j] {
+						rs.seqSeen[j] = pl.seq
+						rs.gamma[j] = pl.norm
+					}
 				}
 			}
-			norm = globalNorm(states)
-		} else {
-			eng.resetRelaxed()
-			eng.beginStep(step)
-			eng.runPhase(step, phase1, eng.idleDeg)
-			eng.runPhase(step, phase2, nil)
-			eng.runPhase(step, absorb, nil)
-			rr, rows := eng.tally(norms2)
-			relaxedRanks = rr
-			cumRelax += rows
-			eng.endStep(step)
-			norm = flatNorm(norms2)
+			if changed {
+				rs.norm = rs.computeNorm()
+				w.Charge(p, 2*float64(rs.rd.M()))
+			}
 		}
-		record(res, w, states, norm, step, relaxedRanks, cumRelax)
-		eng.traceStep(step)
-		if wd.observe(w, step, relaxedRanks) {
-			res.deadlockAt(step)
-			break
+
+		// Phase 1: absorb late deliveries; decide and relax.
+		phase1 := func(p int) {
+			absorb(p)
+			rs := states[p]
+			wins := rs.norm > 0
+			for j, q := range rs.rd.Nbrs {
+				if !winsOver(rs.norm, p, rs.gamma[j], q) {
+					wins = false
+					break
+				}
+			}
+			w.Charge(p, float64(rs.rd.Degree()))
+			traceDecision(w, *step, p, rs, wins)
+			if !wins {
+				return
+			}
+			rs.relaxed = true
+			rs.zeroExtDelta()
+			flops := rs.relaxLocal()
+			rs.norm = rs.computeNorm()
+			rs.lastTold = rs.norm
+			w.Charge(p, flops+2*float64(rs.rd.M()))
+			for j, q := range rs.rd.Nbrs {
+				pl := &solvePl[p][j]
+				pl.deltas = rs.deltasFor(j)
+				pl.norm = rs.norm
+				pl.seq = 2 * int64(*step)
+				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
+			}
 		}
-		if cfg.Target > 0 && res.Final().ResNorm <= cfg.Target {
-			break
+		// Phase 2: absorb writes; announce changed norms.
+		phase2 := func(p int) {
+			absorb(p)
+			rs := states[p]
+			// Bit-exact by design: any change at all to the norm since the
+			// last announcement must be broadcast (Algorithm 2, line 20) —
+			// a tolerance here would let stale Γ entries persist.
+			if rs.norm != rs.lastTold { //dslint:ignore floatcmp
+
+				traceResSend(w, *step, p, -1, rs.lastTold, rs, false)
+				rs.lastTold = rs.norm
+				resPl[p].norm = rs.norm
+				resPl[p].seq = 2*int64(*step) + 1
+				for _, q := range rs.rd.Nbrs {
+					w.Put(p, q, rma.TagResidual, msgBytes(1), &resPl[p])
+				}
+			}
 		}
-	}
-	if !eng.dense {
-		res.ActiveHist = eng.hist
-	}
-	finish(res, l, w, states)
-	return res
+		// Quiescent: a held decision replays until the state changes, and the
+		// phase-2 announce self-extinguishes (a fired announce sets
+		// lastTold = norm, closing the trigger). No starvation clock — exact
+		// norms cannot deadlock. Phase 3 absorbs the explicit updates.
+		return stepSpec{name: "Parallel Southwell", phases: []func(int){phase1, phase2, absorb}, quiescent: true}
+	})
 }

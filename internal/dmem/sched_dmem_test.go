@@ -7,41 +7,6 @@ import (
 	"southwell/internal/rma"
 )
 
-// methodsWithPB is methods() plus the deadlock-prone piggyback variant: the
-// neighborhood scheduler must be bit-identical on it too (watchdog timing
-// depends on sim time, which depends on the per-phase cost folds).
-func methodsWithPB() map[string]method {
-	ms := methods()
-	ms["Piggyback2016"] = Piggyback2016
-	return ms
-}
-
-// assertSameRun fails unless two results are bit-identical in everything an
-// engine could perturb: history, message statistics, simulated time, and the
-// gathered solution.
-func assertSameRun(t *testing.T, name string, want, got *Result) {
-	t.Helper()
-	if len(want.History) != len(got.History) {
-		t.Fatalf("%s: history lengths differ: %d vs %d", name, len(want.History), len(got.History))
-	}
-	for i := range want.History {
-		if want.History[i] != got.History[i] {
-			t.Fatalf("%s: step %d differs:\n  seq: %+v\n  nbr: %+v", name, i, want.History[i], got.History[i])
-		}
-	}
-	if want.Stats != got.Stats {
-		t.Fatalf("%s: stats differ:\n  seq: %+v\n  nbr: %+v", name, want.Stats, got.Stats)
-	}
-	if want.Deadlocked != got.Deadlocked || want.DeadlockStep != got.DeadlockStep {
-		t.Fatalf("%s: deadlock outcome differs", name)
-	}
-	for i := range want.X {
-		if want.X[i] != got.X[i] {
-			t.Fatalf("%s: solution differs at %d: %g vs %g", name, i, want.X[i], got.X[i])
-		}
-	}
-}
-
 // TestNeighborSchedIdenticalHistory: the neighborhood-epoch pool engine is
 // bit-identical to the sequential engine for every method, on a partition
 // whose neighborhoods are a strict subset of the machine (so phases really
@@ -53,7 +18,7 @@ func TestNeighborSchedIdenticalHistory(t *testing.T) {
 		seq := run(l, b, x, Config{Steps: 25})
 		l2, b2, x2 := buildCase(t, a.Clone(), 12, 9)
 		nbr := run(l2, b2, x2, Config{Steps: 25, Parallel: true, Sched: rma.SchedNeighbor})
-		assertSameRun(t, name, seq, nbr)
+		compareRuns(t, name, seq, nbr)
 		if name != "Piggyback2016" && nbr.SchedWaits == nil {
 			t.Errorf("%s: neighborhood run reported no SchedWaits tally", name)
 		}
@@ -80,7 +45,7 @@ func TestNeighborSchedChaosIdentical(t *testing.T) {
 		seq := run(l, b, x, Config{Steps: 20, Faults: plan})
 		l2, b2, x2 := buildCase(t, a.Clone(), 13, 5)
 		nbr := run(l2, b2, x2, Config{Steps: 20, Parallel: true, Sched: rma.SchedNeighbor, Faults: plan})
-		assertSameRun(t, name+"/chaos", seq, nbr)
+		compareRuns(t, name+"/chaos", seq, nbr)
 	}
 }
 
@@ -95,7 +60,7 @@ func TestNeighborSchedRNGPlanFallsBack(t *testing.T) {
 	seq := DistributedSouthwell(l, b, x, Config{Steps: 15, Faults: plan})
 	l2, b2, x2 := buildCase(t, a.Clone(), 8, 3)
 	nbr := DistributedSouthwell(l2, b2, x2, Config{Steps: 15, Parallel: true, Sched: rma.SchedNeighbor, Faults: plan})
-	assertSameRun(t, "DS/rng-fallback", seq, nbr)
+	compareRuns(t, "DS/rng-fallback", seq, nbr)
 	if nbr.SchedWaits != nil {
 		t.Error("fallback run should not report a SchedWaits tally")
 	}

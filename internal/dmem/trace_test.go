@@ -38,22 +38,7 @@ func TestTracingPreservesResults(t *testing.T) {
 			rec := obs.NewRecorder(6)
 			traced := run(l2, b2, x2, Config{Steps: 12, Trace: rec})
 
-			if len(plain.History) != len(traced.History) {
-				t.Fatalf("history lengths differ: %d vs %d", len(plain.History), len(traced.History))
-			}
-			for i := range plain.History {
-				if plain.History[i] != traced.History[i] {
-					t.Fatalf("step %d differs:\nplain  %+v\ntraced %+v", i, plain.History[i], traced.History[i])
-				}
-			}
-			if plain.Stats != traced.Stats {
-				t.Fatalf("stats differ:\nplain  %+v\ntraced %+v", plain.Stats, traced.Stats)
-			}
-			for i := range plain.X {
-				if plain.X[i] != traced.X[i] {
-					t.Fatalf("solution differs at row %d", i)
-				}
-			}
+			compareRuns(t, "traced", plain, traced)
 			// And the recorder actually saw the run.
 			if len(rec.Events()) == 0 {
 				t.Error("recorder captured no events")

@@ -1,17 +1,16 @@
 package rma
 
-// Active-subset phase execution: the runtime half of the active-set
-// stepping engine (DESIGN.md §14). A caller that can prove a rank's phase
+// Active-subset phase execution: the runtime half of the dmem step driver's
+// unpinned mode (DESIGN.md §14). A caller that can prove a rank's phase
 // function is a state no-op — empty inbox, unchanged state, no scheduled
 // wakeup — runs the phase over just the active subset with RunPhaseActive.
 // Every skipped rank's would-be compute charge is paid through the idle
-// vector instead, keeping the α-β-γ clock bit-identical to dense. On the
-// plain barrier path with no fault plan and no tracer, the charge is
-// folded into the phase maximum analytically and the boundary runs in
-// O(active work) (deliverActive); under chaos or tracing the idle flops
-// are written per rank, so straggler multipliers and per-rank cost traces
-// match dense exactly. Either way the per-skipped-rank cost is at most
-// one bool load and one float add.
+// vector instead, keeping the α-β-γ clock bit-identical to running every
+// rank. On the plain barrier path with no fault plan and no tracer, the
+// charge is folded into the phase maximum analytically and the boundary
+// runs in O(active work) (deliverActive); under chaos or tracing the idle
+// flops are written per rank, so straggler multipliers and per-rank cost
+// traces match exactly.
 //
 // Contract, mirroring RunPhase: f(p) may only touch rank p's state, and
 // the caller guarantees that for every inactive rank f would have sent no
@@ -20,28 +19,25 @@ package rma
 // rank that does execute f (it is the unconditional part of the phase),
 // which lets the boundary fold the skipped ranks' compute cost from a
 // single cached maximum over the idle vector. Paused ranks
-// (FaultPlan.Pauses) neither run nor take the idle charge — dense
-// stepping charges a descheduled rank nothing, and so do we. Host-time
-// straggler hooks (SpinStragglers, HostDelay) fire only for executed
-// ranks; callers that skip ranks under such plans would under-stall the
-// host clock, so the dmem engine declines to dense there.
+// (FaultPlan.Pauses) neither run nor take the idle charge — RunPhase
+// charges a descheduled rank nothing, and so do we. Host-time straggler
+// hooks (SpinStragglers, HostDelay) fire only for executed ranks; skipping
+// ranks under such plans would under-stall the host clock, so the dmem
+// driver pins every rank there (dmem.Config.pinned).
 
 // RunPhaseActive executes one access epoch over the subset of ranks with
 // active[p] set: f runs for active ranks (sequentially, or sharded over
 // the persistent worker pool when w.Parallel is set), skipped unpaused
 // ranks are charged idle[p] flops (idle may be nil for a zero-cost
 // phase), then all staged puts are delivered and the phase's simulated
-// time is accounted exactly as in RunPhase. active must have length P and
-// must not be mutated until the call returns; running a superset of the
-// minimal active set is always safe (active[p] = true for all p is
-// RunPhase).
-//
-// actList, when non-nil, must list exactly the ranks with active[p] set,
-// ascending. It lets the fast boundary replace its remaining O(P) scans —
-// phase dispatch, staged-put sweep, cost fold — with O(active) list walks,
-// which is what keeps a paper-scale step near-free when almost every rank
-// sleeps. Passing nil is always correct (the boundary falls back to mask
-// scans); passing a stale or unsorted list is not.
+// time is accounted exactly as in RunPhase. active must have length P,
+// actList must list exactly the ranks with active[p] set, ascending, and
+// neither may be mutated until the call returns; a stale or unsorted list
+// is a contract violation. The list is what lets the fast boundary run
+// phase dispatch, the staged-put sweep and the cost fold as O(active)
+// walks, which keeps a paper-scale step near-free when almost every rank
+// sleeps. Running a superset of the minimal active set is always safe
+// (every rank active is RunPhase).
 //
 //dslint:hotpath
 func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f func(rank int)) {
@@ -52,15 +48,15 @@ func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f
 		ch.markPaused(w.phases)
 	}
 	if w.chaos == nil && w.trace == nil && w.nb == nil {
-		// Arm the O(active work) boundary: activeRange skips the per-rank
-		// idle flop writes and deliver dispatches to deliverActive, which
-		// folds the skipped ranks' Gamma·idle[p] compute cost analytically
-		// and touches only written windows. With a fault plan or tracer the
-		// per-rank path stays: chaos needs per-rank straggler multipliers
-		// and traces carry a KindRankCost row per idle-charged rank. (A
-		// neighborhood-scheduled world lands messages outside land(), so
-		// its liveInbox bookkeeping cannot be trusted — but such worlds
-		// never reach RunPhaseActive; the nb check is defense in depth.)
+		// Arm the O(active work) boundary: activeRange walks the member list
+		// and deliver dispatches to deliverActive, which folds the skipped
+		// ranks' Gamma·idle[p] compute cost analytically and touches only
+		// written windows. With a fault plan or tracer the per-rank path
+		// stays: chaos needs per-rank straggler multipliers and traces carry
+		// a KindRankCost row per idle-charged rank. (A neighborhood-scheduled
+		// world lands messages outside land(), so its liveInbox bookkeeping
+		// cannot be trusted — but such worlds never reach RunPhaseActive; the
+		// nb check is defense in depth.)
 		w.fastActive, w.fastList, w.fastIdle = active, actList, idle
 	}
 	if w.Parallel && w.P > 1 {
@@ -101,50 +97,33 @@ func lowerBound(list []int32, x int32) int {
 //
 //dslint:hotpath
 func (w *World) activeRange(lo, hi int, f func(int), active []bool, idle []float64) {
-	ch := w.chaos
-	if ch == nil {
-		if list := w.fastList; list != nil {
-			// Fast boundary armed with a member list: walk just the members
-			// in [lo, hi) — ascending, so the per-rank call order matches the
-			// mask scan exactly on both engines.
-			for _, p32 := range list[lowerBound(list, int32(lo)):] {
-				p := int(p32)
-				if p >= hi {
-					break
-				}
-				f(p)
+	if w.fastActive != nil {
+		// Fast boundary armed: walk just the members in [lo, hi) —
+		// ascending, so the per-rank call order matches a mask scan on both
+		// engines. Skipped ranks take no per-rank write at all;
+		// deliverActive folds their idle compute cost analytically.
+		list := w.fastList
+		for _, p32 := range list[lowerBound(list, int32(lo)):] {
+			p := int(p32)
+			if p >= hi {
+				break
 			}
-			return
-		}
-		if idle == nil || w.fastActive != nil {
-			// Zero-cost phase, or the fast boundary is armed: skipped ranks
-			// take no per-rank write at all — deliverActive folds their
-			// idle compute cost into the phase maximum analytically.
-			for p := lo; p < hi; p++ {
-				if active[p] {
-					f(p)
-				}
-			}
-			return
-		}
-		for p := lo; p < hi; p++ {
-			if active[p] {
-				f(p)
-			} else {
-				w.flops[p] += idle[p]
-			}
+			f(p)
 		}
 		return
 	}
+	ch := w.chaos
 	for p := lo; p < hi; p++ {
-		if ch.pausedNow[p] {
-			// Descheduled: the phase function does not run, and dense
-			// stepping charges a paused rank nothing — neither do we.
+		if ch != nil && ch.pausedNow[p] {
+			// Descheduled: the phase function does not run, and RunPhase
+			// charges a paused rank nothing — neither do we.
 			continue
 		}
 		if active[p] {
 			f(p)
-			ch.hostStraggle(p, w.phases, w.flops[p]) //dslint:ignore hotalloc caller-supplied FaultPlan.HostDelay dynamic call; fires only under an installed fault plan, never on measured active-set runs
+			if ch != nil {
+				ch.hostStraggle(p, w.phases, w.flops[p]) //dslint:ignore hotalloc caller-supplied FaultPlan.HostDelay dynamic call; fires only under an installed fault plan, never on measured active-set runs
+			}
 		} else if idle != nil {
 			w.flops[p] += idle[p]
 		}

@@ -45,7 +45,7 @@ func activeWorld(p, stride int, parallel bool) (*World, func(int), []bool, []flo
 }
 
 // maskList is the ascending member list of a mask — the actList form the
-// dmem engine maintains incrementally.
+// dmem driver maintains incrementally.
 func maskList(active []bool) []int32 {
 	var l []int32
 	for p, in := range active {
@@ -64,52 +64,42 @@ func maskList(active []bool) []int32 {
 func TestRunPhaseActiveMatchesRunPhase(t *testing.T) {
 	const p, stride, rounds = 64, 4, 5
 	for _, parallel := range []bool{false, true} {
-		for _, withList := range []bool{false, true} {
-			name := "seq"
-			if parallel {
-				name = "pool"
-			}
-			if withList {
-				name += "/list"
-			} else {
-				name += "/mask"
-			}
-			t.Run(name, func(t *testing.T) {
-				wa, fa, active, idle := activeWorld(p, stride, parallel)
-				defer wa.Close()
-				wd, fd, _, _ := activeWorld(p, stride, parallel)
-				defer wd.Close()
-				var lst []int32
-				if withList {
-					lst = maskList(active)
-				}
-				dense := func(rank int) {
-					if active[rank] {
-						fd(rank)
-					} else {
-						wd.Charge(rank, idle[rank])
-					}
-				}
-				for i := 0; i < rounds; i++ {
-					wa.RunPhaseActive(active, lst, idle, fa)
-					wd.RunPhase(dense)
-					for r := 0; r < p; r++ {
-						ia, id := wa.Inbox(r), wd.Inbox(r)
-						if len(ia) != len(id) {
-							t.Fatalf("round %d rank %d: %d landings active vs %d dense", i, r, len(ia), len(id))
-						}
-						for k := range ia {
-							if ia[k].From != id[k].From || ia[k].Tag != id[k].Tag {
-								t.Fatalf("round %d rank %d landing %d differs", i, r, k)
-							}
-						}
-					}
-				}
-				if sa, sd := wa.Stats(), wd.Stats(); sa != sd {
-					t.Errorf("stats differ:\nactive %+v\ndense  %+v", sa, sd)
-				}
-			})
+		name := "seq/list"
+		if parallel {
+			name = "pool/list"
 		}
+		t.Run(name, func(t *testing.T) {
+			wa, fa, active, idle := activeWorld(p, stride, parallel)
+			defer wa.Close()
+			wd, fd, _, _ := activeWorld(p, stride, parallel)
+			defer wd.Close()
+			lst := maskList(active)
+			dense := func(rank int) {
+				if active[rank] {
+					fd(rank)
+				} else {
+					wd.Charge(rank, idle[rank])
+				}
+			}
+			for i := 0; i < rounds; i++ {
+				wa.RunPhaseActive(active, lst, idle, fa)
+				wd.RunPhase(dense)
+				for r := 0; r < p; r++ {
+					ia, id := wa.Inbox(r), wd.Inbox(r)
+					if len(ia) != len(id) {
+						t.Fatalf("round %d rank %d: %d landings active vs %d dense", i, r, len(ia), len(id))
+					}
+					for k := range ia {
+						if ia[k].From != id[k].From || ia[k].Tag != id[k].Tag {
+							t.Fatalf("round %d rank %d landing %d differs", i, r, k)
+						}
+					}
+				}
+			}
+			if sa, sd := wa.Stats(), wd.Stats(); sa != sd {
+				t.Errorf("stats differ:\nactive %+v\ndense  %+v", sa, sd)
+			}
+		})
 	}
 }
 
@@ -126,8 +116,9 @@ func TestRunPhaseActiveFullMaskIsRunPhase(t *testing.T) {
 	for r := range all {
 		all[r] = true
 	}
+	lst := maskList(all)
 	for i := 0; i < 4; i++ {
-		wa.RunPhaseActive(all, nil, nil, fa)
+		wa.RunPhaseActive(all, lst, nil, fa)
 		wd.RunPhase(fd)
 	}
 	if sa, sd := wa.Stats(), wd.Stats(); sa != sd {

@@ -94,12 +94,37 @@ func DelayPlan(seed int64, prob float64, maxDelay int) *FaultPlan {
 }
 
 // Cloner lets the fault layer deep-copy a payload it must hold past the
-// phase in which it was staged (delayed deliveries): senders reuse their
-// payload buffers one phase after a normal delivery, so a held message
-// would otherwise alias storage that has since been rewritten. Payloads
-// that do not implement Cloner are held by reference.
+// phase in which it was staged (delayed deliveries) or past the phase in
+// which it was readable (windows retained across a pause): senders reuse
+// their payload buffers one phase after a normal delivery, so a held
+// message would otherwise alias storage that has since been rewritten.
+// Payloads that do not implement Cloner are held by reference.
 type Cloner interface {
 	CloneMessage() any
+}
+
+// own replaces m's payload with a private deep copy, once.
+//
+//dslint:ignore hotalloc fault-layer capture path: held and retained messages must clone their payloads by design, and faults are never enabled on measured runs
+func (m *Message) own() {
+	if m.owned {
+		return
+	}
+	if c, ok := m.Payload.(Cloner); ok {
+		m.Payload = c.CloneMessage()
+		m.owned = true
+	}
+}
+
+// retainWindow takes ownership of a window that outlives its phase because
+// its rank is paused. It must run before any sender can start the phase in
+// which it rewrites the buffers these messages point into: on the driver
+// between phases (deliver), or before the paused rank publishes its epoch
+// (nbRunPhase).
+func retainWindow(in []Message) {
+	for i := range in {
+		in[i].own()
+	}
 }
 
 // prng is splitmix64: tiny, fast, and stable across platforms, so chaos
@@ -337,9 +362,7 @@ func (ch *chaosState) fault(m *Message, phase int64) (deliver, dup bool) {
 	if ch.plan.DelayProb > 0 && ch.rng.float() < ch.plan.DelayProb {
 		k := 1 + ch.rng.intn(ch.plan.DelayMax)
 		held := *m
-		if c, ok := held.Payload.(Cloner); ok {
-			held.Payload = c.CloneMessage()
-		}
+		held.own()
 		ch.held = append(ch.held, heldMsg{due: phase + int64(k), m: held})
 		ch.delayed++
 		return false, false

@@ -161,6 +161,61 @@ func TestPausedWindowRetainsAcrossPause(t *testing.T) {
 	})
 }
 
+// TestPausedWindowOwnsItsPayloads: a window retained across a pause must not
+// alias the senders' send buffers. Ranks send from persistent buffers in
+// even phases and read in odd ones (the two-epoch shape of Block Jacobi);
+// rank 1 is paused over its phase-1 read and the senders' phase-2 rewrite,
+// so when it resumes in phase 3 it must still see the values staged in
+// phase 0, followed by the phase-2 ones — on every engine.
+func TestPausedWindowOwnsItsPayloads(t *testing.T) {
+	const p = 4
+	for _, mode := range []string{"seq", "pool", "nbr"} {
+		t.Run(mode, func(t *testing.T) {
+			w := NewWorld(p, CostModel{})
+			w.Parallel = mode != "seq"
+			if mode == "nbr" {
+				w.Sched = SchedNeighbor
+				w.SetNeighborhoods(ringNeighborhoods(p))
+			}
+			defer w.Close()
+			w.InstallFaults(&FaultPlan{Seed: 1, Pauses: []Pause{{Rank: 1, From: 1, To: 3}}})
+			bufs := make([][2]clonable, p)
+			for r := range bufs {
+				bufs[r][0].vals = make([]float64, 1)
+				bufs[r][1].vals = make([]float64, 1)
+			}
+			var got []float64 // rank 1's reads; only rank 1's phase function appends
+			fs := make([]func(int), 4)
+			for k := range fs {
+				fs[k] = func(rank int) {
+					if rank == 1 {
+						for _, m := range w.Inbox(1) {
+							got = append(got, m.Payload.(*clonable).vals[0])
+						}
+					}
+					if k%2 != 0 {
+						return
+					}
+					for d, to := range [2]int{(rank + 1) % p, (rank + p - 1) % p} {
+						bufs[rank][d].vals[0] = float64(100*k + rank)
+						w.Put(rank, to, TagSolve, 8, &bufs[rank][d])
+					}
+				}
+			}
+			w.RunPhases(fs...)
+			want := []float64{0, 2, 200, 202}
+			if len(got) != len(want) {
+				t.Fatalf("rank 1 read %v, want %v", got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("rank 1 read %v, want %v (retained window aliases a rewritten send buffer)", got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestStragglerMultipliesCost(t *testing.T) {
 	base := NewWorld(2, CostModel{Gamma: 1})
 	base.RunPhase(func(rank int) { base.Charge(rank, 10) })

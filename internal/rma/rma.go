@@ -96,6 +96,10 @@ type Message struct {
 	// window write observed twice in one batch. Receivers treating window
 	// writes as idempotent skip these.
 	Dup bool
+	// owned marks a payload the runtime has already deep-copied (a delayed
+	// delivery, or a window retained across a pause), so a multi-phase pause
+	// copies it once.
+	owned bool
 }
 
 // World is a set of P simulated ranks with windows and counters.
@@ -125,13 +129,12 @@ type World struct {
 	// windows that were actually written instead of scanning all P.
 	liveInbox []int32
 
-	// fastActive/fastList/fastIdle hold the membership mask, the optional
-	// sorted member list, and the idle-charge vector of an active-subset
-	// phase in flight (RunPhaseActive). When set — and no fault plan or
-	// tracer is installed — deliver dispatches to deliverActive and
-	// activeRange skips the per-rank idle flop writes; the idle compute
-	// cost folds into the phase maximum analytically, and the list (when
-	// non-nil) replaces every remaining O(P) mask or staging scan.
+	// fastActive/fastList/fastIdle hold the membership mask, the ascending
+	// member list, and the idle-charge vector of an active-subset phase in
+	// flight (RunPhaseActive). They are set only when no fault plan or
+	// tracer is installed: deliver then dispatches to deliverActive,
+	// activeRange walks the list instead of the mask, and the idle compute
+	// cost folds into the phase maximum analytically.
 	fastActive []bool
 	fastList   []int32
 	fastIdle   []float64
@@ -460,6 +463,7 @@ func (w *World) deliver() {
 			// One-sided writes to a paused rank's window persist until the
 			// rank next runs an epoch and can actually read them.
 			ch.paused++
+			retainWindow(w.inbox[p])
 			if len(w.inbox[p]) > 0 {
 				w.liveInbox = append(w.liveInbox, int32(p)) //dslint:ignore hotalloc preallocated to cap P in NewWorld; entries are distinct ranks, so len never exceeds P
 			}
@@ -611,22 +615,6 @@ func (w *World) deliver() {
 	}
 }
 
-// sweepStaged lands rank from's staged puts (tag totals included) and
-// resets the ring. Shared by deliverActive's mask and member-list sweeps.
-//
-//dslint:hotpath
-func (w *World) sweepStaged(from int) {
-	st := w.staged[from]
-	for i := range st {
-		m := &st[i]
-		w.totalMsgs[m.Tag]++
-		w.totalBytes[m.Tag] += int64(m.Bytes)
-		w.land(*m)
-		m.Payload = nil
-	}
-	w.staged[from] = st[:0]
-}
-
 // idleMax returns max(idle), cached by slice identity: the engine reuses
 // one immutable idle vector per phase kind for a whole run, so the O(P)
 // scan happens once per run rather than once per phase. Callers must not
@@ -677,20 +665,19 @@ func (w *World) deliverActive() {
 	}
 	w.liveInbox = w.liveInbox[:0]
 	active, list, idle := w.fastActive, w.fastList, w.fastIdle
-	if list != nil {
-		// Only executing ranks can have staged puts (the RunPhaseActive
-		// contract: an inactive rank's phase sends nothing), and the list is
-		// ascending, so walking it preserves sender-order delivery.
-		for _, from := range list {
-			w.sweepStaged(int(from))
+	// Only executing ranks can have staged puts (the RunPhaseActive
+	// contract: an inactive rank's phase sends nothing), and the list is
+	// ascending, so walking it preserves sender-order delivery.
+	for _, from := range list {
+		st := w.staged[from]
+		for i := range st {
+			m := &st[i]
+			w.totalMsgs[m.Tag]++
+			w.totalBytes[m.Tag] += int64(m.Bytes)
+			w.land(*m)
+			m.Payload = nil
 		}
-	} else {
-		for from := 0; from < w.P; from++ {
-			if len(w.staged[from]) == 0 {
-				continue
-			}
-			w.sweepStaged(from)
-		}
+		w.staged[from] = st[:0]
 	}
 
 	// Phase cost: the executing ranks and the landing receivers carry the
@@ -700,56 +687,19 @@ func (w *World) deliverActive() {
 	if idle != nil {
 		maxCost = w.Model.Gamma * w.idleMax(idle)
 	}
-	if list != nil {
-		for _, p32 := range list {
-			p := int(p32)
-			h := float64(w.msgs[p] + w.recvMsgs[p])
-			hb := float64(w.bytes[p] + w.recvBytes[p])
-			cost := w.Model.Gamma*w.flops[p] + w.Model.Alpha*h + w.Model.Beta*hb
-			if cost > maxCost {
-				maxCost = cost
-			}
-			w.flops[p] = 0
-			w.msgs[p] = 0
-			w.bytes[p] = 0
-			w.recvMsgs[p] = 0
-			w.recvBytes[p] = 0
-		}
-	} else {
-		for p := 0; p < w.P; p++ {
-			if !active[p] {
-				continue
-			}
-			h := float64(w.msgs[p] + w.recvMsgs[p])
-			hb := float64(w.bytes[p] + w.recvBytes[p])
-			cost := w.Model.Gamma*w.flops[p] + w.Model.Alpha*h + w.Model.Beta*hb
-			if cost > maxCost {
-				maxCost = cost
-			}
-			w.flops[p] = 0
-			w.msgs[p] = 0
-			w.bytes[p] = 0
-			w.recvMsgs[p] = 0
-			w.recvBytes[p] = 0
+	for _, p := range list {
+		if cost := w.settle(int(p), w.flops[p]); cost > maxCost {
+			maxCost = cost
 		}
 	}
-	for _, p32 := range w.liveInbox {
-		p := int(p32)
+	for _, p := range w.liveInbox {
 		fl := w.flops[p] // 0 for a skipped receiver: no idle writes on this path
 		if !active[p] && idle != nil {
 			fl = idle[p] // dense charges flops[p] = 0 + idle[p]
 		}
-		h := float64(w.msgs[p] + w.recvMsgs[p])
-		hb := float64(w.bytes[p] + w.recvBytes[p])
-		cost := w.Model.Gamma*fl + w.Model.Alpha*h + w.Model.Beta*hb
-		if cost > maxCost {
+		if cost := w.settle(int(p), fl); cost > maxCost {
 			maxCost = cost
 		}
-		w.flops[p] = 0
-		w.msgs[p] = 0
-		w.bytes[p] = 0
-		w.recvMsgs[p] = 0
-		w.recvBytes[p] = 0
 	}
 	w.simTime += maxCost
 	w.phases++
@@ -765,6 +715,21 @@ func (w *World) deliverActive() {
 			}
 		}
 	}
+}
+
+// settle returns rank p's α-β-γ cost for the phase just run, with fl flops
+// of compute, and zeroes its per-phase counters.
+//
+//dslint:hotpath
+func (w *World) settle(p int, fl float64) float64 {
+	h := float64(w.msgs[p] + w.recvMsgs[p])
+	hb := float64(w.bytes[p] + w.recvBytes[p])
+	w.flops[p] = 0
+	w.msgs[p] = 0
+	w.bytes[p] = 0
+	w.recvMsgs[p] = 0
+	w.recvBytes[p] = 0
+	return w.Model.Gamma*fl + w.Model.Alpha*h + w.Model.Beta*hb
 }
 
 // emitFault records a fault-layer action on the control track. Fault

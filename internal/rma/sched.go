@@ -395,6 +395,9 @@ func (w *World) nbRunPhase(p int, nr *nbRank, g *nbGroup) {
 	}
 	if paused {
 		nr.paused++
+		// The window outlives this epoch. Copy it before the epoch store
+		// below: after it a neighbor may already be rewriting its buffers.
+		retainWindow(w.inbox[p])
 	} else {
 		g.fs[a-g.base](p)
 		if ch != nil {

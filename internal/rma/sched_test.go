@@ -282,34 +282,43 @@ func TestWaitTally(t *testing.T) {
 }
 
 // scaleWorld builds a P-rank neighborhood-scheduled world running the same
-// two-neighbor ring exchange as the engine benchmarks.
+// two-neighbor ring exchange as the engine benchmarks, as a two-epoch group.
+// Each epoch parity writes its own payload per (rank, direction) — the
+// discipline the real methods follow: a buffer written in epoch a is read by
+// the neighbors in a+1 and not rewritten before a+2, which a neighbor-
+// scheduled sender can only start once those neighbors have run a+1.
 func scaleWorld(p int) (*World, []func(int)) {
 	w := NewWorld(p, DefaultCostModel())
 	w.Parallel = true
 	w.Sched = SchedNeighbor
 	w.SetNeighborhoods(ringNeighborhoods(p))
-	payloads := make([][2]benchPayload, p)
+	payloads := make([][2][2]benchPayload, p)
 	for r := range payloads {
-		payloads[r][0].vals = make([]float64, 8)
-		payloads[r][1].vals = make([]float64, 8)
-	}
-	phase := func(rank int) {
-		sum := 0.0
-		for _, m := range w.Inbox(rank) {
-			sum += m.Payload.(*benchPayload).norm
-		}
-		for d := 0; d < 2; d++ {
-			pl := &payloads[rank][d]
-			pl.norm = sum + float64(rank+d)
-			to := rank + 1
-			if d == 1 {
-				to = rank - 1 + p
+		for par := range payloads[r] {
+			for d := range payloads[r][par] {
+				payloads[r][par][d].vals = make([]float64, 8)
 			}
-			w.Put(rank, to%p, TagSolve, 8*len(pl.vals)+16, pl)
 		}
-		w.Charge(rank, 100)
 	}
-	return w, []func(int){phase, phase}
+	phase := func(parity int) func(int) {
+		return func(rank int) {
+			sum := 0.0
+			for _, m := range w.Inbox(rank) {
+				sum += m.Payload.(*benchPayload).norm
+			}
+			for d := 0; d < 2; d++ {
+				pl := &payloads[rank][parity][d]
+				pl.norm = sum + float64(rank+d)
+				to := rank + 1
+				if d == 1 {
+					to = rank - 1 + p
+				}
+				w.Put(rank, to%p, TagSolve, 8*len(pl.vals)+16, pl)
+			}
+			w.Charge(rank, 100)
+		}
+	}
+	return w, []func(int){phase(0), phase(1)}
 }
 
 type scaleGate struct {
