@@ -4,12 +4,12 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fix lint-cache-check race chaos-smoke bench-kernels bench-ldl bench-obs bench-scale bench-active bench-e2e verify bench clean
+.PHONY: build test vet lint lint-fix lint-cache-check race chaos-smoke partition-pin bench-kernels bench-ldl bench-obs bench-scale bench-active bench-e2e verify bench clean
 
 build:
 	$(GO) build ./...
 
-# The suite runs at one, two and four scheduler threads: bit-identity
+# The suite runs at one, two, four and eight scheduler threads: bit-identity
 # between the sequential, pool and neighborhood engines is the repo's
 # central promise, and it is only checked where the pool really runs
 # concurrently (the retained-window aliasing bug passed at GOMAXPROCS=1).
@@ -17,6 +17,7 @@ test:
 	GOMAXPROCS=1 $(GO) test ./...
 	GOMAXPROCS=2 $(GO) test ./...
 	GOMAXPROCS=4 $(GO) test ./...
+	GOMAXPROCS=8 $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -53,9 +54,10 @@ lint-cache-check:
 # The engine-equivalence, chaos-determinism, pool, and parallel-kernel
 # tests under the race detector: together they prove the worker pools are
 # race-free and bit-identical to their sequential forms, faults included
-# (DESIGN.md §6, §9).
+# (DESIGN.md §6, §9). The partitioner is there for its per-call workspace:
+# concurrent Partition calls (bench set-ups under -par) must share nothing.
 race:
-	$(GO) test -race ./internal/rma/... ./internal/dmem/... ./internal/parallel/... ./internal/sparse/... ./internal/spdirect/... ./internal/obs/...
+	$(GO) test -race ./internal/rma/... ./internal/dmem/... ./internal/parallel/... ./internal/sparse/... ./internal/spdirect/... ./internal/obs/... ./internal/partition/...
 
 # End-to-end fault-injection smoke: both binaries on a small problem with
 # delay faults. Exercises flag validation, the chaos table, and the
@@ -63,6 +65,13 @@ race:
 chaos-smoke: build
 	$(GO) run ./cmd/dsouthwell -grid 40 -n 16 -sweep_max 15 -chaos 0.3 >/dev/null
 	$(GO) run ./cmd/benchtables -quick -ranks 32 -steps 40 -par 4 chaos >/dev/null
+
+# Partitioner pins, by name so a failure is labelled: the golden part-vector
+# hashes (every results/*.txt table sits on these partitions) and the
+# malloc/byte ceiling of one Partition call.
+partition-pin:
+	$(GO) test -run 'TestPartitionGolden' ./internal/partition/
+	$(GO) test -run 'TestPartitionAllocCeiling' ./internal/partition/
 
 # Kernel smoke: the allocs/op regression gate against BENCH_kernels.json
 # plus one iteration of each kernel benchmark, so a steady-state allocation
@@ -112,7 +121,7 @@ bench-active:
 bench-e2e:
 	$(GO) run ./benchmarks/e2e -seed 1
 
-verify: build lint test race chaos-smoke bench-kernels bench-ldl bench-obs bench-scale bench-active
+verify: build lint test race chaos-smoke partition-pin bench-kernels bench-ldl bench-obs bench-scale bench-active
 
 # Micro-benchmarks for the phase engine, message path, numerical kernels,
 # and sparse local solver (see BENCH_rma.json, BENCH_kernels.json, and

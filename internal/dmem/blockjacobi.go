@@ -6,13 +6,14 @@ import "southwell/internal/rma"
 // neighbor's boundary rows.
 type bjPayload struct {
 	deltas []float64
+	slot   int32 // the sender's position in the receiver's Nbrs (RankData.SlotInNbr)
 }
 
 // CloneMessage deep-copies the payload for the fault layer: the sender
 // reuses deltas on its next sweep, so a delivery held back past that phase
 // must not alias it.
 func (pl *bjPayload) CloneMessage() any {
-	return &bjPayload{deltas: append([]float64(nil), pl.deltas...)}
+	return &bjPayload{deltas: append([]float64(nil), pl.deltas...), slot: pl.slot}
 }
 
 // BlockJacobi runs Algorithm 1: every parallel step, every rank relaxes its
@@ -28,6 +29,9 @@ func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 		solvePl := make([][]bjPayload, l.P)
 		for p, rs := range states {
 			solvePl[p] = make([]bjPayload, rs.rd.Degree())
+			for j, slot := range rs.rd.SlotInNbr {
+				solvePl[p][j].slot = slot
+			}
 		}
 
 		// absorb drains rank p's window in any phase: deltas always applied,
@@ -40,7 +44,8 @@ func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 				if m.Dup {
 					continue
 				}
-				rs.applyDeltas(rs.rd.NbrIdx[m.From], m.Payload.(*bjPayload).deltas)
+				pl := m.Payload.(*bjPayload)
+				rs.applyDeltas(int(pl.slot), pl.deltas)
 			}
 		}
 		// Relax and write (absorbing any late deliveries first).

@@ -12,7 +12,8 @@ type dsSolvePayload struct {
 	bnd     []float64
 	norm    float64
 	estRecv float64
-	seq     int64 // sender sequence number (stale-estimate guard; see seqSeen)
+	seq     int32 // sender sequence number (stale-estimate guard; see seqSeen)
+	slot    int32 // the sender's position in the receiver's Nbrs (RankData.SlotInNbr)
 }
 
 // CloneMessage deep-copies the payload for the fault layer: the sender
@@ -31,7 +32,8 @@ type dsResPayload struct {
 	bnd     []float64
 	norm    float64
 	estRecv float64
-	seq     int64
+	seq     int32
+	slot    int32
 }
 
 func (pl *dsResPayload) CloneMessage() any {
@@ -74,6 +76,9 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 		for p, rs := range states {
 			solvePl[p] = make([]dsSolvePayload, rs.rd.Degree())
 			resPl[p] = make([]dsResPayload, rs.rd.Degree())
+			for j, slot := range rs.rd.SlotInNbr {
+				solvePl[p][j].slot, resPl[p][j].slot = slot, slot
+			}
 		}
 
 		// absorb drains rank p's window — callable from any phase. Residual
@@ -93,15 +98,15 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 					continue
 				}
 				rs.gotMsg = true
-				j := rs.rd.NbrIdx[m.From]
 				switch pl := m.Payload.(type) {
 				case *dsSolvePayload:
+					j := int(pl.slot)
 					rs.applyDeltas(j, pl.deltas)
 					changed = true
-					if pl.seq < rs.seqSeen[j] {
+					if int64(pl.seq) < rs.seqSeen[j] {
 						continue // keep the deltas, drop the stale estimates
 					}
-					rs.seqSeen[j] = pl.seq
+					rs.seqSeen[j] = int64(pl.seq)
 					// Crossing correction only when this rank itself relaxed
 					// this step and wrote to j (so lastSentNorm/sentBnd/extDelta
 					// describe this step's send). Fault-free this is exactly the
@@ -145,10 +150,11 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 						rs.gammaTilde[j] = pl.estRecv
 					}
 				case *dsResPayload:
-					if pl.seq < rs.seqSeen[j] {
+					j := int(pl.slot)
+					if int64(pl.seq) < rs.seqSeen[j] {
 						continue
 					}
-					rs.seqSeen[j] = pl.seq
+					rs.seqSeen[j] = int64(pl.seq)
 					rs.overwriteGhost(j, pl.bnd)
 					rs.gamma[j] = pl.norm
 					if !rs.sentTo[j] {
@@ -205,7 +211,7 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 				pl.bnd = rs.boundaryResiduals(j)
 				pl.norm = rs.norm
 				pl.estRecv = rs.gamma[j]
-				pl.seq = 2 * int64(*step)
+				pl.seq = 2 * int32(*step)
 				rs.sentBnd[j] = pl.bnd
 				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+len(pl.bnd)+2), pl)
 			}
@@ -241,7 +247,7 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 					pl.bnd = rs.resBoundaryResiduals(j)
 					pl.norm = rs.norm
 					pl.estRecv = rs.gamma[j]
-					pl.seq = 2*int64(*step) + 1
+					pl.seq = 2*int32(*step) + 1
 					w.Put(p, q, rma.TagResidual, msgBytes(len(pl.bnd)+2), pl)
 				}
 			}

@@ -34,7 +34,7 @@ func TestLayoutExchangePlansMatch(t *testing.T) {
 		rd := l.Ranks[p]
 		for j, q := range rd.Nbrs {
 			qd := l.Ranks[q]
-			jq, ok := qd.NbrIdx[p]
+			jq, ok := qd.NbrSlot(p)
 			if !ok {
 				t.Fatalf("neighbor relation not symmetric: %d -> %d", p, q)
 			}

@@ -22,7 +22,7 @@ func TestDistSWBlockGammaTildeExactness(t *testing.T) {
 		for p, rs := range states {
 			for j, q := range rs.rd.Nbrs {
 				qs := states[q]
-				jp, ok := qs.rd.NbrIdx[p]
+				jp, ok := qs.rd.NbrSlot(p)
 				if !ok {
 					t.Fatalf("neighbor asymmetry %d-%d", p, q)
 				}

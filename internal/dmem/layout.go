@@ -68,9 +68,11 @@ type RankData struct {
 	ExtGlob  []int // global ids, ascending
 	ExtOwner []int // owner rank per ext row
 
-	// Neighbors, ascending rank order.
-	Nbrs   []int
-	NbrIdx map[int]int
+	// Neighbors, ascending rank order. SlotInNbr[j] is this rank's own
+	// position in neighbor j's Nbrs: the index under which neighbor j files
+	// what this rank sends it.
+	Nbrs      []int
+	SlotInNbr []int32
 
 	// Exchange plans, all indexed by neighbor position in Nbrs:
 	// BndExt[j]: ext-row indices owned by neighbor j (the ghost layer z
@@ -120,7 +122,7 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	build.F = func(b int) {
 		sc := getLayoutScratch(a.N)
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
-			l.Ranks[pr] = buildRank(a, l, pr, sc.pos)
+			l.Ranks[pr] = buildRank(a, l, pr, sc)
 		}
 		putLayoutScratch(sc)
 	}
@@ -149,8 +151,14 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 // and ext-slot index spaces.
 func addressRank(l *Layout, pr int) error {
 	rd := l.Ranks[pr]
+	rd.SlotInNbr = make([]int32, len(rd.Nbrs))
 	for j, q := range rd.Nbrs {
 		qd := l.Ranks[q]
+		slot, ok := qd.NbrSlot(pr)
+		if !ok {
+			return fmt.Errorf("dmem: asymmetric coupling: rank %d couples into rank %d but not back", pr, q)
+		}
+		rd.SlotInNbr[j] = int32(slot)
 		rd.BndExtLocalInNbr[j] = make([]int, len(rd.BndExt[j]))
 		for k, e := range rd.BndExt[j] {
 			rd.BndExtLocalInNbr[j][k] = l.Local[rd.ExtGlob[e]]
@@ -186,8 +194,13 @@ func rankBlockCount(p int) int {
 // row g is untouched, and otherwise holds g's slot in the current rank's
 // ExtGlob (or 0 as a transient seen-marker while collecting). Every rank
 // resets exactly the entries it touched, so a recycled scratch is all -1.
+// ext collects a rank's external rows, then its external owners, before
+// their exact-size copies are made; extNbr is the neighbor position of each
+// ext slot. Both are overwritten by every rank.
 type layoutScratch struct {
-	pos []int32
+	pos    []int32
+	ext    []int
+	extNbr []int32
 }
 
 var layoutFree struct {
@@ -222,71 +235,77 @@ func putLayoutScratch(sc *layoutScratch) {
 	layoutFree.mu.Unlock()
 }
 
-// buildRank extracts rank p's local view. pos is the pooled extraction
-// scratch (all -1 on entry, all -1 again on return): it serves first as a
-// seen-marker while collecting external rows and then as an O(1) global →
+// buildRank extracts rank p's local view. sc is the pooled extraction
+// scratch (pos all -1 on entry, all -1 again on return): pos serves first as
+// a seen-marker while collecting external rows and then as an O(1) global →
 // ext-slot index, replacing the per-entry binary search and the per-rank
 // hash sets of the original implementation.
-func buildRank(a *sparse.CSR, l *Layout, p int, pos []int32) *RankData {
-	rows := l.Rows[p]
-	nnzCap := 0
-	for _, g := range rows {
-		nnzCap += a.RowPtr[g+1] - a.RowPtr[g]
-	}
+func buildRank(a *sparse.CSR, l *Layout, p int, sc *layoutScratch) *RankData {
+	rows, pos := l.Rows[p], sc.pos
 	rd := &RankData{
 		P:      p,
 		Glob:   rows,
 		LocPtr: make([]int, len(rows)+1),
 		ExtPtr: make([]int, len(rows)+1),
 		Diag:   make([]float64, len(rows)),
-		NbrIdx: make(map[int]int),
 	}
-	// Collect external rows first for stable ext indexing.
+	// Collect external rows first for stable ext indexing, counting the two
+	// coupling classes on the way so their arrays are allocated exactly.
+	ext := sc.ext[:0]
+	nLoc, nExt := 0, 0
 	for _, g := range rows {
 		lo, hi := a.RowPtr[g], a.RowPtr[g+1]
 		for _, c := range a.Col[lo:hi] {
-			if l.Part[c] != p && pos[c] < 0 {
-				pos[c] = 0
-				rd.ExtGlob = append(rd.ExtGlob, c)
+			switch {
+			case l.Part[c] != p:
+				nExt++
+				if pos[c] < 0 {
+					pos[c] = 0
+					ext = append(ext, c)
+				}
+			case c != g:
+				nLoc++
 			}
 		}
 	}
-	sort.Ints(rd.ExtGlob)
-	rd.ExtOwner = make([]int, len(rd.ExtGlob))
+	sort.Ints(ext)
+	rd.ExtGlob = append(make([]int, 0, len(ext)), ext...)
+	rd.ExtOwner = make([]int, len(ext))
 	for e, g := range rd.ExtGlob {
 		pos[g] = int32(e)
 		rd.ExtOwner[e] = l.Part[g]
 	}
 	// Neighbor ranks: the sorted, deduplicated external owners.
-	nbrs := make([]int, len(rd.ExtOwner))
-	copy(nbrs, rd.ExtOwner)
-	sort.Ints(nbrs)
-	rd.Nbrs = nbrs[:0]
-	for _, q := range nbrs {
-		if k := len(rd.Nbrs); k == 0 || rd.Nbrs[k-1] != q {
-			rd.Nbrs = append(rd.Nbrs, q)
+	copy(ext, rd.ExtOwner)
+	sort.Ints(ext)
+	nn := 0
+	for _, q := range ext {
+		if nn == 0 || ext[nn-1] != q {
+			ext[nn] = q
+			nn++
 		}
 	}
-	for j, q := range rd.Nbrs {
-		rd.NbrIdx[q] = j
-	}
-	rd.BndExt = make([][]int, len(rd.Nbrs))
-	rd.BndExtLocalInNbr = make([][]int, len(rd.Nbrs))
-	rd.MyBnd = make([][]int, len(rd.Nbrs))
-	rd.MyBndExtInNbr = make([][]int, len(rd.Nbrs))
-	for e := range rd.ExtGlob {
-		j := rd.NbrIdx[rd.ExtOwner[e]]
+	rd.Nbrs = append(make([]int, 0, nn), ext[:nn]...)
+	sc.ext = ext
+	rd.BndExt = make([][]int, nn)
+	rd.BndExtLocalInNbr = make([][]int, nn)
+	rd.MyBnd = make([][]int, nn)
+	rd.MyBndExtInNbr = make([][]int, nn)
+	extNbr := sc.extNbr[:0]
+	for e, q := range rd.ExtOwner {
+		j, _ := rd.NbrSlot(q)
+		extNbr = append(extNbr, int32(j))
 		rd.BndExt[j] = append(rd.BndExt[j], e)
 	}
+	sc.extNbr = extNbr
 
 	// Local matrix entries, split by coupling class. Local rows li ascend,
 	// so "already recorded in MyBnd[j]" is just a last-element check — no
-	// per-neighbor seen set. Exact sizes are known only after the walk, so
-	// the append slices share the interleaved nnz capacity bound.
-	rd.LocCol = make([]uint32, 0, nnzCap)
-	rd.LocVal = make([]float64, 0, nnzCap)
-	rd.ExtCol = make([]uint32, 0, nnzCap)
-	rd.ExtVal = make([]float64, 0, nnzCap)
+	// per-neighbor seen set.
+	rd.LocCol = make([]uint32, 0, nLoc)
+	rd.LocVal = make([]float64, 0, nLoc)
+	rd.ExtCol = make([]uint32, 0, nExt)
+	rd.ExtVal = make([]float64, 0, nExt)
 	for li, g := range rows {
 		cols, vals := a.Row(g)
 		for k, c := range cols {
@@ -301,7 +320,7 @@ func buildRank(a *sparse.CSR, l *Layout, p int, pos []int32) *RankData {
 			} else {
 				rd.ExtCol = append(rd.ExtCol, uint32(pos[c]))
 				rd.ExtVal = append(rd.ExtVal, v)
-				j := rd.NbrIdx[l.Part[c]]
+				j := extNbr[pos[c]]
 				if mb := rd.MyBnd[j]; len(mb) == 0 || mb[len(mb)-1] != li {
 					rd.MyBnd[j] = append(rd.MyBnd[j], li)
 				}
@@ -316,6 +335,14 @@ func buildRank(a *sparse.CSR, l *Layout, p int, pos []int32) *RankData {
 		pos[g] = -1
 	}
 	return rd
+}
+
+// NbrSlot returns the position of rank q in Nbrs, and whether q is a
+// neighbor at all. It is a binary search, for set-up and tests; the solvers
+// carry the slot in their payloads (SlotInNbr).
+func (rd *RankData) NbrSlot(q int) (int, bool) {
+	j := sort.SearchInts(rd.Nbrs, q)
+	return j, j < len(rd.Nbrs) && rd.Nbrs[j] == q
 }
 
 // M returns the number of local rows.

@@ -9,12 +9,12 @@ import (
 )
 
 // TestLayoutDeterministic is the regression test behind the maporder
-// analyzer's contract for this package: NewLayout ranges over several maps
-// (extSet, nbrSet, NbrIdx) while building per-rank boundary/ghost indexing,
-// and every one of those iterations must be collect-then-sort or read-only
-// so that repeated constructions from identical inputs yield bit-identical
-// layouts. Ten constructions must produce deeply equal RankData, including
-// every exchange-plan slice whose order feeds message traffic.
+// analyzer's contract for this package: whatever order NewLayout discovers
+// external rows and neighbors in while building per-rank boundary/ghost
+// indexing, it must collect then sort, so that repeated constructions from
+// identical inputs yield bit-identical layouts. Ten constructions must
+// produce deeply equal RankData, including every exchange-plan slice whose
+// order feeds message traffic.
 func TestLayoutDeterministic(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
 	part := partition.Partition(a, 7, partition.Options{Seed: 42})
@@ -56,9 +56,16 @@ func TestLayoutDeterministic(t *testing.T) {
 			}
 		}
 		for j, q := range rd.Nbrs {
-			if rd.NbrIdx[q] != j {
-				t.Errorf("rank %d: NbrIdx[%d] = %d, want %d", p, q, rd.NbrIdx[q], j)
+			if got, ok := rd.NbrSlot(q); !ok || got != j {
+				t.Errorf("rank %d: NbrSlot(%d) = %d, %v, want %d", p, q, got, ok, j)
 			}
+			if back := int(ref.Ranks[q].SlotInNbr[rd.SlotInNbr[j]]); back != j {
+				t.Errorf("rank %d: neighbor %d files this rank under slot %d, whose SlotInNbr points back at %d, want %d",
+					p, q, rd.SlotInNbr[j], back, j)
+			}
+		}
+		if _, ok := rd.NbrSlot(p); ok {
+			t.Errorf("rank %d: NbrSlot reports the rank as its own neighbor", p)
 		}
 	}
 }

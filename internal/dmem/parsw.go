@@ -7,7 +7,8 @@ import "southwell/internal/rma"
 type psSolvePayload struct {
 	deltas []float64
 	norm   float64
-	seq    int64 // sender sequence number (stale-estimate guard; see seqSeen)
+	seq    int32 // sender sequence number (stale-estimate guard; see seqSeen)
+	slot   int32 // the sender's position in the receiver's Nbrs (RankData.SlotInNbr)
 }
 
 // CloneMessage deep-copies the payload for the fault layer: the sender
@@ -22,7 +23,8 @@ func (pl *psSolvePayload) CloneMessage() any {
 // psResPayload is an explicit residual-norm update (Algorithm 2, line 20).
 type psResPayload struct {
 	norm float64
-	seq  int64
+	seq  int32
+	slot int32
 }
 
 func (pl *psResPayload) CloneMessage() any {
@@ -45,12 +47,14 @@ func (pl *psResPayload) CloneMessage() any {
 func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 	return solve(l, b, x, cfg, func(w *rma.World, states []*rankState, step *int) stepSpec {
 		// Persistent payloads (pointers cross the network; see blockjacobi.go).
-		// The explicit update carries one norm for all neighbors, so a single
-		// struct per rank suffices.
 		solvePl := make([][]psSolvePayload, l.P)
-		resPl := make([]psResPayload, l.P)
+		resPl := make([][]psResPayload, l.P)
 		for p, rs := range states {
 			solvePl[p] = make([]psSolvePayload, rs.rd.Degree())
+			resPl[p] = make([]psResPayload, rs.rd.Degree())
+			for j, slot := range rs.rd.SlotInNbr {
+				solvePl[p][j].slot, resPl[p][j].slot = slot, slot
+			}
 		}
 
 		// absorb drains rank p's window in any phase: deltas are always applied
@@ -66,18 +70,18 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 				if m.Dup {
 					continue
 				}
-				j := rs.rd.NbrIdx[m.From]
 				switch pl := m.Payload.(type) {
 				case *psSolvePayload:
+					j := int(pl.slot)
 					rs.applyDeltas(j, pl.deltas)
 					changed = true
-					if pl.seq >= rs.seqSeen[j] {
-						rs.seqSeen[j] = pl.seq
+					if int64(pl.seq) >= rs.seqSeen[j] {
+						rs.seqSeen[j] = int64(pl.seq)
 						rs.gamma[j] = pl.norm
 					}
 				case *psResPayload:
-					if pl.seq >= rs.seqSeen[j] {
-						rs.seqSeen[j] = pl.seq
+					if j := int(pl.slot); int64(pl.seq) >= rs.seqSeen[j] {
+						rs.seqSeen[j] = int64(pl.seq)
 						rs.gamma[j] = pl.norm
 					}
 				}
@@ -114,7 +118,7 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 				pl := &solvePl[p][j]
 				pl.deltas = rs.deltasFor(j)
 				pl.norm = rs.norm
-				pl.seq = 2 * int64(*step)
+				pl.seq = 2 * int32(*step)
 				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
 			}
 		}
@@ -129,10 +133,11 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 
 				traceResSend(w, *step, p, -1, rs.lastTold, rs, false)
 				rs.lastTold = rs.norm
-				resPl[p].norm = rs.norm
-				resPl[p].seq = 2*int64(*step) + 1
-				for _, q := range rs.rd.Nbrs {
-					w.Put(p, q, rma.TagResidual, msgBytes(1), &resPl[p])
+				for j, q := range rs.rd.Nbrs {
+					pl := &resPl[p][j]
+					pl.norm = rs.norm
+					pl.seq = 2*int32(*step) + 1
+					w.Put(p, q, rma.TagResidual, msgBytes(1), pl)
 				}
 			}
 		}

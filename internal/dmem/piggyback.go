@@ -15,6 +15,9 @@ func Piggyback2016(l *Layout, b, x []float64, cfg Config) *Result {
 		solvePl := make([][]psSolvePayload, l.P)
 		for p, rs := range states {
 			solvePl[p] = make([]psSolvePayload, rs.rd.Degree())
+			for j, slot := range rs.rd.SlotInNbr {
+				solvePl[p][j].slot = slot
+			}
 		}
 
 		// absorb drains rank p's window in any phase: deltas always applied,
@@ -30,11 +33,11 @@ func Piggyback2016(l *Layout, b, x []float64, cfg Config) *Result {
 					continue
 				}
 				pl := m.Payload.(*psSolvePayload)
-				j := rs.rd.NbrIdx[m.From]
+				j := int(pl.slot)
 				rs.applyDeltas(j, pl.deltas)
 				changed = true
-				if pl.seq >= rs.seqSeen[j] {
-					rs.seqSeen[j] = pl.seq
+				if int64(pl.seq) >= rs.seqSeen[j] {
+					rs.seqSeen[j] = int64(pl.seq)
 					rs.gamma[j] = pl.norm
 				}
 			}
@@ -65,7 +68,7 @@ func Piggyback2016(l *Layout, b, x []float64, cfg Config) *Result {
 				pl := &solvePl[p][j]
 				pl.deltas = rs.deltasFor(j)
 				pl.norm = rs.norm
-				pl.seq = 2 * int64(*step)
+				pl.seq = 2 * int32(*step)
 				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
 			}
 		}

@@ -1,0 +1,53 @@
+package partition
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"southwell/internal/problem"
+	"southwell/internal/sparse"
+)
+
+// TestPartitionAllocCeiling keeps the partitioner's heap traffic bounded.
+// The map-and-append implementation did 1 531 722 mallocs / 573 MB on this
+// input; the workspace one must stay under a tenth of the mallocs and half
+// the bytes (it sits far below both).
+func TestPartitionAllocCeiling(t *testing.T) {
+	const maxMallocs, maxBytes = 1_531_722 / 10, 573e6 / 2
+	a := scaled(t, problem.Poisson2D(256, 256))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	part := Partition(a, 2048, Options{Seed: 1})
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(part)
+	mallocs, bytes := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
+	t.Logf("Partition(Poisson2D(256,256), 2048): %d mallocs, %.1f MB", mallocs, float64(bytes)/1e6)
+	if mallocs > maxMallocs || float64(bytes) > maxBytes {
+		t.Errorf("%d mallocs, %d bytes; ceiling %d mallocs, %.0f bytes", mallocs, bytes, maxMallocs, float64(maxBytes))
+	}
+}
+
+// BenchmarkPartition times the partitioner on the end-to-end benchmark's
+// four set-ups (benchmarks/e2e/workloads.go).
+func BenchmarkPartition(b *testing.B) {
+	fl := flan(b)
+	pois := scaled(b, problem.Poisson2D(256, 256))
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+		k    int
+	}{
+		{"suite256", fl, 256},
+		{"wide4k", fl, 4096},
+		{"pointload2k", pois, 2048},
+		{"direct64", fl, 64},
+	} {
+		b.Run(fmt.Sprintf("%s/k=%d", c.name, c.k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Partition(c.a, c.k, Options{Seed: 1})
+			}
+		})
+	}
+}

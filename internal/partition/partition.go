@@ -8,6 +8,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"southwell/internal/sparse"
@@ -15,22 +16,27 @@ import (
 
 // graph is an edge-weighted, vertex-weighted undirected graph in adjacency
 // (CSR) form, the working representation inside the multilevel scheme.
+// Indices are int32: the matching and contraction loops are bound by index
+// traffic, and Partition refuses inputs that do not fit.
 type graph struct {
 	n    int
-	xadj []int
-	adj  []int
+	xadj []int32
+	adj  []int32
 	ew   []float64
-	vw   []int
+	vw   []int32
 }
 
 func graphFromCSR(a *sparse.CSR) *graph {
+	if a.N > math.MaxInt32 || a.NNZ() > math.MaxInt32 {
+		panic(fmt.Sprintf("partition: %d rows, %d entries: graph indices are 32-bit", a.N, a.NNZ()))
+	}
 	g := &graph{
 		n:    a.N,
-		xadj: make([]int, a.N+1),
-		vw:   make([]int, a.N),
+		xadj: make([]int32, a.N+1),
+		vw:   make([]int32, a.N),
 		// Pre-size from the matrix: off-diagonal count is nnz minus the
 		// (at most n) diagonal entries, so nnz is a tight upper bound.
-		adj: make([]int, 0, a.NNZ()),
+		adj: make([]int32, 0, a.NNZ()),
 		ew:  make([]float64, 0, a.NNZ()),
 	}
 	for i := 0; i < a.N; i++ {
@@ -40,22 +46,29 @@ func graphFromCSR(a *sparse.CSR) *graph {
 			if j == i {
 				continue
 			}
-			g.adj = append(g.adj, j)
+			g.adj = append(g.adj, int32(j))
 			w := vals[k]
 			if w < 0 {
 				w = -w
 			}
 			g.ew = append(g.ew, w)
 		}
-		g.xadj[i+1] = len(g.adj)
+		g.xadj[i+1] = int32(len(g.adj))
 	}
 	return g
+}
+
+// row returns the neighbours of v and the weights of the edges to them.
+func (g *graph) row(v int32) ([]int32, []float64) {
+	lo, hi := g.xadj[v], g.xadj[v+1]
+	nbrs := g.adj[lo:hi]
+	return nbrs, g.ew[lo:hi][:len(nbrs)]
 }
 
 func (g *graph) totalVW() int {
 	t := 0
 	for _, w := range g.vw {
-		t += w
+		t += int(w)
 	}
 	return t
 }
@@ -125,15 +138,18 @@ func Partition(a *sparse.CSR, k int, opts Options) []int {
 		}
 		return part
 	}
-	g := graphFromCSR(a)
-	verts := make([]int, g.n)
-	for i := range verts {
-		verts[i] = i
-	}
-	rng := opts.rng()
-	recursiveBisect(g, verts, k, 0, part, opts, rng)
-	repairEmpty(part, k)
+	newWorkspace(graphFromCSR(a), part, opts).partition(k)
 	return part
+}
+
+// partition labels every vertex of ws.g with one of k non-empty parts.
+func (ws *workspace) partition(k int) {
+	verts := make([]int32, ws.g.n)
+	for i := range verts {
+		verts[i] = int32(i)
+	}
+	ws.recursiveBisect(verts, k, 0)
+	repairEmpty(ws.part, k)
 }
 
 // repairEmpty reassigns rows so that no part in [0, k) is empty. At high
@@ -183,177 +199,220 @@ func repairEmpty(part []int, k int) {
 }
 
 // recursiveBisect partitions the subgraph induced by verts into k parts
-// labeled base..base+k-1.
-func recursiveBisect(g *graph, verts []int, k, base int, part []int, opts Options, rng *rand.Rand) {
+// labeled base..base+k-1. It reorders verts in place, side-0 vertices
+// first, each side keeping its relative order.
+func (ws *workspace) recursiveBisect(verts []int32, k, base int) {
 	if k == 1 {
 		for _, v := range verts {
-			part[v] = base
+			ws.part[v] = base
 		}
 		return
 	}
 	kl := k / 2
-	kr := k - kl
-	sub := induce(g, verts)
-	frac := float64(kl) / float64(k)
-	side := bisect(sub, frac, opts, rng)
-	var left, right []int
+	m := ws.mark()
+	sub := ws.induce(verts)
+	side := ws.i32.alloc(sub.n)
+	ws.bisect(&sub, float64(kl)/float64(k), side)
+	right := ws.i32.alloc(len(verts))[:0]
+	nl := 0
 	for i, v := range verts {
 		if side[i] == 0 {
-			left = append(left, v)
+			verts[nl] = v
+			nl++
 		} else {
 			right = append(right, v)
 		}
 	}
-	recursiveBisect(g, left, kl, base, part, opts, rng)
-	recursiveBisect(g, right, kr, base+kl, part, opts, rng)
+	copy(verts[nl:], right)
+	ws.release(m)
+	ws.recursiveBisect(verts[:nl], kl, base)
+	ws.recursiveBisect(verts[nl:], k-kl, base+kl)
 }
 
-// induce extracts the subgraph on verts (vertex i of the result is
+// induce extracts the subgraph of ws.g on verts (vertex i of the result is
 // verts[i]); edges leaving the set are dropped.
-func induce(g *graph, verts []int) *graph {
-	local := make(map[int]int, len(verts))
+func (ws *workspace) induce(verts []int32) graph {
+	g := ws.g
+	bound := 0
 	for i, v := range verts {
-		local[v] = i
+		ws.local[v] = int32(i)
+		bound += int(g.xadj[v+1] - g.xadj[v])
 	}
-	s := &graph{n: len(verts), xadj: make([]int, len(verts)+1), vw: make([]int, len(verts))}
+	s := graph{n: len(verts), xadj: ws.i32.alloc(len(verts) + 1), vw: ws.i32.alloc(len(verts))}
+	adj, ew := ws.i32.alloc(bound), ws.f64.alloc(bound)
+	ne := 0
+	s.xadj[0] = 0
 	for i, v := range verts {
 		s.vw[i] = g.vw[v]
-		for e := g.xadj[v]; e < g.xadj[v+1]; e++ {
-			if j, ok := local[g.adj[e]]; ok {
-				s.adj = append(s.adj, j)
-				s.ew = append(s.ew, g.ew[e])
+		nbrs, wts := g.row(v)
+		for e, u := range nbrs {
+			if j := ws.local[u]; j >= 0 {
+				adj[ne], ew[ne] = j, wts[e]
+				ne++
 			}
 		}
-		s.xadj[i+1] = len(s.adj)
+		s.xadj[i+1] = int32(ne)
 	}
+	for _, v := range verts {
+		ws.local[v] = -1
+	}
+	s.adj, s.ew = ws.i32.trim(adj, ne), ws.f64.trim(ew, ne)
 	return s
 }
 
-// bisect returns a 0/1 side label per vertex of g, with side 0 receiving
+// bisect fills side with a 0/1 label per vertex of g, side 0 receiving
 // ~frac of the total vertex weight, via multilevel coarsening.
-func bisect(g *graph, frac float64, opts Options, rng *rand.Rand) []int {
-	if g.n <= opts.CoarsenTo {
-		side := growBisection(g, frac, rng)
-		refine(g, side, frac, opts)
-		return side
-	}
-	cmap, coarse := coarsen(g, rng)
-	if coarse.n >= g.n*9/10 {
+func (ws *workspace) bisect(g *graph, frac float64, side []int32) {
+	if g.n > ws.opts.CoarsenTo {
+		m := ws.mark()
+		cmap, coarse := ws.coarsen(g)
+		if coarse.n < g.n*9/10 {
+			cside := ws.i32.alloc(coarse.n)
+			ws.bisect(&coarse, frac, cside)
+			for v := range side {
+				side[v] = cside[cmap[v]]
+			}
+			ws.release(m)
+			refine(g, side, frac, ws.opts)
+			return
+		}
 		// Matching stalled (e.g. star graphs): stop coarsening here.
-		side := growBisection(g, frac, rng)
-		refine(g, side, frac, opts)
-		return side
+		ws.release(m)
 	}
-	cside := bisect(coarse, frac, opts, rng)
-	side := make([]int, g.n)
-	for v := 0; v < g.n; v++ {
-		side[v] = cside[cmap[v]]
+	ws.growBisection(g, frac, side)
+	refine(g, side, frac, ws.opts)
+}
+
+// perm is ws.rng.Perm(n) written into workspace memory: the same draws in
+// the same order, so the stream is left exactly where Perm leaves it.
+// (math/rand documents that Perm's draw sequence cannot change in Go 1.)
+func (ws *workspace) perm(n int) []int32 {
+	p := ws.i32.alloc(n)
+	for i := range p {
+		j := ws.rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = int32(i)
 	}
-	refine(g, side, frac, opts)
-	return side
+	return p
 }
 
 // coarsen contracts a heavy-edge matching, returning the vertex map and the
 // coarse graph.
-func coarsen(g *graph, rng *rand.Rand) ([]int, *graph) {
-	order := rng.Perm(g.n)
-	match := make([]int, g.n)
+func (ws *workspace) coarsen(g *graph) ([]int32, graph) {
+	cmap := ws.i32.alloc(g.n)
+	match := ws.i32.alloc(g.n)
 	for i := range match {
 		match[i] = -1
 	}
-	cmap := make([]int, g.n)
-	nc := 0
-	for _, v := range order {
+	// first[c] is the lower-numbered fine vertex of coarse vertex c; the
+	// other one, if c is a matched pair, is match[first[c]].
+	first := ws.i32.alloc(g.n)
+	m := ws.mark()
+	nc := int32(0)
+	for _, v := range ws.perm(g.n) {
 		if match[v] >= 0 {
 			continue
 		}
-		best := -1
+		best := int32(-1)
 		bestW := -1.0
-		for e := g.xadj[v]; e < g.xadj[v+1]; e++ {
-			u := g.adj[e]
-			if u != v && match[u] < 0 && g.ew[e] > bestW {
-				bestW = g.ew[e]
+		nbrs, wts := g.row(v)
+		for e, u := range nbrs {
+			if u != v && match[u] < 0 && wts[e] > bestW {
+				bestW = wts[e]
 				best = u
 			}
 		}
 		if best >= 0 {
-			match[v] = best
-			match[best] = v
-			cmap[v] = nc
-			cmap[best] = nc
+			match[v], match[best] = best, v
+			cmap[v], cmap[best] = nc, nc
+			first[nc] = min(v, best)
 		} else {
 			match[v] = v
 			cmap[v] = nc
+			first[nc] = v
 		}
 		nc++
 	}
+	ws.release(m)
+	first = ws.i32.trim(first, int(nc))
 
-	coarse := &graph{n: nc, xadj: make([]int, nc+1), vw: make([]int, nc)}
-	for v := 0; v < g.n; v++ {
-		coarse.vw[cmap[v]] += g.vw[v]
+	// Coarse row c merges the rows of c's fine vertices in ascending vertex
+	// order, a coarse neighbour entering the row where it is first met.
+	// at[cu] is cu's slot in the row being built: slots of finished rows lie
+	// below the current row's start, so one comparison tells them apart.
+	coarse := graph{n: int(nc), xadj: ws.i32.alloc(int(nc) + 1), vw: ws.i32.alloc(int(nc))}
+	at := ws.i32.alloc(int(nc))
+	for i := range at {
+		at[i] = -1
 	}
-	// Build coarse adjacency with a stamp-based accumulator.
-	acc := make([]float64, nc)
-	stamp := make([]int, nc)
-	touched := make([]int, 0, 64)
-	members := make([][]int, nc)
-	for v := 0; v < g.n; v++ {
-		members[cmap[v]] = append(members[cmap[v]], v)
-	}
-	for c := 0; c < nc; c++ {
-		touched = touched[:0]
-		for _, v := range members[c] {
-			for e := g.xadj[v]; e < g.xadj[v+1]; e++ {
-				cu := cmap[g.adj[e]]
+	adj, ew := ws.i32.alloc(len(g.adj)), ws.f64.alloc(len(g.adj))
+	ne := int32(0)
+	coarse.xadj[0] = 0
+	for c := int32(0); c < nc; c++ {
+		row := ne
+		v := first[c]
+		coarse.vw[c] = g.vw[v]
+		for {
+			nbrs, wts := g.row(v)
+			for e, u := range nbrs {
+				cu := cmap[u]
 				if cu == c {
 					continue
 				}
-				if stamp[cu] != c+1 {
-					stamp[cu] = c + 1
-					acc[cu] = 0
-					touched = append(touched, cu)
+				p := at[cu]
+				if p < row {
+					p = ne
+					ne++
+					at[cu], adj[p], ew[p] = p, cu, 0
 				}
-				acc[cu] += g.ew[e]
+				ew[p] += wts[e]
 			}
+			if match[v] <= v {
+				break // v was unmatched, or is the higher vertex of its pair
+			}
+			v = match[v]
+			coarse.vw[c] += g.vw[v]
 		}
-		for _, cu := range touched {
-			coarse.adj = append(coarse.adj, cu)
-			coarse.ew = append(coarse.ew, acc[cu])
-		}
-		coarse.xadj[c+1] = len(coarse.adj)
+		coarse.xadj[c+1] = ne
 	}
+	coarse.adj, coarse.ew = ws.i32.trim(adj, int(ne)), ws.f64.trim(ew, int(ne))
 	return cmap, coarse
 }
 
 // growBisection grows side 0 by BFS from a pseudo-peripheral vertex until
 // it holds ~frac of the vertex weight.
-func growBisection(g *graph, frac float64, rng *rand.Rand) []int {
-	side := make([]int, g.n)
+func (ws *workspace) growBisection(g *graph, frac float64, side []int32) {
 	for i := range side {
 		side[i] = 1
 	}
 	if g.n == 0 {
-		return side
+		return
 	}
 	target := int(frac * float64(g.totalVW()))
 	if target <= 0 {
 		target = 1
 	}
-	start := pseudoPeripheral(g, rng.Intn(g.n))
-	visited := make([]bool, g.n)
-	queue := []int{start}
-	visited[start] = true
+	m := ws.mark()
+	queue := ws.i32.alloc(g.n)
+	seen := ws.i32.alloc(g.n) // number of the last sweep that reached the vertex
+	clear(seen)
+	start := pseudoPeripheral(g, int32(ws.rng.Intn(g.n)), queue, seen)
+	const sweep = 3 // pseudoPeripheral used 1 and 2
+	queue[0] = start
+	seen[start] = sweep
+	head, tail := 0, 1
 	grown := 0
-	for len(queue) > 0 && grown < target {
-		v := queue[0]
-		queue = queue[1:]
+	for head < tail && grown < target {
+		v := queue[head]
+		head++
 		side[v] = 0
-		grown += g.vw[v]
-		for e := g.xadj[v]; e < g.xadj[v+1]; e++ {
-			u := g.adj[e]
-			if !visited[u] {
-				visited[u] = true
-				queue = append(queue, u)
+		grown += int(g.vw[v])
+		nbrs, _ := g.row(v)
+		for _, u := range nbrs {
+			if seen[u] != sweep {
+				seen[u] = sweep
+				queue[tail] = u
+				tail++
 			}
 		}
 	}
@@ -362,36 +421,30 @@ func growBisection(g *graph, frac float64, rng *rand.Rand) []int {
 	for v := 0; v < g.n && grown < target; v++ {
 		if side[v] == 1 {
 			side[v] = 0
-			grown += g.vw[v]
+			grown += int(g.vw[v])
 		}
 	}
-	return side
+	ws.release(m)
 }
 
-// pseudoPeripheral runs two BFS sweeps to find a far-apart start vertex.
-func pseudoPeripheral(g *graph, start int) int {
-	far := start
-	for sweep := 0; sweep < 2; sweep++ {
-		dist := make([]int, g.n)
-		for i := range dist {
-			dist[i] = -1
-		}
-		queue := []int{far}
-		dist[far] = 0
-		last := far
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			last = v
-			for e := g.xadj[v]; e < g.xadj[v+1]; e++ {
-				u := g.adj[e]
-				if dist[u] < 0 {
-					dist[u] = dist[v] + 1
-					queue = append(queue, u)
+// pseudoPeripheral runs two BFS sweeps to find a far-apart start vertex:
+// the last vertex the second sweep reaches, started from the last one the
+// first reaches. queue and seen have g.n entries, seen all zero.
+func pseudoPeripheral(g *graph, far int32, queue, seen []int32) int32 {
+	for sweep := int32(1); sweep <= 2; sweep++ {
+		queue[0] = far
+		seen[far] = sweep
+		for head, tail := 0, 1; head < tail; head++ {
+			far = queue[head]
+			nbrs, _ := g.row(far)
+			for _, u := range nbrs {
+				if seen[u] != sweep {
+					seen[u] = sweep
+					queue[tail] = u
+					tail++
 				}
 			}
 		}
-		far = last
 	}
 	return far
 }
@@ -399,7 +452,7 @@ func pseudoPeripheral(g *graph, start int) int {
 // refine performs FM-style passes: repeatedly move the boundary vertex with
 // the best cut gain to the other side, subject to the balance constraint,
 // keeping the best configuration seen in each pass.
-func refine(g *graph, side []int, frac float64, opts Options) {
+func refine(g *graph, side []int32, frac float64, opts Options) {
 	total := g.totalVW()
 	target0 := float64(total) * frac
 	lo := int(target0 * (1 - opts.Imbalance))
@@ -408,17 +461,18 @@ func refine(g *graph, side []int, frac float64, opts Options) {
 	w0 := 0
 	for v := 0; v < g.n; v++ {
 		if side[v] == 0 {
-			w0 += g.vw[v]
+			w0 += int(g.vw[v])
 		}
 	}
 
-	gain := func(v int) float64 {
+	gain := func(v int32) float64 {
 		ext, inn := 0.0, 0.0
-		for e := g.xadj[v]; e < g.xadj[v+1]; e++ {
-			if side[g.adj[e]] == side[v] {
-				inn += g.ew[e]
+		nbrs, wts := g.row(v)
+		for e, u := range nbrs {
+			if side[u] == side[v] {
+				inn += wts[e]
 			} else {
-				ext += g.ew[e]
+				ext += wts[e]
 			}
 		}
 		return ext - inn
@@ -427,10 +481,11 @@ func refine(g *graph, side []int, frac float64, opts Options) {
 	for pass := 0; pass < opts.RefinePasses; pass++ {
 		moved := false
 		// One greedy sweep over boundary vertices.
-		for v := 0; v < g.n; v++ {
+		for v := int32(0); int(v) < g.n; v++ {
 			onBoundary := false
-			for e := g.xadj[v]; e < g.xadj[v+1]; e++ {
-				if side[g.adj[e]] != side[v] {
+			nbrs, _ := g.row(v)
+			for _, u := range nbrs {
+				if side[u] != side[v] {
 					onBoundary = true
 					break
 				}
@@ -445,9 +500,9 @@ func refine(g *graph, side []int, frac float64, opts Options) {
 			// Balance check for moving v to the other side.
 			nw0 := w0
 			if side[v] == 0 {
-				nw0 -= g.vw[v]
+				nw0 -= int(g.vw[v])
 			} else {
-				nw0 += g.vw[v]
+				nw0 += int(g.vw[v])
 			}
 			if nw0 < lo || nw0 > hi {
 				continue

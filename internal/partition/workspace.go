@@ -1,0 +1,79 @@
+package partition
+
+import "math/rand"
+
+// stack hands out slices of T last in, first out: alloc takes the next n
+// elements, release pops back to an earlier mark. Memory comes back dirty.
+// It grows by adding chunks, so slices handed out earlier stay valid.
+type stack[T any] struct {
+	chunks   [][]T
+	cur, top int // chunks[:cur] and chunks[cur][:top] are in use
+}
+
+type stackMark struct{ cur, top int }
+
+func (s *stack[T]) alloc(n int) []T {
+	for s.top+n > len(s.chunks[s.cur]) {
+		if s.cur+1 == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]T, max(n, 2*len(s.chunks[s.cur]))))
+		}
+		s.cur++
+		s.top = 0
+	}
+	p := s.chunks[s.cur][s.top : s.top+n : s.top+n]
+	s.top += n
+	return p
+}
+
+// trim cuts p, which must be the latest allocation, down to its first n
+// elements and hands the rest back.
+func (s *stack[T]) trim(p []T, n int) []T {
+	s.top -= len(p) - n
+	return p[:n:n]
+}
+
+func (s *stack[T]) mark() stackMark     { return stackMark{s.cur, s.top} }
+func (s *stack[T]) release(m stackMark) { s.cur, s.top = m.cur, m.top }
+
+// workspace is everything one Partition call shares down its recursion. It
+// is built by Partition and dropped when Partition returns; nothing in it
+// outlives the call or is visible to another one.
+type workspace struct {
+	g    *graph
+	part []int
+	opts Options
+	rng  *rand.Rand
+	// local maps a vertex of g to its index in the subgraph induce is
+	// building, -1 outside it. induce sets it for its vertices and clears
+	// them again, so it is all -1 between calls.
+	local []int32
+	// Every per-level array (subgraphs, coarse graphs, matchings, side
+	// labels, BFS queues) lives on these two stacks; each recursion frame
+	// releases what it took.
+	i32 stack[int32]
+	f64 stack[float64]
+}
+
+type workspaceMark struct{ i32, f64 stackMark }
+
+func (ws *workspace) mark() workspaceMark { return workspaceMark{ws.i32.mark(), ws.f64.mark()} }
+
+func (ws *workspace) release(m workspaceMark) {
+	ws.i32.release(m.i32)
+	ws.f64.release(m.f64)
+}
+
+func newWorkspace(g *graph, part []int, opts Options) *workspace {
+	ws := &workspace{g: g, part: part, opts: opts, rng: opts.rng(), local: make([]int32, g.n)}
+	for i := range ws.local {
+		ws.local[i] = -1
+	}
+	// The top-level bisection is the deepest user: the induced copy of g
+	// plus a coarsening hierarchy that on mesh-like graphs halves per level
+	// and so sums to about as much again. First chunks of that size mean a
+	// second one is taken only by graphs that coarsen slowly.
+	e := len(g.adj)
+	ws.i32.chunks = [][]int32{make([]int32, 3*e+16*g.n)}
+	ws.f64.chunks = [][]float64{make([]float64, 3*e)}
+	return ws
+}
