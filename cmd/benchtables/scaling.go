@@ -11,7 +11,7 @@ package main
 // straggler experiment where the neighborhood scheduler must beat the
 // global-barrier engine on host wall-clock. Wall-clock and /proc reads are
 // deliberately confined to this command: internal/bench is a deterministic
-// package (dslint walltime policy) and must stay free of host-time reads.
+// package (dslint detrand policy) and must stay free of host-time reads.
 
 import (
 	"fmt"

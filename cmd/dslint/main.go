@@ -1,25 +1,19 @@
 // dslint machine-checks the repo's determinism and fault-safety
 // invariants: the project-specific rules that no generic linter knows
-// (DESIGN.md §8, §12). It is a multichecker in the style of
+// (DESIGN.md §8). It is a multichecker in the style of
 // golang.org/x/tools/go/analysis, built on the repo's offline analysis
-// framework (internal/analysis/framework) and driven by a parallel,
-// content-hash-cached driver (internal/analysis/driver): packages are
-// analyzed concurrently across the import DAG, and a warm run re-analyzes
-// only packages whose sources (or whose in-module dependencies' sources)
-// changed, restoring diagnostics and interprocedural facts from the cache.
+// framework (internal/analysis/framework): load the packages, run four
+// single-pass analyzers over each, sort, print. A whole-module run takes
+// about half a second, nearly all of it `go list`.
 //
 // Usage:
 //
-//	go run ./cmd/dslint [flags] [packages]
+//	go run ./cmd/dslint [packages]
 //
 // Packages default to ./.... Each finding prints as
-// file:line:col: analyzer: message, deduplicated and sorted, so two runs
-// over the same tree produce byte-identical output (cached or not). The
-// exit status is 1 when there are findings, 2 when loading or analysis
-// itself failed, 0 when clean.
-//
-// -fix applies suggested fixes (today: deleting stale //dslint:ignore
-// directives) and then reports only the findings that had no fix.
+// file:line:col: analyzer: message, sorted, so two runs over the same tree
+// produce byte-identical output. The exit status is 1 when there are
+// findings, 2 when loading or analysis itself failed, 0 when clean.
 // Intentional violations are suppressed in source with
 // //dslint:ignore <analyzer> comments carrying a justification.
 package main
@@ -30,90 +24,62 @@ import (
 	"io"
 	"os"
 
-	"southwell/internal/analysis/driver"
+	"southwell/internal/analysis/clonerheld"
+	"southwell/internal/analysis/detrand"
+	"southwell/internal/analysis/floatcmp"
 	"southwell/internal/analysis/framework"
-	"southwell/internal/analysis/registry"
+	"southwell/internal/analysis/maporder"
 )
 
-// config carries the parsed flags into lint (testable without a process).
-type config struct {
-	patterns []string
-	fix      bool
-	cacheDir string // "" disables caching
-	stats    bool
-	parallel int
+// analyzers is the whole suite. Each inspects one package on its own, so
+// the order is only the order of -help.
+var analyzers = []*framework.Analyzer{
+	detrand.Analyzer,
+	maporder.Analyzer,
+	floatcmp.Analyzer,
+	clonerheld.Analyzer,
 }
 
 func main() {
 	help := flag.Bool("help", false, "print the analyzer descriptions and exit")
-	fix := flag.Bool("fix", false, "apply suggested fixes to the source tree, then report remaining findings")
-	cache := flag.Bool("cache", true, "reuse (and refresh) the warm cache of per-package results")
-	cacheDir := flag.String("cache-dir", ".dslintcache", "directory holding the warm cache")
-	stats := flag.Bool("stats", false, "print analyzed/restored package counts to stderr")
-	par := flag.Int("par", 0, "max packages analyzed concurrently (0 = GOMAXPROCS)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: dslint [flags] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: dslint [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Machine-checks the simulator's determinism and fault-safety invariants.\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	if *help {
-		for _, a := range registry.Analyzers() {
+		for _, a := range analyzers {
 			fmt.Printf("%s: %s\n", a.Name, a.Doc)
 		}
 		return
 	}
-	cfg := config{
-		patterns: flag.Args(),
-		fix:      *fix,
-		stats:    *stats,
-		parallel: *par,
-	}
-	if *cache {
-		cfg.cacheDir = *cacheDir
-	}
-	os.Exit(lint(cfg, os.Stdout, os.Stderr))
+	os.Exit(lint(".", flag.Args(), os.Stdout, os.Stderr))
 }
 
-// lint runs the registry over the patterns through the cached parallel
-// driver and prints findings; it returns the process exit status.
-func lint(cfg config, out, errOut io.Writer) int {
-	res, err := driver.Run(driver.Options{
-		Dir:       ".",
-		Patterns:  cfg.patterns,
-		Analyzers: registry.Analyzers(),
-		CacheDir:  cfg.cacheDir,
-		Parallel:  cfg.parallel,
-	})
+// lint runs the analyzers over the patterns (resolved relative to dir) and
+// prints the findings; it returns the process exit status.
+func lint(dir string, patterns []string, out, errOut io.Writer) int {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	pkgs, err := framework.Load(dir, patterns...)
 	if err != nil {
 		fmt.Fprintf(errOut, "dslint: %v\n", err)
 		return 2
 	}
-	if cfg.stats {
-		fmt.Fprintf(errOut, "dslint: %d packages, %d analyzed, %d restored from cache\n",
-			res.Stats.Packages, res.Stats.Analyzed, res.Stats.Restored)
-	}
-
-	diags := res.Diagnostics
-	if cfg.fix {
-		changed, err := framework.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(errOut, "dslint: %v\n", err)
-			return 2
-		}
-		for _, f := range changed {
-			fmt.Fprintf(out, "dslint: fixed %s\n", f)
-		}
-		// Only findings without a machine-applicable fix remain actionable.
-		var rest []framework.Diagnostic
-		for _, d := range diags {
-			if len(d.Fixes) == 0 {
-				rest = append(rest, d)
+	var diags []framework.Diagnostic
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			found, err := framework.Run(a, pkg)
+			if err != nil {
+				fmt.Fprintf(errOut, "dslint: %v\n", err)
+				return 2
 			}
+			diags = append(diags, found...)
 		}
-		diags = rest
 	}
-
+	framework.SortDiagnostics(diags)
 	for _, d := range diags {
 		fmt.Fprintln(out, d)
 	}

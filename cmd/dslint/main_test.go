@@ -4,69 +4,23 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"southwell/internal/analysis/registry"
 )
 
-func TestRegistryComplete(t *testing.T) {
-	names := map[string]bool{}
-	for _, a := range registry.Analyzers() {
-		if a.Name == "" || a.Doc == "" || a.Run == nil {
-			t.Errorf("analyzer %q is incomplete", a.Name)
-		}
-		if names[a.Name] {
-			t.Errorf("duplicate analyzer name %q", a.Name)
-		}
-		names[a.Name] = true
-	}
-	for _, want := range []string{
-		"detrand", "maporder", "clonerheld", "phaseabsorb", "floatcmp",
-		"callgraph", "hotalloc", "walltime", "staleignore",
-	} {
-		if !names[want] {
-			t.Errorf("registry is missing analyzer %q", want)
-		}
-	}
-	// Ordering constraints: callgraph produces the facts hotalloc and
-	// walltime consume, and staleignore inspects directive-consumption
-	// flags every other analyzer may set.
-	idx := map[string]int{}
-	for i, a := range registry.Analyzers() {
-		idx[a.Name] = i
-	}
-	if idx["callgraph"] > idx["hotalloc"] || idx["callgraph"] > idx["walltime"] {
-		t.Error("callgraph must run before hotalloc and walltime")
-	}
-	if idx["staleignore"] != len(registry.Analyzers())-1 {
-		t.Error("staleignore must run last")
+// TestModuleLintClean lints the whole module, so tier-1 alone (`go build
+// ./... && go test ./...`) fails on a detrand, maporder, floatcmp or
+// clonerheld finding — no make target needed.
+func TestModuleLintClean(t *testing.T) {
+	var out strings.Builder
+	if code := lint("../..", []string{"./..."}, &out, io.Discard); code != 0 || out.Len() != 0 {
+		t.Fatalf("dslint ./... exited %d, want 0 and no output; findings:\n%s", code, out.String())
 	}
 }
 
 func TestLintCleanPackage(t *testing.T) {
-	cfg := config{patterns: []string{"southwell/internal/analysis/lintutil"}}
-	if code := lint(cfg, io.Discard, io.Discard); code != 0 {
+	if code := lint(".", []string{"southwell/internal/analysis/lintutil"}, io.Discard, io.Discard); code != 0 {
 		t.Fatalf("lint on a clean package exited %d, want 0", code)
 	}
-	cfg.patterns = []string{"southwell/internal/no/such/package"}
-	if code := lint(cfg, io.Discard, io.Discard); code != 2 {
+	if code := lint(".", []string{"southwell/internal/no/such/package"}, io.Discard, io.Discard); code != 2 {
 		t.Fatalf("lint on a bogus pattern exited %d, want 2", code)
-	}
-}
-
-// TestLintFixCleanPackage smoke-tests the -fix path (make lint-fix): on a
-// clean package there is nothing to fix and nothing left to report, so the
-// run must be a no-op with exit 0 and no output. (ApplyFixes semantics on
-// real findings are pinned by the staleignore fix tests.)
-func TestLintFixCleanPackage(t *testing.T) {
-	cfg := config{
-		patterns: []string{"southwell/internal/analysis/lintutil"},
-		fix:      true,
-	}
-	var out strings.Builder
-	if code := lint(cfg, &out, io.Discard); code != 0 {
-		t.Fatalf("lint -fix on a clean package exited %d, want 0", code)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("lint -fix on a clean package produced output:\n%s", out.String())
 	}
 }

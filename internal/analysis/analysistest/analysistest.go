@@ -18,7 +18,6 @@ package analysistest
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"os"
@@ -64,84 +63,12 @@ func Run(t *testing.T, testdata string, a *framework.Analyzer, paths ...string) 
 	}
 }
 
-// RunSuite runs a sequence of analyzers — fact producers and consumers —
-// over the fixture packages and their fixture dependencies, sharing one
-// fact store, exactly as the driver does. Packages run in dependency order
-// (a fixture's imports are analyzed before it), analyzers in the given
-// order per package, and // want comments are checked in every loaded
-// package, so cross-package expectations (a dependency's wants alongside
-// the importer's) work. Returns the fact store for programmatic assertions
-// on exported facts.
-func RunSuite(t *testing.T, testdata string, analyzers []*framework.Analyzer, paths ...string) *framework.FactStore {
-	t.Helper()
-	l := &loader{
-		testdata: testdata,
-		fset:     token.NewFileSet(),
-		pkgs:     map[string]*framework.Package{},
-	}
-	for _, path := range paths {
-		if _, err := l.load(path); err != nil {
-			t.Fatalf("loading fixture %s: %v", path, err)
-		}
-	}
-	facts := framework.NewFactStore()
-	diagsByPkg := map[string][]framework.Diagnostic{}
-	for _, path := range l.order {
-		pkg := l.pkgs[path]
-		for _, a := range analyzers {
-			diags, err := framework.RunWithFacts(a, pkg, facts)
-			if err != nil {
-				t.Fatalf("running %s on fixture %s: %v", a.Name, path, err)
-			}
-			diagsByPkg[path] = append(diagsByPkg[path], diags...)
-		}
-	}
-	for _, path := range l.order {
-		check(t, l.pkgs[path], diagsByPkg[path])
-	}
-	return facts
-}
-
-// Diagnostics runs the analyzer sequence exactly like RunSuite — shared
-// fact store, dependency order — but returns the diagnostics of the named
-// path instead of checking // want comments. Tests that assert on
-// suggested fixes or message details programmatically use this (with
-// fixtures copied to a temp dir first when fixes will be applied: edit
-// offsets address the analyzed files on disk).
-func Diagnostics(t *testing.T, testdata string, analyzers []*framework.Analyzer, path string) []framework.Diagnostic {
-	t.Helper()
-	l := &loader{
-		testdata: testdata,
-		fset:     token.NewFileSet(),
-		pkgs:     map[string]*framework.Package{},
-	}
-	if _, err := l.load(path); err != nil {
-		t.Fatalf("loading fixture %s: %v", path, err)
-	}
-	facts := framework.NewFactStore()
-	var out []framework.Diagnostic
-	for _, p := range l.order {
-		pkg := l.pkgs[p]
-		for _, a := range analyzers {
-			diags, err := framework.RunWithFacts(a, pkg, facts)
-			if err != nil {
-				t.Fatalf("running %s on fixture %s: %v", a.Name, p, err)
-			}
-			if p == path {
-				out = append(out, diags...)
-			}
-		}
-	}
-	return out
-}
-
 // loader type-checks fixture packages, memoized, resolving fixture imports
 // under testdata/src and everything else through export data.
 type loader struct {
 	testdata string
 	fset     *token.FileSet
 	pkgs     map[string]*framework.Package
-	order    []string // load completion order: dependencies first
 	std      types.Importer
 }
 
@@ -197,7 +124,7 @@ func (l *loader) load(path string) (*framework.Package, error) {
 		}
 	}
 	if l.std == nil {
-		if l.std, err = l.stdImporter(files); err != nil {
+		if l.std, err = l.stdImporter(); err != nil {
 			return nil, err
 		}
 	}
@@ -211,14 +138,13 @@ func (l *loader) load(path string) (*framework.Package, error) {
 		return nil, err
 	}
 	l.pkgs[path] = pkg
-	l.order = append(l.order, path)
 	return pkg, nil
 }
 
 // stdImporter builds the export-data importer over the stdlib closure of
 // every import mentioned anywhere under testdata/src (one `go list` run
 // covers all fixtures of the suite).
-func (l *loader) stdImporter(_ []*ast.File) (types.Importer, error) {
+func (l *loader) stdImporter() (types.Importer, error) {
 	std := map[string]bool{}
 	root := filepath.Join(l.testdata, "src")
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {

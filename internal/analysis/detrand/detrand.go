@@ -6,10 +6,12 @@
 // replayable: the engine-equivalence and chaos-determinism tests compare
 // entire runs bit for bit, and the paper's Γ/Γ̃ bookkeeping is only exact
 // when every decision is a pure function of the seeded inputs. A single
-// rand.Intn or time.Now in internal/{rma,dmem,bench,solvers,partition,
-// problem} silently breaks all of that, so randomness must flow through an
+// rand.Intn or time.Now anywhere under internal/ (the scope rule is
+// lintutil.IsDeterministic: everything but the analyzers themselves)
+// silently breaks all of that, so randomness must flow through an
 // explicitly seeded *rand.Rand (constructing one with rand.New /
-// rand.NewSource is allowed; the global functions and Seed are not).
+// rand.NewSource is allowed; the global functions and Seed are not). The
+// only clocks in the module are in cmd/ and benchmarks/, outside the scope.
 package detrand
 
 import (
@@ -38,10 +40,19 @@ var allowedRand = map[string]bool{
 	"NewChaCha8": true, // math/rand/v2
 }
 
-// nondetTime aliases the shared wall-clock table (lintutil.WallClockFuncs)
-// so detrand and the interprocedural walltime analyzer agree on what
-// constitutes a wall-clock read.
-var nondetTime = lintutil.WallClockFuncs
+// nondetTime are the time-package names that read the wall clock or start
+// wall-clock timers.
+var nondetTime = map[string]bool{
+	"Now":       true,
+	"Since":     true,
+	"Until":     true,
+	"After":     true,
+	"AfterFunc": true,
+	"Tick":      true,
+	"NewTicker": true,
+	"NewTimer":  true,
+	"Sleep":     true,
+}
 
 func run(pass *framework.Pass) error {
 	if !lintutil.IsDeterministic(pass.Pkg.Path()) {

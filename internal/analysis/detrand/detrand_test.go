@@ -12,6 +12,7 @@ func TestDetrand(t *testing.T) {
 		"internal/rma",      // deterministic package: violations flagged
 		"internal/parallel", // kernel fan-out layer: same scope
 		"internal/obs",      // observability layer: simulated-clock only
+		"internal/sparse",   // any other package under internal/: same scope
 		"other",             // out of scope: same calls, no diagnostics
 	)
 }

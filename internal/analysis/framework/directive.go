@@ -13,42 +13,22 @@ import (
 // line (matching the placement conventions of //nolint and //lint:ignore).
 // Every intentional exact float comparison and similar deliberate
 // violation in the repo carries one, with the justification in the comment.
-//
-// Each directive's consumption is tracked: suppressing a reported
-// diagnostic (filterIgnored) or an analyzer-internal finding input
-// (Pass.SuppressedBy — e.g. callgraph dropping an exempted allocation
-// site) marks it used. The staleignore analyzer reports directives that a
-// whole registry run left unused, with an autofix that deletes them.
 
+// ignoreKey names one suppression: diagnostics of analyzer name on line
+// of file are dropped.
 type ignoreKey struct {
 	file string
 	line int
 	name string
 }
 
-// Directive is one parsed //dslint:ignore comment.
-type Directive struct {
-	File    string   // file containing the comment
-	Line    int      // 1-based line of the comment itself
-	Target  int      // line whose diagnostics it suppresses
-	Names   []string // analyzer names it suppresses
-	Offset  int      // byte offset of the comment's first character
-	End     int      // byte offset one past the comment's last character
-	OwnLine bool     // the comment is the only content on its line
-	Used    bool     // it suppressed at least one finding this session
-}
-
-// scanIgnores collects the package's directives into pkg.directives and
-// indexes them by (file, target line, analyzer name).
-func (pkg *Package) scanIgnores() {
-	pkg.ignores = make(map[ignoreKey]*Directive)
+// scanIgnores indexes the package's directives by (file, target line,
+// analyzer name). srcs holds the parsed files' bytes by file name.
+func (pkg *Package) scanIgnores(srcs map[string][]byte) {
+	pkg.ignores = make(map[ignoreKey]bool)
 	for _, f := range pkg.Files {
 		fileName := pkg.Fset.Position(f.Pos()).Filename
-		src := pkg.Srcs[fileName]
-		var lines []string
-		if src != nil {
-			lines = strings.Split(string(src), "\n")
-		}
+		lines := strings.Split(string(srcs[fileName]), "\n")
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				names, ok := parseIgnore(c.Text)
@@ -56,22 +36,12 @@ func (pkg *Package) scanIgnores() {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				end := pkg.Fset.Position(c.End())
-				d := &Directive{
-					File:   fileName,
-					Line:   pos.Line,
-					Target: pos.Line,
-					Names:  names,
-					Offset: pos.Offset,
-					End:    end.Offset,
-				}
+				target := pos.Line
 				if onOwnLine(lines, pos.Line, pos.Column) {
-					d.Target = pos.Line + 1
-					d.OwnLine = true
+					target++
 				}
-				pkg.directives = append(pkg.directives, d)
 				for _, n := range names {
-					pkg.ignores[ignoreKey{fileName, d.Target, n}] = d
+					pkg.ignores[ignoreKey{fileName, target, n}] = true
 				}
 			}
 		}
@@ -108,29 +78,16 @@ func onOwnLine(lines []string, line, col int) bool {
 	return strings.TrimSpace(lines[line-1][:col-1]) == ""
 }
 
-// suppressedAt reports whether a directive for analyzer name targets
-// (file, line), marking it used.
-func (pkg *Package) suppressedAt(file string, line int, name string) bool {
-	d := pkg.ignores[ignoreKey{file, line, name}]
-	if d == nil {
-		return false
-	}
-	d.Used = true
-	return true
-}
-
-// filterIgnored drops diagnostics suppressed by a directive, marking the
-// directives that fired.
+// filterIgnored drops diagnostics suppressed by a directive.
 func (pkg *Package) filterIgnored(diags []Diagnostic) []Diagnostic {
 	if len(pkg.ignores) == 0 {
 		return diags
 	}
 	kept := diags[:0]
 	for _, d := range diags {
-		if pkg.suppressedAt(d.Pos.Filename, d.Pos.Line, d.Analyzer) {
-			continue
+		if !pkg.ignores[ignoreKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}] {
+			kept = append(kept, d)
 		}
-		kept = append(kept, d)
 	}
 	return kept
 }

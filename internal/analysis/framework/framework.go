@@ -34,13 +34,11 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// Diagnostic is one finding, resolved to a file position. Fixes, when
-// present, are machine-applicable resolutions (dslint -fix).
+// Diagnostic is one finding, resolved to a file position.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fixes    []SuggestedFix
 }
 
 func (d Diagnostic) String() string {
@@ -55,92 +53,39 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the session's package-fact store (nil when the caller runs
-	// without facts; ExportPackageFact then fails and ImportPackageFact
-	// reports no fact).
-	Facts *FactStore
-
-	pkg   *Package
-	diags *[]Diagnostic
+	diags []Diagnostic
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
+	p.diags = append(p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
-// Report records a fully-formed diagnostic (used by analyzers attaching
-// suggested fixes). The Pos and Analyzer fields are filled from the pass.
-func (p *Pass) Report(pos token.Pos, message string, fixes ...SuggestedFix) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  message,
-		Fixes:    fixes,
-	})
-}
-
-// SuppressedBy reports whether a //dslint:ignore directive for the named
-// analyzer targets pos's line, and marks that directive used (so
-// staleignore does not flag it). Analyzers that consume suppressions at
-// fact-construction time (callgraph dropping exempted allocation sites)
-// call this with the analyzer the suppression is for, which may differ
-// from the running analyzer.
-func (p *Pass) SuppressedBy(pos token.Pos, analyzer string) bool {
-	position := p.Fset.Position(pos)
-	return p.pkg.suppressedAt(position.Filename, position.Line, analyzer)
-}
-
-// Directives returns the package's //dslint:ignore directives. Used flags
-// reflect every suppression consumed so far in this session, so an
-// analyzer inspecting them (staleignore) must run after the analyzers
-// whose findings the directives could suppress.
-func (p *Pass) Directives() []*Directive {
-	return p.pkg.directives
-}
-
-// Srcs returns the analyzed source bytes by file name (for computing byte
-// offsets of suggested fixes).
-func (p *Pass) Srcs() map[string][]byte {
-	return p.pkg.Srcs
-}
-
 // Run applies one analyzer to one loaded package and returns its findings,
 // with //dslint:ignore-suppressed diagnostics already removed and the rest
-// ordered by position. Facts are unavailable; use RunWithFacts for
-// fact-producing or fact-consuming analyzers.
+// ordered by position.
 func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	return RunWithFacts(a, pkg, nil)
-}
-
-// RunWithFacts is Run with a session fact store shared across packages
-// (and across the analyzers of one package, in registry order).
-func RunWithFacts(a *Analyzer, pkg *Package, facts *FactStore) ([]Diagnostic, error) {
-	var diags []Diagnostic
 	pass := &Pass{
 		Analyzer:  a,
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.Info,
-		Facts:     facts,
-		pkg:       pkg,
-		diags:     &diags,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: analyzing %s: %w", a.Name, pkg.Path, err)
 	}
-	diags = pkg.filterIgnored(diags)
+	diags := pkg.filterIgnored(pass.diags)
 	SortDiagnostics(diags)
 	return diags, nil
 }
 
 // SortDiagnostics orders diags by (file, line, column, analyzer, message)
-// — the canonical deterministic output order of the driver.
+// — dslint's canonical deterministic output order.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos

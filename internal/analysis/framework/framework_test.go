@@ -53,8 +53,8 @@ func TestLoadAndRun(t *testing.T) {
 		t.Fatalf("Load returned %d packages, want 1", len(pkgs))
 	}
 	pkg := pkgs[0]
-	if pkg.Types == nil || pkg.Types.Scope().Lookup("MatchAny") == nil {
-		t.Fatalf("package %s type-checked without MatchAny in scope", pkg.Path)
+	if pkg.Types == nil || pkg.Types.Scope().Lookup("IsDeterministic") == nil {
+		t.Fatalf("package %s type-checked without IsDeterministic in scope", pkg.Path)
 	}
 
 	funcs := 0
@@ -88,9 +88,7 @@ func TestLoadAndRun(t *testing.T) {
 
 	// Suppression: mark every diagnostic line ignored and re-run.
 	for _, d := range diags {
-		pkg.ignores[ignoreKey{d.Pos.Filename, d.Pos.Line, "probe"}] = &Directive{
-			File: d.Pos.Filename, Target: d.Pos.Line, Names: []string{"probe"},
-		}
+		pkg.ignores[ignoreKey{d.Pos.Filename, d.Pos.Line, "probe"}] = true
 	}
 	diags, err = Run(probe, pkg)
 	if err != nil {

@@ -20,72 +20,48 @@ type Package struct {
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Srcs  map[string][]byte // filename -> source, for directive scanning
 	Types *types.Package
 	Info  *types.Info
 
-	ignores    map[ignoreKey]*Directive
-	directives []*Directive
+	ignores map[ignoreKey]bool
 }
 
-// ListedPkg is the subset of `go list -json` output the loader and the
-// cached driver consume.
-type ListedPkg struct {
+// listedPkg is the subset of `go list -json` output the loader consumes.
+type listedPkg struct {
 	ImportPath string
 	Dir        string
 	Standard   bool
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	DepOnly    bool
-	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
-// goList runs `go list -e -json <args>` in dir and decodes the JSON stream.
-func goList(dir string, args ...string) ([]*ListedPkg, error) {
-	cmd := exec.Command("go", append([]string{"list", "-e", "-json"}, args...)...)
+// goList runs `go list -e -json -export -deps <patterns>` in dir and
+// decodes the JSON stream: the pattern matches themselves (DepOnly false)
+// plus their full dependency closure with compiler export-data files.
+func goList(dir string, patterns ...string) ([]*listedPkg, error) {
+	args := append([]string{"list", "-e", "-json", "-export", "-deps"}, patterns...)
+	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", args, err, stderr.String())
+		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
 	}
 	dec := json.NewDecoder(bytes.NewReader(out))
-	var pkgs []*ListedPkg
+	var pkgs []*listedPkg
 	for {
-		p := new(ListedPkg)
+		p := new(listedPkg)
 		if err := dec.Decode(p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("go list %v: decoding output: %v", args, err)
+			return nil, fmt.Errorf("go list %v: decoding output: %v", patterns, err)
 		}
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
-}
-
-// ListExportGraph runs one `go list -e -json -export -deps` over the
-// patterns (resolved relative to dir) and returns every listed package:
-// the pattern matches themselves (DepOnly false) plus their full
-// dependency closure with compiler export-data files. The cached driver
-// builds its action graph — and its export table — from this single
-// invocation.
-func ListExportGraph(dir string, patterns ...string) ([]*ListedPkg, error) {
-	return goList(dir, append([]string{"-export", "-deps"}, patterns...)...)
-}
-
-// ParsePackage parses one listed package's sources (with comments) and
-// type-checks it against the importer, returning an analysis-ready
-// Package. The FileSet must be fresh per package when packages are checked
-// concurrently.
-func ParsePackage(lp *ListedPkg, fset *token.FileSet, imp types.Importer) (*Package, error) {
-	files, srcs, err := parseFiles(fset, lp.Dir, lp.GoFiles)
-	if err != nil {
-		return nil, fmt.Errorf("parsing %s: %v", lp.ImportPath, err)
-	}
-	return CheckFiles(lp.ImportPath, fset, files, srcs, imp)
 }
 
 // ExportTable maps import paths to compiler export-data files, as produced
@@ -97,16 +73,14 @@ type ExportTable map[string]string
 // LoadExportTable builds the export table for the dependency closure of the
 // given package patterns (resolved relative to dir).
 func LoadExportTable(dir string, patterns ...string) (ExportTable, error) {
-	listed, err := goList(dir, append([]string{"-export", "-deps"}, patterns...)...)
+	listed, err := goList(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	return NewExportTable(listed), nil
+	return exportTable(listed), nil
 }
 
-// NewExportTable builds the export table from an already-listed package
-// graph (see ListExportGraph), avoiding a second `go list` run.
-func NewExportTable(listed []*ListedPkg) ExportTable {
+func exportTable(listed []*listedPkg) ExportTable {
 	t := make(ExportTable, len(listed))
 	for _, p := range listed {
 		if p.Export != "" {
@@ -141,7 +115,8 @@ func newInfo() *types.Info {
 	}
 }
 
-// parseFiles parses the named files (joined to dir) with comments.
+// parseFiles parses the named files (joined to dir) with comments and
+// returns them with their source bytes by file name.
 func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, map[string][]byte, error) {
 	var files []*ast.File
 	srcs := make(map[string][]byte, len(names))
@@ -168,7 +143,8 @@ func ParseFixture(fset *token.FileSet, dir string, names []string) ([]*ast.File,
 }
 
 // CheckFiles type-checks one package's parsed files with the given importer
-// and wraps the result as an analysis-ready Package.
+// and wraps the result as an analysis-ready Package. srcs (file name to
+// source bytes) is read once, to place //dslint:ignore directives.
 func CheckFiles(path string, fset *token.FileSet, files []*ast.File, srcs map[string][]byte, imp types.Importer) (*Package, error) {
 	info := newInfo()
 	conf := types.Config{Importer: imp}
@@ -176,8 +152,8 @@ func CheckFiles(path string, fset *token.FileSet, files []*ast.File, srcs map[st
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
-	pkg := &Package{Path: path, Fset: fset, Files: files, Srcs: srcs, Types: tpkg, Info: info}
-	pkg.scanIgnores()
+	pkg := &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}
+	pkg.scanIgnores(srcs)
 	return pkg, nil
 }
 
@@ -187,23 +163,20 @@ func CheckFiles(path string, fset *token.FileSet, files []*ast.File, srcs map[st
 // invariants concern the production simulator and solver code, and the
 // fixture suites intentionally hold violations.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	targets, err := goList(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range targets {
-		if p.Error != nil {
-			return nil, fmt.Errorf("loading %s: %s", p.ImportPath, p.Error.Err)
-		}
-	}
-	table, err := LoadExportTable(dir, patterns...)
+	listed, err := goList(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := table.NewImporter(fset)
+	imp := exportTable(listed).NewImporter(fset)
 	var pkgs []*Package
-	for _, p := range targets {
+	for _, p := range listed {
+		if p.DepOnly {
+			continue
+		}
+		if p.Error != nil {
+			return nil, fmt.Errorf("loading %s: %s", p.ImportPath, p.Error.Err)
+		}
 		if p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}

@@ -10,61 +10,24 @@ import (
 	"strings"
 )
 
-// DeterministicPkgs lists the packages whose runs must be bit-reproducible
-// from explicit seeds (DESIGN.md §6, §8): the simulator, the distributed
-// methods, the benchmark harness, and everything that feeds them inputs.
-// Matching is by path suffix so the list covers both the real module paths
-// (southwell/internal/rma) and analyzer test fixtures (internal/rma).
-var DeterministicPkgs = []string{
-	"internal/rma",
-	"internal/dmem",
-	"internal/bench",
-	"internal/solvers",
-	"internal/partition",
-	"internal/problem",
-	"internal/parallel",
-	"internal/obs",
-}
-
-// MapOrderPkgs lists the packages where map iteration order can leak into
-// message schedules or index layouts and must therefore be sorted.
-var MapOrderPkgs = []string{
-	"internal/rma",
-	"internal/dmem",
-	"internal/parallel",
-	"internal/obs",
-}
-
-// WallClockFuncs are the time-package names that read the wall clock or
-// start wall-clock timers. Shared by detrand (direct uses in deterministic
-// packages) and callgraph/walltime (interprocedural reachability).
-var WallClockFuncs = map[string]bool{
-	"Now":       true,
-	"Since":     true,
-	"Until":     true,
-	"After":     true,
-	"AfterFunc": true,
-	"Tick":      true,
-	"NewTicker": true,
-	"NewTimer":  true,
-	"Sleep":     true,
-}
-
-// MatchAny reports whether pkgPath equals one of the patterns or ends with
-// "/"+pattern (module-prefixed paths).
-func MatchAny(pkgPath string, patterns []string) bool {
-	for _, pat := range patterns {
-		if pkgPath == pat || strings.HasSuffix(pkgPath, "/"+pat) {
-			return true
-		}
-	}
-	return false
-}
-
-// IsDeterministic reports whether pkgPath must be free of unseeded
-// randomness and wall-clock reads.
+// IsDeterministic is the one scope rule of the determinism analyzers
+// (detrand, maporder): every package under an internal/ directory must be
+// bit-reproducible from explicit seeds (DESIGN.md §6, §8) — no unseeded
+// randomness, no wall-clock reads, no map-ordered output — except the
+// analyzers themselves (internal/analysis/...), which never run inside a
+// solve. Commands and benchmarks/ sit outside internal/ and may time
+// themselves. The rule looks at path elements, not at the module name, so
+// analyzer test fixtures (internal/rma) and any other module laid out the
+// same way (x/internal/rma) are in scope too.
 func IsDeterministic(pkgPath string) bool {
-	return MatchAny(pkgPath, DeterministicPkgs)
+	const marker = "/internal/"
+	p := "/" + pkgPath + "/"
+	i := strings.Index(p, marker)
+	if i < 0 {
+		return false
+	}
+	rest := p[i+len(marker):]
+	return rest != "" && !strings.HasPrefix(rest, "analysis/")
 }
 
 // WorldMethod returns the *types.Func when call invokes the named method on

@@ -1,5 +1,5 @@
-// Package maporder flags `for range` loops over maps in internal/rma and
-// internal/dmem whose body is order-sensitive.
+// Package maporder flags `for range` loops over maps in the deterministic
+// packages (lintutil.IsDeterministic) whose body is order-sensitive.
 //
 // Go randomizes map iteration order per run, so a map-ordered loop that
 // appends to a shared slice, accumulates floating point (non-associative),
@@ -24,13 +24,13 @@ import (
 // Analyzer is the maporder check.
 var Analyzer = &framework.Analyzer{
 	Name: "maporder",
-	Doc: "flag order-sensitive iteration over maps in the simulator packages " +
+	Doc: "flag order-sensitive iteration over maps in deterministic packages " +
 		"(appends, float accumulation, sends) unless keys are collected and sorted",
 	Run: run,
 }
 
 func run(pass *framework.Pass) error {
-	if !lintutil.MatchAny(pass.Pkg.Path(), lintutil.MapOrderPkgs) {
+	if !lintutil.IsDeterministic(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -12,5 +12,6 @@ func TestMaporder(t *testing.T) {
 		"internal/dmem",
 		"internal/parallel",
 		"internal/obs",
+		"internal/partition", // any other package under internal/: same scope
 	)
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // benchStates builds the per-rank state for a scaled Poisson problem.
-func benchStates(b *testing.B, n, ranks int) (*Layout, []*rankState) {
+func benchStates(b testing.TB, n, ranks int) (*Layout, []*rankState) {
 	b.Helper()
 	a := problem.Poisson2D(n, n)
 	if _, err := sparse.Scale(a); err != nil {
@@ -25,21 +25,39 @@ func benchStates(b *testing.B, n, ranks int) (*Layout, []*rankState) {
 	return l, newRankStates(l, bb, x)
 }
 
-// BenchmarkRelaxSweep measures the local Gauss-Seidel relaxation kernel plus
-// the message-staging path (boundary residual and delta collection) that
-// runs on every relaxation — the per-rank inner loop of every method.
+// relaxAndStage is the per-rank inner loop of every method: one local
+// Gauss-Seidel relaxation sweep plus the message-staging path (boundary
+// residual and delta collection toward every neighbor) that runs on every
+// relaxation.
+func relaxAndStage(rs *rankState) {
+	rs.zeroExtDelta()
+	rs.relaxSweep()
+	for j := range rs.rd.Nbrs {
+		d := rs.deltasFor(j)
+		bnd := rs.boundaryResiduals(j)
+		_, _ = d, bnd
+	}
+}
+
 func BenchmarkRelaxSweep(b *testing.B) {
 	_, states := benchStates(b, 64, 16)
 	rs := states[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs.zeroExtDelta()
-		rs.relaxSweep()
-		for j := range rs.rd.Nbrs {
-			d := rs.deltasFor(j)
-			bnd := rs.boundaryResiduals(j)
-			_, _ = d, bnd
+		relaxAndStage(rs)
+	}
+}
+
+// TestRelaxSweepAllocGate asserts what BenchmarkRelaxSweep only reports:
+// relaxSweep, deltasFor and boundaryResiduals write into per-rank and
+// per-neighbor buffers sized at set-up, so the inner loop allocates
+// nothing, on every rank of the layout.
+func TestRelaxSweepAllocGate(t *testing.T) {
+	_, states := benchStates(t, 64, 16)
+	for p, rs := range states {
+		if got := testing.AllocsPerRun(20, func() { relaxAndStage(rs) }); got != 0 {
+			t.Errorf("rank %d: relax sweep + staging allocates %.1f allocs/op, want 0", p, got)
 		}
 	}
 }

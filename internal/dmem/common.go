@@ -464,8 +464,6 @@ func (rs *rankState) computeNorm() float64 {
 // entries touch only r[] and ext entries only extDelta[], and each class
 // preserves source column order, so every memory location sees the exact
 // update sequence of the interleaved walk — Gauss–Seidel bits unchanged.
-//
-//dslint:hotpath
 func (rs *rankState) relaxSweep() float64 {
 	rd := rs.rd
 	for li := range rs.r {
@@ -620,7 +618,6 @@ func winsOver(np float64, p int, nq float64, q int) bool {
 	// Bit-exact by design: both ranks evaluate the same pair, so the
 	// tie-break must agree exactly or the relaxed set loses independence.
 	if np != nq { //dslint:ignore floatcmp
-
 		return np > nq
 	}
 	return p < q

@@ -12,9 +12,7 @@
 //
 //  1. Disabled is a nil check. Producers hold a Tracer interface that is
 //     nil when tracing is off; every emit site is `if tr != nil { ... }`.
-//     The disabled path is pinned at 0 allocs/op by TestObsAllocGate
-//     against BENCH_obs.json, the same gate discipline as
-//     BENCH_kernels.json and BENCH_ldl.json.
+//     The disabled path is pinned at 0 allocs/op by TestObsAllocGate.
 //
 //  2. Enabled is a ring write. The Recorder preallocates one fixed-size
 //     ring buffer per simulated rank (plus one control shard for run-level
@@ -315,15 +313,13 @@ func (r *Recorder) shardFor(rank int32) int {
 
 // Emit records one event: a ring write plus an incremental tally update.
 // Nil-safe and allocation-free. See Tracer for the concurrency contract.
-//
-//dslint:hotpath
 func (r *Recorder) Emit(e Event) {
 	if r == nil || e.Kind == KindNone {
 		return
 	}
 	r.shards[r.shardFor(e.Rank)].emit(e)
 	if e.Kind == KindStep {
-		//dslint:ignore hotalloc one row per solver step into a 256-cap preallocated table; growth is rare and amortized
+		// one row per solver step into a 256-cap preallocated table; growth is rare and amortized
 		r.steps = append(r.steps, stepRecord{
 			step:    e.Step,
 			resNorm: e.V1,
@@ -335,7 +331,7 @@ func (r *Recorder) Emit(e Event) {
 		return
 	}
 	if e.Kind == KindActiveSet {
-		//dslint:ignore hotalloc one row per solver step into a 256-cap preallocated table; growth is rare and amortized
+		// same table discipline as steps above
 		r.actives = append(r.actives, activeRecord{step: e.Step, executing: e.A, skipped: e.B})
 		return
 	}

@@ -71,8 +71,6 @@ type Task struct {
 // channel. Every claim re-reads the region generation and block count, so
 // help is safe to run late: if the Task has moved on to a new region it
 // simply helps that region instead.
-//
-//dslint:hotpath
 func (t *Task) help() {
 	for {
 		s := t.next.Load()
@@ -189,8 +187,6 @@ func (p *Pool) worker() {
 // completes even on a closed, saturated, or width-1 pool (where it simply
 // runs the blocks inline, in ascending order — the same blocks, hence the
 // same results).
-//
-//dslint:hotpath
 func (p *Pool) Run(t *Task, nblocks int) {
 	if nblocks <= 0 {
 		return
@@ -209,7 +205,7 @@ func (p *Pool) Run(t *Task, nblocks int) {
 		return
 	}
 	if t.fin == nil {
-		t.fin = make(chan struct{}, 1) //dslint:ignore hotalloc one-time lazy init per Task, reused by every later region
+		t.fin = make(chan struct{}, 1) // one-time lazy init per Task, reused by every later region
 	}
 	// Open a new region generation. done must be reset before next exposes
 	// the new generation: a stale helper can only touch done after a
@@ -258,8 +254,6 @@ var (
 
 // Default returns the shared kernel pool, created on first use with
 // EnvWorkers (SOUTHWELL_KERNEL_WORKERS) or GOMAXPROCS executor slots.
-//
-//dslint:ignore hotalloc one-time lazy pool construction; every later call is an atomic load
 func Default() *Pool {
 	if p := defPool.Load(); p != nil {
 		return p
@@ -333,7 +327,7 @@ func SplitN(n, nb int, out []Range) []Range {
 		nb = 1
 	}
 	for b := 0; b < nb; b++ {
-		out = append(out, Range{Lo: b * n / nb, Hi: (b + 1) * n / nb}) //dslint:ignore hotalloc callers pass out[:0] with reused capacity; grows only until the block cap
+		out = append(out, Range{Lo: b * n / nb, Hi: (b + 1) * n / nb})
 	}
 	return out
 }
@@ -369,7 +363,7 @@ func SplitNNZ(rowPtr []int, nb int, out []Range) []Range {
 				hi = prev
 			}
 		}
-		out = append(out, Range{Lo: prev, Hi: hi}) //dslint:ignore hotalloc callers pass out[:0] with reused capacity; grows only until the block cap
+		out = append(out, Range{Lo: prev, Hi: hi})
 		prev = hi
 	}
 	return out

@@ -38,8 +38,6 @@ package rma
 // walks, which keeps a paper-scale step near-free when almost every rank
 // sleeps. Running a superset of the minimal active set is always safe
 // (every rank active is RunPhase).
-//
-//dslint:hotpath
 func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f func(rank int)) {
 	if w.closed.Load() {
 		panic(ErrClosed)
@@ -60,7 +58,7 @@ func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f
 		w.fastActive, w.fastList, w.fastIdle = active, actList, idle
 	}
 	if w.Parallel && w.P > 1 {
-		w.poolOnce.Do(w.startPool) //dslint:ignore hotalloc method value for one-time pool start; Once skips it on every later phase
+		w.poolOnce.Do(w.startPool)
 		w.barrier.Add(len(w.workers))
 		for _, c := range w.workers {
 			c <- phaseWork{f: f, active: active, idle: idle}
@@ -94,8 +92,6 @@ func lowerBound(list []int32, x int32) int {
 // the pool. Chunk boundaries never influence the output — each rank's
 // branch is a pure function of (active, pausedNow, idle) — so the engines
 // stay bit-identical.
-//
-//dslint:hotpath
 func (w *World) activeRange(lo, hi int, f func(int), active []bool, idle []float64) {
 	if w.fastActive != nil {
 		// Fast boundary armed: walk just the members in [lo, hi) —
@@ -122,7 +118,7 @@ func (w *World) activeRange(lo, hi int, f func(int), active []bool, idle []float
 		if active[p] {
 			f(p)
 			if ch != nil {
-				ch.hostStraggle(p, w.phases, w.flops[p]) //dslint:ignore hotalloc caller-supplied FaultPlan.HostDelay dynamic call; fires only under an installed fault plan, never on measured active-set runs
+				ch.hostStraggle(p, w.phases, w.flops[p])
 			}
 		} else if idle != nil {
 			w.flops[p] += idle[p]

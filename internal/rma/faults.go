@@ -104,8 +104,6 @@ type Cloner interface {
 }
 
 // own replaces m's payload with a private deep copy, once.
-//
-//dslint:ignore hotalloc fault-layer capture path: held and retained messages must clone their payloads by design, and faults are never enabled on measured runs
 func (m *Message) own() {
 	if m.owned {
 		return
@@ -264,8 +262,6 @@ func spikeHash(seed int64, p int, phase int64) float64 {
 
 // slowAt returns rank p's cost multiplier for the given phase: the
 // constant Stragglers factor times any per-phase spike.
-//
-//dslint:hotpath
 func (ch *chaosState) slowAt(p int, phase int64) float64 {
 	m := ch.slow[p]
 	if ch.plan.StragglerPhaseProb > 0 &&
@@ -279,8 +275,6 @@ func (ch *chaosState) slowAt(p int, phase int64) float64 {
 // predicate markPaused evaluates, but indexed by (rank, phase) instead of
 // materializing a per-phase pausedNow slice — the neighborhood engine
 // asks per rank because ranks run different phases concurrently.
-//
-//dslint:hotpath
 func (ch *chaosState) pausedAt(p int, phase int64) bool {
 	if !ch.anyPause {
 		return false
@@ -314,8 +308,6 @@ func hostSpin(flops float64) {
 // SpinStragglers, and/or the plan's HostDelay hook. It touches no
 // simulator state, so results and simulated time are bit-identical with
 // any combination enabled.
-//
-//dslint:hotpath
 func (ch *chaosState) hostStraggle(p int, phase int64, flops float64) {
 	if !ch.plan.SpinStragglers && ch.plan.HostDelay == nil {
 		return
@@ -356,8 +348,6 @@ func (ch *chaosState) markPaused(phase int64) bool {
 
 // fault decides the fate of one staged message at a delivery boundary.
 // Returning deliver=false means the message was captured as delayed.
-//
-//dslint:ignore hotalloc chaos capture path: delayed messages must clone their payloads by design, and faults are never enabled on measured runs
 func (ch *chaosState) fault(m *Message, phase int64) (deliver, dup bool) {
 	if ch.plan.DelayProb > 0 && ch.rng.float() < ch.plan.DelayProb {
 		k := 1 + ch.rng.intn(ch.plan.DelayMax)
@@ -384,9 +374,9 @@ func (ch *chaosState) releaseDue(phase int64) []heldMsg {
 	kept := ch.held[:0]
 	for _, h := range ch.held {
 		if h.due <= phase {
-			due = append(due, h) //dslint:ignore hotalloc dueScratch backing array is recycled across boundaries
+			due = append(due, h) // dueScratch backing array is recycled across boundaries
 		} else {
-			kept = append(kept, h) //dslint:ignore hotalloc appends into held's own backing array (kept = ch.held[:0]), never grows
+			kept = append(kept, h) // appends into held's own backing array (kept = ch.held[:0]), never grows
 		}
 	}
 	// Zero the tail so released payloads are not retained by the backing

@@ -219,8 +219,6 @@ func NewWorld(p int, model CostModel) *World {
 // called from rank `from`'s phase function. Payloads should be pointers to
 // caller-owned buffers: boxing a pointer does not allocate, and the runtime
 // never copies or retains payload contents beyond the receiving phase.
-//
-//dslint:hotpath
 func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
 	if w.closed.Load() {
 		panic(ErrClosed)
@@ -232,7 +230,7 @@ func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
 		w.nbPut(from, to, tag, bytes, payload)
 		return
 	}
-	w.staged[from] = append(w.staged[from], Message{From: from, To: to, Tag: tag, Bytes: bytes, Payload: payload}) //dslint:ignore hotalloc staging buffers keep their capacity across phases (deliver resets to st[:0])
+	w.staged[from] = append(w.staged[from], Message{From: from, To: to, Tag: tag, Bytes: bytes, Payload: payload}) // staging buffers keep their capacity across phases (deliver resets to st[:0])
 	w.msgs[from]++
 	w.bytes[from] += int64(bytes)
 	if w.trace != nil {
@@ -249,16 +247,12 @@ func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
 }
 
 // Charge records flops of local computation for rank in the current phase.
-//
-//dslint:hotpath
 func (w *World) Charge(rank int, flops float64) {
 	w.flops[rank] += flops
 }
 
 // Inbox returns the messages delivered to rank at the last phase boundary.
 // The slice is valid until the next phase boundary.
-//
-//dslint:hotpath
 func (w *World) Inbox(rank int) []Message {
 	return w.inbox[rank]
 }
@@ -269,8 +263,6 @@ func (w *World) Inbox(rank int) []Message {
 // the next phase boundary and must not be mutated. Not maintained on the
 // neighborhood-scheduled (SchedNeighbor) delivery path, which assembles
 // windows per rank — callers there must scan Inbox directly.
-//
-//dslint:hotpath
 func (w *World) LiveInboxes() []int32 {
 	return w.liveInbox
 }
@@ -301,8 +293,6 @@ func (w *World) PhaseIndex() int64 { return w.phases }
 // accounted. Both engines produce bit-identical results: f(p) may only
 // touch rank p's state, and cross-rank data moves exclusively through Put
 // at the phase boundary.
-//
-//dslint:hotpath
 func (w *World) RunPhase(f func(rank int)) {
 	if w.closed.Load() {
 		panic(ErrClosed)
@@ -312,7 +302,6 @@ func (w *World) RunPhase(f func(rank int)) {
 		// not run, and deliver leaves their windows (inboxes) intact so
 		// landed one-sided writes stay readable until they next execute.
 		inner := f
-		//dslint:ignore hotalloc chaos wrapper closure, built only under an installed fault plan
 		f = func(p int) {
 			if !ch.pausedNow[p] {
 				inner(p)
@@ -327,7 +316,6 @@ func (w *World) RunPhase(f func(rank int)) {
 		// Results are unaffected.
 		inner := f
 		phase := w.phases
-		//dslint:ignore hotalloc chaos wrapper closure, built only under an installed fault plan
 		f = func(p int) {
 			inner(p)
 			if ch.pausedNow[p] {
@@ -337,7 +325,7 @@ func (w *World) RunPhase(f func(rank int)) {
 		}
 	}
 	if w.Parallel && w.P > 1 {
-		w.poolOnce.Do(w.startPool) //dslint:ignore hotalloc method value for one-time pool start; Once skips it on every later phase
+		w.poolOnce.Do(w.startPool)
 		w.barrier.Add(len(w.workers))
 		for _, ch := range w.workers {
 			ch <- phaseWork{f: f}
@@ -356,8 +344,6 @@ func (w *World) RunPhase(f func(rank int)) {
 // over-subscription for blocking host delays), each owning a contiguous
 // chunk of ranks for its lifetime. Workers survive across phases (and
 // across solver steps) until Close.
-//
-//dslint:ignore hotalloc one-time worker-pool construction behind poolOnce
 func (w *World) startPool() {
 	n := runtime.GOMAXPROCS(0)
 	if ch := w.chaos; ch != nil && ch.plan.HostWorkers > 0 {
@@ -465,7 +451,7 @@ func (w *World) deliver() {
 			ch.paused++
 			retainWindow(w.inbox[p])
 			if len(w.inbox[p]) > 0 {
-				w.liveInbox = append(w.liveInbox, int32(p)) //dslint:ignore hotalloc preallocated to cap P in NewWorld; entries are distinct ranks, so len never exceeds P
+				w.liveInbox = append(w.liveInbox, int32(p)) // preallocated to cap P in NewWorld; entries are distinct ranks, so len never exceeds P
 			}
 			if w.trace != nil {
 				w.trace.Emit(obs.Event{
@@ -607,7 +593,6 @@ func (w *World) deliver() {
 		in := w.inbox[p]
 		for i := 1; i < len(in); i++ {
 			if in[i].From < in[i-1].From {
-				//dslint:ignore hotalloc defensive re-sort, unreachable while delivery iterates senders in ascending rank order
 				sort.SliceStable(in, func(a, b int) bool { return in[a].From < in[b].From })
 				break
 			}
@@ -650,8 +635,6 @@ func (w *World) idleMax(idle []float64) float64 {
 // contract) and IEEE multiply-by-nonnegative and add-nonnegative are
 // monotone, so an executing or landing rank's full-formula cost already
 // dominates its own Gamma·idle[p] term.
-//
-//dslint:hotpath
 func (w *World) deliverActive() {
 	// Clear only the windows that were written last phase. land() keeps
 	// liveInbox exact: an entry per nonempty inbox, appended on the
@@ -709,7 +692,6 @@ func (w *World) deliverActive() {
 		in := w.inbox[p]
 		for i := 1; i < len(in); i++ {
 			if in[i].From < in[i-1].From {
-				//dslint:ignore hotalloc defensive re-sort, unreachable while delivery iterates senders in ascending rank order
 				sort.SliceStable(in, func(a, b int) bool { return in[a].From < in[b].From })
 				break
 			}
@@ -719,8 +701,6 @@ func (w *World) deliverActive() {
 
 // settle returns rank p's α-β-γ cost for the phase just run, with fl flops
 // of compute, and zeroes its per-phase counters.
-//
-//dslint:hotpath
 func (w *World) settle(p int, fl float64) float64 {
 	h := float64(w.msgs[p] + w.recvMsgs[p])
 	hb := float64(w.bytes[p] + w.recvBytes[p])
@@ -755,9 +735,9 @@ func (w *World) emitFault(flag uint8, from, to int) {
 // involved).
 func (w *World) land(m Message) {
 	if len(w.inbox[m.To]) == 0 {
-		w.liveInbox = append(w.liveInbox, int32(m.To)) //dslint:ignore hotalloc preallocated to cap P in NewWorld; entries are distinct ranks, so len never exceeds P
+		w.liveInbox = append(w.liveInbox, int32(m.To)) // preallocated to cap P in NewWorld; entries are distinct ranks, so len never exceeds P
 	}
-	w.inbox[m.To] = append(w.inbox[m.To], m) //dslint:ignore hotalloc window buffers keep their capacity across phases (deliver resets to in[:0])
+	w.inbox[m.To] = append(w.inbox[m.To], m) // window buffers keep their capacity across phases (deliver resets to in[:0])
 	w.recvMsgs[m.To]++
 	w.recvBytes[m.To] += int64(m.Bytes)
 	w.delivered++

@@ -119,8 +119,6 @@ type nbRank struct {
 }
 
 // find returns the index of rank q in the ascending neighbor list, or -1.
-//
-//dslint:hotpath
 func (nr *nbRank) find(q int32) int {
 	lo, hi := 0, len(nr.nbrs)
 	for lo < hi {
@@ -233,7 +231,7 @@ func (w *World) RunPhases(fs ...func(rank int)) {
 	}
 	if !w.neighborSched() {
 		for _, f := range fs {
-			w.RunPhase(f) //dslint:ignore phaseabsorb generic group dispatch: the caller's later phase functions drain the inbox, same contract as direct RunPhase use
+			w.RunPhase(f)
 		}
 		return
 	}
@@ -246,7 +244,7 @@ func (w *World) RunPhases(fs ...func(rank int)) {
 // on this goroutine.
 func (w *World) runNbGroup(fs []func(int)) {
 	nb := w.nb
-	nb.fsBuf = append(nb.fsBuf[:0], fs...) //dslint:ignore hotalloc persistent group buffer keeps its capacity across steps
+	nb.fsBuf = append(nb.fsBuf[:0], fs...) // persistent group buffer keeps its capacity across steps
 	g := &nb.group
 	g.fs = nb.fsBuf
 	g.base = nb.base
@@ -255,11 +253,11 @@ func (w *World) runNbGroup(fs []func(int)) {
 	for p := range nb.ranks {
 		nr := &nb.ranks[p]
 		if int64(cap(nr.costs)) < gn {
-			nr.costs = make([]float64, gn) //dslint:ignore hotalloc sized once to the largest group ever seen (methods use 2-3 phases)
+			nr.costs = make([]float64, gn) // sized once to the largest group ever seen (methods use 2-3 phases)
 		}
 		nr.costs = nr.costs[:gn]
 	}
-	w.poolOnce.Do(w.startPool) //dslint:ignore hotalloc method value for one-time pool start; Once skips it on every later phase
+	w.poolOnce.Do(w.startPool)
 	w.nbActive = true
 	w.barrier.Add(len(w.workers))
 	for _, ch := range w.workers {
@@ -306,8 +304,6 @@ func (w *World) runNbGroup(fs []func(int)) {
 
 // nbPut stages a put on the neighborhood engine: O(log degree) routing
 // into the sender's current ring slot, no global scan.
-//
-//dslint:hotpath
 func (w *World) nbPut(from, to int, tag Tag, bytes int, payload any) {
 	nr := &w.nb.ranks[from]
 	j := nr.find(int32(to))
@@ -315,7 +311,7 @@ func (w *World) nbPut(from, to int, tag Tag, bytes int, payload any) {
 		panic(fmt.Sprintf("rma: Put from %d to %d under SchedNeighbor: target is outside the registered post/start group", from, to))
 	}
 	slot := nr.cur & 1
-	nr.stage[slot][j] = append(nr.stage[slot][j], Message{From: from, To: to, Tag: tag, Bytes: bytes, Payload: payload}) //dslint:ignore hotalloc ring-slot buffers keep their capacity across phases
+	nr.stage[slot][j] = append(nr.stage[slot][j], Message{From: from, To: to, Tag: tag, Bytes: bytes, Payload: payload}) // ring-slot buffers keep their capacity across phases
 	nr.totMsgs[tag]++
 	nr.totBytes[tag] += int64(bytes)
 	w.msgs[from]++
@@ -326,9 +322,6 @@ func (w *World) nbPut(from, to int, tag Tag, bytes int, payload any) {
 // parking on neighbor epochs when no owned rank can progress. Returns true
 // if the world was stopped (Close) mid-group; the caller still signals the
 // group barrier and then retires the worker.
-//
-//dslint:hotpath
-//dslint:ignore hotalloc caller-supplied dynamic calls (phase functions, FaultPlan.HostDelay) the pools cannot resolve; the scheduler's own steady state is gated at 0 allocs/op by TestScaleAllocGate
 func (w *World) nbRunChunk(id, lo, hi int, g *nbGroup) bool {
 	nb := w.nb
 	target := g.base + int64(len(g.fs))
@@ -373,9 +366,6 @@ func (w *World) nbRunChunk(id, lo, hi int, g *nbGroup) bool {
 // nbRunPhase executes one epoch for one rank: reclaim the staging slot,
 // run the phase function (or skip it while paused, exactly like the
 // barrier engine), publish the epoch advance, and wake parked waiters.
-//
-//dslint:hotpath
-//dslint:ignore hotalloc caller-supplied dynamic calls (phase functions, FaultPlan.HostDelay) the pools cannot resolve; the scheduler's own steady state is gated at 0 allocs/op by TestScaleAllocGate
 func (w *World) nbRunPhase(p int, nr *nbRank, g *nbGroup) {
 	a := nr.ran
 	slot := a & 1
@@ -422,8 +412,6 @@ func (w *World) nbRunPhase(p int, nr *nbRank, g *nbGroup) {
 // neighbor has published that epoch, landing messages in ascending origin
 // order (the same deterministic order as deliver) and computing the
 // rank's α-β-γ phase cost with the exact expression deliver uses.
-//
-//dslint:hotpath
 func (w *World) nbTryAssemble(p int, nr *nbRank, g *nbGroup) bool {
 	a := nr.asm
 	need := a + 1
@@ -448,7 +436,7 @@ func (w *World) nbTryAssemble(p int, nr *nbRank, g *nbGroup) bool {
 	for j, q := range nr.nbrs {
 		msgs := nb.ranks[q].stage[slot][nr.back[j]]
 		for i := range msgs {
-			w.inbox[p] = append(w.inbox[p], msgs[i]) //dslint:ignore hotalloc window buffers keep their capacity across phases
+			w.inbox[p] = append(w.inbox[p], msgs[i]) // window buffers keep their capacity across phases
 			recvM++
 			recvB += int64(msgs[i].Bytes)
 		}
@@ -474,8 +462,6 @@ func (w *World) nbTryAssemble(p int, nr *nbRank, g *nbGroup) bool {
 // registration is observed either by the re-check or by the notify the
 // advancing rank sends afterwards, so a wakeup can never be lost. Returns
 // true if the world stopped.
-//
-//dslint:hotpath
 func (w *World) nbPark(id, lo, hi int, target int64) bool {
 	nb := w.nb
 	registered := false
@@ -495,7 +481,7 @@ func (w *World) nbPark(id, lo, hi int, target int64) bool {
 				qr.mu.Unlock()
 				return false // progress appeared; resweep without parking
 			}
-			qr.waiters = append(qr.waiters, int32(id)) //dslint:ignore hotalloc waiter lists keep their capacity across parks
+			qr.waiters = append(qr.waiters, int32(id)) // waiter lists keep their capacity across parks
 			qr.mu.Unlock()
 			registered = true
 			break // one registration per stuck rank suffices
@@ -516,7 +502,7 @@ func (w *World) nbPark(id, lo, hi int, target int64) bool {
 
 // WaitTally reports the neighborhood scheduler's wait diagnostics, or nil
 // if no group ever ran on it. Counts, not seconds: the runtime is
-// wall-clock-free by policy (dslint detrand/walltime), and the counts are
+// wall-clock-free by policy (dslint detrand), and the counts are
 // scheduling-dependent diagnostics — never part of results.
 func (w *World) WaitTally() *obs.WaitTally {
 	if w.nb == nil || w.nb.groups == 0 {

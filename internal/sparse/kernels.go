@@ -49,8 +49,6 @@ type kernScratch struct {
 }
 
 // newKernScratch allocates a scratch and binds its task closures once.
-//
-//dslint:ignore hotalloc cold path: runs only when the free list is empty; the scratch and its closures are recycled via kernFree
 func newKernScratch() *kernScratch {
 	s := &kernScratch{}
 	s.mulTask.F = func(b int) {
@@ -74,7 +72,7 @@ func newKernScratch() *kernScratch {
 
 // kernFree recycles scratches. A plain mutex-guarded free list rather than
 // sync.Pool: the GC may empty a sync.Pool at any time, which would make the
-// allocs/op regression gate (BENCH_kernels.json) flaky instead of exact.
+// allocs/op regression gate (TestKernelAllocGate) flaky instead of exact.
 // The list's length is bounded by the peak number of concurrent kernel
 // calls, which is small.
 var kernFree struct {
@@ -100,14 +98,14 @@ func getKern() *kernScratch {
 func putKern(s *kernScratch) {
 	s.a, s.x, s.y, s.b, s.r, s.v = nil, nil, nil, nil, nil, nil
 	kernFree.mu.Lock()
-	kernFree.list = append(kernFree.list, s) //dslint:ignore hotalloc free-list push, bounded by peak concurrent kernel calls
+	kernFree.list = append(kernFree.list, s)
 	kernFree.mu.Unlock()
 }
 
 // growPartial returns p with length nb, reusing its storage when possible.
 func growPartial(p []float64, nb int) []float64 {
 	if cap(p) < nb {
-		return make([]float64, nb) //dslint:ignore hotalloc one-time growth to the block cap; storage is reused across calls
+		return make([]float64, nb)
 	}
 	return p[:nb]
 }
@@ -177,8 +175,6 @@ func sumSqRange(x []float64, lo, hi int) float64 {
 // Rows are processed in NNZ-balanced blocks on the shared kernel pool; the
 // output is elementwise, so the result is bit-identical for any worker
 // count. Steady-state calls allocate nothing.
-//
-//dslint:hotpath
 func (a *CSR) MulVec(x, y []float64) {
 	if len(x) != a.N || len(y) != a.N {
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: n=%d len(x)=%d len(y)=%d", a.N, len(x), len(y)))
@@ -199,8 +195,6 @@ func (a *CSR) MulVec(x, y []float64) {
 // Residual computes r = b - A*x into r (length N) in a single fused pass
 // over the matrix. Like MulVec, the result is elementwise and bit-identical
 // for any worker count, with zero steady-state allocations.
-//
-//dslint:hotpath
 func (a *CSR) Residual(b, x, r []float64) {
 	if len(b) != a.N || len(x) != a.N || len(r) != a.N {
 		panic(fmt.Sprintf("sparse: Residual dimension mismatch: n=%d len(b)=%d len(x)=%d len(r)=%d", a.N, len(b), len(x), len(r)))
@@ -225,8 +219,6 @@ func (a *CSR) Residual(b, x, r []float64) {
 // ascending block order, so the result equals Norm2(r) after Residual
 // exactly, and is bit-identical for any worker count including 1.
 // Steady-state calls allocate nothing.
-//
-//dslint:hotpath
 func (a *CSR) ResidualNorm2(b, x, r []float64) float64 {
 	if len(b) != a.N || len(x) != a.N || len(r) != a.N {
 		panic(fmt.Sprintf("sparse: ResidualNorm2 dimension mismatch: n=%d len(b)=%d len(x)=%d len(r)=%d", a.N, len(b), len(x), len(r)))
@@ -255,8 +247,6 @@ func (a *CSR) ResidualNorm2(b, x, r []float64) float64 {
 // block decomposition as ResidualNorm2 with partials combined in block
 // order: bit-identical for any worker count, and exactly the value
 // ResidualNorm2 squares. Steady-state calls allocate nothing.
-//
-//dslint:hotpath
 func SumSquares(x []float64) float64 {
 	nb := parallel.Blocks(len(x), normGrainLen, maxKernBlocks)
 	if nb <= 1 {

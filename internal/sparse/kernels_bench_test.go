@@ -1,9 +1,7 @@
 package sparse_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -40,8 +38,8 @@ func benchSystem() (*sparse.CSR, []float64, []float64, []float64, []float64) {
 
 // BenchmarkKernels measures the steady-state numerical kernels on the
 // 100k-row FEM matrix at one worker and at GOMAXPROCS workers. allocs_op
-// is the machine-independent regression gate (BENCH_kernels.json); ns_op
-// demonstrates the multi-core win.
+// is asserted by TestKernelAllocGate; ns_op demonstrates the multi-core
+// win.
 func BenchmarkKernels(b *testing.B) {
 	a, x, y, rhs, r := benchSystem()
 	orig := parallel.Default().Workers()
@@ -95,29 +93,10 @@ func BenchmarkSetup(b *testing.B) {
 	})
 }
 
-// kernelGate mirrors the "gate" object of BENCH_kernels.json: kernel name
-// to maximum allowed steady-state allocations per call.
-type kernelGate struct {
-	Gate map[string]float64 `json:"gate"`
-}
-
 // TestKernelAllocGate is the machine-independent regression gate: each
-// steady-state kernel must allocate no more than BENCH_kernels.json
-// records (zero). The matrix is large enough that every kernel takes its
-// blocked multi-shard path.
+// steady-state kernel must allocate nothing. The matrix is large enough
+// that every kernel takes its blocked multi-shard path.
 func TestKernelAllocGate(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_kernels.json")
-	if err != nil {
-		t.Fatalf("reading BENCH_kernels.json: %v", err)
-	}
-	var g kernelGate
-	if err := json.Unmarshal(data, &g); err != nil {
-		t.Fatalf("parsing BENCH_kernels.json: %v", err)
-	}
-	if len(g.Gate) == 0 {
-		t.Fatal("BENCH_kernels.json has no gate entries")
-	}
-
 	a := problem.FEM2D(150, 0.35, 1) // 22201 rows: blocked paths everywhere
 	x := make([]float64, a.N)
 	rhs := make([]float64, a.N)
@@ -131,22 +110,19 @@ func TestKernelAllocGate(t *testing.T) {
 	defer parallel.SetDefaultWorkers(orig)
 	parallel.SetDefaultWorkers(4)
 
-	kernels := map[string]func(){
-		"MulVec":        func() { a.MulVec(x, y) },
-		"Residual":      func() { a.Residual(rhs, x, r) },
-		"ResidualNorm2": func() { _ = a.ResidualNorm2(rhs, x, r) },
-		"Norm2":         func() { _ = sparse.Norm2(r) },
-		"SumSquares":    func() { _ = sparse.SumSquares(r) },
-	}
-	for name, limit := range g.Gate {
-		f, ok := kernels[name]
-		if !ok {
-			t.Errorf("BENCH_kernels.json gates unknown kernel %q", name)
-			continue
-		}
-		f() // warm the scratch free list outside the measurement
-		if got := testing.AllocsPerRun(20, f); got > limit {
-			t.Errorf("%s allocates %.1f/op in steady state, gate is %.0f", name, got, limit)
+	for _, k := range []struct {
+		name string
+		f    func()
+	}{
+		{"MulVec", func() { a.MulVec(x, y) }},
+		{"Residual", func() { a.Residual(rhs, x, r) }},
+		{"ResidualNorm2", func() { _ = a.ResidualNorm2(rhs, x, r) }},
+		{"Norm2", func() { _ = sparse.Norm2(r) }},
+		{"SumSquares", func() { _ = sparse.SumSquares(r) }},
+	} {
+		k.f() // warm the scratch free list outside the measurement
+		if got := testing.AllocsPerRun(20, k.f); got != 0 {
+			t.Errorf("%s allocates %.1f/op in steady state, want 0", k.name, got)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package spdirect_test
 
 import (
-	"encoding/json"
-	"os"
 	"sync"
 	"testing"
 
@@ -43,9 +41,8 @@ func benchSetup(tb testing.TB) (*sparse.CSR, *spdirect.Factor, []float64, []floa
 
 // BenchmarkLDL measures the sparse LDLᵀ pipeline on the 4356-row block:
 // one-time Analyze and Factorize, then the steady-state Refactor and
-// Solve. allocs_op on Refactor and Solve is the machine-independent
-// regression gate (BENCH_ldl.json); ns_op demonstrates the sparse win
-// over BenchmarkDenseLU.
+// Solve. allocs_op on Refactor and Solve is asserted by TestLDLAllocGate;
+// ns_op demonstrates the sparse win over BenchmarkDenseLU.
 func BenchmarkLDL(b *testing.B) {
 	a, f, rhs, x := benchSetup(b)
 	b.Run("Analyze", func(b *testing.B) {
@@ -88,8 +85,8 @@ func BenchmarkLDL(b *testing.B) {
 // BenchmarkDenseLU is the dense baseline on the same 4356-row block: what
 // the old LocalDirect backend paid per block. Factor is O(n³) and takes
 // tens of seconds at this size, so this benchmark is excluded from `make
-// bench-ldl` (which filters on BenchmarkLDL); run it explicitly to
-// reproduce the recorded comparison in BENCH_ldl.json.
+// alloc-gates` (which filters on BenchmarkLDL); run it explicitly to
+// reproduce the ~220x comparison quoted in DESIGN.md §10.
 func BenchmarkDenseLU(b *testing.B) {
 	a, _, rhs, x := benchSetup(b)
 	dm := denseFromCSR(a)
@@ -118,30 +115,11 @@ func BenchmarkDenseLU(b *testing.B) {
 	})
 }
 
-// ldlGate mirrors the "gate" object of BENCH_ldl.json: operation name to
-// maximum allowed steady-state allocations per call.
-type ldlGate struct {
-	Gate map[string]float64 `json:"gate"`
-}
-
 // TestLDLAllocGate is the machine-independent regression gate: the
 // steady-state operations of a cached factorization — Refactor (new
-// values, fixed pattern) and Solve — must allocate no more than
-// BENCH_ldl.json records (zero). Analyze/Factorize are one-time setup and
-// are not gated.
+// values, fixed pattern) and Solve — must allocate nothing.
+// Analyze/Factorize are one-time setup and are not gated.
 func TestLDLAllocGate(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_ldl.json")
-	if err != nil {
-		t.Fatalf("reading BENCH_ldl.json: %v", err)
-	}
-	var g ldlGate
-	if err := json.Unmarshal(data, &g); err != nil {
-		t.Fatalf("parsing BENCH_ldl.json: %v", err)
-	}
-	if len(g.Gate) == 0 {
-		t.Fatal("BENCH_ldl.json has no gate entries")
-	}
-
 	a := problem.Poisson2D(40, 40) // 1600 rows: big enough to be honest
 	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val, spdirect.Options{})
 	if err != nil {
@@ -152,23 +130,20 @@ func TestLDLAllocGate(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%11) / 11
 	}
-	ops := map[string]func(){
-		"Refactor": func() {
+	for _, op := range []struct {
+		name string
+		f    func()
+	}{
+		{"Refactor", func() {
 			if err := f.Refactor(a.Val); err != nil {
 				t.Fatal(err)
 			}
-		},
-		"Solve": func() { f.Solve(b, x) },
-	}
-	for name, limit := range g.Gate {
-		op, ok := ops[name]
-		if !ok {
-			t.Errorf("BENCH_ldl.json gates unknown operation %q", name)
-			continue
-		}
-		op() // warm once outside the measurement
-		if got := testing.AllocsPerRun(20, op); got > limit {
-			t.Errorf("%s allocates %.1f/op in steady state, gate is %.0f", name, got, limit)
+		}},
+		{"Solve", func() { f.Solve(b, x) }},
+	} {
+		op.f() // warm once outside the measurement
+		if got := testing.AllocsPerRun(20, op.f); got != 0 {
+			t.Errorf("%s allocates %.1f/op in steady state, want 0", op.name, got)
 		}
 	}
 }

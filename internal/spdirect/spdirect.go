@@ -17,8 +17,7 @@
 //     nothing.
 //  3. Factor.Solve — permuted forward / diagonal / backward triangular
 //     solves using a scratch vector owned by the factor: steady-state
-//     solves allocate nothing (gated by TestLDLAllocGate against
-//     BENCH_ldl.json).
+//     solves allocate nothing (gated by TestLDLAllocGate).
 //
 // Determinism: every stage is a pure sequential function of the input
 // structure and values — the ordering breaks all ties by node id, the
@@ -240,13 +239,11 @@ func (s *Symbolic) Factorize(val []float64) (*Factor, error) {
 // permuted upper entries of column k into the sparse accumulator, walk the
 // elimination tree to assemble the row pattern in topological order, then
 // eliminate against each pattern column in turn.
-//
-//dslint:hotpath
 func (f *Factor) Refactor(val []float64) error {
 	s := f.sym
 	n := s.N
 	if len(val) < s.nnzA {
-		return fmt.Errorf("spdirect: val length %d < analyzed nnz %d", len(val), s.nnzA) //dslint:ignore hotalloc error path: caller bug, not steady state
+		return fmt.Errorf("spdirect: val length %d < analyzed nnz %d", len(val), s.nnzA)
 	}
 	y, pat, flag, next := f.yn, f.pattern, f.flag, f.next
 	for k := 0; k < n; k++ {
@@ -296,7 +293,7 @@ func (f *Factor) Refactor(val []float64) error {
 			for i := range y {
 				y[i] = 0
 			}
-			return fmt.Errorf("%w (pivot %g at permuted column %d)", ErrNotPositiveDefinite, dk, k) //dslint:ignore hotalloc error path: an indefinite pivot aborts the factorization
+			return fmt.Errorf("%w (pivot %g at permuted column %d)", ErrNotPositiveDefinite, dk, k)
 		}
 		f.D[k] = dk
 	}
@@ -307,8 +304,6 @@ func (f *Factor) Refactor(val []float64) error {
 // solve L, scale by D, backward solve Lᵀ, permute back. b is not modified;
 // x may alias b. Zero allocations: the permuted vector lives in the
 // factor's scratch. Not safe for concurrent calls on one Factor.
-//
-//dslint:hotpath
 func (f *Factor) Solve(b, x []float64) {
 	f.SolveWith(b, x, f.y)
 }
@@ -317,8 +312,6 @@ func (f *Factor) Solve(b, x []float64) {
 // one immutable Factor usable from concurrent solves as long as each
 // caller owns its y: the factorization arrays (Perm, Lp, Li, Lx, D) are
 // only read. b is not modified; x may alias b.
-//
-//dslint:hotpath
 func (f *Factor) SolveWith(b, x, y []float64) {
 	s := f.sym
 	n := s.N
