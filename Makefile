@@ -59,7 +59,8 @@ partition-pin:
 # allocates nothing" is a plain Go test asserting testing.AllocsPerRun == 0
 # (kernels, LDL' Refactor/Solve, obs off/on/emit, barrier phases dense,
 # active and under stragglers on both engines, neighborhood groups, the
-# dmem relax sweep) plus the partitioner's malloc/byte ceiling; DESIGN.md §8
+# dmem relax sweep, World.Reset) plus the malloc/byte ceilings of the
+# partitioner and of a first and a repeat dmem solve; DESIGN.md §8
 # maps each hot-path root to its gate. Then one iteration of each
 # micro-benchmark those gates share set-up with, so an outright breakage
 # fails verify without a long bench run. BenchmarkDenseLU is deliberately

@@ -149,7 +149,9 @@ type DistOptions struct {
 	// factorization. Its layout must have been built for a and Ranks with
 	// this exact Local mode; mismatches are rejected. When set, Part and
 	// PartSeed are ignored (the setup's layout already fixes the
-	// partition).
+	// partition). Layout and factors are read-only; one reusable run state
+	// is parked on the setup, so repeated solves (smoother, preconditioner)
+	// allocate next to nothing and concurrent runs stay safe.
 	Setup *dmem.Setup
 	// Local selects the subdomain solver: dmem.LocalGS (default, one
 	// Gauss-Seidel sweep — the paper's setting) or dmem.LocalDirect (exact

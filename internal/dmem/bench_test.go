@@ -22,7 +22,9 @@ func benchStates(b testing.TB, n, ranks int) (*Layout, []*rankState) {
 		b.Fatal(err)
 	}
 	bb, x := problem.ZeroBSystem(a, 1)
-	return l, newRankStates(l, bb, x)
+	st := newRunState(l)
+	st.reset(bb, x, Config{}, stepSpec{})
+	return l, st.states
 }
 
 // relaxAndStage is the per-rank inner loop of every method: one local
@@ -62,31 +64,42 @@ func TestRelaxSweepAllocGate(t *testing.T) {
 	}
 }
 
-// BenchmarkStepDS measures one full Distributed Southwell parallel step
-// (three phases over the runtime) at several rank counts.
+// BenchmarkStepDS measures full Distributed Southwell solves of ten parallel
+// steps (three phases each over the runtime) at several rank counts, on both
+// engines: fresh builds its run state every solve, reused solves again and
+// again on one Setup's parked state.
 func BenchmarkStepDS(b *testing.B) {
 	for _, ranks := range []int{64, 256} {
 		for _, eng := range []struct {
 			name     string
 			parallel bool
 		}{{"seq", false}, {"pool", true}} {
-			b.Run(fmt.Sprintf("P=%d/%s", ranks, eng.name), func(b *testing.B) {
-				a := problem.Poisson2D(100, 100)
-				if _, err := sparse.Scale(a); err != nil {
-					b.Fatal(err)
-				}
-				part := partition.Partition(a, ranks, partition.Options{Seed: 1})
-				l, err := NewLayout(a, part, ranks)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bb, x := problem.ZeroBSystem(a, 1)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					DistributedSouthwell(l, bb, x, Config{Steps: 10, Parallel: eng.parallel})
-				}
-			})
+			for _, state := range []string{"fresh", "reused"} {
+				b.Run(fmt.Sprintf("P=%d/%s/%s", ranks, eng.name, state), func(b *testing.B) {
+					a := problem.Poisson2D(100, 100)
+					if _, err := sparse.Scale(a); err != nil {
+						b.Fatal(err)
+					}
+					part := partition.Partition(a, ranks, partition.Options{Seed: 1})
+					l, err := NewLayout(a, part, ranks)
+					if err != nil {
+						b.Fatal(err)
+					}
+					bb, x := problem.ZeroBSystem(a, 1)
+					cfg := Config{Steps: 10, Parallel: eng.parallel}
+					if state == "reused" {
+						if cfg.Setup, err = NewSetup(l, LocalGS); err != nil {
+							b.Fatal(err)
+						}
+						DistributedSouthwell(l, bb, x, cfg) // builds and parks the state
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						DistributedSouthwell(l, bb, x, cfg)
+					}
+				})
+			}
 		}
 	}
 }

@@ -22,17 +22,10 @@ func (pl *bjPayload) CloneMessage() any {
 // completes and every rank absorbs the incoming deltas before the next
 // step, so residuals are exact at step boundaries.
 func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
-	return solve(l, b, x, cfg, func(w *rma.World, states []*rankState, step *int) stepSpec {
-		// Persistent per-(rank, neighbor) payloads: pointers cross the
-		// simulated network, so the steady-state message path allocates
-		// nothing.
-		solvePl := make([][]bjPayload, l.P)
-		for p, rs := range states {
-			solvePl[p] = make([]bjPayload, rs.rd.Degree())
-			for j, slot := range rs.rd.SlotInNbr {
-				solvePl[p][j].slot = slot
-			}
-		}
+	return solve(l, b, x, cfg, func(st *runState, step *int) stepSpec {
+		w, states, off := st.w, st.states, st.nbrOff
+		// Persistent payloads (payloadTable).
+		solvePl := payloadTable(st, 0, func(pl *bjPayload, slot int32) { pl.slot = slot })
 
 		// absorb drains rank p's window in any phase: deltas always applied,
 		// fault-injected duplicate landings skipped (a real duplicated
@@ -58,7 +51,7 @@ func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 			flops := rs.relaxLocal()
 			w.Charge(p, flops)
 			for j, q := range rs.rd.Nbrs {
-				pl := &solvePl[p][j]
+				pl := &solvePl[off[p]+j]
 				pl.deltas = rs.deltasFor(j)
 				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)), pl)
 			}

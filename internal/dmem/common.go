@@ -1,11 +1,9 @@
 package dmem
 
 import (
-	"fmt"
 	"math"
 
 	"southwell/internal/obs"
-	"southwell/internal/parallel"
 	"southwell/internal/rma"
 )
 
@@ -64,8 +62,9 @@ type Config struct {
 	// Setup, when non-nil, supplies the shared preprocessing (layout +
 	// local factorizations, see NewSetup) instead of rebuilding it in this
 	// run. Its Layout must be the layout the run is given and its Local
-	// mode must match Config.Local; runs only read the setup, so one value
-	// can serve concurrent runs.
+	// mode must match Config.Local. Layout and factors are read-only and one
+	// reusable run state is parked on it, so repeated runs on one value
+	// allocate next to nothing and concurrent runs stay safe.
 	Setup *Setup
 	// Faults, when non-nil, installs deterministic fault injection on the
 	// simulated world (rma.FaultPlan: delayed, duplicated, and reordered
@@ -116,32 +115,6 @@ func (c Config) watchdogWindow() int {
 // refreshAfter is the starvation re-announce threshold, in consecutive
 // steps without a relaxation or a receipt: half the watchdog's patience.
 func (c Config) refreshAfter() int { return (c.watchdogWindow() + 1) / 2 }
-
-// newWorld builds the simulated world for one run: the configured cost
-// model and engine, with the fault plan (if any) installed before the
-// first phase.
-func newWorld(l *Layout, cfg Config) *rma.World {
-	if s := cfg.Setup; s != nil {
-		if s.Layout != l {
-			panic("dmem: Config.Setup was built for a different layout")
-		}
-		if s.Local != cfg.Local {
-			panic(fmt.Sprintf("dmem: Config.Setup local solver %v does not match Config.Local %v", s.Local, cfg.Local))
-		}
-	}
-	w := rma.NewWorld(l.P, cfg.model())
-	w.Parallel = cfg.Parallel
-	w.Sched = cfg.Sched
-	if cfg.Sched == rma.SchedNeighbor {
-		// Register the PSCW post/start groups: every method's step-loop
-		// Puts go only to layout neighbors, so the coupling neighborships
-		// are exactly the access groups.
-		w.SetNeighborhoods(l.NeighborLists())
-	}
-	w.InstallFaults(cfg.Faults)
-	w.SetTracer(cfg.Trace)
-	return w
-}
 
 // StepStats is the global state after one parallel step, with cumulative
 // communication counters (so differences give per-step costs).
@@ -236,370 +209,6 @@ func (r *Result) InterpAtNorm(target float64, pick func(StepStats) float64) (flo
 		return pick(prev) + f*(pick(cur)-pick(prev)), true
 	}
 	return 0, false
-}
-
-// rankState is the dynamic per-rank state shared by all methods; the
-// Southwell methods use the norm-estimate fields.
-type rankState struct {
-	rd   *RankData
-	x    []float64
-	r    []float64 // exact local residual
-	norm float64   // exact local ‖r_p‖₂ (kept current at phase boundaries)
-
-	gamma      []float64 // per neighbor: (estimate of) neighbor's norm
-	gammaTilde []float64 // per neighbor: neighbor's estimate of my norm (DS)
-	z          []float64 // per ext row: ghost residual estimate (DS)
-	lastTold   float64   // last norm broadcast to neighbors (PS)
-	sentTo     []bool    // per neighbor: wrote to them in the last send phase
-	// Crossing-correction state (DS): the norm and boundary residuals this
-	// rank sent when it last relaxed, used to mirror the estimate a
-	// crossing neighbor computes from them (keeping Γ̃ exact; DESIGN.md §5).
-	lastSentNorm float64
-	sentBnd      [][]float64 // per neighbor: boundary residuals at send
-	// seqSeen is, per neighbor, the newest payload sequence number whose
-	// estimates were absorbed. Under fault injection a delayed message can
-	// arrive after fresher information; its residual deltas are still
-	// applied (they are additive and exact regardless of order), but its
-	// stale Γ/Γ̃/ghost values must not overwrite newer ones. Always zero on
-	// a perfect network (messages arrive in order, never late).
-	seqSeen []int64
-
-	extDelta []float64 // scratch, per ext row
-	relaxed  bool      // relaxed in the current step
-	// Starvation tracking, used only under fault injection (DS): gotMsg is
-	// set by the absorb paths when any non-duplicate message is read, and
-	// starved counts consecutive steps with neither a relaxation nor a
-	// receipt. A starving rank re-announces its exact residual state so
-	// fault-desynced Γ/Γ̃ estimates become exact again (see distsw.go).
-	gotMsg  bool
-	starved int
-	// starveStamp is the step through which starved is materialized: a
-	// sleeping rank's counter would grow by one per step, so its true value
-	// at the end of step s is starved + (s - starveStamp), reconciled when
-	// the rank wakes (stepEngine.admit). Always the last completed step for
-	// a rank that executed it; unused on a perfect network.
-	starveStamp int
-
-	// Persistent per-neighbor send buffers: message payloads point into
-	// these, so the steady-state message path allocates nothing. A buffer
-	// written in one phase is read by the receiver in the next phase and
-	// not reused before the phase after that (solve sends refill only on
-	// the next step's relax phase; explicit residual sends have their own
-	// buffer), so sender reuse never races with receiver reads.
-	sendDeltas [][]float64 // per neighbor: deltasFor output, len(BndExt[j])
-	sendBnd    [][]float64 // per neighbor: boundaryResiduals output, len(MyBnd[j])
-	resBnd     [][]float64 // per neighbor: explicit-update boundary residuals
-
-	// direct, when non-nil, is the factorization of the local diagonal
-	// block used by LocalDirect/LocalAuto; dscratch is its solve buffer.
-	direct   localFactor
-	dscratch []float64
-}
-
-// localFactor is a factored local diagonal block: the factor-once /
-// solve-many contract both exact local solvers satisfy. Solve computes
-// x = A_pp⁻¹ b; SolveFlops is the per-solve flop count the α-β-γ cost
-// model charges (the factorization itself happens at setup, which the
-// paper does not time).
-type localFactor interface {
-	Solve(b, x []float64)
-	SolveFlops() float64
-}
-
-// relaxLocal dispatches to the configured local solver and returns the
-// flop count to charge.
-func (rs *rankState) relaxLocal() float64 {
-	if rs.direct != nil {
-		return rs.relaxDirect()
-	}
-	return rs.relaxSweep()
-}
-
-// relaxDirect solves the local block exactly: x_p += A_pp^{-1} r_p, which
-// zeroes the local residual and accumulates -A_qp d into extDelta. The
-// charged cost is the factorization's actual solve cost (O(nnz(L)) for the
-// sparse backend, 2m² for the dense one) plus the coupling scatter and the
-// solution update — not the hard-coded dense estimate of old.
-func (rs *rankState) relaxDirect() float64 {
-	rd := rs.rd
-	d := rs.dscratch
-	rs.direct.Solve(rs.r, d)
-	for li := range rs.r {
-		rs.x[li] += d[li]
-		rs.r[li] = 0
-		for k := rd.ExtPtr[li]; k < rd.ExtPtr[li+1]; k++ {
-			rs.extDelta[rd.ExtCol[k]] -= rd.ExtVal[k] * d[li]
-		}
-	}
-	return rs.direct.SolveFlops() + float64(rd.NNZ) + float64(rd.M())
-}
-
-// localBlockCSR assembles rank rd's diagonal block A_pp as a standalone
-// CSR (local row/column indices, diagonal included) for the sparse
-// factorization. The block of a structurally symmetric matrix restricted
-// to one rank's rows is itself structurally symmetric, which is exactly
-// what spdirect.Analyze requires.
-func localBlockCSR(rd *RankData) (rowPtr, col []int, val []float64) {
-	m := rd.M()
-	rowPtr = make([]int, m+1)
-	for li := 0; li < m; li++ {
-		rowPtr[li+1] = rowPtr[li] + 1 + (rd.LocPtr[li+1] - rd.LocPtr[li])
-	}
-	col = make([]int, rowPtr[m])
-	val = make([]float64, rowPtr[m])
-	w := 0
-	for li := 0; li < m; li++ {
-		col[w], val[w] = li, rd.Diag[li]
-		w++
-		for k := rd.LocPtr[li]; k < rd.LocPtr[li+1]; k++ {
-			col[w], val[w] = int(rd.LocCol[k]), rd.LocVal[k]
-			w++
-		}
-	}
-	return rowPtr, col, val
-}
-
-// newLocalFactor factors one rank's diagonal block under the configured
-// policy (see factorShared in setup.go for the dense/sparse decision) and
-// binds it to fresh per-run scratch.
-func newLocalFactor(rd *RankData, mode LocalSolver) (localFactor, error) {
-	sf, err := factorShared(rd, mode)
-	if err != nil {
-		return nil, err
-	}
-	return bind(sf), nil
-}
-
-// newRankStates initializes per-rank state from a global initial guess,
-// with exact residuals, exact neighbor norms (setup exchange, not counted),
-// and exact ghosts.
-func newRankStates(l *Layout, b, x []float64) []*rankState {
-	rGlob := make([]float64, l.A.N)
-	l.A.Residual(b, x, rGlob)
-	states := make([]*rankState, l.P)
-	for p := 0; p < l.P; p++ {
-		rd := l.Ranks[p]
-		m := rd.M()
-		rs := &rankState{
-			rd:         rd,
-			x:          make([]float64, m),
-			r:          make([]float64, m),
-			gamma:      make([]float64, rd.Degree()),
-			gammaTilde: make([]float64, rd.Degree()),
-			z:          make([]float64, len(rd.ExtGlob)),
-			sentTo:     make([]bool, rd.Degree()),
-			seqSeen:    make([]int64, rd.Degree()),
-			sentBnd:    make([][]float64, rd.Degree()),
-			extDelta:   make([]float64, len(rd.ExtGlob)),
-			sendDeltas: make([][]float64, rd.Degree()),
-			sendBnd:    make([][]float64, rd.Degree()),
-			resBnd:     make([][]float64, rd.Degree()),
-		}
-		for j := range rd.Nbrs {
-			rs.sendDeltas[j] = make([]float64, len(rd.BndExt[j]))
-			rs.sendBnd[j] = make([]float64, len(rd.MyBnd[j]))
-			rs.resBnd[j] = make([]float64, len(rd.MyBnd[j]))
-		}
-		for li, g := range rd.Glob {
-			rs.x[li] = x[g]
-			rs.r[li] = rGlob[g]
-		}
-		for e, g := range rd.ExtGlob {
-			rs.z[e] = rGlob[g]
-		}
-		rs.norm = rs.computeNorm()
-		states[p] = rs
-	}
-	// Exact initial neighbor norms and Γ̃ (setup exchange).
-	for p := 0; p < l.P; p++ {
-		rs := states[p]
-		for j, q := range rs.rd.Nbrs {
-			rs.gamma[j] = states[q].norm
-			rs.gammaTilde[j] = rs.norm
-		}
-		rs.lastTold = rs.norm
-	}
-	return states
-}
-
-// computeNorm returns ‖r‖₂ of the local residual. The naive
-// sum-of-squares is kept as the only path that ever runs on finite sums —
-// its bits are pinned by the equivalence suites — and a scaled two-pass
-// fallback handles |r_i| ≳ 1e154, where v*v overflows to +Inf even though
-// the true norm is representable.
-func (rs *rankState) computeNorm() float64 {
-	s := 0.0
-	for _, v := range rs.r {
-		s += v * v
-	}
-	if !math.IsInf(s, 1) {
-		return math.Sqrt(s)
-	}
-	maxAbs := 0.0
-	for _, v := range rs.r {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if math.IsInf(maxAbs, 1) {
-		return math.Inf(1)
-	}
-	inv := 1 / maxAbs
-	t := 0.0
-	for _, v := range rs.r {
-		sv := v * inv
-		t += sv * sv
-	}
-	return maxAbs * math.Sqrt(t)
-}
-
-// relaxSweep performs one Gauss-Seidel sweep over the local rows,
-// maintaining the exact local residual and accumulating residual deltas
-// for external rows in extDelta (which the caller must have zeroed, and is
-// responsible for draining into messages and/or the ghost layer).
-// It returns the flop count for cost charging.
-//
-// The two inner loops walk the split-CSR arrays (layout.go): no per-nonzero
-// class branch, no IsExt/ColExt indirection, uint32 column loads. Local
-// entries touch only r[] and ext entries only extDelta[], and each class
-// preserves source column order, so every memory location sees the exact
-// update sequence of the interleaved walk — Gauss–Seidel bits unchanged.
-func (rs *rankState) relaxSweep() float64 {
-	rd := rs.rd
-	for li := range rs.r {
-		d := rs.r[li] / rd.Diag[li]
-		rs.x[li] += d
-		rs.r[li] = 0 // diagonal contribution: r_li -= a_ii * d exactly
-		for k := rd.LocPtr[li]; k < rd.LocPtr[li+1]; k++ {
-			rs.r[rd.LocCol[k]] -= rd.LocVal[k] * d
-		}
-		for k := rd.ExtPtr[li]; k < rd.ExtPtr[li+1]; k++ {
-			rs.extDelta[rd.ExtCol[k]] -= rd.ExtVal[k] * d
-		}
-	}
-	return float64(2*rd.NNZ + 3*rd.M())
-}
-
-// zeroExtDelta clears the scratch delta array (cheap: sized by ghost count).
-func (rs *rankState) zeroExtDelta() {
-	for i := range rs.extDelta {
-		rs.extDelta[i] = 0
-	}
-}
-
-// boundaryResiduals collects the residual values of this rank's boundary
-// rows toward neighbor j into the persistent per-neighbor send buffer (the
-// slice crosses the simulated network by reference and is only rewritten
-// on this rank's next relax phase, after the receiver has read it).
-func (rs *rankState) boundaryResiduals(j int) []float64 {
-	out := rs.sendBnd[j]
-	for k, li := range rs.rd.MyBnd[j] {
-		out[k] = rs.r[li]
-	}
-	return out
-}
-
-// resBoundaryResiduals is boundaryResiduals into the separate buffer used
-// by explicit residual updates, which are sent one phase after the solve
-// message: the solve buffer may still be in flight to the same neighbor.
-func (rs *rankState) resBoundaryResiduals(j int) []float64 {
-	out := rs.resBnd[j]
-	for k, li := range rs.rd.MyBnd[j] {
-		out[k] = rs.r[li]
-	}
-	return out
-}
-
-// deltasFor collects extDelta values for neighbor j's boundary slots into
-// the persistent per-neighbor send buffer.
-func (rs *rankState) deltasFor(j int) []float64 {
-	out := rs.sendDeltas[j]
-	for k, e := range rs.rd.BndExt[j] {
-		out[k] = rs.extDelta[e]
-	}
-	return out
-}
-
-// applyDeltas adds incoming residual deltas from neighbor j to the local
-// boundary rows (same static ordering on both sides; see layout tests).
-func (rs *rankState) applyDeltas(j int, deltas []float64) {
-	for k, li := range rs.rd.MyBnd[j] {
-		rs.r[li] += deltas[k]
-	}
-}
-
-// overwriteGhost replaces the ghost residuals of neighbor j's boundary rows
-// with the values the neighbor sent.
-func (rs *rankState) overwriteGhost(j int, bnd []float64) {
-	for k, e := range rs.rd.BndExt[j] {
-		rs.z[e] = bnd[k]
-	}
-}
-
-// updateGhostAndGamma applies this rank's own extDelta contribution to the
-// ghost layer for neighbor j and adjusts the norm estimate Γ[j] by the
-// boundary energy change — the communication-free estimate improvement at
-// the heart of Distributed Southwell (§3).
-func (rs *rankState) updateGhostAndGamma(j int) {
-	adj := 0.0
-	for _, e := range rs.rd.BndExt[j] {
-		old := rs.z[e]
-		nw := old + rs.extDelta[e]
-		adj += nw*nw - old*old
-		rs.z[e] = nw
-	}
-	g2 := rs.gamma[j]*rs.gamma[j] + adj
-	if g2 < 0 {
-		g2 = 0
-	}
-	rs.gamma[j] = math.Sqrt(g2)
-}
-
-// configureLocal prepares the configured local solver on every rank.
-// Ranks factor concurrently on the shared kernel pool: each rank's factor
-// is a pure sequential function of its own block, written to its own
-// state slot, so block boundaries and worker count never influence a
-// single bit of the result (the width bit-identity test pins this). The
-// diagonal blocks of an SPD matrix are SPD, so factorization failure means
-// the input violated the library's documented preconditions — panic rather
-// than limp on, with the lowest failing rank for determinism.
-func configureLocal(states []*rankState, cfg Config) {
-	if cfg.Local != LocalDirect && cfg.Local != LocalAuto {
-		return
-	}
-	if s := cfg.Setup; s != nil && s.factors != nil {
-		// Shared setup: the expensive factorizations already exist — each
-		// run just binds them to its own private scratch. The shared
-		// factors are read-only from here on.
-		for pr, rs := range states {
-			rs.direct = bind(s.factors[pr])
-			rs.dscratch = make([]float64, rs.rd.M())
-		}
-		return
-	}
-	p := len(states)
-	nb := rankBlockCount(p)
-	blocks := parallel.SplitN(p, nb, make([]parallel.Range, 0, nb))
-	errs := make([]error, p)
-	var factor parallel.Task
-	factor.F = func(b int) {
-		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
-			rs := states[pr]
-			lf, err := newLocalFactor(rs.rd, cfg.Local)
-			if err != nil {
-				errs[pr] = err
-				continue
-			}
-			rs.direct = lf
-			rs.dscratch = make([]float64, rs.rd.M())
-		}
-	}
-	parallel.Default().Run(&factor, nb)
-	for pr, err := range errs {
-		if err != nil {
-			panic(fmt.Sprintf("dmem: local block of rank %d not factorizable: %v", pr, err))
-		}
-	}
 }
 
 // sqrtNonNeg is sqrt clamped at zero for incrementally adjusted squared

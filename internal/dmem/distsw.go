@@ -67,19 +67,13 @@ func DistributedSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 
 // DistributedSouthwellOpt is DistributedSouthwell with ablation options.
 func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWOptions) *Result {
-	return solve(l, b, x, cfg, func(w *rma.World, states []*rankState, step *int) stepSpec {
-		// Persistent payloads (pointers cross the network; see blockjacobi.go).
-		// Explicit updates get their own per-neighbor structs: they are sent one
-		// phase after the solve messages, whose buffers are still in flight.
-		solvePl := make([][]dsSolvePayload, l.P)
-		resPl := make([][]dsResPayload, l.P)
-		for p, rs := range states {
-			solvePl[p] = make([]dsSolvePayload, rs.rd.Degree())
-			resPl[p] = make([]dsResPayload, rs.rd.Degree())
-			for j, slot := range rs.rd.SlotInNbr {
-				solvePl[p][j].slot, resPl[p][j].slot = slot, slot
-			}
-		}
+	return solve(l, b, x, cfg, func(st *runState, step *int) stepSpec {
+		w, states, off := st.w, st.states, st.nbrOff
+		// Persistent payloads (payloadTable). Explicit updates get their own
+		// per-neighbor structs: they are sent one phase after the solve
+		// messages, whose buffers are still in flight.
+		solvePl := payloadTable(st, 0, func(pl *dsSolvePayload, slot int32) { pl.slot = slot })
+		resPl := payloadTable(st, 1, func(pl *dsResPayload, slot int32) { pl.slot = slot })
 
 		// absorb drains rank p's window — callable from any phase. Residual
 		// deltas are always applied: they are additive and exact regardless of
@@ -206,7 +200,7 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 				w.Charge(p, 2*float64(len(rs.rd.BndExt[j])))
 				rs.gammaTilde[j] = rs.norm
 				rs.sentTo[j] = true
-				pl := &solvePl[p][j]
+				pl := &solvePl[off[p]+j]
 				pl.deltas = rs.deltasFor(j)
 				pl.bnd = rs.boundaryResiduals(j)
 				pl.norm = rs.norm
@@ -243,7 +237,7 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 					traceResSend(w, *step, p, q, rs.gammaTilde[j], rs, refresh)
 					rs.gammaTilde[j] = rs.norm
 					rs.sentTo[j] = true
-					pl := &resPl[p][j]
+					pl := &resPl[off[p]+j]
 					pl.bnd = rs.resBoundaryResiduals(j)
 					pl.norm = rs.norm
 					pl.estRecv = rs.gamma[j]

@@ -8,7 +8,7 @@ import (
 // The step driver (DESIGN.md §14). In the paper all methods are one program
 // shape — a parallel step is two or three one-sided access epochs — and
 // differ only in what a rank does inside an epoch. solve owns everything
-// else: world and rank-state construction, the step loop (reset relax flags
+// else: the run state (world, rank states), the step loop (reset relax flags
 // → run the step's epochs → tally → starvation rule → record → trace →
 // watchdog → target) and the result summary. A method supplies a stepSpec.
 //
@@ -72,26 +72,30 @@ func (c Config) pinned(spec stepSpec) bool {
 	return f != nil && (f.SpinStragglers || f.HostDelay != nil)
 }
 
-// solve runs one method to completion. build is called once, after the
-// world and rank states exist, and returns the method's stepSpec; the phase
-// closures it builds read the current step through the pointer (sequence
-// numbers, trace events), so the driver re-dispatches the same closures
-// every step without allocating.
-func solve(l *Layout, b, x []float64, cfg Config, build func(w *rma.World, states []*rankState, step *int) stepSpec) *Result {
-	w := newWorld(l, cfg)
-	defer w.Close()
-	states := newRankStates(l, b, x)
-	configureLocal(states, cfg)
+// solve runs one method to completion on a run state (runstate.go): the one
+// parked on cfg.Setup, or a new one, parked again only on normal return — a
+// panic mid-solve leaves the slot empty.
+func solve(l *Layout, b, x []float64, cfg Config, build func(st *runState, step *int) stepSpec) *Result {
+	st := takeRunState(l, cfg)
+	res := st.run(b, x, cfg, build)
+	st.park(cfg.Setup)
+	return res
+}
+
+// run resets the state and steps it to the end of the solve. build is called
+// once and returns the method's stepSpec; the phase closures it builds reach
+// the world and rank states through st and read the current step through the
+// pointer (sequence numbers, trace events), so the driver re-dispatches the
+// same closures every step without allocating. The worker pool is released
+// on every exit, so no goroutine outlives a solve.
+func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, step *int) stepSpec) *Result {
+	l, w, states, e, norms2 := st.l, st.w, st.states, &st.eng, st.norms2
 	var step int
-	spec := build(w, states, &step)
-	e := newStepEngine(w, states, cfg, spec)
+	spec := build(st, &step)
+	st.reset(b, x, cfg, spec)
+	defer w.Close()
+	st.bindLocal(cfg)
 	res := &Result{Method: spec.name, P: l.P, N: l.A.N}
-	// Squared local norms for the flat global-norm sum: tally refreshes the
-	// member slots, sleepers cannot change theirs.
-	norms2 := make([]float64, len(states))
-	for p, rs := range states {
-		norms2[p] = rs.norm * rs.norm
-	}
 	record(res, w, states, flatNorm(norms2), 0, 0, 0)
 	wd := newWatchdog(cfg, w)
 	cumRelax := 0
@@ -122,8 +126,9 @@ func solve(l *Layout, b, x []float64, cfg Config, build func(w *rma.World, state
 	return res
 }
 
-// stepEngine tracks the active set for one run. All fields are touched
-// only on the driving goroutine, between phases.
+// stepEngine tracks the active set for one run. Its tables live in the run
+// state and runState.reset rewinds them. All fields are touched only on the
+// driving goroutine, between phases.
 type stepEngine struct {
 	w      *rma.World
 	states []*rankState
@@ -140,7 +145,7 @@ type stepEngine struct {
 	list      []int32
 	listDirty bool
 
-	// Unpinned runs only.
+	// Read by unpinned runs only.
 	inSet   []bool    // rank executes the current step's remaining phases
 	sawMail []bool    // rank's window was nonempty at a boundary this step
 	idleDeg []float64 // phase-1 idle charge: the unconditional Degree() scan
@@ -149,34 +154,6 @@ type stepEngine struct {
 	// iterated, so map order cannot influence the run.
 	calendar map[int][]int32
 	hist     []int // per-step phase-1 active counts → Result.ActiveHist
-}
-
-// newStepEngine builds the engine for one run of spec under cfg.
-func newStepEngine(w *rma.World, states []*rankState, cfg Config, spec stepSpec) *stepEngine {
-	p := len(states)
-	e := &stepEngine{
-		w: w, states: states, pinned: cfg.pinned(spec),
-		starve: spec.starvation && cfg.Faults != nil, refreshAfter: cfg.refreshAfter(),
-		list: make([]int32, p),
-	}
-	for i := range e.list {
-		e.list[i] = int32(i) // step 1 runs every rank: no hold has been observed yet
-	}
-	if e.pinned {
-		return e
-	}
-	e.inSet = make([]bool, p)
-	e.sawMail = make([]bool, p)
-	e.idleDeg = make([]float64, p)
-	for i, rs := range states {
-		e.inSet[i] = true
-		e.idleDeg[i] = float64(rs.rd.Degree())
-	}
-	e.hist = make([]int, 0, cfg.steps())
-	if e.starve {
-		e.calendar = make(map[int][]int32)
-	}
-	return e
 }
 
 // admit ensures rank p executes the step's remaining phases, reconciling

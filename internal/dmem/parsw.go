@@ -45,17 +45,11 @@ func (pl *psResPayload) CloneMessage() any {
 // Norms in Γ are therefore exact at every decision, making the method
 // mathematically identical to shared-memory block Parallel Southwell.
 func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
-	return solve(l, b, x, cfg, func(w *rma.World, states []*rankState, step *int) stepSpec {
-		// Persistent payloads (pointers cross the network; see blockjacobi.go).
-		solvePl := make([][]psSolvePayload, l.P)
-		resPl := make([][]psResPayload, l.P)
-		for p, rs := range states {
-			solvePl[p] = make([]psSolvePayload, rs.rd.Degree())
-			resPl[p] = make([]psResPayload, rs.rd.Degree())
-			for j, slot := range rs.rd.SlotInNbr {
-				solvePl[p][j].slot, resPl[p][j].slot = slot, slot
-			}
-		}
+	return solve(l, b, x, cfg, func(st *runState, step *int) stepSpec {
+		w, states, off := st.w, st.states, st.nbrOff
+		// Persistent payloads (payloadTable).
+		solvePl := payloadTable(st, 0, func(pl *psSolvePayload, slot int32) { pl.slot = slot })
+		resPl := payloadTable(st, 1, func(pl *psResPayload, slot int32) { pl.slot = slot })
 
 		// absorb drains rank p's window in any phase: deltas are always applied
 		// (additive, exact regardless of arrival order), the piggybacked norm is
@@ -115,7 +109,7 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 			rs.lastTold = rs.norm
 			w.Charge(p, flops+2*float64(rs.rd.M()))
 			for j, q := range rs.rd.Nbrs {
-				pl := &solvePl[p][j]
+				pl := &solvePl[off[p]+j]
 				pl.deltas = rs.deltasFor(j)
 				pl.norm = rs.norm
 				pl.seq = 2 * int32(*step)
@@ -134,7 +128,7 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 				traceResSend(w, *step, p, -1, rs.lastTold, rs, false)
 				rs.lastTold = rs.norm
 				for j, q := range rs.rd.Nbrs {
-					pl := &resPl[p][j]
+					pl := &resPl[off[p]+j]
 					pl.norm = rs.norm
 					pl.seq = 2*int32(*step) + 1
 					w.Put(p, q, rma.TagResidual, msgBytes(1), pl)

@@ -10,15 +10,10 @@ import "southwell/internal/rma"
 // reports it does on all test problems. The stagnation watchdog (common.go)
 // stops the run at the first such step and sets Result.Deadlocked.
 func Piggyback2016(l *Layout, b, x []float64, cfg Config) *Result {
-	return solve(l, b, x, cfg, func(w *rma.World, states []*rankState, step *int) stepSpec {
-		// Persistent payloads (pointers cross the network; see blockjacobi.go).
-		solvePl := make([][]psSolvePayload, l.P)
-		for p, rs := range states {
-			solvePl[p] = make([]psSolvePayload, rs.rd.Degree())
-			for j, slot := range rs.rd.SlotInNbr {
-				solvePl[p][j].slot = slot
-			}
-		}
+	return solve(l, b, x, cfg, func(st *runState, step *int) stepSpec {
+		w, states, off := st.w, st.states, st.nbrOff
+		// Persistent payloads (payloadTable).
+		solvePl := payloadTable(st, 0, func(pl *psSolvePayload, slot int32) { pl.slot = slot })
 
 		// absorb drains rank p's window in any phase: deltas always applied,
 		// piggybacked norms guarded by the payload sequence number, duplicate
@@ -65,7 +60,7 @@ func Piggyback2016(l *Layout, b, x []float64, cfg Config) *Result {
 			rs.norm = rs.computeNorm()
 			w.Charge(p, flops+2*float64(rs.rd.M()))
 			for j, q := range rs.rd.Nbrs {
-				pl := &solvePl[p][j]
+				pl := &solvePl[off[p]+j]
 				pl.deltas = rs.deltasFor(j)
 				pl.norm = rs.norm
 				pl.seq = 2 * int32(*step)

@@ -1,0 +1,288 @@
+package dmem
+
+import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"southwell/internal/obs"
+	"southwell/internal/problem"
+	"southwell/internal/rma"
+)
+
+// reuseCase builds a small problem, its setup for the given local solver,
+// and a second (b, x) draw on the same matrix.
+func reuseCase(t testing.TB, grid, ranks int, local LocalSolver) (l *Layout, s *Setup, b, x, b2, x2 []float64) {
+	t.Helper()
+	l, b, x = buildCase(t, problem.Poisson2D(grid, grid), ranks, 8)
+	s, err := NewSetup(l, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, x2 = problem.ZeroBSystem(l.A, 9)
+	for i := range b2 {
+		b2[i] = float64(i%7) - 3 // a nonzero right-hand side as well
+	}
+	return l, s, b, x, b2, x2
+}
+
+// TestSetupReuseInvisible: every solve on one Setup — whatever ran on its
+// parked run state before — equals the same call made with no Setup at
+// all. The rows run in order on one state: every method, every engine and
+// scheduler, a fault plan, a tracer (trace bytes compared too), a pinned
+// variant, another system, an early stop, and DS again at the end.
+func TestSetupReuseInvisible(t *testing.T) {
+	ds := func(opts DistSWOptions) method {
+		return func(l *Layout, b, x []float64, cfg Config) *Result {
+			return DistributedSouthwellOpt(l, b, x, cfg, opts)
+		}
+	}
+	for _, local := range []LocalSolver{LocalGS, LocalDirect} {
+		t.Run(map[LocalSolver]string{LocalGS: "gs", LocalDirect: "direct"}[local], func(t *testing.T) {
+			l, s, b, x, b2, x2 := reuseCase(t, 28, 28, local)
+			var first *runState
+			for _, row := range []struct {
+				name   string
+				run    method
+				cfg    Config
+				other  bool // solve the second system
+				traced bool
+			}{
+				{name: "DS", run: DistributedSouthwell},
+				{name: "PS", run: ParallelSouthwell},
+				{name: "BJ", run: BlockJacobi},
+				{name: "Piggyback2016", run: Piggyback2016, cfg: Config{Steps: 500}},
+				{name: "DS dense", run: DistributedSouthwell, cfg: Config{Dense: true}},
+				{name: "DS pool", run: DistributedSouthwell, cfg: Config{Parallel: true}},
+				{name: "DS neighbor", run: DistributedSouthwell, cfg: Config{Parallel: true, Sched: rma.SchedNeighbor}},
+				{name: "DS chaos", run: DistributedSouthwell, cfg: Config{Faults: fullChaosPlan(7)}},
+				{name: "DS traced", run: DistributedSouthwell, traced: true},
+				{name: "DS slack -0.1", run: ds(DistSWOptions{UpdateSlack: -0.1})},
+				{name: "DS other system", run: DistributedSouthwell, other: true},
+				{name: "DS target", run: DistributedSouthwell, cfg: Config{Target: 0.5}},
+				{name: "DS again", run: DistributedSouthwell},
+			} {
+				cfg := row.cfg
+				cfg.Local = local
+				if cfg.Steps == 0 {
+					cfg.Steps = 20
+				}
+				rb, rx := b, x
+				if row.other {
+					rb, rx = b2, x2
+				}
+				var recs [2]*obs.Recorder
+				var res [2]*Result
+				for i, setup := range []*Setup{nil, s} {
+					c := cfg
+					c.Setup = setup
+					if row.traced {
+						recs[i] = obs.NewRecorder(l.P)
+						c.Trace = recs[i]
+					}
+					res[i] = row.run(l, rb, rx, c)
+				}
+				compareRuns(t, row.name, res[0], res[1])
+				if row.traced {
+					var want, got bytes.Buffer
+					if err := recs[0].WriteTrace(&want); err != nil {
+						t.Fatal(err)
+					}
+					if err := recs[1].WriteTrace(&got); err != nil {
+						t.Fatal(err)
+					}
+					if want.Len() == 0 || !bytes.Equal(want.Bytes(), got.Bytes()) {
+						t.Errorf("%s: trace bytes differ on a reused state (%d vs %d bytes)", row.name, got.Len(), want.Len())
+					}
+				}
+				switch row.name {
+				case "Piggyback2016":
+					if local == LocalGS && !res[1].Deadlocked {
+						t.Errorf("%s did not deadlock: the watchdog-stop row tests nothing", row.name)
+					}
+				case "DS target":
+					if n := len(res[1].History) - 1; n == 0 || n >= cfg.Steps {
+						t.Errorf("%s ran %d of %d steps: the early-stop row tests nothing", row.name, n, cfg.Steps)
+					}
+				}
+				// The rows really share one state.
+				if first == nil {
+					first = s.parked
+				}
+				if s.parked == nil || s.parked != first {
+					t.Fatalf("%s: parked state %p, want the first solve's %p", row.name, s.parked, first)
+				}
+			}
+		})
+	}
+}
+
+// TestSetupConcurrentRuns: concurrent solves on one Setup never share a run
+// state — one takes the parked state, the others build their own — and all
+// equal the reference. Run under -race via `make race`.
+func TestSetupConcurrentRuns(t *testing.T) {
+	l, s, b, x, _, _ := reuseCase(t, 24, 8, LocalDirect)
+	want := DistributedSouthwell(l, b, x, Config{Steps: 15, Local: LocalDirect})
+	for _, procs := range []int{2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		results := make([][3]*Result, 4)
+		var wg sync.WaitGroup
+		for g := range results {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range results[g] {
+					results[g][i] = DistributedSouthwell(l, b, x, Config{Steps: 15, Local: LocalDirect, Setup: s, Parallel: g%2 == 1})
+				}
+			}(g)
+		}
+		wg.Wait()
+		runtime.GOMAXPROCS(prev)
+		for g := range results {
+			for _, got := range results[g] {
+				compareRuns(t, "concurrent", want, got)
+			}
+		}
+		if s.parked == nil {
+			t.Error("no run state parked after concurrent solves")
+		}
+	}
+}
+
+// TestParkedStateHoldsNoGoroutines: the pool is released at the end of
+// every solve, so a Setup with a parked state owns no goroutine.
+func TestParkedStateHoldsNoGoroutines(t *testing.T) {
+	l, s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
+	DistributedSouthwell(l, b, x, Config{Steps: 5, Parallel: true}) // start whatever outlives solves by design
+	before := runtime.NumGoroutine()
+	for _, sched := range []rma.Sched{rma.SchedBarrier, rma.SchedNeighbor} {
+		DistributedSouthwell(l, b, x, Config{Steps: 5, Parallel: true, Sched: sched, Setup: s})
+		// Workers exit asynchronously once Close has released them.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("sched %v: %d goroutines after the solve returned, %d before it", sched, n, before)
+		}
+		if s.parked == nil {
+			t.Fatal("no parked state: the test observes nothing")
+		}
+	}
+}
+
+// TestParkedStateKeepsNothingOfTheCaller: between solves the parked world
+// holds no tracer, no fault plan and no window contents, so the caller's
+// recorder and plan are collectable while the Setup lives.
+func TestParkedStateKeepsNothingOfTheCaller(t *testing.T) {
+	l, s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
+	var freed [2]atomic.Bool
+	func() {
+		rec := obs.NewRecorder(l.P)
+		runtime.SetFinalizer(rec, func(*obs.Recorder) { freed[0].Store(true) })
+		token := new([64]byte)
+		runtime.SetFinalizer(token, func(*[64]byte) { freed[1].Store(true) })
+		plan := fullChaosPlan(7)
+		plan.HostDelay = func(int, int64, float64) { _ = token } // rides in the world's copy of the plan
+		DistributedSouthwell(l, b, x, Config{Steps: 20, Setup: s, Trace: rec, Faults: plan})
+	}()
+	st := s.parked
+	if st == nil {
+		t.Fatal("no parked state")
+	}
+	if st.w.Tracer() != nil || st.w.InFlight() != 0 || st.eng.hist != nil || st.eng.calendar != nil {
+		t.Errorf("parked state: tracer %v, %d held messages, hist %v, calendar %v", st.w.Tracer(), st.w.InFlight(), st.eng.hist, st.eng.calendar)
+	}
+	for p := 0; p < l.P; p++ {
+		if n := len(st.w.Inbox(p)); n != 0 {
+			t.Errorf("parked world: rank %d's window still holds %d messages", p, n)
+		}
+	}
+	for i := 0; i < 5 && !(freed[0].Load() && freed[1].Load()); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
+	}
+	if !freed[0].Load() || !freed[1].Load() {
+		t.Errorf("parked state keeps the caller's tracer (freed %v) or fault plan (freed %v) alive", freed[0].Load(), freed[1].Load())
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestPanickedSolveIsNotParked: a solve that panics midway must leave the
+// slot empty — not hand its half-stepped state to the next solve — and the
+// next solve must be clean.
+func TestPanickedSolveIsNotParked(t *testing.T) {
+	l, s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
+	want := DistributedSouthwell(l, b, x, Config{Steps: 10})
+	DistributedSouthwell(l, b, x, Config{Steps: 10, Setup: s})
+	if s.parked == nil {
+		t.Fatal("clean solve did not park its state")
+	}
+	records := 0
+	debugHook = func([]*rankState) {
+		if records++; records == 3 { // step 2's record
+			panic("boom")
+		}
+	}
+	func() {
+		defer func() {
+			debugHook = nil
+			if recover() == nil {
+				t.Fatal("solve did not panic")
+			}
+		}()
+		DistributedSouthwell(l, b, x, Config{Steps: 10, Setup: s, Parallel: true})
+	}()
+	if s.parked != nil {
+		t.Fatal("a panicked solve parked its half-stepped state")
+	}
+	compareRuns(t, "after panic", want, DistributedSouthwell(l, b, x, Config{Steps: 10, Setup: s}))
+	if s.parked == nil {
+		t.Error("the solve after the panic did not park its state")
+	}
+}
+
+// solveCost is the malloc count and allocated bytes of one call of f.
+func solveCost(f func()) (mallocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestSolveReuseAllocCeiling: a repeat solve on a parked state allocates
+// only what escapes to the caller — the solution vector, the step history,
+// the result — plus the method's phase closures: at most 40 mallocs, and
+// no more bytes than 8·N + the history (+10 %).
+func TestSolveReuseAllocCeiling(t *testing.T) {
+	const ranks, steps = 64, 30
+	l, s, b, x, _, _ := reuseCase(t, 100, ranks, LocalGS)
+	for name, run := range methods() {
+		cfg := Config{Steps: steps, Setup: s}
+		res := run(l, b, x, cfg) // builds or re-tables the parked state
+		history := uint64(cap(res.History)*int(reflect.TypeOf(StepStats{}).Size()) + 8*cap(res.ActiveHist))
+		mallocs, bytes := solveCost(func() { run(l, b, x, cfg) })
+		if limit := uint64(8*l.A.N) + history; mallocs > 40 || bytes > limit+limit/10 {
+			t.Errorf("%s: repeat solve made %d mallocs / %d bytes, want ≤ 40 / ≤ %d (+10%%)", name, mallocs, bytes, limit)
+		}
+	}
+}
+
+// TestFirstSolveAllocCeiling: the slab promise — a solve that builds its
+// own run state stays under one malloc ceiling whatever the rank count.
+func TestFirstSolveAllocCeiling(t *testing.T) {
+	const ceiling = 80
+	for _, ranks := range []int{64, 256} {
+		l, b, x := buildCase(t, problem.Poisson2D(100, 100), ranks, 3)
+		mallocs, _ := solveCost(func() { DistributedSouthwell(l, b, x, Config{Steps: 30}) })
+		if mallocs > ceiling {
+			t.Errorf("P=%d: first solve made %d mallocs, want ≤ %d at every P", ranks, mallocs, ceiling)
+		}
+	}
+}

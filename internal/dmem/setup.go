@@ -3,20 +3,25 @@ package dmem
 // Reusable run setup: the (matrix, partition, local-solver) preprocessing
 // — layout construction and per-rank local factorizations — hoisted out of
 // the individual runs so that table drivers (internal/bench) can pay for
-// it once per (matrix, P) and share it immutably across every method,
-// engine, and fault-plan cell. At paper scale (P = 4096/8192) the setup
+// it once per (matrix, P) and share it across every method, engine, and
+// fault-plan cell, and so that a smoother or preconditioner can solve the
+// same matrix again and again. At paper scale (P = 4096/8192) the setup
 // dominates host wall-clock when repeated per cell; shared, it is paid
 // once.
 //
-// Sharing is safe by construction: a Setup holds only data that runs read.
-// The Layout is already immutable after NewLayout; the factorizations are
+// Sharing is safe by construction. The layout and the factorizations are
+// read-only: the Layout is immutable after NewLayout, and the factors are
 // exposed through SharedFactor, whose SolveInto takes caller-owned scratch
-// — each run binds the shared factor to private buffers (boundFactor), so
-// concurrent runs never touch shared mutable state. The setup-cache tests
-// pin this under -race.
+// — each run state binds the shared factor to private buffers
+// (boundFactor). The one mutable field is the parked run state (runstate.go,
+// DESIGN.md §16): a solve takes it from behind the mutex or builds its own,
+// and parks it again when it returns, so repeated solves reuse one world and
+// one set of rank states while concurrent runs never share any. The
+// setup-cache and reuse tests pin this under -race.
 
 import (
 	"fmt"
+	"sync"
 
 	"southwell/internal/dense"
 	"southwell/internal/parallel"
@@ -73,10 +78,69 @@ func bind(sf SharedFactor) localFactor {
 	return &boundFactor{sf: sf, scratch: make([]float64, sf.ScratchLen())}
 }
 
+// localFactor is a factored local diagonal block: the factor-once /
+// solve-many contract both exact local solvers satisfy. Solve computes
+// x = A_pp⁻¹ b; SolveFlops is the per-solve flop count the α-β-γ cost
+// model charges (the factorization itself happens at setup, which the
+// paper does not time).
+type localFactor interface {
+	Solve(b, x []float64)
+	SolveFlops() float64
+}
+
+// localBlockCSR assembles rank rd's diagonal block A_pp as a standalone
+// CSR (local row/column indices, diagonal included) for the sparse
+// factorization. The block of a structurally symmetric matrix restricted
+// to one rank's rows is itself structurally symmetric, which is exactly
+// what spdirect.Analyze requires.
+func localBlockCSR(rd *RankData) (rowPtr, col []int, val []float64) {
+	m := rd.M()
+	rowPtr = make([]int, m+1)
+	for li := 0; li < m; li++ {
+		rowPtr[li+1] = rowPtr[li] + 1 + (rd.LocPtr[li+1] - rd.LocPtr[li])
+	}
+	col = make([]int, rowPtr[m])
+	val = make([]float64, rowPtr[m])
+	w := 0
+	for li := 0; li < m; li++ {
+		col[w], val[w] = li, rd.Diag[li]
+		w++
+		for k := rd.LocPtr[li]; k < rd.LocPtr[li+1]; k++ {
+			col[w], val[w] = int(rd.LocCol[k]), rd.LocVal[k]
+			w++
+		}
+	}
+	return rowPtr, col, val
+}
+
+// bindLocal binds the configured exact local solver to every rank's private
+// scratch, once per run state: the Setup's shared factors when it has them,
+// else factored here (factorAll). The diagonal blocks of an SPD matrix are
+// SPD, so factorization failure means the input violated the library's
+// documented preconditions — panic rather than limp on.
+func (st *runState) bindLocal(cfg Config) {
+	if (cfg.Local != LocalDirect && cfg.Local != LocalAuto) || st.states[0].direct != nil {
+		return
+	}
+	var factors []SharedFactor
+	if s := cfg.Setup; s != nil {
+		factors = s.factors
+	}
+	if factors == nil {
+		var err error
+		if factors, err = factorAll(st.l, cfg.Local); err != nil {
+			panic(err.Error())
+		}
+	}
+	for pr, rs := range st.states {
+		rs.direct = bind(factors[pr])
+		rs.dscratch = make([]float64, rs.rd.M())
+	}
+}
+
 // factorShared factors one rank's diagonal block under the configured
-// policy, returning the shareable form. Policy identical to what
-// newLocalFactor always did: LocalDirect takes the sparse LDLᵀ path;
-// LocalAuto goes dense for tiny blocks, then consults the symbolic fill
+// policy, returning the shareable form: LocalDirect takes the sparse LDLᵀ
+// path; LocalAuto goes dense for tiny blocks, then consults the symbolic fill
 // estimate. The choice is a pure function of the block, never of
 // scheduling.
 func factorShared(rd *RankData, mode LocalSolver) (SharedFactor, error) {
@@ -143,16 +207,20 @@ func factorAll(l *Layout, mode LocalSolver) ([]SharedFactor, error) {
 	return factors, nil
 }
 
-// Setup is the immutable preprocessing of (layout, local-solver mode):
-// the layout plus, for the exact local solvers, every rank's shared
-// factorization. Build once with NewSetup, then hand the same *Setup to
-// any number of runs (Config.Setup) — including concurrent ones: runs only
-// read it.
+// Setup is the preprocessing of (layout, local-solver mode): the layout
+// plus, for the exact local solvers, every rank's shared factorization —
+// both read-only — and at most one parked run state. Build once with
+// NewSetup, then hand the same *Setup to any number of runs (Config.Setup):
+// repeated runs reuse the parked state, concurrent ones stay safe (a run that
+// finds the slot empty builds its own state and drops it).
 type Setup struct {
 	Layout *Layout
 	Local  LocalSolver
 
 	factors []SharedFactor // nil for LocalGS
+
+	mu     sync.Mutex
+	parked *runState // built by the first solve, never by NewSetup
 }
 
 // NewSetup builds the reusable setup for the given layout and local-solver

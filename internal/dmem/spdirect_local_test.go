@@ -43,13 +43,14 @@ func TestEngineEquivalenceWithSparseLocal(t *testing.T) {
 func factorAllRanks(t *testing.T, e problem.SuiteEntry, ranks int, local LocalSolver) []*rankState {
 	t.Helper()
 	l, b, x := buildCase(t, e.Gen(), ranks, 1)
-	states := newRankStates(l, b, x)
-	configureLocal(states, Config{Local: local})
-	return states
+	st := newRunState(l)
+	st.reset(b, x, Config{}, stepSpec{})
+	st.bindLocal(Config{Local: local})
+	return st.states
 }
 
 // TestLocalFactorWidthInvariant pins the determinism contract of the
-// concurrent setup factorization: the factors produced by configureLocal
+// concurrent setup factorization: the factors produced by bindLocal
 // are bit-identical at every kernel-pool width. Sparse factors are
 // compared entry-by-entry (pattern, L values, pivots); dense factors via
 // the solve they produce on a fixed right-hand side.
@@ -134,10 +135,11 @@ func TestSparseLocalMatchesDenseOnSuiteBlocks(t *testing.T) {
 		}
 		l, _, _ := buildCase(t, e.Gen(), 32, 1)
 		for p, rd := range l.Ranks {
-			sparseF, err := newLocalFactor(rd, LocalDirect)
+			sparseSF, err := factorShared(rd, LocalDirect)
 			if err != nil {
 				t.Fatalf("%s rank %d: sparse factorization failed: %v", name, p, err)
 			}
+			sparseF := bind(sparseSF)
 			denseSF, err := factorSharedDense(rd)
 			if err != nil {
 				t.Fatalf("%s rank %d: dense factorization failed: %v", name, p, err)

@@ -139,7 +139,7 @@ func stragglerPlan() *FaultPlan {
 }
 
 // TestActiveAllocGate is the executing guard of the runtime's promise that
-// a steady-state phase allocates nothing, on both engines, for the three
+// a steady-state phase allocates nothing, on both engines, for the
 // shapes a barrier-scheduled phase takes:
 //
 //   - ActivePhase: one RunPhaseActive with 1 rank in 16 active. The
@@ -150,6 +150,9 @@ func stragglerPlan() *FaultPlan {
 //     every rank; staging and window buffers keep their capacity.
 //   - StragglerPhase: the dense phase under a straggler-only fault plan
 //     (the cost model consults the plan per rank at the boundary).
+//   - ResetThenPhase: World.Reset on an open world, then the dense phase —
+//     Reset keeps every buffer's capacity (and a running pool), so a world
+//     rewound for its next run costs no allocation.
 func TestActiveAllocGate(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		name := "seq"
@@ -175,6 +178,11 @@ func TestActiveAllocGate(t *testing.T) {
 				}},
 				{"DensePhase", func() { wd.RunPhase(fd) }},
 				{"StragglerPhase", func() { ws.RunPhase(fs) }},
+				{"ResetThenPhase", func() {
+					wd.Reset(wd.Model)
+					wd.Parallel = parallel
+					wd.RunPhase(fd)
+				}},
 			} {
 				for i := 0; i < 4; i++ { // warm staging rings, window buffers, pool
 					op.f()

@@ -129,6 +129,9 @@ type World struct {
 	// windows that were actually written instead of scanning all P.
 	liveInbox []int32
 
+	arena   []Message  // unassigned first chunks, see firstChunk
+	arenaMu sync.Mutex // Put reaches firstChunk from concurrent phase functions
+
 	// fastActive/fastList/fastIdle hold the membership mask, the ascending
 	// member list, and the idle-charge vector of an active-subset phase in
 	// flight (RunPhaseActive). They are set only when no fault plan or
@@ -214,11 +217,37 @@ func NewWorld(p int, model CostModel) *World {
 	return w
 }
 
+// windowCap and arenaBufs size first-touch growth: a window or staging
+// buffer gets its first windowCap slots from an arena block shared by
+// arenaBufs buffers.
+const (
+	windowCap = 8
+	arenaBufs = 256
+)
+
+// firstChunk gives a never-used window or staging buffer its first slots
+// from the world's arena: one allocation per arenaBufs buffers instead of a
+// few per rank, and nothing for a rank that never communicates. A buffer
+// that outgrows its chunk is append's from then on. Put calls this from
+// concurrent phase functions, hence the lock; it is off the steady-state
+// path.
+func (w *World) firstChunk() []Message {
+	w.arenaMu.Lock()
+	defer w.arenaMu.Unlock()
+	if len(w.arena) < windowCap {
+		w.arena = make([]Message, windowCap*arenaBufs)
+	}
+	c := w.arena[:0:windowCap]
+	w.arena = w.arena[windowCap:]
+	return c
+}
+
 // Put stages a one-sided write of payload into the window of rank `to`. It
 // becomes visible in to's inbox at the start of the next phase. Put must be
 // called from rank `from`'s phase function. Payloads should be pointers to
 // caller-owned buffers: boxing a pointer does not allocate, and the runtime
-// never copies or retains payload contents beyond the receiving phase.
+// never copies payload contents; it drops its reference at the boundary
+// after the receiving phase — the last phase's windows at Reset.
 func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
 	if w.closed.Load() {
 		panic(ErrClosed)
@@ -229,6 +258,9 @@ func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
 	if w.nbActive {
 		w.nbPut(from, to, tag, bytes, payload)
 		return
+	}
+	if cap(w.staged[from]) == 0 {
+		w.staged[from] = w.firstChunk()
 	}
 	w.staged[from] = append(w.staged[from], Message{From: from, To: to, Tag: tag, Bytes: bytes, Payload: payload}) // staging buffers keep their capacity across phases (deliver resets to st[:0])
 	w.msgs[from]++
@@ -364,7 +396,9 @@ func (w *World) startPool() {
 		w.workers = append(w.workers, ch)
 		w.nbNotify = append(w.nbNotify, make(chan struct{}, 1))
 		w.nbParks = append(w.nbParks, 0)
-		go func(id, lo, hi int, ch <-chan phaseWork) {
+		// stop is captured, not read from w: a released worker may still be
+		// exiting when Reset reopens the world and clears the field.
+		go func(id, lo, hi int, ch <-chan phaseWork, stop <-chan struct{}) {
 			for {
 				select {
 				case pw := <-ch:
@@ -384,12 +418,12 @@ func (w *World) startPool() {
 						}
 						w.barrier.Done()
 					}
-				case <-w.stop:
+				case <-stop:
 					w.drainWorker(ch)
 					return
 				}
 			}
-		}(id, lo, hi, ch)
+		}(id, lo, hi, ch, w.stop)
 	}
 }
 
@@ -423,6 +457,41 @@ func (w *World) Close() {
 			close(w.stop)
 		}
 	})
+}
+
+// Reset returns the world to what NewWorld(w.P, model) hands out while
+// keeping every buffer's capacity, so one world serves many runs. Clock and
+// counters are truly zeroed, not rebased as by ResetStats: a baseline
+// subtraction is not bit-identical in SimTime, and fault schedules are keyed
+// on the raw phase index. The tracer, fault plan and neighborhoods are
+// dropped, and every message still in a window or staging slot is zeroed, so
+// the world retains nothing of the finished run. A closed world is reopened
+// holding no goroutine (the pool restarts lazily); a pool still running is
+// kept. Must not race with a phase.
+func (w *World) Reset(model CostModel) {
+	w.Model, w.Parallel, w.Sched = model, false, SchedBarrier
+	for p := range w.inbox {
+		// Slots past len were nil-ed when their phase was delivered.
+		clear(w.inbox[p])
+		clear(w.staged[p])
+		w.inbox[p], w.staged[p] = w.inbox[p][:0], w.staged[p][:0]
+	}
+	clear(w.flops)
+	clear(w.msgs)
+	clear(w.bytes)
+	clear(w.recvMsgs)
+	clear(w.recvBytes)
+	w.liveInbox = w.liveInbox[:0]
+	w.fastActive, w.fastList, w.fastIdle, w.idleMaxVec = nil, nil, nil, nil
+	w.simTime, w.phases, w.delivered, w.base = 0, 0, 0, Stats{}
+	w.totalMsgs, w.totalBytes = [numTags]int64{}, [numTags]int64{}
+	w.trace, w.chaos, w.nb, w.nbActive = nil, nil, nil, false
+	clear(w.nbParks)
+	if w.closed.Load() {
+		w.workers, w.nbNotify, w.nbParks, w.stop = nil, nil, nil, nil
+		w.poolOnce, w.closeOnce = sync.Once{}, sync.Once{}
+		w.closed.Store(false)
+	}
 }
 
 // deliver moves staged puts into inboxes (deterministically ordered by
@@ -736,6 +805,9 @@ func (w *World) emitFault(flag uint8, from, to int) {
 func (w *World) land(m Message) {
 	if len(w.inbox[m.To]) == 0 {
 		w.liveInbox = append(w.liveInbox, int32(m.To)) // preallocated to cap P in NewWorld; entries are distinct ranks, so len never exceeds P
+		if cap(w.inbox[m.To]) == 0 {
+			w.inbox[m.To] = w.firstChunk()
+		}
 	}
 	w.inbox[m.To] = append(w.inbox[m.To], m) // window buffers keep their capacity across phases (deliver resets to in[:0])
 	w.recvMsgs[m.To]++
