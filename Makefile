@@ -10,9 +10,10 @@ build:
 	$(GO) build ./...
 
 # The suite runs at one, two, four and eight scheduler threads: bit-identity
-# between the sequential, pool and neighborhood engines is the repo's
-# central promise, and it is only checked where the pool really runs
-# concurrently (the retained-window aliasing bug passed at GOMAXPROCS=1).
+# across execution widths is the repo's central promise. The width tests
+# resize the shared pool to 2, 4 and 7 themselves, but goroutines only
+# really run concurrently above one thread (the retained-window aliasing
+# bug passed at GOMAXPROCS=1).
 test:
 	GOMAXPROCS=1 $(GO) test ./...
 	GOMAXPROCS=2 $(GO) test ./...
@@ -35,10 +36,11 @@ lint: vet
 	$(GO) run ./cmd/dslint ./...
 
 # The engine-equivalence, chaos-determinism, pool, and parallel-kernel
-# tests under the race detector: together they prove the worker pools are
-# race-free and bit-identical to their sequential forms, faults included
-# (DESIGN.md §6, §9). The partitioner is there for its per-call workspace:
-# concurrent Partition calls (bench set-ups under -par) must share nothing.
+# tests under the race detector: together they prove rank phases and
+# kernels on the shared worker pool are race-free and bit-identical to
+# running inline, faults included (DESIGN.md §6, §9). The partitioner is
+# there for its per-call workspace: concurrent Partition calls (bench
+# set-ups under -par) must share nothing.
 race:
 	$(GO) test -race ./internal/rma/... ./internal/dmem/... ./internal/parallel/... ./internal/sparse/... ./internal/spdirect/... ./internal/obs/... ./internal/partition/...
 
@@ -57,17 +59,17 @@ partition-pin:
 
 # Allocation gates: every promise of the form "the steady-state path
 # allocates nothing" is a plain Go test asserting testing.AllocsPerRun == 0
-# (kernels, LDL' Refactor/Solve, obs off/on/emit, barrier phases dense,
-# active and under stragglers on both engines, neighborhood groups, the
-# dmem relax sweep, World.Reset) plus the malloc/byte ceilings of the
-# partitioner and of a first and a repeat dmem solve; DESIGN.md §8
-# maps each hot-path root to its gate. Then one iteration of each
+# (kernels, LDL' Refactor/Solve, obs off/on/emit, phases dense, active and
+# under stragglers inline and at pool widths 2/4/7, the dmem relax sweep,
+# World.Reset) plus the malloc/byte ceilings of the partitioner and of a
+# first and a repeat dmem solve; DESIGN.md §8 maps each hot-path root to
+# its gate. Then one iteration of each
 # micro-benchmark those gates share set-up with, so an outright breakage
 # fails verify without a long bench run. BenchmarkDenseLU is deliberately
 # not matched -- its O(n^3) factor would add minutes.
 alloc-gates:
 	$(GO) test -run 'AllocGate|AllocCeiling' ./internal/...
-	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkKernels|BenchmarkLDL|BenchmarkObs|BenchmarkScalePhases|BenchmarkActivePhases' \
+	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkKernels|BenchmarkLDL|BenchmarkObs|BenchmarkRunPhase|BenchmarkActivePhases' \
 		./internal/sparse/ ./internal/spdirect/ ./internal/obs/ ./internal/rma/ >/dev/null
 
 # End-to-end benchmark (benchmarks/e2e, contract in BENCHMARK.json): four

@@ -20,10 +20,10 @@
 //	               output is identical for every value)
 //	-loc_solver S  local subdomain solver for every run: gs (default),
 //	               direct (sparse LDLT), or auto (per-rank crossover)
-//	-goroutines    run each simulated world on the rma worker-pool engine
-//	-sched S       pool-engine epoch discipline: barrier (default) or
-//	               neighbor (per-neighborhood PSCW epochs; implies
-//	               -goroutines). Results are bit-identical either way
+//	-goroutines    run every world's rank phases on the shared worker pool
+//	               (GOMAXPROCS wide) instead of inline; bit-identical
+//	-active        active-set stepping (default true; -active=false forces
+//	               dense stepping, bit-identical)
 //	-v             log driver progress (cache skips, shared setups) to stderr
 //	-chaos P       inject delay faults: each message delayed 1-3 phases with
 //	               probability P (deterministic per -chaos-seed)
@@ -47,7 +47,6 @@ import (
 
 	"southwell/internal/bench"
 	"southwell/internal/dmem"
-	"southwell/internal/parallel"
 	"southwell/internal/rma"
 )
 
@@ -74,18 +73,6 @@ var experiments = []struct {
 
 // allExcluded experiments must be requested by name.
 var allExcluded = map[string]bool{"scaling": true}
-
-// parseSched resolves the -sched flag (shared vocabulary with
-// cmd/dsouthwell).
-func parseSched(s string) (rma.Sched, error) {
-	switch s {
-	case "barrier":
-		return rma.SchedBarrier, nil
-	case "neighbor", "nbr":
-		return rma.SchedNeighbor, nil
-	}
-	return 0, fmt.Errorf("-sched %q: unknown (use barrier or neighbor)", s)
-}
 
 // parseLocSolver resolves the -loc_solver flag (shared vocabulary with
 // cmd/dsouthwell).
@@ -115,10 +102,7 @@ func validateOutDir(flagName, path string) error {
 
 // validate rejects nonsensical flag combinations before any experiment
 // starts, so misuse fails with one line instead of a deep panic.
-func validate(ranks, steps, par, kernelWorkers int, chaos float64, trace, metrics string) error {
-	if kernelWorkers < 0 {
-		return fmt.Errorf("-kernel-workers %d: must be >= 1 (or 0 for GOMAXPROCS)", kernelWorkers)
-	}
+func validate(ranks, steps, par int, chaos float64, trace, metrics string) error {
 	if err := validateOutDir("-trace", trace); err != nil {
 		return err
 	}
@@ -148,10 +132,8 @@ func main() {
 	outDir := flag.String("out", "", "write one file per experiment into this directory")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "max concurrent suite runs (1 = sequential)")
 	locSolver := flag.String("loc_solver", "gs", "local subdomain solver for every run: gs, direct (sparse LDLT), or auto")
-	kernelWorkers := flag.Int("kernel-workers", 0, "workers for the shared numerical-kernel pool; results are identical for every value (0 = SOUTHWELL_KERNEL_WORKERS env or GOMAXPROCS, 1 = sequential kernels)")
-	goroutines := flag.Bool("goroutines", false, "run simulated worlds on the rma worker-pool engine")
+	goroutines := flag.Bool("goroutines", false, "run every world's rank phases on the shared worker pool (GOMAXPROCS wide) instead of inline; results are identical either way")
 	active := flag.Bool("active", true, "active-set stepping: skip provably quiescent ranks (bit-identical results; -active=false forces dense stepping)")
-	sched := flag.String("sched", "barrier", "pool-engine epoch discipline: barrier (global) or neighbor (per-neighborhood PSCW groups; implies -goroutines). Results are identical either way")
 	verbose := flag.Bool("v", false, "log driver progress (cache-skipped cells, shared setups) to stderr")
 	chaos := flag.Float64("chaos", 0, "inject delay faults into every run: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (chaos runs are bit-reproducible per seed)")
@@ -161,7 +143,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write pprof heap profile to this file on exit")
 	flag.Parse()
 
-	if err := validate(*ranks, *steps, *par, *kernelWorkers, *chaos, *traceDir, *metricsDir); err != nil {
+	if err := validate(*ranks, *steps, *par, *chaos, *traceDir, *metricsDir); err != nil {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		os.Exit(2)
 	}
@@ -169,14 +151,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		os.Exit(2)
-	}
-	schedVal, err := parseSched(*sched)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-		os.Exit(2)
-	}
-	if *kernelWorkers > 0 {
-		parallel.SetDefaultWorkers(*kernelWorkers)
 	}
 
 	if *cpuProfile != "" {
@@ -192,8 +166,7 @@ func main() {
 	}
 
 	cfg := bench.Config{Ranks: *ranks, Steps: *steps, Quick: *quick, Seed: *seed,
-		Par: *par, Goroutines: *goroutines || schedVal == rma.SchedNeighbor,
-		Sched: schedVal, Dense: !*active, ChaosSeed: *chaosSeed, Local: local,
+		Par: *par, Goroutines: *goroutines, Dense: !*active, ChaosSeed: *chaosSeed, Local: local,
 		TraceDir: *traceDir, MetricsDir: *metricsDir}
 	if *verbose {
 		cfg.LogW = os.Stderr

@@ -17,22 +17,21 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		ranks, steps, par, kw int
-		chaos                 float64
-		trace, metrics        string
-		want                  string
+		ranks, steps, par int
+		chaos             float64
+		trace, metrics    string
+		want              string
 	}{
 		{ranks: -1, want: "-ranks"},
 		{steps: -5, want: "-steps"},
 		{par: -2, want: "-par"},
-		{kw: -1, want: "-kernel-workers"},
 		{chaos: -0.5, want: "-chaos"},
 		{chaos: 2, want: "-chaos"},
 		{trace: file, want: "-trace"},
 		{metrics: file, want: "-metrics"},
 	}
 	for _, tc := range cases {
-		err := validate(tc.ranks, tc.steps, tc.par, tc.kw, tc.chaos, tc.trace, tc.metrics)
+		err := validate(tc.ranks, tc.steps, tc.par, tc.chaos, tc.trace, tc.metrics)
 		if err == nil {
 			t.Errorf("validate(%d,%d,%d,%g): accepted", tc.ranks, tc.steps, tc.par, tc.chaos)
 			continue
@@ -49,17 +48,17 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 func TestValidateAcceptsGoodFlags(t *testing.T) {
 	tmp := t.TempDir()
 	for _, tc := range []struct {
-		ranks, steps, par, kw int
-		chaos                 float64
-		trace, metrics        string
+		ranks, steps, par int
+		chaos             float64
+		trace, metrics    string
 	}{
 		{}, // all defaults
-		{256, 120, 8, 4, 0.5, "", ""},
-		{ranks: 1, kw: 1, chaos: 1},        // boundary values
+		{256, 120, 8, 0.5, "", ""},
+		{ranks: 1, chaos: 1},               // boundary values
 		{trace: tmp, metrics: tmp},         // existing directory is fine
 		{trace: filepath.Join(tmp, "new")}, // missing directory: created later
 	} {
-		if err := validate(tc.ranks, tc.steps, tc.par, tc.kw, tc.chaos, tc.trace, tc.metrics); err != nil {
+		if err := validate(tc.ranks, tc.steps, tc.par, tc.chaos, tc.trace, tc.metrics); err != nil {
 			t.Errorf("validate(%d,%d,%d,%g): %v", tc.ranks, tc.steps, tc.par, tc.chaos, err)
 		}
 	}

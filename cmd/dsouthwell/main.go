@@ -36,18 +36,6 @@ type options struct {
 	faults *rma.FaultPlan
 }
 
-// parseSched resolves the -sched flag (shared vocabulary with
-// cmd/benchtables).
-func parseSched(s string) (rma.Sched, error) {
-	switch s {
-	case "barrier":
-		return rma.SchedBarrier, nil
-	case "neighbor", "nbr":
-		return rma.SchedNeighbor, nil
-	}
-	return 0, fmt.Errorf("-sched %q: unknown (use barrier or neighbor)", s)
-}
-
 // validateOutFile checks an output-file flag up front: the path must not
 // be an existing directory and its parent directory must exist, so a typo
 // fails before the run instead of after minutes of simulation.
@@ -73,13 +61,10 @@ func validateOutFile(flagName, path string) error {
 // validate checks every flag value up front, so misuse fails with a
 // one-line message and exit status 2 instead of a deep panic or a
 // confusing error mid-run.
-func validate(ranks, sweepMax, grid int, solver, locSolver string, target, chaos float64, chaosSeed int64, kernWorkers int, trace, metrics string) (options, error) {
+func validate(ranks, sweepMax, grid int, solver, locSolver string, target, chaos float64, chaosSeed int64, trace, metrics string) (options, error) {
 	var o options
 	if ranks <= 0 {
 		return o, fmt.Errorf("-n %d: need at least 1 simulated rank", ranks)
-	}
-	if kernWorkers < 0 {
-		return o, fmt.Errorf("-kernel-workers %d: must be >= 1 (or 0 for GOMAXPROCS)", kernWorkers)
 	}
 	if err := validateOutFile("-trace", trace); err != nil {
 		return o, err
@@ -135,10 +120,8 @@ func main() {
 		xZeros   = flag.Bool("x_zeros", false, "x = 0 and random b (default: random x, b = 0)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		parallel = flag.Bool("goroutines", false, "alias for -par (kept for artifact compatibility)")
-		par      = flag.Bool("par", false, "run simulated ranks on the persistent worker-pool engine")
+		par      = flag.Bool("par", false, "run simulated rank phases on the shared worker pool (GOMAXPROCS wide) instead of inline; results are identical either way")
 		active   = flag.Bool("active", true, "active-set stepping: skip provably quiescent ranks (bit-identical results; -active=false forces dense stepping)")
-		sched    = flag.String("sched", "barrier", "pool-engine epoch discipline: barrier (global) or neighbor (per-neighborhood PSCW groups; implies -par). Results are identical either way")
-		kernWkrs = flag.Int("kernel-workers", 0, "workers for the shared numerical-kernel pool; results are identical for every value (0 = SOUTHWELL_KERNEL_WORKERS env or GOMAXPROCS, 1 = sequential kernels)")
 		grid     = flag.Int("grid", 100, "grid dimension for the default Laplace problem")
 		chaos    = flag.Float64("chaos", 0, "inject delay faults: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")
 		chaosSd  = flag.Int64("chaos-seed", 1, "fault-injection seed (chaos runs are bit-reproducible per seed)")
@@ -149,18 +132,10 @@ func main() {
 	)
 	flag.Parse()
 
-	opts, err := validate(*ranks, *sweepMax, *grid, *solver, *locSolve, *target, *chaos, *chaosSd, *kernWkrs, *traceOut, *metrics)
+	opts, err := validate(*ranks, *sweepMax, *grid, *solver, *locSolve, *target, *chaos, *chaosSd, *traceOut, *metrics)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
 		os.Exit(2)
-	}
-	schedVal, err := parseSched(*sched)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
-		os.Exit(2)
-	}
-	if *kernWkrs > 0 {
-		kernpool.SetDefaultWorkers(*kernWkrs)
 	}
 
 	if *cpuProf != "" {
@@ -223,8 +198,8 @@ func main() {
 	opt := core.DistOptions{
 		Method: opts.method, Ranks: *ranks, Steps: *sweepMax, Target: *target,
 		PartSeed: *seed,
-		Parallel: *parallel || *par || schedVal == rma.SchedNeighbor,
-		Sched:    schedVal, Local: opts.local, Dense: !*active,
+		Parallel: *parallel || *par,
+		Local:    opts.local, Dense: !*active,
 		Faults: opts.faults,
 	}
 	var rec *obs.Recorder

@@ -11,17 +11,16 @@ import (
 )
 
 type flagCase struct {
-	name        string
-	ranks       int
-	sweepMax    int
-	grid        int
-	solver      string
-	locSolver   string
-	target      float64
-	chaos       float64
-	kernWorkers int
-	trace       string
-	metrics     string
+	name      string
+	ranks     int
+	sweepMax  int
+	grid      int
+	solver    string
+	locSolver string
+	target    float64
+	chaos     float64
+	trace     string
+	metrics   string
 }
 
 func good() flagCase {
@@ -29,7 +28,7 @@ func good() flagCase {
 }
 
 func (c flagCase) run() (options, error) {
-	return validate(c.ranks, c.sweepMax, c.grid, c.solver, c.locSolver, c.target, c.chaos, 1, c.kernWorkers, c.trace, c.metrics)
+	return validate(c.ranks, c.sweepMax, c.grid, c.solver, c.locSolver, c.target, c.chaos, 1, c.trace, c.metrics)
 }
 
 func TestValidateRejectsBadFlags(t *testing.T) {
@@ -47,7 +46,6 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{func(c *flagCase) { c.locSolver = "ilu" }, "-loc_solver"},
 		{func(c *flagCase) { c.chaos = -0.1 }, "-chaos"},
 		{func(c *flagCase) { c.chaos = 1.5 }, "-chaos"},
-		{func(c *flagCase) { c.kernWorkers = -1 }, "-kernel-workers"},
 		{func(c *flagCase) { c.trace = "." }, "-trace"},
 		{func(c *flagCase) { c.metrics = "." }, "-metrics"},
 		{func(c *flagCase) { c.trace = "no/such/dir/t.json" }, "-trace"},
@@ -117,7 +115,6 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 	}
 	c.trace = existing
 	c.metrics = filepath.Join(dir, "run.metrics.txt")
-	c.kernWorkers = 2
 	if _, err = c.run(); err != nil {
 		t.Errorf("valid trace/metrics paths rejected: %v", err)
 	}

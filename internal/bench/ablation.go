@@ -19,7 +19,6 @@ import (
 // auto crossover, with simulated time charged at each backend's real
 // per-solve cost.
 func Ablation(w io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	ranks := cfg.ranks()
 	steps := cfg.stepsOr(50)
 	names := []string{"Hook_1498", "msdoor", "af_5_k101"}

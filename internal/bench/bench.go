@@ -6,8 +6,8 @@
 //
 // The suite drivers support two axes of real parallelism on top of the
 // simulated one: Config.Par fans independent (matrix, method) runs out over
-// bounded workers, and Config.Goroutines runs each simulated world on the
-// rma worker-pool engine. Both are bit-identical to the sequential paths
+// bounded workers, and Config.Goroutines runs each simulated world's rank
+// phases on the shared worker pool. Both are bit-identical to the sequential paths
 // (runs are cached by key and each world is deterministic), so table output
 // does not depend on either setting.
 package bench
@@ -23,7 +23,6 @@ import (
 	"southwell/internal/core"
 	"southwell/internal/dmem"
 	"southwell/internal/obs"
-	"southwell/internal/parallel"
 	"southwell/internal/partition"
 	"southwell/internal/problem"
 	"southwell/internal/rma"
@@ -51,14 +50,10 @@ type Config struct {
 	// worker goroutines, each running its own simulated world. 0 or 1 runs
 	// sequentially. Output is identical for every value of Par.
 	Par int
-	// Goroutines runs each simulated world on the rma worker-pool engine
-	// (bit-identical results; see the dmem engine-equivalence tests).
+	// Goroutines runs each simulated world's rank phases on the shared
+	// kernel pool (bit-identical results; see the dmem engine-equivalence
+	// tests).
 	Goroutines bool
-	// Sched selects the pool engine's epoch discipline when Goroutines is
-	// set (rma.SchedNeighbor pipelines phases per neighborhood). Like Par
-	// and Goroutines it never changes results, so it is excluded from the
-	// run-cache key.
-	Sched rma.Sched
 	// Dense disables the active-set step engine (see core.DistOptions).
 	// Bit-identical either way, so it too stays out of the run-cache key.
 	Dense bool
@@ -77,15 +72,6 @@ type Config struct {
 	Faults *rma.FaultPlan
 	// ChaosSeed seeds the delay plans the Chaos driver builds (default 1).
 	ChaosSeed int64
-	// KernelWorkers resizes the shared numerical-kernel pool
-	// (parallel.SetDefaultWorkers) for the duration of a driver run: -1
-	// forces sequential kernels, 0 leaves the pool as configured (the
-	// default). Like Par and Goroutines, it never changes results — the
-	// kernels are bit-identical for every worker count (see
-	// internal/parallel). The drivers restore the previous width on return
-	// (pushKernelWorkers), so the setting never leaks into the caller's
-	// process or across suite runs.
-	KernelWorkers int
 	// TraceDir, when non-empty, makes every non-cached suite run record a
 	// structured event trace (internal/obs) and write it as Chrome
 	// trace-event JSON — one <run>.trace.json per (matrix, method, ranks,
@@ -94,25 +80,6 @@ type Config struct {
 	// MetricsDir, like TraceDir, but writes the plain-text per-rank /
 	// per-step metrics summary as <run>.metrics.txt.
 	MetricsDir string
-}
-
-// pushKernelWorkers resizes the shared kernel pool per the config and
-// returns a restore function for the previous width; the drivers defer it
-// so the process-global pool configuration cannot leak out of a driver
-// call. KernelWorkers == 0 means "leave it alone" (the restore is a no-op)
-// so a zero-value Config composes with callers that configured the pool
-// themselves.
-func (c Config) pushKernelWorkers() func() {
-	if c.KernelWorkers == 0 {
-		return func() {}
-	}
-	prev := parallel.Default().Workers()
-	n := c.KernelWorkers
-	if n < 0 {
-		n = 1
-	}
-	parallel.SetDefaultWorkers(n)
-	return func() { parallel.SetDefaultWorkers(prev) }
 }
 
 func (c Config) ranks() int {
@@ -328,7 +295,7 @@ func runSuite(cfg Config, name string, method core.DistMethod, ranks, steps int)
 	b, x := problem.ZeroBSystem(a, cfg.seed())
 	opt := core.DistOptions{
 		Method: method, Ranks: ranks, Steps: steps, Setup: setup,
-		Parallel: cfg.Goroutines, Sched: cfg.Sched, Dense: cfg.Dense,
+		Parallel: cfg.Goroutines, Dense: cfg.Dense,
 		Local: cfg.Local, Model: cfg.Model, Faults: cfg.Faults,
 	}
 	// Trace hook: any table/figure run can dump its per-rank timeline.

@@ -11,7 +11,6 @@ import (
 
 	"southwell/internal/core"
 	"southwell/internal/dmem"
-	"southwell/internal/parallel"
 	"southwell/internal/rma"
 )
 
@@ -143,43 +142,6 @@ func TestParDriverDeterministic(t *testing.T) {
 	par := render(parCfg)
 	if seq != par {
 		t.Errorf("parallel driver changed table output:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
-	}
-}
-
-// TestKernelWorkersRestored: a driver run with KernelWorkers set must not
-// leak the width into the process-global kernel pool. Historically
-// applyKernelWorkers called parallel.SetDefaultWorkers and never restored,
-// so one suite run reconfigured every later kernel in the process.
-func TestKernelWorkersRestored(t *testing.T) {
-	prev := parallel.Default().Workers()
-	defer parallel.SetDefaultWorkers(prev)
-	parallel.SetDefaultWorkers(3)
-
-	cfg := quickCfg()
-	cfg.KernelWorkers = 2
-	var buf bytes.Buffer
-	if err := Fig2(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := parallel.Default().Workers(); got != 3 {
-		t.Errorf("kernel pool width leaked: got %d after driver, want 3", got)
-	}
-
-	// KernelWorkers == 0 must leave the pool entirely alone.
-	restore := Config{}.pushKernelWorkers()
-	if got := parallel.Default().Workers(); got != 3 {
-		t.Errorf("KernelWorkers=0 resized the pool to %d", got)
-	}
-	restore()
-
-	// And -1 must force sequential kernels for the driver's duration only.
-	restore = Config{KernelWorkers: -1}.pushKernelWorkers()
-	if got := parallel.Default().Workers(); got != 1 {
-		t.Errorf("KernelWorkers=-1 gave width %d, want 1", got)
-	}
-	restore()
-	if got := parallel.Default().Workers(); got != 3 {
-		t.Errorf("restore after -1 gave width %d, want 3", got)
 	}
 }
 

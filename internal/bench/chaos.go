@@ -45,7 +45,6 @@ func (c Config) withDelay(lv chaosLevel) Config {
 // corrected by the next explicit update), while the 2016 piggyback variant
 // still stagnates and is detected.
 func Chaos(out io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	ranks := cfg.ranks()
 	steps := cfg.stepsOr(120)
 	methods := []core.DistMethod{core.BlockJacobi, core.ParallelSWD, core.DistSWD, core.Piggyback2016}

@@ -14,7 +14,6 @@ import (
 // independent) and Distributed Southwell is at least as effective per
 // relaxation as Gauss-Seidel.
 func Fig6(w io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	grids := []int{15, 31, 63, 127, 255}
 	if cfg.Quick {
 		grids = []int{15, 31, 63}

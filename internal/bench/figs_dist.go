@@ -23,7 +23,6 @@ func fig7Matrices(quick bool) []string {
 // Block Jacobi, Parallel Southwell, and Distributed Southwell on four
 // representative problems.
 func Fig7(w io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	ranks := cfg.ranks()
 	steps := cfg.stepsOr(50)
 	if err := prefetch(cfg, suiteJobs(fig7Matrices(cfg.Quick), tableMethods, []int{ranks}, steps)); err != nil {
@@ -82,7 +81,6 @@ func fig89Matrices(quick bool) []string {
 // as a function of the rank count. † marks (matrix, ranks, method) runs
 // that never reached the target (usually Block Jacobi divergence).
 func Fig8(w io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	steps := cfg.stepsOr(60)
 	if err := prefetch(cfg, suiteJobs(fig89Matrices(cfg.Quick), tableMethods, scalingRanks(cfg.Quick), steps)); err != nil {
 		return err
@@ -115,7 +113,6 @@ func Fig8(w io.Writer, cfg Config) error {
 // paper's claim is that Block Jacobi degrades (often catastrophically)
 // with more ranks while Parallel and Distributed Southwell degrade mildly.
 func Fig9(w io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	steps := cfg.stepsOr(50)
 	if err := prefetch(cfg, suiteJobs(fig89Matrices(cfg.Quick), tableMethods, scalingRanks(cfg.Quick), steps)); err != nil {
 		return err
@@ -143,7 +140,6 @@ func Fig9(w io.Writer, cfg Config) error {
 // the test problems while Distributed Southwell pushes past the same
 // point.
 func Deadlock(w io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	ranks := cfg.ranks()
 	if err := prefetch(cfg, suiteJobs(cfg.suiteNames(), []core.DistMethod{core.Piggyback2016}, []int{ranks}, 500)); err != nil {
 		return err

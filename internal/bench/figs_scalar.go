@@ -60,7 +60,6 @@ func writeSeries(w io.Writer, tr *solvers.Trace, maxPoints int) {
 // Gauss-Seidel, and Jacobi on the small finite element problem, three
 // sweeps each.
 func Fig2(w io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	a := fig2Problem(cfg.Quick)
 	fprintf(w, "# Figure 2: convergence on FEM problem (n=%d), 3 sweeps\n", a.N)
 	fprintf(w, "# method  relaxations  residual_norm\n")
@@ -74,7 +73,6 @@ func Fig2(w io.Writer, cfg Config) error {
 // Fig5 regenerates Figure 5: Figure 2's problem with scalar Distributed
 // Southwell added (all methods in scalar form).
 func Fig5(w io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	a := fig2Problem(cfg.Quick)
 	fprintf(w, "# Figure 5: convergence on FEM problem (n=%d) incl. Distributed Southwell\n", a.N)
 	fprintf(w, "# method  relaxations  residual_norm\n")

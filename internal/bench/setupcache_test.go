@@ -112,8 +112,8 @@ func TestSetupCacheKeys(t *testing.T) {
 	}
 }
 
-// TestSetupSharedAcrossMethodsNoMutation: every method and both engines run
-// concurrently off one LocalDirect setup; under -race this pins that no run
+// TestSetupSharedAcrossMethodsNoMutation: every method, phases inline and on
+// the pool, runs concurrently off one LocalDirect setup; under -race this pins that no run
 // writes to shared setup state, and every result stays bit-identical to a
 // run that built its own setup privately.
 func TestSetupSharedAcrossMethodsNoMutation(t *testing.T) {
@@ -140,7 +140,7 @@ func TestSetupSharedAcrossMethodsNoMutation(t *testing.T) {
 	for i, m := range methods {
 		for j, cfg := range []Config{
 			{Ranks: ranks, Seed: 1, Local: dmem.LocalDirect},
-			{Ranks: ranks, Seed: 1, Local: dmem.LocalDirect, Goroutines: true, Sched: rma.SchedNeighbor},
+			{Ranks: ranks, Seed: 1, Local: dmem.LocalDirect, Goroutines: true},
 		} {
 			wg.Add(1)
 			go func(slot int, m core.DistMethod, cfg Config) {
@@ -155,7 +155,8 @@ func TestSetupSharedAcrossMethodsNoMutation(t *testing.T) {
 				b, x := problem.ZeroBSystem(setup.Layout.A, cfg.seed())
 				results[slot], errs[slot] = core.SolveDistributed(setup.Layout.A, b, x, core.DistOptions{
 					Method: m, Ranks: ranks, Steps: steps, Setup: setup,
-					Parallel: cfg.Goroutines, Sched: cfg.Sched, Local: cfg.Local,
+					Parallel: cfg.Goroutines, Local: cfg.Local,
+					Sched: rma.SchedNeighbor, // accepted and ignored: the inert name must not move a bit
 				})
 			}(2*i+j, m, cfg)
 		}

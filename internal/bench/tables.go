@@ -58,7 +58,6 @@ func atTarget(res *dmem.Result) toTargetStats {
 // of ‖r‖₂ = 0.1. † marks runs that never reached the target within the
 // step budget.
 func Table2(w io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	ranks := cfg.ranks()
 	steps := cfg.stepsOr(60)
 	if err := prefetch(cfg, suiteJobs(cfg.suiteNames(), tableMethods, []int{ranks}, steps)); err != nil {
@@ -95,7 +94,6 @@ func Table2(w io.Writer, cfg Config) error {
 // crossing. The paper's headline: "Res comm" dominates PS and is the cost
 // DS removes.
 func Table3(w io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	ranks := cfg.ranks()
 	steps := cfg.stepsOr(60)
 	if err := prefetch(cfg, suiteJobs(cfg.suiteNames(), []core.DistMethod{core.ParallelSWD, core.DistSWD}, []int{ranks}, steps)); err != nil {
@@ -134,7 +132,6 @@ func Table3(w io.Writer, cfg Config) error {
 // time and communication cost over a fixed 50-step run, for BJ, PS, DS.
 // Expected shape: BJ > PS > DS per step.
 func Table4(w io.Writer, cfg Config) error {
-	defer cfg.pushKernelWorkers()()
 	ranks := cfg.ranks()
 	steps := cfg.stepsOr(50)
 	if err := prefetch(cfg, suiteJobs(cfg.suiteNames(), tableMethods, []int{ranks}, steps)); err != nil {

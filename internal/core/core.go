@@ -132,13 +132,13 @@ type DistOptions struct {
 	// Model overrides the α-β-γ cost model (nil = default). An explicit
 	// &rma.CostModel{} is honored as genuinely free communication.
 	Model *rma.CostModel
-	// Parallel runs simulated ranks on the persistent worker-pool engine
-	// (bit-identical results to the sequential engine).
+	// Parallel runs simulated rank phases on the shared kernel pool, as
+	// wide as GOMAXPROCS (bit-identical results to running them inline).
 	Parallel bool
-	// Sched selects the pool engine's epoch discipline: rma.SchedBarrier
-	// (default, global barrier per phase) or rma.SchedNeighbor
-	// (per-neighborhood epoch completion, MPI PSCW-style; needs Parallel).
-	// Results are bit-identical either way.
+	// Sched is accepted and ignored since PR 19 (rma.SchedNeighbor named
+	// the removed neighborhood-epoch scheduler); it exists only because
+	// benchmarks/e2e names it, and goes with ds_nbr_mc in the next
+	// benchmark PR.
 	Sched rma.Sched
 	// Part, when non-nil, is a caller-provided partition (length n, values
 	// in [0, Ranks)); otherwise the multilevel partitioner is used.
@@ -205,7 +205,7 @@ func SolveDistributed(a *sparse.CSR, b, x []float64, opt DistOptions) (*dmem.Res
 	}
 	cfg := dmem.Config{
 		Steps: opt.Steps, Target: opt.Target, Model: opt.Model,
-		Parallel: opt.Parallel, Sched: opt.Sched, Setup: opt.Setup,
+		Parallel: opt.Parallel, Setup: opt.Setup,
 		Local: opt.Local, Dense: opt.Dense,
 		Faults: opt.Faults, Watchdog: opt.Watchdog, Trace: opt.Trace,
 	}

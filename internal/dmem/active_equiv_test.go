@@ -2,6 +2,7 @@ package dmem
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 
 // TestActiveDenseEquivalence is the step driver's core invariant: skipping
 // provably quiescent ranks must be invisible in results. Every method ×
-// rank count × world engine × fault setting runs once pinned (Config.Dense)
-// and once with the zero value, and the two runs must be bit-identical —
-// histories, cumulative stats, watchdog verdicts, and solutions. Only the
+// rank count × fault setting runs once pinned (Config.Dense) with phases
+// inline, and with the zero value both inline (seq) and on the pool at every
+// width (pool); all runs must be bit-identical to the first — histories,
+// cumulative stats, watchdog verdicts, and solutions. Only the
 // methods that promise quiescence may report an occupancy histogram: BJ and
 // Piggyback2016 never do, and neither does DS under a negative UpdateSlack
 // (its phase-2 trigger no longer self-extinguishes, so Config.pinned must
@@ -46,27 +48,32 @@ func TestActiveDenseEquivalence(t *testing.T) {
 						name += "/chaos"
 					}
 					t.Run(name, func(t *testing.T) {
-						cfg := Config{Steps: 15, Parallel: par}
-						if chaos {
-							cfg.Faults = fullChaosPlan(11)
+						solve := func(cfg Config) *Result {
+							cfg.Steps = 15
+							if chaos {
+								cfg.Faults = fullChaosPlan(11) // fresh RNG state
+							}
+							l, b, x := buildCase(t, problem.Poisson2D(grid, grid), p, 1)
+							return run(l, b, x, cfg)
 						}
-						l, b, x := buildCase(t, problem.Poisson2D(grid, grid), p, 1)
-						active := run(l, b, x, cfg)
-						dcfg := cfg
-						dcfg.Dense = true
-						if chaos {
-							dcfg.Faults = fullChaosPlan(11) // fresh RNG state
-						}
-						l2, b2, x2 := buildCase(t, problem.Poisson2D(grid, grid), p, 1)
-						dense := run(l2, b2, x2, dcfg)
-						compareRuns(t, name, dense, active)
+						dense := solve(Config{Dense: true})
 						if dense.ActiveHist != nil {
 							t.Errorf("dense run reported an active histogram")
 						}
-						quiescent := mname == "DistributedSouthwell" || mname == "ParallelSouthwell"
-						if got := active.ActiveHist != nil; got != quiescent {
-							t.Errorf("active histogram reported = %v, want %v", got, quiescent)
+						check := func(label string, active *Result) {
+							compareRuns(t, label, dense, active)
+							quiescent := mname == "DistributedSouthwell" || mname == "ParallelSouthwell"
+							if got := active.ActiveHist != nil; got != quiescent {
+								t.Errorf("%s: active histogram reported = %v, want %v", label, got, quiescent)
+							}
 						}
+						if !par {
+							check(name, solve(Config{}))
+							return
+						}
+						eachWidth(func(k int) {
+							check(fmt.Sprintf("%s/w%d", name, k), solve(Config{Parallel: true}))
+						})
 					})
 				}
 			}
@@ -174,7 +181,7 @@ func TestActiveWatchdogWhileAsleep(t *testing.T) {
 }
 
 // TestConfigPinned walks the one predicate that decides whether ranks may
-// sleep: each of the five rules pins on its own, and only a quiescent method
+// sleep: each of the two rules pins on its own, and only a quiescent method
 // under a plain configuration is left unpinned.
 func TestConfigPinned(t *testing.T) {
 	quiescent := stepSpec{quiescent: true}
@@ -190,9 +197,6 @@ func TestConfigPinned(t *testing.T) {
 		{"never quiescent (BJ, PB16)", Config{}, stepSpec{}, true},
 		{"starvation clock without the promise (DS, UpdateSlack < 0)", Config{}, stepSpec{starvation: true}, true},
 		{"Dense", Config{Dense: true}, quiescent, true},
-		{"SchedNeighbor", Config{Parallel: true, Sched: rma.SchedNeighbor}, quiescent, true},
-		{"SpinStragglers", Config{Faults: &rma.FaultPlan{SpinStragglers: true}}, quiescent, true},
-		{"HostDelay", Config{Faults: &rma.FaultPlan{HostDelay: func(int, int64, float64) {}}}, quiescent, true},
 	}
 	for _, c := range cases {
 		if got := c.cfg.pinned(c.spec); got != c.want {

@@ -1,6 +1,7 @@
 package dmem
 
 import (
+	"fmt"
 	"testing"
 
 	"southwell/internal/problem"
@@ -22,28 +23,22 @@ func fullChaosPlan(seed int64) *rma.FaultPlan {
 }
 
 // TestChaosEngineEquivalence: a chaos run is a deterministic function of
-// the FaultPlan seed and identical on both engines — same history (step
+// the FaultPlan seed and identical at every width — same history (step
 // stats including fault counters), same cumulative stats, same solution,
-// on the sequential engine run twice and on the worker-pool engine. Run
-// under -race via `make race`.
+// with phases inline run twice and on the pool at every width. Run under
+// -race via `make race`.
 func TestChaosEngineEquivalence(t *testing.T) {
 	for mname, run := range methodsWithPB() {
-		mname, run := mname, run
 		t.Run(mname, func(t *testing.T) {
-			t.Parallel()
-			results := make([]*Result, 3)
-			for i, parallel := range []bool{false, false, true} {
-				a := problem.Poisson2D(24, 24)
-				l, b, x := buildCase(t, a, 8, 3)
-				results[i] = run(l, b, x, Config{
-					Steps: 20, Parallel: parallel, Faults: fullChaosPlan(7),
-				})
+			solve := func(parallel bool) *Result {
+				l, b, x := buildCase(t, problem.Poisson2D(24, 24), 8, 3)
+				return run(l, b, x, Config{Steps: 20, Parallel: parallel, Faults: fullChaosPlan(7)})
 			}
-			seq := results[0]
-			for i, other := range results[1:] {
-				label := []string{"seq rerun", "pool"}[i]
-				compareRuns(t, label, seq, other)
-			}
+			seq := solve(false)
+			compareRuns(t, "seq rerun", seq, solve(false))
+			eachWidth(func(k int) {
+				compareRuns(t, fmt.Sprintf("pool w%d", k), seq, solve(true))
+			})
 			fin := seq.Final()
 			if fin.Delayed == 0 || fin.Duped == 0 || fin.Reordered == 0 || fin.Paused == 0 {
 				t.Errorf("plan injected nothing: %+v", fin)

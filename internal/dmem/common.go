@@ -47,16 +47,10 @@ type Config struct {
 	// explicit &rma.CostModel{} is honored as genuinely free communication
 	// (every message and flop costs nothing in simulated time).
 	Model *rma.CostModel
-	// Parallel runs ranks on the rma worker-pool engine instead of
-	// sequentially; results are bit-identical (see the engine-equivalence
-	// tests).
+	// Parallel runs rank phases on the shared kernel pool (as wide as
+	// GOMAXPROCS) instead of inline; results are bit-identical (see the
+	// engine-equivalence tests).
 	Parallel bool
-	// Sched selects the pool engine's epoch discipline: the default
-	// global barrier (rma.SchedBarrier) or per-neighborhood epoch
-	// completion (rma.SchedNeighbor, requires Parallel; the world's
-	// post/start groups are registered from the layout's coupling
-	// neighborships). Results are bit-identical either way.
-	Sched rma.Sched
 	// Local selects the subdomain solver (default LocalGS).
 	Local LocalSolver
 	// Setup, when non-nil, supplies the shared preprocessing (layout +
@@ -153,14 +147,10 @@ type Result struct {
 	Deadlocked   bool
 	DeadlockStep int
 	X            []float64 // gathered global solution
-	// SchedWaits is the neighborhood scheduler's wait diagnostic (counts,
-	// not seconds) — nil unless the run executed groups on
-	// rma.SchedNeighbor. Scheduling-dependent; never part of results.
-	SchedWaits *obs.WaitTally
 	// ActiveHist is the step driver's diagnostic: per step, the number of
 	// ranks scheduled to execute phase 1 (mid-step wakeups by landed traffic
 	// are not recounted). Nil when every rank was pinned (Config.pinned).
-	// An occupancy observation, like SchedWaits — never part of results.
+	// An occupancy observation — never part of results.
 	ActiveHist []int
 }
 
@@ -427,7 +417,6 @@ func (res *Result) deadlockAt(step int) {
 // finish fills the summary fields of a result.
 func finish(res *Result, l *Layout, w *rma.World, states []*rankState) {
 	res.Stats = w.Stats()
-	res.SchedWaits = w.WaitTally()
 	res.X = gatherX(l, states)
 	if steps := len(res.History) - 1; steps > 0 {
 		sum := 0.0

@@ -1,10 +1,12 @@
 package dmem
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"southwell/internal/parallel"
 	"southwell/internal/partition"
 	"southwell/internal/problem"
 	"southwell/internal/rma"
@@ -115,8 +117,8 @@ func methodsWithPB() map[string]method {
 // must agree bit-for-bit in everything that is part of results — the
 // per-step history (norms, messages by tag, simulated time, fault
 // counters), cumulative runtime stats, the watchdog verdict, and the
-// gathered solution. Diagnostics (ActiveHist, SchedWaits) are engine
-// observations and deliberately excluded.
+// gathered solution. The ActiveHist diagnostic is an engine observation and
+// deliberately excluded.
 func compareRuns(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if len(a.History) != len(b.History) {
@@ -290,9 +292,23 @@ func TestParallelEngineIdenticalHistory(t *testing.T) {
 	for name, run := range methods() {
 		l, b, x := buildCase(t, a.Clone(), 12, 9)
 		seq := run(l, b, x, Config{Steps: 25})
-		l2, b2, x2 := buildCase(t, a.Clone(), 12, 9)
-		par := run(l2, b2, x2, Config{Steps: 25, Parallel: true})
-		compareRuns(t, name, seq, par)
+		eachWidth(func(k int) {
+			l2, b2, x2 := buildCase(t, a.Clone(), 12, 9)
+			par := run(l2, b2, x2, Config{Steps: 25, Parallel: true})
+			compareRuns(t, fmt.Sprintf("%s/w%d", name, k), seq, par)
+		})
+	}
+}
+
+// eachWidth calls f with the shared pool — what Config.Parallel runs rank
+// phases on — resized to 2, 4 and 7 executor slots in turn, then restores
+// it, so the width-invariance tests bite at any host GOMAXPROCS.
+func eachWidth(f func(k int)) {
+	prev := parallel.Default().Workers()
+	defer parallel.SetDefaultWorkers(prev)
+	for _, k := range []int{2, 4, 7} {
+		parallel.SetDefaultWorkers(k)
+		f(k)
 	}
 }
 

@@ -57,19 +57,10 @@ type stepSpec struct {
 }
 
 // pinned reports whether every rank must run every step of this method
-// under this configuration — the one place the rules live. The method may
-// not promise quiescence; Dense asks for the pseudocode as written; the
-// neighborhood scheduler pipelines whole step groups per rank (the active
-// set is a per-epoch, driver-side notion) and needs the step as one
-// RunPhases group; host-time fault hooks (SpinStragglers, HostDelay) stall
-// only executed ranks, so skipping would under-stall the wall clock those
-// studies measure.
+// under this configuration — the one place the rules live: the method may
+// not promise quiescence, or Dense asks for the pseudocode as written.
 func (c Config) pinned(spec stepSpec) bool {
-	if !spec.quiescent || c.Dense || c.Sched == rma.SchedNeighbor {
-		return true
-	}
-	f := c.Faults
-	return f != nil && (f.SpinStragglers || f.HostDelay != nil)
+	return !spec.quiescent || c.Dense
 }
 
 // solve runs one method to completion on a run state (runstate.go): the one
@@ -86,14 +77,12 @@ func solve(l *Layout, b, x []float64, cfg Config, build func(st *runState, step 
 // once and returns the method's stepSpec; the phase closures it builds reach
 // the world and rank states through st and read the current step through the
 // pointer (sequence numbers, trace events), so the driver re-dispatches the
-// same closures every step without allocating. The worker pool is released
-// on every exit, so no goroutine outlives a solve.
+// same closures every step without allocating.
 func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, step *int) stepSpec) *Result {
 	l, w, states, e, norms2 := st.l, st.w, st.states, &st.eng, st.norms2
 	var step int
 	spec := build(st, &step)
 	st.reset(b, x, cfg, spec)
-	defer w.Close()
 	st.bindLocal(cfg)
 	res := &Result{Method: spec.name, P: l.P, N: l.A.N}
 	record(res, w, states, flatNorm(norms2), 0, 0, 0)
@@ -186,10 +175,8 @@ func (e *stepEngine) admit(p, step int, mail bool) {
 // (the next boundary would discard it), so a nonempty window forces
 // execution even when every landing is a fault-injected duplicate.
 func (e *stepEngine) scanMail(step int) {
-	// LiveInboxes is exactly the set of nonempty windows on the barrier
-	// delivery path (including windows retained across pauses), so the scan
-	// is O(receivers), not O(P). SchedNeighbor — where that list is not
-	// maintained — pins every rank and never scans (Config.pinned).
+	// LiveInboxes is exactly the set of nonempty windows (including windows
+	// retained across pauses), so the scan is O(receivers), not O(P).
 	for _, p := range e.w.LiveInboxes() {
 		e.admit(int(p), step, true)
 	}
@@ -256,17 +243,17 @@ func (e *stepEngine) tally(norms2 []float64) (relaxedRanks, rows int) {
 	return
 }
 
-// runStep executes the step's access epochs. Pinned, the step goes out as
-// one RunPhases group — which is what lets rma.SchedNeighbor advance each
-// rank phase to phase on its own neighborhood's progress alone. Otherwise
-// each epoch runs over the active set (idle is the per-rank flop charge a
-// skipped rank would have made: the decision scan in the first phase,
-// nothing after), then windows are rescanned: membership grows
-// monotonically within a step, so a rank reached by phase-k traffic runs
-// every later phase exactly as if no rank ever slept.
+// runStep executes the step's access epochs. Pinned, every rank runs every
+// epoch. Otherwise each epoch runs over the active set (idle is the
+// per-rank flop charge a skipped rank would have made: the decision scan in
+// the first phase, nothing after), then windows are rescanned: membership
+// grows monotonically within a step, so a rank reached by phase-k traffic
+// runs every later phase exactly as if no rank ever slept.
 func (e *stepEngine) runStep(step int, phases []func(rank int)) {
 	if e.pinned {
-		e.w.RunPhases(phases...)
+		for _, f := range phases {
+			e.w.RunPhase(f)
+		}
 		return
 	}
 	e.beginStep(step)

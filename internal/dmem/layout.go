@@ -350,16 +350,3 @@ func (rd *RankData) M() int { return len(rd.Glob) }
 
 // Degree returns the number of neighbor ranks.
 func (rd *RankData) Degree() int { return len(rd.Nbrs) }
-
-// NeighborLists returns every rank's neighbor list in the exact form
-// rma.SetNeighborhoods wants (ascending, self-free, symmetric): the
-// coupling neighborship of the layout IS the PSCW post/start group of the
-// simulated one-sided runtime. The inner slices alias the layout's own
-// (immutable) Nbrs slices; callers must not modify them.
-func (l *Layout) NeighborLists() [][]int {
-	lists := make([][]int, l.P)
-	for p := range lists {
-		lists[p] = l.Ranks[p].Nbrs
-	}
-	return lists
-}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"southwell/internal/obs"
+	"southwell/internal/parallel"
 	"southwell/internal/problem"
 	"southwell/internal/rma"
 )
@@ -32,8 +33,8 @@ func reuseCase(t testing.TB, grid, ranks int, local LocalSolver) (l *Layout, s *
 
 // TestSetupReuseInvisible: every solve on one Setup — whatever ran on its
 // parked run state before — equals the same call made with no Setup at
-// all. The rows run in order on one state: every method, every engine and
-// scheduler, a fault plan, a tracer (trace bytes compared too), a pinned
+// all. The rows run in order on one state: every method, phases inline and
+// on the pool, a fault plan, a tracer (trace bytes compared too), a pinned
 // variant, another system, an early stop, and DS again at the end.
 func TestSetupReuseInvisible(t *testing.T) {
 	ds := func(opts DistSWOptions) method {
@@ -58,7 +59,6 @@ func TestSetupReuseInvisible(t *testing.T) {
 				{name: "Piggyback2016", run: Piggyback2016, cfg: Config{Steps: 500}},
 				{name: "DS dense", run: DistributedSouthwell, cfg: Config{Dense: true}},
 				{name: "DS pool", run: DistributedSouthwell, cfg: Config{Parallel: true}},
-				{name: "DS neighbor", run: DistributedSouthwell, cfg: Config{Parallel: true, Sched: rma.SchedNeighbor}},
 				{name: "DS chaos", run: DistributedSouthwell, cfg: Config{Faults: fullChaosPlan(7)}},
 				{name: "DS traced", run: DistributedSouthwell, traced: true},
 				{name: "DS slack -0.1", run: ds(DistSWOptions{UpdateSlack: -0.1})},
@@ -128,7 +128,8 @@ func TestSetupConcurrentRuns(t *testing.T) {
 	l, s, b, x, _, _ := reuseCase(t, 24, 8, LocalDirect)
 	want := DistributedSouthwell(l, b, x, Config{Steps: 15, Local: LocalDirect})
 	for _, procs := range []int{2, 4} {
-		prev := runtime.GOMAXPROCS(procs)
+		prev, prevWidth := runtime.GOMAXPROCS(procs), parallel.Default().Workers()
+		parallel.SetDefaultWorkers(procs) // or the Parallel solves would run at the old width
 		results := make([][3]*Result, 4)
 		var wg sync.WaitGroup
 		for g := range results {
@@ -142,6 +143,7 @@ func TestSetupConcurrentRuns(t *testing.T) {
 		}
 		wg.Wait()
 		runtime.GOMAXPROCS(prev)
+		parallel.SetDefaultWorkers(prevWidth)
 		for g := range results {
 			for _, got := range results[g] {
 				compareRuns(t, "concurrent", want, got)
@@ -153,25 +155,19 @@ func TestSetupConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestParkedStateHoldsNoGoroutines: the pool is released at the end of
-// every solve, so a Setup with a parked state owns no goroutine.
+// TestParkedStateHoldsNoGoroutines: a solve borrows the shared pool's
+// workers and starts none of its own, so a Setup with a parked state owns no
+// goroutine.
 func TestParkedStateHoldsNoGoroutines(t *testing.T) {
 	l, s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
 	DistributedSouthwell(l, b, x, Config{Steps: 5, Parallel: true}) // start whatever outlives solves by design
 	before := runtime.NumGoroutine()
-	for _, sched := range []rma.Sched{rma.SchedBarrier, rma.SchedNeighbor} {
-		DistributedSouthwell(l, b, x, Config{Steps: 5, Parallel: true, Sched: sched, Setup: s})
-		// Workers exit asynchronously once Close has released them.
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("sched %v: %d goroutines after the solve returned, %d before it", sched, n, before)
-		}
-		if s.parked == nil {
-			t.Fatal("no parked state: the test observes nothing")
-		}
+	DistributedSouthwell(l, b, x, Config{Steps: 5, Parallel: true, Setup: s})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the solve returned, %d before it", n, before)
+	}
+	if s.parked == nil {
+		t.Fatal("no parked state: the test observes nothing")
 	}
 }
 
@@ -184,10 +180,9 @@ func TestParkedStateKeepsNothingOfTheCaller(t *testing.T) {
 	func() {
 		rec := obs.NewRecorder(l.P)
 		runtime.SetFinalizer(rec, func(*obs.Recorder) { freed[0].Store(true) })
-		token := new([64]byte)
-		runtime.SetFinalizer(token, func(*[64]byte) { freed[1].Store(true) })
 		plan := fullChaosPlan(7)
-		plan.HostDelay = func(int, int64, float64) { _ = token } // rides in the world's copy of the plan
+		plan.Pauses = append([]rma.Pause(nil), plan.Pauses...) // the backing array rides in the world's copy of the plan
+		runtime.SetFinalizer(&plan.Pauses[0], func(*rma.Pause) { freed[1].Store(true) })
 		DistributedSouthwell(l, b, x, Config{Steps: 20, Setup: s, Trace: rec, Faults: plan})
 	}()
 	st := s.parked

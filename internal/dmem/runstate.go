@@ -128,13 +128,7 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	}
 
 	w.Reset(cfg.model())
-	w.Parallel, w.Sched = cfg.Parallel, cfg.Sched
-	if cfg.Sched == rma.SchedNeighbor {
-		// Register the PSCW post/start groups: every method's step-loop
-		// Puts go only to layout neighbors, so the coupling neighborships
-		// are exactly the access groups.
-		w.SetNeighborhoods(l.NeighborLists())
-	}
+	w.Parallel = cfg.Parallel
 	w.InstallFaults(cfg.Faults)
 	w.SetTracer(cfg.Trace)
 }

@@ -55,12 +55,10 @@ func phaseWorld(p int, tr obs.Tracer) (*rma.World, func(rank int)) {
 func TestObsAllocGate(t *testing.T) {
 	const p = 64
 	wOff, phaseOff := phaseWorld(p, nil)
-	defer wOff.Close()
 	// NewRecorderCap big enough that the rings never wrap mid-test; wrap
 	// would not allocate either, but keep the measurement simple.
 	rec := obs.NewRecorderCap(p, 4096)
 	wOn, phaseOn := phaseWorld(p, rec)
-	defer wOn.Close()
 
 	e := obs.Event{Kind: obs.KindPut, Rank: 3, A: 4, Tag: 1, I1: 80}
 	for _, op := range []struct {
@@ -91,7 +89,6 @@ func BenchmarkObs(b *testing.B) {
 					tr = rec
 				}
 				w, phase := phaseWorld(p, tr)
-				defer w.Close()
 				w.RunPhase(phase)
 				w.RunPhase(phase)
 				b.ReportAllocs()

@@ -21,10 +21,10 @@
 //     overwritten and counted as dropped.
 //
 //  3. Determinism is structural. A rank's shard is written only by that
-//     rank's phase function (which both rma engines run identically) or by
-//     the driving goroutine between phases, so each shard's event sequence
-//     — and therefore every exported byte — is bit-identical under the
-//     sequential and worker-pool engines. Timestamps come from the
+//     rank's phase function (which rma runs identically at every width) or
+//     by the driving goroutine between phases, so each shard's event
+//     sequence — and therefore every exported byte — is bit-identical
+//     whether phases run inline or on the worker pool. Timestamps come from the
 //     simulated α-β-γ clock, never the wall clock.
 //
 // Exporters: WriteTrace emits Chrome trace-event JSON (loads directly in
@@ -121,7 +121,7 @@ const ControlRank int32 = -1
 // slot. Field meaning is per Kind; Ts and Dur are simulated seconds on the
 // monotone world clock (rma.World.Now), never wall-clock time.
 type Event struct {
-	Ts         float64 // simulated seconds at emit (monotone, survives ResetStats)
+	Ts         float64 // simulated seconds at emit (monotone within a run)
 	Dur        float64 // simulated seconds, for slice-like kinds
 	V1, V2, V3 float64 // kind-specific values
 	I1, I2     int64   // kind-specific counters (bytes, cumulative messages)
@@ -221,8 +221,9 @@ type activeRecord struct {
 
 // PoolStats is a snapshot of the shared kernel pool's occupancy counters,
 // surfaced in the metrics summary (set it with SetPool; see
-// parallel.Pool.Stats). Regions and blocks are pure functions of the
-// workload, so they are deterministic for any pool width.
+// parallel.Pool.Stats). Kernel regions and blocks are pure functions of the
+// workload, so they are deterministic for any pool width; a run with
+// Parallel set adds one region of min(width, P) rank chunks per phase.
 type PoolStats struct {
 	Regions int64 // parallel regions executed
 	Blocks  int64 // blocks executed across all regions

@@ -1,8 +1,8 @@
 // Package parallel is the shared deterministic work-splitting layer for the
-// repository's numerical kernels: a persistent worker pool in the style of
-// internal/rma's phase engine, contiguous row-range partitioners (balanced
-// by element count or by nonzero count), and a fixed-block decomposition
-// policy that makes parallel reductions bit-reproducible.
+// repository's numerical kernels and for internal/rma's rank phases: the
+// process's one persistent worker pool, contiguous row-range partitioners
+// (balanced by element count or by nonzero count), and a fixed-block
+// decomposition policy that makes parallel reductions bit-reproducible.
 //
 // The determinism contract has two parts:
 //
@@ -30,17 +30,10 @@
 package parallel
 
 import (
-	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
-
-// EnvWorkers is the environment variable consulted by Default for the
-// shared pool's worker count (0 or unset = GOMAXPROCS).
-const EnvWorkers = "SOUTHWELL_KERNEL_WORKERS"
 
 // Task is a reusable descriptor of one parallel region. Bind F once (it
 // receives the block index) and pass the Task to Pool.Run for every
@@ -109,9 +102,9 @@ type Pool struct {
 	once   sync.Once
 
 	// Occupancy counters for the observability layer (PoolStats). Both are
-	// pure functions of the submitted workload — regions and their block
-	// counts never depend on scheduling — so snapshots are deterministic
-	// for any width. Updated with atomics: Run may be called concurrently.
+	// pure functions of the submitted regions — never of scheduling — so
+	// snapshots are deterministic. Updated with atomics: Run may be called
+	// concurrently.
 	regions atomic.Int64
 	blocks  atomic.Int64
 }
@@ -252,8 +245,8 @@ var (
 	defPool atomic.Pointer[Pool]
 )
 
-// Default returns the shared kernel pool, created on first use with
-// EnvWorkers (SOUTHWELL_KERNEL_WORKERS) or GOMAXPROCS executor slots.
+// Default returns the shared pool, created on first use with GOMAXPROCS
+// executor slots.
 func Default() *Pool {
 	if p := defPool.Load(); p != nil {
 		return p
@@ -263,16 +256,7 @@ func Default() *Pool {
 	if p := defPool.Load(); p != nil {
 		return p
 	}
-	w := 0
-	if s := os.Getenv(EnvWorkers); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			fmt.Fprintf(os.Stderr, "parallel: ignoring invalid %s=%q\n", EnvWorkers, s)
-		} else {
-			w = v
-		}
-	}
-	p := NewPool(w)
+	p := NewPool(0)
 	defPool.Store(p)
 	return p
 }

@@ -64,7 +64,7 @@ func maskList(active []bool) []int32 {
 // bit-identity story: RunPhaseActive over a mask must leave the world in
 // exactly the state of a dense RunPhase whose body branches on the same
 // mask and charges idle[p] for skipped ranks — same stats, same simulated
-// clock, same landed messages. Checked on both engines.
+// clock, same landed messages. Checked inline and at every pool width.
 func TestRunPhaseActiveMatchesRunPhase(t *testing.T) {
 	const p, stride, rounds = 64, 4, 5
 	for _, parallel := range []bool{false, true} {
@@ -73,36 +73,36 @@ func TestRunPhaseActiveMatchesRunPhase(t *testing.T) {
 			name = "pool/list"
 		}
 		t.Run(name, func(t *testing.T) {
-			wa, fa, active, idle := activeWorld(p, stride, parallel)
-			defer wa.Close()
-			wd, fd, _, _ := activeWorld(p, stride, parallel)
-			defer wd.Close()
-			lst := maskList(active)
-			dense := func(rank int) {
-				if active[rank] {
-					fd(rank)
-				} else {
-					wd.Charge(rank, idle[rank])
-				}
-			}
-			for i := 0; i < rounds; i++ {
-				wa.RunPhaseActive(active, lst, idle, fa)
-				wd.RunPhase(dense)
-				for r := 0; r < p; r++ {
-					ia, id := wa.Inbox(r), wd.Inbox(r)
-					if len(ia) != len(id) {
-						t.Fatalf("round %d rank %d: %d landings active vs %d dense", i, r, len(ia), len(id))
+			atWidths(t, parallel, func(t *testing.T) {
+				wa, fa, active, idle := activeWorld(p, stride, parallel)
+				wd, fd, _, _ := activeWorld(p, stride, parallel)
+				lst := maskList(active)
+				dense := func(rank int) {
+					if active[rank] {
+						fd(rank)
+					} else {
+						wd.Charge(rank, idle[rank])
 					}
-					for k := range ia {
-						if ia[k].From != id[k].From || ia[k].Tag != id[k].Tag {
-							t.Fatalf("round %d rank %d landing %d differs", i, r, k)
+				}
+				for i := 0; i < rounds; i++ {
+					wa.RunPhaseActive(active, lst, idle, fa)
+					wd.RunPhase(dense)
+					for r := 0; r < p; r++ {
+						ia, id := wa.Inbox(r), wd.Inbox(r)
+						if len(ia) != len(id) {
+							t.Fatalf("round %d rank %d: %d landings active vs %d dense", i, r, len(ia), len(id))
+						}
+						for k := range ia {
+							if ia[k].From != id[k].From || ia[k].Tag != id[k].Tag {
+								t.Fatalf("round %d rank %d landing %d differs", i, r, k)
+							}
 						}
 					}
 				}
-			}
-			if sa, sd := wa.Stats(), wd.Stats(); sa != sd {
-				t.Errorf("stats differ:\nactive %+v\ndense  %+v", sa, sd)
-			}
+				if sa, sd := wa.Stats(), wd.Stats(); sa != sd {
+					t.Errorf("stats differ:\nactive %+v\ndense  %+v", sa, sd)
+				}
+			})
 		})
 	}
 }
@@ -113,9 +113,7 @@ func TestRunPhaseActiveMatchesRunPhase(t *testing.T) {
 func TestRunPhaseActiveFullMaskIsRunPhase(t *testing.T) {
 	const p = 32
 	wa, fa, _, _ := activeWorld(p, 1, false)
-	defer wa.Close()
 	wd, fd, _, _ := activeWorld(p, 1, false)
-	defer wd.Close()
 	all := make([]bool, p)
 	for r := range all {
 		all[r] = true
@@ -139,20 +137,20 @@ func stragglerPlan() *FaultPlan {
 }
 
 // TestActiveAllocGate is the executing guard of the runtime's promise that
-// a steady-state phase allocates nothing, on both engines, for the
-// shapes a barrier-scheduled phase takes:
+// a steady-state phase allocates nothing, inline and at every pool width,
+// for the shapes a phase takes:
 //
 //   - ActivePhase: one RunPhaseActive with 1 rank in 16 active. The
-//     membership mask and idle vector ride through phaseWork by value and
-//     the skip path is a bool load plus a float add — the property that
-//     lets paper-scale runs step in O(active work).
+//     membership mask and idle vector ride on the world and the skip path
+//     is a bool load plus a float add — the property that lets paper-scale
+//     runs step in O(active work).
 //   - DensePhase: one RunPhase whose body calls Inbox, Put and Charge on
 //     every rank; staging and window buffers keep their capacity.
 //   - StragglerPhase: the dense phase under a straggler-only fault plan
 //     (the cost model consults the plan per rank at the boundary).
-//   - ResetThenPhase: World.Reset on an open world, then the dense phase —
-//     Reset keeps every buffer's capacity (and a running pool), so a world
-//     rewound for its next run costs no allocation.
+//   - ResetThenPhase: World.Reset, then the dense phase — Reset keeps
+//     every buffer's capacity, so a world rewound for its next run costs
+//     no allocation.
 func TestActiveAllocGate(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		name := "seq"
@@ -160,37 +158,36 @@ func TestActiveAllocGate(t *testing.T) {
 			name = "pool"
 		}
 		t.Run(name, func(t *testing.T) {
-			wa, fa, active, idle := activeWorld(256, 16, parallel)
-			defer wa.Close()
-			lst := maskList(active)
-			wd, fd, _, _ := activeWorld(256, 1, parallel)
-			defer wd.Close()
-			ws, fs, _, _ := activeWorld(256, 1, parallel)
-			defer ws.Close()
-			ws.InstallFaults(stragglerPlan())
-			for _, op := range []struct {
-				name string
-				f    func()
-			}{
-				{"ActivePhase", func() {
-					wa.RunPhaseActive(active, lst, idle, fa)
-					_ = wa.LiveInboxes() // what the dmem driver reads at every boundary
-				}},
-				{"DensePhase", func() { wd.RunPhase(fd) }},
-				{"StragglerPhase", func() { ws.RunPhase(fs) }},
-				{"ResetThenPhase", func() {
-					wd.Reset(wd.Model)
-					wd.Parallel = parallel
-					wd.RunPhase(fd)
-				}},
-			} {
-				for i := 0; i < 4; i++ { // warm staging rings, window buffers, pool
-					op.f()
+			atWidths(t, parallel, func(t *testing.T) {
+				wa, fa, active, idle := activeWorld(256, 16, parallel)
+				lst := maskList(active)
+				wd, fd, _, _ := activeWorld(256, 1, parallel)
+				ws, fs, _, _ := activeWorld(256, 1, parallel)
+				ws.InstallFaults(stragglerPlan())
+				for _, op := range []struct {
+					name string
+					f    func()
+				}{
+					{"ActivePhase", func() {
+						wa.RunPhaseActive(active, lst, idle, fa)
+						_ = wa.LiveInboxes() // what the dmem driver reads at every boundary
+					}},
+					{"DensePhase", func() { wd.RunPhase(fd) }},
+					{"StragglerPhase", func() { ws.RunPhase(fs) }},
+					{"ResetThenPhase", func() {
+						wd.Reset(wd.Model)
+						wd.Parallel = parallel
+						wd.RunPhase(fd)
+					}},
+				} {
+					for i := 0; i < 4; i++ { // warm staging rings, window buffers, the region descriptor
+						op.f()
+					}
+					if got := testing.AllocsPerRun(50, op.f); got != 0 {
+						t.Errorf("%s allocates %.1f allocs/op in steady state, want 0", op.name, got)
+					}
 				}
-				if got := testing.AllocsPerRun(50, op.f); got != 0 {
-					t.Errorf("%s allocates %.1f allocs/op in steady state, want 0", op.name, got)
-				}
-			}
+			})
 		})
 	}
 }
@@ -200,7 +197,6 @@ func BenchmarkActivePhases(b *testing.B) {
 		for _, stride := range []int{1, 16} {
 			b.Run(fmt.Sprintf("P=%d/active=1in%d", p, stride), func(b *testing.B) {
 				w, f, active, idle := activeWorld(p, stride, false)
-				defer w.Close()
 				lst := maskList(active)
 				w.RunPhaseActive(active, lst, idle, f)
 				w.RunPhaseActive(active, lst, idle, f)

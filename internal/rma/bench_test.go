@@ -19,7 +19,6 @@ func runPhaseBench(b *testing.B, p int, parallel bool) {
 	b.Helper()
 	w := NewWorld(p, DefaultCostModel())
 	w.Parallel = parallel
-	defer w.Close()
 
 	// Persistent per-(rank,direction) payloads, as the solvers keep them.
 	payloads := make([][2]benchPayload, p)

@@ -12,12 +12,10 @@ package rma
 // allow).
 //
 // Every random decision is drawn from a plan-owned splitmix64 PRNG inside
-// deliver(), which runs on the calling goroutine after the phase barrier on
-// both engines — so a chaos run is bit-reproducible from FaultPlan.Seed and
-// identical on the sequential and worker-pool engines (asserted by the
-// chaos engine-equivalence tests). No math/rand global state is touched.
-
-import "sync/atomic"
+// deliver(), which runs on the calling goroutine after the phase barrier —
+// so a chaos run is bit-reproducible from FaultPlan.Seed and identical at
+// every execution width (asserted by the chaos engine-equivalence tests).
+// No math/rand global state is touched.
 
 // FaultPlan describes deterministic fault injection for a World. The zero
 // value injects nothing. Install it with World.InstallFaults before the
@@ -48,32 +46,9 @@ type FaultPlan struct {
 	// transient cost spike (OS noise, a page fault storm): the rank's cost
 	// multiplier for that phase alone is scaled by phaseSpikeMult. Spikes
 	// are decided by a counter-indexed hash of (Seed, rank, phase) — no
-	// PRNG stream is consumed, so the schedule is identical on every
-	// engine and independent of delivery order.
+	// PRNG stream is consumed, so the schedule is identical at every
+	// width and independent of delivery order.
 	StragglerPhaseProb float64
-	// SpinStragglers makes straggler slowdowns real on the host: the
-	// slowed rank's worker busy-spins in proportion to the extra simulated
-	// compute it was charged, so wall-clock scaling studies observe the
-	// stall. Results and simulated time are unaffected.
-	SpinStragglers bool
-	// HostDelay, when non-nil, is invoked after a rank's phase function
-	// whenever its straggler multiplier exceeds 1, with the rank, phase,
-	// and multiplier. Callers inject a real blocking delay (for example
-	// time.Sleep, which the deterministic simulator core must not call
-	// itself) to emulate externally stalled ranks — an I/O hiccup or a
-	// descheduled process rather than extra compute. Unlike a CPU spin, a
-	// blocked rank frees its core, so on small hosts the wall-clock
-	// contrast between epoch disciplines is still observable. Results and
-	// simulated time are unaffected.
-	HostDelay func(rank int, phase int64, mult float64)
-	// HostWorkers overrides the worker-pool size while this plan is
-	// installed (0 keeps the GOMAXPROCS default). A rank blocked in
-	// HostDelay parks its whole worker, so wall-clock studies
-	// over-subscribe the pool to keep non-delayed ranks running —
-	// mirroring MPI, where every rank is its own process and one rank's
-	// stall never deschedules another. Results are bit-identical for
-	// every value.
-	HostWorkers int
 	// Pauses deschedules ranks for windows of phases.
 	Pauses []Pause
 }
@@ -117,8 +92,7 @@ func (m *Message) own() {
 // retainWindow takes ownership of a window that outlives its phase because
 // its rank is paused. It must run before any sender can start the phase in
 // which it rewrites the buffers these messages point into: on the driver
-// between phases (deliver), or before the paused rank publishes its epoch
-// (nbRunPhase).
+// between phases (deliver).
 func retainWindow(in []Message) {
 	for i := range in {
 		in[i].own()
@@ -158,7 +132,7 @@ type heldMsg struct {
 
 // chaosState is a World's private copy of an installed plan plus its
 // run state. All mutation happens in RunPhase/deliver on the calling
-// goroutine; workers only read pausedNow during a phase.
+// goroutine; phase chunks only read pausedNow.
 type chaosState struct {
 	plan FaultPlan
 	rng  prng
@@ -237,21 +211,13 @@ func (w *World) FaultsQuiescent() bool {
 	return len(ch.held) == 0 && w.phases >= ch.lastPause
 }
 
-// rngFree reports that the plan draws nothing from the sequential chaos
-// PRNG: no delays, duplicates, or reorders. Stragglers (constant and
-// per-phase spikes) and pauses are counter-indexed, not stream-drawn, so
-// an rngFree plan runs natively on the neighborhood-epoch scheduler.
-func (ch *chaosState) rngFree() bool {
-	return ch.plan.DelayProb <= 0 && ch.plan.DupProb <= 0 && ch.plan.ReorderProb <= 0
-}
-
 // phaseSpikeMult is the transient cost multiplier applied when a
 // StragglerPhaseProb spike hits a (rank, phase).
 const phaseSpikeMult = 8.0
 
 // spikeHash maps (seed, rank, phase) to a uniform [0,1) float with a
 // splitmix64 finalizer. Order-independent by construction: the same
-// triple gives the same draw no matter which engine asks, or when.
+// triple gives the same draw no matter which chunk asks, or when.
 func spikeHash(seed int64, p int, phase int64) float64 {
 	z := uint64(seed) ^ uint64(p)*0x9e3779b97f4a7c15 ^ uint64(phase)*0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -271,79 +237,20 @@ func (ch *chaosState) slowAt(p int, phase int64) float64 {
 	return m
 }
 
-// pausedAt reports whether rank p is descheduled in the given phase. Same
-// predicate markPaused evaluates, but indexed by (rank, phase) instead of
-// materializing a per-phase pausedNow slice — the neighborhood engine
-// asks per rank because ranks run different phases concurrently.
-func (ch *chaosState) pausedAt(p int, phase int64) bool {
+// markPaused refreshes pausedNow for the phase about to run.
+func (ch *chaosState) markPaused(phase int64) {
 	if !ch.anyPause {
-		return false
-	}
-	for _, pw := range ch.plan.Pauses {
-		if pw.Rank == p && phase >= int64(pw.From) && phase < int64(pw.To) {
-			return true
-		}
-	}
-	return false
-}
-
-// spinSink absorbs hostSpin's accumulator so the spin loop cannot be
-// optimized away; atomic because concurrent workers spin concurrently.
-var spinSink atomic.Uint64
-
-// hostSpin burns host CPU roughly proportional to the given flop count.
-// Pure wall-clock ballast for SpinStragglers: it touches no simulator
-// state, so results and simulated time are bit-identical with it on.
-func hostSpin(flops float64) {
-	n := int64(flops)
-	var acc uint64
-	for i := int64(0); i < n; i++ {
-		acc = acc*6364136223846793005 + 1442695040888963407
-	}
-	spinSink.Add(acc)
-}
-
-// hostStraggle realizes rank p's straggler multiplier for a phase in host
-// time: a CPU spin proportional to the extra simulated flops under
-// SpinStragglers, and/or the plan's HostDelay hook. It touches no
-// simulator state, so results and simulated time are bit-identical with
-// any combination enabled.
-func (ch *chaosState) hostStraggle(p int, phase int64, flops float64) {
-	if !ch.plan.SpinStragglers && ch.plan.HostDelay == nil {
 		return
 	}
-	m := ch.slowAt(p, phase)
-	if m <= 1 {
-		return
-	}
-	if ch.plan.SpinStragglers {
-		hostSpin((m - 1) * flops)
-	}
-	if ch.plan.HostDelay != nil {
-		ch.plan.HostDelay(p, phase, m)
-	}
-}
-
-// markPaused refreshes pausedNow for the phase about to run and reports
-// whether any rank is paused in it.
-func (ch *chaosState) markPaused(phase int64) bool {
-	if !ch.anyPause {
-		return false
-	}
-	for p := range ch.pausedNow {
-		ch.pausedNow[p] = false
-	}
-	any := false
+	clear(ch.pausedNow)
 	for _, pw := range ch.plan.Pauses {
 		if pw.Rank < 0 || pw.Rank >= len(ch.pausedNow) {
 			continue
 		}
 		if phase >= int64(pw.From) && phase < int64(pw.To) {
 			ch.pausedNow[pw.Rank] = true
-			any = true
 		}
 	}
-	return any
 }
 
 // fault decides the fate of one staged message at a delivery boundary.

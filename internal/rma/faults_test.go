@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -166,18 +167,16 @@ func TestPausedWindowRetainsAcrossPause(t *testing.T) {
 // even phases and read in odd ones (the two-epoch shape of Block Jacobi);
 // rank 1 is paused over its phase-1 read and the senders' phase-2 rewrite,
 // so when it resumes in phase 3 it must still see the values staged in
-// phase 0, followed by the phase-2 ones — on every engine.
+// phase 0, followed by the phase-2 ones — at every width.
 func TestPausedWindowOwnsItsPayloads(t *testing.T) {
 	const p = 4
-	for _, mode := range []string{"seq", "pool", "nbr"} {
+	for _, mode := range []string{"seq", "pool"} {
 		t.Run(mode, func(t *testing.T) {
 			w := NewWorld(p, CostModel{})
-			w.Parallel = mode != "seq"
-			if mode == "nbr" {
-				w.Sched = SchedNeighbor
-				w.SetNeighborhoods(ringNeighborhoods(p))
+			if mode == "pool" {
+				setWidth(t, 4)
+				w.Parallel = true
 			}
-			defer w.Close()
 			w.InstallFaults(&FaultPlan{Seed: 1, Pauses: []Pause{{Rank: 1, From: 1, To: 3}}})
 			bufs := make([][2]clonable, p)
 			for r := range bufs {
@@ -202,7 +201,9 @@ func TestPausedWindowOwnsItsPayloads(t *testing.T) {
 					}
 				}
 			}
-			w.RunPhases(fs...)
+			for _, f := range fs {
+				w.RunPhase(f)
+			}
 			want := []float64{0, 2, 200, 202}
 			if len(got) != len(want) {
 				t.Fatalf("rank 1 read %v, want %v", got, want)
@@ -247,7 +248,6 @@ func chaosRun(seed int64, parallel bool) ([][]int, Stats) {
 	const P = 8
 	w := NewWorld(P, DefaultCostModel())
 	w.Parallel = parallel
-	defer w.Close()
 	w.InstallFaults(chaosPlan(seed))
 	got := make([][]int, P)
 	for phase := 0; phase < 12; phase++ {
@@ -274,32 +274,24 @@ func chaosRun(seed int64, parallel bool) ([][]int, Stats) {
 }
 
 // TestChaosDeterministicAcrossEngines: identical FaultPlan seed ⇒ identical
-// observed message streams and stats on the sequential and worker-pool
-// engines, and across repeated runs.
+// observed message streams and stats with phases inline and on the pool at
+// every width, and across repeated runs.
 func TestChaosDeterministicAcrossEngines(t *testing.T) {
-	f := func(seed int64) bool {
-		seqGot, seqStats := chaosRun(seed, false)
-		for _, parallel := range []bool{false, true} {
-			got, stats := chaosRun(seed, parallel)
-			if stats != seqStats {
-				return false
-			}
-			for r := range got {
-				if len(got[r]) != len(seqGot[r]) {
+	atWidths(t, true, func(t *testing.T) {
+		f := func(seed int64) bool {
+			seqGot, seqStats := chaosRun(seed, false)
+			for _, parallel := range []bool{false, true} {
+				got, stats := chaosRun(seed, parallel)
+				if stats != seqStats || !reflect.DeepEqual(got, seqGot) {
 					return false
 				}
-				for i := range got[r] {
-					if got[r][i] != seqGot[r][i] {
-						return false
-					}
-				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestChaosActuallyInjects(t *testing.T) {
@@ -326,12 +318,11 @@ func TestInstallNilFaultsRemovesPlan(t *testing.T) {
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	// Sequential world: Close twice, no pool ever started.
 	w := NewWorld(4, CostModel{})
 	w.RunPhase(func(rank int) {})
 	w.Close()
 	w.Close()
-	// Parallel world with a live pool: Close twice must not panic or hang.
+	// The same after phases on the pool: Close twice must not panic or hang.
 	wp := NewWorld(4, CostModel{})
 	wp.Parallel = true
 	wp.RunPhase(func(rank int) {})
@@ -351,8 +342,6 @@ func TestPutAfterCloseFailsLoudly(t *testing.T) {
 }
 
 func TestRunPhaseAfterCloseFailsLoudly(t *testing.T) {
-	// The parallel engine is the dangerous case: before the closed check,
-	// phases after Close hung forever on the released workers.
 	w := NewWorld(4, CostModel{})
 	w.Parallel = true
 	w.RunPhase(func(rank int) {})

@@ -22,8 +22,7 @@ type resetTrace struct {
 }
 
 // resetScript drives one fixed sequence of Put / Charge / RunPhase /
-// RunPhaseActive / RunPhases on a ring of ranks (so it is valid under
-// SchedNeighbor with ringNeighborhoods) and records what it saw.
+// RunPhaseActive on a ring of ranks and records what it saw.
 func resetScript(w *World, seed int64) resetTrace {
 	p := w.P
 	tr := resetTrace{seen: make([][]int64, p)}
@@ -57,16 +56,8 @@ func resetScript(w *World, seed int64) resetTrace {
 	for ; phase < 7; phase++ {
 		w.RunPhaseActive(active, list, idle, body)
 	}
-	for ; phase < 13; phase += 2 {
-		second := phase + 1
-		w.RunPhases(body, func(rank int) {
-			// Ranks pipeline inside a neighborhood group: the shared phase
-			// variable cannot tell them which epoch they are in.
-			for _, m := range w.Inbox(rank) {
-				tr.seen[rank] = append(tr.seen[rank], int64(m.From)*1_000_000+m.Payload.(int64))
-			}
-			w.Put(rank, (rank+1)%p, TagSolve, 8, int64(second))
-		})
+	for ; phase < 13; phase++ {
+		w.RunPhase(body)
 	}
 	tr.live = append(tr.live, w.LiveInboxes()...)
 	tr.stats, tr.phases, tr.now = w.Stats(), w.PhaseIndex(), w.Now()
@@ -75,22 +66,21 @@ func resetScript(w *World, seed int64) resetTrace {
 }
 
 // dirtyWorld returns a world that has run a different sequence under every
-// optional subsystem — neighborhood groups, the pool, a chaos plan with
-// messages still held back, a tracer, a baseline moved by ResetStats, a put
-// left in staging — and was then closed.
+// optional subsystem — the pool, a chaos plan with messages still held
+// back, a tracer, a put left in staging — and was then closed.
 func dirtyWorld(t *testing.T, p int, rec *obs.Recorder) *World {
 	t.Helper()
 	w := NewWorld(p, CostModel{Alpha: 3, Beta: 0.5, Gamma: 0.25})
-	w.Parallel, w.Sched = true, SchedNeighbor
-	w.SetNeighborhoods(ringNeighborhoods(p))
+	w.Parallel = true
 	send := func(rank int) {
 		_ = w.Inbox(rank)
 		w.Put(rank, (rank+1)%p, TagSolve, 24, int64(rank))
 		w.Put(rank, (rank+p-1)%p, TagResidual, 8, int64(-rank))
 		w.Charge(rank, 7)
 	}
-	w.RunPhases(send, send, send)
-	w.ResetStats()
+	for i := 0; i < 3; i++ {
+		w.RunPhase(send)
+	}
 	w.InstallFaults(&FaultPlan{Seed: 99, DelayProb: 0.6, DelayMax: 4, DupProb: 0.3, ReorderProb: 0.5,
 		Pauses: []Pause{{Rank: 2, From: 4, To: 1000}}})
 	w.SetTracer(rec)
@@ -106,85 +96,84 @@ func dirtyWorld(t *testing.T, p int, rec *obs.Recorder) *World {
 }
 
 // TestResetIsAFreshWorld: a world that ran something else, was closed and
-// Reset, is indistinguishable from NewWorld — same windows in the same
-// order, same counters, SimTime to the bit — on every engine, under a fault
-// plan, and it keeps nothing of its previous run.
+// Reset, is indistinguishable from a NewWorld running inline — same windows
+// in the same order, same counters, SimTime to the bit — inline and at
+// every pool width, under a fault plan, and it keeps nothing of its
+// previous run.
 func TestResetIsAFreshWorld(t *testing.T) {
 	const p = 9
 	model := DefaultCostModel()
 	chaos := &FaultPlan{Seed: 5, DelayProb: 0.3, DelayMax: 3, DupProb: 0.2, ReorderProb: 0.5,
 		Stragglers: map[int]float64{2: 3}, Pauses: []Pause{{Rank: 1, From: 2, To: 5}, {Rank: 5, From: 7, To: 9}}}
 	for _, tc := range []struct {
-		name      string
-		configure func(w *World)
+		name     string
+		parallel bool
+		faults   *FaultPlan
 	}{
-		{"seq", func(w *World) {}},
-		{"pool", func(w *World) { w.Parallel = true }},
-		{"neighbor", func(w *World) {
-			w.Parallel, w.Sched = true, SchedNeighbor
-			w.SetNeighborhoods(ringNeighborhoods(p))
-		}},
-		{"chaos", func(w *World) { w.InstallFaults(chaos) }},
-		{"chaos/pool", func(w *World) { w.Parallel = true; w.InstallFaults(chaos) }},
+		{"seq", false, nil},
+		{"pool", true, nil},
+		{"chaos", false, chaos},
+		{"chaos/pool", true, chaos},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fresh := NewWorld(p, model)
-			tc.configure(fresh)
-			want := resetScript(fresh, 11)
-			fresh.Close()
+			atWidths(t, tc.parallel, func(t *testing.T) {
+				fresh := NewWorld(p, model)
+				fresh.InstallFaults(tc.faults)
+				want := resetScript(fresh, 11) // width 1: phases inline
 
-			rec := obs.NewRecorder(p)
-			w := dirtyWorld(t, p, rec)
-			w.Reset(model)
-			events := len(rec.Events())
-			if w.Tracer() != nil || w.InFlight() != 0 || !w.FaultsQuiescent() || w.WaitTally() != nil {
-				t.Errorf("after Reset: tracer %v, %d in flight, quiescent %v, wait tally %v",
-					w.Tracer(), w.InFlight(), w.FaultsQuiescent(), w.WaitTally())
-			}
-			if w.Parallel || w.Sched != SchedBarrier || w.Stats() != (Stats{}) || w.Now() != 0 || w.PhaseIndex() != 0 || len(w.LiveInboxes()) != 0 {
-				t.Errorf("after Reset: parallel %v sched %v stats %+v now %g phase %d live %v",
-					w.Parallel, w.Sched, w.Stats(), w.Now(), w.PhaseIndex(), w.LiveInboxes())
-			}
-			for r := 0; r < p; r++ {
-				if len(w.inbox[r]) != 0 || len(w.staged[r]) != 0 {
-					t.Errorf("rank %d: %d window and %d staging entries survive Reset", r, len(w.inbox[r]), len(w.staged[r]))
+				rec := obs.NewRecorder(p)
+				w := dirtyWorld(t, p, rec)
+				w.Reset(model)
+				events := len(rec.Events())
+				if w.Tracer() != nil || w.InFlight() != 0 || !w.FaultsQuiescent() {
+					t.Errorf("after Reset: tracer %v, %d in flight, quiescent %v",
+						w.Tracer(), w.InFlight(), w.FaultsQuiescent())
 				}
-				for _, buf := range [][]Message{w.inbox[r][:cap(w.inbox[r])], w.staged[r][:cap(w.staged[r])]} {
-					for i := range buf {
-						if buf[i].Payload != nil {
-							t.Fatalf("rank %d: slot %d still holds payload %v after Reset", r, i, buf[i].Payload)
+				if w.Parallel || w.Stats() != (Stats{}) || w.Now() != 0 || w.PhaseIndex() != 0 || len(w.LiveInboxes()) != 0 {
+					t.Errorf("after Reset: parallel %v stats %+v now %g phase %d live %v",
+						w.Parallel, w.Stats(), w.Now(), w.PhaseIndex(), w.LiveInboxes())
+				}
+				for r := 0; r < p; r++ {
+					if len(w.inbox[r]) != 0 || len(w.staged[r]) != 0 {
+						t.Errorf("rank %d: %d window and %d staging entries survive Reset", r, len(w.inbox[r]), len(w.staged[r]))
+					}
+					for _, buf := range [][]Message{w.inbox[r][:cap(w.inbox[r])], w.staged[r][:cap(w.staged[r])]} {
+						for i := range buf {
+							if buf[i].Payload != nil {
+								t.Fatalf("rank %d: slot %d still holds payload %v after Reset", r, i, buf[i].Payload)
+							}
 						}
 					}
 				}
-			}
-			tc.configure(w)
-			got := resetScript(w, 11) // Put and the phases must not panic on the reopened world
-			w.Close()
-			if len(rec.Events()) != events {
-				t.Errorf("dropped tracer still received %d events after Reset", len(rec.Events())-events)
-			}
+				w.Parallel = tc.parallel
+				w.InstallFaults(tc.faults)
+				got := resetScript(w, 11) // Put and the phases must not panic on the reopened world
+				if len(rec.Events()) != events {
+					t.Errorf("dropped tracer still received %d events after Reset", len(rec.Events())-events)
+				}
 
-			if math.Float64bits(got.stats.SimTime) != math.Float64bits(want.stats.SimTime) || math.Float64bits(got.now) != math.Float64bits(want.now) {
-				t.Errorf("SimTime/Now %v/%v, want %v/%v", got.stats.SimTime, got.now, want.stats.SimTime, want.now)
-			}
-			gs, ws := reflect.ValueOf(got.stats), reflect.ValueOf(want.stats)
-			for i := 0; i < gs.NumField(); i++ {
-				if name := gs.Type().Field(i).Name; name != "SimTime" && gs.Field(i).Int() != ws.Field(i).Int() {
-					t.Errorf("Stats.%s = %d, want %d", name, gs.Field(i).Int(), ws.Field(i).Int())
+				if math.Float64bits(got.stats.SimTime) != math.Float64bits(want.stats.SimTime) || math.Float64bits(got.now) != math.Float64bits(want.now) {
+					t.Errorf("SimTime/Now %v/%v, want %v/%v", got.stats.SimTime, got.now, want.stats.SimTime, want.now)
 				}
-			}
-			if got.phases != want.phases || got.inFlight != want.inFlight || got.quiescent != want.quiescent {
-				t.Errorf("phases/inFlight/quiescent %d/%d/%v, want %d/%d/%v",
-					got.phases, got.inFlight, got.quiescent, want.phases, want.inFlight, want.quiescent)
-			}
-			if !reflect.DeepEqual(got.live, want.live) {
-				t.Errorf("LiveInboxes %v, want %v", got.live, want.live)
-			}
-			for r := range want.seen {
-				if !reflect.DeepEqual(got.seen[r], want.seen[r]) {
-					t.Errorf("rank %d read\n%v, want\n%v", r, got.seen[r], want.seen[r])
+				gs, ws := reflect.ValueOf(got.stats), reflect.ValueOf(want.stats)
+				for i := 0; i < gs.NumField(); i++ {
+					if name := gs.Type().Field(i).Name; name != "SimTime" && gs.Field(i).Int() != ws.Field(i).Int() {
+						t.Errorf("Stats.%s = %d, want %d", name, gs.Field(i).Int(), ws.Field(i).Int())
+					}
 				}
-			}
+				if got.phases != want.phases || got.inFlight != want.inFlight || got.quiescent != want.quiescent {
+					t.Errorf("phases/inFlight/quiescent %d/%d/%v, want %d/%d/%v",
+						got.phases, got.inFlight, got.quiescent, want.phases, want.inFlight, want.quiescent)
+				}
+				if !reflect.DeepEqual(got.live, want.live) {
+					t.Errorf("LiveInboxes %v, want %v", got.live, want.live)
+				}
+				for r := range want.seen {
+					if !reflect.DeepEqual(got.seen[r], want.seen[r]) {
+						t.Errorf("rank %d read\n%v, want\n%v", r, got.seen[r], want.seen[r])
+					}
+				}
+			})
 		})
 	}
 }

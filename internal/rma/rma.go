@@ -8,20 +8,20 @@
 // The simulator reproduces exactly this epoch structure: a phase runs every
 // rank's local code, during which ranks Put messages toward target windows;
 // at the end of the phase all puts are delivered atomically, becoming
-// readable in the next phase. Delivery order is deterministic (sorted by
-// origin rank), and the sequential and worker-pool engines produce
-// bit-identical results.
+// readable in the next phase. Delivery order is deterministic (ascending
+// origin rank) and results are bit-identical for every execution width.
 //
-// Two engines execute a phase. The sequential engine runs ranks 0..P-1 in
-// order on the calling goroutine. The worker-pool engine (Parallel=true)
-// shards the ranks into contiguous chunks over a persistent pool of
-// GOMAXPROCS-bounded workers created on the first parallel phase and reused
-// across all subsequent phases — no per-phase goroutine spawning. Because a
-// rank's phase function touches only that rank's slots (staged puts,
-// counters) and messages become visible only at the phase boundary, the two
-// engines execute the same state machine and their results are
-// bit-identical (asserted by the engine-equivalence tests). Call Close when
-// done with a parallel world to release the workers.
+// One engine executes a phase: the ranks are cut into contiguous chunks and
+// the chunks run as one region on internal/parallel's pool — the shared
+// pool (parallel.Default, as wide as GOMAXPROCS) when Parallel is set, the
+// nil pool otherwise, whose Run is the same chunks inline on the calling
+// goroutine. The sequential engine is therefore width 1 of the same lines,
+// and this package starts no goroutine. Because a rank's phase function
+// touches only that rank's slots (staged puts, counters) and messages
+// become visible only at the phase boundary, every width executes the same
+// state machine (asserted by the engine-equivalence tests). A phase
+// function must not block: it occupies a slot of the pool the numerical
+// kernels share (DESIGN.md §9).
 //
 // The hot path is allocation-free at steady state: staged-put and inbox
 // slices keep their capacity across phases, delivery scratch is
@@ -30,7 +30,7 @@
 //
 // A seeded fault-injection plan (faults.go) can perturb delivery — delayed,
 // duplicated, and reordered landings, straggler cost multipliers, and rank
-// pauses — deterministically and identically on both engines, for the
+// pauses — deterministically and identically at every width, for the
 // robustness studies.
 //
 // The runtime also does the bookkeeping the paper reports: messages and
@@ -43,18 +43,26 @@ package rma
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"southwell/internal/obs"
+	"southwell/internal/parallel"
 )
 
 // ErrClosed is the panic value of Put and RunPhase on a closed World:
-// using a world after Close is a programming error that previously hung on
-// the released worker pool, so it now fails loudly instead.
+// using a world after Close is a programming error, and fails loudly.
 var ErrClosed = errors.New("rma: world used after Close")
+
+// Sched and its two values are accepted and ignored since PR 19, which
+// removed the neighborhood-epoch scheduler (DESIGN.md §13): every phase
+// ends in the one global barrier. They exist only because benchmarks/e2e
+// names them, and go with its ds_nbr_mc variant in the next benchmark PR.
+type Sched uint8
+
+const (
+	SchedBarrier Sched = iota
+	SchedNeighbor
+)
 
 // Tag classifies a message for the communication-cost breakdown.
 type Tag int
@@ -106,12 +114,7 @@ type Message struct {
 type World struct {
 	P        int
 	Model    CostModel
-	Parallel bool // run phases on the persistent worker pool
-	// Sched selects the epoch-completion discipline for RunPhases groups:
-	// SchedBarrier (default, MPI_Win_fence-like global barrier) or
-	// SchedNeighbor (PSCW-like per-neighborhood completion; requires
-	// SetNeighborhoods and Parallel — see sched.go).
-	Sched Sched
+	Parallel bool // run phases on parallel.Default() instead of inline
 
 	inbox  [][]Message // readable this phase
 	staged [][]Message // staged[from]: puts issued this phase
@@ -132,15 +135,6 @@ type World struct {
 	arena   []Message  // unassigned first chunks, see firstChunk
 	arenaMu sync.Mutex // Put reaches firstChunk from concurrent phase functions
 
-	// fastActive/fastList/fastIdle hold the membership mask, the ascending
-	// member list, and the idle-charge vector of an active-subset phase in
-	// flight (RunPhaseActive). They are set only when no fault plan or
-	// tracer is installed: deliver then dispatches to deliverActive,
-	// activeRange walks the list instead of the mask, and the idle compute
-	// cost folds into the phase maximum analytically.
-	fastActive []bool
-	fastList   []int32
-	fastIdle   []float64
 	// idleMax cache: max over an idle vector, keyed by slice identity —
 	// one O(P) scan per distinct vector per run instead of per phase.
 	idleMaxVec []float64
@@ -152,12 +146,6 @@ type World struct {
 	phases     int64
 	delivered  int64
 
-	// base is the Stats snapshot taken by ResetStats. The raw counters
-	// above are monotone for the life of the world (the trace clock and
-	// the SimTime-monotone invariant depend on that); Stats subtracts the
-	// baseline instead of the counters ever being rewound.
-	base Stats
-
 	// trace, when non-nil, receives structured events (obs package). All
 	// emits are guarded by a nil check so the disabled path is free; an
 	// event for rank p is emitted from p's phase function or from the
@@ -166,38 +154,26 @@ type World struct {
 
 	// chaos, when non-nil, is the installed fault-injection state (see
 	// faults.go). All chaos decisions are made in deliver on the calling
-	// goroutine, keeping both engines bit-identical.
+	// goroutine, keeping every width bit-identical.
 	chaos *chaosState
 
-	// Worker pool, created lazily on the first parallel phase. Each worker
-	// owns a contiguous chunk of ranks and blocks on its own work channel;
-	// RunPhase broadcasts the phase function and waits on the barrier.
-	poolOnce  sync.Once
-	workers   []chan phaseWork
-	barrier   sync.WaitGroup
-	stop      chan struct{}
-	closeOnce sync.Once
-	// closed is atomic because Close may run concurrently with workers
-	// parked inside an in-flight neighborhood group (the release path of
-	// Close under SchedNeighbor); Put/RunPhase read it on every call.
-	closed atomic.Bool
+	// The phase in flight (active.go): task is the one region descriptor,
+	// bound once to runChunk; the rest are the phase's arguments, set by
+	// RunPhaseActive before the region opens, read by every chunk and by
+	// the boundary, and dropped when it returns.
+	task    parallel.Task
+	chunks  int
+	f       func(rank int)
+	active  []bool    // nil: every rank runs f
+	actList []int32   // the ranks with active[p] set, ascending
+	idle    []float64 // per-rank flop charge for skipped, unpaused ranks
+	// fast: an active subset with no fault plan or tracer installed.
+	// activeRange then walks actList instead of the mask, deliver
+	// dispatches to deliverActive, and the idle compute cost folds into the
+	// phase maximum analytically.
+	fast bool
 
-	// Neighborhood scheduler (sched.go), nil until SetNeighborhoods.
-	nb       *nbState
-	nbActive bool            // a neighborhood group is executing: Put routes to nbPut
-	nbNotify []chan struct{} // per-worker wakeup slots (cap 1)
-	nbParks  []int64         // per-worker park counts (wait tally)
-}
-
-// phaseWork is one unit broadcast to the worker pool: a single
-// barrier-synchronized phase function f (over all ranks, or — when active
-// is non-nil — over the active subset with idle charging, see active.go),
-// or a whole neighborhood-epoch group g.
-type phaseWork struct {
-	f      func(int)
-	g      *nbGroup
-	active []bool    // non-nil: run f only where set (RunPhaseActive)
-	idle   []float64 // per-rank flop charge for skipped, unpaused ranks
+	closed bool
 }
 
 // NewWorld creates a world of p ranks with the given cost model.
@@ -214,6 +190,7 @@ func NewWorld(p int, model CostModel) *World {
 		recvBytes: make([]int64, p),
 		liveInbox: make([]int32, 0, p),
 	}
+	w.task.F = w.runChunk
 	return w
 }
 
@@ -249,15 +226,11 @@ func (w *World) firstChunk() []Message {
 // never copies payload contents; it drops its reference at the boundary
 // after the receiving phase — the last phase's windows at Reset.
 func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
-	if w.closed.Load() {
+	if w.closed {
 		panic(ErrClosed)
 	}
 	if to < 0 || to >= w.P {
 		panic(fmt.Sprintf("rma: Put target %d out of range (P=%d)", to, w.P))
-	}
-	if w.nbActive {
-		w.nbPut(from, to, tag, bytes, payload)
-		return
 	}
 	if cap(w.staged[from]) == 0 {
 		w.staged[from] = w.firstChunk()
@@ -292,9 +265,7 @@ func (w *World) Inbox(rank int) []Message {
 // LiveInboxes returns the ranks whose inbox is currently nonempty, in
 // first-landing order, so boundary scans over P ranks can instead walk the
 // handful of windows that were actually written. The slice is valid until
-// the next phase boundary and must not be mutated. Not maintained on the
-// neighborhood-scheduled (SchedNeighbor) delivery path, which assembles
-// windows per rank — callers there must scan Inbox directly.
+// the next phase boundary and must not be mutated.
 func (w *World) LiveInboxes() []int32 {
 	return w.liveInbox
 }
@@ -311,165 +282,37 @@ func (w *World) SetTracer(t obs.Tracer) { w.trace = t }
 func (w *World) Tracer() obs.Tracer { return w.trace }
 
 // Now returns the simulated clock: cumulative α-β-γ seconds since the
-// world was created. Unlike Stats().SimTime it is never rewound by
-// ResetStats, which is what makes it a valid trace timestamp.
+// world was created or last Reset. It only moves forward in between, which
+// is what makes it a valid trace timestamp.
 func (w *World) Now() float64 { return w.simTime }
 
-// PhaseIndex returns the number of completed phases since world creation
-// (also monotone across ResetStats).
+// PhaseIndex returns the number of completed phases since the world was
+// created or last Reset.
 func (w *World) PhaseIndex() int64 { return w.phases }
 
-// RunPhase executes one access epoch: f runs for every rank (sequentially,
-// or sharded over the persistent worker pool when w.Parallel is set), then
-// all staged puts are delivered and the phase's simulated time is
-// accounted. Both engines produce bit-identical results: f(p) may only
-// touch rank p's state, and cross-rank data moves exclusively through Put
-// at the phase boundary.
+// RunPhase executes one access epoch: f runs for every rank, then all
+// staged puts are delivered and the phase's simulated time is accounted.
+// It is RunPhaseActive with every rank active (active.go), so the width
+// (w.Parallel) and the contract are the same: f(p) may only touch rank p's
+// state, and cross-rank data moves exclusively through Put at the phase
+// boundary.
 func (w *World) RunPhase(f func(rank int)) {
-	if w.closed.Load() {
-		panic(ErrClosed)
-	}
-	if ch := w.chaos; ch != nil && ch.markPaused(w.phases) {
-		// Paused ranks are descheduled for this phase: their function does
-		// not run, and deliver leaves their windows (inboxes) intact so
-		// landed one-sided writes stay readable until they next execute.
-		inner := f
-		f = func(p int) {
-			if !ch.pausedNow[p] {
-				inner(p)
-			}
-		}
-	}
-	if ch := w.chaos; ch != nil && (ch.plan.SpinStragglers || ch.plan.HostDelay != nil) {
-		// Host-side straggling: burn real CPU and/or block on the slowed
-		// rank's worker in proportion to the extra simulated cost, so
-		// wall-clock studies see the stall the cost model charges. Paused
-		// ranks did not run, so they do not straggle (matching nbRunPhase).
-		// Results are unaffected.
-		inner := f
-		phase := w.phases
-		f = func(p int) {
-			inner(p)
-			if ch.pausedNow[p] {
-				return
-			}
-			ch.hostStraggle(p, phase, w.flops[p])
-		}
-	}
-	if w.Parallel && w.P > 1 {
-		w.poolOnce.Do(w.startPool)
-		w.barrier.Add(len(w.workers))
-		for _, ch := range w.workers {
-			ch <- phaseWork{f: f}
-		}
-		w.barrier.Wait()
-	} else {
-		for p := 0; p < w.P; p++ {
-			f(p)
-		}
-	}
-	w.deliver()
+	w.RunPhaseActive(nil, nil, nil, f)
 }
 
-// startPool creates the persistent workers: at most GOMAXPROCS goroutines
-// (or exactly FaultPlan.HostWorkers when the installed plan requests pool
-// over-subscription for blocking host delays), each owning a contiguous
-// chunk of ranks for its lifetime. Workers survive across phases (and
-// across solver steps) until Close.
-func (w *World) startPool() {
-	n := runtime.GOMAXPROCS(0)
-	if ch := w.chaos; ch != nil && ch.plan.HostWorkers > 0 {
-		n = ch.plan.HostWorkers
-	}
-	if n > w.P {
-		n = w.P
-	}
-	w.stop = make(chan struct{})
-	chunk := (w.P + n - 1) / n
-	for lo := 0; lo < w.P; lo += chunk {
-		hi := lo + chunk
-		if hi > w.P {
-			hi = w.P
-		}
-		id := len(w.workers)
-		ch := make(chan phaseWork, 1)
-		w.workers = append(w.workers, ch)
-		w.nbNotify = append(w.nbNotify, make(chan struct{}, 1))
-		w.nbParks = append(w.nbParks, 0)
-		// stop is captured, not read from w: a released worker may still be
-		// exiting when Reset reopens the world and clears the field.
-		go func(id, lo, hi int, ch <-chan phaseWork, stop <-chan struct{}) {
-			for {
-				select {
-				case pw := <-ch:
-					if pw.g != nil {
-						stopped := w.nbRunChunk(id, lo, hi, pw.g)
-						w.barrier.Done()
-						if stopped {
-							w.drainWorker(ch)
-							return
-						}
-					} else if pw.active != nil {
-						w.activeRange(lo, hi, pw.f, pw.active, pw.idle)
-						w.barrier.Done()
-					} else {
-						for p := lo; p < hi; p++ {
-							pw.f(p)
-						}
-						w.barrier.Done()
-					}
-				case <-stop:
-					w.drainWorker(ch)
-					return
-				}
-			}
-		}(id, lo, hi, ch, w.stop)
-	}
-}
-
-// drainWorker consumes any work broadcast concurrently with Close and
-// signals the barrier for it, so a driver racing Close on its way into a
-// phase blocks on barrier.Wait only until the drain — and then observes
-// closed and panics with ErrClosed instead of hanging.
-func (w *World) drainWorker(ch <-chan phaseWork) {
-	for {
-		select {
-		case <-ch:
-			w.barrier.Done()
-		default:
-			return
-		}
-	}
-}
-
-// Close releases the worker pool. It is safe to call multiple times and on
-// worlds that never ran a parallel phase. Close must not race with
-// RunPhase; under SchedNeighbor it additionally may be called (once the
-// pool exists) while a RunPhases group is in flight: workers parked on
-// neighborhood waits are released, every worker exits, and the blocked
-// RunPhases call panics with ErrClosed. After Close, Put, RunPhase, and
-// RunPhases panic with ErrClosed instead of hanging on the released
-// workers.
-func (w *World) Close() {
-	w.closeOnce.Do(func() {
-		w.closed.Store(true)
-		if w.stop != nil {
-			close(w.stop)
-		}
-	})
-}
+// Close marks the world finished: Put, RunPhase and RunPhaseActive panic
+// with ErrClosed afterwards. It is idempotent and releases nothing — a
+// world holds no goroutine — and, like Reset, must not race with a phase.
+func (w *World) Close() { w.closed = true }
 
 // Reset returns the world to what NewWorld(w.P, model) hands out while
 // keeping every buffer's capacity, so one world serves many runs. Clock and
-// counters are truly zeroed, not rebased as by ResetStats: a baseline
-// subtraction is not bit-identical in SimTime, and fault schedules are keyed
-// on the raw phase index. The tracer, fault plan and neighborhoods are
-// dropped, and every message still in a window or staging slot is zeroed, so
-// the world retains nothing of the finished run. A closed world is reopened
-// holding no goroutine (the pool restarts lazily); a pool still running is
-// kept. Must not race with a phase.
+// counters are zeroed (fault schedules are keyed on the phase index). The
+// tracer and fault plan are dropped, and every message still in a window or
+// staging slot is zeroed, so the world retains nothing of the finished run.
+// A closed world is reopened. Must not race with a phase.
 func (w *World) Reset(model CostModel) {
-	w.Model, w.Parallel, w.Sched = model, false, SchedBarrier
+	w.Model, w.Parallel = model, false
 	for p := range w.inbox {
 		// Slots past len were nil-ed when their phase was delivered.
 		clear(w.inbox[p])
@@ -482,16 +325,11 @@ func (w *World) Reset(model CostModel) {
 	clear(w.recvMsgs)
 	clear(w.recvBytes)
 	w.liveInbox = w.liveInbox[:0]
-	w.fastActive, w.fastList, w.fastIdle, w.idleMaxVec = nil, nil, nil, nil
-	w.simTime, w.phases, w.delivered, w.base = 0, 0, 0, Stats{}
+	w.idleMaxVec = nil
+	w.simTime, w.phases, w.delivered = 0, 0, 0
 	w.totalMsgs, w.totalBytes = [numTags]int64{}, [numTags]int64{}
-	w.trace, w.chaos, w.nb, w.nbActive = nil, nil, nil, false
-	clear(w.nbParks)
-	if w.closed.Load() {
-		w.workers, w.nbNotify, w.nbParks, w.stop = nil, nil, nil, nil
-		w.poolOnce, w.closeOnce = sync.Once{}, sync.Once{}
-		w.closed.Store(false)
-	}
+	w.trace, w.chaos = nil, nil
+	w.closed = false
 }
 
 // deliver moves staged puts into inboxes (deterministically ordered by
@@ -505,10 +343,10 @@ func (w *World) Reset(model CostModel) {
 // With a fault plan installed it additionally holds back, duplicates, and
 // reorders landings, retains the windows of paused ranks, and applies
 // straggler multipliers to the cost model — all decided here, on the
-// calling goroutine, so both engines see the same schedule.
+// calling goroutine, so every width sees the same schedule.
 func (w *World) deliver() {
 	ch := w.chaos
-	if ch == nil && w.trace == nil && w.fastActive != nil {
+	if w.fast {
 		w.deliverActive()
 		return
 	}
@@ -650,23 +488,6 @@ func (w *World) deliver() {
 			Phase: w.phases - 1,
 		})
 	}
-	if ch != nil {
-		// Chaos delivery is intentionally not origin-ordered (delays and
-		// reordering are the point); skip the order normalization below.
-		return
-	}
-	// Origin order is already deterministic because delivery iterates
-	// senders in ascending rank order; verify the invariant cheaply and
-	// only pay for a sort if a future change breaks it.
-	for p := range w.inbox {
-		in := w.inbox[p]
-		for i := 1; i < len(in); i++ {
-			if in[i].From < in[i-1].From {
-				sort.SliceStable(in, func(a, b int) bool { return in[a].From < in[b].From })
-				break
-			}
-		}
-	}
 }
 
 // idleMax returns max(idle), cached by slice identity: the engine reuses
@@ -716,7 +537,7 @@ func (w *World) deliverActive() {
 		w.inbox[p] = in[:0]
 	}
 	w.liveInbox = w.liveInbox[:0]
-	active, list, idle := w.fastActive, w.fastList, w.fastIdle
+	active, list, idle := w.active, w.actList, w.idle
 	// Only executing ranks can have staged puts (the RunPhaseActive
 	// contract: an inactive rank's phase sends nothing), and the list is
 	// ascending, so walking it preserves sender-order delivery.
@@ -755,17 +576,6 @@ func (w *World) deliverActive() {
 	}
 	w.simTime += maxCost
 	w.phases++
-	// Origin order is deterministic because delivery iterates senders in
-	// ascending rank order; verify cheaply over the written windows only.
-	for _, p := range w.liveInbox {
-		in := w.inbox[p]
-		for i := 1; i < len(in); i++ {
-			if in[i].From < in[i-1].From {
-				sort.SliceStable(in, func(a, b int) bool { return in[a].From < in[b].From })
-				break
-			}
-		}
-	}
 }
 
 // settle returns rank p's α-β-γ cost for the phase just run, with fl flops
@@ -861,9 +671,9 @@ func (s Stats) CommCost(p int) float64 {
 	return float64(s.TotalMsgs()) / float64(p)
 }
 
-// rawStats snapshots the monotone lifetime counters, ignoring any
-// ResetStats baseline.
-func (w *World) rawStats() Stats {
+// Stats returns a snapshot of the counters since world creation or the
+// last Reset.
+func (w *World) Stats() Stats {
 	s := Stats{
 		SimTime:    w.simTime,
 		Phases:     w.phases,
@@ -880,32 +690,4 @@ func (w *World) rawStats() Stats {
 		s.PausedRankPhases = ch.paused
 	}
 	return s
-}
-
-// Stats returns a snapshot of the counters since the last ResetStats (or
-// world creation).
-func (w *World) Stats() Stats {
-	s := w.rawStats()
-	b := w.base
-	s.SimTime -= b.SimTime
-	s.Phases -= b.Phases
-	s.SolveMsgs -= b.SolveMsgs
-	s.ResMsgs -= b.ResMsgs
-	s.SolveBytes -= b.SolveBytes
-	s.ResBytes -= b.ResBytes
-	s.Delivered -= b.Delivered
-	s.DelayedMsgs -= b.DelayedMsgs
-	s.DupMsgs -= b.DupMsgs
-	s.ReorderedBatches -= b.ReorderedBatches
-	s.PausedRankPhases -= b.PausedRankPhases
-	return s
-}
-
-// ResetStats restarts the Stats window (e.g. between a setup phase and a
-// measured solve). It moves the baseline rather than rewinding counters:
-// the internal clock stays monotone for the life of the world, so a
-// mid-run reset can never make trace timestamps — or a SimTime series read
-// through Stats after the reset — go backwards relative to each other.
-func (w *World) ResetStats() {
-	w.base = w.rawStats()
 }

@@ -1,10 +1,6 @@
 package rma
 
-import (
-	"testing"
-
-	"southwell/internal/obs"
-)
+import "testing"
 
 // TestCommCostGuard: a non-positive rank count must yield 0, never a NaN
 // or ±Inf that would poison a table cell downstream.
@@ -17,88 +13,5 @@ func TestCommCostGuard(t *testing.T) {
 	}
 	if got := s.CommCost(5); got != 2 {
 		t.Errorf("CommCost(5) = %g, want 2", got)
-	}
-}
-
-// TestResetStatsWindow: ResetStats moves the measurement baseline instead
-// of rewinding counters — the post-reset Stats window is exact, and the
-// world clock (Now, PhaseIndex) stays monotone across the reset so trace
-// timestamps can never go backwards.
-func TestResetStatsWindow(t *testing.T) {
-	w := NewWorld(2, CostModel{Alpha: 1, Beta: 1, Gamma: 1})
-	exchange := func(rank int) {
-		if rank == 0 {
-			w.Put(0, 1, TagSolve, 10, nil)
-		}
-		w.Charge(rank, 1)
-	}
-	w.RunPhase(exchange)
-	w.RunPhase(exchange)
-
-	before := w.Stats()
-	if before.SolveMsgs != 2 || before.Phases != 2 {
-		t.Fatalf("setup window: %+v", before)
-	}
-	clk, ph := w.Now(), w.PhaseIndex()
-	if clk != before.SimTime {
-		t.Fatalf("Now() %g disagrees with Stats.SimTime %g before any reset", clk, before.SimTime)
-	}
-
-	w.ResetStats()
-	if s := w.Stats(); s != (Stats{}) {
-		t.Fatalf("window not empty after reset: %+v", s)
-	}
-	if w.Now() != clk || w.PhaseIndex() != ph {
-		t.Fatalf("reset rewound the clock: Now %g->%g, phase %d->%d",
-			clk, w.Now(), ph, w.PhaseIndex())
-	}
-
-	w.RunPhase(exchange)
-	after := w.Stats()
-	if after.SolveMsgs != 1 || after.Phases != 1 || after.SolveBytes != 10 {
-		t.Errorf("post-reset window wrong: %+v", after)
-	}
-	if after.SimTime <= 0 {
-		t.Errorf("post-reset SimTime %g, want > 0", after.SimTime)
-	}
-	if w.Now() <= clk {
-		t.Errorf("clock not monotone across reset: %g then %g", clk, w.Now())
-	}
-}
-
-// TestResetStatsTraceMonotone: trace timestamps ride the lifetime clock,
-// so a mid-run ResetStats leaves the recorded event stream monotone.
-func TestResetStatsTraceMonotone(t *testing.T) {
-	rec := obs.NewRecorder(2)
-	w := NewWorld(2, CostModel{Alpha: 1})
-	w.SetTracer(rec)
-	exchange := func(rank int) {
-		if rank == 0 {
-			w.Put(0, 1, TagSolve, 8, nil)
-		}
-	}
-	w.RunPhase(exchange)
-	w.ResetStats()
-	w.RunPhase(exchange)
-	w.RunPhase(exchange)
-
-	lastTs := -1.0
-	lastPhase := int64(-1)
-	n := 0
-	for _, e := range rec.Events() {
-		if e.Kind != obs.KindPhase {
-			continue
-		}
-		n++
-		if e.Ts < lastTs {
-			t.Errorf("phase event Ts went backwards: %g after %g", e.Ts, lastTs)
-		}
-		if e.Phase <= lastPhase {
-			t.Errorf("phase index not increasing: %d after %d", e.Phase, lastPhase)
-		}
-		lastTs, lastPhase = e.Ts, e.Phase
-	}
-	if n != 3 {
-		t.Errorf("recorded %d phase events, want 3", n)
 	}
 }
