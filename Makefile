@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates bench-e2e verify bench clean
+.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates bench-e2e identity verify bench clean
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,36 @@ alloc-gates:
 #   go run ./benchmarks/e2e -compare A B
 bench-e2e:
 	$(GO) run ./benchmarks/e2e -seed 1
+
+# Output identity against another checkout (a refactor's acceptance check):
+#   make identity PARENT=/path/to/checkout-of-the-parent-commit
+# builds dsouthwell and benchtables from both trees, runs the fixed list of
+# CLI lines below in each and `cmp`s the outputs, stopping at the first
+# difference. Not part of verify: it needs a second checkout.
+IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
+IDENTITY_SOLVE = -mat msdoor -n 64 -sweep_max 15
+identity:
+	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<checkout of the parent commit>"; exit 2; }
+	@set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	$(GO) build -o $$out/new/ ./cmd/dsouthwell ./cmd/benchtables; \
+	(cd "$(PARENT)" && $(GO) build -o $$out/old/ ./cmd/dsouthwell ./cmd/benchtables); \
+	for line in \
+		"benchtables $(IDENTITY_TABLES)" \
+		"benchtables -active=false $(IDENTITY_TABLES)" \
+		"benchtables -par 8 -goroutines $(IDENTITY_TABLES)" \
+		"dsouthwell $(IDENTITY_SOLVE)" \
+		"dsouthwell $(IDENTITY_SOLVE) -par" \
+		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3" \
+		"dsouthwell $(IDENTITY_SOLVE) -loc_solver direct" \
+		"dsouthwell $(IDENTITY_SOLVE) -solver ps" \
+		"dsouthwell $(IDENTITY_SOLVE) -solver bj" \
+		"dsouthwell $(IDENTITY_SOLVE) -solver pb16"; \
+	do \
+		$$out/old/$$line >$$out/old.txt 2>&1 || echo "exit $$?" >>$$out/old.txt; \
+		$$out/new/$$line >$$out/new.txt 2>&1 || echo "exit $$?" >>$$out/new.txt; \
+		cmp $$out/old.txt $$out/new.txt || { echo "identity: DIFFERS: $$line"; exit 1; }; \
+		echo "identity: same: $$line"; \
+	done
 
 verify: build lint test race chaos-smoke partition-pin alloc-gates
 

@@ -3,7 +3,7 @@ package a
 
 import "internal/rma"
 
-// goodPayload mirrors dsSolvePayload: reference fields plus CloneMessage.
+// goodPayload mirrors dmem.payload: reference fields plus CloneMessage.
 type goodPayload struct {
 	deltas []float64
 	norm   float64

@@ -22,22 +22,21 @@ func benchStates(b testing.TB, n, ranks int) (*Layout, []*rankState) {
 		b.Fatal(err)
 	}
 	bb, x := problem.ZeroBSystem(a, 1)
-	st := newRunState(l)
+	st := newRunState(&Setup{Layout: l})
 	st.reset(bb, x, Config{}, stepSpec{})
 	return l, st.states
 }
 
 // relaxAndStage is the per-rank inner loop of every method: one local
 // Gauss-Seidel relaxation sweep plus the message-staging path (boundary
-// residual and delta collection toward every neighbor) that runs on every
-// relaxation.
+// residual and delta collection into every neighbor's solve body) that runs
+// on every relaxation.
 func relaxAndStage(rs *rankState) {
 	rs.zeroExtDelta()
 	rs.relaxSweep()
 	for j := range rs.rd.Nbrs {
-		d := rs.deltasFor(j)
-		bnd := rs.boundaryResiduals(j)
-		_, _ = d, bnd
+		rs.gatherDeltas(j, rs.solve[j].deltas)
+		rs.gatherBnd(j, rs.solve[j].bnd)
 	}
 }
 
@@ -52,7 +51,7 @@ func BenchmarkRelaxSweep(b *testing.B) {
 }
 
 // TestRelaxSweepAllocGate asserts what BenchmarkRelaxSweep only reports:
-// relaxSweep, deltasFor and boundaryResiduals write into per-rank and
+// relaxSweep, gatherDeltas and gatherBnd write into per-rank and
 // per-neighbor buffers sized at set-up, so the inner loop allocates
 // nothing, on every rank of the layout.
 func TestRelaxSweepAllocGate(t *testing.T) {

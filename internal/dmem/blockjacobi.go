@@ -2,20 +2,6 @@ package dmem
 
 import "southwell/internal/rma"
 
-// bjPayload carries the residual deltas one rank's sweep induces on a
-// neighbor's boundary rows.
-type bjPayload struct {
-	deltas []float64
-	slot   int32 // the sender's position in the receiver's Nbrs (RankData.SlotInNbr)
-}
-
-// CloneMessage deep-copies the payload for the fault layer: the sender
-// reuses deltas on its next sweep, so a delivery held back past that phase
-// must not alias it.
-func (pl *bjPayload) CloneMessage() any {
-	return &bjPayload{deltas: append([]float64(nil), pl.deltas...), slot: pl.slot}
-}
-
 // BlockJacobi runs Algorithm 1: every parallel step, every rank relaxes its
 // subdomain with one local Gauss-Seidel sweep ("hybrid Gauss-Seidel") and
 // writes boundary residual deltas to all neighbors; the step's epoch
@@ -23,9 +9,7 @@ func (pl *bjPayload) CloneMessage() any {
 // step, so residuals are exact at step boundaries.
 func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 	return solve(l, b, x, cfg, func(st *runState, step *int) stepSpec {
-		w, states, off := st.w, st.states, st.nbrOff
-		// Persistent payloads (payloadTable).
-		solvePl := payloadTable(st, 0, func(pl *bjPayload, slot int32) { pl.slot = slot })
+		w, states := st.w, st.states
 
 		// absorb drains rank p's window in any phase: deltas always applied,
 		// fault-injected duplicate landings skipped (a real duplicated
@@ -37,7 +21,7 @@ func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 				if m.Dup {
 					continue
 				}
-				pl := m.Payload.(*bjPayload)
+				pl := m.Payload.(*payload)
 				rs.applyDeltas(int(pl.slot), pl.deltas)
 			}
 		}
@@ -51,8 +35,8 @@ func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 			flops := rs.relaxLocal()
 			w.Charge(p, flops)
 			for j, q := range rs.rd.Nbrs {
-				pl := &solvePl[off[p]+j]
-				pl.deltas = rs.deltasFor(j)
+				pl := &rs.solve[j]
+				rs.gatherDeltas(j, pl.deltas)
 				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)), pl)
 			}
 		}

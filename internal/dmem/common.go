@@ -33,7 +33,7 @@ const (
 // rows a dense LU factor fits comfortably in cache and its branch-free
 // triangular solves beat the sparse solver's index-chasing, so sparse
 // bookkeeping is not worth carrying. Above it the choice falls to the
-// symbolic fill estimate (see newLocalFactor).
+// symbolic fill estimate (see factorShared).
 const autoDenseMax = 64
 
 // Config controls a distributed solve.

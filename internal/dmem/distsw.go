@@ -2,46 +2,6 @@ package dmem
 
 import "southwell/internal/rma"
 
-// dsSolvePayload is a Distributed Southwell relaxation message (Algorithm
-// 3, line 17): boundary residual deltas for the receiver, the sender's
-// boundary residual values (refreshing the receiver's ghost layer z), the
-// sender's exact new norm, and the sender's locally-improved estimate of
-// the receiver's norm (which the receiver stores in Γ̃).
-type dsSolvePayload struct {
-	deltas  []float64
-	bnd     []float64
-	norm    float64
-	estRecv float64
-	seq     int32 // sender sequence number (stale-estimate guard; see seqSeen)
-	slot    int32 // the sender's position in the receiver's Nbrs (RankData.SlotInNbr)
-}
-
-// CloneMessage deep-copies the payload for the fault layer: the sender
-// reuses deltas/bnd on its next relaxation, so a delivery held back past
-// that phase must not alias them.
-func (pl *dsSolvePayload) CloneMessage() any {
-	c := *pl
-	c.deltas = append([]float64(nil), pl.deltas...)
-	c.bnd = append([]float64(nil), pl.bnd...)
-	return &c
-}
-
-// dsResPayload is an explicit residual update (Algorithm 3, line 29), sent
-// only on deadlock risk: ghost refresh plus the two norms.
-type dsResPayload struct {
-	bnd     []float64
-	norm    float64
-	estRecv float64
-	seq     int32
-	slot    int32
-}
-
-func (pl *dsResPayload) CloneMessage() any {
-	c := *pl
-	c.bnd = append([]float64(nil), pl.bnd...)
-	return &c
-}
-
 // DistSWOptions are Distributed Southwell variants beyond the paper,
 // default-zero for the paper's algorithm.
 type DistSWOptions struct {
@@ -68,12 +28,7 @@ func DistributedSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 // DistributedSouthwellOpt is DistributedSouthwell with ablation options.
 func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWOptions) *Result {
 	return solve(l, b, x, cfg, func(st *runState, step *int) stepSpec {
-		w, states, off := st.w, st.states, st.nbrOff
-		// Persistent payloads (payloadTable). Explicit updates get their own
-		// per-neighbor structs: they are sent one phase after the solve
-		// messages, whose buffers are still in flight.
-		solvePl := payloadTable(st, 0, func(pl *dsSolvePayload, slot int32) { pl.slot = slot })
-		resPl := payloadTable(st, 1, func(pl *dsResPayload, slot int32) { pl.slot = slot })
+		w, states := st.w, st.states
 
 		// absorb drains rank p's window — callable from any phase. Residual
 		// deltas are always applied: they are additive and exact regardless of
@@ -92,9 +47,10 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 					continue
 				}
 				rs.gotMsg = true
-				switch pl := m.Payload.(type) {
-				case *dsSolvePayload:
-					j := int(pl.slot)
+				pl := m.Payload.(*payload)
+				j := int(pl.slot)
+				switch m.Tag {
+				case rma.TagSolve:
 					rs.applyDeltas(j, pl.deltas)
 					changed = true
 					if int64(pl.seq) < rs.seqSeen[j] {
@@ -102,10 +58,11 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 					}
 					rs.seqSeen[j] = int64(pl.seq)
 					// Crossing correction only when this rank itself relaxed
-					// this step and wrote to j (so lastSentNorm/sentBnd/extDelta
-					// describe this step's send). Fault-free this is exactly the
-					// phase-2 sentTo condition; under faults sentTo[j] can also
-					// mean an explicit update was sent, which has no crossing.
+					// this step and wrote to j (so lastSentNorm, solve[j].bnd
+					// and extDelta describe this step's send). Fault-free this
+					// is exactly the phase-2 sentTo condition; under faults
+					// sentTo[j] can also mean an explicit update was sent,
+					// which has no crossing.
 					if rs.relaxed && rs.sentTo[j] {
 						// Crossing relaxations: the sender's ghost refresh and
 						// norm predate this rank's own deltas to it, so re-apply
@@ -131,8 +88,7 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 						} else {
 							rs.gamma[j] = sqrtNonNeg(pl.norm*pl.norm + adj)
 							adjMine := 0.0
-							for k := range rs.rd.MyBnd[j] {
-								b0 := rs.sentBnd[j][k]
+							for k, b0 := range rs.solve[j].bnd {
 								nb := b0 + pl.deltas[k]
 								adjMine += nb*nb - b0*b0
 							}
@@ -143,8 +99,7 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 						rs.gamma[j] = pl.norm
 						rs.gammaTilde[j] = pl.estRecv
 					}
-				case *dsResPayload:
-					j := int(pl.slot)
+				case rma.TagResidual:
 					if int64(pl.seq) < rs.seqSeen[j] {
 						continue
 					}
@@ -169,13 +124,7 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 		phase1 := func(p int) {
 			absorb(p)
 			rs := states[p]
-			wins := rs.norm > 0
-			for j, q := range rs.rd.Nbrs {
-				if !winsOver(rs.norm, p, rs.gamma[j], q) {
-					wins = false
-					break
-				}
-			}
+			wins := rs.winsAll()
 			w.Charge(p, float64(rs.rd.Degree()))
 			traceDecision(w, *step, p, rs, wins)
 			if !wins {
@@ -200,13 +149,10 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 				w.Charge(p, 2*float64(len(rs.rd.BndExt[j])))
 				rs.gammaTilde[j] = rs.norm
 				rs.sentTo[j] = true
-				pl := &solvePl[off[p]+j]
-				pl.deltas = rs.deltasFor(j)
-				pl.bnd = rs.boundaryResiduals(j)
-				pl.norm = rs.norm
-				pl.estRecv = rs.gamma[j]
-				pl.seq = 2 * int32(*step)
-				rs.sentBnd[j] = pl.bnd
+				pl := &rs.solve[j]
+				rs.gatherDeltas(j, pl.deltas)
+				rs.gatherBnd(j, pl.bnd)
+				pl.norm, pl.estRecv, pl.seq = rs.norm, rs.gamma[j], 2*int32(*step)
 				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+len(pl.bnd)+2), pl)
 			}
 		}
@@ -237,11 +183,9 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 					traceResSend(w, *step, p, q, rs.gammaTilde[j], rs, refresh)
 					rs.gammaTilde[j] = rs.norm
 					rs.sentTo[j] = true
-					pl := &resPl[off[p]+j]
-					pl.bnd = rs.resBoundaryResiduals(j)
-					pl.norm = rs.norm
-					pl.estRecv = rs.gamma[j]
-					pl.seq = 2*int32(*step) + 1
+					pl := &rs.res[j]
+					rs.gatherBnd(j, pl.bnd)
+					pl.norm, pl.estRecv, pl.seq = rs.norm, rs.gamma[j], 2*int32(*step)+1
 					w.Put(p, q, rma.TagResidual, msgBytes(len(pl.bnd)+2), pl)
 				}
 			}

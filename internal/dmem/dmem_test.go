@@ -50,9 +50,6 @@ func TestLayoutExchangePlansMatch(t *testing.T) {
 				if rd.ExtGlob[e] != qd.Glob[qd.MyBnd[jq][k]] {
 					t.Fatalf("delta plan order mismatch %d->%d at %d", p, q, k)
 				}
-				if rd.BndExtLocalInNbr[j][k] != qd.MyBnd[jq][k] {
-					t.Fatalf("local index plan mismatch %d->%d at %d", p, q, k)
-				}
 			}
 			// My boundary rows toward q must be exactly q's ghost slots for
 			// me, in order.
@@ -62,9 +59,6 @@ func TestLayoutExchangePlansMatch(t *testing.T) {
 			for k, li := range rd.MyBnd[j] {
 				if rd.Glob[li] != qd.ExtGlob[qd.BndExt[jq][k]] {
 					t.Fatalf("ghost plan order mismatch %d->%d at %d", p, q, k)
-				}
-				if rd.MyBndExtInNbr[j][k] != qd.BndExt[jq][k] {
-					t.Fatalf("ghost slot plan mismatch %d->%d at %d", p, q, k)
 				}
 			}
 		}
@@ -84,6 +78,40 @@ func TestLayoutRejectsBadPartition(t *testing.T) {
 	allZero := make([]int, a.N)
 	if _, err := NewLayout(a, allZero, 2); err == nil {
 		t.Error("empty rank accepted")
+	}
+}
+
+// TestLayoutRejectsAsymmetricCoupling: NewLayout takes its matrix from
+// outside, and the exchange plans pair up only on a structurally symmetric
+// one. One hand-built matrix per check in addressRank.
+func TestLayoutRejectsAsymmetricCoupling(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+		part []int
+		want string
+	}{
+		{
+			// Row 0 reaches rank 1's row; nothing of rank 1 reaches rank 0.
+			name: "rank", part: []int{0, 1},
+			a:    &sparse.CSR{N: 2, RowPtr: []int{0, 2, 3}, Col: []int{0, 1, 1}, Val: []float64{1, 0.5, 1}},
+			want: "dmem: asymmetric coupling: rank 0 couples into rank 1 but not back",
+		},
+		{
+			// The ranks are mutual neighbors (0→2 and 3→1), but no entry is
+			// returned: rank 1 does not ghost row 0.
+			name: "row", part: []int{0, 0, 1, 1},
+			a: &sparse.CSR{N: 4, RowPtr: []int{0, 2, 3, 4, 6}, Col: []int{0, 2, 1, 2, 1, 3},
+				Val: []float64{1, 0.5, 1, 1, 0.5, 1}},
+			want: "dmem: asymmetric coupling: row 0 couples into rank 1 but not back",
+		},
+	} {
+		if err := tc.a.Validate(); err != nil {
+			t.Fatalf("%s: the test matrix itself is malformed: %v", tc.name, err)
+		}
+		if _, err := NewLayout(tc.a, tc.part, 2); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: NewLayout error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

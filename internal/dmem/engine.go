@@ -65,11 +65,22 @@ func (c Config) pinned(spec stepSpec) bool {
 
 // solve runs one method to completion on a run state (runstate.go): the one
 // parked on cfg.Setup, or a new one, parked again only on normal return — a
-// panic mid-solve leaves the slot empty.
+// panic mid-solve leaves the slot empty. Without a Setup the solve builds one
+// to throw away, so there is one source of run states and local factors. The
+// diagonal blocks of an SPD matrix are SPD, so a factorization failure there
+// means the input violated the library's documented preconditions — panic
+// rather than limp on.
 func solve(l *Layout, b, x []float64, cfg Config, build func(st *runState, step *int) stepSpec) *Result {
-	st := takeRunState(l, cfg)
+	s := cfg.Setup
+	if s == nil {
+		var err error
+		if s, err = NewSetup(l, cfg.Local); err != nil {
+			panic(err.Error())
+		}
+	}
+	st := s.takeRunState(l, cfg.Local)
 	res := st.run(b, x, cfg, build)
-	st.park(cfg.Setup)
+	st.park(s)
 	return res
 }
 
@@ -83,7 +94,6 @@ func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, ste
 	var step int
 	spec := build(st, &step)
 	st.reset(b, x, cfg, spec)
-	st.bindLocal(cfg)
 	res := &Result{Method: spec.name, P: l.P, N: l.A.N}
 	record(res, w, states, flatNorm(norms2), 0, 0, 0)
 	wd := newWatchdog(cfg, w)

@@ -65,8 +65,7 @@ type RankData struct {
 	NNZ    int // total off-diagonal entries, local + external
 
 	// External rows: remote rows coupled to this rank's rows.
-	ExtGlob  []int // global ids, ascending
-	ExtOwner []int // owner rank per ext row
+	ExtGlob []int // global ids, ascending
 
 	// Neighbors, ascending rank order. SlotInNbr[j] is this rank's own
 	// position in neighbor j's Nbrs: the index under which neighbor j files
@@ -74,18 +73,15 @@ type RankData struct {
 	Nbrs      []int
 	SlotInNbr []int32
 
-	// Exchange plans, all indexed by neighbor position in Nbrs:
+	// Exchange plans, both indexed by neighbor position in Nbrs and both in
+	// ascending global row order, so BndExt[j] here and MyBnd on neighbor j
+	// list the same rows in the same order (a message body needs no index).
 	// BndExt[j]: ext-row indices owned by neighbor j (the ghost layer z
-	// covers exactly these); BndExtLocalInNbr[j]: the local index of each
-	// such row inside neighbor j (for addressing residual deltas).
-	BndExt           [][]int
-	BndExtLocalInNbr [][]int
-	// MyBnd[j]: local rows of this rank that couple into neighbor j (the
-	// boundary points β whose residuals neighbor j ghosts);
-	// MyBndExtInNbr[j]: the ext-slot index of each such row inside
-	// neighbor j's ExtGlob.
-	MyBnd         [][]int
-	MyBndExtInNbr [][]int
+	// covers exactly these). MyBnd[j]: local rows of this rank that couple
+	// into neighbor j (the boundary points β whose residuals neighbor j
+	// ghosts).
+	BndExt [][]int
+	MyBnd  [][]int
 }
 
 // NewLayout distributes a (structurally symmetric) matrix over P ranks
@@ -128,9 +124,9 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	}
 	parallel.Default().Run(&build, nb)
 
-	// Second pass: cross-rank slot addressing (needs all ExtGlob built).
-	// Also per-rank independent; a rank records its first error and the
-	// lowest-rank error wins, keeping failures deterministic.
+	// Second pass: cross-rank slot addressing (needs every rank's Nbrs and
+	// ExtGlob built). Also per-rank independent; a rank records its first
+	// error and the lowest-rank error wins, keeping failures deterministic.
 	errs := make([]error, p)
 	var address parallel.Task
 	address.F = func(b int) {
@@ -147,8 +143,9 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	return l, nil
 }
 
-// addressRank resolves rank pr's exchange plans into its neighbors' local
-// and ext-slot index spaces.
+// addressRank finds rank pr's slot in each neighbor's Nbrs and checks that
+// every coupling is returned: the exchange plans pair up only on a
+// structurally symmetric matrix.
 func addressRank(l *Layout, pr int) error {
 	rd := l.Ranks[pr]
 	rd.SlotInNbr = make([]int32, len(rd.Nbrs))
@@ -159,18 +156,12 @@ func addressRank(l *Layout, pr int) error {
 			return fmt.Errorf("dmem: asymmetric coupling: rank %d couples into rank %d but not back", pr, q)
 		}
 		rd.SlotInNbr[j] = int32(slot)
-		rd.BndExtLocalInNbr[j] = make([]int, len(rd.BndExt[j]))
-		for k, e := range rd.BndExt[j] {
-			rd.BndExtLocalInNbr[j][k] = l.Local[rd.ExtGlob[e]]
-		}
-		rd.MyBndExtInNbr[j] = make([]int, len(rd.MyBnd[j]))
-		for k, li := range rd.MyBnd[j] {
+		for _, li := range rd.MyBnd[j] {
 			g := rd.Glob[li]
 			s := sort.SearchInts(qd.ExtGlob, g)
 			if s >= len(qd.ExtGlob) || qd.ExtGlob[s] != g {
 				return fmt.Errorf("dmem: asymmetric coupling: row %d couples into rank %d but not back", g, q)
 			}
-			rd.MyBndExtInNbr[j][k] = s
 		}
 	}
 	return nil
@@ -270,13 +261,11 @@ func buildRank(a *sparse.CSR, l *Layout, p int, sc *layoutScratch) *RankData {
 	}
 	sort.Ints(ext)
 	rd.ExtGlob = append(make([]int, 0, len(ext)), ext...)
-	rd.ExtOwner = make([]int, len(ext))
 	for e, g := range rd.ExtGlob {
 		pos[g] = int32(e)
-		rd.ExtOwner[e] = l.Part[g]
+		ext[e] = l.Part[g]
 	}
 	// Neighbor ranks: the sorted, deduplicated external owners.
-	copy(ext, rd.ExtOwner)
 	sort.Ints(ext)
 	nn := 0
 	for _, q := range ext {
@@ -288,12 +277,10 @@ func buildRank(a *sparse.CSR, l *Layout, p int, sc *layoutScratch) *RankData {
 	rd.Nbrs = append(make([]int, 0, nn), ext[:nn]...)
 	sc.ext = ext
 	rd.BndExt = make([][]int, nn)
-	rd.BndExtLocalInNbr = make([][]int, nn)
 	rd.MyBnd = make([][]int, nn)
-	rd.MyBndExtInNbr = make([][]int, nn)
 	extNbr := sc.extNbr[:0]
-	for e, q := range rd.ExtOwner {
-		j, _ := rd.NbrSlot(q)
+	for e, g := range rd.ExtGlob {
+		j, _ := rd.NbrSlot(l.Part[g])
 		extNbr = append(extNbr, int32(j))
 		rd.BndExt[j] = append(rd.BndExt[j], e)
 	}

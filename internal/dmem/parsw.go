@@ -2,36 +2,6 @@ package dmem
 
 import "southwell/internal/rma"
 
-// psSolvePayload is a relaxation message: boundary residual deltas with the
-// sender's new residual norm piggybacked (Algorithm 2, line 10).
-type psSolvePayload struct {
-	deltas []float64
-	norm   float64
-	seq    int32 // sender sequence number (stale-estimate guard; see seqSeen)
-	slot   int32 // the sender's position in the receiver's Nbrs (RankData.SlotInNbr)
-}
-
-// CloneMessage deep-copies the payload for the fault layer: the sender
-// reuses deltas on its next relaxation, so a delivery held back past that
-// phase must not alias it.
-func (pl *psSolvePayload) CloneMessage() any {
-	c := *pl
-	c.deltas = append([]float64(nil), pl.deltas...)
-	return &c
-}
-
-// psResPayload is an explicit residual-norm update (Algorithm 2, line 20).
-type psResPayload struct {
-	norm float64
-	seq  int32
-	slot int32
-}
-
-func (pl *psResPayload) CloneMessage() any {
-	c := *pl
-	return &c
-}
-
 // ParallelSouthwell runs the block form of Algorithm 2 over the simulated
 // one-sided runtime. Each parallel step has the algorithm's three phases:
 //
@@ -45,15 +15,28 @@ func (pl *psResPayload) CloneMessage() any {
 // Norms in Γ are therefore exact at every decision, making the method
 // mathematically identical to shared-memory block Parallel Southwell.
 func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
+	return parallelSouthwell(l, b, x, cfg, true)
+}
+
+// Piggyback2016 runs the 2016 precursor of Parallel Southwell (ref [18] of
+// the paper): Parallel Southwell without its announce phase. Residual norms
+// travel *only* piggybacked on relaxation messages; norm changes from
+// incoming deltas are never announced. When every rank's (stale) estimates
+// of its neighbors exceed its own norm, no rank relaxes and the state can
+// never change again: the method deadlocks, as the paper reports it does on
+// all test problems. The stagnation watchdog (common.go) stops the run at the
+// first such step and sets Result.Deadlocked.
+func Piggyback2016(l *Layout, b, x []float64, cfg Config) *Result {
+	return parallelSouthwell(l, b, x, cfg, false)
+}
+
+func parallelSouthwell(l *Layout, b, x []float64, cfg Config, announce bool) *Result {
 	return solve(l, b, x, cfg, func(st *runState, step *int) stepSpec {
-		w, states, off := st.w, st.states, st.nbrOff
-		// Persistent payloads (payloadTable).
-		solvePl := payloadTable(st, 0, func(pl *psSolvePayload, slot int32) { pl.slot = slot })
-		resPl := payloadTable(st, 1, func(pl *psResPayload, slot int32) { pl.slot = slot })
+		w, states := st.w, st.states
 
 		// absorb drains rank p's window in any phase: deltas are always applied
-		// (additive, exact regardless of arrival order), the piggybacked norm is
-		// taken only when at least as fresh as what was already absorbed, and
+		// (additive, exact regardless of arrival order), the norm is taken only
+		// when at least as fresh as what was already absorbed, and
 		// fault-injected duplicate landings are skipped (a real duplicated
 		// one-sided write is idempotent). Reduces to the paper's phase-2/phase-3
 		// reads on a perfect network.
@@ -64,20 +47,15 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 				if m.Dup {
 					continue
 				}
-				switch pl := m.Payload.(type) {
-				case *psSolvePayload:
-					j := int(pl.slot)
+				pl := m.Payload.(*payload)
+				j := int(pl.slot)
+				if m.Tag == rma.TagSolve {
 					rs.applyDeltas(j, pl.deltas)
 					changed = true
-					if int64(pl.seq) >= rs.seqSeen[j] {
-						rs.seqSeen[j] = int64(pl.seq)
-						rs.gamma[j] = pl.norm
-					}
-				case *psResPayload:
-					if j := int(pl.slot); int64(pl.seq) >= rs.seqSeen[j] {
-						rs.seqSeen[j] = int64(pl.seq)
-						rs.gamma[j] = pl.norm
-					}
+				}
+				if int64(pl.seq) >= rs.seqSeen[j] {
+					rs.seqSeen[j] = int64(pl.seq)
+					rs.gamma[j] = pl.norm
 				}
 			}
 			if changed {
@@ -90,13 +68,7 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 		phase1 := func(p int) {
 			absorb(p)
 			rs := states[p]
-			wins := rs.norm > 0
-			for j, q := range rs.rd.Nbrs {
-				if !winsOver(rs.norm, p, rs.gamma[j], q) {
-					wins = false
-					break
-				}
-			}
+			wins := rs.winsAll()
 			w.Charge(p, float64(rs.rd.Degree()))
 			traceDecision(w, *step, p, rs, wins)
 			if !wins {
@@ -109,28 +81,31 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 			rs.lastTold = rs.norm
 			w.Charge(p, flops+2*float64(rs.rd.M()))
 			for j, q := range rs.rd.Nbrs {
-				pl := &solvePl[off[p]+j]
-				pl.deltas = rs.deltasFor(j)
-				pl.norm = rs.norm
-				pl.seq = 2 * int32(*step)
+				pl := &rs.solve[j]
+				rs.gatherDeltas(j, pl.deltas)
+				pl.norm, pl.seq = rs.norm, 2*int32(*step)
 				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
 			}
 		}
-		// Phase 2: absorb writes; announce changed norms.
+		if !announce {
+			// No explicit residual update phase: this is the deadlock
+			// mechanism. The method promises no quiescence.
+			return stepSpec{name: "Piggyback 2016", phases: []func(int){phase1, absorb}}
+		}
+		// Phase 2: absorb writes; announce changed norms (Algorithm 2, line 20).
 		phase2 := func(p int) {
 			absorb(p)
 			rs := states[p]
 			// Bit-exact by design: any change at all to the norm since the
-			// last announcement must be broadcast (Algorithm 2, line 20) —
-			// a tolerance here would let stale Γ entries persist.
+			// last announcement must be broadcast — a tolerance here would let
+			// stale Γ entries persist.
 			if rs.norm != rs.lastTold { //dslint:ignore floatcmp
 
 				traceResSend(w, *step, p, -1, rs.lastTold, rs, false)
 				rs.lastTold = rs.norm
 				for j, q := range rs.rd.Nbrs {
-					pl := &resPl[off[p]+j]
-					pl.norm = rs.norm
-					pl.seq = 2*int32(*step) + 1
+					pl := &rs.res[j]
+					pl.norm, pl.seq = rs.norm, 2*int32(*step)+1
 					w.Put(p, q, rma.TagResidual, msgBytes(1), pl)
 				}
 			}

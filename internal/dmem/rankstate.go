@@ -15,11 +15,11 @@ type rankState struct {
 	z          []float64 // per ext row: ghost residual estimate (DS)
 	lastTold   float64   // last norm broadcast to neighbors (PS)
 	sentTo     []bool    // per neighbor: wrote to them in the last send phase
-	// Crossing-correction state (DS): the norm and boundary residuals this
-	// rank sent when it last relaxed, used to mirror the estimate a
-	// crossing neighbor computes from them (keeping Γ̃ exact; DESIGN.md §5).
+	// Crossing-correction state (DS): the norm this rank sent when it last
+	// relaxed; with the boundary residuals still in solve[j].bnd it mirrors the
+	// estimate a crossing neighbor computes from them (keeping Γ̃ exact;
+	// DESIGN.md §5).
 	lastSentNorm float64
-	sentBnd      [][]float64 // per neighbor: boundary residuals at send
 	// seqSeen is, per neighbor, the newest payload sequence number whose
 	// estimates were absorbed. Under fault injection a delayed message can
 	// arrive after fresher information; its residual deltas are still
@@ -44,26 +44,55 @@ type rankState struct {
 	// a rank that executed it; unused on a perfect network.
 	starveStamp int
 
-	// Persistent per-neighbor send buffers: message payloads point into
-	// these, so the steady-state message path allocates nothing. A buffer
-	// written in one phase is read by the receiver in the next phase and
-	// not reused before the phase after that (solve sends refill only on
-	// the next step's relax phase; explicit residual sends have their own
-	// buffer), so sender reuse never races with receiver reads.
-	sendDeltas [][]float64 // per neighbor: deltasFor output, len(BndExt[j])
-	sendBnd    [][]float64 // per neighbor: boundaryResiduals output, len(MyBnd[j])
-	resBnd     [][]float64 // per neighbor: explicit-update boundary residuals
+	// Message bodies, per neighbor — the send buffers themselves: a pointer
+	// to one crosses the simulated network, so the steady-state message path
+	// allocates nothing. A body written in one phase is read by the receiver
+	// in the next and not rewritten before the phase after that (solve bodies
+	// refill only on the next step's relax phase; explicit updates, sent one
+	// phase later while the solve body may still be in flight, have their
+	// own), so sender reuse never races with receiver reads.
+	solve []payload // relaxation messages: deltas and bnd bound
+	res   []payload // explicit residual updates: bnd bound
 
-	// direct, when non-nil, is the factorization of the local diagonal
-	// block used by LocalDirect/LocalAuto; dscratch is its solve buffer.
-	direct   localFactor
-	dscratch []float64
+	// direct, when f is non-nil, is the shared factorization of the local
+	// diagonal block (LocalDirect/LocalAuto) with this rank's private
+	// buffers: d receives the solve, scratch is the factor's workspace.
+	direct struct {
+		f          SharedFactor
+		d, scratch []float64
+	}
+}
+
+// payload is the one message body (Algorithm 3, line 17, is the full set;
+// the other methods use a subset): residual deltas for the receiver's
+// boundary rows, the sender's boundary residual values (refreshing the
+// receiver's ghost layer z), the sender's exact norm, and the sender's
+// estimate of the receiver's norm (which the receiver stores in Γ̃).
+// runState carves every body at set-up and binds deltas, bnd and slot once;
+// a send rewrites the rest.
+type payload struct {
+	deltas  []float64
+	bnd     []float64
+	norm    float64
+	estRecv float64
+	seq     int32 // sender sequence number (stale-estimate guard; see seqSeen)
+	slot    int32 // the sender's position in the receiver's Nbrs (RankData.SlotInNbr)
+}
+
+// CloneMessage deep-copies the body for the fault layer: the sender refills
+// deltas/bnd on its next send, so a delivery held back past that phase must
+// not alias them.
+func (pl *payload) CloneMessage() any {
+	c := *pl
+	c.deltas = append([]float64(nil), pl.deltas...)
+	c.bnd = append([]float64(nil), pl.bnd...)
+	return &c
 }
 
 // relaxLocal dispatches to the configured local solver and returns the
 // flop count to charge.
 func (rs *rankState) relaxLocal() float64 {
-	if rs.direct != nil {
+	if rs.direct.f != nil {
 		return rs.relaxDirect()
 	}
 	return rs.relaxSweep()
@@ -76,8 +105,8 @@ func (rs *rankState) relaxLocal() float64 {
 // solution update — not the hard-coded dense estimate of old.
 func (rs *rankState) relaxDirect() float64 {
 	rd := rs.rd
-	d := rs.dscratch
-	rs.direct.Solve(rs.r, d)
+	d := rs.direct.d
+	rs.direct.f.SolveInto(rs.r, d, rs.direct.scratch)
 	for li := range rs.r {
 		rs.x[li] += d[li]
 		rs.r[li] = 0
@@ -85,7 +114,7 @@ func (rs *rankState) relaxDirect() float64 {
 			rs.extDelta[rd.ExtCol[k]] -= rd.ExtVal[k] * d[li]
 		}
 	}
-	return rs.direct.SolveFlops() + float64(rd.NNZ) + float64(rd.M())
+	return rs.direct.f.SolveFlops() + float64(rd.NNZ) + float64(rd.M())
 }
 
 // computeNorm returns ‖r‖₂ of the local residual. The naive
@@ -153,37 +182,34 @@ func (rs *rankState) zeroExtDelta() {
 	}
 }
 
-// boundaryResiduals collects the residual values of this rank's boundary
-// rows toward neighbor j into the persistent per-neighbor send buffer (the
-// slice crosses the simulated network by reference and is only rewritten
-// on this rank's next relax phase, after the receiver has read it).
-func (rs *rankState) boundaryResiduals(j int) []float64 {
-	out := rs.sendBnd[j]
+// gatherBnd collects the residual values of this rank's boundary rows toward
+// neighbor j into a message body's bnd.
+func (rs *rankState) gatherBnd(j int, out []float64) {
 	for k, li := range rs.rd.MyBnd[j] {
 		out[k] = rs.r[li]
 	}
-	return out
 }
 
-// resBoundaryResiduals is boundaryResiduals into the separate buffer used
-// by explicit residual updates, which are sent one phase after the solve
-// message: the solve buffer may still be in flight to the same neighbor.
-func (rs *rankState) resBoundaryResiduals(j int) []float64 {
-	out := rs.resBnd[j]
-	for k, li := range rs.rd.MyBnd[j] {
-		out[k] = rs.r[li]
-	}
-	return out
-}
-
-// deltasFor collects extDelta values for neighbor j's boundary slots into
-// the persistent per-neighbor send buffer.
-func (rs *rankState) deltasFor(j int) []float64 {
-	out := rs.sendDeltas[j]
+// gatherDeltas collects extDelta values for neighbor j's boundary slots into
+// a message body's deltas.
+func (rs *rankState) gatherDeltas(j int, out []float64) {
 	for k, e := range rs.rd.BndExt[j] {
 		out[k] = rs.extDelta[e]
 	}
-	return out
+}
+
+// winsAll is the relax decision every Southwell variant makes: a nonzero
+// norm that beats every neighbor's (estimated) norm under winsOver.
+func (rs *rankState) winsAll() bool {
+	if !(rs.norm > 0) {
+		return false
+	}
+	for j, q := range rs.rd.Nbrs {
+		if !winsOver(rs.norm, rs.rd.P, rs.gamma[j], q) {
+			return false
+		}
+	}
+	return true
 }
 
 // applyDeltas adds incoming residual deltas from neighbor j to the local

@@ -7,12 +7,12 @@ import (
 )
 
 // Run state (DESIGN.md §16): everything a solve mutates — the simulated
-// world, the rank states, the step engine's active-set tables and the
-// method's payload tables. It is sized once from the layout, carved from a
-// few slabs (a rank's vectors are contiguous, in rank order), and rewound by
+// world, the rank states with their message bodies, and the step engine's
+// active-set tables. It is sized once from the layout, carved from a few
+// slabs (a rank's vectors are contiguous, in rank order), and rewound by
 // reset before every solve, the first included: a fresh state and a reused
-// one execute the same lines. A Setup parks one between solves, so a repeat
-// solve allocates only what escapes to the caller.
+// one execute the same lines, whichever method ran before. A Setup parks one
+// between solves, so a repeat solve allocates only what escapes to the caller.
 type runState struct {
 	l      *Layout
 	w      *rma.World
@@ -20,62 +20,68 @@ type runState struct {
 	eng    stepEngine
 	rGlob  []float64 // reset scratch: b − Ax
 	norms2 []float64 // squared local norms in rank order (flatNorm)
-	// seqSeen and sentTo back every rank's slices of that name; nbrOff[p] is
-	// rank p's first slot in them and in the payload tables.
+	// seqSeen and sentTo back every rank's slices of that name.
 	seqSeen []int64
 	sentTo  []bool
-	nbrOff  []int
-	// payloads holds the flat per-(rank, neighbor) tables (solve, explicit
-	// update) of the method that last ran; see payloadTable.
-	payloads [2]any
 }
 
-// newRunState allocates the run state of a layout. Nothing in it is
-// initialized for a solve: that is reset's job alone.
-func newRunState(l *Layout) *runState {
+// newRunState allocates the run state of a layout and binds what never
+// changes: the message bodies' buffers and slots, and the local factors of a
+// Setup that has them. Nothing else in it is initialized for a solve: that is
+// reset's job alone.
+func newRunState(s *Setup) *runState {
+	l := s.Layout
 	p := l.P
 	st := &runState{
 		l: l, w: rma.NewWorld(p, rma.CostModel{}), states: make([]*rankState, p),
-		rGlob: make([]float64, l.A.N), norms2: make([]float64, p), nbrOff: make([]int, p+1),
+		rGlob: make([]float64, l.A.N), norms2: make([]float64, p),
 	}
-	nf := 0
+	nf, nd := 0, 0
 	for pr, rd := range l.Ranks {
-		st.nbrOff[pr+1] = st.nbrOff[pr] + rd.Degree()
+		nd += rd.Degree()
 		nf += 2*rd.M() + 2*len(rd.ExtGlob) + 2*rd.Degree()
 		for j := range rd.Nbrs {
 			nf += len(rd.BndExt[j]) + 2*len(rd.MyBnd[j])
 		}
+		if s.factors != nil {
+			nf += rd.M() + s.factors[pr].ScratchLen()
+		}
 	}
-	nd := st.nbrOff[p]
 	st.seqSeen, st.sentTo = make([]int64, nd), make([]bool, nd)
-	floats, heads, slab := make([]float64, nf), make([][]float64, 4*nd), make([]rankState, p)
+	floats, bodies, slab := make([]float64, nf), make([]payload, 2*nd), make([]rankState, p)
 	// Sub-slices are capacity-capped: an append can never reach a neighbor.
 	take := func(n int) []float64 {
-		s := floats[:n:n]
+		out := floats[:n:n]
 		floats = floats[n:]
-		return s
+		return out
 	}
-	takeHeads := func(n int) [][]float64 {
-		s := heads[:n:n]
-		heads = heads[n:]
-		return s
+	takeBodies := func(n int) []payload {
+		out := bodies[:n:n]
+		bodies = bodies[n:]
+		return out
 	}
 	e := &st.eng
 	e.w, e.states = st.w, st.states
 	e.list, e.inSet, e.sawMail, e.idleDeg = make([]int32, p), make([]bool, p), make([]bool, p), make([]float64, p)
+	lo := 0
 	for pr, rd := range l.Ranks {
-		m, ext, deg, lo, hi := rd.M(), len(rd.ExtGlob), rd.Degree(), st.nbrOff[pr], st.nbrOff[pr+1]
+		m, ext, deg := rd.M(), len(rd.ExtGlob), rd.Degree()
+		hi := lo + deg
 		rs := &slab[pr]
 		*rs = rankState{
 			rd: rd, x: take(m), r: take(m), z: take(ext), extDelta: take(ext),
 			gamma: take(deg), gammaTilde: take(deg),
 			seqSeen: st.seqSeen[lo:hi:hi], sentTo: st.sentTo[lo:hi:hi],
-			sentBnd: takeHeads(deg), sendDeltas: takeHeads(deg), sendBnd: takeHeads(deg), resBnd: takeHeads(deg),
+			solve: takeBodies(deg), res: takeBodies(deg),
 		}
-		for j := range rd.Nbrs {
-			rs.sendDeltas[j] = take(len(rd.BndExt[j]))
-			rs.sendBnd[j] = take(len(rd.MyBnd[j]))
-			rs.resBnd[j] = take(len(rd.MyBnd[j]))
+		lo = hi
+		for j, slot := range rd.SlotInNbr {
+			rs.solve[j] = payload{deltas: take(len(rd.BndExt[j])), bnd: take(len(rd.MyBnd[j])), slot: slot}
+			rs.res[j] = payload{bnd: take(len(rd.MyBnd[j])), slot: slot}
+		}
+		if s.factors != nil {
+			f := s.factors[pr]
+			rs.direct.f, rs.direct.d, rs.direct.scratch = f, take(m), take(f.ScratchLen())
 		}
 		st.states[pr] = rs
 		e.idleDeg[pr] = float64(deg) // phase-1 idle charge: the unconditional Degree() scan
@@ -87,9 +93,9 @@ func newRunState(l *Layout) *runState {
 // initial guess — exact residuals, exact neighbor norms and Γ̃ (setup
 // exchange, not counted), exact ghosts — the engine rewound to "every rank in
 // the set", and the world rewound with cfg's engine, scheduler, fault plan
-// and tracer installed. Send buffers, extDelta, sentBnd, lastSentNorm, the
-// direct-solver scratch and every payload field are written before they are
-// read in any run, so they are deliberately not cleared.
+// and tracer installed. extDelta, lastSentNorm, the direct-solver buffers and
+// every message-body field but slot are written before they are read in any
+// run, so they are deliberately not cleared.
 func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	l, w, e := st.l, st.w, &st.eng
 	l.A.Residual(b, x, st.rGlob)
@@ -133,56 +139,31 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	w.SetTracer(cfg.Trace)
 }
 
-// payloadTable returns the flat table of payload type T for one of a
-// method's two message kinds, entry nbrOff[p]+j belonging to rank p's
-// neighbor j. Pointers into it cross the simulated network, so the
-// steady-state message path allocates nothing. The table of the method that
-// last ran is kept; only slot is set here — it never changes — and every
-// other field is rewritten before each Put.
-func payloadTable[T any](st *runState, kind int, setSlot func(pl *T, slot int32)) []T {
-	if t, ok := st.payloads[kind].([]T); ok {
-		return t
+// takeRunState hands the solve its run state: the one parked on s if there
+// is one, else a new one. A concurrent run on the same Setup finds the slot
+// empty and builds its own.
+func (s *Setup) takeRunState(l *Layout, local LocalSolver) *runState {
+	if s.Layout != l {
+		panic("dmem: Config.Setup was built for a different layout")
 	}
-	t := make([]T, len(st.seqSeen))
-	for p, rs := range st.states {
-		for j, slot := range rs.rd.SlotInNbr {
-			setSlot(&t[st.nbrOff[p]+j], slot)
-		}
+	if s.Local != local {
+		panic(fmt.Sprintf("dmem: Config.Setup local solver %v does not match Config.Local %v", s.Local, local))
 	}
-	st.payloads[kind] = t
-	return t
-}
-
-// takeRunState hands the solve its run state: the one parked on cfg.Setup
-// if there is one, else a new one. A concurrent run on the same Setup finds
-// the slot empty and builds its own.
-func takeRunState(l *Layout, cfg Config) *runState {
-	if s := cfg.Setup; s != nil {
-		if s.Layout != l {
-			panic("dmem: Config.Setup was built for a different layout")
-		}
-		if s.Local != cfg.Local {
-			panic(fmt.Sprintf("dmem: Config.Setup local solver %v does not match Config.Local %v", s.Local, cfg.Local))
-		}
-		s.mu.Lock()
-		st := s.parked
-		s.parked = nil
-		s.mu.Unlock()
-		if st != nil {
-			return st
-		}
+	s.mu.Lock()
+	st := s.parked
+	s.parked = nil
+	s.mu.Unlock()
+	if st == nil {
+		st = newRunState(s)
 	}
-	return newRunState(l)
+	return st
 }
 
 // park returns a run state whose solve completed normally to its Setup's
-// one slot (dropped if there is no Setup or the slot is taken). The world is
-// reset first, so a parked state keeps nothing of the caller's — tracer,
-// fault plan, last-phase payloads — alive, and holds no goroutine.
+// one slot (dropped if the slot is taken). The world is reset first, so a
+// parked state keeps nothing of the caller's — tracer, fault plan, last-phase
+// payloads — alive, and holds no goroutine.
 func (st *runState) park(s *Setup) {
-	if s == nil {
-		return
-	}
 	st.w.Reset(rma.CostModel{})
 	st.eng.hist, st.eng.calendar = nil, nil
 	s.mu.Lock()

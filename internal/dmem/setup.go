@@ -12,8 +12,8 @@ package dmem
 // Sharing is safe by construction. The layout and the factorizations are
 // read-only: the Layout is immutable after NewLayout, and the factors are
 // exposed through SharedFactor, whose SolveInto takes caller-owned scratch
-// — each run state binds the shared factor to private buffers
-// (boundFactor). The one mutable field is the parked run state (runstate.go,
+// — each run state pairs the shared factor with private buffers
+// (rankState.direct). The one mutable field is the parked run state (runstate.go,
 // DESIGN.md §16): a solve takes it from behind the mutex or builds its own,
 // and parks it again when it returns, so repeated solves reuse one world and
 // one set of rank states while concurrent runs never share any. The
@@ -63,31 +63,6 @@ func (s *denseShared) SolveInto(b, x, scratch []float64) { s.lu.SolveWith(b, x, 
 func (s *denseShared) SolveFlops() float64 { m := float64(s.m); return 2 * m * m }
 func (s *denseShared) ScratchLen() int     { return s.m }
 
-// boundFactor binds a SharedFactor to one run's private scratch,
-// satisfying the per-run localFactor contract.
-type boundFactor struct {
-	sf      SharedFactor
-	scratch []float64
-}
-
-func (b *boundFactor) Solve(rhs, x []float64) { b.sf.SolveInto(rhs, x, b.scratch) }
-func (b *boundFactor) SolveFlops() float64    { return b.sf.SolveFlops() }
-
-// bind wraps a shared factor with fresh private scratch for one run.
-func bind(sf SharedFactor) localFactor {
-	return &boundFactor{sf: sf, scratch: make([]float64, sf.ScratchLen())}
-}
-
-// localFactor is a factored local diagonal block: the factor-once /
-// solve-many contract both exact local solvers satisfy. Solve computes
-// x = A_pp⁻¹ b; SolveFlops is the per-solve flop count the α-β-γ cost
-// model charges (the factorization itself happens at setup, which the
-// paper does not time).
-type localFactor interface {
-	Solve(b, x []float64)
-	SolveFlops() float64
-}
-
 // localBlockCSR assembles rank rd's diagonal block A_pp as a standalone
 // CSR (local row/column indices, diagonal included) for the sparse
 // factorization. The block of a structurally symmetric matrix restricted
@@ -111,31 +86,6 @@ func localBlockCSR(rd *RankData) (rowPtr, col []int, val []float64) {
 		}
 	}
 	return rowPtr, col, val
-}
-
-// bindLocal binds the configured exact local solver to every rank's private
-// scratch, once per run state: the Setup's shared factors when it has them,
-// else factored here (factorAll). The diagonal blocks of an SPD matrix are
-// SPD, so factorization failure means the input violated the library's
-// documented preconditions — panic rather than limp on.
-func (st *runState) bindLocal(cfg Config) {
-	if (cfg.Local != LocalDirect && cfg.Local != LocalAuto) || st.states[0].direct != nil {
-		return
-	}
-	var factors []SharedFactor
-	if s := cfg.Setup; s != nil {
-		factors = s.factors
-	}
-	if factors == nil {
-		var err error
-		if factors, err = factorAll(st.l, cfg.Local); err != nil {
-			panic(err.Error())
-		}
-	}
-	for pr, rs := range st.states {
-		rs.direct = bind(factors[pr])
-		rs.dscratch = make([]float64, rs.rd.M())
-	}
 }
 
 // factorShared factors one rank's diagonal block under the configured

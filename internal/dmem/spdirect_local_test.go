@@ -38,19 +38,20 @@ func TestEngineEquivalenceWithSparseLocal(t *testing.T) {
 	}
 }
 
-// factorAllRanks builds rank states for a fresh layout of matrix e and
-// runs the concurrent setup factorization under the given policy.
-func factorAllRanks(t *testing.T, e problem.SuiteEntry, ranks int, local LocalSolver) []*rankState {
+// factorAllRanks runs the concurrent setup factorization of a fresh layout
+// of matrix e under the given policy.
+func factorAllRanks(t *testing.T, e problem.SuiteEntry, ranks int, local LocalSolver) *Setup {
 	t.Helper()
-	l, b, x := buildCase(t, e.Gen(), ranks, 1)
-	st := newRunState(l)
-	st.reset(b, x, Config{}, stepSpec{})
-	st.bindLocal(Config{Local: local})
-	return st.states
+	l, _, _ := buildCase(t, e.Gen(), ranks, 1)
+	s, err := NewSetup(l, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestLocalFactorWidthInvariant pins the determinism contract of the
-// concurrent setup factorization: the factors produced by bindLocal
+// concurrent setup factorization: the factors NewSetup produces
 // are bit-identical at every kernel-pool width. Sparse factors are
 // compared entry-by-entry (pattern, L values, pivots); dense factors via
 // the solve they produce on a fixed right-hand side.
@@ -69,27 +70,27 @@ func TestLocalFactorWidthInvariant(t *testing.T) {
 		for _, w := range []int{2, 4, 7} {
 			parallel.SetDefaultWorkers(w)
 			got := factorAllRanks(t, e, ranks, local)
-			for p := range ref {
-				rf, gf := ref[p].direct, got[p].direct
-				sref, sok := rf.(*spdirect.Factor)
-				sgot, gok := gf.(*spdirect.Factor)
+			for p := range ref.factors {
+				rf, gf := ref.factors[p], got.factors[p]
+				sref, sok := rf.(*ldlShared)
+				sgot, gok := gf.(*ldlShared)
 				if sok != gok {
 					t.Fatalf("local=%v width %d rank %d: backend choice differs", local, w, p)
 				}
 				if sok {
-					compareSparseFactors(t, local, w, p, sref, sgot)
+					compareSparseFactors(t, local, w, p, sref.f, sgot.f)
 					continue
 				}
 				// Dense backend: the factor internals are unexported, so
 				// compare through a solve on a deterministic rhs.
-				m := ref[p].rd.M()
+				m := ref.Layout.Ranks[p].M()
 				b := make([]float64, m)
 				for i := range b {
 					b[i] = 1 / float64(1+i)
 				}
 				xr, xg := make([]float64, m), make([]float64, m)
-				rf.Solve(b, xr)
-				gf.Solve(b, xg)
+				rf.SolveInto(b, xr, make([]float64, rf.ScratchLen()))
+				gf.SolveInto(b, xg, make([]float64, gf.ScratchLen()))
 				for i := range xr {
 					if xr[i] != xg[i] {
 						t.Fatalf("local=%v width %d rank %d: dense solve differs at %d: %.17g vs %.17g",
@@ -139,20 +140,18 @@ func TestSparseLocalMatchesDenseOnSuiteBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s rank %d: sparse factorization failed: %v", name, p, err)
 			}
-			sparseF := bind(sparseSF)
 			denseSF, err := factorSharedDense(rd)
 			if err != nil {
 				t.Fatalf("%s rank %d: dense factorization failed: %v", name, p, err)
 			}
-			denseF := bind(denseSF)
 			m := rd.M()
 			b := make([]float64, m)
 			for i := range b {
 				b[i] = math.Sin(float64(i + 1))
 			}
 			xs, xd := make([]float64, m), make([]float64, m)
-			sparseF.Solve(b, xs)
-			denseF.Solve(b, xd)
+			sparseSF.SolveInto(b, xs, make([]float64, sparseSF.ScratchLen()))
+			denseSF.SolveInto(b, xd, make([]float64, denseSF.ScratchLen()))
 			scale := 0.0
 			for i := range xd {
 				if v := math.Abs(xd[i]); v > scale {

@@ -188,13 +188,6 @@ func Biharmonic2D(nx, ny int) *sparse.CSR {
 	return sparse.Mul(l, l)
 }
 
-// Biharmonic3D returns the square of the 7-point Laplacian on an
-// nx-by-ny-by-nz grid (a 25-point operator), the 3D analog of Biharmonic2D.
-func Biharmonic3D(nx, ny, nz int) *sparse.CSR {
-	l := Poisson3D(nx, ny, nz, nil, 1, 1, 1)
-	return sparse.Mul(l, l)
-}
-
 // PlateMix returns alpha*Biharmonic + beta*Laplacian on the given 2D grid:
 // a thin-plate model whose Jacobi-divergence strength is tuned by
 // alpha/beta. The result is SPD for alpha, beta >= 0 (not both zero).

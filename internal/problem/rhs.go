@@ -13,16 +13,6 @@ func RandomVec(n int, seed int64) []float64 {
 	return v
 }
 
-// RandomNormalVec returns a deterministic standard-normal vector.
-func RandomNormalVec(n int, seed int64) []float64 {
-	rng := newRand(seed)
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	return v
-}
-
 // ZeroBSystem prepares the test setup of the paper's §4.2: a random initial
 // guess x, right-hand side b = 0, with x scaled so that ‖r⁰‖₂ = ‖A x‖₂ = 1.
 // It returns (b, x).
