@@ -13,12 +13,13 @@ build:
 # across execution widths is the repo's central promise. The width tests
 # resize the shared pool to 2, 4 and 7 themselves, but goroutines only
 # really run concurrently above one thread (the retained-window aliasing
-# bug passed at GOMAXPROCS=1).
+# bug passed at GOMAXPROCS=1). -count=1 because the test cache does not key
+# on GOMAXPROCS: without it the second to fourth line print "(cached)".
 test:
-	GOMAXPROCS=1 $(GO) test ./...
-	GOMAXPROCS=2 $(GO) test ./...
-	GOMAXPROCS=4 $(GO) test ./...
-	GOMAXPROCS=8 $(GO) test ./...
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=2 $(GO) test -count=1 ./...
+	GOMAXPROCS=4 $(GO) test -count=1 ./...
+	GOMAXPROCS=8 $(GO) test -count=1 ./...
 
 vet:
 	$(GO) vet ./...
@@ -40,9 +41,13 @@ lint: vet
 # kernels on the shared worker pool are race-free and bit-identical to
 # running inline, faults included (DESIGN.md §6, §9). The partitioner is
 # there for its per-call workspace: concurrent Partition calls (bench
-# set-ups under -par) must share nothing.
+# set-ups under -par) must share nothing. The runtime and the methods run
+# at two and at four scheduler threads explicitly, whatever the host has:
+# the retained-window aliasing bug only showed above one thread.
 race:
-	$(GO) test -race ./internal/rma/... ./internal/dmem/... ./internal/parallel/... ./internal/sparse/... ./internal/spdirect/... ./internal/obs/... ./internal/partition/...
+	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
+	$(GO) test -race ./internal/parallel/... ./internal/sparse/... ./internal/spdirect/... ./internal/obs/... ./internal/partition/...
 
 # End-to-end fault-injection smoke: both binaries on a small problem with
 # delay faults. Exercises flag validation, the chaos table, and the
@@ -59,8 +64,9 @@ partition-pin:
 
 # Allocation gates: every promise of the form "the steady-state path
 # allocates nothing" is a plain Go test asserting testing.AllocsPerRun == 0
-# (kernels, LDL' Refactor/Solve, obs off/on/emit, phases dense, active and
-# under stragglers inline and at pool widths 2/4/7, the dmem relax sweep,
+# (kernels, LDL' Refactor/Solve, obs off/on/emit, phases dense, active,
+# traced and under stragglers inline and at pool widths 2/4/7, the dmem
+# relax sweep,
 # World.Reset) plus the malloc/byte ceilings of the partitioner and of a
 # first and a repeat dmem solve; DESIGN.md §8 maps each hot-path root to
 # its gate. Then one iteration of each
@@ -84,7 +90,9 @@ bench-e2e:
 #   make identity PARENT=/path/to/checkout-of-the-parent-commit
 # builds dsouthwell and benchtables from both trees, runs the fixed list of
 # CLI lines below in each and `cmp`s the outputs, stopping at the first
-# difference. Not part of verify: it needs a second checkout.
+# difference. The last line is a pinned run's whole trace export (~1.3 MB;
+# pinned, so no rank sleeps and every event is part of the contract). Not
+# part of verify: it needs a second checkout.
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
 IDENTITY_SOLVE = -mat msdoor -n 64 -sweep_max 15
 identity:
@@ -102,7 +110,8 @@ identity:
 		"dsouthwell $(IDENTITY_SOLVE) -loc_solver direct" \
 		"dsouthwell $(IDENTITY_SOLVE) -solver ps" \
 		"dsouthwell $(IDENTITY_SOLVE) -solver bj" \
-		"dsouthwell $(IDENTITY_SOLVE) -solver pb16"; \
+		"dsouthwell $(IDENTITY_SOLVE) -solver pb16" \
+		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout"; \
 	do \
 		$$out/old/$$line >$$out/old.txt 2>&1 || echo "exit $$?" >>$$out/old.txt; \
 		$$out/new/$$line >$$out/new.txt 2>&1 || echo "exit $$?" >>$$out/new.txt; \

@@ -119,7 +119,6 @@ func main() {
 		locSolve = flag.String("loc_solver", "gs", "local subdomain solver: gs (one Gauss-Seidel sweep), direct (sparse LDLT, the artifact's PARDISO option), or auto (per-rank dense/sparse crossover)")
 		xZeros   = flag.Bool("x_zeros", false, "x = 0 and random b (default: random x, b = 0)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		parallel = flag.Bool("goroutines", false, "alias for -par (kept for artifact compatibility)")
 		par      = flag.Bool("par", false, "run simulated rank phases on the shared worker pool (GOMAXPROCS wide) instead of inline; results are identical either way")
 		active   = flag.Bool("active", true, "active-set stepping: skip provably quiescent ranks (bit-identical results; -active=false forces dense stepping)")
 		grid     = flag.Int("grid", 100, "grid dimension for the default Laplace problem")
@@ -198,7 +197,7 @@ func main() {
 	opt := core.DistOptions{
 		Method: opts.method, Ranks: *ranks, Steps: *sweepMax, Target: *target,
 		PartSeed: *seed,
-		Parallel: *parallel || *par,
+		Parallel: *par,
 		Local:    opts.local, Dense: !*active,
 		Faults: opts.faults,
 	}

@@ -81,7 +81,10 @@ type Config struct {
 	// internal/obs): runtime-level Put/delivery/cost events from the world
 	// plus algorithm-level decisions, residual sends, step records, and
 	// watchdog verdicts. Tracing never changes results: solver output,
-	// message counts, and SimTime are bit-identical with it on or off.
+	// message counts, and SimTime are bit-identical with it on or off. Nor
+	// does it pin a run or cost O(P) a phase: a rank that sleeps through a
+	// phase with an untouched window logs nothing, so a trace is O(active
+	// work) and a Dense run's trace has rows the same unpinned run's lacks.
 	Trace obs.Tracer
 }
 

@@ -20,7 +20,8 @@ import (
 // rma.RunPhaseActive, charging sleepers their unconditional phase-1 flops
 // (the Degree() decision scan) through the idle vector so simulated time,
 // message statistics, and chaos schedules stay bit-identical to running
-// every rank.
+// every rank. A fault plan or a tracer changes none of this: the runtime
+// has one phase boundary, and both ride it.
 //
 // The quiescence invariant: a rank may sleep only after an executed step
 // in which it did not relax and read no mail. Its state is then unchanged
@@ -254,7 +255,8 @@ func (e *stepEngine) tally(norms2 []float64) (relaxedRanks, rows int) {
 }
 
 // runStep executes the step's access epochs. Pinned, every rank runs every
-// epoch. Otherwise each epoch runs over the active set (idle is the
+// epoch (RunPhase is RunPhaseActive over the world's list of all ranks).
+// Otherwise each epoch runs over the active set (idle is the
 // per-rank flop charge a skipped rank would have made: the decision scan in
 // the first phase, nothing after), then windows are rescanned: membership
 // grows monotonically within a step, so a rank reached by phase-k traffic

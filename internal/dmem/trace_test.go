@@ -3,12 +3,15 @@ package dmem
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"southwell/internal/obs"
 	"southwell/internal/problem"
+	"southwell/internal/rma"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
@@ -124,5 +127,132 @@ func TestTraceGolden(t *testing.T) {
 		}
 		t.Errorf("trace diverges from golden at byte %d:\ngot  ...%s...\nwant ...%s...\n(regenerate with -update if the change is intended)",
 			i, snip(got), snip(exp))
+	}
+}
+
+// shardsOf splits a recorder's retained events into the control track and
+// one track per rank, each in emit order.
+func shardsOf(rec *obs.Recorder) (control []obs.Event, ranks [][]obs.Event) {
+	ranks = make([][]obs.Event, rec.Ranks())
+	for _, e := range rec.Events() {
+		if e.Rank == obs.ControlRank {
+			control = append(control, e)
+		} else {
+			ranks[e.Rank] = append(ranks[e.Rank], e)
+		}
+	}
+	return control, ranks
+}
+
+// TestActiveTraceIsDenseTraceMinusSleepers pins the one stream that differs
+// between an unpinned and a pinned traced run. A tracer does not pin: on a
+// point load most ranks sleep with the recorder installed, results stay
+// bit-identical to Dense, and the trace is the Dense trace minus what
+// sleeping ranks would have logged — on the control track nothing but the
+// occupancy rows is added, and every rank's track is a subsequence of its
+// Dense track whose only missing events are hold decisions and cost rows of
+// rank-phases that sent nothing and were written nothing. At least one rank
+// the wavefront never reaches logs nothing after step 1. On a perfect
+// network and under a plan with every fault kind; the traced unpinned run is
+// repeated on the pool at every width.
+func TestActiveTraceIsDenseTraceMinusSleepers(t *testing.T) {
+	const grid, p, steps = 48, 64, 8
+	for mname, run := range map[string]method{"DistributedSouthwell": DistributedSouthwell, "ParallelSouthwell": ParallelSouthwell} {
+		for _, chaos := range []bool{false, true} {
+			name := mname
+			if chaos {
+				name += "/chaos"
+			}
+			t.Run(name, func(t *testing.T) {
+				a := problem.Poisson2D(grid, grid)
+				l, _, _ := buildCase(t, a, p, 1)
+				load := a.N/2 + grid/2
+				src := l.Part[load]
+				solve := func(cfg Config) (*Result, *obs.Recorder) {
+					b, x := make([]float64, a.N), make([]float64, a.N)
+					b[load] = 1
+					rec := obs.NewRecorderCap(p, 1024) // nothing may wrap: Dropped is checked below
+					cfg.Steps, cfg.Trace = steps, rec
+					cfg.Watchdog = 4 * steps // no starvation re-announce wakes the far ranks
+					if chaos {
+						nb := l.Ranks[src].Nbrs
+						cfg.Faults = &rma.FaultPlan{Seed: 3, DelayProb: 0.25, DelayMax: 3, DupProb: 0.15, ReorderProb: 0.4,
+							Stragglers: map[int]float64{nb[0]: 2.5}, Pauses: []rma.Pause{{Rank: nb[len(nb)-1], From: 3, To: 9}}}
+					}
+					res := run(l, b, x, cfg)
+					if rec.Dropped() != 0 {
+						t.Fatalf("%d events dropped: the rings are too small for the comparison", rec.Dropped())
+					}
+					return res, rec
+				}
+				dense, drec := solve(Config{Dense: true})
+				active, arec := solve(Config{})
+				compareRuns(t, name, dense, active)
+				slept := false
+				for _, n := range active.ActiveHist {
+					slept = slept || n < p
+				}
+				if !slept {
+					t.Fatal("no rank slept with the tracer installed")
+				}
+				if chaos && (active.Stats.DelayedMsgs == 0 || active.Stats.DupMsgs == 0 || active.Stats.ReorderedBatches == 0 || active.Stats.PausedRankPhases == 0) {
+					t.Fatalf("the plan left a fault kind unexercised: %+v", active.Stats)
+				}
+
+				dctl, dranks := shardsOf(drec)
+				actl, aranks := shardsOf(arec)
+				var kept []obs.Event
+				for _, e := range actl {
+					if e.Kind != obs.KindActiveSet {
+						kept = append(kept, e)
+					}
+				}
+				if len(kept) == len(actl) {
+					t.Error("unpinned run logged no occupancy row")
+				}
+				if !reflect.DeepEqual(kept, dctl) {
+					t.Errorf("control tracks differ beyond the occupancy rows: %d events vs %d dense", len(kept), len(dctl))
+				}
+				stepOne := int64(-1) // phases completed when step 1 closed
+				for _, e := range dctl {
+					if e.Kind == obs.KindStep && e.Step == 1 {
+						stepOne = e.Phase
+					}
+				}
+				missing, endAtOne := 0, 0
+				for r := range dranks {
+					i := 0
+					for _, d := range dranks[r] {
+						if i < len(aranks[r]) && aranks[r][i] == d {
+							i++
+							continue
+						}
+						hold := d.Kind == obs.KindDecision && d.Flag&obs.FlagRelaxed == 0
+						quiet := d.Kind == obs.KindRankCost && d.A == 0 && d.B == 0
+						if !hold && !quiet {
+							t.Fatalf("rank %d: dense event %+v is neither in the unpinned track nor a sleeper's", r, d)
+						}
+						missing++
+					}
+					if i != len(aranks[r]) {
+						t.Fatalf("rank %d: unpinned event %+v is not in the dense track", r, aranks[r][i])
+					}
+					if n := len(aranks[r]); n > 0 && aranks[r][n-1].Phase < stepOne {
+						endAtOne++
+					}
+				}
+				if missing == 0 || endAtOne == 0 {
+					t.Errorf("%d sleeper events left out, %d ranks silent after step 1: want both positive", missing, endAtOne)
+				}
+
+				eachWidth(func(k int) {
+					pool, prec := solve(Config{Parallel: true})
+					compareRuns(t, fmt.Sprintf("%s/w%d", name, k), active, pool)
+					if !reflect.DeepEqual(prec.Events(), arec.Events()) {
+						t.Errorf("width %d: traced unpinned run logs a different stream than inline", k)
+					}
+				})
+			})
+		}
 	}
 }

@@ -47,7 +47,12 @@ const (
 	// delivered at its boundary.
 	KindPhase
 	// KindRankCost (rank shard): one rank's cost in one phase, emitted at
-	// the phase boundary for every rank with nonzero activity. Dur is the
+	// the phase boundary for every rank that ran or was written to and has
+	// a nonzero flop or message count. A rank the step driver skipped whose
+	// window stayed untouched logs nothing — neither this row nor a
+	// KindDecision — although the phase's cost (KindPhase.Dur) still counts
+	// its idle charge: a trace is O(active work), and an unpinned run's
+	// export differs from the pinned run's by exactly those rows. Dur is the
 	// rank's total charged time (straggler multipliers included); V1, V2,
 	// V3 split it into the γ·flops, α·msgs, and β·bytes terms, so the
 	// max-over-ranks SimTime winner is attributable. A and B count
@@ -230,10 +235,17 @@ type PoolStats struct {
 	Width   int   // executor slots, including the submitting goroutine
 }
 
-// DefaultShardCap is the per-rank ring capacity of NewRecorder. The
-// control shard gets four times this (it also absorbs fault events, which
-// scale with traffic rather than with one rank's activity).
+// DefaultShardCap is the per-rank ring capacity of NewRecorder, as far as
+// eventBudget allows. The control shard gets four times the per-rank
+// capacity (it also absorbs fault events, which scale with traffic rather
+// than with one rank's activity).
 const DefaultShardCap = 4096
+
+// eventBudget bounds the events NewRecorder's rank rings hold in total
+// (88 bytes each, 92 MB): up to 256 ranks every ring has DefaultShardCap
+// slots, beyond that the rings shrink instead of the allocation growing
+// with P — 1.4 GB at P = 4096 otherwise.
+const eventBudget = 1 << 20
 
 // Recorder is the preallocated ring-buffer Tracer. The zero value is not
 // usable; construct with NewRecorder. A nil *Recorder is a valid no-op
@@ -250,8 +262,11 @@ type Recorder struct {
 }
 
 // NewRecorder creates a recorder for a world of p ranks with
-// DefaultShardCap events of capacity per rank.
-func NewRecorder(p int) *Recorder { return NewRecorderCap(p, DefaultShardCap) }
+// defaultShardCap(p) events of capacity per rank.
+func NewRecorder(p int) *Recorder { return NewRecorderCap(p, defaultShardCap(p)) }
+
+// defaultShardCap is DefaultShardCap, or eventBudget/p if that is less.
+func defaultShardCap(p int) int { return min(DefaultShardCap, eventBudget/max(p, 1)) }
 
 // NewRecorderCap creates a recorder with perRank ring capacity per rank
 // shard (minimum 16); the control shard gets 4× that. All buffers are

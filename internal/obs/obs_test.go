@@ -82,6 +82,33 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
+// TestDefaultRingBounded: NewRecorder's allocation is bounded by one event
+// budget whatever P is. Up to 256 ranks every ring keeps DefaultShardCap
+// slots (every committed table, test and golden trace is below that);
+// beyond, the rank rings together hold the budget rounded down to a
+// multiple of P — at P = 4096, where the uncapped default would allocate
+// 1.4 GB, no more than the budget plus the control shard.
+func TestDefaultRingBounded(t *testing.T) {
+	for _, p := range []int{0, 1, 64, 256} {
+		if got := defaultShardCap(p); got != DefaultShardCap {
+			t.Errorf("P=%d: %d slots per rank, want DefaultShardCap", p, got)
+		}
+	}
+	for _, p := range []int{257, 2048, 4096, 8192, 1 << 20} {
+		if total := p * defaultShardCap(p); total > eventBudget || total <= eventBudget-p {
+			t.Errorf("P=%d: %d rank slots in total, want the budget of %d rounded down to a multiple of P", p, total, eventBudget)
+		}
+	}
+	r := NewRecorder(4096)
+	slots := 0
+	for i := range r.shards {
+		slots += len(r.shards[i].buf)
+	}
+	if perRank := eventBudget / 4096; slots != eventBudget+4*perRank {
+		t.Errorf("NewRecorder(4096) holds %d slots, want the budget of %d plus a control shard of %d", slots, eventBudget, 4*perRank)
+	}
+}
+
 // TestShardRouting: per-rank events land on their rank's shard, control
 // and out-of-range ranks on the control shard, and Events returns the
 // canonical export order (ranks ascending, control last).

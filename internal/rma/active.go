@@ -6,13 +6,10 @@ import "southwell/internal/parallel"
 // the runtime half of the dmem step driver's unpinned mode (DESIGN.md §14).
 // A caller that can prove a rank's phase function is a state no-op — empty
 // inbox, unchanged state, no scheduled wakeup — runs the phase over just
-// the active subset. Every skipped rank's would-be compute charge is paid
-// through the idle vector instead, keeping the α-β-γ clock bit-identical to
-// running every rank. With no fault plan and no tracer, the charge is
-// folded into the phase maximum analytically and the boundary runs in
-// O(active work) (deliverActive); under chaos or tracing the idle flops are
-// written per rank, so straggler multipliers and per-rank cost traces match
-// exactly.
+// the active subset. A skipped rank is never visited: its would-be compute
+// charge idle[p] is folded into the phase maximum at the boundary (deliver),
+// which keeps the α-β-γ clock bit-identical to running every rank. RunPhase
+// is the same walk over the world's identity list.
 //
 // Contract: f(p) may only touch rank p's state, and the caller guarantees
 // that for every inactive rank f would have sent no messages, mutated no
@@ -32,14 +29,16 @@ import "southwell/internal/parallel"
 // same region inline (the nil pool) when not. A non-nil active must have
 // length P, actList must list exactly the ranks with active[p] set,
 // ascending, and neither may be mutated until the call returns; a stale or
-// unsorted list is a contract violation. The list is what lets the fast
-// boundary run phase dispatch, the staged-put sweep and the cost fold as
-// O(active) walks, which keeps a paper-scale step near-free when almost
-// every rank sleeps. Running a superset of the minimal active set is
-// always safe.
+// unsorted list is a contract violation. The list is what phase dispatch,
+// the staged-put sweep and the cost fold walk, which keeps a paper-scale
+// step near-free when almost every rank sleeps. Running a superset of the
+// minimal active set is always safe.
 func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f func(rank int)) {
 	if w.closed {
 		panic(ErrClosed)
+	}
+	if active == nil {
+		actList, idle = w.all, nil
 	}
 	if ch := w.chaos; ch != nil {
 		// Paused ranks are descheduled for this phase: their function does
@@ -48,13 +47,6 @@ func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f
 		ch.markPaused(w.phases)
 	}
 	w.f, w.active, w.actList, w.idle = f, active, actList, idle
-	// The O(active work) boundary: activeRange walks the member list and
-	// deliver dispatches to deliverActive, which folds the skipped ranks'
-	// Gamma·idle[p] compute cost analytically and touches only written
-	// windows. With a fault plan or tracer the per-rank path stays: chaos
-	// needs per-rank straggler multipliers and traces carry a KindRankCost
-	// row per idle-charged rank.
-	w.fast = active != nil && w.chaos == nil && w.trace == nil
 	var pool *parallel.Pool // nil runs the chunks inline, in ascending order
 	if w.Parallel {
 		pool = parallel.Default()
@@ -87,36 +79,24 @@ func lowerBound(list []int32, x int32) int {
 	return lo
 }
 
-// activeRange runs the phase in flight over ranks [lo, hi): the one
-// per-chunk body of RunPhase and RunPhaseActive at every width. Chunk
-// boundaries never influence the output — each rank's branch is a pure
-// function of (active, pausedNow, idle) — so every width is bit-identical.
+// activeRange runs the phase in flight over the members in [lo, hi),
+// ascending: the one per-chunk body of RunPhase and RunPhaseActive at every
+// width. Chunk boundaries never influence the output — whether a member
+// runs is a pure function of pausedNow — so every width is bit-identical.
 func (w *World) activeRange(lo, hi int) {
-	f := w.f
-	if w.fast {
-		// Fast boundary: walk just the members in [lo, hi) —
-		// ascending, so the per-rank call order matches a mask scan at any
-		// width. Skipped ranks take no per-rank write at all; deliverActive
-		// folds their idle compute cost analytically.
-		list := w.actList
-		for _, p32 := range list[lowerBound(list, int32(lo)):] {
-			p := int(p32)
-			if p >= hi {
-				break
-			}
-			f(p)
-		}
-		return
+	f, list := w.f, w.actList
+	var paused []bool
+	if w.chaos != nil {
+		paused = w.chaos.pausedNow
 	}
-	ch, active, idle := w.chaos, w.active, w.idle
-	for p := lo; p < hi; p++ {
-		if ch != nil && ch.pausedNow[p] {
+	for _, p32 := range list[lowerBound(list, int32(lo)):] {
+		p := int(p32)
+		if p >= hi {
+			break
+		}
+		if paused != nil && paused[p] {
 			continue // descheduled: does not run, and is charged nothing
 		}
-		if active == nil || active[p] {
-			f(p)
-		} else if idle != nil {
-			w.flops[p] += idle[p]
-		}
+		f(p)
 	}
 }

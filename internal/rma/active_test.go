@@ -2,7 +2,10 @@ package rma
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+
+	"southwell/internal/obs"
 )
 
 // activeWorld builds a world plus the pieces of an active-subset ring
@@ -60,50 +63,89 @@ func maskList(active []bool) []int32 {
 	return l
 }
 
+// controlTrack returns the run-level events a recorder retained.
+func controlTrack(rec *obs.Recorder) []obs.Event {
+	var out []obs.Event
+	for _, e := range rec.Events() {
+		if e.Rank == obs.ControlRank {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // TestRunPhaseActiveMatchesRunPhase is the runtime half of the active-set
 // bit-identity story: RunPhaseActive over a mask must leave the world in
 // exactly the state of a dense RunPhase whose body branches on the same
 // mask and charges idle[p] for skipped ranks — same stats, same simulated
-// clock, same landed messages. Checked inline and at every pool width.
+// clock, same landed messages. Checked inline and at every pool width, and
+// over everything the boundary overlays: nothing, a tracer (whose control
+// track — phase maxima, landings, fault actions — must then agree event for
+// event), a plan that slows two ranks and pauses an active and a skipped
+// one, and both.
 func TestRunPhaseActiveMatchesRunPhase(t *testing.T) {
 	const p, stride, rounds = 64, 4, 5
+	plan := &FaultPlan{Seed: 7, Stragglers: map[int]float64{3: 4, 8: 2.5}, StragglerPhaseProb: 0.2,
+		Pauses: []Pause{{Rank: 4, From: 1, To: 3}, {Rank: 5, From: 2, To: 4}}}
 	for _, parallel := range []bool{false, true} {
-		name := "seq/list"
-		if parallel {
-			name = "pool/list"
-		}
-		t.Run(name, func(t *testing.T) {
-			atWidths(t, parallel, func(t *testing.T) {
-				wa, fa, active, idle := activeWorld(p, stride, parallel)
-				wd, fd, _, _ := activeWorld(p, stride, parallel)
-				lst := maskList(active)
-				dense := func(rank int) {
-					if active[rank] {
-						fd(rank)
-					} else {
-						wd.Charge(rank, idle[rank])
+		for _, ov := range []struct {
+			name   string
+			traced bool
+			faults *FaultPlan
+		}{{"list", false, nil}, {"tracer", true, nil}, {"plan", false, plan}, {"tracer+plan", true, plan}} {
+			name := "seq/" + ov.name
+			if parallel {
+				name = "pool/" + ov.name
+			}
+			t.Run(name, func(t *testing.T) {
+				atWidths(t, parallel, func(t *testing.T) {
+					wa, fa, active, idle := activeWorld(p, stride, parallel)
+					wd, fd, _, _ := activeWorld(p, stride, parallel)
+					var ra, rd *obs.Recorder
+					if ov.traced {
+						ra, rd = obs.NewRecorderCap(p, 256), obs.NewRecorderCap(p, 256)
+						wa.SetTracer(ra)
+						wd.SetTracer(rd)
 					}
-				}
-				for i := 0; i < rounds; i++ {
-					wa.RunPhaseActive(active, lst, idle, fa)
-					wd.RunPhase(dense)
-					for r := 0; r < p; r++ {
-						ia, id := wa.Inbox(r), wd.Inbox(r)
-						if len(ia) != len(id) {
-							t.Fatalf("round %d rank %d: %d landings active vs %d dense", i, r, len(ia), len(id))
+					wa.InstallFaults(ov.faults)
+					wd.InstallFaults(ov.faults)
+					lst := maskList(active)
+					dense := func(rank int) {
+						if active[rank] {
+							fd(rank)
+						} else {
+							wd.Charge(rank, idle[rank])
 						}
-						for k := range ia {
-							if ia[k].From != id[k].From || ia[k].Tag != id[k].Tag {
-								t.Fatalf("round %d rank %d landing %d differs", i, r, k)
+					}
+					for i := 0; i < rounds; i++ {
+						wa.RunPhaseActive(active, lst, idle, fa)
+						wd.RunPhase(dense)
+						for r := 0; r < p; r++ {
+							ia, id := wa.Inbox(r), wd.Inbox(r)
+							if len(ia) != len(id) {
+								t.Fatalf("round %d rank %d: %d landings active vs %d dense", i, r, len(ia), len(id))
+							}
+							for k := range ia {
+								if ia[k].From != id[k].From || ia[k].Tag != id[k].Tag {
+									t.Fatalf("round %d rank %d landing %d differs", i, r, k)
+								}
 							}
 						}
 					}
-				}
-				if sa, sd := wa.Stats(), wd.Stats(); sa != sd {
-					t.Errorf("stats differ:\nactive %+v\ndense  %+v", sa, sd)
-				}
+					if sa, sd := wa.Stats(), wd.Stats(); sa != sd {
+						t.Errorf("stats differ:\nactive %+v\ndense  %+v", sa, sd)
+					}
+					if ov.faults != nil && wa.Stats().PausedRankPhases != 4 {
+						t.Errorf("%d paused rank-phases, want 4: the plan's pauses missed the run", wa.Stats().PausedRankPhases)
+					}
+					if ca, cd := controlTrack(ra), controlTrack(rd); !reflect.DeepEqual(ca, cd) {
+						t.Errorf("control tracks differ: %d events active, %d dense", len(ca), len(cd))
+					} else if ov.traced && len(ca) < rounds {
+						t.Errorf("control track holds %d events, want at least one per phase", len(ca))
+					}
+				})
 			})
-		})
+		}
 	}
 }
 
@@ -140,14 +182,17 @@ func stragglerPlan() *FaultPlan {
 // a steady-state phase allocates nothing, inline and at every pool width,
 // for the shapes a phase takes:
 //
-//   - ActivePhase: one RunPhaseActive with 1 rank in 16 active. The
-//     membership mask and idle vector ride on the world and the skip path
-//     is a bool load plus a float add — the property that lets paper-scale
-//     runs step in O(active work).
+//   - ActivePhase: one RunPhaseActive with 1 rank in 16 active. The member
+//     list and idle vector ride on the world and a skipped rank is never
+//     visited — the property that lets paper-scale runs step in O(active
+//     work).
+//   - TracedActivePhase: the same under a recorder (every emit is a ring
+//     write, and the boundary's second cost walk allocates nothing).
+//   - StragglerActivePhase: the same under a straggler-only fault plan (the
+//     cost pass visits every rank and consults the plan for each).
 //   - DensePhase: one RunPhase whose body calls Inbox, Put and Charge on
 //     every rank; staging and window buffers keep their capacity.
-//   - StragglerPhase: the dense phase under a straggler-only fault plan
-//     (the cost model consults the plan per rank at the boundary).
+//   - StragglerPhase: the dense phase under that plan.
 //   - ResetThenPhase: World.Reset, then the dense phase — Reset keeps
 //     every buffer's capacity, so a world rewound for its next run costs
 //     no allocation.
@@ -161,6 +206,10 @@ func TestActiveAllocGate(t *testing.T) {
 			atWidths(t, parallel, func(t *testing.T) {
 				wa, fa, active, idle := activeWorld(256, 16, parallel)
 				lst := maskList(active)
+				wt, ft, _, _ := activeWorld(256, 16, parallel)
+				wt.SetTracer(obs.NewRecorderCap(256, 64))
+				wsa, fsa, _, _ := activeWorld(256, 16, parallel)
+				wsa.InstallFaults(stragglerPlan())
 				wd, fd, _, _ := activeWorld(256, 1, parallel)
 				ws, fs, _, _ := activeWorld(256, 1, parallel)
 				ws.InstallFaults(stragglerPlan())
@@ -172,6 +221,8 @@ func TestActiveAllocGate(t *testing.T) {
 						wa.RunPhaseActive(active, lst, idle, fa)
 						_ = wa.LiveInboxes() // what the dmem driver reads at every boundary
 					}},
+					{"TracedActivePhase", func() { wt.RunPhaseActive(active, lst, idle, ft) }},
+					{"StragglerActivePhase", func() { wsa.RunPhaseActive(active, lst, idle, fsa) }},
 					{"DensePhase", func() { wd.RunPhase(fd) }},
 					{"StragglerPhase", func() { ws.RunPhase(fs) }},
 					{"ResetThenPhase", func() {

@@ -1,5 +1,7 @@
 package rma
 
+import "southwell/internal/obs"
+
 // Fault injection ("chaos") for the simulated one-sided runtime.
 //
 // A FaultPlan installed on a World perturbs delivery the way a real
@@ -86,16 +88,6 @@ func (m *Message) own() {
 	if c, ok := m.Payload.(Cloner); ok {
 		m.Payload = c.CloneMessage()
 		m.owned = true
-	}
-}
-
-// retainWindow takes ownership of a window that outlives its phase because
-// its rank is paused. It must run before any sender can start the phase in
-// which it rewrites the buffers these messages point into: on the driver
-// between phases (deliver).
-func retainWindow(in []Message) {
-	for i := range in {
-		in[i].own()
 	}
 }
 
@@ -253,22 +245,72 @@ func (ch *chaosState) markPaused(phase int64) {
 	}
 }
 
-// fault decides the fate of one staged message at a delivery boundary.
-// Returning deliver=false means the message was captured as delayed.
-func (ch *chaosState) fault(m *Message, phase int64) (deliver, dup bool) {
+// openFaultBoundary is the plan's share of a boundary ahead of the staged
+// sweep: count the rank-phases spent paused, mark where this boundary's
+// batch starts in every window the reorder pass may shuffle (nonzero only
+// for the retained ones), and land the delayed messages whose boundary has
+// come — they are the oldest traffic, in staging order.
+func (w *World) openFaultBoundary() {
+	ch := w.chaos
+	if ch.anyPause {
+		for p, paused := range ch.pausedNow {
+			if paused {
+				ch.paused++
+				w.emitFault(obs.FlagFaultPaused, p, 0)
+			}
+		}
+	}
+	if ch.plan.ReorderProb > 0 {
+		clear(ch.batchStart)
+		for _, p := range w.liveInbox {
+			ch.batchStart[p] = len(w.inbox[p])
+		}
+	}
+	for _, h := range ch.releaseDue(w.phases) {
+		w.land(h.m)
+	}
+}
+
+// landFaulty decides the fate of one staged message at a delivery boundary:
+// captured as delayed, landed, or landed twice.
+func (w *World) landFaulty(m *Message) {
+	ch := w.chaos
 	if ch.plan.DelayProb > 0 && ch.rng.float() < ch.plan.DelayProb {
 		k := 1 + ch.rng.intn(ch.plan.DelayMax)
 		held := *m
 		held.own()
-		ch.held = append(ch.held, heldMsg{due: phase + int64(k), m: held})
+		ch.held = append(ch.held, heldMsg{due: w.phases + int64(k), m: held})
 		ch.delayed++
-		return false, false
+		w.emitFault(obs.FlagFaultDelayed, m.From, m.To)
+		return
 	}
+	w.land(*m)
 	if ch.plan.DupProb > 0 && ch.rng.float() < ch.plan.DupProb {
 		ch.duped++
-		return true, true
+		d := *m
+		d.Dup = true
+		w.land(d)
+		w.emitFault(obs.FlagFaultDuped, m.From, m.To)
 	}
-	return true, false
+}
+
+// reorderBatches shuffles, with the plan's probability, the batch each
+// window received at this boundary. Ascending rank over all P: the draws
+// are one PRNG stream, so their order is part of the output.
+func (w *World) reorderBatches() {
+	ch := w.chaos
+	for p := range w.inbox {
+		batch := w.inbox[p][ch.batchStart[p]:]
+		if len(batch) < 2 || ch.rng.float() >= ch.plan.ReorderProb {
+			continue
+		}
+		ch.reordered++
+		w.emitFault(obs.FlagFaultReordered, p, p)
+		for i := len(batch) - 1; i > 0; i-- {
+			j := ch.rng.intn(i + 1)
+			batch[i], batch[j] = batch[j], batch[i]
+		}
+	}
 }
 
 // releaseDue moves held messages whose due boundary has arrived into out

@@ -23,15 +23,17 @@
 // function must not block: it occupies a slot of the pool the numerical
 // kernels share (DESIGN.md §9).
 //
-// The hot path is allocation-free at steady state: staged-put and inbox
-// slices keep their capacity across phases, delivery scratch is
-// preallocated, and payloads are expected to be pointers to caller-owned
-// buffers (boxing a pointer into the Payload interface does not allocate).
+// One boundary closes a phase (deliver). It walks the ranks that ran and the
+// windows that were written, never all P, and is allocation-free at steady
+// state: staged-put and inbox slices keep their capacity across phases, and
+// payloads are expected to be pointers to caller-owned buffers (boxing a
+// pointer into the Payload interface does not allocate).
 //
 // A seeded fault-injection plan (faults.go) can perturb delivery — delayed,
 // duplicated, and reordered landings, straggler cost multipliers, and rank
 // pauses — deterministically and identically at every width, for the
-// robustness studies.
+// robustness studies. A plan or a tracer adds passes and emit sites to that
+// boundary; neither selects another one.
 //
 // The runtime also does the bookkeeping the paper reports: messages and
 // bytes per rank split by tag (solve updates vs explicit residual updates,
@@ -122,15 +124,16 @@ type World struct {
 	msgs   []int64     // per-rank messages sent this phase
 	bytes  []int64     // per-rank bytes sent this phase
 
-	recvMsgs  []int64 // deliver() scratch: per-rank landings, zeroed in place
+	recvMsgs  []int64 // per-rank landings at this boundary, zeroed by fold
 	recvBytes []int64
 
 	// liveInbox lists the ranks whose inbox is currently nonempty, in the
 	// order they first received a landing. land maintains it (append on the
-	// empty→nonempty transition) and deliver consumes it, so the active-set
-	// fast path (deliverActive) clears, costs, and order-checks only the
-	// windows that were actually written instead of scanning all P.
+	// empty→nonempty transition) and deliver consumes it, so the boundary
+	// expires and costs only the windows that were actually written instead
+	// of scanning all P.
 	liveInbox []int32
+	all       []int32 // 0..P-1: the member list of a phase every rank runs
 
 	arena   []Message  // unassigned first chunks, see firstChunk
 	arenaMu sync.Mutex // Put reaches firstChunk from concurrent phase functions
@@ -165,13 +168,8 @@ type World struct {
 	chunks  int
 	f       func(rank int)
 	active  []bool    // nil: every rank runs f
-	actList []int32   // the ranks with active[p] set, ascending
+	actList []int32   // the ranks that run f, ascending
 	idle    []float64 // per-rank flop charge for skipped, unpaused ranks
-	// fast: an active subset with no fault plan or tracer installed.
-	// activeRange then walks actList instead of the mask, deliver
-	// dispatches to deliverActive, and the idle compute cost folds into the
-	// phase maximum analytically.
-	fast bool
 
 	closed bool
 }
@@ -189,6 +187,10 @@ func NewWorld(p int, model CostModel) *World {
 		recvMsgs:  make([]int64, p),
 		recvBytes: make([]int64, p),
 		liveInbox: make([]int32, 0, p),
+		all:       make([]int32, p),
+	}
+	for r := range w.all {
+		w.all[r] = int32(r)
 	}
 	w.task.F = w.runChunk
 	return w
@@ -292,10 +294,10 @@ func (w *World) PhaseIndex() int64 { return w.phases }
 
 // RunPhase executes one access epoch: f runs for every rank, then all
 // staged puts are delivered and the phase's simulated time is accounted.
-// It is RunPhaseActive with every rank active (active.go), so the width
-// (w.Parallel) and the contract are the same: f(p) may only touch rank p's
-// state, and cross-rank data moves exclusively through Put at the phase
-// boundary.
+// It is RunPhaseActive over the world's identity list (active.go), so the
+// walk, the boundary, the width (w.Parallel) and the contract are the same:
+// f(p) may only touch rank p's state, and cross-rank data moves exclusively
+// through Put at the phase boundary.
 func (w *World) RunPhase(f func(rank int)) {
 	w.RunPhaseActive(nil, nil, nil, f)
 }
@@ -332,63 +334,50 @@ func (w *World) Reset(model CostModel) {
 	w.closed = false
 }
 
-// deliver moves staged puts into inboxes (deterministically ordered by
-// origin rank) and accumulates the phase's simulated time. The time is the
-// BSP h-relation cost: per rank, compute plus message costs counting both
+// deliver closes the phase in flight — the one phase boundary. It expires
+// the windows written at the previous boundary, moves staged puts into
+// windows (ascending origin rank: only members can have sent, and the list
+// is ascending) and accumulates the phase's simulated time: the BSP
+// h-relation cost, per rank compute plus message costs counting both
 // injections and landings (a window write occupies the target's NIC even
 // though the target CPU is not involved), maximized over ranks.
 //
-// deliver is allocation-free at steady state: inboxes and staged slices
-// keep their capacity, and the landing counters are preallocated scratch.
-// With a fault plan installed it additionally holds back, duplicates, and
-// reorders landings, retains the windows of paused ranks, and applies
-// straggler multipliers to the cost model — all decided here, on the
-// calling goroutine, so every width sees the same schedule.
+// Every loop runs over the ranks the phase touched — the member list and
+// the written windows (liveInbox) — never over all P. What else runs is
+// decided by what the world holds. A fault plan overlays exactly the passes
+// it needs (faults.go): a paused rank's window is retained, delayed
+// messages are released, each staged message is held back, landed or landed
+// twice, batches are reordered, and the cost pass visits every rank because
+// each has its own multiplier. A tracer adds emit sites on the same walks,
+// plus a second cost walk so a rank's cost row carries the closed phase's
+// clock. All of it runs here, on the calling goroutine, so every width sees
+// the same schedule.
 func (w *World) deliver() {
-	ch := w.chaos
-	if w.fast {
-		w.deliverActive()
-		return
-	}
-	w.liveInbox = w.liveInbox[:0] // rebuilt below (retained windows) and by land
-	for p := range w.inbox {
+	ch, landedBefore := w.chaos, w.delivered
+	live := w.liveInbox[:0]
+	for _, p := range w.liveInbox {
+		in := w.inbox[p]
 		if ch != nil && ch.pausedNow[p] {
 			// One-sided writes to a paused rank's window persist until the
-			// rank next runs an epoch and can actually read them.
-			ch.paused++
-			retainWindow(w.inbox[p])
-			if len(w.inbox[p]) > 0 {
-				w.liveInbox = append(w.liveInbox, int32(p)) // preallocated to cap P in NewWorld; entries are distinct ranks, so len never exceeds P
+			// rank next runs an epoch and can actually read them. The window
+			// takes ownership of its payloads here, before any sender can
+			// start the phase in which it rewrites the buffers they point into.
+			for i := range in {
+				in[i].own()
 			}
-			if w.trace != nil {
-				w.trace.Emit(obs.Event{
-					Kind:  obs.KindFault,
-					Rank:  obs.ControlRank,
-					Flag:  obs.FlagFaultPaused,
-					A:     int32(p),
-					Ts:    w.simTime,
-					Phase: w.phases,
-				})
-			}
+			live = append(live, p) // compacts liveInbox in place
 			continue
 		}
-		in := w.inbox[p]
 		for i := range in {
 			in[i].Payload = nil // do not retain payloads past their phase
 		}
 		w.inbox[p] = in[:0]
 	}
+	w.liveInbox = live
 	if ch != nil {
-		for p := range w.inbox {
-			ch.batchStart[p] = len(w.inbox[p])
-		}
-		// Delayed messages whose boundary has come land first (they are
-		// the oldest traffic), in staging order.
-		for _, h := range ch.releaseDue(w.phases) {
-			w.land(h.m)
-		}
+		w.openFaultBoundary()
 	}
-	for from := 0; from < w.P; from++ {
+	for _, from := range w.actList {
 		st := w.staged[from]
 		for i := range st {
 			m := &st[i]
@@ -396,98 +385,111 @@ func (w *World) deliver() {
 			w.totalBytes[m.Tag] += int64(m.Bytes)
 			if ch == nil {
 				w.land(*m)
-			} else if deliver, dup := ch.fault(m, w.phases); deliver {
-				w.land(*m)
-				if dup {
-					d := *m
-					d.Dup = true
-					w.land(d)
-					w.emitFault(obs.FlagFaultDuped, m.From, m.To)
-				}
 			} else {
-				w.emitFault(obs.FlagFaultDelayed, m.From, m.To)
+				w.landFaulty(m)
 			}
 			m.Payload = nil
 		}
 		w.staged[from] = st[:0]
 	}
 	if ch != nil && ch.plan.ReorderProb > 0 {
-		for p := range w.inbox {
-			batch := w.inbox[p][ch.batchStart[p]:]
-			if len(batch) < 2 {
-				continue
-			}
-			if ch.rng.float() >= ch.plan.ReorderProb {
-				continue
-			}
-			ch.reordered++
-			w.emitFault(obs.FlagFaultReordered, p, p)
-			for i := len(batch) - 1; i > 0; i-- {
-				j := ch.rng.intn(i + 1)
-				batch[i], batch[j] = batch[j], batch[i]
-			}
-		}
+		w.reorderBatches()
 	}
 
-	maxCost := 0.0
-	for p := 0; p < w.P; p++ {
-		h := float64(w.msgs[p] + w.recvMsgs[p])
-		hb := float64(w.bytes[p] + w.recvBytes[p])
-		cost := w.Model.Gamma*w.flops[p] + w.Model.Alpha*h + w.Model.Beta*hb
-		if ch != nil {
-			cost *= ch.slowAt(p, w.phases)
-		}
-		if cost > maxCost {
-			maxCost = cost
-		}
-	}
+	maxCost := w.phaseCost(w.trace == nil)
 	w.simTime += maxCost
-	w.phases++
-	var landings int64
-	for p := 0; p < w.P; p++ {
-		landings += w.recvMsgs[p]
-		if w.trace != nil && (w.flops[p] != 0 || w.msgs[p] != 0 || w.recvMsgs[p] != 0) {
-			// Re-derive the cost split so the slice carries the γ/α/β
-			// terms separately: the rank whose total tracks the phase
-			// maximum is the SimTime winner.
-			mult := 1.0
-			if ch != nil {
-				mult = ch.slowAt(p, w.phases-1)
-			}
-			fc := w.Model.Gamma * w.flops[p] * mult
-			mc := w.Model.Alpha * float64(w.msgs[p]+w.recvMsgs[p]) * mult
-			bc := w.Model.Beta * float64(w.bytes[p]+w.recvBytes[p]) * mult
-			w.trace.Emit(obs.Event{
-				Kind:  obs.KindRankCost,
-				Rank:  int32(p),
-				Ts:    w.simTime,
-				Dur:   fc + mc + bc,
-				V1:    fc,
-				V2:    mc,
-				V3:    bc,
-				A:     int32(w.msgs[p]),
-				B:     int32(w.recvMsgs[p]),
-				I1:    w.bytes[p],
-				I2:    w.recvBytes[p],
-				Phase: w.phases - 1,
-			})
-		}
-		w.flops[p] = 0
-		w.msgs[p] = 0
-		w.bytes[p] = 0
-		w.recvMsgs[p] = 0
-		w.recvBytes[p] = 0
-	}
 	if w.trace != nil {
+		w.phaseCost(true)
 		w.trace.Emit(obs.Event{
 			Kind:  obs.KindPhase,
 			Rank:  obs.ControlRank,
 			Ts:    w.simTime,
 			Dur:   maxCost,
-			I1:    landings,
-			Phase: w.phases - 1,
+			I1:    w.delivered - landedBefore,
+			Phase: w.phases,
 		})
 	}
+	w.phases++
+}
+
+// phaseCost returns the maximum over ranks of the α-β-γ cost of the phase
+// in flight; with settle it also closes every touched rank's books (fold).
+// A rank that ran, or whose window was written, carries the full formula. A
+// skipped rank's cost is Gamma·idle[p] with zero message terms, so a single
+// Gamma·max(idle) term stands for all of them bit-for-bit: max(c·a, c·b) =
+// c·max(a, b) for the non-negative finite costs the model produces, and the
+// max may be taken over ALL ranks (cached per idle vector, see idleMax)
+// because idle[p] lower-bounds every executing rank's flop charge
+// (RunPhaseActive contract) and IEEE multiply-by- and add-nonnegative are
+// monotone, so a touched rank's full cost dominates its own Gamma·idle[p].
+// Per-rank straggler multipliers defeat that fold, so under a fault plan
+// the pass visits every rank, charging a skipped unpaused one idle[p]
+// arithmetically (dense stepping would have charged 0 + idle[p]).
+func (w *World) phaseCost(settle bool) float64 {
+	active, idle, maxCost := w.active, w.idle, 0.0
+	if ch := w.chaos; ch != nil {
+		for p := range w.flops {
+			fl := w.flops[p]
+			if idle != nil && !active[p] && !ch.pausedNow[p] {
+				fl = idle[p]
+			}
+			maxCost = w.fold(maxCost, p, fl, ch.slowAt(p, w.phases), settle)
+		}
+		return maxCost
+	}
+	if idle != nil {
+		maxCost = w.Model.Gamma * w.idleMax(idle)
+	}
+	for _, p := range w.actList {
+		maxCost = w.fold(maxCost, int(p), w.flops[p], 1, settle)
+	}
+	for _, p := range w.liveInbox {
+		if active == nil || active[p] {
+			continue // a member: folded above
+		}
+		fl := 0.0 // a skipped receiver: its landings on top of the idle charge
+		if idle != nil {
+			fl = idle[p]
+		}
+		maxCost = w.fold(maxCost, int(p), fl, 1, settle)
+	}
+	return maxCost
+}
+
+// fold folds rank p's α-β-γ cost for the phase in flight — fl flops of
+// compute plus its injections and landings, times mult — into the running
+// maximum. With settle it also zeroes the rank's per-phase counters, after
+// logging its cost row if a tracer is installed and the rank ran or was
+// written to: the γ/α/β terms separately, so the rank whose total tracks
+// the phase maximum is the SimTime winner.
+func (w *World) fold(maxCost float64, p int, fl, mult float64, settle bool) float64 {
+	h := float64(w.msgs[p] + w.recvMsgs[p])
+	hb := float64(w.bytes[p] + w.recvBytes[p])
+	if cost := (w.Model.Gamma*fl + w.Model.Alpha*h + w.Model.Beta*hb) * mult; cost > maxCost {
+		maxCost = cost
+	}
+	if !settle {
+		return maxCost
+	}
+	if w.trace != nil && (w.flops[p] != 0 || w.msgs[p] != 0 || w.recvMsgs[p] != 0) {
+		fc, mc, bc := w.Model.Gamma*fl*mult, w.Model.Alpha*h*mult, w.Model.Beta*hb*mult
+		w.trace.Emit(obs.Event{
+			Kind:  obs.KindRankCost,
+			Rank:  int32(p),
+			Ts:    w.simTime,
+			Dur:   fc + mc + bc,
+			V1:    fc,
+			V2:    mc,
+			V3:    bc,
+			A:     int32(w.msgs[p]),
+			B:     int32(w.recvMsgs[p]),
+			I1:    w.bytes[p],
+			I2:    w.recvBytes[p],
+			Phase: w.phases,
+		})
+	}
+	w.flops[p], w.msgs[p], w.bytes[p], w.recvMsgs[p], w.recvBytes[p] = 0, 0, 0, 0, 0
+	return maxCost
 }
 
 // idleMax returns max(idle), cached by slice identity: the engine reuses
@@ -509,86 +511,6 @@ func (w *World) idleMax(idle []float64) float64 {
 	}
 	w.idleMaxVec, w.idleMaxVal = idle, m
 	return m
-}
-
-// deliverActive is deliver for an active-subset phase with no fault plan
-// and no tracer installed: every per-rank loop runs over the ranks that
-// were actually touched (the active set, plus windows that received a
-// landing) rather than all P, so a phase boundary costs O(active work).
-// Skipped ranks carry no idle flop writes on this path — their compute
-// cost Gamma·idle[p] is a monotone function of idle[p] with zero message
-// terms, so folding a single Gamma·max(idle) term reproduces the dense
-// phase maximum bit-for-bit: x+0 = x and max(c·a, c·b) = c·max(a,b) for
-// the non-negative finite costs the model produces, and the max may be
-// taken over ALL ranks (cached per idle vector, see idleMax) because
-// idle[p] lower-bounds every executing rank's flop charge (RunPhaseActive
-// contract) and IEEE multiply-by-nonnegative and add-nonnegative are
-// monotone, so an executing or landing rank's full-formula cost already
-// dominates its own Gamma·idle[p] term.
-func (w *World) deliverActive() {
-	// Clear only the windows that were written last phase. land() keeps
-	// liveInbox exact: an entry per nonempty inbox, appended on the
-	// empty→nonempty transition.
-	for _, p := range w.liveInbox {
-		in := w.inbox[p]
-		for i := range in {
-			in[i].Payload = nil // do not retain payloads past their phase
-		}
-		w.inbox[p] = in[:0]
-	}
-	w.liveInbox = w.liveInbox[:0]
-	active, list, idle := w.active, w.actList, w.idle
-	// Only executing ranks can have staged puts (the RunPhaseActive
-	// contract: an inactive rank's phase sends nothing), and the list is
-	// ascending, so walking it preserves sender-order delivery.
-	for _, from := range list {
-		st := w.staged[from]
-		for i := range st {
-			m := &st[i]
-			w.totalMsgs[m.Tag]++
-			w.totalBytes[m.Tag] += int64(m.Bytes)
-			w.land(*m)
-			m.Payload = nil
-		}
-		w.staged[from] = st[:0]
-	}
-
-	// Phase cost: the executing ranks and the landing receivers carry the
-	// full α-β-γ formula; every other skipped rank's cost is exactly
-	// Gamma·idle[p], folded analytically below.
-	maxCost := 0.0
-	if idle != nil {
-		maxCost = w.Model.Gamma * w.idleMax(idle)
-	}
-	for _, p := range list {
-		if cost := w.settle(int(p), w.flops[p]); cost > maxCost {
-			maxCost = cost
-		}
-	}
-	for _, p := range w.liveInbox {
-		fl := w.flops[p] // 0 for a skipped receiver: no idle writes on this path
-		if !active[p] && idle != nil {
-			fl = idle[p] // dense charges flops[p] = 0 + idle[p]
-		}
-		if cost := w.settle(int(p), fl); cost > maxCost {
-			maxCost = cost
-		}
-	}
-	w.simTime += maxCost
-	w.phases++
-}
-
-// settle returns rank p's α-β-γ cost for the phase just run, with fl flops
-// of compute, and zeroes its per-phase counters.
-func (w *World) settle(p int, fl float64) float64 {
-	h := float64(w.msgs[p] + w.recvMsgs[p])
-	hb := float64(w.bytes[p] + w.recvBytes[p])
-	w.flops[p] = 0
-	w.msgs[p] = 0
-	w.bytes[p] = 0
-	w.recvMsgs[p] = 0
-	w.recvBytes[p] = 0
-	return w.Model.Gamma*fl + w.Model.Alpha*h + w.Model.Beta*hb
 }
 
 // emitFault records a fault-layer action on the control track. Fault

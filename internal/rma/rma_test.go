@@ -65,11 +65,11 @@ func TestPutDeliveredNextPhase(t *testing.T) {
 	})
 }
 
-// TestDeliveryOrderDeterministic pins the invariant both boundaries build
-// by construction and nothing re-checks at run time: a window holds its
+// TestDeliveryOrderDeterministic pins the invariant the boundary builds by
+// construction and nothing re-checks at run time: a window holds its
 // landings in ascending origin rank, one sender's in the order it put them —
-// after a full boundary (deliver) and an active-subset one (deliverActive),
-// inline and at every pool width.
+// after a phase every rank ran and after one over a subset, inline and at
+// every pool width.
 func TestDeliveryOrderDeterministic(t *testing.T) {
 	const p = 64
 	for _, par := range []bool{false, true} {
@@ -102,14 +102,14 @@ func TestDeliveryOrderDeterministic(t *testing.T) {
 				}
 			}
 			w.RunPhase(send)
-			check("deliver", p)
+			check("after every rank", p)
 			active := make([]bool, p)
 			for r := range active {
 				active[r] = r%3 != 1
 			}
 			list := maskList(active)
 			w.RunPhaseActive(active, list, nil, send)
-			check("deliverActive", len(list))
+			check("after a subset", len(list))
 		})
 	}
 }
