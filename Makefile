@@ -90,11 +90,14 @@ bench-e2e:
 #   make identity PARENT=/path/to/checkout-of-the-parent-commit
 # builds dsouthwell and benchtables from both trees, runs the fixed list of
 # CLI lines below in each and `cmp`s the outputs, stopping at the first
-# difference. The last line is a pinned run's whole trace export (~1.3 MB;
+# difference. The IDENTITY_SMALL lines are a many-small-parts run (ranks of
+# one or two rows, single-neighbor ranks), the shape the exchange plans are
+# laid out for. The last line is a pinned run's whole trace export (~1.3 MB;
 # pinned, so no rank sleeps and every event is part of the contract). Not
 # part of verify: it needs a second checkout.
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
 IDENTITY_SOLVE = -mat msdoor -n 64 -sweep_max 15
+IDENTITY_SMALL = -mat msdoor -n 1024 -sweep_max 5
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<checkout of the parent commit>"; exit 2; }
 	@set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
@@ -111,6 +114,8 @@ identity:
 		"dsouthwell $(IDENTITY_SOLVE) -solver ps" \
 		"dsouthwell $(IDENTITY_SOLVE) -solver bj" \
 		"dsouthwell $(IDENTITY_SOLVE) -solver pb16" \
+		"dsouthwell $(IDENTITY_SMALL)" \
+		"dsouthwell $(IDENTITY_SMALL) -chaos 0.3" \
 		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout"; \
 	do \
 		$$out/old/$$line >$$out/old.txt 2>&1 || echo "exit $$?" >>$$out/old.txt; \

@@ -31,12 +31,13 @@ func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 			rs := states[p]
 			traceDecision(w, *step, p, rs, true)
 			rs.relaxed = true
-			rs.zeroExtDelta()
+			clear(rs.extDelta)
 			flops := rs.relaxLocal()
 			w.Charge(p, flops)
 			for j, q := range rs.rd.Nbrs {
 				pl := &rs.solve[j]
-				rs.gatherDeltas(j, pl.deltas)
+				_, delta := rs.ghost(j)
+				copy(pl.deltas, delta)
 				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)), pl)
 			}
 		}

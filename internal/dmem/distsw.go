@@ -63,6 +63,7 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 					// is exactly the phase-2 sentTo condition; under faults
 					// sentTo[j] can also mean an explicit update was sent,
 					// which has no crossing.
+					z, delta := rs.ghost(j)
 					if rs.relaxed && rs.sentTo[j] {
 						// Crossing relaxations: the sender's ghost refresh and
 						// norm predate this rank's own deltas to it, so re-apply
@@ -72,13 +73,13 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 						// from the values this rank sent, so Γ̃ stays exactly
 						// equal to the sender's corrected estimate.
 						adj := 0.0
-						for k, e := range rs.rd.BndExt[j] {
-							nz := pl.bnd[k] + rs.extDelta[e]
-							adj += nz*nz - pl.bnd[k]*pl.bnd[k]
+						for k, b0 := range pl.bnd {
+							nz := b0 + delta[k]
+							adj += nz*nz - b0*b0
 							if !opts.NoGhostEstimate {
-								rs.z[e] = nz
+								z[k] = nz
 							} else {
-								rs.z[e] = pl.bnd[k]
+								z[k] = b0
 							}
 						}
 						if opts.NoGhostEstimate {
@@ -95,7 +96,7 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 							rs.gammaTilde[j] = sqrtNonNeg(rs.lastSentNorm*rs.lastSentNorm + adjMine)
 						}
 					} else {
-						rs.overwriteGhost(j, pl.bnd)
+						copy(z, pl.bnd)
 						rs.gamma[j] = pl.norm
 						rs.gammaTilde[j] = pl.estRecv
 					}
@@ -104,7 +105,8 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 						continue
 					}
 					rs.seqSeen[j] = int64(pl.seq)
-					rs.overwriteGhost(j, pl.bnd)
+					z, _ := rs.ghost(j)
+					copy(z, pl.bnd)
 					rs.gamma[j] = pl.norm
 					if !rs.sentTo[j] {
 						rs.gammaTilde[j] = pl.estRecv
@@ -131,7 +133,7 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 				return
 			}
 			rs.relaxed = true
-			rs.zeroExtDelta()
+			clear(rs.extDelta)
 			flops := rs.relaxLocal()
 			rs.norm = rs.computeNorm()
 			rs.lastSentNorm = rs.norm
@@ -139,18 +141,19 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 			for j, q := range rs.rd.Nbrs {
 				// Local, communication-free improvement of the estimate of
 				// q's norm using the ghost layer (skippable for ablation).
+				z, delta := rs.ghost(j)
 				if opts.NoGhostEstimate {
-					for _, e := range rs.rd.BndExt[j] {
-						rs.z[e] += rs.extDelta[e]
+					for k, d := range delta {
+						z[k] += d
 					}
 				} else {
 					rs.updateGhostAndGamma(j)
 				}
-				w.Charge(p, 2*float64(len(rs.rd.BndExt[j])))
+				w.Charge(p, 2*float64(len(z)))
 				rs.gammaTilde[j] = rs.norm
 				rs.sentTo[j] = true
 				pl := &rs.solve[j]
-				rs.gatherDeltas(j, pl.deltas)
+				copy(pl.deltas, delta)
 				rs.gatherBnd(j, pl.bnd)
 				pl.norm, pl.estRecv, pl.seq = rs.norm, rs.gamma[j], 2*int32(*step)
 				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+len(pl.bnd)+2), pl)

@@ -29,36 +29,50 @@ func buildCase(t testing.TB, a *sparse.CSR, p int, seed int64) (*Layout, []float
 	return l, b, x
 }
 
+// suiteMatrix builds a suite matrix by name.
+func suiteMatrix(t testing.TB, name string) *sparse.CSR {
+	t.Helper()
+	e, ok := problem.SuiteByName(name)
+	if !ok {
+		t.Fatalf("no suite matrix %q", name)
+	}
+	return e.Build()
+}
+
+// TestLayoutExchangePlansMatch is the layout contract the message path rests
+// on: a rank's ext range for neighbor q lists exactly q's boundary rows toward
+// it, in q's order, so a message body needs no index. Checked from both sides
+// on a grid, on a suite matrix and on the benchmark's wide4k shape (parts of
+// 1-7 rows, single-neighbor ranks).
 func TestLayoutExchangePlansMatch(t *testing.T) {
-	a := problem.Poisson2D(16, 16)
-	l, _, _ := buildCase(t, a, 7, 1)
-	for p := 0; p < l.P; p++ {
-		rd := l.Ranks[p]
-		for j, q := range rd.Nbrs {
-			qd := l.Ranks[q]
-			jq, ok := qd.NbrSlot(p)
-			if !ok {
-				t.Fatalf("neighbor relation not symmetric: %d -> %d", p, q)
-			}
-			// The rows I hold deltas for (q-owned) must be exactly q's
-			// boundary rows toward me, in the same order.
-			if len(rd.BndExt[j]) != len(qd.MyBnd[jq]) {
-				t.Fatalf("delta plan size mismatch %d->%d: %d vs %d",
-					p, q, len(rd.BndExt[j]), len(qd.MyBnd[jq]))
-			}
-			for k, e := range rd.BndExt[j] {
-				if rd.ExtGlob[e] != qd.Glob[qd.MyBnd[jq][k]] {
-					t.Fatalf("delta plan order mismatch %d->%d at %d", p, q, k)
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+		p    int
+	}{
+		{"Poisson2D/7", problem.Poisson2D(16, 16), 7},
+		{"Flan_1565/256", suiteMatrix(t, "Flan_1565"), 256},
+		{"Flan_1565/4096", suiteMatrix(t, "Flan_1565"), 4096},
+	} {
+		l, _, _ := buildCase(t, c.a, c.p, 1)
+		for p, rd := range l.Ranks {
+			for j, q := range rd.Nbrs {
+				qd := l.Ranks[q]
+				jq, ok := qd.NbrSlot(p)
+				if !ok {
+					t.Fatalf("%s: neighbor relation not symmetric: %d -> %d", c.name, p, q)
 				}
-			}
-			// My boundary rows toward q must be exactly q's ghost slots for
-			// me, in order.
-			if len(rd.MyBnd[j]) != len(qd.BndExt[jq]) {
-				t.Fatalf("ghost plan size mismatch %d->%d", p, q)
-			}
-			for k, li := range rd.MyBnd[j] {
-				if rd.Glob[li] != qd.ExtGlob[qd.BndExt[jq][k]] {
-					t.Fatalf("ghost plan order mismatch %d->%d at %d", p, q, k)
+				// The rows I hold deltas and ghosts for (q-owned) are exactly
+				// q's boundary rows toward me, in the same order; q's view of
+				// my rows is checked when the loop reaches (q, p).
+				ext, bnd := rd.ExtGlob[rd.ExtOff[j]:rd.ExtOff[j+1]], qd.MyBnd(jq)
+				if len(ext) != len(bnd) {
+					t.Fatalf("%s: plan size mismatch %d->%d: %d ext rows vs %d boundary rows", c.name, p, q, len(ext), len(bnd))
+				}
+				for k, g := range ext {
+					if g != qd.Glob[bnd[k]] {
+						t.Fatalf("%s: plan order mismatch %d->%d at %d", c.name, p, q, k)
+					}
 				}
 			}
 		}
@@ -104,6 +118,14 @@ func TestLayoutRejectsAsymmetricCoupling(t *testing.T) {
 			a: &sparse.CSR{N: 4, RowPtr: []int{0, 2, 3, 4, 6}, Col: []int{0, 2, 1, 2, 1, 3},
 				Val: []float64{1, 0.5, 1, 1, 0.5, 1}},
 			want: "dmem: asymmetric coupling: row 0 couples into rank 1 but not back",
+		},
+		{
+			// Every boundary row of rank 0 is ghosted back (0↔2), but rank 1
+			// also ghosts row 1, which does not couple into it.
+			name: "count", part: []int{0, 0, 1},
+			a: &sparse.CSR{N: 3, RowPtr: []int{0, 2, 3, 6}, Col: []int{0, 2, 1, 0, 1, 2},
+				Val: []float64{1, 0.5, 1, 0.5, 0.5, 1}},
+			want: "dmem: asymmetric coupling: rank 1 ghosts 2 rows of rank 0 but only 1 couple into it",
 		},
 	} {
 		if err := tc.a.Validate(); err != nil {

@@ -16,7 +16,7 @@ package dmem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"southwell/internal/parallel"
@@ -64,25 +64,28 @@ type RankData struct {
 	Diag   []float64
 	NNZ    int // total off-diagonal entries, local + external
 
-	// External rows: remote rows coupled to this rank's rows.
-	ExtGlob []int // global ids, ascending
-
 	// Neighbors, ascending rank order. SlotInNbr[j] is this rank's own
 	// position in neighbor j's Nbrs: the index under which neighbor j files
 	// what this rank sends it.
 	Nbrs      []int
 	SlotInNbr []int32
 
-	// Exchange plans, both indexed by neighbor position in Nbrs and both in
-	// ascending global row order, so BndExt[j] here and MyBnd on neighbor j
-	// list the same rows in the same order (a message body needs no index).
-	// BndExt[j]: ext-row indices owned by neighbor j (the ghost layer z
-	// covers exactly these). MyBnd[j]: local rows of this rank that couple
-	// into neighbor j (the boundary points β whose residuals neighbor j
-	// ghosts).
-	BndExt [][]int
-	MyBnd  [][]int
+	// Exchange plans, flat, one contiguous range per neighbor position j, both
+	// in ascending global row order — so the ext range of neighbor j here and
+	// MyBnd on neighbor j list the same rows in the same order, and a message
+	// body needs no index. ExtGlob[ExtOff[j]:ExtOff[j+1]]: the global ids of
+	// the ext rows neighbor j owns; ext slots are numbered in this order, so
+	// the ghost layer z and extDelta hold one row per neighbor that a body is
+	// copied in and out of. MyRows[MyOff[j]:MyOff[j+1]]: the local rows that
+	// couple into neighbor j (the boundary points β it ghosts).
+	ExtGlob []int
+	ExtOff  []int32
+	MyRows  []int32
+	MyOff   []int32
 }
+
+// MyBnd returns the local rows that couple into neighbor j, ascending.
+func (rd *RankData) MyBnd(j int) []int32 { return rd.MyRows[rd.MyOff[j]:rd.MyOff[j+1]] }
 
 // NewLayout distributes a (structurally symmetric) matrix over P ranks
 // according to part. It validates the partition and the symmetry
@@ -92,18 +95,24 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		return nil, fmt.Errorf("dmem: partition length %d != n %d", len(part), a.N)
 	}
 	l := &Layout{A: a, P: p, Part: part, Rows: make([][]int, p), Local: make([]int, a.N)}
-	for g := 0; g < a.N; g++ {
-		pr := part[g]
+	off := make([]int, p+1) // Rows are carved from one slab, count-then-fill
+	for g, pr := range part {
 		if pr < 0 || pr >= p {
 			return nil, fmt.Errorf("dmem: row %d has invalid rank %d", g, pr)
 		}
-		l.Local[g] = len(l.Rows[pr])
-		l.Rows[pr] = append(l.Rows[pr], g)
+		off[pr+1]++
 	}
+	slab := make([]int, a.N)
 	for pr := 0; pr < p; pr++ {
-		if len(l.Rows[pr]) == 0 {
+		if off[pr+1] == 0 {
 			return nil, fmt.Errorf("dmem: rank %d owns no rows", pr)
 		}
+		off[pr+1] += off[pr]
+		l.Rows[pr] = slab[off[pr]:off[pr]:off[pr+1]]
+	}
+	for g, pr := range part {
+		l.Local[g] = len(l.Rows[pr])
+		l.Rows[pr] = append(l.Rows[pr], g)
 	}
 
 	// Per-rank extraction: ranks are independent (each writes only its own
@@ -156,11 +165,13 @@ func addressRank(l *Layout, pr int) error {
 			return fmt.Errorf("dmem: asymmetric coupling: rank %d couples into rank %d but not back", pr, q)
 		}
 		rd.SlotInNbr[j] = int32(slot)
-		for _, li := range rd.MyBnd[j] {
-			g := rd.Glob[li]
-			s := sort.SearchInts(qd.ExtGlob, g)
-			if s >= len(qd.ExtGlob) || qd.ExtGlob[s] != g {
-				return fmt.Errorf("dmem: asymmetric coupling: row %d couples into rank %d but not back", g, q)
+		mine := qd.ExtGlob[qd.ExtOff[slot]:qd.ExtOff[slot+1]] // q's ghosts of this rank's rows, ascending
+		if len(mine) > len(rd.MyBnd(j)) {
+			return fmt.Errorf("dmem: asymmetric coupling: rank %d ghosts %d rows of rank %d but only %d couple into it", q, len(mine), pr, len(rd.MyBnd(j)))
+		}
+		for _, li := range rd.MyBnd(j) {
+			if _, ok := slices.BinarySearch(mine, rd.Glob[li]); !ok {
+				return fmt.Errorf("dmem: asymmetric coupling: row %d couples into rank %d but not back", rd.Glob[li], q)
 			}
 		}
 	}
@@ -170,28 +181,21 @@ func addressRank(l *Layout, pr int) error {
 // rankBlockCount bounds the rank fan-out so at most a handful of position
 // scratches (one per in-flight block, each a.N ints) are live at once.
 func rankBlockCount(p int) int {
-	w := parallel.Default().Workers()
-	nb := 2 * w
-	if nb > p {
-		nb = p
-	}
-	if nb < 1 {
-		nb = 1
-	}
-	return nb
+	return max(1, min(2*parallel.Default().Workers(), p))
 }
 
 // layoutScratch is the reusable extraction state: pos[g] is -1 when global
 // row g is untouched, and otherwise holds g's slot in the current rank's
 // ExtGlob (or 0 as a transient seen-marker while collecting). Every rank
 // resets exactly the entries it touched, so a recycled scratch is all -1.
-// ext collects a rank's external rows, then its external owners, before
-// their exact-size copies are made; extNbr is the neighbor position of each
-// ext slot. Both are overwritten by every rank.
+// ext and bnd collect the sort keys the two exchange plans come out of
+// (owner<<32|global id per external row, neighbor<<32|local row per external
+// coupling); extNbr is each ext slot's neighbor position. Every rank
+// overwrites all three.
 type layoutScratch struct {
-	pos    []int32
-	ext    []int
-	extNbr []int32
+	pos      []int32
+	ext, bnd []int64
+	extNbr   []int32
 }
 
 var layoutFree struct {
@@ -208,11 +212,8 @@ func getLayoutScratch(n int) *layoutScratch {
 		layoutFree.list = layoutFree.list[:k-1]
 	}
 	layoutFree.mu.Unlock()
-	if sc == nil {
-		sc = &layoutScratch{}
-	}
-	if len(sc.pos) < n {
-		sc.pos = make([]int32, n)
+	if sc == nil || len(sc.pos) < n {
+		sc = &layoutScratch{pos: make([]int32, n)}
 		for i := range sc.pos {
 			sc.pos[i] = -1
 		}
@@ -226,11 +227,11 @@ func putLayoutScratch(sc *layoutScratch) {
 	layoutFree.mu.Unlock()
 }
 
-// buildRank extracts rank p's local view. sc is the pooled extraction
-// scratch (pos all -1 on entry, all -1 again on return): pos serves first as
-// a seen-marker while collecting external rows and then as an O(1) global →
-// ext-slot index, replacing the per-entry binary search and the per-rank
-// hash sets of the original implementation.
+// buildRank extracts rank p's local view in two passes over its rows, so
+// every array is allocated once at its exact size: the first collects the
+// external rows and counts the coupling classes, the second fills. sc is the
+// pooled extraction scratch; its pos (all -1 on entry and on return) is first
+// the seen-marker of the collection, then the O(1) global → ext-slot index.
 func buildRank(a *sparse.CSR, l *Layout, p int, sc *layoutScratch) *RankData {
 	rows, pos := l.Rows[p], sc.pos
 	rd := &RankData{
@@ -240,55 +241,50 @@ func buildRank(a *sparse.CSR, l *Layout, p int, sc *layoutScratch) *RankData {
 		ExtPtr: make([]int, len(rows)+1),
 		Diag:   make([]float64, len(rows)),
 	}
-	// Collect external rows first for stable ext indexing, counting the two
-	// coupling classes on the way so their arrays are allocated exactly.
 	ext := sc.ext[:0]
 	nLoc, nExt := 0, 0
 	for _, g := range rows {
-		lo, hi := a.RowPtr[g], a.RowPtr[g+1]
-		for _, c := range a.Col[lo:hi] {
+		cols, _ := a.Row(g)
+		for _, c := range cols {
 			switch {
 			case l.Part[c] != p:
 				nExt++
 				if pos[c] < 0 {
 					pos[c] = 0
-					ext = append(ext, c)
+					ext = append(ext, int64(l.Part[c])<<32|int64(c))
 				}
 			case c != g:
 				nLoc++
 			}
 		}
 	}
-	sort.Ints(ext)
-	rd.ExtGlob = append(make([]int, 0, len(ext)), ext...)
-	for e, g := range rd.ExtGlob {
-		pos[g] = int32(e)
-		ext[e] = l.Part[g]
-	}
-	// Neighbor ranks: the sorted, deduplicated external owners.
-	sort.Ints(ext)
+	// Ext slots: sorted by owner<<32|global id, so grouped by owner and
+	// ascending within one. The owners met on the way are the neighbor ranks.
+	slices.Sort(ext)
 	nn := 0
-	for _, q := range ext {
-		if nn == 0 || ext[nn-1] != q {
-			ext[nn] = q
+	for e, k := range ext {
+		if e == 0 || k>>32 != ext[e-1]>>32 {
 			nn++
 		}
 	}
-	rd.Nbrs = append(make([]int, 0, nn), ext[:nn]...)
-	sc.ext = ext
-	rd.BndExt = make([][]int, nn)
-	rd.MyBnd = make([][]int, nn)
+	rd.ExtGlob = make([]int, len(ext))
+	rd.Nbrs = make([]int, 0, nn)
+	offs := make([]int32, 2*(nn+1))
+	rd.ExtOff, rd.MyOff = offs[:nn+1:nn+1], offs[nn+1:]
 	extNbr := sc.extNbr[:0]
-	for e, g := range rd.ExtGlob {
-		j, _ := rd.NbrSlot(l.Part[g])
-		extNbr = append(extNbr, int32(j))
-		rd.BndExt[j] = append(rd.BndExt[j], e)
+	for e, k := range ext {
+		if e == 0 || k>>32 != ext[e-1]>>32 {
+			rd.Nbrs = append(rd.Nbrs, int(k>>32))
+		}
+		g := int(uint32(k))
+		rd.ExtGlob[e], pos[g] = g, int32(e)
+		rd.ExtOff[len(rd.Nbrs)] = int32(e + 1)
+		extNbr = append(extNbr, int32(len(rd.Nbrs)-1))
 	}
-	sc.extNbr = extNbr
 
-	// Local matrix entries, split by coupling class. Local rows li ascend,
-	// so "already recorded in MyBnd[j]" is just a last-element check — no
-	// per-neighbor seen set.
+	// Local matrix entries, split by coupling class; bnd collects a
+	// (neighbor, row) key per external coupling.
+	bnd := sc.bnd[:0]
 	rd.LocCol = make([]uint32, 0, nLoc)
 	rd.LocVal = make([]float64, 0, nLoc)
 	rd.ExtCol = make([]uint32, 0, nExt)
@@ -307,20 +303,27 @@ func buildRank(a *sparse.CSR, l *Layout, p int, sc *layoutScratch) *RankData {
 			} else {
 				rd.ExtCol = append(rd.ExtCol, uint32(pos[c]))
 				rd.ExtVal = append(rd.ExtVal, v)
-				j := extNbr[pos[c]]
-				if mb := rd.MyBnd[j]; len(mb) == 0 || mb[len(mb)-1] != li {
-					rd.MyBnd[j] = append(rd.MyBnd[j], li)
-				}
+				bnd = append(bnd, int64(extNbr[pos[c]])<<32|int64(li))
 			}
 		}
 		rd.LocPtr[li+1] = len(rd.LocVal)
 		rd.ExtPtr[li+1] = len(rd.ExtVal)
 	}
 	rd.NNZ = len(rd.LocVal) + len(rd.ExtVal)
+	// Boundary rows: the distinct keys, grouped by neighbor, ascending row.
+	// Every neighbor owns an ext row, so none of its ranges is empty.
+	slices.Sort(bnd)
+	bnd = slices.Compact(bnd)
+	rd.MyRows = make([]int32, len(bnd))
+	for i, k := range bnd {
+		rd.MyRows[i] = int32(k)
+		rd.MyOff[k>>32+1] = int32(i + 1)
+	}
 	// Leave the scratch all -1 for the next rank.
 	for _, g := range rd.ExtGlob {
 		pos[g] = -1
 	}
+	sc.ext, sc.extNbr, sc.bnd = ext, extNbr, bnd
 	return rd
 }
 
@@ -328,8 +331,7 @@ func buildRank(a *sparse.CSR, l *Layout, p int, sc *layoutScratch) *RankData {
 // neighbor at all. It is a binary search, for set-up and tests; the solvers
 // carry the slot in their payloads (SlotInNbr).
 func (rd *RankData) NbrSlot(q int) (int, bool) {
-	j := sort.SearchInts(rd.Nbrs, q)
-	return j, j < len(rd.Nbrs) && rd.Nbrs[j] == q
+	return slices.BinarySearch(rd.Nbrs, q)
 }
 
 // M returns the number of local rows.

@@ -41,7 +41,10 @@ func TestLayoutDeterministic(t *testing.T) {
 	}
 
 	// The orderings the exchange plans rely on are not just stable but
-	// sorted: neighbors and ext rows ascending (DESIGN.md layout contract).
+	// sorted (DESIGN.md layout contract): neighbors ascending; ext slots
+	// grouped by owner in neighbor order, global ids ascending within an
+	// owner's range, every slot in exactly one range; boundary rows ascending
+	// within a neighbor's range.
 	for p, rd := range ref.Ranks {
 		for j := 1; j < len(rd.Nbrs); j++ {
 			if rd.Nbrs[j-1] >= rd.Nbrs[j] {
@@ -49,10 +52,31 @@ func TestLayoutDeterministic(t *testing.T) {
 				break
 			}
 		}
-		for j := 1; j < len(rd.ExtGlob); j++ {
-			if rd.ExtGlob[j-1] >= rd.ExtGlob[j] {
-				t.Errorf("rank %d: ExtGlob not strictly ascending: %v", p, rd.ExtGlob)
-				break
+		deg := len(rd.Nbrs)
+		if len(rd.ExtOff) != deg+1 || rd.ExtOff[0] != 0 || int(rd.ExtOff[deg]) != len(rd.ExtGlob) {
+			t.Fatalf("rank %d: ExtOff %v does not span the %d ext slots of %d neighbors", p, rd.ExtOff, len(rd.ExtGlob), deg)
+		}
+		if len(rd.MyOff) != deg+1 || rd.MyOff[0] != 0 || int(rd.MyOff[deg]) != len(rd.MyRows) {
+			t.Fatalf("rank %d: MyOff %v does not span the %d boundary rows of %d neighbors", p, rd.MyOff, len(rd.MyRows), deg)
+		}
+		for j, q := range rd.Nbrs {
+			// Non-empty ranges that tile [0, len): every slot is in exactly one.
+			if rd.ExtOff[j] >= rd.ExtOff[j+1] || rd.MyOff[j] >= rd.MyOff[j+1] {
+				t.Errorf("rank %d: neighbor %d has an empty or reversed range: ExtOff %v MyOff %v", p, q, rd.ExtOff, rd.MyOff)
+			}
+			ext := rd.ExtGlob[rd.ExtOff[j]:rd.ExtOff[j+1]]
+			for k, g := range ext {
+				if part[g] != q || k > 0 && ext[k-1] >= g {
+					t.Errorf("rank %d: ext range of neighbor %d is not its rows strictly ascending: %v", p, q, ext)
+					break
+				}
+			}
+			bnd := rd.MyBnd(j)
+			for k, li := range bnd {
+				if k > 0 && bnd[k-1] >= li {
+					t.Errorf("rank %d: MyBnd(%d) not strictly ascending: %v", p, j, bnd)
+					break
+				}
 			}
 		}
 		for j, q := range rd.Nbrs {

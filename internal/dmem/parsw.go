@@ -75,14 +75,15 @@ func parallelSouthwell(l *Layout, b, x []float64, cfg Config, announce bool) *Re
 				return
 			}
 			rs.relaxed = true
-			rs.zeroExtDelta()
+			clear(rs.extDelta)
 			flops := rs.relaxLocal()
 			rs.norm = rs.computeNorm()
 			rs.lastTold = rs.norm
 			w.Charge(p, flops+2*float64(rs.rd.M()))
 			for j, q := range rs.rd.Nbrs {
 				pl := &rs.solve[j]
-				rs.gatherDeltas(j, pl.deltas)
+				_, delta := rs.ghost(j)
+				copy(pl.deltas, delta)
 				pl.norm, pl.seq = rs.norm, 2*int32(*step)
 				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
 			}

@@ -175,26 +175,19 @@ func (rs *rankState) relaxSweep() float64 {
 	return float64(2*rd.NNZ + 3*rd.M())
 }
 
-// zeroExtDelta clears the scratch delta array (cheap: sized by ghost count).
-func (rs *rankState) zeroExtDelta() {
-	for i := range rs.extDelta {
-		rs.extDelta[i] = 0
-	}
+// ghost returns neighbor j's row of the ghost layer and of extDelta: the ext
+// slots of the rows j owns are one contiguous range (RankData.ExtOff), in the
+// order of j's message bodies, so deltas and ghost refreshes are copies.
+func (rs *rankState) ghost(j int) (z, delta []float64) {
+	lo, hi := rs.rd.ExtOff[j], rs.rd.ExtOff[j+1]
+	return rs.z[lo:hi], rs.extDelta[lo:hi]
 }
 
 // gatherBnd collects the residual values of this rank's boundary rows toward
 // neighbor j into a message body's bnd.
 func (rs *rankState) gatherBnd(j int, out []float64) {
-	for k, li := range rs.rd.MyBnd[j] {
+	for k, li := range rs.rd.MyBnd(j) {
 		out[k] = rs.r[li]
-	}
-}
-
-// gatherDeltas collects extDelta values for neighbor j's boundary slots into
-// a message body's deltas.
-func (rs *rankState) gatherDeltas(j int, out []float64) {
-	for k, e := range rs.rd.BndExt[j] {
-		out[k] = rs.extDelta[e]
 	}
 }
 
@@ -215,16 +208,8 @@ func (rs *rankState) winsAll() bool {
 // applyDeltas adds incoming residual deltas from neighbor j to the local
 // boundary rows (same static ordering on both sides; see layout tests).
 func (rs *rankState) applyDeltas(j int, deltas []float64) {
-	for k, li := range rs.rd.MyBnd[j] {
+	for k, li := range rs.rd.MyBnd(j) {
 		rs.r[li] += deltas[k]
-	}
-}
-
-// overwriteGhost replaces the ghost residuals of neighbor j's boundary rows
-// with the values the neighbor sent.
-func (rs *rankState) overwriteGhost(j int, bnd []float64) {
-	for k, e := range rs.rd.BndExt[j] {
-		rs.z[e] = bnd[k]
 	}
 }
 
@@ -234,11 +219,11 @@ func (rs *rankState) overwriteGhost(j int, bnd []float64) {
 // the heart of Distributed Southwell (§3).
 func (rs *rankState) updateGhostAndGamma(j int) {
 	adj := 0.0
-	for _, e := range rs.rd.BndExt[j] {
-		old := rs.z[e]
-		nw := old + rs.extDelta[e]
+	z, delta := rs.ghost(j)
+	for k, old := range z {
+		nw := old + delta[k]
 		adj += nw*nw - old*old
-		rs.z[e] = nw
+		z[k] = nw
 	}
 	g2 := rs.gamma[j]*rs.gamma[j] + adj
 	if g2 < 0 {

@@ -39,10 +39,9 @@ func newRunState(s *Setup) *runState {
 	nf, nd := 0, 0
 	for pr, rd := range l.Ranks {
 		nd += rd.Degree()
-		nf += 2*rd.M() + 2*len(rd.ExtGlob) + 2*rd.Degree()
-		for j := range rd.Nbrs {
-			nf += len(rd.BndExt[j]) + 2*len(rd.MyBnd[j])
-		}
+		// Vectors, ghost rows and Γ/Γ̃, then the message bodies: one deltas
+		// per ext row, a solve bnd and a res bnd per boundary row.
+		nf += 2*rd.M() + 3*len(rd.ExtGlob) + 2*rd.Degree() + 2*len(rd.MyRows)
 		if s.factors != nil {
 			nf += rd.M() + s.factors[pr].ScratchLen()
 		}
@@ -76,8 +75,9 @@ func newRunState(s *Setup) *runState {
 		}
 		lo = hi
 		for j, slot := range rd.SlotInNbr {
-			rs.solve[j] = payload{deltas: take(len(rd.BndExt[j])), bnd: take(len(rd.MyBnd[j])), slot: slot}
-			rs.res[j] = payload{bnd: take(len(rd.MyBnd[j])), slot: slot}
+			nExt, nBnd := int(rd.ExtOff[j+1]-rd.ExtOff[j]), len(rd.MyBnd(j))
+			rs.solve[j] = payload{deltas: take(nExt), bnd: take(nBnd), slot: slot}
+			rs.res[j] = payload{bnd: take(nBnd), slot: slot}
 		}
 		if s.factors != nil {
 			f := s.factors[pr]

@@ -281,7 +281,7 @@ func (w *World) landFaulty(m *Message) {
 		held.own()
 		ch.held = append(ch.held, heldMsg{due: w.phases + int64(k), m: held})
 		ch.delayed++
-		w.emitFault(obs.FlagFaultDelayed, m.From, m.To)
+		w.emitFault(obs.FlagFaultDelayed, int(m.From), int(m.To))
 		return
 	}
 	w.land(*m)
@@ -290,7 +290,7 @@ func (w *World) landFaulty(m *Message) {
 		d := *m
 		d.Dup = true
 		w.land(d)
-		w.emitFault(obs.FlagFaultDuped, m.From, m.To)
+		w.emitFault(obs.FlagFaultDuped, int(m.From), int(m.To))
 	}
 }
 

@@ -253,7 +253,7 @@ func chaosRun(seed int64, parallel bool) ([][]int, Stats) {
 	for phase := 0; phase < 12; phase++ {
 		w.RunPhase(func(rank int) {
 			for _, m := range w.Inbox(rank) {
-				v := m.From*10000 + m.Payload.(int)
+				v := int(m.From)*10000 + m.Payload.(int)
 				if m.Dup {
 					v = -v
 				}

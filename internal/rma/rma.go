@@ -27,7 +27,8 @@
 // windows that were written, never all P, and is allocation-free at steady
 // state: staged-put and inbox slices keep their capacity across phases, and
 // payloads are expected to be pointers to caller-owned buffers (boxing a
-// pointer into the Payload interface does not allocate).
+// pointer into the Payload interface does not allocate). A Message is 32
+// bytes — ranks and sizes as int32, which Put and NewWorld guard.
 //
 // A seeded fault-injection plan (faults.go) can perturb delivery — delayed,
 // duplicated, and reordered landings, straggler cost multipliers, and rank
@@ -45,6 +46,7 @@ package rma
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"southwell/internal/obs"
@@ -67,7 +69,7 @@ const (
 )
 
 // Tag classifies a message for the communication-cost breakdown.
-type Tag int
+type Tag uint8
 
 const (
 	// TagSolve marks messages carrying relaxation updates after a local
@@ -95,13 +97,13 @@ func DefaultCostModel() CostModel {
 	return CostModel{Alpha: 1.5e-6, Beta: 1e-10, Gamma: 2.5e-10}
 }
 
-// Message is one Put landed in a window.
+// Message is one Put landed in a window; each is copied twice per boundary.
 type Message struct {
-	From    int
-	To      int
-	Tag     Tag
-	Bytes   int
 	Payload any
+	From    int32
+	To      int32
+	Bytes   int32
+	Tag     Tag
 	// Dup marks a duplicate landing injected by the fault layer: the same
 	// window write observed twice in one batch. Receivers treating window
 	// writes as idempotent skip these.
@@ -174,8 +176,11 @@ type World struct {
 	closed bool
 }
 
-// NewWorld creates a world of p ranks with the given cost model.
+// NewWorld creates a world of p ranks (stored as int32) with the given cost model.
 func NewWorld(p int, model CostModel) *World {
+	if p > math.MaxInt32 {
+		panic(fmt.Sprintf("rma: NewWorld: %d ranks exceed the int32 rank range", p))
+	}
 	w := &World{
 		P:         p,
 		Model:     model,
@@ -231,13 +236,16 @@ func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
 	if w.closed {
 		panic(ErrClosed)
 	}
-	if to < 0 || to >= w.P {
-		panic(fmt.Sprintf("rma: Put target %d out of range (P=%d)", to, w.P))
+	if from < 0 || from >= w.P || to < 0 || to >= w.P {
+		panic(fmt.Sprintf("rma: Put %d -> %d: rank out of range (P=%d)", from, to, w.P))
+	}
+	if bytes < 0 || bytes > math.MaxInt32 {
+		panic(fmt.Sprintf("rma: Put size %d bytes out of range (0..%d)", bytes, math.MaxInt32))
 	}
 	if cap(w.staged[from]) == 0 {
 		w.staged[from] = w.firstChunk()
 	}
-	w.staged[from] = append(w.staged[from], Message{From: from, To: to, Tag: tag, Bytes: bytes, Payload: payload}) // staging buffers keep their capacity across phases (deliver resets to st[:0])
+	w.staged[from] = append(w.staged[from], Message{Payload: payload, From: int32(from), To: int32(to), Bytes: int32(bytes), Tag: tag}) // staging buffers keep their capacity across phases (deliver resets to st[:0])
 	w.msgs[from]++
 	w.bytes[from] += int64(bytes)
 	if w.trace != nil {
@@ -536,7 +544,7 @@ func (w *World) emitFault(flag uint8, from, to int) {
 // involved).
 func (w *World) land(m Message) {
 	if len(w.inbox[m.To]) == 0 {
-		w.liveInbox = append(w.liveInbox, int32(m.To)) // preallocated to cap P in NewWorld; entries are distinct ranks, so len never exceeds P
+		w.liveInbox = append(w.liveInbox, m.To) // preallocated to cap P in NewWorld; entries are distinct ranks, so len never exceeds P
 		if cap(w.inbox[m.To]) == 0 {
 			w.inbox[m.To] = w.firstChunk()
 		}
@@ -548,8 +556,8 @@ func (w *World) land(m Message) {
 	if w.trace != nil {
 		e := obs.Event{
 			Kind:  obs.KindDeliver,
-			Rank:  int32(m.To),
-			A:     int32(m.From),
+			Rank:  m.To,
+			A:     m.From,
 			Tag:   uint8(m.Tag),
 			I1:    int64(m.Bytes),
 			Ts:    w.simTime,

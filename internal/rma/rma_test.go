@@ -2,11 +2,13 @@ package rma
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"southwell/internal/parallel"
 )
@@ -192,18 +194,33 @@ func TestCostModelMaxOverRanks(t *testing.T) {
 	}
 }
 
+// Message is two to a cache line; a field added to it shows up here first.
+var _ [32]struct{} = [unsafe.Sizeof(Message{})]struct{}{}
+
+// TestPutPanicsOutOfRange: Message stores ranks and sizes as int32, so Put
+// (and NewWorld, for the rank count) refuse what would not fit, by name,
+// instead of truncating it or failing inside append.
 func TestPutPanicsOutOfRange(t *testing.T) {
-	w := NewWorld(2, CostModel{})
-	defer func() {
-		if recover() == nil {
-			t.Error("Put out of range did not panic")
-		}
-	}()
-	w.RunPhase(func(rank int) {
-		if rank == 0 {
-			w.Put(0, 7, TagSolve, 0, nil)
-		}
-	})
+	for _, c := range []struct {
+		name, want string
+		f          func(w *World)
+	}{
+		{"target", "rma: Put 0 -> 7: rank out of range (P=2)", func(w *World) { w.Put(0, 7, TagSolve, 0, nil) }},
+		{"origin", "rma: Put -1 -> 1: rank out of range (P=2)", func(w *World) { w.Put(-1, 1, TagSolve, 0, nil) }},
+		{"origin high", "rma: Put 2 -> 1: rank out of range (P=2)", func(w *World) { w.Put(2, 1, TagSolve, 0, nil) }},
+		{"negative size", "rma: Put size -8 bytes out of range (0..2147483647)", func(w *World) { w.Put(0, 1, TagSolve, -8, nil) }},
+		{"size", "rma: Put size 2147483648 bytes out of range (0..2147483647)", func(w *World) { w.Put(0, 1, TagSolve, math.MaxInt32+1, nil) }},
+		{"ranks", "rma: NewWorld: 2147483648 ranks exceed the int32 rank range", func(*World) { NewWorld(math.MaxInt32+1, CostModel{}) }},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("%s: panic %v, want %q", c.name, got, c.want)
+				}
+			}()
+			c.f(NewWorld(2, CostModel{}))
+		}()
+	}
 }
 
 // Property: phases run inline and on the pool at every width deliver
@@ -217,7 +234,7 @@ func TestQuickEnginesEquivalent(t *testing.T) {
 		for phase := 0; phase < 5; phase++ {
 			w.RunPhase(func(rank int) {
 				for _, m := range w.Inbox(rank) {
-					got[rank] = append(got[rank], m.From*1000+m.Payload.(int))
+					got[rank] = append(got[rank], int(m.From)*1000+m.Payload.(int))
 				}
 				// Deterministic pseudo-random pattern per (seed, phase, rank).
 				h := seed + int64(phase*131) + int64(rank*17)
