@@ -1,10 +1,10 @@
 # Tier-1 verification for the southwell repo. `make verify` is the gate:
 # build + vet + full test suite + race-mode runtime/method tests + a chaos
-# smoke run of both binaries.
+# smoke run of both binaries + results/ regenerated and compared.
 
 GO ?= go
 
-.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates bench-e2e identity verify bench clean
+.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates results-check bench-e2e identity verify bench clean
 
 build:
 	$(GO) build ./...
@@ -43,11 +43,15 @@ lint: vet
 # there for its per-call workspace: concurrent Partition calls (bench
 # set-ups under -par) must share nothing. The runtime and the methods run
 # at two and at four scheduler threads explicitly, whatever the host has:
-# the retained-window aliasing bug only showed above one thread.
+# the retained-window aliasing bug only showed above one thread. The last
+# line is the experiment driver's own goroutines (-par workers meeting in
+# the memo, runs sharing one setup) — by name, because the whole package
+# under the race detector takes about a minute.
 race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
 	$(GO) test -race ./internal/parallel/... ./internal/sparse/... ./internal/spdirect/... ./internal/obs/... ./internal/partition/...
+	$(GO) test -race -count=1 -run 'Memo|ParDriver|SetupCache|SetupShared' ./internal/bench/
 
 # End-to-end fault-injection smoke: both binaries on a small problem with
 # delay faults. Exercises flag validation, the chaos table, and the
@@ -78,6 +82,24 @@ alloc-gates:
 	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkKernels|BenchmarkLDL|BenchmarkObs|BenchmarkRunPhase|BenchmarkActivePhases' \
 		./internal/sparse/ ./internal/spdirect/ ./internal/obs/ ./internal/rma/ >/dev/null
 
+# Every committed results/*.txt is a function of the code: regenerate all
+# thirteen (the twelve of "all" plus scaling) into a temporary directory and
+# cmp each against results/. About 35 s. Two processes, because a process
+# keeps every setup it builds: "all" peaks near 1 GB resident and scaling's
+# 8192-rank setups would add 0.3 GB on top. After a change that is meant to
+# move a table, regenerate with `go run ./cmd/benchtables -out results all`
+# (and `... scaling`) and commit the difference.
+results-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; out=$$tmp/results; \
+	$(GO) build -o $$tmp/benchtables ./cmd/benchtables; \
+	$$tmp/benchtables -out $$out all >/dev/null; \
+	$$tmp/benchtables -out $$out scaling >/dev/null; \
+	test "$$(ls $$out | wc -l)" -eq "$$(ls results | wc -l)" || { echo "results-check: file lists differ"; ls $$out results; exit 1; }; \
+	for f in results/*.txt; do \
+		cmp $$f $$out/$${f#results/} || { echo "results-check: $$f is not what the code prints"; exit 1; }; \
+	done; \
+	echo "results-check: $$(ls results | wc -l) files identical"
+
 # End-to-end benchmark (benchmarks/e2e, contract in BENCHMARK.json): four
 # workloads, an untraced end-to-end pass and a traced per-layer pass, output
 # under benchmarks/e2e/out/. Takes about a minute, so it is not part of
@@ -93,8 +115,10 @@ bench-e2e:
 # difference. The IDENTITY_SMALL lines are a many-small-parts run (ranks of
 # one or two rows, single-neighbor ranks), the shape the exchange plans are
 # laid out for. The last line is a pinned run's whole trace export (~1.3 MB;
-# pinned, so no rank sleeps and every event is part of the contract). Not
-# part of verify: it needs a second checkout.
+# pinned, so no rank sleeps and every event is part of the contract), the
+# one after it the -quick scaling study (it reads DIFFERS against a parent
+# older than PR 23, whose scaling printed host wall-clock). Not part of
+# verify: it needs a second checkout.
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
 IDENTITY_SOLVE = -mat msdoor -n 64 -sweep_max 15
 IDENTITY_SMALL = -mat msdoor -n 1024 -sweep_max 5
@@ -116,7 +140,8 @@ identity:
 		"dsouthwell $(IDENTITY_SOLVE) -solver pb16" \
 		"dsouthwell $(IDENTITY_SMALL)" \
 		"dsouthwell $(IDENTITY_SMALL) -chaos 0.3" \
-		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout"; \
+		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout" \
+		"benchtables -quick scaling"; \
 	do \
 		$$out/old/$$line >$$out/old.txt 2>&1 || echo "exit $$?" >>$$out/old.txt; \
 		$$out/new/$$line >$$out/new.txt 2>&1 || echo "exit $$?" >>$$out/new.txt; \
@@ -124,7 +149,7 @@ identity:
 		echo "identity: same: $$line"; \
 	done
 
-verify: build lint test race chaos-smoke partition-pin alloc-gates
+verify: build lint test race chaos-smoke partition-pin alloc-gates results-check
 
 # Micro-benchmarks for the phase engine, message path, numerical kernels,
 # sparse local solver and tracing. Single-shot and machine-dependent: for

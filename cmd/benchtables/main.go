@@ -7,7 +7,7 @@
 //
 // where each experiment is one of: fig2 fig5 fig6 fig7 fig8 fig9 table2
 // table3 table4 deadlock ablation chaos scaling all ("all" excludes
-// scaling, the paper-scale host-performance study — request it by name).
+// scaling, the paper-scale 8192-rank study — request it by name).
 //
 // Flags:
 //
@@ -24,7 +24,6 @@
 //	               (GOMAXPROCS wide) instead of inline; bit-identical
 //	-active        active-set stepping (default true; -active=false forces
 //	               dense stepping, bit-identical)
-//	-v             log driver progress (cache skips, shared setups) to stderr
 //	-chaos P       inject delay faults: each message delayed 1-3 phases with
 //	               probability P (deterministic per -chaos-seed)
 //	-chaos-seed S  fault-injection seed (default 1)
@@ -66,9 +65,10 @@ var experiments = []struct {
 	{"deadlock", bench.Deadlock},
 	{"ablation", bench.Ablation},
 	{"chaos", bench.Chaos},
-	// scaling is explicit-only (excluded from "all"): the 8192-rank rungs
-	// and host-time measurement make it a standalone study, not a table.
-	{"scaling", runScaling},
+	// scaling is explicit-only (excluded from "all"): the driver keeps every
+	// setup it builds, and the 8192-rank rungs would add about 0.3 GB to the
+	// 1 GB "all" already peaks at.
+	{"scaling", bench.Scaling},
 }
 
 // allExcluded experiments must be requested by name.
@@ -134,7 +134,6 @@ func main() {
 	locSolver := flag.String("loc_solver", "gs", "local subdomain solver for every run: gs, direct (sparse LDLT), or auto")
 	goroutines := flag.Bool("goroutines", false, "run every world's rank phases on the shared worker pool (GOMAXPROCS wide) instead of inline; results are identical either way")
 	active := flag.Bool("active", true, "active-set stepping: skip provably quiescent ranks (bit-identical results; -active=false forces dense stepping)")
-	verbose := flag.Bool("v", false, "log driver progress (cache-skipped cells, shared setups) to stderr")
 	chaos := flag.Float64("chaos", 0, "inject delay faults into every run: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (chaos runs are bit-reproducible per seed)")
 	traceDir := flag.String("trace", "", "write one Chrome trace-event JSON per suite run into this directory (open in Perfetto)")
@@ -168,9 +167,6 @@ func main() {
 	cfg := bench.Config{Ranks: *ranks, Steps: *steps, Quick: *quick, Seed: *seed,
 		Par: *par, Goroutines: *goroutines, Dense: !*active, ChaosSeed: *chaosSeed, Local: local,
 		TraceDir: *traceDir, MetricsDir: *metricsDir}
-	if *verbose {
-		cfg.LogW = os.Stderr
-	}
 	if *chaos > 0 {
 		cfg.Faults = rma.DelayPlan(*chaosSeed, *chaos, 3)
 	}

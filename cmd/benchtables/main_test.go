@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -91,5 +94,51 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 	if err := run(cfg, nil, ""); err == nil || !strings.Contains(err.Error(), "usage") {
 		t.Errorf("empty experiment list not rejected with usage: %v", err)
+	}
+}
+
+// TestScalingIsABenchTable: the scaling experiment writes exactly what
+// bench.Scaling prints (no private harness in this command), and "all" still
+// leaves it out.
+func TestScalingIsABenchTable(t *testing.T) {
+	cfg := bench.Config{Quick: true, Seed: 1}
+	dir := t.TempDir()
+	if err := run(cfg, []string{"scaling"}, dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "scaling.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := bench.Scaling(&want, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("benchtables scaling is not bench.Scaling:\n%s\n--- want ---\n%s", got, want.Bytes())
+	}
+	if !allExcluded["scaling"] {
+		t.Error("scaling is no longer excluded from all")
+	}
+}
+
+// TestVerboseFlagIsGone re-executes the test binary as benchtables -v: the
+// flag package must reject it (exit status 2) before any experiment runs.
+func TestVerboseFlagIsGone(t *testing.T) {
+	const child = "BENCHTABLES_TEST_MAIN"
+	if os.Getenv(child) == "1" {
+		os.Args = []string{"benchtables", "-v", "fig6"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestVerboseFlagIsGone$")
+	cmd.Env = append(os.Environ(), child+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("benchtables -v: err = %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -v") {
+		t.Errorf("benchtables -v not rejected as an unknown flag:\n%s", out)
 	}
 }

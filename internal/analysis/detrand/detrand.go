@@ -11,7 +11,8 @@
 // silently breaks all of that, so randomness must flow through an
 // explicitly seeded *rand.Rand (constructing one with rand.New /
 // rand.NewSource is allowed; the global functions and Seed are not). The
-// only clocks in the module are in cmd/ and benchmarks/, outside the scope.
+// only clocks in the module are in cmd/*'s profiling flags and benchmarks/,
+// outside the scope.
 package detrand
 
 import (

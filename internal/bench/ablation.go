@@ -25,6 +25,20 @@ func Ablation(w io.Writer, cfg Config) error {
 	if !cfg.Quick {
 		names = append(names, "Serena", "ldoor")
 	}
+	// run is one Distributed Southwell variant on one matrix, off the shared
+	// setup of its (matrix, local solver) cell and under the config's engine
+	// flags and fault plan like every suite run.
+	run := func(name string, local dmem.LocalSolver, opts dmem.DistSWOptions) (*dmem.Result, error) {
+		setup, err := setupFor(name, ranks, cfg.seed(), local)
+		if err != nil {
+			return nil, err
+		}
+		b, x := problem.ZeroBSystem(setup.Layout.A, cfg.seed())
+		return dmem.DistributedSouthwellOpt(setup.Layout, b, x, dmem.Config{
+			Steps: steps, Local: local, Setup: setup,
+			Parallel: cfg.Goroutines, Dense: cfg.Dense, Faults: cfg.Faults,
+		}, opts), nil
+	}
 	variants := []struct {
 		label string
 		opts  dmem.DistSWOptions
@@ -38,18 +52,11 @@ func Ablation(w io.Writer, cfg Config) error {
 	fprintf(w, "%-12s %-10s | %9s %9s %8s %8s | %12s\n",
 		"matrix", "variant", "solve/p", "res/p", "relax/n", "active", "final ||r||")
 	for _, name := range names {
-		a, err := matrixFor(name)
-		if err != nil {
-			return err
-		}
-		part := partitionFor(name, a, ranks, cfg.seed())
 		for _, v := range variants {
-			l, err := dmem.NewLayout(a, part, ranks)
+			res, err := run(name, cfg.Local, v.opts)
 			if err != nil {
 				return err
 			}
-			b, x := problem.ZeroBSystem(a, cfg.seed())
-			res := dmem.DistributedSouthwellOpt(l, b, x, dmem.Config{Steps: steps}, v.opts)
 			fin := res.Final()
 			fprintf(w, "%-12s %-10s | %9.2f %9.2f %8.2f %8.3f | %12.5g\n",
 				name, v.label,
@@ -72,18 +79,11 @@ func Ablation(w io.Writer, cfg Config) error {
 	fprintf(w, "%-12s %-8s | %9s %8s %8s | %12s %12s\n",
 		"matrix", "local", "solve/p", "relax/n", "active", "final ||r||", "sim time")
 	for _, name := range names {
-		a, err := matrixFor(name)
-		if err != nil {
-			return err
-		}
-		part := partitionFor(name, a, ranks, cfg.seed())
 		for _, lv := range locals {
-			l, err := dmem.NewLayout(a, part, ranks)
+			res, err := run(name, lv.local, dmem.DistSWOptions{})
 			if err != nil {
 				return err
 			}
-			b, x := problem.ZeroBSystem(a, cfg.seed())
-			res := dmem.DistributedSouthwell(l, b, x, dmem.Config{Steps: steps, Local: lv.local})
 			fin := res.Final()
 			fprintf(w, "%-12s %-8s | %9.2f %8.2f %8.3f | %12.5g %12.4g\n",
 				name, lv.label,

@@ -1,14 +1,17 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Figures 2, 5, 6, 7, 8, 9 and Tables 2, 3, 4) on the
 // synthetic suite and simulated runtime, printing rows/series in the same
-// layout the paper reports. See DESIGN.md §4 for the experiment index and
+// layout the paper reports, plus the studies beyond it (deadlock, ablation,
+// chaos, paper-scale scaling). It is the only experiment driver, and every
+// byte it prints is a function of the code and the Config: no experiment
+// reads a clock. See DESIGN.md §4 for the experiment index and
 // EXPERIMENTS.md for recorded paper-vs-measured comparisons.
 //
 // The suite drivers support two axes of real parallelism on top of the
 // simulated one: Config.Par fans independent (matrix, method) runs out over
 // bounded workers, and Config.Goroutines runs each simulated world's rank
 // phases on the shared worker pool. Both are bit-identical to the sequential paths
-// (runs are cached by key and each world is deterministic), so table output
+// (runs are memoized by key and each world is deterministic), so table output
 // does not depend on either setting.
 package bench
 
@@ -57,15 +60,9 @@ type Config struct {
 	// Dense disables the active-set step engine (see core.DistOptions).
 	// Bit-identical either way, so it too stays out of the run-cache key.
 	Dense bool
-	// LogW, when non-nil, receives verbose driver progress: cells skipped
-	// via the run cache and setups shared via the setup cache (-v in
-	// cmd/benchtables). Logging never changes results.
-	LogW io.Writer
 	// Local selects the subdomain solver for suite runs (default
 	// dmem.LocalGS, the paper's setting).
 	Local dmem.LocalSolver
-	// Model overrides the α-β-γ cost model (nil = rma.DefaultCostModel()).
-	Model *rma.CostModel
 	// Faults, when non-nil, injects deterministic faults into every suite
 	// run (see rma.FaultPlan). The Chaos driver varies plans per run by
 	// adjusting this field on its per-run config copies.
@@ -126,11 +123,10 @@ func (c Config) suiteNames() []string {
 
 // runKey caches distributed runs shared between tables. Every
 // result-changing setting is part of the key: matrix, method, ranks, step
-// budget, seed, local solver, the *resolved* cost model (so nil and an
-// explicit default are one entry), and the fault plan (canonicalized to a
+// budget, seed, local solver, and the fault plan (canonicalized to a
 // string — FaultPlan holds a map and a slice and is not comparable). Only
-// the engine flags (Par, Goroutines) are deliberately excluded: they do
-// not change results.
+// the engine flags (Par, Goroutines, Dense) are deliberately excluded: they
+// do not change results.
 type runKey struct {
 	name   string
 	method core.DistMethod
@@ -138,15 +134,7 @@ type runKey struct {
 	steps  int
 	seed   int64
 	local  dmem.LocalSolver
-	model  rma.CostModel
 	chaos  string
-}
-
-func (c Config) costModel() rma.CostModel {
-	if c.Model == nil {
-		return rma.DefaultCostModel()
-	}
-	return *c.Model
 }
 
 // chaosKey canonicalizes a fault plan for the run cache. fmt prints map
@@ -158,73 +146,67 @@ func chaosKey(p *rma.FaultPlan) string {
 	return fmt.Sprintf("%+v", *p)
 }
 
+// memo is the driver's one cache: a value is built once per key, by the
+// first caller to ask for it. A concurrent caller of the same key waits for
+// that build instead of starting a duplicate (at P = 8192 a duplicate setup
+// is ~0.4 s and tens of MB); callers of different keys build in parallel,
+// since the lock covers only the map. Errors are memoized like values — the
+// builds are deterministic.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+func (c *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	e := c.m[key]
+	if e == nil {
+		if c.m == nil {
+			c.m = map[K]*memoEntry[V]{}
+		}
+		e = new(memoEntry[V])
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = build() })
+	return e.v, e.err
+}
+
+func (c *memo[K, V]) reset() {
+	c.mu.Lock()
+	c.m = nil
+	c.mu.Unlock()
+}
+
 var (
-	runMu    sync.Mutex
-	runCache = map[runKey]*dmem.Result{}
-	matMu    sync.Mutex
-	matCache = map[string]*sparse.CSR{}
-	partMu   sync.Mutex
-	pCache   = map[string][]int{}
-	setupMu  sync.Mutex
-	sCache   = map[setupKey]*dmem.Setup{}
+	matrices   memo[string, *sparse.CSR]
+	partitions memo[setupKey, []int] // keyed with local zeroed: a partition does not depend on it
+	setups     memo[setupKey, *dmem.Setup]
+	runs       memo[runKey, *dmem.Result]
 )
 
-// logf writes verbose driver progress to cfg.LogW, if configured.
-func (c Config) logf(format string, args ...any) {
-	if c.LogW != nil {
-		fmt.Fprintf(c.LogW, format, args...)
-	}
-}
-
-// matrixFor builds (and caches) a scaled suite matrix. The build runs
-// outside the cache lock so concurrent workers on different matrices do
-// not serialize; two workers racing on the same name both build, and the
-// first store wins (the builds are deterministic and identical).
+// matrixFor builds (and memoizes) a scaled suite matrix.
 func matrixFor(name string) (*sparse.CSR, error) {
-	matMu.Lock()
-	if a, ok := matCache[name]; ok {
-		matMu.Unlock()
-		return a, nil
-	}
-	matMu.Unlock()
-	e, ok := problem.SuiteByName(name)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown suite matrix %q", name)
-	}
-	a := e.Build()
-	matMu.Lock()
-	defer matMu.Unlock()
-	if prev, ok := matCache[name]; ok {
-		return prev, nil
-	}
-	matCache[name] = a
-	return a, nil
-}
-
-func partitionFor(name string, a *sparse.CSR, ranks int, seed int64) []int {
-	key := fmt.Sprintf("%s/%d/%d", name, ranks, seed)
-	partMu.Lock()
-	if p, ok := pCache[key]; ok {
-		partMu.Unlock()
-		return p
-	}
-	partMu.Unlock()
-	p := partition.Partition(a, ranks, partition.Options{Seed: seed})
-	partMu.Lock()
-	defer partMu.Unlock()
-	if prev, ok := pCache[key]; ok {
-		return prev
-	}
-	pCache[key] = p
-	return p
+	return matrices.get(name, func() (*sparse.CSR, error) {
+		e, ok := problem.SuiteByName(name)
+		if !ok {
+			return nil, fmt.Errorf("bench: unknown suite matrix %q", name)
+		}
+		return e.Build(), nil
+	})
 }
 
 // setupKey identifies one shared preprocessing unit: everything that
 // changes the partition, layout, or local factorizations — and nothing
-// else. Model and Faults are deliberately absent: they shape the *run*
-// (runKey distinguishes them) but not the setup, so every method, cost
-// model, and fault plan on the same (matrix, ranks, seed, local) cell
-// shares one setup.
+// else. Faults is deliberately absent: it shapes the *run* (runKey
+// distinguishes it) but not the setup, so every method and fault plan on
+// the same (matrix, ranks, seed, local) cell shares one setup.
 type setupKey struct {
 	name  string
 	ranks int
@@ -232,102 +214,84 @@ type setupKey struct {
 	local dmem.LocalSolver
 }
 
-// setupFor builds (and caches) the shared (partition, layout, local
-// factorization) preprocessing of one suite cell. Same locking idiom as
-// matrixFor: build outside the lock, first store wins.
+// setupFor builds (and memoizes) the shared (partition, layout, local
+// factorization) preprocessing of one suite cell. The partition is its own
+// memo entry so the local-solver variants of a cell share it.
 func setupFor(name string, ranks int, seed int64, local dmem.LocalSolver) (*dmem.Setup, error) {
 	key := setupKey{name: name, ranks: ranks, seed: seed, local: local}
-	setupMu.Lock()
-	if s, ok := sCache[key]; ok {
-		setupMu.Unlock()
-		return s, nil
-	}
-	setupMu.Unlock()
-	a, err := matrixFor(name)
-	if err != nil {
-		return nil, err
-	}
-	part := partitionFor(name, a, ranks, seed)
-	l, err := dmem.NewLayout(a, part, ranks)
-	if err != nil {
-		return nil, err
-	}
-	s, err := dmem.NewSetup(l, local)
-	if err != nil {
-		return nil, err
-	}
-	setupMu.Lock()
-	defer setupMu.Unlock()
-	if prev, ok := sCache[key]; ok {
-		return prev, nil
-	}
-	sCache[key] = s
-	return s, nil
+	return setups.get(key, func() (*dmem.Setup, error) {
+		a, err := matrixFor(name)
+		if err != nil {
+			return nil, err
+		}
+		part, _ := partitions.get(setupKey{name: name, ranks: ranks, seed: seed}, func() ([]int, error) {
+			return partition.Partition(a, ranks, partition.Options{Seed: seed}), nil
+		})
+		l, err := dmem.NewLayout(a, part, ranks)
+		if err != nil {
+			return nil, err
+		}
+		return dmem.NewSetup(l, local)
+	})
 }
 
 // keyFor is the run-cache key of one suite cell under this config.
 func (c Config) keyFor(name string, method core.DistMethod, ranks, steps int) runKey {
 	return runKey{
 		name: name, method: method, ranks: ranks, steps: steps,
-		seed: c.seed(), local: c.Local, model: c.costModel(),
-		chaos: chaosKey(c.Faults),
+		seed: c.seed(), local: c.Local, chaos: chaosKey(c.Faults),
 	}
 }
 
-// runSuite runs (with caching) one method on one suite matrix, using the
+// distOptions is where a Config becomes solver options: every run of every
+// experiment sees the same engine flags, local solver and fault plan.
+func (c Config) distOptions(method core.DistMethod, ranks, steps int) core.DistOptions {
+	return core.DistOptions{
+		Method: method, Ranks: ranks, Steps: steps, PartSeed: c.seed(),
+		Parallel: c.Goroutines, Dense: c.Dense, Local: c.Local, Faults: c.Faults,
+	}
+}
+
+// runSuite runs (memoized) one method on one suite matrix, using the
 // config's seed and world engine. Partitioning, layout construction, and
-// local factorization go through the setup cache, so every method/table
-// cell on the same (matrix, ranks) pays for them exactly once.
+// local factorization go through setupFor, so every method/table cell on
+// the same (matrix, ranks) pays for them exactly once.
 func runSuite(cfg Config, name string, method core.DistMethod, ranks, steps int) (*dmem.Result, error) {
 	key := cfg.keyFor(name, method, ranks, steps)
-	runMu.Lock()
-	if r, ok := runCache[key]; ok {
-		runMu.Unlock()
-		return r, nil
-	}
-	runMu.Unlock()
-
-	setup, err := setupFor(name, ranks, cfg.seed(), cfg.Local)
-	if err != nil {
-		return nil, err
-	}
-	a := setup.Layout.A
-	b, x := problem.ZeroBSystem(a, cfg.seed())
-	opt := core.DistOptions{
-		Method: method, Ranks: ranks, Steps: steps, Setup: setup,
-		Parallel: cfg.Goroutines, Dense: cfg.Dense,
-		Local: cfg.Local, Model: cfg.Model, Faults: cfg.Faults,
-	}
-	// Trace hook: any table/figure run can dump its per-rank timeline.
-	// Cached runs skip this path, so each run key is exported exactly once
-	// (by whichever call executed the world). No kernel-pool snapshot is
-	// attached here: the pool counters are process-global, so a per-run
-	// delta is only well-defined when exactly one run is in flight — under
-	// the -par prefetch driver it would absorb concurrent runs' regions
-	// and the exported bytes would stop being a pure function of the run
-	// (cmd/dsouthwell, which solves exactly once per process, keeps it).
-	var rec *obs.Recorder
-	if cfg.TraceDir != "" || cfg.MetricsDir != "" {
-		rec = obs.NewRecorder(ranks)
-		rec.SetLabel(traceBase(key))
-		opt.Trace = rec
-	}
-	res, err := core.SolveDistributed(a, b, x, opt)
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		if err := exportRun(cfg, key, rec); err != nil {
+	return runs.get(key, func() (*dmem.Result, error) {
+		setup, err := setupFor(name, ranks, cfg.seed(), cfg.Local)
+		if err != nil {
 			return nil, err
 		}
-	}
-	runMu.Lock()
-	defer runMu.Unlock()
-	if prev, ok := runCache[key]; ok {
-		return prev, nil
-	}
-	runCache[key] = res
-	return res, nil
+		a := setup.Layout.A
+		b, x := problem.ZeroBSystem(a, cfg.seed())
+		opt := cfg.distOptions(method, ranks, steps)
+		opt.Setup = setup
+		// Trace hook: any table/figure run can dump its per-rank timeline.
+		// Memoized runs skip this path, so each run key is exported exactly
+		// once (by whichever call executed the world). No kernel-pool snapshot
+		// is attached here: the pool counters are process-global, so a per-run
+		// delta is only well-defined when exactly one run is in flight — under
+		// the -par prefetch driver it would absorb concurrent runs' regions
+		// and the exported bytes would stop being a pure function of the run
+		// (cmd/dsouthwell, which solves exactly once per process, keeps it).
+		var rec *obs.Recorder
+		if cfg.TraceDir != "" || cfg.MetricsDir != "" {
+			rec = obs.NewRecorder(ranks)
+			rec.SetLabel(traceBase(key))
+			opt.Trace = rec
+		}
+		res, err := core.SolveDistributed(a, b, x, opt)
+		if err != nil {
+			return nil, err
+		}
+		if rec != nil {
+			if err := exportRun(cfg, key, rec); err != nil {
+				return nil, err
+			}
+		}
+		return res, nil
+	})
 }
 
 // traceBase is the per-run file stem: matrix, method, ranks, and step
@@ -377,13 +341,16 @@ type runJob struct {
 	steps  int
 }
 
-// suiteJobs is the cross product names × rankCounts × methods at a fixed
-// step budget, in deterministic order.
+// suiteJobs is the cross product methods × names × rankCounts at a fixed
+// step budget. The method varies slowest, so neighbouring jobs — the ones
+// concurrent prefetch workers hold at the same time — are different
+// (matrix, ranks) cells and build their setups in parallel instead of one
+// worker waiting on the other's memo entry.
 func suiteJobs(names []string, methods []core.DistMethod, rankCounts []int, steps int) []runJob {
 	jobs := make([]runJob, 0, len(names)*len(rankCounts)*len(methods))
-	for _, name := range names {
-		for _, r := range rankCounts {
-			for _, m := range methods {
+	for _, m := range methods {
+		for _, name := range names {
+			for _, r := range rankCounts {
 				jobs = append(jobs, runJob{name: name, method: m, ranks: r, steps: steps})
 			}
 		}
@@ -392,64 +359,17 @@ func suiteJobs(names []string, methods []core.DistMethod, rankCounts []int, step
 }
 
 // prefetch executes the given runs with up to cfg.par() concurrent worlds,
-// populating the run cache so the table printers read memoized results in
-// their own (deterministic) order. A no-op when Par <= 1: the printers
-// compute lazily through runSuite exactly as before (which still shares
-// setups through the setup cache).
+// populating the run memo so the table printers read results in their own
+// (deterministic) order. Runs already memoized (Tables 2-4 overlap on the
+// to-target step budget) return at once, and workers that meet on one
+// (matrix, ranks) cell share its setup through the memo. With Par <= 1 the
+// printers compute lazily through runSuite instead.
 func prefetch(cfg Config, jobs []runJob) error {
-	par := cfg.par()
-	if par <= 1 || len(jobs) <= 1 {
+	if cfg.par() <= 1 {
 		return nil
 	}
-	// Drop jobs whose results are already cached (Tables 2-4 overlap on the
-	// to-target step budget): no world needs to run for them at all.
-	fresh := jobs[:0:0]
-	for _, j := range jobs {
-		key := cfg.keyFor(j.name, j.method, j.ranks, j.steps)
-		runMu.Lock()
-		_, hit := runCache[key]
-		runMu.Unlock()
-		if hit {
-			cfg.logf("bench: cache skip %s %s p=%d steps=%d\n", j.name, j.method, j.ranks, j.steps)
-			continue
-		}
-		fresh = append(fresh, j)
-	}
-	if len(fresh) == 0 {
-		return nil
-	}
-	// Stage 1: distinct (matrix, ranks) setups — matrix generation,
-	// partitioning, layout, and local factorization each happen once, in
-	// parallel, through the setup cache; every method cell then shares the
-	// result immutably.
-	type prepKey struct {
-		name  string
-		ranks int
-	}
-	var preps []prepKey
-	seen := map[prepKey]bool{}
-	for _, j := range fresh {
-		k := prepKey{j.name, j.ranks}
-		if !seen[k] {
-			seen[k] = true
-			preps = append(preps, k)
-		}
-	}
-	if err := forEachPar(par, len(preps), func(i int) error {
-		setupMu.Lock()
-		_, hit := sCache[setupKey{name: preps[i].name, ranks: preps[i].ranks, seed: cfg.seed(), local: cfg.Local}]
-		setupMu.Unlock()
-		if hit {
-			cfg.logf("bench: setup cache hit %s p=%d\n", preps[i].name, preps[i].ranks)
-		}
-		_, err := setupFor(preps[i].name, preps[i].ranks, cfg.seed(), cfg.Local)
-		return err
-	}); err != nil {
-		return err
-	}
-	// Stage 2: the runs themselves, one simulated world per worker slot.
-	return forEachPar(par, len(fresh), func(i int) error {
-		_, err := runSuite(cfg, fresh[i].name, fresh[i].method, fresh[i].ranks, fresh[i].steps)
+	return forEachPar(cfg.par(), len(jobs), func(i int) error {
+		_, err := runSuite(cfg, jobs[i].name, jobs[i].method, jobs[i].ranks, jobs[i].steps)
 		return err
 	})
 }
@@ -493,21 +413,13 @@ func forEachPar(par, n int, fn func(i int) error) error {
 	return nil
 }
 
-// ResetCaches clears memoized matrices and runs (for benchmarks that must
-// measure cold work).
+// ResetCaches clears memoized matrices, partitions, setups and runs (for
+// benchmarks that must measure cold work).
 func ResetCaches() {
-	runMu.Lock()
-	runCache = map[runKey]*dmem.Result{}
-	runMu.Unlock()
-	matMu.Lock()
-	matCache = map[string]*sparse.CSR{}
-	matMu.Unlock()
-	partMu.Lock()
-	pCache = map[string][]int{}
-	partMu.Unlock()
-	setupMu.Lock()
-	sCache = map[setupKey]*dmem.Setup{}
-	setupMu.Unlock()
+	matrices.reset()
+	partitions.reset()
+	setups.reset()
+	runs.reset()
 }
 
 // dagger formats a float with a † for missing values, like the paper.

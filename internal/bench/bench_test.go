@@ -62,12 +62,13 @@ func TestTablesAndFigsQuick(t *testing.T) {
 	}
 	cfg := quickCfg()
 	for name, fn := range map[string]func(*bytes.Buffer) error{
-		"table2": func(b *bytes.Buffer) error { return Table2(b, cfg) },
-		"table3": func(b *bytes.Buffer) error { return Table3(b, cfg) },
-		"table4": func(b *bytes.Buffer) error { return Table4(b, cfg) },
-		"fig7":   func(b *bytes.Buffer) error { return Fig7(b, cfg) },
-		"fig8":   func(b *bytes.Buffer) error { return Fig8(b, cfg) },
-		"fig9":   func(b *bytes.Buffer) error { return Fig9(b, cfg) },
+		"table2":  func(b *bytes.Buffer) error { return Table2(b, cfg) },
+		"table3":  func(b *bytes.Buffer) error { return Table3(b, cfg) },
+		"table4":  func(b *bytes.Buffer) error { return Table4(b, cfg) },
+		"fig7":    func(b *bytes.Buffer) error { return Fig7(b, cfg) },
+		"fig8":    func(b *bytes.Buffer) error { return Fig8(b, cfg) },
+		"fig9":    func(b *bytes.Buffer) error { return Fig9(b, cfg) },
+		"scaling": func(b *bytes.Buffer) error { return Scaling(b, cfg) },
 	} {
 		var buf bytes.Buffer
 		if err := fn(&buf); err != nil {
@@ -131,6 +132,9 @@ func TestParDriverDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := Table3(&buf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := Scaling(&buf, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -266,10 +270,20 @@ func TestAblationOutput(t *testing.T) {
 			t.Errorf("ablation missing variant %q", label)
 		}
 	}
+	// The table honours the config like every suite run.
+	chaos := quickCfg()
+	chaos.Faults = rma.DelayPlan(1, 0.3, 3)
+	var faulty bytes.Buffer
+	if err := Ablation(&faulty, chaos); err != nil {
+		t.Fatal(err)
+	}
+	if faulty.String() == buf.String() {
+		t.Error("a fault plan left the ablation table unchanged: Config.Faults is ignored")
+	}
 }
 
 // TestRunCacheKeyedByConfig: every result-changing config field must reach
-// the cache key. Historically Local, Model, and the fault plan were
+// the cache key. Historically Local and the fault plan were
 // omitted, so e.g. a Gauss-Seidel run poisoned the cache for a later
 // direct-solver table. Two runs differing in exactly one such field must
 // not share a cache entry.
@@ -295,23 +309,10 @@ func TestRunCacheKeyedByConfig(t *testing.T) {
 	if run(local) == ref {
 		t.Error("configs differing only in Local share a cache entry")
 	}
-	model := base
-	model.Model = &rma.CostModel{Alpha: 1, Beta: 1, Gamma: 1}
-	if run(model) == ref {
-		t.Error("configs differing only in Model share a cache entry")
-	}
 	chaos := base
 	chaos.Faults = rma.DelayPlan(1, 0.25, 3)
 	if run(chaos) == ref {
 		t.Error("configs differing only in Faults share a cache entry")
-	}
-	// nil Model and an explicit default model are the same run and must
-	// share one entry.
-	def := base
-	def.Model = &rma.CostModel{}
-	*def.Model = rma.DefaultCostModel()
-	if run(def) != ref {
-		t.Error("nil cost model and explicit default did not share a cache entry")
 	}
 	if run(base) != ref {
 		t.Error("base config no longer hits its own cache entry")
@@ -357,5 +358,39 @@ func TestChaosOutput(t *testing.T) {
 	}
 	if want := len(quickCfg().suiteNames()) * len(chaosLevels); rows != want {
 		t.Errorf("chaos table has %d data rows, want %d", rows, want)
+	}
+}
+
+// TestScalingDenseMatchesActive: the scaling table — ladder and point load
+// — is the same bytes with every rank pinned awake as with the active set,
+// apart from the occupancy lines only an active run can print. The study
+// used to audit this per rung while timing both modes; at P = 4096 / 2048
+// the benchmark's ds_dense variant checks it on wide4k and pointload2k.
+func TestScalingDenseMatchesActive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow in -short mode")
+	}
+	render := func(dense bool) string {
+		ResetCaches()
+		defer ResetCaches()
+		cfg := quickCfg()
+		cfg.Dense = dense
+		var buf bytes.Buffer
+		if err := Scaling(&buf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if !strings.Contains(line, "active ranks mean") {
+				kept = append(kept, line)
+			}
+		}
+		if dropped := strings.Count(buf.String(), "\n") + 1 - len(kept); (dropped == 0) != dense {
+			t.Errorf("dense=%v run printed %d occupancy lines", dense, dropped)
+		}
+		return strings.Join(kept, "\n")
+	}
+	if active, dense := render(false), render(true); active != dense {
+		t.Errorf("dense stepping changed the scaling table:\n--- active ---\n%s\n--- dense ---\n%s", active, dense)
 	}
 }

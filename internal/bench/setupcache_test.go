@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"bytes"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"southwell/internal/core"
@@ -41,8 +40,8 @@ func TestSetupCacheHitIsIdentical(t *testing.T) {
 
 // TestSetupCacheKeys: the setup key distinguishes exactly the inputs that
 // change the preprocessing (matrix, ranks, seed, local solver); the run
-// cache on top of it distinguishes Model and Faults the way runKey always
-// has, while those runs still share a single setup.
+// memo on top of it distinguishes Faults the way runKey always has, while
+// those runs still share a single setup.
 func TestSetupCacheKeys(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
@@ -73,42 +72,72 @@ func TestSetupCacheKeys(t *testing.T) {
 		t.Error("LocalDirect setup carries no factorizations")
 	}
 
-	// Model/Faults vary the run, not the setup: two runs differing only in
-	// cost model / fault plan get distinct run-cache entries but one setup.
+	// Faults vary the run, not the setup: runs differing only in fault plan
+	// get distinct run-memo entries but one setup.
 	cfgA := Config{Ranks: 16, Seed: 1}
-	cfgB := Config{Ranks: 16, Seed: 1, Model: &rma.CostModel{Alpha: 1}}
+	cfgB := Config{Ranks: 16, Seed: 1, Faults: rma.DelayPlan(1, 0.25, 3)}
 	cfgC := Config{Ranks: 16, Seed: 1, Faults: &rma.FaultPlan{Seed: 3, Stragglers: map[int]float64{0: 2}}}
 	if cfgA.keyFor("af_5_k101", core.DistSWD, 16, 5) == cfgB.keyFor("af_5_k101", core.DistSWD, 16, 5) {
-		t.Error("run key does not distinguish cost models")
+		t.Error("run key does not distinguish a fault plan from none")
 	}
-	if cfgA.keyFor("af_5_k101", core.DistSWD, 16, 5) == cfgC.keyFor("af_5_k101", core.DistSWD, 16, 5) {
+	if cfgB.keyFor("af_5_k101", core.DistSWD, 16, 5) == cfgC.keyFor("af_5_k101", core.DistSWD, 16, 5) {
 		t.Error("run key does not distinguish fault plans")
 	}
-	setupMu.Lock()
-	before := len(sCache)
-	setupMu.Unlock()
+	before := memoLen(&setups)
 	for _, cfg := range []Config{cfgA, cfgB, cfgC} {
 		if _, err := runSuite(cfg, "af_5_k101", core.DistSWD, 16, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	setupMu.Lock()
-	after := len(sCache)
-	_, cellCached := sCache[setupKey{name: "af_5_k101", ranks: 16, seed: 1, local: dmem.LocalGS}]
-	setupMu.Unlock()
-	if !cellCached {
-		t.Error("model/fault variants did not populate the shared setup for their cell")
+	if s, _ := setupFor("af_5_k101", 16, 1, dmem.LocalGS); s != base {
+		t.Error("fault variants replaced the shared setup of their cell")
 	}
-	if after != before {
-		// The GS cell was cached up front (base); the three run variants
+	if after := memoLen(&setups); after != before {
+		// The GS cell was built up front (base); the three run variants
 		// must all have reused it rather than building new setups.
-		t.Errorf("model/fault variants grew the setup cache by %d, want 0", after-before)
+		t.Errorf("fault variants grew the setup memo by %d, want 0", after-before)
 	}
-	runMu.Lock()
-	nRuns := len(runCache)
-	runMu.Unlock()
-	if nRuns != 3 {
-		t.Errorf("run cache holds %d entries, want 3", nRuns)
+	if n := memoLen(&runs); n != 3 {
+		t.Errorf("run memo holds %d entries, want 3", n)
+	}
+}
+
+func memoLen[K comparable, V any](c *memo[K, V]) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}
+
+// TestMemoBuildsOnce: callers that meet on one key share one build — the
+// late ones wait for it instead of building a duplicate — and all see the
+// same value.
+func TestMemoBuildsOnce(t *testing.T) {
+	var c memo[string, *int]
+	var builds atomic.Int32
+	got := make([]*int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = c.get("k", func() (*int, error) {
+				builds.Add(1)
+				return new(int), nil
+			})
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("build ran %d times, want 1", n)
+	}
+	for i, p := range got {
+		if p == nil || p != got[0] {
+			t.Errorf("caller %d saw a different value", i)
+		}
+	}
+	c.reset()
+	if p, _ := c.get("k", func() (*int, error) { return new(int), nil }); p == got[0] {
+		t.Error("reset kept the old value")
 	}
 }
 
@@ -188,22 +217,36 @@ func TestSetupSharedAcrossMethodsNoMutation(t *testing.T) {
 	}
 }
 
-// TestPrefetchLogsCacheSkips: a second prefetch over the same jobs reports
-// every cell as cache-skipped in verbose output and runs nothing.
+// TestPrefetchLogsCacheSkips: a second prefetch over the same jobs runs no
+// solve — every cell still holds the result the first one stored. (The
+// name predates the removal of the verbose log it used to read.)
 func TestPrefetchLogsCacheSkips(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
 	cfg := Config{Ranks: 16, Seed: 1, Par: 2}
 	jobs := suiteJobs([]string{"af_5_k101"}, []core.DistMethod{core.BlockJacobi, core.DistSWD}, []int{16}, 5)
-	if err := prefetch(cfg, jobs); err != nil {
-		t.Fatal(err)
+	results := func() []*dmem.Result {
+		t.Helper()
+		if err := prefetch(cfg, jobs); err != nil {
+			t.Fatal(err)
+		}
+		if n := memoLen(&runs); n != len(jobs) {
+			t.Fatalf("prefetch left %d memoized runs, want %d", n, len(jobs))
+		}
+		out := make([]*dmem.Result, len(jobs))
+		for i, j := range jobs {
+			r, err := runSuite(cfg, j.name, j.method, j.ranks, j.steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = r
+		}
+		return out
 	}
-	var log bytes.Buffer
-	cfg.LogW = &log
-	if err := prefetch(cfg, jobs); err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(log.String(), "cache skip"); n != len(jobs) {
-		t.Errorf("verbose log reported %d cache skips, want %d:\n%s", n, len(jobs), log.String())
+	first := results()
+	for i, r := range results() {
+		if r != first[i] {
+			t.Errorf("second prefetch re-ran %s %s", jobs[i].name, jobs[i].method)
+		}
 	}
 }

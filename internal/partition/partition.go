@@ -531,20 +531,6 @@ func Block(n, k int) []int {
 	return part
 }
 
-// Grid2D partitions an nx-by-ny grid (row-major ids) into a px-by-py
-// process grid.
-func Grid2D(nx, ny, px, py int) []int {
-	part := make([]int, nx*ny)
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			pxi := ix * px / nx
-			pyi := iy * py / ny
-			part[iy*nx+ix] = pyi*px + pxi
-		}
-	}
-	return part
-}
-
 // Stats summarizes partition quality.
 type Stats struct {
 	K         int

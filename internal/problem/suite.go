@@ -2,7 +2,6 @@ package problem
 
 import (
 	"fmt"
-	"sort"
 
 	"southwell/internal/sparse"
 )
@@ -169,12 +168,5 @@ func SuiteNames() []string {
 	for i, e := range s {
 		names[i] = e.Name
 	}
-	return names
-}
-
-// SortedSuiteNames returns the names sorted alphabetically (for lookup UIs).
-func SortedSuiteNames() []string {
-	names := SuiteNames()
-	sort.Strings(names)
 	return names
 }

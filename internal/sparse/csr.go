@@ -222,39 +222,3 @@ func (a *CSR) Neighbors(i int) []int {
 	}
 	return out
 }
-
-// MaxDegree returns the maximum number of off-diagonal entries in any row.
-func (a *CSR) MaxDegree() int {
-	maxd := 0
-	for i := 0; i < a.N; i++ {
-		d := 0
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if j != i {
-				d++
-			}
-		}
-		if d > maxd {
-			maxd = d
-		}
-	}
-	return maxd
-}
-
-// Bandwidth returns the maximum |i-j| over stored entries.
-func (a *CSR) Bandwidth() int {
-	bw := 0
-	for i := 0; i < a.N; i++ {
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			d := i - j
-			if d < 0 {
-				d = -d
-			}
-			if d > bw {
-				bw = d
-			}
-		}
-	}
-	return bw
-}

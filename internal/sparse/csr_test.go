@@ -237,7 +237,9 @@ func TestScaleSolutionRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs := CopyVec(b)
-	ScaleVec(bs, s)
+	for i := range bs {
+		bs[i] *= s[i] // the right-hand side scales with the rows: b <- S b
+	}
 	// Scaled system solution is y = S^{-1} x, i.e. y_i = x_i / s_i.
 	y := make([]float64, a.N)
 	for i := range y {
@@ -247,12 +249,6 @@ func TestScaleSolutionRoundTrip(t *testing.T) {
 	a.Residual(bs, y, r)
 	if n := Norm2(r); n > 1e-10 {
 		t.Errorf("scaled system residual %g", n)
-	}
-	UnscaleSolution(y, s)
-	for i := range y {
-		if math.Abs(y[i]-xTrue[i]) > 1e-10 {
-			t.Fatalf("unscaled solution mismatch at %d", i)
-		}
 	}
 }
 
@@ -272,17 +268,9 @@ func TestVecHelpers(t *testing.T) {
 	if y[0] != 7 || y[1] != -7 {
 		t.Errorf("Axpy = %v", y)
 	}
-	ScaleBy(0.5, y)
-	if y[0] != 3.5 {
-		t.Errorf("ScaleBy = %v", y)
-	}
-	Fill(y, 9)
-	if y[0] != 9 || y[1] != 9 {
-		t.Errorf("Fill = %v", y)
-	}
 	z := CopyVec(y)
 	z[0] = 0
-	if y[0] != 9 {
+	if y[0] != 7 {
 		t.Error("CopyVec aliases")
 	}
 }
@@ -313,12 +301,6 @@ func TestNeighborsAndDegrees(t *testing.T) {
 	nb := a.Neighbors(2)
 	if len(nb) != 2 || nb[0] != 1 || nb[1] != 3 {
 		t.Errorf("Neighbors(2) = %v", nb)
-	}
-	if a.MaxDegree() != 2 {
-		t.Errorf("MaxDegree = %d", a.MaxDegree())
-	}
-	if a.Bandwidth() != 1 {
-		t.Errorf("Bandwidth = %d", a.Bandwidth())
 	}
 }
 

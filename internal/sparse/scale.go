@@ -30,19 +30,3 @@ func Scale(a *CSR) (s []float64, err error) {
 	}
 	return s, nil
 }
-
-// ScaleVec applies the right-hand-side scaling b <- S b in place, where s is
-// the vector returned by Scale.
-func ScaleVec(b, s []float64) {
-	for i := range b {
-		b[i] *= s[i]
-	}
-}
-
-// UnscaleSolution recovers the solution of the original system from the
-// solution y of the scaled system: x = S y, in place.
-func UnscaleSolution(y, s []float64) {
-	for i := range y {
-		y[i] *= s[i]
-	}
-}

@@ -39,20 +39,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// ScaleBy multiplies x by alpha in place.
-func ScaleBy(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Fill sets every entry of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // CopyVec returns a copy of x.
 func CopyVec(x []float64) []float64 {
 	y := make([]float64, len(x))
