@@ -79,8 +79,8 @@ partition-pin:
 # not matched -- its O(n^3) factor would add minutes.
 alloc-gates:
 	$(GO) test -run 'AllocGate|AllocCeiling' ./internal/...
-	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkKernels|BenchmarkLDL|BenchmarkObs|BenchmarkRunPhase|BenchmarkActivePhases' \
-		./internal/sparse/ ./internal/spdirect/ ./internal/obs/ ./internal/rma/ >/dev/null
+	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkKernels|BenchmarkLDL|BenchmarkObs|BenchmarkRunPhase|BenchmarkActivePhases|BenchmarkLocalSolveCycled' \
+		./internal/sparse/ ./internal/spdirect/ ./internal/obs/ ./internal/rma/ ./internal/dmem/ >/dev/null
 
 # Every committed results/*.txt is a function of the code: regenerate all
 # thirteen (the twelve of "all" plus scaling) into a temporary directory and
@@ -114,9 +114,12 @@ bench-e2e:
 # CLI lines below in each and `cmp`s the outputs, stopping at the first
 # difference. The IDENTITY_SMALL lines are a many-small-parts run (ranks of
 # one or two rows, single-neighbor ranks), the shape the exchange plans are
-# laid out for. The last line is a pinned run's whole trace export (~1.3 MB;
-# pinned, so no rank sleeps and every event is part of the contract), the
-# one after it the -quick scaling study (it reads DIFFERS against a parent
+# laid out for; with -loc_solver auto every one of its blocks is under the
+# dense crossover, so that line is the one that runs dense.LU.SolveWith (at
+# 64 ranks auto picks the sparse factor on all of msdoor's blocks). The last
+# line but one is a pinned run's whole trace export (~1.3 MB; pinned, so no
+# rank sleeps and every event is part of the contract), the one after it
+# the -quick scaling study (it reads DIFFERS against a parent
 # older than PR 23, whose scaling printed host wall-clock). Not part of
 # verify: it needs a second checkout.
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
@@ -140,6 +143,7 @@ identity:
 		"dsouthwell $(IDENTITY_SOLVE) -solver pb16" \
 		"dsouthwell $(IDENTITY_SMALL)" \
 		"dsouthwell $(IDENTITY_SMALL) -chaos 0.3" \
+		"dsouthwell $(IDENTITY_SMALL) -loc_solver auto" \
 		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout" \
 		"benchtables -quick scaling"; \
 	do \

@@ -109,24 +109,32 @@ func (f *LU) Solve(b, x []float64) {
 // alias b or x.
 func (f *LU) SolveWith(b, x, y []float64) {
 	n := f.lu.N
-	for i := 0; i < n; i++ {
-		y[i] = b[f.piv[i]]
+	data := f.lu.Data
+	y = y[:n]
+	for i, p := range f.piv {
+		y[i] = b[p]
 	}
-	// Forward: L y' = y (unit lower).
-	for i := 0; i < n; i++ {
+	// Forward: L y' = y (unit lower). Each row and the stretch of y it meets
+	// are local slices of one length, so the dot product carries no index
+	// arithmetic and no bounds check per entry.
+	for i := range y {
+		row := data[i*n : i*n+i]
+		head := y[:len(row)]
 		s := y[i]
-		for j := 0; j < i; j++ {
-			s -= f.lu.At(i, j) * y[j]
+		for j, l := range row {
+			s -= l * head[j]
 		}
 		y[i] = s
 	}
 	// Backward: U x = y'.
 	for i := n - 1; i >= 0; i-- {
+		row := data[i*n+i+1 : (i+1)*n] // right of the diagonal
+		tail := y[i+1:][:len(row)]
 		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= f.lu.At(i, j) * y[j]
+		for j, u := range row {
+			s -= u * tail[j]
 		}
-		y[i] = s / f.lu.At(i, i)
+		y[i] = s / data[i*n+i]
 	}
 	copy(x, y)
 }

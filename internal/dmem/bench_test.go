@@ -64,6 +64,41 @@ func TestRelaxSweepAllocGate(t *testing.T) {
 	}
 }
 
+// BenchmarkLocalSolveCycled is the direct local solve with the cache shape a
+// direct64 run gives it: one op is relaxDirect on each of the 64 ranks in
+// turn, so every rank's factor (8.6 MB in all, past L2) is evicted before its
+// next solve, as it is between two steps of a run. BenchmarkLDL/Solve, one
+// 4 356-row block solved back to back, keeps its factor resident and reads
+// faster per row than a run does. Reports ns per relaxed row; a round that
+// allocates fails the benchmark.
+func BenchmarkLocalSolveCycled(b *testing.B) {
+	s, bb, x := direct64Setup(b)
+	st := newRunState(s)
+	st.reset(bb, x, Config{}, stepSpec{})
+	rows := 0
+	r0 := make([][]float64, len(st.states))
+	for p, rs := range st.states {
+		rows += rs.rd.M()
+		r0[p] = append([]float64(nil), rs.r...)
+	}
+	round := func() {
+		for p, rs := range st.states {
+			copy(rs.r, r0[p]) // relaxDirect leaves r = 0, and a zero right-hand side skips every column
+			clear(rs.extDelta)
+			rs.relaxDirect()
+		}
+	}
+	if got := testing.AllocsPerRun(2, round); got != 0 {
+		b.Fatalf("a round of direct local solves allocates %.1f/op, want 0", got)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
 // BenchmarkStepDS measures full Distributed Southwell solves of ten parallel
 // steps (three phases each over the runtime) at several rank counts, on both
 // engines: fresh builds its run state every solve, reused solves again and

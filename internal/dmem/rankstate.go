@@ -105,13 +105,19 @@ func (rs *rankState) relaxLocal() float64 {
 // solution update — not the hard-coded dense estimate of old.
 func (rs *rankState) relaxDirect() float64 {
 	rd := rs.rd
-	d := rs.direct.d
-	rs.direct.f.SolveInto(rs.r, d, rs.direct.scratch)
-	for li := range rs.r {
-		rs.x[li] += d[li]
-		rs.r[li] = 0
-		for k := rd.ExtPtr[li]; k < rd.ExtPtr[li+1]; k++ {
-			rs.extDelta[rd.ExtCol[k]] -= rd.ExtVal[k] * d[li]
+	r, x, extDelta := rs.r, rs.x, rs.extDelta
+	d := rs.direct.d[:len(r)]
+	rs.direct.f.SolveInto(r, d, rs.direct.scratch)
+	// Operands are locals cut once per row (DESIGN.md §10, "Kernel form").
+	extPtr, extCol, extVal := rd.ExtPtr, rd.ExtCol, rd.ExtVal
+	for li, dl := range d {
+		x[li] += dl
+		r[li] = 0
+		lo, hi := extPtr[li], extPtr[li+1]
+		cols := extCol[lo:hi]
+		vals := extVal[lo:hi][:len(cols)]
+		for k, c := range cols {
+			extDelta[c] -= vals[k] * dl
 		}
 	}
 	return rs.direct.f.SolveFlops() + float64(rd.NNZ) + float64(rd.M())
@@ -159,17 +165,30 @@ func (rs *rankState) computeNorm() float64 {
 // entries touch only r[] and ext entries only extDelta[], and each class
 // preserves source column order, so every memory location sees the exact
 // update sequence of the interleaved walk — Gauss–Seidel bits unchanged.
+//
+// Operands are locals cut once per row (DESIGN.md §10, "Kernel form"); the
+// visit order and the one a -= b*c expression per update may not change.
 func (rs *rankState) relaxSweep() float64 {
 	rd := rs.rd
-	for li := range rs.r {
-		d := rs.r[li] / rd.Diag[li]
-		rs.x[li] += d
-		rs.r[li] = 0 // diagonal contribution: r_li -= a_ii * d exactly
-		for k := rd.LocPtr[li]; k < rd.LocPtr[li+1]; k++ {
-			rs.r[rd.LocCol[k]] -= rd.LocVal[k] * d
+	r, x, extDelta := rs.r, rs.x, rs.extDelta
+	diag := rd.Diag[:len(r)]
+	locPtr, locCol, locVal := rd.LocPtr, rd.LocCol, rd.LocVal
+	extPtr, extCol, extVal := rd.ExtPtr, rd.ExtCol, rd.ExtVal
+	for li, aii := range diag {
+		d := r[li] / aii
+		x[li] += d
+		r[li] = 0 // diagonal contribution: r_li -= a_ii * d exactly
+		lo, hi := locPtr[li], locPtr[li+1]
+		cols := locCol[lo:hi]
+		vals := locVal[lo:hi][:len(cols)]
+		for k, c := range cols {
+			r[c] -= vals[k] * d
 		}
-		for k := rd.ExtPtr[li]; k < rd.ExtPtr[li+1]; k++ {
-			rs.extDelta[rd.ExtCol[k]] -= rd.ExtVal[k] * d
+		lo, hi = extPtr[li], extPtr[li+1]
+		cols = extCol[lo:hi]
+		vals = extVal[lo:hi][:len(cols)]
+		for k, c := range cols {
+			extDelta[c] -= vals[k] * d
 		}
 	}
 	return float64(2*rd.NNZ + 3*rd.M())

@@ -120,14 +120,24 @@ func runBlocks(nb int, f func(b int)) {
 	parallel.Default().Run(&t, nb)
 }
 
+// rowDot returns (A x)_i, accumulated in ascending column order. The row is
+// two local slices cut once, so the loop carries one data-dependent bounds
+// check (x[c]) and reloads no slice header through a.
+func rowDot(a *CSR, x []float64, i int) float64 {
+	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+	cols := a.Col[lo:hi]
+	vals := a.Val[lo:hi][:len(cols)]
+	sum := 0.0
+	for k, c := range cols {
+		sum += vals[k] * x[c]
+	}
+	return sum
+}
+
 // mulRange computes y[i] = (A x)_i for i in [lo, hi).
 func mulRange(a *CSR, x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		sum := 0.0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			sum += a.Val[k] * x[a.Col[k]]
-		}
-		y[i] = sum
+		y[i] = rowDot(a, x, i)
 	}
 }
 
@@ -137,11 +147,7 @@ func mulRange(a *CSR, x, y []float64, lo, hi int) {
 // a consistent system built via MulVec yields an exactly-zero residual).
 func residRange(a *CSR, b, x, r []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		sum := 0.0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			sum += a.Val[k] * x[a.Col[k]]
-		}
-		r[i] = b[i] - sum
+		r[i] = b[i] - rowDot(a, x, i)
 	}
 }
 
@@ -151,11 +157,7 @@ func residRange(a *CSR, b, x, r []float64, lo, hi int) {
 func residSumSqRange(a *CSR, b, x, r []float64, lo, hi int) float64 {
 	s := 0.0
 	for i := lo; i < hi; i++ {
-		sum := 0.0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			sum += a.Val[k] * x[a.Col[k]]
-		}
-		ri := b[i] - sum
+		ri := b[i] - rowDot(a, x, i)
 		r[i] = ri
 		s += ri * ri
 	}

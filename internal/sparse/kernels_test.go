@@ -191,6 +191,75 @@ func TestKernelsCorrectness(t *testing.T) {
 	}
 }
 
+// mulRef and residRef are mulRange and residRange as they were written before
+// rowDot cut each row into local slices (DESIGN.md §10, "Kernel form"):
+// every operand indexed through a on every nonzero. Compared bitwise.
+func mulRef(a *sparse.CSR, x, y []float64) {
+	for i := 0; i < a.N; i++ {
+		sum := 0.0
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			sum += a.Val[k] * x[a.Col[k]]
+		}
+		y[i] = sum
+	}
+}
+
+func residRef(a *sparse.CSR, b, x, r []float64) {
+	for i := 0; i < a.N; i++ {
+		sum := 0.0
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			sum += a.Val[k] * x[a.Col[k]]
+		}
+		r[i] = b[i] - sum
+	}
+}
+
+// TestGatherKernelsMatchReference: MulVec, Residual and ResidualNorm2
+// reproduce the reference loops bit for bit at every pool width, on ordinary
+// vectors and on vectors with exact zeros, −0, denormals, ±Inf and NaN.
+func TestGatherKernelsMatchReference(t *testing.T) {
+	mats := testMatrices(t)
+	mats["empty"] = sparse.NewCOO(0, 0).ToCSR()
+	rng := rand.New(rand.NewSource(17))
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -1e-310, math.Inf(1), math.Inf(-1), math.NaN()}
+	for name, a := range mats {
+		plain := randVec(rng, a.N)
+		odd := randVec(rng, a.N)
+		for i := range odd {
+			if rng.Intn(4) == 0 {
+				odd[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		b := randVec(rng, a.N)
+		for xname, x := range map[string][]float64{"plain": plain, "special": odd} {
+			wantY, wantR := make([]float64, a.N), make([]float64, a.N)
+			mulRef(a, x, wantY)
+			residRef(a, b, x, wantR)
+			wantNorm := sparse.Norm2(wantR)
+			withWorkers(t, func(t *testing.T, w int) {
+				y, r, rn := make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)
+				a.MulVec(x, y)
+				a.Residual(b, x, r)
+				norm := a.ResidualNorm2(b, x, rn)
+				for i := range y {
+					if math.Float64bits(y[i]) != math.Float64bits(wantY[i]) {
+						t.Fatalf("%s/%s width %d: MulVec[%d] = %x, reference %x", name, xname, w, i, y[i], wantY[i])
+					}
+					if math.Float64bits(r[i]) != math.Float64bits(wantR[i]) {
+						t.Fatalf("%s/%s width %d: Residual[%d] = %x, reference %x", name, xname, w, i, r[i], wantR[i])
+					}
+					if math.Float64bits(rn[i]) != math.Float64bits(wantR[i]) {
+						t.Fatalf("%s/%s width %d: ResidualNorm2 r[%d] = %x, reference %x", name, xname, w, i, rn[i], wantR[i])
+					}
+				}
+				if math.Float64bits(norm) != math.Float64bits(wantNorm) {
+					t.Fatalf("%s/%s width %d: ResidualNorm2 = %x, Norm2 of the reference residual %x", name, xname, w, norm, wantNorm)
+				}
+			})
+		}
+	}
+}
+
 // refToCSR accumulates duplicates per (row, col) in insertion order — the
 // documented ToCSR semantics — then applies the zero-drop rule. Compared
 // bitwise.

@@ -1,6 +1,7 @@
 package spdirect_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -117,8 +118,11 @@ func BenchmarkDenseLU(b *testing.B) {
 
 // TestLDLAllocGate is the machine-independent regression gate: the
 // steady-state operations of a cached factorization — Refactor (new
-// values, fixed pattern) and Solve — must allocate nothing.
-// Analyze/Factorize are one-time setup and are not gated.
+// values, fixed pattern) and Solve — must allocate nothing, and the one-time
+// Analyze a fixed number of arrays whatever the structure: at most 20
+// mallocs, and bytes linear in n + nnz on a 32 000-row diagonal block, where
+// every row is its own component (a visited array per pseudo-peripheral
+// search made that block 1 GB and half a second).
 func TestLDLAllocGate(t *testing.T) {
 	a := problem.Poisson2D(40, 40) // 1600 rows: big enough to be honest
 	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val, spdirect.Options{})
@@ -144,6 +148,38 @@ func TestLDLAllocGate(t *testing.T) {
 		op.f() // warm once outside the measurement
 		if got := testing.AllocsPerRun(20, op.f); got != 0 {
 			t.Errorf("%s allocates %.1f/op in steady state, want 0", op.name, got)
+		}
+	}
+
+	const maxAnalyzeMallocs, analyzeBytesPerEntry = 20, 96
+	const nDiag = 32000
+	diagPtr, diagCol := make([]int, nDiag+1), make([]int, nDiag)
+	for i := range diagCol {
+		diagPtr[i+1], diagCol[i] = i+1, i
+	}
+	for _, c := range []struct {
+		name        string
+		n           int
+		rowPtr, col []int
+	}{
+		{"poisson2d-40", a.N, a.RowPtr, a.Col},
+		{"diagonal-32000", nDiag, diagPtr, diagCol},
+	} {
+		analyze := func() {
+			if _, err := spdirect.Analyze(c.n, c.rowPtr, c.col, spdirect.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mallocs := testing.AllocsPerRun(5, analyze)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		analyze()
+		runtime.ReadMemStats(&m1)
+		bytes := m1.TotalAlloc - m0.TotalAlloc
+		maxBytes := uint64(analyzeBytesPerEntry * (c.n + len(c.col)))
+		t.Logf("Analyze(%s): %.0f mallocs, %d bytes (ceiling %d, %d)", c.name, mallocs, bytes, maxAnalyzeMallocs, maxBytes)
+		if mallocs > maxAnalyzeMallocs || bytes > maxBytes {
+			t.Errorf("Analyze(%s): %.0f mallocs, %d bytes; ceiling %d mallocs, %d bytes", c.name, mallocs, bytes, maxAnalyzeMallocs, maxBytes)
 		}
 	}
 }

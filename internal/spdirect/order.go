@@ -1,6 +1,6 @@
 package spdirect
 
-import "sort"
+import "slices"
 
 // Ordering selects the fill-reducing permutation Analyze applies before
 // symbolic factorization.
@@ -35,12 +35,20 @@ func rcmPerm(n int, rowPtr, col []int) []int {
 	}
 	// Adjacency copy with each neighborhood sorted by (degree, id): the
 	// Cuthill-McKee visit order. Sorting once here keeps the BFS loops
-	// allocation- and comparison-light.
+	// comparison-free. The keys are unique within a row, so the order is a
+	// total one and any correct sort yields the same permutation; byDegree
+	// captures only deg, once, so no row allocates.
 	adjPtr := make([]int, n+1)
 	for i := 0; i < n; i++ {
 		adjPtr[i+1] = adjPtr[i] + deg[i]
 	}
 	adj := make([]int, adjPtr[n])
+	byDegree := func(a, b int) int {
+		if deg[a] != deg[b] {
+			return deg[a] - deg[b]
+		}
+		return a - b
+	}
 	for i := 0; i < n; i++ {
 		w := adjPtr[i]
 		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
@@ -49,23 +57,22 @@ func rcmPerm(n int, rowPtr, col []int) []int {
 				w++
 			}
 		}
-		nb := adj[adjPtr[i]:adjPtr[i+1]]
-		sort.Slice(nb, func(a, b int) bool {
-			if deg[nb[a]] != deg[nb[b]] {
-				return deg[nb[a]] < deg[nb[b]]
-			}
-			return nb[a] < nb[b]
-		})
+		slices.SortFunc(adj[adjPtr[i]:adjPtr[i+1]], byDegree)
 	}
 
 	perm := make([]int, 0, n)
 	visited := make([]bool, n)
-	level := make([]int, n) // BFS scratch: queue storage
+	// BFS scratch of pseudoPeripheral, owned here so a block of many
+	// components (a diagonal block has n) costs O(n + nnz) in all: the level
+	// queue, and a stamp array in place of a visited set cleared per search.
+	queue := make([]int, n)
+	stamp := make([]int, n)
+	search := 0 // number of the last BFS that wrote stamp
 	for start := 0; start < n; start++ {
 		if visited[start] {
 			continue
 		}
-		root := pseudoPeripheral(start, adjPtr, adj, deg, level)
+		root := pseudoPeripheral(start, adjPtr, adj, deg, queue, stamp, &search)
 		// Cuthill-McKee BFS from root; neighbors are pre-sorted by
 		// (degree, id), so the queue order is the classic CM order.
 		head := len(perm)
@@ -92,18 +99,22 @@ func rcmPerm(n int, rowPtr, col []int) []int {
 
 // pseudoPeripheral runs the George-Liu iteration restricted to start's
 // component: BFS from the current root, move to the minimum-degree node of
-// the last level, repeat while the eccentricity grows. queue is an n-sized
-// scratch. All ties break by node id.
-func pseudoPeripheral(start int, adjPtr, adj, deg, queue []int) int {
+// the last level, repeat while the eccentricity grows. queue and stamp are
+// n-sized scratch: node v is visited in the current BFS iff stamp[v] equals
+// *search, the caller's count of searches so far, which every BFS here
+// increments (stamp starts all zero, so no number is ever reused). All ties
+// break by node id.
+func pseudoPeripheral(start int, adjPtr, adj, deg, queue, stamp []int, search *int) int {
 	root := start
 	ecc := -1
 	// The iteration terminates because the eccentricity strictly grows; the
 	// bound is a safety net (eccentricity < n always, and in practice the
 	// loop settles within a handful of rounds).
 	for iter := 0; iter < 64; iter++ {
-		visited := make([]bool, len(adjPtr)-1)
+		*search++
+		cur := *search
 		queue[0] = root
-		visited[root] = true
+		stamp[root] = cur
 		levStart, levEnd, qLen := 0, 1, 1
 		height := 0
 		lastLevel := queue[0:1]
@@ -111,8 +122,8 @@ func pseudoPeripheral(start int, adjPtr, adj, deg, queue []int) int {
 			for i := levStart; i < levEnd; i++ {
 				u := queue[i]
 				for _, v := range adj[adjPtr[u]:adjPtr[u+1]] {
-					if !visited[v] {
-						visited[v] = true
+					if stamp[v] != cur {
+						stamp[v] = cur
 						queue[qLen] = v
 						qLen++
 					}

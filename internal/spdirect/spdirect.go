@@ -245,22 +245,31 @@ func (f *Factor) Refactor(val []float64) error {
 	if len(val) < s.nnzA {
 		return fmt.Errorf("spdirect: val length %d < analyzed nnz %d", len(val), s.nnzA)
 	}
+	// Every operand is a local (DESIGN.md §10, "Kernel form"): a store through
+	// y may alias anything the compiler can see, so operands read through f or
+	// s would be reloaded, and re-checked, on every nonzero.
 	y, pat, flag, next := f.yn, f.pattern, f.flag, f.next
+	Li, Lx, D := f.Li, f.Lx, f.D
+	Lp, parent := s.Lp, s.Parent
+	bp, bi, bmap := s.bp, s.bi, s.bmap
 	for k := 0; k < n; k++ {
-		next[k] = int32(s.Lp[k])
+		next[k] = int32(Lp[k])
 		flag[k] = -1
 	}
 	for k := 0; k < n; k++ {
 		top := n
 		flag[k] = int32(k)
-		for p := s.bp[k]; p < s.bp[k+1]; p++ {
-			i := int(s.bi[p])
-			y[i] += val[s.bmap[p]]
+		lo, hi := bp[k], bp[k+1]
+		rows := bi[lo:hi]
+		src := bmap[lo:hi][:len(rows)]
+		for p, r := range rows {
+			i := int(r)
+			y[i] += val[src[p]]
 			// Collect the path from i to the flagged region, then push it
 			// reversed onto the pattern stack: the final traversal order is
 			// topological (descendants before ancestors).
 			plen := 0
-			for ; flag[i] != int32(k); i = s.Parent[i] {
+			for ; flag[i] != int32(k); i = parent[i] {
 				pat[plen] = int32(i)
 				plen++
 				flag[i] = int32(k)
@@ -273,29 +282,29 @@ func (f *Factor) Refactor(val []float64) error {
 		}
 		dk := y[k]
 		y[k] = 0
-		for ; top < n; top++ {
-			i := int(pat[top])
+		for _, c := range pat[top:n] {
+			i := int(c)
 			yi := y[i]
 			y[i] = 0
 			p2 := int(next[i])
-			for p := s.Lp[i]; p < p2; p++ {
-				y[f.Li[p]] -= f.Lx[p] * yi
+			li := Li[Lp[i]:p2]
+			lx := Lx[Lp[i]:p2][:len(li)]
+			for p, r := range li {
+				y[r] -= lx[p] * yi
 			}
-			lki := yi / f.D[i]
+			lki := yi / D[i]
 			dk -= lki * yi
-			f.Li[p2] = int32(k)
-			f.Lx[p2] = lki
+			Li[p2] = int32(k)
+			Lx[p2] = lki
 			next[i] = int32(p2 + 1)
 		}
 		if !(dk > 0) { // rejects zero, negative, and NaN pivots alike
 			// Leave the accumulator clean for the next Refactor: columns
 			// after k may hold scattered values not yet consumed.
-			for i := range y {
-				y[i] = 0
-			}
+			clear(y)
 			return fmt.Errorf("%w (pivot %g at permuted column %d)", ErrNotPositiveDefinite, dk, k)
 		}
-		f.D[k] = dk
+		D[k] = dk
 	}
 	return nil
 }
@@ -313,35 +322,46 @@ func (f *Factor) Solve(b, x []float64) {
 // caller owns its y: the factorization arrays (Perm, Lp, Li, Lx, D) are
 // only read. b is not modified; x may alias b.
 func (f *Factor) SolveWith(b, x, y []float64) {
+	// Operands are locals cut once per column (DESIGN.md §10, "Kernel form").
+	// What may not change: the visit order, the forward zero skip, and one
+	// a -= b*c expression per update.
 	s := f.sym
 	n := s.N
-	for k := 0; k < n; k++ {
-		y[k] = b[s.Perm[k]]
+	perm, Lp := s.Perm[:n], s.Lp[:n+1]
+	Li, Lx, D := f.Li, f.Lx, f.D[:n]
+	y = y[:n]
+	for k, old := range perm {
+		y[k] = b[old]
 	}
 	// Forward: L z = y (unit lower, stored by column: column i updates its
 	// below-diagonal rows once y[i] is final).
 	for i := 0; i < n; i++ {
-		yi := y[i]
-		if yi != 0 {
-			for p := s.Lp[i]; p < s.Lp[i+1]; p++ {
-				y[f.Li[p]] -= f.Lx[p] * yi
+		if yi := y[i]; yi != 0 {
+			lo, hi := Lp[i], Lp[i+1]
+			li := Li[lo:hi]
+			lx := Lx[lo:hi][:len(li)]
+			for p, r := range li {
+				y[r] -= lx[p] * yi
 			}
 		}
 	}
 	// Diagonal.
-	for k := 0; k < n; k++ {
-		y[k] /= f.D[k]
+	for k, d := range D {
+		y[k] /= d
 	}
 	// Backward: Lᵀ w = z (column i of L is row i of Lᵀ: gather).
 	for i := n - 1; i >= 0; i-- {
+		lo, hi := Lp[i], Lp[i+1]
+		li := Li[lo:hi]
+		lx := Lx[lo:hi][:len(li)]
 		yi := y[i]
-		for p := s.Lp[i]; p < s.Lp[i+1]; p++ {
-			yi -= f.Lx[p] * y[f.Li[p]]
+		for p, r := range li {
+			yi -= lx[p] * y[r]
 		}
 		y[i] = yi
 	}
-	for k := 0; k < n; k++ {
-		x[s.Perm[k]] = y[k]
+	for k, old := range perm {
+		x[old] = y[k]
 	}
 }
 
