@@ -1,10 +1,11 @@
 # Tier-1 verification for the southwell repo. `make verify` is the gate:
 # build + vet + full test suite + race-mode runtime/method tests + a chaos
-# smoke run of both binaries + results/ regenerated and compared.
+# smoke run of both binaries + the examples run + results/ regenerated and
+# compared.
 
 GO ?= go
 
-.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates results-check bench-e2e identity verify bench clean
+.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates examples results-check bench-e2e identity verify bench clean
 
 build:
 	$(GO) build ./...
@@ -82,6 +83,14 @@ alloc-gates:
 	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkKernels|BenchmarkLDL|BenchmarkObs|BenchmarkRunPhase|BenchmarkActivePhases|BenchmarkLocalSolveCycled' \
 		./internal/sparse/ ./internal/spdirect/ ./internal/obs/ ./internal/rma/ ./internal/dmem/ >/dev/null
 
+# The four examples/ programs are the API's only documentation that
+# compiles; `go build ./...` only builds them, so run each (about 3 s in
+# all). A program that fails exits non-zero and fails the target.
+examples:
+	@set -e; for e in deadlock multigrid quickstart scaling; do \
+		$(GO) run ./examples/$$e >/dev/null; echo "examples: $$e ok"; \
+	done
+
 # Every committed results/*.txt is a function of the code: regenerate all
 # thirteen (the twelve of "all" plus scaling) into a temporary directory and
 # cmp each against results/. About 35 s. Two processes, because a process
@@ -153,7 +162,7 @@ identity:
 		echo "identity: same: $$line"; \
 	done
 
-verify: build lint test race chaos-smoke partition-pin alloc-gates results-check
+verify: build lint test race chaos-smoke partition-pin alloc-gates examples results-check
 
 # Micro-benchmarks for the phase engine, message path, numerical kernels,
 # sparse local solver and tracing. Single-shot and machine-dependent: for

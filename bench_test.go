@@ -173,9 +173,13 @@ func BenchmarkDistSWStep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		s, err := dmem.NewSetup(l, dmem.LocalGS)
+		if err != nil {
+			b.Fatal(err)
+		}
 		bb, x := problem.ZeroBSystem(a, 1)
 		b.StartTimer()
-		dmem.DistributedSouthwell(l, bb, x, dmem.Config{Steps: 10})
+		dmem.DistributedSouthwell(s, bb, x, dmem.Config{Steps: 10})
 	}
 }
 

@@ -74,20 +74,6 @@ var experiments = []struct {
 // allExcluded experiments must be requested by name.
 var allExcluded = map[string]bool{"scaling": true}
 
-// parseLocSolver resolves the -loc_solver flag (shared vocabulary with
-// cmd/dsouthwell).
-func parseLocSolver(s string) (dmem.LocalSolver, error) {
-	switch s {
-	case "gs":
-		return dmem.LocalGS, nil
-	case "direct", "pardiso":
-		return dmem.LocalDirect, nil
-	case "auto":
-		return dmem.LocalAuto, nil
-	}
-	return 0, fmt.Errorf("-loc_solver %q: unknown (use gs, direct, pardiso, or auto)", s)
-}
-
 // validateOutDir checks an output-directory flag up front: an existing
 // path must be a directory (a missing one is created on first write).
 func validateOutDir(flagName, path string) error {
@@ -146,7 +132,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		os.Exit(2)
 	}
-	local, err := parseLocSolver(*locSolver)
+	local, err := dmem.ParseLocalSolver(*locSolver)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		os.Exit(2)

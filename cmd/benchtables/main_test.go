@@ -77,12 +77,12 @@ func TestParseLocSolver(t *testing.T) {
 		{"pardiso", dmem.LocalDirect},
 		{"auto", dmem.LocalAuto},
 	} {
-		got, err := parseLocSolver(tc.in)
+		got, err := dmem.ParseLocalSolver(tc.in)
 		if err != nil || got != tc.want {
-			t.Errorf("parseLocSolver(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+			t.Errorf("ParseLocalSolver(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := parseLocSolver("ilu"); err == nil || !strings.Contains(err.Error(), "-loc_solver") {
+	if _, err := dmem.ParseLocalSolver("ilu"); err == nil || !strings.Contains(err.Error(), "-loc_solver") {
 		t.Errorf("bad value not rejected by flag name: %v", err)
 	}
 }

@@ -88,15 +88,8 @@ func validate(ranks, sweepMax, grid int, solver, locSolver string, target, chaos
 	if o.method, err = core.ParseDistMethod(solver); err != nil {
 		return o, fmt.Errorf("-solver %q: unknown (use sos_sds, ds, ps, bj, or pb16)", solver)
 	}
-	switch locSolver {
-	case "gs":
-		o.local = dmem.LocalGS
-	case "direct", "pardiso":
-		o.local = dmem.LocalDirect
-	case "auto":
-		o.local = dmem.LocalAuto
-	default:
-		return o, fmt.Errorf("-loc_solver %q: unknown (use gs, direct, pardiso, or auto)", locSolver)
+	if o.local, err = dmem.ParseLocalSolver(locSolver); err != nil {
+		return o, err
 	}
 	if chaos < 0 || chaos > 1 {
 		return o, fmt.Errorf("-chaos %g: must be a probability in [0, 1]", chaos)
@@ -216,11 +209,9 @@ func main() {
 	}
 	if rec != nil {
 		ps := kernpool.Default().Stats()
-		rec.SetPool(obs.PoolStats{
-			Regions: ps.Regions - poolBase.Regions,
-			Blocks:  ps.Blocks - poolBase.Blocks,
-			Width:   ps.Width,
-		})
+		ps.Regions -= poolBase.Regions
+		ps.Blocks -= poolBase.Blocks
+		rec.SetPool(ps)
 		if err := writeObs(*traceOut, rec.WriteTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "dsouthwell: -trace: %v\n", err)
 			os.Exit(1)

@@ -9,6 +9,8 @@ import (
 	"log"
 
 	"southwell/internal/core"
+	"southwell/internal/dmem"
+	"southwell/internal/partition"
 	"southwell/internal/problem"
 )
 
@@ -23,12 +25,23 @@ func main() {
 		"ranks", "BJ ||r||", "PS ||r||", "DS ||r||", "PS msgs/p", "DS msgs/p")
 
 	for _, ranks := range []int{8, 16, 32, 64, 128, 256} {
+		// One setup per rank count — partition, layout, local solver — shared
+		// by the three methods: each solve reuses it instead of partitioning
+		// again.
+		l, err := dmem.NewLayout(a, partition.Partition(a, ranks, partition.Options{}), ranks)
+		if err != nil {
+			log.Fatal(err)
+		}
+		setup, err := dmem.NewSetup(l, dmem.LocalGS)
+		if err != nil {
+			log.Fatal(err)
+		}
 		var norms [3]float64
 		var comm [3]float64
 		for i, m := range []core.DistMethod{core.BlockJacobi, core.ParallelSWD, core.DistSWD} {
 			b, x := problem.ZeroBSystem(a, 1)
 			res, err := core.SolveDistributed(a, b, x, core.DistOptions{
-				Method: m, Ranks: ranks, Steps: 50,
+				Method: m, Ranks: ranks, Steps: 50, Setup: setup,
 			})
 			if err != nil {
 				log.Fatal(err)

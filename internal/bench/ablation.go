@@ -34,9 +34,8 @@ func Ablation(w io.Writer, cfg Config) error {
 			return nil, err
 		}
 		b, x := problem.ZeroBSystem(setup.Layout.A, cfg.seed())
-		return dmem.DistributedSouthwellOpt(setup.Layout, b, x, dmem.Config{
-			Steps: steps, Local: local, Setup: setup,
-			Parallel: cfg.Goroutines, Dense: cfg.Dense, Faults: cfg.Faults,
+		return dmem.DistributedSouthwellOpt(setup, b, x, dmem.Config{
+			Steps: steps, Parallel: cfg.Goroutines, Dense: cfg.Dense, Faults: cfg.Faults,
 		}, opts), nil
 	}
 	variants := []struct {

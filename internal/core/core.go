@@ -24,7 +24,6 @@ import (
 	"southwell/internal/dmem"
 	"southwell/internal/obs"
 	"southwell/internal/partition"
-	"southwell/internal/problem"
 	"southwell/internal/rma"
 	"southwell/internal/solvers"
 	"southwell/internal/sparse"
@@ -76,30 +75,34 @@ func ParseDistMethod(s string) (DistMethod, error) {
 	return "", fmt.Errorf("core: unknown distributed method %q", s)
 }
 
-// Prepare symmetrically scales a to unit diagonal (in place) and builds the
-// paper's standard test setup: random x with b = 0 and ‖r⁰‖₂ = 1.
-// It returns b and x.
-func Prepare(a *sparse.CSR, seed int64) (b, x []float64, err error) {
-	if _, err := sparse.Scale(a); err != nil {
-		return nil, nil, err
-	}
-	b, x = problem.ZeroBSystem(a, seed)
-	return b, x, nil
-}
-
 // ScalarOptions configures SolveScalar.
 type ScalarOptions struct {
 	Method     ScalarMethod
 	MaxRelax   int     // 0 = one sweep (n relaxations)
-	MaxSteps   int     // 0 = unlimited
 	TargetNorm float64 // 0 = none
+}
+
+// checkSystem rejects a system the solvers would index out of range: both
+// entry points take their inputs from outside the program, and every other
+// bad input is an error too.
+func checkSystem(a *sparse.CSR, b, x []float64) error {
+	if a == nil {
+		return fmt.Errorf("core: nil matrix")
+	}
+	if len(b) != a.N || len(x) != a.N {
+		return fmt.Errorf("core: len(b) = %d and len(x) = %d, want n = %d", len(b), len(x), a.N)
+	}
+	return nil
 }
 
 // SolveScalar runs a scalar method on A x = b, updating x in place, and
 // returns the convergence trace (plus message statistics for Distributed
 // Southwell; zero for other methods).
 func SolveScalar(a *sparse.CSR, b, x []float64, opt ScalarOptions) (*solvers.Trace, solvers.DistStats, error) {
-	sopt := solvers.Options{MaxRelax: opt.MaxRelax, MaxSteps: opt.MaxSteps, TargetNorm: opt.TargetNorm}
+	if err := checkSystem(a, b, x); err != nil {
+		return nil, solvers.DistStats{}, err
+	}
+	sopt := solvers.Options{MaxRelax: opt.MaxRelax, TargetNorm: opt.TargetNorm}
 	switch opt.Method {
 	case Jacobi:
 		return solvers.Jacobi(a, b, x, sopt), solvers.DistStats{}, nil
@@ -129,9 +132,6 @@ type DistOptions struct {
 	Target float64
 	// PartSeed seeds the multilevel partitioner.
 	PartSeed int64
-	// Model overrides the α-β-γ cost model (nil = default). An explicit
-	// &rma.CostModel{} is honored as genuinely free communication.
-	Model *rma.CostModel
 	// Parallel runs simulated rank phases on the shared kernel pool, as
 	// wide as GOMAXPROCS (bit-identical results to running them inline).
 	Parallel bool
@@ -140,48 +140,60 @@ type DistOptions struct {
 	// benchmarks/e2e names it, and goes with ds_nbr_mc in the next
 	// benchmark PR.
 	Sched rma.Sched
-	// Part, when non-nil, is a caller-provided partition (length n, values
-	// in [0, Ranks)); otherwise the multilevel partitioner is used.
-	Part []int
-	// Setup, when non-nil, supplies the shared preprocessing of this
-	// (matrix, partition, local solver) — layout plus local factorizations
-	// (dmem.NewSetup) — so repeated runs skip partitioning and
-	// factorization. Its layout must have been built for a and Ranks with
-	// this exact Local mode; mismatches are rejected. When set, Part and
-	// PartSeed are ignored (the setup's layout already fixes the
-	// partition). Layout and factors are read-only; one reusable run state
-	// is parked on the setup, so repeated solves (smoother, preconditioner)
-	// allocate next to nothing and concurrent runs stay safe.
+	// Setup, when non-nil, is the preprocessing of this (matrix, partition,
+	// local solver) — layout plus local factorizations (dmem.NewLayout,
+	// dmem.NewSetup) — so repeated runs skip partitioning and factorization.
+	// It must have been built for a and Ranks with this exact Local mode;
+	// mismatches are rejected. When set, PartSeed is ignored (the setup's
+	// layout already fixes the partition); a partition of the caller's own
+	// goes in this way too. One reusable run state is parked on the setup,
+	// so repeated solves (smoother, preconditioner) allocate next to nothing
+	// and concurrent runs stay safe.
 	Setup *dmem.Setup
 	// Local selects the subdomain solver: dmem.LocalGS (default, one
-	// Gauss-Seidel sweep — the paper's setting) or dmem.LocalDirect (exact
-	// dense solve, the artifact's PARDISO option).
+	// Gauss-Seidel sweep — the paper's setting), dmem.LocalDirect (exact
+	// sparse solve, the artifact's PARDISO option) or dmem.LocalAuto.
 	Local dmem.LocalSolver
 	// Faults, when non-nil, installs deterministic fault injection on the
 	// simulated runtime (delays, duplicates, reordering, stragglers, rank
 	// pauses — see rma.FaultPlan). Nil is a perfect network.
 	Faults *rma.FaultPlan
-	// Watchdog overrides the stagnation-watchdog patience window in
-	// parallel steps (0 = dmem's default of 10).
-	Watchdog int
 	// Dense disables the active-set step engine and runs every rank every
 	// phase (the zero value steps actively, which is bit-identical; see
 	// dmem.Config.Dense). Diagnostic — results never depend on it.
 	Dense bool
 	// Trace, when non-nil, receives structured runtime and algorithm
 	// events (see internal/obs). Tracing never changes results.
-	Trace obs.Tracer
+	Trace *obs.Recorder
 }
 
-// SolveDistributed partitions A over opt.Ranks simulated processes and runs
-// the selected distributed method. The returned result carries the per-step
-// history, communication statistics, and the gathered solution.
+// SolveDistributed runs the selected distributed method on opt.Setup, or on
+// a setup it builds: A partitioned over opt.Ranks simulated processes, laid
+// out, and its local blocks factored for opt.Local. The returned result
+// carries the per-step history, communication statistics, and the gathered
+// solution.
 func SolveDistributed(a *sparse.CSR, b, x []float64, opt DistOptions) (*dmem.Result, error) {
+	if err := checkSystem(a, b, x); err != nil {
+		return nil, err
+	}
 	if opt.Ranks <= 0 {
 		return nil, fmt.Errorf("core: Ranks = %d, want >= 1", opt.Ranks)
 	}
-	var l *dmem.Layout
-	if s := opt.Setup; s != nil {
+	var run func(*dmem.Setup, []float64, []float64, dmem.Config) *dmem.Result
+	switch opt.Method {
+	case BlockJacobi:
+		run = dmem.BlockJacobi
+	case ParallelSWD:
+		run = dmem.ParallelSouthwell
+	case DistSWD:
+		run = dmem.DistributedSouthwell
+	case Piggyback2016:
+		run = dmem.Piggyback2016
+	default:
+		return nil, fmt.Errorf("core: unknown distributed method %q", opt.Method)
+	}
+	s := opt.Setup
+	if s != nil {
 		if s.Layout.A != a {
 			return nil, fmt.Errorf("core: Setup was built for a different matrix")
 		}
@@ -191,33 +203,17 @@ func SolveDistributed(a *sparse.CSR, b, x []float64, opt DistOptions) (*dmem.Res
 		if s.Local != opt.Local {
 			return nil, fmt.Errorf("core: Setup was built for local solver %v, want %v", s.Local, opt.Local)
 		}
-		l = s.Layout
 	} else {
-		part := opt.Part
-		if part == nil {
-			part = partition.Partition(a, opt.Ranks, partition.Options{Seed: opt.PartSeed})
-		}
-		var err error
-		l, err = dmem.NewLayout(a, part, opt.Ranks)
+		l, err := dmem.NewLayout(a, partition.Partition(a, opt.Ranks, partition.Options{Seed: opt.PartSeed}), opt.Ranks)
 		if err != nil {
 			return nil, err
 		}
+		if s, err = dmem.NewSetup(l, opt.Local); err != nil {
+			return nil, err
+		}
 	}
-	cfg := dmem.Config{
-		Steps: opt.Steps, Target: opt.Target, Model: opt.Model,
-		Parallel: opt.Parallel, Setup: opt.Setup,
-		Local: opt.Local, Dense: opt.Dense,
-		Faults: opt.Faults, Watchdog: opt.Watchdog, Trace: opt.Trace,
-	}
-	switch opt.Method {
-	case BlockJacobi:
-		return dmem.BlockJacobi(l, b, x, cfg), nil
-	case ParallelSWD:
-		return dmem.ParallelSouthwell(l, b, x, cfg), nil
-	case DistSWD:
-		return dmem.DistributedSouthwell(l, b, x, cfg), nil
-	case Piggyback2016:
-		return dmem.Piggyback2016(l, b, x, cfg), nil
-	}
-	return nil, fmt.Errorf("core: unknown distributed method %q", opt.Method)
+	return run(s, b, x, dmem.Config{
+		Steps: opt.Steps, Target: opt.Target, Parallel: opt.Parallel,
+		Faults: opt.Faults, Dense: opt.Dense, Trace: opt.Trace,
+	}), nil
 }

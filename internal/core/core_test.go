@@ -1,36 +1,29 @@
 package core
 
 import (
-	"math"
+	"strings"
 	"testing"
 
+	"southwell/internal/dmem"
+	"southwell/internal/partition"
 	"southwell/internal/problem"
 	"southwell/internal/sparse"
 )
 
-func TestPrepareNormalizes(t *testing.T) {
-	a := problem.Poisson2D(12, 12)
-	b, x, err := Prepare(a, 1)
-	if err != nil {
+// scaledSystem scales a to unit diagonal in place and returns the paper's
+// standard system on it: random x with b = 0 and ‖r⁰‖₂ = 1.
+func scaledSystem(t *testing.T, a *sparse.CSR, seed int64) (b, x []float64) {
+	t.Helper()
+	if _, err := sparse.Scale(a); err != nil {
 		t.Fatal(err)
 	}
-	if d := a.At(5, 5); math.Abs(d-1) > 1e-12 {
-		t.Errorf("diag = %g after Prepare", d)
-	}
-	r := make([]float64, a.N)
-	a.Residual(b, x, r)
-	if n := sparse.Norm2(r); math.Abs(n-1) > 1e-12 {
-		t.Errorf("‖r0‖ = %g", n)
-	}
+	return problem.ZeroBSystem(a, seed)
 }
 
 func TestSolveScalarAllMethods(t *testing.T) {
 	for _, m := range ScalarMethods() {
 		a := problem.Poisson2D(15, 15)
-		b, x, err := Prepare(a, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b, x := scaledSystem(t, a, 2)
 		tr, _, err := SolveScalar(a, b, x, ScalarOptions{Method: m, MaxRelax: 2 * a.N})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
@@ -39,7 +32,8 @@ func TestSolveScalarAllMethods(t *testing.T) {
 			t.Errorf("%s made no progress", m)
 		}
 	}
-	if _, _, err := SolveScalar(nil, nil, nil, ScalarOptions{Method: "nope"}); err == nil {
+	a := problem.Poisson2D(4, 4)
+	if _, _, err := SolveScalar(a, make([]float64, a.N), make([]float64, a.N), ScalarOptions{Method: "nope"}); err == nil {
 		t.Error("unknown scalar method accepted")
 	}
 }
@@ -47,10 +41,7 @@ func TestSolveScalarAllMethods(t *testing.T) {
 func TestSolveDistributedMethods(t *testing.T) {
 	for _, m := range []DistMethod{BlockJacobi, ParallelSWD, DistSWD, Piggyback2016} {
 		a := problem.Poisson2D(16, 16)
-		b, x, err := Prepare(a, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b, x := scaledSystem(t, a, 3)
 		res, err := SolveDistributed(a, b, x, DistOptions{Method: m, Ranks: 8, Steps: 10})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
@@ -60,7 +51,7 @@ func TestSolveDistributedMethods(t *testing.T) {
 		}
 	}
 	a := problem.Poisson2D(8, 8)
-	b, x, _ := Prepare(a, 4)
+	b, x := scaledSystem(t, a, 4)
 	if _, err := SolveDistributed(a, b, x, DistOptions{Method: "nope", Ranks: 4}); err == nil {
 		t.Error("unknown distributed method accepted")
 	}
@@ -69,22 +60,97 @@ func TestSolveDistributedMethods(t *testing.T) {
 	}
 }
 
+// TestSolveDistributedCustomPartition: a caller's own partition goes in
+// through a Setup built on it.
 func TestSolveDistributedCustomPartition(t *testing.T) {
 	a := problem.Poisson2D(10, 10)
-	b, x, err := Prepare(a, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, x := scaledSystem(t, a, 5)
 	part := make([]int, a.N)
 	for i := range part {
 		part[i] = i % 4
 	}
-	res, err := SolveDistributed(a, b, x, DistOptions{Method: DistSWD, Ranks: 4, Steps: 5, Part: part})
+	l, err := dmem.NewLayout(a, part, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := dmem.NewSetup(l, dmem.LocalGS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SolveDistributed(a, b, x, DistOptions{Method: DistSWD, Ranks: 4, Steps: 5, Setup: s})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Final().Step != 5 {
 		t.Errorf("steps = %d", res.Final().Step)
+	}
+}
+
+// TestSolveRejectsMismatchedSystem: both entry points take their system from
+// outside the program and return an error for a nil matrix or a vector of
+// the wrong length instead of panicking inside a kernel.
+func TestSolveRejectsMismatchedSystem(t *testing.T) {
+	a := problem.Poisson2D(8, 8)
+	b, x := scaledSystem(t, a, 6)
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+		b, x []float64
+	}{
+		{"nil matrix", nil, b, x},
+		{"short b", a, b[:3], x},
+		{"short x", a, b, x[:5]},
+		{"long b", a, append(b[:len(b):len(b)], 0), x},
+	} {
+		if _, _, err := SolveScalar(c.a, c.b, c.x, ScalarOptions{Method: GaussSeidel}); err == nil {
+			t.Errorf("SolveScalar, %s: accepted", c.name)
+		}
+		if _, err := SolveDistributed(c.a, c.b, c.x, DistOptions{Method: DistSWD, Ranks: 4}); err == nil {
+			t.Errorf("SolveDistributed, %s: accepted", c.name)
+		}
+	}
+}
+
+// TestSolveDistributedSetupMismatch: a Setup built for another matrix, rank
+// count or local solver is rejected, and the message names what differs.
+func TestSolveDistributedSetupMismatch(t *testing.T) {
+	a := problem.Poisson2D(12, 12)
+	b, x := scaledSystem(t, a, 7)
+	l, err := dmem.NewLayout(a, partition.Partition(a, 4, partition.Options{Seed: 1}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := dmem.NewSetup(l, dmem.LocalDirect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := DistOptions{Method: DistSWD, Ranks: 4, Steps: 3, Setup: s, Local: dmem.LocalDirect}
+	if _, err := SolveDistributed(a, b, x, ok); err != nil {
+		t.Fatalf("matching Setup rejected: %v", err)
+	}
+	other := problem.Poisson2D(12, 12)
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+		edit func(*DistOptions)
+		want []string
+	}{
+		{"matrix", other, func(*DistOptions) {}, []string{"matrix"}},
+		{"ranks", a, func(o *DistOptions) { o.Ranks = 8 }, []string{"4 ranks", "want 8"}},
+		{"local solver", a, func(o *DistOptions) { o.Local = dmem.LocalGS }, []string{"local solver direct", "want gs"}},
+	} {
+		opt := ok
+		c.edit(&opt)
+		_, err := SolveDistributed(c.a, b, x, opt)
+		if err == nil {
+			t.Errorf("%s mismatch accepted", c.name)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s mismatch: error %q does not name %q", c.name, err, w)
+			}
+		}
 	}
 }
 

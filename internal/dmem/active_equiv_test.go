@@ -27,8 +27,8 @@ func TestActiveDenseEquivalence(t *testing.T) {
 		ranks = append(ranks, 256)
 	}
 	ms := methodsWithPB()
-	ms["DistributedSouthwellNegSlack"] = func(l *Layout, b, x []float64, cfg Config) *Result {
-		return DistributedSouthwellOpt(l, b, x, cfg, DistSWOptions{UpdateSlack: -0.1})
+	ms["DistributedSouthwellNegSlack"] = func(s *Setup, b, x []float64, cfg Config) *Result {
+		return DistributedSouthwellOpt(s, b, x, cfg, DistSWOptions{UpdateSlack: -0.1})
 	}
 	for _, p := range ranks {
 		grid := 32
@@ -53,8 +53,8 @@ func TestActiveDenseEquivalence(t *testing.T) {
 							if chaos {
 								cfg.Faults = fullChaosPlan(11) // fresh RNG state
 							}
-							l, b, x := buildCase(t, problem.Poisson2D(grid, grid), p, 1)
-							return run(l, b, x, cfg)
+							s, b, x := buildCase(t, problem.Poisson2D(grid, grid), p, 1)
+							return run(s, b, x, cfg)
 						}
 						dense := solve(Config{Dense: true})
 						if dense.ActiveHist != nil {
@@ -87,8 +87,8 @@ func TestActiveDenseEquivalence(t *testing.T) {
 // yet) and counts stay in [0, P].
 func TestActiveSkipsQuiescentRanks(t *testing.T) {
 	const p, steps = 16, 30
-	l, b, x := buildCase(t, problem.Poisson2D(32, 32), p, 2)
-	res := DistributedSouthwell(l, b, x, Config{Steps: steps})
+	s, b, x := buildCase(t, problem.Poisson2D(32, 32), p, 2)
+	res := DistributedSouthwell(s, b, x, Config{Steps: steps})
 	if res.ActiveHist == nil {
 		t.Fatal("active run reported no histogram")
 	}
@@ -130,10 +130,10 @@ func TestActiveStarvationWakeup(t *testing.T) {
 		}
 	}
 	rec := obs.NewRecorder(p)
-	l, b, x := buildCase(t, problem.Poisson2D(24, 24), p, 3)
-	active := DistributedSouthwell(l, b, x, Config{Steps: steps, Faults: plan(), Trace: rec})
-	l2, b2, x2 := buildCase(t, problem.Poisson2D(24, 24), p, 3)
-	dense := DistributedSouthwell(l2, b2, x2, Config{Steps: steps, Faults: plan(), Dense: true})
+	s, b, x := buildCase(t, problem.Poisson2D(24, 24), p, 3)
+	active := DistributedSouthwell(s, b, x, Config{Steps: steps, Faults: plan(), Trace: rec})
+	s2, b2, x2 := buildCase(t, problem.Poisson2D(24, 24), p, 3)
+	dense := DistributedSouthwell(s2, b2, x2, Config{Steps: steps, Faults: plan(), Dense: true})
 	compareRuns(t, "starvation", dense, active)
 
 	skipped := false
@@ -167,10 +167,10 @@ func TestActiveWatchdogWhileAsleep(t *testing.T) {
 		}
 		return &rma.FaultPlan{Seed: 2, Pauses: pauses}
 	}
-	l, b, x := buildCase(t, problem.Poisson2D(16, 16), p, 4)
-	active := DistributedSouthwell(l, b, x, Config{Steps: steps, Faults: plan(), Watchdog: 4})
-	l2, b2, x2 := buildCase(t, problem.Poisson2D(16, 16), p, 4)
-	dense := DistributedSouthwell(l2, b2, x2, Config{Steps: steps, Faults: plan(), Dense: true, Watchdog: 4})
+	s, b, x := buildCase(t, problem.Poisson2D(16, 16), p, 4)
+	active := DistributedSouthwell(s, b, x, Config{Steps: steps, Faults: plan(), watchdog: 4})
+	s2, b2, x2 := buildCase(t, problem.Poisson2D(16, 16), p, 4)
+	dense := DistributedSouthwell(s2, b2, x2, Config{Steps: steps, Faults: plan(), Dense: true, watchdog: 4})
 	compareRuns(t, "watchdog", dense, active)
 	if !active.Deadlocked {
 		t.Fatal("watchdog never fired — pause window or patience is miscalibrated")

@@ -4,27 +4,16 @@ import (
 	"fmt"
 	"testing"
 
-	"southwell/internal/partition"
 	"southwell/internal/problem"
-	"southwell/internal/sparse"
 )
 
 // benchStates builds the per-rank state for a scaled Poisson problem.
-func benchStates(b testing.TB, n, ranks int) (*Layout, []*rankState) {
+func benchStates(b testing.TB, n, ranks int) []*rankState {
 	b.Helper()
-	a := problem.Poisson2D(n, n)
-	if _, err := sparse.Scale(a); err != nil {
-		b.Fatal(err)
-	}
-	part := partition.Partition(a, ranks, partition.Options{Seed: 1})
-	l, err := NewLayout(a, part, ranks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bb, x := problem.ZeroBSystem(a, 1)
-	st := newRunState(&Setup{Layout: l})
+	s, bb, x := buildCase(b, problem.Poisson2D(n, n), ranks, 1)
+	st := newRunState(s)
 	st.reset(bb, x, Config{}, stepSpec{})
-	return l, st.states
+	return st.states
 }
 
 // relaxAndStage is the per-rank inner loop of every method: one local
@@ -42,7 +31,7 @@ func relaxAndStage(rs *rankState) {
 }
 
 func BenchmarkRelaxSweep(b *testing.B) {
-	_, states := benchStates(b, 64, 16)
+	states := benchStates(b, 64, 16)
 	rs := states[0]
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -56,7 +45,7 @@ func BenchmarkRelaxSweep(b *testing.B) {
 // per-neighbor buffers sized at set-up, so the inner loop allocates
 // nothing, on every rank of the layout.
 func TestRelaxSweepAllocGate(t *testing.T) {
-	_, states := benchStates(t, 64, 16)
+	states := benchStates(t, 64, 16)
 	for p, rs := range states {
 		if got := testing.AllocsPerRun(20, func() { relaxAndStage(rs) }); got != 0 {
 			t.Errorf("rank %d: relax sweep + staging allocates %.1f allocs/op, want 0", p, got)
@@ -101,8 +90,8 @@ func BenchmarkLocalSolveCycled(b *testing.B) {
 
 // BenchmarkStepDS measures full Distributed Southwell solves of ten parallel
 // steps (three phases each over the runtime) at several rank counts, on both
-// engines: fresh builds its run state every solve, reused solves again and
-// again on one Setup's parked state.
+// engines: fresh drops the parked state so every solve builds its own, reused
+// solves again and again on one Setup's parked state.
 func BenchmarkStepDS(b *testing.B) {
 	for _, ranks := range []int{64, 256} {
 		for _, eng := range []struct {
@@ -111,27 +100,16 @@ func BenchmarkStepDS(b *testing.B) {
 		}{{"seq", false}, {"pool", true}} {
 			for _, state := range []string{"fresh", "reused"} {
 				b.Run(fmt.Sprintf("P=%d/%s/%s", ranks, eng.name, state), func(b *testing.B) {
-					a := problem.Poisson2D(100, 100)
-					if _, err := sparse.Scale(a); err != nil {
-						b.Fatal(err)
-					}
-					part := partition.Partition(a, ranks, partition.Options{Seed: 1})
-					l, err := NewLayout(a, part, ranks)
-					if err != nil {
-						b.Fatal(err)
-					}
-					bb, x := problem.ZeroBSystem(a, 1)
+					s, bb, x := buildCase(b, problem.Poisson2D(100, 100), ranks, 1)
 					cfg := Config{Steps: 10, Parallel: eng.parallel}
-					if state == "reused" {
-						if cfg.Setup, err = NewSetup(l, LocalGS); err != nil {
-							b.Fatal(err)
-						}
-						DistributedSouthwell(l, bb, x, cfg) // builds and parks the state
-					}
+					DistributedSouthwell(s, bb, x, cfg) // builds and parks the state
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						DistributedSouthwell(l, bb, x, cfg)
+						if state == "fresh" {
+							s.parked = nil
+						}
+						DistributedSouthwell(s, bb, x, cfg)
 					}
 				})
 			}

@@ -7,8 +7,8 @@ import "southwell/internal/rma"
 // writes boundary residual deltas to all neighbors; the step's epoch
 // completes and every rank absorbs the incoming deltas before the next
 // step, so residuals are exact at step boundaries.
-func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
-	return solve(l, b, x, cfg, func(st *runState, step *int) stepSpec {
+func BlockJacobi(s *Setup, b, x []float64, cfg Config) *Result {
+	return solve(s, b, x, cfg, func(st *runState, step *int) stepSpec {
 		w, states := st.w, st.states
 
 		// absorb drains rank p's window in any phase: deltas always applied,

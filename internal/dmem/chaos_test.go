@@ -31,8 +31,8 @@ func TestChaosEngineEquivalence(t *testing.T) {
 	for mname, run := range methodsWithPB() {
 		t.Run(mname, func(t *testing.T) {
 			solve := func(parallel bool) *Result {
-				l, b, x := buildCase(t, problem.Poisson2D(24, 24), 8, 3)
-				return run(l, b, x, Config{Steps: 20, Parallel: parallel, Faults: fullChaosPlan(7)})
+				s, b, x := buildCase(t, problem.Poisson2D(24, 24), 8, 3)
+				return run(s, b, x, Config{Steps: 20, Parallel: parallel, Faults: fullChaosPlan(7)})
 			}
 			seq := solve(false)
 			compareRuns(t, "seq rerun", seq, solve(false))
@@ -51,8 +51,8 @@ func TestChaosEngineEquivalence(t *testing.T) {
 // StepStats are cumulative (non-decreasing) and zero at step 0.
 func TestChaosFaultCountersCumulative(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
-	l, b, x := buildCase(t, a, 8, 3)
-	res := DistributedSouthwell(l, b, x, Config{Steps: 20, Faults: fullChaosPlan(7)})
+	s, b, x := buildCase(t, a, 8, 3)
+	res := DistributedSouthwell(s, b, x, Config{Steps: 20, Faults: fullChaosPlan(7)})
 	if h0 := res.History[0]; h0.Delayed != 0 || h0.Duped != 0 || h0.Reordered != 0 || h0.Paused != 0 {
 		t.Errorf("step 0 has nonzero fault counters: %+v", h0)
 	}
@@ -69,8 +69,8 @@ func TestChaosFaultCountersCumulative(t *testing.T) {
 // StepStats fields stay zero, so fault-free output is unchanged.
 func TestPerfectNetworkHasZeroFaultCounters(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
-	l, b, x := buildCase(t, a, 8, 3)
-	res := DistributedSouthwell(l, b, x, Config{Steps: 10})
+	s, b, x := buildCase(t, a, 8, 3)
+	res := DistributedSouthwell(s, b, x, Config{Steps: 10})
 	for _, h := range res.History {
 		if h.Delayed != 0 || h.Duped != 0 || h.Reordered != 0 || h.Paused != 0 {
 			t.Fatalf("fault counters nonzero on perfect network: %+v", h)
@@ -96,16 +96,16 @@ func TestChaosDichotomyOnSuite(t *testing.T) {
 			t.Fatalf("unknown suite matrix %q", name)
 		}
 		t.Run(name, func(t *testing.T) {
-			l, b, x := buildCase(t, e.Gen(), ranks, 1)
-			ds := DistributedSouthwell(l, b, x, Config{Steps: steps, Faults: plan})
+			s, b, x := buildCase(t, e.Gen(), ranks, 1)
+			ds := DistributedSouthwell(s, b, x, Config{Steps: steps, Faults: plan})
 			if ds.Deadlocked {
 				t.Errorf("DS tripped the watchdog at step %d under delay-only faults", ds.DeadlockStep)
 			}
 			if _, reached := ds.StepsToNorm(0.1); !reached {
 				t.Errorf("DS did not reach 0.1 in %d steps (final %g)", steps, ds.Final().ResNorm)
 			}
-			l2, b2, x2 := buildCase(t, e.Gen(), ranks, 1)
-			pb := Piggyback2016(l2, b2, x2, Config{Steps: steps, Faults: plan})
+			s2, b2, x2 := buildCase(t, e.Gen(), ranks, 1)
+			pb := Piggyback2016(s2, b2, x2, Config{Steps: steps, Faults: plan})
 			if !pb.Deadlocked {
 				t.Errorf("Piggyback2016 not detected as stagnated (final %g)", pb.Final().ResNorm)
 			}
@@ -119,12 +119,12 @@ func TestChaosDichotomyOnSuite(t *testing.T) {
 // instead of burning the whole budget.
 func TestWatchdogPatienceWindow(t *testing.T) {
 	a := problem.Poisson2D(16, 16)
-	l, b, x := buildCase(t, a, 4, 1)
+	s, b, x := buildCase(t, a, 4, 1)
 	plan := &rma.FaultPlan{Seed: 1}
 	for p := 0; p < 4; p++ {
 		plan.Pauses = append(plan.Pauses, rma.Pause{Rank: p, From: 0, To: 1 << 30})
 	}
-	res := DistributedSouthwell(l, b, x, Config{Steps: 200, Watchdog: 6, Faults: plan})
+	res := DistributedSouthwell(s, b, x, Config{Steps: 200, watchdog: 6, Faults: plan})
 	if !res.Deadlocked {
 		t.Fatal("fully paused run not flagged as stagnated")
 	}

@@ -1,6 +1,7 @@
 package dmem
 
 import (
+	"fmt"
 	"math"
 
 	"southwell/internal/obs"
@@ -29,6 +30,33 @@ const (
 	LocalAuto
 )
 
+// String returns the -loc_solver spelling of m.
+func (m LocalSolver) String() string {
+	switch m {
+	case LocalGS:
+		return "gs"
+	case LocalDirect:
+		return "direct"
+	case LocalAuto:
+		return "auto"
+	}
+	return fmt.Sprintf("LocalSolver(%d)", int(m))
+}
+
+// ParseLocalSolver resolves a -loc_solver value: gs, direct, auto, or the
+// artifact's name for the direct solver, pardiso.
+func ParseLocalSolver(s string) (LocalSolver, error) {
+	switch s {
+	case "gs":
+		return LocalGS, nil
+	case "direct", "pardiso":
+		return LocalDirect, nil
+	case "auto":
+		return LocalAuto, nil
+	}
+	return 0, fmt.Errorf("-loc_solver %q: unknown (use gs, direct, pardiso, or auto)", s)
+}
+
 // autoDenseMax is LocalAuto's block-size crossover: at or below this many
 // rows a dense LU factor fits comfortably in cache and its branch-free
 // triangular solves beat the sparse solver's index-chasing, so sparse
@@ -36,30 +64,18 @@ const (
 // symbolic fill estimate (see factorShared).
 const autoDenseMax = 64
 
-// Config controls a distributed solve.
+// Config controls a distributed solve. The matrix, its distribution and the
+// local solver are not here: they are the Setup every method is handed.
 type Config struct {
 	// Steps is the number of parallel steps to run (the paper uses 50).
 	Steps int
 	// Target, when positive, stops the run early once the global residual
 	// norm falls to Target or below (checked at step boundaries).
 	Target float64
-	// Model is the α-β-γ cost model; nil means rma.DefaultCostModel. An
-	// explicit &rma.CostModel{} is honored as genuinely free communication
-	// (every message and flop costs nothing in simulated time).
-	Model *rma.CostModel
 	// Parallel runs rank phases on the shared kernel pool (as wide as
 	// GOMAXPROCS) instead of inline; results are bit-identical (see the
 	// engine-equivalence tests).
 	Parallel bool
-	// Local selects the subdomain solver (default LocalGS).
-	Local LocalSolver
-	// Setup, when non-nil, supplies the shared preprocessing (layout +
-	// local factorizations, see NewSetup) instead of rebuilding it in this
-	// run. Its Layout must be the layout the run is given and its Local
-	// mode must match Config.Local. Layout and factors are read-only and one
-	// reusable run state is parked on it, so repeated runs on one value
-	// allocate next to nothing and concurrent runs stay safe.
-	Setup *Setup
 	// Faults, when non-nil, installs deterministic fault injection on the
 	// simulated world (rma.FaultPlan: delayed, duplicated, and reordered
 	// deliveries, stragglers, rank pauses). Nil is a perfect network. The
@@ -71,12 +87,6 @@ type Config struct {
 	// bit-identical — results, statistics, and simulated time never differ.
 	// Config.pinned lists what else pins a run.
 	Dense bool
-	// Watchdog is the patience window, in parallel steps, of the
-	// stagnation/deadlock watchdog (see Result.Deadlocked): a provably
-	// stuck run stops immediately, and a run that has been idle for
-	// Watchdog consecutive steps stops even if the fault layer could still
-	// wake it. Values < 1 mean the default of 10.
-	Watchdog int
 	// Trace, when non-nil, receives structured events from the run (see
 	// internal/obs): runtime-level Put/delivery/cost events from the world
 	// plus algorithm-level decisions, residual sends, step records, and
@@ -85,14 +95,14 @@ type Config struct {
 	// does it pin a run or cost O(P) a phase: a rank that sleeps through a
 	// phase with an untouched window logs nothing, so a trace is O(active
 	// work) and a Dense run's trace has rows the same unpinned run's lacks.
-	Trace obs.Tracer
-}
+	Trace *obs.Recorder
 
-func (c Config) model() rma.CostModel {
-	if c.Model == nil {
-		return rma.DefaultCostModel()
-	}
-	return *c.Model
+	// watchdog is the patience window, in parallel steps, of the
+	// stagnation/deadlock watchdog (see Result.Deadlocked): a provably
+	// stuck run stops immediately, and a run that has been idle for
+	// watchdog consecutive steps stops even if the fault layer could still
+	// wake it. Values < 1 mean the default of 10; only tests set it.
+	watchdog int
 }
 
 func (c Config) steps() int {
@@ -103,10 +113,10 @@ func (c Config) steps() int {
 }
 
 func (c Config) watchdogWindow() int {
-	if c.Watchdog < 1 {
+	if c.watchdog < 1 {
 		return 10
 	}
-	return c.Watchdog
+	return c.watchdog
 }
 
 // refreshAfter is the starvation re-announce threshold, in consecutive
@@ -293,8 +303,9 @@ func record(res *Result, w *rma.World, states []*rankState, norm float64, step, 
 }
 
 // traceDecision emits rank p's relax/hold decision for one step. Called
-// from rank p's phase function, so it writes only p's tracer shard (the
-// obs.Tracer contract); the max-Γ scan runs only when tracing is on.
+// from rank p's phase function, so it writes only p's recorder shard (the
+// obs.Recorder concurrency contract); the max-Γ scan runs only when tracing
+// is on.
 func traceDecision(w *rma.World, step, p int, rs *rankState, relaxed bool) {
 	tr := w.Tracer()
 	if tr == nil {

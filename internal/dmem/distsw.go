@@ -21,13 +21,13 @@ type DistSWOptions struct {
 // relaxes; and an explicit residual update is written to neighbor q only
 // when q's estimate of this rank's norm (Γ̃, maintained exactly without
 // communication) exceeds the actual norm — the deadlock-risk condition.
-func DistributedSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
-	return DistributedSouthwellOpt(l, b, x, cfg, DistSWOptions{})
+func DistributedSouthwell(s *Setup, b, x []float64, cfg Config) *Result {
+	return DistributedSouthwellOpt(s, b, x, cfg, DistSWOptions{})
 }
 
 // DistributedSouthwellOpt is DistributedSouthwell with ablation options.
-func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWOptions) *Result {
-	return solve(l, b, x, cfg, func(st *runState, step *int) stepSpec {
+func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOptions) *Result {
+	return solve(s, b, x, cfg, func(st *runState, step *int) stepSpec {
 		w, states := st.w, st.states
 
 		// absorb drains rank p's window — callable from any phase. Residual

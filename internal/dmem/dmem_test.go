@@ -9,13 +9,19 @@ import (
 	"southwell/internal/parallel"
 	"southwell/internal/partition"
 	"southwell/internal/problem"
-	"southwell/internal/rma"
 	"southwell/internal/sparse"
 )
 
-// buildCase returns a scaled matrix, a P-way partition layout, and the
-// paper's random-x/zero-b system.
-func buildCase(t testing.TB, a *sparse.CSR, p int, seed int64) (*Layout, []float64, []float64) {
+// buildCase returns the P-way setup of a scaled matrix, one Gauss-Seidel
+// sweep per relaxation (the paper's setting), and the paper's
+// random-x/zero-b system.
+func buildCase(t testing.TB, a *sparse.CSR, p int, seed int64) (*Setup, []float64, []float64) {
+	t.Helper()
+	return buildCaseLocal(t, a, p, seed, LocalGS)
+}
+
+// buildCaseLocal is buildCase with the given local solver.
+func buildCaseLocal(t testing.TB, a *sparse.CSR, p int, seed int64, local LocalSolver) (*Setup, []float64, []float64) {
 	t.Helper()
 	if _, err := sparse.Scale(a); err != nil {
 		t.Fatal(err)
@@ -25,8 +31,12 @@ func buildCase(t testing.TB, a *sparse.CSR, p int, seed int64) (*Layout, []float
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, err := NewSetup(l, local)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b, x := problem.ZeroBSystem(a, seed)
-	return l, b, x
+	return s, b, x
 }
 
 // suiteMatrix builds a suite matrix by name.
@@ -54,10 +64,10 @@ func TestLayoutExchangePlansMatch(t *testing.T) {
 		{"Flan_1565/256", suiteMatrix(t, "Flan_1565"), 256},
 		{"Flan_1565/4096", suiteMatrix(t, "Flan_1565"), 4096},
 	} {
-		l, _, _ := buildCase(t, c.a, c.p, 1)
-		for p, rd := range l.Ranks {
+		s, _, _ := buildCase(t, c.a, c.p, 1)
+		for p, rd := range s.Layout.Ranks {
 			for j, q := range rd.Nbrs {
-				qd := l.Ranks[q]
+				qd := s.Layout.Ranks[q]
 				jq, ok := qd.NbrSlot(p)
 				if !ok {
 					t.Fatalf("%s: neighbor relation not symmetric: %d -> %d", c.name, p, q)
@@ -144,7 +154,7 @@ func exactGlobalNorm(a *sparse.CSR, b, x []float64) float64 {
 	return sparse.Norm2(r)
 }
 
-type method func(l *Layout, b, x []float64, cfg Config) *Result
+type method func(s *Setup, b, x []float64, cfg Config) *Result
 
 func methods() map[string]method {
 	return map[string]method{
@@ -204,9 +214,9 @@ func TestMethodsResidualExact(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			a := problem.Poisson2D(24, 24)
-			l, b, x := buildCase(t, a, 8, 2)
-			res := run(l, b, x, Config{Steps: 20})
-			got := exactGlobalNorm(l.A, b, res.X)
+			s, b, x := buildCase(t, a, 8, 2)
+			res := run(s, b, x, Config{Steps: 20})
+			got := exactGlobalNorm(s.Layout.A, b, res.X)
 			if math.Abs(got-res.Final().ResNorm) > 1e-9 {
 				t.Errorf("reported %g, true %g", res.Final().ResNorm, got)
 			}
@@ -219,8 +229,8 @@ func TestMethodsResidualExact(t *testing.T) {
 
 func TestBlockJacobiConvergesOnPoisson(t *testing.T) {
 	a := problem.Poisson2D(30, 30)
-	l, b, x := buildCase(t, a, 4, 3)
-	res := BlockJacobi(l, b, x, Config{Steps: 50})
+	s, b, x := buildCase(t, a, 4, 3)
+	res := BlockJacobi(s, b, x, Config{Steps: 50})
 	if res.Final().ResNorm > 0.1 {
 		t.Errorf("Block Jacobi on an M-matrix with big blocks should reach 0.1, got %g", res.Final().ResNorm)
 	}
@@ -234,8 +244,8 @@ func TestBlockJacobiDivergesOnPlateWithManyRanks(t *testing.T) {
 	// degenerates toward point Jacobi, whose iteration matrix has spectral
 	// radius > 1 here (the Figure 9 mechanism).
 	a := problem.PlateMix3D(14, 14, 14, 1, 0.5)
-	l, b, x := buildCase(t, a, 128, 4)
-	res := BlockJacobi(l, b, x, Config{Steps: 50})
+	s, b, x := buildCase(t, a, 128, 4)
+	res := BlockJacobi(s, b, x, Config{Steps: 50})
 	if res.Final().ResNorm < 1 {
 		t.Errorf("Block Jacobi with small blocks on a plate operator should diverge, got %g", res.Final().ResNorm)
 	}
@@ -244,10 +254,10 @@ func TestBlockJacobiDivergesOnPlateWithManyRanks(t *testing.T) {
 func TestBlockJacobiDegradesWithMoreRanks(t *testing.T) {
 	// Figure 9 shape: the 50-step residual grows with the rank count.
 	a := problem.PlateMix2D(40, 40, 1, 0.5)
-	l4, b4, x4 := buildCase(t, a.Clone(), 16, 4)
-	small := BlockJacobi(l4, b4, x4, Config{Steps: 50}).Final().ResNorm
-	l160, b160, x160 := buildCase(t, a.Clone(), 160, 4)
-	big := BlockJacobi(l160, b160, x160, Config{Steps: 50}).Final().ResNorm
+	s4, b4, x4 := buildCase(t, a.Clone(), 16, 4)
+	small := BlockJacobi(s4, b4, x4, Config{Steps: 50}).Final().ResNorm
+	s160, b160, x160 := buildCase(t, a.Clone(), 160, 4)
+	big := BlockJacobi(s160, b160, x160, Config{Steps: 50}).Final().ResNorm
 	if big <= small*10 {
 		t.Errorf("BJ residual at P=160 (%g) should be ≫ P=16 (%g)", big, small)
 	}
@@ -258,8 +268,8 @@ func TestSouthwellMethodsStableOnPlate(t *testing.T) {
 	for name, run := range map[string]method{
 		"PS": ParallelSouthwell, "DS": DistributedSouthwell,
 	} {
-		l, b, x := buildCase(t, a.Clone(), 128, 4)
-		res := run(l, b, x, Config{Steps: 50})
+		s, b, x := buildCase(t, a.Clone(), 128, 4)
+		res := run(s, b, x, Config{Steps: 50})
 		if res.Final().ResNorm >= 1 {
 			t.Errorf("%s diverged on plate: %g", name, res.Final().ResNorm)
 		}
@@ -268,14 +278,14 @@ func TestSouthwellMethodsStableOnPlate(t *testing.T) {
 
 func TestParallelSouthwellRelaxedSetIndependent(t *testing.T) {
 	a := problem.Poisson2D(20, 20)
-	l, b, x := buildCase(t, a, 10, 5)
+	s, b, x := buildCase(t, a, 10, 5)
 	// Instrument: run step by step via Target trick is awkward; instead run
 	// once and rely on the exactness property — under exact norms with
 	// rank-id tie-breaking, two adjacent ranks can never both win. Verify
 	// by replaying the criterion over the per-step relaxed counts: active
 	// fraction must stay below the independence bound (no step relaxes two
 	// adjacent ranks means relaxed <= maximal independent set size).
-	res := ParallelSouthwell(l, b, x, Config{Steps: 30})
+	res := ParallelSouthwell(s, b, x, Config{Steps: 30})
 	for _, h := range res.History[1:] {
 		if h.RelaxedRanks == 0 {
 			t.Fatalf("step %d relaxed nothing (deadlock in PS?)", h.Step)
@@ -290,10 +300,10 @@ func TestDistSWBeatsPSOnCommunication(t *testing.T) {
 	// Table 3 shape: DS explicit-residual communication is a small fraction
 	// of PS's; total messages are well below PS's.
 	a := problem.Poisson3D(12, 12, 12, nil, 1, 1, 1)
-	l, b, x := buildCase(t, a, 48, 6)
-	ps := ParallelSouthwell(l, b, x, Config{Steps: 50})
-	l2, b2, x2 := buildCase(t, problem.Poisson3D(12, 12, 12, nil, 1, 1, 1), 48, 6)
-	ds := DistributedSouthwell(l2, b2, x2, Config{Steps: 50})
+	s, b, x := buildCase(t, a, 48, 6)
+	ps := ParallelSouthwell(s, b, x, Config{Steps: 50})
+	s2, b2, x2 := buildCase(t, problem.Poisson3D(12, 12, 12, nil, 1, 1, 1), 48, 6)
+	ds := DistributedSouthwell(s2, b2, x2, Config{Steps: 50})
 
 	if ds.Stats.ResMsgs >= ps.Stats.ResMsgs {
 		t.Errorf("DS res msgs %d should be far below PS %d", ds.Stats.ResMsgs, ps.Stats.ResMsgs)
@@ -311,8 +321,8 @@ func TestDistSWBeatsPSOnCommunication(t *testing.T) {
 
 func TestDistSWConvergesToTargetWithLessCommThanPS(t *testing.T) {
 	a := problem.Poisson2D(32, 32)
-	l, b, x := buildCase(t, a, 32, 7)
-	ds := DistributedSouthwell(l, b, x, Config{Steps: 200, Target: 0.1})
+	s, b, x := buildCase(t, a, 32, 7)
+	ds := DistributedSouthwell(s, b, x, Config{Steps: 200, Target: 0.1})
 	if ds.Final().ResNorm > 0.1 {
 		t.Fatalf("DS did not reach 0.1 in 200 steps: %g", ds.Final().ResNorm)
 	}
@@ -323,14 +333,14 @@ func TestPiggyback2016Deadlocks(t *testing.T) {
 	// our test problems." Reproduce on a moderately partitioned Poisson
 	// problem, then show Distributed Southwell pushes past the same point.
 	a := problem.Poisson2D(28, 28)
-	l, b, x := buildCase(t, a, 28, 8)
-	pb := Piggyback2016(l, b, x, Config{Steps: 500})
+	s, b, x := buildCase(t, a, 28, 8)
+	pb := Piggyback2016(s, b, x, Config{Steps: 500})
 	if !pb.Deadlocked {
 		t.Fatalf("piggyback variant did not deadlock in %d steps (final %g)",
 			len(pb.History)-1, pb.Final().ResNorm)
 	}
-	l2, b2, x2 := buildCase(t, problem.Poisson2D(28, 28), 28, 8)
-	ds := DistributedSouthwell(l2, b2, x2, Config{Steps: pb.DeadlockStep + 100})
+	s2, b2, x2 := buildCase(t, problem.Poisson2D(28, 28), 28, 8)
+	ds := DistributedSouthwell(s2, b2, x2, Config{Steps: pb.DeadlockStep + 100})
 	if ds.Final().ResNorm >= pb.Final().ResNorm {
 		t.Errorf("DS (%g) should pass the deadlock point (%g)",
 			ds.Final().ResNorm, pb.Final().ResNorm)
@@ -340,11 +350,11 @@ func TestPiggyback2016Deadlocks(t *testing.T) {
 func TestParallelEngineIdenticalHistory(t *testing.T) {
 	a := problem.FEM2D(24, 0.3, 9)
 	for name, run := range methods() {
-		l, b, x := buildCase(t, a.Clone(), 12, 9)
-		seq := run(l, b, x, Config{Steps: 25})
+		s, b, x := buildCase(t, a.Clone(), 12, 9)
+		seq := run(s, b, x, Config{Steps: 25})
 		eachWidth(func(k int) {
-			l2, b2, x2 := buildCase(t, a.Clone(), 12, 9)
-			par := run(l2, b2, x2, Config{Steps: 25, Parallel: true})
+			s2, b2, x2 := buildCase(t, a.Clone(), 12, 9)
+			par := run(s2, b2, x2, Config{Steps: 25, Parallel: true})
 			compareRuns(t, fmt.Sprintf("%s/w%d", name, k), seq, par)
 		})
 	}
@@ -389,10 +399,10 @@ func TestDistSWAblationNoGhostEstimateCostsMoreWork(t *testing.T) {
 	// ranks under-estimate their neighbors and over-relax: measurably more
 	// relaxations and more total messages for the same number of steps.
 	a := problem.Poisson2D(26, 26)
-	l, b, x := buildCase(t, a, 26, 10)
-	base := DistributedSouthwell(l, b, x, Config{Steps: 50})
-	l2, b2, x2 := buildCase(t, problem.Poisson2D(26, 26), 26, 10)
-	noGhost := DistributedSouthwellOpt(l2, b2, x2, Config{Steps: 50}, DistSWOptions{NoGhostEstimate: true})
+	s, b, x := buildCase(t, a, 26, 10)
+	base := DistributedSouthwell(s, b, x, Config{Steps: 50})
+	s2, b2, x2 := buildCase(t, problem.Poisson2D(26, 26), 26, 10)
+	noGhost := DistributedSouthwellOpt(s2, b2, x2, Config{Steps: 50}, DistSWOptions{NoGhostEstimate: true})
 	if noGhost.Final().Relaxations <= base.Final().Relaxations {
 		t.Errorf("without ghost estimates relaxations %d should exceed baseline %d",
 			noGhost.Final().Relaxations, base.Final().Relaxations)
@@ -414,14 +424,17 @@ func TestQuickMethodsResidualExactness(t *testing.T) {
 		if _, err := sparse.Scale(a); err != nil {
 			return false
 		}
-		part := partition.Partition(a, p, partition.Options{Seed: seed})
+		l, err := NewLayout(a, partition.Partition(a, p, partition.Options{Seed: seed}), p)
+		if err != nil {
+			return false
+		}
+		s, err := NewSetup(l, LocalGS)
+		if err != nil {
+			return false
+		}
 		for _, run := range ms {
-			l, err := NewLayout(a, part, p)
-			if err != nil {
-				return false
-			}
 			b, x := problem.ZeroBSystem(a, seed)
-			res := run(l, b, x, Config{Steps: 10})
+			res := run(s, b, x, Config{Steps: 10})
 			if math.Abs(exactGlobalNorm(a, b, res.X)-res.Final().ResNorm) > 1e-8 {
 				return false
 			}
@@ -442,35 +455,10 @@ func TestQuickMethodsResidualExactness(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}
-	if c.steps() != 50 {
-		t.Errorf("default steps = %d", c.steps())
+	if c := (Config{}); c.steps() != 50 || c.watchdogWindow() != 10 {
+		t.Errorf("default steps = %d, watchdog = %d", c.steps(), c.watchdogWindow())
 	}
-	if c.model() != rma.DefaultCostModel() {
-		t.Error("default model not applied")
-	}
-	c2 := Config{Steps: 7, Model: &rma.CostModel{Alpha: 1}}
-	if c2.steps() != 7 || c2.model().Alpha != 1 {
+	if c := (Config{Steps: 7, watchdog: 3}); c.steps() != 7 || c.watchdogWindow() != 3 {
 		t.Error("explicit config ignored")
-	}
-	// An explicit all-zero model means genuinely free communication, not
-	// "use the default" — the sentinel bug the pointer representation fixes.
-	if free := (Config{Model: &rma.CostModel{}}); free.model() != (rma.CostModel{}) {
-		t.Error("explicit zero model replaced by default")
-	}
-}
-
-// TestExplicitZeroModelIsFree: a run under an all-zero cost model
-// accumulates zero simulated time (messages and flops are costless), which
-// the old `Model == CostModel{}` sentinel silently made impossible.
-func TestExplicitZeroModelIsFree(t *testing.T) {
-	a := problem.Poisson2D(12, 12)
-	l, b, x := buildCase(t, a, 4, 1)
-	res := BlockJacobi(l, b, x, Config{Steps: 5, Model: &rma.CostModel{}})
-	if res.Stats.SimTime != 0 {
-		t.Errorf("free model accumulated sim time %g", res.Stats.SimTime)
-	}
-	if res.Stats.TotalMsgs() == 0 {
-		t.Error("free model should still count messages")
 	}
 }

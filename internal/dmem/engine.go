@@ -64,22 +64,11 @@ func (c Config) pinned(spec stepSpec) bool {
 	return !spec.quiescent || c.Dense
 }
 
-// solve runs one method to completion on a run state (runstate.go): the one
-// parked on cfg.Setup, or a new one, parked again only on normal return — a
-// panic mid-solve leaves the slot empty. Without a Setup the solve builds one
-// to throw away, so there is one source of run states and local factors. The
-// diagonal blocks of an SPD matrix are SPD, so a factorization failure there
-// means the input violated the library's documented preconditions — panic
-// rather than limp on.
-func solve(l *Layout, b, x []float64, cfg Config, build func(st *runState, step *int) stepSpec) *Result {
-	s := cfg.Setup
-	if s == nil {
-		var err error
-		if s, err = NewSetup(l, cfg.Local); err != nil {
-			panic(err.Error())
-		}
-	}
-	st := s.takeRunState(l, cfg.Local)
+// solve runs one method to completion on a run state of s (runstate.go): the
+// one parked on it, or a new one, parked again only on normal return — a
+// panic mid-solve leaves the slot empty.
+func solve(s *Setup, b, x []float64, cfg Config, build func(st *runState, step *int) stepSpec) *Result {
+	st := s.takeRunState()
 	res := st.run(b, x, cfg, build)
 	st.park(s)
 	return res

@@ -26,10 +26,10 @@ func TestEngineEquivalenceOnSuite(t *testing.T) {
 		}
 		for mname, run := range methods() {
 			t.Run(name+"/"+mname, func(t *testing.T) {
-				l, b, x := buildCase(t, e.Gen(), ranks, 1)
-				seq := run(l, b, x, Config{Steps: steps})
-				l2, b2, x2 := buildCase(t, e.Gen(), ranks, 1)
-				par := run(l2, b2, x2, Config{Steps: steps, Parallel: true})
+				s, b, x := buildCase(t, e.Gen(), ranks, 1)
+				seq := run(s, b, x, Config{Steps: steps})
+				s2, b2, x2 := buildCase(t, e.Gen(), ranks, 1)
+				par := run(s2, b2, x2, Config{Steps: steps, Parallel: true})
 				compareRuns(t, "pool", seq, par)
 			})
 		}

@@ -15,7 +15,7 @@ import (
 // invariant fails within a few steps.
 func TestDistSWBlockGammaTildeExactness(t *testing.T) {
 	a := problem.FEM2D(20, 0.3, 11)
-	l, b, x := buildCase(t, a, 13, 11)
+	s, b, x := buildCase(t, a, 13, 11)
 
 	checked := 0
 	debugHook = func(states []*rankState) {
@@ -36,7 +36,7 @@ func TestDistSWBlockGammaTildeExactness(t *testing.T) {
 	}
 	defer func() { debugHook = nil }()
 
-	res := DistributedSouthwell(l, b, x, Config{Steps: 30})
+	res := DistributedSouthwell(s, b, x, Config{Steps: 30})
 	if checked == 0 {
 		t.Fatal("hook never ran")
 	}
@@ -52,7 +52,7 @@ func TestDistSWBlockGammaTildeExactness(t *testing.T) {
 // ghosts are finite and the estimate Γ is non-negative).
 func TestDistSWGhostSanity(t *testing.T) {
 	a := problem.Poisson2D(18, 18)
-	l, b, x := buildCase(t, a, 9, 12)
+	s, b, x := buildCase(t, a, 9, 12)
 	debugHook = func(states []*rankState) {
 		for _, rs := range states {
 			for _, z := range rs.z {
@@ -68,7 +68,7 @@ func TestDistSWGhostSanity(t *testing.T) {
 		}
 	}
 	defer func() { debugHook = nil }()
-	DistributedSouthwell(l, b, x, Config{Steps: 20})
+	DistributedSouthwell(s, b, x, Config{Steps: 20})
 }
 
 // TestLocalResidualsExactEveryStep: for every method, at every step
@@ -78,21 +78,21 @@ func TestDistSWGhostSanity(t *testing.T) {
 func TestLocalResidualsExactEveryStep(t *testing.T) {
 	a := problem.FEM2D(16, 0.3, 13)
 	for name, run := range methods() {
-		l, b, x := buildCase(t, a.Clone(), 8, 13)
+		s, b, x := buildCase(t, a.Clone(), 8, 13)
 		steps := 0
 		debugHook = func(states []*rankState) {
 			steps++
 			// Gather x and r.
-			xg := make([]float64, l.A.N)
-			rg := make([]float64, l.A.N)
+			xg := make([]float64, s.Layout.A.N)
+			rg := make([]float64, s.Layout.A.N)
 			for p, rs := range states {
-				for li, g := range l.Ranks[p].Glob {
+				for li, g := range s.Layout.Ranks[p].Glob {
 					xg[g] = rs.x[li]
 					rg[g] = rs.r[li]
 				}
 			}
-			want := make([]float64, l.A.N)
-			l.A.Residual(b, xg, want)
+			want := make([]float64, s.Layout.A.N)
+			s.Layout.A.Residual(b, xg, want)
 			for i := range want {
 				if math.Abs(want[i]-rg[i]) > 1e-9 {
 					t.Fatalf("%s: residual drift at row %d: stored %g, true %g",
@@ -100,7 +100,7 @@ func TestLocalResidualsExactEveryStep(t *testing.T) {
 				}
 			}
 		}
-		run(l, b, x, Config{Steps: 12})
+		run(s, b, x, Config{Steps: 12})
 		debugHook = nil
 		if steps == 0 {
 			t.Fatalf("%s: hook never ran", name)
@@ -113,8 +113,8 @@ func TestLocalResidualsExactEveryStep(t *testing.T) {
 func TestSimTimeMonotone(t *testing.T) {
 	a := problem.Poisson2D(16, 16)
 	for name, run := range methods() {
-		l, b, x := buildCase(t, a.Clone(), 8, 14)
-		res := run(l, b, x, Config{Steps: 15})
+		s, b, x := buildCase(t, a.Clone(), 8, 14)
+		res := run(s, b, x, Config{Steps: 15})
 		for i := 1; i < len(res.History); i++ {
 			if res.History[i].SimTime < res.History[i-1].SimTime {
 				t.Errorf("%s: sim time decreased at step %d", name, i)

@@ -31,11 +31,15 @@ import (
 type Layout struct {
 	A     *sparse.CSR
 	P     int
-	Part  []int   // owner rank of each global row
-	Rows  [][]int // Rows[p]: global rows owned by p, ascending
-	Local []int   // Local[g]: local index of global row g within its owner
-
 	Ranks []*RankData
+}
+
+// ownership is what NewLayout derives from the partition for buildRank and
+// drops when it returns: rows[p] becomes rank p's Glob.
+type ownership struct {
+	part  []int   // owner rank of each global row
+	rows  [][]int // rows[p]: global rows owned by p, ascending
+	local []int   // local[g]: local index of global row g within its owner
 }
 
 // RankData is one rank's static view: a local matrix in split-CSR form
@@ -94,8 +98,8 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	if len(part) != a.N {
 		return nil, fmt.Errorf("dmem: partition length %d != n %d", len(part), a.N)
 	}
-	l := &Layout{A: a, P: p, Part: part, Rows: make([][]int, p), Local: make([]int, a.N)}
-	off := make([]int, p+1) // Rows are carved from one slab, count-then-fill
+	own := ownership{part: part, rows: make([][]int, p), local: make([]int, a.N)}
+	off := make([]int, p+1) // rows are carved from one slab, count-then-fill
 	for g, pr := range part {
 		if pr < 0 || pr >= p {
 			return nil, fmt.Errorf("dmem: row %d has invalid rank %d", g, pr)
@@ -108,11 +112,11 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 			return nil, fmt.Errorf("dmem: rank %d owns no rows", pr)
 		}
 		off[pr+1] += off[pr]
-		l.Rows[pr] = slab[off[pr]:off[pr]:off[pr+1]]
+		own.rows[pr] = slab[off[pr]:off[pr]:off[pr+1]]
 	}
 	for g, pr := range part {
-		l.Local[g] = len(l.Rows[pr])
-		l.Rows[pr] = append(l.Rows[pr], g)
+		own.local[g] = len(own.rows[pr])
+		own.rows[pr] = append(own.rows[pr], g)
 	}
 
 	// Per-rank extraction: ranks are independent (each writes only its own
@@ -120,14 +124,14 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	// out over the shared pool. Each block reuses one pooled position
 	// scratch across its ranks. Block boundaries never influence the
 	// per-rank output, so the layout is identical for any worker count.
-	l.Ranks = make([]*RankData, p)
+	l := &Layout{A: a, P: p, Ranks: make([]*RankData, p)}
 	nb := rankBlockCount(p)
 	blocks := parallel.SplitN(p, nb, make([]parallel.Range, 0, nb))
 	var build parallel.Task
 	build.F = func(b int) {
 		sc := getLayoutScratch(a.N)
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
-			l.Ranks[pr] = buildRank(a, l, pr, sc)
+			l.Ranks[pr] = buildRank(a, &own, pr, sc)
 		}
 		putLayoutScratch(sc)
 	}
@@ -232,8 +236,8 @@ func putLayoutScratch(sc *layoutScratch) {
 // external rows and counts the coupling classes, the second fills. sc is the
 // pooled extraction scratch; its pos (all -1 on entry and on return) is first
 // the seen-marker of the collection, then the O(1) global → ext-slot index.
-func buildRank(a *sparse.CSR, l *Layout, p int, sc *layoutScratch) *RankData {
-	rows, pos := l.Rows[p], sc.pos
+func buildRank(a *sparse.CSR, own *ownership, p int, sc *layoutScratch) *RankData {
+	rows, pos, part := own.rows[p], sc.pos, own.part
 	rd := &RankData{
 		P:      p,
 		Glob:   rows,
@@ -247,11 +251,11 @@ func buildRank(a *sparse.CSR, l *Layout, p int, sc *layoutScratch) *RankData {
 		cols, _ := a.Row(g)
 		for _, c := range cols {
 			switch {
-			case l.Part[c] != p:
+			case part[c] != p:
 				nExt++
 				if pos[c] < 0 {
 					pos[c] = 0
-					ext = append(ext, int64(l.Part[c])<<32|int64(c))
+					ext = append(ext, int64(part[c])<<32|int64(c))
 				}
 			case c != g:
 				nLoc++
@@ -297,8 +301,8 @@ func buildRank(a *sparse.CSR, l *Layout, p int, sc *layoutScratch) *RankData {
 				rd.Diag[li] = v
 				continue
 			}
-			if l.Part[c] == p {
-				rd.LocCol = append(rd.LocCol, uint32(l.Local[c]))
+			if part[c] == p {
+				rd.LocCol = append(rd.LocCol, uint32(own.local[c]))
 				rd.LocVal = append(rd.LocVal, v)
 			} else {
 				rd.ExtCol = append(rd.ExtCol, uint32(pos[c]))

@@ -28,9 +28,6 @@ func TestLayoutDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(l.Rows, ref.Rows) || !reflect.DeepEqual(l.Local, ref.Local) {
-			t.Fatalf("run %d: row ownership differs from run 0", run)
-		}
 		for p := range l.Ranks {
 			got, want := l.Ranks[p], ref.Ranks[p]
 			if !reflect.DeepEqual(got, want) {
@@ -38,6 +35,22 @@ func TestLayoutDeterministic(t *testing.T) {
 					run, p, got, want)
 			}
 		}
+	}
+
+	// Row ownership: rank p's Glob is exactly the rows part gives it,
+	// ascending, so a row's local index is its position there, and the ranks
+	// cover every row once.
+	owned := 0
+	for p, rd := range ref.Ranks {
+		for li, g := range rd.Glob {
+			if part[g] != p || li > 0 && rd.Glob[li-1] >= g {
+				t.Fatalf("rank %d: Glob is not its rows strictly ascending: %v", p, rd.Glob)
+			}
+		}
+		owned += rd.M()
+	}
+	if owned != a.N {
+		t.Fatalf("the ranks own %d rows, want %d", owned, a.N)
 	}
 
 	// The orderings the exchange plans rely on are not just stable but

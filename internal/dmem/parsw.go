@@ -14,8 +14,8 @@ import "southwell/internal/rma"
 //
 // Norms in Γ are therefore exact at every decision, making the method
 // mathematically identical to shared-memory block Parallel Southwell.
-func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
-	return parallelSouthwell(l, b, x, cfg, true)
+func ParallelSouthwell(s *Setup, b, x []float64, cfg Config) *Result {
+	return parallelSouthwell(s, b, x, cfg, true)
 }
 
 // Piggyback2016 runs the 2016 precursor of Parallel Southwell (ref [18] of
@@ -26,12 +26,12 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 // never change again: the method deadlocks, as the paper reports it does on
 // all test problems. The stagnation watchdog (common.go) stops the run at the
 // first such step and sets Result.Deadlocked.
-func Piggyback2016(l *Layout, b, x []float64, cfg Config) *Result {
-	return parallelSouthwell(l, b, x, cfg, false)
+func Piggyback2016(s *Setup, b, x []float64, cfg Config) *Result {
+	return parallelSouthwell(s, b, x, cfg, false)
 }
 
-func parallelSouthwell(l *Layout, b, x []float64, cfg Config, announce bool) *Result {
-	return solve(l, b, x, cfg, func(st *runState, step *int) stepSpec {
+func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Result {
+	return solve(s, b, x, cfg, func(st *runState, step *int) stepSpec {
 		w, states := st.w, st.states
 
 		// absorb drains rank p's window in any phase: deltas are always applied

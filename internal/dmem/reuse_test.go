@@ -19,34 +19,41 @@ import (
 
 // reuseCase builds a small problem, its setup for the given local solver,
 // and a second (b, x) draw on the same matrix.
-func reuseCase(t testing.TB, grid, ranks int, local LocalSolver) (l *Layout, s *Setup, b, x, b2, x2 []float64) {
+func reuseCase(t testing.TB, grid, ranks int, local LocalSolver) (s *Setup, b, x, b2, x2 []float64) {
 	t.Helper()
-	l, b, x = buildCase(t, problem.Poisson2D(grid, grid), ranks, 8)
-	s, err := NewSetup(l, local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, x2 = problem.ZeroBSystem(l.A, 9)
+	s, b, x = buildCaseLocal(t, problem.Poisson2D(grid, grid), ranks, 8, local)
+	b2, x2 = problem.ZeroBSystem(s.Layout.A, 9)
 	for i := range b2 {
 		b2[i] = float64(i%7) - 3 // a nonzero right-hand side as well
 	}
-	return l, s, b, x, b2, x2
+	return s, b, x, b2, x2
+}
+
+// fresh is a new Setup of s's layout and local solver, with no run state
+// parked on it.
+func fresh(t testing.TB, s *Setup) *Setup {
+	t.Helper()
+	f, err := NewSetup(s.Layout, s.Local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // TestSetupReuseInvisible: every solve on one Setup — whatever ran on its
-// parked run state before — equals the same call made with no Setup at
-// all. The rows run in order on one state: every method, phases inline and
-// on the pool, a fault plan, a tracer (trace bytes compared too), a pinned
-// variant, another system, an early stop, and DS again at the end.
+// parked run state before — equals the same call made on a fresh Setup. The
+// rows run in order on one state: every method, phases inline and on the
+// pool, a fault plan, a tracer (trace bytes compared too), a pinned variant,
+// another system, an early stop, and DS again at the end.
 func TestSetupReuseInvisible(t *testing.T) {
 	ds := func(opts DistSWOptions) method {
-		return func(l *Layout, b, x []float64, cfg Config) *Result {
-			return DistributedSouthwellOpt(l, b, x, cfg, opts)
+		return func(s *Setup, b, x []float64, cfg Config) *Result {
+			return DistributedSouthwellOpt(s, b, x, cfg, opts)
 		}
 	}
 	for _, local := range []LocalSolver{LocalGS, LocalDirect} {
-		t.Run(map[LocalSolver]string{LocalGS: "gs", LocalDirect: "direct"}[local], func(t *testing.T) {
-			l, s, b, x, b2, x2 := reuseCase(t, 28, 28, local)
+		t.Run(local.String(), func(t *testing.T) {
+			s, b, x, b2, x2 := reuseCase(t, 28, 28, local)
 			var first *runState
 			for _, row := range []struct {
 				name   string
@@ -69,7 +76,6 @@ func TestSetupReuseInvisible(t *testing.T) {
 				{name: "DS again", run: DistributedSouthwell},
 			} {
 				cfg := row.cfg
-				cfg.Local = local
 				if cfg.Steps == 0 {
 					cfg.Steps = 20
 				}
@@ -79,14 +85,13 @@ func TestSetupReuseInvisible(t *testing.T) {
 				}
 				var recs [2]*obs.Recorder
 				var res [2]*Result
-				for i, setup := range []*Setup{nil, s} {
+				for i, setup := range []*Setup{fresh(t, s), s} {
 					c := cfg
-					c.Setup = setup
 					if row.traced {
-						recs[i] = obs.NewRecorder(l.P)
+						recs[i] = obs.NewRecorder(s.Layout.P)
 						c.Trace = recs[i]
 					}
-					res[i] = row.run(l, rb, rx, c)
+					res[i] = row.run(setup, rb, rx, c)
 				}
 				compareRuns(t, row.name, res[0], res[1])
 				if row.traced {
@@ -127,8 +132,8 @@ func TestSetupReuseInvisible(t *testing.T) {
 // state — one takes the parked state, the others build their own — and all
 // equal the reference. Run under -race via `make race`.
 func TestSetupConcurrentRuns(t *testing.T) {
-	l, s, b, x, _, _ := reuseCase(t, 24, 8, LocalDirect)
-	want := DistributedSouthwell(l, b, x, Config{Steps: 15, Local: LocalDirect})
+	s, b, x, _, _ := reuseCase(t, 24, 8, LocalDirect)
+	want := DistributedSouthwell(fresh(t, s), b, x, Config{Steps: 15})
 	for _, procs := range []int{2, 4} {
 		prev, prevWidth := runtime.GOMAXPROCS(procs), parallel.Default().Workers()
 		parallel.SetDefaultWorkers(procs) // or the Parallel solves would run at the old width
@@ -139,7 +144,7 @@ func TestSetupConcurrentRuns(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := range results[g] {
-					results[g][i] = DistributedSouthwell(l, b, x, Config{Steps: 15, Local: LocalDirect, Setup: s, Parallel: g%2 == 1})
+					results[g][i] = DistributedSouthwell(s, b, x, Config{Steps: 15, Parallel: g%2 == 1})
 				}
 			}(g)
 		}
@@ -161,10 +166,10 @@ func TestSetupConcurrentRuns(t *testing.T) {
 // workers and starts none of its own, so a Setup with a parked state owns no
 // goroutine.
 func TestParkedStateHoldsNoGoroutines(t *testing.T) {
-	l, s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
-	DistributedSouthwell(l, b, x, Config{Steps: 5, Parallel: true}) // start whatever outlives solves by design
+	s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
+	DistributedSouthwell(fresh(t, s), b, x, Config{Steps: 5, Parallel: true}) // start whatever outlives solves by design
 	before := runtime.NumGoroutine()
-	DistributedSouthwell(l, b, x, Config{Steps: 5, Parallel: true, Setup: s})
+	DistributedSouthwell(s, b, x, Config{Steps: 5, Parallel: true})
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after the solve returned, %d before it", n, before)
 	}
@@ -177,15 +182,15 @@ func TestParkedStateHoldsNoGoroutines(t *testing.T) {
 // holds no tracer, no fault plan and no window contents, so the caller's
 // recorder and plan are collectable while the Setup lives.
 func TestParkedStateKeepsNothingOfTheCaller(t *testing.T) {
-	l, s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
+	s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
 	var freed [2]atomic.Bool
 	func() {
-		rec := obs.NewRecorder(l.P)
+		rec := obs.NewRecorder(s.Layout.P)
 		runtime.SetFinalizer(rec, func(*obs.Recorder) { freed[0].Store(true) })
 		plan := fullChaosPlan(7)
 		plan.Pauses = append([]rma.Pause(nil), plan.Pauses...) // the backing array rides in the world's copy of the plan
 		runtime.SetFinalizer(&plan.Pauses[0], func(*rma.Pause) { freed[1].Store(true) })
-		DistributedSouthwell(l, b, x, Config{Steps: 20, Setup: s, Trace: rec, Faults: plan})
+		DistributedSouthwell(s, b, x, Config{Steps: 20, Trace: rec, Faults: plan})
 	}()
 	st := s.parked
 	if st == nil {
@@ -194,7 +199,7 @@ func TestParkedStateKeepsNothingOfTheCaller(t *testing.T) {
 	if st.w.Tracer() != nil || st.w.InFlight() != 0 || st.eng.hist != nil || st.eng.calendar != nil {
 		t.Errorf("parked state: tracer %v, %d held messages, hist %v, calendar %v", st.w.Tracer(), st.w.InFlight(), st.eng.hist, st.eng.calendar)
 	}
-	for p := 0; p < l.P; p++ {
+	for p := 0; p < s.Layout.P; p++ {
 		if n := len(st.w.Inbox(p)); n != 0 {
 			t.Errorf("parked world: rank %d's window still holds %d messages", p, n)
 		}
@@ -213,9 +218,9 @@ func TestParkedStateKeepsNothingOfTheCaller(t *testing.T) {
 // slot empty — not hand its half-stepped state to the next solve — and the
 // next solve must be clean.
 func TestPanickedSolveIsNotParked(t *testing.T) {
-	l, s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
-	want := DistributedSouthwell(l, b, x, Config{Steps: 10})
-	DistributedSouthwell(l, b, x, Config{Steps: 10, Setup: s})
+	s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
+	want := DistributedSouthwell(fresh(t, s), b, x, Config{Steps: 10})
+	DistributedSouthwell(s, b, x, Config{Steps: 10})
 	if s.parked == nil {
 		t.Fatal("clean solve did not park its state")
 	}
@@ -232,12 +237,12 @@ func TestPanickedSolveIsNotParked(t *testing.T) {
 				t.Fatal("solve did not panic")
 			}
 		}()
-		DistributedSouthwell(l, b, x, Config{Steps: 10, Setup: s, Parallel: true})
+		DistributedSouthwell(s, b, x, Config{Steps: 10, Parallel: true})
 	}()
 	if s.parked != nil {
 		t.Fatal("a panicked solve parked its half-stepped state")
 	}
-	compareRuns(t, "after panic", want, DistributedSouthwell(l, b, x, Config{Steps: 10, Setup: s}))
+	compareRuns(t, "after panic", want, DistributedSouthwell(s, b, x, Config{Steps: 10}))
 	if s.parked == nil {
 		t.Error("the solve after the panic did not park its state")
 	}
@@ -258,12 +263,12 @@ func solveCost(f func()) (mallocs, bytes uint64) {
 // plus the method's phase closures: at most 40 mallocs, and no more bytes than
 // 8·N + the history (+10 %). That holds whichever method ran on the state
 // before (the message bodies belong to the state, not to a method), and each
-// solve still equals the same call with no Setup.
+// solve still equals the same call on a fresh Setup.
 func TestSolveReuseAllocCeiling(t *testing.T) {
 	const ranks, steps = 64, 30
-	l, s, b, x, _, _ := reuseCase(t, 100, ranks, LocalGS)
-	cfg := Config{Steps: steps, Setup: s}
-	DistributedSouthwell(l, b, x, cfg) // builds and parks the state
+	s, b, x, _, _ := reuseCase(t, 100, ranks, LocalGS)
+	cfg := Config{Steps: steps}
+	DistributedSouthwell(s, b, x, cfg) // builds and parks the state
 	for _, row := range []struct {
 		name string
 		run  method
@@ -275,22 +280,23 @@ func TestSolveReuseAllocCeiling(t *testing.T) {
 		{"DS after pb16", DistributedSouthwell},
 	} {
 		var res *Result
-		mallocs, bytes := solveCost(func() { res = row.run(l, b, x, cfg) })
+		mallocs, bytes := solveCost(func() { res = row.run(s, b, x, cfg) })
 		history := uint64(cap(res.History)*int(reflect.TypeOf(StepStats{}).Size()) + 8*cap(res.ActiveHist))
-		if limit := uint64(8*l.A.N) + history; mallocs > 40 || bytes > limit+limit/10 {
+		if limit := uint64(8*s.Layout.A.N) + history; mallocs > 40 || bytes > limit+limit/10 {
 			t.Errorf("%s: solve on the parked state made %d mallocs / %d bytes, want ≤ 40 / ≤ %d (+10%%)", row.name, mallocs, bytes, limit)
 		}
-		compareRuns(t, row.name, row.run(l, b, x, Config{Steps: steps}), res)
+		compareRuns(t, row.name, row.run(fresh(t, s), b, x, cfg), res)
 	}
 }
 
-// TestFirstSolveAllocCeiling: the slab promise — a solve that builds its
-// own run state stays under one malloc ceiling whatever the rank count.
+// TestFirstSolveAllocCeiling: the slab promise — the first solve on a Setup,
+// which builds its run state, stays under one malloc ceiling whatever the
+// rank count.
 func TestFirstSolveAllocCeiling(t *testing.T) {
 	const ceiling = 80
 	for _, ranks := range []int{64, 256} {
-		l, b, x := buildCase(t, problem.Poisson2D(100, 100), ranks, 3)
-		mallocs, _ := solveCost(func() { DistributedSouthwell(l, b, x, Config{Steps: 30}) })
+		s, b, x := buildCase(t, problem.Poisson2D(100, 100), ranks, 3)
+		mallocs, _ := solveCost(func() { DistributedSouthwell(s, b, x, Config{Steps: 30}) })
 		if mallocs > ceiling {
 			t.Errorf("P=%d: first solve made %d mallocs, want ≤ %d at every P", ranks, mallocs, ceiling)
 		}

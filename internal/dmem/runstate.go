@@ -1,10 +1,6 @@
 package dmem
 
-import (
-	"fmt"
-
-	"southwell/internal/rma"
-)
+import "southwell/internal/rma"
 
 // Run state (DESIGN.md §16): everything a solve mutates — the simulated
 // world, the rank states with their message bodies, and the step engine's
@@ -92,10 +88,10 @@ func newRunState(s *Setup) *runState {
 // reset is the only initializer of a run: rank states from the global
 // initial guess — exact residuals, exact neighbor norms and Γ̃ (setup
 // exchange, not counted), exact ghosts — the engine rewound to "every rank in
-// the set", and the world rewound with cfg's engine, scheduler, fault plan
-// and tracer installed. extDelta, lastSentNorm, the direct-solver buffers and
-// every message-body field but slot are written before they are read in any
-// run, so they are deliberately not cleared.
+// the set", and the world rewound to the default cost model with cfg's
+// engine, fault plan and tracer installed. extDelta, lastSentNorm, the
+// direct-solver buffers and every message-body field but slot are written
+// before they are read in any run, so they are deliberately not cleared.
 func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	l, w, e := st.l, st.w, &st.eng
 	l.A.Residual(b, x, st.rGlob)
@@ -133,7 +129,7 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 		}
 	}
 
-	w.Reset(cfg.model())
+	w.Reset(rma.DefaultCostModel())
 	w.Parallel = cfg.Parallel
 	w.InstallFaults(cfg.Faults)
 	w.SetTracer(cfg.Trace)
@@ -142,13 +138,7 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 // takeRunState hands the solve its run state: the one parked on s if there
 // is one, else a new one. A concurrent run on the same Setup finds the slot
 // empty and builds its own.
-func (s *Setup) takeRunState(l *Layout, local LocalSolver) *runState {
-	if s.Layout != l {
-		panic("dmem: Config.Setup was built for a different layout")
-	}
-	if s.Local != local {
-		panic(fmt.Sprintf("dmem: Config.Setup local solver %v does not match Config.Local %v", s.Local, local))
-	}
+func (s *Setup) takeRunState() *runState {
 	s.mu.Lock()
 	st := s.parked
 	s.parked = nil

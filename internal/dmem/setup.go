@@ -13,7 +13,9 @@ package dmem
 // read-only: the Layout is immutable after NewLayout, and the factors are
 // exposed through SharedFactor, whose SolveInto takes caller-owned scratch
 // — each run state pairs the shared factor with private buffers
-// (rankState.direct). The one mutable field is the parked run state (runstate.go,
+// (rankState.direct). Every method takes the Setup as its first argument, so
+// the layout and the local solver a run uses are the ones it was built for.
+// The one mutable field is the parked run state (runstate.go,
 // DESIGN.md §16): a solve takes it from behind the mutex or builds its own,
 // and parks it again when it returns, so repeated solves reuse one world and
 // one set of rank states while concurrent runs never share any. The
@@ -160,9 +162,9 @@ func factorAll(l *Layout, mode LocalSolver) ([]SharedFactor, error) {
 // Setup is the preprocessing of (layout, local-solver mode): the layout
 // plus, for the exact local solvers, every rank's shared factorization —
 // both read-only — and at most one parked run state. Build once with
-// NewSetup, then hand the same *Setup to any number of runs (Config.Setup):
-// repeated runs reuse the parked state, concurrent ones stay safe (a run that
-// finds the slot empty builds its own state and drops it).
+// NewSetup, then hand the same *Setup to any number of runs: repeated runs
+// reuse the parked state, concurrent ones stay safe (a run that finds the
+// slot empty builds its own state and drops it).
 type Setup struct {
 	Layout *Layout
 	Local  LocalSolver

@@ -28,10 +28,10 @@ func TestEngineEquivalenceWithSparseLocal(t *testing.T) {
 	for _, local := range []LocalSolver{LocalDirect, LocalAuto} {
 		for mname, run := range methods() {
 			t.Run(mname, func(t *testing.T) {
-				l, b, x := buildCase(t, e.Gen(), ranks, 1)
-				seq := run(l, b, x, Config{Steps: steps, Local: local})
-				l2, b2, x2 := buildCase(t, e.Gen(), ranks, 1)
-				par := run(l2, b2, x2, Config{Steps: steps, Local: local, Parallel: true})
+				s, b, x := buildCaseLocal(t, e.Gen(), ranks, 1, local)
+				seq := run(s, b, x, Config{Steps: steps})
+				s2, b2, x2 := buildCaseLocal(t, e.Gen(), ranks, 1, local)
+				par := run(s2, b2, x2, Config{Steps: steps, Parallel: true})
 				compareRuns(t, "pool", seq, par)
 			})
 		}
@@ -42,11 +42,7 @@ func TestEngineEquivalenceWithSparseLocal(t *testing.T) {
 // of matrix e under the given policy.
 func factorAllRanks(t *testing.T, e problem.SuiteEntry, ranks int, local LocalSolver) *Setup {
 	t.Helper()
-	l, _, _ := buildCase(t, e.Gen(), ranks, 1)
-	s, err := NewSetup(l, local)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _, _ := buildCaseLocal(t, e.Gen(), ranks, 1, local)
 	return s
 }
 
@@ -134,8 +130,8 @@ func TestSparseLocalMatchesDenseOnSuiteBlocks(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown suite matrix %q", name)
 		}
-		l, _, _ := buildCase(t, e.Gen(), 32, 1)
-		for p, rd := range l.Ranks {
+		s, _, _ := buildCase(t, e.Gen(), 32, 1)
+		for p, rd := range s.Layout.Ranks {
 			sparseSF, err := factorShared(rd, LocalDirect)
 			if err != nil {
 				t.Fatalf("%s rank %d: sparse factorization failed: %v", name, p, err)

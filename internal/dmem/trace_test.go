@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"southwell/internal/obs"
@@ -20,10 +21,10 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 // with a fresh recorder and returns both.
 func traceCase(t *testing.T, parallel bool, steps int) (*Result, *obs.Recorder) {
 	t.Helper()
-	l, b, x := buildCase(t, problem.Poisson2D(12, 12), 4, 1)
+	s, b, x := buildCase(t, problem.Poisson2D(12, 12), 4, 1)
 	rec := obs.NewRecorderCap(4, 4096)
 	rec.SetLabel("golden ds")
-	res := DistributedSouthwell(l, b, x, Config{Steps: steps, Parallel: parallel, Trace: rec})
+	res := DistributedSouthwell(s, b, x, Config{Steps: steps, Parallel: parallel, Trace: rec})
 	return res, rec
 }
 
@@ -35,11 +36,11 @@ func TestTracingPreservesResults(t *testing.T) {
 	for name, run := range methods() {
 		t.Run(name, func(t *testing.T) {
 			a := problem.Poisson2D(16, 16)
-			l, b, x := buildCase(t, a, 6, 1)
-			plain := run(l, b, x, Config{Steps: 12})
-			l2, b2, x2 := buildCase(t, a, 6, 1)
+			s, b, x := buildCase(t, a, 6, 1)
+			plain := run(s, b, x, Config{Steps: 12})
+			s2, b2, x2 := buildCase(t, a, 6, 1)
 			rec := obs.NewRecorder(6)
-			traced := run(l2, b2, x2, Config{Steps: 12, Trace: rec})
+			traced := run(s2, b2, x2, Config{Steps: 12, Trace: rec})
 
 			compareRuns(t, "traced", plain, traced)
 			// And the recorder actually saw the run.
@@ -165,21 +166,24 @@ func TestActiveTraceIsDenseTraceMinusSleepers(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				a := problem.Poisson2D(grid, grid)
-				l, _, _ := buildCase(t, a, p, 1)
+				s, _, _ := buildCase(t, a, p, 1)
 				load := a.N/2 + grid/2
-				src := l.Part[load]
+				src := slices.IndexFunc(s.Layout.Ranks, func(rd *RankData) bool {
+					_, ok := slices.BinarySearch(rd.Glob, load)
+					return ok
+				})
 				solve := func(cfg Config) (*Result, *obs.Recorder) {
 					b, x := make([]float64, a.N), make([]float64, a.N)
 					b[load] = 1
 					rec := obs.NewRecorderCap(p, 1024) // nothing may wrap: Dropped is checked below
 					cfg.Steps, cfg.Trace = steps, rec
-					cfg.Watchdog = 4 * steps // no starvation re-announce wakes the far ranks
+					cfg.watchdog = 4 * steps // no starvation re-announce wakes the far ranks
 					if chaos {
-						nb := l.Ranks[src].Nbrs
+						nb := s.Layout.Ranks[src].Nbrs
 						cfg.Faults = &rma.FaultPlan{Seed: 3, DelayProb: 0.25, DelayMax: 3, DupProb: 0.15, ReorderProb: 0.4,
 							Stragglers: map[int]float64{nb[0]: 2.5}, Pauses: []rma.Pause{{Rank: nb[len(nb)-1], From: 3, To: 9}}}
 					}
-					res := run(l, b, x, cfg)
+					res := run(s, b, x, cfg)
 					if rec.Dropped() != 0 {
 						t.Fatalf("%d events dropped: the rings are too small for the comparison", rec.Dropped())
 					}

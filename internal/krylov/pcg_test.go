@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"southwell/internal/core"
+	"southwell/internal/dmem"
 	"southwell/internal/partition"
 	"southwell/internal/problem"
 	"southwell/internal/sparse"
@@ -54,13 +55,21 @@ func TestCGZeroResidualImmediate(t *testing.T) {
 }
 
 // distPrec applies k parallel steps of a distributed method from a zero
-// initial guess as a preconditioner — the paper's intended use.
+// initial guess as a preconditioner — the paper's intended use. The Setup is
+// built once and every application reuses it, as a preconditioner would.
 func distPrec(t *testing.T, a *sparse.CSR, method core.DistMethod, ranks, steps int) Preconditioner {
 	t.Helper()
-	part := partition.Partition(a, ranks, partition.Options{Seed: 1})
+	l, err := dmem.NewLayout(a, partition.Partition(a, ranks, partition.Options{Seed: 1}), ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := dmem.NewSetup(l, dmem.LocalGS)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return PrecFunc(func(r, z []float64) {
 		res, err := core.SolveDistributed(a, r, make([]float64, a.N), core.DistOptions{
-			Method: method, Ranks: ranks, Steps: steps, Part: part,
+			Method: method, Ranks: ranks, Steps: steps, Setup: s,
 		})
 		if err != nil {
 			t.Fatal(err)

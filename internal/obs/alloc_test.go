@@ -25,7 +25,7 @@ type benchPayload struct {
 
 // phaseWorld builds a P-rank world running a two-neighbor ring exchange,
 // the same shape as rma's own engine benchmark, with tr installed.
-func phaseWorld(p int, tr obs.Tracer) (*rma.World, func(rank int)) {
+func phaseWorld(p int, tr *obs.Recorder) (*rma.World, func(rank int)) {
 	w := rma.NewWorld(p, rma.DefaultCostModel())
 	w.SetTracer(tr)
 	payloads := make([][2]benchPayload, p)
@@ -82,13 +82,11 @@ func BenchmarkObs(b *testing.B) {
 	for _, mode := range []string{"disabled", "traced"} {
 		for _, p := range []int{64, 256} {
 			b.Run(fmt.Sprintf("phase/%s/P=%d", mode, p), func(b *testing.B) {
-				var tr obs.Tracer
 				var rec *obs.Recorder
 				if mode == "traced" {
 					rec = obs.NewRecorderCap(p, 1024)
-					tr = rec
 				}
-				w, phase := phaseWorld(p, tr)
+				w, phase := phaseWorld(p, rec)
 				w.RunPhase(phase)
 				w.RunPhase(phase)
 				b.ReportAllocs()

@@ -10,9 +10,9 @@
 // (Score-P, HPCToolkit): the emit sites stay in the hot paths permanently
 // and cost nothing when tracing is off. Three properties make that true:
 //
-//  1. Disabled is a nil check. Producers hold a Tracer interface that is
-//     nil when tracing is off; every emit site is `if tr != nil { ... }`.
-//     The disabled path is pinned at 0 allocs/op by TestObsAllocGate.
+//  1. Disabled is a nil check. Producers hold a *Recorder that is nil when
+//     tracing is off; every emit site is `if tr != nil { ... }`. The
+//     disabled path is pinned at 0 allocs/op by TestObsAllocGate.
 //
 //  2. Enabled is a ring write. The Recorder preallocates one fixed-size
 //     ring buffer per simulated rank (plus one control shard for run-level
@@ -33,7 +33,11 @@
 // per-rank tables and a stall histogram. See DESIGN.md §11.
 package obs
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"southwell/internal/parallel"
+)
 
 // Kind classifies an Event. Per-kind field usage is documented on each
 // constant; unused fields are zero.
@@ -139,18 +143,6 @@ type Event struct {
 	Flag       uint8 // kind-specific flag bits
 }
 
-// Tracer receives structured events from the runtime. A nil Tracer means
-// tracing is disabled; every emit site guards with a nil check, so the
-// disabled path costs one predictable branch and zero allocations.
-//
-// Concurrency contract (what makes *Recorder lock-free): an event with
-// Rank = p is emitted only from rank p's phase function or from the
-// driving goroutine between phases; ControlRank events only from the
-// driving goroutine. Implementations may rely on this.
-type Tracer interface {
-	Emit(e Event)
-}
-
 // shard is one preallocated ring buffer. buf has its full capacity from
 // construction; n counts all events ever emitted, so the write position is
 // n % len(buf) and the oldest max(0, n-len(buf)) events have been dropped.
@@ -224,17 +216,6 @@ type activeRecord struct {
 	skipped   int32
 }
 
-// PoolStats is a snapshot of the shared kernel pool's occupancy counters,
-// surfaced in the metrics summary (set it with SetPool; see
-// parallel.Pool.Stats). Kernel regions and blocks are pure functions of the
-// workload, so they are deterministic for any pool width; a run with
-// Parallel set adds one region of min(width, P) rank chunks per phase.
-type PoolStats struct {
-	Regions int64 // parallel regions executed
-	Blocks  int64 // blocks executed across all regions
-	Width   int   // executor slots, including the submitting goroutine
-}
-
 // DefaultShardCap is the per-rank ring capacity of NewRecorder, as far as
 // eventBudget allows. The control shard gets four times the per-rank
 // capacity (it also absorbs fault events, which scale with traffic rather
@@ -247,17 +228,22 @@ const DefaultShardCap = 4096
 // with P — 1.4 GB at P = 4096 otherwise.
 const eventBudget = 1 << 20
 
-// Recorder is the preallocated ring-buffer Tracer. The zero value is not
-// usable; construct with NewRecorder. A nil *Recorder is a valid no-op
-// Tracer (every method is nil-safe), so callers can thread a possibly-nil
-// recorder without wrapping it.
+// Recorder receives structured events from the runtime into preallocated
+// ring buffers. The zero value is not usable; construct with NewRecorder. A
+// nil *Recorder means tracing is off: every emit site guards with a nil
+// check, so the disabled path costs one predictable branch and zero
+// allocations, and every method is nil-safe besides.
+//
+// Concurrency contract (what makes it lock-free): an event with Rank = p is
+// emitted only from rank p's phase function or from the driving goroutine
+// between phases; ControlRank events only from the driving goroutine.
 type Recorder struct {
 	ranks   int
 	shards  []shard // [0..ranks-1] per rank, [ranks] control
 	tally   []RankTally
 	steps   []stepRecord
 	actives []activeRecord
-	pool    PoolStats
+	pool    parallel.PoolStats
 	method  string // optional run label for the exporters
 }
 
@@ -303,7 +289,10 @@ func (r *Recorder) SetLabel(label string) {
 
 // SetPool records a kernel-pool occupancy snapshot for the metrics
 // summary. Call it after the run with the delta of parallel.Pool.Stats.
-func (r *Recorder) SetPool(ps PoolStats) {
+// Kernel regions and blocks are pure functions of the workload, so they are
+// deterministic for any pool width; a run with Parallel set adds one region
+// of min(width, P) rank chunks per phase.
+func (r *Recorder) SetPool(ps parallel.PoolStats) {
 	if r == nil {
 		return
 	}
@@ -328,7 +317,7 @@ func (r *Recorder) shardFor(rank int32) int {
 }
 
 // Emit records one event: a ring write plus an incremental tally update.
-// Nil-safe and allocation-free. See Tracer for the concurrency contract.
+// Nil-safe and allocation-free. See Recorder for the concurrency contract.
 func (r *Recorder) Emit(e Event) {
 	if r == nil || e.Kind == KindNone {
 		return

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"southwell/internal/parallel"
 )
 
 // put builds a minimal KindPut event; seq rides in I1 so tests can check
@@ -22,14 +24,14 @@ func decision(rank int32, relaxed bool) Event {
 	return e
 }
 
-// TestNilSafety: a nil *Recorder is a complete no-op Tracer, and both
+// TestNilSafety: a nil *Recorder is a complete no-op, and both
 // exporters still write valid (empty) documents. This is the disabled
 // path every producer relies on.
 func TestNilSafety(t *testing.T) {
 	var r *Recorder
 	r.Emit(put(0, 1)) // must not panic
 	r.SetLabel("x")
-	r.SetPool(PoolStats{Regions: 1})
+	r.SetPool(parallel.PoolStats{Regions: 1})
 	if r.Ranks() != 0 || r.Dropped() != 0 || r.Events() != nil {
 		t.Errorf("nil recorder leaks state: ranks=%d dropped=%d events=%v",
 			r.Ranks(), r.Dropped(), r.Events())
@@ -52,9 +54,6 @@ func TestNilSafety(t *testing.T) {
 	if !strings.Contains(buf.String(), "disabled") {
 		t.Errorf("nil metrics output: %q", buf.String())
 	}
-	// A nil recorder stored in the interface must behave the same.
-	var tr Tracer = r
-	tr.Emit(put(0, 2))
 }
 
 // TestRingWrap: the ring keeps the newest capacity events, counts the
@@ -180,7 +179,7 @@ func TestStallTally(t *testing.T) {
 func sampleRecorder() *Recorder {
 	r := NewRecorderCap(2, 32)
 	r.SetLabel("unit ds")
-	r.SetPool(PoolStats{Regions: 3, Blocks: 12, Width: 2})
+	r.SetPool(parallel.PoolStats{Regions: 3, Blocks: 12, Width: 2})
 	r.Emit(Event{Kind: KindPut, Rank: 0, A: 1, Tag: 1, I1: 64, Ts: 0.5, Phase: 1})
 	r.Emit(Event{Kind: KindDeliver, Rank: 1, A: 0, Tag: 1, I1: 64, Ts: 0.5, Phase: 1, Flag: FlagDup})
 	r.Emit(Event{Kind: KindRankCost, Rank: 0, Ts: 1, Dur: 0.5, V1: 0.2, V2: 0.2, V3: 0.1, A: 1, B: 1, I1: 64, I2: 64, Phase: 1})

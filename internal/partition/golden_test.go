@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"math/rand"
 	"testing"
 
 	"southwell/internal/problem"
@@ -116,17 +115,6 @@ func TestPartitionGolden(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: part hash %s, want %s", c.name, got, c.want)
 		}
-	}
-}
-
-// TestPartitionGoldenCallerRand pins how much of a caller's stream
-// Partition consumes: the value drawn right after the call is fixed.
-func TestPartitionGoldenCallerRand(t *testing.T) {
-	const wantHash, wantNext = "3af7f56258bde790d8267e0af0fce26b032c46a6f7d5fa6096c29d7e330cbadf", int64(5821304032742456462)
-	rng := rand.New(rand.NewSource(42))
-	got := partHash(Partition(problem.FEM2D(40, 0.3, 2), 13, Options{Rand: rng}))
-	if next := rng.Int63(); got != wantHash || next != wantNext {
-		t.Errorf("part hash %s, next draw %d; want %s, %d", got, next, wantHash, wantNext)
 	}
 }
 

@@ -9,7 +9,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"southwell/internal/sparse"
 )
@@ -75,54 +74,30 @@ func (g *graph) totalVW() int {
 
 // Options tunes the multilevel partitioner.
 type Options struct {
-	// Imbalance is the allowed relative deviation of a part from its target
-	// weight during refinement (default 0.03, METIS-like).
-	Imbalance float64
-	// CoarsenTo stops coarsening when the graph has at most this many
-	// vertices (default 96).
-	CoarsenTo int
-	// RefinePasses is the number of FM passes per level (default 4).
-	RefinePasses int
 	// Seed drives the randomized matching order.
 	Seed int64
-	// Rand, when non-nil, supplies the matching-order stream directly
-	// instead of one derived from Seed, letting a caller thread a single
-	// explicitly seeded stream through partitioning and later randomized
-	// stages. The partitioner consumes from it deterministically.
-	Rand *rand.Rand
 }
 
-// rng returns the caller-provided stream, or one seeded from Seed. The +1
-// keeps the derived stream distinct from other Seed consumers in a run.
-func (o Options) rng() *rand.Rand {
-	if o.Rand != nil {
-		return o.Rand
-	}
-	return rand.New(rand.NewSource(o.Seed + 1))
-}
-
-func (o Options) withDefaults() Options {
-	if o.Imbalance <= 0 {
-		o.Imbalance = 0.03
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 96
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 4
-	}
-	return o
-}
+// The partitioner's fixed parameters (METIS-like).
+const (
+	// imbalance is the allowed relative deviation of a part from its target
+	// weight during refinement.
+	imbalance = 0.03
+	// coarsenTo stops coarsening when the graph has at most this many
+	// vertices.
+	coarsenTo = 96
+	// refinePasses is the number of FM passes per level.
+	refinePasses = 4
+)
 
 // Partition splits the adjacency graph of a into k parts, returning the
 // part id of each row. It panics if k <= 0 and returns the trivial
-// partition for k == 1. Parts are balanced within Options.Imbalance and the
+// partition for k == 1. Parts are balanced within imbalance and the
 // weighted edge cut is heuristically minimized.
 func Partition(a *sparse.CSR, k int, opts Options) []int {
 	if k <= 0 {
 		panic(fmt.Sprintf("partition: k = %d", k))
 	}
-	opts = opts.withDefaults()
 	part := make([]int, a.N)
 	if k == 1 {
 		return part
@@ -138,7 +113,7 @@ func Partition(a *sparse.CSR, k int, opts Options) []int {
 		}
 		return part
 	}
-	newWorkspace(graphFromCSR(a), part, opts).partition(k)
+	newWorkspace(graphFromCSR(a), part, opts.Seed).partition(k)
 	return part
 }
 
@@ -263,7 +238,7 @@ func (ws *workspace) induce(verts []int32) graph {
 // bisect fills side with a 0/1 label per vertex of g, side 0 receiving
 // ~frac of the total vertex weight, via multilevel coarsening.
 func (ws *workspace) bisect(g *graph, frac float64, side []int32) {
-	if g.n > ws.opts.CoarsenTo {
+	if g.n > coarsenTo {
 		m := ws.mark()
 		cmap, coarse := ws.coarsen(g)
 		if coarse.n < g.n*9/10 {
@@ -273,14 +248,14 @@ func (ws *workspace) bisect(g *graph, frac float64, side []int32) {
 				side[v] = cside[cmap[v]]
 			}
 			ws.release(m)
-			refine(g, side, frac, ws.opts)
+			refine(g, side, frac)
 			return
 		}
 		// Matching stalled (e.g. star graphs): stop coarsening here.
 		ws.release(m)
 	}
 	ws.growBisection(g, frac, side)
-	refine(g, side, frac, ws.opts)
+	refine(g, side, frac)
 }
 
 // perm is ws.rng.Perm(n) written into workspace memory: the same draws in
@@ -452,11 +427,11 @@ func pseudoPeripheral(g *graph, far int32, queue, seen []int32) int32 {
 // refine performs FM-style passes: repeatedly move the boundary vertex with
 // the best cut gain to the other side, subject to the balance constraint,
 // keeping the best configuration seen in each pass.
-func refine(g *graph, side []int32, frac float64, opts Options) {
+func refine(g *graph, side []int32, frac float64) {
 	total := g.totalVW()
 	target0 := float64(total) * frac
-	lo := int(target0 * (1 - opts.Imbalance))
-	hi := int(target0*(1+opts.Imbalance)) + 1
+	lo := int(target0 * (1 - imbalance))
+	hi := int(target0*(1+imbalance)) + 1
 
 	w0 := 0
 	for v := 0; v < g.n; v++ {
@@ -478,7 +453,7 @@ func refine(g *graph, side []int32, frac float64, opts Options) {
 		return ext - inn
 	}
 
-	for pass := 0; pass < opts.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := false
 		// One greedy sweep over boundary vertices.
 		for v := int32(0); int(v) < g.n; v++ {

@@ -41,7 +41,6 @@ func (s *stack[T]) release(m stackMark) { s.cur, s.top = m.cur, m.top }
 type workspace struct {
 	g    *graph
 	part []int
-	opts Options
 	rng  *rand.Rand
 	// local maps a vertex of g to its index in the subgraph induce is
 	// building, -1 outside it. induce sets it for its vertices and clears
@@ -63,8 +62,10 @@ func (ws *workspace) release(m workspaceMark) {
 	ws.f64.release(m.f64)
 }
 
-func newWorkspace(g *graph, part []int, opts Options) *workspace {
-	ws := &workspace{g: g, part: part, opts: opts, rng: opts.rng(), local: make([]int32, g.n)}
+// newWorkspace seeds the matching-order stream from seed+1, which keeps it
+// distinct from other consumers of the same seed in a run.
+func newWorkspace(g *graph, part []int, seed int64) *workspace {
+	ws := &workspace{g: g, part: part, rng: rand.New(rand.NewSource(seed + 1)), local: make([]int32, g.n)}
 	for i := range ws.local {
 		ws.local[i] = -1
 	}

@@ -64,7 +64,7 @@ func TestPartitionSameFromTinyWorkspace(t *testing.T) {
 	want := Partition(a, k, Options{Seed: 1})
 
 	part := make([]int, a.N)
-	ws := newWorkspace(graphFromCSR(a), part, Options{Seed: 1}.withDefaults())
+	ws := newWorkspace(graphFromCSR(a), part, 1)
 	ws.i32.chunks = [][]int32{make([]int32, 1)}
 	ws.f64.chunks = [][]float64{make([]float64, 1)}
 	ws.partition(k)

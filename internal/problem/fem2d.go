@@ -23,15 +23,7 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 //
 // Boundary nodes are eliminated; the matrix dimension is (m-1)².
 func FEM2D(m int, distort float64, seed int64) *sparse.CSR {
-	return FEM2DRand(m, distort, newRand(seed))
-}
-
-// FEM2DRand is FEM2D with a caller-seeded random stream: callers composing
-// several randomized stages can share one explicitly seeded *rand.Rand
-// across mesh generation, partitioning, and solves so a whole experiment
-// reproduces from a single seed. The mesh consumes from rng
-// deterministically (two draws per interior node, row-major).
-func FEM2DRand(m int, distort float64, rng *rand.Rand) *sparse.CSR {
+	rng := newRand(seed) // two draws per interior node, row-major
 	nn := (m + 1) * (m + 1)
 	xs := make([]float64, nn)
 	ys := make([]float64, nn)

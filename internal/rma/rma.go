@@ -154,8 +154,8 @@ type World struct {
 	// trace, when non-nil, receives structured events (obs package). All
 	// emits are guarded by a nil check so the disabled path is free; an
 	// event for rank p is emitted from p's phase function or from the
-	// driver between phases, matching the obs.Tracer concurrency contract.
-	trace obs.Tracer
+	// driver between phases, matching the obs.Recorder concurrency contract.
+	trace *obs.Recorder
 
 	// chaos, when non-nil, is the installed fault-injection state (see
 	// faults.go). All chaos decisions are made in deliver on the calling
@@ -280,16 +280,16 @@ func (w *World) LiveInboxes() []int32 {
 	return w.liveInbox
 }
 
-// SetTracer installs (or, with nil, removes) a structured-event tracer.
-// Install before the first phase; the tracer must follow the obs.Tracer
-// concurrency contract. Tracing changes no observable runtime behavior:
-// results, message counts, and SimTime are bit-identical with it on or off.
-func (w *World) SetTracer(t obs.Tracer) { w.trace = t }
+// SetTracer installs (or, with nil, removes) a structured-event recorder.
+// Install before the first phase. Tracing changes no observable runtime
+// behavior: results, message counts, and SimTime are bit-identical with it
+// on or off.
+func (w *World) SetTracer(t *obs.Recorder) { w.trace = t }
 
 // Tracer returns the installed tracer (nil when tracing is off), so layers
 // above the runtime (dmem) can emit algorithm-level events on the same
 // clock.
-func (w *World) Tracer() obs.Tracer { return w.trace }
+func (w *World) Tracer() *obs.Recorder { return w.trace }
 
 // Now returns the simulated clock: cumulative α-β-γ seconds since the
 // world was created or last Reset. It only moves forward in between, which

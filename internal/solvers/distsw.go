@@ -86,7 +86,7 @@ func DistributedSouthwell(a *sparse.CSR, b, x []float64, opt Options) (*Trace, D
 	sentTo := make(map[[2]int]bool) // (from,to) pairs written this phase
 	var rng *rand.Rand
 	if opt.ExactBudget {
-		rng = opt.rng()
+		rng = rand.New(rand.NewSource(opt.Seed))
 	}
 
 	deliver := func() {

@@ -14,11 +14,7 @@
 // count and residual norm — exactly the data plotted in Figures 2 and 5.
 package solvers
 
-import (
-	"math/rand"
-
-	"southwell/internal/sparse"
-)
+import "southwell/internal/sparse"
 
 // StepRecord is the state at the end of one parallel step.
 type StepRecord struct {
@@ -76,20 +72,6 @@ type Options struct {
 	// comparisons). Seed drives the subset choice.
 	ExactBudget bool
 	Seed        int64
-	// Rand, when non-nil, supplies the stream for the ExactBudget subset
-	// choice instead of one freshly derived from Seed. Callers composing
-	// several randomized stages (e.g. multigrid cycles) can pass a shared
-	// explicitly seeded stream so the whole run is reproducible from one
-	// seed without coordinating per-stage Seed values.
-	Rand *rand.Rand
-}
-
-// rng returns the caller-provided stream, or one seeded from Seed.
-func (o Options) rng() *rand.Rand {
-	if o.Rand != nil {
-		return o.Rand
-	}
-	return rand.New(rand.NewSource(o.Seed))
 }
 
 func (o Options) maxRelax(n int) int {
