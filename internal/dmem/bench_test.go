@@ -23,7 +23,7 @@ func benchStates(b testing.TB, n, ranks int) []*rankState {
 func relaxAndStage(rs *rankState) {
 	clear(rs.extDelta)
 	rs.relaxSweep()
-	for j := range rs.rd.Nbrs {
+	for j := range rs.gamma {
 		_, delta := rs.ghost(j)
 		copy(rs.solve[j].deltas, delta)
 		rs.gatherBnd(j, rs.solve[j].bnd)
@@ -67,7 +67,7 @@ func BenchmarkLocalSolveCycled(b *testing.B) {
 	rows := 0
 	r0 := make([][]float64, len(st.states))
 	for p, rs := range st.states {
-		rows += rs.rd.M()
+		rows += len(rs.r)
 		r0[p] = append([]float64(nil), rs.r...)
 	}
 	round := func() {

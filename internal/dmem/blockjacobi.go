@@ -34,11 +34,11 @@ func BlockJacobi(s *Setup, b, x []float64, cfg Config) *Result {
 			clear(rs.extDelta)
 			flops := rs.relaxLocal()
 			w.Charge(p, flops)
-			for j, q := range rs.rd.Nbrs {
+			for j, q := range rs.nbrs() {
 				pl := &rs.solve[j]
 				_, delta := rs.ghost(j)
 				copy(pl.deltas, delta)
-				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)), pl)
+				w.Put(p, int(q), rma.TagSolve, msgBytes(len(pl.deltas)), pl)
 			}
 		}
 		// Wait for neighbors to finish writing, then read.
@@ -46,7 +46,7 @@ func BlockJacobi(s *Setup, b, x []float64, cfg Config) *Result {
 			rs := states[p]
 			absorb(p)
 			rs.norm = rs.computeNorm()
-			w.Charge(p, 2*float64(rs.rd.M()))
+			w.Charge(p, 2*float64(len(rs.r)))
 		}
 		// Never quiescent: every unpaused rank relaxes unconditionally every
 		// step, so no rank could ever be put to sleep correctly (a paused

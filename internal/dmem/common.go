@@ -251,7 +251,7 @@ func flatNorm(norms2 []float64) float64 {
 func gatherX(l *Layout, states []*rankState) []float64 {
 	x := make([]float64, l.A.N)
 	for p, rs := range states {
-		for li, g := range l.Ranks[p].Glob {
+		for li, g := range l.rows(p) {
 			x[g] = rs.x[li]
 		}
 	}

@@ -53,10 +53,10 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 				case rma.TagSolve:
 					rs.applyDeltas(j, pl.deltas)
 					changed = true
-					if int64(pl.seq) < rs.seqSeen[j] {
+					if pl.seq < rs.seqSeen[j] {
 						continue // keep the deltas, drop the stale estimates
 					}
-					rs.seqSeen[j] = int64(pl.seq)
+					rs.seqSeen[j] = pl.seq
 					// Crossing correction only when this rank itself relaxed
 					// this step and wrote to j (so lastSentNorm, solve[j].bnd
 					// and extDelta describe this step's send). Fault-free this
@@ -101,10 +101,10 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 						rs.gammaTilde[j] = pl.estRecv
 					}
 				case rma.TagResidual:
-					if int64(pl.seq) < rs.seqSeen[j] {
+					if pl.seq < rs.seqSeen[j] {
 						continue
 					}
-					rs.seqSeen[j] = int64(pl.seq)
+					rs.seqSeen[j] = pl.seq
 					z, _ := rs.ghost(j)
 					copy(z, pl.bnd)
 					rs.gamma[j] = pl.norm
@@ -115,7 +115,7 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 			}
 			if changed {
 				rs.norm = rs.computeNorm()
-				w.Charge(p, 2*float64(rs.rd.M()))
+				w.Charge(p, 2*float64(len(rs.r)))
 			}
 		}
 
@@ -127,7 +127,7 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 			absorb(p)
 			rs := states[p]
 			wins := rs.winsAll()
-			w.Charge(p, float64(rs.rd.Degree()))
+			w.Charge(p, float64(len(rs.gamma)))
 			traceDecision(w, *step, p, rs, wins)
 			if !wins {
 				return
@@ -137,8 +137,8 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 			flops := rs.relaxLocal()
 			rs.norm = rs.computeNorm()
 			rs.lastSentNorm = rs.norm
-			w.Charge(p, flops+2*float64(rs.rd.M()))
-			for j, q := range rs.rd.Nbrs {
+			w.Charge(p, flops+2*float64(len(rs.r)))
+			for j, q := range rs.nbrs() {
 				// Local, communication-free improvement of the estimate of
 				// q's norm using the ghost layer (skippable for ablation).
 				z, delta := rs.ghost(j)
@@ -156,7 +156,7 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 				copy(pl.deltas, delta)
 				rs.gatherBnd(j, pl.bnd)
 				pl.norm, pl.estRecv, pl.seq = rs.norm, rs.gamma[j], 2*int32(*step)
-				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+len(pl.bnd)+2), pl)
+				w.Put(p, int(q), rma.TagSolve, msgBytes(len(pl.deltas)+len(pl.bnd)+2), pl)
 			}
 		}
 		// Phase 2: absorb writes; detect deadlock risk; write explicit
@@ -181,15 +181,15 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 				rs.starved = 0
 			}
 			// Deadlock-risk detection (Algorithm 3, lines 27-30).
-			for j, q := range rs.rd.Nbrs {
+			for j, q := range rs.nbrs() {
 				if refresh || rs.gammaTilde[j] > rs.norm*(1+opts.UpdateSlack) {
-					traceResSend(w, *step, p, q, rs.gammaTilde[j], rs, refresh)
+					traceResSend(w, *step, p, int(q), rs.gammaTilde[j], rs, refresh)
 					rs.gammaTilde[j] = rs.norm
 					rs.sentTo[j] = true
 					pl := &rs.res[j]
 					rs.gatherBnd(j, pl.bnd)
 					pl.norm, pl.estRecv, pl.seq = rs.norm, rs.gamma[j], 2*int32(*step)+1
-					w.Put(p, q, rma.TagResidual, msgBytes(len(pl.bnd)+2), pl)
+					w.Put(p, int(q), rma.TagResidual, msgBytes(len(pl.bnd)+2), pl)
 				}
 			}
 		}

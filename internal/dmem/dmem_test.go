@@ -3,6 +3,7 @@ package dmem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,23 +66,25 @@ func TestLayoutExchangePlansMatch(t *testing.T) {
 		{"Flan_1565/4096", suiteMatrix(t, "Flan_1565"), 4096},
 	} {
 		s, _, _ := buildCase(t, c.a, c.p, 1)
-		for p, rd := range s.Layout.Ranks {
-			for j, q := range rd.Nbrs {
-				qd := s.Layout.Ranks[q]
-				jq, ok := qd.NbrSlot(p)
+		l := s.Layout
+		for p := range l.P {
+			for k := l.nbrOff[p]; k < l.nbrOff[p+1]; k++ {
+				q := int(l.nbrs[k])
+				jq, ok := slices.BinarySearch(l.neighbors(q), int32(p))
 				if !ok {
 					t.Fatalf("%s: neighbor relation not symmetric: %d -> %d", c.name, p, q)
 				}
 				// The rows I hold deltas and ghosts for (q-owned) are exactly
 				// q's boundary rows toward me, in the same order; q's view of
 				// my rows is checked when the loop reaches (q, p).
-				ext, bnd := rd.ExtGlob[rd.ExtOff[j]:rd.ExtOff[j+1]], qd.MyBnd(jq)
+				kq := int(l.nbrOff[q]) + jq
+				ext, bnd := l.extGlob[l.nbrExtOff[k]:l.nbrExtOff[k+1]], l.myRows[l.nbrBndOff[kq]:l.nbrBndOff[kq+1]]
 				if len(ext) != len(bnd) {
 					t.Fatalf("%s: plan size mismatch %d->%d: %d ext rows vs %d boundary rows", c.name, p, q, len(ext), len(bnd))
 				}
-				for k, g := range ext {
-					if g != qd.Glob[bnd[k]] {
-						t.Fatalf("%s: plan order mismatch %d->%d at %d", c.name, p, q, k)
+				for i, g := range ext {
+					if g != l.rows(q)[bnd[i]] {
+						t.Fatalf("%s: plan order mismatch %d->%d at %d", c.name, p, q, i)
 					}
 				}
 			}
@@ -105,39 +108,43 @@ func TestLayoutRejectsBadPartition(t *testing.T) {
 	}
 }
 
+// asymmetricLayouts are structurally asymmetric matrices over two ranks,
+// one per check in addressRank, with the error NewLayout must return.
+var asymmetricLayouts = []struct {
+	name string
+	a    *sparse.CSR
+	part []int
+	want string
+}{
+	{
+		// Row 0 reaches rank 1's row; nothing of rank 1 reaches rank 0.
+		name: "rank", part: []int{0, 1},
+		a:    &sparse.CSR{N: 2, RowPtr: []int{0, 2, 3}, Col: []int{0, 1, 1}, Val: []float64{1, 0.5, 1}},
+		want: "dmem: asymmetric coupling: rank 0 couples into rank 1 but not back",
+	},
+	{
+		// The ranks are mutual neighbors (0→2 and 3→1), but no entry is
+		// returned: rank 1 does not ghost row 0.
+		name: "row", part: []int{0, 0, 1, 1},
+		a: &sparse.CSR{N: 4, RowPtr: []int{0, 2, 3, 4, 6}, Col: []int{0, 2, 1, 2, 1, 3},
+			Val: []float64{1, 0.5, 1, 1, 0.5, 1}},
+		want: "dmem: asymmetric coupling: row 0 couples into rank 1 but not back",
+	},
+	{
+		// Every boundary row of rank 0 is ghosted back (0↔2), but rank 1
+		// also ghosts row 1, which does not couple into it.
+		name: "count", part: []int{0, 0, 1},
+		a: &sparse.CSR{N: 3, RowPtr: []int{0, 2, 3, 6}, Col: []int{0, 2, 1, 0, 1, 2},
+			Val: []float64{1, 0.5, 1, 0.5, 0.5, 1}},
+		want: "dmem: asymmetric coupling: rank 1 ghosts 2 rows of rank 0 but only 1 couple into it",
+	},
+}
+
 // TestLayoutRejectsAsymmetricCoupling: NewLayout takes its matrix from
 // outside, and the exchange plans pair up only on a structurally symmetric
 // one. One hand-built matrix per check in addressRank.
 func TestLayoutRejectsAsymmetricCoupling(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		a    *sparse.CSR
-		part []int
-		want string
-	}{
-		{
-			// Row 0 reaches rank 1's row; nothing of rank 1 reaches rank 0.
-			name: "rank", part: []int{0, 1},
-			a:    &sparse.CSR{N: 2, RowPtr: []int{0, 2, 3}, Col: []int{0, 1, 1}, Val: []float64{1, 0.5, 1}},
-			want: "dmem: asymmetric coupling: rank 0 couples into rank 1 but not back",
-		},
-		{
-			// The ranks are mutual neighbors (0→2 and 3→1), but no entry is
-			// returned: rank 1 does not ghost row 0.
-			name: "row", part: []int{0, 0, 1, 1},
-			a: &sparse.CSR{N: 4, RowPtr: []int{0, 2, 3, 4, 6}, Col: []int{0, 2, 1, 2, 1, 3},
-				Val: []float64{1, 0.5, 1, 1, 0.5, 1}},
-			want: "dmem: asymmetric coupling: row 0 couples into rank 1 but not back",
-		},
-		{
-			// Every boundary row of rank 0 is ghosted back (0↔2), but rank 1
-			// also ghosts row 1, which does not couple into it.
-			name: "count", part: []int{0, 0, 1},
-			a: &sparse.CSR{N: 3, RowPtr: []int{0, 2, 3, 6}, Col: []int{0, 2, 1, 0, 1, 2},
-				Val: []float64{1, 0.5, 1, 0.5, 0.5, 1}},
-			want: "dmem: asymmetric coupling: rank 1 ghosts 2 rows of rank 0 but only 1 couple into it",
-		},
-	} {
+	for _, tc := range asymmetricLayouts {
 		if err := tc.a.Validate(); err != nil {
 			t.Fatalf("%s: the test matrix itself is malformed: %v", tc.name, err)
 		}

@@ -18,10 +18,10 @@ import (
 // a replay of last step's hold. The driver tracks exactly that quiescence
 // and dispatches each epoch over the active subset through
 // rma.RunPhaseActive, charging sleepers their unconditional phase-1 flops
-// (the Degree() decision scan) through the idle vector so simulated time,
-// message statistics, and chaos schedules stay bit-identical to running
-// every rank. A fault plan or a tracer changes none of this: the runtime
-// has one phase boundary, and both ride it.
+// (the decision scan, one flop per neighbor) through the idle vector so
+// simulated time, message statistics, and chaos schedules stay
+// bit-identical to running every rank. A fault plan or a tracer changes
+// none of this: the runtime has one phase boundary, and both ride it.
 //
 // The quiescence invariant: a rank may sleep only after an executed step
 // in which it did not relax and read no mail. Its state is then unchanged
@@ -43,10 +43,11 @@ import (
 // epochs in order, and two promises.
 //
 // quiescent promises the invariant above: the first phase charges exactly
-// Degree() flops unconditionally (the decision scan) and later phases charge
-// nothing unconditionally; a rank that held with an empty window replays
-// that hold until its state changes; phase-2 triggers self-extinguish. The
-// zero value is "never quiescent": every rank runs every step.
+// the rank's degree in flops unconditionally (the decision scan) and later
+// phases charge nothing unconditionally; a rank that held with an empty
+// window replays that hold until its state changes; phase-2 triggers
+// self-extinguish. The zero value is "never quiescent": every rank runs every
+// step.
 //
 // starvation marks a method whose ranks keep the starvation re-announce
 // clock (rankState.starved); it ticks only under a fault plan.
@@ -137,7 +138,7 @@ type stepEngine struct {
 	// Read by unpinned runs only.
 	inSet   []bool    // rank executes the current step's remaining phases
 	sawMail []bool    // rank's window was nonempty at a boundary this step
-	idleDeg []float64 // phase-1 idle charge: the unconditional Degree() scan
+	idleDeg []float64 // phase-1 idle charge: the unconditional degree scan
 	// calendar maps a future step to the ranks whose starvation refresh
 	// first fires there. Consumed by exact-key lookup at beginStep, never
 	// iterated, so map order cannot influence the run.
@@ -237,7 +238,7 @@ func (e *stepEngine) tally(norms2 []float64) (relaxedRanks, rows int) {
 		norms2[p] = rs.norm * rs.norm
 		if rs.relaxed {
 			relaxedRanks++
-			rows += rs.rd.M()
+			rows += len(rs.r)
 		}
 	}
 	return

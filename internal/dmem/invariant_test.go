@@ -2,6 +2,7 @@ package dmem
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"southwell/internal/problem"
@@ -20,9 +21,9 @@ func TestDistSWBlockGammaTildeExactness(t *testing.T) {
 	checked := 0
 	debugHook = func(states []*rankState) {
 		for p, rs := range states {
-			for j, q := range rs.rd.Nbrs {
+			for j, q := range rs.nbrs() {
 				qs := states[q]
-				jp, ok := qs.rd.NbrSlot(p)
+				jp, ok := slices.BinarySearch(qs.nbrs(), int32(p))
 				if !ok {
 					t.Fatalf("neighbor asymmetry %d-%d", p, q)
 				}
@@ -86,7 +87,7 @@ func TestLocalResidualsExactEveryStep(t *testing.T) {
 			xg := make([]float64, s.Layout.A.N)
 			rg := make([]float64, s.Layout.A.N)
 			for p, rs := range states {
-				for li, g := range s.Layout.Ranks[p].Glob {
+				for li, g := range s.Layout.rows(p) {
 					xg[g] = rs.x[li]
 					rg[g] = rs.r[li]
 				}

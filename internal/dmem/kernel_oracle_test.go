@@ -11,12 +11,13 @@ import (
 
 // Reference oracles: the two relaxation kernels exactly as they were written
 // before their operands moved into locals (DESIGN.md §10, "Kernel form").
-// They index through rs and rd on every nonzero — slow and obviously right.
+// They index through rs and the rank's RankData view on every nonzero — slow
+// and obviously right.
 // Do not tidy them: their value is that they are not the code under test.
 
 // relaxSweepRef is the pre-rewrite relaxSweep.
 func (rs *rankState) relaxSweepRef() float64 {
-	rd := rs.rd
+	rd := rs.l.Rank(int(rs.p))
 	for li := range rs.r {
 		d := rs.r[li] / rd.Diag[li]
 		rs.x[li] += d
@@ -34,7 +35,7 @@ func (rs *rankState) relaxSweepRef() float64 {
 // relaxDirectRef is the pre-rewrite relaxDirect (the solve it calls has its
 // own oracle in internal/spdirect and internal/dense).
 func (rs *rankState) relaxDirectRef() float64 {
-	rd := rs.rd
+	rd := rs.l.Rank(int(rs.p))
 	d := rs.direct.d
 	rs.direct.f.SolveInto(rs.r, d, rs.direct.scratch)
 	for li := range rs.r {

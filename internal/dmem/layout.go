@@ -16,8 +16,8 @@ package dmem
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sync"
 
 	"southwell/internal/parallel"
 	"southwell/internal/sparse"
@@ -28,126 +28,259 @@ import (
 // boundary/ghost indexing used for neighbor exchange. Building it
 // corresponds to the paper's setup phase (METIS partition + neighbor
 // discovery), which is not part of the measured solve.
+//
+// It is one split-CSR matrix whose rows are in rank order (rank 0's rows
+// ascending, then rank 1's, …) plus the exchange plans, and each kind of
+// array is one flat allocation. Four offset tables of P+1 entries give the
+// range of each kind that rank p holds:
+//
+//	rows       [rowOff[p], rowOff[p+1])  glob, diag, locPtr, extPtr
+//	neighbors  [nbrOff[p], nbrOff[p+1])  nbrs, slotInNbr, nbrExtOff, nbrBndOff
+//	ext slots  [extOff[p], extOff[p+1])  extGlob
+//	boundary   [bndOff[p], bndOff[p+1])  myRows
+//
+// so a rank is an index, there is no per-rank header, and the layout's size
+// is what its ranks hold. Every index is 32 bits wide: NewLayout refuses a
+// matrix whose n or nnz reaches 2³¹ (each flat total is at most nnz).
 type Layout struct {
-	A     *sparse.CSR
-	P     int
-	Ranks []*RankData
+	A *sparse.CSR
+	P int
+
+	rowOff, nbrOff, extOff, bndOff []int32
+
+	// Rows: glob[i] is the global id of rank-ordered row i, which is local
+	// row i − rowOff[p] of its owner p, and diag[i] its diagonal entry.
+	glob []int32
+	diag []float64
+
+	// Off-diagonal entries, split CSR: row i's local couplings are
+	// locCol/locVal[locPtr[i]:locPtr[i+1]] (column: the owner's local row
+	// index), its external couplings extCol/extVal[extPtr[i]:extPtr[i+1]]
+	// (column: the owner's ext slot, counted from extOff[p]). Within a row
+	// the source column order is preserved inside each class; local entries
+	// target r[] and ext entries target extDelta[] (disjoint arrays), so the
+	// split sweep applies the identical update sequence per memory location
+	// as an interleaved walk would — the Gauss–Seidel bits are unchanged.
+	// uint32 columns halve the index bandwidth of the hot sweep.
+	locPtr []int32
+	locCol []uint32
+	locVal []float64
+	extPtr []int32
+	extCol []uint32
+	extVal []float64
+
+	// Neighbors. Position k of rank p, k in [nbrOff[p], nbrOff[p+1]), is
+	// its (k − nbrOff[p])-th neighbor in ascending rank order: nbrs[k] is
+	// that rank and slotInNbr[k] is p's position among the neighbor's own —
+	// the index under which the neighbor files what p sends it.
+	nbrs, slotInNbr []int32
+
+	// Exchange plans, one contiguous range per neighbor position k, both in
+	// ascending global row order — so the ext range of neighbor q here and
+	// the boundary range of this rank on q list the same rows in the same
+	// order, and a message body needs no index. extGlob[nbrExtOff[k]:
+	// nbrExtOff[k+1]]: the global ids of the ext rows neighbor k owns; ext
+	// slots are numbered in this order, so the ghost layer z and extDelta
+	// hold one row per neighbor that a body is copied in and out of.
+	// myRows[nbrBndOff[k]:nbrBndOff[k+1]]: the local rows that couple into
+	// neighbor k (the boundary points β it ghosts). Both offset arrays have
+	// one entry per neighbor position plus one: the ranges tile the arrays.
+	nbrExtOff, nbrBndOff []int32
+	extGlob              []int32
+	myRows               []int32
 }
 
-// ownership is what NewLayout derives from the partition for buildRank and
-// drops when it returns: rows[p] becomes rank p's Glob.
-type ownership struct {
-	part  []int   // owner rank of each global row
-	rows  [][]int // rows[p]: global rows owned by p, ascending
-	local []int   // local[g]: local index of global row g within its owner
-}
-
-// RankData is one rank's static view: a local matrix in split-CSR form
-// where each row's entries are partitioned into local couplings (column
-// owned by this rank) and external couplings (column owned by a neighbor),
-// plus boundary exchange plans.
+// RankData is a rank's share of a Layout as a value, for tests and tools:
+// a local matrix in split-CSR form with local row, local column and ext
+// slot indices, and the exchange plans per neighbor position j. The four
+// offset arrays (LocPtr, ExtPtr, ExtOff, MyOff) are copies rebased to start
+// at zero; every other slice aliases the layout and must not be written.
 type RankData struct {
-	P    int   // this rank
-	Glob []int // global row ids, ascending; local index = position
+	P    int     // this rank
+	Glob []int32 // global row ids, ascending; local index = position
 
-	// Local matrix, split CSR: row li's local couplings are
-	// LocCol/LocVal[LocPtr[li]:LocPtr[li+1]] (local column index), its
-	// external couplings ExtCol/ExtVal[ExtPtr[li]:ExtPtr[li+1]] (ext-row
-	// slot). Within a row the source column order is preserved inside each
-	// class; local entries target r[] and ext entries target extDelta[]
-	// (disjoint arrays), so the split sweep applies the identical update
-	// sequence per memory location as an interleaved walk would — the
-	// Gauss–Seidel bits are unchanged. uint32 columns halve the index
-	// bandwidth of the hot sweep.
-	LocPtr []int
+	LocPtr []int32
 	LocCol []uint32
 	LocVal []float64
-	ExtPtr []int
+	ExtPtr []int32
 	ExtCol []uint32
 	ExtVal []float64
 	Diag   []float64
 	NNZ    int // total off-diagonal entries, local + external
 
-	// Neighbors, ascending rank order. SlotInNbr[j] is this rank's own
-	// position in neighbor j's Nbrs: the index under which neighbor j files
-	// what this rank sends it.
-	Nbrs      []int
+	Nbrs      []int32
 	SlotInNbr []int32
 
-	// Exchange plans, flat, one contiguous range per neighbor position j, both
-	// in ascending global row order — so the ext range of neighbor j here and
-	// MyBnd on neighbor j list the same rows in the same order, and a message
-	// body needs no index. ExtGlob[ExtOff[j]:ExtOff[j+1]]: the global ids of
-	// the ext rows neighbor j owns; ext slots are numbered in this order, so
-	// the ghost layer z and extDelta hold one row per neighbor that a body is
-	// copied in and out of. MyRows[MyOff[j]:MyOff[j+1]]: the local rows that
-	// couple into neighbor j (the boundary points β it ghosts).
-	ExtGlob []int
+	ExtGlob []int32
 	ExtOff  []int32
 	MyRows  []int32
 	MyOff   []int32
 }
 
-// MyBnd returns the local rows that couple into neighbor j, ascending.
-func (rd *RankData) MyBnd(j int) []int32 { return rd.MyRows[rd.MyOff[j]:rd.MyOff[j+1]] }
+// M returns the number of local rows.
+func (rd RankData) M() int { return len(rd.Glob) }
+
+// Rank returns rank p's share of the layout.
+func (l *Layout) Rank(p int) RankData {
+	r0, r1 := l.rowOff[p], l.rowOff[p+1]
+	n0, n1 := l.nbrOff[p], l.nbrOff[p+1]
+	e0, e1 := l.extOff[p], l.extOff[p+1]
+	b0, b1 := l.bndOff[p], l.bndOff[p+1]
+	c0, c1 := l.locPtr[r0], l.locPtr[r1]
+	x0, x1 := l.extPtr[r0], l.extPtr[r1]
+	return RankData{
+		P:         p,
+		Glob:      l.glob[r0:r1:r1],
+		LocPtr:    rebased(l.locPtr[r0 : r1+1]),
+		LocCol:    l.locCol[c0:c1:c1],
+		LocVal:    l.locVal[c0:c1:c1],
+		ExtPtr:    rebased(l.extPtr[r0 : r1+1]),
+		ExtCol:    l.extCol[x0:x1:x1],
+		ExtVal:    l.extVal[x0:x1:x1],
+		Diag:      l.diag[r0:r1:r1],
+		NNZ:       int(c1 - c0 + x1 - x0),
+		Nbrs:      l.nbrs[n0:n1:n1],
+		SlotInNbr: l.slotInNbr[n0:n1:n1],
+		ExtGlob:   l.extGlob[e0:e1:e1],
+		ExtOff:    rebased(l.nbrExtOff[n0 : n1+1]),
+		MyRows:    l.myRows[b0:b1:b1],
+		MyOff:     rebased(l.nbrBndOff[n0 : n1+1]),
+	}
+}
+
+// rebased returns a copy of an offset range shifted to start at zero.
+func rebased(off []int32) []int32 {
+	out := make([]int32, len(off))
+	for i, v := range off {
+		out[i] = v - off[0]
+	}
+	return out
+}
+
+// rows returns the global ids of rank p's rows, ascending.
+func (l *Layout) rows(p int) []int32 { return l.glob[l.rowOff[p]:l.rowOff[p+1]] }
+
+// neighbors returns rank p's neighbor ranks, ascending.
+func (l *Layout) neighbors(p int) []int32 { return l.nbrs[l.nbrOff[p]:l.nbrOff[p+1]] }
+
+// localBlock returns rank p's diagonal and its rows' local-coupling
+// pointers into locCol/locVal: the diagonal block A_pp.
+func (l *Layout) localBlock(p int) (diag []float64, locPtr []int32) {
+	r0, r1 := l.rowOff[p], l.rowOff[p+1]
+	return l.diag[r0:r1], l.locPtr[r0 : r1+1]
+}
+
+// fitsIndex reports, as an error, a count the layout's 32-bit indices cannot
+// hold: every offset and id it stores is below 2³¹.
+func fitsIndex(what string, n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("dmem: %s = %d does not fit the layout's 32-bit indices", what, n)
+	}
+	return nil
+}
 
 // NewLayout distributes a (structurally symmetric) matrix over P ranks
 // according to part. It validates the partition and the symmetry
 // assumption the relaxation kernels rely on.
+//
+// It makes two passes over the ranks, so every array is allocated once at
+// its exact size: the first counts what each rank holds, the second fills
+// the flat arrays at the offsets the counts give. A third pass addresses
+// the exchange plans across ranks. Ranks are independent within a pass
+// (each writes only its own ranges from the read-only matrix and
+// partition), so rank blocks fan out over the shared pool; block boundaries
+// never influence the output, so the layout is identical for any worker
+// count.
 func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
+	if err := fitsIndex("n", a.N); err != nil {
+		return nil, err
+	}
+	if err := fitsIndex("nnz", a.NNZ()); err != nil {
+		return nil, err
+	}
 	if len(part) != a.N {
 		return nil, fmt.Errorf("dmem: partition length %d != n %d", len(part), a.N)
 	}
-	own := ownership{part: part, rows: make([][]int, p), local: make([]int, a.N)}
-	off := make([]int, p+1) // rows are carved from one slab, count-then-fill
+	l := &Layout{A: a, P: p}
+	offs := make([]int32, 4*(p+1))
+	l.rowOff, l.nbrOff, l.extOff, l.bndOff = offs[:p+1:p+1], offs[p+1:2*p+2:2*p+2], offs[2*p+2:3*p+3:3*p+3], offs[3*p+3:]
 	for g, pr := range part {
 		if pr < 0 || pr >= p {
 			return nil, fmt.Errorf("dmem: row %d has invalid rank %d", g, pr)
 		}
-		off[pr+1]++
+		l.rowOff[pr+1]++
 	}
-	slab := make([]int, a.N)
 	for pr := 0; pr < p; pr++ {
-		if off[pr+1] == 0 {
+		if l.rowOff[pr+1] == 0 {
 			return nil, fmt.Errorf("dmem: rank %d owns no rows", pr)
 		}
-		off[pr+1] += off[pr]
-		own.rows[pr] = slab[off[pr]:off[pr]:off[pr+1]]
+		l.rowOff[pr+1] += l.rowOff[pr]
 	}
+	// Rows in rank order, a counting sort of the partition; local[g] is
+	// global row g's index within its owner.
+	l.glob = make([]int32, a.N)
+	local := make([]int32, a.N)
+	next := slices.Clone(l.rowOff[:p])
 	for g, pr := range part {
-		own.local[g] = len(own.rows[pr])
-		own.rows[pr] = append(own.rows[pr], g)
+		i := next[pr]
+		next[pr]++
+		l.glob[i], local[g] = int32(g), i-l.rowOff[pr]
 	}
 
-	// Per-rank extraction: ranks are independent (each writes only its own
-	// RankData from the read-only matrix and partition), so rank blocks fan
-	// out over the shared pool. Each block reuses one pooled position
-	// scratch across its ranks. Block boundaries never influence the
-	// per-rank output, so the layout is identical for any worker count.
-	l := &Layout{A: a, P: p, Ranks: make([]*RankData, p)}
 	nb := rankBlockCount(p)
 	blocks := parallel.SplitN(p, nb, make([]parallel.Range, 0, nb))
-	var build parallel.Task
-	build.F = func(b int) {
-		sc := getLayoutScratch(a.N)
-		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
-			l.Ranks[pr] = buildRank(a, &own, pr, sc)
-		}
-		putLayoutScratch(sc)
-	}
-	parallel.Default().Run(&build, nb)
+	scratch := make([]layoutScratch, nb)
+	var task parallel.Task
 
-	// Second pass: cross-rank slot addressing (needs every rank's Nbrs and
-	// ExtGlob built). Also per-rank independent; a rank records its first
-	// error and the lowest-rank error wins, keeping failures deterministic.
-	errs := make([]error, p)
-	var address parallel.Task
-	address.F = func(b int) {
+	// Pass 1: per row the coupling counts, per rank the neighbors, ext
+	// slots and boundary entries; then prefix sums turn counts into offsets.
+	l.locPtr, l.extPtr = make([]int32, a.N+1), make([]int32, a.N+1)
+	task.F = func(b int) {
+		sc := &scratch[b]
+		sc.seen, sc.nbrSeen, sc.rowSeen = make([]int32, a.N), make([]int32, p), make([]int32, p)
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
-			errs[pr] = addressRank(l, pr)
+			l.countRank(part, pr, sc)
+		}
+		sc.nbrSeen, sc.rowSeen = nil, nil
+	}
+	parallel.Default().Run(&task, nb)
+	for i := range a.N {
+		l.locPtr[i+1] += l.locPtr[i]
+		l.extPtr[i+1] += l.extPtr[i]
+	}
+	for pr := range p {
+		l.nbrOff[pr+1] += l.nbrOff[pr]
+		l.extOff[pr+1] += l.extOff[pr]
+		l.bndOff[pr+1] += l.bndOff[pr]
+	}
+
+	// Pass 2: fill.
+	nLoc, nExt, nNbr := l.locPtr[a.N], l.extPtr[a.N], l.nbrOff[p]
+	l.diag = make([]float64, a.N)
+	l.locCol, l.locVal = make([]uint32, nLoc), make([]float64, nLoc)
+	l.extCol, l.extVal = make([]uint32, nExt), make([]float64, nExt)
+	l.nbrs, l.slotInNbr = make([]int32, nNbr), make([]int32, nNbr)
+	l.nbrExtOff, l.nbrBndOff = make([]int32, nNbr+1), make([]int32, nNbr+1)
+	l.extGlob, l.myRows = make([]int32, l.extOff[p]), make([]int32, l.bndOff[p])
+	task.F = func(b int) {
+		sc := &scratch[b]
+		sc.pos, sc.extNbr, sc.keys = make([]int32, a.N), make([]int32, sc.maxSlots), make([]int64, 0, sc.maxExt)
+		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
+			l.fillRank(part, local, pr, sc)
 		}
 	}
-	parallel.Default().Run(&address, nb)
+	parallel.Default().Run(&task, nb)
+
+	// Pass 3: cross-rank slot addressing (needs every rank's neighbors and
+	// ext rows). A block stops at its first error and the lowest block's
+	// wins, so the error reported is the lowest rank's, deterministically.
+	errs := make([]error, nb)
+	task.F = func(b int) {
+		for pr := blocks[b].Lo; pr < blocks[b].Hi && errs[b] == nil; pr++ {
+			errs[b] = l.addressRank(pr)
+		}
+	}
+	parallel.Default().Run(&task, nb)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -156,190 +289,157 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	return l, nil
 }
 
-// addressRank finds rank pr's slot in each neighbor's Nbrs and checks that
-// every coupling is returned: the exchange plans pair up only on a
-// structurally symmetric matrix.
-func addressRank(l *Layout, pr int) error {
-	rd := l.Ranks[pr]
-	rd.SlotInNbr = make([]int32, len(rd.Nbrs))
-	for j, q := range rd.Nbrs {
-		qd := l.Ranks[q]
-		slot, ok := qd.NbrSlot(pr)
+// rankBlockCount bounds the rank fan-out so at most a handful of
+// extraction scratches (one per block, each two a.N-long int32 arrays) are
+// live at once.
+func rankBlockCount(p int) int {
+	return max(1, min(2*parallel.Default().Workers(), p))
+}
+
+// layoutScratch is one rank block's extraction state for one NewLayout
+// call. seen[c] == stamp marks global row c as met by the rank being
+// visited (stamp advances per rank visit, so nothing is ever reset);
+// nbrSeen (stamped the same way) and rowSeen (stamped g+1 while row g is
+// walked) do the same per owner rank while pass 1 counts neighbors and
+// boundary entries. maxSlots and maxExt are the block's largest ext-slot and
+// external-coupling counts, which size pass 2's buffers: pos, the O(1)
+// global → ext-slot index of the current rank; extNbr, each of its ext
+// slots' neighbor position; keys, the sort keys both exchange plans come
+// out of.
+type layoutScratch struct {
+	stamp            int32
+	seen             []int32
+	nbrSeen, rowSeen []int32
+	maxSlots, maxExt int
+	pos, extNbr      []int32
+	keys             []int64
+}
+
+// countRank is pass 1 for rank pr: it writes each of its rows' local and
+// external coupling counts to locPtr/extPtr[i+1], and its neighbor, ext-slot
+// and boundary-entry counts to nbrOff/extOff/bndOff[pr+1].
+func (l *Layout) countRank(part []int, pr int, sc *layoutScratch) {
+	sc.stamp++
+	nNbr, nSlots, nBnd, nExt := 0, 0, 0, 0
+	for i := l.rowOff[pr]; i < l.rowOff[pr+1]; i++ {
+		g := l.glob[i]
+		cols, _ := l.A.Row(int(g))
+		var loc, ext int32
+		for _, c := range cols {
+			q := part[c]
+			switch {
+			case q != pr:
+				ext++
+				if sc.seen[c] != sc.stamp {
+					sc.seen[c] = sc.stamp
+					nSlots++
+					if sc.nbrSeen[q] != sc.stamp {
+						sc.nbrSeen[q] = sc.stamp
+						nNbr++
+					}
+				}
+				if sc.rowSeen[q] != g+1 {
+					sc.rowSeen[q] = g + 1
+					nBnd++
+				}
+			case c != int(g):
+				loc++
+			}
+		}
+		l.locPtr[i+1], l.extPtr[i+1] = loc, ext
+		nExt += int(ext)
+	}
+	l.nbrOff[pr+1], l.extOff[pr+1], l.bndOff[pr+1] = int32(nNbr), int32(nSlots), int32(nBnd)
+	sc.maxSlots, sc.maxExt = max(sc.maxSlots, nSlots), max(sc.maxExt, nExt)
+}
+
+// fillRank is pass 2 for rank pr: it writes the rank's ranges of every flat
+// array. The ext slots come out of one sort of owner<<32|global id keys, so
+// they are grouped by owner and ascending within one, and the owners met on
+// the way are the neighbor ranks; the boundary rows out of one sort and
+// compact of neighbor<<32|local row keys, one per external coupling.
+func (l *Layout) fillRank(part []int, local []int32, pr int, sc *layoutScratch) {
+	r0, r1 := l.rowOff[pr], l.rowOff[pr+1]
+	n0, e0, b0 := l.nbrOff[pr], l.extOff[pr], l.bndOff[pr]
+	sc.stamp++
+	keys := sc.keys[:0]
+	for _, g := range l.glob[r0:r1] {
+		cols, _ := l.A.Row(int(g))
+		for _, c := range cols {
+			if part[c] != pr && sc.seen[c] != sc.stamp {
+				sc.seen[c] = sc.stamp
+				keys = append(keys, int64(part[c])<<32|int64(c))
+			}
+		}
+	}
+	slices.Sort(keys)
+	nk := n0 - 1 // the current owner's neighbor position
+	for e, key := range keys {
+		if e == 0 || key>>32 != keys[e-1]>>32 {
+			nk++
+			l.nbrs[nk] = int32(key >> 32)
+		}
+		g := int32(uint32(key))
+		l.extGlob[e0+int32(e)], sc.pos[g], sc.extNbr[e] = g, int32(e), nk-n0
+		l.nbrExtOff[nk+1] = e0 + int32(e) + 1
+	}
+
+	// Matrix entries, split by coupling class.
+	keys = keys[:0]
+	for i := r0; i < r1; i++ {
+		g := int(l.glob[i])
+		kl, ke := l.locPtr[i], l.extPtr[i]
+		cols, vals := l.A.Row(g)
+		for k, c := range cols {
+			v := vals[k]
+			switch {
+			case c == g:
+				l.diag[i] = v
+			case part[c] == pr:
+				l.locCol[kl], l.locVal[kl] = uint32(local[c]), v
+				kl++
+			default:
+				s := sc.pos[c]
+				l.extCol[ke], l.extVal[ke] = uint32(s), v
+				ke++
+				keys = append(keys, int64(sc.extNbr[s])<<32|int64(i-r0))
+			}
+		}
+	}
+	// Boundary rows: the distinct keys, grouped by neighbor, ascending row.
+	// Every neighbor owns an ext row, so none of its ranges is empty.
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	for i, key := range keys {
+		l.myRows[b0+int32(i)] = int32(key)
+		l.nbrBndOff[n0+int32(key>>32)+1] = b0 + int32(i) + 1
+	}
+	sc.keys = keys
+}
+
+// addressRank finds rank pr's slot among each neighbor's neighbors and
+// checks that every coupling is returned: the exchange plans pair up only
+// on a structurally symmetric matrix.
+func (l *Layout) addressRank(pr int) error {
+	glob := l.rows(pr)
+	for k := l.nbrOff[pr]; k < l.nbrOff[pr+1]; k++ {
+		q := int(l.nbrs[k])
+		slot, ok := slices.BinarySearch(l.neighbors(q), int32(pr))
 		if !ok {
 			return fmt.Errorf("dmem: asymmetric coupling: rank %d couples into rank %d but not back", pr, q)
 		}
-		rd.SlotInNbr[j] = int32(slot)
-		mine := qd.ExtGlob[qd.ExtOff[slot]:qd.ExtOff[slot+1]] // q's ghosts of this rank's rows, ascending
-		if len(mine) > len(rd.MyBnd(j)) {
-			return fmt.Errorf("dmem: asymmetric coupling: rank %d ghosts %d rows of rank %d but only %d couple into it", q, len(mine), pr, len(rd.MyBnd(j)))
+		l.slotInNbr[k] = int32(slot)
+		kq := int(l.nbrOff[q]) + slot
+		mine := l.extGlob[l.nbrExtOff[kq]:l.nbrExtOff[kq+1]] // q's ghosts of this rank's rows, ascending
+		bnd := l.myRows[l.nbrBndOff[k]:l.nbrBndOff[k+1]]
+		if len(mine) > len(bnd) {
+			return fmt.Errorf("dmem: asymmetric coupling: rank %d ghosts %d rows of rank %d but only %d couple into it", q, len(mine), pr, len(bnd))
 		}
-		for _, li := range rd.MyBnd(j) {
-			if _, ok := slices.BinarySearch(mine, rd.Glob[li]); !ok {
-				return fmt.Errorf("dmem: asymmetric coupling: row %d couples into rank %d but not back", rd.Glob[li], q)
+		for _, li := range bnd {
+			if _, ok := slices.BinarySearch(mine, glob[li]); !ok {
+				return fmt.Errorf("dmem: asymmetric coupling: row %d couples into rank %d but not back", glob[li], q)
 			}
 		}
 	}
 	return nil
 }
-
-// rankBlockCount bounds the rank fan-out so at most a handful of position
-// scratches (one per in-flight block, each a.N ints) are live at once.
-func rankBlockCount(p int) int {
-	return max(1, min(2*parallel.Default().Workers(), p))
-}
-
-// layoutScratch is the reusable extraction state: pos[g] is -1 when global
-// row g is untouched, and otherwise holds g's slot in the current rank's
-// ExtGlob (or 0 as a transient seen-marker while collecting). Every rank
-// resets exactly the entries it touched, so a recycled scratch is all -1.
-// ext and bnd collect the sort keys the two exchange plans come out of
-// (owner<<32|global id per external row, neighbor<<32|local row per external
-// coupling); extNbr is each ext slot's neighbor position. Every rank
-// overwrites all three.
-type layoutScratch struct {
-	pos      []int32
-	ext, bnd []int64
-	extNbr   []int32
-}
-
-var layoutFree struct {
-	mu   sync.Mutex
-	list []*layoutScratch
-}
-
-func getLayoutScratch(n int) *layoutScratch {
-	layoutFree.mu.Lock()
-	var sc *layoutScratch
-	if k := len(layoutFree.list); k > 0 {
-		sc = layoutFree.list[k-1]
-		layoutFree.list[k-1] = nil
-		layoutFree.list = layoutFree.list[:k-1]
-	}
-	layoutFree.mu.Unlock()
-	if sc == nil || len(sc.pos) < n {
-		sc = &layoutScratch{pos: make([]int32, n)}
-		for i := range sc.pos {
-			sc.pos[i] = -1
-		}
-	}
-	return sc
-}
-
-func putLayoutScratch(sc *layoutScratch) {
-	layoutFree.mu.Lock()
-	layoutFree.list = append(layoutFree.list, sc)
-	layoutFree.mu.Unlock()
-}
-
-// buildRank extracts rank p's local view in two passes over its rows, so
-// every array is allocated once at its exact size: the first collects the
-// external rows and counts the coupling classes, the second fills. sc is the
-// pooled extraction scratch; its pos (all -1 on entry and on return) is first
-// the seen-marker of the collection, then the O(1) global → ext-slot index.
-func buildRank(a *sparse.CSR, own *ownership, p int, sc *layoutScratch) *RankData {
-	rows, pos, part := own.rows[p], sc.pos, own.part
-	rd := &RankData{
-		P:      p,
-		Glob:   rows,
-		LocPtr: make([]int, len(rows)+1),
-		ExtPtr: make([]int, len(rows)+1),
-		Diag:   make([]float64, len(rows)),
-	}
-	ext := sc.ext[:0]
-	nLoc, nExt := 0, 0
-	for _, g := range rows {
-		cols, _ := a.Row(g)
-		for _, c := range cols {
-			switch {
-			case part[c] != p:
-				nExt++
-				if pos[c] < 0 {
-					pos[c] = 0
-					ext = append(ext, int64(part[c])<<32|int64(c))
-				}
-			case c != g:
-				nLoc++
-			}
-		}
-	}
-	// Ext slots: sorted by owner<<32|global id, so grouped by owner and
-	// ascending within one. The owners met on the way are the neighbor ranks.
-	slices.Sort(ext)
-	nn := 0
-	for e, k := range ext {
-		if e == 0 || k>>32 != ext[e-1]>>32 {
-			nn++
-		}
-	}
-	rd.ExtGlob = make([]int, len(ext))
-	rd.Nbrs = make([]int, 0, nn)
-	offs := make([]int32, 2*(nn+1))
-	rd.ExtOff, rd.MyOff = offs[:nn+1:nn+1], offs[nn+1:]
-	extNbr := sc.extNbr[:0]
-	for e, k := range ext {
-		if e == 0 || k>>32 != ext[e-1]>>32 {
-			rd.Nbrs = append(rd.Nbrs, int(k>>32))
-		}
-		g := int(uint32(k))
-		rd.ExtGlob[e], pos[g] = g, int32(e)
-		rd.ExtOff[len(rd.Nbrs)] = int32(e + 1)
-		extNbr = append(extNbr, int32(len(rd.Nbrs)-1))
-	}
-
-	// Local matrix entries, split by coupling class; bnd collects a
-	// (neighbor, row) key per external coupling.
-	bnd := sc.bnd[:0]
-	rd.LocCol = make([]uint32, 0, nLoc)
-	rd.LocVal = make([]float64, 0, nLoc)
-	rd.ExtCol = make([]uint32, 0, nExt)
-	rd.ExtVal = make([]float64, 0, nExt)
-	for li, g := range rows {
-		cols, vals := a.Row(g)
-		for k, c := range cols {
-			v := vals[k]
-			if c == g {
-				rd.Diag[li] = v
-				continue
-			}
-			if part[c] == p {
-				rd.LocCol = append(rd.LocCol, uint32(own.local[c]))
-				rd.LocVal = append(rd.LocVal, v)
-			} else {
-				rd.ExtCol = append(rd.ExtCol, uint32(pos[c]))
-				rd.ExtVal = append(rd.ExtVal, v)
-				bnd = append(bnd, int64(extNbr[pos[c]])<<32|int64(li))
-			}
-		}
-		rd.LocPtr[li+1] = len(rd.LocVal)
-		rd.ExtPtr[li+1] = len(rd.ExtVal)
-	}
-	rd.NNZ = len(rd.LocVal) + len(rd.ExtVal)
-	// Boundary rows: the distinct keys, grouped by neighbor, ascending row.
-	// Every neighbor owns an ext row, so none of its ranges is empty.
-	slices.Sort(bnd)
-	bnd = slices.Compact(bnd)
-	rd.MyRows = make([]int32, len(bnd))
-	for i, k := range bnd {
-		rd.MyRows[i] = int32(k)
-		rd.MyOff[k>>32+1] = int32(i + 1)
-	}
-	// Leave the scratch all -1 for the next rank.
-	for _, g := range rd.ExtGlob {
-		pos[g] = -1
-	}
-	sc.ext, sc.extNbr, sc.bnd = ext, extNbr, bnd
-	return rd
-}
-
-// NbrSlot returns the position of rank q in Nbrs, and whether q is a
-// neighbor at all. It is a binary search, for set-up and tests; the solvers
-// carry the slot in their payloads (SlotInNbr).
-func (rd *RankData) NbrSlot(q int) (int, bool) {
-	return slices.BinarySearch(rd.Nbrs, q)
-}
-
-// M returns the number of local rows.
-func (rd *RankData) M() int { return len(rd.Glob) }
-
-// Degree returns the number of neighbor ranks.
-func (rd *RankData) Degree() int { return len(rd.Nbrs) }

@@ -2,6 +2,7 @@ package dmem
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"southwell/internal/partition"
@@ -13,8 +14,8 @@ import (
 // external rows and neighbors in while building per-rank boundary/ghost
 // indexing, it must collect then sort, so that repeated constructions from
 // identical inputs yield bit-identical layouts. Ten constructions must
-// produce deeply equal RankData, including every exchange-plan slice whose
-// order feeds message traffic.
+// produce deeply equal flat arrays, including every exchange-plan array
+// whose order feeds message traffic.
 func TestLayoutDeterministic(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
 	part := partition.Partition(a, 7, partition.Options{Seed: 42})
@@ -28,29 +29,46 @@ func TestLayoutDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p := range l.Ranks {
-			got, want := l.Ranks[p], ref.Ranks[p]
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("run %d: RankData for rank %d differs from run 0:\n got %+v\nwant %+v",
-					run, p, got, want)
+		if !reflect.DeepEqual(l, ref) {
+			t.Fatalf("run %d: layout differs from run 0:\n got %+v\nwant %+v", run, l, ref)
+		}
+	}
+
+	// Row ownership: rank p's rows are exactly the rows part gives it,
+	// ascending, so a row's local index is its position there, and the ranks
+	// cover every row once.
+	l := ref
+	if l.rowOff[0] != 0 || int(l.rowOff[l.P]) != a.N || len(l.glob) != a.N {
+		t.Fatalf("rowOff %v does not span the %d rows", l.rowOff, a.N)
+	}
+	for p := range l.P {
+		rows := l.rows(p)
+		for li, g := range rows {
+			if part[g] != p || li > 0 && rows[li-1] >= g {
+				t.Fatalf("rank %d: rows are not its own strictly ascending: %v", p, rows)
 			}
 		}
 	}
 
-	// Row ownership: rank p's Glob is exactly the rows part gives it,
-	// ascending, so a row's local index is its position there, and the ranks
-	// cover every row once.
-	owned := 0
-	for p, rd := range ref.Ranks {
-		for li, g := range rd.Glob {
-			if part[g] != p || li > 0 && rd.Glob[li-1] >= g {
-				t.Fatalf("rank %d: Glob is not its rows strictly ascending: %v", p, rd.Glob)
-			}
-		}
-		owned += rd.M()
+	// The four offset tables tile their arrays in rank order, and the
+	// per-neighbor ranges start where the rank's own do.
+	nNbr := int(l.nbrOff[l.P])
+	if len(l.nbrs) != nNbr || len(l.slotInNbr) != nNbr || len(l.nbrExtOff) != nNbr+1 || len(l.nbrBndOff) != nNbr+1 {
+		t.Fatalf("neighbor arrays do not match nbrOff's total %d", nNbr)
 	}
-	if owned != a.N {
-		t.Fatalf("the ranks own %d rows, want %d", owned, a.N)
+	if int(l.extOff[l.P]) != len(l.extGlob) || int(l.bndOff[l.P]) != len(l.myRows) ||
+		int(l.nbrExtOff[nNbr]) != len(l.extGlob) || int(l.nbrBndOff[nNbr]) != len(l.myRows) {
+		t.Fatalf("extOff/bndOff do not span extGlob (%d) and myRows (%d)", len(l.extGlob), len(l.myRows))
+	}
+	if int(l.locPtr[a.N]) != len(l.locCol) || int(l.extPtr[a.N]) != len(l.extCol) {
+		t.Fatalf("locPtr/extPtr do not span locCol (%d) and extCol (%d)", len(l.locCol), len(l.extCol))
+	}
+	for p := range l.P {
+		n0 := l.nbrOff[p]
+		if l.nbrOff[p] > l.nbrOff[p+1] || l.nbrExtOff[n0] != l.extOff[p] || l.nbrBndOff[n0] != l.bndOff[p] {
+			t.Errorf("rank %d: neighbor ranges start at ext %d / boundary %d, want %d / %d",
+				p, l.nbrExtOff[n0], l.nbrBndOff[n0], l.extOff[p], l.bndOff[p])
+		}
 	}
 
 	// The orderings the exchange plans rely on are not just stable but
@@ -58,51 +76,43 @@ func TestLayoutDeterministic(t *testing.T) {
 	// grouped by owner in neighbor order, global ids ascending within an
 	// owner's range, every slot in exactly one range; boundary rows ascending
 	// within a neighbor's range.
-	for p, rd := range ref.Ranks {
-		for j := 1; j < len(rd.Nbrs); j++ {
-			if rd.Nbrs[j-1] >= rd.Nbrs[j] {
-				t.Errorf("rank %d: Nbrs not strictly ascending: %v", p, rd.Nbrs)
+	for p := range l.P {
+		nbrs := l.neighbors(p)
+		for j := 1; j < len(nbrs); j++ {
+			if nbrs[j-1] >= nbrs[j] {
+				t.Errorf("rank %d: neighbors not strictly ascending: %v", p, nbrs)
 				break
 			}
 		}
-		deg := len(rd.Nbrs)
-		if len(rd.ExtOff) != deg+1 || rd.ExtOff[0] != 0 || int(rd.ExtOff[deg]) != len(rd.ExtGlob) {
-			t.Fatalf("rank %d: ExtOff %v does not span the %d ext slots of %d neighbors", p, rd.ExtOff, len(rd.ExtGlob), deg)
-		}
-		if len(rd.MyOff) != deg+1 || rd.MyOff[0] != 0 || int(rd.MyOff[deg]) != len(rd.MyRows) {
-			t.Fatalf("rank %d: MyOff %v does not span the %d boundary rows of %d neighbors", p, rd.MyOff, len(rd.MyRows), deg)
-		}
-		for j, q := range rd.Nbrs {
-			// Non-empty ranges that tile [0, len): every slot is in exactly one.
-			if rd.ExtOff[j] >= rd.ExtOff[j+1] || rd.MyOff[j] >= rd.MyOff[j+1] {
-				t.Errorf("rank %d: neighbor %d has an empty or reversed range: ExtOff %v MyOff %v", p, q, rd.ExtOff, rd.MyOff)
+		for k := l.nbrOff[p]; k < l.nbrOff[p+1]; k++ {
+			q := int(l.nbrs[k])
+			// Non-empty ranges that tile the rank's range: every slot is in exactly one.
+			if l.nbrExtOff[k] >= l.nbrExtOff[k+1] || l.nbrBndOff[k] >= l.nbrBndOff[k+1] {
+				t.Errorf("rank %d: neighbor %d has an empty or reversed range: ext %v boundary %v",
+					p, q, l.nbrExtOff[k:k+2], l.nbrBndOff[k:k+2])
 			}
-			ext := rd.ExtGlob[rd.ExtOff[j]:rd.ExtOff[j+1]]
-			for k, g := range ext {
-				if part[g] != q || k > 0 && ext[k-1] >= g {
+			ext := l.extGlob[l.nbrExtOff[k]:l.nbrExtOff[k+1]]
+			for i, g := range ext {
+				if part[g] != q || i > 0 && ext[i-1] >= g {
 					t.Errorf("rank %d: ext range of neighbor %d is not its rows strictly ascending: %v", p, q, ext)
 					break
 				}
 			}
-			bnd := rd.MyBnd(j)
-			for k, li := range bnd {
-				if k > 0 && bnd[k-1] >= li {
-					t.Errorf("rank %d: MyBnd(%d) not strictly ascending: %v", p, j, bnd)
+			bnd := l.myRows[l.nbrBndOff[k]:l.nbrBndOff[k+1]]
+			for i, li := range bnd {
+				if i > 0 && bnd[i-1] >= li {
+					t.Errorf("rank %d: boundary rows toward neighbor %d not strictly ascending: %v", p, q, bnd)
 					break
 				}
 			}
-		}
-		for j, q := range rd.Nbrs {
-			if got, ok := rd.NbrSlot(q); !ok || got != j {
-				t.Errorf("rank %d: NbrSlot(%d) = %d, %v, want %d", p, q, got, ok, j)
-			}
-			if back := int(ref.Ranks[q].SlotInNbr[rd.SlotInNbr[j]]); back != j {
-				t.Errorf("rank %d: neighbor %d files this rank under slot %d, whose SlotInNbr points back at %d, want %d",
-					p, q, rd.SlotInNbr[j], back, j)
+			j := int(k - l.nbrOff[p])
+			if back := int(l.slotInNbr[int(l.nbrOff[q])+int(l.slotInNbr[k])]); back != j {
+				t.Errorf("rank %d: neighbor %d files this rank under slot %d, whose slotInNbr points back at %d, want %d",
+					p, q, l.slotInNbr[k], back, j)
 			}
 		}
-		if _, ok := rd.NbrSlot(p); ok {
-			t.Errorf("rank %d: NbrSlot reports the rank as its own neighbor", p)
+		if slices.Contains(nbrs, int32(p)) {
+			t.Errorf("rank %d is its own neighbor", p)
 		}
 	}
 }

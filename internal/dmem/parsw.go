@@ -53,14 +53,14 @@ func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Res
 					rs.applyDeltas(j, pl.deltas)
 					changed = true
 				}
-				if int64(pl.seq) >= rs.seqSeen[j] {
-					rs.seqSeen[j] = int64(pl.seq)
+				if pl.seq >= rs.seqSeen[j] {
+					rs.seqSeen[j] = pl.seq
 					rs.gamma[j] = pl.norm
 				}
 			}
 			if changed {
 				rs.norm = rs.computeNorm()
-				w.Charge(p, 2*float64(rs.rd.M()))
+				w.Charge(p, 2*float64(len(rs.r)))
 			}
 		}
 
@@ -69,7 +69,7 @@ func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Res
 			absorb(p)
 			rs := states[p]
 			wins := rs.winsAll()
-			w.Charge(p, float64(rs.rd.Degree()))
+			w.Charge(p, float64(len(rs.gamma)))
 			traceDecision(w, *step, p, rs, wins)
 			if !wins {
 				return
@@ -79,13 +79,13 @@ func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Res
 			flops := rs.relaxLocal()
 			rs.norm = rs.computeNorm()
 			rs.lastTold = rs.norm
-			w.Charge(p, flops+2*float64(rs.rd.M()))
-			for j, q := range rs.rd.Nbrs {
+			w.Charge(p, flops+2*float64(len(rs.r)))
+			for j, q := range rs.nbrs() {
 				pl := &rs.solve[j]
 				_, delta := rs.ghost(j)
 				copy(pl.deltas, delta)
 				pl.norm, pl.seq = rs.norm, 2*int32(*step)
-				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
+				w.Put(p, int(q), rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
 			}
 		}
 		if !announce {
@@ -104,10 +104,10 @@ func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Res
 
 				traceResSend(w, *step, p, -1, rs.lastTold, rs, false)
 				rs.lastTold = rs.norm
-				for j, q := range rs.rd.Nbrs {
+				for j, q := range rs.nbrs() {
 					pl := &rs.res[j]
 					pl.norm, pl.seq = rs.norm, 2*int32(*step)+1
-					w.Put(p, q, rma.TagResidual, msgBytes(1), pl)
+					w.Put(p, int(q), rma.TagResidual, msgBytes(1), pl)
 				}
 			}
 		}

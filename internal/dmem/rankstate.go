@@ -5,7 +5,14 @@ import "math"
 // rankState is the dynamic per-rank state shared by all methods; the
 // Southwell methods use the norm-estimate fields.
 type rankState struct {
-	rd   *RankData
+	// The rank's share of the layout: l holds the arrays, p is the rank, and
+	// row0, nbr0 and ext0 are its first row, neighbor position and ext slot
+	// there (Layout.rowOff/nbrOff/extOff[p], kept because every kernel cuts
+	// its slices at them). m, the degree and the ext count are len(r),
+	// len(gamma) and len(z).
+	l                   *Layout
+	p, row0, nbr0, ext0 int32
+
 	x    []float64
 	r    []float64 // exact local residual
 	norm float64   // exact local ‖r_p‖₂ (kept current at phase boundaries)
@@ -26,7 +33,7 @@ type rankState struct {
 	// applied (they are additive and exact regardless of order), but its
 	// stale Γ/Γ̃/ghost values must not overwrite newer ones. Always zero on
 	// a perfect network (messages arrive in order, never late).
-	seqSeen []int64
+	seqSeen []int32
 
 	extDelta []float64 // scratch, per ext row
 	relaxed  bool      // relaxed in the current step
@@ -76,7 +83,7 @@ type payload struct {
 	norm    float64
 	estRecv float64
 	seq     int32 // sender sequence number (stale-estimate guard; see seqSeen)
-	slot    int32 // the sender's position in the receiver's Nbrs (RankData.SlotInNbr)
+	slot    int32 // the sender's position among the receiver's neighbors (Layout.slotInNbr)
 }
 
 // CloneMessage deep-copies the body for the fault layer: the sender refills
@@ -104,12 +111,13 @@ func (rs *rankState) relaxLocal() float64 {
 // sparse backend, 2m² for the dense one) plus the coupling scatter and the
 // solution update — not the hard-coded dense estimate of old.
 func (rs *rankState) relaxDirect() float64 {
-	rd := rs.rd
+	l := rs.l
 	r, x, extDelta := rs.r, rs.x, rs.extDelta
-	d := rs.direct.d[:len(r)]
+	m := len(r)
+	d := rs.direct.d[:m]
 	rs.direct.f.SolveInto(r, d, rs.direct.scratch)
 	// Operands are locals cut once per row (DESIGN.md §10, "Kernel form").
-	extPtr, extCol, extVal := rd.ExtPtr, rd.ExtCol, rd.ExtVal
+	extPtr, extCol, extVal := l.extPtr[rs.row0:][:m+1], l.extCol, l.extVal
 	for li, dl := range d {
 		x[li] += dl
 		r[li] = 0
@@ -120,7 +128,13 @@ func (rs *rankState) relaxDirect() float64 {
 			extDelta[c] -= vals[k] * dl
 		}
 	}
-	return rs.direct.f.SolveFlops() + float64(rd.NNZ) + float64(rd.M())
+	return rs.direct.f.SolveFlops() + float64(rs.nnz()) + float64(m)
+}
+
+// nnz returns the rank's off-diagonal entry count, local + external.
+func (rs *rankState) nnz() int {
+	l, lo, hi := rs.l, int(rs.row0), int(rs.row0)+len(rs.r)
+	return int(l.locPtr[hi] - l.locPtr[lo] + l.extPtr[hi] - l.extPtr[lo])
 }
 
 // computeNorm returns ‖r‖₂ of the local residual. The naive
@@ -169,11 +183,12 @@ func (rs *rankState) computeNorm() float64 {
 // Operands are locals cut once per row (DESIGN.md §10, "Kernel form"); the
 // visit order and the one a -= b*c expression per update may not change.
 func (rs *rankState) relaxSweep() float64 {
-	rd := rs.rd
+	l := rs.l
 	r, x, extDelta := rs.r, rs.x, rs.extDelta
-	diag := rd.Diag[:len(r)]
-	locPtr, locCol, locVal := rd.LocPtr, rd.LocCol, rd.LocVal
-	extPtr, extCol, extVal := rd.ExtPtr, rd.ExtCol, rd.ExtVal
+	m := len(r)
+	diag := l.diag[rs.row0:][:m]
+	locPtr, locCol, locVal := l.locPtr[rs.row0:][:m+1], l.locCol, l.locVal
+	extPtr, extCol, extVal := l.extPtr[rs.row0:][:m+1], l.extCol, l.extVal
 	for li, aii := range diag {
 		d := r[li] / aii
 		x[li] += d
@@ -191,21 +206,32 @@ func (rs *rankState) relaxSweep() float64 {
 			extDelta[c] -= vals[k] * d
 		}
 	}
-	return float64(2*rd.NNZ + 3*rd.M())
+	return float64(2*rs.nnz() + 3*m)
 }
 
+// nbrs returns the rank's neighbor ranks, ascending: neighbor position j is
+// nbrs()[j].
+func (rs *rankState) nbrs() []int32 { return rs.l.nbrs[rs.nbr0:][:len(rs.gamma)] }
+
 // ghost returns neighbor j's row of the ghost layer and of extDelta: the ext
-// slots of the rows j owns are one contiguous range (RankData.ExtOff), in the
-// order of j's message bodies, so deltas and ghost refreshes are copies.
+// slots of the rows j owns are one contiguous range (Layout.nbrExtOff), in
+// the order of j's message bodies, so deltas and ghost refreshes are copies.
 func (rs *rankState) ghost(j int) (z, delta []float64) {
-	lo, hi := rs.rd.ExtOff[j], rs.rd.ExtOff[j+1]
+	off := rs.l.nbrExtOff[int(rs.nbr0)+j:]
+	lo, hi := off[0]-rs.ext0, off[1]-rs.ext0
 	return rs.z[lo:hi], rs.extDelta[lo:hi]
+}
+
+// myBnd returns the local rows that couple into neighbor j, ascending.
+func (rs *rankState) myBnd(j int) []int32 {
+	off := rs.l.nbrBndOff[int(rs.nbr0)+j:]
+	return rs.l.myRows[off[0]:off[1]]
 }
 
 // gatherBnd collects the residual values of this rank's boundary rows toward
 // neighbor j into a message body's bnd.
 func (rs *rankState) gatherBnd(j int, out []float64) {
-	for k, li := range rs.rd.MyBnd(j) {
+	for k, li := range rs.myBnd(j) {
 		out[k] = rs.r[li]
 	}
 }
@@ -216,8 +242,8 @@ func (rs *rankState) winsAll() bool {
 	if !(rs.norm > 0) {
 		return false
 	}
-	for j, q := range rs.rd.Nbrs {
-		if !winsOver(rs.norm, rs.rd.P, rs.gamma[j], q) {
+	for j, q := range rs.nbrs() {
+		if !winsOver(rs.norm, int(rs.p), rs.gamma[j], int(q)) {
 			return false
 		}
 	}
@@ -227,7 +253,7 @@ func (rs *rankState) winsAll() bool {
 // applyDeltas adds incoming residual deltas from neighbor j to the local
 // boundary rows (same static ordering on both sides; see layout tests).
 func (rs *rankState) applyDeltas(j int, deltas []float64) {
-	for k, li := range rs.rd.MyBnd(j) {
+	for k, li := range rs.myBnd(j) {
 		rs.r[li] += deltas[k]
 	}
 }

@@ -17,14 +17,14 @@ type runState struct {
 	rGlob  []float64 // reset scratch: b − Ax
 	norms2 []float64 // squared local norms in rank order (flatNorm)
 	// seqSeen and sentTo back every rank's slices of that name.
-	seqSeen []int64
+	seqSeen []int32
 	sentTo  []bool
 }
 
 // newRunState allocates the run state of a layout and binds what never
-// changes: the message bodies' buffers and slots, and the local factors of a
-// Setup that has them. Nothing else in it is initialized for a solve: that is
-// reset's job alone.
+// changes: each rank's place in the layout, the message bodies' buffers and
+// slots, and the local factors of a Setup that has them. Nothing else in it
+// is initialized for a solve: that is reset's job alone.
 func newRunState(s *Setup) *runState {
 	l := s.Layout
 	p := l.P
@@ -32,17 +32,17 @@ func newRunState(s *Setup) *runState {
 		l: l, w: rma.NewWorld(p, rma.CostModel{}), states: make([]*rankState, p),
 		rGlob: make([]float64, l.A.N), norms2: make([]float64, p),
 	}
-	nf, nd := 0, 0
-	for pr, rd := range l.Ranks {
-		nd += rd.Degree()
-		// Vectors, ghost rows and Γ/Γ̃, then the message bodies: one deltas
-		// per ext row, a solve bnd and a res bnd per boundary row.
-		nf += 2*rd.M() + 3*len(rd.ExtGlob) + 2*rd.Degree() + 2*len(rd.MyRows)
-		if s.factors != nil {
-			nf += rd.M() + s.factors[pr].ScratchLen()
+	// Vectors, ghost rows and Γ/Γ̃, then the message bodies: one deltas per
+	// ext row, a solve bnd and a res bnd per boundary row.
+	nd := int(l.nbrOff[p])
+	nf := 2*l.A.N + 3*int(l.extOff[p]) + 2*nd + 2*int(l.bndOff[p])
+	if s.factors != nil {
+		nf += l.A.N
+		for _, f := range s.factors {
+			nf += f.ScratchLen()
 		}
 	}
-	st.seqSeen, st.sentTo = make([]int64, nd), make([]bool, nd)
+	st.seqSeen, st.sentTo = make([]int32, nd), make([]bool, nd)
 	floats, bodies, slab := make([]float64, nf), make([]payload, 2*nd), make([]rankState, p)
 	// Sub-slices are capacity-capped: an append can never reach a neighbor.
 	take := func(n int) []float64 {
@@ -58,29 +58,30 @@ func newRunState(s *Setup) *runState {
 	e := &st.eng
 	e.w, e.states = st.w, st.states
 	e.list, e.inSet, e.sawMail, e.idleDeg = make([]int32, p), make([]bool, p), make([]bool, p), make([]float64, p)
-	lo := 0
-	for pr, rd := range l.Ranks {
-		m, ext, deg := rd.M(), len(rd.ExtGlob), rd.Degree()
-		hi := lo + deg
+	for pr := range p {
+		r0, n0, e0 := l.rowOff[pr], l.nbrOff[pr], l.extOff[pr]
+		m, deg, ext := int(l.rowOff[pr+1]-r0), int(l.nbrOff[pr+1]-n0), int(l.extOff[pr+1]-e0)
+		lo, hi := int(n0), int(n0)+deg
 		rs := &slab[pr]
 		*rs = rankState{
-			rd: rd, x: take(m), r: take(m), z: take(ext), extDelta: take(ext),
+			l: l, p: int32(pr), row0: r0, nbr0: n0, ext0: e0,
+			x: take(m), r: take(m), z: take(ext), extDelta: take(ext),
 			gamma: take(deg), gammaTilde: take(deg),
 			seqSeen: st.seqSeen[lo:hi:hi], sentTo: st.sentTo[lo:hi:hi],
 			solve: takeBodies(deg), res: takeBodies(deg),
 		}
-		lo = hi
-		for j, slot := range rd.SlotInNbr {
-			nExt, nBnd := int(rd.ExtOff[j+1]-rd.ExtOff[j]), len(rd.MyBnd(j))
-			rs.solve[j] = payload{deltas: take(nExt), bnd: take(nBnd), slot: slot}
-			rs.res[j] = payload{bnd: take(nBnd), slot: slot}
+		for j := range deg {
+			k := lo + j
+			nExt, nBnd := int(l.nbrExtOff[k+1]-l.nbrExtOff[k]), int(l.nbrBndOff[k+1]-l.nbrBndOff[k])
+			rs.solve[j] = payload{deltas: take(nExt), bnd: take(nBnd), slot: l.slotInNbr[k]}
+			rs.res[j] = payload{bnd: take(nBnd), slot: l.slotInNbr[k]}
 		}
 		if s.factors != nil {
 			f := s.factors[pr]
 			rs.direct.f, rs.direct.d, rs.direct.scratch = f, take(m), take(f.ScratchLen())
 		}
 		st.states[pr] = rs
-		e.idleDeg[pr] = float64(deg) // phase-1 idle charge: the unconditional Degree() scan
+		e.idleDeg[pr] = float64(deg) // phase-1 idle charge: the unconditional degree scan
 	}
 	return st
 }
@@ -97,11 +98,11 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	l.A.Residual(b, x, st.rGlob)
 	e.list = e.list[:l.P]
 	for p, rs := range st.states {
-		for li, g := range rs.rd.Glob {
+		for li, g := range l.rows(p) {
 			rs.x[li] = x[g]
 			rs.r[li] = st.rGlob[g]
 		}
-		for k, g := range rs.rd.ExtGlob {
+		for k, g := range l.extGlob[rs.ext0:][:len(rs.z)] {
 			rs.z[k] = st.rGlob[g]
 		}
 		rs.norm = rs.computeNorm()
@@ -110,7 +111,7 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 		e.list[p], e.inSet[p], e.sawMail[p] = int32(p), true, false // step 1 runs every rank: no hold has been observed yet
 	}
 	for _, rs := range st.states {
-		for j, q := range rs.rd.Nbrs {
+		for j, q := range rs.nbrs() {
 			rs.gamma[j] = st.states[q].norm
 			rs.gammaTilde[j] = rs.norm
 		}

@@ -65,48 +65,52 @@ func (s *denseShared) SolveInto(b, x, scratch []float64) { s.lu.SolveWith(b, x, 
 func (s *denseShared) SolveFlops() float64 { m := float64(s.m); return 2 * m * m }
 func (s *denseShared) ScratchLen() int     { return s.m }
 
-// localBlockCSR assembles rank rd's diagonal block A_pp as a standalone
-// CSR (local row/column indices, diagonal included) for the sparse
-// factorization. The block of a structurally symmetric matrix restricted
-// to one rank's rows is itself structurally symmetric, which is exactly
-// what spdirect.Analyze requires.
-func localBlockCSR(rd *RankData) (rowPtr, col []int, val []float64) {
-	m := rd.M()
+// localBlockCSR assembles rank p's diagonal block A_pp as a standalone CSR
+// (local row/column indices, diagonal included) for the sparse
+// factorization. The block of a structurally symmetric matrix restricted to
+// one rank's rows is itself structurally symmetric, which is exactly what
+// spdirect.Analyze requires.
+func localBlockCSR(l *Layout, p int) (rowPtr, col []int, val []float64) {
+	diag, locPtr := l.localBlock(p)
+	m := len(diag)
 	rowPtr = make([]int, m+1)
 	for li := 0; li < m; li++ {
-		rowPtr[li+1] = rowPtr[li] + 1 + (rd.LocPtr[li+1] - rd.LocPtr[li])
+		rowPtr[li+1] = rowPtr[li] + 1 + int(locPtr[li+1]-locPtr[li])
 	}
 	col = make([]int, rowPtr[m])
 	val = make([]float64, rowPtr[m])
 	w := 0
-	for li := 0; li < m; li++ {
-		col[w], val[w] = li, rd.Diag[li]
+	for li, d := range diag {
+		col[w], val[w] = li, d
 		w++
-		for k := rd.LocPtr[li]; k < rd.LocPtr[li+1]; k++ {
-			col[w], val[w] = int(rd.LocCol[k]), rd.LocVal[k]
+		lo, hi := locPtr[li], locPtr[li+1]
+		cols := l.locCol[lo:hi]
+		vals := l.locVal[lo:hi][:len(cols)]
+		for k, c := range cols {
+			col[w], val[w] = int(c), vals[k]
 			w++
 		}
 	}
 	return rowPtr, col, val
 }
 
-// factorShared factors one rank's diagonal block under the configured
-// policy, returning the shareable form: LocalDirect takes the sparse LDLᵀ
-// path; LocalAuto goes dense for tiny blocks, then consults the symbolic fill
+// factorShared factors rank p's diagonal block under the configured policy,
+// returning the shareable form: LocalDirect takes the sparse LDLᵀ path;
+// LocalAuto goes dense for tiny blocks, then consults the symbolic fill
 // estimate. The choice is a pure function of the block, never of
 // scheduling.
-func factorShared(rd *RankData, mode LocalSolver) (SharedFactor, error) {
-	m := rd.M()
+func factorShared(l *Layout, p int, mode LocalSolver) (SharedFactor, error) {
+	m := int(l.rowOff[p+1] - l.rowOff[p])
 	if mode == LocalAuto && m <= autoDenseMax {
-		return factorSharedDense(rd)
+		return factorSharedDense(l, p)
 	}
-	rowPtr, col, val := localBlockCSR(rd)
+	rowPtr, col, val := localBlockCSR(l, p)
 	sym, err := spdirect.Analyze(m, rowPtr, col, spdirect.Options{})
 	if err != nil {
 		return nil, err
 	}
 	if mode == LocalAuto && sym.SolveFlops() >= 2*float64(m)*float64(m) {
-		return factorSharedDense(rd)
+		return factorSharedDense(l, p)
 	}
 	f, err := sym.Factorize(val)
 	if err != nil {
@@ -115,15 +119,16 @@ func factorShared(rd *RankData, mode LocalSolver) (SharedFactor, error) {
 	return &ldlShared{f: f, n: m}, nil
 }
 
-// factorSharedDense builds the dense LU of the local diagonal block —
+// factorSharedDense builds the dense LU of rank p's diagonal block —
 // LocalAuto's small-block path.
-func factorSharedDense(rd *RankData) (SharedFactor, error) {
-	m := rd.M()
+func factorSharedDense(l *Layout, p int) (SharedFactor, error) {
+	diag, locPtr := l.localBlock(p)
+	m := len(diag)
 	dm := dense.NewMatrix(m)
-	for li := 0; li < m; li++ {
-		dm.Set(li, li, rd.Diag[li])
-		for k := rd.LocPtr[li]; k < rd.LocPtr[li+1]; k++ {
-			dm.Set(li, int(rd.LocCol[k]), rd.LocVal[k])
+	for li, d := range diag {
+		dm.Set(li, li, d)
+		for k := locPtr[li]; k < locPtr[li+1]; k++ {
+			dm.Set(li, int(l.locCol[k]), l.locVal[k])
 		}
 	}
 	lu, err := dense.FactorLU(dm)
@@ -147,7 +152,7 @@ func factorAll(l *Layout, mode LocalSolver) ([]SharedFactor, error) {
 	var task parallel.Task
 	task.F = func(b int) {
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
-			factors[pr], errs[pr] = factorShared(l.Ranks[pr], mode)
+			factors[pr], errs[pr] = factorShared(l, pr, mode)
 		}
 	}
 	parallel.Default().Run(&task, nb)

@@ -79,7 +79,7 @@ func TestLocalFactorWidthInvariant(t *testing.T) {
 				}
 				// Dense backend: the factor internals are unexported, so
 				// compare through a solve on a deterministic rhs.
-				m := ref.Layout.Ranks[p].M()
+				m := ref.Layout.Rank(p).M()
 				b := make([]float64, m)
 				for i := range b {
 					b[i] = 1 / float64(1+i)
@@ -131,16 +131,16 @@ func TestSparseLocalMatchesDenseOnSuiteBlocks(t *testing.T) {
 			t.Fatalf("unknown suite matrix %q", name)
 		}
 		s, _, _ := buildCase(t, e.Gen(), 32, 1)
-		for p, rd := range s.Layout.Ranks {
-			sparseSF, err := factorShared(rd, LocalDirect)
+		for p := range s.Layout.P {
+			sparseSF, err := factorShared(s.Layout, p, LocalDirect)
 			if err != nil {
 				t.Fatalf("%s rank %d: sparse factorization failed: %v", name, p, err)
 			}
-			denseSF, err := factorSharedDense(rd)
+			denseSF, err := factorSharedDense(s.Layout, p)
 			if err != nil {
 				t.Fatalf("%s rank %d: dense factorization failed: %v", name, p, err)
 			}
-			m := rd.M()
+			m := s.Layout.Rank(p).M()
 			b := make([]float64, m)
 			for i := range b {
 				b[i] = math.Sin(float64(i + 1))

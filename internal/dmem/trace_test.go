@@ -168,10 +168,10 @@ func TestActiveTraceIsDenseTraceMinusSleepers(t *testing.T) {
 				a := problem.Poisson2D(grid, grid)
 				s, _, _ := buildCase(t, a, p, 1)
 				load := a.N/2 + grid/2
-				src := slices.IndexFunc(s.Layout.Ranks, func(rd *RankData) bool {
-					_, ok := slices.BinarySearch(rd.Glob, load)
-					return ok
-				})
+				src := 0 // the rank that owns the load
+				for !slices.Contains(s.Layout.rows(src), int32(load)) {
+					src++
+				}
 				solve := func(cfg Config) (*Result, *obs.Recorder) {
 					b, x := make([]float64, a.N), make([]float64, a.N)
 					b[load] = 1
@@ -179,9 +179,9 @@ func TestActiveTraceIsDenseTraceMinusSleepers(t *testing.T) {
 					cfg.Steps, cfg.Trace = steps, rec
 					cfg.watchdog = 4 * steps // no starvation re-announce wakes the far ranks
 					if chaos {
-						nb := s.Layout.Ranks[src].Nbrs
+						nb := s.Layout.neighbors(src)
 						cfg.Faults = &rma.FaultPlan{Seed: 3, DelayProb: 0.25, DelayMax: 3, DupProb: 0.15, ReorderProb: 0.4,
-							Stragglers: map[int]float64{nb[0]: 2.5}, Pauses: []rma.Pause{{Rank: nb[len(nb)-1], From: 3, To: 9}}}
+							Stragglers: map[int]float64{int(nb[0]): 2.5}, Pauses: []rma.Pause{{Rank: int(nb[len(nb)-1]), From: 3, To: 9}}}
 					}
 					res := run(s, b, x, cfg)
 					if rec.Dropped() != 0 {

@@ -7,15 +7,30 @@ package sparse
 // It is used to build higher-order operators (e.g. the discrete biharmonic
 // L*L used by the synthetic structural matrices in internal/problem) and
 // Galerkin-style products in tests.
+//
+// A symbolic pass counts the structural nonzeros of C first, so Col and Val
+// are allocated once: cancellation can only leave them shorter.
 func Mul(a, b *CSR) *CSR {
 	if a.N != b.N {
 		panic("sparse: Mul dimension mismatch")
 	}
 	n := a.N
-	c := &CSR{N: n, RowPtr: make([]int, n+1)}
+	marker := make([]int, n) // marker[j] == i+1 when column j was met in row i
+	nnz := 0
+	for i := 0; i < n; i++ {
+		for _, k := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
+			for _, j := range b.Col[b.RowPtr[k]:b.RowPtr[k+1]] {
+				if marker[j] != i+1 {
+					marker[j] = i + 1
+					nnz++
+				}
+			}
+		}
+	}
+	clear(marker)
+	c := &CSR{N: n, RowPtr: make([]int, n+1), Col: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
 
 	acc := make([]float64, n) // dense accumulator for one row
-	marker := make([]int, n)  // marker[j] == i+1 when acc[j] is live for row i
 	idx := make([]int, 0, n)  // live column indices for one row
 
 	for i := 0; i < n; i++ {
@@ -49,13 +64,18 @@ func Mul(a, b *CSR) *CSR {
 	return c
 }
 
-// Add returns alpha*A + beta*B for same-shaped square matrices.
+// Add returns alpha*A + beta*B for same-shaped square matrices. Col and Val
+// are allocated once, at the size of the union of the two patterns.
 func Add(a, b *CSR, alpha, beta float64) *CSR {
 	if a.N != b.N {
 		panic("sparse: Add dimension mismatch")
 	}
 	n := a.N
-	c := &CSR{N: n, RowPtr: make([]int, n+1)}
+	nnz := 0
+	for i := 0; i < n; i++ {
+		nnz += unionLen(a.Col[a.RowPtr[i]:a.RowPtr[i+1]], b.Col[b.RowPtr[i]:b.RowPtr[i+1]])
+	}
+	c := &CSR{N: n, RowPtr: make([]int, n+1), Col: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
 	for i := 0; i < n; i++ {
 		ka, kaEnd := a.RowPtr[i], a.RowPtr[i+1]
 		kb, kbEnd := b.RowPtr[i], b.RowPtr[i+1]
@@ -82,6 +102,24 @@ func Add(a, b *CSR, alpha, beta float64) *CSR {
 		c.RowPtr[i+1] = len(c.Col)
 	}
 	return c
+}
+
+// unionLen returns the number of distinct values in two ascending slices.
+func unionLen(x, y []int) int {
+	n, i, j := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		switch {
+		case x[i] < y[j]:
+			i++
+		case y[j] < x[i]:
+			j++
+		default:
+			i++
+			j++
+		}
+		n++
+	}
+	return n + len(x) - i + len(y) - j
 }
 
 // insertionSortInts sorts small integer slices in place; rows of sparse

@@ -56,7 +56,8 @@ func direct64Blocks(tb testing.TB) []block {
 		if direct64.err != nil {
 			return
 		}
-		for p, rd := range l.Ranks {
+		for p := range l.P {
+			rd := l.Rank(p)
 			m := rd.M()
 			bl := block{name: "direct64-rank" + strconv.Itoa(p), n: m, rowPtr: make([]int, m+1)}
 			for li := 0; li < m; li++ {
