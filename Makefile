@@ -62,10 +62,12 @@ chaos-smoke: build
 	$(GO) run ./cmd/benchtables -quick -ranks 32 -steps 40 -par 4 chaos >/dev/null
 
 # Partitioner pin, by name so a failure is labelled: the golden part-vector
-# hashes (every results/*.txt table sits on these partitions). The
+# hashes (every results/*.txt table sits on these partitions), and the
+# oracles that hold refine, induce and the recursion to the implementations
+# the hashes were taken on (kept verbatim in reference_test.go). The
 # malloc/byte ceiling of one Partition call runs under alloc-gates.
 partition-pin:
-	$(GO) test -run 'TestPartitionGolden' ./internal/partition/
+	$(GO) test -run 'TestPartitionGolden|TestRefineMatchesReference|TestRefineSkipsNaNGain|TestInduceMatchesReference|TestPartitionMatchesReference' ./internal/partition/
 
 # Allocation gates: every promise of the form "the steady-state path
 # allocates nothing" is a plain Go test asserting testing.AllocsPerRun == 0
@@ -75,13 +77,14 @@ partition-pin:
 # World.Reset) plus the malloc/byte ceilings of the partitioner and of a
 # first and a repeat dmem solve; DESIGN.md §8 maps each hot-path root to
 # its gate. Then one iteration of each
-# micro-benchmark those gates share set-up with, so an outright breakage
-# fails verify without a long bench run. BenchmarkDenseLU is deliberately
-# not matched -- its O(n^3) factor would add minutes.
+# micro-benchmark those gates share set-up with, and of the two set-up
+# benchmarks (BenchmarkPartition, BenchmarkNewLayout: the e2e shapes), so an
+# outright breakage fails verify without a long bench run. BenchmarkDenseLU
+# is deliberately not matched -- its O(n^3) factor would add minutes.
 alloc-gates:
 	$(GO) test -run 'AllocGate|AllocCeiling' ./internal/...
-	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkKernels|BenchmarkLDL|BenchmarkObs|BenchmarkRunPhase|BenchmarkActivePhases|BenchmarkLocalSolveCycled' \
-		./internal/sparse/ ./internal/spdirect/ ./internal/obs/ ./internal/rma/ ./internal/dmem/ >/dev/null
+	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkKernels|BenchmarkLDL|BenchmarkObs|BenchmarkRunPhase|BenchmarkActivePhases|BenchmarkLocalSolveCycled|BenchmarkPartition|BenchmarkNewLayout' \
+		./internal/sparse/ ./internal/spdirect/ ./internal/obs/ ./internal/rma/ ./internal/dmem/ ./internal/partition/ >/dev/null
 
 # The four examples/ programs are the API's only documentation that
 # compiles; `go build ./...` only builds them, so run each (about 3 s in

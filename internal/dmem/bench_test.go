@@ -88,6 +88,22 @@ func BenchmarkLocalSolveCycled(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }
 
+// BenchmarkNewLayout times NewLayout on the end-to-end benchmark's four
+// shapes (e2eShapes: matrix, partition and rank count as the benchmark
+// builds them), at the shared pool's width.
+func BenchmarkNewLayout(b *testing.B) {
+	for _, c := range e2eShapes() {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewLayout(c.a, c.part, c.p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStepDS measures full Distributed Southwell solves of ten parallel
 // steps (three phases each over the runtime) at several rank counts, on both
 // engines: fresh drops the parked state so every solve builds its own, reused

@@ -264,7 +264,9 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	l.extGlob, l.myRows = make([]int32, l.extOff[p]), make([]int32, l.bndOff[p])
 	task.F = func(b int) {
 		sc := &scratch[b]
-		sc.pos, sc.extNbr, sc.keys = make([]int32, a.N), make([]int32, sc.maxSlots), make([]int64, 0, sc.maxExt)
+		nbrBuf := make([]int32, 2*sc.maxSlots) // a rank has at most as many neighbors as ext slots
+		sc.pos, sc.extNbr, sc.lastRow = make([]int32, a.N), nbrBuf[:sc.maxSlots], nbrBuf[sc.maxSlots:]
+		sc.keys = make([]int64, 0, sc.maxSlots)
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
 			l.fillRank(part, local, pr, sc)
 		}
@@ -301,18 +303,18 @@ func rankBlockCount(p int) int {
 // visited (stamp advances per rank visit, so nothing is ever reset);
 // nbrSeen (stamped the same way) and rowSeen (stamped g+1 while row g is
 // walked) do the same per owner rank while pass 1 counts neighbors and
-// boundary entries. maxSlots and maxExt are the block's largest ext-slot and
-// external-coupling counts, which size pass 2's buffers: pos, the O(1)
-// global → ext-slot index of the current rank; extNbr, each of its ext
-// slots' neighbor position; keys, the sort keys both exchange plans come
-// out of.
+// boundary entries. maxSlots, the block's largest ext-slot count, sizes
+// pass 2's buffers: pos, the O(1) global → ext-slot index of the current
+// rank; extNbr, each of its ext slots' neighbor position; lastRow, per
+// neighbor position the last row found coupling into it; keys, the sort
+// keys the ext slots come out of.
 type layoutScratch struct {
-	stamp            int32
-	seen             []int32
-	nbrSeen, rowSeen []int32
-	maxSlots, maxExt int
-	pos, extNbr      []int32
-	keys             []int64
+	stamp                int32
+	seen                 []int32
+	nbrSeen, rowSeen     []int32
+	maxSlots             int
+	pos, extNbr, lastRow []int32
+	keys                 []int64
 }
 
 // countRank is pass 1 for rank pr: it writes each of its rows' local and
@@ -320,7 +322,7 @@ type layoutScratch struct {
 // and boundary-entry counts to nbrOff/extOff/bndOff[pr+1].
 func (l *Layout) countRank(part []int, pr int, sc *layoutScratch) {
 	sc.stamp++
-	nNbr, nSlots, nBnd, nExt := 0, 0, 0, 0
+	nNbr, nSlots, nBnd := 0, 0, 0
 	for i := l.rowOff[pr]; i < l.rowOff[pr+1]; i++ {
 		g := l.glob[i]
 		cols, _ := l.A.Row(int(g))
@@ -347,20 +349,19 @@ func (l *Layout) countRank(part []int, pr int, sc *layoutScratch) {
 			}
 		}
 		l.locPtr[i+1], l.extPtr[i+1] = loc, ext
-		nExt += int(ext)
 	}
 	l.nbrOff[pr+1], l.extOff[pr+1], l.bndOff[pr+1] = int32(nNbr), int32(nSlots), int32(nBnd)
-	sc.maxSlots, sc.maxExt = max(sc.maxSlots, nSlots), max(sc.maxExt, nExt)
+	sc.maxSlots = max(sc.maxSlots, nSlots)
 }
 
 // fillRank is pass 2 for rank pr: it writes the rank's ranges of every flat
 // array. The ext slots come out of one sort of owner<<32|global id keys, so
 // they are grouped by owner and ascending within one, and the owners met on
-// the way are the neighbor ranks; the boundary rows out of one sort and
-// compact of neighbor<<32|local row keys, one per external coupling.
+// the way are the neighbor ranks; the boundary rows out of a counting sort
+// by neighbor position, in which rows arrive in ascending order.
 func (l *Layout) fillRank(part []int, local []int32, pr int, sc *layoutScratch) {
 	r0, r1 := l.rowOff[pr], l.rowOff[pr+1]
-	n0, e0, b0 := l.nbrOff[pr], l.extOff[pr], l.bndOff[pr]
+	n0, n1, e0, b0 := l.nbrOff[pr], l.nbrOff[pr+1], l.extOff[pr], l.bndOff[pr]
 	sc.stamp++
 	keys := sc.keys[:0]
 	for _, g := range l.glob[r0:r1] {
@@ -384,8 +385,13 @@ func (l *Layout) fillRank(part []int, local []int32, pr int, sc *layoutScratch) 
 		l.nbrExtOff[nk+1] = e0 + int32(e) + 1
 	}
 
-	// Matrix entries, split by coupling class.
-	keys = keys[:0]
+	// Matrix entries, split by coupling class; bnd[j] (zero from make)
+	// counts the distinct rows coupling into neighbor position j, lastRow[j]
+	// being the last one.
+	bnd, lastRow := l.nbrBndOff[n0+1:n1+1], sc.lastRow[:n1-n0]
+	for j := range lastRow {
+		lastRow[j] = -1
+	}
 	for i := r0; i < r1; i++ {
 		g := int(l.glob[i])
 		kl, ke := l.locPtr[i], l.extPtr[i]
@@ -402,19 +408,31 @@ func (l *Layout) fillRank(part []int, local []int32, pr int, sc *layoutScratch) 
 				s := sc.pos[c]
 				l.extCol[ke], l.extVal[ke] = uint32(s), v
 				ke++
-				keys = append(keys, int64(sc.extNbr[s])<<32|int64(i-r0))
+				if j := sc.extNbr[s]; lastRow[j] != i {
+					lastRow[j] = i
+					bnd[j]++
+				}
 			}
 		}
 	}
-	// Boundary rows: the distinct keys, grouped by neighbor, ascending row.
-	// Every neighbor owns an ext row, so none of its ranges is empty.
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	for i, key := range keys {
-		l.myRows[b0+int32(i)] = int32(key)
-		l.nbrBndOff[n0+int32(key>>32)+1] = b0 + int32(i) + 1
+	// Boundary rows, grouped by neighbor, ascending: bnd[j] becomes the
+	// start of j's range and advances over it as the rows are placed, so it
+	// ends where j's range does. Every neighbor owns an ext row, so none of
+	// the ranges is empty.
+	next := b0
+	for j, c := range bnd {
+		bnd[j], next = next, next+c
+		lastRow[j] = -1
 	}
-	sc.keys = keys
+	for i := r0; i < r1; i++ {
+		for _, s := range l.extCol[l.extPtr[i]:l.extPtr[i+1]] {
+			if j := sc.extNbr[s]; lastRow[j] != i {
+				lastRow[j] = i
+				l.myRows[bnd[j]] = i - r0
+				bnd[j]++
+			}
+		}
+	}
 }
 
 // addressRank finds rank pr's slot among each neighbor's neighbors and

@@ -327,7 +327,7 @@ func TestLayoutAllocCeiling(t *testing.T) {
 		a       *sparse.CSR
 		ranks   int
 		ceiling uint64
-	}{{grid, 64, 943_392}, {grid, 256, 1_000_752}, {suiteMatrix(t, "Flan_1565"), 4096, 8_777_792}} {
+	}{{grid, 64, 943_840}, {grid, 256, 1_000_992}, {suiteMatrix(t, "Flan_1565"), 4096, 8_777_440}} {
 		part := partition.Partition(c.a, c.ranks, partition.Options{Seed: 3})
 		mallocs, bytes := solveCost(func() {
 			if _, err := NewLayout(c.a, part, c.ranks); err != nil {

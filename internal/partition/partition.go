@@ -117,13 +117,13 @@ func Partition(a *sparse.CSR, k int, opts Options) []int {
 	return part
 }
 
-// partition labels every vertex of ws.g with one of k non-empty parts.
+// partition labels every vertex of ws.g with one of k ≥ 2 non-empty parts.
 func (ws *workspace) partition(k int) {
-	verts := make([]int32, ws.g.n)
-	for i := range verts {
-		verts[i] = int32(i)
+	ids := ws.i32.alloc(ws.g.n)
+	for i := range ids {
+		ids[i] = int32(i)
 	}
-	ws.recursiveBisect(verts, k, 0)
+	ws.recursiveBisect(ws.g, ids, k, 0)
 	repairEmpty(ws.part, k)
 }
 
@@ -173,89 +173,106 @@ func repairEmpty(part []int, k int) {
 	}
 }
 
-// recursiveBisect partitions the subgraph induced by verts into k parts
-// labeled base..base+k-1. It reorders verts in place, side-0 vertices
-// first, each side keeping its relative order.
-func (ws *workspace) recursiveBisect(verts []int32, k, base int) {
+// recursiveBisect partitions g, whose vertex i is vertex ids[i] of ws.g,
+// into k ≥ 2 parts labeled base..base+k-1.
+func (ws *workspace) recursiveBisect(g *graph, ids []int32, k, base int) {
+	kl := k / 2
+	m := ws.mark()
+	side := ws.i32.alloc(g.n)
+	ws.bisect(g, float64(kl)/float64(k), side, ws.i32.alloc(g.n))
+	ws.half(g, ids, side, 0, kl, base)
+	ws.half(g, ids, side, 1, k-kl, base+kl)
+	ws.release(m)
+}
+
+// half hands the vertices of g on side s to the k parts from base on: it
+// labels them if k is 1 and partitions the subgraph they induce otherwise.
+func (ws *workspace) half(g *graph, ids, side []int32, s int32, k, base int) {
 	if k == 1 {
-		for _, v := range verts {
-			ws.part[v] = base
+		for i, v := range ids {
+			if side[i] == s {
+				ws.part[v] = base
+			}
 		}
 		return
 	}
-	kl := k / 2
 	m := ws.mark()
-	sub := ws.induce(verts)
-	side := ws.i32.alloc(sub.n)
-	ws.bisect(&sub, float64(kl)/float64(k), side)
-	right := ws.i32.alloc(len(verts))[:0]
-	nl := 0
-	for i, v := range verts {
-		if side[i] == 0 {
-			verts[nl] = v
-			nl++
-		} else {
-			right = append(right, v)
-		}
-	}
-	copy(verts[nl:], right)
+	sub, subIDs := ws.induce(g, ids, side, s)
+	ws.recursiveBisect(&sub, subIDs, k, base)
 	ws.release(m)
-	ws.recursiveBisect(verts[:nl], kl, base)
-	ws.recursiveBisect(verts[nl:], k-kl, base+kl)
 }
 
-// induce extracts the subgraph of ws.g on verts (vertex i of the result is
-// verts[i]); edges leaving the set are dropped.
-func (ws *workspace) induce(verts []int32) graph {
-	g := ws.g
-	bound := 0
-	for i, v := range verts {
-		ws.local[v] = int32(i)
-		bound += int(g.xadj[v+1] - g.xadj[v])
+// induce extracts the subgraph of g on its side-s vertices and their ids:
+// the vertices keep their order, each row keeps the entries that stay on the
+// side in their order, and edges leaving the side are dropped.
+func (ws *workspace) induce(g *graph, ids, side []int32, s int32) (graph, []int32) {
+	local := ws.local
+	n, bound := int32(0), 0
+	for i, si := range side {
+		if si == s {
+			local[i] = n
+			n++
+			bound += int(g.xadj[i+1] - g.xadj[i])
+		}
 	}
-	s := graph{n: len(verts), xadj: ws.i32.alloc(len(verts) + 1), vw: ws.i32.alloc(len(verts))}
+	sub := graph{n: int(n), xadj: ws.i32.alloc(int(n) + 1), vw: ws.i32.alloc(int(n))}
+	subIDs := ws.i32.alloc(int(n))
 	adj, ew := ws.i32.alloc(bound), ws.f64.alloc(bound)
-	ne := 0
-	s.xadj[0] = 0
-	for i, v := range verts {
-		s.vw[i] = g.vw[v]
-		nbrs, wts := g.row(v)
+	ne := int32(0)
+	sub.xadj[0] = 0
+	for i, si := range side {
+		if si != s {
+			continue
+		}
+		j := local[i]
+		subIDs[j], sub.vw[j] = ids[i], g.vw[i]
+		nbrs, wts := g.row(int32(i))
 		for e, u := range nbrs {
-			if j := ws.local[u]; j >= 0 {
-				adj[ne], ew[ne] = j, wts[e]
+			if side[u] == s {
+				adj[ne], ew[ne] = local[u], wts[e]
 				ne++
 			}
 		}
-		s.xadj[i+1] = int32(ne)
+		sub.xadj[j+1] = ne
 	}
-	for _, v := range verts {
-		ws.local[v] = -1
-	}
-	s.adj, s.ew = ws.i32.trim(adj, ne), ws.f64.trim(ew, ne)
-	return s
+	sub.adj, sub.ew = ws.i32.trim(adj, int(ne)), ws.f64.trim(ew, int(ne))
+	return sub, subIDs
 }
 
 // bisect fills side with a 0/1 label per vertex of g, side 0 receiving
-// ~frac of the total vertex weight, via multilevel coarsening.
-func (ws *workspace) bisect(g *graph, frac float64, side []int32) {
+// ~frac of the total vertex weight, via multilevel coarsening, and other
+// with each vertex's count of neighbours on the other side (refine's
+// bookkeeping, handed to the next finer level).
+func (ws *workspace) bisect(g *graph, frac float64, side, other []int32) {
 	if g.n > coarsenTo {
 		m := ws.mark()
 		cmap, coarse := ws.coarsen(g)
 		if coarse.n < g.n*9/10 {
-			cside := ws.i32.alloc(coarse.n)
-			ws.bisect(&coarse, frac, cside)
-			for v := range side {
-				side[v] = cside[cmap[v]]
-			}
+			cside, cother := ws.i32.alloc(coarse.n), ws.i32.alloc(coarse.n)
+			ws.bisect(&coarse, frac, cside, cother)
+			project(cmap, cside, cother, side, other)
 			ws.release(m)
-			refine(g, side, frac)
+			refine(g, side, other, frac)
 			return
 		}
 		// Matching stalled (e.g. star graphs): stop coarsening here.
 		ws.release(m)
 	}
 	ws.growBisection(g, frac, side)
-	refine(g, side, frac)
+	for v := range other {
+		other[v] = 1
+	}
+	refine(g, side, other, frac)
+}
+
+// project hands a coarse bisection down to the fine vertices cmap maps onto
+// it. A coarse vertex with no neighbour on the other side has fine vertices
+// with none either (each fine edge between two coarse vertices is part of a
+// coarse edge), so their counts are 0 and refine counts only the rest.
+func project(cmap, cside, cother, side, other []int32) {
+	for v, c := range cmap {
+		side[v], other[v] = cside[c], cother[c]
+	}
 }
 
 // perm is ws.rng.Perm(n) written into workspace memory: the same draws in
@@ -292,7 +309,9 @@ func (ws *workspace) coarsen(g *graph) ([]int32, graph) {
 		bestW := -1.0
 		nbrs, wts := g.row(v)
 		for e, u := range nbrs {
-			if u != v && match[u] < 0 && wts[e] > bestW {
+			// The weight test first: it reads the row, match[u] is a
+			// random load.
+			if wts[e] > bestW && u != v && match[u] < 0 {
 				bestW = wts[e]
 				best = u
 			}
@@ -427,16 +446,33 @@ func pseudoPeripheral(g *graph, far int32, queue, seen []int32) int32 {
 // refine performs FM-style passes: repeatedly move the boundary vertex with
 // the best cut gain to the other side, subject to the balance constraint,
 // keeping the best configuration seen in each pass.
-func refine(g *graph, side []int32, frac float64) {
+//
+// other[v] counts v's neighbours on the other side, so v is on the boundary
+// iff it is positive; a move updates it for v and its neighbours, which
+// assumes g undirected (every entry u of v's row matched by an entry v of
+// u's). On entry other[v] == 0 says v has no such neighbour and any other
+// value that it is to be counted; on return every count is exact.
+func refine(g *graph, side, other []int32, frac float64) {
 	total := g.totalVW()
 	target0 := float64(total) * frac
 	lo := int(target0 * (1 - imbalance))
 	hi := int(target0*(1+imbalance)) + 1
 
 	w0 := 0
-	for v := 0; v < g.n; v++ {
-		if side[v] == 0 {
+	for v := int32(0); int(v) < g.n; v++ {
+		sv := side[v]
+		if sv == 0 {
 			w0 += int(g.vw[v])
+		}
+		if other[v] != 0 {
+			n := int32(0)
+			nbrs, _ := g.row(v)
+			for _, u := range nbrs {
+				if side[u] != sv {
+					n++
+				}
+			}
+			other[v] = n
 		}
 	}
 
@@ -457,19 +493,12 @@ func refine(g *graph, side []int32, frac float64) {
 		moved := false
 		// One greedy sweep over boundary vertices.
 		for v := int32(0); int(v) < g.n; v++ {
-			onBoundary := false
-			nbrs, _ := g.row(v)
-			for _, u := range nbrs {
-				if side[u] != side[v] {
-					onBoundary = true
-					break
-				}
-			}
-			if !onBoundary {
+			if other[v] == 0 {
 				continue
 			}
+			// A NaN gain (both sums overflowed to +Inf) is no gain.
 			gv := gain(v)
-			if gv <= 0 {
+			if !(gv > 0) {
 				continue
 			}
 			// Balance check for moving v to the other side.
@@ -482,7 +511,17 @@ func refine(g *graph, side []int32, frac float64) {
 			if nw0 < lo || nw0 > hi {
 				continue
 			}
-			side[v] = 1 - side[v]
+			sv := 1 - side[v]
+			side[v] = sv
+			nbrs, _ := g.row(v)
+			other[v] = int32(len(nbrs)) - other[v]
+			for _, u := range nbrs {
+				if side[u] == sv {
+					other[u]--
+				} else {
+					other[u]++
+				}
+			}
 			w0 = nw0
 			moved = true
 		}

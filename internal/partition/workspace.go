@@ -42,9 +42,9 @@ type workspace struct {
 	g    *graph
 	part []int
 	rng  *rand.Rand
-	// local maps a vertex of g to its index in the subgraph induce is
-	// building, -1 outside it. induce sets it for its vertices and clears
-	// them again, so it is all -1 between calls.
+	// local maps a vertex of the graph induce is reading to its index in
+	// the half being built. induce sets it for that half's vertices and
+	// reads it for no other, so nothing is valid between calls.
 	local []int32
 	// Every per-level array (subgraphs, coarse graphs, matchings, side
 	// labels, BFS queues) lives on these two stacks; each recursion frame
@@ -66,15 +66,13 @@ func (ws *workspace) release(m workspaceMark) {
 // distinct from other consumers of the same seed in a run.
 func newWorkspace(g *graph, part []int, seed int64) *workspace {
 	ws := &workspace{g: g, part: part, rng: rand.New(rand.NewSource(seed + 1)), local: make([]int32, g.n)}
-	for i := range ws.local {
-		ws.local[i] = -1
-	}
-	// The top-level bisection is the deepest user: the induced copy of g
-	// plus a coarsening hierarchy that on mesh-like graphs halves per level
-	// and so sums to about as much again. First chunks of that size mean a
-	// second one is taken only by graphs that coarsen slowly.
+	// The top-level bisection is the deepest user: it works on g itself,
+	// and its coarsening hierarchy on mesh-like graphs halves per level and
+	// so sums to about g again (plus the first level's edge bound while it
+	// is built). First chunks of that size mean a second one is taken only
+	// by graphs that coarsen slowly.
 	e := len(g.adj)
-	ws.i32.chunks = [][]int32{make([]int32, 3*e+16*g.n)}
-	ws.f64.chunks = [][]float64{make([]float64, 3*e)}
+	ws.i32.chunks = [][]int32{make([]int32, 2*e+16*g.n)}
+	ws.f64.chunks = [][]float64{make([]float64, 2*e)}
 	return ws
 }
