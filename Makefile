@@ -125,10 +125,9 @@ bench-e2e:
 # builds dsouthwell and benchtables from both trees, runs the fixed list of
 # CLI lines below in each and `cmp`s the outputs, stopping at the first
 # difference. The IDENTITY_SMALL lines are a many-small-parts run (ranks of
-# one or two rows, single-neighbor ranks), the shape the exchange plans are
-# laid out for; with -loc_solver auto every one of its blocks is under the
-# dense crossover, so that line is the one that runs dense.LU.SolveWith (at
-# 64 ranks auto picks the sparse factor on all of msdoor's blocks). The last
+# about six rows, single-neighbor ranks), the shape the exchange plans are
+# laid out for; with -loc_solver direct that line pins the sparse local
+# solver on blocks that small. The last
 # line but one is a pinned run's whole trace export (~1.3 MB; pinned, so no
 # rank sleeps and every event is part of the contract), the one after it
 # the -quick scaling study (it reads DIFFERS against a parent
@@ -155,7 +154,7 @@ identity:
 		"dsouthwell $(IDENTITY_SOLVE) -solver pb16" \
 		"dsouthwell $(IDENTITY_SMALL)" \
 		"dsouthwell $(IDENTITY_SMALL) -chaos 0.3" \
-		"dsouthwell $(IDENTITY_SMALL) -loc_solver auto" \
+		"dsouthwell $(IDENTITY_SMALL) -loc_solver direct" \
 		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout" \
 		"benchtables -quick scaling"; \
 	do \

@@ -19,7 +19,7 @@
 //	-par N         run up to N suite runs concurrently (default GOMAXPROCS;
 //	               output is identical for every value)
 //	-loc_solver S  local subdomain solver for every run: gs (default),
-//	               direct (sparse LDLT), or auto (per-rank crossover)
+//	               direct (sparse LDLT), or its artifact name pardiso
 //	-goroutines    run every world's rank phases on the shared worker pool
 //	               (GOMAXPROCS wide) instead of inline; bit-identical
 //	-active        active-set stepping (default true; -active=false forces
@@ -117,7 +117,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "initial-guess and partition seed")
 	outDir := flag.String("out", "", "write one file per experiment into this directory")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "max concurrent suite runs (1 = sequential)")
-	locSolver := flag.String("loc_solver", "gs", "local subdomain solver for every run: gs, direct (sparse LDLT), or auto")
+	locSolver := flag.String("loc_solver", "gs", "local subdomain solver for every run: gs, direct (sparse LDLT), or pardiso (= direct)")
 	goroutines := flag.Bool("goroutines", false, "run every world's rank phases on the shared worker pool (GOMAXPROCS wide) instead of inline; results are identical either way")
 	active := flag.Bool("active", true, "active-set stepping: skip provably quiescent ranks (bit-identical results; -active=false forces dense stepping)")
 	chaos := flag.Float64("chaos", 0, "inject delay faults into every run: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")

@@ -67,6 +67,8 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 	}
 }
 
+// TestParseLocSolver: gs, direct and pardiso parse; any other value, the
+// retired auto included, makes benchtables exit 2 naming the valid ones.
 func TestParseLocSolver(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -75,15 +77,22 @@ func TestParseLocSolver(t *testing.T) {
 		{"gs", dmem.LocalGS},
 		{"direct", dmem.LocalDirect},
 		{"pardiso", dmem.LocalDirect},
-		{"auto", dmem.LocalAuto},
 	} {
 		got, err := dmem.ParseLocalSolver(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseLocalSolver(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	if _, err := dmem.ParseLocalSolver("ilu"); err == nil || !strings.Contains(err.Error(), "-loc_solver") {
-		t.Errorf("bad value not rejected by flag name: %v", err)
+	for _, bad := range []string{"ilu", "auto"} {
+		out, code := runMain(t, "-loc_solver", bad, "fig6")
+		if code != 2 {
+			t.Errorf("benchtables -loc_solver %s: exit status %d, want 2\n%s", bad, code, out)
+		}
+		for _, want := range []string{"-loc_solver", "gs", "direct", "pardiso"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("benchtables -loc_solver %s: message does not name %q:\n%s", bad, want, out)
+			}
+		}
 	}
 }
 
@@ -122,23 +131,44 @@ func TestScalingIsABenchTable(t *testing.T) {
 	}
 }
 
-// TestVerboseFlagIsGone re-executes the test binary as benchtables -v: the
-// flag package must reject it (exit status 2) before any experiment runs.
+// TestVerboseFlagIsGone: the flag package must reject benchtables -v (exit
+// status 2) before any experiment runs.
 func TestVerboseFlagIsGone(t *testing.T) {
-	const child = "BENCHTABLES_TEST_MAIN"
-	if os.Getenv(child) == "1" {
-		os.Args = []string{"benchtables", "-v", "fig6"}
-		main()
-		return
+	out, code := runMain(t, "-v", "fig6")
+	if code != 2 {
+		t.Errorf("benchtables -v: exit status %d, want 2\n%s", code, out)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestVerboseFlagIsGone$")
-	cmd.Env = append(os.Environ(), child+"=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Errorf("benchtables -v: err = %v, want exit status 2\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "flag provided but not defined: -v") {
+	if !strings.Contains(out, "flag provided but not defined: -v") {
 		t.Errorf("benchtables -v not rejected as an unknown flag:\n%s", out)
 	}
+}
+
+// mainArgs, set in a child's environment, makes the test binary run
+// benchtables with these space-separated arguments instead of the tests.
+const mainArgs = "BENCHTABLES_TEST_MAIN_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(mainArgs); ok {
+		os.Args = append([]string{"benchtables"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain re-executes the test binary as benchtables with args and returns
+// its combined output and exit status.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), mainArgs+"="+strings.Join(args, " "))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return string(out), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), 0
 }

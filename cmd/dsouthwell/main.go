@@ -109,7 +109,7 @@ func main() {
 		solver   = flag.String("solver", "sos_sds", "solver: sos_sds (Distributed Southwell), ps, bj, pb16")
 		sweepMax = flag.Int("sweep_max", 20, "number of parallel steps")
 		target   = flag.Float64("target", 0, "stop early at this residual norm (0 = run all steps)")
-		locSolve = flag.String("loc_solver", "gs", "local subdomain solver: gs (one Gauss-Seidel sweep), direct (sparse LDLT, the artifact's PARDISO option), or auto (per-rank dense/sparse crossover)")
+		locSolve = flag.String("loc_solver", "gs", "local subdomain solver: gs (one Gauss-Seidel sweep), direct (sparse LDLT, the artifact's PARDISO option), or pardiso (= direct)")
 		xZeros   = flag.Bool("x_zeros", false, "x = 0 and random b (default: random x, b = 0)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		par      = flag.Bool("par", false, "run simulated rank phases on the shared worker pool (GOMAXPROCS wide) instead of inline; results are identical either way")

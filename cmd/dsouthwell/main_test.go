@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -88,15 +90,6 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 	}
 
 	c = good()
-	c.locSolver = "auto"
-	if o, err = c.run(); err != nil {
-		t.Fatal(err)
-	}
-	if o.local != dmem.LocalAuto {
-		t.Errorf("-loc_solver auto misparsed: %+v", o)
-	}
-
-	c = good()
 	c.chaos = 0.25
 	if o, err = c.run(); err != nil {
 		t.Fatal(err)
@@ -117,5 +110,28 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 	c.metrics = filepath.Join(dir, "run.metrics.txt")
 	if _, err = c.run(); err != nil {
 		t.Errorf("valid trace/metrics paths rejected: %v", err)
+	}
+}
+
+// TestLocSolverAutoExits2: the retired -loc_solver auto is rejected like any
+// unknown value, with exit status 2 and a message naming the valid ones.
+func TestLocSolverAutoExits2(t *testing.T) {
+	const child = "DSOUTHWELL_TEST_MAIN"
+	if os.Getenv(child) == "1" {
+		os.Args = []string{"dsouthwell", "-loc_solver", "auto"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestLocSolverAutoExits2$")
+	cmd.Env = append(os.Environ(), child+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("dsouthwell -loc_solver auto: err = %v, want exit status 2\n%s", err, out)
+	}
+	for _, want := range []string{"-loc_solver", "gs", "direct", "pardiso"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("dsouthwell -loc_solver auto: message does not name %q:\n%s", want, out)
+		}
 	}
 }

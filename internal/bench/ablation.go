@@ -15,9 +15,8 @@ import (
 // (and their solve messages); the exact trigger balances residual-update
 // traffic against estimate staleness. A second table ablates the local
 // subdomain solver (DESIGN.md §10): one Gauss-Seidel sweep (the paper's
-// setting) against the exact sparse-LDLᵀ direct solve and the per-rank
-// auto crossover, with simulated time charged at each backend's real
-// per-solve cost.
+// setting) against the exact sparse-LDLᵀ direct solve, with simulated time
+// charged at each solver's real per-solve cost.
 func Ablation(w io.Writer, cfg Config) error {
 	ranks := cfg.ranks()
 	steps := cfg.stepsOr(50)
@@ -72,7 +71,6 @@ func Ablation(w io.Writer, cfg Config) error {
 	}{
 		{"gs", dmem.LocalGS},
 		{"direct", dmem.LocalDirect},
-		{"auto", dmem.LocalAuto},
 	}
 	fprintf(w, "\n# Local-solver ablation: Distributed Southwell, %d ranks, %d steps\n", ranks, steps)
 	fprintf(w, "%-12s %-8s | %9s %8s %8s | %12s %12s\n",

@@ -151,8 +151,9 @@ type DistOptions struct {
 	// and concurrent runs stay safe.
 	Setup *dmem.Setup
 	// Local selects the subdomain solver: dmem.LocalGS (default, one
-	// Gauss-Seidel sweep — the paper's setting), dmem.LocalDirect (exact
-	// sparse solve, the artifact's PARDISO option) or dmem.LocalAuto.
+	// Gauss-Seidel sweep — the paper's setting) or dmem.LocalDirect (exact
+	// sparse LDLᵀ solve, the artifact's PARDISO option). Any other value
+	// fails the solve.
 	Local dmem.LocalSolver
 	// Faults, when non-nil, installs deterministic fault injection on the
 	// simulated runtime (delays, duplicates, reordering, stragglers, rank

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -150,6 +151,29 @@ func TestSolveDistributedSetupMismatch(t *testing.T) {
 			if !strings.Contains(err.Error(), w) {
 				t.Errorf("%s mismatch: error %q does not name %q", c.name, err, w)
 			}
+		}
+	}
+}
+
+// TestSolveDistributedRejectsUnknownLocalSolver: a local solver outside
+// {LocalGS, LocalDirect} — 2 was the retired per-rank dense/sparse crossover —
+// is an error from dmem.NewSetup and from a solve that builds its own Setup,
+// never a silent Gauss-Seidel run.
+func TestSolveDistributedRejectsUnknownLocalSolver(t *testing.T) {
+	a := problem.Poisson2D(12, 12)
+	b, x := scaledSystem(t, a, 7)
+	l, err := dmem.NewLayout(a, partition.Partition(a, 4, partition.Options{Seed: 1}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, local := range []dmem.LocalSolver{2, 7, -1} {
+		want := fmt.Sprintf("LocalSolver(%d)", int(local))
+		if _, err := dmem.NewSetup(l, local); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("NewSetup(%s): err = %v, want one naming it", want, err)
+		}
+		opt := DistOptions{Method: DistSWD, Ranks: 4, Steps: 3, Local: local}
+		if _, err := SolveDistributed(a, b, x, opt); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("SolveDistributed(Local: %s): err = %v, want one naming it", want, err)
 		}
 	}
 }

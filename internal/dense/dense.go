@@ -1,7 +1,7 @@
 // Package dense provides small dense linear algebra: LU with partial
-// pivoting and Cholesky factorization with triangular solves. It backs the
-// exact coarse-grid solve in the multigrid cycle and the optional direct
-// local subdomain solver (the role PARDISO plays in the paper's artifact).
+// pivoting and Cholesky factorization with triangular solves. Cholesky backs
+// the exact coarse-grid solve in the multigrid cycle; LU is the reference
+// the sparse local solver (internal/spdirect) is tested against.
 package dense
 
 import (

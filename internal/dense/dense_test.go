@@ -226,22 +226,3 @@ func TestLUSolveMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkLUSolve is one dense solve at LocalAuto's crossover size (dmem's
-// autoDenseMax), the largest block that path factors densely.
-func BenchmarkLUSolve(b *testing.B) {
-	const n = 64
-	rng := rand.New(rand.NewSource(1))
-	f, err := FactorLU(randomSPD(n, rng))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rhs, x, y := make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.SolveWith(rhs, x, y)
-	}
-}

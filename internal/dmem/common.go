@@ -22,12 +22,6 @@ const (
 	// Per-relaxation cost is O(nnz(L)), so the direct option is usable at
 	// every subdomain size, not just tiny blocks.
 	LocalDirect
-	// LocalAuto picks the exact local solver per rank: dense LU for tiny
-	// blocks (m ≤ autoDenseMax) and whenever the symbolic analysis predicts
-	// a sparse solve would cost more flops than a dense one (pathological
-	// fill), sparse LDLᵀ otherwise. See DESIGN.md §10 for the crossover
-	// policy.
-	LocalAuto
 )
 
 // String returns the -loc_solver spelling of m.
@@ -37,13 +31,11 @@ func (m LocalSolver) String() string {
 		return "gs"
 	case LocalDirect:
 		return "direct"
-	case LocalAuto:
-		return "auto"
 	}
 	return fmt.Sprintf("LocalSolver(%d)", int(m))
 }
 
-// ParseLocalSolver resolves a -loc_solver value: gs, direct, auto, or the
+// ParseLocalSolver resolves a -loc_solver value: gs, direct, or the
 // artifact's name for the direct solver, pardiso.
 func ParseLocalSolver(s string) (LocalSolver, error) {
 	switch s {
@@ -51,18 +43,9 @@ func ParseLocalSolver(s string) (LocalSolver, error) {
 		return LocalGS, nil
 	case "direct", "pardiso":
 		return LocalDirect, nil
-	case "auto":
-		return LocalAuto, nil
 	}
-	return 0, fmt.Errorf("-loc_solver %q: unknown (use gs, direct, pardiso, or auto)", s)
+	return 0, fmt.Errorf("-loc_solver %q: unknown (use gs, direct, or pardiso)", s)
 }
-
-// autoDenseMax is LocalAuto's block-size crossover: at or below this many
-// rows a dense LU factor fits comfortably in cache and its branch-free
-// triangular solves beat the sparse solver's index-chasing, so sparse
-// bookkeeping is not worth carrying. Above it the choice falls to the
-// symbolic fill estimate (see factorShared).
-const autoDenseMax = 64
 
 // Config controls a distributed solve. The matrix, its distribution and the
 // local solver are not here: they are the Setup every method is handed.

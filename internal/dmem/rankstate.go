@@ -1,6 +1,10 @@
 package dmem
 
-import "math"
+import (
+	"math"
+
+	"southwell/internal/spdirect"
+)
 
 // rankState is the dynamic per-rank state shared by all methods; the
 // Southwell methods use the norm-estimate fields.
@@ -62,10 +66,10 @@ type rankState struct {
 	res   []payload // explicit residual updates: bnd bound
 
 	// direct, when f is non-nil, is the shared factorization of the local
-	// diagonal block (LocalDirect/LocalAuto) with this rank's private
-	// buffers: d receives the solve, scratch is the factor's workspace.
+	// diagonal block (LocalDirect) with this rank's private buffers: d
+	// receives the solve, scratch is the factor's workspace.
 	direct struct {
-		f          SharedFactor
+		f          *spdirect.Factor
 		d, scratch []float64
 	}
 }
@@ -107,15 +111,14 @@ func (rs *rankState) relaxLocal() float64 {
 
 // relaxDirect solves the local block exactly: x_p += A_pp^{-1} r_p, which
 // zeroes the local residual and accumulates -A_qp d into extDelta. The
-// charged cost is the factorization's actual solve cost (O(nnz(L)) for the
-// sparse backend, 2m² for the dense one) plus the coupling scatter and the
-// solution update — not the hard-coded dense estimate of old.
+// charged cost is the factorization's actual solve cost, O(nnz(L)), plus the
+// coupling scatter and the solution update.
 func (rs *rankState) relaxDirect() float64 {
 	l := rs.l
 	r, x, extDelta := rs.r, rs.x, rs.extDelta
 	m := len(r)
 	d := rs.direct.d[:m]
-	rs.direct.f.SolveInto(r, d, rs.direct.scratch)
+	rs.direct.f.SolveWith(r, d, rs.direct.scratch)
 	// Operands are locals cut once per row (DESIGN.md §10, "Kernel form").
 	extPtr, extCol, extVal := l.extPtr[rs.row0:][:m+1], l.extCol, l.extVal
 	for li, dl := range d {

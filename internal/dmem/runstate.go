@@ -37,10 +37,7 @@ func newRunState(s *Setup) *runState {
 	nd := int(l.nbrOff[p])
 	nf := 2*l.A.N + 3*int(l.extOff[p]) + 2*nd + 2*int(l.bndOff[p])
 	if s.factors != nil {
-		nf += l.A.N
-		for _, f := range s.factors {
-			nf += f.ScratchLen()
-		}
+		nf += 2 * l.A.N // direct.d and direct.scratch: m each
 	}
 	st.seqSeen, st.sentTo = make([]int32, nd), make([]bool, nd)
 	floats, bodies, slab := make([]float64, nf), make([]payload, 2*nd), make([]rankState, p)
@@ -77,8 +74,7 @@ func newRunState(s *Setup) *runState {
 			rs.res[j] = payload{bnd: take(nBnd), slot: l.slotInNbr[k]}
 		}
 		if s.factors != nil {
-			f := s.factors[pr]
-			rs.direct.f, rs.direct.d, rs.direct.scratch = f, take(m), take(f.ScratchLen())
+			rs.direct.f, rs.direct.d, rs.direct.scratch = s.factors[pr], take(m), take(m)
 		}
 		st.states[pr] = rs
 		e.idleDeg[pr] = float64(deg) // phase-1 idle charge: the unconditional degree scan

@@ -10,11 +10,11 @@ package dmem
 // once.
 //
 // Sharing is safe by construction. The layout and the factorizations are
-// read-only: the Layout is immutable after NewLayout, and the factors are
-// exposed through SharedFactor, whose SolveInto takes caller-owned scratch
-// — each run state pairs the shared factor with private buffers
-// (rankState.direct). Every method takes the Setup as its first argument, so
-// the layout and the local solver a run uses are the ones it was built for.
+// read-only: the Layout is immutable after NewLayout, and a factor's one
+// solve, spdirect.Factor.SolveWith, takes caller-owned scratch — each run
+// state pairs the shared factor with private buffers (rankState.direct).
+// Every method takes the Setup as its first argument, so the layout and the
+// local solver a run uses are the ones it was built for.
 // The one mutable field is the parked run state (runstate.go,
 // DESIGN.md §16): a solve takes it from behind the mutex or builds its own,
 // and parks it again when it returns, so repeated solves reuse one world and
@@ -25,45 +25,9 @@ import (
 	"fmt"
 	"sync"
 
-	"southwell/internal/dense"
 	"southwell/internal/parallel"
 	"southwell/internal/spdirect"
 )
-
-// SharedFactor is an immutable factored local diagonal block, safe for
-// concurrent solves: SolveInto writes x = A_pp⁻¹ b using caller-owned
-// scratch of length ScratchLen, reading — never writing — the
-// factorization itself. SolveFlops is the per-solve flop count charged to
-// the α-β-γ cost model.
-type SharedFactor interface {
-	SolveInto(b, x, scratch []float64)
-	SolveFlops() float64
-	ScratchLen() int
-}
-
-// ldlShared adapts the sparse LDLᵀ backend: spdirect.Factor.SolveWith
-// reads only the factor arrays, so one Factor serves any number of
-// concurrent callers with private scratch.
-type ldlShared struct {
-	f *spdirect.Factor
-	n int
-}
-
-func (s *ldlShared) SolveInto(b, x, scratch []float64) { s.f.SolveWith(b, x, scratch) }
-func (s *ldlShared) SolveFlops() float64               { return s.f.SolveFlops() }
-func (s *ldlShared) ScratchLen() int                   { return s.n }
-
-// denseShared adapts the dense LU backend the same way.
-type denseShared struct {
-	lu *dense.LU
-	m  int
-}
-
-func (s *denseShared) SolveInto(b, x, scratch []float64) { s.lu.SolveWith(b, x, scratch) }
-
-// SolveFlops: two triangular sweeps of an m×m factor.
-func (s *denseShared) SolveFlops() float64 { m := float64(s.m); return 2 * m * m }
-func (s *denseShared) ScratchLen() int     { return s.m }
 
 // localBlockCSR assembles rank p's diagonal block A_pp as a standalone CSR
 // (local row/column indices, diagonal included) for the sparse
@@ -94,48 +58,11 @@ func localBlockCSR(l *Layout, p int) (rowPtr, col []int, val []float64) {
 	return rowPtr, col, val
 }
 
-// factorShared factors rank p's diagonal block under the configured policy,
-// returning the shareable form: LocalDirect takes the sparse LDLᵀ path;
-// LocalAuto goes dense for tiny blocks, then consults the symbolic fill
-// estimate. The choice is a pure function of the block, never of
-// scheduling.
-func factorShared(l *Layout, p int, mode LocalSolver) (SharedFactor, error) {
-	m := int(l.rowOff[p+1] - l.rowOff[p])
-	if mode == LocalAuto && m <= autoDenseMax {
-		return factorSharedDense(l, p)
-	}
+// factorShared factors rank p's diagonal block by sparse LDLᵀ, a pure
+// function of the block, never of scheduling.
+func factorShared(l *Layout, p int) (*spdirect.Factor, error) {
 	rowPtr, col, val := localBlockCSR(l, p)
-	sym, err := spdirect.Analyze(m, rowPtr, col, spdirect.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if mode == LocalAuto && sym.SolveFlops() >= 2*float64(m)*float64(m) {
-		return factorSharedDense(l, p)
-	}
-	f, err := sym.Factorize(val)
-	if err != nil {
-		return nil, err
-	}
-	return &ldlShared{f: f, n: m}, nil
-}
-
-// factorSharedDense builds the dense LU of rank p's diagonal block —
-// LocalAuto's small-block path.
-func factorSharedDense(l *Layout, p int) (SharedFactor, error) {
-	diag, locPtr := l.localBlock(p)
-	m := len(diag)
-	dm := dense.NewMatrix(m)
-	for li, d := range diag {
-		dm.Set(li, li, d)
-		for k := locPtr[li]; k < locPtr[li+1]; k++ {
-			dm.Set(li, int(l.locCol[k]), l.locVal[k])
-		}
-	}
-	lu, err := dense.FactorLU(dm)
-	if err != nil {
-		return nil, err
-	}
-	return &denseShared{lu: lu, m: m}, nil
+	return spdirect.Factorize(len(rowPtr)-1, rowPtr, col, val)
 }
 
 // factorAll factors every rank's diagonal block concurrently on the shared
@@ -143,16 +70,16 @@ func factorSharedDense(l *Layout, p int) (SharedFactor, error) {
 // block written to its own slot, so worker count never influences a bit of
 // the result; the lowest failing rank wins error reporting for
 // determinism.
-func factorAll(l *Layout, mode LocalSolver) ([]SharedFactor, error) {
+func factorAll(l *Layout) ([]*spdirect.Factor, error) {
 	p := l.P
-	factors := make([]SharedFactor, p)
+	factors := make([]*spdirect.Factor, p)
 	errs := make([]error, p)
 	nb := rankBlockCount(p)
 	blocks := parallel.SplitN(p, nb, make([]parallel.Range, 0, nb))
 	var task parallel.Task
 	task.F = func(b int) {
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
-			factors[pr], errs[pr] = factorShared(l, pr, mode)
+			factors[pr], errs[pr] = factorShared(l, pr)
 		}
 	}
 	parallel.Default().Run(&task, nb)
@@ -165,7 +92,7 @@ func factorAll(l *Layout, mode LocalSolver) ([]SharedFactor, error) {
 }
 
 // Setup is the preprocessing of (layout, local-solver mode): the layout
-// plus, for the exact local solvers, every rank's shared factorization —
+// plus, for LocalDirect, every rank's shared factorization —
 // both read-only — and at most one parked run state. Build once with
 // NewSetup, then hand the same *Setup to any number of runs: repeated runs
 // reuse the parked state, concurrent ones stay safe (a run that finds the
@@ -174,29 +101,34 @@ type Setup struct {
 	Layout *Layout
 	Local  LocalSolver
 
-	factors []SharedFactor // nil for LocalGS
+	factors []*spdirect.Factor // nil for LocalGS
 
 	mu     sync.Mutex
 	parked *runState // built by the first solve, never by NewSetup
 }
 
 // NewSetup builds the reusable setup for the given layout and local-solver
-// mode, factoring all ranks in parallel for LocalDirect/LocalAuto.
+// mode, factoring all ranks in parallel for LocalDirect. Any mode but
+// LocalGS and LocalDirect is an error.
 func NewSetup(l *Layout, mode LocalSolver) (*Setup, error) {
 	s := &Setup{Layout: l, Local: mode}
-	if mode == LocalDirect || mode == LocalAuto {
-		factors, err := factorAll(l, mode)
+	switch mode {
+	case LocalGS:
+	case LocalDirect:
+		factors, err := factorAll(l)
 		if err != nil {
 			return nil, err
 		}
 		s.factors = factors
+	default:
+		return nil, fmt.Errorf("dmem: unknown local solver %v (want LocalGS or LocalDirect)", mode)
 	}
 	return s, nil
 }
 
 // Factor returns rank p's shared factorization (nil for LocalGS), mainly
 // for the setup-cache tests.
-func (s *Setup) Factor(p int) SharedFactor {
+func (s *Setup) Factor(p int) *spdirect.Factor {
 	if s.factors == nil {
 		return nil
 	}

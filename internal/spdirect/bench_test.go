@@ -25,7 +25,7 @@ var benchBlock struct {
 func benchSetup(tb testing.TB) (*sparse.CSR, *spdirect.Factor, []float64, []float64) {
 	benchBlock.once.Do(func() {
 		a := problem.Poisson2D(66, 66)
-		f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val, spdirect.Options{})
+		f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val)
 		if err != nil {
 			panic(err)
 		}
@@ -42,20 +42,20 @@ func benchSetup(tb testing.TB) (*sparse.CSR, *spdirect.Factor, []float64, []floa
 
 // BenchmarkLDL measures the sparse LDLᵀ pipeline on the 4356-row block:
 // one-time Analyze and Factorize, then the steady-state Refactor and
-// Solve. allocs_op on Refactor and Solve is asserted by TestLDLAllocGate;
+// SolveWith. allocs_op on both is asserted by TestLDLAllocGate;
 // ns_op demonstrates the sparse win over BenchmarkDenseLU.
 func BenchmarkLDL(b *testing.B) {
 	a, f, rhs, x := benchSetup(b)
 	b.Run("Analyze", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := spdirect.Analyze(a.N, a.RowPtr, a.Col, spdirect.Options{}); err != nil {
+			if _, err := spdirect.Analyze(a.N, a.RowPtr, a.Col); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Factorize", func(b *testing.B) {
-		sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col, spdirect.Options{})
+		sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,9 +76,10 @@ func BenchmarkLDL(b *testing.B) {
 		}
 	})
 	b.Run("Solve", func(b *testing.B) {
+		y := make([]float64, a.N)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f.Solve(rhs, x)
+			f.SolveWith(rhs, x, y)
 		}
 	})
 }
@@ -118,19 +119,18 @@ func BenchmarkDenseLU(b *testing.B) {
 
 // TestLDLAllocGate is the machine-independent regression gate: the
 // steady-state operations of a cached factorization — Refactor (new
-// values, fixed pattern) and Solve — must allocate nothing, and the one-time
-// Analyze a fixed number of arrays whatever the structure: at most 20
+// values, fixed pattern) and SolveWith — must allocate nothing, and the
+// one-time Analyze a fixed number of arrays whatever the structure: at most 20
 // mallocs, and bytes linear in n + nnz on a 32 000-row diagonal block, where
 // every row is its own component (a visited array per pseudo-peripheral
 // search made that block 1 GB and half a second).
 func TestLDLAllocGate(t *testing.T) {
 	a := problem.Poisson2D(40, 40) // 1600 rows: big enough to be honest
-	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val, spdirect.Options{})
+	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := make([]float64, a.N)
-	x := make([]float64, a.N)
+	b, x, y := make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)
 	for i := range b {
 		b[i] = float64(i%11) / 11
 	}
@@ -143,7 +143,7 @@ func TestLDLAllocGate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"Solve", func() { f.Solve(b, x) }},
+		{"SolveWith", func() { f.SolveWith(b, x, y) }},
 	} {
 		op.f() // warm once outside the measurement
 		if got := testing.AllocsPerRun(20, op.f); got != 0 {
@@ -166,7 +166,7 @@ func TestLDLAllocGate(t *testing.T) {
 		{"diagonal-32000", nDiag, diagPtr, diagCol},
 	} {
 		analyze := func() {
-			if _, err := spdirect.Analyze(c.n, c.rowPtr, c.col, spdirect.Options{}); err != nil {
+			if _, err := spdirect.Analyze(c.n, c.rowPtr, c.col); err != nil {
 				t.Fatal(err)
 			}
 		}

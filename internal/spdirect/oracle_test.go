@@ -206,7 +206,7 @@ func sameBits(a, b []float64) int {
 func TestRefactorMatchesReference(t *testing.T) {
 	for _, bl := range oracleBlocks(t) {
 		name := bl.name
-		sym, err := spdirect.Analyze(bl.n, bl.rowPtr, bl.col, spdirect.Options{})
+		sym, err := spdirect.Analyze(bl.n, bl.rowPtr, bl.col)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -259,7 +259,7 @@ func TestRefactorMatchesReference(t *testing.T) {
 func TestSolveMatchesReference(t *testing.T) {
 	for _, bl := range oracleBlocks(t) {
 		name := bl.name
-		f, err := spdirect.Factorize(bl.n, bl.rowPtr, bl.col, bl.val, spdirect.Options{})
+		f, err := spdirect.Factorize(bl.n, bl.rowPtr, bl.col, bl.val)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -307,7 +307,7 @@ func permHash(perms ...[]int) string {
 // that preceded the stamp array; a new hash is an output-changing change.
 func TestRCMPermGolden(t *testing.T) {
 	analyze := func(bl block) []int {
-		sym, err := spdirect.Analyze(bl.n, bl.rowPtr, bl.col, spdirect.Options{})
+		sym, err := spdirect.Analyze(bl.n, bl.rowPtr, bl.col)
 		if err != nil {
 			t.Fatal(err)
 		}

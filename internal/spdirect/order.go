@@ -2,28 +2,14 @@ package spdirect
 
 import "slices"
 
-// Ordering selects the fill-reducing permutation Analyze applies before
-// symbolic factorization.
-type Ordering int
-
-const (
-	// OrderRCM is reverse Cuthill-McKee over the block's adjacency graph —
-	// the envelope-minimizing ordering that suits the PDE subdomain blocks
-	// this package factors (DESIGN.md §10). Ties break by node id, the BFS
-	// root is a deterministically chosen pseudo-peripheral node, so the
-	// permutation is a pure function of the structure.
-	OrderRCM Ordering = iota
-	// OrderNatural keeps the input ordering (useful for tests and for
-	// callers that pre-permuted the block themselves).
-	OrderNatural
-)
-
 // rcmPerm computes the reverse Cuthill-McKee permutation of the symmetric
-// sparsity structure (rowPtr, col): perm[new] = old. Self-loops (diagonal
-// entries) are ignored. Disconnected components are ordered one after
-// another, each from its own pseudo-peripheral root, lowest unvisited node
-// first — every choice breaks ties by node id, so the result is
-// deterministic for a given structure.
+// sparsity structure (rowPtr, col): perm[new] = old — the
+// envelope-minimizing ordering that suits the PDE subdomain blocks this
+// package factors (DESIGN.md §10). Self-loops (diagonal entries) are
+// ignored. Disconnected components are ordered one after another, each from
+// its own pseudo-peripheral root, lowest unvisited node first — every choice
+// breaks ties by node id, so the result is deterministic for a given
+// structure.
 func rcmPerm(n int, rowPtr, col []int) []int {
 	deg := make([]int, n)
 	for i := 0; i < n; i++ {

@@ -94,8 +94,10 @@ func (f *Factor) refactorRef(val []float64) (ok bool) {
 }
 
 // Handles for the external test package (which can import dmem for the
-// direct64 blocks; this package cannot).
+// direct64 blocks; this package cannot). AnalyzePerm is Analyze under a
+// given ordering, for the tests that compare RCM against the natural one.
 var (
 	SolveRef    = (*Factor).solveRef
 	RefactorRef = (*Factor).refactorRef
+	AnalyzePerm = analyze
 )

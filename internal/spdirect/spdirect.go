@@ -6,7 +6,7 @@
 // The pipeline is the classical three-stage sparse direct design:
 //
 //  1. Analyze — a fill-reducing ordering (reverse Cuthill-McKee over the
-//     block's adjacency graph by default), the elimination tree, and the
+//     block's adjacency graph), the elimination tree, and the
 //     per-column nonzero counts of L, fixing the exact sparsity pattern of
 //     the factor before a single numeric value is touched.
 //  2. Symbolic.Factorize / Factor.Refactor — an up-looking numeric
@@ -15,9 +15,9 @@
 //     with unit-diagonal L. Refactor reuses the symbolic pattern and every
 //     numeric buffer, so re-factoring a block with new values allocates
 //     nothing.
-//  3. Factor.Solve — permuted forward / diagonal / backward triangular
-//     solves using a scratch vector owned by the factor: steady-state
-//     solves allocate nothing (gated by TestLDLAllocGate).
+//  3. Factor.SolveWith — permuted forward / diagonal / backward triangular
+//     solves through a scratch vector the caller owns: steady-state solves
+//     allocate nothing (gated by TestLDLAllocGate).
 //
 // Determinism: every stage is a pure sequential function of the input
 // structure and values — the ordering breaks all ties by node id, the
@@ -28,9 +28,11 @@
 // per-rank factorizations out over internal/parallel and still produce
 // bit-identical results at every pool width.
 //
-// A Factor is NOT safe for concurrent Solve/Refactor calls (it owns its
-// scratch); give each goroutine its own factor, as dmem's per-rank states
-// do.
+// Concurrency: SolveWith only reads a Factor, so one Factor serves any
+// number of concurrent solves as long as each caller owns its scratch —
+// dmem shares one factor per rank across every concurrent run of a Setup
+// this way. Refactor writes the factor and its numeric scratch, so it must
+// not overlap any other call on the same Factor.
 package spdirect
 
 import (
@@ -38,12 +40,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Options configures Analyze.
-type Options struct {
-	// Order selects the fill-reducing ordering (default OrderRCM).
-	Order Ordering
-}
 
 // ErrNotPositiveDefinite is returned (wrapped, with the failing column)
 // when the numeric factorization meets a non-positive pivot: the input was
@@ -78,7 +74,7 @@ type Symbolic struct {
 // NNZL returns the number of strictly-below-diagonal nonzeros of L.
 func (s *Symbolic) NNZL() int { return s.Lp[s.N] }
 
-// SolveFlops returns the flop count of one Solve with this pattern:
+// SolveFlops returns the flop count of one SolveWith with this pattern:
 // 2·nnz(L) each for the forward and backward sweeps plus n diagonal
 // divisions — the "actual factor nnz" cost the α-β-γ model charges per
 // relaxation, replacing the dense 2m² estimate.
@@ -86,15 +82,15 @@ func (s *Symbolic) SolveFlops() float64 {
 	return 4*float64(s.NNZL()) + float64(s.N)
 }
 
-// Analyze computes the ordering, elimination tree, and fixed L pattern for
-// a structurally symmetric n×n sparse matrix in CSR form. Only the
-// structure is read; values flow in later through Factorize/Refactor,
-// indexed by the same entry positions. Rows need not be sorted. The
-// structure must be symmetric (every (i,j) present with (j,i)) — only the
-// upper triangle of the permuted matrix is consumed, so an asymmetric
-// structure silently factors the wrong matrix; internal/dmem's layout
-// construction guarantees symmetry and validates it.
-func Analyze(n int, rowPtr, col []int, opts Options) (*Symbolic, error) {
+// Analyze computes the reverse Cuthill-McKee ordering, elimination tree, and
+// fixed L pattern for a structurally symmetric n×n sparse matrix in CSR
+// form. Only the structure is read; values flow in later through
+// Factorize/Refactor, indexed by the same entry positions. Rows need not be
+// sorted. The structure must be symmetric (every (i,j) present with (j,i))
+// — only the upper triangle of the permuted matrix is consumed, so an
+// asymmetric structure silently factors the wrong matrix; internal/dmem's
+// layout construction guarantees symmetry and validates it.
+func Analyze(n int, rowPtr, col []int) (*Symbolic, error) {
 	if n < 0 || len(rowPtr) != n+1 {
 		return nil, fmt.Errorf("spdirect: rowPtr length %d, want n+1 = %d", len(rowPtr), n+1)
 	}
@@ -110,19 +106,13 @@ func Analyze(n int, rowPtr, col []int, opts Options) (*Symbolic, error) {
 			return nil, fmt.Errorf("spdirect: column index %d out of range [0,%d)", c, n)
 		}
 	}
+	return analyze(n, rowPtr, col, rcmPerm(n, rowPtr, col)), nil
+}
 
-	s := &Symbolic{N: n, nnzA: nnz}
-	switch opts.Order {
-	case OrderNatural:
-		s.Perm = make([]int, n)
-		for i := range s.Perm {
-			s.Perm[i] = i
-		}
-	case OrderRCM:
-		s.Perm = rcmPerm(n, rowPtr, col)
-	default:
-		return nil, fmt.Errorf("spdirect: unknown ordering %d", opts.Order)
-	}
+// analyze is Analyze of a validated structure under the ordering perm
+// (perm[new] = old).
+func analyze(n int, rowPtr, col, perm []int) *Symbolic {
+	s := &Symbolic{N: n, Perm: perm, nnzA: rowPtr[n]}
 	s.Pinv = make([]int, n)
 	for k, old := range s.Perm {
 		s.Pinv[old] = k
@@ -186,19 +176,19 @@ func Analyze(n int, rowPtr, col []int, opts Options) (*Symbolic, error) {
 	for i := 0; i < n; i++ {
 		s.Lp[i+1] = s.Lp[i] + lnz[i]
 	}
-	return s, nil
+	return s
 }
 
 // Factor is the numeric LDLᵀ factorization of one block over a fixed
-// Symbolic pattern: P·A·Pᵀ = L·D·Lᵀ with unit-diagonal L. It owns every
-// scratch buffer Solve and Refactor need, so both are allocation-free.
+// Symbolic pattern: P·A·Pᵀ = L·D·Lᵀ with unit-diagonal L. It owns the
+// scratch Refactor needs; SolveWith takes its scratch from the caller. Both
+// are allocation-free.
 type Factor struct {
 	sym *Symbolic
 	Li  []int32   // row indices of L, by column, ascending within a column
 	Lx  []float64 // values of L, same layout
 	D   []float64 // diagonal of D
 
-	y       []float64 // solve scratch (permuted right-hand side)
 	yn      []float64 // numeric scratch: the sparse accumulator (all-zero between passes)
 	pattern []int32   // numeric scratch: row-pattern stack
 	flag    []int32   // numeric scratch: visited marks
@@ -208,7 +198,7 @@ type Factor struct {
 // Symbolic returns the structural analysis the factor was built over.
 func (f *Factor) Symbolic() *Symbolic { return f.sym }
 
-// SolveFlops returns the flop count of one Solve (see Symbolic.SolveFlops).
+// SolveFlops returns the flop count of one SolveWith (see Symbolic.SolveFlops).
 func (f *Factor) SolveFlops() float64 { return f.sym.SolveFlops() }
 
 // Factorize runs the numeric factorization for the given values (indexed
@@ -221,7 +211,6 @@ func (s *Symbolic) Factorize(val []float64) (*Factor, error) {
 		Li:      make([]int32, s.NNZL()),
 		Lx:      make([]float64, s.NNZL()),
 		D:       make([]float64, n),
-		y:       make([]float64, n),
 		yn:      make([]float64, n),
 		pattern: make([]int32, n),
 		flag:    make([]int32, n),
@@ -309,18 +298,11 @@ func (f *Factor) Refactor(val []float64) error {
 	return nil
 }
 
-// Solve computes x = A⁻¹ b through the factorization: permute, forward
-// solve L, scale by D, backward solve Lᵀ, permute back. b is not modified;
-// x may alias b. Zero allocations: the permuted vector lives in the
-// factor's scratch. Not safe for concurrent calls on one Factor.
-func (f *Factor) Solve(b, x []float64) {
-	f.SolveWith(b, x, f.y)
-}
-
-// SolveWith is Solve with caller-provided scratch y (length ≥ n), making
-// one immutable Factor usable from concurrent solves as long as each
-// caller owns its y: the factorization arrays (Perm, Lp, Li, Lx, D) are
-// only read. b is not modified; x may alias b.
+// SolveWith computes x = A⁻¹ b through the factorization: permute into the
+// caller's scratch y (length ≥ n), forward solve L, scale by D, backward
+// solve Lᵀ, permute back. It only reads the factorization (Perm, Lp, Li, Lx,
+// D), so concurrent solves on one Factor are safe as long as each caller
+// owns its y. b is not modified; x may alias b. Zero allocations.
 func (f *Factor) SolveWith(b, x, y []float64) {
 	// Operands are locals cut once per column (DESIGN.md §10, "Kernel form").
 	// What may not change: the visit order, the forward zero skip, and one
@@ -366,8 +348,8 @@ func (f *Factor) SolveWith(b, x, y []float64) {
 }
 
 // Factorize is the one-call convenience: Analyze + numeric factorization.
-func Factorize(n int, rowPtr, col []int, val []float64, opts Options) (*Factor, error) {
-	s, err := Analyze(n, rowPtr, col, opts)
+func Factorize(n int, rowPtr, col []int, val []float64) (*Factor, error) {
+	s, err := Analyze(n, rowPtr, col)
 	if err != nil {
 		return nil, err
 	}

@@ -50,13 +50,32 @@ func randomSPD(n, deg int, seed int64) *sparse.CSR {
 	return coo.ToCSR()
 }
 
-// solveBoth factors a with both spdirect and dense LU and solves for the
-// same right-hand side, returning the two solutions.
-func solveBoth(t *testing.T, a *sparse.CSR, opts spdirect.Options, seed int64) (sp, dn []float64) {
+// analyze is spdirect.Analyze, or with natural the identity ordering
+// through the AnalyzePerm test hook.
+func analyze(t *testing.T, a *sparse.CSR, natural bool) *spdirect.Symbolic {
 	t.Helper()
-	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val, opts)
+	if natural {
+		perm := make([]int, a.N)
+		for i := range perm {
+			perm[i] = i
+		}
+		return spdirect.AnalyzePerm(a.N, a.RowPtr, a.Col, perm)
+	}
+	sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col)
 	if err != nil {
-		t.Fatalf("spdirect.Factorize: %v", err)
+		t.Fatalf("spdirect.Analyze: %v", err)
+	}
+	return sym
+}
+
+// solveBoth factors a with both spdirect (under RCM, or the natural
+// ordering) and dense LU and solves for the same right-hand side, returning
+// the two solutions.
+func solveBoth(t *testing.T, a *sparse.CSR, natural bool, seed int64) (sp, dn []float64) {
+	t.Helper()
+	f, err := analyze(t, a, natural).Factorize(a.Val)
+	if err != nil {
+		t.Fatalf("spdirect Factorize: %v", err)
 	}
 	lu, err := dense.FactorLU(denseFromCSR(a))
 	if err != nil {
@@ -69,7 +88,7 @@ func solveBoth(t *testing.T, a *sparse.CSR, opts spdirect.Options, seed int64) (
 	}
 	sp = make([]float64, a.N)
 	dn = make([]float64, a.N)
-	f.Solve(b, sp)
+	f.SolveWith(b, sp, make([]float64, a.N))
 	lu.Solve(b, dn)
 	return sp, dn
 }
@@ -102,12 +121,12 @@ func TestMatchesDenseOnRandomSPD(t *testing.T) {
 		{1, 0, 1}, {2, 1, 2}, {5, 2, 3}, {17, 3, 4}, {64, 4, 5},
 		{128, 2, 6}, {257, 5, 7}, {400, 8, 8},
 	}
-	for _, order := range []spdirect.Ordering{spdirect.OrderRCM, spdirect.OrderNatural} {
+	for _, natural := range []bool{false, true} {
 		for _, c := range cases {
 			a := randomSPD(c.n, c.deg, c.seed)
-			sp, dn := solveBoth(t, a, spdirect.Options{Order: order}, c.seed+100)
+			sp, dn := solveBoth(t, a, natural, c.seed+100)
 			if d := maxRelDiff(sp, dn); d > 1e-12 {
-				t.Errorf("order %d n=%d deg=%d: sparse vs dense diff %g", order, c.n, c.deg, d)
+				t.Errorf("natural ordering %v n=%d deg=%d: sparse vs dense diff %g", natural, c.n, c.deg, d)
 			}
 		}
 	}
@@ -126,7 +145,7 @@ func TestMatchesDenseOnPDEBlocks(t *testing.T) {
 		if _, err := sparse.Scale(a); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sp, dn := solveBoth(t, a, spdirect.Options{}, 42)
+		sp, dn := solveBoth(t, a, false, 42)
 		if d := maxRelDiff(sp, dn); d > 1e-12 {
 			t.Errorf("%s: sparse vs dense diff %g", name, d)
 		}
@@ -140,7 +159,7 @@ func TestResidualIsTiny(t *testing.T) {
 	if _, err := sparse.Scale(a); err != nil {
 		t.Fatal(err)
 	}
-	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val, spdirect.Options{})
+	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +168,7 @@ func TestResidualIsTiny(t *testing.T) {
 		b[i] = math.Sin(float64(i))
 	}
 	x := make([]float64, a.N)
-	f.Solve(b, x)
+	f.SolveWith(b, x, make([]float64, a.N))
 	r := make([]float64, a.N)
 	a.Residual(b, x, r)
 	if n := sparse.Norm2(r) / sparse.Norm2(b); n > 1e-11 {
@@ -160,7 +179,7 @@ func TestResidualIsTiny(t *testing.T) {
 // TestSolveAliasAllowed: x may alias b.
 func TestSolveAliasAllowed(t *testing.T) {
 	a := randomSPD(50, 3, 9)
-	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val, spdirect.Options{})
+	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +187,9 @@ func TestSolveAliasAllowed(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%7) - 3
 	}
-	want := make([]float64, a.N)
-	f.Solve(b, want)
-	f.Solve(b, b) // aliased
+	want, y := make([]float64, a.N), make([]float64, a.N)
+	f.SolveWith(b, want, y)
+	f.SolveWith(b, b, y) // aliased
 	for i := range b {
 		if b[i] != want[i] {
 			t.Fatalf("aliased solve differs at %d: %g vs %g", i, b[i], want[i])
@@ -183,7 +202,7 @@ func TestSolveAliasAllowed(t *testing.T) {
 // a fresh factorization of the scaled matrix.
 func TestRefactorBitIdentical(t *testing.T) {
 	a := randomSPD(120, 4, 11)
-	sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col, spdirect.Options{})
+	sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +253,7 @@ func TestRefactorBitIdentical(t *testing.T) {
 // leaves the factor able to refactor good values again, identically.
 func TestRefactorAfterFailureRecovers(t *testing.T) {
 	a := randomSPD(60, 3, 13)
-	sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col, spdirect.Options{})
+	sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +286,7 @@ func TestRefactorAfterFailureRecovers(t *testing.T) {
 // PDE block.
 func TestOrderingInvariants(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
-	sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col, spdirect.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sym := analyze(t, a, false)
 	seen := make([]bool, sym.N)
 	for _, old := range sym.Perm {
 		if old < 0 || old >= sym.N || seen[old] {
@@ -298,32 +314,28 @@ func TestOrderingInvariants(t *testing.T) {
 		}
 	}
 
-	nat, err := spdirect.Analyze(a.N, a.RowPtr, a.Col, spdirect.Options{Order: spdirect.OrderNatural})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sym.NNZL() > nat.NNZL() {
+	if nat := analyze(t, a, true); sym.NNZL() > nat.NNZL() {
 		t.Errorf("RCM fill %d exceeds natural fill %d on a 2D Poisson block", sym.NNZL(), nat.NNZL())
 	}
 }
 
 // TestRejectsBadInput: dimension/index validation and the SPD guard.
 func TestRejectsBadInput(t *testing.T) {
-	if _, err := spdirect.Analyze(2, []int{0, 1}, []int{0}, spdirect.Options{}); err == nil {
+	if _, err := spdirect.Analyze(2, []int{0, 1}, []int{0}); err == nil {
 		t.Error("short rowPtr accepted")
 	}
-	if _, err := spdirect.Analyze(2, []int{0, 1, 2}, []int{0, 5}, spdirect.Options{}); err == nil {
+	if _, err := spdirect.Analyze(2, []int{0, 1, 2}, []int{0, 5}); err == nil {
 		t.Error("out-of-range column accepted")
 	}
 	// Indefinite matrix: diag(1, -1).
 	rowPtr := []int{0, 1, 2}
 	col := []int{0, 1}
 	val := []float64{1, -1}
-	if _, err := spdirect.Factorize(2, rowPtr, col, val, spdirect.Options{}); !errors.Is(err, spdirect.ErrNotPositiveDefinite) {
+	if _, err := spdirect.Factorize(2, rowPtr, col, val); !errors.Is(err, spdirect.ErrNotPositiveDefinite) {
 		t.Errorf("indefinite matrix: got %v", err)
 	}
 	// Missing diagonal behaves as a zero pivot.
-	if _, err := spdirect.Factorize(1, []int{0, 0}, nil, nil, spdirect.Options{}); !errors.Is(err, spdirect.ErrNotPositiveDefinite) {
+	if _, err := spdirect.Factorize(1, []int{0, 0}, nil, nil); !errors.Is(err, spdirect.ErrNotPositiveDefinite) {
 		t.Errorf("empty matrix: got %v", err)
 	}
 }
@@ -331,7 +343,7 @@ func TestRejectsBadInput(t *testing.T) {
 // TestSolveFlopsAccounting: the charged solve cost is exactly 4·nnz(L)+n.
 func TestSolveFlopsAccounting(t *testing.T) {
 	a := randomSPD(80, 4, 17)
-	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val, spdirect.Options{})
+	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
