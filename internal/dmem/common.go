@@ -285,132 +285,6 @@ func record(res *Result, w *rma.World, states []*rankState, norm float64, step, 
 	}
 }
 
-// traceDecision emits rank p's relax/hold decision for one step. Called
-// from rank p's phase function, so it writes only p's recorder shard (the
-// obs.Recorder concurrency contract); the max-Γ scan runs only when tracing
-// is on.
-func traceDecision(w *rma.World, step, p int, rs *rankState, relaxed bool) {
-	tr := w.Tracer()
-	if tr == nil {
-		return
-	}
-	maxG := 0.0
-	for _, g := range rs.gamma {
-		if g > maxG {
-			maxG = g
-		}
-	}
-	e := obs.Event{
-		Kind:  obs.KindDecision,
-		Rank:  int32(p),
-		Step:  int32(step),
-		V1:    rs.norm,
-		V2:    maxG,
-		Ts:    w.Now(),
-		Phase: w.PhaseIndex(),
-	}
-	if relaxed {
-		e.Flag = obs.FlagRelaxed
-	}
-	tr.Emit(e)
-}
-
-// traceResSend emits an explicit residual update from rank p toward
-// neighbor rank `to` (-1 = all neighbors). trigger is the value that fired
-// the send — Γ̃[j] for the deadlock-risk rule, the announced norm for the
-// Parallel Southwell broadcast.
-func traceResSend(w *rma.World, step, p, to int, trigger float64, rs *rankState, refresh bool) {
-	tr := w.Tracer()
-	if tr == nil {
-		return
-	}
-	e := obs.Event{
-		Kind:  obs.KindResSend,
-		Rank:  int32(p),
-		Step:  int32(step),
-		A:     int32(to),
-		V1:    trigger,
-		V2:    rs.norm,
-		Ts:    w.Now(),
-		Phase: w.PhaseIndex(),
-	}
-	if refresh {
-		e.Flag = obs.FlagRefresh
-	}
-	tr.Emit(e)
-}
-
-// watchdog is the stagnation/deadlock detector shared by every method,
-// generalizing the detector that used to live inside Piggyback2016. It
-// watches each completed parallel step for an *idle* step — no rank
-// relaxed, no message was staged, and no message landed — and stops the
-// run when
-//
-//   - the step was idle and the fault layer is quiescent: the state
-//     machine is deterministic, so every later step would repeat this one
-//     exactly (on a perfect network this is precisely the 2016 piggyback
-//     deadlock rule: a step without relaxations stages and lands nothing);
-//   - or window consecutive steps were idle even though the fault layer
-//     could still wake the run (a pause far in the future): patience
-//     bound, off on a perfect network where the first idle step already
-//     trips the provable rule.
-type watchdog struct {
-	window        int
-	idle          int   // consecutive idle steps
-	lastSent      int64 // cumulative staged messages at the previous step
-	lastDelivered int64 // cumulative landed messages at the previous step
-}
-
-func newWatchdog(cfg Config, w *rma.World) *watchdog {
-	st := w.Stats()
-	return &watchdog{
-		window:        cfg.watchdogWindow(),
-		lastSent:      st.TotalMsgs(),
-		lastDelivered: st.Delivered,
-	}
-}
-
-// observe inspects one completed parallel step and reports whether the run
-// is stuck and should stop. Idle steps and the final verdict land on the
-// trace's control track.
-func (wd *watchdog) observe(w *rma.World, step, relaxedRanks int) bool {
-	st := w.Stats()
-	sent, delivered := st.TotalMsgs(), st.Delivered
-	idle := relaxedRanks == 0 && sent == wd.lastSent && delivered == wd.lastDelivered
-	wd.lastSent, wd.lastDelivered = sent, delivered
-	if !idle {
-		wd.idle = 0
-		return false
-	}
-	wd.idle++
-	stop := w.FaultsQuiescent() || wd.idle >= wd.window
-	if tr := w.Tracer(); tr != nil {
-		flag := obs.FlagWatchdogIdle
-		if stop {
-			flag = obs.FlagWatchdogStop
-		}
-		tr.Emit(obs.Event{
-			Kind:  obs.KindWatchdog,
-			Rank:  obs.ControlRank,
-			Step:  int32(step),
-			Flag:  flag,
-			A:     int32(wd.idle),
-			Ts:    w.Now(),
-			Phase: w.PhaseIndex(),
-		})
-	}
-	return stop
-}
-
-// deadlockAt marks a watchdog stop at step — unless the run had in fact
-// converged to (numerical) zero and simply has nothing left to do.
-func (res *Result) deadlockAt(step int) {
-	if res.Final().ResNorm > 1e-14 {
-		res.Deadlocked = true
-		res.DeadlockStep = step
-	}
-}
-
 // finish fills the summary fields of a result.
 func finish(res *Result, l *Layout, w *rma.World, states []*rankState) {
 	res.Stats = w.Stats()

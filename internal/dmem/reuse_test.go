@@ -291,14 +291,29 @@ func TestSolveReuseAllocCeiling(t *testing.T) {
 
 // TestFirstSolveAllocCeiling: the slab promise — the first solve on a Setup,
 // which builds its run state, stays under one malloc ceiling whatever the
-// rank count.
+// rank count — and on the benchmark's wide4k shape (mean degree 23, so its
+// phases outgrow the flat message arrays' first allocation) it makes tens of
+// mallocs: 43–47 measured, 11 462 when every rank grew its own window and
+// staging buffers; the ceiling is that + 10 %.
 func TestFirstSolveAllocCeiling(t *testing.T) {
-	const ceiling = 80
-	for _, ranks := range []int{64, 256} {
-		s, b, x := buildCase(t, problem.Poisson2D(100, 100), ranks, 3)
-		mallocs, _ := solveCost(func() { DistributedSouthwell(s, b, x, Config{Steps: 30}) })
-		if mallocs > ceiling {
-			t.Errorf("P=%d: first solve made %d mallocs, want ≤ %d at every P", ranks, mallocs, ceiling)
+	grid := problem.Poisson2D(100, 100)
+	flan := suiteMatrix(t, "Flan_1565")
+	for _, c := range []struct {
+		name    string
+		a       *sparse.CSR
+		ranks   int
+		seed    int64
+		steps   int
+		ceiling uint64
+	}{
+		{"grid/64", grid, 64, 3, 30, 80},
+		{"grid/256", grid, 256, 3, 30, 80},
+		{"wide4k", flan, 4096, 1, 20, 52},
+	} {
+		s, b, x := buildCase(t, c.a, c.ranks, c.seed)
+		mallocs, _ := solveCost(func() { DistributedSouthwell(s, b, x, Config{Steps: c.steps}) })
+		if mallocs > c.ceiling {
+			t.Errorf("%s: first solve made %d mallocs, want ≤ %d", c.name, mallocs, c.ceiling)
 		}
 	}
 }
@@ -355,11 +370,12 @@ func TestLayoutAllocCeiling(t *testing.T) {
 
 // TestParkedStateAllocCeiling: what a Setup keeps between solves on the
 // benchmark's wide4k shape — the live heap after its first DS solve, minus
-// before — is at most what it kept with the per-rank layout (33 825 568
-// bytes, measured by this procedure), so nothing taken out of the layout
-// reappears per rank in the run state.
+// before. This procedure measured 33 825 568 bytes with the per-rank layout,
+// 33 489 256 with per-rank message buffers, and 29 302 856–29 303 696 with
+// the flat staging and window arrays; the ceiling is the last + 1 %, so
+// nothing taken out of the layout or the world reappears per rank.
 func TestParkedStateAllocCeiling(t *testing.T) {
-	const ceiling = 33_825_568
+	const ceiling = 29_596_733
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a := suiteMatrix(t, "Flan_1565")
 	l, err := NewLayout(a, partition.Partition(a, 4096, partition.Options{Seed: 1}), 4096)

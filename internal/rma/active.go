@@ -52,6 +52,9 @@ func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f
 		pool = parallel.Default()
 	}
 	w.chunks = max(1, min(pool.Workers(), w.P))
+	if n := w.chunks - len(w.stage); n > 0 {
+		w.stage = append(w.stage, make([]stageBuf, n)...) // one staging array per chunk, kept for later phases
+	}
 	pool.Run(&w.task, w.chunks)
 	w.deliver()
 	w.f, w.active, w.actList, w.idle = nil, nil, nil, nil
@@ -61,6 +64,16 @@ func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f
 // rank ranges.
 func (w *World) runChunk(b int) {
 	w.activeRange(b*w.P/w.chunks, (b+1)*w.P/w.chunks)
+}
+
+// chunkOf returns the chunk whose range runChunk gives rank: the largest b
+// with b*P/chunks <= rank. Between phases it answers for the last phase's
+// chunks (chunk 0 before the first).
+func (w *World) chunkOf(rank int) int {
+	if w.chunks <= 1 {
+		return 0
+	}
+	return ((rank+1)*w.chunks - 1) / w.P
 }
 
 // lowerBound returns the first index in the ascending list whose value is

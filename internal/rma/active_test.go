@@ -149,6 +149,26 @@ func TestRunPhaseActiveMatchesRunPhase(t *testing.T) {
 	}
 }
 
+// TestChunkOfIsRunChunk: Put files a message in the staging array of the
+// chunk runChunk runs its origin in, for every rank at every chunk count —
+// the property that keeps a staging array to one goroutine and the arrays,
+// read in chunk order, in ascending origin.
+func TestChunkOfIsRunChunk(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 7, 37, 64, 4096} {
+		w := NewWorld(p, CostModel{})
+		for c := 1; c <= min(p, 64); c++ {
+			w.chunks = c
+			for b := range c {
+				for r := b * p / c; r < (b+1)*p/c; r++ {
+					if got := w.chunkOf(r); got != b {
+						t.Fatalf("P=%d, %d chunks: rank %d filed under chunk %d, runChunk runs it in %d", p, c, r, got, b)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRunPhaseActiveFullMaskIsRunPhase: with every rank active,
 // RunPhaseActive must be RunPhase — the superset-safety anchor the dmem
 // engine's correctness induction bottoms out on.

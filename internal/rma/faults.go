@@ -134,7 +134,7 @@ type chaosState struct {
 	pausedNow  []bool    // per rank: paused during the phase just run
 	anyPause   bool      // plan has at least one pause window
 	lastPause  int64     // phase index at which the last pause window ends
-	batchStart []int     // deliver scratch: inbox length before this boundary's landings
+	retained   []int32   // per rank: window length carried across this boundary (0 unless paused), where its new batch starts
 	dueScratch []heldMsg // releaseDue scratch, reused across boundaries
 
 	delayed   int64 // messages held back
@@ -152,11 +152,11 @@ func (w *World) InstallFaults(plan *FaultPlan) {
 		return
 	}
 	ch := &chaosState{
-		plan:       *plan,
-		rng:        prng{s: uint64(plan.Seed)},
-		slow:       make([]float64, w.P),
-		pausedNow:  make([]bool, w.P),
-		batchStart: make([]int, w.P),
+		plan:      *plan,
+		rng:       prng{s: uint64(plan.Seed)},
+		slow:      make([]float64, w.P),
+		pausedNow: make([]bool, w.P),
+		retained:  make([]int32, w.P),
 	}
 	if ch.plan.DelayMax < 1 {
 		ch.plan.DelayMax = 1
@@ -245,12 +245,29 @@ func (ch *chaosState) markPaused(phase int64) {
 	}
 }
 
+// retain decides, as deliver expires rank p's window in, whether it is
+// retained across this boundary, and records its length either way (0 when
+// it expires). One-sided writes to a paused rank's window persist until the
+// rank next runs an epoch and can actually read them. The window takes
+// ownership of its payloads here, before any sender can start the phase in
+// which it rewrites the buffers they point into.
+func (ch *chaosState) retain(p int, in []Message) bool {
+	if !ch.pausedNow[p] {
+		ch.retained[p] = 0
+		return false
+	}
+	for i := range in {
+		in[i].own()
+	}
+	ch.retained[p] = int32(len(in))
+	return true
+}
+
 // openFaultBoundary is the plan's share of a boundary ahead of the staged
-// sweep: count the rank-phases spent paused, mark where this boundary's
-// batch starts in every window the reorder pass may shuffle (nonzero only
-// for the retained ones), and land the delayed messages whose boundary has
-// come — they are the oldest traffic, in staging order.
-func (w *World) openFaultBoundary() {
+// messages: count the rank-phases spent paused, and land the delayed
+// messages whose boundary has come — they are the oldest traffic, in
+// staging order. It returns them for the scatter pass.
+func (w *World) openFaultBoundary() []heldMsg {
 	ch := w.chaos
 	if ch.anyPause {
 		for p, paused := range ch.pausedNow {
@@ -260,20 +277,17 @@ func (w *World) openFaultBoundary() {
 			}
 		}
 	}
-	if ch.plan.ReorderProb > 0 {
-		clear(ch.batchStart)
-		for _, p := range w.liveInbox {
-			ch.batchStart[p] = len(w.inbox[p])
-		}
+	due := ch.releaseDue(w.phases)
+	for i := range due {
+		w.land(&due[i].m)
 	}
-	for _, h := range ch.releaseDue(w.phases) {
-		w.land(h.m)
-	}
+	return due
 }
 
 // landFaulty decides the fate of one staged message at a delivery boundary:
-// captured as delayed, landed, or landed twice.
-func (w *World) landFaulty(m *Message) {
+// captured as delayed (it returns false: the message leaves staging), landed,
+// or landed twice (m is marked Dup, which tells the scatter pass too).
+func (w *World) landFaulty(m *Message) bool {
 	ch := w.chaos
 	if ch.plan.DelayProb > 0 && ch.rng.float() < ch.plan.DelayProb {
 		k := 1 + ch.rng.intn(ch.plan.DelayMax)
@@ -282,25 +296,26 @@ func (w *World) landFaulty(m *Message) {
 		ch.held = append(ch.held, heldMsg{due: w.phases + int64(k), m: held})
 		ch.delayed++
 		w.emitFault(obs.FlagFaultDelayed, int(m.From), int(m.To))
-		return
+		return false
 	}
-	w.land(*m)
+	w.land(m)
 	if ch.plan.DupProb > 0 && ch.rng.float() < ch.plan.DupProb {
 		ch.duped++
-		d := *m
-		d.Dup = true
-		w.land(d)
+		m.Dup = true
+		w.land(m)
 		w.emitFault(obs.FlagFaultDuped, int(m.From), int(m.To))
 	}
+	return true
 }
 
 // reorderBatches shuffles, with the plan's probability, the batch each
-// window received at this boundary. Ascending rank over all P: the draws
-// are one PRNG stream, so their order is part of the output.
+// window received at this boundary: its range past the retained messages.
+// Ascending rank over all P: the draws are one PRNG stream, so their order
+// is part of the output.
 func (w *World) reorderBatches() {
 	ch := w.chaos
-	for p := range w.inbox {
-		batch := w.inbox[p][ch.batchStart[p]:]
+	for p, in := range w.inbox {
+		batch := w.window[in.lo+ch.retained[p] : in.hi]
 		if len(batch) < 2 || ch.rng.float() >= ch.plan.ReorderProb {
 			continue
 		}

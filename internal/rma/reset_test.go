@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -134,14 +135,21 @@ func TestResetIsAFreshWorld(t *testing.T) {
 						w.Parallel, w.Stats(), w.Now(), w.PhaseIndex(), w.LiveInboxes())
 				}
 				for r := 0; r < p; r++ {
-					if len(w.inbox[r]) != 0 || len(w.staged[r]) != 0 {
-						t.Errorf("rank %d: %d window and %d staging entries survive Reset", r, len(w.inbox[r]), len(w.staged[r]))
+					if w.inbox[r] != (inbound{}) || len(w.Inbox(r)) != 0 {
+						t.Errorf("rank %d: window %+v survives Reset", r, w.inbox[r])
 					}
-					for _, buf := range [][]Message{w.inbox[r][:cap(w.inbox[r])], w.staged[r][:cap(w.staged[r])]} {
-						for i := range buf {
-							if buf[i].Payload != nil {
-								t.Fatalf("rank %d: slot %d still holds payload %v after Reset", r, i, buf[i].Payload)
-							}
+				}
+				bufs := map[string][]Message{"window": w.window, "back": w.back}
+				for b := range w.stage {
+					bufs[fmt.Sprintf("stage[%d]", b)] = w.stage[b].msgs
+				}
+				for name, buf := range bufs {
+					if len(buf) != 0 {
+						t.Errorf("%s: %d entries survive Reset", name, len(buf))
+					}
+					for i, m := range buf[:cap(buf)] {
+						if m != (Message{}) {
+							t.Fatalf("%s: slot %d still holds %+v after Reset", name, i, m)
 						}
 					}
 				}

@@ -17,18 +17,23 @@
 // nil pool otherwise, whose Run is the same chunks inline on the calling
 // goroutine. The sequential engine is therefore width 1 of the same lines,
 // and this package starts no goroutine. Because a rank's phase function
-// touches only that rank's slots (staged puts, counters) and messages
-// become visible only at the phase boundary, every width executes the same
-// state machine (asserted by the engine-equivalence tests). A phase
-// function must not block: it occupies a slot of the pool the numerical
-// kernels share (DESIGN.md §9).
+// touches only that rank's counters and its chunk's staging array, and
+// messages become visible only at the phase boundary, every width executes
+// the same state machine (asserted by the engine-equivalence tests). A
+// phase function must not block: it occupies a slot of the pool the
+// numerical kernels share (DESIGN.md §9).
 //
-// One boundary closes a phase (deliver). It walks the ranks that ran and the
-// windows that were written, never all P, and is allocation-free at steady
-// state: staged-put and inbox slices keep their capacity across phases, and
-// payloads are expected to be pointers to caller-owned buffers (boxing a
-// pointer into the Payload interface does not allocate). A Message is 32
-// bytes — ranks and sizes as int32, which Put and NewWorld guard.
+// One boundary closes a phase (deliver). It walks the messages staged, the
+// ranks that ran and the windows that were written, never all P, and is
+// allocation-free at steady state. Messages live in two kinds of flat array:
+// Put appends to one staging array per execution chunk, and deliver moves
+// them into one window array by a counting sort — count the landings per
+// target, take a prefix over the written windows, scatter — so a window is a
+// range of that array, as an MPI window is a range of memory allocated once.
+// The arrays keep their capacity across phases, and payloads are expected to
+// be pointers to caller-owned buffers (boxing a pointer into the Payload
+// interface does not allocate). A Message is 32 bytes — ranks and sizes as
+// int32, which Put and NewWorld guard.
 //
 // A seeded fault-injection plan (faults.go) can perturb delivery — delayed,
 // duplicated, and reordered landings, straggler cost multipliers, and rank
@@ -47,7 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 
 	"southwell/internal/obs"
 	"southwell/internal/parallel"
@@ -97,7 +102,8 @@ func DefaultCostModel() CostModel {
 	return CostModel{Alpha: 1.5e-6, Beta: 1e-10, Gamma: 2.5e-10}
 }
 
-// Message is one Put landed in a window; each is copied twice per boundary.
+// Message is one Put: written once into its chunk's staging array by Put,
+// and copied once into the window array at the boundary.
 type Message struct {
 	Payload any
 	From    int32
@@ -120,25 +126,33 @@ type World struct {
 	Model    CostModel
 	Parallel bool // run phases on parallel.Default() instead of inline
 
-	inbox  [][]Message // readable this phase
-	staged [][]Message // staged[from]: puts issued this phase
-	flops  []float64   // per-rank compute charged this phase
-	msgs   []int64     // per-rank messages sent this phase
-	bytes  []int64     // per-rank bytes sent this phase
+	// stage holds the puts issued this phase, one array per execution chunk
+	// (Put appends to the array of the chunk running the origin). Chunks
+	// are contiguous ascending rank ranges walked in ascending order, so the
+	// arrays read in chunk order list the puts by ascending origin, each
+	// origin's in call order, at every width.
+	stage []stageBuf
+	// window holds every readable window: rank p's is window[inbox[p].lo :
+	// inbox[p].hi], and a rank whose window is empty has lo = hi = 0. back is
+	// the other array of the pair: deliver scatters the next windows into it
+	// and the two swap, so a window retained across a pause is copied forward
+	// and nothing else is. Slots past the windows are spent: they keep their
+	// messages until a later boundary overwrites them or Reset zeroes them.
+	window, back []Message
+	inbox        []inbound
 
-	recvMsgs  []int64 // per-rank landings at this boundary, zeroed by fold
-	recvBytes []int64
+	flops []float64 // per-rank compute charged this phase
+	msgs  []int64   // per-rank messages sent this phase
+	bytes []int64   // per-rank bytes sent this phase
 
-	// liveInbox lists the ranks whose inbox is currently nonempty, in the
-	// order they first received a landing. land maintains it (append on the
+	// liveInbox lists the ranks whose window is currently nonempty, in the
+	// order they first received a landing, which is also the order of their
+	// windows in the window array. land maintains it (append on the
 	// empty→nonempty transition) and deliver consumes it, so the boundary
 	// expires and costs only the windows that were actually written instead
 	// of scanning all P.
 	liveInbox []int32
 	all       []int32 // 0..P-1: the member list of a phase every rank runs
-
-	arena   []Message  // unassigned first chunks, see firstChunk
-	arenaMu sync.Mutex // Put reaches firstChunk from concurrent phase functions
 
 	// idleMax cache: max over an idle vector, keyed by slice identity —
 	// one O(P) scan per distinct vector per run instead of per phase.
@@ -184,13 +198,11 @@ func NewWorld(p int, model CostModel) *World {
 	w := &World{
 		P:         p,
 		Model:     model,
-		inbox:     make([][]Message, p),
-		staged:    make([][]Message, p),
+		stage:     make([]stageBuf, 1),
+		inbox:     make([]inbound, p),
 		flops:     make([]float64, p),
 		msgs:      make([]int64, p),
 		bytes:     make([]int64, p),
-		recvMsgs:  make([]int64, p),
-		recvBytes: make([]int64, p),
 		liveInbox: make([]int32, 0, p),
 		all:       make([]int32, p),
 	}
@@ -201,37 +213,51 @@ func NewWorld(p int, model CostModel) *World {
 	return w
 }
 
-// windowCap and arenaBufs size first-touch growth: a window or staging
-// buffer gets its first windowCap slots from an arena block shared by
-// arenaBufs buffers.
-const (
-	windowCap = 8
-	arenaBufs = 256
-)
+// stageBuf is one chunk's staging array, padded to a cache line of its own:
+// the chunks of a phase append to theirs concurrently.
+type stageBuf struct {
+	msgs []Message
+	_    [40]byte // the 24-byte slice header padded to 64
+}
 
-// firstChunk gives a never-used window or staging buffer its first slots
-// from the world's arena: one allocation per arenaBufs buffers instead of a
-// few per rank, and nothing for a rank that never communicates. A buffer
-// that outgrows its chunk is append's from then on. Put calls this from
-// concurrent phase functions, hence the lock; it is off the steady-state
-// path.
-func (w *World) firstChunk() []Message {
-	w.arenaMu.Lock()
-	defer w.arenaMu.Unlock()
-	if len(w.arena) < windowCap {
-		w.arena = make([]Message, windowCap*arenaBufs)
+// inbound is a rank's side of the boundary: its window's range of the
+// window array, and the bytes landed in it at the boundary in flight (zeroed
+// by fold). Deliver's first pass counts landings in hi.
+type inbound struct {
+	lo, hi    int32
+	recvBytes int64
+}
+
+// slotsPerRank sizes a flat message array's first allocation: room for that
+// many messages per rank (per rank of its chunk, for a staging array). A run
+// whose phases send no more never grows one, so a repeat solve allocates
+// nothing here whichever method ran on the world before.
+const slotsPerRank = 8
+
+// grow returns buf, contents kept, with room for n more messages: a first
+// allocation holds at least floor, and later ones grow as append does.
+func grow(buf []Message, n, floor int) []Message {
+	if cap(buf) == 0 && n > 0 {
+		n = max(n, floor)
 	}
-	c := w.arena[:0:windowCap]
-	w.arena = w.arena[windowCap:]
-	return c
+	return slices.Grow(buf, n)
+}
+
+// zeroed returns buf emptied, every slot of its capacity zeroed.
+func zeroed(buf []Message) []Message {
+	buf = buf[:cap(buf)]
+	clear(buf)
+	return buf[:0]
 }
 
 // Put stages a one-sided write of payload into the window of rank `to`. It
 // becomes visible in to's inbox at the start of the next phase. Put must be
-// called from rank `from`'s phase function. Payloads should be pointers to
-// caller-owned buffers: boxing a pointer does not allocate, and the runtime
-// never copies payload contents; it drops its reference at the boundary
-// after the receiving phase — the last phase's windows at Reset.
+// called from rank `from`'s phase function: it appends to the staging array
+// of the chunk running `from`, which no other goroutine touches. Payloads
+// should be pointers to caller-owned buffers: boxing a pointer does not
+// allocate, and the runtime never copies payload contents. It may keep a
+// reference in a spent slot of its flat arrays until a later boundary
+// overwrites the slot; Reset drops them all.
 func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
 	if w.closed {
 		panic(ErrClosed)
@@ -242,10 +268,11 @@ func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
 	if bytes < 0 || bytes > math.MaxInt32 {
 		panic(fmt.Sprintf("rma: Put size %d bytes out of range (0..%d)", bytes, math.MaxInt32))
 	}
-	if cap(w.staged[from]) == 0 {
-		w.staged[from] = w.firstChunk()
+	st := &w.stage[w.chunkOf(from)]
+	if len(st.msgs) == cap(st.msgs) {
+		st.msgs = grow(st.msgs, 1, slotsPerRank*w.P/max(1, w.chunks))
 	}
-	w.staged[from] = append(w.staged[from], Message{Payload: payload, From: int32(from), To: int32(to), Bytes: int32(bytes), Tag: tag}) // staging buffers keep their capacity across phases (deliver resets to st[:0])
+	st.msgs = append(st.msgs, Message{Payload: payload, From: int32(from), To: int32(to), Bytes: int32(bytes), Tag: tag}) // staging arrays keep their capacity across phases (deliver truncates them)
 	w.msgs[from]++
 	w.bytes[from] += int64(bytes)
 	if w.trace != nil {
@@ -269,7 +296,8 @@ func (w *World) Charge(rank int, flops float64) {
 // Inbox returns the messages delivered to rank at the last phase boundary.
 // The slice is valid until the next phase boundary.
 func (w *World) Inbox(rank int) []Message {
-	return w.inbox[rank]
+	in := &w.inbox[rank]
+	return w.window[in.lo:in.hi:in.hi]
 }
 
 // LiveInboxes returns the ranks whose inbox is currently nonempty, in
@@ -323,17 +351,14 @@ func (w *World) Close() { w.closed = true }
 // A closed world is reopened. Must not race with a phase.
 func (w *World) Reset(model CostModel) {
 	w.Model, w.Parallel = model, false
-	for p := range w.inbox {
-		// Slots past len were nil-ed when their phase was delivered.
-		clear(w.inbox[p])
-		clear(w.staged[p])
-		w.inbox[p], w.staged[p] = w.inbox[p][:0], w.staged[p][:0]
+	for b := range w.stage {
+		w.stage[b].msgs = zeroed(w.stage[b].msgs)
 	}
+	w.window, w.back = zeroed(w.window), zeroed(w.back)
+	clear(w.inbox)
 	clear(w.flops)
 	clear(w.msgs)
 	clear(w.bytes)
-	clear(w.recvMsgs)
-	clear(w.recvBytes)
 	w.liveInbox = w.liveInbox[:0]
 	w.idleMaxVec = nil
 	w.simTime, w.phases, w.delivered = 0, 0, 0
@@ -343,63 +368,113 @@ func (w *World) Reset(model CostModel) {
 }
 
 // deliver closes the phase in flight — the one phase boundary. It expires
-// the windows written at the previous boundary, moves staged puts into
-// windows (ascending origin rank: only members can have sent, and the list
-// is ascending) and accumulates the phase's simulated time: the BSP
-// h-relation cost, per rank compute plus message costs counting both
-// injections and landings (a window write occupies the target's NIC even
-// though the target CPU is not involved), maximized over ranks.
+// the windows read in this phase, moves the staged puts into windows
+// (ascending origin rank: the staging arrays, read in chunk order, list
+// them so) and accumulates the phase's simulated time: the BSP h-relation
+// cost, per rank compute plus message costs counting both injections and
+// landings (a window write occupies the target's NIC even though the target
+// CPU is not involved), maximized over ranks.
 //
-// Every loop runs over the ranks the phase touched — the member list and
-// the written windows (liveInbox) — never over all P. What else runs is
-// decided by what the world holds. A fault plan overlays exactly the passes
-// it needs (faults.go): a paused rank's window is retained, delayed
-// messages are released, each staged message is held back, landed or landed
-// twice, batches are reordered, and the cost pass visits every rank because
-// each has its own multiplier. A tracer adds emit sites on the same walks,
-// plus a second cost walk so a rank's cost row carries the closed phase's
-// clock. All of it runs here, on the calling goroutine, so every width sees
-// the same schedule.
+// The move is a counting sort in two flat passes over the staging arrays.
+// The first decides and counts every landing, in landing order: it charges
+// the target and appends it to liveInbox on its first landing. A prefix over
+// liveInbox then lays the windows out in back, and the second pass scatters
+// the landings into them in the same order, so each window holds its
+// landings in landing order. The two window arrays then swap. Nothing is
+// zeroed: spent slots are overwritten by later boundaries (or zeroed by
+// Reset), which measured cheaper than clearing them at every boundary.
+//
+// Every loop runs over the messages and the ranks the phase touched — the
+// member list and the written windows (liveInbox) — never over all P. What
+// else runs is decided by what the world holds. A fault plan overlays the
+// same passes (faults.go): a paused rank's window is retained and carried
+// ahead of its new landings, released delayed messages are landings ahead of
+// the staged ones, each staged message is held back, landed or landed twice
+// in the first pass (a duplicate is a landing like any other), batches are
+// reordered in place, and the cost pass visits every rank because each has
+// its own multiplier. A tracer adds emit sites on the same walks, plus a
+// second cost walk so a rank's cost row carries the closed phase's clock.
+// All of it runs here, on the calling goroutine, so every width sees the
+// same schedule.
 func (w *World) deliver() {
 	ch, landedBefore := w.chaos, w.delivered
-	live := w.liveInbox[:0]
+
+	// Expire the windows read in this phase. A retained one keeps its place
+	// at the front of liveInbox, and its count opens at its length (lo still
+	// marks where it lies in window).
+	kept, carried := 0, 0
 	for _, p := range w.liveInbox {
-		in := w.inbox[p]
-		if ch != nil && ch.pausedNow[p] {
-			// One-sided writes to a paused rank's window persist until the
-			// rank next runs an epoch and can actually read them. The window
-			// takes ownership of its payloads here, before any sender can
-			// start the phase in which it rewrites the buffers they point into.
-			for i := range in {
-				in[i].own()
-			}
-			live = append(live, p) // compacts liveInbox in place
+		in := &w.inbox[p]
+		if ch != nil && ch.retain(int(p), w.window[in.lo:in.hi]) {
+			carried += int(in.hi - in.lo)
+			in.hi -= in.lo
+			w.liveInbox[kept] = p
+			kept++
 			continue
 		}
-		for i := range in {
-			in[i].Payload = nil // do not retain payloads past their phase
-		}
-		w.inbox[p] = in[:0]
+		in.lo, in.hi = 0, 0
 	}
-	w.liveInbox = live
+	w.liveInbox = w.liveInbox[:kept]
+
+	// Pass 1: count. Under a plan a message held back leaves its staging
+	// array here, so the second pass sees exactly the landings counted.
+	var due []heldMsg
 	if ch != nil {
-		w.openFaultBoundary()
+		due = w.openFaultBoundary()
 	}
-	for _, from := range w.actList {
-		st := w.staged[from]
+	for b := range w.stage {
+		st := w.stage[b].msgs
+		n := 0
 		for i := range st {
 			m := &st[i]
 			w.totalMsgs[m.Tag]++
 			w.totalBytes[m.Tag] += int64(m.Bytes)
 			if ch == nil {
-				w.land(*m)
-			} else {
-				w.landFaulty(m)
+				w.land(m)
+			} else if w.landFaulty(m) {
+				st[n] = *m
+				n++
 			}
-			m.Payload = nil
 		}
-		w.staged[from] = st[:0]
+		if ch != nil {
+			w.stage[b].msgs = st[:n]
+		}
 	}
+
+	// Prefix: the windows in liveInbox order, each retained one copied
+	// ahead of its new landings.
+	total := carried + int(w.delivered-landedBefore)
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("rma: %d landings at one boundary exceed the int32 window range", total))
+	}
+	w.back = grow(w.back, total, slotsPerRank*w.P)
+	next, at := w.back[:total], int32(0)
+	for i, p := range w.liveInbox {
+		in := &w.inbox[p]
+		n, fill := in.hi, at
+		if i < kept {
+			r := ch.retained[p]
+			fill += int32(copy(next[at:at+r], w.window[in.lo:in.lo+r]))
+		}
+		in.lo, in.hi = at, fill
+		at += n
+	}
+
+	// Pass 2: scatter, in pass 1's landing order.
+	if w.trace != nil {
+		w.traceLandings(due)
+	}
+	for i := range due {
+		w.scatter(next, &due[i].m)
+	}
+	for b := range w.stage {
+		st := w.stage[b].msgs
+		for i := range st {
+			w.scatter(next, &st[i])
+		}
+		w.stage[b].msgs = st[:0]
+	}
+	w.window, w.back = next, w.window[:0]
 	if ch != nil && ch.plan.ReorderProb > 0 {
 		w.reorderBatches()
 	}
@@ -471,15 +546,20 @@ func (w *World) phaseCost(settle bool) float64 {
 // written to: the γ/α/β terms separately, so the rank whose total tracks
 // the phase maximum is the SimTime winner.
 func (w *World) fold(maxCost float64, p int, fl, mult float64, settle bool) float64 {
-	h := float64(w.msgs[p] + w.recvMsgs[p])
-	hb := float64(w.bytes[p] + w.recvBytes[p])
+	in := &w.inbox[p]
+	recv := in.hi - in.lo // the window, less what it carried over from the last boundary
+	if ch := w.chaos; ch != nil {
+		recv -= ch.retained[p]
+	}
+	h := float64(w.msgs[p] + int64(recv))
+	hb := float64(w.bytes[p] + in.recvBytes)
 	if cost := (w.Model.Gamma*fl + w.Model.Alpha*h + w.Model.Beta*hb) * mult; cost > maxCost {
 		maxCost = cost
 	}
 	if !settle {
 		return maxCost
 	}
-	if w.trace != nil && (w.flops[p] != 0 || w.msgs[p] != 0 || w.recvMsgs[p] != 0) {
+	if w.trace != nil && (w.flops[p] != 0 || w.msgs[p] != 0 || recv != 0) {
 		fc, mc, bc := w.Model.Gamma*fl*mult, w.Model.Alpha*h*mult, w.Model.Beta*hb*mult
 		w.trace.Emit(obs.Event{
 			Kind:  obs.KindRankCost,
@@ -490,13 +570,13 @@ func (w *World) fold(maxCost float64, p int, fl, mult float64, settle bool) floa
 			V2:    mc,
 			V3:    bc,
 			A:     int32(w.msgs[p]),
-			B:     int32(w.recvMsgs[p]),
+			B:     recv,
 			I1:    w.bytes[p],
-			I2:    w.recvBytes[p],
+			I2:    in.recvBytes,
 			Phase: w.phases,
 		})
 	}
-	w.flops[p], w.msgs[p], w.bytes[p], w.recvMsgs[p], w.recvBytes[p] = 0, 0, 0, 0, 0
+	w.flops[p], w.msgs[p], w.bytes[p], in.recvBytes = 0, 0, 0, 0
 	return maxCost
 }
 
@@ -539,21 +619,38 @@ func (w *World) emitFault(flag uint8, from, to int) {
 	})
 }
 
-// land appends one message to its target window and charges the landing
-// (the write occupies the target's NIC even though its CPU is not
+// land counts one landing in its target window — deliver's first pass — and
+// charges it (the write occupies the target's NIC even though its CPU is not
 // involved).
-func (w *World) land(m Message) {
-	if len(w.inbox[m.To]) == 0 {
+func (w *World) land(m *Message) {
+	in := &w.inbox[m.To]
+	if in.hi == 0 {
 		w.liveInbox = append(w.liveInbox, m.To) // preallocated to cap P in NewWorld; entries are distinct ranks, so len never exceeds P
-		if cap(w.inbox[m.To]) == 0 {
-			w.inbox[m.To] = w.firstChunk()
-		}
 	}
-	w.inbox[m.To] = append(w.inbox[m.To], m) // window buffers keep their capacity across phases (deliver resets to in[:0])
-	w.recvMsgs[m.To]++
-	w.recvBytes[m.To] += int64(m.Bytes)
+	in.hi++
+	in.recvBytes += int64(m.Bytes)
 	w.delivered++
-	if w.trace != nil {
+}
+
+// scatter writes one counted landing into its window in next — deliver's
+// second pass. A message the plan duplicated (landFaulty marks it Dup) lands
+// twice: the original, then the flagged copy.
+func (w *World) scatter(next []Message, m *Message) {
+	in := &w.inbox[m.To]
+	next[in.hi] = *m
+	in.hi++
+	if m.Dup {
+		next[in.hi-1].Dup = false
+		next[in.hi] = *m
+		in.hi++
+	}
+}
+
+// traceLandings logs the boundary's landings — the released delayed
+// messages, then the staged ones — in landing order, the order both passes
+// walk, a duplicate right after its original.
+func (w *World) traceLandings(due []heldMsg) {
+	emit := func(m Message) {
 		e := obs.Event{
 			Kind:  obs.KindDeliver,
 			Rank:  m.To,
@@ -567,6 +664,19 @@ func (w *World) land(m Message) {
 			e.Flag = obs.FlagDup
 		}
 		w.trace.Emit(e)
+	}
+	for _, h := range due {
+		emit(h.m)
+	}
+	for b := range w.stage {
+		for _, m := range w.stage[b].msgs {
+			if m.Dup {
+				orig := m
+				orig.Dup = false
+				emit(orig)
+			}
+			emit(m)
+		}
 	}
 }
 
