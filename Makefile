@@ -124,10 +124,12 @@ bench-e2e:
 #   make identity PARENT=/path/to/checkout-of-the-parent-commit
 # builds dsouthwell and benchtables from both trees, runs the fixed list of
 # CLI lines below in each and `cmp`s the outputs, stopping at the first
-# difference. The IDENTITY_SMALL lines are a many-small-parts run (ranks of
-# about six rows, single-neighbor ranks), the shape the exchange plans are
-# laid out for; with -loc_solver direct that line pins the sparse local
-# solver on blocks that small. The last
+# difference. The fig2/fig5/fig6 line is the one that reaches the scalar
+# solvers (internal/solvers, and the multigrid smoother built on scalar
+# Distributed Southwell). The IDENTITY_SMALL lines are a many-small-parts
+# run (ranks of about six rows, single-neighbor ranks), the shape the
+# exchange plans are laid out for; with -loc_solver direct that line pins
+# the sparse local solver on blocks that small. The last
 # line but one is a pinned run's whole trace export (~1.3 MB; pinned, so no
 # rank sleeps and every event is part of the contract), the one after it
 # the -quick scaling study (it reads DIFFERS against a parent
@@ -145,6 +147,7 @@ identity:
 		"benchtables $(IDENTITY_TABLES)" \
 		"benchtables -active=false $(IDENTITY_TABLES)" \
 		"benchtables -par 8 -goroutines $(IDENTITY_TABLES)" \
+		"benchtables -quick fig2 fig5 fig6" \
 		"dsouthwell $(IDENTITY_SOLVE)" \
 		"dsouthwell $(IDENTITY_SOLVE) -par" \
 		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3" \

@@ -26,7 +26,7 @@ func main() {
 	fmt.Println("scalar methods, 2 sweeps (residual norm, parallel steps):")
 	for _, m := range core.ScalarMethods() {
 		b, x := problem.RandomBSystem(a, 42)
-		tr, _, err := core.SolveScalar(a, b, x, core.ScalarOptions{Method: m, MaxRelax: 2 * a.N})
+		tr, err := core.SolveScalar(a, b, x, core.ScalarOptions{Method: m, MaxRelax: 2 * a.N})
 		if err != nil {
 			log.Fatal(err)
 		}

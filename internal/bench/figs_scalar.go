@@ -28,7 +28,7 @@ func fig2Problem(quick bool) *sparse.CSR {
 // problem and returns its trace.
 func scalarSeries(a *sparse.CSR, m core.ScalarMethod, seed int64) *solvers.Trace {
 	b, x := problem.RandomBSystem(a, seed)
-	tr, _, err := core.SolveScalar(a, b, x, core.ScalarOptions{Method: m, MaxRelax: 3 * a.N})
+	tr, err := core.SolveScalar(a, b, x, core.ScalarOptions{Method: m, MaxRelax: 3 * a.N})
 	if err != nil {
 		panic(err)
 	}
@@ -84,7 +84,7 @@ func Fig5(w io.Writer, cfg Config) error {
 	fprintf(w, "# steps and relaxations to reach residual norm 0.6:\n")
 	for _, m := range []core.ScalarMethod{core.SequentialSW, core.ParallelSW, core.MulticolorGS, core.DistributedSW} {
 		b, x := problem.RandomBSystem(a, cfg.seed())
-		tr, _, err := core.SolveScalar(a, b, x, core.ScalarOptions{Method: m, MaxRelax: 3 * a.N, TargetNorm: 0.6})
+		tr, err := core.SolveScalar(a, b, x, core.ScalarOptions{Method: m, MaxRelax: 3 * a.N, TargetNorm: 0.6})
 		if err != nil {
 			return err
 		}

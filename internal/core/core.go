@@ -96,29 +96,34 @@ func checkSystem(a *sparse.CSR, b, x []float64) error {
 }
 
 // SolveScalar runs a scalar method on A x = b, updating x in place, and
-// returns the convergence trace (plus message statistics for Distributed
-// Southwell; zero for other methods).
-func SolveScalar(a *sparse.CSR, b, x []float64, opt ScalarOptions) (*solvers.Trace, solvers.DistStats, error) {
+// returns the convergence trace; Distributed Southwell's records carry its
+// message counts. A must be structurally symmetric: every method reads row
+// i to propagate a relaxation through column i.
+func SolveScalar(a *sparse.CSR, b, x []float64, opt ScalarOptions) (*solvers.Trace, error) {
 	if err := checkSystem(a, b, x); err != nil {
-		return nil, solvers.DistStats{}, err
+		return nil, err
 	}
-	sopt := solvers.Options{MaxRelax: opt.MaxRelax, TargetNorm: opt.TargetNorm}
+	var run func(*sparse.CSR, []float64, []float64, solvers.Options) *solvers.Trace
 	switch opt.Method {
 	case Jacobi:
-		return solvers.Jacobi(a, b, x, sopt), solvers.DistStats{}, nil
+		run = solvers.Jacobi
 	case GaussSeidel:
-		return solvers.GaussSeidel(a, b, x, sopt), solvers.DistStats{}, nil
+		run = solvers.GaussSeidel
 	case MulticolorGS:
-		return solvers.MulticolorGS(a, b, x, sopt), solvers.DistStats{}, nil
+		run = solvers.MulticolorGS
 	case SequentialSW:
-		return solvers.SequentialSouthwell(a, b, x, sopt), solvers.DistStats{}, nil
+		run = solvers.SequentialSouthwell
 	case ParallelSW:
-		return solvers.ParallelSouthwell(a, b, x, sopt), solvers.DistStats{}, nil
+		run = solvers.ParallelSouthwell
 	case DistributedSW:
-		tr, st := solvers.DistributedSouthwell(a, b, x, sopt)
-		return tr, st, nil
+		run = solvers.DistributedSouthwell
+	default:
+		return nil, fmt.Errorf("core: unknown scalar method %q", opt.Method)
 	}
-	return nil, solvers.DistStats{}, fmt.Errorf("core: unknown scalar method %q", opt.Method)
+	if !a.IsStructurallySymmetric() {
+		return nil, fmt.Errorf("core: the matrix is not structurally symmetric")
+	}
+	return run(a, b, x, solvers.Options{MaxRelax: opt.MaxRelax, TargetNorm: opt.TargetNorm}), nil
 }
 
 // DistOptions configures SolveDistributed.

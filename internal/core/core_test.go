@@ -25,7 +25,7 @@ func TestSolveScalarAllMethods(t *testing.T) {
 	for _, m := range ScalarMethods() {
 		a := problem.Poisson2D(15, 15)
 		b, x := scaledSystem(t, a, 2)
-		tr, _, err := SolveScalar(a, b, x, ScalarOptions{Method: m, MaxRelax: 2 * a.N})
+		tr, err := SolveScalar(a, b, x, ScalarOptions{Method: m, MaxRelax: 2 * a.N})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -34,8 +34,32 @@ func TestSolveScalarAllMethods(t *testing.T) {
 		}
 	}
 	a := problem.Poisson2D(4, 4)
-	if _, _, err := SolveScalar(a, make([]float64, a.N), make([]float64, a.N), ScalarOptions{Method: "nope"}); err == nil {
+	if _, err := SolveScalar(a, make([]float64, a.N), make([]float64, a.N), ScalarOptions{Method: "nope"}); err == nil {
 		t.Error("unknown scalar method accepted")
+	}
+}
+
+// TestSolveScalarRejectsAsymmetric: every scalar method propagates a
+// relaxation of row i through column i by reading row i, so a matrix whose
+// pattern is not symmetric is an error, never a silently wrong run or a
+// panic. Entry (0, 2) has no (2, 0).
+func TestSolveScalarRejectsAsymmetric(t *testing.T) {
+	a := &sparse.CSR{N: 3, RowPtr: []int{0, 3, 5, 6}, Col: []int{0, 1, 2, 0, 1, 2},
+		Val: []float64{1, -0.25, -0.25, -0.25, 1, 1}}
+	if err := a.Validate(); err != nil {
+		t.Fatalf("the test matrix itself is malformed: %v", err)
+	}
+	for _, m := range ScalarMethods() {
+		t.Run(string(m), func(t *testing.T) {
+			x := []float64{1, 2, 3}
+			_, err := SolveScalar(a, make([]float64, a.N), x, ScalarOptions{Method: m})
+			if err == nil || !strings.Contains(err.Error(), "not structurally symmetric") {
+				t.Errorf("err = %v, want one naming the asymmetry", err)
+			}
+			if x[0] != 1 || x[1] != 2 || x[2] != 3 {
+				t.Errorf("x = %v: the rejected solve moved it", x)
+			}
+		})
 	}
 }
 
@@ -103,7 +127,7 @@ func TestSolveRejectsMismatchedSystem(t *testing.T) {
 		{"short x", a, b, x[:5]},
 		{"long b", a, append(b[:len(b):len(b)], 0), x},
 	} {
-		if _, _, err := SolveScalar(c.a, c.b, c.x, ScalarOptions{Method: GaussSeidel}); err == nil {
+		if _, err := SolveScalar(c.a, c.b, c.x, ScalarOptions{Method: GaussSeidel}); err == nil {
 			t.Errorf("SolveScalar, %s: accepted", c.name)
 		}
 		if _, err := SolveDistributed(c.a, c.b, c.x, DistOptions{Method: DistSWD, Ranks: 4}); err == nil {

@@ -3,6 +3,7 @@ package dmem
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -18,18 +19,13 @@ import (
 // width (pool); all runs must be bit-identical to the first — histories,
 // cumulative stats, watchdog verdicts, and solutions. Only the
 // methods that promise quiescence may report an occupancy histogram: BJ and
-// Piggyback2016 never do, and neither does DS under a negative UpdateSlack
-// (its phase-2 trigger no longer self-extinguishes, so Config.pinned must
-// pin it). Run under -race via `make race`.
+// Piggyback2016 never do. Run under -race via `make race`.
 func TestActiveDenseEquivalence(t *testing.T) {
 	ranks := []int{64}
 	if !testing.Short() {
 		ranks = append(ranks, 256)
 	}
 	ms := methodsWithPB()
-	ms["DistributedSouthwellNegSlack"] = func(s *Setup, b, x []float64, cfg Config) *Result {
-		return DistributedSouthwellOpt(s, b, x, cfg, DistSWOptions{UpdateSlack: -0.1})
-	}
 	for _, p := range ranks {
 		grid := 32
 		if p > 64 {
@@ -195,12 +191,32 @@ func TestConfigPinned(t *testing.T) {
 		{"all clear, pool", Config{Parallel: true}, quiescent, false},
 		{"all clear, message faults", Config{Faults: fullChaosPlan(1)}, quiescent, false},
 		{"never quiescent (BJ, PB16)", Config{}, stepSpec{}, true},
-		{"starvation clock without the promise (DS, UpdateSlack < 0)", Config{}, stepSpec{starvation: true}, true},
 		{"Dense", Config{Dense: true}, quiescent, true},
 	}
 	for _, c := range cases {
 		if got := c.cfg.pinned(c.spec); got != c.want {
 			t.Errorf("%s: pinned = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestNegativeUpdateSlackPanics: a negative slack keeps the phase-2 trigger
+// open after a send, which would break DS's quiescence promise and the
+// Γ̃ ≤ ‖r‖ bound §2.4's deadlock-freedom rests on, so it is refused before
+// a run state is taken.
+func TestNegativeUpdateSlackPanics(t *testing.T) {
+	s, b, x := buildCase(t, problem.Poisson2D(8, 8), 4, 1)
+	for _, slack := range []float64{-0.1, math.NaN()} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "UpdateSlack") {
+					t.Errorf("slack %g: panic %q, want one naming UpdateSlack", slack, msg)
+				}
+			}()
+			DistributedSouthwellOpt(s, b, x, Config{Steps: 1}, DistSWOptions{UpdateSlack: slack})
+		}()
+	}
+	if s.parked != nil {
+		t.Error("a refused solve parked a run state")
 	}
 }

@@ -1,6 +1,10 @@
 package dmem
 
-import "southwell/internal/rma"
+import (
+	"fmt"
+
+	"southwell/internal/rma"
+)
 
 // DistSWOptions are Distributed Southwell variants beyond the paper,
 // default-zero for the paper's algorithm.
@@ -11,7 +15,8 @@ type DistSWOptions struct {
 	NoGhostEstimate bool
 	// UpdateSlack relaxes the explicit-update trigger to
 	// Γ̃ > (1+UpdateSlack)·‖r_p‖ (ablation: trades messages for risk of
-	// slower estimate correction). Zero is the paper's trigger.
+	// slower estimate correction). Zero is the paper's trigger; a negative
+	// slack, which would keep the trigger open after a send, panics.
 	UpdateSlack float64
 }
 
@@ -27,6 +32,9 @@ func DistributedSouthwell(s *Setup, b, x []float64, cfg Config) *Result {
 
 // DistributedSouthwellOpt is DistributedSouthwell with ablation options.
 func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOptions) *Result {
+	if !(opts.UpdateSlack >= 0) {
+		panic(fmt.Sprintf("dmem: UpdateSlack = %g, want >= 0", opts.UpdateSlack))
+	}
 	return solve(s, b, x, cfg, func(st *runState, step *int) stepSpec {
 		w, states := st.w, st.states
 
@@ -204,14 +212,13 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 		// Quiescent: a rank that held with an empty window re-decides
 		// identically until its state changes, and its phase-2 trigger
 		// self-extinguishes (a fired send sets Γ̃[j] = ‖r‖, closing the
-		// trigger) — unless the slack is negative: Γ̃ > (1+s)·‖r‖ then stays
-		// open after the reset. The starvation re-announce is the one
+		// trigger for any slack >= 0). The starvation re-announce is the one
 		// per-step poll; the driver converts it to step stamps plus a wakeup
 		// calendar.
 		return stepSpec{
 			name:       "Distributed Southwell",
 			phases:     []func(int){phase1, phase2, phase3},
-			quiescent:  opts.UpdateSlack >= 0,
+			quiescent:  true,
 			starvation: true,
 		}
 	})

@@ -70,7 +70,7 @@ func TestSetupReuseInvisible(t *testing.T) {
 				{name: "DS pool", run: DistributedSouthwell, cfg: Config{Parallel: true}},
 				{name: "DS chaos", run: DistributedSouthwell, cfg: Config{Faults: fullChaosPlan(7)}},
 				{name: "DS traced", run: DistributedSouthwell, traced: true},
-				{name: "DS slack -0.1", run: ds(DistSWOptions{UpdateSlack: -0.1})},
+				{name: "DS slack 0.1", run: ds(DistSWOptions{UpdateSlack: 0.1})},
 				{name: "DS other system", run: DistributedSouthwell, other: true},
 				{name: "DS target", run: DistributedSouthwell, cfg: Config{Target: 0.5}},
 				{name: "DS again", run: DistributedSouthwell},

@@ -130,7 +130,9 @@ func TestDistSWSmootherExactBudget(t *testing.T) {
 	}
 	b, x := problem.RandomBSystem(a, 5)
 	budget := a.N/2 + 7
-	tr, _ := solversDistSW(a, b, x, budget)
+	tr := solvers.DistributedSouthwell(a, b, x, solvers.Options{
+		MaxRelax: budget, ExactBudget: true, Seed: 3,
+	})
 	if tr.TotalRelaxations() != budget {
 		t.Errorf("relaxations = %d, want exactly %d", tr.TotalRelaxations(), budget)
 	}
@@ -178,11 +180,4 @@ func TestSmootherNames(t *testing.T) {
 	if (DistSW{SweepFraction: 0.5}).Name() != "Dist SW 0.5 sweep" {
 		t.Error("DistSW half-sweep name")
 	}
-}
-
-// solversDistSW exposes the exact-budget scalar solver for the budget test.
-func solversDistSW(a *sparse.CSR, b, x []float64, budget int) (*solvers.Trace, solvers.DistStats) {
-	return solvers.DistributedSouthwell(a, b, x, solvers.Options{
-		MaxRelax: budget, ExactBudget: true, Seed: 3,
-	})
 }

@@ -1,50 +1,82 @@
 package solvers
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"southwell/internal/sparse"
 )
 
-// DistStats counts the communication a distributed run would incur,
-// split the way the paper's Table 3 splits it.
-type DistStats struct {
-	SolveMsgs    int // messages carrying relaxation updates
-	ResidualMsgs int // explicit residual-norm update messages (deadlock avoidance)
+// distSW is the state of scalar Distributed Southwell. Every per-neighbour
+// quantity of row i lives at the CSR position k of edge (i, j), and j's write
+// to i is read from j's side of the same edge, mirror[k]. Diagonal positions
+// are skipped.
+type distSW struct {
+	*state
+	diag   []float64
+	mirror []int // position of (j, i) for the entry (i, j) at k
+	// Per edge (i, j): z is i's estimate of j's residual value (a signed
+	// ghost, improved locally), gt is Γ̃ — j's estimate of |r_i|, kept exactly
+	// (§3) — sent is the delta i last sent j, and wrote marks a write from i
+	// to j in the current phase.
+	z, gt, sent []float64
+	wrote       []bool
+	sentR       []float64 // per row: own residual value in this phase's writes
+	selected    []int
+	budget      int        // MaxRelax, for ExactBudget
+	rng         *rand.Rand // ExactBudget's final-step subset; nil otherwise
+
+	solveMsgs, resMsgs int
 }
 
-// TotalMsgs returns all messages sent.
-func (d DistStats) TotalMsgs() int { return d.SolveMsgs + d.ResidualMsgs }
-
-// debugDistSW enables per-step verification of the Γ̃ exactness invariant
-// (set by tests; too costly for production runs).
-var debugDistSW = false
-
-// distRow is the per-row ("per-process", in the scalar form) state of
-// Distributed Southwell: the row's exact residual plus, per neighbor slot
-// k, the ghost residual estimate z (a signed copy of the neighbor's
-// residual, locally updated), Γ = |z| (the norm estimate the paper keeps
-// for block form), and Γ̃ = the estimate this row's norm that the neighbor
-// holds (exactly maintained; see §3).
-type distRow struct {
-	nbr        []int     // neighbor row indices
-	offd       []float64 // a_{j,i} for each neighbor j (symmetric: = a_{i,j})
-	diag       float64
-	z          []float64 // ghost: estimate of each neighbor's residual value
-	gammaTilde []float64 // neighbor's estimate of |r_i|
-	sentDelta  []float64 // per neighbor: delta sent in the current phase
-	lastSentR  float64   // own residual value included in the last send
-	slotOf     map[int]int
+func newDistSW(a *sparse.CSR, b, x []float64, opt Options) *distSW {
+	s := newState(a, b, x)
+	nnz := a.NNZ()
+	d := &distSW{
+		state: s, diag: a.Diag(), mirror: mirrors(a),
+		z: make([]float64, nnz), gt: make([]float64, nnz), sent: make([]float64, nnz),
+		wrote: make([]bool, nnz), sentR: make([]float64, a.N),
+		selected: make([]int, 0, a.N), budget: opt.maxRelax(a.N),
+	}
+	for i := range a.N {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			d.z[k] = s.r[a.Col[k]] // exact at startup
+			d.gt[k] = math.Abs(s.r[i])
+		}
+	}
+	if opt.ExactBudget {
+		d.rng = rand.New(rand.NewSource(opt.Seed))
+	}
+	return d
 }
 
-// distMsg is what one row writes into a neighbor's window.
-type distMsg struct {
-	from     int
-	delta    float64 // increment to the receiver's residual (0 for explicit updates)
-	hasDelta bool
-	senderR  float64 // sender's residual value at send time (ghost sync)
-	estRecv  float64 // sender's estimate of the receiver's residual value
+// mirrors returns, for each stored entry (i, j) of a, the position of (j, i).
+// One pass over the rows in order: the rows holding column j are met in
+// ascending order, which is the column order of row j, so one cursor per row
+// finds every mirror. It panics naming the first entry without one.
+func mirrors(a *sparse.CSR) []int {
+	mirror := make([]int, a.NNZ())
+	next := slices.Clone(a.RowPtr[:a.N]) // next[j]: row j's first unclaimed entry
+	unmatched := func(i, j int) {
+		panic(fmt.Sprintf("solvers: entry (%d, %d) has no mirror (%d, %d): the matrix is not structurally symmetric", i, j, j, i))
+	}
+	for i := range a.N {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			j := a.Col[k]
+			m := next[j]
+			switch {
+			case m < a.RowPtr[j+1] && a.Col[m] < i: // row Col[m] passed without claiming it
+				unmatched(j, a.Col[m])
+			case m == a.RowPtr[j+1] || a.Col[m] != i:
+				unmatched(i, j)
+			}
+			mirror[k] = m
+			next[j]++
+		}
+	}
+	return mirror
 }
 
 // DistributedSouthwell runs the scalar form of Distributed Southwell
@@ -55,195 +87,143 @@ type distMsg struct {
 // locally via the ghost values, and explicit residual updates flow only
 // when a neighbor's estimate of a row exceeds the row's actual residual.
 //
-// The returned stats count one message per write to a neighbor, tagged as
-// solve (relaxation) or residual (explicit update) communication.
-func DistributedSouthwell(a *sparse.CSR, b, x []float64, opt Options) (*Trace, DistStats) {
+// Every write to a neighbor is one message, counted in the trace as solve
+// (relaxation) or residual (explicit update) communication. The matrix must
+// be structurally symmetric; it panics otherwise.
+func DistributedSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 	tr := &Trace{Method: "Dist SW"}
-	n := a.N
-	s := newState(a, b, x)
-	var stats DistStats
+	d := newDistSW(a, b, x, opt)
+	for {
+		relaxed := d.step()
+		// No relaxation was possible: either converged, or stagnated while
+		// estimates were being corrected. Continue only if estimates
+		// changed; with Γ̃ exactness the very next step must relax, so a
+		// second empty step means the residual is zero.
+		if relaxed == 0 && (d.norm() == 0 || tr.NumSteps() > 0 && tr.Final().Relaxations == 0) {
+			return tr
+		}
+		rec := StepRecord{
+			Step:        len(tr.Steps) + 1,
+			Relaxations: relaxed,
+			CumRelax:    d.relax,
+			ResNorm:     d.norm(),
+			SolveMsgs:   d.solveMsgs,
+			ResMsgs:     d.resMsgs,
+		}
+		tr.Steps = append(tr.Steps, rec)
+		if opt.done(rec, a.N) {
+			return tr
+		}
+	}
+}
 
-	rows := make([]distRow, n)
-	for i := 0; i < n; i++ {
-		cols, vals := a.Row(i)
-		row := distRow{slotOf: make(map[int]int)}
-		for k, j := range cols {
-			if j == i {
-				row.diag = vals[k]
+// step runs one parallel step and returns the number of rows it relaxed.
+func (d *distSW) step() int {
+	a, r := d.a, d.r
+	// Phase 1: decide (snapshot semantics) and relax.
+	d.selected = d.selected[:0]
+	for i := range a.N {
+		ri := math.Abs(r[i])
+		if ri == 0 {
+			continue
+		}
+		wins := true
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if j := a.Col[k]; j != i && !winsOver(ri, i, math.Abs(d.z[k]), j) {
+				wins = false
+				break
+			}
+		}
+		if wins {
+			d.selected = append(d.selected, i)
+		}
+	}
+	if d.rng != nil {
+		if remaining := d.budget - d.relax; len(d.selected) > remaining {
+			// Final parallel step: relax a random subset of the selected
+			// rows so the total relaxation count is exact (§4.1).
+			d.rng.Shuffle(len(d.selected), func(a, b int) {
+				d.selected[a], d.selected[b] = d.selected[b], d.selected[a]
+			})
+			d.selected = d.selected[:remaining]
+		}
+	}
+	for _, i := range d.selected {
+		dx := r[i] / d.diag[i]
+		d.x[i] += dx
+		old := r[i]
+		r[i] -= d.diag[i] * dx // exactly zero
+		d.normSq += r[i]*r[i] - old*old
+		d.relax++
+		d.sentR[i] = r[i]
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if a.Col[k] == i {
 				continue
 			}
-			row.slotOf[j] = len(row.nbr)
-			row.nbr = append(row.nbr, j)
-			row.offd = append(row.offd, vals[k])
-			row.z = append(row.z, s.r[j]) // exact at startup
-			row.gammaTilde = append(row.gammaTilde, math.Abs(s.r[i]))
-			row.sentDelta = append(row.sentDelta, 0)
+			delta := -a.Val[k] * dx
+			d.z[k] += delta // local estimate improvement: no communication
+			d.sent[k] = delta
+			d.gt[k] = math.Abs(r[i])
+			d.wrote[k] = true
+			d.solveMsgs++
 		}
-		rows[i] = row
 	}
+	d.deliver(true)
 
-	inbox := make([][]distMsg, n)
-	sentTo := make(map[[2]int]bool) // (from,to) pairs written this phase
-	var rng *rand.Rand
-	if opt.ExactBudget {
-		rng = rand.New(rand.NewSource(opt.Seed))
+	// Phase 2: deadlock-risk detection — if a neighbor's estimate of my
+	// residual exceeds my actual residual, correct it explicitly.
+	for i := range a.N {
+		ri := math.Abs(r[i])
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if a.Col[k] != i && d.gt[k] > ri {
+				d.gt[k] = ri
+				d.sentR[i] = r[i]
+				d.wrote[k] = true
+				d.resMsgs++
+			}
+		}
 	}
+	d.deliver(false)
+	return len(d.selected)
+}
 
-	deliver := func() {
-		for i := range inbox {
-			for _, m := range inbox[i] {
-				row := &rows[i]
-				k := row.slotOf[m.from]
-				if m.hasDelta {
-					old := s.r[i]
-					s.r[i] += m.delta
-					s.normSq += s.r[i]*s.r[i] - old*old
-				}
-				crossing := sentTo[[2]int{i, m.from}]
-				switch {
-				case crossing && m.hasDelta:
+// deliver absorbs the phase's writes receiver by receiver, each in ascending
+// sender order. A write from j to i carries j's residual value sentR[j], j's
+// estimate of r_i z[mirror], and in phase 1 the delta sent[mirror]. z[mirror]
+// is read here rather than copied at send time: it changes only when j
+// absorbs a write from i, and the one case that reads it has none.
+func (d *distSW) deliver(solve bool) {
+	a, r := d.a, d.r
+	for i := range a.N {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			j, m := a.Col[k], d.mirror[k]
+			if j == i || !d.wrote[m] {
+				continue
+			}
+			crossing := d.wrote[k]
+			if solve {
+				old := r[i]
+				r[i] += d.sent[m]
+				d.normSq += r[i]*r[i] - old*old
+				if crossing {
 					// Both endpoints relaxed in the same phase. The sender's
 					// reported residual predates this row's delta to it, so
 					// re-apply that delta on top — the "better estimate than
 					// doing nothing at all" of §3. The sender performs the
 					// mirrored correction, so Γ̃ stays exact: its estimate of
-					// this row is its senderR-base plus the delta it sent.
-					row.z[k] = m.senderR + row.sentDelta[k]
-					row.gammaTilde[k] = math.Abs(row.lastSentR + m.delta)
-				case crossing:
-					// Crossing explicit updates carry no deltas; this row's
-					// own write supersedes the stale estimate in the message.
-					row.z[k] = m.senderR
-				default:
-					row.z[k] = m.senderR
-					row.gammaTilde[k] = math.Abs(m.estRecv)
+					// this row is its sentR-base plus the delta it sent.
+					d.z[k] = d.sentR[j] + d.sent[k]
+					d.gt[k] = math.Abs(d.sentR[i] + d.sent[m])
+					continue
 				}
 			}
-			inbox[i] = inbox[i][:0]
-		}
-		for k := range sentTo {
-			delete(sentTo, k)
-		}
-	}
-
-	selected := make([]int, 0, n)
-	for {
-		// Phase 1: decide (snapshot semantics) and relax.
-		selected = selected[:0]
-		for i := 0; i < n; i++ {
-			ri := math.Abs(s.r[i])
-			if ri == 0 {
-				continue
-			}
-			row := &rows[i]
-			wins := true
-			for k, j := range row.nbr {
-				if !winsOver(ri, i, math.Abs(row.z[k]), j) {
-					wins = false
-					break
-				}
-			}
-			if wins {
-				selected = append(selected, i)
-			}
-		}
-		if opt.ExactBudget {
-			if remaining := opt.maxRelax(n) - s.relax; len(selected) > remaining {
-				// Final parallel step: relax a random subset of the selected
-				// rows so the total relaxation count is exact (§4.1).
-				rng.Shuffle(len(selected), func(a, b int) {
-					selected[a], selected[b] = selected[b], selected[a]
-				})
-				selected = selected[:remaining]
-			}
-		}
-		for _, i := range selected {
-			row := &rows[i]
-			d := s.r[i] / row.diag
-			s.x[i] += d
-			old := s.r[i]
-			s.r[i] -= row.diag * d // exactly zero
-			s.normSq += s.r[i]*s.r[i] - old*old
-			s.relax++
-			row.lastSentR = s.r[i]
-			for k, j := range row.nbr {
-				delta := -row.offd[k] * d
-				row.z[k] += delta // local estimate improvement: no communication
-				row.sentDelta[k] = delta
-				row.gammaTilde[k] = math.Abs(s.r[i])
-				inbox[j] = append(inbox[j], distMsg{
-					from: i, delta: delta, hasDelta: true,
-					senderR: s.r[i], estRecv: row.z[k],
-				})
-				sentTo[[2]int{i, j}] = true
-				stats.SolveMsgs++
-			}
-		}
-		relaxed := len(selected)
-		deliver()
-
-		// Phase 2: deadlock-risk detection — if a neighbor's estimate of my
-		// residual exceeds my actual residual, correct it explicitly.
-		for i := 0; i < n; i++ {
-			row := &rows[i]
-			ri := math.Abs(s.r[i])
-			for k, j := range row.nbr {
-				if row.gammaTilde[k] > ri {
-					row.gammaTilde[k] = ri
-					inbox[j] = append(inbox[j], distMsg{
-						from: i, senderR: s.r[i], estRecv: row.z[k],
-					})
-					sentTo[[2]int{i, j}] = true
-					stats.ResidualMsgs++
-				}
-			}
-		}
-		deliver()
-
-		if debugDistSW && !checkGammaTildeExact(rows) {
-			panic("solvers: Γ̃ exactness invariant violated")
-		}
-
-		if relaxed == 0 {
-			// No relaxation was possible: either converged, or stagnated
-			// while estimates were being corrected. Continue only if
-			// estimates changed; with Γ̃ exactness the very next step must
-			// relax, so a second empty step means the residual is zero.
-			if s.norm() == 0 || tr.lastStepEmpty() {
-				return tr, stats
-			}
-		}
-		rec := StepRecord{
-			Step:        len(tr.Steps) + 1,
-			Relaxations: relaxed,
-			CumRelax:    s.relax,
-			ResNorm:     s.norm(),
-		}
-		tr.Steps = append(tr.Steps, rec)
-		if opt.done(rec, n) {
-			return tr, stats
-		}
-	}
-}
-
-func (t *Trace) lastStepEmpty() bool {
-	return len(t.Steps) > 0 && t.Steps[len(t.Steps)-1].Relaxations == 0
-}
-
-// checkGammaTildeExact verifies the paper's §3 claim that Γ̃ is exactly
-// known: for every edge (i, j), row i's record of "what j estimates my
-// residual to be" must equal |z_j[i]|, j's actual estimate. Used by tests.
-func checkGammaTildeExact(rows []distRow) bool {
-	for i := range rows {
-		for k, j := range rows[i].nbr {
-			kj := rows[j].slotOf[i]
-			// Bit-exact by design: §3 claims Γ̃ is *exactly* known, so the
-			// invariant check must not tolerate any drift.
-			if rows[i].gammaTilde[k] != math.Abs(rows[j].z[kj]) { //dslint:ignore floatcmp
-
-				return false
+			d.z[k] = d.sentR[j]
+			// Crossing explicit updates carry no deltas; this row's own
+			// write supersedes the stale estimate in the message.
+			if !crossing {
+				d.gt[k] = math.Abs(d.z[m])
 			}
 		}
 	}
-	return true
+	clear(d.wrote)
 }

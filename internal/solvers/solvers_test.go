@@ -2,6 +2,7 @@ package solvers
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -35,10 +36,7 @@ func allMethods() map[string]runner {
 		"MCGS":   MulticolorGS,
 		"SW":     SequentialSouthwell,
 		"ParSW":  ParallelSouthwell,
-		"DistSW": func(a *sparse.CSR, b, x []float64, opt Options) *Trace {
-			tr, _ := DistributedSouthwell(a, b, x, opt)
-			return tr
-		},
+		"DistSW": DistributedSouthwell,
 	}
 }
 
@@ -62,6 +60,9 @@ func TestMethodsReduceResidualAndTrackNormExactly(t *testing.T) {
 			}
 			if fin.CumRelax < 3*a.N {
 				t.Errorf("relaxations %d < requested %d", fin.CumRelax, 3*a.N)
+			}
+			if sends := fin.SolveMsgs + fin.ResMsgs; (sends > 0) != (name == "DistSW") {
+				t.Errorf("%d messages counted: only Distributed Southwell sends any", sends)
 			}
 		})
 	}
@@ -142,14 +143,67 @@ func TestParallelSouthwellRelaxedSetIndependent(t *testing.T) {
 	}
 }
 
+// TestDistSWGammaTildeInvariant checks the paper's §3 claim that Γ̃ is
+// exactly known, bit for bit, after every step: for every edge (i, j), row
+// i's record of "what j estimates my residual to be" equals |z| on j's side
+// of the edge, j's actual estimate.
 func TestDistSWGammaTildeInvariant(t *testing.T) {
-	debugDistSW = true
-	defer func() { debugDistSW = false }()
 	a := problem.FEM2D(12, 0.35, 6)
 	b, x := testSystem(t, a, 6)
-	tr, _ := DistributedSouthwell(a, b, x, Options{MaxRelax: 4 * a.N})
-	if tr.Final().ResNorm >= 1 {
+	d := newDistSW(a, b, x, Options{})
+	for step := 1; d.relax < 4*a.N; step++ {
+		if d.step() == 0 {
+			t.Fatalf("step %d relaxed nothing", step)
+		}
+		for i := range a.N {
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				if a.Col[k] != i && d.gt[k] != math.Abs(d.z[d.mirror[k]]) {
+					t.Fatalf("step %d, edge (%d, %d): Γ̃ %.17g, neighbour's estimate %.17g",
+						step, i, a.Col[k], d.gt[k], d.z[d.mirror[k]])
+				}
+			}
+		}
+	}
+	if d.norm() >= 1 {
 		t.Error("no progress under invariant checking")
+	}
+}
+
+// TestDistSWMirrors: mirror pairs every stored entry with its transpose,
+// and a missing transpose panics with the entry's name.
+func TestDistSWMirrors(t *testing.T) {
+	a := problem.FEM2D(6, 0.3, 3)
+	m := mirrors(a)
+	for i := range a.N {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			j := a.Col[k]
+			if mk := m[k]; mk < a.RowPtr[j] || mk >= a.RowPtr[j+1] || a.Col[mk] != i || m[mk] != k {
+				t.Fatalf("entry (%d, %d) at %d: mirror %d", i, j, k, mk)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+		want string
+	}{
+		// (0, 2) has no (2, 0).
+		{"above", &sparse.CSR{N: 3, RowPtr: []int{0, 2, 3, 4}, Col: []int{0, 2, 1, 2}, Val: []float64{1, 1, 1, 1}}, "entry (0, 2)"},
+		// (2, 0) has no (0, 2): row 0 has no entry left for it.
+		{"below", &sparse.CSR{N: 3, RowPtr: []int{0, 1, 2, 4}, Col: []int{0, 1, 0, 2}, Val: []float64{1, 1, 1, 1}}, "entry (2, 0)"},
+		// (0, 1) has no (1, 0).
+		{"right", &sparse.CSR{N: 3, RowPtr: []int{0, 3, 4, 6}, Col: []int{0, 1, 2, 1, 0, 2}, Val: []float64{1, 1, 1, 1, 1, 1}}, "entry (0, 1)"},
+		// (2, 0) has no (0, 2): row 1 finds row 2's cursor stuck on it.
+		{"unclaimed", &sparse.CSR{N: 3, RowPtr: []int{0, 1, 3, 6}, Col: []int{0, 1, 2, 0, 1, 2}, Val: []float64{1, 1, 1, 1, 1, 1}}, "entry (2, 0)"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want one naming %s", c.name, msg, c.want)
+				}
+			}()
+			mirrors(c.a)
+		}()
 	}
 }
 
@@ -159,7 +213,7 @@ func TestDistSWTracksParSWAtLowAccuracy(t *testing.T) {
 	a := problem.Fig2FEM()
 	b, x1 := testSystem(t, a, 7)
 	x2 := append([]float64(nil), x1...)
-	ds, _ := DistributedSouthwell(a, b, x1, Options{MaxRelax: 3 * a.N, TargetNorm: 0.6})
+	ds := DistributedSouthwell(a, b, x1, Options{MaxRelax: 3 * a.N, TargetNorm: 0.6})
 	ps := ParallelSouthwell(a, b, x2, Options{MaxRelax: 3 * a.N, TargetNorm: 0.6})
 	dsRelax, ok1 := ds.RelaxAtNorm(0.6)
 	psRelax, ok2 := ps.RelaxAtNorm(0.6)
@@ -177,7 +231,7 @@ func TestDistSWMoreActiveThanParSW(t *testing.T) {
 	a := problem.Fig2FEM()
 	b, x1 := testSystem(t, a, 8)
 	x2 := append([]float64(nil), x1...)
-	ds, _ := DistributedSouthwell(a, b, x1, Options{MaxRelax: 2 * a.N})
+	ds := DistributedSouthwell(a, b, x1, Options{MaxRelax: 2 * a.N})
 	ps := ParallelSouthwell(a, b, x2, Options{MaxRelax: 2 * a.N})
 	dsPerStep := float64(ds.TotalRelaxations()) / float64(ds.NumSteps())
 	psPerStep := float64(ps.TotalRelaxations()) / float64(ps.NumSteps())
@@ -191,11 +245,11 @@ func TestDistSWNoDeadlock(t *testing.T) {
 	// method progressing (the 2016 variant stalls here).
 	a := problem.Poisson2D(12, 12)
 	b, x := testSystem(t, a, 9)
-	tr, stats := DistributedSouthwell(a, b, x, Options{MaxRelax: 200 * a.N, TargetNorm: 1e-6})
+	tr := DistributedSouthwell(a, b, x, Options{MaxRelax: 200 * a.N, TargetNorm: 1e-6})
 	if tr.Final().ResNorm > 1e-6 {
 		t.Fatalf("did not reach 1e-6: %g after %d relaxations", tr.Final().ResNorm, tr.TotalRelaxations())
 	}
-	if stats.SolveMsgs == 0 {
+	if tr.Final().SolveMsgs == 0 {
 		t.Error("no solve messages counted")
 	}
 }
@@ -208,12 +262,11 @@ func TestDistSWCommLowerThanParSWExplicit(t *testing.T) {
 	// neighbors. DS must be well under nnz-per-sweep scale.
 	a := problem.Fig2FEM()
 	b, x := testSystem(t, a, 10)
-	tr, stats := DistributedSouthwell(a, b, x, Options{MaxRelax: 2 * a.N})
-	if stats.ResidualMsgs >= stats.SolveMsgs {
+	fin := DistributedSouthwell(a, b, x, Options{MaxRelax: 2 * a.N}).Final()
+	if fin.ResMsgs >= fin.SolveMsgs {
 		t.Errorf("residual msgs %d should be below solve msgs %d (paper Table 3 shape)",
-			stats.ResidualMsgs, stats.SolveMsgs)
+			fin.ResMsgs, fin.SolveMsgs)
 	}
-	_ = tr
 }
 
 func TestMulticolorGSStepsMatchColors(t *testing.T) {

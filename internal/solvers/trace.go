@@ -11,7 +11,8 @@
 //
 // Every solver maintains the residual vector incrementally and returns a
 // Trace: one record per parallel step, carrying the cumulative relaxation
-// count and residual norm — exactly the data plotted in Figures 2 and 5.
+// count and residual norm — exactly the data plotted in Figures 2 and 5 —
+// and, for Distributed Southwell, the cumulative message counts.
 package solvers
 
 import "southwell/internal/sparse"
@@ -22,6 +23,10 @@ type StepRecord struct {
 	Relaxations int     // relaxations performed during this step
 	CumRelax    int     // total relaxations so far
 	ResNorm     float64 // ‖r‖₂ after the step
+	// Cumulative messages, split as in Table 3 and dmem.StepStats; only
+	// Distributed Southwell sends any.
+	SolveMsgs int // writes carrying relaxation updates
+	ResMsgs   int // explicit residual updates (deadlock avoidance)
 }
 
 // Trace is the convergence history of a solve. For sequential methods
