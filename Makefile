@@ -1,11 +1,11 @@
 # Tier-1 verification for the southwell repo. `make verify` is the gate:
 # build + vet + full test suite + race-mode runtime/method tests + a chaos
 # smoke run of both binaries + the examples run + results/ regenerated and
-# compared.
+# compared + a brief run of the end-to-end benchmark's four workloads.
 
 GO ?= go
 
-.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates examples results-check bench-e2e identity verify bench clean
+.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates examples results-check bench-e2e bench-smoke identity verify bench clean
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,20 @@ results-check:
 bench-e2e:
 	$(GO) run ./benchmarks/e2e -seed 1
 
+# The end-to-end benchmark, briefly: all four real workloads, both passes,
+# a 0.3 s window each (about 15 s on two cores). `go test ./benchmarks/e2e`
+# only runs a 20x20 mini workload, so this is verify's one run of the real
+# set-ups and solves. The harness exits non-zero when any operation fails
+# (a solve that differs from its method's first run, or a residual the
+# oracle rejects); the numbers themselves are not judged here. The traced
+# pass's Chrome trace goes to a temporary directory, and its report is
+# printed only when the run fails.
+bench-smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./benchmarks/e2e -workload all -trace both -seconds 0.3 -tracedir "$$tmp" >"$$tmp/report.txt" || \
+		{ cat "$$tmp/report.txt"; echo "bench-smoke: FAILED"; exit 1; }; \
+	echo "bench-smoke: ok"
+
 # Output identity against another checkout (a refactor's acceptance check):
 #   make identity PARENT=/path/to/checkout-of-the-parent-commit
 # builds dsouthwell and benchtables from both trees, runs the fixed list of
@@ -167,7 +181,7 @@ identity:
 		echo "identity: same: $$line"; \
 	done
 
-verify: build lint test race chaos-smoke partition-pin alloc-gates examples results-check
+verify: build lint test race chaos-smoke partition-pin alloc-gates examples results-check bench-smoke
 
 # Micro-benchmarks for the phase engine, message path, numerical kernels,
 # sparse local solver and tracing. Single-shot and machine-dependent: for

@@ -43,7 +43,7 @@ func Greedy(a *sparse.CSR) Coloring {
 				forbidden = append(forbidden, 0)
 			}
 			for _, u := range cols {
-				if u == v {
+				if int(u) == v {
 					continue
 				}
 				if c := col[u]; c >= 0 {
@@ -55,7 +55,7 @@ func Greedy(a *sparse.CSR) Coloring {
 				}
 				if !visited[u] {
 					visited[u] = true
-					queue = append(queue, u)
+					queue = append(queue, int(u))
 				}
 			}
 			c := 0
@@ -86,7 +86,7 @@ func (c Coloring) Valid(a *sparse.CSR) bool {
 	for v := 0; v < a.N; v++ {
 		cols, _ := a.Row(v)
 		for _, u := range cols {
-			if u != v && c.Color[u] == c.Color[v] {
+			if int(u) != v && c.Color[u] == c.Color[v] {
 				return false
 			}
 		}

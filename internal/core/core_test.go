@@ -44,7 +44,7 @@ func TestSolveScalarAllMethods(t *testing.T) {
 // pattern is not symmetric is an error, never a silently wrong run or a
 // panic. Entry (0, 2) has no (2, 0).
 func TestSolveScalarRejectsAsymmetric(t *testing.T) {
-	a := &sparse.CSR{N: 3, RowPtr: []int{0, 3, 5, 6}, Col: []int{0, 1, 2, 0, 1, 2},
+	a := &sparse.CSR{N: 3, RowPtr: []int32{0, 3, 5, 6}, Col: []int32{0, 1, 2, 0, 1, 2},
 		Val: []float64{1, -0.25, -0.25, -0.25, 1, 1}}
 	if err := a.Validate(); err != nil {
 		t.Fatalf("the test matrix itself is malformed: %v", err)

@@ -119,14 +119,14 @@ var asymmetricLayouts = []struct {
 	{
 		// Row 0 reaches rank 1's row; nothing of rank 1 reaches rank 0.
 		name: "rank", part: []int{0, 1},
-		a:    &sparse.CSR{N: 2, RowPtr: []int{0, 2, 3}, Col: []int{0, 1, 1}, Val: []float64{1, 0.5, 1}},
+		a:    &sparse.CSR{N: 2, RowPtr: []int32{0, 2, 3}, Col: []int32{0, 1, 1}, Val: []float64{1, 0.5, 1}},
 		want: "dmem: asymmetric coupling: rank 0 couples into rank 1 but not back",
 	},
 	{
 		// The ranks are mutual neighbors (0→2 and 3→1), but no entry is
 		// returned: rank 1 does not ghost row 0.
 		name: "row", part: []int{0, 0, 1, 1},
-		a: &sparse.CSR{N: 4, RowPtr: []int{0, 2, 3, 4, 6}, Col: []int{0, 2, 1, 2, 1, 3},
+		a: &sparse.CSR{N: 4, RowPtr: []int32{0, 2, 3, 4, 6}, Col: []int32{0, 2, 1, 2, 1, 3},
 			Val: []float64{1, 0.5, 1, 1, 0.5, 1}},
 		want: "dmem: asymmetric coupling: row 0 couples into rank 1 but not back",
 	},
@@ -134,7 +134,7 @@ var asymmetricLayouts = []struct {
 		// Every boundary row of rank 0 is ghosted back (0↔2), but rank 1
 		// also ghosts row 1, which does not couple into it.
 		name: "count", part: []int{0, 0, 1},
-		a: &sparse.CSR{N: 3, RowPtr: []int{0, 2, 3, 6}, Col: []int{0, 2, 1, 0, 1, 2},
+		a: &sparse.CSR{N: 3, RowPtr: []int32{0, 2, 3, 6}, Col: []int32{0, 2, 1, 0, 1, 2},
 			Val: []float64{1, 0.5, 1, 0.5, 0.5, 1}},
 		want: "dmem: asymmetric coupling: rank 1 ghosts 2 rows of rank 0 but only 1 couple into it",
 	},

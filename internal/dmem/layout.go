@@ -344,7 +344,7 @@ func (l *Layout) countRank(part []int, pr int, sc *layoutScratch) {
 					sc.rowSeen[q] = g + 1
 					nBnd++
 				}
-			case c != int(g):
+			case c != g:
 				loc++
 			}
 		}
@@ -393,9 +393,9 @@ func (l *Layout) fillRank(part []int, local []int32, pr int, sc *layoutScratch) 
 		lastRow[j] = -1
 	}
 	for i := r0; i < r1; i++ {
-		g := int(l.glob[i])
+		g := l.glob[i]
 		kl, ke := l.locPtr[i], l.extPtr[i]
-		cols, vals := l.A.Row(g)
+		cols, vals := l.A.Row(int(g))
 		for k, c := range cols {
 			v := vals[k]
 			switch {

@@ -147,7 +147,7 @@ func oldBuildRank(a *sparse.CSR, own *oldOwnership, p int, sc *oldLayoutScratch)
 					pos[c] = 0
 					ext = append(ext, int64(part[c])<<32|int64(c))
 				}
-			case c != g:
+			case int(c) != g:
 				nLoc++
 			}
 		}
@@ -187,7 +187,7 @@ func oldBuildRank(a *sparse.CSR, own *oldOwnership, p int, sc *oldLayoutScratch)
 		cols, vals := a.Row(g)
 		for k, c := range cols {
 			v := vals[k]
-			if c == g {
+			if int(c) == g {
 				rd.Diag[li] = v
 				continue
 			}

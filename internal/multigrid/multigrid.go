@@ -41,7 +41,7 @@ func (GaussSeidel) Smooth(a *sparse.CSR, b, x []float64, budget int) {
 			cols, vals := a.Row(i)
 			var aii float64
 			for k, j := range cols {
-				if j == i {
+				if int(j) == i {
 					aii = vals[k]
 					break
 				}
@@ -136,7 +136,7 @@ func New(nx int, smoother Smoother) (*Hierarchy, error) {
 	for i := 0; i < last.a.N; i++ {
 		cols, vals := last.a.Row(i)
 		for k, j := range cols {
-			dm.Set(i, j, vals[k])
+			dm.Set(i, int(j), vals[k])
 		}
 	}
 	ch, err := dense.FactorCholesky(dm)

@@ -322,7 +322,7 @@ func SplitN(n, nb int, out []Range) []Range {
 // reaches each k/nb fraction of the total — a pure function of (rowPtr,
 // nb). Ranges may be empty; together they cover every row exactly once, in
 // order.
-func SplitNNZ(rowPtr []int, nb int, out []Range) []Range {
+func SplitNNZ(rowPtr []int32, nb int, out []Range) []Range {
 	n := len(rowPtr) - 1
 	if n < 0 {
 		n = 0
@@ -330,7 +330,7 @@ func SplitNNZ(rowPtr []int, nb int, out []Range) []Range {
 	if nb < 1 {
 		nb = 1
 	}
-	total := 0
+	total := int32(0)
 	if n > 0 {
 		total = rowPtr[n]
 	}
@@ -338,7 +338,7 @@ func SplitNNZ(rowPtr []int, nb int, out []Range) []Range {
 	for b := 1; b <= nb; b++ {
 		hi := n
 		if b < nb {
-			target := int(int64(total) * int64(b) / int64(nb))
+			target := int32(int64(total) * int64(b) / int64(nb))
 			hi = searchGE(rowPtr, target)
 			if hi > n {
 				hi = n
@@ -354,7 +354,7 @@ func SplitNNZ(rowPtr []int, nb int, out []Range) []Range {
 }
 
 // searchGE returns the smallest index i with xs[i] >= v (len(xs) if none).
-func searchGE(xs []int, v int) int {
+func searchGE(xs []int32, v int32) int {
 	lo, hi := 0, len(xs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

@@ -69,9 +69,9 @@ func TestSplitN(t *testing.T) {
 func TestSplitNNZ(t *testing.T) {
 	// A skewed row-pointer: row i has i nonzeros.
 	n := 100
-	rp := make([]int, n+1)
+	rp := make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		rp[i+1] = rp[i] + i
+		rp[i+1] = rp[i] + int32(i)
 	}
 	for _, nb := range []int{1, 2, 4, 7, 64, 200} {
 		rs := SplitNNZ(rp, nb, nil)
@@ -84,24 +84,24 @@ func TestSplitNNZ(t *testing.T) {
 	// Balance: with the skewed matrix and 4 blocks, each block's nonzero
 	// count should be within one max-row of the ideal quarter.
 	rs := SplitNNZ(rp, 4, nil)
-	total := rp[n]
+	total := int(rp[n])
 	for _, r := range rs {
-		nnz := rp[r.Hi] - rp[r.Lo]
+		nnz := int(rp[r.Hi] - rp[r.Lo])
 		if diff := nnz - total/4; diff > n || diff < -n {
 			t.Errorf("block %v has %d nnz, ideal %d", r, nnz, total/4)
 		}
 	}
 
 	// Degenerate inputs.
-	checkCover(t, SplitNNZ([]int{0}, 3, nil), 0)
+	checkCover(t, SplitNNZ([]int32{0}, 3, nil), 0)
 	checkCover(t, SplitNNZ(nil, 3, nil), 0)
 	// All nonzeros in one row.
-	rp2 := []int{0, 0, 1000, 1000}
+	rp2 := []int32{0, 0, 1000, 1000}
 	checkCover(t, SplitNNZ(rp2, 4, nil), 3)
 }
 
 func TestSplitNNZReuse(t *testing.T) {
-	rp := []int{0, 2, 4, 6, 8}
+	rp := []int32{0, 2, 4, 6, 8}
 	buf := make([]Range, 0, 8)
 	a := SplitNNZ(rp, 4, buf)
 	b := SplitNNZ(rp, 4, a[:0])

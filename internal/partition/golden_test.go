@@ -43,7 +43,7 @@ func addBlock(c *sparse.COO, g *sparse.CSR, off int) {
 	for i := 0; i < g.N; i++ {
 		cols, vals := g.Row(i)
 		for k, j := range cols {
-			c.Add(off+i, off+j, vals[k])
+			c.Add(off+i, off+int(j), vals[k])
 		}
 	}
 }

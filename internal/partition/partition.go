@@ -8,7 +8,6 @@ package partition
 
 import (
 	"fmt"
-	"math"
 
 	"southwell/internal/sparse"
 )
@@ -16,7 +15,7 @@ import (
 // graph is an edge-weighted, vertex-weighted undirected graph in adjacency
 // (CSR) form, the working representation inside the multilevel scheme.
 // Indices are int32: the matching and contraction loops are bound by index
-// traffic, and Partition refuses inputs that do not fit.
+// traffic, and the matrix they are copied from stores int32 indices too.
 type graph struct {
 	n    int
 	xadj []int32
@@ -25,10 +24,10 @@ type graph struct {
 	vw   []int32
 }
 
+// graphFromCSR copies the off-diagonal pattern of a and the magnitudes of
+// its entries. The matrix's indices are int32 already (sparse.MaxIndex), so
+// the graph's fit without a check of their own.
 func graphFromCSR(a *sparse.CSR) *graph {
-	if a.N > math.MaxInt32 || a.NNZ() > math.MaxInt32 {
-		panic(fmt.Sprintf("partition: %d rows, %d entries: graph indices are 32-bit", a.N, a.NNZ()))
-	}
 	g := &graph{
 		n:    a.N,
 		xadj: make([]int32, a.N+1),
@@ -42,10 +41,10 @@ func graphFromCSR(a *sparse.CSR) *graph {
 		g.vw[i] = 1
 		cols, vals := a.Row(i)
 		for k, j := range cols {
-			if j == i {
+			if int(j) == i {
 				continue
 			}
-			g.adj = append(g.adj, int32(j))
+			g.adj = append(g.adj, j)
 			w := vals[k]
 			if w < 0 {
 				w = -w
@@ -244,25 +243,28 @@ func (ws *workspace) induce(g *graph, ids, side []int32, s int32) (graph, []int3
 // with each vertex's count of neighbours on the other side (refine's
 // bookkeeping, handed to the next finer level).
 func (ws *workspace) bisect(g *graph, frac float64, side, other []int32) {
+	projected := false
 	if g.n > coarsenTo {
 		m := ws.mark()
 		cmap, coarse := ws.coarsen(g)
+		// Unless matching stalled (e.g. star graphs): then coarsening stops here.
 		if coarse.n < g.n*9/10 {
 			cside, cother := ws.i32.alloc(coarse.n), ws.i32.alloc(coarse.n)
 			ws.bisect(&coarse, frac, cside, cother)
 			project(cmap, cside, cother, side, other)
-			ws.release(m)
-			refine(g, side, other, frac)
-			return
+			projected = true
 		}
-		// Matching stalled (e.g. star graphs): stop coarsening here.
 		ws.release(m)
 	}
-	ws.growBisection(g, frac, side)
-	for v := range other {
-		other[v] = 1
+	if !projected {
+		ws.growBisection(g, frac, side)
+		for v := range other {
+			other[v] = 1
+		}
 	}
-	refine(g, side, other, frac)
+	m := ws.mark()
+	refine(g, side, other, ws.i32.alloc(g.n), frac)
+	ws.release(m)
 }
 
 // project hands a coarse bisection down to the fine vertices cmap maps onto
@@ -452,7 +454,14 @@ func pseudoPeripheral(g *graph, far int32, queue, seen []int32) int32 {
 // assumes g undirected (every entry u of v's row matched by an entry v of
 // u's). On entry other[v] == 0 says v has no such neighbour and any other
 // value that it is to be counted; on return every count is exact.
-func refine(g *graph, side, other []int32, frac float64) {
+//
+// A sweep re-evaluates only what changed. noGain (g.n entries, contents on
+// entry ignored) marks v when gain(v) was last found ≤ 0 or NaN; a move of v
+// clears its neighbours' marks, so a marked v still has that gain and is
+// skipped. The balance test, cheaper and likewise pure, runs before the
+// gain: neither shortcut changes which vertices move.
+func refine(g *graph, side, other, noGain []int32, frac float64) {
+	clear(noGain)
 	total := g.totalVW()
 	target0 := float64(total) * frac
 	lo := int(target0 * (1 - imbalance))
@@ -493,12 +502,7 @@ func refine(g *graph, side, other []int32, frac float64) {
 		moved := false
 		// One greedy sweep over boundary vertices.
 		for v := int32(0); int(v) < g.n; v++ {
-			if other[v] == 0 {
-				continue
-			}
-			// A NaN gain (both sums overflowed to +Inf) is no gain.
-			gv := gain(v)
-			if !(gv > 0) {
+			if other[v] == 0 || noGain[v] != 0 {
 				continue
 			}
 			// Balance check for moving v to the other side.
@@ -511,6 +515,11 @@ func refine(g *graph, side, other []int32, frac float64) {
 			if nw0 < lo || nw0 > hi {
 				continue
 			}
+			// A NaN gain (both sums overflowed to +Inf) is no gain.
+			if gv := gain(v); !(gv > 0) {
+				noGain[v] = 1
+				continue
+			}
 			sv := 1 - side[v]
 			side[v] = sv
 			nbrs, _ := g.row(v)
@@ -521,6 +530,7 @@ func refine(g *graph, side, other []int32, frac float64) {
 				} else {
 					other[u]++
 				}
+				noGain[u] = 0
 			}
 			w0 = nw0
 			moved = true
@@ -576,7 +586,7 @@ func Quality(a *sparse.CSR, part []int, k int) Stats {
 	for i := 0; i < a.N; i++ {
 		cols, vals := a.Row(i)
 		for kk, j := range cols {
-			if j > i && part[j] != part[i] {
+			if int(j) > i && part[j] != part[i] {
 				s.CutEdges++
 				w := vals[kk]
 				if w < 0 {

@@ -251,7 +251,7 @@ func checkRefine(t *testing.T, name string, g *graph, side, other []int32, frac 
 	t.Helper()
 	start, want := slices.Clone(side), slices.Clone(side)
 	oldRefine(g, want, frac)
-	refine(g, side, other, frac)
+	refine(g, side, other, make([]int32, g.n), frac)
 	if !slices.Equal(side, want) {
 		t.Fatalf("%s: refine's sides differ from the old refine's", name)
 	}
@@ -321,7 +321,7 @@ func TestRefineSkipsNaNGain(t *testing.T) {
 		t.Fatalf("the old refine left %v, want %v: the graph no longer shows the NaN move", old, want)
 	}
 	side := slices.Clone(start)
-	refine(g, side, ones(5), 2.0/3)
+	refine(g, side, ones(5), make([]int32, 5), 2.0/3)
 	if !slices.Equal(side, start) {
 		t.Errorf("refine moved %v to %v: a NaN gain is no gain", start, side)
 	}

@@ -38,7 +38,7 @@ func diagonallyDominant(a *sparse.CSR) bool {
 		cols, vals := a.Row(i)
 		var diag, off float64
 		for k, j := range cols {
-			if j == i {
+			if int(j) == i {
 				diag = vals[k]
 			} else {
 				if vals[k] > 0 {
@@ -143,7 +143,7 @@ func TestBiharmonicHasPositiveOffDiagonals(t *testing.T) {
 	for i := 0; i < a.N && !found; i++ {
 		cols, vals := a.Row(i)
 		for k, j := range cols {
-			if j != i && vals[k] > 0 {
+			if int(j) != i && vals[k] > 0 {
 				found = true
 				break
 			}

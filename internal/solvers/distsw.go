@@ -16,7 +16,7 @@ import (
 type distSW struct {
 	*state
 	diag   []float64
-	mirror []int // position of (j, i) for the entry (i, j) at k
+	mirror []int32 // position of (j, i) for the entry (i, j) at k
 	// Per edge (i, j): z is i's estimate of j's residual value (a signed
 	// ghost, improved locally), gt is Γ̃ — j's estimate of |r_i|, kept exactly
 	// (§3) — sent is the delta i last sent j, and wrote marks a write from i
@@ -56,13 +56,13 @@ func newDistSW(a *sparse.CSR, b, x []float64, opt Options) *distSW {
 // One pass over the rows in order: the rows holding column j are met in
 // ascending order, which is the column order of row j, so one cursor per row
 // finds every mirror. It panics naming the first entry without one.
-func mirrors(a *sparse.CSR) []int {
-	mirror := make([]int, a.NNZ())
+func mirrors(a *sparse.CSR) []int32 {
+	mirror := make([]int32, a.NNZ())
 	next := slices.Clone(a.RowPtr[:a.N]) // next[j]: row j's first unclaimed entry
-	unmatched := func(i, j int) {
+	unmatched := func(i, j int32) {
 		panic(fmt.Sprintf("solvers: entry (%d, %d) has no mirror (%d, %d): the matrix is not structurally symmetric", i, j, j, i))
 	}
-	for i := range a.N {
+	for i := range int32(a.N) {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j := a.Col[k]
 			m := next[j]
@@ -129,7 +129,7 @@ func (d *distSW) step() int {
 		}
 		wins := true
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if j := a.Col[k]; j != i && !winsOver(ri, i, math.Abs(d.z[k]), j) {
+			if j := int(a.Col[k]); j != i && !winsOver(ri, i, math.Abs(d.z[k]), j) {
 				wins = false
 				break
 			}
@@ -157,7 +157,7 @@ func (d *distSW) step() int {
 		d.relax++
 		d.sentR[i] = r[i]
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] == i {
+			if int(a.Col[k]) == i {
 				continue
 			}
 			delta := -a.Val[k] * dx
@@ -175,7 +175,7 @@ func (d *distSW) step() int {
 	for i := range a.N {
 		ri := math.Abs(r[i])
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] != i && d.gt[k] > ri {
+			if int(a.Col[k]) != i && d.gt[k] > ri {
 				d.gt[k] = ri
 				d.sentR[i] = r[i]
 				d.wrote[k] = true
@@ -197,7 +197,7 @@ func (d *distSW) deliver(solve bool) {
 	for i := range a.N {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j, m := a.Col[k], d.mirror[k]
-			if j == i || !d.wrote[m] {
+			if int(j) == i || !d.wrote[m] {
 				continue
 			}
 			crossing := d.wrote[k]

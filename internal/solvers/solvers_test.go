@@ -155,7 +155,7 @@ func TestDistSWGammaTildeInvariant(t *testing.T) {
 		if d.step() == 0 {
 			t.Fatalf("step %d relaxed nothing", step)
 		}
-		for i := range a.N {
+		for i := range int32(a.N) {
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 				if a.Col[k] != i && d.gt[k] != math.Abs(d.z[d.mirror[k]]) {
 					t.Fatalf("step %d, edge (%d, %d): Γ̃ %.17g, neighbour's estimate %.17g",
@@ -174,7 +174,7 @@ func TestDistSWGammaTildeInvariant(t *testing.T) {
 func TestDistSWMirrors(t *testing.T) {
 	a := problem.FEM2D(6, 0.3, 3)
 	m := mirrors(a)
-	for i := range a.N {
+	for i := range int32(a.N) {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j := a.Col[k]
 			if mk := m[k]; mk < a.RowPtr[j] || mk >= a.RowPtr[j+1] || a.Col[mk] != i || m[mk] != k {
@@ -188,13 +188,13 @@ func TestDistSWMirrors(t *testing.T) {
 		want string
 	}{
 		// (0, 2) has no (2, 0).
-		{"above", &sparse.CSR{N: 3, RowPtr: []int{0, 2, 3, 4}, Col: []int{0, 2, 1, 2}, Val: []float64{1, 1, 1, 1}}, "entry (0, 2)"},
+		{"above", &sparse.CSR{N: 3, RowPtr: []int32{0, 2, 3, 4}, Col: []int32{0, 2, 1, 2}, Val: []float64{1, 1, 1, 1}}, "entry (0, 2)"},
 		// (2, 0) has no (0, 2): row 0 has no entry left for it.
-		{"below", &sparse.CSR{N: 3, RowPtr: []int{0, 1, 2, 4}, Col: []int{0, 1, 0, 2}, Val: []float64{1, 1, 1, 1}}, "entry (2, 0)"},
+		{"below", &sparse.CSR{N: 3, RowPtr: []int32{0, 1, 2, 4}, Col: []int32{0, 1, 0, 2}, Val: []float64{1, 1, 1, 1}}, "entry (2, 0)"},
 		// (0, 1) has no (1, 0).
-		{"right", &sparse.CSR{N: 3, RowPtr: []int{0, 3, 4, 6}, Col: []int{0, 1, 2, 1, 0, 2}, Val: []float64{1, 1, 1, 1, 1, 1}}, "entry (0, 1)"},
+		{"right", &sparse.CSR{N: 3, RowPtr: []int32{0, 3, 4, 6}, Col: []int32{0, 1, 2, 1, 0, 2}, Val: []float64{1, 1, 1, 1, 1, 1}}, "entry (0, 1)"},
 		// (2, 0) has no (0, 2): row 1 finds row 2's cursor stuck on it.
-		{"unclaimed", &sparse.CSR{N: 3, RowPtr: []int{0, 1, 3, 6}, Col: []int{0, 1, 2, 0, 1, 2}, Val: []float64{1, 1, 1, 1, 1, 1}}, "entry (2, 0)"},
+		{"unclaimed", &sparse.CSR{N: 3, RowPtr: []int32{0, 1, 3, 6}, Col: []int32{0, 1, 2, 0, 1, 2}, Val: []float64{1, 1, 1, 1, 1, 1}}, "entry (2, 0)"},
 	} {
 		func() {
 			defer func() {

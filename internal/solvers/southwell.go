@@ -29,7 +29,7 @@ func SequentialSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 		s.relaxRow(i)
 		cols, _ := a.Row(i)
 		for _, j := range cols {
-			h.Update(j, math.Abs(s.r[j]))
+			h.Update(int(j), math.Abs(s.r[j]))
 		}
 		rec := StepRecord{Step: len(tr.Steps) + 1, Relaxations: 1, CumRelax: s.relax, ResNorm: s.norm()}
 		tr.Steps = append(tr.Steps, rec)
@@ -72,10 +72,10 @@ func ParallelSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 			wins := true
 			cols, _ := a.Row(i)
 			for _, j := range cols {
-				if j == i {
+				if int(j) == i {
 					continue
 				}
-				if !winsOver(ri, i, math.Abs(s.r[j]), j) {
+				if !winsOver(ri, i, math.Abs(s.r[j]), int(j)) {
 					wins = false
 					break
 				}

@@ -121,7 +121,7 @@ func (s *state) relaxRow(i int) float64 {
 	cols, vals := s.a.Row(i)
 	var aii float64
 	for k, j := range cols {
-		if j == i {
+		if int(j) == i {
 			aii = vals[k]
 			break
 		}

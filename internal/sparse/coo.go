@@ -7,20 +7,23 @@ import (
 )
 
 // COO is a coordinate-format builder for sparse matrices. Entries may be
-// added in any order; duplicates are summed when converting to CSR.
+// added in any order; duplicates are summed when converting to CSR. Its
+// indices are int32 like the CSR it builds.
 type COO struct {
 	N    int
-	Rows []int
-	Cols []int
+	Rows []int32
+	Cols []int32
 	Vals []float64
 }
 
-// NewCOO returns an empty builder for an n-by-n matrix with capacity hint cap.
+// NewCOO returns an empty builder for an n-by-n matrix with capacity hint
+// capHint. It panics when either is negative or above MaxIndex.
 func NewCOO(n, capHint int) *COO {
+	mustFit(n, capHint)
 	return &COO{
 		N:    n,
-		Rows: make([]int, 0, capHint),
-		Cols: make([]int, 0, capHint),
+		Rows: make([]int32, 0, capHint),
+		Cols: make([]int32, 0, capHint),
 		Vals: make([]float64, 0, capHint),
 	}
 }
@@ -31,8 +34,8 @@ func (c *COO) Add(i, j int, v float64) {
 	if i < 0 || i >= c.N || j < 0 || j >= c.N {
 		panic(fmt.Sprintf("sparse: COO.Add index (%d,%d) out of range for n=%d", i, j, c.N))
 	}
-	c.Rows = append(c.Rows, i)
-	c.Cols = append(c.Cols, j)
+	c.Rows = append(c.Rows, int32(i))
+	c.Cols = append(c.Cols, int32(j))
 	c.Vals = append(c.Vals, v)
 }
 
@@ -51,7 +54,7 @@ func (c *COO) NNZ() int { return len(c.Rows) }
 // and dropping exact zeros that result from cancellation of duplicates
 // (entries added as zero are kept only if their sum is nonzero, except on
 // the diagonal, which is always kept so iterative methods can divide by a
-// stored a_ii).
+// stored a_ii). It panics when more than MaxIndex entries were added.
 //
 // The conversion is a stable per-shard counting sort instead of a
 // comparison sort: the entry list is cut into a fixed number of contiguous
@@ -66,11 +69,12 @@ func (c *COO) NNZ() int { return len(c.Rows) }
 func (c *COO) ToCSR() *CSR {
 	n := c.N
 	m := len(c.Rows)
+	mustFit(n, m)
 	ns := parallel.Blocks(m, convShardGrain, maxConvShards)
 	shards := parallel.SplitN(m, ns, make([]parallel.Range, 0, ns))
 
 	// Phase 1: per-shard row counts.
-	cnt := make([]int, ns*n)
+	cnt := make([]int32, ns*n)
 	runBlocks(ns, func(s int) {
 		cn := cnt[s*n : (s+1)*n]
 		rg := shards[s]
@@ -81,8 +85,8 @@ func (c *COO) ToCSR() *CSR {
 
 	// Phase 2 (sequential): convert counts to per-(row, shard) base offsets
 	// in row-major, shard-minor order, recording each row's start.
-	rowStart := make([]int, n+1)
-	pos := 0
+	rowStart := make([]int32, n+1)
+	pos := int32(0)
 	for i := 0; i < n; i++ {
 		rowStart[i] = pos
 		for s := 0; s < ns; s++ {
@@ -94,7 +98,7 @@ func (c *COO) ToCSR() *CSR {
 	rowStart[n] = pos
 
 	// Phase 3: stable parallel scatter into row-grouped order.
-	tmpCol := make([]int, m)
+	tmpCol := make([]int32, m)
 	tmpVal := make([]float64, m)
 	runBlocks(ns, func(s int) {
 		off := cnt[s*n : (s+1)*n]
@@ -112,7 +116,7 @@ func (c *COO) ToCSR() *CSR {
 	// insertion order, zero dropping, and in-place compaction. Rows are
 	// independent, so row blocks run in parallel. kept[i+1] holds row i's
 	// surviving entry count and becomes RowPtr after a prefix sum.
-	kept := make([]int, n+1)
+	kept := make([]int32, n+1)
 	nrb := parallel.Blocks(n, rowBlockGrain, maxKernBlocks)
 	rowBlocks := parallel.SplitN(n, nrb, make([]parallel.Range, 0, nrb))
 	runBlocks(nrb, func(b int) {
@@ -141,13 +145,13 @@ func (c *COO) ToCSR() *CSR {
 				for k++; k < len(cols) && cols[k] == j; k++ {
 					v += vals[k]
 				}
-				if v != 0 || j == i {
+				if v != 0 || int(j) == i {
 					cols[w] = j
 					vals[w] = v
 					w++
 				}
 			}
-			kept[i+1] = w
+			kept[i+1] = int32(w)
 		}
 	})
 
@@ -160,7 +164,7 @@ func (c *COO) ToCSR() *CSR {
 	a := &CSR{
 		N:      n,
 		RowPtr: kept,
-		Col:    make([]int, kept[n]),
+		Col:    make([]int32, kept[n]),
 		Val:    make([]float64, kept[n]),
 	}
 	runBlocks(nrb, func(b int) {

@@ -8,24 +8,54 @@
 // of the paper, symmetric positive definite with unit diagonal after
 // scaling (see Scale). CSR stores explicit zeros if they are inserted;
 // builders never insert them.
+//
+// Row pointers and column indices are int32, like every index downstream
+// of the matrix (partitioner graph, distributed layout, sparse factor).
+// Every constructor refuses a dimension or entry count above MaxIndex
+// before it allocates.
 package sparse
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"southwell/internal/parallel"
 )
+
+// MaxIndex is the largest dimension and the largest entry count a matrix
+// may have: its row pointers and column indices are int32.
+const MaxIndex = math.MaxInt32
+
+// checkSize reports, as an error, a dimension or entry count that is
+// negative or does not fit the matrix's 32-bit indices.
+func checkSize(n, nnz int) error {
+	if n < 0 || n > MaxIndex {
+		return fmt.Errorf("sparse: n = %d outside the 32-bit index range [0, %d]", n, MaxIndex)
+	}
+	if nnz < 0 || nnz > MaxIndex {
+		return fmt.Errorf("sparse: nnz = %d outside the 32-bit index range [0, %d]", nnz, MaxIndex)
+	}
+	return nil
+}
+
+// mustFit panics with checkSize's error. The constructors that return no
+// error use it: a matrix past 2³¹ entries is a caller's bug there, the way
+// a dimension mismatch is.
+func mustFit(n, nnz int) {
+	if err := checkSize(n, nnz); err != nil {
+		panic(err)
+	}
+}
 
 // CSR is a square sparse matrix in compressed sparse row format.
 // Row i occupies Col[RowPtr[i]:RowPtr[i+1]] and Val[RowPtr[i]:RowPtr[i+1]],
 // with column indices strictly increasing within a row.
 type CSR struct {
-	N      int       // matrix dimension (rows == cols)
-	RowPtr []int     // length N+1
-	Col    []int     // length nnz
+	N      int       // matrix dimension (rows == cols), at most MaxIndex
+	RowPtr []int32   // length N+1
+	Col    []int32   // length nnz, at most MaxIndex
 	Val    []float64 // length nnz
 }
 
@@ -34,10 +64,11 @@ func (a *CSR) NNZ() int { return len(a.Col) }
 
 // Clone returns a deep copy of the matrix.
 func (a *CSR) Clone() *CSR {
+	mustFit(a.N, a.NNZ())
 	b := &CSR{
 		N:      a.N,
-		RowPtr: make([]int, len(a.RowPtr)),
-		Col:    make([]int, len(a.Col)),
+		RowPtr: make([]int32, len(a.RowPtr)),
+		Col:    make([]int32, len(a.Col)),
 		Val:    make([]float64, len(a.Val)),
 	}
 	copy(b.RowPtr, a.RowPtr)
@@ -48,7 +79,7 @@ func (a *CSR) Clone() *CSR {
 
 // Row returns the column indices and values of row i as sub-slices of the
 // matrix storage. The caller must not modify the column indices.
-func (a *CSR) Row(i int) (cols []int, vals []float64) {
+func (a *CSR) Row(i int) (cols []int32, vals []float64) {
 	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 	return a.Col[lo:hi], a.Val[lo:hi]
 }
@@ -56,9 +87,11 @@ func (a *CSR) Row(i int) (cols []int, vals []float64) {
 // At returns the entry (i, j), or zero if it is not stored.
 // It runs in O(log nnz(row i)) time.
 func (a *CSR) At(i, j int) float64 {
+	if j < 0 || j >= a.N {
+		return 0
+	}
 	cols, vals := a.Row(i)
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
+	if k, ok := slices.BinarySearch(cols, int32(j)); ok {
 		return vals[k]
 	}
 	return 0
@@ -71,7 +104,7 @@ func (a *CSR) Diag() []float64 {
 	d := make([]float64, a.N)
 	for i := 0; i < a.N; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.Col[k]
+			j := int(a.Col[k])
 			if j >= i {
 				if j == i {
 					d[i] = a.Val[k]
@@ -93,15 +126,16 @@ func (a *CSR) Diag() []float64 {
 func (a *CSR) Transpose() *CSR {
 	n := a.N
 	nnz := a.NNZ()
+	mustFit(n, nnz)
 	ns := parallel.Blocks(nnz, convShardGrain, maxConvShards)
 	t := &CSR{
 		N:      n,
-		RowPtr: make([]int, n+1),
-		Col:    make([]int, nnz),
+		RowPtr: make([]int32, n+1),
+		Col:    make([]int32, nnz),
 		Val:    make([]float64, nnz),
 	}
 	shards := parallel.SplitNNZ(a.RowPtr, ns, make([]parallel.Range, 0, ns))
-	cnt := make([]int, ns*n)
+	cnt := make([]int32, ns*n)
 	runBlocks(ns, func(s int) {
 		c := cnt[s*n : (s+1)*n]
 		rg := shards[s]
@@ -109,7 +143,7 @@ func (a *CSR) Transpose() *CSR {
 			c[a.Col[k]]++
 		}
 	})
-	pos := 0
+	pos := int32(0)
 	for j := 0; j < n; j++ {
 		t.RowPtr[j] = pos
 		for s := 0; s < ns; s++ {
@@ -127,7 +161,7 @@ func (a *CSR) Transpose() *CSR {
 				j := a.Col[k]
 				p := off[j]
 				off[j] = p + 1
-				t.Col[p] = i
+				t.Col[p] = int32(i)
 				t.Val[p] = a.Val[k]
 			}
 		}
@@ -171,12 +205,13 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// Validate checks the structural invariants of the CSR format: monotone row
-// pointers, in-range and strictly increasing column indices, and finite
-// values. It returns a descriptive error for the first violation found.
+// Validate checks the structural invariants of the CSR format: a dimension
+// and entry count within MaxIndex, monotone row pointers, in-range and
+// strictly increasing column indices, and finite values. It returns a
+// descriptive error for the first violation found.
 func (a *CSR) Validate() error {
-	if a.N < 0 {
-		return errors.New("sparse: negative dimension")
+	if err := checkSize(a.N, len(a.Col)); err != nil {
+		return err
 	}
 	if len(a.RowPtr) != a.N+1 {
 		return fmt.Errorf("sparse: RowPtr length %d, want %d", len(a.RowPtr), a.N+1)
@@ -184,7 +219,7 @@ func (a *CSR) Validate() error {
 	if a.RowPtr[0] != 0 {
 		return errors.New("sparse: RowPtr[0] != 0")
 	}
-	if a.RowPtr[a.N] != len(a.Col) || len(a.Col) != len(a.Val) {
+	if int(a.RowPtr[a.N]) != len(a.Col) || len(a.Col) != len(a.Val) {
 		return fmt.Errorf("sparse: nnz mismatch: RowPtr[N]=%d len(Col)=%d len(Val)=%d", a.RowPtr[a.N], len(a.Col), len(a.Val))
 	}
 	for i := 0; i < a.N; i++ {
@@ -192,10 +227,10 @@ func (a *CSR) Validate() error {
 		if hi < lo {
 			return fmt.Errorf("sparse: row %d has negative length", i)
 		}
-		prev := -1
+		prev := int32(-1)
 		for k := lo; k < hi; k++ {
 			j := a.Col[k]
-			if j < 0 || j >= a.N {
+			if j < 0 || int(j) >= a.N {
 				return fmt.Errorf("sparse: row %d: column %d out of range", i, j)
 			}
 			if j <= prev {
@@ -212,11 +247,11 @@ func (a *CSR) Validate() error {
 
 // Neighbors returns the off-diagonal column indices of row i, i.e. the
 // neighborhood N_i of the paper, as a freshly allocated slice.
-func (a *CSR) Neighbors(i int) []int {
+func (a *CSR) Neighbors(i int) []int32 {
 	cols, _ := a.Row(i)
-	out := make([]int, 0, len(cols))
+	out := make([]int32, 0, len(cols))
 	for _, j := range cols {
-		if j != i {
+		if int(j) != i {
 			out = append(out, j)
 		}
 	}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -59,7 +60,7 @@ func TestCSRValidateCatchesCorruption(t *testing.T) {
 	}{
 		{"bad rowptr0", func(a *CSR) { a.RowPtr[0] = 1 }},
 		{"nonmonotone rowptr", func(a *CSR) { a.RowPtr[3] = a.RowPtr[4] + 1 }},
-		{"col out of range", func(a *CSR) { a.Col[0] = a.N }},
+		{"col out of range", func(a *CSR) { a.Col[0] = int32(a.N) }},
 		{"negative col", func(a *CSR) { a.Col[0] = -1 }},
 		{"unsorted cols", func(a *CSR) { a.Col[1], a.Col[2] = a.Col[2], a.Col[1] }},
 		{"nan value", func(a *CSR) { a.Val[0] = math.NaN() }},
@@ -147,7 +148,7 @@ func TestSymmetryChecks(t *testing.T) {
 			continue
 		}
 		// first off-diagonal in column 0
-		if b.RowPtr[0+1] <= k { // entry not in row 0, so (i,0) with i>0
+		if int(b.RowPtr[0+1]) <= k { // entry not in row 0, so (i,0) with i>0
 			b.Val[k] += 0.5
 			break
 		}
@@ -381,5 +382,65 @@ func TestQuickCOOOrderInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// wantPanic runs f and fails unless it panics with an error reading want.
+func wantPanic(t *testing.T, name, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		err, _ := recover().(error)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: panic %v, want %q", name, err, want)
+		}
+	}()
+	f()
+}
+
+// TestMatrixRejectsIndexOverflow: row pointers and columns are int32, so a
+// dimension or entry count of 2³¹ is refused by every constructor before it
+// allocates, and 2³¹−1 is accepted.
+func TestMatrixRejectsIndexOverflow(t *testing.T) {
+	if err := checkSize(MaxIndex, MaxIndex); err != nil {
+		t.Errorf("checkSize(2³¹−1, 2³¹−1) = %v, want nil", err)
+	}
+	const nBig = "sparse: n = 2147483648 outside the 32-bit index range [0, 2147483647]"
+	const nnzBig = "sparse: nnz = 2147483648 outside the 32-bit index range [0, 2147483647]"
+	for _, c := range []struct {
+		n, nnz int
+		want   string
+	}{
+		{MaxIndex + 1, 0, nBig},
+		{0, MaxIndex + 1, nnzBig},
+		{-1, 0, "sparse: n = -1 outside the 32-bit index range [0, 2147483647]"},
+		{3, -2, "sparse: nnz = -2 outside the 32-bit index range [0, 2147483647]"},
+	} {
+		if err := checkSize(c.n, c.nnz); err == nil || err.Error() != c.want {
+			t.Errorf("checkSize(%d, %d) = %v, want %q", c.n, c.nnz, err, c.want)
+		}
+	}
+
+	NewCOO(MaxIndex, 0) // accepted: nothing of size n is allocated
+	huge := &CSR{N: MaxIndex + 1}
+	if err := huge.Validate(); err == nil || err.Error() != nBig {
+		t.Errorf("Validate at n = 2³¹: %v", err)
+	}
+	wantPanic(t, "NewCOO(2³¹, 0)", nBig, func() { NewCOO(MaxIndex+1, 0) })
+	wantPanic(t, "NewCOO(2, 2³¹)", nnzBig, func() { NewCOO(2, MaxIndex+1) })
+	wantPanic(t, "ToCSR", nBig, func() { (&COO{N: MaxIndex + 1}).ToCSR() })
+	wantPanic(t, "Clone", nBig, func() { huge.Clone() })
+	wantPanic(t, "Transpose", nBig, func() { huge.Transpose() })
+	wantPanic(t, "Mul", nBig, func() { Mul(huge, huge) })
+	wantPanic(t, "Add", nBig, func() { Add(huge, huge, 1, 1) })
+
+	for _, c := range []struct{ size, want string }{
+		{"2147483648 2147483648 0", nBig},
+		{"2 2 2147483648", nnzBig},
+	} {
+		in := "%%MatrixMarket matrix coordinate real general\n" + c.size + "\n"
+		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil || err.Error() != c.want {
+			t.Errorf("ReadMatrixMarket(%q): %v", c.size, err)
+		}
 	}
 }

@@ -265,7 +265,7 @@ func TestGatherKernelsMatchReference(t *testing.T) {
 // bitwise.
 func refToCSR(c *sparse.COO) *sparse.CSR {
 	type ent struct {
-		col int
+		col int32
 		val float64
 	}
 	rows := make([][]ent, c.N)
@@ -283,7 +283,7 @@ func refToCSR(c *sparse.COO) *sparse.CSR {
 			rows[i] = append(rows[i], ent{j, v})
 		}
 	}
-	a := &sparse.CSR{N: c.N, RowPtr: make([]int, c.N+1)}
+	a := &sparse.CSR{N: c.N, RowPtr: make([]int32, c.N+1)}
 	for i, row := range rows {
 		// insertion sort by column
 		for p := 1; p < len(row); p++ {
@@ -296,12 +296,12 @@ func refToCSR(c *sparse.COO) *sparse.CSR {
 			row[q+1] = e
 		}
 		for _, e := range row {
-			if e.val != 0 || e.col == i {
+			if e.val != 0 || int(e.col) == i {
 				a.Col = append(a.Col, e.col)
 				a.Val = append(a.Val, e.val)
 			}
 		}
-		a.RowPtr[i+1] = len(a.Col)
+		a.RowPtr[i+1] = int32(len(a.Col))
 	}
 	return a
 }
@@ -367,8 +367,8 @@ func refTranspose(a *sparse.CSR) *sparse.CSR {
 	n := a.N
 	t := &sparse.CSR{
 		N:      n,
-		RowPtr: make([]int, n+1),
-		Col:    make([]int, a.NNZ()),
+		RowPtr: make([]int32, n+1),
+		Col:    make([]int32, a.NNZ()),
 		Val:    make([]float64, a.NNZ()),
 	}
 	for _, j := range a.Col {
@@ -377,12 +377,12 @@ func refTranspose(a *sparse.CSR) *sparse.CSR {
 	for i := 0; i < n; i++ {
 		t.RowPtr[i+1] += t.RowPtr[i]
 	}
-	next := make([]int, n)
+	next := make([]int32, n)
 	copy(next, t.RowPtr[:n])
 	for i := 0; i < n; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j := a.Col[k]
-			t.Col[next[j]] = i
+			t.Col[next[j]] = int32(i)
 			t.Val[next[j]] = a.Val[k]
 			next[j]++
 		}

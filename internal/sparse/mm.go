@@ -8,11 +8,22 @@ import (
 	"strings"
 )
 
+// mmCapHint caps the entry capacity ReadMatrixMarket reserves from a
+// declared count: a header is not evidence that the entries exist, so past
+// this append grows the storage with the entries actually read.
+const mmCapHint = 1 << 16
+
 // ReadMatrixMarket parses a Matrix Market "coordinate real" matrix from r.
 // Both "general" and "symmetric" symmetry fields are supported; symmetric
 // files store the lower triangle and are expanded on read. Pattern files are
 // read with all values set to 1. Only square matrices are accepted, since
 // every consumer in this repository solves Ax=b.
+//
+// Malformed input is an error, never a panic: declared sizes are checked
+// against the 32-bit index range before anything is allocated, storage
+// grows with the entries actually read rather than with the declared
+// count, and the matrix returned has passed Validate (so a NaN or Inf
+// entry, or duplicates that sum to one, is an error).
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -47,8 +58,15 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if rows != cols {
 		return nil, fmt.Errorf("sparse: non-square MatrixMarket matrix %dx%d", rows, cols)
 	}
+	if err := checkSize(rows, nnz); err != nil {
+		return nil, err
+	}
 
-	coo := NewCOO(rows, nnz*2)
+	capHint := min(nnz, mmCapHint)
+	if symm == "symmetric" {
+		capHint *= 2
+	}
+	coo := NewCOO(rows, capHint)
 	read := 0
 	for read < nnz && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -95,7 +113,14 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if read != nnz {
 		return nil, fmt.Errorf("sparse: MatrixMarket declared %d entries, found %d", nnz, read)
 	}
-	return coo.ToCSR(), nil
+	if err := checkSize(rows, coo.NNZ()); err != nil { // a symmetric file's expansion
+		return nil, err
+	}
+	a := coo.ToCSR()
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // WriteMatrixMarket writes the matrix in "coordinate real general" format.

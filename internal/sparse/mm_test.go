@@ -79,3 +79,22 @@ func TestMatrixMarketErrors(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadMatrixMarket: malformed input is an error, never a panic, and a
+// matrix returned passes Validate. The committed seed corpus
+// (testdata/fuzz/FuzzReadMatrixMarket) holds headers declaring a negative
+// entry count, negative dimensions and 4·10⁹ entries, a pattern file, a
+// symmetric file, and duplicates that sum to +Inf; plain `go test` runs the
+// seeds. A header may legally declare up to 2³¹−1 rows, and the matrix then
+// takes memory in proportion, so a -fuzz run needs a memory limit.
+func FuzzReadMatrixMarket(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := ReadMatrixMarket(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("ReadMatrixMarket returned an invalid matrix: %v", err)
+		}
+	})
+}

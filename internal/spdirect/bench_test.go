@@ -25,7 +25,7 @@ var benchBlock struct {
 func benchSetup(tb testing.TB) (*sparse.CSR, *spdirect.Factor, []float64, []float64) {
 	benchBlock.once.Do(func() {
 		a := problem.Poisson2D(66, 66)
-		f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val)
+		f, err := spdirect.Factorize(a.N, widen(a.RowPtr), widen(a.Col), a.Val)
 		if err != nil {
 			panic(err)
 		}
@@ -46,16 +46,17 @@ func benchSetup(tb testing.TB) (*sparse.CSR, *spdirect.Factor, []float64, []floa
 // ns_op demonstrates the sparse win over BenchmarkDenseLU.
 func BenchmarkLDL(b *testing.B) {
 	a, f, rhs, x := benchSetup(b)
+	rowPtr, col := widen(a.RowPtr), widen(a.Col)
 	b.Run("Analyze", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := spdirect.Analyze(a.N, a.RowPtr, a.Col); err != nil {
+			if _, err := spdirect.Analyze(a.N, rowPtr, col); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Factorize", func(b *testing.B) {
-		sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col)
+		sym, err := spdirect.Analyze(a.N, rowPtr, col)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +127,8 @@ func BenchmarkDenseLU(b *testing.B) {
 // search made that block 1 GB and half a second).
 func TestLDLAllocGate(t *testing.T) {
 	a := problem.Poisson2D(40, 40) // 1600 rows: big enough to be honest
-	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val)
+	rowPtr, col := widen(a.RowPtr), widen(a.Col)
+	f, err := spdirect.Factorize(a.N, rowPtr, col, a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestLDLAllocGate(t *testing.T) {
 		n           int
 		rowPtr, col []int
 	}{
-		{"poisson2d-40", a.N, a.RowPtr, a.Col},
+		{"poisson2d-40", a.N, rowPtr, col},
 		{"diagonal-32000", nDiag, diagPtr, diagCol},
 	} {
 		analyze := func() {

@@ -27,7 +27,7 @@ type block struct {
 }
 
 func csrBlock(name string, a *sparse.CSR) block {
-	return block{name, a.N, a.RowPtr, a.Col, a.Val}
+	return block{name, a.N, widen(a.RowPtr), widen(a.Col), a.Val}
 }
 
 // direct64 holds the 64 diagonal blocks of the benchmark's direct64 workload

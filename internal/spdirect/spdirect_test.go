@@ -12,13 +12,23 @@ import (
 	"southwell/internal/spdirect"
 )
 
+// widen returns a copy of a matrix's int32 index array in the []int form
+// Analyze and Factorize take.
+func widen(s []int32) []int {
+	w := make([]int, len(s))
+	for i, v := range s {
+		w[i] = int(v)
+	}
+	return w
+}
+
 // denseFromCSR expands a sparse matrix for the dense reference factors.
 func denseFromCSR(a *sparse.CSR) *dense.Matrix {
 	m := dense.NewMatrix(a.N)
 	for i := 0; i < a.N; i++ {
 		cols, vals := a.Row(i)
 		for k, c := range cols {
-			m.Add(i, c, vals[k])
+			m.Add(i, int(c), vals[k])
 		}
 	}
 	return m
@@ -59,9 +69,9 @@ func analyze(t *testing.T, a *sparse.CSR, natural bool) *spdirect.Symbolic {
 		for i := range perm {
 			perm[i] = i
 		}
-		return spdirect.AnalyzePerm(a.N, a.RowPtr, a.Col, perm)
+		return spdirect.AnalyzePerm(a.N, widen(a.RowPtr), widen(a.Col), perm)
 	}
-	sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col)
+	sym, err := spdirect.Analyze(a.N, widen(a.RowPtr), widen(a.Col))
 	if err != nil {
 		t.Fatalf("spdirect.Analyze: %v", err)
 	}
@@ -159,7 +169,7 @@ func TestResidualIsTiny(t *testing.T) {
 	if _, err := sparse.Scale(a); err != nil {
 		t.Fatal(err)
 	}
-	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val)
+	f, err := spdirect.Factorize(a.N, widen(a.RowPtr), widen(a.Col), a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +189,7 @@ func TestResidualIsTiny(t *testing.T) {
 // TestSolveAliasAllowed: x may alias b.
 func TestSolveAliasAllowed(t *testing.T) {
 	a := randomSPD(50, 3, 9)
-	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val)
+	f, err := spdirect.Factorize(a.N, widen(a.RowPtr), widen(a.Col), a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +212,7 @@ func TestSolveAliasAllowed(t *testing.T) {
 // a fresh factorization of the scaled matrix.
 func TestRefactorBitIdentical(t *testing.T) {
 	a := randomSPD(120, 4, 11)
-	sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col)
+	sym, err := spdirect.Analyze(a.N, widen(a.RowPtr), widen(a.Col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +263,7 @@ func TestRefactorBitIdentical(t *testing.T) {
 // leaves the factor able to refactor good values again, identically.
 func TestRefactorAfterFailureRecovers(t *testing.T) {
 	a := randomSPD(60, 3, 13)
-	sym, err := spdirect.Analyze(a.N, a.RowPtr, a.Col)
+	sym, err := spdirect.Analyze(a.N, widen(a.RowPtr), widen(a.Col))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +353,7 @@ func TestRejectsBadInput(t *testing.T) {
 // TestSolveFlopsAccounting: the charged solve cost is exactly 4·nnz(L)+n.
 func TestSolveFlopsAccounting(t *testing.T) {
 	a := randomSPD(80, 4, 17)
-	f, err := spdirect.Factorize(a.N, a.RowPtr, a.Col, a.Val)
+	f, err := spdirect.Factorize(a.N, widen(a.RowPtr), widen(a.Col), a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
