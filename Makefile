@@ -1,11 +1,12 @@
 # Tier-1 verification for the southwell repo. `make verify` is the gate:
 # build + vet + full test suite + race-mode runtime/method tests + a chaos
-# smoke run of both binaries + the examples run + results/ regenerated and
-# compared + a brief run of the end-to-end benchmark's four workloads.
+# smoke run of both binaries + 20 s of fuzzing + the examples run + results/
+# regenerated and compared + a brief run of the end-to-end benchmark's four
+# workloads.
 
 GO ?= go
 
-.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates examples results-check bench-e2e bench-smoke identity verify bench clean
+.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates fuzz examples results-check bench-e2e bench-smoke identity verify bench clean
 
 build:
 	$(GO) build ./...
@@ -71,12 +72,11 @@ partition-pin:
 
 # Allocation gates: every promise of the form "the steady-state path
 # allocates nothing" is a plain Go test asserting testing.AllocsPerRun == 0
-# (kernels, LDL' Refactor/Solve, obs off/on/emit, phases dense, active,
+# (kernels, LDL' SolveWith, obs off/on/emit, phases dense, active,
 # traced and under stragglers inline and at pool widths 2/4/7, the dmem
-# relax sweep,
-# World.Reset) plus the malloc/byte ceilings of the partitioner and of a
-# first and a repeat dmem solve; DESIGN.md §8 maps each hot-path root to
-# its gate. Then one iteration of each
+# relax sweep, World.Reset) plus the malloc/byte ceilings of the
+# partitioner, of one LDL' Factorize and of a first and a repeat dmem
+# solve; DESIGN.md §8 maps each hot-path root to its gate. Then one iteration of each
 # micro-benchmark those gates share set-up with, and of the two set-up
 # benchmarks (BenchmarkPartition, BenchmarkNewLayout: the e2e shapes), so an
 # outright breakage fails verify without a long bench run. BenchmarkDenseLU
@@ -85,6 +85,15 @@ alloc-gates:
 	$(GO) test -run 'AllocGate|AllocCeiling' ./internal/...
 	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkKernels|BenchmarkLDL|BenchmarkObs|BenchmarkRunPhase|BenchmarkActivePhases|BenchmarkLocalSolveCycled|BenchmarkPartition|BenchmarkNewLayout' \
 		./internal/sparse/ ./internal/spdirect/ ./internal/obs/ ./internal/rma/ ./internal/dmem/ ./internal/partition/ >/dev/null
+
+# A fuzzing budget: FuzzFactorize (spdirect's input contract: no panic,
+# malformed input an error, a non-SPD pivot ErrNotPositiveDefinite, and a
+# diagonally dominant block solved to 1e-10) for 20 s on top of its committed
+# seeds (internal/spdirect/testdata/fuzz). FuzzReadMatrixMarket stays
+# seed-only (tier-1 runs its seeds): a legal header may declare 2^31-1 rows,
+# so a -fuzz run could run the host out of memory.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzFactorize$$' -fuzztime 20s ./internal/spdirect/
 
 # The four examples/ programs are the API's only documentation that
 # compiles; `go build ./...` only builds them, so run each (about 3 s in
@@ -181,7 +190,7 @@ identity:
 		echo "identity: same: $$line"; \
 	done
 
-verify: build lint test race chaos-smoke partition-pin alloc-gates examples results-check bench-smoke
+verify: build lint test race chaos-smoke partition-pin alloc-gates fuzz examples results-check bench-smoke
 
 # Micro-benchmarks for the phase engine, message path, numerical kernels,
 # sparse local solver and tracing. Single-shot and machine-dependent: for

@@ -72,39 +72,43 @@ func TestDistSWGhostSanity(t *testing.T) {
 	DistributedSouthwell(s, b, x, Config{Steps: 20})
 }
 
-// TestLocalResidualsExactEveryStep: for every method, at every step
-// boundary, the concatenation of local residuals equals b - A x for the
-// concatenation of local solutions (communication delivers every delta
-// exactly once).
+// TestLocalResidualsExactEveryStep: for every method and both local
+// solvers, at every step boundary, the concatenation of local residuals
+// equals b - A x for the concatenation of local solutions (communication
+// delivers every delta exactly once, and a relaxation's residual bookkeeping
+// matches the update it made to x).
 func TestLocalResidualsExactEveryStep(t *testing.T) {
 	a := problem.FEM2D(16, 0.3, 13)
-	for name, run := range methods() {
-		s, b, x := buildCase(t, a.Clone(), 8, 13)
-		steps := 0
-		debugHook = func(states []*rankState) {
-			steps++
-			// Gather x and r.
-			xg := make([]float64, s.Layout.A.N)
-			rg := make([]float64, s.Layout.A.N)
-			for p, rs := range states {
-				for li, g := range s.Layout.rows(p) {
-					xg[g] = rs.x[li]
-					rg[g] = rs.r[li]
+	for _, local := range []LocalSolver{LocalGS, LocalDirect} {
+		for name, run := range methods() {
+			name = name + "/" + local.String()
+			s, b, x := buildCaseLocal(t, a.Clone(), 8, 13, local)
+			steps := 0
+			debugHook = func(states []*rankState) {
+				steps++
+				// Gather x and r.
+				xg := make([]float64, s.Layout.A.N)
+				rg := make([]float64, s.Layout.A.N)
+				for p, rs := range states {
+					for li, g := range s.Layout.rows(p) {
+						xg[g] = rs.x[li]
+						rg[g] = rs.r[li]
+					}
+				}
+				want := make([]float64, s.Layout.A.N)
+				s.Layout.A.Residual(b, xg, want)
+				for i := range want {
+					if math.Abs(want[i]-rg[i]) > 1e-9 {
+						t.Fatalf("%s: residual drift at row %d: stored %g, true %g",
+							name, i, rg[i], want[i])
+					}
 				}
 			}
-			want := make([]float64, s.Layout.A.N)
-			s.Layout.A.Residual(b, xg, want)
-			for i := range want {
-				if math.Abs(want[i]-rg[i]) > 1e-9 {
-					t.Fatalf("%s: residual drift at row %d: stored %g, true %g",
-						name, i, rg[i], want[i])
-				}
+			run(s, b, x, Config{Steps: 12})
+			debugHook = nil
+			if steps == 0 {
+				t.Fatalf("%s: hook never ran", name)
 			}
-		}
-		run(s, b, x, Config{Steps: 12})
-		debugHook = nil
-		if steps == 0 {
-			t.Fatalf("%s: hook never ran", name)
 		}
 	}
 }

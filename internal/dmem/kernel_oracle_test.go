@@ -33,10 +33,11 @@ func (rs *rankState) relaxSweepRef() float64 {
 }
 
 // relaxDirectRef is the pre-rewrite relaxDirect (the solve it calls has its
-// own oracle in internal/spdirect).
+// own oracle in internal/spdirect). It zeroes r[li] before it reads d[li],
+// so d is a buffer of its own, never r.
 func (rs *rankState) relaxDirectRef() float64 {
 	rd := rs.l.Rank(int(rs.p))
-	d := rs.direct.d
+	d := make([]float64, len(rs.r))
 	rs.direct.f.SolveWith(rs.r, d, rs.direct.scratch)
 	for li := range rs.r {
 		rs.x[li] += d[li]

@@ -66,11 +66,10 @@ type rankState struct {
 	res   []payload // explicit residual updates: bnd bound
 
 	// direct, when f is non-nil, is the shared factorization of the local
-	// diagonal block (LocalDirect) with this rank's private buffers: d
-	// receives the solve, scratch is the factor's workspace.
+	// diagonal block (LocalDirect) with this rank's private solve scratch.
 	direct struct {
-		f          *spdirect.Factor
-		d, scratch []float64
+		f       *spdirect.Factor
+		scratch []float64
 	}
 }
 
@@ -111,17 +110,17 @@ func (rs *rankState) relaxLocal() float64 {
 
 // relaxDirect solves the local block exactly: x_p += A_pp^{-1} r_p, which
 // zeroes the local residual and accumulates -A_qp d into extDelta. The
-// charged cost is the factorization's actual solve cost, O(nnz(L)), plus the
-// coupling scatter and the solution update.
+// solve runs in place, so d overwrites r and each row reads its d before
+// zeroing it. The charged cost is the factorization's actual solve cost,
+// O(nnz(L)), plus the coupling scatter and the solution update.
 func (rs *rankState) relaxDirect() float64 {
 	l := rs.l
 	r, x, extDelta := rs.r, rs.x, rs.extDelta
 	m := len(r)
-	d := rs.direct.d[:m]
-	rs.direct.f.SolveWith(r, d, rs.direct.scratch)
+	rs.direct.f.SolveWith(r, r, rs.direct.scratch)
 	// Operands are locals cut once per row (DESIGN.md §10, "Kernel form").
 	extPtr, extCol, extVal := l.extPtr[rs.row0:][:m+1], l.extCol, l.extVal
-	for li, dl := range d {
+	for li, dl := range r {
 		x[li] += dl
 		r[li] = 0
 		lo, hi := extPtr[li], extPtr[li+1]

@@ -37,7 +37,7 @@ func newRunState(s *Setup) *runState {
 	nd := int(l.nbrOff[p])
 	nf := 2*l.A.N + 3*int(l.extOff[p]) + 2*nd + 2*int(l.bndOff[p])
 	if s.factors != nil {
-		nf += 2 * l.A.N // direct.d and direct.scratch: m each
+		nf += l.A.N // direct.scratch: m each
 	}
 	st.seqSeen, st.sentTo = make([]int32, nd), make([]bool, nd)
 	floats, bodies, slab := make([]float64, nf), make([]payload, 2*nd), make([]rankState, p)
@@ -74,7 +74,7 @@ func newRunState(s *Setup) *runState {
 			rs.res[j] = payload{bnd: take(nBnd), slot: l.slotInNbr[k]}
 		}
 		if s.factors != nil {
-			rs.direct.f, rs.direct.d, rs.direct.scratch = s.factors[pr], take(m), take(m)
+			rs.direct.f, rs.direct.scratch = s.factors[pr], take(m)
 		}
 		st.states[pr] = rs
 		e.idleDeg[pr] = float64(deg) // phase-1 idle charge: the unconditional degree scan
@@ -87,7 +87,7 @@ func newRunState(s *Setup) *runState {
 // exchange, not counted), exact ghosts — the engine rewound to "every rank in
 // the set", and the world rewound to the default cost model with cfg's
 // engine, fault plan and tracer installed. extDelta, lastSentNorm, the
-// direct-solver buffers and every message-body field but slot are written
+// direct-solver scratch and every message-body field but slot are written
 // before they are read in any run, so they are deliberately not cleared.
 func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	l, w, e := st.l, st.w, &st.eng

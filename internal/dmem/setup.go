@@ -10,9 +10,10 @@ package dmem
 // once.
 //
 // Sharing is safe by construction. The layout and the factorizations are
-// read-only: the Layout is immutable after NewLayout, and a factor's one
-// solve, spdirect.Factor.SolveWith, takes caller-owned scratch — each run
-// state pairs the shared factor with private buffers (rankState.direct).
+// read-only: the Layout is immutable after NewLayout, and a factor is
+// read-only once spdirect.Factorize returns; its one solve,
+// Factor.SolveWith, takes caller-owned scratch — each run state pairs the
+// shared factor with private scratch (rankState.direct).
 // Every method takes the Setup as its first argument, so the layout and the
 // local solver a run uses are the ones it was built for.
 // The one mutable field is the parked run state (runstate.go,
@@ -33,25 +34,25 @@ import (
 // (local row/column indices, diagonal included) for the sparse
 // factorization. The block of a structurally symmetric matrix restricted to
 // one rank's rows is itself structurally symmetric, which is exactly what
-// spdirect.Analyze requires.
-func localBlockCSR(l *Layout, p int) (rowPtr, col []int, val []float64) {
+// spdirect.Factorize requires.
+func localBlockCSR(l *Layout, p int) (rowPtr, col []int32, val []float64) {
 	diag, locPtr := l.localBlock(p)
 	m := len(diag)
-	rowPtr = make([]int, m+1)
+	rowPtr = make([]int32, m+1)
 	for li := 0; li < m; li++ {
-		rowPtr[li+1] = rowPtr[li] + 1 + int(locPtr[li+1]-locPtr[li])
+		rowPtr[li+1] = rowPtr[li] + 1 + locPtr[li+1] - locPtr[li]
 	}
-	col = make([]int, rowPtr[m])
+	col = make([]int32, rowPtr[m])
 	val = make([]float64, rowPtr[m])
 	w := 0
 	for li, d := range diag {
-		col[w], val[w] = li, d
+		col[w], val[w] = int32(li), d
 		w++
 		lo, hi := locPtr[li], locPtr[li+1]
 		cols := l.locCol[lo:hi]
 		vals := l.locVal[lo:hi][:len(cols)]
 		for k, c := range cols {
-			col[w], val[w] = int(c), vals[k]
+			col[w], val[w] = int32(c), vals[k]
 			w++
 		}
 	}
@@ -61,8 +62,7 @@ func localBlockCSR(l *Layout, p int) (rowPtr, col []int, val []float64) {
 // factorShared factors rank p's diagonal block by sparse LDLᵀ, a pure
 // function of the block, never of scheduling.
 func factorShared(l *Layout, p int) (*spdirect.Factor, error) {
-	rowPtr, col, val := localBlockCSR(l, p)
-	return spdirect.Factorize(len(rowPtr)-1, rowPtr, col, val)
+	return spdirect.Factorize(localBlockCSR(l, p))
 }
 
 // factorAll factors every rank's diagonal block concurrently on the shared

@@ -114,7 +114,7 @@ func TestSparseLocalMatchesDenseOnSuiteBlocks(t *testing.T) {
 			dm := dense.NewMatrix(m)
 			for i := range m {
 				for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-					dm.Set(i, col[k], val[k])
+					dm.Set(i, int(col[k]), val[k])
 				}
 			}
 			lu, err := dense.FactorLU(dm)

@@ -25,7 +25,7 @@ var benchBlock struct {
 func benchSetup(tb testing.TB) (*sparse.CSR, *spdirect.Factor, []float64, []float64) {
 	benchBlock.once.Do(func() {
 		a := problem.Poisson2D(66, 66)
-		f, err := spdirect.Factorize(a.N, widen(a.RowPtr), widen(a.Col), a.Val)
+		f, err := spdirect.Factorize(a.RowPtr, a.Col, a.Val)
 		if err != nil {
 			panic(err)
 		}
@@ -41,37 +41,15 @@ func benchSetup(tb testing.TB) (*sparse.CSR, *spdirect.Factor, []float64, []floa
 }
 
 // BenchmarkLDL measures the sparse LDLᵀ pipeline on the 4356-row block:
-// one-time Analyze and Factorize, then the steady-state Refactor and
-// SolveWith. allocs_op on both is asserted by TestLDLAllocGate;
-// ns_op demonstrates the sparse win over BenchmarkDenseLU.
+// the one-time Factorize and the steady-state SolveWith. allocs_op of both
+// is asserted by TestLDLAllocGate; ns_op demonstrates the sparse win over
+// BenchmarkDenseLU.
 func BenchmarkLDL(b *testing.B) {
 	a, f, rhs, x := benchSetup(b)
-	rowPtr, col := widen(a.RowPtr), widen(a.Col)
-	b.Run("Analyze", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := spdirect.Analyze(a.N, rowPtr, col); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("Factorize", func(b *testing.B) {
-		sym, err := spdirect.Analyze(a.N, rowPtr, col)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sym.Factorize(a.Val); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Refactor", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := f.Refactor(a.Val); err != nil {
+			if _, err := spdirect.Factorize(a.RowPtr, a.Col, a.Val); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -118,17 +96,16 @@ func BenchmarkDenseLU(b *testing.B) {
 	})
 }
 
-// TestLDLAllocGate is the machine-independent regression gate: the
-// steady-state operations of a cached factorization — Refactor (new
-// values, fixed pattern) and SolveWith — must allocate nothing, and the
-// one-time Analyze a fixed number of arrays whatever the structure: at most 20
-// mallocs, and bytes linear in n + nnz on a 32 000-row diagonal block, where
-// every row is its own component (a visited array per pseudo-peripheral
-// search made that block 1 GB and half a second).
+// TestLDLAllocGate is the machine-independent regression gate: SolveWith
+// on a cached factorization must allocate nothing, and the one-time
+// Factorize a fixed number of arrays whatever the structure: at most 28
+// mallocs, and bytes linear in n + nnz + nnz(L), on a 1 600-row Poisson
+// block and on a 32 000-row diagonal block, where every row is its own
+// component (a visited array per pseudo-peripheral search made that block
+// 1 GB and half a second).
 func TestLDLAllocGate(t *testing.T) {
 	a := problem.Poisson2D(40, 40) // 1600 rows: big enough to be honest
-	rowPtr, col := widen(a.RowPtr), widen(a.Col)
-	f, err := spdirect.Factorize(a.N, rowPtr, col, a.Val)
+	f, err := spdirect.Factorize(a.RowPtr, a.Col, a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,52 +113,43 @@ func TestLDLAllocGate(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%11) / 11
 	}
-	for _, op := range []struct {
-		name string
-		f    func()
-	}{
-		{"Refactor", func() {
-			if err := f.Refactor(a.Val); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"SolveWith", func() { f.SolveWith(b, x, y) }},
-	} {
-		op.f() // warm once outside the measurement
-		if got := testing.AllocsPerRun(20, op.f); got != 0 {
-			t.Errorf("%s allocates %.1f/op in steady state, want 0", op.name, got)
-		}
+	solve := func() { f.SolveWith(b, x, y) }
+	solve() // warm once outside the measurement
+	if got := testing.AllocsPerRun(20, solve); got != 0 {
+		t.Errorf("SolveWith allocates %.1f/op in steady state, want 0", got)
 	}
 
-	const maxAnalyzeMallocs, analyzeBytesPerEntry = 20, 96
+	const maxFactorizeMallocs, factorizeBytesPerEntry = 28, 96
 	const nDiag = 32000
-	diagPtr, diagCol := make([]int, nDiag+1), make([]int, nDiag)
-	for i := range diagCol {
-		diagPtr[i+1], diagCol[i] = i+1, i
+	diag := &sparse.CSR{N: nDiag, RowPtr: make([]int32, nDiag+1), Col: make([]int32, nDiag), Val: make([]float64, nDiag)}
+	for i := range diag.Col {
+		diag.RowPtr[i+1], diag.Col[i], diag.Val[i] = int32(i+1), int32(i), 1
 	}
 	for _, c := range []struct {
-		name        string
-		n           int
-		rowPtr, col []int
+		name string
+		a    *sparse.CSR
 	}{
-		{"poisson2d-40", a.N, rowPtr, col},
-		{"diagonal-32000", nDiag, diagPtr, diagCol},
+		{"poisson2d-40", a},
+		{"diagonal-32000", diag},
 	} {
-		analyze := func() {
-			if _, err := spdirect.Analyze(c.n, c.rowPtr, c.col); err != nil {
+		var nnzL int
+		factorize := func() {
+			f, err := spdirect.Factorize(c.a.RowPtr, c.a.Col, c.a.Val)
+			if err != nil {
 				t.Fatal(err)
 			}
+			nnzL = len(f.Li)
 		}
-		mallocs := testing.AllocsPerRun(5, analyze)
+		mallocs := testing.AllocsPerRun(5, factorize)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		analyze()
+		factorize()
 		runtime.ReadMemStats(&m1)
 		bytes := m1.TotalAlloc - m0.TotalAlloc
-		maxBytes := uint64(analyzeBytesPerEntry * (c.n + len(c.col)))
-		t.Logf("Analyze(%s): %.0f mallocs, %d bytes (ceiling %d, %d)", c.name, mallocs, bytes, maxAnalyzeMallocs, maxBytes)
-		if mallocs > maxAnalyzeMallocs || bytes > maxBytes {
-			t.Errorf("Analyze(%s): %.0f mallocs, %d bytes; ceiling %d mallocs, %d bytes", c.name, mallocs, bytes, maxAnalyzeMallocs, maxBytes)
+		maxBytes := uint64(factorizeBytesPerEntry * (c.a.N + len(c.a.Col) + nnzL))
+		t.Logf("Factorize(%s): %.0f mallocs, %d bytes (ceiling %d, %d)", c.name, mallocs, bytes, maxFactorizeMallocs, maxBytes)
+		if mallocs > maxFactorizeMallocs || bytes > maxBytes {
+			t.Errorf("Factorize(%s): %.0f mallocs, %d bytes; ceiling %d mallocs, %d bytes", c.name, mallocs, bytes, maxFactorizeMallocs, maxBytes)
 		}
 	}
 }

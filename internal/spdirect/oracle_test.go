@@ -17,22 +17,22 @@ import (
 	"southwell/internal/spdirect"
 )
 
-// block is one SPD matrix in the form Analyze/Factorize take.
+// block is one SPD matrix in the form Factorize takes.
 type block struct {
 	name   string
 	n      int
-	rowPtr []int
-	col    []int
+	rowPtr []int32
+	col    []int32
 	val    []float64
 }
 
 func csrBlock(name string, a *sparse.CSR) block {
-	return block{name, a.N, widen(a.RowPtr), widen(a.Col), a.Val}
+	return block{name, a.N, a.RowPtr, a.Col, a.Val}
 }
 
 // direct64 holds the 64 diagonal blocks of the benchmark's direct64 workload
 // (Flan_1565 scaled, partition seed 1, P = 64), assembled the way dmem hands
-// them to Analyze: diagonal first, then the local couplings in source order.
+// them to Factorize: diagonal first, then the local couplings in source order.
 var direct64 struct {
 	once   sync.Once
 	blocks []block
@@ -59,15 +59,15 @@ func direct64Blocks(tb testing.TB) []block {
 		for p := range l.P {
 			rd := l.Rank(p)
 			m := rd.M()
-			bl := block{name: "direct64-rank" + strconv.Itoa(p), n: m, rowPtr: make([]int, m+1)}
+			bl := block{name: "direct64-rank" + strconv.Itoa(p), n: m, rowPtr: make([]int32, m+1)}
 			for li := 0; li < m; li++ {
-				bl.col = append(bl.col, li)
+				bl.col = append(bl.col, int32(li))
 				bl.val = append(bl.val, rd.Diag[li])
 				for k := rd.LocPtr[li]; k < rd.LocPtr[li+1]; k++ {
-					bl.col = append(bl.col, int(rd.LocCol[k]))
+					bl.col = append(bl.col, int32(rd.LocCol[k]))
 					bl.val = append(bl.val, rd.LocVal[k])
 				}
-				bl.rowPtr[li+1] = len(bl.col)
+				bl.rowPtr[li+1] = int32(len(bl.col))
 			}
 			direct64.blocks = append(direct64.blocks, bl)
 		}
@@ -199,55 +199,38 @@ func sameBits(a, b []float64) int {
 	return -1
 }
 
-// TestRefactorMatchesReference: the production numeric factorization
+// TestNumericMatchesReference: the production numeric factorization
 // reproduces the reference loops' Li, Lx and D bit for bit, on values that
-// factor and on values that fail part-way (the partial state and the clean
-// accumulator are part of TestRefactorAfterFailureRecovers' contract).
-func TestRefactorMatchesReference(t *testing.T) {
+// factor and on an indefinite variant, which both must reject at the same
+// permuted column with the same partial factor.
+func TestNumericMatchesReference(t *testing.T) {
 	for _, bl := range oracleBlocks(t) {
-		name := bl.name
-		sym, err := spdirect.Analyze(bl.n, bl.rowPtr, bl.col)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := sym.Factorize(bl.val)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		ref, err := sym.Factorize(bl.val)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// An indefinite variant: flip the sign of the values from the middle
-		// row on, so elimination runs for a while and then meets a bad pivot.
+		// The indefinite variant flips the sign of the values from the middle
+		// row on, so elimination runs for a while and then meets a bad pivot
+		// (a non-positive diagonal entry always yields one).
 		bad := append([]float64(nil), bl.val...)
-		for p := bl.rowPtr[bl.n/2]; p < len(bad); p++ {
+		for p := bl.rowPtr[bl.n/2]; int(p) < len(bad); p++ {
 			bad[p] = -bad[p]
 		}
-		for _, vals := range [][]float64{bl.val, bad, bl.val} {
-			for i := range ref.Li {
-				ref.Li[i], ref.Lx[i] = -1, math.NaN()
-			}
-			for i := range ref.D {
-				ref.D[i] = math.NaN()
-			}
-			copy(got.Li, ref.Li)
-			copy(got.Lx, ref.Lx)
-			copy(got.D, ref.D)
-			refOK := spdirect.RefactorRef(ref, vals)
-			if gotOK := got.Refactor(vals) == nil; gotOK != refOK {
-				t.Fatalf("%s: Refactor ok = %v, reference %v", name, gotOK, refOK)
+		for _, c := range []struct {
+			name  string
+			vals  []float64
+			fails bool
+		}{{bl.name, bl.val, false}, {bl.name + "/indefinite", bad, bl.n > 0}} {
+			got, ref, gotBad, refBad := spdirect.NumericPasses(bl.rowPtr, bl.col, c.vals)
+			if gotBad != refBad || (refBad >= 0) != c.fails {
+				t.Fatalf("%s: fails at column %d, reference %d (want failure: %v)", c.name, gotBad, refBad, c.fails)
 			}
 			for i := range ref.Li {
 				if got.Li[i] != ref.Li[i] {
-					t.Fatalf("%s: Li[%d] = %d, reference %d", name, i, got.Li[i], ref.Li[i])
+					t.Fatalf("%s: Li[%d] = %d, reference %d", c.name, i, got.Li[i], ref.Li[i])
 				}
 			}
 			if i := sameBits(got.Lx, ref.Lx); i >= 0 {
-				t.Fatalf("%s: Lx[%d] = %x, reference %x", name, i, got.Lx[i], ref.Lx[i])
+				t.Fatalf("%s: Lx[%d] = %x, reference %x", c.name, i, got.Lx[i], ref.Lx[i])
 			}
 			if i := sameBits(got.D, ref.D); i >= 0 {
-				t.Fatalf("%s: D[%d] = %x, reference %x", name, i, got.D[i], ref.D[i])
+				t.Fatalf("%s: D[%d] = %x, reference %x", c.name, i, got.D[i], ref.D[i])
 			}
 		}
 	}
@@ -259,7 +242,7 @@ func TestRefactorMatchesReference(t *testing.T) {
 func TestSolveMatchesReference(t *testing.T) {
 	for _, bl := range oracleBlocks(t) {
 		name := bl.name
-		f, err := spdirect.Factorize(bl.n, bl.rowPtr, bl.col, bl.val)
+		f, err := spdirect.Factorize(bl.rowPtr, bl.col, bl.val)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -285,7 +268,7 @@ func TestSolveMatchesReference(t *testing.T) {
 
 // permHash is SHA-256 over the permutations, each entry a little-endian
 // uint64, each permutation preceded by its length.
-func permHash(perms ...[]int) string {
+func permHash(perms ...[]int32) string {
 	h := sha256.New()
 	var b [8]byte
 	put := func(v int) {
@@ -295,7 +278,7 @@ func permHash(perms ...[]int) string {
 	for _, perm := range perms {
 		put(len(perm))
 		for _, v := range perm {
-			put(v)
+			put(int(v))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -306,24 +289,24 @@ func permHash(perms ...[]int) string {
 // were captured on the sort.Slice / per-iteration-visited implementation
 // that preceded the stamp array; a new hash is an output-changing change.
 func TestRCMPermGolden(t *testing.T) {
-	analyze := func(bl block) []int {
-		sym, err := spdirect.Analyze(bl.n, bl.rowPtr, bl.col)
+	perm := func(bl block) []int32 {
+		f, err := spdirect.Factorize(bl.rowPtr, bl.col, bl.val)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sym.Perm
+		return spdirect.Perm(f)
 	}
-	var d64 [][]int
+	var d64 [][]int32
 	for _, bl := range direct64Blocks(t) {
-		d64 = append(d64, analyze(bl))
+		d64 = append(d64, perm(bl))
 	}
 	for _, c := range []struct {
 		name, want string
-		perms      [][]int
+		perms      [][]int32
 	}{
 		{"direct64", "85166e9fc794fa419c0159de0b62cc5ba4c1f92d0842aff9a18edb358244e8b5", d64},
-		{"poisson2d-66", "50d3df7fde7a65ca94106ad090ed3ec3dbee688c662e1e5fece055b104fc5557", [][]int{analyze(csrBlock("", problem.Poisson2D(66, 66)))}},
-		{"disconnected", "3ebf4d1fd2c23fd0800667c4655a44b0e34604183525ca6514b8374bbef6ca60", [][]int{analyze(disconnectedBlock())}},
+		{"poisson2d-66", "50d3df7fde7a65ca94106ad090ed3ec3dbee688c662e1e5fece055b104fc5557", [][]int32{perm(csrBlock("", problem.Poisson2D(66, 66)))}},
+		{"disconnected", "3ebf4d1fd2c23fd0800667c4655a44b0e34604183525ca6514b8374bbef6ca60", [][]int32{perm(disconnectedBlock())}},
 	} {
 		if got := permHash(c.perms...); got != c.want {
 			t.Errorf("%s: Perm hash %s, want %s", c.name, got, c.want)

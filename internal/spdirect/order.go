@@ -10,11 +10,12 @@ import "slices"
 // its own pseudo-peripheral root, lowest unvisited node first — every choice
 // breaks ties by node id, so the result is deterministic for a given
 // structure.
-func rcmPerm(n int, rowPtr, col []int) []int {
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			if col[p] != i {
+func rcmPerm(rowPtr, col []int32) []int32 {
+	n := len(rowPtr) - 1
+	deg := make([]int32, n)
+	for i := range deg {
+		for _, c := range col[rowPtr[i]:rowPtr[i+1]] {
+			if int(c) != i {
 				deg[i]++
 			}
 		}
@@ -24,21 +25,21 @@ func rcmPerm(n int, rowPtr, col []int) []int {
 	// comparison-free. The keys are unique within a row, so the order is a
 	// total one and any correct sort yields the same permutation; byDegree
 	// captures only deg, once, so no row allocates.
-	adjPtr := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		adjPtr[i+1] = adjPtr[i] + deg[i]
+	adjPtr := make([]int32, n+1)
+	for i, d := range deg {
+		adjPtr[i+1] = adjPtr[i] + d
 	}
-	adj := make([]int, adjPtr[n])
-	byDegree := func(a, b int) int {
+	adj := make([]int32, adjPtr[n])
+	byDegree := func(a, b int32) int {
 		if deg[a] != deg[b] {
-			return deg[a] - deg[b]
+			return int(deg[a]) - int(deg[b])
 		}
-		return a - b
+		return int(a) - int(b)
 	}
-	for i := 0; i < n; i++ {
+	for i := range deg {
 		w := adjPtr[i]
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			if c := col[p]; c != i {
+		for _, c := range col[rowPtr[i]:rowPtr[i+1]] {
+			if int(c) != i {
 				adj[w] = c
 				w++
 			}
@@ -46,19 +47,27 @@ func rcmPerm(n int, rowPtr, col []int) []int {
 		slices.SortFunc(adj[adjPtr[i]:adjPtr[i+1]], byDegree)
 	}
 
-	perm := make([]int, 0, n)
+	perm := make([]int32, 0, n)
 	visited := make([]bool, n)
 	// BFS scratch of pseudoPeripheral, owned here so a block of many
 	// components (a diagonal block has n) costs O(n + nnz) in all: the level
 	// queue, and a stamp array in place of a visited set cleared per search.
-	queue := make([]int, n)
+	queue := make([]int32, n)
 	stamp := make([]int, n)
 	search := 0 // number of the last BFS that wrote stamp
-	for start := 0; start < n; start++ {
+	for start := int32(0); int(start) < n; {
 		if visited[start] {
+			start++
 			continue
 		}
 		root := pseudoPeripheral(start, adjPtr, adj, deg, queue, stamp, &search)
+		// Only an asymmetric structure can lead from start to a visited
+		// root, or to one that cannot reach start back. Rooting at start in
+		// the first case, and retrying start until it is visited, keeps perm
+		// a permutation whatever the input.
+		if visited[root] {
+			root = start
+		}
 		// Cuthill-McKee BFS from root; neighbors are pre-sorted by
 		// (degree, id), so the queue order is the classic CM order.
 		head := len(perm)
@@ -77,9 +86,7 @@ func rcmPerm(n int, rowPtr, col []int) []int {
 	}
 	// Reverse: RCM. Reversing across component boundaries only reverses the
 	// component order, which is harmless (no cross-component fill).
-	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-		perm[i], perm[j] = perm[j], perm[i]
-	}
+	slices.Reverse(perm)
 	return perm
 }
 
@@ -88,9 +95,10 @@ func rcmPerm(n int, rowPtr, col []int) []int {
 // the last level, repeat while the eccentricity grows. queue and stamp are
 // n-sized scratch: node v is visited in the current BFS iff stamp[v] equals
 // *search, the caller's count of searches so far, which every BFS here
-// increments (stamp starts all zero, so no number is ever reused). All ties
+// increments (stamp starts all zero, so no number is ever reused; it is an
+// int because a block of n components runs up to 2n searches). All ties
 // break by node id.
-func pseudoPeripheral(start int, adjPtr, adj, deg, queue, stamp []int, search *int) int {
+func pseudoPeripheral(start int32, adjPtr, adj, deg, queue []int32, stamp []int, search *int) int32 {
 	root := start
 	ecc := -1
 	// The iteration terminates because the eccentricity strictly grows; the

@@ -9,15 +9,14 @@ package spdirect
 
 // solveRef is the pre-rewrite (*Factor).SolveWith.
 func (f *Factor) solveRef(b, x, y []float64) {
-	s := f.sym
-	n := s.N
+	n := len(f.D)
 	for k := 0; k < n; k++ {
-		y[k] = b[s.Perm[k]]
+		y[k] = b[f.perm[k]]
 	}
 	for i := 0; i < n; i++ {
 		yi := y[i]
 		if yi != 0 {
-			for p := s.Lp[i]; p < s.Lp[i+1]; p++ {
+			for p := f.lp[i]; p < f.lp[i+1]; p++ {
 				y[f.Li[p]] -= f.Lx[p] * yi
 			}
 		}
@@ -27,25 +26,25 @@ func (f *Factor) solveRef(b, x, y []float64) {
 	}
 	for i := n - 1; i >= 0; i-- {
 		yi := y[i]
-		for p := s.Lp[i]; p < s.Lp[i+1]; p++ {
+		for p := f.lp[i]; p < f.lp[i+1]; p++ {
 			yi -= f.Lx[p] * y[f.Li[p]]
 		}
 		y[i] = yi
 	}
 	for k := 0; k < n; k++ {
-		x[s.Perm[k]] = y[k]
+		x[f.perm[k]] = y[k]
 	}
 }
 
-// refactorRef is the pre-rewrite (*Factor).Refactor, minus the val-length
-// check and with a bare ok for the pivot failure (the error text is not part
-// of the numeric contract).
-func (f *Factor) refactorRef(val []float64) (ok bool) {
-	s := f.sym
-	n := s.N
-	y, pat, flag, next := f.yn, f.pattern, f.flag, f.next
+// refactorRef is the pre-rewrite numeric pass, filling f over s's pattern
+// with its own scratch and returning the permuted column of the first
+// non-positive pivot, or -1 (the error text is not part of the numeric
+// contract).
+func (s *symbolic) refactorRef(f *Factor, val []float64) (bad int) {
+	n := len(s.perm)
+	y, pat, flag, next := make([]float64, n), make([]int32, n), make([]int32, n), make([]int32, n)
 	for k := 0; k < n; k++ {
-		next[k] = int32(s.Lp[k])
+		next[k] = int32(s.lp[k])
 		flag[k] = -1
 	}
 	for k := 0; k < n; k++ {
@@ -55,7 +54,7 @@ func (f *Factor) refactorRef(val []float64) (ok bool) {
 			i := int(s.bi[p])
 			y[i] += val[s.bmap[p]]
 			plen := 0
-			for ; flag[i] != int32(k); i = s.Parent[i] {
+			for ; flag[i] != int32(k); i = s.parent[i] {
 				pat[plen] = int32(i)
 				plen++
 				flag[i] = int32(k)
@@ -73,7 +72,7 @@ func (f *Factor) refactorRef(val []float64) (ok bool) {
 			yi := y[i]
 			y[i] = 0
 			p2 := int(next[i])
-			for p := s.Lp[i]; p < p2; p++ {
+			for p := s.lp[i]; p < p2; p++ {
 				y[f.Li[p]] -= f.Lx[p] * yi
 			}
 			lki := yi / f.D[i]
@@ -83,21 +82,32 @@ func (f *Factor) refactorRef(val []float64) (ok bool) {
 			next[i] = int32(p2 + 1)
 		}
 		if !(dk > 0) {
-			for i := range y {
-				y[i] = 0
-			}
-			return false
+			return k
 		}
 		f.D[k] = dk
 	}
-	return true
+	return -1
+}
+
+// numericPasses analyzes a validated block under RCM and runs the production
+// numeric pass and refactorRef on two fresh factors of that pattern. Each
+// factor is partial on failure; got and want are the failing columns (-1:
+// none).
+func numericPasses(rowPtr, col []int32, val []float64) (fGot, fWant *Factor, got, want int) {
+	s := analyze(rowPtr, col, rcmPerm(rowPtr, col))
+	fGot, fWant = s.newFactor(), s.newFactor()
+	got, _ = s.numeric(fGot, val)
+	return fGot, fWant, got, s.refactorRef(fWant, val)
 }
 
 // Handles for the external test package (which can import dmem for the
-// direct64 blocks; this package cannot). AnalyzePerm is Analyze under a
-// given ordering, for the tests that compare RCM against the natural one.
+// direct64 blocks; this package cannot). FactorizePerm is Factorize under a
+// given ordering, for the tests that compare RCM against the natural one;
+// Perm and ColPtr read the ordering and L's column pointers of a factor.
 var (
-	SolveRef    = (*Factor).solveRef
-	RefactorRef = (*Factor).refactorRef
-	AnalyzePerm = analyze
+	SolveRef      = (*Factor).solveRef
+	NumericPasses = numericPasses
+	FactorizePerm = factorize
+	Perm          = func(f *Factor) []int32 { return f.perm }
+	ColPtr        = func(f *Factor) []int { return f.lp }
 )

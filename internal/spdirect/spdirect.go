@@ -3,21 +3,21 @@
 // relax: the factor-once / solve-many subsystem that plays the role MKL
 // PARDISO plays in the paper's artifact (`-loc_solver direct`).
 //
-// The pipeline is the classical three-stage sparse direct design:
+// Factorize runs the classical three-stage sparse direct design once:
 //
-//  1. Analyze — a fill-reducing ordering (reverse Cuthill-McKee over the
-//     block's adjacency graph), the elimination tree, and the
-//     per-column nonzero counts of L, fixing the exact sparsity pattern of
-//     the factor before a single numeric value is touched.
-//  2. Symbolic.Factorize / Factor.Refactor — an up-looking numeric
-//     factorization (Davis' LDL algorithm): row k of L is computed from
-//     the rows reachable in the elimination tree, producing A = L·D·Lᵀ
-//     with unit-diagonal L. Refactor reuses the symbolic pattern and every
-//     numeric buffer, so re-factoring a block with new values allocates
-//     nothing.
+//  1. analysis — a fill-reducing ordering (reverse Cuthill-McKee over the
+//     block's adjacency graph), the elimination tree, and the per-column
+//     nonzero counts of L, fixing the exact sparsity pattern of the factor
+//     before a single numeric value is touched;
+//  2. numeric factorization — up-looking (Davis' LDL algorithm): row k of L
+//     is computed from the rows reachable in the elimination tree, producing
+//     P·A·Pᵀ = L·D·Lᵀ with unit-diagonal L;
 //  3. Factor.SolveWith — permuted forward / diagonal / backward triangular
-//     solves through a scratch vector the caller owns: steady-state solves
-//     allocate nothing (gated by TestLDLAllocGate).
+//     solves through a scratch vector the caller owns: solves allocate
+//     nothing (gated by TestLDLAllocGate).
+//
+// A Factor keeps exactly what SolveWith reads — the ordering, L and D. The
+// analysis and the numeric scratch are dropped when Factorize returns.
 //
 // Determinism: every stage is a pure sequential function of the input
 // structure and values — the ordering breaks all ties by node id, the
@@ -28,17 +28,15 @@
 // per-rank factorizations out over internal/parallel and still produce
 // bit-identical results at every pool width.
 //
-// Concurrency: SolveWith only reads a Factor, so one Factor serves any
-// number of concurrent solves as long as each caller owns its scratch —
-// dmem shares one factor per rank across every concurrent run of a Setup
-// this way. Refactor writes the factor and its numeric scratch, so it must
-// not overlap any other call on the same Factor.
+// Concurrency: a Factor is read-only once Factorize returns, so one Factor
+// serves any number of concurrent solves as long as each caller owns its
+// scratch — dmem shares one factor per rank across every concurrent run of
+// a Setup this way.
 package spdirect
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrNotPositiveDefinite is returned (wrapped, with the failing column)
@@ -46,86 +44,104 @@ import (
 // not SPD, or so ill-conditioned that roundoff drove a pivot to zero.
 var ErrNotPositiveDefinite = errors.New("spdirect: matrix not positive definite")
 
-// Symbolic is the reusable structural analysis of one block: the
-// permutation, the elimination tree, and the fixed pattern bookkeeping of
-// L. One Symbolic can serve any number of Factorize calls with different
-// values on the same structure.
-type Symbolic struct {
-	N    int
-	Perm []int // Perm[new] = old: row Perm[k] of A becomes row k
-	Pinv []int // Pinv[old] = new
-
-	// Parent is the elimination tree of the permuted matrix (-1 = root).
-	Parent []int
-	// Lp are column pointers of L's strictly-lower-triangular pattern:
-	// column i of L holds Lp[i+1]-Lp[i] below-diagonal entries. Fixed by
-	// Analyze; numeric passes fill values into exactly these slots.
-	Lp []int
-
-	// Permuted upper-triangle structure, column-wise with ascending row
-	// indices, plus the map from each slot back into the caller's value
-	// array — built once so every numeric pass is a single ordered sweep.
-	bp   []int
-	bi   []int32
-	bmap []int32
-	nnzA int // entry count of the analyzed structure (= rowPtr[n])
+// Factor is the LDLᵀ factorization of one block: P·A·Pᵀ = L·D·Lᵀ with
+// unit-diagonal L, stored as what SolveWith reads and nothing else.
+type Factor struct {
+	perm []int32 // perm[new] = old: row perm[k] of A is row k of L
+	// lp are the column pointers of L's strictly-lower-triangular pattern:
+	// column i holds lp[i+1]-lp[i] below-diagonal entries. int, because
+	// nnz(L) is the one count int32 input does not bound.
+	lp []int
+	Li []int32   // row indices of L, by column, ascending within a column
+	Lx []float64 // values of L, same layout
+	D  []float64 // diagonal of D
 }
 
-// NNZL returns the number of strictly-below-diagonal nonzeros of L.
-func (s *Symbolic) NNZL() int { return s.Lp[s.N] }
-
-// SolveFlops returns the flop count of one SolveWith with this pattern:
-// 2·nnz(L) each for the forward and backward sweeps plus n diagonal
-// divisions — the "actual factor nnz" cost the α-β-γ model charges per
-// relaxation, replacing the dense 2m² estimate.
-func (s *Symbolic) SolveFlops() float64 {
-	return 4*float64(s.NNZL()) + float64(s.N)
+// SolveFlops returns the flop count of one SolveWith: 2·nnz(L) each for the
+// forward and backward sweeps plus n diagonal divisions — the "actual factor
+// nnz" cost the α-β-γ model charges per relaxation, replacing the dense 2m²
+// estimate.
+func (f *Factor) SolveFlops() float64 {
+	return 4*float64(len(f.Li)) + float64(len(f.D))
 }
 
-// Analyze computes the reverse Cuthill-McKee ordering, elimination tree, and
-// fixed L pattern for a structurally symmetric n×n sparse matrix in CSR
-// form. Only the structure is read; values flow in later through
-// Factorize/Refactor, indexed by the same entry positions. Rows need not be
-// sorted. The structure must be symmetric (every (i,j) present with (j,i))
-// — only the upper triangle of the permuted matrix is consumed, so an
-// asymmetric structure silently factors the wrong matrix; internal/dmem's
-// layout construction guarantees symmetry and validates it.
-func Analyze(n int, rowPtr, col []int) (*Symbolic, error) {
-	if n < 0 || len(rowPtr) != n+1 {
-		return nil, fmt.Errorf("spdirect: rowPtr length %d, want n+1 = %d", len(rowPtr), n+1)
+// Factorize computes the sparse LDLᵀ factorization of the structurally
+// symmetric n×n matrix in CSR form (rowPtr, col, val), n = len(rowPtr)−1.
+// Rows need not be sorted. The structure must be symmetric (every (i,j)
+// present with (j,i)) — only the upper triangle of the permuted matrix is
+// consumed, so an asymmetric structure silently factors the wrong matrix;
+// internal/dmem's layout construction guarantees symmetry and validates it.
+// Malformed row pointers or columns are an error, and so is a non-positive
+// pivot (ErrNotPositiveDefinite).
+func Factorize(rowPtr, col []int32, val []float64) (*Factor, error) {
+	n := len(rowPtr) - 1
+	if n < 0 {
+		return nil, errors.New("spdirect: empty rowPtr, want n+1 entries")
 	}
-	nnz := rowPtr[n]
-	if len(col) < nnz {
-		return nil, fmt.Errorf("spdirect: col length %d < nnz %d", len(col), nnz)
+	if rowPtr[0] != 0 {
+		return nil, fmt.Errorf("spdirect: rowPtr[0] = %d, want 0", rowPtr[0])
 	}
-	if int64(n) > math.MaxInt32 || int64(nnz) > math.MaxInt32 {
-		return nil, fmt.Errorf("spdirect: block too large for int32 indexing (n=%d, nnz=%d)", n, nnz)
+	for i, p := range rowPtr[1:] {
+		if p < rowPtr[i] {
+			return nil, fmt.Errorf("spdirect: rowPtr decreases at row %d (%d after %d)", i, p, rowPtr[i])
+		}
+	}
+	nnz := int(rowPtr[n])
+	if len(col) < nnz || len(val) < nnz {
+		return nil, fmt.Errorf("spdirect: col length %d, val length %d < nnz %d", len(col), len(val), nnz)
 	}
 	for _, c := range col[:nnz] {
-		if c < 0 || c >= n {
+		if c < 0 || int(c) >= n {
 			return nil, fmt.Errorf("spdirect: column index %d out of range [0,%d)", c, n)
 		}
 	}
-	return analyze(n, rowPtr, col, rcmPerm(n, rowPtr, col)), nil
+	return factorize(rowPtr, col, val, rcmPerm(rowPtr, col))
 }
 
-// analyze is Analyze of a validated structure under the ordering perm
+// factorize is Factorize of a validated block under the ordering perm
 // (perm[new] = old).
-func analyze(n int, rowPtr, col, perm []int) *Symbolic {
-	s := &Symbolic{N: n, Perm: perm, nnzA: rowPtr[n]}
-	s.Pinv = make([]int, n)
-	for k, old := range s.Perm {
-		s.Pinv[old] = k
+func factorize(rowPtr, col []int32, val []float64, perm []int32) (*Factor, error) {
+	s := analyze(rowPtr, col, perm)
+	f := s.newFactor()
+	if k, dk := s.numeric(f, val); k >= 0 {
+		return nil, fmt.Errorf("%w (pivot %g at permuted column %d)", ErrNotPositiveDefinite, dk, k)
+	}
+	return f, nil
+}
+
+// symbolic is the structural analysis of one block: the ordering, the
+// elimination tree, and the fixed pattern bookkeeping of L. It lives only
+// inside factorize; the factor keeps perm and lp.
+type symbolic struct {
+	perm   []int32
+	parent []int // elimination tree of the permuted matrix (-1 = root)
+	lp     []int // column pointers of L (Factor.lp)
+
+	// Permuted upper-triangle structure, column-wise with ascending row
+	// indices, plus the map from each slot back into the caller's value
+	// array — so the numeric pass is a single ordered sweep.
+	bp   []int
+	bi   []int32
+	bmap []int32
+}
+
+// analyze computes the elimination tree and the fixed L pattern of a
+// validated structure under the ordering perm. Only the structure is read.
+func analyze(rowPtr, col, perm []int32) *symbolic {
+	n := len(perm)
+	s := &symbolic{perm: perm}
+	pinv := make([]int, n) // pinv[old] = new
+	for k, old := range perm {
+		pinv[old] = k
 	}
 
 	// Permuted upper triangle, column-wise. Iterating new-row index i0 in
 	// ascending order appends each column's rows already sorted — no
 	// per-column sort pass.
 	s.bp = make([]int, n+1)
-	for i0 := 0; i0 < n; i0++ {
-		r := s.Perm[i0]
+	for i0, r := range perm {
 		for p := rowPtr[r]; p < rowPtr[r+1]; p++ {
-			if j0 := s.Pinv[col[p]]; j0 >= i0 {
+			if j0 := pinv[col[p]]; j0 >= i0 {
 				s.bp[j0+1]++
 			}
 		}
@@ -137,13 +153,12 @@ func analyze(n int, rowPtr, col, perm []int) *Symbolic {
 	s.bmap = make([]int32, s.bp[n])
 	next := make([]int, n)
 	copy(next, s.bp[:n])
-	for i0 := 0; i0 < n; i0++ {
-		r := s.Perm[i0]
+	for i0, r := range perm {
 		for p := rowPtr[r]; p < rowPtr[r+1]; p++ {
-			if j0 := s.Pinv[col[p]]; j0 >= i0 {
+			if j0 := pinv[col[p]]; j0 >= i0 {
 				w := next[j0]
 				s.bi[w] = int32(i0)
-				s.bmap[w] = int32(p)
+				s.bmap[w] = p
 				next[j0] = w + 1
 			}
 		}
@@ -152,97 +167,62 @@ func analyze(n int, rowPtr, col, perm []int) *Symbolic {
 	// Elimination tree and column counts (Liu's algorithm via path
 	// compression-free flag walking, as in Davis' LDL): for each column k,
 	// walk each upper entry's path to the root, marking and counting.
-	s.Parent = make([]int, n)
+	s.parent = make([]int, n)
 	lnz := make([]int, n)
 	flag := next // reuse: next is dead from here on
 	for k := 0; k < n; k++ {
-		s.Parent[k] = -1
+		s.parent[k] = -1
 		flag[k] = k
 		for p := s.bp[k]; p < s.bp[k+1]; p++ {
 			i := int(s.bi[p])
 			if i == k {
 				continue
 			}
-			for ; flag[i] != k; i = s.Parent[i] {
-				if s.Parent[i] == -1 {
-					s.Parent[i] = k
+			for ; flag[i] != k; i = s.parent[i] {
+				if s.parent[i] == -1 {
+					s.parent[i] = k
 				}
 				lnz[i]++
 				flag[i] = k
 			}
 		}
 	}
-	s.Lp = make([]int, n+1)
+	s.lp = make([]int, n+1)
 	for i := 0; i < n; i++ {
-		s.Lp[i+1] = s.Lp[i] + lnz[i]
+		s.lp[i+1] = s.lp[i] + lnz[i]
 	}
 	return s
 }
 
-// Factor is the numeric LDLᵀ factorization of one block over a fixed
-// Symbolic pattern: P·A·Pᵀ = L·D·Lᵀ with unit-diagonal L. It owns the
-// scratch Refactor needs; SolveWith takes its scratch from the caller. Both
-// are allocation-free.
-type Factor struct {
-	sym *Symbolic
-	Li  []int32   // row indices of L, by column, ascending within a column
-	Lx  []float64 // values of L, same layout
-	D   []float64 // diagonal of D
-
-	yn      []float64 // numeric scratch: the sparse accumulator (all-zero between passes)
-	pattern []int32   // numeric scratch: row-pattern stack
-	flag    []int32   // numeric scratch: visited marks
-	next    []int32   // numeric scratch: per-column fill cursor
+// newFactor allocates the factor of s's pattern, values unset.
+func (s *symbolic) newFactor() *Factor {
+	nnzL := s.lp[len(s.perm)]
+	return &Factor{
+		perm: s.perm,
+		lp:   s.lp,
+		Li:   make([]int32, nnzL),
+		Lx:   make([]float64, nnzL),
+		D:    make([]float64, len(s.perm)),
+	}
 }
 
-// Symbolic returns the structural analysis the factor was built over.
-func (f *Factor) Symbolic() *Symbolic { return f.sym }
-
-// SolveFlops returns the flop count of one SolveWith (see Symbolic.SolveFlops).
-func (f *Factor) SolveFlops() float64 { return f.sym.SolveFlops() }
-
-// Factorize runs the numeric factorization for the given values (indexed
-// exactly like the rowPtr/col arrays passed to Analyze). It allocates the
-// factor's storage once; call Refactor to reuse it for new values.
-func (s *Symbolic) Factorize(val []float64) (*Factor, error) {
-	n := s.N
-	f := &Factor{
-		sym:     s,
-		Li:      make([]int32, s.NNZL()),
-		Lx:      make([]float64, s.NNZL()),
-		D:       make([]float64, n),
-		yn:      make([]float64, n),
-		pattern: make([]int32, n),
-		flag:    make([]int32, n),
-		next:    make([]int32, n),
-	}
-	if err := f.Refactor(val); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Refactor recomputes L and D for new values on the same structure,
-// reusing every buffer: zero allocations. The numeric pass is the
-// up-looking algorithm of Davis' LDL: for each row k of L, scatter the
-// permuted upper entries of column k into the sparse accumulator, walk the
-// elimination tree to assemble the row pattern in topological order, then
-// eliminate against each pattern column in turn.
-func (f *Factor) Refactor(val []float64) error {
-	s := f.sym
-	n := s.N
-	if len(val) < s.nnzA {
-		return fmt.Errorf("spdirect: val length %d < analyzed nnz %d", len(val), s.nnzA)
-	}
+// numeric fills f's L and D from val (indexed like the analyzed structure)
+// by the up-looking algorithm of Davis' LDL: for each row k of L, scatter
+// the permuted upper entries of column k into the sparse accumulator, walk
+// the elimination tree to assemble the row pattern in topological order,
+// then eliminate against each pattern column in turn. It returns the
+// permuted column of the first non-positive pivot and that pivot, or -1.
+func (s *symbolic) numeric(f *Factor, val []float64) (int, float64) {
+	n := len(s.perm)
 	// Every operand is a local (DESIGN.md §10, "Kernel form"): a store through
 	// y may alias anything the compiler can see, so operands read through f or
 	// s would be reloaded, and re-checked, on every nonzero.
-	y, pat, flag, next := f.yn, f.pattern, f.flag, f.next
+	y, pat, flag, next := make([]float64, n), make([]int32, n), make([]int32, n), make([]int, n)
 	Li, Lx, D := f.Li, f.Lx, f.D
-	Lp, parent := s.Lp, s.Parent
+	Lp, parent := s.lp, s.parent
 	bp, bi, bmap := s.bp, s.bi, s.bmap
 	for k := 0; k < n; k++ {
-		next[k] = int32(Lp[k])
+		next[k] = Lp[k]
 		flag[k] = -1
 	}
 	for k := 0; k < n; k++ {
@@ -275,7 +255,7 @@ func (f *Factor) Refactor(val []float64) error {
 			i := int(c)
 			yi := y[i]
 			y[i] = 0
-			p2 := int(next[i])
+			p2 := next[i]
 			li := Li[Lp[i]:p2]
 			lx := Lx[Lp[i]:p2][:len(li)]
 			for p, r := range li {
@@ -285,32 +265,28 @@ func (f *Factor) Refactor(val []float64) error {
 			dk -= lki * yi
 			Li[p2] = int32(k)
 			Lx[p2] = lki
-			next[i] = int32(p2 + 1)
+			next[i] = p2 + 1
 		}
 		if !(dk > 0) { // rejects zero, negative, and NaN pivots alike
-			// Leave the accumulator clean for the next Refactor: columns
-			// after k may hold scattered values not yet consumed.
-			clear(y)
-			return fmt.Errorf("%w (pivot %g at permuted column %d)", ErrNotPositiveDefinite, dk, k)
+			return k, dk
 		}
 		D[k] = dk
 	}
-	return nil
+	return -1, 0
 }
 
 // SolveWith computes x = A⁻¹ b through the factorization: permute into the
 // caller's scratch y (length ≥ n), forward solve L, scale by D, backward
-// solve Lᵀ, permute back. It only reads the factorization (Perm, Lp, Li, Lx,
-// D), so concurrent solves on one Factor are safe as long as each caller
-// owns its y. b is not modified; x may alias b. Zero allocations.
+// solve Lᵀ, permute back. It only reads the factor, so concurrent solves on
+// one Factor are safe as long as each caller owns its y. b is not modified;
+// x may alias b. Zero allocations.
 func (f *Factor) SolveWith(b, x, y []float64) {
 	// Operands are locals cut once per column (DESIGN.md §10, "Kernel form").
 	// What may not change: the visit order, the forward zero skip, and one
 	// a -= b*c expression per update.
-	s := f.sym
-	n := s.N
-	perm, Lp := s.Perm[:n], s.Lp[:n+1]
-	Li, Lx, D := f.Li, f.Lx, f.D[:n]
+	n := len(f.D)
+	perm, Lp := f.perm[:n], f.lp[:n+1]
+	Li, Lx, D := f.Li, f.Lx, f.D
 	y = y[:n]
 	for k, old := range perm {
 		y[k] = b[old]
@@ -345,13 +321,4 @@ func (f *Factor) SolveWith(b, x, y []float64) {
 	for k, old := range perm {
 		x[old] = y[k]
 	}
-}
-
-// Factorize is the one-call convenience: Analyze + numeric factorization.
-func Factorize(n int, rowPtr, col []int, val []float64) (*Factor, error) {
-	s, err := Analyze(n, rowPtr, col)
-	if err != nil {
-		return nil, err
-	}
-	return s.Factorize(val)
 }

@@ -12,16 +12,6 @@ import (
 	"southwell/internal/spdirect"
 )
 
-// widen returns a copy of a matrix's int32 index array in the []int form
-// Analyze and Factorize take.
-func widen(s []int32) []int {
-	w := make([]int, len(s))
-	for i, v := range s {
-		w[i] = int(v)
-	}
-	return w
-}
-
 // denseFromCSR expands a sparse matrix for the dense reference factors.
 func denseFromCSR(a *sparse.CSR) *dense.Matrix {
 	m := dense.NewMatrix(a.N)
@@ -60,22 +50,25 @@ func randomSPD(n, deg int, seed int64) *sparse.CSR {
 	return coo.ToCSR()
 }
 
-// analyze is spdirect.Analyze, or with natural the identity ordering
-// through the AnalyzePerm test hook.
-func analyze(t *testing.T, a *sparse.CSR, natural bool) *spdirect.Symbolic {
+// factor is spdirect.Factorize, or with natural the identity ordering
+// through the FactorizePerm test hook.
+func factor(t *testing.T, a *sparse.CSR, natural bool) *spdirect.Factor {
 	t.Helper()
+	var f *spdirect.Factor
+	var err error
 	if natural {
-		perm := make([]int, a.N)
+		perm := make([]int32, a.N)
 		for i := range perm {
-			perm[i] = i
+			perm[i] = int32(i)
 		}
-		return spdirect.AnalyzePerm(a.N, widen(a.RowPtr), widen(a.Col), perm)
+		f, err = spdirect.FactorizePerm(a.RowPtr, a.Col, a.Val, perm)
+	} else {
+		f, err = spdirect.Factorize(a.RowPtr, a.Col, a.Val)
 	}
-	sym, err := spdirect.Analyze(a.N, widen(a.RowPtr), widen(a.Col))
 	if err != nil {
-		t.Fatalf("spdirect.Analyze: %v", err)
+		t.Fatalf("spdirect Factorize: %v", err)
 	}
-	return sym
+	return f
 }
 
 // solveBoth factors a with both spdirect (under RCM, or the natural
@@ -83,10 +76,7 @@ func analyze(t *testing.T, a *sparse.CSR, natural bool) *spdirect.Symbolic {
 // the two solutions.
 func solveBoth(t *testing.T, a *sparse.CSR, natural bool, seed int64) (sp, dn []float64) {
 	t.Helper()
-	f, err := analyze(t, a, natural).Factorize(a.Val)
-	if err != nil {
-		t.Fatalf("spdirect Factorize: %v", err)
-	}
+	f := factor(t, a, natural)
 	lu, err := dense.FactorLU(denseFromCSR(a))
 	if err != nil {
 		t.Fatalf("dense.FactorLU: %v", err)
@@ -169,7 +159,7 @@ func TestResidualIsTiny(t *testing.T) {
 	if _, err := sparse.Scale(a); err != nil {
 		t.Fatal(err)
 	}
-	f, err := spdirect.Factorize(a.N, widen(a.RowPtr), widen(a.Col), a.Val)
+	f, err := spdirect.Factorize(a.RowPtr, a.Col, a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +179,7 @@ func TestResidualIsTiny(t *testing.T) {
 // TestSolveAliasAllowed: x may alias b.
 func TestSolveAliasAllowed(t *testing.T) {
 	a := randomSPD(50, 3, 9)
-	f, err := spdirect.Factorize(a.N, widen(a.RowPtr), widen(a.Col), a.Val)
+	f, err := spdirect.Factorize(a.RowPtr, a.Col, a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,115 +197,24 @@ func TestSolveAliasAllowed(t *testing.T) {
 	}
 }
 
-// TestRefactorBitIdentical: refactoring with the same values reproduces L,
-// D, and solutions bit for bit, and refactoring with scaled values equals
-// a fresh factorization of the scaled matrix.
-func TestRefactorBitIdentical(t *testing.T) {
-	a := randomSPD(120, 4, 11)
-	sym, err := spdirect.Analyze(a.N, widen(a.RowPtr), widen(a.Col))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := sym.Factorize(a.Val)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l0 := append([]float64(nil), f.Lx...)
-	d0 := append([]float64(nil), f.D...)
-	if err := f.Refactor(a.Val); err != nil {
-		t.Fatal(err)
-	}
-	for i := range l0 {
-		if f.Lx[i] != l0[i] {
-			t.Fatalf("Lx[%d] changed across identical Refactor: %g vs %g", i, f.Lx[i], l0[i])
-		}
-	}
-	for i := range d0 {
-		if f.D[i] != d0[i] {
-			t.Fatalf("D[%d] changed across identical Refactor: %g vs %g", i, f.D[i], d0[i])
-		}
-	}
-
-	scaled := make([]float64, len(a.Val))
-	for i, v := range a.Val {
-		scaled[i] = 2 * v
-	}
-	if err := f.Refactor(scaled); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := sym.Factorize(scaled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fresh.Lx {
-		if f.Lx[i] != fresh.Lx[i] {
-			t.Fatalf("Refactor vs fresh Factorize differ in Lx[%d]", i)
-		}
-	}
-	for i := range fresh.D {
-		if f.D[i] != fresh.D[i] {
-			t.Fatalf("Refactor vs fresh Factorize differ in D[%d]", i)
-		}
-	}
-}
-
-// TestRefactorAfterFailureRecovers: a failed Refactor (indefinite values)
-// leaves the factor able to refactor good values again, identically.
-func TestRefactorAfterFailureRecovers(t *testing.T) {
-	a := randomSPD(60, 3, 13)
-	sym, err := spdirect.Analyze(a.N, widen(a.RowPtr), widen(a.Col))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := sym.Factorize(a.Val)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]float64(nil), f.Lx...)
-
-	bad := make([]float64, len(a.Val))
-	for i, v := range a.Val {
-		bad[i] = -v // negative definite: first pivot fails
-	}
-	if err := f.Refactor(bad); !errors.Is(err, spdirect.ErrNotPositiveDefinite) {
-		t.Fatalf("negative-definite Refactor: got %v, want ErrNotPositiveDefinite", err)
-	}
-	if err := f.Refactor(a.Val); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if f.Lx[i] != want[i] {
-			t.Fatalf("post-failure Refactor differs in Lx[%d]", i)
-		}
-	}
-}
-
 // TestOrderingInvariants: perm is a permutation, L's pattern is fixed and
 // well-formed (ascending rows within each column, all below-diagonal),
 // and RCM reduces fill against the natural ordering on a banded-friendly
 // PDE block.
 func TestOrderingInvariants(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
-	sym := analyze(t, a, false)
-	seen := make([]bool, sym.N)
-	for _, old := range sym.Perm {
-		if old < 0 || old >= sym.N || seen[old] {
+	f := factor(t, a, false)
+	seen := make([]bool, a.N)
+	for _, old := range spdirect.Perm(f) {
+		if old < 0 || int(old) >= a.N || seen[old] {
 			t.Fatalf("Perm is not a permutation")
 		}
 		seen[old] = true
 	}
-	for old, k := range sym.Pinv {
-		if sym.Perm[k] != old {
-			t.Fatalf("Pinv does not invert Perm at %d", old)
-		}
-	}
-	f, err := sym.Factorize(a.Val)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < sym.N; i++ {
+	lp := spdirect.ColPtr(f)
+	for i := 0; i < a.N; i++ {
 		prev := i // entries must be strictly below the diagonal
-		for p := sym.Lp[i]; p < sym.Lp[i+1]; p++ {
+		for p := lp[i]; p < lp[i+1]; p++ {
 			r := int(f.Li[p])
 			if r <= prev {
 				t.Fatalf("column %d: row indices not ascending below diagonal (%d after %d)", i, r, prev)
@@ -324,40 +223,59 @@ func TestOrderingInvariants(t *testing.T) {
 		}
 	}
 
-	if nat := analyze(t, a, true); sym.NNZL() > nat.NNZL() {
-		t.Errorf("RCM fill %d exceeds natural fill %d on a 2D Poisson block", sym.NNZL(), nat.NNZL())
+	if nat := factor(t, a, true); len(f.Li) > len(nat.Li) {
+		t.Errorf("RCM fill %d exceeds natural fill %d on a 2D Poisson block", len(f.Li), len(nat.Li))
 	}
 }
 
 // TestRejectsBadInput: dimension/index validation and the SPD guard.
 func TestRejectsBadInput(t *testing.T) {
-	if _, err := spdirect.Analyze(2, []int{0, 1}, []int{0}); err == nil {
-		t.Error("short rowPtr accepted")
+	if _, err := spdirect.Factorize(nil, nil, nil); err == nil {
+		t.Error("empty rowPtr accepted")
 	}
-	if _, err := spdirect.Analyze(2, []int{0, 1, 2}, []int{0, 5}); err == nil {
+	if _, err := spdirect.Factorize([]int32{0, 1, 2}, []int32{0, 5}, []float64{1, 1}); err == nil {
 		t.Error("out-of-range column accepted")
 	}
+	if _, err := spdirect.Factorize([]int32{0, 1, 2}, []int32{0, 1}, []float64{1}); err == nil {
+		t.Error("short val accepted")
+	}
 	// Indefinite matrix: diag(1, -1).
-	rowPtr := []int{0, 1, 2}
-	col := []int{0, 1}
-	val := []float64{1, -1}
-	if _, err := spdirect.Factorize(2, rowPtr, col, val); !errors.Is(err, spdirect.ErrNotPositiveDefinite) {
+	if _, err := spdirect.Factorize([]int32{0, 1, 2}, []int32{0, 1}, []float64{1, -1}); !errors.Is(err, spdirect.ErrNotPositiveDefinite) {
 		t.Errorf("indefinite matrix: got %v", err)
 	}
 	// Missing diagonal behaves as a zero pivot.
-	if _, err := spdirect.Factorize(1, []int{0, 0}, nil, nil); !errors.Is(err, spdirect.ErrNotPositiveDefinite) {
+	if _, err := spdirect.Factorize([]int32{0, 0}, nil, nil); !errors.Is(err, spdirect.ErrNotPositiveDefinite) {
 		t.Errorf("empty matrix: got %v", err)
+	}
+}
+
+// TestRejectsMalformedRowPointers: row pointers that do not start at zero,
+// decrease, or point past col and val are an error, not an index panic.
+func TestRejectsMalformedRowPointers(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		rowPtr []int32
+	}{
+		{"negative first", []int32{-1, 1, 2}},
+		{"nonzero first", []int32{1, 1, 2}},
+		{"decreasing", []int32{0, 5, 2}},
+		{"past col", []int32{0, 1, 3}},
+	} {
+		f, err := spdirect.Factorize(c.rowPtr, []int32{0, 1}, []float64{1, 1})
+		if err == nil || errors.Is(err, spdirect.ErrNotPositiveDefinite) || f != nil {
+			t.Errorf("%s %v: got %v, %v; want a validation error", c.name, c.rowPtr, f, err)
+		}
 	}
 }
 
 // TestSolveFlopsAccounting: the charged solve cost is exactly 4·nnz(L)+n.
 func TestSolveFlopsAccounting(t *testing.T) {
 	a := randomSPD(80, 4, 17)
-	f, err := spdirect.Factorize(a.N, widen(a.RowPtr), widen(a.Col), a.Val)
+	f, err := spdirect.Factorize(a.RowPtr, a.Col, a.Val)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 4*float64(f.Symbolic().NNZL()) + float64(a.N)
+	want := 4*float64(spdirect.ColPtr(f)[a.N]) + float64(a.N)
 	if got := f.SolveFlops(); got != want {
 		t.Errorf("SolveFlops = %g, want %g", got, want)
 	}
