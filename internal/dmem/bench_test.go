@@ -18,14 +18,12 @@ func benchStates(b testing.TB, n, ranks int) []*rankState {
 
 // relaxAndStage is the per-rank inner loop of every method: one local
 // Gauss-Seidel relaxation sweep plus the message-staging path (boundary
-// residual and delta collection into every neighbor's solve body) that runs
-// on every relaxation.
+// residual collection into every neighbor's solve body, whose deltas are the
+// extDelta rows the sweep wrote) that runs on every relaxation.
 func relaxAndStage(rs *rankState) {
 	clear(rs.extDelta)
 	rs.relaxSweep()
 	for j := range rs.gamma {
-		_, delta := rs.ghost(j)
-		copy(rs.solve[j].deltas, delta)
 		rs.gatherBnd(j, rs.solve[j].bnd)
 	}
 }
@@ -41,7 +39,7 @@ func BenchmarkRelaxSweep(b *testing.B) {
 }
 
 // TestRelaxSweepAllocGate asserts what BenchmarkRelaxSweep only reports:
-// relaxSweep, the delta copy and gatherBnd write into per-rank and
+// relaxSweep and gatherBnd write into per-rank and
 // per-neighbor buffers sized at set-up, so the inner loop allocates
 // nothing, on every rank of the layout.
 func TestRelaxSweepAllocGate(t *testing.T) {

@@ -36,8 +36,6 @@ func BlockJacobi(s *Setup, b, x []float64, cfg Config) *Result {
 			w.Charge(p, flops)
 			for j, q := range rs.nbrs() {
 				pl := &rs.solve[j]
-				_, delta := rs.ghost(j)
-				copy(pl.deltas, delta)
 				w.Put(p, int(q), rma.TagSolve, msgBytes(len(pl.deltas)), pl)
 			}
 		}

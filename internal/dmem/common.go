@@ -218,18 +218,6 @@ func winsOver(np float64, p int, nq float64, q int) bool {
 	return p < q
 }
 
-// flatNorm combines exact local norms into the global residual norm, from
-// a maintained flat table of their squares in rank order (stepEngine.tally
-// refreshes the member slots; sleepers' norms cannot change) — a sequential
-// read instead of P pointer chases.
-func flatNorm(norms2 []float64) float64 {
-	s := 0.0
-	for _, v := range norms2 {
-		s += v
-	}
-	return math.Sqrt(s)
-}
-
 // gatherX assembles the global solution vector.
 func gatherX(l *Layout, states []*rankState) []float64 {
 	x := make([]float64, l.A.N)
@@ -244,16 +232,16 @@ func gatherX(l *Layout, states []*rankState) []float64 {
 // payload bytes: 8 per float plus a small header.
 func msgBytes(floats int) int { return 8*floats + 16 }
 
-// debugHook, when set (by tests), is invoked with the full rank state at
-// every step boundary so cross-rank invariants can be checked.
-var debugHook func(states []*rankState)
+// debugHook, when set (by tests), is invoked with the world and the full
+// rank state at every step boundary so cross-rank invariants can be checked.
+var debugHook func(w *rma.World, states []*rankState)
 
 // record appends a step record with cumulative counters (and mirrors it
 // onto the trace's control track when tracing is on). norm is the global
-// residual norm (flatNorm).
+// residual norm (norm2 of runState.norms).
 func record(res *Result, w *rma.World, states []*rankState, norm float64, step, relaxedRanks, cumRelax int) {
 	if debugHook != nil {
-		debugHook(states)
+		debugHook(w, states)
 	}
 	st := w.Stats()
 	res.History = append(res.History, StepStats{

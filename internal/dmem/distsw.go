@@ -161,7 +161,6 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 				rs.gammaTilde[j] = rs.norm
 				rs.sentTo[j] = true
 				pl := &rs.solve[j]
-				copy(pl.deltas, delta)
 				rs.gatherBnd(j, pl.bnd)
 				pl.norm, pl.estRecv, pl.seq = rs.norm, rs.gamma[j], 2*int32(*step)
 				w.Put(p, int(q), rma.TagSolve, msgBytes(len(pl.deltas)+len(pl.bnd)+2), pl)

@@ -81,12 +81,14 @@ func solve(s *Setup, b, x []float64, cfg Config, build func(st *runState, step *
 // pointer (sequence numbers, trace events), so the driver re-dispatches the
 // same closures every step without allocating.
 func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, step *int) stepSpec) *Result {
-	l, w, states, e, norms2 := st.l, st.w, st.states, &st.eng, st.norms2
+	l, w, states, e, norms := st.l, st.w, st.states, &st.eng, st.norms
 	var step int
 	spec := build(st, &step)
 	st.reset(b, x, cfg, spec)
-	res := &Result{Method: spec.name, P: l.P, N: l.A.N}
-	record(res, w, states, flatNorm(norms2), 0, 0, 0)
+	// History is sized once at the loop's maximum, as e.hist is: a record
+	// per step plus step 0.
+	res := &Result{Method: spec.name, P: l.P, N: l.A.N, History: make([]StepStats, 0, cfg.steps()+1)}
+	record(res, w, states, norm2(norms), 0, 0, 0)
 	wd := newWatchdog(cfg, w)
 	cumRelax := 0
 	for step = 1; step <= cfg.steps(); step++ {
@@ -95,10 +97,10 @@ func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, ste
 		// as having relaxed again.
 		e.resetRelaxed()
 		e.runStep(step, spec.phases)
-		relaxedRanks, rows := e.tally(norms2)
+		relaxedRanks, rows := e.tally(norms)
 		cumRelax += rows
 		e.endStep(step)
-		record(res, w, states, flatNorm(norms2), step, relaxedRanks, cumRelax)
+		record(res, w, states, norm2(norms), step, relaxedRanks, cumRelax)
 		e.traceStep(step)
 		if wd.observe(w, step, relaxedRanks) {
 			// On a perfect network this fires at the first step without
@@ -227,15 +229,15 @@ func (e *stepEngine) resetRelaxed() {
 }
 
 // tally accumulates the step's relaxed-rank count and row total over the
-// member set, refreshing each member's squared-local-norm slot on the way
-// (norms2 feeds the flat global-norm sum, see flatNorm). Sleeping ranks
+// member set, refreshing each member's local-norm slot on the way (norms
+// feeds the global norm, see runState.norms). Sleeping ranks
 // need no visit on either count: they cannot hold a relax flag, and
 // quiescence means an unchanged norm, so their slot is already current.
-func (e *stepEngine) tally(norms2 []float64) (relaxedRanks, rows int) {
+func (e *stepEngine) tally(norms []float64) (relaxedRanks, rows int) {
 	e.syncList()
 	for _, p := range e.list {
 		rs := e.states[p]
-		norms2[p] = rs.norm * rs.norm
+		norms[p] = rs.norm
 		if rs.relaxed {
 			relaxedRanks++
 			rows += len(rs.r)

@@ -1,11 +1,13 @@
 package dmem
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"southwell/internal/problem"
+	"southwell/internal/rma"
 )
 
 // TestDistSWBlockGammaTildeExactness verifies the paper's §3 claim at the
@@ -19,7 +21,7 @@ func TestDistSWBlockGammaTildeExactness(t *testing.T) {
 	s, b, x := buildCase(t, a, 13, 11)
 
 	checked := 0
-	debugHook = func(states []*rankState) {
+	debugHook = func(_ *rma.World, states []*rankState) {
 		for p, rs := range states {
 			for j, q := range rs.nbrs() {
 				qs := states[q]
@@ -54,7 +56,7 @@ func TestDistSWBlockGammaTildeExactness(t *testing.T) {
 func TestDistSWGhostSanity(t *testing.T) {
 	a := problem.Poisson2D(18, 18)
 	s, b, x := buildCase(t, a, 9, 12)
-	debugHook = func(states []*rankState) {
+	debugHook = func(_ *rma.World, states []*rankState) {
 		for _, rs := range states {
 			for _, z := range rs.z {
 				if math.IsNaN(z) || math.IsInf(z, 0) {
@@ -84,30 +86,105 @@ func TestLocalResidualsExactEveryStep(t *testing.T) {
 			name = name + "/" + local.String()
 			s, b, x := buildCaseLocal(t, a.Clone(), 8, 13, local)
 			steps := 0
-			debugHook = func(states []*rankState) {
+			debugHook = func(_ *rma.World, states []*rankState) {
 				steps++
-				// Gather x and r.
-				xg := make([]float64, s.Layout.A.N)
-				rg := make([]float64, s.Layout.A.N)
-				for p, rs := range states {
-					for li, g := range s.Layout.rows(p) {
-						xg[g] = rs.x[li]
-						rg[g] = rs.r[li]
-					}
-				}
-				want := make([]float64, s.Layout.A.N)
-				s.Layout.A.Residual(b, xg, want)
-				for i := range want {
-					if math.Abs(want[i]-rg[i]) > 1e-9 {
-						t.Fatalf("%s: residual drift at row %d: stored %g, true %g",
-							name, i, rg[i], want[i])
-					}
-				}
+				assertResidualsExact(t, name, s.Layout, b, states)
 			}
 			run(s, b, x, Config{Steps: 12})
 			debugHook = nil
 			if steps == 0 {
 				t.Fatalf("%s: hook never ran", name)
+			}
+		}
+	}
+}
+
+// assertResidualsExact fails the test unless the gathered local residuals
+// equal b − A·x for the gathered local solutions to 1e-9 in every row.
+func assertResidualsExact(t *testing.T, name string, l *Layout, b []float64, states []*rankState) {
+	t.Helper()
+	xg := make([]float64, l.A.N)
+	rg := make([]float64, l.A.N)
+	for p, rs := range states {
+		for li, g := range l.rows(p) {
+			xg[g] = rs.x[li]
+			rg[g] = rs.r[li]
+		}
+	}
+	want := make([]float64, l.A.N)
+	l.A.Residual(b, xg, want)
+	for i := range want {
+		if math.Abs(want[i]-rg[i]) > 1e-9 {
+			t.Fatalf("%s: residual drift at row %d: stored %g, true %g", name, i, rg[i], want[i])
+		}
+	}
+}
+
+// TestResidualsConservedUnderFaults (ROADMAP item 3(b), drained form): a
+// residual delta is additive and exact in any order, so at every step
+// boundary where nothing is undelivered — no message held back by the fault
+// layer, no window still holding one — every rank's r equals b − A·x for the
+// gathered x, whatever the plan delayed, duplicated, reordered or paused. A
+// delivery held back past its sender's next relaxation is exact only because
+// the fault layer owns a copy of its deltas (payload.CloneMessage), so the
+// checked boundaries must include some that follow a delayed delivery.
+//
+// Low rates leave drained boundaries: BJ sends on every edge every step, so
+// at 10 % delay nearly every boundary has a message in flight. A Southwell
+// rank seldom relaxes twice within three phases, so PS, DS and pb16 get
+// delays of up to three steps, long enough to outlast a sender's next
+// relaxation; pb16 stalls within about eight steps, so it gets the rate that
+// still delays a few of its messages. Eight seeds per case; the boundaries
+// are counted over them.
+func TestResidualsConservedUnderFaults(t *testing.T) {
+	a := problem.FEM2D(16, 0.3, 13)
+	type delays struct {
+		prob float64
+		max  int
+	}
+	perMethod := map[string]delays{
+		"DistributedSouthwell": {0.05, 9}, "ParallelSouthwell": {0.02, 9},
+		"BlockJacobi": {0.02, 3}, "Piggyback2016": {0.2, 9},
+	}
+	plans := []struct {
+		name string
+		plan func(seed int64, d delays) *rma.FaultPlan
+	}{
+		{"delay", func(seed int64, d delays) *rma.FaultPlan { return rma.DelayPlan(seed, d.prob, d.max) }},
+		{"chaos", func(seed int64, d delays) *rma.FaultPlan {
+			return &rma.FaultPlan{
+				Seed: seed, DelayProb: d.prob, DelayMax: d.max, DupProb: 0.05, ReorderProb: 0.2,
+				Stragglers: map[int]float64{1: 2.5},
+				Pauses:     []rma.Pause{{Rank: 2, From: 4, To: 9}, {Rank: 5, From: 15, To: 18}},
+			}
+		}},
+	}
+	for name, run := range methodsWithPB() {
+		for _, pl := range plans {
+			for _, par := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/parallel=%v", name, pl.name, par), func(t *testing.T) {
+					defer func() { debugHook = nil }()
+					checked, afterDelay := 0, 0
+					for seed := int64(1); seed <= 8; seed++ {
+						s, b, x := buildCase(t, a.Clone(), 8, 13)
+						var delayed int64
+						debugHook = func(w *rma.World, states []*rankState) {
+							if w.InFlight() != 0 || len(w.LiveInboxes()) != 0 {
+								return
+							}
+							assertResidualsExact(t, fmt.Sprintf("seed %d, after phase %d", seed, w.PhaseIndex()), s.Layout, b, states)
+							checked++
+							if d := w.Stats().DelayedMsgs; d > delayed {
+								afterDelay++
+								delayed = d
+							}
+						}
+						run(s, b, x, Config{Steps: 30, Faults: pl.plan(seed, perMethod[name]), Parallel: par})
+					}
+					if afterDelay < 3 {
+						t.Errorf("%d of %d drained boundaries followed a delayed delivery, want ≥ 3", afterDelay, checked)
+					}
+				})
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"southwell/internal/problem"
 )
 
 // TestComputeNormOverflow: ‖r‖ must come out finite when the squared sum
@@ -53,6 +55,45 @@ func TestComputeNormNormalPathBits(t *testing.T) {
 		}
 		if got, want := rs.computeNorm(), math.Sqrt(s); got != want {
 			t.Fatalf("trial %d: computeNorm = %.17g, naive = %.17g", trial, got, want)
+		}
+	}
+}
+
+// TestGlobalNormOverflow: the global norm must be finite wherever the rank
+// norms are. With x0 scaled by 1e160 every residual entry squares past
+// MaxFloat64, so each rank norm takes computeNorm's fallback, and their
+// squares overflow too. Both the initial and the final record must match a
+// scaled norm of b − A·x computed here (sparse.ResidualNorm2 overflows
+// as well), for every method.
+func TestGlobalNormOverflow(t *testing.T) {
+	scaledNorm := func(v []float64) float64 {
+		m := 0.0
+		for _, x := range v {
+			m = math.Max(m, math.Abs(x))
+		}
+		s := 0.0
+		for _, x := range v {
+			s += (x / m) * (x / m)
+		}
+		return m * math.Sqrt(s)
+	}
+	for name, run := range methods() {
+		s, b, x0 := buildCase(t, problem.Poisson2D(20, 20), 16, 5)
+		for i := range x0 {
+			x0[i] *= 1e160
+		}
+		res := run(s, b, x0, Config{Steps: 10})
+		r := make([]float64, len(b))
+		for _, c := range []struct {
+			label string
+			x     []float64
+			got   float64
+		}{{"History[0]", x0, res.History[0].ResNorm}, {"Final()", res.X, res.Final().ResNorm}} {
+			s.Layout.A.Residual(b, c.x, r)
+			want := scaledNorm(r)
+			if math.IsInf(c.got, 0) || math.IsNaN(c.got) || math.Abs(c.got-want) > 1e-10*want {
+				t.Errorf("%s: %s.ResNorm = %g, want %g", name, c.label, c.got, want)
+			}
 		}
 	}
 }

@@ -82,8 +82,6 @@ func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Res
 			w.Charge(p, flops+2*float64(len(rs.r)))
 			for j, q := range rs.nbrs() {
 				pl := &rs.solve[j]
-				_, delta := rs.ghost(j)
-				copy(pl.deltas, delta)
 				pl.norm, pl.seq = rs.norm, 2*int32(*step)
 				w.Put(p, int(q), rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
 			}

@@ -61,8 +61,10 @@ type rankState struct {
 	// in the next and not rewritten before the phase after that (solve bodies
 	// refill only on the next step's relax phase; explicit updates, sent one
 	// phase later while the solve body may still be in flight, have their
-	// own), so sender reuse never races with receiver reads.
-	solve []payload // relaxation messages: deltas and bnd bound
+	// own), so sender reuse never races with receiver reads. A solve body's
+	// deltas are no copy but the neighbor's extDelta row (ghost), which only
+	// the clear opening the next relaxation rewrites.
+	solve []payload // relaxation messages: deltas (extDelta row) and bnd bound
 	res   []payload // explicit residual updates: bnd bound
 
 	// direct, when f is non-nil, is the shared factorization of the local
@@ -78,8 +80,8 @@ type rankState struct {
 // boundary rows, the sender's boundary residual values (refreshing the
 // receiver's ghost layer z), the sender's exact norm, and the sender's
 // estimate of the receiver's norm (which the receiver stores in Γ̃).
-// runState carves every body at set-up and binds deltas, bnd and slot once;
-// a send rewrites the rest.
+// runState binds deltas (a solve body's view of the sender's extDelta row),
+// bnd and slot once at set-up; a send rewrites the rest.
 type payload struct {
 	deltas  []float64
 	bnd     []float64
@@ -89,9 +91,9 @@ type payload struct {
 	slot    int32 // the sender's position among the receiver's neighbors (Layout.slotInNbr)
 }
 
-// CloneMessage deep-copies the body for the fault layer: the sender refills
-// deltas/bnd on its next send, so a delivery held back past that phase must
-// not alias them.
+// CloneMessage deep-copies the body for the fault layer: the sender rewrites
+// deltas (its extDelta row) on its next relaxation and bnd on its next send,
+// so a delivery held back past that phase must not alias them.
 func (pl *payload) CloneMessage() any {
 	c := *pl
 	c.deltas = append([]float64(nil), pl.deltas...)
@@ -139,22 +141,25 @@ func (rs *rankState) nnz() int {
 	return int(l.locPtr[hi] - l.locPtr[lo] + l.extPtr[hi] - l.extPtr[lo])
 }
 
-// computeNorm returns ‖r‖₂ of the local residual. The naive
+// computeNorm returns ‖r‖₂ of the local residual.
+func (rs *rankState) computeNorm() float64 { return norm2(rs.r) }
+
+// norm2 returns ‖v‖₂, of a rank's residual or of the rank norms. The naive
 // sum-of-squares is kept as the only path that ever runs on finite sums —
 // its bits are pinned by the equivalence suites — and a scaled two-pass
-// fallback handles |r_i| ≳ 1e154, where v*v overflows to +Inf even though
+// fallback handles |v_i| ≳ 1e154, where v*v overflows to +Inf even though
 // the true norm is representable.
-func (rs *rankState) computeNorm() float64 {
+func norm2(v []float64) float64 {
 	s := 0.0
-	for _, v := range rs.r {
-		s += v * v
+	for _, x := range v {
+		s += x * x
 	}
 	if !math.IsInf(s, 1) {
 		return math.Sqrt(s)
 	}
 	maxAbs := 0.0
-	for _, v := range rs.r {
-		if a := math.Abs(v); a > maxAbs {
+	for _, x := range v {
+		if a := math.Abs(x); a > maxAbs {
 			maxAbs = a
 		}
 	}
@@ -163,9 +168,9 @@ func (rs *rankState) computeNorm() float64 {
 	}
 	inv := 1 / maxAbs
 	t := 0.0
-	for _, v := range rs.r {
-		sv := v * inv
-		t += sv * sv
+	for _, x := range v {
+		sx := x * inv
+		t += sx * sx
 	}
 	return maxAbs * math.Sqrt(t)
 }
@@ -217,7 +222,8 @@ func (rs *rankState) nbrs() []int32 { return rs.l.nbrs[rs.nbr0:][:len(rs.gamma)]
 
 // ghost returns neighbor j's row of the ghost layer and of extDelta: the ext
 // slots of the rows j owns are one contiguous range (Layout.nbrExtOff), in
-// the order of j's message bodies, so deltas and ghost refreshes are copies.
+// the order of j's message bodies, so a ghost refresh is a copy and a solve
+// body's deltas are the extDelta row itself.
 func (rs *rankState) ghost(j int) (z, delta []float64) {
 	off := rs.l.nbrExtOff[int(rs.nbr0)+j:]
 	lo, hi := off[0]-rs.ext0, off[1]-rs.ext0

@@ -15,7 +15,7 @@ type runState struct {
 	states []*rankState
 	eng    stepEngine
 	rGlob  []float64 // reset scratch: b − Ax
-	norms2 []float64 // squared local norms in rank order (flatNorm)
+	norms  []float64 // local norms in rank order: norm2 of it is the global norm
 	// seqSeen and sentTo back every rank's slices of that name.
 	seqSeen []int32
 	sentTo  []bool
@@ -30,12 +30,13 @@ func newRunState(s *Setup) *runState {
 	p := l.P
 	st := &runState{
 		l: l, w: rma.NewWorld(p, rma.CostModel{}), states: make([]*rankState, p),
-		rGlob: make([]float64, l.A.N), norms2: make([]float64, p),
+		rGlob: make([]float64, l.A.N), norms: make([]float64, p),
 	}
-	// Vectors, ghost rows and Γ/Γ̃, then the message bodies: one deltas per
-	// ext row, a solve bnd and a res bnd per boundary row.
+	// Vectors, ghost rows and Γ/Γ̃, then the message bodies: a solve bnd and
+	// a res bnd per boundary row (a solve body's deltas are the sender's
+	// extDelta row for that neighbor).
 	nd := int(l.nbrOff[p])
-	nf := 2*l.A.N + 3*int(l.extOff[p]) + 2*nd + 2*int(l.bndOff[p])
+	nf := 2*l.A.N + 2*int(l.extOff[p]) + 2*nd + 2*int(l.bndOff[p])
 	if s.factors != nil {
 		nf += l.A.N // direct.scratch: m each
 	}
@@ -69,8 +70,9 @@ func newRunState(s *Setup) *runState {
 		}
 		for j := range deg {
 			k := lo + j
-			nExt, nBnd := int(l.nbrExtOff[k+1]-l.nbrExtOff[k]), int(l.nbrBndOff[k+1]-l.nbrBndOff[k])
-			rs.solve[j] = payload{deltas: take(nExt), bnd: take(nBnd), slot: l.slotInNbr[k]}
+			nBnd := int(l.nbrBndOff[k+1] - l.nbrBndOff[k])
+			_, delta := rs.ghost(j)
+			rs.solve[j] = payload{deltas: delta[:len(delta):len(delta)], bnd: take(nBnd), slot: l.slotInNbr[k]}
 			rs.res[j] = payload{bnd: take(nBnd), slot: l.slotInNbr[k]}
 		}
 		if s.factors != nil {
@@ -102,7 +104,7 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 			rs.z[k] = st.rGlob[g]
 		}
 		rs.norm = rs.computeNorm()
-		st.norms2[p] = rs.norm * rs.norm
+		st.norms[p] = rs.norm
 		rs.relaxed, rs.gotMsg, rs.starved, rs.starveStamp = false, false, 0, 0
 		e.list[p], e.inSet[p], e.sawMail[p] = int32(p), true, false // step 1 runs every rank: no hold has been observed yet
 	}
