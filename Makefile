@@ -73,7 +73,7 @@ partition-pin:
 # Allocation gates: every promise of the form "the steady-state path
 # allocates nothing" is a plain Go test asserting testing.AllocsPerRun == 0
 # (kernels, LDL' SolveWith, obs off/on/emit, phases dense, active,
-# traced and under stragglers inline and at pool widths 2/4/7, the dmem
+# traced and under a delay plan inline and at pool widths 2/4/7, the dmem
 # relax sweep, World.Reset) plus the malloc/byte ceilings of the
 # partitioner, of one LDL' Factorize and of a first and a repeat dmem
 # solve; DESIGN.md §8 maps each hot-path root to its gate. Then one iteration of each
@@ -86,14 +86,17 @@ alloc-gates:
 	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkKernels|BenchmarkLDL|BenchmarkObs|BenchmarkRunPhase|BenchmarkActivePhases|BenchmarkLocalSolveCycled|BenchmarkPartition|BenchmarkNewLayout' \
 		./internal/sparse/ ./internal/spdirect/ ./internal/obs/ ./internal/rma/ ./internal/dmem/ ./internal/partition/ >/dev/null
 
-# A fuzzing budget: FuzzFactorize (spdirect's input contract: no panic,
-# malformed input an error, a non-SPD pivot ErrNotPositiveDefinite, and a
-# diagonally dominant block solved to 1e-10) for 20 s on top of its committed
-# seeds (internal/spdirect/testdata/fuzz). FuzzReadMatrixMarket stays
-# seed-only (tier-1 runs its seeds): a legal header may declare 2^31-1 rows,
-# so a -fuzz run could run the host out of memory.
+# A fuzzing budget of 30 s on top of the committed seeds (testdata/fuzz):
+# FuzzFactorize (spdirect's input contract: no panic, malformed input an
+# error, a non-SPD pivot ErrNotPositiveDefinite, and a diagonally dominant
+# block solved to 1e-10) for 20 s, and FuzzDelayPlan (every method under any
+# delay plan: no panic, finite norms, inline == pool width 2, active ==
+# Dense) for 10 s. FuzzReadMatrixMarket stays seed-only (tier-1 runs its
+# seeds): a legal header may declare 2^31-1 rows, so a -fuzz run could run
+# the host out of memory.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFactorize$$' -fuzztime 20s ./internal/spdirect/
+	$(GO) test -run '^$$' -fuzz '^FuzzDelayPlan$$' -fuzztime 10s ./internal/dmem/
 
 # The four examples/ programs are the API's only documentation that
 # compiles; `go build ./...` only builds them, so run each (about 3 s in
@@ -146,18 +149,20 @@ bench-smoke:
 # Output identity against another checkout (a refactor's acceptance check):
 #   make identity PARENT=/path/to/checkout-of-the-parent-commit
 # builds dsouthwell and benchtables from both trees, runs the fixed list of
-# CLI lines below in each and `cmp`s the outputs, stopping at the first
-# difference. The fig2/fig5/fig6 line is the one that reaches the scalar
-# solvers (internal/solvers, and the multigrid smoother built on scalar
-# Distributed Southwell). The IDENTITY_SMALL lines are a many-small-parts
-# run (ranks of about six rows, single-neighbor ranks), the shape the
-# exchange plans are laid out for; with -loc_solver direct that line pins
-# the sparse local solver on blocks that small. The last
-# line but one is a pinned run's whole trace export (~1.3 MB; pinned, so no
-# rank sleeps and every event is part of the contract), the one after it
-# the -quick scaling study (it reads DIFFERS against a parent
-# older than PR 23, whose scaling printed host wall-clock). Not part of
-# verify: it needs a second checkout.
+# CLI lines below in each and `cmp`s the outputs. Every line runs: one that
+# differs prints DIFFERS and the first 40 lines of its diff, and the target
+# fails at the end if any line differed. The fig2/fig5/fig6 line is the one
+# that reaches the scalar solvers (internal/solvers, and the multigrid
+# smoother built on scalar Distributed Southwell). The IDENTITY_SMALL lines
+# are a many-small-parts run (ranks of about six rows, single-neighbor
+# ranks), the shape the exchange plans are laid out for; with -loc_solver
+# direct that line pins the sparse local solver on blocks that small. Then
+# come a pinned run's whole trace export (~1.3 MB; pinned, so no rank sleeps
+# and every event is part of the contract), the -quick scaling study (it
+# reads DIFFERS against a parent whose scaling still printed host
+# wall-clock), and the whole trace of a pinned run under a delay plan,
+# which pins the fault overlay's trace events. Not part of verify: it needs
+# a second checkout.
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
 IDENTITY_SOLVE = -mat msdoor -n 64 -sweep_max 15
 IDENTITY_SMALL = -mat msdoor -n 1024 -sweep_max 5
@@ -166,6 +171,7 @@ identity:
 	@set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
 	$(GO) build -o $$out/new/ ./cmd/dsouthwell ./cmd/benchtables; \
 	(cd "$(PARENT)" && $(GO) build -o $$out/old/ ./cmd/dsouthwell ./cmd/benchtables); \
+	differ=0; \
 	for line in \
 		"benchtables $(IDENTITY_TABLES)" \
 		"benchtables -active=false $(IDENTITY_TABLES)" \
@@ -182,13 +188,19 @@ identity:
 		"dsouthwell $(IDENTITY_SMALL) -chaos 0.3" \
 		"dsouthwell $(IDENTITY_SMALL) -loc_solver direct" \
 		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout" \
-		"benchtables -quick scaling"; \
+		"benchtables -quick scaling" \
+		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3 -active=false -trace /dev/stdout"; \
 	do \
 		$$out/old/$$line >$$out/old.txt 2>&1 || echo "exit $$?" >>$$out/old.txt; \
 		$$out/new/$$line >$$out/new.txt 2>&1 || echo "exit $$?" >>$$out/new.txt; \
-		cmp $$out/old.txt $$out/new.txt || { echo "identity: DIFFERS: $$line"; exit 1; }; \
-		echo "identity: same: $$line"; \
-	done
+		if cmp -s $$out/old.txt $$out/new.txt; then \
+			echo "identity: same: $$line"; \
+		else \
+			echo "identity: DIFFERS: $$line"; differ=$$((differ + 1)); \
+			diff $$out/old.txt $$out/new.txt | head -n 40 || true; \
+		fi; \
+	done; \
+	test $$differ -eq 0 || { echo "identity: $$differ of 17 lines differ"; exit 1; }
 
 verify: build lint test race chaos-smoke partition-pin alloc-gates fuzz examples results-check bench-smoke
 

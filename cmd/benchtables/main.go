@@ -104,7 +104,7 @@ func validate(ranks, steps, par int, chaos float64, trace, metrics string) error
 	if par < 0 {
 		return fmt.Errorf("-par %d: must be >= 1 (or 0 for sequential)", par)
 	}
-	if chaos < 0 || chaos > 1 {
+	if !(chaos >= 0 && chaos <= 1) { // NaN fails too
 		return fmt.Errorf("-chaos %g: must be a probability in [0, 1]", chaos)
 	}
 	return nil

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -30,6 +31,7 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{par: -2, want: "-par"},
 		{chaos: -0.5, want: "-chaos"},
 		{chaos: 2, want: "-chaos"},
+		{chaos: math.NaN(), want: "-chaos"},
 		{trace: file, want: "-trace"},
 		{metrics: file, want: "-metrics"},
 	}

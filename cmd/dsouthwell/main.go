@@ -81,7 +81,7 @@ func validate(ranks, sweepMax, grid int, solver, locSolver string, target, chaos
 	if grid < 2 {
 		return o, fmt.Errorf("-grid %d: need at least 2", grid)
 	}
-	if target < 0 {
+	if !(target >= 0) { // NaN fails too
 		return o, fmt.Errorf("-target %g: must be >= 0", target)
 	}
 	var err error
@@ -91,7 +91,7 @@ func validate(ranks, sweepMax, grid int, solver, locSolver string, target, chaos
 	if o.local, err = dmem.ParseLocalSolver(locSolver); err != nil {
 		return o, err
 	}
-	if chaos < 0 || chaos > 1 {
+	if !(chaos >= 0 && chaos <= 1) { // NaN fails too
 		return o, fmt.Errorf("-chaos %g: must be a probability in [0, 1]", chaos)
 	}
 	if chaos > 0 {
@@ -241,8 +241,7 @@ func main() {
 			mean, res.P, 100*(1-mean/float64(res.P)))
 	}
 	if opts.faults != nil {
-		fmt.Printf("faults injected:    %d delayed, %d duplicated, %d reordered, %d paused rank-phases\n",
-			res.Stats.DelayedMsgs, res.Stats.DupMsgs, res.Stats.ReorderedBatches, res.Stats.PausedRankPhases)
+		fmt.Printf("faults injected:    %d delayed messages\n", res.Stats.DelayedMsgs)
 	}
 	if res.Deadlocked {
 		fmt.Printf("DEADLOCKED at step %d (stagnation watchdog)\n", res.DeadlockStep)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -43,11 +44,13 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{func(c *flagCase) { c.sweepMax = 0 }, "-sweep_max"},
 		{func(c *flagCase) { c.grid = 1 }, "-grid"},
 		{func(c *flagCase) { c.target = -1 }, "-target"},
+		{func(c *flagCase) { c.target = math.NaN() }, "-target"},
 		{func(c *flagCase) { c.solver = "cg" }, "-solver"},
 		{func(c *flagCase) { c.solver = "" }, "-solver"},
 		{func(c *flagCase) { c.locSolver = "ilu" }, "-loc_solver"},
 		{func(c *flagCase) { c.chaos = -0.1 }, "-chaos"},
 		{func(c *flagCase) { c.chaos = 1.5 }, "-chaos"},
+		{func(c *flagCase) { c.chaos = math.NaN() }, "-chaos"},
 		{func(c *flagCase) { c.trace = "." }, "-trace"},
 		{func(c *flagCase) { c.metrics = "." }, "-metrics"},
 		{func(c *flagCase) { c.trace = "no/such/dir/t.json" }, "-trace"},

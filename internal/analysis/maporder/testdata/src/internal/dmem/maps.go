@@ -54,7 +54,7 @@ func channelSend(ch chan int, set map[int]bool) {
 	}
 }
 
-// indexedWrite mirrors faults.go's straggler table: writes to keyed slots
+// indexedWrite fills a per-rank table from a map: writes to keyed slots
 // commute, so map order cannot leak.
 func indexedWrite(slow []float64, stragglers map[int]float64) {
 	for p, f := range stragglers {

@@ -63,9 +63,9 @@ type Config struct {
 	// Local selects the subdomain solver for suite runs (default
 	// dmem.LocalGS, the paper's setting).
 	Local dmem.LocalSolver
-	// Faults, when non-nil, injects deterministic faults into every suite
-	// run (see rma.FaultPlan). The Chaos driver varies plans per run by
-	// adjusting this field on its per-run config copies.
+	// Faults, when non-nil, injects deterministic message delays into every
+	// suite run (see rma.FaultPlan). Chaos varies plans per run by adjusting
+	// this field on its per-run config copies.
 	Faults *rma.FaultPlan
 	// ChaosSeed seeds the delay plans the Chaos driver builds (default 1).
 	ChaosSeed int64
@@ -123,8 +123,8 @@ func (c Config) suiteNames() []string {
 
 // runKey caches distributed runs shared between tables. Every
 // result-changing setting is part of the key: matrix, method, ranks, step
-// budget, seed, local solver, and the fault plan (canonicalized to a
-// string — FaultPlan holds a map and a slice and is not comparable). Only
+// budget, seed, local solver, and the fault plan (by value, as a string, so
+// equal plans behind different pointers share an entry). Only
 // the engine flags (Par, Goroutines, Dense) are deliberately excluded: they
 // do not change results.
 type runKey struct {
@@ -137,8 +137,8 @@ type runKey struct {
 	chaos  string
 }
 
-// chaosKey canonicalizes a fault plan for the run cache. fmt prints map
-// keys in sorted order, so the representation is deterministic.
+// chaosKey canonicalizes a fault plan for the run cache: its three numbers,
+// printed by field name.
 func chaosKey(p *rma.FaultPlan) string {
 	if p == nil {
 		return ""

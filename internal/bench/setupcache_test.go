@@ -76,7 +76,7 @@ func TestSetupCacheKeys(t *testing.T) {
 	// get distinct run-memo entries but one setup.
 	cfgA := Config{Ranks: 16, Seed: 1}
 	cfgB := Config{Ranks: 16, Seed: 1, Faults: rma.DelayPlan(1, 0.25, 3)}
-	cfgC := Config{Ranks: 16, Seed: 1, Faults: &rma.FaultPlan{Seed: 3, Stragglers: map[int]float64{0: 2}}}
+	cfgC := Config{Ranks: 16, Seed: 1, Faults: rma.DelayPlan(3, 0.25, 3)}
 	if cfgA.keyFor("af_5_k101", core.DistSWD, 16, 5) == cfgB.keyFor("af_5_k101", core.DistSWD, 16, 5) {
 		t.Error("run key does not distinguish a fault plan from none")
 	}

@@ -160,9 +160,8 @@ type DistOptions struct {
 	// sparse LDLᵀ solve, the artifact's PARDISO option). Any other value
 	// fails the solve.
 	Local dmem.LocalSolver
-	// Faults, when non-nil, installs deterministic fault injection on the
-	// simulated runtime (delays, duplicates, reordering, stragglers, rank
-	// pauses — see rma.FaultPlan). Nil is a perfect network.
+	// Faults, when non-nil, installs deterministic message delays on the
+	// simulated runtime (see rma.FaultPlan). Nil is a perfect network.
 	Faults *rma.FaultPlan
 	// Dense disables the active-set step engine and runs every rank every
 	// phase (the zero value steps actively, which is bit-identical; see

@@ -117,14 +117,7 @@ func TestActiveSkipsQuiescentRanks(t *testing.T) {
 // bit-identical — so every calendar wakeup landed on the right step.
 func TestActiveStarvationWakeup(t *testing.T) {
 	const p, steps = 16, 60
-	plan := func() *rma.FaultPlan {
-		return &rma.FaultPlan{
-			Seed:      5,
-			DelayProb: 0.35,
-			DelayMax:  4,
-			Pauses:    []rma.Pause{{Rank: 3, From: 5, To: 40}},
-		}
-	}
+	plan := func() *rma.FaultPlan { return rma.DelayPlan(5, 0.35, 12) } // delays long enough to starve
 	rec := obs.NewRecorder(p)
 	s, b, x := buildCase(t, problem.Poisson2D(24, 24), p, 3)
 	active := DistributedSouthwell(s, b, x, Config{Steps: steps, Faults: plan(), Trace: rec})
@@ -151,28 +144,29 @@ func TestActiveStarvationWakeup(t *testing.T) {
 	}
 }
 
-// TestActiveWatchdogWhileAsleep pauses every rank mid-run so the watchdog's
-// patience window elapses with the active set empty or asleep: the stop
-// must fire on the same step, with the same verdict, as dense stepping.
+// TestActiveWatchdogWhileAsleep holds every message back past the run
+// (lostPlan), so Parallel Southwell — quiescent, with no re-announce —
+// sleeps through the watchdog's patience window with the active set empty:
+// the stop must fire on the same step, with the same verdict, as dense
+// stepping.
 func TestActiveWatchdogWhileAsleep(t *testing.T) {
-	const p, steps = 8, 40
-	plan := func() *rma.FaultPlan {
-		pauses := make([]rma.Pause, p)
-		for r := range pauses {
-			pauses[r] = rma.Pause{Rank: r, From: 6, To: 39}
-		}
-		return &rma.FaultPlan{Seed: 2, Pauses: pauses}
-	}
+	const p, steps, patience = 8, 40, 4
 	s, b, x := buildCase(t, problem.Poisson2D(16, 16), p, 4)
-	active := DistributedSouthwell(s, b, x, Config{Steps: steps, Faults: plan(), watchdog: 4})
+	active := ParallelSouthwell(s, b, x, Config{Steps: steps, Faults: lostPlan(), watchdog: patience})
 	s2, b2, x2 := buildCase(t, problem.Poisson2D(16, 16), p, 4)
-	dense := DistributedSouthwell(s2, b2, x2, Config{Steps: steps, Faults: plan(), Dense: true, watchdog: 4})
+	dense := ParallelSouthwell(s2, b2, x2, Config{Steps: steps, Faults: lostPlan(), Dense: true, watchdog: patience})
 	compareRuns(t, "watchdog", dense, active)
 	if !active.Deadlocked {
-		t.Fatal("watchdog never fired — pause window or patience is miscalibrated")
+		t.Fatal("watchdog never fired — plan or patience is miscalibrated")
 	}
 	if got, want := len(active.History)-1, active.DeadlockStep; got != want {
 		t.Errorf("run continued past the stop: %d steps recorded, stopped at %d", got, want)
+	}
+	if want := 1 + patience; active.DeadlockStep != want {
+		t.Errorf("DeadlockStep = %d, want %d (step 1 sends, then the patience window)", active.DeadlockStep, want)
+	}
+	if n := active.ActiveHist[len(active.ActiveHist)-1]; n != 0 {
+		t.Errorf("%d ranks stepped on the stop step: the active run did not sleep through the wait", n)
 	}
 }
 
@@ -189,7 +183,7 @@ func TestConfigPinned(t *testing.T) {
 	}{
 		{"all clear", Config{}, quiescent, false},
 		{"all clear, pool", Config{Parallel: true}, quiescent, false},
-		{"all clear, message faults", Config{Faults: fullChaosPlan(1)}, quiescent, false},
+		{"all clear, delay plan", Config{Faults: fullChaosPlan(1)}, quiescent, false},
 		{"never quiescent (BJ, PB16)", Config{}, stepSpec{}, true},
 		{"Dense", Config{Dense: true}, quiescent, true},
 	}

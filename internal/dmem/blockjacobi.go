@@ -11,16 +11,12 @@ func BlockJacobi(s *Setup, b, x []float64, cfg Config) *Result {
 	return solve(s, b, x, cfg, func(st *runState, step *int) stepSpec {
 		w, states := st.w, st.states
 
-		// absorb drains rank p's window in any phase: deltas always applied,
-		// fault-injected duplicate landings skipped (a real duplicated
-		// one-sided write is idempotent). BJ carries no estimates, so there
-		// is nothing to guard against staleness.
+		// absorb drains rank p's window in any phase, deltas always applied.
+		// BJ carries no estimates, so there is nothing to guard against
+		// staleness.
 		absorb := func(p int) {
 			rs := states[p]
 			for _, m := range w.Inbox(p) {
-				if m.Dup {
-					continue
-				}
 				pl := m.Payload.(*payload)
 				rs.applyDeltas(int(pl.slot), pl.deltas)
 			}
@@ -46,9 +42,8 @@ func BlockJacobi(s *Setup, b, x []float64, cfg Config) *Result {
 			rs.norm = rs.computeNorm()
 			w.Charge(p, 2*float64(len(rs.r)))
 		}
-		// Never quiescent: every unpaused rank relaxes unconditionally every
-		// step, so no rank could ever be put to sleep correctly (a paused
-		// rank holds with no mail, yet relaxes again the moment it unpauses).
+		// Never quiescent: every rank relaxes unconditionally every step, so
+		// no rank ever holds.
 		return stepSpec{name: "Block Jacobi", phases: []func(int){sweep, read}}
 	})
 }

@@ -8,23 +8,15 @@ import (
 	"southwell/internal/rma"
 )
 
-// fullChaosPlan turns every fault class on at once: delays, duplicates,
-// reordering, a straggler, and two pause windows.
+// fullChaosPlan is the heavy delay plan: half of all messages held back by
+// up to four phases, more than a full parallel step of any method.
 func fullChaosPlan(seed int64) *rma.FaultPlan {
-	return &rma.FaultPlan{
-		Seed:        seed,
-		DelayProb:   0.25,
-		DelayMax:    3,
-		DupProb:     0.15,
-		ReorderProb: 0.4,
-		Stragglers:  map[int]float64{1: 2.5},
-		Pauses:      []rma.Pause{{Rank: 2, From: 4, To: 9}, {Rank: 5, From: 15, To: 18}},
-	}
+	return rma.DelayPlan(seed, 0.5, 4)
 }
 
 // TestChaosEngineEquivalence: a chaos run is a deterministic function of
 // the FaultPlan seed and identical at every width — same history (step
-// stats including fault counters), same cumulative stats, same solution,
+// stats including the fault counter), same cumulative stats, same solution,
 // with phases inline run twice and on the pool at every width. Run under
 // -race via `make race`.
 func TestChaosEngineEquivalence(t *testing.T) {
@@ -39,49 +31,53 @@ func TestChaosEngineEquivalence(t *testing.T) {
 			eachWidth(func(k int) {
 				compareRuns(t, fmt.Sprintf("pool w%d", k), seq, solve(true))
 			})
-			fin := seq.Final()
-			if fin.Delayed == 0 || fin.Duped == 0 || fin.Reordered == 0 || fin.Paused == 0 {
+			if fin := seq.Final(); fin.Delayed == 0 {
 				t.Errorf("plan injected nothing: %+v", fin)
 			}
 		})
 	}
 }
 
-// TestChaosFaultCountersCumulative: the per-step fault counters recorded in
-// StepStats are cumulative (non-decreasing) and zero at step 0.
+// TestChaosFaultCountersCumulative: the per-step fault counter recorded in
+// StepStats is cumulative (non-decreasing) and zero at step 0.
 func TestChaosFaultCountersCumulative(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
 	s, b, x := buildCase(t, a, 8, 3)
 	res := DistributedSouthwell(s, b, x, Config{Steps: 20, Faults: fullChaosPlan(7)})
-	if h0 := res.History[0]; h0.Delayed != 0 || h0.Duped != 0 || h0.Reordered != 0 || h0.Paused != 0 {
-		t.Errorf("step 0 has nonzero fault counters: %+v", h0)
+	if h0 := res.History[0]; h0.Delayed != 0 {
+		t.Errorf("step 0 has a nonzero fault counter: %+v", h0)
 	}
 	for i := 1; i < len(res.History); i++ {
 		prev, cur := res.History[i-1], res.History[i]
-		if cur.Delayed < prev.Delayed || cur.Duped < prev.Duped ||
-			cur.Reordered < prev.Reordered || cur.Paused < prev.Paused {
-			t.Fatalf("fault counters decreased at step %d: %+v -> %+v", i, prev, cur)
+		if cur.Delayed < prev.Delayed {
+			t.Fatalf("fault counter decreased at step %d: %+v -> %+v", i, prev, cur)
 		}
+	}
+	if res.Final().Delayed == 0 {
+		t.Error("the plan held no message back: the test observes nothing")
 	}
 }
 
-// TestPerfectNetworkHasZeroFaultCounters: without an installed plan the new
-// StepStats fields stay zero, so fault-free output is unchanged.
+// TestPerfectNetworkHasZeroFaultCounters: without an installed plan the
+// fault counter stays zero, so fault-free output is unchanged.
 func TestPerfectNetworkHasZeroFaultCounters(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
 	s, b, x := buildCase(t, a, 8, 3)
 	res := DistributedSouthwell(s, b, x, Config{Steps: 10})
 	for _, h := range res.History {
-		if h.Delayed != 0 || h.Duped != 0 || h.Reordered != 0 || h.Paused != 0 {
-			t.Fatalf("fault counters nonzero on perfect network: %+v", h)
+		if h.Delayed != 0 {
+			t.Fatalf("fault counter nonzero on perfect network: %+v", h)
 		}
+	}
+	if res.Stats.DelayedMsgs != 0 {
+		t.Errorf("Stats.DelayedMsgs = %d on a perfect network", res.Stats.DelayedMsgs)
 	}
 }
 
 // TestChaosDichotomyOnSuite is the paper's §2.4 dichotomy extended to an
 // imperfect network (the acceptance invariant of the fault-injection
-// layer): under delay-only faults on the Quick suite, Distributed
-// Southwell still reaches the paper's 0.1 target without ever tripping the
+// layer): under delay faults on the Quick suite, Distributed Southwell
+// still reaches the paper's 0.1 target without ever tripping the
 // stagnation watchdog, while the 2016 piggyback variant stagnates and is
 // detected.
 func TestChaosDichotomyOnSuite(t *testing.T) {
@@ -113,25 +109,33 @@ func TestChaosDichotomyOnSuite(t *testing.T) {
 	}
 }
 
-// TestWatchdogPatienceWindow: when every rank is paused for longer than the
-// run, nothing can ever progress but the fault layer never goes quiescent —
-// the windowed patience rule must stop the run after Watchdog idle steps
-// instead of burning the whole budget.
+// lostPlan holds every message back for up to 2²⁰ phases: on a run of
+// tens of steps nothing sent ever lands, yet the fault layer never goes
+// quiescent, so only the watchdog's patience clause can stop the run.
+// Parallel Southwell reaches that clause: its first step relaxes and sends,
+// and every later step is idle. Distributed Southwell never does: its
+// starvation re-announce fires at half the patience, and its sends make the
+// step non-idle (DESIGN.md §7).
+func lostPlan() *rma.FaultPlan { return rma.DelayPlan(2, 1, 1<<20) }
+
+// TestWatchdogPatienceWindow: when nothing sent can land within the run,
+// nothing can ever progress but the fault layer never goes quiescent — the
+// windowed patience rule must stop the run on the patience step after the
+// last active one instead of burning the whole budget.
 func TestWatchdogPatienceWindow(t *testing.T) {
-	a := problem.Poisson2D(16, 16)
-	s, b, x := buildCase(t, a, 4, 1)
-	plan := &rma.FaultPlan{Seed: 1}
-	for p := 0; p < 4; p++ {
-		plan.Pauses = append(plan.Pauses, rma.Pause{Rank: p, From: 0, To: 1 << 30})
-	}
-	res := DistributedSouthwell(s, b, x, Config{Steps: 200, watchdog: 6, Faults: plan})
+	const patience = 6
+	s, b, x := buildCase(t, problem.Poisson2D(16, 16), 8, 4)
+	res := ParallelSouthwell(s, b, x, Config{Steps: 200, watchdog: patience, Faults: lostPlan()})
 	if !res.Deadlocked {
-		t.Fatal("fully paused run not flagged as stagnated")
+		t.Fatal("run with every message lost in flight not flagged as stagnated")
 	}
-	if res.DeadlockStep != 6 {
-		t.Errorf("DeadlockStep = %d, want 6 (the patience window)", res.DeadlockStep)
+	if res.Stats.DelayedMsgs == 0 || res.Stats.Delivered != 0 {
+		t.Fatalf("stats %+v: the plan must hold every message back", res.Stats)
 	}
-	if got := len(res.History) - 1; got != 6 {
-		t.Errorf("ran %d steps, want 6", got)
+	if want := 1 + patience; res.DeadlockStep != want {
+		t.Errorf("DeadlockStep = %d, want %d (step 1 sends, then the patience window)", res.DeadlockStep, want)
+	}
+	if got := len(res.History) - 1; got != res.DeadlockStep {
+		t.Errorf("ran %d steps, want %d", got, res.DeadlockStep)
 	}
 }

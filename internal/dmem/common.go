@@ -59,10 +59,9 @@ type Config struct {
 	// GOMAXPROCS) instead of inline; results are bit-identical (see the
 	// engine-equivalence tests).
 	Parallel bool
-	// Faults, when non-nil, installs deterministic fault injection on the
-	// simulated world (rma.FaultPlan: delayed, duplicated, and reordered
-	// deliveries, stragglers, rank pauses). Nil is a perfect network. The
-	// plan is copied per run, so one plan value can drive many runs.
+	// Faults, when non-nil, installs deterministic message delays on the
+	// simulated world (rma.FaultPlan). Nil is a perfect network. The plan is
+	// copied per run, so one plan value can drive many runs.
 	Faults *rma.FaultPlan
 	// Dense pins every rank: each rank's phase functions run every step, as
 	// the paper's pseudocode is written. The zero value lets the step driver
@@ -116,11 +115,7 @@ type StepStats struct {
 	SolveMsgs    int64
 	ResMsgs      int64
 	SimTime      float64
-	// Cumulative fault-injection counters (all zero on a perfect network).
-	Delayed   int64 // messages the fault layer has held back so far
-	Duped     int64 // duplicate landings injected so far
-	Reordered int64 // delivery batches shuffled so far
-	Paused    int64 // rank-phases spent paused so far
+	Delayed      int64 // messages the fault layer has held back so far (zero on a perfect network)
 }
 
 // TotalMsgs returns cumulative messages at this step.
@@ -253,9 +248,6 @@ func record(res *Result, w *rma.World, states []*rankState, norm float64, step, 
 		ResMsgs:      st.ResMsgs,
 		SimTime:      st.SimTime,
 		Delayed:      st.DelayedMsgs,
-		Duped:        st.DupMsgs,
-		Reordered:    st.ReorderedBatches,
-		Paused:       st.PausedRankPhases,
 	})
 	if tr := w.Tracer(); tr != nil {
 		tr.Emit(obs.Event{

@@ -42,18 +42,13 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 		// deltas are always applied: they are additive and exact regardless of
 		// arrival order or lateness. Ghost refreshes and the Γ/Γ̃ estimates are
 		// guarded by the payload sequence number, so a delayed message cannot
-		// overwrite fresher information with stale values. Duplicate landings
-		// injected by the fault layer are skipped (a real duplicated one-sided
-		// write is idempotent). On a perfect network phase-1 windows are empty
-		// and every sequence number is fresh, so this reduces exactly to the
-		// paper's phase-2/phase-3 reads.
+		// overwrite fresher information with stale values. On a perfect
+		// network phase-1 windows are empty and every sequence number is
+		// fresh, so this reduces exactly to the paper's phase-2/phase-3 reads.
 		absorb := func(p int) {
 			rs := states[p]
 			changed := false
 			for _, m := range w.Inbox(p) {
-				if m.Dup {
-					continue
-				}
 				rs.gotMsg = true
 				pl := m.Payload.(*payload)
 				j := int(pl.slot)

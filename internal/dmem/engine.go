@@ -31,8 +31,7 @@ import (
 // guard variable to its threshold) — for as long as the state stays
 // unchanged. State can change only through its own relaxation (it is
 // asleep), a landed message (the boundary scans catch every landing,
-// including chaos-delayed deliveries and windows retained across pauses),
-// or the starvation clock (converted from a per-step poll into a stamped
+// including chaos-delayed deliveries), or the starvation clock (converted from a per-step poll into a stamped
 // counter plus a wakeup calendar). Waking a clean rank is always safe: its
 // executed step is an exact no-op beyond the idle charge, so running any
 // superset of the minimal active set is bit-identical. Running all ranks is
@@ -92,9 +91,8 @@ func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, ste
 	wd := newWatchdog(cfg, w)
 	cumRelax := 0
 	for step = 1; step <= cfg.steps(); step++ {
-		// Relax flags are reset here, on the driving goroutine: a rank paused
-		// by the fault layer does not execute phase 1 and must not be counted
-		// as having relaxed again.
+		// Relax flags are reset here, on the driving goroutine, before any
+		// epoch of the step runs.
 		e.resetRelaxed()
 		e.runStep(step, spec.phases)
 		relaxedRanks, rows := e.tally(norms)
@@ -173,13 +171,12 @@ func (e *stepEngine) admit(p, step int, mail bool) {
 
 // scanMail admits every rank with a nonempty window. Run after every
 // delivery boundary: it is what wakes sleepers for landed traffic —
-// neighbor sends, chaos-delayed releases, and windows retained across a
-// pause all look the same here. A skipped rank never drains its window
-// (the next boundary would discard it), so a nonempty window forces
-// execution even when every landing is a fault-injected duplicate.
+// neighbor sends and chaos-delayed releases look the same here. A skipped
+// rank never drains its window (the next boundary would discard it), so a
+// nonempty window forces execution.
 func (e *stepEngine) scanMail(step int) {
-	// LiveInboxes is exactly the set of nonempty windows (including windows
-	// retained across pauses), so the scan is O(receivers), not O(P).
+	// LiveInboxes is exactly the set of nonempty windows, so the scan is
+	// O(receivers), not O(P).
 	for _, p := range e.w.LiveInboxes() {
 		e.admit(int(p), step, true)
 	}

@@ -35,18 +35,13 @@ func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Res
 		w, states := st.w, st.states
 
 		// absorb drains rank p's window in any phase: deltas are always applied
-		// (additive, exact regardless of arrival order), the norm is taken only
-		// when at least as fresh as what was already absorbed, and
-		// fault-injected duplicate landings are skipped (a real duplicated
-		// one-sided write is idempotent). Reduces to the paper's phase-2/phase-3
-		// reads on a perfect network.
+		// (additive, exact regardless of arrival order), and the norm is taken
+		// only when at least as fresh as what was already absorbed. Reduces to
+		// the paper's phase-2/phase-3 reads on a perfect network.
 		absorb := func(p int) {
 			rs := states[p]
 			changed := false
 			for _, m := range w.Inbox(p) {
-				if m.Dup {
-					continue
-				}
 				pl := m.Payload.(*payload)
 				j := int(pl.slot)
 				if m.Tag == rma.TagSolve {

@@ -42,7 +42,7 @@ type rankState struct {
 	extDelta []float64 // scratch, per ext row
 	relaxed  bool      // relaxed in the current step
 	// Starvation tracking, used only under fault injection (DS): gotMsg is
-	// set by the absorb paths when any non-duplicate message is read, and
+	// set by the absorb paths when any message is read, and
 	// starved counts consecutive steps with neither a relaxation nor a
 	// receipt. A starving rank re-announces its exact residual state so
 	// fault-desynced Γ/Γ̃ estimates become exact again (see distsw.go).

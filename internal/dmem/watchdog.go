@@ -16,7 +16,7 @@ import (
 //     exactly (on a perfect network this is precisely the 2016 piggyback
 //     deadlock rule: a step without relaxations stages and lands nothing);
 //   - or window consecutive steps were idle even though the fault layer
-//     could still wake the run (a pause far in the future): patience
+//     could still wake the run (a delayed message in flight): patience
 //     bound, off on a perfect network where the first idle step already
 //     trips the provable rule.
 type watchdog struct {

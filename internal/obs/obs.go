@@ -57,8 +57,7 @@ const (
 	// KindDecision — although the phase's cost (KindPhase.Dur) still counts
 	// its idle charge: a trace is O(active work), and an unpinned run's
 	// export differs from the pinned run's by exactly those rows. Dur is the
-	// rank's total charged time (straggler multipliers included); V1, V2,
-	// V3 split it into the γ·flops, α·msgs, and β·bytes terms, so the
+	// rank's total charged time; V1, V2, V3 split it into the γ·flops, α·msgs, and β·bytes terms, so the
 	// max-over-ranks SimTime winner is attributable. A and B count
 	// messages sent and landed; I1 is bytes sent, I2 bytes landed.
 	KindRankCost
@@ -66,8 +65,7 @@ const (
 	// A is the target rank, Tag the message tag, I1 the payload bytes.
 	KindPut
 	// KindDeliver (rank shard of the target): one landing. A is the origin
-	// rank, Tag the message tag, I1 the payload bytes; Flag&FlagDup marks
-	// a fault-injected duplicate landing.
+	// rank, Tag the message tag, I1 the payload bytes.
 	KindDeliver
 	// KindDecision (rank shard): a per-step relax/hold decision.
 	// Flag&FlagRelaxed reports the outcome; V1 is the rank's exact norm,
@@ -89,10 +87,8 @@ const (
 	// idle step (Flag FlagWatchdogIdle) or stopped the run
 	// (FlagWatchdogStop). A is the consecutive-idle count.
 	KindWatchdog
-	// KindFault (control shard): the fault layer perturbed delivery.
-	// Flag is one of FlagFaultDelayed/Duped/Reordered/Paused; A and B are
-	// the origin and target ranks where meaningful (for FlagFaultPaused
-	// and FlagFaultReordered, A is the affected rank).
+	// KindFault (control shard): the fault layer held a message back.
+	// Flag is FlagFaultDelayed; A and B are the origin and target ranks.
 	KindFault
 	// KindActiveSet (control shard): the active-set step engine's
 	// occupancy after one solver step. A is the number of ranks scheduled
@@ -104,8 +100,6 @@ const (
 
 // Flag values, namespaced per Kind (see the Kind constants).
 const (
-	// FlagDup marks a KindDeliver event for a duplicate landing.
-	FlagDup uint8 = 1
 	// FlagRelaxed marks a KindDecision whose rank relaxed.
 	FlagRelaxed uint8 = 1
 	// FlagRefresh marks a KindResSend caused by starvation re-announce.
@@ -114,10 +108,7 @@ const (
 	FlagWatchdogIdle uint8 = 1
 	FlagWatchdogStop uint8 = 2
 	// Fault flags.
-	FlagFaultDelayed   uint8 = 1
-	FlagFaultDuped     uint8 = 2
-	FlagFaultReordered uint8 = 3
-	FlagFaultPaused    uint8 = 4
+	FlagFaultDelayed uint8 = 1
 )
 
 // ControlRank is the Event.Rank value for run-level events that belong to
@@ -184,7 +175,7 @@ const stallBuckets = 16
 type RankTally struct {
 	Puts      int64 // one-sided writes staged
 	PutBytes  int64
-	Recvs     int64 // landings in this rank's window (duplicates included)
+	Recvs     int64 // landings in this rank's window
 	RecvBytes int64
 	Relaxed   int64 // steps this rank relaxed
 	Held      int64 // steps this rank held
@@ -192,7 +183,7 @@ type RankTally struct {
 	CostFlops float64
 	CostMsgs  float64
 	CostBytes float64
-	Cost      float64 // total charged simulated seconds (straggler-adjusted)
+	Cost      float64 // total charged simulated seconds
 	MaxStall  int64   // longest completed-or-ongoing hold streak
 	curStall  int64
 	Stalls    [stallBuckets]int64 // completed hold streaks, bucketed by bit length

@@ -181,7 +181,7 @@ func sampleRecorder() *Recorder {
 	r.SetLabel("unit ds")
 	r.SetPool(parallel.PoolStats{Regions: 3, Blocks: 12, Width: 2})
 	r.Emit(Event{Kind: KindPut, Rank: 0, A: 1, Tag: 1, I1: 64, Ts: 0.5, Phase: 1})
-	r.Emit(Event{Kind: KindDeliver, Rank: 1, A: 0, Tag: 1, I1: 64, Ts: 0.5, Phase: 1, Flag: FlagDup})
+	r.Emit(Event{Kind: KindDeliver, Rank: 1, A: 0, Tag: 1, I1: 64, Ts: 0.5, Phase: 1})
 	r.Emit(Event{Kind: KindRankCost, Rank: 0, Ts: 1, Dur: 0.5, V1: 0.2, V2: 0.2, V3: 0.1, A: 1, B: 1, I1: 64, I2: 64, Phase: 1})
 	r.Emit(Event{Kind: KindPhase, Rank: ControlRank, Ts: 1, Dur: 0.5, I1: 2, Phase: 1})
 	r.Emit(decision(0, true))

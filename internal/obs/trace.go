@@ -62,10 +62,7 @@ var kindNames = [numKinds]string{
 }
 
 var faultNames = [...]string{
-	FlagFaultDelayed:   "delayed",
-	FlagFaultDuped:     "duped",
-	FlagFaultReordered: "reordered",
-	FlagFaultPaused:    "paused",
+	FlagFaultDelayed: "delayed",
 }
 
 // WriteTrace writes the retained events as Chrome trace-event JSON. The
@@ -125,12 +122,8 @@ func writeEvent(emit func(string, ...any), tid int, e Event) {
 		emit(`{"ph":"i","pid":1,"tid":%d,"ts":%s,"s":"t","name":"put","cat":"msg","args":{"to":%d,"tag":%d,"bytes":%d,"phase":%d}}`,
 			tid, usec(e.Ts), e.A, e.Tag, e.I1, e.Phase)
 	case KindDeliver:
-		dup := ""
-		if e.Flag&FlagDup != 0 {
-			dup = `,"dup":true`
-		}
-		emit(`{"ph":"i","pid":1,"tid":%d,"ts":%s,"s":"t","name":"deliver","cat":"msg","args":{"from":%d,"tag":%d,"bytes":%d,"phase":%d%s}}`,
-			tid, usec(e.Ts), e.A, e.Tag, e.I1, e.Phase, dup)
+		emit(`{"ph":"i","pid":1,"tid":%d,"ts":%s,"s":"t","name":"deliver","cat":"msg","args":{"from":%d,"tag":%d,"bytes":%d,"phase":%d}}`,
+			tid, usec(e.Ts), e.A, e.Tag, e.I1, e.Phase)
 	case KindDecision:
 		verdict := "hold"
 		if e.Flag&FlagRelaxed != 0 {

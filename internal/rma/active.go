@@ -17,12 +17,11 @@ import "southwell/internal/parallel"
 // must also lower-bound the flop charge of every rank that does execute f
 // (it is the unconditional part of the phase), which lets the boundary
 // fold the skipped ranks' compute cost from a single cached maximum over
-// the idle vector. Paused ranks (FaultPlan.Pauses) neither run nor take
-// the idle charge: a descheduled rank is charged nothing.
+// the idle vector.
 
 // RunPhaseActive executes one access epoch over the subset of ranks with
 // active[p] set (nil: every rank, which is RunPhase): f runs for active
-// ranks, skipped unpaused ranks are charged idle[p] flops (idle may be nil
+// ranks, skipped ranks are charged idle[p] flops (idle may be nil
 // for a zero-cost phase), then all staged puts are delivered and the
 // phase's simulated time is accounted. The ranks are cut into contiguous
 // chunks, one region on parallel.Default() when w.Parallel is set and the
@@ -39,12 +38,6 @@ func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f
 	}
 	if active == nil {
 		actList, idle = w.all, nil
-	}
-	if ch := w.chaos; ch != nil {
-		// Paused ranks are descheduled for this phase: their function does
-		// not run, and deliver leaves their windows intact so landed
-		// one-sided writes stay readable until they next execute.
-		ch.markPaused(w.phases)
 	}
 	w.f, w.active, w.actList, w.idle = f, active, actList, idle
 	var pool *parallel.Pool // nil runs the chunks inline, in ascending order
@@ -94,22 +87,14 @@ func lowerBound(list []int32, x int32) int {
 
 // activeRange runs the phase in flight over the members in [lo, hi),
 // ascending: the one per-chunk body of RunPhase and RunPhaseActive at every
-// width. Chunk boundaries never influence the output — whether a member
-// runs is a pure function of pausedNow — so every width is bit-identical.
+// width. Chunk boundaries never influence the output — every member runs,
+// whichever chunk holds it — so every width is bit-identical.
 func (w *World) activeRange(lo, hi int) {
 	f, list := w.f, w.actList
-	var paused []bool
-	if w.chaos != nil {
-		paused = w.chaos.pausedNow
-	}
-	for _, p32 := range list[lowerBound(list, int32(lo)):] {
-		p := int(p32)
-		if p >= hi {
+	for _, p := range list[lowerBound(list, int32(lo)):] {
+		if int(p) >= hi {
 			break
 		}
-		if paused != nil && paused[p] {
-			continue // descheduled: does not run, and is charged nothing
-		}
-		f(p)
+		f(int(p))
 	}
 }

@@ -11,14 +11,16 @@ import (
 // activeWorld builds a world plus the pieces of an active-subset ring
 // exchange: the phase body (sends to both ring neighbors, reads the
 // window), a membership mask with one rank in `stride` active, and the
-// per-rank idle charge a skipped rank must still pay. Payloads alternate
-// between two buffers by phase parity — the discipline the real methods
-// follow — so at stride 1 a rank reads what its neighbor wrote last phase
-// while the neighbor writes the other buffer.
+// per-rank idle charge a skipped rank must still pay. Payloads rotate
+// through three buffers by phase, so at stride 1 a rank reads what its
+// neighbor wrote last phase while the neighbor writes another buffer. The
+// real methods alternate two; the third lets a message held back one
+// boundary (the delay gate's plan) be read while its sender writes a buffer
+// other than the one it points into, since benchPayload is not a Cloner.
 func activeWorld(p, stride int, parallel bool) (*World, func(int), []bool, []float64) {
 	w := NewWorld(p, DefaultCostModel())
 	w.Parallel = parallel
-	payloads := make([][2][2]benchPayload, p)
+	payloads := make([][3][2]benchPayload, p)
 	for r := range payloads {
 		for par := range payloads[r] {
 			for d := range payloads[r][par] {
@@ -32,7 +34,7 @@ func activeWorld(p, stride int, parallel bool) (*World, func(int), []bool, []flo
 			sum += m.Payload.(*benchPayload).norm
 		}
 		for d := 0; d < 2; d++ {
-			pl := &payloads[rank][w.PhaseIndex()&1][d]
+			pl := &payloads[rank][w.PhaseIndex()%3][d]
 			pl.norm = sum + float64(rank+d)
 			to := rank + 1
 			if d == 1 {
@@ -81,12 +83,10 @@ func controlTrack(rec *obs.Recorder) []obs.Event {
 // clock, same landed messages. Checked inline and at every pool width, and
 // over everything the boundary overlays: nothing, a tracer (whose control
 // track — phase maxima, landings, fault actions — must then agree event for
-// event), a plan that slows two ranks and pauses an active and a skipped
-// one, and both.
+// event), a delay plan, and both.
 func TestRunPhaseActiveMatchesRunPhase(t *testing.T) {
 	const p, stride, rounds = 64, 4, 5
-	plan := &FaultPlan{Seed: 7, Stragglers: map[int]float64{3: 4, 8: 2.5}, StragglerPhaseProb: 0.2,
-		Pauses: []Pause{{Rank: 4, From: 1, To: 3}, {Rank: 5, From: 2, To: 4}}}
+	plan := chaosPlan(7)
 	for _, parallel := range []bool{false, true} {
 		for _, ov := range []struct {
 			name   string
@@ -135,8 +135,8 @@ func TestRunPhaseActiveMatchesRunPhase(t *testing.T) {
 					if sa, sd := wa.Stats(), wd.Stats(); sa != sd {
 						t.Errorf("stats differ:\nactive %+v\ndense  %+v", sa, sd)
 					}
-					if ov.faults != nil && wa.Stats().PausedRankPhases != 4 {
-						t.Errorf("%d paused rank-phases, want 4: the plan's pauses missed the run", wa.Stats().PausedRankPhases)
+					if ov.faults != nil && wa.Stats().DelayedMsgs == 0 {
+						t.Error("the plan held no message back: it missed the run")
 					}
 					if ca, cd := controlTrack(ra), controlTrack(rd); !reflect.DeepEqual(ca, cd) {
 						t.Errorf("control tracks differ: %d events active, %d dense", len(ca), len(cd))
@@ -190,14 +190,6 @@ func TestRunPhaseActiveFullMaskIsRunPhase(t *testing.T) {
 	}
 }
 
-// stragglerPlan is a fault plan that only slows ranks down: a constant
-// multiplier on two ranks plus transient per-phase spikes. Nothing is
-// delayed, duplicated, reordered or paused, so the fault layer captures no
-// message and a phase under it has no reason to allocate.
-func stragglerPlan() *FaultPlan {
-	return &FaultPlan{Seed: 7, Stragglers: map[int]float64{3: 4, 100: 2.5}, StragglerPhaseProb: 0.2}
-}
-
 // TestActiveAllocGate is the executing guard of the runtime's promise that
 // a steady-state phase allocates nothing, inline and at every pool width,
 // for the shapes a phase takes:
@@ -208,11 +200,14 @@ func stragglerPlan() *FaultPlan {
 //     work).
 //   - TracedActivePhase: the same under a recorder (every emit is a ring
 //     write, and the boundary's second cost walk allocates nothing).
-//   - StragglerActivePhase: the same under a straggler-only fault plan (the
-//     cost pass visits every rank and consults the plan for each).
+//   - DelayActivePhase: the same under DelayPlan(…, 1, 1), which holds every
+//     message back exactly one boundary: each boundary releases the last
+//     phase's puts and captures this one's, so the held list and the list
+//     of released messages keep their capacity. The payload is not a
+//     Cloner, so nothing is copied.
 //   - DensePhase: one RunPhase whose body calls Inbox, Put and Charge on
 //     every rank; staging and window buffers keep their capacity.
-//   - StragglerPhase: the dense phase under that plan.
+//   - DelayPhase: the dense phase under that plan.
 //   - ResetThenPhase: World.Reset, then the dense phase — Reset keeps
 //     every buffer's capacity, so a world rewound for its next run costs
 //     no allocation.
@@ -229,10 +224,10 @@ func TestActiveAllocGate(t *testing.T) {
 				wt, ft, _, _ := activeWorld(256, 16, parallel)
 				wt.SetTracer(obs.NewRecorderCap(256, 64))
 				wsa, fsa, _, _ := activeWorld(256, 16, parallel)
-				wsa.InstallFaults(stragglerPlan())
+				wsa.InstallFaults(DelayPlan(7, 1, 1))
 				wd, fd, _, _ := activeWorld(256, 1, parallel)
 				ws, fs, _, _ := activeWorld(256, 1, parallel)
-				ws.InstallFaults(stragglerPlan())
+				ws.InstallFaults(DelayPlan(7, 1, 1))
 				for _, op := range []struct {
 					name string
 					f    func()
@@ -242,9 +237,9 @@ func TestActiveAllocGate(t *testing.T) {
 						_ = wa.LiveInboxes() // what the dmem driver reads at every boundary
 					}},
 					{"TracedActivePhase", func() { wt.RunPhaseActive(active, lst, idle, ft) }},
-					{"StragglerActivePhase", func() { wsa.RunPhaseActive(active, lst, idle, fsa) }},
+					{"DelayActivePhase", func() { wsa.RunPhaseActive(active, lst, idle, fsa) }},
 					{"DensePhase", func() { wd.RunPhase(fd) }},
-					{"StragglerPhase", func() { ws.RunPhase(fs) }},
+					{"DelayPhase", func() { ws.RunPhase(fs) }},
 					{"ResetThenPhase", func() {
 						wd.Reset(wd.Model)
 						wd.Parallel = parallel

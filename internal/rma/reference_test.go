@@ -16,8 +16,8 @@ import (
 // shared arena — kept verbatim (names prefixed "old") as the oracle the
 // current boundary must equal landing for landing. oldWorld shadows the
 // World fields whose shape changed; its edits are the renames (the "old"
-// prefix, on the staging and arena fields too), and batchStart, which moved
-// from the fault state to oldWorld.
+// prefix, on the staging and arena fields too), and the removal of the fault
+// kinds the runtime no longer has (only delays remain).
 
 type oldWorld struct {
 	*World
@@ -30,18 +30,15 @@ type oldWorld struct {
 
 	oldArena   []Message  // unassigned first chunks, see oldFirstChunk
 	oldArenaMu sync.Mutex // Put reaches oldFirstChunk from concurrent phase functions
-
-	batchStart []int // deliver scratch: inbox length before this boundary's landings
 }
 
 func newOldWorld(p int, model CostModel) *oldWorld {
 	return &oldWorld{
-		World:      NewWorld(p, model),
-		inbox:      make([][]Message, p),
-		oldStaged:  make([][]Message, p),
-		recvMsgs:   make([]int64, p),
-		recvBytes:  make([]int64, p),
-		batchStart: make([]int, p),
+		World:     NewWorld(p, model),
+		inbox:     make([][]Message, p),
+		oldStaged: make([][]Message, p),
+		recvMsgs:  make([]int64, p),
+		recvBytes: make([]int64, p),
 	}
 }
 
@@ -125,12 +122,6 @@ func (w *oldWorld) oldRunPhaseActive(active []bool, actList []int32, idle []floa
 	if active == nil {
 		actList, idle = w.all, nil
 	}
-	if ch := w.chaos; ch != nil {
-		// Paused ranks are descheduled for this phase: their function does
-		// not run, and deliver leaves their windows intact so landed
-		// one-sided writes stay readable until they next execute.
-		ch.markPaused(w.phases)
-	}
 	w.f, w.active, w.actList, w.idle = f, active, actList, idle
 	var pool *parallel.Pool // nil runs the chunks inline, in ascending order
 	if w.Parallel {
@@ -144,26 +135,14 @@ func (w *oldWorld) oldRunPhaseActive(active []bool, actList []int32, idle []floa
 
 func (w *oldWorld) oldDeliver() {
 	ch, landedBefore := w.chaos, w.delivered
-	live := w.liveInbox[:0]
 	for _, p := range w.liveInbox {
 		in := w.inbox[p]
-		if ch != nil && ch.pausedNow[p] {
-			// One-sided writes to a paused rank's window persist until the
-			// rank next runs an epoch and can actually read them. The window
-			// takes ownership of its payloads here, before any sender can
-			// start the phase in which it rewrites the buffers they point into.
-			for i := range in {
-				in[i].own()
-			}
-			live = append(live, p) // compacts liveInbox in place
-			continue
-		}
 		for i := range in {
 			in[i].Payload = nil // do not retain payloads past their phase
 		}
 		w.inbox[p] = in[:0]
 	}
-	w.liveInbox = live
+	w.liveInbox = w.liveInbox[:0]
 	if ch != nil {
 		w.oldOpenFaultBoundary()
 	}
@@ -181,9 +160,6 @@ func (w *oldWorld) oldDeliver() {
 			m.Payload = nil
 		}
 		w.oldStaged[from] = st[:0]
-	}
-	if ch != nil && ch.plan.ReorderProb > 0 {
-		w.oldReorderBatches()
 	}
 
 	maxCost := w.oldPhaseCost(w.trace == nil)
@@ -204,13 +180,13 @@ func (w *oldWorld) oldDeliver() {
 
 func (w *oldWorld) oldPhaseCost(settle bool) float64 {
 	active, idle, maxCost := w.active, w.idle, 0.0
-	if ch := w.chaos; ch != nil {
+	if w.chaos != nil {
 		for p := range w.flops {
 			fl := w.flops[p]
-			if idle != nil && !active[p] && !ch.pausedNow[p] {
+			if idle != nil && !active[p] {
 				fl = idle[p]
 			}
-			maxCost = w.oldFold(maxCost, p, fl, ch.slowAt(p, w.phases), settle)
+			maxCost = w.oldFold(maxCost, p, fl, 1, settle)
 		}
 		return maxCost
 	}
@@ -275,7 +251,7 @@ func (w *oldWorld) oldLand(m Message) {
 	w.recvBytes[m.To] += int64(m.Bytes)
 	w.delivered++
 	if w.trace != nil {
-		e := obs.Event{
+		w.trace.Emit(obs.Event{
 			Kind:  obs.KindDeliver,
 			Rank:  m.To,
 			A:     m.From,
@@ -283,31 +259,12 @@ func (w *oldWorld) oldLand(m Message) {
 			I1:    int64(m.Bytes),
 			Ts:    w.simTime,
 			Phase: w.phases,
-		}
-		if m.Dup {
-			e.Flag = obs.FlagDup
-		}
-		w.trace.Emit(e)
+		})
 	}
 }
 
 func (w *oldWorld) oldOpenFaultBoundary() {
-	ch := w.chaos
-	if ch.anyPause {
-		for p, paused := range ch.pausedNow {
-			if paused {
-				ch.paused++
-				w.emitFault(obs.FlagFaultPaused, p, 0)
-			}
-		}
-	}
-	if ch.plan.ReorderProb > 0 {
-		clear(w.batchStart)
-		for _, p := range w.liveInbox {
-			w.batchStart[p] = len(w.inbox[p])
-		}
-	}
-	for _, h := range ch.releaseDue(w.phases) {
+	for _, h := range w.chaos.releaseDue(w.phases) {
 		w.oldLand(h.m)
 	}
 }
@@ -317,41 +274,20 @@ func (w *oldWorld) oldLandFaulty(m *Message) {
 	if ch.plan.DelayProb > 0 && ch.rng.float() < ch.plan.DelayProb {
 		k := 1 + ch.rng.intn(ch.plan.DelayMax)
 		held := *m
-		held.own()
+		if c, ok := held.Payload.(Cloner); ok {
+			held.Payload = c.CloneMessage()
+		}
 		ch.held = append(ch.held, heldMsg{due: w.phases + int64(k), m: held})
 		ch.delayed++
 		w.emitFault(obs.FlagFaultDelayed, int(m.From), int(m.To))
 		return
 	}
 	w.oldLand(*m)
-	if ch.plan.DupProb > 0 && ch.rng.float() < ch.plan.DupProb {
-		ch.duped++
-		d := *m
-		d.Dup = true
-		w.oldLand(d)
-		w.emitFault(obs.FlagFaultDuped, int(m.From), int(m.To))
-	}
-}
-
-func (w *oldWorld) oldReorderBatches() {
-	ch := w.chaos
-	for p := range w.inbox {
-		batch := w.inbox[p][w.batchStart[p]:]
-		if len(batch) < 2 || ch.rng.float() >= ch.plan.ReorderProb {
-			continue
-		}
-		ch.reordered++
-		w.emitFault(obs.FlagFaultReordered, p, p)
-		for i := len(batch) - 1; i > 0; i-- {
-			j := ch.rng.intn(i + 1)
-			batch[i], batch[j] = batch[j], batch[i]
-		}
-	}
 }
 
 // tok is the oracle's payload: a pointer both worlds share, whose clone is
-// another shared pointer, so a retained or delayed message's payload is the
-// same pointer in both.
+// another shared pointer, so a delayed message's payload is the same pointer
+// in both.
 type tok struct{ id int }
 
 const toks = 1 << 12
@@ -400,12 +336,13 @@ func oracleScript(seed int64, ph, p int, rank int, read func(int) []Message, put
 
 // TestDeliveryMatchesReference: the two-pass boundary equals the per-rank
 // one it replaced at every boundary — every window (each Message whole:
-// origin, target, tag, size, Dup, payload pointer, ownership, order), the
-// LiveInboxes order, Stats, the messages in flight and SimTime to the bit —
-// under no plan, each fault kind alone and the chaos plan, inline and at
-// pool widths 2, 4 and 7, with phases over every rank and over active
-// subsets, traced (every event equal) and untraced, and across a Reset
-// taken right after a phase that sent.
+// origin, target, tag, size, payload pointer, order), the LiveInboxes order,
+// Stats, the messages in flight and SimTime to the bit — under no plan, a
+// delay plan and the heavy chaos plan (whose cost is the reference's pass
+// over all ranks against the analytic fold), inline and at pool widths 2, 4
+// and 7, with phases over every rank and over active subsets, traced (every
+// event equal) and untraced, and across a Reset taken right after a phase
+// that sent.
 func TestDeliveryMatchesReference(t *testing.T) {
 	const p, phases = 37, 24
 	plans := []struct {
@@ -414,10 +351,6 @@ func TestDeliveryMatchesReference(t *testing.T) {
 	}{
 		{"none", nil},
 		{"delay", &FaultPlan{Seed: 3, DelayProb: 0.4, DelayMax: 3}},
-		{"dup", &FaultPlan{Seed: 4, DupProb: 0.3}},
-		{"reorder", &FaultPlan{Seed: 5, ReorderProb: 0.6}},
-		{"straggler", &FaultPlan{Seed: 6, Stragglers: map[int]float64{2: 3, 30: 1.5}, StragglerPhaseProb: 0.2}},
-		{"pause", &FaultPlan{Seed: 7, Pauses: []Pause{{Rank: 1, From: 2, To: 7}, {Rank: 20, From: 3, To: 4}, {Rank: 36, From: 10, To: 30}}}},
 		{"chaos", chaosPlan(8)},
 	}
 	active, idle := make([]bool, p), make([]float64, p)

@@ -30,11 +30,7 @@ func resetScript(w *World, seed int64) resetTrace {
 	phase := 0
 	body := func(rank int) {
 		for _, m := range w.Inbox(rank) {
-			v := int64(m.From)*1_000_000 + m.Payload.(int64)
-			if m.Dup {
-				v = -v
-			}
-			tr.seen[rank] = append(tr.seen[rank], v)
+			tr.seen[rank] = append(tr.seen[rank], int64(m.From)*1_000_000+m.Payload.(int64))
 		}
 		tr.seen[rank] = append(tr.seen[rank], -1) // phase separator
 		h := seed + int64(phase)*131 + int64(rank)*17
@@ -82,13 +78,12 @@ func dirtyWorld(t *testing.T, p int, rec *obs.Recorder) *World {
 	for i := 0; i < 3; i++ {
 		w.RunPhase(send)
 	}
-	w.InstallFaults(&FaultPlan{Seed: 99, DelayProb: 0.6, DelayMax: 4, DupProb: 0.3, ReorderProb: 0.5,
-		Pauses: []Pause{{Rank: 2, From: 4, To: 1000}}})
+	w.InstallFaults(DelayPlan(99, 0.6, 4))
 	w.SetTracer(rec)
 	for i := 0; i < 5; i++ {
 		w.RunPhase(send)
 	}
-	if w.InFlight() == 0 || w.FaultsQuiescent() {
+	if w.InFlight() == 0 {
 		t.Fatal("dirty world holds no delayed message: the reset test would prove nothing")
 	}
 	w.Put(0, 1, TagSolve, 8, int64(42)) // stays in staging: no phase delivers it
@@ -104,8 +99,7 @@ func dirtyWorld(t *testing.T, p int, rec *obs.Recorder) *World {
 func TestResetIsAFreshWorld(t *testing.T) {
 	const p = 9
 	model := DefaultCostModel()
-	chaos := &FaultPlan{Seed: 5, DelayProb: 0.3, DelayMax: 3, DupProb: 0.2, ReorderProb: 0.5,
-		Stragglers: map[int]float64{2: 3}, Pauses: []Pause{{Rank: 1, From: 2, To: 5}, {Rank: 5, From: 7, To: 9}}}
+	chaos := chaosPlan(5)
 	for _, tc := range []struct {
 		name     string
 		parallel bool
@@ -139,7 +133,7 @@ func TestResetIsAFreshWorld(t *testing.T) {
 						t.Errorf("rank %d: window %+v survives Reset", r, w.inbox[r])
 					}
 				}
-				bufs := map[string][]Message{"window": w.window, "back": w.back}
+				bufs := map[string][]Message{"window": w.window}
 				for b := range w.stage {
 					bufs[fmt.Sprintf("stage[%d]", b)] = w.stage[b].msgs
 				}

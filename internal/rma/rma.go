@@ -35,11 +35,10 @@
 // interface does not allocate). A Message is 32 bytes — ranks and sizes as
 // int32, which Put and NewWorld guard.
 //
-// A seeded fault-injection plan (faults.go) can perturb delivery — delayed,
-// duplicated, and reordered landings, straggler cost multipliers, and rank
-// pauses — deterministically and identically at every width, for the
-// robustness studies. A plan or a tracer adds passes and emit sites to that
-// boundary; neither selects another one.
+// A seeded fault-injection plan (faults.go) can delay delivery — hold
+// individual Puts back for extra boundaries — deterministically and
+// identically at every width, for the robustness studies. A plan or a tracer
+// adds landings and emit sites to that boundary; neither selects another one.
 //
 // The runtime also does the bookkeeping the paper reports: messages and
 // bytes per rank split by tag (solve updates vs explicit residual updates,
@@ -110,14 +109,6 @@ type Message struct {
 	To      int32
 	Bytes   int32
 	Tag     Tag
-	// Dup marks a duplicate landing injected by the fault layer: the same
-	// window write observed twice in one batch. Receivers treating window
-	// writes as idempotent skip these.
-	Dup bool
-	// owned marks a payload the runtime has already deep-copied (a delayed
-	// delivery, or a window retained across a pause), so a multi-phase pause
-	// copies it once.
-	owned bool
 }
 
 // World is a set of P simulated ranks with windows and counters.
@@ -133,13 +124,13 @@ type World struct {
 	// origin's in call order, at every width.
 	stage []stageBuf
 	// window holds every readable window: rank p's is window[inbox[p].lo :
-	// inbox[p].hi], and a rank whose window is empty has lo = hi = 0. back is
-	// the other array of the pair: deliver scatters the next windows into it
-	// and the two swap, so a window retained across a pause is copied forward
-	// and nothing else is. Slots past the windows are spent: they keep their
-	// messages until a later boundary overwrites them or Reset zeroes them.
-	window, back []Message
-	inbox        []inbound
+	// inbox[p].hi], and a rank whose window is empty has lo = hi = 0. No
+	// window outlives its phase, so deliver expires the windows read in the
+	// phase and scatters the next ones into this same array. Slots past the
+	// windows are spent: they keep their messages until a later boundary
+	// overwrites them or Reset zeroes them.
+	window []Message
+	inbox  []inbound
 
 	flops []float64 // per-rank compute charged this phase
 	msgs  []int64   // per-rank messages sent this phase
@@ -185,7 +176,7 @@ type World struct {
 	f       func(rank int)
 	active  []bool    // nil: every rank runs f
 	actList []int32   // the ranks that run f, ascending
-	idle    []float64 // per-rank flop charge for skipped, unpaused ranks
+	idle    []float64 // per-rank flop charge for skipped ranks
 
 	closed bool
 }
@@ -354,7 +345,7 @@ func (w *World) Reset(model CostModel) {
 	for b := range w.stage {
 		w.stage[b].msgs = zeroed(w.stage[b].msgs)
 	}
-	w.window, w.back = zeroed(w.window), zeroed(w.back)
+	w.window = zeroed(w.window)
 	clear(w.inbox)
 	clear(w.flops)
 	clear(w.msgs)
@@ -378,49 +369,40 @@ func (w *World) Reset(model CostModel) {
 // The move is a counting sort in two flat passes over the staging arrays.
 // The first decides and counts every landing, in landing order: it charges
 // the target and appends it to liveInbox on its first landing. A prefix over
-// liveInbox then lays the windows out in back, and the second pass scatters
-// the landings into them in the same order, so each window holds its
-// landings in landing order. The two window arrays then swap. Nothing is
-// zeroed: spent slots are overwritten by later boundaries (or zeroed by
-// Reset), which measured cheaper than clearing them at every boundary.
+// liveInbox then lays the windows out in the window array — the windows read
+// in this phase were expired first, and no window outlives its phase — and
+// the second pass scatters the landings into them in the same order, so each
+// window holds its landings in landing order. Nothing is zeroed: spent slots
+// are overwritten by later boundaries (or zeroed by Reset), which measured
+// cheaper than clearing them at every boundary.
 //
 // Every loop runs over the messages and the ranks the phase touched — the
 // member list and the written windows (liveInbox) — never over all P. What
 // else runs is decided by what the world holds. A fault plan overlays the
-// same passes (faults.go): a paused rank's window is retained and carried
-// ahead of its new landings, released delayed messages are landings ahead of
-// the staged ones, each staged message is held back, landed or landed twice
-// in the first pass (a duplicate is a landing like any other), batches are
-// reordered in place, and the cost pass visits every rank because each has
-// its own multiplier. A tracer adds emit sites on the same walks, plus a
-// second cost walk so a rank's cost row carries the closed phase's clock.
-// All of it runs here, on the calling goroutine, so every width sees the
-// same schedule.
+// same passes (faults.go): released delayed messages are landings ahead of
+// the staged ones, and each staged message is held back or landed in the
+// first pass. A tracer adds emit sites on the same walks, plus a second cost
+// walk so a rank's cost row carries the closed phase's clock. All of it runs
+// here, on the calling goroutine, so every width sees the same schedule.
 func (w *World) deliver() {
 	ch, landedBefore := w.chaos, w.delivered
 
-	// Expire the windows read in this phase. A retained one keeps its place
-	// at the front of liveInbox, and its count opens at its length (lo still
-	// marks where it lies in window).
-	kept, carried := 0, 0
+	// Expire the windows read in this phase.
 	for _, p := range w.liveInbox {
-		in := &w.inbox[p]
-		if ch != nil && ch.retain(int(p), w.window[in.lo:in.hi]) {
-			carried += int(in.hi - in.lo)
-			in.hi -= in.lo
-			w.liveInbox[kept] = p
-			kept++
-			continue
-		}
-		in.lo, in.hi = 0, 0
+		w.inbox[p].lo, w.inbox[p].hi = 0, 0
 	}
-	w.liveInbox = w.liveInbox[:kept]
+	w.liveInbox = w.liveInbox[:0]
 
-	// Pass 1: count. Under a plan a message held back leaves its staging
-	// array here, so the second pass sees exactly the landings counted.
+	// Pass 1: count. Under a plan the delayed messages due now land first,
+	// the oldest traffic, in staging order; and a message held back leaves
+	// its staging array here, so the second pass sees exactly the landings
+	// counted.
 	var due []heldMsg
 	if ch != nil {
-		due = w.openFaultBoundary()
+		due = ch.releaseDue(w.phases)
+		for i := range due {
+			w.land(&due[i].m)
+		}
 	}
 	for b := range w.stage {
 		st := w.stage[b].msgs
@@ -441,22 +423,17 @@ func (w *World) deliver() {
 		}
 	}
 
-	// Prefix: the windows in liveInbox order, each retained one copied
-	// ahead of its new landings.
-	total := carried + int(w.delivered-landedBefore)
+	// Prefix: the windows in liveInbox order.
+	total := int(w.delivered - landedBefore)
 	if total > math.MaxInt32 {
 		panic(fmt.Sprintf("rma: %d landings at one boundary exceed the int32 window range", total))
 	}
-	w.back = grow(w.back, total, slotsPerRank*w.P)
-	next, at := w.back[:total], int32(0)
-	for i, p := range w.liveInbox {
+	w.window = grow(w.window[:0], total, slotsPerRank*w.P)[:total]
+	at := int32(0)
+	for _, p := range w.liveInbox {
 		in := &w.inbox[p]
-		n, fill := in.hi, at
-		if i < kept {
-			r := ch.retained[p]
-			fill += int32(copy(next[at:at+r], w.window[in.lo:in.lo+r]))
-		}
-		in.lo, in.hi = at, fill
+		n := in.hi
+		in.lo, in.hi = at, at
 		at += n
 	}
 
@@ -465,18 +442,14 @@ func (w *World) deliver() {
 		w.traceLandings(due)
 	}
 	for i := range due {
-		w.scatter(next, &due[i].m)
+		w.scatter(&due[i].m)
 	}
 	for b := range w.stage {
 		st := w.stage[b].msgs
 		for i := range st {
-			w.scatter(next, &st[i])
+			w.scatter(&st[i])
 		}
 		w.stage[b].msgs = st[:0]
-	}
-	w.window, w.back = next, w.window[:0]
-	if ch != nil && ch.plan.ReorderProb > 0 {
-		w.reorderBatches()
 	}
 
 	maxCost := w.phaseCost(w.trace == nil)
@@ -505,26 +478,13 @@ func (w *World) deliver() {
 // because idle[p] lower-bounds every executing rank's flop charge
 // (RunPhaseActive contract) and IEEE multiply-by- and add-nonnegative are
 // monotone, so a touched rank's full cost dominates its own Gamma·idle[p].
-// Per-rank straggler multipliers defeat that fold, so under a fault plan
-// the pass visits every rank, charging a skipped unpaused one idle[p]
-// arithmetically (dense stepping would have charged 0 + idle[p]).
 func (w *World) phaseCost(settle bool) float64 {
 	active, idle, maxCost := w.active, w.idle, 0.0
-	if ch := w.chaos; ch != nil {
-		for p := range w.flops {
-			fl := w.flops[p]
-			if idle != nil && !active[p] && !ch.pausedNow[p] {
-				fl = idle[p]
-			}
-			maxCost = w.fold(maxCost, p, fl, ch.slowAt(p, w.phases), settle)
-		}
-		return maxCost
-	}
 	if idle != nil {
 		maxCost = w.Model.Gamma * w.idleMax(idle)
 	}
 	for _, p := range w.actList {
-		maxCost = w.fold(maxCost, int(p), w.flops[p], 1, settle)
+		maxCost = w.fold(maxCost, int(p), w.flops[p], settle)
 	}
 	for _, p := range w.liveInbox {
 		if active == nil || active[p] {
@@ -534,33 +494,30 @@ func (w *World) phaseCost(settle bool) float64 {
 		if idle != nil {
 			fl = idle[p]
 		}
-		maxCost = w.fold(maxCost, int(p), fl, 1, settle)
+		maxCost = w.fold(maxCost, int(p), fl, settle)
 	}
 	return maxCost
 }
 
 // fold folds rank p's α-β-γ cost for the phase in flight — fl flops of
-// compute plus its injections and landings, times mult — into the running
-// maximum. With settle it also zeroes the rank's per-phase counters, after
-// logging its cost row if a tracer is installed and the rank ran or was
-// written to: the γ/α/β terms separately, so the rank whose total tracks
-// the phase maximum is the SimTime winner.
-func (w *World) fold(maxCost float64, p int, fl, mult float64, settle bool) float64 {
+// compute plus its injections and landings — into the running maximum. With
+// settle it also zeroes the rank's per-phase counters, after logging its
+// cost row if a tracer is installed and the rank ran or was written to: the
+// γ/α/β terms separately, so the rank whose total tracks the phase maximum
+// is the SimTime winner.
+func (w *World) fold(maxCost float64, p int, fl float64, settle bool) float64 {
 	in := &w.inbox[p]
-	recv := in.hi - in.lo // the window, less what it carried over from the last boundary
-	if ch := w.chaos; ch != nil {
-		recv -= ch.retained[p]
-	}
+	recv := in.hi - in.lo // the window: this boundary's landings
 	h := float64(w.msgs[p] + int64(recv))
 	hb := float64(w.bytes[p] + in.recvBytes)
-	if cost := (w.Model.Gamma*fl + w.Model.Alpha*h + w.Model.Beta*hb) * mult; cost > maxCost {
+	if cost := w.Model.Gamma*fl + w.Model.Alpha*h + w.Model.Beta*hb; cost > maxCost {
 		maxCost = cost
 	}
 	if !settle {
 		return maxCost
 	}
 	if w.trace != nil && (w.flops[p] != 0 || w.msgs[p] != 0 || recv != 0) {
-		fc, mc, bc := w.Model.Gamma*fl*mult, w.Model.Alpha*h*mult, w.Model.Beta*hb*mult
+		fc, mc, bc := w.Model.Gamma*fl, w.Model.Alpha*h, w.Model.Beta*hb
 		w.trace.Emit(obs.Event{
 			Kind:  obs.KindRankCost,
 			Rank:  int32(p),
@@ -632,26 +589,20 @@ func (w *World) land(m *Message) {
 	w.delivered++
 }
 
-// scatter writes one counted landing into its window in next — deliver's
-// second pass. A message the plan duplicated (landFaulty marks it Dup) lands
-// twice: the original, then the flagged copy.
-func (w *World) scatter(next []Message, m *Message) {
+// scatter writes one counted landing into its window — deliver's second
+// pass.
+func (w *World) scatter(m *Message) {
 	in := &w.inbox[m.To]
-	next[in.hi] = *m
+	w.window[in.hi] = *m
 	in.hi++
-	if m.Dup {
-		next[in.hi-1].Dup = false
-		next[in.hi] = *m
-		in.hi++
-	}
 }
 
 // traceLandings logs the boundary's landings — the released delayed
 // messages, then the staged ones — in landing order, the order both passes
-// walk, a duplicate right after its original.
+// walk.
 func (w *World) traceLandings(due []heldMsg) {
-	emit := func(m Message) {
-		e := obs.Event{
+	emit := func(m *Message) {
+		w.trace.Emit(obs.Event{
 			Kind:  obs.KindDeliver,
 			Rank:  m.To,
 			A:     m.From,
@@ -659,23 +610,15 @@ func (w *World) traceLandings(due []heldMsg) {
 			I1:    int64(m.Bytes),
 			Ts:    w.simTime,
 			Phase: w.phases,
-		}
-		if m.Dup {
-			e.Flag = obs.FlagDup
-		}
-		w.trace.Emit(e)
+		})
 	}
-	for _, h := range due {
-		emit(h.m)
+	for i := range due {
+		emit(&due[i].m)
 	}
 	for b := range w.stage {
-		for _, m := range w.stage[b].msgs {
-			if m.Dup {
-				orig := m
-				orig.Dup = false
-				emit(orig)
-			}
-			emit(m)
+		st := w.stage[b].msgs
+		for i := range st {
+			emit(&st[i])
 		}
 	}
 }
@@ -688,14 +631,12 @@ type Stats struct {
 	ResMsgs    int64
 	SolveBytes int64
 	ResBytes   int64
-	// Delivered counts landings (including fault-injected duplicates);
-	// without faults it equals TotalMsgs once all messages have arrived.
+	// Delivered counts landings; it equals TotalMsgs once every message,
+	// delayed ones included, has arrived.
 	Delivered int64
-	// Fault-injection counters, all zero without an installed plan.
-	DelayedMsgs      int64 // messages held back by the fault layer
-	DupMsgs          int64 // duplicate landings injected
-	ReorderedBatches int64 // delivery batches shuffled
-	PausedRankPhases int64 // rank-phases spent descheduled
+	// DelayedMsgs counts the messages the fault layer held back (zero
+	// without an installed plan).
+	DelayedMsgs int64
 }
 
 // TotalMsgs returns all messages sent so far.
@@ -725,9 +666,6 @@ func (w *World) Stats() Stats {
 	}
 	if ch := w.chaos; ch != nil {
 		s.DelayedMsgs = ch.delayed
-		s.DupMsgs = ch.duped
-		s.ReorderedBatches = ch.reordered
-		s.PausedRankPhases = ch.paused
 	}
 	return s
 }
