@@ -160,9 +160,10 @@ bench-smoke:
 # come a pinned run's whole trace export (~1.3 MB; pinned, so no rank sleeps
 # and every event is part of the contract), the -quick scaling study (it
 # reads DIFFERS against a parent whose scaling still printed host
-# wall-clock), and the whole trace of a pinned run under a delay plan,
-# which pins the fault overlay's trace events. Not part of verify: it needs
-# a second checkout.
+# wall-clock), the whole trace of a pinned run under a delay plan, which
+# pins the fault overlay's trace events, and a run stopped by -target
+# before its step budget, which pins the target test. The failure message
+# counts the lines that ran. Not part of verify: it needs a second checkout.
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
 IDENTITY_SOLVE = -mat msdoor -n 64 -sweep_max 15
 IDENTITY_SMALL = -mat msdoor -n 1024 -sweep_max 5
@@ -171,7 +172,7 @@ identity:
 	@set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
 	$(GO) build -o $$out/new/ ./cmd/dsouthwell ./cmd/benchtables; \
 	(cd "$(PARENT)" && $(GO) build -o $$out/old/ ./cmd/dsouthwell ./cmd/benchtables); \
-	differ=0; \
+	differ=0; lines=0; \
 	for line in \
 		"benchtables $(IDENTITY_TABLES)" \
 		"benchtables -active=false $(IDENTITY_TABLES)" \
@@ -189,8 +190,10 @@ identity:
 		"dsouthwell $(IDENTITY_SMALL) -loc_solver direct" \
 		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout" \
 		"benchtables -quick scaling" \
-		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3 -active=false -trace /dev/stdout"; \
+		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3 -active=false -trace /dev/stdout" \
+		"dsouthwell $(IDENTITY_SOLVE) -target 0.3"; \
 	do \
+		lines=$$((lines + 1)); \
 		$$out/old/$$line >$$out/old.txt 2>&1 || echo "exit $$?" >>$$out/old.txt; \
 		$$out/new/$$line >$$out/new.txt 2>&1 || echo "exit $$?" >>$$out/new.txt; \
 		if cmp -s $$out/old.txt $$out/new.txt; then \
@@ -200,7 +203,7 @@ identity:
 			diff $$out/old.txt $$out/new.txt | head -n 40 || true; \
 		fi; \
 	done; \
-	test $$differ -eq 0 || { echo "identity: $$differ of 17 lines differ"; exit 1; }
+	test $$differ -eq 0 || { echo "identity: $$differ of $$lines lines differ"; exit 1; }
 
 verify: build lint test race chaos-smoke partition-pin alloc-gates fuzz examples results-check bench-smoke
 

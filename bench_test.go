@@ -9,7 +9,6 @@ import (
 	"southwell/internal/dmem"
 	"southwell/internal/multigrid"
 	"southwell/internal/partition"
-	"southwell/internal/pqueue"
 	"southwell/internal/problem"
 	"southwell/internal/solvers"
 	"southwell/internal/sparse"
@@ -208,17 +207,6 @@ func BenchmarkVCycleDistSW(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.VCycle(bb, x)
-	}
-}
-
-func BenchmarkIndexedHeap(b *testing.B) {
-	prio := problem.RandomVec(10000, 1)
-	h := pqueue.New(prio)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k, _ := h.Max()
-		h.Update(k, 0)
-		h.Update((k+37)%10000, float64(i%1000))
 	}
 }
 

@@ -158,8 +158,9 @@ func main() {
 	}
 
 	if *list {
+		fmt.Printf("%-12s %9s %11s  %s\n", "name", "paper n", "paper nnz", "kind")
 		for _, e := range problem.Suite() {
-			fmt.Printf("%-12s %s\n", e.Name, e.Kind)
+			fmt.Printf("%-12s %9d %11d  %s\n", e.Name, e.PaperN, e.PaperNNZ, e.Kind)
 		}
 		return
 	}

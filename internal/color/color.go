@@ -80,16 +80,3 @@ func (c Coloring) Classes() [][]int {
 	}
 	return classes
 }
-
-// Valid reports whether no two adjacent vertices of a share a color.
-func (c Coloring) Valid(a *sparse.CSR) bool {
-	for v := 0; v < a.N; v++ {
-		cols, _ := a.Row(v)
-		for _, u := range cols {
-			if int(u) != v && c.Color[u] == c.Color[v] {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -11,7 +11,7 @@ import (
 func TestGreedyOnGrid(t *testing.T) {
 	a := problem.Poisson2D(10, 10)
 	c := Greedy(a)
-	if !c.Valid(a) {
+	if !c.valid(a) {
 		t.Fatal("invalid coloring")
 	}
 	// 5-point grids are bipartite: BFS-greedy should find exactly 2 colors.
@@ -23,7 +23,7 @@ func TestGreedyOnGrid(t *testing.T) {
 func TestGreedyOnFEM(t *testing.T) {
 	a := problem.FEM2D(20, 0.3, 3)
 	c := Greedy(a)
-	if !c.Valid(a) {
+	if !c.valid(a) {
 		t.Fatal("invalid coloring")
 	}
 	// Triangulations need >= 3 colors; greedy BFS typically 4-7 (paper: 6).
@@ -71,7 +71,7 @@ func TestGreedyDisconnected(t *testing.T) {
 	}
 	a := coo.ToCSR()
 	c := Greedy(a)
-	if !c.Valid(a) {
+	if !c.valid(a) {
 		t.Fatal("invalid coloring on disconnected graph")
 	}
 	if c.NumColors != 3 {
@@ -83,7 +83,7 @@ func TestQuickColoringValid(t *testing.T) {
 	f := func(seed int64) bool {
 		a := problem.FEM2D(5+int(seed%10+10)%10, 0.3, seed)
 		c := Greedy(a)
-		if !c.Valid(a) {
+		if !c.valid(a) {
 			return false
 		}
 		for _, cv := range c.Color {
@@ -96,4 +96,17 @@ func TestQuickColoringValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// valid reports whether no two adjacent vertices of a share a color.
+func (c Coloring) valid(a *sparse.CSR) bool {
+	for v := 0; v < a.N; v++ {
+		cols, _ := a.Row(v)
+		for _, u := range cols {
+			if int(u) != v && c.Color[u] == c.Color[v] {
+				return false
+			}
+		}
+	}
+	return true
 }

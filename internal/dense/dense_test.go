@@ -1,10 +1,13 @@
 package dense
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"southwell/internal/problem"
 )
 
 func randomSPD(n int, rng *rand.Rand) *Matrix {
@@ -22,9 +25,115 @@ func randomSPD(n int, rng *rand.Rand) *Matrix {
 			}
 			a.Set(i, j, s)
 		}
-		a.Add(i, i, float64(n))
+		a.add(i, i, float64(n))
 	}
 	return a
+}
+
+// add increments element (i, j).
+func (m *Matrix) add(i, j int, v float64) { m.Data[i*m.N+j] += v }
+
+// mulVec computes y = M x.
+func (m *Matrix) mulVec(x, y []float64) {
+	for i := 0; i < m.N; i++ {
+		s := 0.0
+		row := m.Data[i*m.N : (i+1)*m.N]
+		for j, v := range row {
+			s += v * x[j]
+		}
+		y[i] = s
+	}
+}
+
+// LU is an LU factorization with partial pivoting: P A = L U. It is the
+// pivoted oracle Cholesky is checked against, and BenchmarkDenseLU's dense
+// baseline for the sparse local solver; no product code factors with it.
+type LU struct {
+	lu  *Matrix
+	piv []int
+}
+
+// FactorLU computes the factorization. It fails on (numerically) singular
+// matrices.
+func FactorLU(a *Matrix) (*LU, error) {
+	n := a.N
+	f := &LU{lu: NewMatrix(n), piv: make([]int, n)}
+	lu := f.lu
+	copy(lu.Data, a.Data)
+	for i := range f.piv {
+		f.piv[i] = i
+	}
+	for k := 0; k < n; k++ {
+		// Pivot.
+		p := k
+		maxv := math.Abs(lu.At(k, k))
+		for i := k + 1; i < n; i++ {
+			if v := math.Abs(lu.At(i, k)); v > maxv {
+				maxv, p = v, i
+			}
+		}
+		if maxv == 0 {
+			return nil, fmt.Errorf("dense: singular matrix at column %d", k)
+		}
+		if p != k {
+			for j := 0; j < n; j++ {
+				lu.Data[p*n+j], lu.Data[k*n+j] = lu.Data[k*n+j], lu.Data[p*n+j]
+			}
+			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
+		}
+		pivVal := lu.At(k, k)
+		for i := k + 1; i < n; i++ {
+			m := lu.At(i, k) / pivVal
+			lu.Set(i, k, m)
+			if m == 0 {
+				continue
+			}
+			for j := k + 1; j < n; j++ {
+				lu.add(i, j, -m*lu.At(k, j))
+			}
+		}
+	}
+	return f, nil
+}
+
+// Solve computes x with A x = b. b is not modified; x may alias b.
+func (f *LU) Solve(b, x []float64) {
+	f.SolveWith(b, x, make([]float64, f.lu.N))
+}
+
+// SolveWith is Solve with a caller-provided scratch vector y (length N),
+// so repeated solves against one factorization allocate nothing. y may not
+// alias b or x.
+func (f *LU) SolveWith(b, x, y []float64) {
+	n := f.lu.N
+	data := f.lu.Data
+	y = y[:n]
+	for i, p := range f.piv {
+		y[i] = b[p]
+	}
+	// Forward: L y' = y (unit lower). Each row and the stretch of y it meets
+	// are local slices of one length, so the dot product carries no index
+	// arithmetic and no bounds check per entry.
+	for i := range y {
+		row := data[i*n : i*n+i]
+		head := y[:len(row)]
+		s := y[i]
+		for j, l := range row {
+			s -= l * head[j]
+		}
+		y[i] = s
+	}
+	// Backward: U x = y'.
+	for i := n - 1; i >= 0; i-- {
+		row := data[i*n+i+1 : (i+1)*n] // right of the diagonal
+		tail := y[i+1:][:len(row)]
+		s := y[i]
+		for j, u := range row {
+			s -= u * tail[j]
+		}
+		y[i] = s / data[i*n+i]
+	}
+	copy(x, y)
 }
 
 func TestLUSolve(t *testing.T) {
@@ -35,14 +144,14 @@ func TestLUSolve(t *testing.T) {
 		a.Data[i] = rng.NormFloat64()
 	}
 	for i := 0; i < n; i++ {
-		a.Add(i, i, 5)
+		a.add(i, i, 5)
 	}
 	xTrue := make([]float64, n)
 	for i := range xTrue {
 		xTrue[i] = rng.NormFloat64()
 	}
 	b := make([]float64, n)
-	a.MulVec(xTrue, b)
+	a.mulVec(xTrue, b)
 
 	f, err := FactorLU(a)
 	if err != nil {
@@ -90,7 +199,7 @@ func TestCholeskySolve(t *testing.T) {
 		xTrue[i] = rng.NormFloat64()
 	}
 	b := make([]float64, 10)
-	a.MulVec(xTrue, b)
+	a.mulVec(xTrue, b)
 	c, err := FactorCholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -225,4 +334,44 @@ func TestLUSolveMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkDenseLU is the dense baseline for spdirect's BenchmarkLDL on the
+// same 4356-row block (a 66×66 5-point Laplacian): what the old LocalDirect
+// backend paid per block. Factor is O(n³) and takes tens of seconds at this
+// size, so this benchmark is excluded from `make alloc-gates`; run it
+// explicitly to reproduce the ~220x comparison quoted in DESIGN.md §10.
+func BenchmarkDenseLU(b *testing.B) {
+	a := problem.Poisson2D(66, 66)
+	dm := NewMatrix(a.N)
+	rhs, x, y := make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)
+	for i := 0; i < a.N; i++ {
+		cols, vals := a.Row(i)
+		for k, c := range cols {
+			dm.Set(i, int(c), vals[k])
+		}
+		rhs[i] = float64(i%17) / 17
+	}
+	var lu *LU
+	b.Run("Factor", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if lu, err = FactorLU(dm); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if lu == nil {
+		var err error
+		if lu, err = FactorLU(dm); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("Solve", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lu.SolveWith(rhs, x, y)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"southwell/internal/obs"
 	"southwell/internal/problem"
 	"southwell/internal/rma"
 )
@@ -31,29 +32,41 @@ func TestChaosEngineEquivalence(t *testing.T) {
 			eachWidth(func(k int) {
 				compareRuns(t, fmt.Sprintf("pool w%d", k), seq, solve(true))
 			})
-			if fin := seq.Final(); fin.Delayed == 0 {
-				t.Errorf("plan injected nothing: %+v", fin)
+			if seq.Stats.DelayedMsgs == 0 {
+				t.Errorf("plan injected nothing: %+v", seq.Stats)
 			}
 		})
 	}
 }
 
-// TestChaosFaultCountersCumulative: the per-step fault counter recorded in
-// StepStats is cumulative (non-decreasing) and zero at step 0.
+// TestChaosFaultCountersCumulative: the run's fault counter,
+// Stats.DelayedMsgs, is the total of the per-message fault records — one
+// obs.KindFault event per held-back message, none before the step-0 record.
 func TestChaosFaultCountersCumulative(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
 	s, b, x := buildCase(t, a, 8, 3)
-	res := DistributedSouthwell(s, b, x, Config{Steps: 20, Faults: fullChaosPlan(7)})
-	if h0 := res.History[0]; h0.Delayed != 0 {
-		t.Errorf("step 0 has a nonzero fault counter: %+v", h0)
+	rec := obs.NewRecorderCap(8, 4096)
+	res := DistributedSouthwell(s, b, x, Config{Steps: 20, Faults: fullChaosPlan(7), Trace: rec})
+	if rec.Dropped() != 0 {
+		t.Fatalf("%d events dropped: the rings are too small to count faults", rec.Dropped())
 	}
-	for i := 1; i < len(res.History); i++ {
-		prev, cur := res.History[i-1], res.History[i]
-		if cur.Delayed < prev.Delayed {
-			t.Fatalf("fault counter decreased at step %d: %+v -> %+v", i, prev, cur)
+	var faults int64
+	stepZero := false
+	for _, e := range rec.Events() {
+		switch {
+		case e.Kind == obs.KindStep && e.Step == 0:
+			stepZero = true
+		case e.Kind == obs.KindFault && e.Flag == obs.FlagFaultDelayed:
+			if !stepZero {
+				t.Fatalf("fault record before the step-0 record: %+v", e)
+			}
+			faults++
 		}
 	}
-	if res.Final().Delayed == 0 {
+	if faults != res.Stats.DelayedMsgs {
+		t.Errorf("%d fault records, Stats.DelayedMsgs = %d", faults, res.Stats.DelayedMsgs)
+	}
+	if faults == 0 {
 		t.Error("the plan held no message back: the test observes nothing")
 	}
 }
@@ -64,11 +77,6 @@ func TestPerfectNetworkHasZeroFaultCounters(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
 	s, b, x := buildCase(t, a, 8, 3)
 	res := DistributedSouthwell(s, b, x, Config{Steps: 10})
-	for _, h := range res.History {
-		if h.Delayed != 0 {
-			t.Fatalf("fault counter nonzero on perfect network: %+v", h)
-		}
-	}
 	if res.Stats.DelayedMsgs != 0 {
 		t.Errorf("Stats.DelayedMsgs = %d on a perfect network", res.Stats.DelayedMsgs)
 	}

@@ -105,6 +105,9 @@ func (c Config) watchdogWindow() int {
 // steps without a relaxation or a receipt: half the watchdog's patience.
 func (c Config) refreshAfter() int { return (c.watchdogWindow() + 1) / 2 }
 
+// reached reports whether a global residual norm has met a positive Target.
+func (c Config) reached(norm float64) bool { return c.Target > 0 && norm <= c.Target }
+
 // StepStats is the global state after one parallel step, with cumulative
 // communication counters (so differences give per-step costs).
 type StepStats struct {
@@ -115,7 +118,6 @@ type StepStats struct {
 	SolveMsgs    int64
 	ResMsgs      int64
 	SimTime      float64
-	Delayed      int64 // messages the fault layer has held back so far (zero on a perfect network)
 }
 
 // TotalMsgs returns cumulative messages at this step.
@@ -247,7 +249,6 @@ func record(res *Result, w *rma.World, states []*rankState, norm float64, step, 
 		SolveMsgs:    st.SolveMsgs,
 		ResMsgs:      st.ResMsgs,
 		SimTime:      st.SimTime,
-		Delayed:      st.DelayedMsgs,
 	})
 	if tr := w.Tracer(); tr != nil {
 		tr.Emit(obs.Event{

@@ -180,6 +180,26 @@ func methodsWithPB() map[string]method {
 	return ms
 }
 
+// TestStartAtTargetRunsNoStep: a solve whose initial residual already meets
+// its Target returns the step-0 record alone, sends no message, runs no
+// step of the active-set engine and leaves x as it was.
+func TestStartAtTargetRunsNoStep(t *testing.T) {
+	for name, run := range methodsWithPB() {
+		s, b, x := buildCase(t, problem.Poisson2D(10, 10), 4, 1)
+		x0 := append([]float64(nil), x...)
+		res := run(s, b, x, Config{Steps: 5, Target: 1e300})
+		if len(res.History) != 1 || res.Stats.TotalMsgs() != 0 || len(res.ActiveHist) != 0 {
+			t.Errorf("%s: %d records, %d messages, ActiveHist %v; want 1, 0, empty",
+				name, len(res.History), res.Stats.TotalMsgs(), res.ActiveHist)
+		}
+		for i := range x0 {
+			if math.Float64bits(res.X[i]) != math.Float64bits(x0[i]) {
+				t.Fatalf("%s: x[%d] moved from %g to %g", name, i, x0[i], res.X[i])
+			}
+		}
+	}
+}
+
 // compareRuns is the package's one bit-identity comparator: two results
 // must agree bit-for-bit in everything that is part of results — the
 // per-step history (norms, messages by tag, simulated time, fault

@@ -90,7 +90,9 @@ func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, ste
 	record(res, w, states, norm2(norms), 0, 0, 0)
 	wd := newWatchdog(cfg, w)
 	cumRelax := 0
-	for step = 1; step <= cfg.steps(); step++ {
+	// The target is tested before every step, the first included: a solve
+	// that starts at or below it runs no step and sends nothing.
+	for step = 1; step <= cfg.steps() && !cfg.reached(res.Final().ResNorm); step++ {
 		// Relax flags are reset here, on the driving goroutine, before any
 		// epoch of the step runs.
 		e.resetRelaxed()
@@ -105,9 +107,6 @@ func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, ste
 			// relaxations — nothing was sent, so no estimate can ever change;
 			// under faults it also waits out in-flight deliveries.
 			res.deadlockAt(step)
-			break
-		}
-		if cfg.Target > 0 && res.Final().ResNorm <= cfg.Target {
 			break
 		}
 	}

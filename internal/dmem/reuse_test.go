@@ -259,11 +259,22 @@ func solveCost(f func()) (mallocs, bytes uint64) {
 	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
+var allocSink []byte
+
+// classBytes is what one n-byte allocation costs: n rounded up to the
+// allocator's size class.
+func classBytes(n uint64) uint64 {
+	_, bytes := solveCost(func() { allocSink = make([]byte, n) })
+	allocSink = nil
+	return bytes
+}
+
 // TestSolveReuseAllocCeiling: a solve on a parked state allocates only what
 // escapes to the caller — the solution vector (8·N bytes), the step history
-// and the active-set histogram, each made once at its final size — plus the
-// result and the method's phase closures: at most 40 mallocs, and the bytes
-// of exactly those, with 4 KiB for the result, the closures and X's page
+// (one allocation of StepStats records, budgeted at its size class) and the
+// active-set histogram, each made once at its final size — plus the result
+// and the method's phase closures: at most 40 mallocs, and the bytes of
+// exactly those, with 4 KiB for the result, the closures and X's page
 // rounding (1.6–2.8 KiB measured). A run that stops early keeps its
 // history's unused capacity (the watchdog stops pb16 within a few steps),
 // and that is budgeted too. The 300-step row is pointload2k's budget, where
@@ -292,7 +303,7 @@ func TestSolveReuseAllocCeiling(t *testing.T) {
 		var res *Result
 		mallocs, bytes := solveCost(func() { res = row.run(s, b, x, cfg) })
 		unused := uint64(row.steps + 1 - len(res.History)) // stopped early: History's capacity is the step budget
-		history := (uint64(len(res.History))+unused)*stepStats + 8*uint64(len(res.ActiveHist))
+		history := classBytes((uint64(len(res.History))+unused)*stepStats) + 8*uint64(len(res.ActiveHist))
 		if limit := uint64(8*s.Layout.A.N) + history + slack; mallocs > 40 || bytes > limit {
 			t.Errorf("%s: solve on the parked state made %d mallocs / %d bytes, want ≤ 40 / ≤ %d", row.name, mallocs, bytes, limit)
 		}

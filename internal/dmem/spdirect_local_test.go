@@ -90,9 +90,9 @@ func compareSparseFactors(t *testing.T, w, p int, a, b *spdirect.Factor) {
 }
 
 // TestSparseLocalMatchesDenseOnSuiteBlocks checks the sparse LDLᵀ factor
-// against a dense LU of the same block, on the actual subdomain diagonal
-// blocks of real suite matrices — the exact inputs LocalDirect sees in
-// production, boundary-truncated rows and all. Both are exact solvers, so
+// against a dense Cholesky factor of the same block, on the actual
+// subdomain diagonal blocks of real suite matrices — the exact inputs
+// LocalDirect sees in production, boundary-truncated rows and all, all SPD. Both are exact solvers, so
 // their solutions must agree to roundoff.
 func TestSparseLocalMatchesDenseOnSuiteBlocks(t *testing.T) {
 	if testing.Short() {
@@ -117,7 +117,7 @@ func TestSparseLocalMatchesDenseOnSuiteBlocks(t *testing.T) {
 					dm.Set(i, int(col[k]), val[k])
 				}
 			}
-			lu, err := dense.FactorLU(dm)
+			ch, err := dense.FactorCholesky(dm)
 			if err != nil {
 				t.Fatalf("%s rank %d: dense factorization failed: %v", name, p, err)
 			}
@@ -127,7 +127,7 @@ func TestSparseLocalMatchesDenseOnSuiteBlocks(t *testing.T) {
 			}
 			xs, xd := make([]float64, m), make([]float64, m)
 			f.SolveWith(b, xs, make([]float64, m))
-			lu.Solve(b, xd)
+			ch.Solve(b, xd)
 			scale := 0.0
 			for i := range xd {
 				if v := math.Abs(xd[i]); v > scale {

@@ -131,9 +131,9 @@ func TestTraceGolden(t *testing.T) {
 }
 
 // shardsOf splits a recorder's retained events into the control track and
-// one track per rank, each in emit order.
-func shardsOf(rec *obs.Recorder) (control []obs.Event, ranks [][]obs.Event) {
-	ranks = make([][]obs.Event, rec.Ranks())
+// one track per rank of p, each in emit order.
+func shardsOf(rec *obs.Recorder, p int) (control []obs.Event, ranks [][]obs.Event) {
+	ranks = make([][]obs.Event, p)
 	for _, e := range rec.Events() {
 		if e.Rank == obs.ControlRank {
 			control = append(control, e)
@@ -196,8 +196,8 @@ func TestActiveTraceIsDenseTraceMinusSleepers(t *testing.T) {
 					t.Fatalf("the plan held no message back: %+v", active.Stats)
 				}
 
-				dctl, dranks := shardsOf(drec)
-				actl, aranks := shardsOf(arec)
+				dctl, dranks := shardsOf(drec, p)
+				actl, aranks := shardsOf(arec, p)
 				var kept []obs.Event
 				for _, e := range actl {
 					if e.Kind != obs.KindActiveSet {

@@ -147,9 +147,6 @@ func New(nx int, smoother Smoother) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Levels returns the number of grids in the hierarchy.
-func (h *Hierarchy) Levels() int { return len(h.levels) }
-
 // VCycle performs one V(1,1) cycle on the finest level, updating x.
 func (h *Hierarchy) VCycle(b, x []float64) {
 	h.cycle(0, b, x)

@@ -20,8 +20,8 @@ func TestNewValidatesGridSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Levels() != 3 { // 15 -> 7 -> 3
-		t.Errorf("levels = %d, want 3", h.Levels())
+	if len(h.levels) != 3 { // 15 -> 7 -> 3
+		t.Errorf("levels = %d, want 3", len(h.levels))
 	}
 }
 
@@ -133,8 +133,8 @@ func TestDistSWSmootherExactBudget(t *testing.T) {
 	tr := solvers.DistributedSouthwell(a, b, x, solvers.Options{
 		MaxRelax: budget, ExactBudget: true, Seed: 3,
 	})
-	if tr.TotalRelaxations() != budget {
-		t.Errorf("relaxations = %d, want exactly %d", tr.TotalRelaxations(), budget)
+	if tr.Final().CumRelax != budget {
+		t.Errorf("relaxations = %d, want exactly %d", tr.Final().CumRelax, budget)
 	}
 }
 

@@ -290,14 +290,6 @@ func (r *Recorder) SetPool(ps parallel.PoolStats) {
 	r.pool = ps
 }
 
-// Ranks returns the number of rank tracks (excluding the control track).
-func (r *Recorder) Ranks() int {
-	if r == nil {
-		return 0
-	}
-	return r.ranks
-}
-
 // shardFor maps an event rank to its shard index: out-of-range ranks
 // (including ControlRank) land on the control shard.
 func (r *Recorder) shardFor(rank int32) int {

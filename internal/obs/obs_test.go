@@ -32,9 +32,8 @@ func TestNilSafety(t *testing.T) {
 	r.Emit(put(0, 1)) // must not panic
 	r.SetLabel("x")
 	r.SetPool(parallel.PoolStats{Regions: 1})
-	if r.Ranks() != 0 || r.Dropped() != 0 || r.Events() != nil {
-		t.Errorf("nil recorder leaks state: ranks=%d dropped=%d events=%v",
-			r.Ranks(), r.Dropped(), r.Events())
+	if r.Dropped() != 0 || r.Events() != nil {
+		t.Errorf("nil recorder leaks state: dropped=%d events=%v", r.Dropped(), r.Events())
 	}
 	if got := r.Tally(0); got != (RankTally{}) {
 		t.Errorf("nil recorder tally: %+v", got)

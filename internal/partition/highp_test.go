@@ -24,7 +24,7 @@ func samePart(a, b []int) bool {
 func TestPartitionPartsEqualRows(t *testing.T) {
 	a := problem.Poisson2D(6, 6)
 	part := Partition(a, a.N, Options{Seed: 1})
-	if err := Validate(part, a.N, a.N); err != nil {
+	if err := validate(part, a.N, a.N); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range part {
@@ -35,9 +35,8 @@ func TestPartitionPartsEqualRows(t *testing.T) {
 }
 
 // TestPartitionPartsExceedRows: k > n must not panic; the result is the
-// deterministic identity assignment with parts n..k-1 empty (which
-// Validate reports, so layers that need k non-empty parts still reject it
-// with an error rather than a crash).
+// deterministic identity assignment with parts n..k-1 empty, which
+// validate reports.
 func TestPartitionPartsExceedRows(t *testing.T) {
 	a := problem.Poisson2D(5, 5)
 	k := a.N + 7
@@ -51,8 +50,8 @@ func TestPartitionPartsExceedRows(t *testing.T) {
 			t.Fatalf("row %d got part %d, want identity", i, p)
 		}
 	}
-	if err := Validate(p1, a.N, k); err == nil {
-		t.Error("Validate accepted a partition with necessarily-empty parts")
+	if err := validate(p1, a.N, k); err == nil {
+		t.Error("validate accepted a partition with necessarily-empty parts")
 	}
 }
 
@@ -64,7 +63,7 @@ func TestPartitionNearRowCountNonEmpty(t *testing.T) {
 	for _, k := range []int{50, 60, 63} {
 		for seed := int64(0); seed < 4; seed++ {
 			part := Partition(a, k, Options{Seed: seed})
-			if err := Validate(part, a.N, k); err != nil {
+			if err := validate(part, a.N, k); err != nil {
 				t.Fatalf("k=%d seed=%d: %v", k, seed, err)
 			}
 			again := Partition(a, k, Options{Seed: seed})
@@ -94,7 +93,7 @@ func TestPartitionP8192OnSuiteMatrices(t *testing.T) {
 			t.Fatalf("%s: suite matrix has %d rows, need > %d for this test", name, a.N, k)
 		}
 		part := Partition(a, k, Options{Seed: 0})
-		if err := Validate(part, a.N, k); err != nil {
+		if err := validate(part, a.N, k); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		again := Partition(ent.Gen(), k, Options{Seed: 0})

@@ -105,8 +105,7 @@ func Partition(a *sparse.CSR, k int, opts Options) []int {
 		// At least as many parts as rows: the multilevel scheme cannot give
 		// every part a vertex, and its recursion would strand arbitrary
 		// parts empty. Deterministic degenerate answer instead: row i →
-		// part i. For k > a.N parts a.N..k-1 necessarily stay empty;
-		// Validate reports them to callers that require k non-empty parts.
+		// part i. For k > a.N parts a.N..k-1 necessarily stay empty.
 		for i := range part {
 			part[i] = i
 		}
@@ -541,23 +540,8 @@ func refine(g *graph, side, other, noGain []int32, frac float64) {
 	}
 }
 
-// Block returns the contiguous block partition: rows split into k nearly
-// equal ranges in natural order (the paper's δ offsets for structured
-// cases and a baseline for the multilevel partitioner).
-func Block(n, k int) []int {
-	part := make([]int, n)
-	for i := 0; i < n; i++ {
-		part[i] = i * k / n
-		if part[i] >= k {
-			part[i] = k - 1
-		}
-	}
-	return part
-}
-
 // Stats summarizes partition quality.
 type Stats struct {
-	K         int
 	MinSize   int
 	MaxSize   int
 	AvgSize   float64
@@ -572,7 +556,7 @@ func Quality(a *sparse.CSR, part []int, k int) Stats {
 	for _, p := range part {
 		sizes[p]++
 	}
-	s := Stats{K: k, MinSize: a.N, MaxSize: 0}
+	s := Stats{MinSize: a.N, MaxSize: 0}
 	for _, sz := range sizes {
 		if sz < s.MinSize {
 			s.MinSize = sz
@@ -597,26 +581,4 @@ func Quality(a *sparse.CSR, part []int, k int) Stats {
 		}
 	}
 	return s
-}
-
-// Validate checks that part assigns every row a part id in [0, k) and that
-// every part is non-empty; it returns an error describing the first
-// violation.
-func Validate(part []int, n, k int) error {
-	if len(part) != n {
-		return fmt.Errorf("partition: length %d, want %d", len(part), n)
-	}
-	seen := make([]bool, k)
-	for i, p := range part {
-		if p < 0 || p >= k {
-			return fmt.Errorf("partition: row %d has part %d, want [0,%d)", i, p, k)
-		}
-		seen[p] = true
-	}
-	for p, ok := range seen {
-		if !ok {
-			return fmt.Errorf("partition: part %d is empty", p)
-		}
-	}
-	return nil
 }

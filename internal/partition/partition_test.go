@@ -1,24 +1,12 @@
 package partition
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"southwell/internal/problem"
 )
-
-func TestBlockPartition(t *testing.T) {
-	part := Block(10, 3)
-	if err := Validate(part, 10, 3); err != nil {
-		t.Fatal(err)
-	}
-	// Monotone non-decreasing part ids for contiguous blocks.
-	for i := 1; i < len(part); i++ {
-		if part[i] < part[i-1] {
-			t.Fatal("block partition not contiguous")
-		}
-	}
-}
 
 // TestGrid2DPartition pins Quality on a partition whose cut is known by
 // hand: an 8x8 grid in four 4x4 quadrants.
@@ -27,7 +15,7 @@ func TestGrid2DPartition(t *testing.T) {
 	for i := range part {
 		part[i] = (i/8)/4*2 + (i%8)/4
 	}
-	if err := Validate(part, 64, 4); err != nil {
+	if err := validate(part, 64, 4); err != nil {
 		t.Fatal(err)
 	}
 	a := problem.Poisson2D(8, 8)
@@ -45,7 +33,7 @@ func TestMultilevelOnGrid(t *testing.T) {
 	a := problem.Poisson2D(30, 30)
 	for _, k := range []int{2, 4, 7, 16} {
 		part := Partition(a, k, Options{Seed: 1})
-		if err := Validate(part, a.N, k); err != nil {
+		if err := validate(part, a.N, k); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		st := Quality(a, part, k)
@@ -100,13 +88,13 @@ func TestPartitionDeterministicForSeed(t *testing.T) {
 }
 
 func TestValidateCatchesErrors(t *testing.T) {
-	if err := Validate([]int{0, 1}, 3, 2); err == nil {
+	if err := validate([]int{0, 1}, 3, 2); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if err := Validate([]int{0, 5, 1}, 3, 2); err == nil {
+	if err := validate([]int{0, 5, 1}, 3, 2); err == nil {
 		t.Error("out-of-range part accepted")
 	}
-	if err := Validate([]int{0, 0, 0}, 3, 2); err == nil {
+	if err := validate([]int{0, 0, 0}, 3, 2); err == nil {
 		t.Error("empty part accepted")
 	}
 }
@@ -116,7 +104,7 @@ func TestQuickPartitionAlwaysValidBalanced(t *testing.T) {
 		k := 2 + int(seed%7+7)%7
 		a := problem.FEM2D(12, 0.25, seed)
 		part := Partition(a, k, Options{Seed: seed})
-		if Validate(part, a.N, k) != nil {
+		if validate(part, a.N, k) != nil {
 			return false
 		}
 		st := Quality(a, part, k)
@@ -125,4 +113,26 @@ func TestQuickPartitionAlwaysValidBalanced(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+}
+
+// validate checks that part assigns every row a part id in [0, k) and that
+// every part is non-empty; it returns an error describing the first
+// violation.
+func validate(part []int, n, k int) error {
+	if len(part) != n {
+		return fmt.Errorf("partition: length %d, want %d", len(part), n)
+	}
+	seen := make([]bool, k)
+	for i, p := range part {
+		if p < 0 || p >= k {
+			return fmt.Errorf("partition: row %d has part %d, want [0,%d)", i, p, k)
+		}
+		seen[p] = true
+	}
+	for p, ok := range seen {
+		if !ok {
+			return fmt.Errorf("partition: part %d is empty", p)
+		}
+	}
+	return nil
 }

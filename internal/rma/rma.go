@@ -61,10 +61,11 @@ import (
 // using a world after Close is a programming error, and fails loudly.
 var ErrClosed = errors.New("rma: world used after Close")
 
-// Sched and its two values are accepted and ignored since PR 19, which
-// removed the neighborhood-epoch scheduler (DESIGN.md §13): every phase
-// ends in the one global barrier. They exist only because benchmarks/e2e
-// names them, and go with its ds_nbr_mc variant in the next benchmark PR.
+// Sched and its two values are accepted and ignored: the neighborhood-epoch
+// scheduler they selected is gone (CHANGES.md records its removal), and
+// every phase ends in the one global barrier. They exist only because
+// benchmarks/e2e names them, and go with its ds_nbr_mc variant in the next
+// benchmark change.
 type Sched uint8
 
 const (

@@ -112,9 +112,9 @@ func TestParallelSouthwellTracksSequential(t *testing.T) {
 		t.Errorf("ParSW %g too far behind SW %g", ps.Final().ResNorm, sw.Final().ResNorm)
 	}
 	// And it must use far fewer parallel steps than relaxations.
-	if ps.NumSteps() >= ps.TotalRelaxations()/2 {
+	if ps.NumSteps() >= ps.Final().CumRelax/2 {
 		t.Errorf("ParSW parallelism too low: %d steps for %d relaxations",
-			ps.NumSteps(), ps.TotalRelaxations())
+			ps.NumSteps(), ps.Final().CumRelax)
 	}
 }
 
@@ -233,8 +233,8 @@ func TestDistSWMoreActiveThanParSW(t *testing.T) {
 	x2 := append([]float64(nil), x1...)
 	ds := DistributedSouthwell(a, b, x1, Options{MaxRelax: 2 * a.N})
 	ps := ParallelSouthwell(a, b, x2, Options{MaxRelax: 2 * a.N})
-	dsPerStep := float64(ds.TotalRelaxations()) / float64(ds.NumSteps())
-	psPerStep := float64(ps.TotalRelaxations()) / float64(ps.NumSteps())
+	dsPerStep := float64(ds.Final().CumRelax) / float64(ds.NumSteps())
+	psPerStep := float64(ps.Final().CumRelax) / float64(ps.NumSteps())
 	if dsPerStep <= psPerStep {
 		t.Errorf("DistSW %f relax/step should exceed ParSW %f", dsPerStep, psPerStep)
 	}
@@ -247,7 +247,7 @@ func TestDistSWNoDeadlock(t *testing.T) {
 	b, x := testSystem(t, a, 9)
 	tr := DistributedSouthwell(a, b, x, Options{MaxRelax: 200 * a.N, TargetNorm: 1e-6})
 	if tr.Final().ResNorm > 1e-6 {
-		t.Fatalf("did not reach 1e-6: %g after %d relaxations", tr.Final().ResNorm, tr.TotalRelaxations())
+		t.Fatalf("did not reach 1e-6: %g after %d relaxations", tr.Final().ResNorm, tr.Final().CumRelax)
 	}
 	if tr.Final().SolveMsgs == 0 {
 		t.Error("no solve messages counted")
@@ -277,8 +277,8 @@ func TestMulticolorGSStepsMatchColors(t *testing.T) {
 	if tr.NumSteps() < 3 || tr.NumSteps() > 9 {
 		t.Errorf("steps per sweep = %d, want the color count (3..9)", tr.NumSteps())
 	}
-	if tr.TotalRelaxations() < a.N {
-		t.Errorf("sweep incomplete: %d of %d", tr.TotalRelaxations(), a.N)
+	if tr.Final().CumRelax < a.N {
+		t.Errorf("sweep incomplete: %d of %d", tr.Final().CumRelax, a.N)
 	}
 }
 

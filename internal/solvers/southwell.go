@@ -1,11 +1,30 @@
 package solvers
 
 import (
+	"container/heap"
 	"math"
 
-	"southwell/internal/pqueue"
 	"southwell/internal/sparse"
 )
+
+// maxHeap orders the rows by priority, largest first: keys is the heap of
+// row ids and pos[i] is row i's index in it, so a changed prio[i] is
+// restored with heap.Fix(h, h.pos[i]). Every row stays in the heap; Push and
+// Pop only complete heap.Interface.
+type maxHeap struct {
+	prio []float64
+	keys []int
+	pos  []int
+}
+
+func (h *maxHeap) Len() int           { return len(h.keys) }
+func (h *maxHeap) Less(i, j int) bool { return h.prio[h.keys[i]] > h.prio[h.keys[j]] }
+func (h *maxHeap) Swap(i, j int) {
+	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
+	h.pos[h.keys[i]], h.pos[h.keys[j]] = i, j
+}
+func (h *maxHeap) Push(any) { panic("solvers: maxHeap holds every row") }
+func (h *maxHeap) Pop() any { panic("solvers: maxHeap holds every row") }
 
 // SequentialSouthwell runs the (Gauss-)Southwell method: each step relaxes
 // the single row with the largest |r_i| (§2.2). The max is tracked with an
@@ -15,21 +34,22 @@ func SequentialSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 	tr := &Trace{Method: "SW"}
 	n := a.N
 	s := newState(a, b, x)
-	prio := make([]float64, n)
+	h := &maxHeap{prio: make([]float64, n), keys: make([]int, n), pos: make([]int, n)}
 	for i, v := range s.r {
-		prio[i] = math.Abs(v)
+		h.prio[i], h.keys[i], h.pos[i] = math.Abs(v), i, i
 	}
-	h := pqueue.New(prio)
+	heap.Init(h)
 	for {
-		i, p := h.Max()
-		if p == 0 {
+		i := h.keys[0]
+		if h.prio[i] == 0 {
 			// Residual exactly zero: nothing to relax.
 			return tr
 		}
 		s.relaxRow(i)
 		cols, _ := a.Row(i)
 		for _, j := range cols {
-			h.Update(int(j), math.Abs(s.r[j]))
+			h.prio[j] = math.Abs(s.r[j])
+			heap.Fix(h, h.pos[j])
 		}
 		rec := StepRecord{Step: len(tr.Steps) + 1, Relaxations: 1, CumRelax: s.relax, ResNorm: s.norm()}
 		tr.Steps = append(tr.Steps, rec)

@@ -45,9 +45,6 @@ func (t *Trace) Final() StepRecord {
 	return t.Steps[len(t.Steps)-1]
 }
 
-// TotalRelaxations returns the cumulative relaxation count.
-func (t *Trace) TotalRelaxations() int { return t.Final().CumRelax }
-
 // NumSteps returns the number of parallel steps taken.
 func (t *Trace) NumSteps() int { return len(t.Steps) }
 

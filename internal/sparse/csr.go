@@ -244,16 +244,3 @@ func (a *CSR) Validate() error {
 	}
 	return nil
 }
-
-// Neighbors returns the off-diagonal column indices of row i, i.e. the
-// neighborhood N_i of the paper, as a freshly allocated slice.
-func (a *CSR) Neighbors(i int) []int32 {
-	cols, _ := a.Row(i)
-	out := make([]int32, 0, len(cols))
-	for _, j := range cols {
-		if int(j) != i {
-			out = append(out, j)
-		}
-	}
-	return out
-}

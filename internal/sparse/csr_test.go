@@ -258,9 +258,6 @@ func TestVecHelpers(t *testing.T) {
 	if Norm2(x) != 5 {
 		t.Errorf("Norm2 = %g", Norm2(x))
 	}
-	if NormInf(x) != 4 {
-		t.Errorf("NormInf = %g", NormInf(x))
-	}
 	y := []float64{1, 1}
 	if Dot(x, y) != -1 {
 		t.Errorf("Dot = %g", Dot(x, y))
@@ -299,9 +296,9 @@ func TestNormalizeResidual(t *testing.T) {
 
 func TestNeighborsAndDegrees(t *testing.T) {
 	a := tridiag(5)
-	nb := a.Neighbors(2)
-	if len(nb) != 2 || nb[0] != 1 || nb[1] != 3 {
-		t.Errorf("Neighbors(2) = %v", nb)
+	cols, _ := a.Row(2)
+	if len(cols) != 3 || cols[0] != 1 || cols[1] != 2 || cols[2] != 3 {
+		t.Errorf("Row(2) columns = %v, want [1 2 3]", cols)
 	}
 }
 

@@ -122,20 +122,3 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	}
 	return a, nil
 }
-
-// WriteMatrixMarket writes the matrix in "coordinate real general" format.
-func WriteMatrixMarket(w io.Writer, a *CSR) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", a.N, a.N, a.NNZ()); err != nil {
-		return err
-	}
-	for i := 0; i < a.N; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			if _, err := fmt.Fprintf(bw, "%d %d %.17g\n", i+1, a.Col[k]+1, a.Val[k]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -12,17 +12,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(SumSquares(x))
 }
 
-// NormInf returns the maximum absolute entry of x.
-func NormInf(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Dot returns the inner product of x and y.
 func Dot(x, y []float64) float64 {
 	s := 0.0

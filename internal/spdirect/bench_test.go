@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"southwell/internal/dense"
 	"southwell/internal/problem"
 	"southwell/internal/sparse"
 	"southwell/internal/spdirect"
@@ -43,7 +42,7 @@ func benchSetup(tb testing.TB) (*sparse.CSR, *spdirect.Factor, []float64, []floa
 // BenchmarkLDL measures the sparse LDLᵀ pipeline on the 4356-row block:
 // the one-time Factorize and the steady-state SolveWith. allocs_op of both
 // is asserted by TestLDLAllocGate; ns_op demonstrates the sparse win over
-// BenchmarkDenseLU.
+// BenchmarkDenseLU (internal/dense).
 func BenchmarkLDL(b *testing.B) {
 	a, f, rhs, x := benchSetup(b)
 	b.Run("Factorize", func(b *testing.B) {
@@ -59,39 +58,6 @@ func BenchmarkLDL(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			f.SolveWith(rhs, x, y)
-		}
-	})
-}
-
-// BenchmarkDenseLU is the dense baseline on the same 4356-row block: what
-// the old LocalDirect backend paid per block. Factor is O(n³) and takes
-// tens of seconds at this size, so this benchmark is excluded from `make
-// alloc-gates` (which filters on BenchmarkLDL); run it explicitly to
-// reproduce the ~220x comparison quoted in DESIGN.md §10.
-func BenchmarkDenseLU(b *testing.B) {
-	a, _, rhs, x := benchSetup(b)
-	dm := denseFromCSR(a)
-	var lu *dense.LU
-	b.Run("Factor", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if lu, err = dense.FactorLU(dm); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	if lu == nil {
-		var err error
-		if lu, err = dense.FactorLU(dm); err != nil {
-			b.Fatal(err)
-		}
-	}
-	y := make([]float64, a.N)
-	b.Run("Solve", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			lu.SolveWith(rhs, x, y)
 		}
 	})
 }

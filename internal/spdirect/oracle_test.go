@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"southwell/internal/dmem"
 	"southwell/internal/partition"
 	"southwell/internal/problem"
 	"southwell/internal/sparse"
@@ -51,26 +50,35 @@ func direct64Blocks(tb testing.TB) []block {
 			return
 		}
 		const ranks = 64
-		var l *dmem.Layout
-		l, direct64.err = dmem.NewLayout(a, partition.Partition(a, ranks, partition.Options{Seed: 1}), ranks)
-		if direct64.err != nil {
-			return
+		part := partition.Partition(a, ranks, partition.Options{Seed: 1})
+		local := make([]int32, a.N) // a row's index within its part
+		blocks := make([]block, ranks)
+		for p := range blocks {
+			blocks[p] = block{name: "direct64-rank" + strconv.Itoa(p), rowPtr: []int32{0}}
 		}
-		for p := range l.P {
-			rd := l.Rank(p)
-			m := rd.M()
-			bl := block{name: "direct64-rank" + strconv.Itoa(p), n: m, rowPtr: make([]int32, m+1)}
-			for li := 0; li < m; li++ {
-				bl.col = append(bl.col, int32(li))
-				bl.val = append(bl.val, rd.Diag[li])
-				for k := rd.LocPtr[li]; k < rd.LocPtr[li+1]; k++ {
-					bl.col = append(bl.col, int32(rd.LocCol[k]))
-					bl.val = append(bl.val, rd.LocVal[k])
+		for i, p := range part {
+			bl := &blocks[p]
+			local[i] = int32(bl.n)
+			bl.n++
+		}
+		for i, p := range part {
+			bl := &blocks[p]
+			d := len(bl.col)
+			bl.col = append(bl.col, local[i])
+			bl.val = append(bl.val, 0)
+			cols, vals := a.Row(i)
+			for k, j := range cols {
+				switch {
+				case int(j) == i:
+					bl.val[d] = vals[k]
+				case part[j] == p:
+					bl.col = append(bl.col, local[j])
+					bl.val = append(bl.val, vals[k])
 				}
-				bl.rowPtr[li+1] = int32(len(bl.col))
 			}
-			direct64.blocks = append(direct64.blocks, bl)
+			bl.rowPtr = append(bl.rowPtr, int32(len(bl.col)))
 		}
+		direct64.blocks = blocks
 	})
 	if direct64.err != nil {
 		tb.Fatal(direct64.err)

@@ -18,7 +18,7 @@ func denseFromCSR(a *sparse.CSR) *dense.Matrix {
 	for i := 0; i < a.N; i++ {
 		cols, vals := a.Row(i)
 		for k, c := range cols {
-			m.Add(i, int(c), vals[k])
+			m.Set(i, int(c), vals[k])
 		}
 	}
 	return m
@@ -72,14 +72,15 @@ func factor(t *testing.T, a *sparse.CSR, natural bool) *spdirect.Factor {
 }
 
 // solveBoth factors a with both spdirect (under RCM, or the natural
-// ordering) and dense LU and solves for the same right-hand side, returning
-// the two solutions.
+// ordering) and dense Cholesky, which is exact on the SPD input Factorize
+// accepts, and solves for the same right-hand side, returning the two
+// solutions.
 func solveBoth(t *testing.T, a *sparse.CSR, natural bool, seed int64) (sp, dn []float64) {
 	t.Helper()
 	f := factor(t, a, natural)
-	lu, err := dense.FactorLU(denseFromCSR(a))
+	ch, err := dense.FactorCholesky(denseFromCSR(a))
 	if err != nil {
-		t.Fatalf("dense.FactorLU: %v", err)
+		t.Fatalf("dense.FactorCholesky: %v", err)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := make([]float64, a.N)
@@ -89,7 +90,7 @@ func solveBoth(t *testing.T, a *sparse.CSR, natural bool, seed int64) (sp, dn []
 	sp = make([]float64, a.N)
 	dn = make([]float64, a.N)
 	f.SolveWith(b, sp, make([]float64, a.N))
-	lu.Solve(b, dn)
+	ch.Solve(b, dn)
 	return sp, dn
 }
 
@@ -112,7 +113,7 @@ func maxRelDiff(x, y []float64) float64 {
 
 // TestMatchesDenseOnRandomSPD is the headline property test: on random
 // SPD blocks of varied size and density, the sparse LDLᵀ solve and the
-// dense LU solve agree to near machine precision, under both orderings.
+// dense Cholesky solve agree to near machine precision, under both orderings.
 func TestMatchesDenseOnRandomSPD(t *testing.T) {
 	cases := []struct {
 		n, deg int
