@@ -156,7 +156,10 @@ bench-smoke:
 # smoother built on scalar Distributed Southwell). The IDENTITY_SMALL lines
 # are a many-small-parts run (ranks of about six rows, single-neighbor
 # ranks), the shape the exchange plans are laid out for; with -loc_solver
-# direct that line pins the sparse local solver on blocks that small. Then
+# direct that line pins the sparse local solver on blocks that small. The
+# IDENTITY_WIDE line is the benchmark's wide4k shape (4096 ranks of about
+# four rows, 203 329 ghost slots, each initialized through its owner's
+# boundary rows). Then
 # come a pinned run's whole trace export (~1.3 MB; pinned, so no rank sleeps
 # and every event is part of the contract), the -quick scaling study (it
 # reads DIFFERS against a parent whose scaling still printed host
@@ -167,6 +170,7 @@ bench-smoke:
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
 IDENTITY_SOLVE = -mat msdoor -n 64 -sweep_max 15
 IDENTITY_SMALL = -mat msdoor -n 1024 -sweep_max 5
+IDENTITY_WIDE = -mat Flan_1565 -n 4096 -sweep_max 5
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<checkout of the parent commit>"; exit 2; }
 	@set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
@@ -188,6 +192,7 @@ identity:
 		"dsouthwell $(IDENTITY_SMALL)" \
 		"dsouthwell $(IDENTITY_SMALL) -chaos 0.3" \
 		"dsouthwell $(IDENTITY_SMALL) -loc_solver direct" \
+		"dsouthwell $(IDENTITY_WIDE)" \
 		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout" \
 		"benchtables -quick scaling" \
 		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3 -active=false -trace /dev/stdout" \

@@ -51,10 +51,21 @@ func suiteMatrix(t testing.TB, name string) *sparse.CSR {
 }
 
 // TestLayoutExchangePlansMatch is the layout contract the message path rests
-// on: a rank's ext range for neighbor q lists exactly q's boundary rows toward
-// it, in q's order, so a message body needs no index. Checked from both sides
-// on a grid, on a suite matrix and on the benchmark's wide4k shape (parts of
-// 1-7 rows, single-neighbor ranks).
+// on, stated from A and the part vector alone. For every rank p and neighbor
+// position j, with q = nbrs(p)[j]:
+//
+//   - the slot a solve files p's messages to q under (the run state's
+//     payload.slot) is p's position in q's neighbor list;
+//   - the global ids behind p's ghost row j — q's boundary rows toward p at
+//     that slot, through q's rows — are {g : part[g] = q, some row of p
+//     couples to g}, ascending, one per slot of the ghost row;
+//   - p's ext slots number those rows in that order: every external entry
+//     of p's rows names the slot of its column;
+//   - a reset ghost layer holds b − Ax at those rows, bit for bit.
+//
+// So a message body needs no index, and the plans can be recomputed from A
+// and the part vector. Checked on a grid, on a suite matrix and on the
+// benchmark's wide4k shape (parts of 1-7 rows, single-neighbor ranks).
 func TestLayoutExchangePlansMatch(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -65,27 +76,71 @@ func TestLayoutExchangePlansMatch(t *testing.T) {
 		{"Flan_1565/256", suiteMatrix(t, "Flan_1565"), 256},
 		{"Flan_1565/4096", suiteMatrix(t, "Flan_1565"), 4096},
 	} {
-		s, _, _ := buildCase(t, c.a, c.p, 1)
-		l := s.Layout
-		for p := range l.P {
-			for k := l.nbrOff[p]; k < l.nbrOff[p+1]; k++ {
-				q := int(l.nbrs[k])
-				jq, ok := slices.BinarySearch(l.neighbors(q), int32(p))
-				if !ok {
-					t.Fatalf("%s: neighbor relation not symmetric: %d -> %d", c.name, p, q)
+		part := partition.Partition(c.a, c.p, partition.Options{Seed: 1})
+		l, err := NewLayout(c.a, part, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSetup(l, LocalGS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := newRunState(s)
+		b, x := problem.ZeroBSystem(c.a, 1)
+		st.reset(b, x, Config{}, stepSpec{})
+		res := make([]float64, c.a.N)
+		c.a.Residual(b, x, res)
+		// keys[p]: owner<<32 | global id of every row outside p that a row
+		// of p couples to, sorted and distinct.
+		keys := make([][]int64, c.p)
+		for g := range c.a.N {
+			p := part[g]
+			cols, _ := c.a.Row(g)
+			for _, col := range cols {
+				if q := part[col]; q != p {
+					keys[p] = append(keys[p], int64(q)<<32|int64(col))
 				}
-				// The rows I hold deltas and ghosts for (q-owned) are exactly
-				// q's boundary rows toward me, in the same order; q's view of
-				// my rows is checked when the loop reaches (q, p).
-				kq := int(l.nbrOff[q]) + jq
-				ext, bnd := l.extGlob[l.nbrExtOff[k]:l.nbrExtOff[k+1]], l.myRows[l.nbrBndOff[kq]:l.nbrBndOff[kq+1]]
-				if len(ext) != len(bnd) {
-					t.Fatalf("%s: plan size mismatch %d->%d: %d ext rows vs %d boundary rows", c.name, p, q, len(ext), len(bnd))
+			}
+		}
+		for p := range c.p {
+			slices.Sort(keys[p])
+			want := slices.Compact(keys[p])
+			rs, behind := st.states[p], make([]int32, 0, len(want)) // behind[s]: the row behind ext slot s
+			for j, q := range l.neighbors(p) {
+				slot := rs.solve[j].slot
+				if rs.res[j].slot != slot || slot < 0 || int(slot) >= len(l.neighbors(int(q))) || l.neighbors(int(q))[slot] != int32(p) {
+					t.Fatalf("%s: rank %d files its messages to rank %d under slots %d/%d, want its position in %v",
+						c.name, p, q, slot, rs.res[j].slot, l.neighbors(int(q)))
 				}
-				for i, g := range ext {
-					if g != l.rows(q)[bnd[i]] {
-						t.Fatalf("%s: plan order mismatch %d->%d at %d", c.name, p, q, i)
+				ghosts := l.ghostRows(p, j, slot)
+				if z, _ := rs.ghost(j); len(z) != len(ghosts) {
+					t.Fatalf("%s: rank %d's ghost row of rank %d has %d slots for %d rows", c.name, p, q, len(z), len(ghosts))
+				}
+				behind = append(behind, ghosts...)
+			}
+			if len(behind) != len(want) {
+				t.Fatalf("%s: rank %d ghosts %d rows, A couples it to %d", c.name, p, len(behind), len(want))
+			}
+			for e, key := range want {
+				if behind[e] != int32(key) {
+					t.Fatalf("%s: rank %d's ext slot %d stands for row %d, want row %d of rank %d",
+						c.name, p, e, behind[e], int32(key), key>>32)
+				}
+				if math.Float64bits(rs.z[e]) != math.Float64bits(res[int32(key)]) {
+					t.Fatalf("%s: rank %d's ghost of row %d reset to %g, its residual is %g", c.name, p, int32(key), rs.z[e], res[int32(key)])
+				}
+			}
+			for i := l.rowOff[p]; i < l.rowOff[p+1]; i++ {
+				cols, _ := c.a.Row(int(l.glob[i]))
+				ext := l.extCol[l.extPtr[i]:l.extPtr[i+1]]
+				for _, col := range cols {
+					if part[col] == p {
+						continue
 					}
+					if len(ext) == 0 || behind[ext[0]] != col {
+						t.Fatalf("%s: rank %d: an external entry of row %d does not name column %d's slot", c.name, p, l.glob[i], col)
+					}
+					ext = ext[1:]
 				}
 			}
 		}
@@ -108,14 +163,23 @@ func TestLayoutRejectsBadPartition(t *testing.T) {
 	}
 }
 
-// asymmetricLayouts are structurally asymmetric matrices over two ranks,
-// one per check in addressRank, with the error NewLayout must return.
+// asymmetricLayouts are structurally asymmetric matrices over the ranks part
+// names, one per check in addressRank, with the error NewLayout must return.
 var asymmetricLayouts = []struct {
 	name string
 	a    *sparse.CSR
 	part []int
 	want string
 }{
+	{
+		// Rank 2 couples into ranks 0 and 1, only rank 1 couples back. The
+		// walk must pass rank 0 in rank 2's list when rank 1 visits it, and
+		// report the pair (2, 0), as a search per pair does, not (1, 2).
+		name: "skip", part: []int{0, 1, 2},
+		a: &sparse.CSR{N: 3, RowPtr: []int32{0, 1, 3, 6}, Col: []int32{0, 1, 2, 0, 1, 2},
+			Val: []float64{1, 1, 0.5, 0.5, 0.5, 1}},
+		want: "dmem: asymmetric coupling: rank 2 couples into rank 0 but not back",
+	},
 	{
 		// Row 0 reaches rank 1's row; nothing of rank 1 reaches rank 0.
 		name: "rank", part: []int{0, 1},
@@ -148,7 +212,7 @@ func TestLayoutRejectsAsymmetricCoupling(t *testing.T) {
 		if err := tc.a.Validate(); err != nil {
 			t.Fatalf("%s: the test matrix itself is malformed: %v", tc.name, err)
 		}
-		if _, err := NewLayout(tc.a, tc.part, 2); err == nil || err.Error() != tc.want {
+		if _, err := NewLayout(tc.a, tc.part, slices.Max(tc.part)+1); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: NewLayout error %v, want %q", tc.name, err, tc.want)
 		}
 	}

@@ -35,13 +35,18 @@ import (
 // range of each kind that rank p holds:
 //
 //	rows       [rowOff[p], rowOff[p+1])  glob, diag, locPtr, extPtr
-//	neighbors  [nbrOff[p], nbrOff[p+1])  nbrs, slotInNbr, nbrExtOff, nbrBndOff
-//	ext slots  [extOff[p], extOff[p+1])  extGlob
+//	neighbors  [nbrOff[p], nbrOff[p+1])  nbrs, nbrExtOff, nbrBndOff
+//	ext slots  [extOff[p], extOff[p+1])  (numbered only: z and extDelta in the run state)
 //	boundary   [bndOff[p], bndOff[p+1])  myRows
 //
 // so a rank is an index, there is no per-rank header, and the layout's size
-// is what its ranks hold. Every index is 32 bits wide: NewLayout refuses a
-// matrix whose n or nnz reaches 2³¹ (each flat total is at most nnz).
+// is what its ranks hold. Each exchange plan is stored once, on the sending
+// side (myRows): the rows behind a rank's ext slots are its neighbors'
+// boundary rows toward it, and the slot under which a neighbor files it is
+// its position in that neighbor's ascending list, which the run state
+// assigns in one walk over the ranks. Every index is 32 bits wide:
+// NewLayout refuses a matrix whose n or nnz reaches 2³¹ (each flat total is
+// at most nnz).
 type Layout struct {
 	A *sparse.CSR
 	P int
@@ -71,30 +76,26 @@ type Layout struct {
 
 	// Neighbors. Position k of rank p, k in [nbrOff[p], nbrOff[p+1]), is
 	// its (k − nbrOff[p])-th neighbor in ascending rank order: nbrs[k] is
-	// that rank and slotInNbr[k] is p's position among the neighbor's own —
-	// the index under which the neighbor files what p sends it.
-	nbrs, slotInNbr []int32
+	// that rank.
+	nbrs []int32
 
 	// Exchange plans, one contiguous range per neighbor position k, both in
-	// ascending global row order — so the ext range of neighbor q here and
-	// the boundary range of this rank on q list the same rows in the same
-	// order, and a message body needs no index. extGlob[nbrExtOff[k]:
-	// nbrExtOff[k+1]]: the global ids of the ext rows neighbor k owns; ext
-	// slots are numbered in this order, so the ghost layer z and extDelta
+	// ascending global row order. [nbrExtOff[k], nbrExtOff[k+1]): the ext
+	// slots of the rows neighbor k owns, so the ghost layer z and extDelta
 	// hold one row per neighbor that a body is copied in and out of.
 	// myRows[nbrBndOff[k]:nbrBndOff[k+1]]: the local rows that couple into
-	// neighbor k (the boundary points β it ghosts). Both offset arrays have
-	// one entry per neighbor position plus one: the ranges tile the arrays.
+	// neighbor k (the boundary points β it ghosts). The ext range of
+	// neighbor q here and the boundary range of this rank on q list the same
+	// rows in the same order, so a message body needs no index and the rows
+	// behind an ext range are read from the owner's boundary range. Both
+	// offset arrays have one entry per neighbor position plus one: the
+	// ranges tile their ranks' ranges.
 	nbrExtOff, nbrBndOff []int32
-	extGlob              []int32
 	myRows               []int32
 }
 
 // rows returns the global ids of rank p's rows, ascending.
 func (l *Layout) rows(p int) []int32 { return l.glob[l.rowOff[p]:l.rowOff[p+1]] }
-
-// neighbors returns rank p's neighbor ranks, ascending.
-func (l *Layout) neighbors(p int) []int32 { return l.nbrs[l.nbrOff[p]:l.nbrOff[p+1]] }
 
 // localBlock returns rank p's diagonal and its rows' local-coupling
 // pointers into locCol/locVal: the diagonal block A_pp.
@@ -118,12 +119,12 @@ func fitsIndex(what string, n int) error {
 //
 // It makes two passes over the ranks, so every array is allocated once at
 // its exact size: the first counts what each rank holds, the second fills
-// the flat arrays at the offsets the counts give. A third pass addresses
-// the exchange plans across ranks. Ranks are independent within a pass
-// (each writes only its own ranges from the read-only matrix and
-// partition), so rank blocks fan out over the shared pool; block boundaries
-// never influence the output, so the layout is identical for any worker
-// count.
+// the flat arrays at the offsets the counts give. Ranks are independent
+// within these passes (each writes only its own ranges from the read-only
+// matrix and partition), so rank blocks fan out over the shared pool; block
+// boundaries never influence the output, so the layout is identical for any
+// worker count. A third pass, one walk over every (rank, neighbor) pair,
+// checks that the exchange plans pair up across ranks.
 func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	if err := fitsIndex("n", a.N); err != nil {
 		return nil, err
@@ -150,7 +151,7 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		l.rowOff[pr+1] += l.rowOff[pr]
 	}
 	// Rows in rank order, a counting sort of the partition; local[g] is
-	// global row g's index within its owner.
+	// global row g's index within its owner. next is pass 3's cursor later.
 	l.glob = make([]int32, a.N)
 	local := make([]int32, a.N)
 	next := slices.Clone(l.rowOff[:p])
@@ -187,37 +188,35 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		l.bndOff[pr+1] += l.bndOff[pr]
 	}
 
-	// Pass 2: fill.
+	// Pass 2: fill. extGlob, the global ids behind every ext slot, is what
+	// pass 3 checks the owners' boundary rows against; no solve reads it, so
+	// it dies with this call.
 	nLoc, nExt, nNbr := l.locPtr[a.N], l.extPtr[a.N], l.nbrOff[p]
 	l.diag = make([]float64, a.N)
 	l.locCol, l.locVal = make([]uint32, nLoc), make([]float64, nLoc)
 	l.extCol, l.extVal = make([]uint32, nExt), make([]float64, nExt)
-	l.nbrs, l.slotInNbr = make([]int32, nNbr), make([]int32, nNbr)
+	l.nbrs = make([]int32, nNbr)
 	l.nbrExtOff, l.nbrBndOff = make([]int32, nNbr+1), make([]int32, nNbr+1)
-	l.extGlob, l.myRows = make([]int32, l.extOff[p]), make([]int32, l.bndOff[p])
+	l.myRows = make([]int32, l.bndOff[p])
+	extGlob := make([]int32, l.extOff[p])
 	task.F = func(b int) {
 		sc := &scratch[b]
 		nbrBuf := make([]int32, 2*sc.maxSlots) // a rank has at most as many neighbors as ext slots
 		sc.pos, sc.extNbr, sc.lastRow = make([]int32, a.N), nbrBuf[:sc.maxSlots], nbrBuf[sc.maxSlots:]
 		sc.keys = make([]int64, 0, sc.maxSlots)
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
-			l.fillRank(part, local, pr, sc)
+			l.fillRank(part, local, extGlob, pr, sc)
 		}
 	}
 	parallel.Default().Run(&task, nb)
 
-	// Pass 3: cross-rank slot addressing (needs every rank's neighbors and
-	// ext rows). A block stops at its first error and the lowest block's
-	// wins, so the error reported is the lowest rank's, deterministically.
-	errs := make([]error, nb)
-	task.F = func(b int) {
-		for pr := blocks[b].Lo; pr < blocks[b].Hi && errs[b] == nil; pr++ {
-			errs[b] = l.addressRank(pr)
-		}
-	}
-	parallel.Default().Run(&task, nb)
-	for _, err := range errs {
-		if err != nil {
+	// Pass 3: the plans pair up (needs every rank's neighbors and ext rows).
+	// One walk in rank order, cur[q] being where it stands in q's neighbors,
+	// so the error reported is the first pair's, deterministically.
+	cur := next
+	copy(cur, l.nbrOff[:p])
+	for pr := range p {
+		if err := l.addressRank(pr, cur, extGlob); err != nil {
 			return nil, err
 		}
 	}
@@ -292,7 +291,7 @@ func (l *Layout) countRank(part []int, pr int, sc *layoutScratch) {
 // they are grouped by owner and ascending within one, and the owners met on
 // the way are the neighbor ranks; the boundary rows out of a counting sort
 // by neighbor position, in which rows arrive in ascending order.
-func (l *Layout) fillRank(part []int, local []int32, pr int, sc *layoutScratch) {
+func (l *Layout) fillRank(part []int, local, extGlob []int32, pr int, sc *layoutScratch) {
 	r0, r1 := l.rowOff[pr], l.rowOff[pr+1]
 	n0, n1, e0, b0 := l.nbrOff[pr], l.nbrOff[pr+1], l.extOff[pr], l.bndOff[pr]
 	sc.stamp++
@@ -314,7 +313,7 @@ func (l *Layout) fillRank(part []int, local []int32, pr int, sc *layoutScratch) 
 			l.nbrs[nk] = int32(key >> 32)
 		}
 		g := int32(uint32(key))
-		l.extGlob[e0+int32(e)], sc.pos[g], sc.extNbr[e] = g, int32(e), nk-n0
+		extGlob[e0+int32(e)], sc.pos[g], sc.extNbr[e] = g, int32(e), nk-n0
 		l.nbrExtOff[nk+1] = e0 + int32(e) + 1
 	}
 
@@ -368,28 +367,40 @@ func (l *Layout) fillRank(part []int, local []int32, pr int, sc *layoutScratch) 
 	}
 }
 
-// addressRank finds rank pr's slot among each neighbor's neighbors and
-// checks that every coupling is returned: the exchange plans pair up only
-// on a structurally symmetric matrix.
-func (l *Layout) addressRank(pr int) error {
+// addressRank checks that every coupling of rank pr is returned: the
+// exchange plans pair up only on a structurally symmetric matrix. Ranks are
+// visited in ascending order and visit their neighbors q in ascending order,
+// so pr's position in q's list is where q's cursor stands once it has passed
+// the lower ranks q lists that did not list q back (their error comes when q
+// is visited); q's ghosts of pr's rows and pr's boundary rows toward q are
+// both ascending, so they pair up in one merge.
+func (l *Layout) addressRank(pr int, cur, extGlob []int32) error {
 	glob := l.rows(pr)
 	for k := l.nbrOff[pr]; k < l.nbrOff[pr+1]; k++ {
-		q := int(l.nbrs[k])
-		slot, ok := slices.BinarySearch(l.neighbors(q), int32(pr))
-		if !ok {
+		q := l.nbrs[k]
+		kq, end := cur[q], l.nbrOff[q+1]
+		for kq < end && l.nbrs[kq] < int32(pr) {
+			kq++
+		}
+		if kq == end || l.nbrs[kq] != int32(pr) {
 			return fmt.Errorf("dmem: asymmetric coupling: rank %d couples into rank %d but not back", pr, q)
 		}
-		l.slotInNbr[k] = int32(slot)
-		kq := int(l.nbrOff[q]) + slot
-		mine := l.extGlob[l.nbrExtOff[kq]:l.nbrExtOff[kq+1]] // q's ghosts of this rank's rows, ascending
+		cur[q] = kq + 1
+		mine := extGlob[l.nbrExtOff[kq]:l.nbrExtOff[kq+1]] // q's ghosts of this rank's rows, ascending
 		bnd := l.myRows[l.nbrBndOff[k]:l.nbrBndOff[k+1]]
 		if len(mine) > len(bnd) {
 			return fmt.Errorf("dmem: asymmetric coupling: rank %d ghosts %d rows of rank %d but only %d couple into it", q, len(mine), pr, len(bnd))
 		}
+		m := 0
 		for _, li := range bnd {
-			if _, ok := slices.BinarySearch(mine, glob[li]); !ok {
-				return fmt.Errorf("dmem: asymmetric coupling: row %d couples into rank %d but not back", glob[li], q)
+			g := glob[li]
+			for m < len(mine) && mine[m] < g {
+				m++
 			}
+			if m == len(mine) || mine[m] != g {
+				return fmt.Errorf("dmem: asymmetric coupling: row %d couples into rank %d but not back", g, q)
+			}
+			m++
 		}
 	}
 	return nil

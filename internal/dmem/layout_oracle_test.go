@@ -331,8 +331,8 @@ func TestLayoutMatchesOldLayout(t *testing.T) {
 	}
 
 	for _, tc := range asymmetricLayouts {
-		_, err := NewLayout(tc.a, tc.part, 2)
-		_, oldErr := oldNewLayout(tc.a, tc.part, 2)
+		_, err := NewLayout(tc.a, tc.part, slices.Max(tc.part)+1)
+		_, oldErr := oldNewLayout(tc.a, tc.part, slices.Max(tc.part)+1)
 		if err == nil || oldErr == nil || err.Error() != oldErr.Error() {
 			t.Errorf("%s: NewLayout error %v, the old layout's %v", tc.name, err, oldErr)
 		}

@@ -88,7 +88,7 @@ type payload struct {
 	norm    float64
 	estRecv float64
 	seq     int32 // sender sequence number (stale-estimate guard; see seqSeen)
-	slot    int32 // the sender's position among the receiver's neighbors (Layout.slotInNbr)
+	slot    int32 // the sender's position among the receiver's neighbors (newRunState assigns it)
 }
 
 // CloneMessage deep-copies the body for the fault layer: the sender rewrites

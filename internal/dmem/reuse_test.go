@@ -354,7 +354,9 @@ func liveHeap() uint64 {
 // layout retains — the live heap after a GC, minus before — on the
 // benchmark's four shapes. The literals were measured at pool width 1, plus
 // 2 %. The per-rank layout this replaced made 13 mallocs per rank and
-// retained 6.48 / 11.57 / 7.10 / 6.08 MB on those shapes.
+// retained 6.48 / 11.57 / 7.10 / 6.08 MB on those shapes; the flat one
+// retained 5.62 / 8.33 / 5.15 / 5.35 MB while it also kept the ext slots'
+// global ids and every rank's slot in its neighbors' lists.
 func TestLayoutAllocCeiling(t *testing.T) {
 	defer parallel.SetDefaultWorkers(parallel.Default().Workers())
 	parallel.SetDefaultWorkers(1)
@@ -364,7 +366,7 @@ func TestLayoutAllocCeiling(t *testing.T) {
 		a       *sparse.CSR
 		ranks   int
 		ceiling uint64
-	}{{grid, 64, 943_840}, {grid, 256, 1_000_992}, {suiteMatrix(t, "Flan_1565"), 4096, 8_777_440}} {
+	}{{grid, 64, 942_320}, {grid, 256, 994_736}, {suiteMatrix(t, "Flan_1565"), 4096, 8_400_496}} {
 		part := partition.Partition(c.a, c.ranks, partition.Options{Seed: 3})
 		mallocs, bytes := solveCost(func() {
 			if _, err := NewLayout(c.a, part, c.ranks); err != nil {
@@ -375,7 +377,7 @@ func TestLayoutAllocCeiling(t *testing.T) {
 			t.Errorf("P=%d: NewLayout made %d mallocs / %d bytes, want ≤ %d / ≤ %d (+2%%)", c.ranks, mallocs, bytes, maxMallocs, c.ceiling)
 		}
 	}
-	ceilings := map[string]uint64{"suite256": 5_616_832, "wide4k": 8_331_712, "pointload2k": 5_153_216, "direct64": 5_346_880}
+	ceilings := map[string]uint64{"suite256": 5_379_232, "wide4k": 7_135_112, "pointload2k": 4_890_488, "direct64": 5_228_536}
 	for _, c := range e2eShapes() {
 		h0 := liveHeap()
 		l, err := NewLayout(c.a, c.part, c.p)
@@ -386,6 +388,31 @@ func TestLayoutAllocCeiling(t *testing.T) {
 		runtime.KeepAlive(l)
 		if ceiling := ceilings[c.name]; kept > ceiling+ceiling/50 {
 			t.Errorf("%s: a layout retains %d bytes, want ≤ %d (+2%%)", c.name, kept, ceiling)
+		}
+	}
+}
+
+// TestLayoutRetainedAllocCeiling: what a layout keeps, counted array by
+// array — every slice field of Layout at its capacity, so a field added
+// back is counted without touching this test — on the benchmark's four
+// shapes, at most the measured bytes + 1 %. Before each exchange plan was
+// stored once (no ext slots' global ids, no slots in the neighbors' lists)
+// the same sum read 5 575 200 / 8 249 928 / 5 072 368 / 5 313 848.
+func TestLayoutRetainedAllocCeiling(t *testing.T) {
+	ceilings := map[string]int{"suite256": 5_342_752, "wide4k": 7_066_292, "pointload2k": 4_824_536, "direct64": 5_198_572}
+	for _, c := range e2eShapes() {
+		l, err := NewLayout(c.a, c.part, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, kept := reflect.ValueOf(l).Elem(), 0
+		for i := range v.NumField() {
+			if f := v.Field(i); f.Kind() == reflect.Slice {
+				kept += f.Cap() * int(f.Type().Elem().Size())
+			}
+		}
+		if ceiling := ceilings[c.name]; kept > ceiling+ceiling/100 {
+			t.Errorf("%s: the layout's arrays hold %d bytes, want ≤ %d (+1%%)", c.name, kept, ceiling)
 		}
 	}
 }

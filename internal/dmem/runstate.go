@@ -14,7 +14,7 @@ type runState struct {
 	w      *rma.World
 	states []*rankState
 	eng    stepEngine
-	rGlob  []float64 // reset scratch: b − Ax
+	rGlob  []float64 // reset scratch: b − Ax, then the same values in rank order
 	norms  []float64 // local norms in rank order: norm2 of it is the global norm
 	// seqSeen and sentTo back every rank's slices of that name.
 	seqSeen []int32
@@ -56,6 +56,11 @@ func newRunState(s *Setup) *runState {
 	e := &st.eng
 	e.w, e.states = st.w, st.states
 	e.list, e.inSet, e.sawMail, e.idleDeg = make([]int32, p), make([]bool, p), make([]bool, p), make([]float64, p)
+	// Slots: ranks are visited in ascending order and each visits its
+	// neighbors in ascending order, so rank pr's position in neighbor q's
+	// list (NewLayout checked that it is there) is the count of ranks that
+	// visited q before it, cur[q]. e.list is the counter: reset rewrites it.
+	cur := e.list
 	for pr := range p {
 		r0, n0, e0 := l.rowOff[pr], l.nbrOff[pr], l.extOff[pr]
 		m, deg, ext := int(l.rowOff[pr+1]-r0), int(l.nbrOff[pr+1]-n0), int(l.extOff[pr+1]-e0)
@@ -68,12 +73,13 @@ func newRunState(s *Setup) *runState {
 			seqSeen: st.seqSeen[lo:hi:hi], sentTo: st.sentTo[lo:hi:hi],
 			solve: takeBodies(deg), res: takeBodies(deg),
 		}
-		for j := range deg {
-			k := lo + j
+		for j, q := range rs.nbrs() {
+			k, slot := lo+j, cur[q]
+			cur[q]++
 			nBnd := int(l.nbrBndOff[k+1] - l.nbrBndOff[k])
 			_, delta := rs.ghost(j)
-			rs.solve[j] = payload{deltas: delta[:len(delta):len(delta)], bnd: take(nBnd), slot: l.slotInNbr[k]}
-			rs.res[j] = payload{bnd: take(nBnd), slot: l.slotInNbr[k]}
+			rs.solve[j] = payload{deltas: delta[:len(delta):len(delta)], bnd: take(nBnd), slot: slot}
+			rs.res[j] = payload{bnd: take(nBnd), slot: slot}
 		}
 		if s.factors != nil {
 			rs.direct.f, rs.direct.scratch = s.factors[pr], take(m)
@@ -100,20 +106,35 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 			rs.x[li] = x[g]
 			rs.r[li] = st.rGlob[g]
 		}
-		for k, g := range l.extGlob[rs.ext0:][:len(rs.z)] {
-			rs.z[k] = st.rGlob[g]
-		}
 		rs.norm = rs.computeNorm()
 		st.norms[p] = rs.norm
 		rs.relaxed, rs.gotMsg, rs.starved, rs.starveStamp = false, false, 0, 0
-		e.list[p], e.inSet[p], e.sawMail[p] = int32(p), true, false // step 1 runs every rank: no hold has been observed yet
+		e.inSet[p], e.sawMail[p] = true, false
+	}
+	// Ghost rows, from rGlob in rank order: ghost row j of a rank holds
+	// neighbor q's boundary rows toward it, in q's order — the next range of
+	// q's myRows, since ranks are visited in ascending order (newRunState's
+	// slot walk), cur[q] being where it starts. Two loads a ghost slot.
+	cur := e.list
+	for p, rs := range st.states {
+		copy(st.rGlob[l.rowOff[p]:], rs.r)
+		cur[p] = l.bndOff[p]
 	}
 	for _, rs := range st.states {
 		for j, q := range rs.nbrs() {
-			rs.gamma[j] = st.states[q].norm
+			rs.gamma[j] = st.norms[q]
 			rs.gammaTilde[j] = rs.norm
+			z, _ := rs.ghost(j)
+			r, src := st.rGlob[l.rowOff[q]:], l.myRows[cur[q]:][:len(z)]
+			cur[q] += int32(len(z))
+			for i, li := range src {
+				z[i] = r[li]
+			}
 		}
 		rs.lastTold = rs.norm
+	}
+	for p := range e.list {
+		e.list[p] = int32(p) // step 1 runs every rank: no hold has been observed yet
 	}
 	clear(st.seqSeen)
 	clear(st.sentTo)

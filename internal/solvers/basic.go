@@ -18,7 +18,7 @@ func Jacobi(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 	diag := a.Diag()
 	dx := make([]float64, n)
 	adx := make([]float64, n)
-	for step := 1; ; step++ {
+	for step := 1; !opt.reached(s.norm()); step++ {
 		for i := 0; i < n; i++ {
 			dx[i] = s.r[i] / diag[i]
 			x[i] += dx[i]
@@ -36,6 +36,7 @@ func Jacobi(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 			return tr
 		}
 	}
+	return tr
 }
 
 // GaussSeidel runs the Gauss-Seidel method in natural row order. Every
@@ -47,6 +48,9 @@ func GaussSeidel(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 	s := newState(a, b, x)
 	for {
 		for i := 0; i < n; i++ {
+			if opt.reached(s.norm()) {
+				return tr
+			}
 			s.relaxRow(i)
 			rec := StepRecord{Step: len(tr.Steps) + 1, Relaxations: 1, CumRelax: s.relax, ResNorm: s.norm()}
 			tr.Steps = append(tr.Steps, rec)
@@ -75,6 +79,9 @@ func MulticolorGSWith(a *sparse.CSR, b, x []float64, c color.Coloring, opt Optio
 		for _, class := range classes {
 			if len(class) == 0 {
 				continue
+			}
+			if opt.reached(s.norm()) {
+				return tr
 			}
 			for _, i := range class {
 				s.relaxRow(i)

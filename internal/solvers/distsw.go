@@ -93,7 +93,7 @@ func mirrors(a *sparse.CSR) []int32 {
 func DistributedSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 	tr := &Trace{Method: "Dist SW"}
 	d := newDistSW(a, b, x, opt)
-	for {
+	for !opt.reached(d.norm()) {
 		relaxed := d.step()
 		// No relaxation was possible: either converged, or stagnated while
 		// estimates were being corrected. Continue only if estimates
@@ -115,6 +115,7 @@ func DistributedSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 			return tr
 		}
 	}
+	return tr
 }
 
 // step runs one parallel step and returns the number of rows it relaxed.

@@ -294,6 +294,33 @@ func TestTargetNormStopsEarly(t *testing.T) {
 	}
 }
 
+// TestStartAtTargetRunsNoStep: every scalar method checks its target before
+// each step, the first included — a solve whose initial residual already
+// meets TargetNorm records no step and leaves x as it was, and one that
+// starts above it stops at the first step that meets it.
+func TestStartAtTargetRunsNoStep(t *testing.T) {
+	for name, run := range allMethods() {
+		a := problem.Poisson2D(10, 10)
+		b, x := testSystem(t, a, 1)
+		x0 := append([]float64(nil), x...)
+		if tr := run(a, b, x, Options{MaxRelax: 5 * a.N, TargetNorm: 1e300}); tr.NumSteps() != 0 {
+			t.Errorf("%s: %d steps from a start at the target, want 0", name, tr.NumSteps())
+		}
+		for i := range x0 {
+			if math.Float64bits(x[i]) != math.Float64bits(x0[i]) {
+				t.Fatalf("%s: x[%d] moved from %g to %g", name, i, x0[i], x[i])
+			}
+		}
+		target := 0.5 * exactNorm(a, b, x)
+		tr := run(a, b, x, Options{MaxRelax: 50 * a.N, TargetNorm: target})
+		for k, rec := range tr.Steps {
+			if last := k == len(tr.Steps)-1; last != (rec.ResNorm <= target) {
+				t.Errorf("%s: step %d of %d has norm %g against target %g", name, rec.Step, len(tr.Steps), rec.ResNorm, target)
+			}
+		}
+	}
+}
+
 func TestSequentialSouthwellAlwaysRelaxesMax(t *testing.T) {
 	a := problem.Poisson2D(8, 8)
 	b, x := testSystem(t, a, 13)

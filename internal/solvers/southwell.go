@@ -39,7 +39,7 @@ func SequentialSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 		h.prio[i], h.keys[i], h.pos[i] = math.Abs(v), i, i
 	}
 	heap.Init(h)
-	for {
+	for !opt.reached(s.norm()) {
 		i := h.keys[0]
 		if h.prio[i] == 0 {
 			// Residual exactly zero: nothing to relax.
@@ -57,6 +57,7 @@ func SequentialSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 			return tr
 		}
 	}
+	return tr
 }
 
 // parallelSouthwellCriterion reports whether row i should relax given its
@@ -82,7 +83,7 @@ func ParallelSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 	n := a.N
 	s := newState(a, b, x)
 	selected := make([]int, 0, n)
-	for {
+	for !opt.reached(s.norm()) {
 		selected = selected[:0]
 		for i := 0; i < n; i++ {
 			ri := math.Abs(s.r[i])
@@ -124,4 +125,5 @@ func ParallelSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 			return tr
 		}
 	}
+	return tr
 }

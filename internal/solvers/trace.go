@@ -66,7 +66,9 @@ type Options struct {
 	MaxRelax int
 	// MaxSteps stops after this many parallel steps (0 = no limit).
 	MaxSteps int
-	// TargetNorm stops once ‖r‖₂ <= TargetNorm (0 = no target).
+	// TargetNorm stops once ‖r‖₂ <= TargetNorm (0 = no target). It is
+	// checked before every step, the first included, so a solve that starts
+	// at or below its target relaxes nothing and records no step.
 	TargetNorm float64
 	// ExactBudget makes parallel Southwell-type methods hit MaxRelax
 	// exactly: in the final parallel step a random subset of the selected
@@ -83,17 +85,16 @@ func (o Options) maxRelax(n int) int {
 	return n
 }
 
+// done reports whether the step just recorded spent a budget: relaxations
+// or steps. The target is reached's, asked before the next step.
 func (o Options) done(rec StepRecord, n int) bool {
-	if rec.CumRelax >= o.maxRelax(n) {
-		return true
-	}
-	if o.MaxSteps > 0 && rec.Step >= o.MaxSteps {
-		return true
-	}
-	if o.TargetNorm > 0 && rec.ResNorm <= o.TargetNorm {
-		return true
-	}
-	return false
+	return rec.CumRelax >= o.maxRelax(n) || o.MaxSteps > 0 && rec.Step >= o.MaxSteps
+}
+
+// reached reports whether a residual norm meets the target; every scalar
+// loop asks it before each step, the first included.
+func (o Options) reached(norm float64) bool {
+	return o.TargetNorm > 0 && norm <= o.TargetNorm
 }
 
 // state carries the vectors every scalar solver updates.

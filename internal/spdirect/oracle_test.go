@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -290,6 +291,39 @@ func permHash(perms ...[]int32) string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRCMOrderMatchesReference: the neighborhoods RCM walks, ordered
+// by counting, equal what the per-row comparison sort made of them — so the
+// permutation is the same function of them — on the 64 direct64 blocks, the
+// disconnected block and random patterns outside Factorize's contract:
+// asymmetric, with duplicate entries, self-loops and unsorted rows.
+func TestRCMOrderMatchesReference(t *testing.T) {
+	pats := []block{disconnectedBlock()}
+	pats = append(pats, direct64Blocks(t)...)
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 7, 40, 200} {
+		for range 4 {
+			rowPtr, col := make([]int32, n+1), []int32{}
+			for i := range n {
+				for range rng.Intn(6) {
+					col = append(col, int32(rng.Intn(n)))
+				}
+				if rng.Intn(3) == 0 && len(col) > 0 { // a duplicate entry
+					col = append(col, col[len(col)-1])
+				}
+				rowPtr[i+1] = int32(len(col))
+			}
+			pats = append(pats, block{rowPtr: rowPtr, col: col})
+		}
+	}
+	for k, bl := range pats {
+		deg, adjPtr, adj := spdirect.Neighborhoods(bl.rowPtr, bl.col)
+		wantDeg, wantPtr, wantAdj := spdirect.NeighborhoodsRef(bl.rowPtr, bl.col)
+		if !slices.Equal(deg, wantDeg) || !slices.Equal(adjPtr, wantPtr) || !slices.Equal(adj, wantAdj) {
+			t.Fatalf("pattern %d (%s): neighborhoods %v, the reference's %v", k, bl.name, adj, wantAdj)
+		}
+	}
 }
 
 // TestRCMPermGolden pins the reverse Cuthill-McKee permutation: every factor

@@ -12,41 +12,7 @@ import "slices"
 // structure.
 func rcmPerm(rowPtr, col []int32) []int32 {
 	n := len(rowPtr) - 1
-	deg := make([]int32, n)
-	for i := range deg {
-		for _, c := range col[rowPtr[i]:rowPtr[i+1]] {
-			if int(c) != i {
-				deg[i]++
-			}
-		}
-	}
-	// Adjacency copy with each neighborhood sorted by (degree, id): the
-	// Cuthill-McKee visit order. Sorting once here keeps the BFS loops
-	// comparison-free. The keys are unique within a row, so the order is a
-	// total one and any correct sort yields the same permutation; byDegree
-	// captures only deg, once, so no row allocates.
-	adjPtr := make([]int32, n+1)
-	for i, d := range deg {
-		adjPtr[i+1] = adjPtr[i] + d
-	}
-	adj := make([]int32, adjPtr[n])
-	byDegree := func(a, b int32) int {
-		if deg[a] != deg[b] {
-			return int(deg[a]) - int(deg[b])
-		}
-		return int(a) - int(b)
-	}
-	for i := range deg {
-		w := adjPtr[i]
-		for _, c := range col[rowPtr[i]:rowPtr[i+1]] {
-			if int(c) != i {
-				adj[w] = c
-				w++
-			}
-		}
-		slices.SortFunc(adj[adjPtr[i]:adjPtr[i+1]], byDegree)
-	}
-
+	deg, adjPtr, adj := neighborhoods(rowPtr, col)
 	perm := make([]int32, 0, n)
 	visited := make([]bool, n)
 	// BFS scratch of pseudoPeripheral, owned here so a block of many
@@ -88,6 +54,76 @@ func rcmPerm(rowPtr, col []int32) []int32 {
 	// component order, which is harmless (no cross-component fill).
 	slices.Reverse(perm)
 	return perm
+}
+
+// neighborhoods returns each node's degree (its entries off the diagonal)
+// and a copy of the pattern without the diagonal, adj[adjPtr[i]:adjPtr[i+1]]
+// row i's entries in (degree, id) order: the Cuthill-McKee visit order,
+// which keeps the BFS loops comparison-free.
+func neighborhoods(rowPtr, col []int32) (deg, adjPtr, adj []int32) {
+	n := len(rowPtr) - 1
+	deg = make([]int32, n)
+	var maxDeg, nnz int32
+	for i := range deg {
+		for _, c := range col[rowPtr[i]:rowPtr[i+1]] {
+			if int(c) != i {
+				deg[i]++
+			}
+		}
+		maxDeg, nnz = max(maxDeg, deg[i]), nnz+deg[i]
+	}
+	// The copy is a transpose of a transpose, each a counting pass and a
+	// fill: tRow lists, per node, the rows that list it (once per entry);
+	// then the nodes, walked in (degree, id) order (a counting sort by
+	// degree, stable in id), are appended to those rows. The keys are unique
+	// per node, so every row comes out as a sort by them would leave it,
+	// duplicate entries adjacent — in O(n + nnz) whatever the pattern.
+	// adjPtr, adj and the counting scratch are one allocation.
+	slab := make([]int32, 2*(n+1)+2*int(nnz)+2*n+int(maxDeg)+2)
+	cut := func(k int) []int32 {
+		out := slab[:k:k]
+		slab = slab[k:]
+		return out
+	}
+	adjPtr, adj = cut(n+1), cut(int(nnz))
+	tPtr, tRow := cut(n+1), cut(int(nnz))
+	order, next, count := cut(n), cut(n), cut(int(maxDeg)+2)
+	for i, d := range deg {
+		adjPtr[i+1] = adjPtr[i] + d
+		count[d+1]++
+		for _, c := range col[rowPtr[i]:rowPtr[i+1]] {
+			if int(c) != i {
+				tPtr[c+1]++
+			}
+		}
+	}
+	for d := range maxDeg + 1 {
+		count[d+1] += count[d]
+	}
+	for v, d := range deg {
+		order[count[d]] = int32(v)
+		count[d]++
+	}
+	for v := range n {
+		tPtr[v+1] += tPtr[v]
+	}
+	copy(next, tPtr[:n])
+	for i := range n {
+		for _, c := range col[rowPtr[i]:rowPtr[i+1]] {
+			if int(c) != i {
+				tRow[next[c]] = int32(i)
+				next[c]++
+			}
+		}
+	}
+	copy(next, adjPtr[:n])
+	for _, v := range order {
+		for _, i := range tRow[tPtr[v]:tPtr[v+1]] {
+			adj[next[i]] = v
+			next[i]++
+		}
+	}
+	return deg, adjPtr, adj
 }
 
 // pseudoPeripheral runs the George-Liu iteration restricted to start's

@@ -1,5 +1,7 @@
 package spdirect
 
+import "slices"
+
 // Reference oracles: the numeric loops exactly as they were written before
 // the kernels moved their operands into locals (DESIGN.md §10, "Kernel
 // form"). They index through the factor on every nonzero, which is slow and
@@ -105,9 +107,47 @@ func numericPasses(rowPtr, col []int32, val []float64) (fGot, fWant *Factor, got
 // given ordering, for the tests that compare RCM against the natural one;
 // Perm and ColPtr read the ordering and L's column pointers of a factor.
 var (
-	SolveRef      = (*Factor).solveRef
-	NumericPasses = numericPasses
-	FactorizePerm = factorize
-	Perm          = func(f *Factor) []int32 { return f.perm }
-	ColPtr        = func(f *Factor) []int { return f.lp }
+	SolveRef         = (*Factor).solveRef
+	Neighborhoods    = neighborhoods
+	NeighborhoodsRef = neighborhoodsRef
+	NumericPasses    = numericPasses
+	FactorizePerm    = factorize
+	Perm             = func(f *Factor) []int32 { return f.perm }
+	ColPtr           = func(f *Factor) []int { return f.lp }
 )
+
+// neighborhoodsRef is neighborhoods as it was before it ordered by counting:
+// one slices.SortFunc per row on the key (degree, id).
+func neighborhoodsRef(rowPtr, col []int32) (deg, adjPtr, adj []int32) {
+	n := len(rowPtr) - 1
+	deg = make([]int32, n)
+	for i := range deg {
+		for _, c := range col[rowPtr[i]:rowPtr[i+1]] {
+			if int(c) != i {
+				deg[i]++
+			}
+		}
+	}
+	adjPtr = make([]int32, n+1)
+	for i, d := range deg {
+		adjPtr[i+1] = adjPtr[i] + d
+	}
+	adj = make([]int32, adjPtr[n])
+	byDegree := func(a, b int32) int {
+		if deg[a] != deg[b] {
+			return int(deg[a]) - int(deg[b])
+		}
+		return int(a) - int(b)
+	}
+	for i := range deg {
+		w := adjPtr[i]
+		for _, c := range col[rowPtr[i]:rowPtr[i+1]] {
+			if int(c) != i {
+				adj[w] = c
+				w++
+			}
+		}
+		slices.SortFunc(adj[adjPtr[i]:adjPtr[i+1]], byDegree)
+	}
+	return deg, adjPtr, adj
+}
