@@ -88,8 +88,9 @@ alloc-gates:
 
 # A fuzzing budget of 30 s on top of the committed seeds (testdata/fuzz):
 # FuzzFactorize (spdirect's input contract: no panic, malformed input an
-# error, a non-SPD pivot ErrNotPositiveDefinite, and a diagonally dominant
-# block solved to 1e-10) for 20 s, and FuzzDelayPlan (every method under any
+# error, a non-SPD pivot ErrNotPositiveDefinite, a diagonally dominant
+# block solved to 1e-10, and every factor's solve bit-identical to the
+# reference solve) for 20 s, and FuzzDelayPlan (every method under any
 # delay plan: no panic, finite norms, inline == pool width 2, active ==
 # Dense) for 10 s. FuzzReadMatrixMarket stays seed-only (tier-1 runs its
 # seeds): a legal header may declare 2^31-1 rows, so a -fuzz run could run
@@ -159,7 +160,9 @@ bench-smoke:
 # direct that line pins the sparse local solver on blocks that small. The
 # IDENTITY_WIDE line is the benchmark's wide4k shape (4096 ranks of about
 # four rows, 203 329 ghost slots, each initialized through its owner's
-# boundary rows). Then
+# boundary rows). The IDENTITY_DIRECT line is the benchmark's direct64
+# shape (64 ranks of about 275 rows), whose every sparse factor stores
+# both leading runs and tails of L. Then
 # come a pinned run's whole trace export (~1.3 MB; pinned, so no rank sleeps
 # and every event is part of the contract), the -quick scaling study (it
 # reads DIFFERS against a parent whose scaling still printed host
@@ -171,6 +174,7 @@ IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
 IDENTITY_SOLVE = -mat msdoor -n 64 -sweep_max 15
 IDENTITY_SMALL = -mat msdoor -n 1024 -sweep_max 5
 IDENTITY_WIDE = -mat Flan_1565 -n 4096 -sweep_max 5
+IDENTITY_DIRECT = -mat Flan_1565 -n 64 -sweep_max 15 -loc_solver direct
 identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<checkout of the parent commit>"; exit 2; }
 	@set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
@@ -193,6 +197,7 @@ identity:
 		"dsouthwell $(IDENTITY_SMALL) -chaos 0.3" \
 		"dsouthwell $(IDENTITY_SMALL) -loc_solver direct" \
 		"dsouthwell $(IDENTITY_WIDE)" \
+		"dsouthwell $(IDENTITY_DIRECT)" \
 		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout" \
 		"benchtables -quick scaling" \
 		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3 -active=false -trace /dev/stdout" \

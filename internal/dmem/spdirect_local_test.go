@@ -2,6 +2,7 @@ package dmem
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"southwell/internal/dense"
@@ -71,21 +72,24 @@ func TestLocalFactorWidthInvariant(t *testing.T) {
 	}
 }
 
+// compareSparseFactors compares two factors entry by entry. The pivots come
+// first, for a readable message; then reflect.DeepEqual covers every field,
+// the unexported ordering, column pointers and leading-run lengths
+// included, so the pattern of L is compared whatever form it is stored in.
+// DeepEqual compares float64s with ==, as the pivot loop does.
 func compareSparseFactors(t *testing.T, w, p int, a, b *spdirect.Factor) {
 	t.Helper()
-	if len(a.Li) != len(b.Li) || len(a.D) != len(b.D) {
+	if len(a.D) != len(b.D) {
 		t.Fatalf("width %d rank %d: factor shapes differ", w, p)
-	}
-	for i := range a.Li {
-		if a.Li[i] != b.Li[i] || a.Lx[i] != b.Lx[i] {
-			t.Fatalf("width %d rank %d: L entry %d differs", w, p, i)
-		}
 	}
 	for i := range a.D {
 		if a.D[i] != b.D[i] {
 			t.Fatalf("width %d rank %d: pivot %d differs: %.17g vs %.17g",
 				w, p, i, a.D[i], b.D[i])
 		}
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("width %d rank %d: ordering, pattern or values of L differ", w, p)
 	}
 }
 

@@ -104,7 +104,7 @@ func TestLDLAllocGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nnzL = len(f.Li)
+			nnzL = len(f.Lx)
 		}
 		mallocs := testing.AllocsPerRun(5, factorize)
 		var m0, m1 runtime.MemStats
@@ -117,5 +117,32 @@ func TestLDLAllocGate(t *testing.T) {
 		if mallocs > maxFactorizeMallocs || bytes > maxBytes {
 			t.Errorf("Factorize(%s): %.0f mallocs, %d bytes; ceiling %d mallocs, %d bytes", c.name, mallocs, bytes, maxFactorizeMallocs, maxBytes)
 		}
+	}
+}
+
+// TestFactorRetainedAllocCeiling pins what the 64 direct64 factors keep:
+// every slice of each Factor at capacity, summed. Under RCM most entries of
+// L are the rows directly below the diagonal, stored as a leading-run
+// length instead of one int32 row index each (DESIGN.md §10). The ceiling
+// is the measured total plus 1 %, so the per-entry index cannot quietly
+// return.
+func TestFactorRetainedAllocCeiling(t *testing.T) {
+	const kept = 6_819_320 // bytes
+	const ceiling = kept + kept/100
+	total, nnzL, inRuns := 0, 0, 0
+	for _, bl := range direct64Blocks(t) {
+		f, err := spdirect.Factorize(bl.rowPtr, bl.col, bl.val)
+		if err != nil {
+			t.Fatalf("%s: %v", bl.name, err)
+		}
+		total += spdirect.RetainedBytes(f)
+		nnzL += len(f.Lx)
+		for _, m := range spdirect.Lead(f) {
+			inRuns += int(m)
+		}
+	}
+	t.Logf("direct64 factors keep %d bytes (ceiling %d); %d of nnz(L) = %d entries in leading runs", total, ceiling, inRuns, nnzL)
+	if total > ceiling {
+		t.Errorf("direct64 factors keep %d bytes, ceiling %d", total, ceiling)
 	}
 }

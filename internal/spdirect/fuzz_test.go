@@ -98,17 +98,49 @@ func wellFormed(rowPtr, col []int32, val []float64) bool {
 	return true
 }
 
+// sameAsReference fails unless SolveWith and the reference solve, which
+// reads L expanded to one row index per entry, agree bit for bit in x and y
+// on b = sin(i+1) and on b = +0, −0, +0, … (where the forward zero skip
+// decides the sign of each zero).
+func sameAsReference(t *testing.T, name string, fac *spdirect.Factor, n int) {
+	t.Helper()
+	sin, signed := make([]float64, n), make([]float64, n)
+	for i := range n {
+		sin[i] = math.Sin(float64(i + 1))
+		if i%2 == 1 {
+			signed[i] = math.Copysign(0, -1)
+		}
+	}
+	x, y, xr, yr := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for _, b := range [][]float64{sin, signed} {
+		fac.SolveWith(b, x, y)
+		spdirect.SolveRef(fac, b, xr, yr)
+		if i := sameBits(x, xr); i >= 0 {
+			t.Fatalf("%s: x[%d] = %x, reference %x", name, i, x[i], xr[i])
+		}
+		if i := sameBits(y, yr); i >= 0 {
+			t.Fatalf("%s: y[%d] = %x, reference %x", name, i, y[i], yr[i])
+		}
+	}
+}
+
 // FuzzFactorize: no input panics; a malformed one is a validation error; a
 // well-formed one either factors or fails with ErrNotPositiveDefinite, and
-// must fail so when a diagonal entry is not positive (eᵢᵀAeᵢ = aᵢᵢ); and the
+// must fail so when a diagonal entry is not positive (eᵢᵀAeᵢ = aᵢᵢ); the
 // strictly diagonally dominant variant of a symmetric pattern factors and
-// solves A x = b to 1e-10 relative residual with a finite x. The seeds are
-// the committed corpus in testdata/fuzz/FuzzFactorize.
+// solves A x = b to 1e-10 relative residual with a finite x; and every
+// factor, of the fuzzed values or of that variant, solves bit-identically
+// to the reference solve (sameAsReference). The seeds are the committed
+// corpus in testdata/fuzz/FuzzFactorize: among them a column with an empty
+// leading run and a tail (empty-leading-run), a path, whose every run has
+// length 1 (tridiagonal), n = 1 (one-row), several components, and a
+// column with a run and a tail whose backward sum rounds differently if
+// the tail goes first (run-then-tail).
 func FuzzFactorize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, at int16, to int32) {
 		rowPtr, col, val, dominant := fuzzBlock(data, at, to)
 		n := len(rowPtr) - 1
-		_, err := spdirect.Factorize(rowPtr, col, val)
+		fac, err := spdirect.Factorize(rowPtr, col, val)
 		if !wellFormed(rowPtr, col, val) {
 			if err == nil || errors.Is(err, spdirect.ErrNotPositiveDefinite) {
 				t.Fatalf("malformed rowPtr %v col %v: got %v", rowPtr, col, err)
@@ -117,6 +149,9 @@ func FuzzFactorize(f *testing.F) {
 		}
 		if err != nil && !errors.Is(err, spdirect.ErrNotPositiveDefinite) {
 			t.Fatalf("well-formed input: %v", err)
+		}
+		if err == nil {
+			sameAsReference(t, "fuzzed values", fac, n)
 		}
 		if at != 0 {
 			return // the corruption may have broken symmetry
@@ -127,10 +162,11 @@ func FuzzFactorize(f *testing.F) {
 			}
 		}
 
-		fac, err := spdirect.Factorize(rowPtr, col, dominant)
+		fac, err = spdirect.Factorize(rowPtr, col, dominant)
 		if err != nil {
 			t.Fatalf("diagonally dominant variant: %v", err)
 		}
+		sameAsReference(t, "diagonally dominant variant", fac, n)
 		b, x := make([]float64, n), make([]float64, n)
 		for i := range b {
 			b[i] = math.Sin(float64(i + 1))

@@ -1,16 +1,44 @@
 package spdirect
 
-import "slices"
+import (
+	"reflect"
+	"slices"
+)
 
 // Reference oracles: the numeric loops exactly as they were written before
 // the kernels moved their operands into locals (DESIGN.md §10, "Kernel
 // form"). They index through the factor on every nonzero, which is slow and
 // obviously right; oracle_test.go asserts the production kernels reproduce
 // every output bit. Do not "tidy" these — their value is that they are not
-// the code under test.
+// the code under test. They read L with one row index per entry, as it was
+// stored before the leading runs became lengths: expanded restores that form.
 
-// solveRef is the pre-rewrite (*Factor).SolveWith.
+// rows expands f's leading runs and tails back to the row of every entry
+// of L, in Lx's layout.
+func (f *Factor) rows() []int32 {
+	rows := make([]int32, 0, len(f.Lx))
+	t := 0
+	for i, m := range f.lead {
+		for r := range m {
+			rows = append(rows, int32(i+1)+r)
+		}
+		tail := f.lp[i+1] - f.lp[i] - int(m)
+		rows = append(rows, f.Li[t:t+tail]...)
+		t += tail
+	}
+	return rows
+}
+
+// expanded is f with no leading runs: Li holds the row of every entry.
+func (f *Factor) expanded() *Factor {
+	e := *f
+	e.lead, e.Li = make([]int32, len(f.D)), f.rows()
+	return &e
+}
+
+// solveRef is the pre-rewrite (*Factor).SolveWith, on f's expansion.
 func (f *Factor) solveRef(b, x, y []float64) {
+	f = f.expanded()
 	n := len(f.D)
 	for k := 0; k < n; k++ {
 		y[k] = b[f.perm[k]]
@@ -92,20 +120,39 @@ func (s *symbolic) refactorRef(f *Factor, val []float64) (bad int) {
 }
 
 // numericPasses analyzes a validated block under RCM and runs the production
-// numeric pass and refactorRef on two fresh factors of that pattern. Each
-// factor is partial on failure; got and want are the failing columns (-1:
-// none).
+// numeric pass, then split, and refactorRef on two fresh factors of that
+// pattern. fWant has no leading runs; compare fGot's rows() with its Li.
+// Each factor is partial on failure (split of a partial factor still
+// expands back to what numeric wrote); got and want are the failing
+// columns (-1: none).
 func numericPasses(rowPtr, col []int32, val []float64) (fGot, fWant *Factor, got, want int) {
 	s := analyze(rowPtr, col, rcmPerm(rowPtr, col))
 	fGot, fWant = s.newFactor(), s.newFactor()
 	got, _ = s.numeric(fGot, val)
+	fGot.split()
+	fWant.lead = make([]int32, len(fWant.D))
 	return fGot, fWant, got, s.refactorRef(fWant, val)
+}
+
+// retainedBytes is what f keeps: every field of Factor, each a slice,
+// counted at capacity. It reads the fields by reflection, so a field added
+// to Factor is counted without editing this.
+func retainedBytes(f *Factor) int {
+	v := reflect.ValueOf(f).Elem()
+	total := 0
+	for i := range v.NumField() {
+		fv := v.Field(i)
+		total += fv.Cap() * int(fv.Type().Elem().Size())
+	}
+	return total
 }
 
 // Handles for the external test package (which can import dmem for the
 // direct64 blocks; this package cannot). FactorizePerm is Factorize under a
 // given ordering, for the tests that compare RCM against the natural one;
-// Perm and ColPtr read the ordering and L's column pointers of a factor.
+// Perm and ColPtr read the ordering and L's column pointers of a factor,
+// Rows the row of every entry of L, Lead the leading-run lengths, and
+// RetainedBytes what the factor keeps.
 var (
 	SolveRef         = (*Factor).solveRef
 	Neighborhoods    = neighborhoods
@@ -114,6 +161,9 @@ var (
 	FactorizePerm    = factorize
 	Perm             = func(f *Factor) []int32 { return f.perm }
 	ColPtr           = func(f *Factor) []int { return f.lp }
+	Rows             = (*Factor).rows
+	Lead             = func(f *Factor) []int32 { return f.lead }
+	RetainedBytes    = retainedBytes
 )
 
 // neighborhoodsRef is neighborhoods as it was before it ordered by counting:

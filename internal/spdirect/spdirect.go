@@ -45,16 +45,20 @@ import (
 var ErrNotPositiveDefinite = errors.New("spdirect: matrix not positive definite")
 
 // Factor is the LDLᵀ factorization of one block: P·A·Pᵀ = L·D·Lᵀ with
-// unit-diagonal L, stored as what SolveWith reads and nothing else.
+// unit-diagonal L, stored as what SolveWith reads and nothing else. Column
+// i of L is a leading run — rows i+1 … i+lead[i], the consecutive rows
+// directly below the diagonal, which need no index — then a tail of rows
+// listed in Li. Under the RCM ordering most entries of L sit in runs.
 type Factor struct {
 	perm []int32 // perm[new] = old: row perm[k] of A is row k of L
-	// lp are the column pointers of L's strictly-lower-triangular pattern:
-	// column i holds lp[i+1]-lp[i] below-diagonal entries. int, because
-	// nnz(L) is the one count int32 input does not bound.
-	lp []int
-	Li []int32   // row indices of L, by column, ascending within a column
-	Lx []float64 // values of L, same layout
-	D  []float64 // diagonal of D
+	// lp are the column pointers of L's strictly-lower-triangular values:
+	// column i holds Lx[lp[i]:lp[i+1]]. int, because nnz(L) is the one
+	// count int32 input does not bound.
+	lp   []int
+	lead []int32   // length of column i's leading run
+	Li   []int32   // rows of each column's tail, by column, ascending
+	Lx   []float64 // values of L, by column: the run, then the tail
+	D    []float64 // diagonal of D
 }
 
 // SolveFlops returns the flop count of one SolveWith: 2·nnz(L) each for the
@@ -62,7 +66,7 @@ type Factor struct {
 // nnz" cost the α-β-γ model charges per relaxation, replacing the dense 2m²
 // estimate.
 func (f *Factor) SolveFlops() float64 {
-	return 4*float64(len(f.Li)) + float64(len(f.D))
+	return 4*float64(len(f.Lx)) + float64(len(f.D))
 }
 
 // Factorize computes the sparse LDLᵀ factorization of the structurally
@@ -106,6 +110,7 @@ func factorize(rowPtr, col []int32, val []float64, perm []int32) (*Factor, error
 	if k, dk := s.numeric(f, val); k >= 0 {
 		return nil, fmt.Errorf("%w (pivot %g at permuted column %d)", ErrNotPositiveDefinite, dk, k)
 	}
+	f.split()
 	return f, nil
 }
 
@@ -194,7 +199,9 @@ func analyze(rowPtr, col, perm []int32) *symbolic {
 	return s
 }
 
-// newFactor allocates the factor of s's pattern, values unset.
+// newFactor allocates the factor of s's pattern, values unset, with no
+// leading runs: Li holds the row of every entry of L, as the numeric pass
+// needs them, until split folds the runs into lead.
 func (s *symbolic) newFactor() *Factor {
 	nnzL := s.lp[len(s.perm)]
 	return &Factor{
@@ -275,6 +282,29 @@ func (s *symbolic) numeric(f *Factor, val []float64) (int, float64) {
 	return -1, 0
 }
 
+// split folds each column's leading run into lead and keeps only the
+// tails' rows in Li. The full row array numeric filled is dropped, so the
+// factor keeps no index for an entry of a run.
+func (f *Factor) split() {
+	n := len(f.D)
+	rows, lp := f.Li, f.lp
+	f.lead = make([]int32, n)
+	tail := 0
+	for i := range n {
+		col := rows[lp[i]:lp[i+1]]
+		m := 0
+		for m < len(col) && int(col[m]) == i+1+m {
+			m++
+		}
+		f.lead[i] = int32(m)
+		tail += len(col) - m
+	}
+	f.Li = make([]int32, 0, tail)
+	for i, m := range f.lead {
+		f.Li = append(f.Li, rows[lp[i]+int(m):lp[i+1]]...)
+	}
+}
+
 // SolveWith computes x = A⁻¹ b through the factorization: permute into the
 // caller's scratch y (length ≥ n), forward solve L, scale by D, backward
 // solve Lᵀ, permute back. It only reads the factor, so concurrent solves on
@@ -282,10 +312,13 @@ func (s *symbolic) numeric(f *Factor, val []float64) (int, float64) {
 // x may alias b. Zero allocations.
 func (f *Factor) SolveWith(b, x, y []float64) {
 	// Operands are locals cut once per column (DESIGN.md §10, "Kernel form").
-	// What may not change: the visit order, the forward zero skip, and one
-	// a -= b*c expression per update.
+	// What may not change: the visit order (within a column, the run and
+	// then the tail), the forward zero skip, and one a -= b*c expression per
+	// update. A column's tail starts where the previous column's ended, so
+	// its offset t is a running sum: up from 0 forward, down from len(Li)
+	// backward.
 	n := len(f.D)
-	perm, Lp := f.perm[:n], f.lp[:n+1]
+	perm, Lp, lead := f.perm[:n], f.lp[:n+1], f.lead[:n]
 	Li, Lx, D := f.Li, f.Lx, f.D
 	y = y[:n]
 	for k, old := range perm {
@@ -293,13 +326,22 @@ func (f *Factor) SolveWith(b, x, y []float64) {
 	}
 	// Forward: L z = y (unit lower, stored by column: column i updates its
 	// below-diagonal rows once y[i] is final).
+	t := 0
 	for i := 0; i < n; i++ {
+		lx := Lx[Lp[i]:Lp[i+1]]
+		m := int(lead[i])
+		t0 := t
+		t += len(lx) - m
 		if yi := y[i]; yi != 0 {
-			lo, hi := Lp[i], Lp[i+1]
-			li := Li[lo:hi]
-			lx := Lx[lo:hi][:len(li)]
+			run := y[i+1 : i+1+m]
+			rx := lx[:len(run)]
+			for p := range run {
+				run[p] -= rx[p] * yi
+			}
+			li := Li[t0:t]
+			tx := lx[m:][:len(li)]
 			for p, r := range li {
-				y[r] -= lx[p] * yi
+				y[r] -= tx[p] * yi
 			}
 		}
 	}
@@ -308,13 +350,22 @@ func (f *Factor) SolveWith(b, x, y []float64) {
 		y[k] /= d
 	}
 	// Backward: Lᵀ w = z (column i of L is row i of Lᵀ: gather).
+	t = len(Li)
 	for i := n - 1; i >= 0; i-- {
-		lo, hi := Lp[i], Lp[i+1]
-		li := Li[lo:hi]
-		lx := Lx[lo:hi][:len(li)]
+		lx := Lx[Lp[i]:Lp[i+1]]
+		m := int(lead[i])
+		t1 := t
+		t -= len(lx) - m
+		run := y[i+1 : i+1+m]
+		rx := lx[:len(run)]
+		li := Li[t:t1]
+		tx := lx[m:][:len(li)]
 		yi := y[i]
+		for p, v := range run {
+			yi -= rx[p] * v
+		}
 		for p, r := range li {
-			yi -= lx[p] * y[r]
+			yi -= tx[p] * y[r]
 		}
 		y[i] = yi
 	}

@@ -199,9 +199,10 @@ func TestSolveAliasAllowed(t *testing.T) {
 }
 
 // TestOrderingInvariants: perm is a permutation, L's pattern is fixed and
-// well-formed (ascending rows within each column, all below-diagonal),
-// and RCM reduces fill against the natural ordering on a banded-friendly
-// PDE block.
+// well-formed (ascending rows within each column, all below-diagonal), Li
+// keeps a row index only for the entries after each column's maximal
+// leading run, and RCM reduces fill against the natural ordering on a
+// banded-friendly PDE block.
 func TestOrderingInvariants(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
 	f := factor(t, a, false)
@@ -212,20 +213,30 @@ func TestOrderingInvariants(t *testing.T) {
 		}
 		seen[old] = true
 	}
-	lp := spdirect.ColPtr(f)
+	lp, rows, lead := spdirect.ColPtr(f), spdirect.Rows(f), spdirect.Lead(f)
+	inRuns := 0
 	for i := 0; i < a.N; i++ {
 		prev := i // entries must be strictly below the diagonal
 		for p := lp[i]; p < lp[i+1]; p++ {
-			r := int(f.Li[p])
+			r := int(rows[p])
 			if r <= prev {
 				t.Fatalf("column %d: row indices not ascending below diagonal (%d after %d)", i, r, prev)
 			}
 			prev = r
 		}
+		// Each leading run is maximal: the tail does not start at the row
+		// after the run, whose index it would then keep.
+		if m := int(lead[i]); lp[i]+m < lp[i+1] && int(rows[lp[i]+m]) == i+1+m {
+			t.Fatalf("column %d: leading run of %d stops before row %d", i, m, i+1+m)
+		}
+		inRuns += int(lead[i])
+	}
+	if len(f.Li) != len(f.Lx)-inRuns {
+		t.Errorf("Li keeps %d row indices, want nnz(L) %d less %d in leading runs", len(f.Li), len(f.Lx), inRuns)
 	}
 
-	if nat := factor(t, a, true); len(f.Li) > len(nat.Li) {
-		t.Errorf("RCM fill %d exceeds natural fill %d on a 2D Poisson block", len(f.Li), len(nat.Li))
+	if nat := factor(t, a, true); len(f.Lx) > len(nat.Lx) {
+		t.Errorf("RCM fill %d exceeds natural fill %d on a 2D Poisson block", len(f.Lx), len(nat.Lx))
 	}
 }
 
