@@ -28,10 +28,9 @@ vet:
 
 # Static checks beyond vet that need no external tools: formatting drift
 # fails the build (gofmt prints nothing when clean), then the project's own
-# determinism/fault-safety analyzers (cmd/dslint: detrand, maporder,
-# floatcmp, clonerheld) run over the whole module — about half a second,
-# nearly all of it `go list`. dslint prints one file:line:col per finding
-# and exits non-zero on any. `go test ./cmd/dslint` runs the same check, so
+# determinism analyzers (cmd/dslint: detrand, maporder, floatcmp) run over
+# the whole module — about half a second, nearly all of it `go list`.
+# dslint prints one file:line:col per finding and exits non-zero on any. `go test ./cmd/dslint` runs the same check, so
 # tier-1 catches a finding without make.
 lint: vet
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
@@ -158,11 +157,12 @@ bench-smoke:
 # are a many-small-parts run (ranks of about six rows, single-neighbor
 # ranks), the shape the exchange plans are laid out for; with -loc_solver
 # direct that line pins the sparse local solver on blocks that small. The
-# IDENTITY_WIDE line is the benchmark's wide4k shape (4096 ranks of about
+# IDENTITY_WIDE lines are the benchmark's wide4k shape (4096 ranks of about
 # four rows, 203 329 ghost slots, each initialized through its owner's
-# boundary rows). The IDENTITY_DIRECT line is the benchmark's direct64
-# shape (64 ranks of about 275 rows), whose every sparse factor stores
-# both leading runs and tails of L. Then
+# boundary rows), plain and under a delay plan (42 622 bodies held back,
+# each landing with a copy of the floats it named). The IDENTITY_DIRECT
+# line is the benchmark's direct64 shape (64 ranks of about 275 rows),
+# whose every sparse factor stores both leading runs and tails of L. Then
 # come a pinned run's whole trace export (~1.3 MB; pinned, so no rank sleeps
 # and every event is part of the contract), the -quick scaling study (it
 # reads DIFFERS against a parent whose scaling still printed host
@@ -197,6 +197,7 @@ identity:
 		"dsouthwell $(IDENTITY_SMALL) -chaos 0.3" \
 		"dsouthwell $(IDENTITY_SMALL) -loc_solver direct" \
 		"dsouthwell $(IDENTITY_WIDE)" \
+		"dsouthwell $(IDENTITY_WIDE) -chaos 0.3" \
 		"dsouthwell $(IDENTITY_DIRECT)" \
 		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout" \
 		"benchtables -quick scaling" \

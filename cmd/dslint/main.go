@@ -1,8 +1,7 @@
-// dslint machine-checks the repo's determinism and fault-safety
-// invariants: the project-specific rules that no generic linter knows
-// (DESIGN.md §8). It is a multichecker in the style of
+// dslint machine-checks the repo's determinism invariants: the
+// project-specific rules that no generic linter knows (DESIGN.md §8). It is a multichecker in the style of
 // golang.org/x/tools/go/analysis, built on the repo's offline analysis
-// framework (internal/analysis/framework): load the packages, run four
+// framework (internal/analysis/framework): load the packages, run three
 // single-pass analyzers over each, sort, print. A whole-module run takes
 // about half a second, nearly all of it `go list`.
 //
@@ -24,7 +23,6 @@ import (
 	"io"
 	"os"
 
-	"southwell/internal/analysis/clonerheld"
 	"southwell/internal/analysis/detrand"
 	"southwell/internal/analysis/floatcmp"
 	"southwell/internal/analysis/framework"
@@ -37,14 +35,13 @@ var analyzers = []*framework.Analyzer{
 	detrand.Analyzer,
 	maporder.Analyzer,
 	floatcmp.Analyzer,
-	clonerheld.Analyzer,
 }
 
 func main() {
 	help := flag.Bool("help", false, "print the analyzer descriptions and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: dslint [packages]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Machine-checks the simulator's determinism and fault-safety invariants.\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "Machine-checks the simulator's determinism invariants.\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -7,8 +7,8 @@ import (
 )
 
 // TestModuleLintClean lints the whole module, so tier-1 alone (`go build
-// ./... && go test ./...`) fails on a detrand, maporder, floatcmp or
-// clonerheld finding — no make target needed.
+// ./... && go test ./...`) fails on a detrand, maporder or floatcmp
+// finding — no make target needed.
 func TestModuleLintClean(t *testing.T) {
 	var out strings.Builder
 	if code := lint("../..", []string{"./..."}, &out, io.Discard); code != 0 || out.Len() != 0 {

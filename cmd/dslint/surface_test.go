@@ -49,7 +49,6 @@ var unreadAllowed = map[string]string{
 	"analysis/analysistest":                "the analyzer fixture harness: only the analyzers' tests import it",
 	"krylov":                               "ROADMAP item 5 decides the package: earn a table or be deleted",
 	"core.DistOptions.Sched":               "only benchmarks/e2e writes it; ROADMAP item 1(b) removes it",
-	"dmem.payload.CloneMessage":            "called through rma.Cloner; ROADMAP item 2 removes it",
 	"dmem.LocalSolver.String":              "called by fmt through fmt.Stringer",
 	"analysis/framework.Diagnostic.String": "called by fmt through fmt.Stringer",
 	"multigrid.GaussSeidel.Name":           "called through multigrid.Smoother",

@@ -1,7 +1,6 @@
 // Package lintutil holds the project policy and type-inspection helpers
-// shared by the dslint analyzers: which packages must be deterministic,
-// what counts as a method on the simulated RMA runtime, and which payload
-// types hold references that the fault layer could alias.
+// shared by the dslint analyzers: which packages must be deterministic and
+// what counts as a method on the simulated RMA runtime.
 package lintutil
 
 import (
@@ -58,45 +57,6 @@ func WorldMethod(info *types.Info, call *ast.CallExpr, name string) *types.Func 
 		return nil
 	}
 	return fn
-}
-
-// ClonerInterface looks up the Cloner interface in the package that defines
-// rma.World (the real runtime or a fixture's mini rma).
-func ClonerInterface(pkg *types.Package) *types.Interface {
-	obj, ok := pkg.Scope().Lookup("Cloner").(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	return iface
-}
-
-// HoldsReferences reports whether t contains any pointer, slice, map, or
-// channel at any depth — storage a retained payload would share with its
-// sender. Scalars, strings, and arrays/structs of them are safely copied
-// by value into a Message.
-func HoldsReferences(t types.Type) bool {
-	return holdsRefs(t, map[types.Type]bool{})
-}
-
-func holdsRefs(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature:
-		return true
-	case *types.Array:
-		return holdsRefs(u.Elem(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if holdsRefs(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // IsFloat reports whether t's underlying type is a floating-point basic

@@ -7,34 +7,34 @@ import (
 	"southwell/internal/problem"
 )
 
-// benchStates builds the per-rank state for a scaled Poisson problem.
-func benchStates(b testing.TB, n, ranks int) []*rankState {
+// benchState builds the run state for a scaled Poisson problem.
+func benchState(b testing.TB, n, ranks int) *runState {
 	b.Helper()
 	s, bb, x := buildCase(b, problem.Poisson2D(n, n), ranks, 1)
 	st := newRunState(s)
 	st.reset(bb, x, Config{}, stepSpec{})
-	return st.states
+	return st
 }
 
 // relaxAndStage is the per-rank inner loop of every method: one local
 // Gauss-Seidel relaxation sweep plus the message-staging path (boundary
 // residual collection into every neighbor's solve body, whose deltas are the
 // extDelta rows the sweep wrote) that runs on every relaxation.
-func relaxAndStage(rs *rankState) {
+func relaxAndStage(st *runState, rs *rankState) {
 	clear(rs.extDelta)
 	rs.relaxSweep()
 	for j := range rs.gamma {
-		rs.gatherBnd(j, rs.solve[j].bnd)
+		rs.gatherBnd(j, st.floats[rs.solve[j].bnd:])
 	}
 }
 
 func BenchmarkRelaxSweep(b *testing.B) {
-	states := benchStates(b, 64, 16)
-	rs := states[0]
+	st := benchState(b, 64, 16)
+	rs := st.states[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		relaxAndStage(rs)
+		relaxAndStage(st, rs)
 	}
 }
 
@@ -43,9 +43,9 @@ func BenchmarkRelaxSweep(b *testing.B) {
 // per-neighbor buffers sized at set-up, so the inner loop allocates
 // nothing, on every rank of the layout.
 func TestRelaxSweepAllocGate(t *testing.T) {
-	states := benchStates(t, 64, 16)
-	for p, rs := range states {
-		if got := testing.AllocsPerRun(20, func() { relaxAndStage(rs) }); got != 0 {
+	st := benchState(t, 64, 16)
+	for p, rs := range st.states {
+		if got := testing.AllocsPerRun(20, func() { relaxAndStage(st, rs) }); got != 0 {
 			t.Errorf("rank %d: relax sweep + staging allocates %.1f allocs/op, want 0", p, got)
 		}
 	}

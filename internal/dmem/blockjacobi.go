@@ -16,9 +16,10 @@ func BlockJacobi(s *Setup, b, x []float64, cfg Config) *Result {
 		// staleness.
 		absorb := func(p int) {
 			rs := states[p]
-			for _, m := range w.Inbox(p) {
-				pl := m.Payload.(*payload)
-				rs.applyDeltas(int(pl.slot), pl.deltas)
+			in := w.Inbox(p)
+			for i := range in {
+				pl, _, deltas := st.body(rs, &in[i])
+				rs.applyDeltas(int(pl.slot), deltas)
 			}
 		}
 		// Relax and write (absorbing any late deliveries first).
@@ -31,8 +32,8 @@ func BlockJacobi(s *Setup, b, x []float64, cfg Config) *Result {
 			flops := rs.relaxLocal()
 			w.Charge(p, flops)
 			for j, q := range rs.nbrs() {
-				pl := &rs.solve[j]
-				w.Put(p, int(q), rma.TagSolve, msgBytes(len(pl.deltas)), pl)
+				_, delta := rs.ghost(j)
+				w.Put(p, int(q), rma.TagSolve, msgBytes(len(delta)), &rs.solve[j])
 			}
 		}
 		// Wait for neighbors to finish writing, then read.

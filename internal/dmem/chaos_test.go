@@ -147,3 +147,68 @@ func TestWatchdogPatienceWindow(t *testing.T) {
 		t.Errorf("ran %d steps, want %d", got, res.DeadlockStep)
 	}
 }
+
+// TestHeldBodyKeepsSendersFloats: a body the fault layer holds back lands
+// with the floats its sender had at the boundary that held it — bnd and
+// deltas both — although by then the sender has rewritten its extDelta row
+// and its bnd and sent again; a body that lands on time is read in place,
+// from the sender's floats in the slab.
+func TestHeldBodyKeepsSendersFloats(t *testing.T) {
+	s, b, x := buildCase(t, problem.Poisson2D(12, 12), 4, 1)
+	for _, plan := range []*rma.FaultPlan{nil, rma.DelayPlan(1, 1, 1)} {
+		st := newRunState(s)
+		st.reset(b, x, Config{Faults: plan}, stepSpec{})
+		w, rs := st.w, st.states[0]
+		q := st.states[rs.nbrs()[0]]
+		_, delta := rs.ghost(0)
+		bnd := st.floats[rs.solve[0].bnd:][:len(rs.myBnd(0))]
+		// send writes what a relaxation and a send write — the extDelta row
+		// and bnd toward neighbor 0 — and puts the solve body.
+		send := func(v float64) {
+			for k := range delta {
+				delta[k] = v + float64(k)
+			}
+			for k := range bnd {
+				bnd[k] = -v - float64(k)
+			}
+			w.Put(0, int(q.p), rma.TagSolve, 8, &rs.solve[0])
+		}
+		w.RunPhase(func(p int) {
+			if p == 0 {
+				send(1)
+			}
+		})
+		if plan != nil {
+			// Held one boundary: the sender relaxes and sends again first.
+			w.RunPhase(func(p int) {
+				if p == 0 {
+					send(100)
+				}
+			})
+		}
+		in := w.Inbox(int(q.p))
+		if len(in) != 1 {
+			t.Fatalf("plan %v: %d messages in the window, want 1", plan, len(in))
+		}
+		_, gotBnd, gotDeltas := st.body(q, &in[0])
+		if len(gotBnd) != len(bnd) || len(gotDeltas) != len(delta) {
+			t.Fatalf("plan %v: the receiver reads %d bnd and %d deltas, the sender wrote %d and %d", plan, len(gotBnd), len(gotDeltas), len(bnd), len(delta))
+		}
+		if _, held := in[0].Payload.(*heldBody); held != (plan != nil) {
+			t.Errorf("plan %v: the body landed as %T", plan, in[0].Payload)
+		}
+		if plan == nil && (&gotBnd[0] != &bnd[0] || &gotDeltas[0] != &delta[0]) {
+			t.Error("a body on time is not read from the sender's floats")
+		}
+		for k := range gotBnd {
+			if gotBnd[k] != -1-float64(k) {
+				t.Errorf("plan %v: bnd[%d] = %g, the sender had %g", plan, k, gotBnd[k], -1-float64(k))
+			}
+		}
+		for k := range gotDeltas {
+			if gotDeltas[k] != 1+float64(k) {
+				t.Errorf("plan %v: deltas[%d] = %g, the sender had %g", plan, k, gotDeltas[k], 1+float64(k))
+			}
+		}
+	}
+}

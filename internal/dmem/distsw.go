@@ -48,13 +48,14 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 		absorb := func(p int) {
 			rs := states[p]
 			changed := false
-			for _, m := range w.Inbox(p) {
+			in := w.Inbox(p)
+			for i := range in {
 				rs.gotMsg = true
-				pl := m.Payload.(*payload)
+				pl, bnd, deltas := st.body(rs, &in[i])
 				j := int(pl.slot)
-				switch m.Tag {
+				switch in[i].Tag {
 				case rma.TagSolve:
-					rs.applyDeltas(j, pl.deltas)
+					rs.applyDeltas(j, deltas)
 					changed = true
 					if pl.seq < rs.seqSeen[j] {
 						continue // keep the deltas, drop the stale estimates
@@ -76,7 +77,7 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 						// from the values this rank sent, so Γ̃ stays exactly
 						// equal to the sender's corrected estimate.
 						adj := 0.0
-						for k, b0 := range pl.bnd {
+						for k, b0 := range bnd {
 							nz := b0 + delta[k]
 							adj += nz*nz - b0*b0
 							if !opts.NoGhostEstimate {
@@ -92,14 +93,14 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 						} else {
 							rs.gamma[j] = sqrtNonNeg(pl.norm*pl.norm + adj)
 							adjMine := 0.0
-							for k, b0 := range rs.solve[j].bnd {
-								nb := b0 + pl.deltas[k]
+							for k, b0 := range st.floats[rs.solve[j].bnd:][:len(deltas)] {
+								nb := b0 + deltas[k]
 								adjMine += nb*nb - b0*b0
 							}
 							rs.gammaTilde[j] = sqrtNonNeg(rs.lastSentNorm*rs.lastSentNorm + adjMine)
 						}
 					} else {
-						copy(z, pl.bnd)
+						copy(z, bnd)
 						rs.gamma[j] = pl.norm
 						rs.gammaTilde[j] = pl.estRecv
 					}
@@ -109,7 +110,7 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 					}
 					rs.seqSeen[j] = pl.seq
 					z, _ := rs.ghost(j)
-					copy(z, pl.bnd)
+					copy(z, bnd)
 					rs.gamma[j] = pl.norm
 					if !rs.sentTo[j] {
 						rs.gammaTilde[j] = pl.estRecv
@@ -156,9 +157,9 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 				rs.gammaTilde[j] = rs.norm
 				rs.sentTo[j] = true
 				pl := &rs.solve[j]
-				rs.gatherBnd(j, pl.bnd)
+				nb := rs.gatherBnd(j, st.floats[pl.bnd:])
 				pl.norm, pl.estRecv, pl.seq = rs.norm, rs.gamma[j], 2*int32(*step)
-				w.Put(p, int(q), rma.TagSolve, msgBytes(len(pl.deltas)+len(pl.bnd)+2), pl)
+				w.Put(p, int(q), rma.TagSolve, msgBytes(len(delta)+nb+2), pl)
 			}
 		}
 		// Phase 2: absorb writes; detect deadlock risk; write explicit
@@ -189,9 +190,9 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 					rs.gammaTilde[j] = rs.norm
 					rs.sentTo[j] = true
 					pl := &rs.res[j]
-					rs.gatherBnd(j, pl.bnd)
+					nb := rs.gatherBnd(j, st.floats[pl.bnd:])
 					pl.norm, pl.estRecv, pl.seq = rs.norm, rs.gamma[j], 2*int32(*step)+1
-					w.Put(p, int(q), rma.TagResidual, msgBytes(len(pl.bnd)+2), pl)
+					w.Put(p, int(q), rma.TagResidual, msgBytes(nb+2), pl)
 				}
 			}
 		}

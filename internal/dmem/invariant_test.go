@@ -124,9 +124,9 @@ func assertResidualsExact(t *testing.T, name string, l *Layout, b []float64, sta
 // residual delta is additive and exact in any order, so at every step
 // boundary where nothing is undelivered — no message held back by the fault
 // layer, no window still holding one — every rank's r equals b − A·x for the
-// gathered x, whatever the plan delayed and for how long. A
-// delivery held back past its sender's next relaxation is exact only because
-// the fault layer owns a copy of its deltas (payload.CloneMessage), so the
+// gathered x, whatever the plan delayed and for how long. A delivery held
+// back past its sender's next relaxation is exact only because the hold
+// function copied its deltas out of the slab (runState.holdBody), so the
 // checked boundaries must include some that follow a delayed delivery.
 //
 // Low rates leave drained boundaries: BJ sends on every edge every step, so

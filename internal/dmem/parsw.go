@@ -41,11 +41,12 @@ func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Res
 		absorb := func(p int) {
 			rs := states[p]
 			changed := false
-			for _, m := range w.Inbox(p) {
-				pl := m.Payload.(*payload)
+			in := w.Inbox(p)
+			for i := range in {
+				pl, _, deltas := st.body(rs, &in[i])
 				j := int(pl.slot)
-				if m.Tag == rma.TagSolve {
-					rs.applyDeltas(j, pl.deltas)
+				if in[i].Tag == rma.TagSolve {
+					rs.applyDeltas(j, deltas)
 					changed = true
 				}
 				if pl.seq >= rs.seqSeen[j] {
@@ -76,9 +77,10 @@ func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Res
 			rs.lastTold = rs.norm
 			w.Charge(p, flops+2*float64(len(rs.r)))
 			for j, q := range rs.nbrs() {
+				_, delta := rs.ghost(j)
 				pl := &rs.solve[j]
 				pl.norm, pl.seq = rs.norm, 2*int32(*step)
-				w.Put(p, int(q), rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
+				w.Put(p, int(q), rma.TagSolve, msgBytes(len(delta)+1), pl)
 			}
 		}
 		if !announce {

@@ -27,9 +27,9 @@ type rankState struct {
 	lastTold   float64   // last norm broadcast to neighbors (PS)
 	sentTo     []bool    // per neighbor: wrote to them in the last send phase
 	// Crossing-correction state (DS): the norm this rank sent when it last
-	// relaxed; with the boundary residuals still in solve[j].bnd it mirrors the
-	// estimate a crossing neighbor computes from them (keeping Γ̃ exact;
-	// DESIGN.md §5).
+	// relaxed; with the boundary residuals still where solve[j].bnd names
+	// them it mirrors the estimate a crossing neighbor computes from them
+	// (keeping Γ̃ exact; DESIGN.md §5).
 	lastSentNorm float64
 	// seqSeen is, per neighbor, the newest payload sequence number whose
 	// estimates were absorbed. Under fault injection a delayed message can
@@ -64,8 +64,8 @@ type rankState struct {
 	// own), so sender reuse never races with receiver reads. A solve body's
 	// deltas are no copy but the neighbor's extDelta row (ghost), which only
 	// the clear opening the next relaxation rewrites.
-	solve []payload // relaxation messages: deltas (extDelta row) and bnd bound
-	res   []payload // explicit residual updates: bnd bound
+	solve []payload // relaxation messages: deltas (extDelta row) and bnd
+	res   []payload // explicit residual updates: bnd
 
 	// direct, when f is non-nil, is the shared factorization of the local
 	// diagonal block (LocalDirect) with this rank's private solve scratch.
@@ -79,26 +79,28 @@ type rankState struct {
 // the other methods use a subset): residual deltas for the receiver's
 // boundary rows, the sender's boundary residual values (refreshing the
 // receiver's ghost layer z), the sender's exact norm, and the sender's
-// estimate of the receiver's norm (which the receiver stores in Γ̃).
-// runState binds deltas (a solve body's view of the sender's extDelta row),
-// bnd and slot once at set-up; a send rewrites the rest.
+// estimate of the receiver's norm (which the receiver stores in Γ̃). It is
+// a 32-byte header: bnd and deltas are the offsets of those floats in the
+// run state's slab (runState.floats), and their lengths are the receiver's
+// own layout ranges (runState.body). runState binds bnd, deltas (a solve
+// body's is the sender's extDelta row) and slot once at set-up; a send
+// rewrites the rest. A residual body carries no deltas.
 type payload struct {
-	deltas  []float64
-	bnd     []float64
 	norm    float64
 	estRecv float64
 	seq     int32 // sender sequence number (stale-estimate guard; see seqSeen)
 	slot    int32 // the sender's position among the receiver's neighbors (newRunState assigns it)
+	bnd     int32 // offset of the boundary residual values in the slab
+	deltas  int32 // offset of the residual deltas in the slab (solve bodies)
 }
 
-// CloneMessage deep-copies the body for the fault layer: the sender rewrites
-// deltas (its extDelta row) on its next relaxation and bnd on its next send,
-// so a delivery held back past that phase must not alias them.
-func (pl *payload) CloneMessage() any {
-	c := *pl
-	c.deltas = append([]float64(nil), pl.deltas...)
-	c.bnd = append([]float64(nil), pl.bnd...)
-	return &c
+// heldBody is a body the fault layer holds back past its phase: the header
+// and a copy of the floats it names, taken at the boundary that held it,
+// since the sender rewrites deltas (its extDelta row) on its next
+// relaxation and bnd on its next send (runState.holdBody).
+type heldBody struct {
+	payload
+	bnd, deltas []float64
 }
 
 // relaxLocal dispatches to the configured local solver and returns the
@@ -237,11 +239,14 @@ func (rs *rankState) myBnd(j int) []int32 {
 }
 
 // gatherBnd collects the residual values of this rank's boundary rows toward
-// neighbor j into a message body's bnd.
-func (rs *rankState) gatherBnd(j int, out []float64) {
-	for k, li := range rs.myBnd(j) {
+// neighbor j into out, a message body's bnd in the slab; it returns how many.
+func (rs *rankState) gatherBnd(j int, out []float64) int {
+	rows := rs.myBnd(j)
+	out = out[:len(rows)]
+	for k, li := range rows {
 		out[k] = rs.r[li]
 	}
+	return len(rows)
 }
 
 // winsAll is the relax decision every Southwell variant makes: a nonzero

@@ -418,33 +418,73 @@ func TestLayoutRetainedAllocCeiling(t *testing.T) {
 }
 
 // TestParkedStateAllocCeiling: what a Setup keeps between solves on the
-// benchmark's wide4k shape — the live heap after its first DS solve, minus
-// before. This procedure measured 33 825 568 bytes with the per-rank layout,
-// 33 489 256 with per-rank message buffers, 29 302 856–29 303 696 with the
-// flat staging and window arrays, 27 583 392 with solve bodies that are the
-// sender's extDelta rows instead of a copy of them, and 26 305 408 with one
-// window array instead of two; the ceiling is the last + 1 %, so nothing
-// taken out of the layout, the world or the run-state slab reappears.
+// benchmark's four shapes — the live heap after its first DS solve, at the
+// workload's step budget, minus before. On wide4k this procedure measured
+// 33 825 568 bytes with the per-rank layout, 33 489 256 with per-rank message
+// buffers, 29 302 856–29 303 696 with the flat staging and window arrays,
+// 27 583 392 with solve bodies that are the sender's extDelta rows instead
+// of a copy of them, 26 305 408 with one window array instead of two, and
+// 18 899 480 with 32-byte bodies that name their floats by offset (from
+// 26 305 016; suite256 2 744 976 → 2 450 128, pointload2k 6 098 680 →
+// 5 099 304, direct64 1 394 176 → 1 336 880). The ceiling is the last
+// reading + 1 %, so nothing taken out of the layout, the world or the
+// run-state slab reappears.
 func TestParkedStateAllocCeiling(t *testing.T) {
-	const ceiling = 26_568_462
+	ceilings := map[string]uint64{"suite256": 2_450_128, "wide4k": 18_899_480, "pointload2k": 5_099_304, "direct64": 1_336_880}
+	steps := map[string]int{"suite256": 50, "wide4k": 20, "pointload2k": 300, "direct64": 50}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	a := suiteMatrix(t, "Flan_1565")
-	l, err := NewLayout(a, partition.Partition(a, 4096, partition.Options{Seed: 1}), 4096)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range e2eShapes() {
+		local := LocalGS
+		if c.name == "direct64" {
+			local = LocalDirect
+		}
+		l, err := NewLayout(c.a, c.part, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSetup(l, local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, x := problem.ZeroBSystem(c.a, 1)
+		h0 := liveHeap()
+		DistributedSouthwell(s, b, x, Config{Steps: steps[c.name]})
+		kept := liveHeap() - h0
+		if s.parked == nil {
+			t.Fatalf("%s: no run state parked: the test measures nothing", c.name)
+		}
+		if ceiling := ceilings[c.name]; kept > ceiling+ceiling/100 {
+			t.Errorf("%s: the parked run state holds %d bytes, want ≤ %d (+1%%)", c.name, kept, ceiling)
+		}
 	}
-	s, err := NewSetup(l, LocalGS)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestPayloadIsAHeader: a message body is a 32-byte header of floats and
+// int32s — no slice, pointer or interface — so its floats stay in the
+// run state's slab and a slice header cannot quietly come back.
+func TestPayloadIsAHeader(t *testing.T) {
+	typ := reflect.TypeOf(payload{})
+	if typ.Size() != 32 {
+		t.Errorf("payload is %d bytes, want 32", typ.Size())
 	}
-	b, x := problem.ZeroBSystem(a, 1)
-	h0 := liveHeap()
-	DistributedSouthwell(s, b, x, Config{Steps: 20})
-	kept := liveHeap() - h0
-	if s.parked == nil {
-		t.Fatal("no run state parked: the test measures nothing")
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.Type.Kind() != reflect.Float64 && f.Type.Kind() != reflect.Int32 {
+			t.Errorf("payload.%s is a %s, want float64 or int32", f.Name, f.Type)
+		}
 	}
-	if kept > ceiling {
-		t.Errorf("the parked run state holds %d bytes, want ≤ %d", kept, ceiling)
-	}
+}
+
+// TestRunStateRefusesOversizedSlab: bodies name their floats by int32
+// offset, so newRunState refuses a slab of 2³¹ floats or more before it
+// allocates anything.
+func TestRunStateRefusesOversizedSlab(t *testing.T) {
+	zero := []int32{0}
+	l := &Layout{A: &sparse.CSR{N: 1 << 30}, rowOff: zero, nbrOff: zero, extOff: zero, bndOff: zero}
+	defer func() {
+		err, _ := recover().(error)
+		if err == nil || err.Error() != "dmem: the run state's floats = 2147483648 does not fit the layout's 32-bit indices" {
+			t.Errorf("newRunState on a 2³¹-float slab: recovered %v", err)
+		}
+	}()
+	newRunState(&Setup{Layout: l})
 }

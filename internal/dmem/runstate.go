@@ -1,6 +1,10 @@
 package dmem
 
-import "southwell/internal/rma"
+import (
+	"slices"
+
+	"southwell/internal/rma"
+)
 
 // Run state (DESIGN.md §16): everything a solve mutates — the simulated
 // world, the rank states with their message bodies, and the step engine's
@@ -19,6 +23,10 @@ type runState struct {
 	// seqSeen and sentTo back every rank's slices of that name.
 	seqSeen []int32
 	sentTo  []bool
+	// floats is the one float slab: every rank's vectors and the floats its
+	// message bodies name by offset.
+	floats []float64
+	hold   func(*rma.Message) // holdBody, bound once: the world's hold function
 }
 
 // newRunState allocates the run state of a layout and binds what never
@@ -28,25 +36,38 @@ type runState struct {
 func newRunState(s *Setup) *runState {
 	l := s.Layout
 	p := l.P
-	st := &runState{
-		l: l, w: rma.NewWorld(p, rma.CostModel{}), states: make([]*rankState, p),
-		rGlob: make([]float64, l.A.N), norms: make([]float64, p),
-	}
-	// Vectors, ghost rows and Γ/Γ̃, then the message bodies: a solve bnd and
-	// a res bnd per boundary row (a solve body's deltas are the sender's
-	// extDelta row for that neighbor).
+	// Vectors, ghost rows and Γ/Γ̃, then the message bodies' floats: a solve
+	// bnd and a res bnd per boundary row (a solve body's deltas are the
+	// sender's extDelta row for that neighbor). Bodies name them by int32
+	// offset, so the slab must fit one.
 	nd := int(l.nbrOff[p])
 	nf := 2*l.A.N + 2*int(l.extOff[p]) + 2*nd + 2*int(l.bndOff[p])
 	if s.factors != nil {
 		nf += l.A.N // direct.scratch: m each
 	}
+	if err := fitsIndex("the run state's floats", nf); err != nil {
+		panic(err)
+	}
+	st := &runState{
+		l: l, w: rma.NewWorld(p, rma.CostModel{}), states: make([]*rankState, p),
+		rGlob: make([]float64, l.A.N), norms: make([]float64, p),
+	}
+	st.hold = st.holdBody
 	st.seqSeen, st.sentTo = make([]int32, nd), make([]bool, nd)
-	floats, bodies, slab := make([]float64, nf), make([]payload, 2*nd), make([]rankState, p)
-	// Sub-slices are capacity-capped: an append can never reach a neighbor.
+	st.floats = make([]float64, nf)
+	bodies, slab := make([]payload, 2*nd), make([]rankState, p)
+	// carve reserves the slab's next n floats and returns their offset; take
+	// cuts them as a slice, capacity-capped so that an append can never reach
+	// a neighbor.
+	at := 0
+	carve := func(n int) int32 {
+		off := at
+		at += n
+		return int32(off)
+	}
 	take := func(n int) []float64 {
-		out := floats[:n:n]
-		floats = floats[n:]
-		return out
+		off := carve(n)
+		return st.floats[off:][:n:n]
 	}
 	takeBodies := func(n int) []payload {
 		out := bodies[:n:n]
@@ -66,9 +87,11 @@ func newRunState(s *Setup) *runState {
 		m, deg, ext := int(l.rowOff[pr+1]-r0), int(l.nbrOff[pr+1]-n0), int(l.extOff[pr+1]-e0)
 		lo, hi := int(n0), int(n0)+deg
 		rs := &slab[pr]
+		x, r, z := take(m), take(m), take(ext)
+		d0 := int32(at) - e0 // extDelta's offset, less the rank's first ext slot
 		*rs = rankState{
 			l: l, p: int32(pr), row0: r0, nbr0: n0, ext0: e0,
-			x: take(m), r: take(m), z: take(ext), extDelta: take(ext),
+			x: x, r: r, z: z, extDelta: take(ext),
 			gamma: take(deg), gammaTilde: take(deg),
 			seqSeen: st.seqSeen[lo:hi:hi], sentTo: st.sentTo[lo:hi:hi],
 			solve: takeBodies(deg), res: takeBodies(deg),
@@ -77,9 +100,8 @@ func newRunState(s *Setup) *runState {
 			k, slot := lo+j, cur[q]
 			cur[q]++
 			nBnd := int(l.nbrBndOff[k+1] - l.nbrBndOff[k])
-			_, delta := rs.ghost(j)
-			rs.solve[j] = payload{deltas: delta[:len(delta):len(delta)], bnd: take(nBnd), slot: slot}
-			rs.res[j] = payload{bnd: take(nBnd), slot: slot}
+			rs.solve[j] = payload{deltas: d0 + l.nbrExtOff[k], bnd: carve(nBnd), slot: slot}
+			rs.res[j] = payload{bnd: carve(nBnd), slot: slot}
 		}
 		if s.factors != nil {
 			rs.direct.f, rs.direct.scratch = s.factors[pr], take(m)
@@ -95,8 +117,9 @@ func newRunState(s *Setup) *runState {
 // exchange, not counted), exact ghosts — the engine rewound to "every rank in
 // the set", and the world rewound to the default cost model with cfg's
 // engine, fault plan and tracer installed. extDelta, lastSentNorm, the
-// direct-solver scratch and every message-body field but slot are written
-// before they are read in any run, so they are deliberately not cleared.
+// direct-solver scratch, the bodies' floats and every header field but slot
+// and the two offsets are written before they are read in any run, so they
+// are deliberately not cleared.
 func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	l, w, e := st.l, st.w, &st.eng
 	l.A.Residual(b, x, st.rGlob)
@@ -151,8 +174,36 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 
 	w.Reset(rma.DefaultCostModel())
 	w.Parallel = cfg.Parallel
-	w.InstallFaults(cfg.Faults)
+	w.InstallFaults(cfg.Faults, st.hold)
 	w.SetTracer(cfg.Trace)
+}
+
+// body returns the header of message m in rank rs's window and the floats
+// it names, their lengths taken from rs's own layout ranges: bnd is as long
+// as rs's ghost row for the sender, and a solve body's deltas as rs's
+// boundary rows toward it (a residual body's are nil). A body sent in the
+// last phase names them in the slab; one the fault layer held carries its
+// copy (holdBody).
+func (st *runState) body(rs *rankState, m *rma.Message) (pl *payload, bnd, deltas []float64) {
+	if h, ok := m.Payload.(*heldBody); ok {
+		return &h.payload, h.bnd, h.deltas
+	}
+	pl = m.Payload.(*payload)
+	l, k := rs.l, int(rs.nbr0)+int(pl.slot)
+	bnd = st.floats[pl.bnd:][:l.nbrExtOff[k+1]-l.nbrExtOff[k]]
+	if m.Tag == rma.TagSolve {
+		deltas = st.floats[pl.deltas:][:l.nbrBndOff[k+1]-l.nbrBndOff[k]]
+	}
+	return pl, bnd, deltas
+}
+
+// holdBody is the world's hold function (rma.World.InstallFaults): a body
+// the fault layer holds back leaves with a copy of the floats it names, read
+// as its receiver would read them, since its sender rewrites them before it
+// lands.
+func (st *runState) holdBody(m *rma.Message) {
+	pl, bnd, deltas := st.body(st.states[m.To], m)
+	m.Payload = &heldBody{payload: *pl, bnd: slices.Clone(bnd), deltas: slices.Clone(deltas)}
 }
 
 // takeRunState hands the solve its run state: the one parked on s if there

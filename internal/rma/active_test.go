@@ -16,7 +16,7 @@ import (
 // neighbor wrote last phase while the neighbor writes another buffer. The
 // real methods alternate two; the third lets a message held back one
 // boundary (the delay gate's plan) be read while its sender writes a buffer
-// other than the one it points into, since benchPayload is not a Cloner.
+// other than the one it points into, since the gate's hold copies nothing.
 func activeWorld(p, stride int, parallel bool) (*World, func(int), []bool, []float64) {
 	w := NewWorld(p, DefaultCostModel())
 	w.Parallel = parallel
@@ -107,8 +107,8 @@ func TestRunPhaseActiveMatchesRunPhase(t *testing.T) {
 						wa.SetTracer(ra)
 						wd.SetTracer(rd)
 					}
-					wa.InstallFaults(ov.faults)
-					wd.InstallFaults(ov.faults)
+					wa.InstallFaults(ov.faults, nil)
+					wd.InstallFaults(ov.faults, nil)
 					lst := maskList(active)
 					dense := func(rank int) {
 						if active[rank] {
@@ -203,8 +203,9 @@ func TestRunPhaseActiveFullMaskIsRunPhase(t *testing.T) {
 //   - DelayActivePhase: the same under DelayPlan(…, 1, 1), which holds every
 //     message back exactly one boundary: each boundary releases the last
 //     phase's puts and captures this one's, so the held list and the list
-//     of released messages keep their capacity. The payload is not a
-//     Cloner, so nothing is copied.
+//     of released messages keep their capacity. Its hold function copies
+//     nothing, so what is measured is the call: a held message handed to
+//     hold must not escape to the heap.
 //   - DensePhase: one RunPhase whose body calls Inbox, Put and Charge on
 //     every rank; staging and window buffers keep their capacity.
 //   - DelayPhase: the dense phase under that plan.
@@ -224,10 +225,11 @@ func TestActiveAllocGate(t *testing.T) {
 				wt, ft, _, _ := activeWorld(256, 16, parallel)
 				wt.SetTracer(obs.NewRecorderCap(256, 64))
 				wsa, fsa, _, _ := activeWorld(256, 16, parallel)
-				wsa.InstallFaults(DelayPlan(7, 1, 1))
+				keep := func(*Message) {}
+				wsa.InstallFaults(DelayPlan(7, 1, 1), keep)
 				wd, fd, _, _ := activeWorld(256, 1, parallel)
 				ws, fs, _, _ := activeWorld(256, 1, parallel)
-				ws.InstallFaults(DelayPlan(7, 1, 1))
+				ws.InstallFaults(DelayPlan(7, 1, 1), keep)
 				for _, op := range []struct {
 					name string
 					f    func()

@@ -39,15 +39,6 @@ func DelayPlan(seed int64, prob float64, maxDelay int) *FaultPlan {
 	return &FaultPlan{Seed: seed, DelayProb: prob, DelayMax: maxDelay}
 }
 
-// Cloner lets the fault layer deep-copy a payload it holds past the phase
-// in which it was staged: senders reuse their payload buffers one phase
-// after a normal delivery, so a delayed message would otherwise alias
-// storage that has since been rewritten. Payloads that do not implement
-// Cloner are held by reference.
-type Cloner interface {
-	CloneMessage() any
-}
-
 // prng is splitmix64: tiny, fast, and stable across platforms, so chaos
 // schedules never depend on math/rand internals or global seeding.
 type prng struct {
@@ -86,8 +77,9 @@ type chaosState struct {
 	plan FaultPlan
 	rng  prng
 
-	held       []heldMsg // delayed messages, staging order
-	dueScratch []heldMsg // releaseDue scratch, reused across boundaries
+	hold       func(*Message) // InstallFaults' hold function, or nil
+	held       []heldMsg      // delayed messages, staging order
+	dueScratch []heldMsg      // releaseDue scratch, reused across boundaries
 
 	delayed int64 // messages held back
 }
@@ -95,12 +87,18 @@ type chaosState struct {
 // InstallFaults installs (a copy of) plan on the world, replacing any
 // previous plan and rewinding the fault PRNG to plan.Seed. A nil plan
 // removes fault injection. It must be called before the first phase.
-func (w *World) InstallFaults(plan *FaultPlan) {
+//
+// hold, if not nil, runs once on each message the plan holds back, at the
+// boundary that holds it and before it lands: senders rewrite their buffers
+// one phase after a normal delivery, so a delayed message must take what
+// its payload names with it, and hold is where it does (it may replace
+// Payload). A nil hold keeps the payload by reference.
+func (w *World) InstallFaults(plan *FaultPlan, hold func(*Message)) {
 	if plan == nil {
 		w.chaos = nil
 		return
 	}
-	ch := &chaosState{plan: *plan, rng: prng{s: uint64(plan.Seed)}}
+	ch := &chaosState{plan: *plan, rng: prng{s: uint64(plan.Seed)}, hold: hold}
 	if ch.plan.DelayMax < 1 {
 		ch.plan.DelayMax = 1
 	}
@@ -123,17 +121,18 @@ func (w *World) InFlight() int {
 func (w *World) FaultsQuiescent() bool { return w.InFlight() == 0 }
 
 // landFaulty decides the fate of one staged message at a delivery boundary:
-// captured as delayed (it returns false: the message leaves staging, its
-// payload deep-copied if it is a Cloner) or landed.
+// captured as delayed (it returns false: the message leaves staging, and the
+// hold function runs on its copy in the held list) or landed. The copy is
+// appended before hold sees it: hold is a func value, so the address of a
+// local handed to it would make that local escape on every delay.
 func (w *World) landFaulty(m *Message) bool {
 	ch := w.chaos
 	if ch.plan.DelayProb > 0 && ch.rng.float() < ch.plan.DelayProb {
 		k := 1 + ch.rng.intn(ch.plan.DelayMax)
-		held := *m
-		if c, ok := held.Payload.(Cloner); ok {
-			held.Payload = c.CloneMessage()
+		ch.held = append(ch.held, heldMsg{due: w.phases + int64(k), m: *m})
+		if ch.hold != nil {
+			ch.hold(&ch.held[len(ch.held)-1].m)
 		}
-		ch.held = append(ch.held, heldMsg{due: w.phases + int64(k), m: held})
 		ch.delayed++
 		w.emitFault(obs.FlagFaultDelayed, int(m.From), int(m.To))
 		return false

@@ -6,19 +6,9 @@ import (
 	"testing/quick"
 )
 
-// clonable is a payload with a buffer the sender reuses, as the dmem
-// payloads do.
-type clonable struct {
-	vals []float64
-}
-
-func (c *clonable) CloneMessage() any {
-	return &clonable{vals: append([]float64(nil), c.vals...)}
-}
-
 func TestDelayFaultHoldsMessageForExtraPhases(t *testing.T) {
 	w := NewWorld(2, CostModel{})
-	w.InstallFaults(&FaultPlan{Seed: 1, DelayProb: 1, DelayMax: 1})
+	w.InstallFaults(&FaultPlan{Seed: 1, DelayProb: 1, DelayMax: 1}, nil)
 	w.RunPhase(func(rank int) {
 		if rank == 0 {
 			w.Put(0, 1, TagSolve, 8, "late")
@@ -49,10 +39,98 @@ func TestDelayFaultHoldsMessageForExtraPhases(t *testing.T) {
 	}
 }
 
+// heldBuf is a payload whose buffer the sender rewrites after sending, as
+// the dmem send buffers are.
+type heldBuf struct{ vals []float64 }
+
+// TestHoldRunsOnceOnEachHeldMessage: under a plan that holds every message
+// back one phase, hold runs once per message, at the boundary that holds it
+// — after the phase that sent it, before it lands — and what it leaves in
+// Payload is what lands.
+func TestHoldRunsOnceOnEachHeldMessage(t *testing.T) {
+	w := NewWorld(3, CostModel{})
+	held := map[*heldBuf]int{}
+	var copies []*heldBuf
+	w.InstallFaults(DelayPlan(5, 1, 1), func(m *Message) {
+		b := m.Payload.(*heldBuf)
+		held[b]++
+		c := &heldBuf{vals: append([]float64(nil), b.vals...)}
+		copies = append(copies, c)
+		m.Payload = c
+	})
+	bufs := []*heldBuf{{vals: []float64{1}}, {vals: []float64{2}}, {vals: []float64{3}}}
+	w.RunPhase(func(rank int) {
+		w.Put(rank, (rank+1)%3, TagSolve, 8, bufs[rank])
+	})
+	if len(held) != 3 || len(copies) != 3 {
+		t.Fatalf("hold saw %d payloads in %d calls, want 3 in 3", len(held), len(copies))
+	}
+	for rank, b := range bufs {
+		if held[b] != 1 {
+			t.Errorf("hold ran %d times on rank %d's message, want 1", held[b], rank)
+		}
+		b.vals[0] = -1 // the sender rewrites its buffer while the message is held
+	}
+	w.RunPhase(func(rank int) {
+		if len(w.Inbox(rank)) != 0 {
+			t.Errorf("rank %d: a held message landed on time", rank)
+		}
+	})
+	w.RunPhase(func(rank int) {
+		in := w.Inbox(rank)
+		from := (rank + 2) % 3
+		if len(in) != 1 || in[0].Payload.(*heldBuf) != copies[from] || copies[from].vals[0] != float64(from+1) {
+			t.Errorf("rank %d received %+v, want hold's copy of rank %d's buffer", rank, in, from)
+		}
+	})
+	if len(copies) != 3 {
+		t.Errorf("hold ran %d times in all, want 3: it ran again on landing", len(copies))
+	}
+}
+
+// TestHoldSkipsMessagesOnTime: hold runs for exactly the messages the plan
+// delays — never under a plan that delays nothing, once per delayed message
+// under one that delays some — and a message that lands on time keeps the
+// payload it was sent with.
+func TestHoldSkipsMessagesOnTime(t *testing.T) {
+	for _, plan := range []*FaultPlan{DelayPlan(3, 0, 2), chaosPlan(11)} {
+		w := NewWorld(8, CostModel{})
+		calls := 0
+		w.InstallFaults(plan, func(m *Message) {
+			calls++
+			m.Payload = nil
+		})
+		sent := make([]int, 8)
+		for phase := 0; phase < 12; phase++ {
+			w.RunPhase(func(rank int) {
+				for _, m := range w.Inbox(rank) {
+					if p, ok := m.Payload.(*int); ok && p != &sent[m.From] {
+						t.Errorf("a message on time carries %p, sent %p", p, &sent[m.From])
+					}
+				}
+				for k := 1; k <= 3; k++ {
+					w.Put(rank, (rank+k)%8, TagSolve, 8, &sent[rank])
+				}
+			})
+		}
+		if got := int64(calls); got != w.Stats().DelayedMsgs {
+			t.Errorf("plan %+v: hold ran %d times for %d delayed messages", *plan, calls, w.Stats().DelayedMsgs)
+		}
+		if plan.DelayProb > 0 && calls == 0 {
+			t.Errorf("plan %+v delayed nothing: the case tests nothing", *plan)
+		}
+	}
+}
+
+// TestDelayedPayloadIsCloned: a hold function that copies the buffer makes
+// the held message land with the values it was sent with, though the
+// sender reuses its buffer while the message is held.
 func TestDelayedPayloadIsCloned(t *testing.T) {
 	w := NewWorld(2, CostModel{})
-	w.InstallFaults(&FaultPlan{Seed: 3, DelayProb: 1, DelayMax: 1})
-	buf := &clonable{vals: []float64{42}}
+	w.InstallFaults(&FaultPlan{Seed: 3, DelayProb: 1, DelayMax: 1}, func(m *Message) {
+		m.Payload = &heldBuf{vals: append([]float64(nil), m.Payload.(*heldBuf).vals...)}
+	})
+	buf := &heldBuf{vals: []float64{42}}
 	w.RunPhase(func(rank int) {
 		if rank == 0 {
 			w.Put(0, 1, TagSolve, 8, buf)
@@ -67,9 +145,40 @@ func TestDelayedPayloadIsCloned(t *testing.T) {
 			if len(in) != 1 {
 				t.Fatalf("got %d messages", len(in))
 			}
-			pl := in[0].Payload.(*clonable)
-			if pl.vals[0] != 42 {
+			pl := in[0].Payload.(*heldBuf)
+			if pl == buf || pl.vals[0] != 42 {
 				t.Errorf("held payload aliased sender buffer: %g", pl.vals[0])
+			}
+			got = true
+		}
+	})
+	if !got {
+		t.Fatal("delivery phase did not run")
+	}
+}
+
+// TestNilHoldKeepsPayloadByReference: without a hold function a delayed
+// message lands with the payload it was sent with, rewrites included.
+func TestNilHoldKeepsPayloadByReference(t *testing.T) {
+	w := NewWorld(2, CostModel{})
+	w.InstallFaults(&FaultPlan{Seed: 3, DelayProb: 1, DelayMax: 1}, nil)
+	buf := &heldBuf{vals: []float64{42}}
+	w.RunPhase(func(rank int) {
+		if rank == 0 {
+			w.Put(0, 1, TagSolve, 8, buf)
+		}
+	})
+	buf.vals[0] = -1
+	w.RunPhase(func(rank int) {})
+	got := false
+	w.RunPhase(func(rank int) {
+		if rank == 1 {
+			in := w.Inbox(1)
+			if len(in) != 1 {
+				t.Fatalf("got %d messages", len(in))
+			}
+			if pl := in[0].Payload.(*heldBuf); pl != buf || pl.vals[0] != -1 {
+				t.Errorf("held payload %p (%g), want the sender's %p by reference", pl, pl.vals[0], buf)
 			}
 			got = true
 		}
@@ -91,7 +200,7 @@ func chaosRun(seed int64, parallel bool) ([][]int, Stats) {
 	const P = 8
 	w := NewWorld(P, DefaultCostModel())
 	w.Parallel = parallel
-	w.InstallFaults(chaosPlan(seed))
+	w.InstallFaults(chaosPlan(seed), nil)
 	got := make([][]int, P)
 	for phase := 0; phase < 12; phase++ {
 		w.RunPhase(func(rank int) {
@@ -142,8 +251,8 @@ func TestChaosActuallyInjects(t *testing.T) {
 
 func TestInstallNilFaultsRemovesPlan(t *testing.T) {
 	w := NewWorld(2, CostModel{})
-	w.InstallFaults(&FaultPlan{Seed: 1, DelayProb: 1, DelayMax: 1})
-	w.InstallFaults(nil)
+	w.InstallFaults(&FaultPlan{Seed: 1, DelayProb: 1, DelayMax: 1}, nil)
+	w.InstallFaults(nil, nil)
 	w.RunPhase(func(rank int) {
 		if rank == 0 {
 			w.Put(0, 1, TagSolve, 8, "on time")

@@ -274,8 +274,8 @@ func (w *oldWorld) oldLandFaulty(m *Message) {
 	if ch.plan.DelayProb > 0 && ch.rng.float() < ch.plan.DelayProb {
 		k := 1 + ch.rng.intn(ch.plan.DelayMax)
 		held := *m
-		if c, ok := held.Payload.(Cloner); ok {
-			held.Payload = c.CloneMessage()
+		if ch.hold != nil {
+			ch.hold(&held)
 		}
 		ch.held = append(ch.held, heldMsg{due: w.phases + int64(k), m: held})
 		ch.delayed++
@@ -285,16 +285,22 @@ func (w *oldWorld) oldLandFaulty(m *Message) {
 	w.oldLand(*m)
 }
 
-// tok is the oracle's payload: a pointer both worlds share, whose clone is
-// another shared pointer, so a delayed message's payload is the same pointer
-// in both.
+// tok is the oracle's payload: a pointer both worlds share, which holdTok
+// swaps for another shared pointer, so a delayed message's payload is the
+// same pointer in both.
 type tok struct{ id int }
 
 const toks = 1 << 12
 
 var tokens, tokenClones [toks]tok
 
-func (t *tok) CloneMessage() any { return &tokenClones[t.id] }
+func init() {
+	for i := range tokens {
+		tokens[i].id = i
+	}
+}
+
+func holdTok(m *Message) { m.Payload = &tokenClones[m.Payload.(*tok).id] }
 
 // mix is a splitmix64 step over the script's coordinates.
 func mix(vs ...int64) uint64 {
@@ -369,8 +375,8 @@ func TestDeliveryMatchesReference(t *testing.T) {
 						var rw, ro *obs.Recorder
 						start := func() {
 							w.Parallel, o.Parallel = par, par
-							w.InstallFaults(pc.plan)
-							o.InstallFaults(pc.plan)
+							w.InstallFaults(pc.plan, holdTok)
+							o.InstallFaults(pc.plan, holdTok)
 							if traced {
 								rw, ro = obs.NewRecorderCap(p, 1<<12), obs.NewRecorderCap(p, 1<<12)
 								w.SetTracer(rw)

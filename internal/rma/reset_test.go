@@ -78,7 +78,7 @@ func dirtyWorld(t *testing.T, p int, rec *obs.Recorder) *World {
 	for i := 0; i < 3; i++ {
 		w.RunPhase(send)
 	}
-	w.InstallFaults(DelayPlan(99, 0.6, 4))
+	w.InstallFaults(DelayPlan(99, 0.6, 4), nil)
 	w.SetTracer(rec)
 	for i := 0; i < 5; i++ {
 		w.RunPhase(send)
@@ -113,7 +113,7 @@ func TestResetIsAFreshWorld(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			atWidths(t, tc.parallel, func(t *testing.T) {
 				fresh := NewWorld(p, model)
-				fresh.InstallFaults(tc.faults)
+				fresh.InstallFaults(tc.faults, nil)
 				want := resetScript(fresh, 11) // width 1: phases inline
 
 				rec := obs.NewRecorder(p)
@@ -148,7 +148,7 @@ func TestResetIsAFreshWorld(t *testing.T) {
 					}
 				}
 				w.Parallel = tc.parallel
-				w.InstallFaults(tc.faults)
+				w.InstallFaults(tc.faults, nil)
 				got := resetScript(w, 11) // Put and the phases must not panic on the reopened world
 				if len(rec.Events()) != events {
 					t.Errorf("dropped tracer still received %d events after Reset", len(rec.Events())-events)
