@@ -161,15 +161,17 @@ bench-smoke:
 # four rows, 203 329 ghost slots, each initialized through its owner's
 # boundary rows), plain and under a delay plan (42 622 bodies held back,
 # each landing with a copy of the floats it named). The IDENTITY_DIRECT
-# line is the benchmark's direct64 shape (64 ranks of about 275 rows),
-# whose every sparse factor stores both leading runs and tails of L. Then
-# come a pinned run's whole trace export (~1.3 MB; pinned, so no rank sleeps
-# and every event is part of the contract), the -quick scaling study (it
-# reads DIFFERS against a parent whose scaling still printed host
-# wall-clock), the whole trace of a pinned run under a delay plan, which
-# pins the fault overlay's trace events, and a run stopped by -target
-# before its step budget, which pins the target test. The failure message
-# counts the lines that ran. Not part of verify: it needs a second checkout.
+# lines are the benchmark's direct64 shape (64 ranks of about 275 rows),
+# whose every sparse factor stores both leading runs and tails of L, under
+# DS, PS and BJ: each method's direct relaxation charges the off-diagonal
+# count NewSetup recorded. Then come a pinned run's whole trace export
+# (~1.3 MB; pinned, so no rank sleeps and every event is part of the
+# contract), the -quick scaling study (it reads DIFFERS against a parent
+# whose scaling still printed host wall-clock), the whole trace of a pinned
+# run under a delay plan, which pins the fault overlay's trace events, and a
+# run stopped by -target before its step budget, which pins the target
+# test. The failure message counts the lines that ran. Not part of verify:
+# it needs a second checkout.
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
 IDENTITY_SOLVE = -mat msdoor -n 64 -sweep_max 15
 IDENTITY_SMALL = -mat msdoor -n 1024 -sweep_max 5
@@ -199,6 +201,8 @@ identity:
 		"dsouthwell $(IDENTITY_WIDE)" \
 		"dsouthwell $(IDENTITY_WIDE) -chaos 0.3" \
 		"dsouthwell $(IDENTITY_DIRECT)" \
+		"dsouthwell $(IDENTITY_DIRECT) -solver ps" \
+		"dsouthwell $(IDENTITY_DIRECT) -solver bj" \
 		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout" \
 		"benchtables -quick scaling" \
 		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3 -active=false -trace /dev/stdout" \

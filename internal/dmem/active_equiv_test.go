@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,5 +214,39 @@ func TestNegativeUpdateSlackPanics(t *testing.T) {
 	}
 	if s.parked != nil {
 		t.Error("a refused solve parked a run state")
+	}
+}
+
+// TestSyncListMatchesInSet: merging the admitted ranks into the member list
+// leaves exactly the ascending list of ranks inSet holds, whatever the
+// members and the admission order, admissions of members included (a no-op).
+func TestSyncListMatchesInSet(t *testing.T) {
+	const p = 97
+	rng := rand.New(rand.NewSource(5))
+	e := &stepEngine{list: make([]int32, 0, p), admitted: make([]int32, 0, p), inSet: make([]bool, p), sawMail: make([]bool, p)}
+	for round := range 200 {
+		for _, q := range rng.Perm(p)[:rng.Intn(p/4+1)] {
+			e.admit(q, round, false)
+		}
+		e.syncList()
+		var want []int32
+		for q, in := range e.inSet {
+			if in {
+				want = append(want, int32(q))
+			}
+		}
+		if !slices.Equal(e.list, want) {
+			t.Fatalf("round %d: list %v, inSet holds %v", round, e.list, want)
+		}
+		// Drop a random share of the members, as endStep does.
+		kept := e.list[:0]
+		for _, q := range e.list {
+			if rng.Intn(3) == 0 {
+				e.inSet[q] = false
+				continue
+			}
+			kept = append(kept, q)
+		}
+		e.list = kept
 	}
 }

@@ -1,6 +1,8 @@
 package dmem
 
 import (
+	"slices"
+
 	"southwell/internal/obs"
 	"southwell/internal/rma"
 )
@@ -128,11 +130,12 @@ type stepEngine struct {
 
 	// list is the ascending member list — the view every per-step walk
 	// (phase dispatch, flag reset, norm tally, sleep scan) runs over. When
-	// ranks may sleep it mirrors inSet: admissions mark it dirty and
-	// syncList rebuilds it lazily, so the O(P) rebuild is paid only on
-	// steps where membership grew; endStep compacts removals in place.
-	list      []int32
-	listDirty bool
+	// ranks may sleep it mirrors inSet: admit appends to admitted, syncList
+	// merges those into list lazily, and endStep compacts removals in place.
+	// Both have capacity P: only a non-member is admitted, so together they
+	// never hold more than P ranks.
+	list     []int32
+	admitted []int32
 
 	// Read by unpinned runs only.
 	inSet   []bool    // rank executes the current step's remaining phases
@@ -157,7 +160,7 @@ func (e *stepEngine) admit(p, step int, mail bool) {
 		return
 	}
 	e.inSet[p] = true
-	e.listDirty = true
+	e.admitted = append(e.admitted, int32(p))
 	if e.starve {
 		// While asleep the rank neither relaxed nor received, so the
 		// per-step rule would have incremented starved once per step since
@@ -197,20 +200,28 @@ func (e *stepEngine) beginStep(step int) {
 	e.hist = append(e.hist, len(e.list))
 }
 
-// syncList rebuilds the member list from inSet if admissions dirtied it.
-// Amortized free: membership grows only at wakeups, so quiescent-heavy
-// runs rebuild on the rare step that admits and pay O(members) otherwise.
+// syncList merges the ranks admitted since its last call into the member
+// list: it sorts them and merges the two ascending lists backward, in place,
+// in O(members + admitted · log admitted) — never O(P), however often a
+// step admits.
 func (e *stepEngine) syncList() {
-	if !e.listDirty {
+	a := e.admitted
+	if len(a) == 0 {
 		return
 	}
-	e.listDirty = false
-	e.list = e.list[:0]
-	for p, in := range e.inSet {
-		if in {
-			e.list = append(e.list, int32(p))
+	slices.Sort(a)
+	i, j := len(e.list)-1, len(a)-1
+	e.list = e.list[:len(e.list)+len(a)]
+	for k := len(e.list) - 1; j >= 0; k-- {
+		if i >= 0 && e.list[i] > a[j] {
+			e.list[k] = e.list[i]
+			i--
+		} else {
+			e.list[k] = a[j]
+			j--
 		}
 	}
+	e.admitted = a[:0]
 }
 
 // resetRelaxed clears the per-step relax flags. Only current members can

@@ -40,7 +40,12 @@ type rankState struct {
 	seqSeen []int32
 
 	extDelta []float64 // scratch, per ext row
-	relaxed  bool      // relaxed in the current step
+	// directNNZ is the rank's off-diagonal count (nnz) as NewSetup recorded
+	// it for relaxDirect's charge: a direct Setup's layout keeps no local
+	// couplings to count. It sits in the padding before starved; in direct
+	// it would widen every rank state by 8 bytes.
+	directNNZ int32
+	relaxed   bool // relaxed in the current step
 	// Starvation tracking, used only under fault injection (DS): gotMsg is
 	// set by the absorb paths when any message is read, and
 	// starved counts consecutive steps with neither a relaxation nor a
@@ -134,7 +139,7 @@ func (rs *rankState) relaxDirect() float64 {
 			extDelta[c] -= vals[k] * dl
 		}
 	}
-	return rs.direct.f.SolveFlops() + float64(rs.nnz()) + float64(m)
+	return rs.direct.f.SolveFlops() + float64(rs.directNNZ) + float64(m)
 }
 
 // nnz returns the rank's off-diagonal entry count, local + external.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,23 +18,27 @@ import (
 	"southwell/internal/sparse"
 )
 
-// reuseCase builds a small problem, its setup for the given local solver,
-// and a second (b, x) draw on the same matrix.
-func reuseCase(t testing.TB, grid, ranks int, local LocalSolver) (s *Setup, b, x, b2, x2 []float64) {
+// reuseCase builds a small problem, the layout NewLayout returned for it,
+// its setup for the given local solver, and a second (b, x) draw on the
+// same matrix.
+func reuseCase(t testing.TB, grid, ranks int, local LocalSolver) (s *Setup, l *Layout, b, x, b2, x2 []float64) {
 	t.Helper()
-	s, b, x = buildCaseLocal(t, problem.Poisson2D(grid, grid), ranks, 8, local)
-	b2, x2 = problem.ZeroBSystem(s.Layout.A, 9)
+	gs, b, x := buildCase(t, problem.Poisson2D(grid, grid), ranks, 8)
+	l = gs.Layout
+	s = fresh(t, l, local)
+	b2, x2 = problem.ZeroBSystem(l.A, 9)
 	for i := range b2 {
 		b2[i] = float64(i%7) - 3 // a nonzero right-hand side as well
 	}
-	return s, b, x, b2, x2
+	return s, l, b, x, b2, x2
 }
 
-// fresh is a new Setup of s's layout and local solver, with no run state
-// parked on it.
-func fresh(t testing.TB, s *Setup) *Setup {
+// fresh is a new Setup of layout l and the given local solver, with no run
+// state parked on it. l is the layout NewLayout returned: a direct Setup's
+// own keeps no local couplings to build another Setup from.
+func fresh(t testing.TB, l *Layout, local LocalSolver) *Setup {
 	t.Helper()
-	f, err := NewSetup(s.Layout, s.Local)
+	f, err := NewSetup(l, local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +58,7 @@ func TestSetupReuseInvisible(t *testing.T) {
 	}
 	for _, local := range []LocalSolver{LocalGS, LocalDirect} {
 		t.Run(local.String(), func(t *testing.T) {
-			s, b, x, b2, x2 := reuseCase(t, 28, 28, local)
+			s, l, b, x, b2, x2 := reuseCase(t, 28, 28, local)
 			var first *runState
 			for _, row := range []struct {
 				name   string
@@ -85,7 +90,7 @@ func TestSetupReuseInvisible(t *testing.T) {
 				}
 				var recs [2]*obs.Recorder
 				var res [2]*Result
-				for i, setup := range []*Setup{fresh(t, s), s} {
+				for i, setup := range []*Setup{fresh(t, l, s.Local), s} {
 					c := cfg
 					if row.traced {
 						recs[i] = obs.NewRecorder(s.Layout.P)
@@ -132,8 +137,8 @@ func TestSetupReuseInvisible(t *testing.T) {
 // state — one takes the parked state, the others build their own — and all
 // equal the reference. Run under -race via `make race`.
 func TestSetupConcurrentRuns(t *testing.T) {
-	s, b, x, _, _ := reuseCase(t, 24, 8, LocalDirect)
-	want := DistributedSouthwell(fresh(t, s), b, x, Config{Steps: 15})
+	s, l, b, x, _, _ := reuseCase(t, 24, 8, LocalDirect)
+	want := DistributedSouthwell(fresh(t, l, s.Local), b, x, Config{Steps: 15})
 	for _, procs := range []int{2, 4} {
 		prev, prevWidth := runtime.GOMAXPROCS(procs), parallel.Default().Workers()
 		parallel.SetDefaultWorkers(procs) // or the Parallel solves would run at the old width
@@ -166,8 +171,8 @@ func TestSetupConcurrentRuns(t *testing.T) {
 // workers and starts none of its own, so a Setup with a parked state owns no
 // goroutine.
 func TestParkedStateHoldsNoGoroutines(t *testing.T) {
-	s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
-	DistributedSouthwell(fresh(t, s), b, x, Config{Steps: 5, Parallel: true}) // start whatever outlives solves by design
+	s, l, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
+	DistributedSouthwell(fresh(t, l, s.Local), b, x, Config{Steps: 5, Parallel: true}) // start whatever outlives solves by design
 	before := runtime.NumGoroutine()
 	DistributedSouthwell(s, b, x, Config{Steps: 5, Parallel: true})
 	if n := runtime.NumGoroutine(); n > before {
@@ -184,7 +189,7 @@ func TestParkedStateHoldsNoGoroutines(t *testing.T) {
 // a copy of the plan's three numbers for the run, never the caller's
 // pointer.)
 func TestParkedStateKeepsNothingOfTheCaller(t *testing.T) {
-	s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
+	s, _, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
 	var freed [2]atomic.Bool
 	func() {
 		rec := obs.NewRecorder(s.Layout.P)
@@ -219,8 +224,8 @@ func TestParkedStateKeepsNothingOfTheCaller(t *testing.T) {
 // slot empty — not hand its half-stepped state to the next solve — and the
 // next solve must be clean.
 func TestPanickedSolveIsNotParked(t *testing.T) {
-	s, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
-	want := DistributedSouthwell(fresh(t, s), b, x, Config{Steps: 10})
+	s, l, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
+	want := DistributedSouthwell(fresh(t, l, s.Local), b, x, Config{Steps: 10})
 	DistributedSouthwell(s, b, x, Config{Steps: 10})
 	if s.parked == nil {
 		t.Fatal("clean solve did not park its state")
@@ -285,7 +290,7 @@ func classBytes(n uint64) uint64 {
 func TestSolveReuseAllocCeiling(t *testing.T) {
 	const ranks, slack = 64, 4 << 10
 	stepStats := uint64(reflect.TypeOf(StepStats{}).Size())
-	s, b, x, _, _ := reuseCase(t, 100, ranks, LocalGS)
+	s, l, b, x, _, _ := reuseCase(t, 100, ranks, LocalGS)
 	DistributedSouthwell(s, b, x, Config{Steps: 30}) // builds and parks the state
 	for _, row := range []struct {
 		name  string
@@ -307,7 +312,7 @@ func TestSolveReuseAllocCeiling(t *testing.T) {
 		if limit := uint64(8*s.Layout.A.N) + history + slack; mallocs > 40 || bytes > limit {
 			t.Errorf("%s: solve on the parked state made %d mallocs / %d bytes, want ≤ 40 / ≤ %d", row.name, mallocs, bytes, limit)
 		}
-		compareRuns(t, row.name, row.run(fresh(t, s), b, x, cfg), res)
+		compareRuns(t, row.name, row.run(fresh(t, l, s.Local), b, x, cfg), res)
 	}
 }
 
@@ -417,6 +422,80 @@ func TestLayoutRetainedAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestSetupRetainedAllocCeiling: what NewLayout + NewSetup keep once the
+// caller drops its layout — the live heap after a GC, minus before — on the
+// benchmark's four shapes, with LocalDirect on direct64 as the benchmark
+// runs it, at pool widths 1 and 2. A direct Setup keeps each local block
+// once, as its factor: with the layout's split-CSR copy of the blocks as
+// well, direct64 read 12 371 672 bytes at both widths.
+// Each ceiling is the reading + 1 %, so neither the Setup's own layout nor
+// a pinned caller's can bring the 3.71 MB of diag, locPtr, locCol and
+// locVal back.
+func TestSetupRetainedAllocCeiling(t *testing.T) {
+	ceilings := map[string][2]uint64{
+		"suite256":    {5_379_312, 5_378_696},
+		"wide4k":      {7_135_112, 7_135_208},
+		"pointload2k": {4_890_504, 4_890_600},
+		"direct64":    {8_644_680, 8_644_680},
+	}
+	defer parallel.SetDefaultWorkers(parallel.Default().Workers())
+	for w, width := range []int{1, 2} {
+		parallel.SetDefaultWorkers(width)
+		for _, c := range e2eShapes() {
+			local := LocalGS
+			if c.name == "direct64" {
+				local = LocalDirect
+			}
+			h0 := liveHeap()
+			s := func() *Setup {
+				l, err := NewLayout(c.a, c.part, c.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := NewSetup(l, local)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}()
+			kept := liveHeap() - h0
+			runtime.KeepAlive(s)
+			t.Logf("%s at pool width %d: a Setup keeps %d bytes", c.name, width, kept)
+			if ceiling := ceilings[c.name][w]; kept > ceiling+ceiling/100 {
+				t.Errorf("%s at pool width %d: a Setup keeps %d bytes, want ≤ %d (+1%%)", c.name, width, kept, ceiling)
+			}
+		}
+	}
+}
+
+// TestNewSetupRefusesDirectLayout: a LocalDirect Setup's layout keeps no
+// local couplings, so building another Setup from it — either mode — is an
+// error that names the layout to use, never a Setup whose sweep would index
+// a nil locPtr at solve time.
+func TestNewSetupRefusesDirectLayout(t *testing.T) {
+	gs, _, _ := buildCase(t, problem.Poisson2D(12, 12), 4, 1)
+	direct, err := NewSetup(gs.Layout, LocalDirect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs.Layout.locPtr == nil || direct.Layout == gs.Layout {
+		t.Fatal("the direct Setup dropped the caller's local couplings instead of its own copy's")
+	}
+	for _, local := range []LocalSolver{LocalGS, LocalDirect} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("NewSetup(direct layout, %v) panicked: %v", local, r)
+				}
+			}()
+			s, err := NewSetup(direct.Layout, local)
+			if s != nil || err == nil || !strings.Contains(err.Error(), "the Layout NewLayout returned") {
+				t.Errorf("NewSetup(direct layout, %v) = %v, %v; want an error naming the Layout NewLayout returned", local, s, err)
+			}
+		}()
+	}
+}
+
 // TestParkedStateAllocCeiling: what a Setup keeps between solves on the
 // benchmark's four shapes — the live heap after its first DS solve, at the
 // workload's step budget, minus before. On wide4k this procedure measured
@@ -426,9 +505,10 @@ func TestLayoutRetainedAllocCeiling(t *testing.T) {
 // of a copy of them, 26 305 408 with one window array instead of two, and
 // 18 899 480 with 32-byte bodies that name their floats by offset (from
 // 26 305 016; suite256 2 744 976 → 2 450 128, pointload2k 6 098 680 →
-// 5 099 304, direct64 1 394 176 → 1 336 880). The ceiling is the last
-// reading + 1 %, so nothing taken out of the layout, the world or the
-// run-state slab reappears.
+// 5 099 304, direct64 1 394 176 → 1 336 880). The ceiling is that reading
+// + 1 %, so nothing taken out of the layout, the world or the run-state slab
+// reappears. The engine's admitted buffer (4·P bytes) since reads 2 451 152 /
+// 18 915 864 / 5 107 496 / 1 337 168, inside the 1 %.
 func TestParkedStateAllocCeiling(t *testing.T) {
 	ceilings := map[string]uint64{"suite256": 2_450_128, "wide4k": 18_899_480, "pointload2k": 5_099_304, "direct64": 1_336_880}
 	steps := map[string]int{"suite256": 50, "wide4k": 20, "pointload2k": 300, "direct64": 50}

@@ -76,7 +76,8 @@ func newRunState(s *Setup) *runState {
 	}
 	e := &st.eng
 	e.w, e.states = st.w, st.states
-	e.list, e.inSet, e.sawMail, e.idleDeg = make([]int32, p), make([]bool, p), make([]bool, p), make([]float64, p)
+	e.list, e.admitted = make([]int32, p), make([]int32, 0, p)
+	e.inSet, e.sawMail, e.idleDeg = make([]bool, p), make([]bool, p), make([]float64, p)
 	// Slots: ranks are visited in ascending order and each visits its
 	// neighbors in ascending order, so rank pr's position in neighbor q's
 	// list (NewLayout checked that it is there) is the count of ranks that
@@ -104,7 +105,7 @@ func newRunState(s *Setup) *runState {
 			rs.res[j] = payload{bnd: carve(nBnd), slot: slot}
 		}
 		if s.factors != nil {
-			rs.direct.f, rs.direct.scratch = s.factors[pr], take(m)
+			rs.direct.f, rs.direct.scratch, rs.directNNZ = s.factors[pr], take(m), s.nnz[pr]
 		}
 		st.states[pr] = rs
 		e.idleDeg[pr] = float64(deg) // phase-1 idle charge: the unconditional degree scan
@@ -164,7 +165,7 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 
 	e.pinned = cfg.pinned(spec)
 	e.starve, e.refreshAfter = spec.starvation && cfg.Faults != nil, cfg.refreshAfter()
-	e.listDirty, e.hist, e.calendar = false, nil, nil
+	e.admitted, e.hist, e.calendar = e.admitted[:0], nil, nil
 	if !e.pinned {
 		e.hist = make([]int, 0, cfg.steps())
 		if e.starve {

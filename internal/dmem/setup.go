@@ -97,11 +97,17 @@ func factorAll(l *Layout) ([]*spdirect.Factor, error) {
 // NewSetup, then hand the same *Setup to any number of runs: repeated runs
 // reuse the parked state, concurrent ones stay safe (a run that finds the
 // slot empty builds its own state and drops it).
+//
+// A LocalDirect Setup's Layout keeps no local couplings (diag, locPtr,
+// locCol, locVal): its factors are the local blocks, and nothing after the
+// factorization reads them. Build any other Setup from the Layout NewLayout
+// returned, never from a direct Setup's.
 type Setup struct {
 	Layout *Layout
 	Local  LocalSolver
 
 	factors []*spdirect.Factor // nil for LocalGS
+	nnz     []int32            // per rank, its off-diagonal count (rankState.nnz); LocalDirect only
 
 	mu     sync.Mutex
 	parked *runState // built by the first solve, never by NewSetup
@@ -109,8 +115,12 @@ type Setup struct {
 
 // NewSetup builds the reusable setup for the given layout and local-solver
 // mode, factoring all ranks in parallel for LocalDirect. Any mode but
-// LocalGS and LocalDirect is an error.
+// LocalGS and LocalDirect is an error, and so is a layout whose local
+// couplings a direct Setup dropped. l itself is never modified.
 func NewSetup(l *Layout, mode LocalSolver) (*Setup, error) {
+	if l.locPtr == nil {
+		return nil, fmt.Errorf("dmem: layout has no local couplings (a LocalDirect Setup's): build the Setup from the Layout NewLayout returned")
+	}
 	s := &Setup{Layout: l, Local: mode}
 	switch mode {
 	case LocalGS:
@@ -119,7 +129,16 @@ func NewSetup(l *Layout, mode LocalSolver) (*Setup, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.factors = factors
+		s.factors, s.nnz = factors, make([]int32, l.P)
+		for p := range l.P {
+			r0, r1 := l.rowOff[p], l.rowOff[p+1]
+			s.nnz[p] = l.locPtr[r1] - l.locPtr[r0] + l.extPtr[r1] - l.extPtr[r0]
+		}
+		// The factors are the local blocks: keep everything else of the
+		// layout, shallowly, and leave the caller's untouched.
+		direct := *l
+		direct.diag, direct.locPtr, direct.locCol, direct.locVal = nil, nil, nil, nil
+		s.Layout = &direct
 	default:
 		return nil, fmt.Errorf("dmem: unknown local solver %v (want LocalGS or LocalDirect)", mode)
 	}
