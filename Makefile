@@ -27,15 +27,18 @@ vet:
 	$(GO) vet ./...
 
 # Static checks beyond vet that need no external tools: formatting drift
-# fails the build (gofmt prints nothing when clean), then the project's own
-# determinism analyzers (cmd/dslint: detrand, maporder, floatcmp) run over
-# the whole module — about half a second, nearly all of it `go list`.
-# dslint prints one file:line:col per finding and exits non-zero on any. `go test ./cmd/dslint` runs the same check, so
-# tier-1 catches a finding without make.
+# fails the build (gofmt prints nothing when clean), then the tests of
+# internal/lint, by name, over one type-checked load of the module (under a
+# second, nearly all of it `go list`): the three determinism rules (no map
+# range and no wall clock or global math/rand under internal/, no exact
+# float comparison in any non-test file; each finding prints as
+# file:line:col), the rules run on planted sources, and the exported-name
+# and doc-name checks. They are ordinary tests, so tier-1 runs them too.
+LINT_TESTS = TestMapOrder|TestDeterminism|TestFloatCompare|TestMapOrderPlanted|TestDeterminismPlanted|TestFloatComparePlanted|TestExportedNamesHaveReaders|TestDocGoNamesResolve
 lint: vet
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
-	$(GO) run ./cmd/dslint ./...
+	$(GO) test -count=1 -run '^($(LINT_TESTS))$$' ./internal/lint/
 
 # The engine-equivalence, chaos-determinism, pool, and parallel-kernel
 # tests under the race detector: together they prove rank phases and

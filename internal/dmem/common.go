@@ -209,7 +209,7 @@ func sqrtNonNeg(v float64) float64 {
 func winsOver(np float64, p int, nq float64, q int) bool {
 	// Bit-exact by design: both ranks evaluate the same pair, so the
 	// tie-break must agree exactly or the relaxed set loses independence.
-	if np != nq { //dslint:ignore floatcmp
+	if np != nq {
 		return np > nq
 	}
 	return p < q

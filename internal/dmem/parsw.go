@@ -95,8 +95,7 @@ func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Res
 			// Bit-exact by design: any change at all to the norm since the
 			// last announcement must be broadcast — a tolerance here would let
 			// stale Γ entries persist.
-			if rs.norm != rs.lastTold { //dslint:ignore floatcmp
-
+			if rs.norm != rs.lastTold {
 				traceResSend(w, *step, p, -1, rs.lastTold, rs, false)
 				rs.lastTold = rs.norm
 				for j, q := range rs.nbrs() {

@@ -71,8 +71,7 @@ type DistSW struct {
 func (s DistSW) Name() string {
 	// Exact sentinel values: 0 (default) and 1 are assigned literals, never
 	// computed.
-	if s.SweepFraction != 0 && s.SweepFraction != 1 { //dslint:ignore floatcmp
-
+	if s.SweepFraction != 0 && s.SweepFraction != 1 {
 		return fmt.Sprintf("Dist SW %g sweep", s.SweepFraction)
 	}
 	return "Dist SW"

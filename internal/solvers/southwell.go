@@ -67,8 +67,7 @@ func SequentialSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 func winsOver(ri float64, i int, rj float64, j int) bool {
 	// Bit-exact by design: both rows evaluate the same pair, so the
 	// tie-break must agree exactly or the relaxed set loses independence.
-	if ri != rj { //dslint:ignore floatcmp
-
+	if ri != rj {
 		return ri > rj
 	}
 	return i < j
