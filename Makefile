@@ -65,12 +65,16 @@ chaos-smoke: build
 	$(GO) run ./cmd/benchtables -quick -ranks 32 -steps 40 -par 4 chaos >/dev/null
 
 # Partitioner pin, by name so a failure is labelled: the golden part-vector
-# hashes (every results/*.txt table sits on these partitions), and the
-# oracles that hold refine, induce and the recursion to the implementations
-# the hashes were taken on (kept verbatim in reference_test.go). The
-# malloc/byte ceiling of one Partition call runs under alloc-gates.
+# hashes (every results/*.txt table sits on these partitions), the oracles
+# that hold refine, induce and the recursion to the implementations the
+# hashes were first taken on (kept verbatim in reference_test.go), the
+# coarsen-once front end's bypass (recursive bisection byte for byte
+# wherever it keeps no coarse level), its quality against recursive
+# bisection (edge cut and imbalance over the suite at P = 256 and the
+# benchmark shapes) and the k-way refinement's invariants. The malloc/byte
+# ceiling of one Partition call runs under alloc-gates.
 partition-pin:
-	$(GO) test -run 'TestPartitionGolden|TestRefineMatchesReference|TestRefineSkipsNaNGain|TestInduceMatchesReference|TestPartitionMatchesReference' ./internal/partition/
+	$(GO) test -run 'TestPartitionGolden|TestRefineMatchesReference|TestRefineSkipsNaNGain|TestInduceMatchesReference|TestPartitionMatchesReference|TestMultilevelBypassIsBisection|TestMultilevelQuality|TestKWayRefineInvariants' ./internal/partition/
 
 # Allocation gates: every promise of the form "the steady-state path
 # allocates nothing" is a plain Go test asserting testing.AllocsPerRun == 0

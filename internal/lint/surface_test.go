@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -260,11 +261,17 @@ var docGoName = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Za-z_][A-Za-z0-9_]*)(
 // testFunc names a Test, Benchmark or Fuzz function.
 var testFunc = regexp.MustCompile(`^(Test|Benchmark|Fuzz)[A-Z_]`)
 
+// bareTestName is a backquoted Test, Benchmark or Fuzz function name with
+// no package: `TestPartitionGolden`.
+var bareTestName = regexp.MustCompile(`^(Test|Benchmark|Fuzz)[A-Z_][A-Za-z0-9_]*$`)
+
 // TestDocGoNamesResolve: every backquoted Go name in DESIGN.md and README.md
 // whose first element names a package of the module resolves — a
 // package-level name through the package scope, a member through
 // types.LookupFieldOrMethod, and a Test, Benchmark or Fuzz function in the
-// package's _test.go files. A lower-case second element is a benchmark
+// package's _test.go files. A bare Test, Benchmark or Fuzz name
+// (`TestPartitionGolden`) resolves to a function of that name in any
+// _test.go file of the module. A lower-case second element is a benchmark
 // metric name (`dmem.active_speedup`), not Go, and is skipped; so is
 // everything inside fenced code blocks. A span that starts with `make
 // <word>` names a Makefile target, and one that starts with a command's
@@ -285,6 +292,7 @@ func TestDocGoNamesResolve(t *testing.T) {
 		targets[m[1]] = true
 	}
 	flags := cmdFlags(moduleNonTest(t))
+	tests := moduleTestFuncs(t)
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
 		src, err := os.ReadFile(filepath.Join(moduleRoot, doc))
 		if err != nil {
@@ -293,6 +301,9 @@ func TestDocGoNamesResolve(t *testing.T) {
 		for _, span := range docCodeSpans(string(src)) {
 			if why := docCommand(span.text, targets, flags); why != "" {
 				t.Errorf("%s:%d: `%s`: %s", doc, span.line, span.text, why)
+			}
+			if bareTestName.MatchString(span.text) && !tests[span.text] {
+				t.Errorf("%s:%d: `%s`: no such function in the module's _test.go files", doc, span.line, span.text)
 			}
 			m := docGoName.FindStringSubmatch(span.text)
 			if m == nil || byName[m[1]] == nil || !ast.IsExported(m[2]) {
@@ -435,8 +446,36 @@ func resolveDocName(p *pkg, name, member string) string {
 func testFuncs(p *pkg) map[string]bool {
 	dir := filepath.Dir(p.fset.Position(p.files[0].Pos()).Filename)
 	names, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	return funcsIn(names)
+}
+
+// moduleTestFuncs returns the names of the functions declared in every
+// _test.go file of the module, testdata and hidden directories aside.
+func moduleTestFuncs(t *testing.T) map[string]bool {
+	var names []string
+	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != moduleRoot && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, "_test.go") {
+			names = append(names, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcsIn(names)
+}
+
+// funcsIn returns the names of the functions, not methods, the Go files
+// declare.
+func funcsIn(files []string) map[string]bool {
 	funcs := map[string]bool{}
-	for _, fn := range names {
+	for _, fn := range files {
 		f, err := parser.ParseFile(token.NewFileSet(), fn, nil, parser.SkipObjectResolution)
 		if err != nil {
 			continue

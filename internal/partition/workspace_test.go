@@ -56,8 +56,8 @@ func TestStackTrim(t *testing.T) {
 }
 
 // TestPartitionSameFromTinyWorkspace: a workspace that starts far too small
-// and has to add chunks all the way down the recursion labels the rows
-// exactly as the pre-sized one does.
+// and has to add chunks all the way down the coarsening and the recursion
+// labels the rows exactly as the pre-sized one does.
 func TestPartitionSameFromTinyWorkspace(t *testing.T) {
 	a := twoGrids()
 	const k = 6
@@ -67,7 +67,7 @@ func TestPartitionSameFromTinyWorkspace(t *testing.T) {
 	ws := newWorkspace(graphFromCSR(a), part, 1)
 	ws.i32.chunks = [][]int32{make([]int32, 1)}
 	ws.f64.chunks = [][]float64{make([]float64, 1)}
-	ws.partition(k)
+	ws.multilevel(k)
 	if !samePart(part, want) {
 		t.Error("partition from a one-element workspace differs from the pre-sized one")
 	}
