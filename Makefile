@@ -86,9 +86,13 @@ partition-pin:
 # micro-benchmark those gates share set-up with, and of the two set-up
 # benchmarks (BenchmarkPartition, BenchmarkNewLayout: the e2e shapes), so an
 # outright breakage fails verify without a long bench run. BenchmarkDenseLU
-# is deliberately not matched -- its O(n^3) factor would add minutes.
+# is deliberately not matched -- its O(n^3) factor would add minutes. The
+# set-up's retained-heap ceiling also runs alone at one scheduler thread,
+# three times: there a pool worker may not wake before a region ends, the
+# reading a finished region's closure once inflated.
 alloc-gates:
 	$(GO) test -run 'AllocGate|AllocCeiling' ./internal/...
+	GOMAXPROCS=1 $(GO) test -count=3 -run '^TestSetupRetainedAllocCeiling$$' ./internal/dmem
 	$(GO) test -run '^$$' -benchtime 1x -bench 'BenchmarkKernels|BenchmarkLDL|BenchmarkObs|BenchmarkRunPhase|BenchmarkActivePhases|BenchmarkLocalSolveCycled|BenchmarkPartition|BenchmarkNewLayout' \
 		./internal/sparse/ ./internal/spdirect/ ./internal/obs/ ./internal/rma/ ./internal/dmem/ ./internal/partition/ >/dev/null
 

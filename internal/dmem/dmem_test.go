@@ -59,8 +59,8 @@ func suiteMatrix(t testing.TB, name string) *sparse.CSR {
 //   - the global ids behind p's ghost row j — q's boundary rows toward p at
 //     that slot, through q's rows — are {g : part[g] = q, some row of p
 //     couples to g}, ascending, one per slot of the ghost row;
-//   - p's ext slots number those rows in that order: every external entry
-//     of p's rows names the slot of its column;
+//   - p's ext slots number those rows in that order: the target of every
+//     external entry of p's rows (Layout.tgt) is m + the slot of its column;
 //   - a reset ghost layer holds b − Ax at those rows, bit for bit.
 //
 // So a message body needs no index, and the plans can be recomputed from A
@@ -130,17 +130,79 @@ func TestLayoutExchangePlansMatch(t *testing.T) {
 					t.Fatalf("%s: rank %d's ghost of row %d reset to %g, its residual is %g", c.name, p, int32(key), rs.z[e], res[int32(key)])
 				}
 			}
-			for i := l.rowOff[p]; i < l.rowOff[p+1]; i++ {
-				cols, _ := c.a.Row(int(l.glob[i]))
-				ext := l.extCol[l.extPtr[i]:l.extPtr[i+1]]
-				for _, col := range cols {
+			m := int32(len(rs.r))
+			for _, g := range l.rows(p) {
+				lo, hi := c.a.RowPtr[g], c.a.RowPtr[g+1]
+				for k, col := range c.a.Col[lo:hi] {
 					if part[col] == p {
 						continue
 					}
-					if len(ext) == 0 || behind[ext[0]] != col {
-						t.Fatalf("%s: rank %d: an external entry of row %d does not name column %d's slot", c.name, p, l.glob[i], col)
+					if e := l.tgt[lo+int32(k)] - m; e < 0 || int(e) >= len(behind) || behind[e] != col {
+						t.Fatalf("%s: rank %d: an external entry of row %d does not name column %d's slot", c.name, p, g, col)
 					}
-					ext = ext[1:]
+				}
+			}
+		}
+	}
+}
+
+// TestLayoutTargetsMatch states Layout.tgt from A and the part vector
+// alone: for every entry (g, c) of A, with p = part[g] owning m rows, the
+// target is the local index of c in p — the row's own for the diagonal —
+// when part[c] = p, and otherwise m + the ext slot p files c under: its
+// position among the distinct columns of p's rows owned elsewhere, ordered
+// by owner, then by global id. Checked on the benchmark's four shapes and on
+// a grid with two isolated rows, one on a rank of its own (no neighbor, no
+// ext slot) and one on a rank with grid rows.
+func TestLayoutTargetsMatch(t *testing.T) {
+	grid := problem.Poisson2D(8, 8)
+	coo := sparse.NewCOO(grid.N+2, grid.NNZ()+2)
+	for g := range grid.N {
+		cols, vals := grid.Row(g)
+		for k, c := range cols {
+			coo.Add(g, int(c), vals[k])
+		}
+	}
+	coo.Add(grid.N, grid.N, 4)
+	coo.Add(grid.N+1, grid.N+1, 4)
+	isolated := coo.ToCSR()
+	part := append(partition.Partition(grid, 4, partition.Options{Seed: 1}), 4, 0)
+	shapes := append([]layoutShape{{"isolated/5", isolated, part, 5}}, e2eShapes()...)
+	for _, c := range shapes {
+		l, err := NewLayout(c.a, c.part, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.tgt) != c.a.NNZ() {
+			t.Fatalf("%s: %d targets for %d entries of A", c.name, len(l.tgt), c.a.NNZ())
+		}
+		// local[g]: g's position among its owner's rows; m[p]: their count;
+		// keys[p]: owner<<32 | id of every column of p's rows owned elsewhere.
+		local, m, keys := make([]int32, c.a.N), make([]int32, c.p), make([][]int64, c.p)
+		for g, p := range c.part {
+			local[g] = m[p]
+			m[p]++
+			cols, _ := c.a.Row(g)
+			for _, col := range cols {
+				if q := c.part[col]; q != p {
+					keys[p] = append(keys[p], int64(q)<<32|int64(col))
+				}
+			}
+		}
+		for p := range keys {
+			slices.Sort(keys[p])
+			keys[p] = slices.Compact(keys[p])
+		}
+		for g, p := range c.part {
+			lo, hi := c.a.RowPtr[g], c.a.RowPtr[g+1]
+			for k, col := range c.a.Col[lo:hi] {
+				want := local[col]
+				if q := c.part[col]; q != p {
+					slot, _ := slices.BinarySearch(keys[p], int64(q)<<32|int64(col))
+					want = m[p] + int32(slot)
+				}
+				if got := l.tgt[lo+int32(k)]; got != want {
+					t.Fatalf("%s: entry (%d, %d) of rank %d (%d rows) targets %d, want %d", c.name, g, col, p, m[p], got, want)
 				}
 			}
 		}

@@ -29,12 +29,12 @@ import (
 // corresponds to the paper's setup phase (METIS partition + neighbor
 // discovery), which is not part of the measured solve.
 //
-// It is one split-CSR matrix whose rows are in rank order (rank 0's rows
-// ascending, then rank 1's, …) plus the exchange plans, and each kind of
-// array is one flat allocation. Four offset tables of P+1 entries give the
-// range of each kind that rank p holds:
+// It reads the matrix itself, A, for every value: beside it the layout keeps
+// one target index per entry of A (tgt), the diagonal, and the exchange
+// plans, each kind of array one flat allocation. Four offset tables of P+1
+// entries give the range of each kind that rank p holds:
 //
-//	rows       [rowOff[p], rowOff[p+1])  glob, diag, locPtr, extPtr
+//	rows       [rowOff[p], rowOff[p+1])  glob, diag
 //	neighbors  [nbrOff[p], nbrOff[p+1])  nbrs, nbrExtOff, nbrBndOff
 //	ext slots  [extOff[p], extOff[p+1])  (numbered only: z and extDelta in the run state)
 //	boundary   [bndOff[p], bndOff[p+1])  myRows
@@ -58,21 +58,14 @@ type Layout struct {
 	glob []int32
 	diag []float64
 
-	// Off-diagonal entries, split CSR: row i's local couplings are
-	// locCol/locVal[locPtr[i]:locPtr[i+1]] (column: the owner's local row
-	// index), its external couplings extCol/extVal[extPtr[i]:extPtr[i+1]]
-	// (column: the owner's ext slot, counted from extOff[p]). Within a row
-	// the source column order is preserved inside each class; local entries
-	// target r[] and ext entries target extDelta[] (disjoint arrays), so the
-	// split sweep applies the identical update sequence per memory location
-	// as an interleaved walk would — the Gauss–Seidel bits are unchanged.
-	// uint32 columns halve the index bandwidth of the hot sweep.
-	locPtr []int32
-	locCol []uint32
-	locVal []float64
-	extPtr []int32
-	extCol []uint32
-	extVal []float64
+	// tgt is aligned to A's entries: for entry k of a row that rank p owns
+	// (m rows), tgt[k] indexes p's combined vector [r | extDelta] — the
+	// owner's local row for a column of p (the row itself for the
+	// diagonal), m + the column's ext slot (counted from extOff[p]) for any
+	// other. The sweep walks A.Val over a row with it in source column order;
+	// local and ext targets are disjoint, so each memory location sees the
+	// update sequence a walk split by class gives it (relaxSweep).
+	tgt []int32
 
 	// Neighbors. Position k of rank p, k in [nbrOff[p], nbrOff[p+1]), is
 	// its (k − nbrOff[p])-th neighbor in ascending rank order: nbrs[k] is
@@ -97,13 +90,6 @@ type Layout struct {
 // rows returns the global ids of rank p's rows, ascending.
 func (l *Layout) rows(p int) []int32 { return l.glob[l.rowOff[p]:l.rowOff[p+1]] }
 
-// localBlock returns rank p's diagonal and its rows' local-coupling
-// pointers into locCol/locVal: the diagonal block A_pp.
-func (l *Layout) localBlock(p int) (diag []float64, locPtr []int32) {
-	r0, r1 := l.rowOff[p], l.rowOff[p+1]
-	return l.diag[r0:r1], l.locPtr[r0 : r1+1]
-}
-
 // fitsIndex reports, as an error, a count the layout's 32-bit indices cannot
 // hold: every offset and id it stores is below 2³¹.
 func fitsIndex(what string, n int) error {
@@ -115,7 +101,8 @@ func fitsIndex(what string, n int) error {
 
 // NewLayout distributes a (structurally symmetric) matrix over P ranks
 // according to part. It validates the partition and the symmetry
-// assumption the relaxation kernels rely on.
+// assumption the relaxation kernels rely on. The layout keeps a and reads
+// its values on every relaxation, so a must not change after NewLayout.
 //
 // It makes two passes over the ranks, so every array is allocated once at
 // its exact size: the first counts what each rank holds, the second fills
@@ -166,9 +153,8 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	scratch := make([]layoutScratch, nb)
 	var task parallel.Task
 
-	// Pass 1: per row the coupling counts, per rank the neighbors, ext
-	// slots and boundary entries; then prefix sums turn counts into offsets.
-	l.locPtr, l.extPtr = make([]int32, a.N+1), make([]int32, a.N+1)
+	// Pass 1: per rank the neighbors, ext slots and boundary entries; then
+	// prefix sums turn counts into offsets.
 	task.F = func(b int) {
 		sc := &scratch[b]
 		sc.seen, sc.nbrSeen, sc.rowSeen = make([]int32, a.N), make([]int32, p), make([]int32, p)
@@ -178,10 +164,6 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		sc.nbrSeen, sc.rowSeen = nil, nil
 	}
 	parallel.Default().Run(&task, nb)
-	for i := range a.N {
-		l.locPtr[i+1] += l.locPtr[i]
-		l.extPtr[i+1] += l.extPtr[i]
-	}
 	for pr := range p {
 		l.nbrOff[pr+1] += l.nbrOff[pr]
 		l.extOff[pr+1] += l.extOff[pr]
@@ -191,10 +173,8 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	// Pass 2: fill. extGlob, the global ids behind every ext slot, is what
 	// pass 3 checks the owners' boundary rows against; no solve reads it, so
 	// it dies with this call.
-	nLoc, nExt, nNbr := l.locPtr[a.N], l.extPtr[a.N], l.nbrOff[p]
-	l.diag = make([]float64, a.N)
-	l.locCol, l.locVal = make([]uint32, nLoc), make([]float64, nLoc)
-	l.extCol, l.extVal = make([]uint32, nExt), make([]float64, nExt)
+	nNbr := l.nbrOff[p]
+	l.diag, l.tgt = make([]float64, a.N), make([]int32, a.NNZ())
 	l.nbrs = make([]int32, nNbr)
 	l.nbrExtOff, l.nbrBndOff = make([]int32, nNbr+1), make([]int32, nNbr+1)
 	l.myRows = make([]int32, l.bndOff[p])
@@ -203,7 +183,7 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		sc := &scratch[b]
 		nbrBuf := make([]int32, 2*sc.maxSlots) // a rank has at most as many neighbors as ext slots
 		sc.pos, sc.extNbr, sc.lastRow = make([]int32, a.N), nbrBuf[:sc.maxSlots], nbrBuf[sc.maxSlots:]
-		sc.keys = make([]int64, 0, sc.maxSlots)
+		sc.keys = make([]int64, 0, max(sc.maxSlots, sc.maxBnd))
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
 			l.fillRank(part, local, extGlob, pr, sc)
 		}
@@ -235,35 +215,30 @@ func rankBlockCount(p int) int {
 // visited (stamp advances per rank visit, so nothing is ever reset);
 // nbrSeen (stamped the same way) and rowSeen (stamped g+1 while row g is
 // walked) do the same per owner rank while pass 1 counts neighbors and
-// boundary entries. maxSlots, the block's largest ext-slot count, sizes
-// pass 2's buffers: pos, the O(1) global → ext-slot index of the current
-// rank; extNbr, each of its ext slots' neighbor position; lastRow, per
-// neighbor position the last row found coupling into it; keys, the sort
-// keys the ext slots come out of.
+// boundary entries. maxSlots and maxBnd, the block's largest ext-slot and
+// boundary-entry counts, size pass 2's buffers: pos, the O(1) global →
+// ext-slot index of the current rank; extNbr, each of its ext slots'
+// neighbor position; lastRow, per neighbor position the last row found
+// coupling into it; keys, the sort keys the ext slots come out of, then the
+// (neighbor position, row) pairs the boundary rows do.
 type layoutScratch struct {
 	stamp                int32
 	seen                 []int32
 	nbrSeen, rowSeen     []int32
-	maxSlots             int
+	maxSlots, maxBnd     int
 	pos, extNbr, lastRow []int32
 	keys                 []int64
 }
 
-// countRank is pass 1 for rank pr: it writes each of its rows' local and
-// external coupling counts to locPtr/extPtr[i+1], and its neighbor, ext-slot
-// and boundary-entry counts to nbrOff/extOff/bndOff[pr+1].
+// countRank is pass 1 for rank pr: it writes its neighbor, ext-slot and
+// boundary-entry counts to nbrOff/extOff/bndOff[pr+1].
 func (l *Layout) countRank(part []int, pr int, sc *layoutScratch) {
 	sc.stamp++
 	nNbr, nSlots, nBnd := 0, 0, 0
-	for i := l.rowOff[pr]; i < l.rowOff[pr+1]; i++ {
-		g := l.glob[i]
+	for _, g := range l.rows(pr) {
 		cols, _ := l.A.Row(int(g))
-		var loc, ext int32
 		for _, c := range cols {
-			q := part[c]
-			switch {
-			case q != pr:
-				ext++
+			if q := part[c]; q != pr {
 				if sc.seen[c] != sc.stamp {
 					sc.seen[c] = sc.stamp
 					nSlots++
@@ -276,14 +251,11 @@ func (l *Layout) countRank(part []int, pr int, sc *layoutScratch) {
 					sc.rowSeen[q] = g + 1
 					nBnd++
 				}
-			case c != g:
-				loc++
 			}
 		}
-		l.locPtr[i+1], l.extPtr[i+1] = loc, ext
 	}
 	l.nbrOff[pr+1], l.extOff[pr+1], l.bndOff[pr+1] = int32(nNbr), int32(nSlots), int32(nBnd)
-	sc.maxSlots = max(sc.maxSlots, nSlots)
+	sc.maxSlots, sc.maxBnd = max(sc.maxSlots, nSlots), max(sc.maxBnd, nBnd)
 }
 
 // fillRank is pass 2 for rank pr: it writes the rank's ranges of every flat
@@ -317,33 +289,33 @@ func (l *Layout) fillRank(part []int, local, extGlob []int32, pr int, sc *layout
 		l.nbrExtOff[nk+1] = e0 + int32(e) + 1
 	}
 
-	// Matrix entries, split by coupling class; bnd[j] (zero from make)
-	// counts the distinct rows coupling into neighbor position j, lastRow[j]
-	// being the last one.
+	// Targets of the rank's entries of A; bnd[j] (zero from make) counts the
+	// distinct rows coupling into neighbor position j, lastRow[j] being the
+	// last one, and pairs lists each (j, row) as it is met, rows ascending.
+	m := r1 - r0
+	pairs := keys[:0]
 	bnd, lastRow := l.nbrBndOff[n0+1:n1+1], sc.lastRow[:n1-n0]
 	for j := range lastRow {
 		lastRow[j] = -1
 	}
 	for i := r0; i < r1; i++ {
 		g := l.glob[i]
-		kl, ke := l.locPtr[i], l.extPtr[i]
-		cols, vals := l.A.Row(int(g))
-		for k, c := range cols {
-			v := vals[k]
-			switch {
-			case c == g:
-				l.diag[i] = v
-			case part[c] == pr:
-				l.locCol[kl], l.locVal[kl] = uint32(local[c]), v
-				kl++
-			default:
-				s := sc.pos[c]
-				l.extCol[ke], l.extVal[ke] = uint32(s), v
-				ke++
-				if j := sc.extNbr[s]; lastRow[j] != i {
-					lastRow[j] = i
-					bnd[j]++
+		lo, hi := l.A.RowPtr[g], l.A.RowPtr[g+1]
+		tgt, vals := l.tgt[lo:hi], l.A.Val[lo:hi]
+		for k, c := range l.A.Col[lo:hi] {
+			if part[c] == pr {
+				tgt[k] = local[c]
+				if c == g {
+					l.diag[i] = vals[k]
 				}
+				continue
+			}
+			s := sc.pos[c]
+			tgt[k] = m + s
+			if j := sc.extNbr[s]; lastRow[j] != i {
+				lastRow[j] = i
+				bnd[j]++
+				pairs = append(pairs, int64(j)<<32|int64(i-r0))
 			}
 		}
 	}
@@ -354,16 +326,11 @@ func (l *Layout) fillRank(part []int, local, extGlob []int32, pr int, sc *layout
 	next := b0
 	for j, c := range bnd {
 		bnd[j], next = next, next+c
-		lastRow[j] = -1
 	}
-	for i := r0; i < r1; i++ {
-		for _, s := range l.extCol[l.extPtr[i]:l.extPtr[i+1]] {
-			if j := sc.extNbr[s]; lastRow[j] != i {
-				lastRow[j] = i
-				l.myRows[bnd[j]] = i - r0
-				bnd[j]++
-			}
-		}
+	for _, jr := range pairs {
+		j := jr >> 32
+		l.myRows[bnd[j]] = int32(uint32(jr))
+		bnd[j]++
 	}
 }
 

@@ -60,8 +60,8 @@ func TestLayoutDeterministic(t *testing.T) {
 		t.Fatalf("nbrExtOff ends at %d, not extOff's %d, or bndOff/nbrBndOff do not span myRows (%d)",
 			l.nbrExtOff[nNbr], l.extOff[l.P], len(l.myRows))
 	}
-	if int(l.locPtr[a.N]) != len(l.locCol) || int(l.extPtr[a.N]) != len(l.extCol) {
-		t.Fatalf("locPtr/extPtr do not span locCol (%d) and extCol (%d)", len(l.locCol), len(l.extCol))
+	if len(l.tgt) != a.NNZ() || len(l.diag) != a.N {
+		t.Fatalf("tgt (%d) and diag (%d) are not aligned to A's %d entries and %d rows", len(l.tgt), len(l.diag), a.NNZ(), a.N)
 	}
 	for p := range l.P {
 		n0 := l.nbrOff[p]

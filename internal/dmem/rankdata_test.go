@@ -7,10 +7,15 @@ import "slices"
 
 // RankData is a rank's share of a Layout as a value, which the oracles compare:
 // a local matrix in split-CSR form with local row, local column and ext
-// slot indices, and the exchange plans per neighbor position j. The four
-// offset arrays (LocPtr, ExtPtr, ExtOff, MyOff) are copies rebased to start
-// at zero, SlotInNbr and ExtGlob are built from the neighbors' ranges; every
-// other slice aliases the layout and must not be written.
+// slot indices, and the exchange plans per neighbor position j. The split
+// CSR (LocPtr … Diag, NNZ) is derived from A and the layout's targets: each
+// row's entries in source column order, those whose target is a local row
+// other than the row's own into the local class, those past the rank's rows
+// into the ext class, the diagonal as the value whose target is the row
+// itself. The two per-neighbor offset arrays (ExtOff, MyOff) are copies
+// rebased to start at zero, SlotInNbr and ExtGlob are built from the
+// neighbors' ranges; Glob, Nbrs and MyRows alias the layout and must not be
+// written.
 type RankData struct {
 	P    int     // this rank
 	Glob []int32 // global row ids, ascending; local index = position
@@ -42,8 +47,24 @@ func (l *Layout) Rank(p int) RankData {
 	n0, n1 := l.nbrOff[p], l.nbrOff[p+1]
 	e0, e1 := l.extOff[p], l.extOff[p+1]
 	b0, b1 := l.bndOff[p], l.bndOff[p+1]
-	c0, c1 := l.locPtr[r0], l.locPtr[r1]
-	x0, x1 := l.extPtr[r0], l.extPtr[r1]
+	m := r1 - r0
+	rd := RankData{LocPtr: make([]int32, 1, m+1), ExtPtr: make([]int32, 1, m+1), Diag: make([]float64, m)}
+	for li, g := range l.glob[r0:r1] {
+		lo, hi := l.A.RowPtr[g], l.A.RowPtr[g+1]
+		for k, t := range l.tgt[lo:hi] {
+			v := l.A.Val[lo+int32(k)]
+			switch {
+			case t == int32(li):
+				rd.Diag[li] = v
+			case t < m:
+				rd.LocCol, rd.LocVal = append(rd.LocCol, uint32(t)), append(rd.LocVal, v)
+			default:
+				rd.ExtCol, rd.ExtVal = append(rd.ExtCol, uint32(t-m)), append(rd.ExtVal, v)
+			}
+		}
+		rd.LocPtr = append(rd.LocPtr, int32(len(rd.LocCol)))
+		rd.ExtPtr = append(rd.ExtPtr, int32(len(rd.ExtCol)))
+	}
 	// The layout keeps neither p's slots nor the rows behind its ext slots:
 	// both are read from the neighbors' side.
 	slots, extGlob := make([]int32, n1-n0), make([]int32, 0, e1-e0)
@@ -52,24 +73,10 @@ func (l *Layout) Rank(p int) RankData {
 		slots[j] = int32(slot)
 		extGlob = append(extGlob, l.ghostRows(p, j, int32(slot))...)
 	}
-	return RankData{
-		P:         p,
-		Glob:      l.glob[r0:r1:r1],
-		LocPtr:    rebased(l.locPtr[r0 : r1+1]),
-		LocCol:    l.locCol[c0:c1:c1],
-		LocVal:    l.locVal[c0:c1:c1],
-		ExtPtr:    rebased(l.extPtr[r0 : r1+1]),
-		ExtCol:    l.extCol[x0:x1:x1],
-		ExtVal:    l.extVal[x0:x1:x1],
-		Diag:      l.diag[r0:r1:r1],
-		NNZ:       int(c1 - c0 + x1 - x0),
-		Nbrs:      l.nbrs[n0:n1:n1],
-		SlotInNbr: slots,
-		ExtGlob:   extGlob,
-		ExtOff:    rebased(l.nbrExtOff[n0 : n1+1]),
-		MyRows:    l.myRows[b0:b1:b1],
-		MyOff:     rebased(l.nbrBndOff[n0 : n1+1]),
-	}
+	rd.P, rd.Glob, rd.NNZ = p, l.glob[r0:r1:r1], len(rd.LocCol)+len(rd.ExtCol)
+	rd.Nbrs, rd.SlotInNbr, rd.ExtGlob = l.nbrs[n0:n1:n1], slots, extGlob
+	rd.ExtOff, rd.MyRows, rd.MyOff = rebased(l.nbrExtOff[n0:n1+1]), l.myRows[b0:b1:b1], rebased(l.nbrBndOff[n0:n1+1])
+	return rd
 }
 
 // neighbors returns rank p's neighbor ranks, ascending.

@@ -39,13 +39,11 @@ type rankState struct {
 	// a perfect network (messages arrive in order, never late).
 	seqSeen []int32
 
-	extDelta []float64 // scratch, per ext row
-	// directNNZ is the rank's off-diagonal count (nnz) as NewSetup recorded
-	// it for relaxDirect's charge: a direct Setup's layout keeps no local
-	// couplings to count. It sits in the padding before starved; in direct
-	// it would widen every rank state by 8 bytes.
-	directNNZ int32
-	relaxed   bool // relaxed in the current step
+	extDelta []float64 // scratch, per ext row; the slab carves it right after r
+	// nnz is the rank's off-diagonal count as NewSetup recorded it, for the
+	// relaxations' flop charge. It sits in the padding before starved.
+	nnz     int32
+	relaxed bool // relaxed in the current step
 	// Starvation tracking, used only under fault injection (DS): gotMsg is
 	// set by the absorb paths when any message is read, and
 	// starved counts consecutive steps with neither a relaxation nor a
@@ -73,10 +71,12 @@ type rankState struct {
 	res   []payload // explicit residual updates: bnd
 
 	// direct, when f is non-nil, is the shared factorization of the local
-	// diagonal block (LocalDirect) with this rank's private solve scratch.
+	// diagonal block (LocalDirect) with this rank's private solve scratch,
+	// and the Setup's external couplings its scatter reads.
 	direct struct {
 		f       *spdirect.Factor
 		scratch []float64
+		ext     *extCouplings
 	}
 }
 
@@ -123,12 +123,12 @@ func (rs *rankState) relaxLocal() float64 {
 // zeroing it. The charged cost is the factorization's actual solve cost,
 // O(nnz(L)), plus the coupling scatter and the solution update.
 func (rs *rankState) relaxDirect() float64 {
-	l := rs.l
 	r, x, extDelta := rs.r, rs.x, rs.extDelta
 	m := len(r)
 	rs.direct.f.SolveWith(r, r, rs.direct.scratch)
 	// Operands are locals cut once per row (DESIGN.md §10, "Kernel form").
-	extPtr, extCol, extVal := l.extPtr[rs.row0:][:m+1], l.extCol, l.extVal
+	ext := rs.direct.ext
+	extPtr, extCol, extVal := ext.ptr[rs.row0:][:m+1], ext.col, ext.val
 	for li, dl := range r {
 		x[li] += dl
 		r[li] = 0
@@ -139,13 +139,7 @@ func (rs *rankState) relaxDirect() float64 {
 			extDelta[c] -= vals[k] * dl
 		}
 	}
-	return rs.direct.f.SolveFlops() + float64(rs.directNNZ) + float64(m)
-}
-
-// nnz returns the rank's off-diagonal entry count, local + external.
-func (rs *rankState) nnz() int {
-	l, lo, hi := rs.l, int(rs.row0), int(rs.row0)+len(rs.r)
-	return int(l.locPtr[hi] - l.locPtr[lo] + l.extPtr[hi] - l.extPtr[lo])
+	return rs.direct.f.SolveFlops() + float64(rs.nnz) + float64(m)
 }
 
 // computeNorm returns ‖r‖₂ of the local residual.
@@ -188,39 +182,35 @@ func norm2(v []float64) float64 {
 // responsible for draining into messages and/or the ghost layer).
 // It returns the flop count for cost charging.
 //
-// The two inner loops walk the split-CSR arrays (layout.go): no per-nonzero
-// class branch, no IsExt/ColExt indirection, uint32 column loads. Local
-// entries touch only r[] and ext entries only extDelta[], and each class
-// preserves source column order, so every memory location sees the exact
-// update sequence of the interleaved walk — Gauss–Seidel bits unchanged.
+// Each row is one walk over its entries of A with the layout's targets
+// (Layout.tgt) into [r | extDelta], which the run state carves as one
+// range, so r's capacity reaches over extDelta. Local and ext targets are
+// disjoint and the walk keeps source column order, so each memory location
+// sees the update sequence of a walk split by class. The row's own slot
+// takes a_ii·d on the way and is then set to zero: the diagonal
+// contribution r_li − a_ii·d, exactly.
 //
 // Operands are locals cut once per row (DESIGN.md §10, "Kernel form"); the
 // visit order and the one a -= b*c expression per update may not change.
 func (rs *rankState) relaxSweep() float64 {
 	l := rs.l
-	r, x, extDelta := rs.r, rs.x, rs.extDelta
+	r, x := rs.r, rs.x
 	m := len(r)
-	diag := l.diag[rs.row0:][:m]
-	locPtr, locCol, locVal := l.locPtr[rs.row0:][:m+1], l.locCol, l.locVal
-	extPtr, extCol, extVal := l.extPtr[rs.row0:][:m+1], l.extCol, l.extVal
-	for li, aii := range diag {
-		d := r[li] / aii
+	rx := r[:m+len(rs.extDelta)]
+	glob, diag := l.glob[rs.row0:][:m], l.diag[rs.row0:][:m]
+	rowPtr, val, tgt := l.A.RowPtr, l.A.Val, l.tgt
+	for li, g := range glob {
+		d := r[li] / diag[li]
 		x[li] += d
-		r[li] = 0 // diagonal contribution: r_li -= a_ii * d exactly
-		lo, hi := locPtr[li], locPtr[li+1]
-		cols := locCol[lo:hi]
-		vals := locVal[lo:hi][:len(cols)]
-		for k, c := range cols {
-			r[c] -= vals[k] * d
+		lo, hi := rowPtr[g], rowPtr[g+1]
+		ts := tgt[lo:hi]
+		vals := val[lo:hi][:len(ts)]
+		for k, t := range ts {
+			rx[t] -= vals[k] * d
 		}
-		lo, hi = extPtr[li], extPtr[li+1]
-		cols = extCol[lo:hi]
-		vals = extVal[lo:hi][:len(cols)]
-		for k, c := range cols {
-			extDelta[c] -= vals[k] * d
-		}
+		r[li] = 0
 	}
-	return float64(2*rs.nnz() + 3*m)
+	return float64(2*int(rs.nnz) + 3*m)
 }
 
 // nbrs returns the rank's neighbor ranks, ascending: neighbor position j is

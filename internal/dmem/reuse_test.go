@@ -361,17 +361,19 @@ func liveHeap() uint64 {
 // 2 %. The per-rank layout this replaced made 13 mallocs per rank and
 // retained 6.48 / 11.57 / 7.10 / 6.08 MB on those shapes; the flat one
 // retained 5.62 / 8.33 / 5.15 / 5.35 MB while it also kept the ext slots'
-// global ids and every rank's slot in its neighbors' lists.
+// global ids and every rank's slot in its neighbors' lists, and 5.38 /
+// 7.14 / 4.89 / 5.23 MB (34 mallocs) while it kept a split-CSR copy of A's
+// off-diagonal entries instead of one target per entry.
 func TestLayoutAllocCeiling(t *testing.T) {
 	defer parallel.SetDefaultWorkers(parallel.Default().Workers())
 	parallel.SetDefaultWorkers(1)
-	const maxMallocs = 40
+	const maxMallocs = 29
 	grid := problem.Poisson2D(100, 100)
 	for _, c := range []struct {
 		a       *sparse.CSR
 		ranks   int
 		ceiling uint64
-	}{{grid, 64, 942_320}, {grid, 256, 994_736}, {suiteMatrix(t, "Flan_1565"), 4096, 8_400_496}} {
+	}{{grid, 64, 569_840}, {grid, 256, 617_776}, {suiteMatrix(t, "Flan_1565"), 4096, 5_164_656}} {
 		part := partition.Partition(c.a, c.ranks, partition.Options{Seed: 3})
 		mallocs, bytes := solveCost(func() {
 			if _, err := NewLayout(c.a, part, c.ranks); err != nil {
@@ -382,7 +384,7 @@ func TestLayoutAllocCeiling(t *testing.T) {
 			t.Errorf("P=%d: NewLayout made %d mallocs / %d bytes, want ≤ %d / ≤ %d (+2%%)", c.ranks, mallocs, bytes, maxMallocs, c.ceiling)
 		}
 	}
-	ceilings := map[string]uint64{"suite256": 5_379_232, "wide4k": 7_135_112, "pointload2k": 4_890_488, "direct64": 5_228_536}
+	ceilings := map[string]uint64{"suite256": 2_143_264, "wide4k": 3_890_872, "pointload2k": 2_514_616, "direct64": 1_992_440}
 	for _, c := range e2eShapes() {
 		h0 := liveHeap()
 		l, err := NewLayout(c.a, c.part, c.p)
@@ -402,9 +404,12 @@ func TestLayoutAllocCeiling(t *testing.T) {
 // back is counted without touching this test — on the benchmark's four
 // shapes, at most the measured bytes + 1 %. Before each exchange plan was
 // stored once (no ext slots' global ids, no slots in the neighbors' lists)
-// the same sum read 5 575 200 / 8 249 928 / 5 072 368 / 5 313 848.
+// the same sum read 5 575 200 / 8 249 928 / 5 072 368 / 5 313 848; before
+// one target per entry of A replaced the split-CSR copy of its off-diagonal
+// entries (8 B less per such entry, 4 B less per row), 5 345 400 /
+// 7 066 292 / 4 824 536 / 5 196 912.
 func TestLayoutRetainedAllocCeiling(t *testing.T) {
-	ceilings := map[string]int{"suite256": 5_342_752, "wide4k": 7_066_292, "pointload2k": 4_824_536, "direct64": 5_198_572}
+	ceilings := map[string]int{"suite256": 2_125_136, "wide4k": 3_846_028, "pointload2k": 2_473_424, "direct64": 1_976_648}
 	for _, c := range e2eShapes() {
 		l, err := NewLayout(c.a, c.part, c.p)
 		if err != nil {
@@ -427,16 +432,20 @@ func TestLayoutRetainedAllocCeiling(t *testing.T) {
 // benchmark's four shapes, with LocalDirect on direct64 as the benchmark
 // runs it, at pool widths 1 and 2. A direct Setup keeps each local block
 // once, as its factor: with the layout's split-CSR copy of the blocks as
-// well, direct64 read 12 371 672 bytes at both widths.
-// Each ceiling is the reading + 1 %, so neither the Setup's own layout nor
-// a pinned caller's can bring the 3.71 MB of diag, locPtr, locCol and
-// locVal back.
+// well, direct64 read 12 371 672 bytes at both widths. Each ceiling is the
+// reading + 1 %, so neither the Setup's own layout nor a pinned caller's
+// can bring the targets and the diagonal back, nor a layout a copy of A's
+// values. With that copy (split CSR) the GS shapes read 5 395 696 /
+// 7 135 144 / 4 890 536 bytes at width 1. Run alone at one scheduler
+// thread, width 2 once read 7 458 776 on pointload2k: a finished region's
+// queued pool entry kept NewLayout's scratch alive (the pool now queues a
+// handle that Run clears).
 func TestSetupRetainedAllocCeiling(t *testing.T) {
 	ceilings := map[string][2]uint64{
-		"suite256":    {5_379_312, 5_378_696},
-		"wide4k":      {7_135_112, 7_135_208},
-		"pointload2k": {4_890_504, 4_890_600},
-		"direct64":    {8_644_680, 8_644_680},
+		"suite256":    {2_144_400, 2_143_928},
+		"wide4k":      {3_907_512, 3_907_608},
+		"pointload2k": {2_523_064, 2_523_072},
+		"direct64":    {8_493_288, 8_493_288},
 	}
 	defer parallel.SetDefaultWorkers(parallel.Default().Workers())
 	for w, width := range []int{1, 2} {
@@ -469,17 +478,17 @@ func TestSetupRetainedAllocCeiling(t *testing.T) {
 }
 
 // TestNewSetupRefusesDirectLayout: a LocalDirect Setup's layout keeps no
-// local couplings, so building another Setup from it — either mode — is an
-// error that names the layout to use, never a Setup whose sweep would index
-// a nil locPtr at solve time.
+// targets, so building another Setup from it — either mode — is an error
+// that names the layout to use, never a Setup whose sweep would index a nil
+// tgt at solve time.
 func TestNewSetupRefusesDirectLayout(t *testing.T) {
 	gs, _, _ := buildCase(t, problem.Poisson2D(12, 12), 4, 1)
 	direct, err := NewSetup(gs.Layout, LocalDirect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gs.Layout.locPtr == nil || direct.Layout == gs.Layout {
-		t.Fatal("the direct Setup dropped the caller's local couplings instead of its own copy's")
+	if gs.Layout.tgt == nil || gs.Layout.diag == nil || direct.Layout == gs.Layout {
+		t.Fatal("the direct Setup dropped the caller's targets and diagonal instead of its own copy's")
 	}
 	for _, local := range []LocalSolver{LocalGS, LocalDirect} {
 		func() {
@@ -507,10 +516,13 @@ func TestNewSetupRefusesDirectLayout(t *testing.T) {
 // 26 305 016; suite256 2 744 976 → 2 450 128, pointload2k 6 098 680 →
 // 5 099 304, direct64 1 394 176 → 1 336 880). The ceiling is that reading
 // + 1 %, so nothing taken out of the layout, the world or the run-state slab
-// reappears. The engine's admitted buffer (4·P bytes) since reads 2 451 152 /
-// 18 915 864 / 5 107 496 / 1 337 168, inside the 1 %.
+// reappears. The engine's admitted buffer (4·P bytes) since read 2 451 152 /
+// 18 915 864 / 5 107 496 / 1 337 168, inside the 1 %, and the new parts of
+// coarsen-once partitioning 2 459 344 / 18 915 864 / 5 107 496 / 1 300 240.
+// A rank state's pointer to a direct Setup's external couplings (8·P bytes)
+// gives the literals.
 func TestParkedStateAllocCeiling(t *testing.T) {
-	ceilings := map[string]uint64{"suite256": 2_450_128, "wide4k": 18_899_480, "pointload2k": 5_099_304, "direct64": 1_336_880}
+	ceilings := map[string]uint64{"suite256": 2_459_344, "wide4k": 18_948_648, "pointload2k": 5_123_880, "direct64": 1_300_240}
 	steps := map[string]int{"suite256": 50, "wide4k": 20, "pointload2k": 300, "direct64": 50}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range e2eShapes() {

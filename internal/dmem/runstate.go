@@ -88,11 +88,12 @@ func newRunState(s *Setup) *runState {
 		m, deg, ext := int(l.rowOff[pr+1]-r0), int(l.nbrOff[pr+1]-n0), int(l.extOff[pr+1]-e0)
 		lo, hi := int(n0), int(n0)+deg
 		rs := &slab[pr]
-		x, r, z := take(m), take(m), take(ext)
-		d0 := int32(at) - e0 // extDelta's offset, less the rank's first ext slot
+		x, z := take(m), take(ext)
+		d0 := int32(at+m) - e0 // extDelta's offset, less the rank's first ext slot
+		rx := take(m + ext)    // [r | extDelta], the relax sweep's targets (Layout.tgt)
 		*rs = rankState{
 			l: l, p: int32(pr), row0: r0, nbr0: n0, ext0: e0,
-			x: x, r: r, z: z, extDelta: take(ext),
+			x: x, r: rx[:m], z: z, extDelta: rx[m:], nnz: s.nnz[pr],
 			gamma: take(deg), gammaTilde: take(deg),
 			seqSeen: st.seqSeen[lo:hi:hi], sentTo: st.sentTo[lo:hi:hi],
 			solve: takeBodies(deg), res: takeBodies(deg),
@@ -105,7 +106,7 @@ func newRunState(s *Setup) *runState {
 			rs.res[j] = payload{bnd: carve(nBnd), slot: slot}
 		}
 		if s.factors != nil {
-			rs.direct.f, rs.direct.scratch, rs.directNNZ = s.factors[pr], take(m), s.nnz[pr]
+			rs.direct.f, rs.direct.scratch, rs.direct.ext = s.factors[pr], take(m), s.ext
 		}
 		st.states[pr] = rs
 		e.idleDeg[pr] = float64(deg) // phase-1 idle charge: the unconditional degree scan

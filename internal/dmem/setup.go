@@ -31,29 +31,39 @@ import (
 )
 
 // localBlockCSR assembles rank p's diagonal block A_pp as a standalone CSR
-// (local row/column indices, diagonal included) for the sparse
-// factorization. The block of a structurally symmetric matrix restricted to
-// one rank's rows is itself structurally symmetric, which is exactly what
-// spdirect.Factorize requires.
+// (local row/column indices, each row's diagonal first, then its local
+// couplings in source column order) for the sparse factorization: the
+// entries of the rank's rows of A whose targets are local rows. The block
+// of a structurally symmetric matrix restricted to one rank's rows is
+// itself structurally symmetric, which is exactly what spdirect.Factorize
+// requires.
 func localBlockCSR(l *Layout, p int) (rowPtr, col []int32, val []float64) {
-	diag, locPtr := l.localBlock(p)
-	m := len(diag)
+	glob := l.rows(p)
+	diag := l.diag[l.rowOff[p]:l.rowOff[p+1]]
+	m := int32(len(glob))
 	rowPtr = make([]int32, m+1)
-	for li := 0; li < m; li++ {
-		rowPtr[li+1] = rowPtr[li] + 1 + locPtr[li+1] - locPtr[li]
+	for li, g := range glob {
+		n := int32(1)
+		for _, t := range l.tgt[l.A.RowPtr[g]:l.A.RowPtr[g+1]] {
+			if t < m && t != int32(li) {
+				n++
+			}
+		}
+		rowPtr[li+1] = rowPtr[li] + n
 	}
 	col = make([]int32, rowPtr[m])
 	val = make([]float64, rowPtr[m])
 	w := 0
-	for li, d := range diag {
-		col[w], val[w] = int32(li), d
+	for li, g := range glob {
+		col[w], val[w] = int32(li), diag[li]
 		w++
-		lo, hi := locPtr[li], locPtr[li+1]
-		cols := l.locCol[lo:hi]
-		vals := l.locVal[lo:hi][:len(cols)]
-		for k, c := range cols {
-			col[w], val[w] = int32(c), vals[k]
-			w++
+		lo, hi := l.A.RowPtr[g], l.A.RowPtr[g+1]
+		vals := l.A.Val[lo:hi]
+		for k, t := range l.tgt[lo:hi] {
+			if t < m && t != int32(li) {
+				col[w], val[w] = t, vals[k]
+				w++
+			}
 		}
 	}
 	return rowPtr, col, val
@@ -98,16 +108,20 @@ func factorAll(l *Layout) ([]*spdirect.Factor, error) {
 // reuse the parked state, concurrent ones stay safe (a run that finds the
 // slot empty builds its own state and drops it).
 //
-// A LocalDirect Setup's Layout keeps no local couplings (diag, locPtr,
-// locCol, locVal): its factors are the local blocks, and nothing after the
-// factorization reads them. Build any other Setup from the Layout NewLayout
-// returned, never from a direct Setup's.
+// Every Setup counts each rank's off-diagonal entries once (nnz), so a
+// relaxation's flop charge is O(1). A LocalDirect Setup keeps, beside its
+// factors, only the external couplings its scatter reads (ext, an ext-only
+// CSR), and its Layout keeps no targets and no diagonal (tgt, diag): its
+// factors are the local blocks, and nothing after the factorization reads
+// them. Build any other Setup from the Layout NewLayout returned, never
+// from a direct Setup's.
 type Setup struct {
 	Layout *Layout
 	Local  LocalSolver
 
+	nnz     []int32            // per rank, its off-diagonal count (rankState.nnz)
 	factors []*spdirect.Factor // nil for LocalGS
-	nnz     []int32            // per rank, its off-diagonal count (rankState.nnz); LocalDirect only
+	ext     *extCouplings      // nil for LocalGS
 
 	mu     sync.Mutex
 	parked *runState // built by the first solve, never by NewSetup
@@ -115,13 +129,13 @@ type Setup struct {
 
 // NewSetup builds the reusable setup for the given layout and local-solver
 // mode, factoring all ranks in parallel for LocalDirect. Any mode but
-// LocalGS and LocalDirect is an error, and so is a layout whose local
-// couplings a direct Setup dropped. l itself is never modified.
+// LocalGS and LocalDirect is an error, and so is a layout whose targets a
+// direct Setup dropped. l itself is never modified.
 func NewSetup(l *Layout, mode LocalSolver) (*Setup, error) {
-	if l.locPtr == nil {
-		return nil, fmt.Errorf("dmem: layout has no local couplings (a LocalDirect Setup's): build the Setup from the Layout NewLayout returned")
+	if l.tgt == nil {
+		return nil, fmt.Errorf("dmem: layout has no targets (a LocalDirect Setup's): build the Setup from the Layout NewLayout returned")
 	}
-	s := &Setup{Layout: l, Local: mode}
+	s := &Setup{Layout: l, Local: mode, nnz: offDiagonalCounts(l)}
 	switch mode {
 	case LocalGS:
 	case LocalDirect:
@@ -129,15 +143,11 @@ func NewSetup(l *Layout, mode LocalSolver) (*Setup, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.factors, s.nnz = factors, make([]int32, l.P)
-		for p := range l.P {
-			r0, r1 := l.rowOff[p], l.rowOff[p+1]
-			s.nnz[p] = l.locPtr[r1] - l.locPtr[r0] + l.extPtr[r1] - l.extPtr[r0]
-		}
-		// The factors are the local blocks: keep everything else of the
-		// layout, shallowly, and leave the caller's untouched.
+		s.factors, s.ext = factors, newExtCouplings(l)
+		// The factors are the local blocks and ext the rest: keep everything
+		// else of the layout, shallowly, and leave the caller's untouched.
 		direct := *l
-		direct.diag, direct.locPtr, direct.locCol, direct.locVal = nil, nil, nil, nil
+		direct.tgt, direct.diag = nil, nil
 		s.Layout = &direct
 	default:
 		return nil, fmt.Errorf("dmem: unknown local solver %v (want LocalGS or LocalDirect)", mode)
@@ -152,4 +162,69 @@ func (s *Setup) Factor(p int) *spdirect.Factor {
 		return nil
 	}
 	return s.factors[p]
+}
+
+// offDiagonalCounts returns each rank's off-diagonal entry count: the
+// entries of its rows of A whose target is not the row's own.
+func offDiagonalCounts(l *Layout) []int32 {
+	nnz := make([]int32, l.P)
+	for p := range l.P {
+		n := int32(0)
+		for li, g := range l.rows(p) {
+			for _, t := range l.tgt[l.A.RowPtr[g]:l.A.RowPtr[g+1]] {
+				if t != int32(li) {
+					n++
+				}
+			}
+		}
+		nnz[p] = n
+	}
+	return nnz
+}
+
+// extCouplings is the ext-only CSR a LocalDirect relaxation scatters
+// through, rows in rank order as in the layout: row i's external couplings
+// are col/val[ptr[i]:ptr[i+1]] in source column order, col the owner's ext
+// slot (counted from its Layout.extOff). uint32 columns halve the scatter's
+// index bandwidth.
+type extCouplings struct {
+	ptr []int32
+	col []uint32
+	val []float64
+}
+
+// newExtCouplings builds the ext-only CSR from A and the layout's targets:
+// the entries of each row whose target lies past its rank's rows.
+func newExtCouplings(l *Layout) *extCouplings {
+	a := l.A
+	e := &extCouplings{ptr: make([]int32, a.N+1)}
+	for p := range l.P {
+		m := l.rowOff[p+1] - l.rowOff[p]
+		for li, g := range l.rows(p) {
+			n := int32(0)
+			for _, t := range l.tgt[a.RowPtr[g]:a.RowPtr[g+1]] {
+				if t >= m {
+					n++
+				}
+			}
+			i := l.rowOff[p] + int32(li)
+			e.ptr[i+1] = e.ptr[i] + n
+		}
+	}
+	e.col, e.val = make([]uint32, e.ptr[a.N]), make([]float64, e.ptr[a.N])
+	w := 0
+	for p := range l.P {
+		m := l.rowOff[p+1] - l.rowOff[p]
+		for _, g := range l.rows(p) {
+			lo, hi := a.RowPtr[g], a.RowPtr[g+1]
+			vals := a.Val[lo:hi]
+			for k, t := range l.tgt[lo:hi] {
+				if t >= m {
+					e.col[w], e.val[w] = uint32(t-m), vals[k]
+					w++
+				}
+			}
+		}
+	}
+	return e
 }

@@ -265,22 +265,42 @@ var testFunc = regexp.MustCompile(`^(Test|Benchmark|Fuzz)[A-Z_]`)
 // no package: `TestPartitionGolden`.
 var bareTestName = regexp.MustCompile(`^(Test|Benchmark|Fuzz)[A-Z_][A-Za-z0-9_]*$`)
 
+// typeMember is a backquoted Type.member with no package, optionally
+// called: `Layout.Rank`, `Setup.nnz`, `rankState.relaxSweep()`.
+var typeMember = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\(.*\))?$`)
+
+// fileName is a span that names a file by its extension (`workspace.go`),
+// which typeMember would read as a type's member.
+var fileName = regexp.MustCompile(`\.(go|md|txt|json|ya?ml|mod|sh)$`)
+
 // TestDocGoNamesResolve: every backquoted Go name in DESIGN.md and README.md
 // whose first element names a package of the module resolves — a
 // package-level name through the package scope, a member through
 // types.LookupFieldOrMethod, and a Test, Benchmark or Fuzz function in the
 // package's _test.go files. A bare Test, Benchmark or Fuzz name
 // (`TestPartitionGolden`) resolves to a function of that name in any
-// _test.go file of the module. A lower-case second element is a benchmark
-// metric name (`dmem.active_speedup`), not Go, and is skipped; so is
-// everything inside fenced code blocks. A span that starts with `make
+// _test.go file of the module. A Type.member with no package
+// (`Layout.Rank`, `rankState.relaxSweep`) resolves when Type is declared in
+// exactly one package of the module: a field or method of it, unexported
+// ones included, or a method declared on it in that package's _test.go
+// files; a span ending in a file extension (`workspace.go`) is a file
+// name. A lower-case second element after a package is a benchmark metric
+// name (`dmem.active_speedup`), not Go, and is skipped; so is everything
+// inside fenced code blocks. A span that starts with `make
 // <word>` names a Makefile target, and one that starts with a command's
 // name (`dsouthwell -par`) uses only flags that command defines.
 func TestDocGoNamesResolve(t *testing.T) {
 	byName := map[string]*pkg{}
+	typeOwners := map[string][]*pkg{} // every package-level type, by name
 	for _, p := range moduleNonTest(t) {
 		if p.types.Name() != "main" {
 			byName[p.types.Name()] = p
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if _, ok := scope.Lookup(name).(*types.TypeName); ok {
+				typeOwners[name] = append(typeOwners[name], p)
+			}
 		}
 	}
 	makefile, err := os.ReadFile(filepath.Join(moduleRoot, "Makefile"))
@@ -304,6 +324,12 @@ func TestDocGoNamesResolve(t *testing.T) {
 			}
 			if bareTestName.MatchString(span.text) && !tests[span.text] {
 				t.Errorf("%s:%d: `%s`: no such function in the module's _test.go files", doc, span.line, span.text)
+			}
+			if m := typeMember.FindStringSubmatch(span.text); m != nil && !fileName.MatchString(span.text) && byName[m[1]] == nil && len(typeOwners[m[1]]) == 1 {
+				if why := resolveTypeMember(typeOwners[m[1]][0], m[1], m[2]); why != "" {
+					t.Errorf("%s:%d: `%s`: %s", doc, span.line, span.text, why)
+				}
+				continue
 			}
 			m := docGoName.FindStringSubmatch(span.text)
 			if m == nil || byName[m[1]] == nil || !ast.IsExported(m[2]) {
@@ -441,12 +467,59 @@ func resolveDocName(p *pkg, name, member string) string {
 	return ""
 }
 
+// resolveTypeMember returns why member is neither a field or method of
+// package p's type typ, unexported ones included, nor a method declared on
+// it in p's _test.go files, or "".
+func resolveTypeMember(p *pkg, typ, member string) string {
+	obj := p.types.Scope().Lookup(typ)
+	if m, _, _ := types.LookupFieldOrMethod(obj.Type(), true, p.types, member); m != nil {
+		return ""
+	}
+	for _, fd := range testDecls(p) {
+		if fd.Recv != nil && fd.Name.Name == member && recvName(fd.Recv.List[0].Type) == typ {
+			return ""
+		}
+	}
+	return p.types.Name() + "." + typ + " has no field or method " + member
+}
+
+// recvName returns the type name of a method's receiver: T for T, *T, T[P]
+// and *T[P].
+func recvName(x ast.Expr) string {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// testDecls returns the function and method declarations of the package's
+// _test.go files.
+func testDecls(p *pkg) []*ast.FuncDecl {
+	dir := filepath.Dir(p.fset.Position(p.files[0].Pos()).Filename)
+	names, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	return declsIn(names)
+}
+
 // testFuncs returns the names of the functions declared in the package's
 // _test.go files.
 func testFuncs(p *pkg) map[string]bool {
-	dir := filepath.Dir(p.fset.Position(p.files[0].Pos()).Filename)
-	names, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
-	return funcsIn(names)
+	funcs := map[string]bool{}
+	for _, fd := range testDecls(p) {
+		if fd.Recv == nil {
+			funcs[fd.Name.Name] = true
+		}
+	}
+	return funcs
 }
 
 // moduleTestFuncs returns the names of the functions declared in every
@@ -475,16 +548,28 @@ func moduleTestFuncs(t *testing.T) map[string]bool {
 // declare.
 func funcsIn(files []string) map[string]bool {
 	funcs := map[string]bool{}
+	for _, fd := range declsIn(files) {
+		if fd.Recv == nil {
+			funcs[fd.Name.Name] = true
+		}
+	}
+	return funcs
+}
+
+// declsIn returns the function and method declarations of the Go files; a
+// file that does not parse contributes none.
+func declsIn(files []string) []*ast.FuncDecl {
+	var decls []*ast.FuncDecl
 	for _, fn := range files {
 		f, err := parser.ParseFile(token.NewFileSet(), fn, nil, parser.SkipObjectResolution)
 		if err != nil {
 			continue
 		}
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
-				funcs[fd.Name.Name] = true
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				decls = append(decls, fd)
 			}
 		}
 	}
-	return funcs
+	return decls
 }

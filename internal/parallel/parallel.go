@@ -57,6 +57,13 @@ type Task struct {
 	next atomic.Uint64
 	done atomic.Int32
 	fin  chan struct{}
+
+	// handle is what Run hands the pool's workers instead of the Task: it
+	// points at the Task only while a region is open. A worker may not wake
+	// for a handle before its region ends (the submitter can finish every
+	// block itself), so the handle can outlive the region in the queue; it
+	// then keeps neither the Task nor F, nor what F captures, reachable.
+	handle *atomic.Pointer[Task]
 }
 
 // help claims and executes blocks until the current region is exhausted.
@@ -96,7 +103,7 @@ func (t *Task) help() {
 // blocks, never to blocking or deadlock).
 type Pool struct {
 	width  int // executor slots including the submitting goroutine
-	tasks  chan *Task
+	tasks  chan *atomic.Pointer[Task]
 	stop   chan struct{}
 	closed atomic.Bool
 	once   sync.Once
@@ -138,7 +145,7 @@ func NewPool(workers int) *Pool {
 	}
 	p := &Pool{width: workers}
 	if workers > 1 {
-		p.tasks = make(chan *Task, workers-1)
+		p.tasks = make(chan *atomic.Pointer[Task], workers-1)
 		p.stop = make(chan struct{})
 		for i := 0; i < workers-1; i++ {
 			go p.worker()
@@ -158,20 +165,28 @@ func (p *Pool) Workers() int {
 func (p *Pool) worker() {
 	for {
 		select {
-		case t := <-p.tasks:
-			t.help()
+		case h := <-p.tasks:
+			helpHandle(h)
 		case <-p.stop:
 			// Drain already-enqueued regions before exiting so no task
 			// reference is stranded in the buffer.
 			for {
 				select {
-				case t := <-p.tasks:
-					t.help()
+				case h := <-p.tasks:
+					helpHandle(h)
 				default:
 					return
 				}
 			}
 		}
+	}
+}
+
+// helpHandle helps the region a dequeued handle names, if one is still
+// open; a handle whose region has ended names no Task.
+func helpHandle(h *atomic.Pointer[Task]) {
+	if t := h.Load(); t != nil {
+		t.help()
 	}
 }
 
@@ -198,7 +213,8 @@ func (p *Pool) Run(t *Task, nblocks int) {
 		return
 	}
 	if t.fin == nil {
-		t.fin = make(chan struct{}, 1) // one-time lazy init per Task, reused by every later region
+		// One-time lazy init per Task, reused by every later region.
+		t.fin, t.handle = make(chan struct{}, 1), new(atomic.Pointer[Task])
 	}
 	// Open a new region generation. done must be reset before next exposes
 	// the new generation: a stale helper can only touch done after a
@@ -212,9 +228,10 @@ func (p *Pool) Run(t *Task, nblocks int) {
 	if nblocks-1 < helpers {
 		helpers = nblocks - 1
 	}
+	t.handle.Store(t)
 	for i := 0; i < helpers; i++ {
 		select {
-		case p.tasks <- t:
+		case p.tasks <- t.handle:
 		default:
 			// All workers busy with other regions: do the work ourselves.
 			i = helpers
@@ -223,6 +240,7 @@ func (p *Pool) Run(t *Task, nblocks int) {
 	}
 	t.help()
 	<-t.fin
+	t.handle.Store(nil) // a handle still queued keeps nothing of this region
 }
 
 // Close releases the worker goroutines. Regions in flight still complete

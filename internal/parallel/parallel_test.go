@@ -1,9 +1,11 @@
 package parallel
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"weak"
 )
 
 func TestBlocks(t *testing.T) {
@@ -209,6 +211,28 @@ func TestRunZeroBlocks(t *testing.T) {
 	task.F = func(int) { t.Error("block ran for nblocks=0") }
 	p.Run(&task, 0)
 	p.Run(&task, -3)
+}
+
+// TestFinishedRegionKeepsNothing: at one scheduler thread a width-2 pool's
+// worker does not wake before the submitter has run every block itself, so
+// the region's entry is still queued when Run returns. That entry must not
+// keep the closure, or the buffer it captures, reachable once the caller
+// drops its Task.
+func TestFinishedRegionKeepsNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := NewPool(2)
+	defer p.Close()
+	buf := weak.Make(func() *[1 << 16]byte {
+		buf := new([1 << 16]byte)
+		var task Task
+		task.F = func(b int) { buf[b]++ }
+		p.Run(&task, 4)
+		return buf
+	}())
+	runtime.GC()
+	if buf.Value() != nil {
+		t.Error("a finished region's closure keeps its captured buffer reachable through the pool")
+	}
 }
 
 // TestConcurrentRun drives many regions from competing goroutines through
