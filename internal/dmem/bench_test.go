@@ -28,13 +28,48 @@ func relaxAndStage(st *runState, rs *rankState) {
 	}
 }
 
+// BenchmarkRelaxSweep times relaxAndStage on rank 0 of a 16-rank layout of
+// a 64² grid, and on the end-to-end benchmark's four shapes (e2eShapes,
+// every one swept by Gauss-Seidel), where one op is one sweep of every rank
+// from the residual reset left it (restored first, so the sweeps never run
+// into denormals) and the benchmark reports ns per entry of A.
 func BenchmarkRelaxSweep(b *testing.B) {
-	st := benchState(b, 64, 16)
-	rs := st.states[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		relaxAndStage(st, rs)
+	b.Run("Poisson64/P=16/rank0", func(b *testing.B) {
+		st := benchState(b, 64, 16)
+		rs := st.states[0]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			relaxAndStage(st, rs)
+		}
+	})
+	for _, c := range e2eShapes() {
+		b.Run(c.name, func(b *testing.B) {
+			l, err := NewLayout(c.a, c.part, c.p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := NewSetup(l, LocalGS)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bb, x := problem.ZeroBSystem(c.a, 1)
+			st := newRunState(s)
+			st.reset(bb, x, Config{}, stepSpec{})
+			r0 := make([]float64, c.a.N)
+			for p, rs := range st.states {
+				copy(r0[l.rowOff[p]:], rs.r)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for p, rs := range st.states {
+					copy(rs.r, r0[l.rowOff[p]:])
+					relaxAndStage(st, rs)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.a.NNZ()), "ns/entry")
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -59,8 +60,6 @@ func suiteMatrix(t testing.TB, name string) *sparse.CSR {
 //   - the global ids behind p's ghost row j — q's boundary rows toward p at
 //     that slot, through q's rows — are {g : part[g] = q, some row of p
 //     couples to g}, ascending, one per slot of the ghost row;
-//   - p's ext slots number those rows in that order: the target of every
-//     external entry of p's rows (Layout.tgt) is m + the slot of its column;
 //   - a reset ghost layer holds b − Ax at those rows, bit for bit.
 //
 // So a message body needs no index, and the plans can be recomputed from A
@@ -130,31 +129,20 @@ func TestLayoutExchangePlansMatch(t *testing.T) {
 					t.Fatalf("%s: rank %d's ghost of row %d reset to %g, its residual is %g", c.name, p, int32(key), rs.z[e], res[int32(key)])
 				}
 			}
-			m := int32(len(rs.r))
-			for _, g := range l.rows(p) {
-				lo, hi := c.a.RowPtr[g], c.a.RowPtr[g+1]
-				for k, col := range c.a.Col[lo:hi] {
-					if part[col] == p {
-						continue
-					}
-					if e := l.tgt[lo+int32(k)] - m; e < 0 || int(e) >= len(behind) || behind[e] != col {
-						t.Fatalf("%s: rank %d: an external entry of row %d does not name column %d's slot", c.name, p, g, col)
-					}
-				}
-			}
 		}
 	}
 }
 
-// TestLayoutTargetsMatch states Layout.tgt from A and the part vector
-// alone: for every entry (g, c) of A, with p = part[g] owning m rows, the
-// target is the local index of c in p — the row's own for the diagonal —
-// when part[c] = p, and otherwise m + the ext slot p files c under: its
-// position among the distinct columns of p's rows owned elsewhere, ordered
-// by owner, then by global id. Checked on the benchmark's four shapes and on
-// a grid with two isolated rows, one on a rank of its own (no neighbor, no
-// ext slot) and one on a rank with grid rows.
-func TestLayoutTargetsMatch(t *testing.T) {
+// TestGhostRowsMatch states, from A and the part vector alone, what a sweep
+// in A's numbering reads instead of a target per entry of A: the global row
+// behind every ext slot, as the run state derives it from the sending side
+// (runState.extGlob, Layout.extRows). Rank p's ext slots, in order, are the
+// distinct columns of its rows owned elsewhere, ordered by owner, then by
+// global id — so, with p's own rows, every column its rows reach, each
+// once. Checked on the benchmark's four shapes and on a grid with two
+// isolated rows, one on a rank of its own (no neighbor, no ext slot) and
+// one on a rank with grid rows.
+func TestGhostRowsMatch(t *testing.T) {
 	grid := problem.Poisson2D(8, 8)
 	coo := sparse.NewCOO(grid.N+2, grid.NNZ()+2)
 	for g := range grid.N {
@@ -173,15 +161,14 @@ func TestLayoutTargetsMatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(l.tgt) != c.a.NNZ() {
-			t.Fatalf("%s: %d targets for %d entries of A", c.name, len(l.tgt), c.a.NNZ())
+		s, err := NewSetup(l, LocalGS)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// local[g]: g's position among its owner's rows; m[p]: their count;
+		st := newRunState(s)
 		// keys[p]: owner<<32 | id of every column of p's rows owned elsewhere.
-		local, m, keys := make([]int32, c.a.N), make([]int32, c.p), make([][]int64, c.p)
+		keys := make([][]int64, c.p)
 		for g, p := range c.part {
-			local[g] = m[p]
-			m[p]++
 			cols, _ := c.a.Row(g)
 			for _, col := range cols {
 				if q := c.part[col]; q != p {
@@ -189,20 +176,19 @@ func TestLayoutTargetsMatch(t *testing.T) {
 				}
 			}
 		}
-		for p := range keys {
-			slices.Sort(keys[p])
-			keys[p] = slices.Compact(keys[p])
+		if len(st.extGlob) != int(l.extOff[c.p]) {
+			t.Fatalf("%s: %d ghost rows for %d ext slots", c.name, len(st.extGlob), l.extOff[c.p])
 		}
-		for g, p := range c.part {
-			lo, hi := c.a.RowPtr[g], c.a.RowPtr[g+1]
-			for k, col := range c.a.Col[lo:hi] {
-				want := local[col]
-				if q := c.part[col]; q != p {
-					slot, _ := slices.BinarySearch(keys[p], int64(q)<<32|int64(col))
-					want = m[p] + int32(slot)
-				}
-				if got := l.tgt[lo+int32(k)]; got != want {
-					t.Fatalf("%s: entry (%d, %d) of rank %d (%d rows) targets %d, want %d", c.name, g, col, p, m[p], got, want)
+		for p, rs := range st.states {
+			slices.Sort(keys[p])
+			want := slices.Compact(keys[p])
+			got := st.extGlob[rs.ext0:][:len(rs.z)]
+			if len(got) != len(want) {
+				t.Fatalf("%s: rank %d has %d ext slots, A couples it to %d rows elsewhere", c.name, p, len(got), len(want))
+			}
+			for e, key := range want {
+				if got[e] != int32(key) {
+					t.Fatalf("%s: rank %d's ext slot %d stands for row %d, want row %d of rank %d", c.name, p, e, got[e], int32(key), key>>32)
 				}
 			}
 		}
@@ -277,6 +263,50 @@ func TestLayoutRejectsAsymmetricCoupling(t *testing.T) {
 		if _, err := NewLayout(tc.a, tc.part, slices.Max(tc.part)+1); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: NewLayout error %v, want %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestLayoutRejectsUnusableDiagonal: every relaxation divides by its rows'
+// diagonal entries, so NewLayout refuses a row whose diagonal is missing,
+// zero, NaN or infinite, naming the lowest such row. The first case is a
+// 4×4 path with no diagonal on rows 1 and 2 at P = 2, which used to run to
+// ‖r‖ = +Inf and X = [0 0 +Inf +Inf] without an error.
+func TestLayoutRejectsUnusableDiagonal(t *testing.T) {
+	path := func(diag [4]float64, keep [4]bool) *sparse.CSR {
+		coo := sparse.NewCOO(4, 10)
+		for i := range 4 {
+			if keep[i] {
+				coo.Add(i, i, diag[i])
+			}
+			if i > 0 {
+				coo.AddSym(i, i-1, -1)
+			}
+		}
+		return coo.ToCSR()
+	}
+	ok := [4]float64{2, 2, 2, 2}
+	all := [4]bool{true, true, true, true}
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+		want string
+	}{
+		{"missing", path(ok, [4]bool{true, false, false, true}), "dmem: row 1 has a missing, zero or non-finite diagonal entry (0)"},
+		{"zero", path([4]float64{2, 2, 2, 0}, all), "dmem: row 3 has a missing, zero or non-finite diagonal entry (0)"},
+		{"nan", path([4]float64{2, math.NaN(), 2, 2}, all), "dmem: row 1 has a missing, zero or non-finite diagonal entry (NaN)"},
+		{"inf", path([4]float64{2, 2, math.Inf(-1), math.Inf(1)}, all), "dmem: row 2 has a missing, zero or non-finite diagonal entry (-Inf)"},
+	} {
+		if _, err := NewLayout(tc.a, []int{0, 0, 1, 1}, 2); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: NewLayout error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// Row 3 sits on rank 0, below rank 1's row 1: the lowest row is named,
+	// not the first rank's.
+	if _, err := NewLayout(path([4]float64{2, 0, 2, 0}, all), []int{1, 1, 0, 0}, 2); err == nil || !strings.Contains(err.Error(), "row 1 ") {
+		t.Errorf("NewLayout named %v, want row 1", err)
+	}
+	if _, err := NewLayout(path([4]float64{-2, 2, 2, 2}, all), []int{0, 0, 1, 1}, 2); err != nil {
+		t.Errorf("a negative diagonal is usable: %v", err)
 	}
 }
 

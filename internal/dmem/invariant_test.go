@@ -6,8 +6,10 @@ import (
 	"slices"
 	"testing"
 
+	"southwell/internal/parallel"
 	"southwell/internal/problem"
 	"southwell/internal/rma"
+	"southwell/internal/sparse"
 )
 
 // TestDistSWBlockGammaTildeExactness verifies the paper's §3 claim at the
@@ -78,22 +80,80 @@ func TestDistSWGhostSanity(t *testing.T) {
 // solvers, at every step boundary, the concatenation of local residuals
 // equals b - A x for the concatenation of local solutions (communication
 // delivers every delta exactly once, and a relaxation's residual bookkeeping
-// matches the update it made to x).
+// matches the update it made to x). The phases run on the pool at widths 1,
+// 2, 4 and 7, so the sweeps of one step share one accumulator or split over
+// several (runState.acc), at P = 2, 7 and 64 on a 289-row mesh and on a
+// many-small-parts layout of four rows a rank (1 089 rows, P = 272).
 func TestLocalResidualsExactEveryStep(t *testing.T) {
-	a := problem.FEM2D(16, 0.3, 13)
-	for _, local := range []LocalSolver{LocalGS, LocalDirect} {
-		for name, run := range methods() {
-			name = name + "/" + local.String()
-			s, b, x := buildCaseLocal(t, a.Clone(), 8, 13, local)
-			steps := 0
-			debugHook = func(_ *rma.World, states []*rankState) {
-				steps++
-				assertResidualsExact(t, name, s.Layout, b, states)
+	defer parallel.SetDefaultWorkers(parallel.Default().Workers())
+	defer func() { debugHook = nil }()
+	mesh, small := problem.FEM2D(16, 0.3, 13), problem.FEM2D(32, 0.3, 13)
+	for _, c := range []struct {
+		a     *sparse.CSR
+		ranks int
+	}{{mesh, 2}, {mesh, 7}, {mesh, 64}, {small, 272}} {
+		for _, local := range []LocalSolver{LocalGS, LocalDirect} {
+			s, b, x := buildCaseLocal(t, c.a.Clone(), c.ranks, 13, local)
+			for _, width := range []int{1, 2, 4, 7} {
+				parallel.SetDefaultWorkers(width)
+				for name, run := range methods() {
+					name := fmt.Sprintf("%s/%v/P=%d/width %d", name, local, c.ranks, width)
+					steps := 0
+					debugHook = func(_ *rma.World, states []*rankState) {
+						steps++
+						assertResidualsExact(t, name, s.Layout, b, states)
+					}
+					run(s, b, x, Config{Steps: 12, Parallel: true})
+					if steps == 0 {
+						t.Fatalf("%s: hook never ran", name)
+					}
+				}
 			}
-			run(s, b, x, Config{Steps: 12})
-			debugHook = nil
-			if steps == 0 {
-				t.Fatalf("%s: hook never ran", name)
+		}
+	}
+}
+
+// TestAccumulatorsZeroEveryStep: a sweep leaves its chunk's accumulator as
+// it found it, all zero (relaxSweep clears the rows and the ghost rows it
+// copied in), so at every step boundary of DS, PS and BJ every accumulator
+// of the run state is +0 throughout — on the benchmark's four shapes, with
+// the phases on the pool at widths 1 and 2 (one accumulator, then two).
+func TestAccumulatorsZeroEveryStep(t *testing.T) {
+	defer parallel.SetDefaultWorkers(parallel.Default().Workers())
+	defer func() { debugHook = nil }()
+	for _, width := range []int{1, 2} {
+		parallel.SetDefaultWorkers(width)
+		for _, c := range e2eShapes() {
+			l, err := NewLayout(c.a, c.part, c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSetup(l, LocalGS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, x := problem.ZeroBSystem(c.a, 1)
+			for name, run := range methods() {
+				name := fmt.Sprintf("%s/%s/width %d", c.name, name, width)
+				steps := 0
+				debugHook = func(_ *rma.World, states []*rankState) {
+					steps++
+					acc := states[0].st.acc
+					if len(acc) != width {
+						t.Fatalf("%s: %d accumulators, want one per chunk (%d)", name, len(acc), width)
+					}
+					for k, v := range acc {
+						for g, f := range v {
+							if math.Float64bits(f) != 0 {
+								t.Fatalf("%s: after step %d accumulator %d holds %g at row %d", name, steps-1, k, f, g)
+							}
+						}
+					}
+				}
+				run(s, b, x, Config{Steps: 5, Parallel: true})
+				if steps < 2 {
+					t.Fatalf("%s: the hook ran %d times", name, steps)
+				}
 			}
 		}
 	}

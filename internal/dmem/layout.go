@@ -29,10 +29,11 @@ import (
 // corresponds to the paper's setup phase (METIS partition + neighbor
 // discovery), which is not part of the measured solve.
 //
-// It reads the matrix itself, A, for every value: beside it the layout keeps
-// one target index per entry of A (tgt), the diagonal, and the exchange
-// plans, each kind of array one flat allocation. Four offset tables of P+1
-// entries give the range of each kind that rank p holds:
+// It reads the matrix itself, A, for every value and every column: beside
+// it the layout keeps the rows in rank order, their diagonal, and the
+// exchange plans, each kind of array one flat allocation, and nothing per
+// entry of A. Four offset tables of P+1 entries give the range of each kind
+// that rank p holds:
 //
 //	rows       [rowOff[p], rowOff[p+1])  glob, diag
 //	neighbors  [nbrOff[p], nbrOff[p+1])  nbrs, nbrExtOff, nbrBndOff
@@ -54,18 +55,12 @@ type Layout struct {
 	rowOff, nbrOff, extOff, bndOff []int32
 
 	// Rows: glob[i] is the global id of rank-ordered row i, which is local
-	// row i − rowOff[p] of its owner p, and diag[i] its diagonal entry.
+	// row i − rowOff[p] of its owner p, and diag[i] its diagonal entry,
+	// nonzero and finite (a relaxation divides by it). A relaxation walks
+	// A's own columns, in A's numbering (relaxSweep), so no entry of A needs
+	// an index of the layout's.
 	glob []int32
 	diag []float64
-
-	// tgt is aligned to A's entries: for entry k of a row that rank p owns
-	// (m rows), tgt[k] indexes p's combined vector [r | extDelta] — the
-	// owner's local row for a column of p (the row itself for the
-	// diagonal), m + the column's ext slot (counted from extOff[p]) for any
-	// other. The sweep walks A.Val over a row with it in source column order;
-	// local and ext targets are disjoint, so each memory location sees the
-	// update sequence a walk split by class gives it (relaxSweep).
-	tgt []int32
 
 	// Neighbors. Position k of rank p, k in [nbrOff[p], nbrOff[p+1]), is
 	// its (k − nbrOff[p])-th neighbor in ascending rank order: nbrs[k] is
@@ -90,6 +85,28 @@ type Layout struct {
 // rows returns the global ids of rank p's rows, ascending.
 func (l *Layout) rows(p int) []int32 { return l.glob[l.rowOff[p]:l.rowOff[p+1]] }
 
+// extRows returns the global id of the row behind every ext slot, flat in
+// slot order (rank p's are [extOff[p], extOff[p+1])), read from the sending
+// side: ghost row j of rank pr holds neighbor q's boundary rows toward pr,
+// which q keeps at its own neighbor position of pr. Ranks are visited in
+// ascending order and each visits its neighbors in ascending order, so that
+// position is where q's cursor stands, cur[q]: the count of ranks that
+// visited q before pr. The layout keeps no copy; a run state keeps one
+// (runState.extGlob).
+func (l *Layout) extRows() []int32 {
+	ids := make([]int32, l.extOff[l.P])
+	cur := slices.Clone(l.nbrOff[:l.P])
+	for k, q := range l.nbrs {
+		kq := cur[q]
+		cur[q]++
+		rows := l.glob[l.rowOff[q]:]
+		for i, li := range l.myRows[l.nbrBndOff[kq]:l.nbrBndOff[kq+1]] {
+			ids[l.nbrExtOff[k]+int32(i)] = rows[li]
+		}
+	}
+	return ids
+}
+
 // fitsIndex reports, as an error, a count the layout's 32-bit indices cannot
 // hold: every offset and id it stores is below 2³¹.
 func fitsIndex(what string, n int) error {
@@ -100,9 +117,11 @@ func fitsIndex(what string, n int) error {
 }
 
 // NewLayout distributes a (structurally symmetric) matrix over P ranks
-// according to part. It validates the partition and the symmetry
-// assumption the relaxation kernels rely on. The layout keeps a and reads
-// its values on every relaxation, so a must not change after NewLayout.
+// according to part. It validates the partition, the symmetry assumption
+// the relaxation kernels rely on, and every row's diagonal entry, which a
+// relaxation divides by: an error names the lowest row whose diagonal is
+// missing, zero or not finite. The layout keeps a and reads its values on
+// every relaxation, so a must not change after NewLayout.
 //
 // It makes two passes over the ranks, so every array is allocated once at
 // its exact size: the first counts what each rank holds, the second fills
@@ -137,15 +156,13 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		}
 		l.rowOff[pr+1] += l.rowOff[pr]
 	}
-	// Rows in rank order, a counting sort of the partition; local[g] is
-	// global row g's index within its owner. next is pass 3's cursor later.
+	// Rows in rank order, a counting sort of the partition. next is pass
+	// 3's cursor later.
 	l.glob = make([]int32, a.N)
-	local := make([]int32, a.N)
 	next := slices.Clone(l.rowOff[:p])
 	for g, pr := range part {
-		i := next[pr]
+		l.glob[next[pr]] = int32(g)
 		next[pr]++
-		l.glob[i], local[g] = int32(g), i-l.rowOff[pr]
 	}
 
 	nb := rankBlockCount(p)
@@ -171,10 +188,10 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	}
 
 	// Pass 2: fill. extGlob, the global ids behind every ext slot, is what
-	// pass 3 checks the owners' boundary rows against; no solve reads it, so
-	// it dies with this call.
+	// pass 3 checks the owners' boundary rows against; it dies with this
+	// call (a run state derives the same ids from the plans, extRows).
 	nNbr := l.nbrOff[p]
-	l.diag, l.tgt = make([]float64, a.N), make([]int32, a.NNZ())
+	l.diag = make([]float64, a.N)
 	l.nbrs = make([]int32, nNbr)
 	l.nbrExtOff, l.nbrBndOff = make([]int32, nNbr+1), make([]int32, nNbr+1)
 	l.myRows = make([]int32, l.bndOff[p])
@@ -185,7 +202,7 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		sc.pos, sc.extNbr, sc.lastRow = make([]int32, a.N), nbrBuf[:sc.maxSlots], nbrBuf[sc.maxSlots:]
 		sc.keys = make([]int64, 0, max(sc.maxSlots, sc.maxBnd))
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
-			l.fillRank(part, local, extGlob, pr, sc)
+			l.fillRank(part, extGlob, pr, sc)
 		}
 	}
 	parallel.Default().Run(&task, nb)
@@ -199,6 +216,17 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		if err := l.addressRank(pr, cur, extGlob); err != nil {
 			return nil, err
 		}
+	}
+	// Every diagonal entry divides a relaxation. bad is the rank-ordered
+	// index of the lowest row without a usable one.
+	bad := -1
+	for i, d := range l.diag {
+		if (!(math.Abs(d) > 0) || math.IsInf(d, 0)) && (bad < 0 || l.glob[i] < l.glob[bad]) {
+			bad = i
+		}
+	}
+	if bad >= 0 {
+		return nil, fmt.Errorf("dmem: row %d has a missing, zero or non-finite diagonal entry (%g)", l.glob[bad], l.diag[bad])
 	}
 	return l, nil
 }
@@ -263,7 +291,7 @@ func (l *Layout) countRank(part []int, pr int, sc *layoutScratch) {
 // they are grouped by owner and ascending within one, and the owners met on
 // the way are the neighbor ranks; the boundary rows out of a counting sort
 // by neighbor position, in which rows arrive in ascending order.
-func (l *Layout) fillRank(part []int, local, extGlob []int32, pr int, sc *layoutScratch) {
+func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch) {
 	r0, r1 := l.rowOff[pr], l.rowOff[pr+1]
 	n0, n1, e0, b0 := l.nbrOff[pr], l.nbrOff[pr+1], l.extOff[pr], l.bndOff[pr]
 	sc.stamp++
@@ -289,10 +317,9 @@ func (l *Layout) fillRank(part []int, local, extGlob []int32, pr int, sc *layout
 		l.nbrExtOff[nk+1] = e0 + int32(e) + 1
 	}
 
-	// Targets of the rank's entries of A; bnd[j] (zero from make) counts the
+	// Diagonal entries of the rank's rows; bnd[j] (zero from make) counts the
 	// distinct rows coupling into neighbor position j, lastRow[j] being the
 	// last one, and pairs lists each (j, row) as it is met, rows ascending.
-	m := r1 - r0
 	pairs := keys[:0]
 	bnd, lastRow := l.nbrBndOff[n0+1:n1+1], sc.lastRow[:n1-n0]
 	for j := range lastRow {
@@ -300,19 +327,15 @@ func (l *Layout) fillRank(part []int, local, extGlob []int32, pr int, sc *layout
 	}
 	for i := r0; i < r1; i++ {
 		g := l.glob[i]
-		lo, hi := l.A.RowPtr[g], l.A.RowPtr[g+1]
-		tgt, vals := l.tgt[lo:hi], l.A.Val[lo:hi]
-		for k, c := range l.A.Col[lo:hi] {
+		cols, vals := l.A.Row(int(g))
+		for k, c := range cols {
 			if part[c] == pr {
-				tgt[k] = local[c]
 				if c == g {
 					l.diag[i] = vals[k]
 				}
 				continue
 			}
-			s := sc.pos[c]
-			tgt[k] = m + s
-			if j := sc.extNbr[s]; lastRow[j] != i {
+			if j := sc.extNbr[sc.pos[c]]; lastRow[j] != i {
 				lastRow[j] = i
 				bnd[j]++
 				pairs = append(pairs, int64(j)<<32|int64(i-r0))

@@ -7,14 +7,14 @@ import "slices"
 
 // RankData is a rank's share of a Layout as a value, which the oracles compare:
 // a local matrix in split-CSR form with local row, local column and ext
-// slot indices, and the exchange plans per neighbor position j. The split
-// CSR (LocPtr … Diag, NNZ) is derived from A and the layout's targets: each
-// row's entries in source column order, those whose target is a local row
-// other than the row's own into the local class, those past the rank's rows
-// into the ext class, the diagonal as the value whose target is the row
-// itself. The two per-neighbor offset arrays (ExtOff, MyOff) are copies
-// rebased to start at zero, SlotInNbr and ExtGlob are built from the
-// neighbors' ranges; Glob, Nbrs and MyRows alias the layout and must not be
+// slot indices, and the exchange plans per neighbor position j. SlotInNbr
+// and ExtGlob are built from the neighbors' ranges, and the split CSR
+// (LocPtr … Diag, NNZ) from A through them: each row's entries in source
+// column order, those whose column is another of the rank's rows into the
+// local class (its local index), those whose column is in ExtGlob into the
+// ext class (its slot), the diagonal as the value of the row's own column.
+// The two per-neighbor offset arrays (ExtOff, MyOff) are copies rebased to
+// start at zero; Glob, Nbrs and MyRows alias the layout and must not be
 // written.
 type RankData struct {
 	P    int     // this rank
@@ -48,23 +48,6 @@ func (l *Layout) Rank(p int) RankData {
 	e0, e1 := l.extOff[p], l.extOff[p+1]
 	b0, b1 := l.bndOff[p], l.bndOff[p+1]
 	m := r1 - r0
-	rd := RankData{LocPtr: make([]int32, 1, m+1), ExtPtr: make([]int32, 1, m+1), Diag: make([]float64, m)}
-	for li, g := range l.glob[r0:r1] {
-		lo, hi := l.A.RowPtr[g], l.A.RowPtr[g+1]
-		for k, t := range l.tgt[lo:hi] {
-			v := l.A.Val[lo+int32(k)]
-			switch {
-			case t == int32(li):
-				rd.Diag[li] = v
-			case t < m:
-				rd.LocCol, rd.LocVal = append(rd.LocCol, uint32(t)), append(rd.LocVal, v)
-			default:
-				rd.ExtCol, rd.ExtVal = append(rd.ExtCol, uint32(t-m)), append(rd.ExtVal, v)
-			}
-		}
-		rd.LocPtr = append(rd.LocPtr, int32(len(rd.LocCol)))
-		rd.ExtPtr = append(rd.ExtPtr, int32(len(rd.ExtCol)))
-	}
 	// The layout keeps neither p's slots nor the rows behind its ext slots:
 	// both are read from the neighbors' side.
 	slots, extGlob := make([]int32, n1-n0), make([]int32, 0, e1-e0)
@@ -72,6 +55,28 @@ func (l *Layout) Rank(p int) RankData {
 		slot, _ := slices.BinarySearch(l.neighbors(int(q)), int32(p))
 		slots[j] = int32(slot)
 		extGlob = append(extGlob, l.ghostRows(p, j, int32(slot))...)
+	}
+	local, ext := map[int32]uint32{}, map[int32]uint32{}
+	for li, g := range l.glob[r0:r1] {
+		local[g] = uint32(li)
+	}
+	for s, g := range extGlob {
+		ext[g] = uint32(s)
+	}
+	rd := RankData{LocPtr: make([]int32, 1, m+1), ExtPtr: make([]int32, 1, m+1), Diag: make([]float64, m)}
+	for li, g := range l.glob[r0:r1] {
+		cols, vals := l.A.Row(int(g))
+		for k, c := range cols {
+			if c == g {
+				rd.Diag[li] = vals[k]
+			} else if t, ok := local[c]; ok {
+				rd.LocCol, rd.LocVal = append(rd.LocCol, t), append(rd.LocVal, vals[k])
+			} else {
+				rd.ExtCol, rd.ExtVal = append(rd.ExtCol, ext[c]), append(rd.ExtVal, vals[k])
+			}
+		}
+		rd.LocPtr = append(rd.LocPtr, int32(len(rd.LocCol)))
+		rd.ExtPtr = append(rd.ExtPtr, int32(len(rd.ExtCol)))
 	}
 	rd.P, rd.Glob, rd.NNZ = p, l.glob[r0:r1:r1], len(rd.LocCol)+len(rd.ExtCol)
 	rd.Nbrs, rd.SlotInNbr, rd.ExtGlob = l.nbrs[n0:n1:n1], slots, extGlob

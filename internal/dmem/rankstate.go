@@ -13,8 +13,11 @@ type rankState struct {
 	// row0, nbr0 and ext0 are its first row, neighbor position and ext slot
 	// there (Layout.rowOff/nbrOff/extOff[p], kept because every kernel cuts
 	// its slices at them). m, the degree and the ext count are len(r),
-	// len(gamma) and len(z).
+	// len(gamma) and len(z). st is the run state the rank belongs to: its
+	// kernels read the ext slots' global ids and the accumulators
+	// (relaxSweep) and the Setup's external couplings (relaxDirect) there.
 	l                   *Layout
+	st                  *runState
 	p, row0, nbr0, ext0 int32
 
 	x    []float64
@@ -39,7 +42,7 @@ type rankState struct {
 	// a perfect network (messages arrive in order, never late).
 	seqSeen []int32
 
-	extDelta []float64 // scratch, per ext row; the slab carves it right after r
+	extDelta []float64 // scratch, per ext row
 	// nnz is the rank's off-diagonal count as NewSetup recorded it, for the
 	// relaxations' flop charge. It sits in the padding before starved.
 	nnz     int32
@@ -71,12 +74,10 @@ type rankState struct {
 	res   []payload // explicit residual updates: bnd
 
 	// direct, when f is non-nil, is the shared factorization of the local
-	// diagonal block (LocalDirect) with this rank's private solve scratch,
-	// and the Setup's external couplings its scatter reads.
+	// diagonal block (LocalDirect) with this rank's private solve scratch.
 	direct struct {
 		f       *spdirect.Factor
 		scratch []float64
-		ext     *extCouplings
 	}
 }
 
@@ -127,7 +128,7 @@ func (rs *rankState) relaxDirect() float64 {
 	m := len(r)
 	rs.direct.f.SolveWith(r, r, rs.direct.scratch)
 	// Operands are locals cut once per row (DESIGN.md §10, "Kernel form").
-	ext := rs.direct.ext
+	ext := rs.st.ext
 	extPtr, extCol, extVal := ext.ptr[rs.row0:][:m+1], ext.col, ext.val
 	for li, dl := range r {
 		x[li] += dl
@@ -178,37 +179,55 @@ func norm2(v []float64) float64 {
 
 // relaxSweep performs one Gauss-Seidel sweep over the local rows,
 // maintaining the exact local residual and accumulating residual deltas
-// for external rows in extDelta (which the caller must have zeroed, and is
-// responsible for draining into messages and/or the ghost layer).
-// It returns the flop count for cost charging.
+// for external rows in extDelta (which the caller is responsible for
+// draining into messages and/or the ghost layer; the sweep adds to what it
+// holds). It returns the flop count for cost charging.
 //
-// Each row is one walk over its entries of A with the layout's targets
-// (Layout.tgt) into [r | extDelta], which the run state carves as one
-// range, so r's capacity reaches over extDelta. Local and ext targets are
-// disjoint and the walk keeps source column order, so each memory location
-// sees the update sequence of a walk split by class. The row's own slot
-// takes a_ii·d on the way and is then set to zero: the diagonal
-// contribution r_li − a_ii·d, exactly.
+// The sweep runs in A's own numbering: on entry it copies r and extDelta
+// into its execution chunk's accumulator (runState.acc, n floats indexed by
+// global row) at the rank's rows and at the rows behind its ext slots
+// (runState.extGlob); each row is then one walk over its entries of A,
+// A.Col indexing the accumulator directly; on exit it copies them back and
+// zeroes what it touched. The rank's rows couple only to those rows, and
+// each of them is one location of r or extDelta, so every location sees
+// the update sequence it would see in place. The entry copy assigns, so a
+// -0 survives it and nothing the accumulator held before is read; the
+// clear on exit leaves it all zero between sweeps. The row's own entry takes
+// a_ii·d on the way and is then set to zero: the diagonal contribution
+// r_li − a_ii·d, exactly.
 //
 // Operands are locals cut once per row (DESIGN.md §10, "Kernel form"); the
 // visit order and the one a -= b*c expression per update may not change.
 func (rs *rankState) relaxSweep() float64 {
-	l := rs.l
-	r, x := rs.r, rs.x
+	l, st := rs.l, rs.st
+	r, x, extDelta := rs.r, rs.x, rs.extDelta
 	m := len(r)
-	rx := r[:m+len(rs.extDelta)]
+	acc := st.acc[st.w.ChunkOf(int(rs.p))]
 	glob, diag := l.glob[rs.row0:][:m], l.diag[rs.row0:][:m]
-	rowPtr, val, tgt := l.A.RowPtr, l.A.Val, l.tgt
+	ghosts := st.extGlob[rs.ext0:][:len(extDelta)]
 	for li, g := range glob {
-		d := r[li] / diag[li]
+		acc[g] = r[li]
+	}
+	for s, g := range ghosts {
+		acc[g] = extDelta[s]
+	}
+	rowPtr, col, val := l.A.RowPtr, l.A.Col, l.A.Val
+	for li, g := range glob {
+		d := acc[g] / diag[li]
 		x[li] += d
 		lo, hi := rowPtr[g], rowPtr[g+1]
-		ts := tgt[lo:hi]
-		vals := val[lo:hi][:len(ts)]
-		for k, t := range ts {
-			rx[t] -= vals[k] * d
+		cols := col[lo:hi]
+		vals := val[lo:hi][:len(cols)]
+		for k, c := range cols {
+			acc[c] -= vals[k] * d
 		}
-		r[li] = 0
+		acc[g] = 0
+	}
+	for li, g := range glob {
+		r[li], acc[g] = acc[g], 0
+	}
+	for s, g := range ghosts {
+		extDelta[s], acc[g] = acc[g], 0
 	}
 	return float64(2*int(rs.nnz) + 3*m)
 }

@@ -18,8 +18,19 @@ type runState struct {
 	w      *rma.World
 	states []*rankState
 	eng    stepEngine
-	rGlob  []float64 // reset scratch: b − Ax, then the same values in rank order
 	norms  []float64 // local norms in rank order: norm2 of it is the global norm
+	// acc holds one accumulator per execution chunk of the world's phases
+	// (rma.World.ChunkOf), n floats indexed by global row: the ranks of a
+	// chunk sweep through it one after another (relaxSweep), and each leaves
+	// it all zero. acc[0] is also reset's scratch for b − Ax, which reset
+	// clears. reset adds the chunks a run's width needs; a LocalDirect run
+	// state sweeps nothing and keeps acc[0] alone.
+	acc [][]float64
+	// extGlob is the global id of the row behind every ext slot, flat in
+	// slot order (Layout.extRows): a sweep's ghost rows, and where reset
+	// reads each ghost's residual.
+	extGlob []int32
+	ext     *extCouplings // a LocalDirect Setup's external couplings, else nil
 	// seqSeen and sentTo back every rank's slices of that name.
 	seqSeen []int32
 	sentTo  []bool
@@ -50,7 +61,8 @@ func newRunState(s *Setup) *runState {
 	}
 	st := &runState{
 		l: l, w: rma.NewWorld(p, rma.CostModel{}), states: make([]*rankState, p),
-		rGlob: make([]float64, l.A.N), norms: make([]float64, p),
+		acc: [][]float64{make([]float64, l.A.N)}, norms: make([]float64, p),
+		extGlob: l.extRows(), ext: s.ext,
 	}
 	st.hold = st.holdBody
 	st.seqSeen, st.sentTo = make([]int32, nd), make([]bool, nd)
@@ -88,12 +100,11 @@ func newRunState(s *Setup) *runState {
 		m, deg, ext := int(l.rowOff[pr+1]-r0), int(l.nbrOff[pr+1]-n0), int(l.extOff[pr+1]-e0)
 		lo, hi := int(n0), int(n0)+deg
 		rs := &slab[pr]
-		x, z := take(m), take(ext)
-		d0 := int32(at+m) - e0 // extDelta's offset, less the rank's first ext slot
-		rx := take(m + ext)    // [r | extDelta], the relax sweep's targets (Layout.tgt)
+		x, z, r := take(m), take(ext), take(m)
+		d0 := int32(at) - e0 // extDelta's offset, less the rank's first ext slot
 		*rs = rankState{
-			l: l, p: int32(pr), row0: r0, nbr0: n0, ext0: e0,
-			x: x, r: rx[:m], z: z, extDelta: rx[m:], nnz: s.nnz[pr],
+			l: l, st: st, p: int32(pr), row0: r0, nbr0: n0, ext0: e0,
+			x: x, r: r, z: z, extDelta: take(ext), nnz: s.nnz[pr],
 			gamma: take(deg), gammaTilde: take(deg),
 			seqSeen: st.seqSeen[lo:hi:hi], sentTo: st.sentTo[lo:hi:hi],
 			solve: takeBodies(deg), res: takeBodies(deg),
@@ -106,7 +117,7 @@ func newRunState(s *Setup) *runState {
 			rs.res[j] = payload{bnd: carve(nBnd), slot: slot}
 		}
 		if s.factors != nil {
-			rs.direct.f, rs.direct.scratch, rs.direct.ext = s.factors[pr], take(m), s.ext
+			rs.direct.f, rs.direct.scratch = s.factors[pr], take(m)
 		}
 		st.states[pr] = rs
 		e.idleDeg[pr] = float64(deg) // phase-1 idle charge: the unconditional degree scan
@@ -121,43 +132,35 @@ func newRunState(s *Setup) *runState {
 // engine, fault plan and tracer installed. extDelta, lastSentNorm, the
 // direct-solver scratch, the bodies' floats and every header field but slot
 // and the two offsets are written before they are read in any run, so they
-// are deliberately not cleared.
+// are deliberately not cleared; every accumulator is all zero between
+// sweeps, so none is cleared but the first, which reset uses as scratch.
 func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	l, w, e := st.l, st.w, &st.eng
-	l.A.Residual(b, x, st.rGlob)
+	res := st.acc[0] // b − Ax in A's numbering, until the ghosts have it
+	l.A.Residual(b, x, res)
 	e.list = e.list[:l.P]
 	for p, rs := range st.states {
 		for li, g := range l.rows(p) {
 			rs.x[li] = x[g]
-			rs.r[li] = st.rGlob[g]
+			rs.r[li] = res[g]
 		}
 		rs.norm = rs.computeNorm()
 		st.norms[p] = rs.norm
 		rs.relaxed, rs.gotMsg, rs.starved, rs.starveStamp = false, false, 0, 0
 		e.inSet[p], e.sawMail[p] = true, false
 	}
-	// Ghost rows, from rGlob in rank order: ghost row j of a rank holds
-	// neighbor q's boundary rows toward it, in q's order — the next range of
-	// q's myRows, since ranks are visited in ascending order (newRunState's
-	// slot walk), cur[q] being where it starts. Two loads a ghost slot.
-	cur := e.list
-	for p, rs := range st.states {
-		copy(st.rGlob[l.rowOff[p]:], rs.r)
-		cur[p] = l.bndOff[p]
-	}
+	// Ghosts: each ext slot's row of b − Ax, the value its owner's r holds.
 	for _, rs := range st.states {
 		for j, q := range rs.nbrs() {
 			rs.gamma[j] = st.norms[q]
 			rs.gammaTilde[j] = rs.norm
-			z, _ := rs.ghost(j)
-			r, src := st.rGlob[l.rowOff[q]:], l.myRows[cur[q]:][:len(z)]
-			cur[q] += int32(len(z))
-			for i, li := range src {
-				z[i] = r[li]
-			}
+		}
+		for i, g := range st.extGlob[rs.ext0:][:len(rs.z)] {
+			rs.z[i] = res[g]
 		}
 		rs.lastTold = rs.norm
 	}
+	clear(res)
 	for p := range e.list {
 		e.list[p] = int32(p) // step 1 runs every rank: no hold has been observed yet
 	}
@@ -178,6 +181,11 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	w.Parallel = cfg.Parallel
 	w.InstallFaults(cfg.Faults, st.hold)
 	w.SetTracer(cfg.Trace)
+	// One accumulator per chunk this run's phases will have (the last rank
+	// is in the last chunk); a LocalDirect state sweeps nothing.
+	for st.ext == nil && len(st.acc) <= w.ChunkOf(l.P-1) {
+		st.acc = append(st.acc, make([]float64, l.A.N))
+	}
 }
 
 // body returns the header of message m in rank rs's window and the floats

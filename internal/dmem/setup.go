@@ -30,22 +30,40 @@ import (
 	"southwell/internal/spdirect"
 )
 
+// targets writes into at, an n-long scratch, rank p's numbering of the rows
+// its rows couple to — the local index of each of its rows, m + s for the
+// row behind its ext slot s (ext: Layout.extRows) — and returns m. It is the
+// [r | extDelta] numbering of the rank's vectors, rebuilt for one rank at a
+// time: no row of p couples to any other row, so what at holds there is
+// never read and one scratch serves every rank in turn.
+func (l *Layout) targets(at, ext []int32, p int) (m int32) {
+	m = l.rowOff[p+1] - l.rowOff[p]
+	for li, g := range l.rows(p) {
+		at[g] = int32(li)
+	}
+	for s, c := range ext[l.extOff[p]:l.extOff[p+1]] {
+		at[c] = m + int32(s)
+	}
+	return m
+}
+
 // localBlockCSR assembles rank p's diagonal block A_pp as a standalone CSR
 // (local row/column indices, each row's diagonal first, then its local
 // couplings in source column order) for the sparse factorization: the
-// entries of the rank's rows of A whose targets are local rows. The block
-// of a structurally symmetric matrix restricted to one rank's rows is
-// itself structurally symmetric, which is exactly what spdirect.Factorize
-// requires.
-func localBlockCSR(l *Layout, p int) (rowPtr, col []int32, val []float64) {
+// entries of the rank's rows of A whose columns are rows of p, numbered by
+// at (targets). The block of a structurally symmetric matrix restricted to
+// one rank's rows is itself structurally symmetric, which is exactly what
+// spdirect.Factorize requires.
+func localBlockCSR(l *Layout, at, ext []int32, p int) (rowPtr, col []int32, val []float64) {
+	m := l.targets(at, ext, p)
 	glob := l.rows(p)
 	diag := l.diag[l.rowOff[p]:l.rowOff[p+1]]
-	m := int32(len(glob))
 	rowPtr = make([]int32, m+1)
 	for li, g := range glob {
 		n := int32(1)
-		for _, t := range l.tgt[l.A.RowPtr[g]:l.A.RowPtr[g+1]] {
-			if t < m && t != int32(li) {
+		cols, _ := l.A.Row(int(g))
+		for _, c := range cols {
+			if t := at[c]; t < m && t != int32(li) {
 				n++
 			}
 		}
@@ -57,10 +75,9 @@ func localBlockCSR(l *Layout, p int) (rowPtr, col []int32, val []float64) {
 	for li, g := range glob {
 		col[w], val[w] = int32(li), diag[li]
 		w++
-		lo, hi := l.A.RowPtr[g], l.A.RowPtr[g+1]
-		vals := l.A.Val[lo:hi]
-		for k, t := range l.tgt[lo:hi] {
-			if t < m && t != int32(li) {
+		cols, vals := l.A.Row(int(g))
+		for k, c := range cols {
+			if t := at[c]; t < m && t != int32(li) {
 				col[w], val[w] = t, vals[k]
 				w++
 			}
@@ -69,18 +86,13 @@ func localBlockCSR(l *Layout, p int) (rowPtr, col []int32, val []float64) {
 	return rowPtr, col, val
 }
 
-// factorShared factors rank p's diagonal block by sparse LDLᵀ, a pure
-// function of the block, never of scheduling.
-func factorShared(l *Layout, p int) (*spdirect.Factor, error) {
-	return spdirect.Factorize(localBlockCSR(l, p))
-}
-
 // factorAll factors every rank's diagonal block concurrently on the shared
 // kernel pool. Each rank's factor is a pure sequential function of its own
 // block written to its own slot, so worker count never influences a bit of
 // the result; the lowest failing rank wins error reporting for
-// determinism.
-func factorAll(l *Layout) ([]*spdirect.Factor, error) {
+// determinism. Each rank block numbers its ranks' rows in a scratch of its
+// own.
+func factorAll(l *Layout, ext []int32) ([]*spdirect.Factor, error) {
 	p := l.P
 	factors := make([]*spdirect.Factor, p)
 	errs := make([]error, p)
@@ -88,8 +100,9 @@ func factorAll(l *Layout) ([]*spdirect.Factor, error) {
 	blocks := parallel.SplitN(p, nb, make([]parallel.Range, 0, nb))
 	var task parallel.Task
 	task.F = func(b int) {
+		at := make([]int32, l.A.N)
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
-			factors[pr], errs[pr] = factorShared(l, pr)
+			factors[pr], errs[pr] = spdirect.Factorize(localBlockCSR(l, at, ext, pr))
 		}
 	}
 	parallel.Default().Run(&task, nb)
@@ -111,10 +124,9 @@ func factorAll(l *Layout) ([]*spdirect.Factor, error) {
 // Every Setup counts each rank's off-diagonal entries once (nnz), so a
 // relaxation's flop charge is O(1). A LocalDirect Setup keeps, beside its
 // factors, only the external couplings its scatter reads (ext, an ext-only
-// CSR), and its Layout keeps no targets and no diagonal (tgt, diag): its
-// factors are the local blocks, and nothing after the factorization reads
-// them. Build any other Setup from the Layout NewLayout returned, never
-// from a direct Setup's.
+// CSR), and its Layout keeps no diagonal (diag): its factors are the local
+// blocks, and nothing after the factorization reads it. Build any other
+// Setup from the Layout NewLayout returned, never from a direct Setup's.
 type Setup struct {
 	Layout *Layout
 	Local  LocalSolver
@@ -129,25 +141,26 @@ type Setup struct {
 
 // NewSetup builds the reusable setup for the given layout and local-solver
 // mode, factoring all ranks in parallel for LocalDirect. Any mode but
-// LocalGS and LocalDirect is an error, and so is a layout whose targets a
+// LocalGS and LocalDirect is an error, and so is a layout whose diagonal a
 // direct Setup dropped. l itself is never modified.
 func NewSetup(l *Layout, mode LocalSolver) (*Setup, error) {
-	if l.tgt == nil {
-		return nil, fmt.Errorf("dmem: layout has no targets (a LocalDirect Setup's): build the Setup from the Layout NewLayout returned")
+	if l.diag == nil {
+		return nil, fmt.Errorf("dmem: layout has no diagonal (a LocalDirect Setup's): build the Setup from the Layout NewLayout returned")
 	}
 	s := &Setup{Layout: l, Local: mode, nnz: offDiagonalCounts(l)}
 	switch mode {
 	case LocalGS:
 	case LocalDirect:
-		factors, err := factorAll(l)
+		ext := l.extRows() // dies with this call: a run state derives its own
+		factors, err := factorAll(l, ext)
 		if err != nil {
 			return nil, err
 		}
-		s.factors, s.ext = factors, newExtCouplings(l)
+		s.factors, s.ext = factors, newExtCouplings(l, ext)
 		// The factors are the local blocks and ext the rest: keep everything
 		// else of the layout, shallowly, and leave the caller's untouched.
 		direct := *l
-		direct.tgt, direct.diag = nil, nil
+		direct.diag = nil
 		s.Layout = &direct
 	default:
 		return nil, fmt.Errorf("dmem: unknown local solver %v (want LocalGS or LocalDirect)", mode)
@@ -165,14 +178,15 @@ func (s *Setup) Factor(p int) *spdirect.Factor {
 }
 
 // offDiagonalCounts returns each rank's off-diagonal entry count: the
-// entries of its rows of A whose target is not the row's own.
+// entries of its rows of A outside the diagonal.
 func offDiagonalCounts(l *Layout) []int32 {
 	nnz := make([]int32, l.P)
 	for p := range l.P {
 		n := int32(0)
-		for li, g := range l.rows(p) {
-			for _, t := range l.tgt[l.A.RowPtr[g]:l.A.RowPtr[g+1]] {
-				if t != int32(li) {
+		for _, g := range l.rows(p) {
+			cols, _ := l.A.Row(int(g))
+			for _, c := range cols {
+				if c != g {
 					n++
 				}
 			}
@@ -193,17 +207,20 @@ type extCouplings struct {
 	val []float64
 }
 
-// newExtCouplings builds the ext-only CSR from A and the layout's targets:
-// the entries of each row whose target lies past its rank's rows.
-func newExtCouplings(l *Layout) *extCouplings {
+// newExtCouplings builds the ext-only CSR from A, numbering each rank's
+// rows by targets (ext: Layout.extRows): the entries of each row whose
+// column lies past its rank's rows.
+func newExtCouplings(l *Layout, ext []int32) *extCouplings {
 	a := l.A
+	at := make([]int32, a.N)
 	e := &extCouplings{ptr: make([]int32, a.N+1)}
 	for p := range l.P {
-		m := l.rowOff[p+1] - l.rowOff[p]
+		m := l.targets(at, ext, p)
 		for li, g := range l.rows(p) {
 			n := int32(0)
-			for _, t := range l.tgt[a.RowPtr[g]:a.RowPtr[g+1]] {
-				if t >= m {
+			cols, _ := a.Row(int(g))
+			for _, c := range cols {
+				if at[c] >= m {
 					n++
 				}
 			}
@@ -214,12 +231,11 @@ func newExtCouplings(l *Layout) *extCouplings {
 	e.col, e.val = make([]uint32, e.ptr[a.N]), make([]float64, e.ptr[a.N])
 	w := 0
 	for p := range l.P {
-		m := l.rowOff[p+1] - l.rowOff[p]
+		m := l.targets(at, ext, p)
 		for _, g := range l.rows(p) {
-			lo, hi := a.RowPtr[g], a.RowPtr[g+1]
-			vals := a.Val[lo:hi]
-			for k, t := range l.tgt[lo:hi] {
-				if t >= m {
+			cols, vals := a.Row(int(g))
+			for k, c := range cols {
+				if t := at[c]; t >= m {
 					e.col[w], e.val[w] = uint32(t-m), vals[k]
 					w++
 				}

@@ -108,12 +108,13 @@ func TestSparseLocalMatchesDenseOnSuiteBlocks(t *testing.T) {
 			t.Fatalf("unknown suite matrix %q", name)
 		}
 		s, _, _ := buildCase(t, e.Gen(), 32, 1)
+		at, ext := make([]int32, s.Layout.A.N), s.Layout.extRows()
 		for p := range s.Layout.P {
-			f, err := factorShared(s.Layout, p)
+			rowPtr, col, val := localBlockCSR(s.Layout, at, ext, p)
+			f, err := spdirect.Factorize(rowPtr, col, val)
 			if err != nil {
 				t.Fatalf("%s rank %d: sparse factorization failed: %v", name, p, err)
 			}
-			rowPtr, col, val := localBlockCSR(s.Layout, p)
 			m := len(rowPtr) - 1
 			dm := dense.NewMatrix(m)
 			for i := range m {

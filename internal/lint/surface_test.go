@@ -43,7 +43,7 @@ var unreadAllowed = map[string]string{
 	"problem.Biharmonic2D":         "a test matrix of problem's and solvers' tests",
 	"sparse.CSR.Clone":             "read by sparse's and dmem's tests",
 	"sparse.CSR.IsSymmetric":       "read by sparse's and problem's tests",
-	"sparse.COO.AddSym":            "read by sparse's, color's and partition's tests",
+	"sparse.COO.AddSym":            "read by sparse's, color's, partition's and dmem's tests",
 	"dmem.Setup.Factor":            "read by dmem's and bench's setup tests",
 	"bench.ResetCaches":            "read by bench's tests and the root package's benchmarks",
 }
@@ -266,8 +266,9 @@ var testFunc = regexp.MustCompile(`^(Test|Benchmark|Fuzz)[A-Z_]`)
 var bareTestName = regexp.MustCompile(`^(Test|Benchmark|Fuzz)[A-Z_][A-Za-z0-9_]*$`)
 
 // typeMember is a backquoted Type.member with no package, optionally
-// called: `Layout.Rank`, `Setup.nnz`, `rankState.relaxSweep()`.
-var typeMember = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\(.*\))?$`)
+// called — `Layout.Rank`, `Setup.nnz`, `rankState.relaxSweep()` — or a
+// path of fields and a last member: `Layout.A.RowPtr`.
+var typeMember = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*)((?:\.[A-Za-z_][A-Za-z0-9_]*)+)(?:\(.*\))?$`)
 
 // fileName is a span that names a file by its extension (`workspace.go`),
 // which typeMember would read as a type's member.
@@ -283,8 +284,9 @@ var fileName = regexp.MustCompile(`\.(go|md|txt|json|ya?ml|mod|sh)$`)
 // (`Layout.Rank`, `rankState.relaxSweep`) resolves when Type is declared in
 // exactly one package of the module: a field or method of it, unexported
 // ones included, or a method declared on it in that package's _test.go
-// files; a span ending in a file extension (`workspace.go`) is a file
-// name. A lower-case second element after a package is a benchmark metric
+// files; a longer span (`Layout.A.RowPtr`) walks the types of its fields,
+// each element but the last a field of the one before. A span ending in a
+// file extension (`workspace.go`) is a file name. A lower-case second element after a package is a benchmark metric
 // name (`dmem.active_speedup`), not Go, and is skipped; so is everything
 // inside fenced code blocks. A span that starts with `make
 // <word>` names a Makefile target, and one that starts with a command's
@@ -326,7 +328,7 @@ func TestDocGoNamesResolve(t *testing.T) {
 				t.Errorf("%s:%d: `%s`: no such function in the module's _test.go files", doc, span.line, span.text)
 			}
 			if m := typeMember.FindStringSubmatch(span.text); m != nil && !fileName.MatchString(span.text) && byName[m[1]] == nil && len(typeOwners[m[1]]) == 1 {
-				if why := resolveTypeMember(typeOwners[m[1]][0], m[1], m[2]); why != "" {
+				if why := resolveTypeMember(typeOwners[m[1]][0], m[1], strings.Split(m[2][1:], ".")); why != "" {
 					t.Errorf("%s:%d: `%s`: %s", doc, span.line, span.text, why)
 				}
 				continue
@@ -467,20 +469,40 @@ func resolveDocName(p *pkg, name, member string) string {
 	return ""
 }
 
-// resolveTypeMember returns why member is neither a field or method of
-// package p's type typ, unexported ones included, nor a method declared on
-// it in p's _test.go files, or "".
-func resolveTypeMember(p *pkg, typ, member string) string {
-	obj := p.types.Scope().Lookup(typ)
-	if m, _, _ := types.LookupFieldOrMethod(obj.Type(), true, p.types, member); m != nil {
-		return ""
-	}
-	for _, fd := range testDecls(p) {
-		if fd.Recv != nil && fd.Name.Name == member && recvName(fd.Recv.List[0].Type) == typ {
+// resolveTypeMember returns why the members do not resolve on package p's
+// type typ, or "": each but the last a field, whose type the next is looked
+// up on, and the last a field or method, unexported ones included, or — on
+// typ itself — a method declared on it in p's _test.go files.
+func resolveTypeMember(p *pkg, typ string, members []string) string {
+	t, owner, path := p.types.Scope().Lookup(typ).Type(), p.types, p.types.Name()+"."+typ
+	for i, member := range members {
+		m, _, _ := types.LookupFieldOrMethod(t, true, owner, member)
+		if m == nil && i == 0 && len(members) == 1 {
+			for _, fd := range testDecls(p) {
+				if fd.Recv != nil && fd.Name.Name == member && recvName(fd.Recv.List[0].Type) == typ {
+					return ""
+				}
+			}
+		}
+		if m == nil {
+			return path + " has no field or method " + member
+		}
+		if i == len(members)-1 {
 			return ""
 		}
+		f, ok := m.(*types.Var)
+		if !ok {
+			return path + "." + member + " is a method, so it has no member " + members[i+1]
+		}
+		t, path = f.Type(), path+"."+member
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			owner = named.Obj().Pkg()
+		}
 	}
-	return p.types.Name() + "." + typ + " has no field or method " + member
+	return ""
 }
 
 // recvName returns the type name of a method's receiver: T for T, *T, T[P]

@@ -40,17 +40,29 @@ func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f
 		actList, idle = w.all, nil
 	}
 	w.f, w.active, w.actList, w.idle = f, active, actList, idle
-	var pool *parallel.Pool // nil runs the chunks inline, in ascending order
-	if w.Parallel {
-		pool = parallel.Default()
-	}
-	w.chunks = max(1, min(pool.Workers(), w.P))
+	pool := w.pool()
+	w.chunks = chunkCount(pool, w.P)
 	if n := w.chunks - len(w.stage); n > 0 {
 		w.stage = append(w.stage, make([]stageBuf, n)...) // one staging array per chunk, kept for later phases
 	}
 	pool.Run(&w.task, w.chunks)
 	w.deliver()
 	w.f, w.active, w.actList, w.idle = nil, nil, nil, nil
+}
+
+// pool is where a phase opened now runs its chunks: the shared pool when
+// Parallel is set, the nil pool (inline, in ascending order) when not.
+func (w *World) pool() *parallel.Pool {
+	if w.Parallel {
+		return parallel.Default()
+	}
+	return nil
+}
+
+// chunkCount is the one chunking rule's width: one chunk per worker of the
+// pool, at most one per rank.
+func chunkCount(pool *parallel.Pool, p int) int {
+	return max(1, min(pool.Workers(), p))
 }
 
 // runChunk is the region body: chunk b of w.chunks near-equal contiguous
@@ -63,10 +75,28 @@ func (w *World) runChunk(b int) {
 // with b*P/chunks <= rank. Between phases it answers for the last phase's
 // chunks (chunk 0 before the first).
 func (w *World) chunkOf(rank int) int {
-	if w.chunks <= 1 {
+	return chunkIn(rank, w.chunks, w.P)
+}
+
+// chunkIn is the largest b with b*p/chunks <= rank.
+func chunkIn(rank, chunks, p int) int {
+	if chunks <= 1 {
 		return 0
 	}
-	return ((rank+1)*w.chunks - 1) / w.P
+	return ((rank+1)*chunks - 1) / p
+}
+
+// ChunkOf returns the execution chunk that runs rank's phase function: in
+// a phase, that phase's; between phases, the one a phase opened now would
+// give it, under Parallel and the pool's width as they stand. The ranks of
+// one chunk run one after another on one goroutine, so scratch kept per
+// chunk (as Put's staging arrays are) is never touched by two at once.
+// ChunkOf(P-1)+1 is the number of chunks.
+func (w *World) ChunkOf(rank int) int {
+	if w.f == nil {
+		return chunkIn(rank, chunkCount(w.pool(), w.P), w.P)
+	}
+	return w.chunkOf(rank)
 }
 
 // lowerBound returns the first index in the ascending list whose value is

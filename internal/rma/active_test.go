@@ -3,9 +3,11 @@ package rma
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"southwell/internal/obs"
+	"southwell/internal/parallel"
 )
 
 // activeWorld builds a world plus the pieces of an active-subset ring
@@ -163,6 +165,44 @@ func TestChunkOfIsRunChunk(t *testing.T) {
 					if got := w.chunkOf(r); got != b {
 						t.Fatalf("P=%d, %d chunks: rank %d filed under chunk %d, runChunk runs it in %d", p, c, r, got, b)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestChunkOfBeforeAndInPhase: between phases ChunkOf answers for the phase
+// that would open now — one chunk inline, one per pool worker (at most P)
+// on the pool — and in that phase each rank's answer is unchanged and is the
+// chunk runChunk runs it in, so a caller can size scratch per chunk before a
+// phase and pick its own inside one.
+func TestChunkOfBeforeAndInPhase(t *testing.T) {
+	defer parallel.SetDefaultWorkers(parallel.Default().Workers())
+	for _, width := range []int{1, 2, 4, 7} {
+		parallel.SetDefaultWorkers(width)
+		for _, p := range []int{1, 3, 64} {
+			for _, par := range []bool{false, true} {
+				w := NewWorld(p, CostModel{})
+				w.Parallel = par
+				want := 1
+				if par {
+					want = min(width, p)
+				}
+				if n := w.ChunkOf(p-1) + 1; n != want {
+					t.Fatalf("width %d, P=%d, parallel=%v: %d chunks before the phase, want %d", width, p, par, n, want)
+				}
+				before, in := make([]int, p), make([]int, p)
+				for r := range before {
+					before[r] = w.ChunkOf(r)
+				}
+				w.RunPhase(func(r int) {
+					in[r] = w.ChunkOf(r)
+					if in[r] != w.chunkOf(r) {
+						t.Errorf("rank %d: ChunkOf %d, Put's chunk %d", r, in[r], w.chunkOf(r))
+					}
+				})
+				if !slices.Equal(before, in) {
+					t.Fatalf("width %d, P=%d, parallel=%v: chunks before the phase %v, in it %v", width, p, par, before, in)
 				}
 			}
 		}
