@@ -162,9 +162,12 @@ bench-smoke:
 # builds dsouthwell and benchtables from both trees, runs the fixed list of
 # CLI lines below in each and `cmp`s the outputs. Every line runs: one that
 # differs prints DIFFERS and the first 40 lines of its diff, and the target
-# fails at the end if any line differed. The fig2/fig5/fig6 line is the one
+# fails at the end if any line differed. The table lines run the lazy
+# sequential driver and the -par 8 prefetch driver. The fig7/fig8/fig9 line
+# is the one that reaches Figures 7-9, and the fig2/fig5/fig6 line the one
 # that reaches the scalar solvers (internal/solvers, and the multigrid
-# smoother built on scalar Distributed Southwell). The IDENTITY_SMALL lines
+# smoother built on scalar Distributed Southwell). The -x_zeros line is the
+# random-b mode (x0 = 0, random right-hand side). The IDENTITY_SMALL lines
 # are a many-small-parts run (ranks of about six rows, single-neighbor
 # ranks), the shape the exchange plans are laid out for; with -loc_solver
 # direct that line pins the sparse local solver on blocks that small. The
@@ -175,14 +178,15 @@ bench-smoke:
 # lines are the benchmark's direct64 shape (64 ranks of about 275 rows),
 # whose every sparse factor stores both leading runs and tails of L, under
 # DS, PS and BJ: each method's direct relaxation charges the off-diagonal
-# count NewSetup recorded. Then come a pinned run's whole trace export
-# (~1.3 MB; pinned, so no rank sleeps and every event is part of the
-# contract), the -quick scaling study (it reads DIFFERS against a parent
-# whose scaling still printed host wall-clock), the whole trace of a pinned
-# run under a delay plan, which pins the fault overlay's trace events, and a
-# run stopped by -target before its step budget, which pins the target
-# test. The failure message counts the lines that ran. Not part of verify:
-# it needs a second checkout.
+# count NewSetup recorded. Then come a run's whole trace export (an active
+# run's: a rank that sleeps logs nothing, so the export pins which ranks
+# stepped as well as every event they logged), the -quick scaling study (it
+# reads DIFFERS against a parent whose scaling still printed host
+# wall-clock), the whole trace of the same run under a delay plan, which
+# pins the fault overlay's trace events, and a run stopped by -target
+# before its step budget, which pins the target test. The failure message
+# counts the lines that ran. Not part of verify: it needs a second
+# checkout.
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
 IDENTITY_SOLVE = -mat msdoor -n 64 -sweep_max 15
 IDENTITY_SMALL = -mat msdoor -n 1024 -sweep_max 5
@@ -196,11 +200,11 @@ identity:
 	differ=0; lines=0; \
 	for line in \
 		"benchtables $(IDENTITY_TABLES)" \
-		"benchtables -active=false $(IDENTITY_TABLES)" \
-		"benchtables -par 8 -goroutines $(IDENTITY_TABLES)" \
+		"benchtables -quick fig7 fig8 fig9" \
+		"benchtables -par 8 $(IDENTITY_TABLES)" \
 		"benchtables -quick fig2 fig5 fig6" \
 		"dsouthwell $(IDENTITY_SOLVE)" \
-		"dsouthwell $(IDENTITY_SOLVE) -par" \
+		"dsouthwell $(IDENTITY_SOLVE) -x_zeros" \
 		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3" \
 		"dsouthwell $(IDENTITY_SOLVE) -loc_solver direct" \
 		"dsouthwell $(IDENTITY_SOLVE) -solver ps" \
@@ -214,9 +218,9 @@ identity:
 		"dsouthwell $(IDENTITY_DIRECT)" \
 		"dsouthwell $(IDENTITY_DIRECT) -solver ps" \
 		"dsouthwell $(IDENTITY_DIRECT) -solver bj" \
-		"dsouthwell $(IDENTITY_SOLVE) -active=false -trace /dev/stdout" \
+		"dsouthwell $(IDENTITY_SOLVE) -trace /dev/stdout" \
 		"benchtables -quick scaling" \
-		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3 -active=false -trace /dev/stdout" \
+		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3 -trace /dev/stdout" \
 		"dsouthwell $(IDENTITY_SOLVE) -target 0.3"; \
 	do \
 		lines=$$((lines + 1)); \

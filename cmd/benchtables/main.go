@@ -20,10 +20,6 @@
 //	               output is identical for every value)
 //	-loc_solver S  local subdomain solver for every run: gs (default),
 //	               direct (sparse LDLT), or its artifact name pardiso
-//	-goroutines    run every world's rank phases on the shared worker pool
-//	               (GOMAXPROCS wide) instead of inline; bit-identical
-//	-active        active-set stepping (default true; -active=false forces
-//	               dense stepping, bit-identical)
 //	-chaos P       inject delay faults: each message delayed 1-3 phases with
 //	               probability P (deterministic per -chaos-seed)
 //	-chaos-seed S  fault-injection seed (default 1)
@@ -118,8 +114,6 @@ func main() {
 	outDir := flag.String("out", "", "write one file per experiment into this directory")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "max concurrent suite runs (1 = sequential)")
 	locSolver := flag.String("loc_solver", "gs", "local subdomain solver for every run: gs, direct (sparse LDLT), or pardiso (= direct)")
-	goroutines := flag.Bool("goroutines", false, "run every world's rank phases on the shared worker pool (GOMAXPROCS wide) instead of inline; results are identical either way")
-	active := flag.Bool("active", true, "active-set stepping: skip provably quiescent ranks (bit-identical results; -active=false forces dense stepping)")
 	chaos := flag.Float64("chaos", 0, "inject delay faults into every run: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (chaos runs are bit-reproducible per seed)")
 	traceDir := flag.String("trace", "", "write one Chrome trace-event JSON per suite run into this directory (open in Perfetto)")
@@ -151,7 +145,7 @@ func main() {
 	}
 
 	cfg := bench.Config{Ranks: *ranks, Steps: *steps, Quick: *quick, Seed: *seed,
-		Par: *par, Goroutines: *goroutines, Dense: !*active, ChaosSeed: *chaosSeed, Local: local,
+		Par: *par, ChaosSeed: *chaosSeed, Local: local,
 		TraceDir: *traceDir, MetricsDir: *metricsDir}
 	if *chaos > 0 {
 		cfg.Faults = rma.DelayPlan(*chaosSeed, *chaos, 3)

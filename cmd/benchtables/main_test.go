@@ -133,15 +133,19 @@ func TestScalingIsABenchTable(t *testing.T) {
 	}
 }
 
-// TestVerboseFlagIsGone: the flag package must reject benchtables -v (exit
-// status 2) before any experiment runs.
+// TestVerboseFlagIsGone: the flag package must reject each retired flag
+// (exit status 2) before any experiment runs: -v, and the two engine
+// switches that never changed a result, -goroutines and -active.
 func TestVerboseFlagIsGone(t *testing.T) {
-	out, code := runMain(t, "-v", "fig6")
-	if code != 2 {
-		t.Errorf("benchtables -v: exit status %d, want 2\n%s", code, out)
-	}
-	if !strings.Contains(out, "flag provided but not defined: -v") {
-		t.Errorf("benchtables -v not rejected as an unknown flag:\n%s", out)
+	for _, arg := range []string{"-v", "-goroutines", "-active=false"} {
+		out, code := runMain(t, arg, "fig6")
+		if code != 2 {
+			t.Errorf("benchtables %s: exit status %d, want 2\n%s", arg, code, out)
+		}
+		name, _, _ := strings.Cut(arg, "=")
+		if !strings.Contains(out, "flag provided but not defined: "+name) {
+			t.Errorf("benchtables %s not rejected as an unknown flag:\n%s", arg, out)
+		}
 	}
 }
 

@@ -112,8 +112,6 @@ func main() {
 		locSolve = flag.String("loc_solver", "gs", "local subdomain solver: gs (one Gauss-Seidel sweep), direct (sparse LDLT, the artifact's PARDISO option), or pardiso (= direct)")
 		xZeros   = flag.Bool("x_zeros", false, "x = 0 and random b (default: random x, b = 0)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		par      = flag.Bool("par", false, "run simulated rank phases on the shared worker pool (GOMAXPROCS wide) instead of inline; results are identical either way")
-		active   = flag.Bool("active", true, "active-set stepping: skip provably quiescent ranks (bit-identical results; -active=false forces dense stepping)")
 		grid     = flag.Int("grid", 100, "grid dimension for the default Laplace problem")
 		chaos    = flag.Float64("chaos", 0, "inject delay faults: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")
 		chaosSd  = flag.Int64("chaos-seed", 1, "fault-injection seed (chaos runs are bit-reproducible per seed)")
@@ -190,10 +188,7 @@ func main() {
 
 	opt := core.DistOptions{
 		Method: opts.method, Ranks: *ranks, Steps: *sweepMax, Target: *target,
-		PartSeed: *seed,
-		Parallel: *par,
-		Local:    opts.local, Dense: !*active,
-		Faults: opts.faults,
+		PartSeed: *seed, Local: opts.local, Faults: opts.faults,
 	}
 	var rec *obs.Recorder
 	var poolBase kernpool.PoolStats

@@ -25,17 +25,15 @@ func Ablation(w io.Writer, cfg Config) error {
 		names = append(names, "Serena", "ldoor")
 	}
 	// run is one Distributed Southwell variant on one matrix, off the shared
-	// setup of its (matrix, local solver) cell and under the config's engine
-	// flags and fault plan like every suite run.
+	// setup of its (matrix, local solver) cell and under the config's fault
+	// plan like every suite run.
 	run := func(name string, local dmem.LocalSolver, opts dmem.DistSWOptions) (*dmem.Result, error) {
 		setup, err := setupFor(name, ranks, cfg.seed(), local)
 		if err != nil {
 			return nil, err
 		}
 		b, x := problem.ZeroBSystem(setup.Layout.A, cfg.seed())
-		return dmem.DistributedSouthwellOpt(setup, b, x, dmem.Config{
-			Steps: steps, Parallel: cfg.Goroutines, Dense: cfg.Dense, Faults: cfg.Faults,
-		}, opts), nil
+		return dmem.DistributedSouthwellOpt(setup, b, x, dmem.Config{Steps: steps, Faults: cfg.Faults}, opts), nil
 	}
 	variants := []struct {
 		label string

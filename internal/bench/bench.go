@@ -7,12 +7,9 @@
 // reads a clock. See DESIGN.md §4 for the experiment index and
 // EXPERIMENTS.md for recorded paper-vs-measured comparisons.
 //
-// The suite drivers support two axes of real parallelism on top of the
-// simulated one: Config.Par fans independent (matrix, method) runs out over
-// bounded workers, and Config.Goroutines runs each simulated world's rank
-// phases on the shared worker pool. Both are bit-identical to the sequential paths
-// (runs are memoized by key and each world is deterministic), so table output
-// does not depend on either setting.
+// Config.Par fans independent (matrix, method) runs out over bounded
+// workers. Runs are memoized by key and each world is deterministic, so
+// table output does not depend on it.
 package bench
 
 import (
@@ -53,13 +50,6 @@ type Config struct {
 	// worker goroutines, each running its own simulated world. 0 or 1 runs
 	// sequentially. Output is identical for every value of Par.
 	Par int
-	// Goroutines runs each simulated world's rank phases on the shared
-	// kernel pool (bit-identical results; see the dmem engine-equivalence
-	// tests).
-	Goroutines bool
-	// Dense disables the active-set step engine (see core.DistOptions).
-	// Bit-identical either way, so it too stays out of the run-cache key.
-	Dense bool
 	// Local selects the subdomain solver for suite runs (default
 	// dmem.LocalGS, the paper's setting).
 	Local dmem.LocalSolver
@@ -124,9 +114,8 @@ func (c Config) suiteNames() []string {
 // runKey caches distributed runs shared between tables. Every
 // result-changing setting is part of the key: matrix, method, ranks, step
 // budget, seed, local solver, and the fault plan (by value, as a string, so
-// equal plans behind different pointers share an entry). Only
-// the engine flags (Par, Goroutines, Dense) are deliberately excluded: they
-// do not change results.
+// equal plans behind different pointers share an entry). Par is excluded:
+// it does not change results.
 type runKey struct {
 	name   string
 	method core.DistMethod
@@ -244,11 +233,11 @@ func (c Config) keyFor(name string, method core.DistMethod, ranks, steps int) ru
 }
 
 // distOptions is where a Config becomes solver options: every run of every
-// experiment sees the same engine flags, local solver and fault plan.
+// experiment sees the same local solver and fault plan.
 func (c Config) distOptions(method core.DistMethod, ranks, steps int) core.DistOptions {
 	return core.DistOptions{
 		Method: method, Ranks: ranks, Steps: steps, PartSeed: c.seed(),
-		Parallel: c.Goroutines, Dense: c.Dense, Local: c.Local, Faults: c.Faults,
+		Local: c.Local, Faults: c.Faults,
 	}
 }
 

@@ -117,9 +117,8 @@ func TestRunSuiteUnknownMatrix(t *testing.T) {
 	}
 }
 
-// TestParDriverDeterministic checks that the bounded-concurrency driver and
-// the worker-pool world engine leave table output bit-identical to the
-// sequential path.
+// TestParDriverDeterministic checks that the bounded-concurrency driver
+// leaves table output bit-identical to the sequential path.
 func TestParDriverDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite runs are slow in -short mode")
@@ -142,7 +141,6 @@ func TestParDriverDeterministic(t *testing.T) {
 	seq := render(quickCfg())
 	parCfg := quickCfg()
 	parCfg.Par = 4
-	parCfg.Goroutines = true
 	par := render(parCfg)
 	if seq != par {
 		t.Errorf("parallel driver changed table output:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
@@ -213,14 +211,13 @@ func TestTraceExportDriverInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow in -short mode")
 	}
-	export := func(par int, goroutines bool) (trace, metrics []byte) {
+	export := func(par int) (trace, metrics []byte) {
 		t.Helper()
 		ResetCaches()
 		defer ResetCaches()
 		dir := t.TempDir()
 		cfg := quickCfg()
 		cfg.Par = par
-		cfg.Goroutines = goroutines
 		cfg.TraceDir = dir
 		cfg.MetricsDir = dir
 		var buf bytes.Buffer
@@ -238,8 +235,8 @@ func TestTraceExportDriverInvariant(t *testing.T) {
 		}
 		return tj, mt
 	}
-	seqTrace, seqMet := export(0, false)
-	parTrace, parMet := export(4, true)
+	seqTrace, seqMet := export(0)
+	parTrace, parMet := export(4)
 	if !bytes.Equal(seqTrace, parTrace) {
 		t.Error("trace export differs between sequential and concurrent drivers")
 	}
@@ -358,39 +355,5 @@ func TestChaosOutput(t *testing.T) {
 	}
 	if want := len(quickCfg().suiteNames()) * len(chaosLevels); rows != want {
 		t.Errorf("chaos table has %d data rows, want %d", rows, want)
-	}
-}
-
-// TestScalingDenseMatchesActive: the scaling table — ladder and point load
-// — is the same bytes with every rank pinned awake as with the active set,
-// apart from the occupancy lines only an active run can print. The study
-// used to audit this per rung while timing both modes; at P = 4096 / 2048
-// the benchmark's ds_dense variant checks it on wide4k and pointload2k.
-func TestScalingDenseMatchesActive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow in -short mode")
-	}
-	render := func(dense bool) string {
-		ResetCaches()
-		defer ResetCaches()
-		cfg := quickCfg()
-		cfg.Dense = dense
-		var buf bytes.Buffer
-		if err := Scaling(&buf, cfg); err != nil {
-			t.Fatal(err)
-		}
-		var kept []string
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if !strings.Contains(line, "active ranks mean") {
-				kept = append(kept, line)
-			}
-		}
-		if dropped := strings.Count(buf.String(), "\n") + 1 - len(kept); (dropped == 0) != dense {
-			t.Errorf("dense=%v run printed %d occupancy lines", dense, dropped)
-		}
-		return strings.Join(kept, "\n")
-	}
-	if active, dense := render(false), render(true); active != dense {
-		t.Errorf("dense stepping changed the scaling table:\n--- active ---\n%s\n--- dense ---\n%s", active, dense)
 	}
 }

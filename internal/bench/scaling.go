@@ -51,9 +51,8 @@ func Scaling(w io.Writer, cfg Config) error {
 	return pointLoad(w, cfg)
 }
 
-// activeSummary renders a run's active-set occupancy ("" when no rank was
-// ever skipped by construction: a Dense run, or BJ, which is never
-// quiescent by declaration).
+// activeSummary renders a run's active-set occupancy ("" for BJ, which is
+// never quiescent by declaration, so no rank is ever skipped).
 func activeSummary(res *dmem.Result) string {
 	if len(res.ActiveHist) == 0 {
 		return ""

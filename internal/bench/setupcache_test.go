@@ -167,27 +167,24 @@ func TestSetupSharedAcrossMethodsNoMutation(t *testing.T) {
 	results := make([]*dmem.Result, 2*len(methods))
 	errs := make([]error, 2*len(methods))
 	for i, m := range methods {
-		for j, cfg := range []Config{
-			{Ranks: ranks, Seed: 1, Local: dmem.LocalDirect},
-			{Ranks: ranks, Seed: 1, Local: dmem.LocalDirect, Goroutines: true},
-		} {
+		for j, pool := range []bool{false, true} {
 			wg.Add(1)
-			go func(slot int, m core.DistMethod, cfg Config) {
+			go func(slot int, m core.DistMethod, pool bool) {
 				defer wg.Done()
 				// Bypass the run cache's dedup by running the world directly:
 				// every goroutine must really solve, all off one shared setup.
-				setup, err := setupFor(name, ranks, cfg.seed(), cfg.Local)
+				setup, err := setupFor(name, ranks, 1, dmem.LocalDirect)
 				if err != nil {
 					errs[slot] = err
 					return
 				}
-				b, x := problem.ZeroBSystem(setup.Layout.A, cfg.seed())
+				b, x := problem.ZeroBSystem(setup.Layout.A, 1)
 				results[slot], errs[slot] = core.SolveDistributed(setup.Layout.A, b, x, core.DistOptions{
 					Method: m, Ranks: ranks, Steps: steps, Setup: setup,
-					Parallel: cfg.Goroutines, Local: cfg.Local,
+					Parallel: pool, Local: dmem.LocalDirect,
 					Sched: rma.SchedNeighbor, // accepted and ignored: the inert name must not move a bit
 				})
-			}(2*i+j, m, cfg)
+			}(2*i+j, m, pool)
 		}
 	}
 	wg.Wait()

@@ -9,22 +9,19 @@ import (
 
 // BenchmarkSuiteDS measures cold Distributed Southwell runs over the quick
 // suite (the three-matrix smoke configuration) — the unit of work every
-// table row performs. The par variants exercise the bounded-concurrency
-// driver (prefetch), the goroutines variants the rma worker-pool engine.
+// table row performs. The par variant exercises the bounded-concurrency
+// driver (prefetch).
 func BenchmarkSuiteDS(b *testing.B) {
 	for _, v := range []struct {
-		name       string
-		par        int
-		goroutines bool
+		name string
+		par  int
 	}{
-		{"seq", 1, false},
-		{"par4", 4, false},
-		{"par4+pool", 4, true},
+		{"seq", 1},
+		{"par4", 4},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			cfg := quickCfg()
 			cfg.Par = v.par
-			cfg.Goroutines = v.goroutines
 			jobs := suiteJobs(cfg.suiteNames(), []core.DistMethod{core.DistSWD}, []int{cfg.ranks()}, 50)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -120,6 +120,12 @@ func SolveScalar(a *sparse.CSR, b, x []float64, opt ScalarOptions) (*solvers.Tra
 	default:
 		return nil, fmt.Errorf("core: unknown scalar method %q", opt.Method)
 	}
+	if opt.MaxRelax < 0 {
+		return nil, fmt.Errorf("core: MaxRelax = %d, want >= 0 (0 = one sweep)", opt.MaxRelax)
+	}
+	if !(opt.TargetNorm >= 0) { // NaN fails too
+		return nil, fmt.Errorf("core: TargetNorm = %g, want >= 0", opt.TargetNorm)
+	}
 	if !a.IsStructurallySymmetric() {
 		return nil, fmt.Errorf("core: the matrix is not structurally symmetric")
 	}
@@ -183,6 +189,15 @@ func SolveDistributed(a *sparse.CSR, b, x []float64, opt DistOptions) (*dmem.Res
 	}
 	if opt.Ranks <= 0 {
 		return nil, fmt.Errorf("core: Ranks = %d, want >= 1", opt.Ranks)
+	}
+	if opt.Steps < 0 {
+		return nil, fmt.Errorf("core: Steps = %d, want >= 0 (0 = 50)", opt.Steps)
+	}
+	if !(opt.Target >= 0) { // NaN fails too
+		return nil, fmt.Errorf("core: Target = %g, want >= 0", opt.Target)
+	}
+	if f := opt.Faults; f != nil && !(f.DelayProb >= 0 && f.DelayProb <= 1) { // NaN fails too
+		return nil, fmt.Errorf("core: Faults.DelayProb = %g, want a probability in [0, 1]", f.DelayProb)
 	}
 	var run func(*dmem.Setup, []float64, []float64, dmem.Config) *dmem.Result
 	switch opt.Method {

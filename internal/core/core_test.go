@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"southwell/internal/dmem"
 	"southwell/internal/partition"
 	"southwell/internal/problem"
+	"southwell/internal/rma"
 	"southwell/internal/sparse"
 )
 
@@ -133,6 +135,55 @@ func TestSolveRejectsMismatchedSystem(t *testing.T) {
 		if _, err := SolveDistributed(c.a, c.b, c.x, DistOptions{Method: DistSWD, Ranks: 4}); err == nil {
 			t.Errorf("SolveDistributed, %s: accepted", c.name)
 		}
+	}
+}
+
+// TestSolveRejectsOutOfRangeOptions: an option outside its range is an
+// error naming the field, in one line, instead of a run under some other
+// value (a negative Steps ran 50 steps, a negative MaxRelax one sweep) or a
+// run no caller could have meant (a NaN target, a delay probability
+// outside [0, 1]).
+func TestSolveRejectsOutOfRangeOptions(t *testing.T) {
+	a := problem.Poisson2D(8, 8)
+	b, x := scaledSystem(t, a, 6)
+	nan := math.NaN()
+	check := func(label string, err error, field string) {
+		t.Helper()
+		switch {
+		case err == nil:
+			t.Errorf("%s: accepted", label)
+		case !strings.Contains(err.Error(), field):
+			t.Errorf("%s: error %q does not name %s", label, err, field)
+		case strings.Contains(err.Error(), "\n"):
+			t.Errorf("%s: error is not one line: %q", label, err)
+		}
+	}
+	for _, c := range []struct {
+		name, field string
+		opt         ScalarOptions
+	}{
+		{"negative MaxRelax", "MaxRelax", ScalarOptions{MaxRelax: -1}},
+		{"negative TargetNorm", "TargetNorm", ScalarOptions{TargetNorm: -0.5}},
+		{"NaN TargetNorm", "TargetNorm", ScalarOptions{TargetNorm: nan}},
+	} {
+		c.opt.Method = GaussSeidel
+		_, err := SolveScalar(a, b, x, c.opt)
+		check("SolveScalar, "+c.name, err, c.field)
+	}
+	for _, c := range []struct {
+		name, field string
+		opt         DistOptions
+	}{
+		{"negative Steps", "Steps", DistOptions{Steps: -1}},
+		{"negative Target", "Target", DistOptions{Target: -0.1}},
+		{"NaN Target", "Target", DistOptions{Target: nan}},
+		{"negative DelayProb", "DelayProb", DistOptions{Faults: rma.DelayPlan(1, -0.1, 3)}},
+		{"DelayProb above 1", "DelayProb", DistOptions{Faults: rma.DelayPlan(1, 1.5, 3)}},
+		{"NaN DelayProb", "DelayProb", DistOptions{Faults: rma.DelayPlan(1, nan, 3)}},
+	} {
+		c.opt.Method, c.opt.Ranks = DistSWD, 4
+		_, err := SolveDistributed(a, b, x, c.opt)
+		check("SolveDistributed, "+c.name, err, c.field)
 	}
 }
 

@@ -15,28 +15,47 @@ import (
 )
 
 // TestActiveDenseEquivalence is the step driver's core invariant: skipping
-// provably quiescent ranks must be invisible in results. Every method ×
-// rank count × fault setting runs once pinned (Config.Dense) with phases
+// provably quiescent ranks must be invisible in results. Every input ×
+// method × fault setting runs once pinned (Config.Dense) with phases
 // inline, and with the zero value both inline (seq) and on the pool at every
 // width (pool); all runs must be bit-identical to the first — histories,
 // cumulative stats, watchdog verdicts, and solutions. Only the
 // methods that promise quiescence may report an occupancy histogram: BJ and
-// Piggyback2016 never do. Run under -race via `make race`.
+// Piggyback2016 never do. The inputs are a random initial guess, which keeps
+// nearly every rank busy, and the quick scaling study's point load, where
+// most rank-steps are skipped: on its fault-free DS run at P = 64 more than
+// half are, so the comparison covers the regime the active set is built
+// for. Run under -race via `make race`.
 func TestActiveDenseEquivalence(t *testing.T) {
-	ranks := []int{64}
-	if !testing.Short() {
-		ranks = append(ranks, 256)
+	type input struct {
+		prefix string // of the subtest names; the random inputs keep the bare method names
+		steps  int
+		build  func(t *testing.T) (*Setup, []float64, []float64)
+		// mostlyAsleep: the fault-free DS run must skip more than half its
+		// rank-steps.
+		mostlyAsleep bool
 	}
+	random := func(grid, p int) input {
+		return input{"", 15, func(t *testing.T) (*Setup, []float64, []float64) {
+			return buildCase(t, problem.Poisson2D(grid, grid), p, 1)
+		}, false}
+	}
+	pointLoad := func(p int) input {
+		return input{fmt.Sprintf("pointload/p%d/", p), 50, func(t *testing.T) (*Setup, []float64, []float64) {
+			return pointLoadCase(t, 64, p)
+		}, p == 64}
+	}
+	inputs := []input{random(32, 64)}
+	if !testing.Short() {
+		inputs = append(inputs, random(48, 256))
+	}
+	inputs = append(inputs, pointLoad(16), pointLoad(64))
 	ms := methodsWithPB()
-	for _, p := range ranks {
-		grid := 32
-		if p > 64 {
-			grid = 48
-		}
+	for _, in := range inputs {
 		for mname, run := range ms {
 			for _, par := range []bool{false, true} {
 				for _, chaos := range []bool{false, true} {
-					name := mname
+					name := in.prefix + mname
 					if par {
 						name += "/pool"
 					} else {
@@ -47,11 +66,11 @@ func TestActiveDenseEquivalence(t *testing.T) {
 					}
 					t.Run(name, func(t *testing.T) {
 						solve := func(cfg Config) *Result {
-							cfg.Steps = 15
+							cfg.Steps = in.steps
 							if chaos {
 								cfg.Faults = fullChaosPlan(11) // fresh RNG state
 							}
-							s, b, x := buildCase(t, problem.Poisson2D(grid, grid), p, 1)
+							s, b, x := in.build(t)
 							return run(s, b, x, cfg)
 						}
 						dense := solve(Config{Dense: true})
@@ -66,7 +85,13 @@ func TestActiveDenseEquivalence(t *testing.T) {
 							}
 						}
 						if !par {
-							check(name, solve(Config{}))
+							active := solve(Config{})
+							check(name, active)
+							if in.mostlyAsleep && mname == "DistributedSouthwell" && !chaos {
+								if f := skippedFrac(active); f <= 0.5 {
+									t.Errorf("%.1f%% of rank-steps skipped, want more than half: not the point-load regime", 100*f)
+								}
+							}
 							return
 						}
 						eachWidth(func(k int) {
@@ -77,6 +102,27 @@ func TestActiveDenseEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pointLoadCase is the quick scaling study's point load (bench.Scaling):
+// the scaled grid² Poisson matrix over p ranks, b = e_k at the grid centre
+// and x0 = 0. Away from the load the residual is exactly zero, so a rank
+// holds until the relaxation wavefront reaches it.
+func pointLoadCase(t *testing.T, grid, p int) (*Setup, []float64, []float64) {
+	s, b, x := buildCase(t, problem.Poisson2D(grid, grid), p, 1)
+	clear(b)
+	clear(x)
+	b[len(b)/2+grid/2] = 1
+	return s, b, x
+}
+
+// skippedFrac is the share of rank-steps an active run skipped.
+func skippedFrac(res *Result) float64 {
+	sum := 0
+	for _, n := range res.ActiveHist {
+		sum += n
+	}
+	return 1 - float64(sum)/float64(len(res.ActiveHist)*res.P)
 }
 
 // TestActiveSkipsQuiescentRanks checks the engine actually sleeps ranks on

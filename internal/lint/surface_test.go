@@ -290,7 +290,7 @@ var fileName = regexp.MustCompile(`\.(go|md|txt|json|ya?ml|mod|sh)$`)
 // name (`dmem.active_speedup`), not Go, and is skipped; so is everything
 // inside fenced code blocks. A span that starts with `make
 // <word>` names a Makefile target, and one that starts with a command's
-// name (`dsouthwell -par`) uses only flags that command defines.
+// name (`dsouthwell -chaos 0.3`) uses only flags that command defines.
 func TestDocGoNamesResolve(t *testing.T) {
 	byName := map[string]*pkg{}
 	typeOwners := map[string][]*pkg{} // every package-level type, by name
