@@ -81,6 +81,12 @@ func validate(ranks, sweepMax, grid int, solver, locSolver string, target, chaos
 	if grid < 2 {
 		return o, fmt.Errorf("-grid %d: need at least 2", grid)
 	}
+	// The 5-point matrix has g² rows and 5g² − 4g entries, each count at
+	// most sparse.MaxIndex: the largest grid is 20 724. Each test runs only
+	// when the one before it passed, so no product overflows.
+	if grid > sparse.MaxIndex || grid*grid > sparse.MaxIndex || 5*grid*grid-4*grid > sparse.MaxIndex {
+		return o, fmt.Errorf("-grid %d: the %d×%d Laplacian outgrows the 32-bit index range (at most 20724)", grid, grid, grid)
+	}
 	if !(target >= 0) { // NaN fails too
 		return o, fmt.Errorf("-target %g: must be >= 0", target)
 	}

@@ -43,6 +43,9 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{func(c *flagCase) { c.ranks = -4 }, "-n"},
 		{func(c *flagCase) { c.sweepMax = 0 }, "-sweep_max"},
 		{func(c *flagCase) { c.grid = 1 }, "-grid"},
+		{func(c *flagCase) { c.grid = 20725 }, "-grid"},
+		{func(c *flagCase) { c.grid = 50000 }, "-grid"},
+		{func(c *flagCase) { c.grid = 1 << 40 }, "-grid"},
 		{func(c *flagCase) { c.target = -1 }, "-target"},
 		{func(c *flagCase) { c.target = math.NaN() }, "-target"},
 		{func(c *flagCase) { c.solver = "cg" }, "-solver"},
@@ -90,6 +93,12 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 	}
 	if o.method != core.Piggyback2016 || o.local != dmem.LocalDirect {
 		t.Errorf("aliases misparsed: %+v", o)
+	}
+
+	c = good()
+	c.grid = 20724 // the largest: 5·20724² − 4·20724 = 2 147 337 984 entries
+	if _, err = c.run(); err != nil {
+		t.Errorf("-grid 20724 rejected: %v", err)
 	}
 
 	c = good()

@@ -39,7 +39,6 @@ var unreadAllowed = map[string]string{
 	"solvers.maxHeap":              "container/heap calls Len, Less, Swap, Push and Pop through heap.Interface",
 	"solvers.StepRecord.SolveMsgs": "read by dmem's P = n oracle (scalar_oracle_test.go) and solvers' tests",
 	"solvers.StepRecord.ResMsgs":   "read by dmem's P = n oracle (scalar_oracle_test.go) and solvers' tests",
-	"problem.Aniso2D":              "a test matrix of problem's, dmem's and spdirect's tests",
 	"problem.Biharmonic2D":         "a test matrix of problem's and solvers' tests",
 	"sparse.CSR.Clone":             "read by sparse's and dmem's tests",
 	"sparse.CSR.IsSymmetric":       "read by sparse's and problem's tests",

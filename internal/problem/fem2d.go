@@ -3,6 +3,7 @@ package problem
 import (
 	"math/rand"
 
+	"southwell/internal/parallel"
 	"southwell/internal/sparse"
 )
 
@@ -110,4 +111,54 @@ func FEM2D(m int, distort float64, seed int64) *sparse.CSR {
 // method behaviour (see DESIGN.md).
 func Fig2FEM() *sparse.CSR {
 	return FEM2D(56, 0.35, 20170713)
+}
+
+// FEM2D's elements sum duplicate entries, so it assembles through COO
+// builders. Assembly fans out over element rows in entry-balanced blocks;
+// each block gets its own exactly-pre-sized COO builder, and the per-block
+// builders are concatenated in ascending block order before conversion.
+const (
+	asmGrainEntries = 32768
+	maxAsmBlocks    = 64
+)
+
+// assembleBlocked builds an n×n matrix by running emit(c, item) for every
+// item in [0, items) and converting the combined builder to CSR. Items are
+// cut into contiguous blocks (a pure function of the workload, never the
+// worker count), each block emits into a private builder pre-sized at
+// entriesPerItem entries per item, and blocks are concatenated in block
+// order — so the entry sequence is identical to the sequential loop and
+// the assembled matrix is bit-identical for any worker count. emit must
+// touch only its own builder and read-only shared state.
+func assembleBlocked(n, items, entriesPerItem int, emit func(c *sparse.COO, item int)) *sparse.CSR {
+	nb := parallel.Blocks(items*entriesPerItem, asmGrainEntries, maxAsmBlocks)
+	if nb > items && items > 0 {
+		nb = items
+	}
+	blocks := parallel.SplitN(items, nb, make([]parallel.Range, 0, nb))
+	parts := make([]*sparse.COO, nb)
+	var task parallel.Task
+	task.F = func(b int) {
+		rg := blocks[b]
+		c := sparse.NewCOO(n, (rg.Hi-rg.Lo)*entriesPerItem)
+		for item := rg.Lo; item < rg.Hi; item++ {
+			emit(c, item)
+		}
+		parts[b] = c
+	}
+	parallel.Default().Run(&task, nb)
+	if nb == 1 {
+		return parts[0].ToCSR()
+	}
+	total := 0
+	for _, p := range parts {
+		total += p.NNZ()
+	}
+	c := sparse.NewCOO(n, total)
+	for _, p := range parts {
+		c.Rows = append(c.Rows, p.Rows...)
+		c.Cols = append(c.Cols, p.Cols...)
+		c.Vals = append(c.Vals, p.Vals...)
+	}
+	return c.ToCSR()
 }

@@ -65,56 +65,49 @@ func Suite() []SuiteEntry {
 			Name: "Serena", Kind: "gas reservoir, heterogeneous 3D flow",
 			PaperNNZ: 64122743, PaperN: 1382121,
 			Gen: func() *sparse.CSR {
-				l := Poisson3D(24, 24, 24, LognormalCoeff(24, 24, 24, 1.5, 101), 1, 1, 1)
-				return sparse.Add(sparse.Mul(l, l), l, 1, 1)
+				return sparse.SquarePlus(Poisson3D(24, 24, 24, LognormalCoeff(24, 24, 24, 1.5, 101), 1, 1, 1), 1, 1)
 			},
 		},
 		{
 			Name: "Geo_1438", Kind: "geomechanical model, heterogeneous medium",
 			PaperNNZ: 60169842, PaperN: 1371480,
 			Gen: func() *sparse.CSR {
-				l := Poisson3D(22, 22, 22, LognormalCoeff(22, 22, 22, 1.0, 1465), 1, 1, 1)
-				return sparse.Add(sparse.Mul(l, l), l, 0.5, 1)
+				return sparse.SquarePlus(Poisson3D(22, 22, 22, LognormalCoeff(22, 22, 22, 1.0, 1465), 1, 1, 1), 0.5, 1)
 			},
 		},
 		{
 			Name: "Hook_1498", Kind: "steel hook, shell with material interface",
 			PaperNNZ: 59344451, PaperN: 1468023,
 			Gen: func() *sparse.CSR {
-				l := QuadrantJump2D(160, 64, 10)
-				return sparse.Add(sparse.Mul(l, l), l, 1, 1)
+				return sparse.SquarePlus(QuadrantJump2D(160, 64, 10), 1, 1)
 			},
 		},
 		{
 			Name: "bone010", Kind: "trabecular bone micro-FE",
 			PaperNNZ: 47851783, PaperN: 986703,
 			Gen: func() *sparse.CSR {
-				l := CheckerJump3D(22, 22, 22, 4, 50)
-				return sparse.Add(sparse.Mul(l, l), l, 1, 1)
+				return sparse.SquarePlus(CheckerJump3D(22, 22, 22, 4, 50), 1, 1)
 			},
 		},
 		{
 			Name: "ldoor", Kind: "large door, thin stiffened shell",
 			PaperNNZ: 42451151, PaperN: 909537,
 			Gen: func() *sparse.CSR {
-				l := CheckerJump3D(40, 32, 8, 4, 20)
-				return sparse.Add(sparse.Mul(l, l), l, 0.15, 1)
+				return sparse.SquarePlus(CheckerJump3D(40, 32, 8, 4, 20), 0.15, 1)
 			},
 		},
 		{
 			Name: "boneS10", Kind: "bone with solid elements",
 			PaperNNZ: 40878708, PaperN: 914898,
 			Gen: func() *sparse.CSR {
-				l := CheckerJump3D(20, 20, 20, 5, 20)
-				return sparse.Add(sparse.Mul(l, l), l, 0.15, 1)
+				return sparse.SquarePlus(CheckerJump3D(20, 20, 20, 5, 20), 0.15, 1)
 			},
 		},
 		{
 			Name: "Emilia_923", Kind: "geomechanical reservoir, strong anisotropy",
 			PaperNNZ: 40359114, PaperN: 908712,
 			Gen: func() *sparse.CSR {
-				l := Poisson3D(22, 22, 22, nil, 1, 1, 50)
-				return sparse.Add(sparse.Mul(l, l), l, 0.3, 1)
+				return sparse.SquarePlus(Poisson3D(22, 22, 22, nil, 1, 1, 50), 0.3, 1)
 			},
 		},
 		{
@@ -126,16 +119,14 @@ func Suite() []SuiteEntry {
 			Name: "Fault_639", Kind: "faulted gas reservoir",
 			PaperNNZ: 27224065, PaperN: 616923,
 			Gen: func() *sparse.CSR {
-				l := FaultJump3D(20, 20, 20, 1000)
-				return sparse.Add(sparse.Mul(l, l), l, 0.02, 1)
+				return sparse.SquarePlus(FaultJump3D(20, 20, 20, 1000), 0.02, 1)
 			},
 		},
 		{
 			Name: "StocF-1465", Kind: "stochastic flow, lognormal permeability",
 			PaperNNZ: 20976285, PaperN: 1436033,
 			Gen: func() *sparse.CSR {
-				l := Poisson3D(23, 23, 23, LognormalCoeff(23, 23, 23, 1.2, 1465), 1, 1, 1)
-				return sparse.Add(sparse.Mul(l, l), l, 0.5, 1)
+				return sparse.SquarePlus(Poisson3D(23, 23, 23, LognormalCoeff(23, 23, 23, 1.2, 1465), 1, 1, 1), 0.5, 1)
 			},
 		},
 		{

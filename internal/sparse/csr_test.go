@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -213,12 +214,23 @@ func TestScaleUnitDiagonal(t *testing.T) {
 }
 
 func TestScaleRejectsBadDiagonal(t *testing.T) {
-	c := NewCOO(2, 3)
-	c.Add(0, 0, 1)
-	c.Add(1, 1, -2)
-	a := c.ToCSR()
-	if _, err := Scale(a); err == nil {
-		t.Error("Scale accepted negative diagonal")
+	for _, d := range []float64{-2, 0, math.NaN(), math.Inf(1)} {
+		c := NewCOO(2, 3)
+		c.Add(0, 0, 1)
+		c.Add(0, 1, 0.5)
+		c.Add(1, 1, 1)
+		a := c.ToCSR()
+		a.Val[2] = d // entry (1, 1); 0 is also what a missing diagonal reads as
+		before := slices.Clone(a.Val)
+		s, err := Scale(a)
+		if err == nil || !strings.Contains(err.Error(), "diagonal entry 1 ") {
+			t.Errorf("diagonal %g: Scale returned %v, %v; want an error naming row 1", d, s, err)
+		}
+		for k, v := range a.Val {
+			if math.Float64bits(v) != math.Float64bits(before[k]) {
+				t.Errorf("diagonal %g: Scale changed entry %d from %g to %g before failing", d, k, before[k], v)
+			}
+		}
 	}
 }
 
@@ -428,8 +440,7 @@ func TestMatrixRejectsIndexOverflow(t *testing.T) {
 	wantPanic(t, "ToCSR", nBig, func() { (&COO{N: MaxIndex + 1}).ToCSR() })
 	wantPanic(t, "Clone", nBig, func() { huge.Clone() })
 	wantPanic(t, "Transpose", nBig, func() { huge.Transpose() })
-	wantPanic(t, "Mul", nBig, func() { Mul(huge, huge) })
-	wantPanic(t, "Add", nBig, func() { Add(huge, huge, 1, 1) })
+	wantPanic(t, "SquarePlus", nBig, func() { SquarePlus(huge, 1, 1) })
 
 	for _, c := range []struct{ size, want string }{
 		{"2147483648 2147483648 0", nBig},

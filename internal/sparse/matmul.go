@@ -1,145 +1,92 @@
 package sparse
 
-// Mul returns the sparse product C = A*B using Gustavson's row-by-row
-// algorithm. Entries that cancel to exactly zero are kept out of the result
-// unless they are diagonal (matching COO.ToCSR policy).
+import "slices"
+
+// SquarePlus returns alpha*L*L + beta*L for a square matrix L, row by row.
+// It builds the plate operators of internal/problem (alpha*Δ² + beta*Δ on
+// a stencil Laplacian) in one pass, with no intermediate matrix.
 //
-// It is used to build higher-order operators (e.g. the discrete biharmonic
-// L*L used by the synthetic structural matrices in internal/problem) and
-// Galerkin-style products in tests.
+// Row i of L*L accumulates the Gustavson way: k over row i of L, then j
+// over row k of L, each product added to a dense accumulator in that
+// order. An off-diagonal of L*L that sums to exactly zero is dropped. The
+// kept columns merge with row i of L: an entry in both is
+// alpha*acc + beta*l, one in L*L only alpha*acc, one in L only beta*l. An
+// off-diagonal result of exactly zero is dropped as well; the diagonal is
+// always kept (COO.ToCSR's policy).
 //
-// A symbolic pass counts the structural nonzeros of C first, so Col and Val
-// are allocated once, after the count is checked against MaxIndex:
+// A symbolic pass counts the union of the two patterns first, so Col and
+// Val are allocated once, after the count is checked against MaxIndex:
 // cancellation can only leave them shorter.
-func Mul(a, b *CSR) *CSR {
-	if a.N != b.N {
-		panic("sparse: Mul dimension mismatch")
-	}
-	n := a.N
+func SquarePlus(l *CSR, alpha, beta float64) *CSR {
+	n := l.N
 	mustFit(n, 0)
-	marker := make([]int32, n) // marker[j] == i+1 when column j was met in row i
+	mark := make([]int32, n) // mark[j] == i+1 once column j was met in row i
 	nnz := 0
-	for i := 0; i < n; i++ {
+	for i := range n {
 		row := int32(i + 1)
-		for _, k := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
-			for _, j := range b.Col[b.RowPtr[k]:b.RowPtr[k+1]] {
-				if marker[j] != row {
-					marker[j] = row
+		li := l.Col[l.RowPtr[i]:l.RowPtr[i+1]]
+		for _, k := range li {
+			for _, j := range l.Col[l.RowPtr[k]:l.RowPtr[k+1]] {
+				if mark[j] != row {
+					mark[j] = row
 					nnz++
 				}
 			}
 		}
-	}
-	mustFit(n, nnz)
-	clear(marker)
-	c := &CSR{N: n, RowPtr: make([]int32, n+1), Col: make([]int32, 0, nnz), Val: make([]float64, 0, nnz)}
-
-	acc := make([]float64, n)  // dense accumulator for one row
-	idx := make([]int32, 0, n) // live column indices for one row
-
-	for i := 0; i < n; i++ {
-		row := int32(i + 1)
-		idx = idx[:0]
-		alo, ahi := a.RowPtr[i], a.RowPtr[i+1]
-		for ka := alo; ka < ahi; ka++ {
-			k := a.Col[ka]
-			av := a.Val[ka]
-			blo, bhi := b.RowPtr[k], b.RowPtr[k+1]
-			for kb := blo; kb < bhi; kb++ {
-				j := b.Col[kb]
-				if marker[j] != row {
-					marker[j] = row
-					acc[j] = 0
-					idx = append(idx, j)
-				}
-				acc[j] += av * b.Val[kb]
+		for _, j := range li {
+			if mark[j] != row {
+				mark[j] = row
+				nnz++
 			}
 		}
-		// Gather in sorted column order.
-		insertionSort(idx)
-		for _, j := range idx {
-			if acc[j] == 0 && int(j) != i {
-				continue
-			}
-			c.Col = append(c.Col, j)
-			c.Val = append(c.Val, acc[j])
-		}
-		c.RowPtr[i+1] = int32(len(c.Col))
-	}
-	return c
-}
-
-// Add returns alpha*A + beta*B for same-shaped square matrices. Col and Val
-// are allocated once, at the size of the union of the two patterns, after
-// that size is checked against MaxIndex.
-func Add(a, b *CSR, alpha, beta float64) *CSR {
-	if a.N != b.N {
-		panic("sparse: Add dimension mismatch")
-	}
-	n := a.N
-	mustFit(n, 0)
-	nnz := 0
-	for i := 0; i < n; i++ {
-		nnz += unionLen(a.Col[a.RowPtr[i]:a.RowPtr[i+1]], b.Col[b.RowPtr[i]:b.RowPtr[i+1]])
 	}
 	mustFit(n, nnz)
+	clear(mark)
 	c := &CSR{N: n, RowPtr: make([]int32, n+1), Col: make([]int32, 0, nnz), Val: make([]float64, 0, nnz)}
-	for i := 0; i < n; i++ {
-		ka, kaEnd := a.RowPtr[i], a.RowPtr[i+1]
-		kb, kbEnd := b.RowPtr[i], b.RowPtr[i+1]
-		for ka < kaEnd || kb < kbEnd {
-			var j int32
-			var v float64
-			switch {
-			case kb >= kbEnd || (ka < kaEnd && a.Col[ka] < b.Col[kb]):
-				j, v = a.Col[ka], alpha*a.Val[ka]
-				ka++
-			case ka >= kaEnd || b.Col[kb] < a.Col[ka]:
-				j, v = b.Col[kb], beta*b.Val[kb]
-				kb++
-			default:
-				j, v = a.Col[ka], alpha*a.Val[ka]+beta*b.Val[kb]
-				ka++
-				kb++
-			}
+	acc := make([]float64, n)  // row i of L*L, live at the columns in idx
+	idx := make([]int32, 0, n) // the columns of row i of L*L
+	for i := range n {
+		keep := func(j int32, v float64) {
 			if v != 0 || int(j) == i {
 				c.Col = append(c.Col, j)
 				c.Val = append(c.Val, v)
 			}
 		}
+		row := int32(i + 1)
+		idx = idx[:0]
+		lo, hi := l.RowPtr[i], l.RowPtr[i+1]
+		for p := lo; p < hi; p++ {
+			k, lik := l.Col[p], l.Val[p]
+			for q := l.RowPtr[k]; q < l.RowPtr[k+1]; q++ {
+				j := l.Col[q]
+				if mark[j] != row {
+					mark[j] = row
+					acc[j] = 0
+					idx = append(idx, j)
+				}
+				acc[j] += lik * l.Val[q]
+			}
+		}
+		slices.Sort(idx)
+		p := lo
+		for _, j := range idx {
+			if acc[j] == 0 && int(j) != i {
+				continue // dropped from L*L; L's own entry at j, if any, is beta*l
+			}
+			for ; p < hi && l.Col[p] < j; p++ {
+				keep(l.Col[p], beta*l.Val[p])
+			}
+			if p < hi && l.Col[p] == j {
+				keep(j, alpha*acc[j]+beta*l.Val[p])
+				p++
+			} else {
+				keep(j, alpha*acc[j])
+			}
+		}
+		for ; p < hi; p++ {
+			keep(l.Col[p], beta*l.Val[p])
+		}
 		c.RowPtr[i+1] = int32(len(c.Col))
 	}
 	return c
-}
-
-// unionLen returns the number of distinct values in two ascending slices.
-func unionLen(x, y []int32) int {
-	n, i, j := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		switch {
-		case x[i] < y[j]:
-			i++
-		case y[j] < x[i]:
-			j++
-		default:
-			i++
-			j++
-		}
-		n++
-	}
-	return n + len(x) - i + len(y) - j
-}
-
-// insertionSort sorts small index slices in place; rows of sparse
-// products are short, so this beats slices.Sort on the hot path.
-func insertionSort(s []int32) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }
