@@ -11,12 +11,14 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The suite runs at one, two, four and eight scheduler threads: bit-identity
-# across execution widths is the repo's central promise. The width tests
-# resize the shared pool to 2, 4 and 7 themselves, but goroutines only
-# really run concurrently above one thread (the retained-window aliasing
-# bug passed at GOMAXPROCS=1). -count=1 because the test cache does not key
-# on GOMAXPROCS: without it the second to fourth line print "(cached)".
+# The suite runs at one, two, four and eight scheduler threads: the kernels
+# and the set-up run on the shared worker pool, and bit-identity across
+# pool widths is the repo's central promise. The width tests resize the
+# pool to 2, 4 and 7 themselves, but goroutines only really run
+# concurrently above one thread (the retained-window aliasing bug passed at
+# GOMAXPROCS=1), and concurrent solves on one Setup only race above one.
+# -count=1 because the test cache does not key on GOMAXPROCS: without it
+# the second to fourth line print "(cached)".
 test:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	GOMAXPROCS=2 $(GO) test -count=1 ./...
@@ -40,17 +42,20 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) test -count=1 -run '^($(LINT_TESTS))$$' ./internal/lint/
 
-# The engine-equivalence, chaos-determinism, pool, and parallel-kernel
-# tests under the race detector: together they prove rank phases and
-# kernels on the shared worker pool are race-free and bit-identical to
-# running inline, faults included (DESIGN.md §6, §9). The partitioner is
-# there for its per-call workspace: concurrent Partition calls (bench
-# set-ups under -par) must share nothing. The runtime and the methods run
-# at two and at four scheduler threads explicitly, whatever the host has:
-# the retained-window aliasing bug only showed above one thread. The last
-# line is the experiment driver's own goroutines (-par workers meeting in
-# the memo, runs sharing one setup) — by name, because the whole package
-# under the race detector takes about a minute.
+# The runtime, method, pool and parallel-kernel tests under the race
+# detector. Rank phases run on the calling goroutine, so the rma and dmem
+# lines cover concurrent solves on one Setup (TestSetupConcurrentRuns: one
+# takes the parked run state, the others build their own) and the pooled
+# set-up (NewLayout, the local factorizations at pool widths 1, 2, 4 and
+# 7); the kernels' line proves them race-free and bit-identical at every
+# pool width (DESIGN.md §6, §9). The partitioner is there for its per-call
+# workspace: concurrent Partition calls (bench set-ups under -par) must
+# share nothing. The runtime and the methods run at two and at four
+# scheduler threads explicitly, whatever the host has: the retained-window
+# aliasing bug only showed above one thread. The last line is the
+# experiment driver's own goroutines (-par workers meeting in the memo,
+# runs sharing one setup) — by name, because the whole package under the
+# race detector takes about a minute.
 race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
@@ -79,8 +84,7 @@ partition-pin:
 # Allocation gates: every promise of the form "the steady-state path
 # allocates nothing" is a plain Go test asserting testing.AllocsPerRun == 0
 # (kernels, LDL' SolveWith, obs off/on/emit, phases dense, active,
-# traced and under a delay plan inline and at pool widths 2/4/7, the dmem
-# relax sweep, World.Reset) plus the malloc/byte ceilings of the
+# traced and under a delay plan, the dmem relax sweep, World.Reset) plus the malloc/byte ceilings of the
 # partitioner, of one LDL' Factorize and of a first and a repeat dmem
 # solve; DESIGN.md §8 maps each hot-path root to its gate. Then one iteration of each
 # micro-benchmark those gates share set-up with, and of the two set-up
@@ -101,8 +105,8 @@ alloc-gates:
 # error, a non-SPD pivot ErrNotPositiveDefinite, a diagonally dominant
 # block solved to 1e-10, and every factor's solve bit-identical to the
 # reference solve) for 20 s, and FuzzDelayPlan (every method under any
-# delay plan: no panic, finite norms, inline == pool width 2, active ==
-# Dense) for 10 s. FuzzReadMatrixMarket stays seed-only (tier-1 runs its
+# delay plan: no panic, finite norms, active == Dense, and b and x0 scaled
+# by 2^7 give the same run scaled) for 10 s. FuzzReadMatrixMarket stays seed-only (tier-1 runs its
 # seeds): a legal header may declare 2^31-1 rows, so a -fuzz run could run
 # the host out of memory.
 fuzz:

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"southwell/internal/bench"
-	"southwell/internal/core"
 	"southwell/internal/dmem"
 	"southwell/internal/multigrid"
 	"southwell/internal/partition"
@@ -207,17 +206,5 @@ func BenchmarkVCycleDistSW(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.VCycle(bb, x)
-	}
-}
-
-func BenchmarkSolveDistributedParallelEngine(b *testing.B) {
-	a := benchMatrix()
-	for i := 0; i < b.N; i++ {
-		bb, x := problem.ZeroBSystem(a, 1)
-		if _, err := core.SolveDistributed(a, bb, x, core.DistOptions{
-			Method: core.DistSWD, Ranks: 64, Steps: 10, Parallel: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

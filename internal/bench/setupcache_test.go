@@ -141,17 +141,17 @@ func TestMemoBuildsOnce(t *testing.T) {
 	}
 }
 
-// TestSetupSharedAcrossMethodsNoMutation: every method, phases inline and on
-// the pool, runs concurrently off one LocalDirect setup; under -race this pins that no run
-// writes to shared setup state, and every result stays bit-identical to a
-// run that built its own setup privately.
+// TestSetupSharedAcrossMethodsNoMutation: every method runs concurrently
+// off one LocalDirect setup; under -race this pins that no run writes to
+// shared setup state, and every result stays bit-identical to a run that
+// built its own setup privately.
 func TestSetupSharedAcrossMethodsNoMutation(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
 	const name, ranks, steps = "af_5_k101", 24, 8
 	methods := []core.DistMethod{core.BlockJacobi, core.ParallelSWD, core.DistSWD}
 
-	// Private baselines: fresh setup per run, sequential engine.
+	// Private baselines: fresh setup per run.
 	baseline := map[core.DistMethod]*dmem.Result{}
 	for _, m := range methods {
 		ResetCaches()
@@ -164,51 +164,45 @@ func TestSetupSharedAcrossMethodsNoMutation(t *testing.T) {
 
 	ResetCaches()
 	var wg sync.WaitGroup
-	results := make([]*dmem.Result, 2*len(methods))
-	errs := make([]error, 2*len(methods))
+	results := make([]*dmem.Result, len(methods))
+	errs := make([]error, len(methods))
 	for i, m := range methods {
-		for j, pool := range []bool{false, true} {
-			wg.Add(1)
-			go func(slot int, m core.DistMethod, pool bool) {
-				defer wg.Done()
-				// Bypass the run cache's dedup by running the world directly:
-				// every goroutine must really solve, all off one shared setup.
-				setup, err := setupFor(name, ranks, 1, dmem.LocalDirect)
-				if err != nil {
-					errs[slot] = err
-					return
-				}
-				b, x := problem.ZeroBSystem(setup.Layout.A, 1)
-				results[slot], errs[slot] = core.SolveDistributed(setup.Layout.A, b, x, core.DistOptions{
-					Method: m, Ranks: ranks, Steps: steps, Setup: setup,
-					Parallel: pool, Local: dmem.LocalDirect,
-					Sched: rma.SchedNeighbor, // accepted and ignored: the inert name must not move a bit
-				})
-			}(2*i+j, m, pool)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Bypass the run cache's dedup by running the world directly:
+			// every goroutine must really solve, all off one shared setup.
+			setup, err := setupFor(name, ranks, 1, dmem.LocalDirect)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			b, x := problem.ZeroBSystem(setup.Layout.A, 1)
+			results[i], errs[i] = core.SolveDistributed(setup.Layout.A, b, x, core.DistOptions{
+				Method: m, Ranks: ranks, Steps: steps, Setup: setup, Local: dmem.LocalDirect,
+				Sched: rma.SchedNeighbor, // accepted and ignored: the inert name must not move a bit
+			})
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("slot %d: %v", i, err)
+			t.Fatalf("%s: %v", methods[i], err)
 		}
 	}
 	for i, m := range methods {
-		for j := 0; j < 2; j++ {
-			got := results[2*i+j]
-			want := baseline[m]
-			if len(got.History) != len(want.History) {
-				t.Fatalf("%s engine %d: history length %d vs %d", m, j, len(got.History), len(want.History))
+		got, want := results[i], baseline[m]
+		if len(got.History) != len(want.History) {
+			t.Fatalf("%s: history length %d vs %d", m, len(got.History), len(want.History))
+		}
+		for s := range want.History {
+			if got.History[s] != want.History[s] {
+				t.Fatalf("%s: step %d differs", m, s)
 			}
-			for s := range want.History {
-				if got.History[s] != want.History[s] {
-					t.Fatalf("%s engine %d: step %d differs", m, j, s)
-				}
-			}
-			for k := range want.X {
-				if got.X[k] != want.X[k] {
-					t.Fatalf("%s engine %d: solution differs at %d", m, j, k)
-				}
+		}
+		for k := range want.X {
+			if got.X[k] != want.X[k] {
+				t.Fatalf("%s: solution differs at %d", m, k)
 			}
 		}
 	}

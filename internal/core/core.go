@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"southwell/internal/dmem"
 	"southwell/internal/obs"
@@ -82,9 +83,10 @@ type ScalarOptions struct {
 	TargetNorm float64 // 0 = none
 }
 
-// checkSystem rejects a system the solvers would index out of range: both
-// entry points take their inputs from outside the program, and every other
-// bad input is an error too.
+// checkSystem rejects a system the solvers would index out of range, and a
+// non-finite entry of b or x, which no method can converge from: both entry
+// points take their inputs from outside the program, and every other bad
+// input is an error too.
 func checkSystem(a *sparse.CSR, b, x []float64) error {
 	if a == nil {
 		return fmt.Errorf("core: nil matrix")
@@ -92,7 +94,23 @@ func checkSystem(a *sparse.CSR, b, x []float64) error {
 	if len(b) != a.N || len(x) != a.N {
 		return fmt.Errorf("core: len(b) = %d and len(x) = %d, want n = %d", len(b), len(x), a.N)
 	}
+	if i := firstNonFinite(b); i >= 0 {
+		return fmt.Errorf("core: b[%d] = %g, want a finite value", i, b[i])
+	}
+	if i := firstNonFinite(x); i >= 0 {
+		return fmt.Errorf("core: x[%d] = %g, want a finite value", i, x[i])
+	}
 	return nil
+}
+
+// firstNonFinite returns the index of v's first NaN or ±Inf, or -1.
+func firstNonFinite(v []float64) int {
+	for i, e := range v {
+		if math.IsNaN(e) || math.IsInf(e, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // SolveScalar runs a scalar method on A x = b, updating x in place, and
@@ -143,8 +161,10 @@ type DistOptions struct {
 	Target float64
 	// PartSeed seeds the multilevel partitioner.
 	PartSeed int64
-	// Parallel runs simulated rank phases on the shared kernel pool, as
-	// wide as GOMAXPROCS (bit-identical results to running them inline).
+	// Parallel is accepted and ignored (simulated rank phases always run
+	// inline, in ascending rank order, on the calling goroutine); it exists
+	// only because benchmarks/e2e names it, and goes with ds_mc in the next
+	// benchmark change.
 	Parallel bool
 	// Sched is accepted and ignored since PR 19 (rma.SchedNeighbor named
 	// the removed neighborhood-epoch scheduler); it exists only because
@@ -233,7 +253,7 @@ func SolveDistributed(a *sparse.CSR, b, x []float64, opt DistOptions) (*dmem.Res
 		}
 	}
 	return run(s, b, x, dmem.Config{
-		Steps: opt.Steps, Target: opt.Target, Parallel: opt.Parallel,
+		Steps: opt.Steps, Target: opt.Target,
 		Faults: opt.Faults, Dense: opt.Dense, Trace: opt.Trace,
 	}), nil
 }

@@ -138,30 +138,25 @@ func BenchmarkNewLayout(b *testing.B) {
 }
 
 // BenchmarkStepDS measures full Distributed Southwell solves of ten parallel
-// steps (three phases each over the runtime) at several rank counts, on both
-// engines: fresh drops the parked state so every solve builds its own, reused
-// solves again and again on one Setup's parked state.
+// steps (three phases each over the runtime) at several rank counts: fresh
+// drops the parked state so every solve builds its own, reused solves again
+// and again on one Setup's parked state.
 func BenchmarkStepDS(b *testing.B) {
 	for _, ranks := range []int{64, 256} {
-		for _, eng := range []struct {
-			name     string
-			parallel bool
-		}{{"seq", false}, {"pool", true}} {
-			for _, state := range []string{"fresh", "reused"} {
-				b.Run(fmt.Sprintf("P=%d/%s/%s", ranks, eng.name, state), func(b *testing.B) {
-					s, bb, x := buildCase(b, problem.Poisson2D(100, 100), ranks, 1)
-					cfg := Config{Steps: 10, Parallel: eng.parallel}
-					DistributedSouthwell(s, bb, x, cfg) // builds and parks the state
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if state == "fresh" {
-							s.parked = nil
-						}
-						DistributedSouthwell(s, bb, x, cfg)
+		for _, state := range []string{"fresh", "reused"} {
+			b.Run(fmt.Sprintf("P=%d/%s", ranks, state), func(b *testing.B) {
+				s, bb, x := buildCase(b, problem.Poisson2D(100, 100), ranks, 1)
+				cfg := Config{Steps: 10}
+				DistributedSouthwell(s, bb, x, cfg) // builds and parks the state
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if state == "fresh" {
+						s.parked = nil
 					}
-				})
-			}
+					DistributedSouthwell(s, bb, x, cfg)
+				}
+			})
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package dmem
 
 import (
-	"fmt"
 	"testing"
 
 	"southwell/internal/obs"
@@ -16,22 +15,18 @@ func fullChaosPlan(seed int64) *rma.FaultPlan {
 }
 
 // TestChaosEngineEquivalence: a chaos run is a deterministic function of
-// the FaultPlan seed and identical at every width — same history (step
-// stats including the fault counter), same cumulative stats, same solution,
-// with phases inline run twice and on the pool at every width. Run under
-// -race via `make race`.
+// the FaultPlan seed — run twice, same history (step stats including the
+// fault counter), same cumulative stats, same solution. Run under -race
+// via `make race`.
 func TestChaosEngineEquivalence(t *testing.T) {
 	for mname, run := range methodsWithPB() {
 		t.Run(mname, func(t *testing.T) {
-			solve := func(parallel bool) *Result {
+			solve := func() *Result {
 				s, b, x := buildCase(t, problem.Poisson2D(24, 24), 8, 3)
-				return run(s, b, x, Config{Steps: 20, Parallel: parallel, Faults: fullChaosPlan(7)})
+				return run(s, b, x, Config{Steps: 20, Faults: fullChaosPlan(7)})
 			}
-			seq := solve(false)
-			compareRuns(t, "seq rerun", seq, solve(false))
-			eachWidth(func(k int) {
-				compareRuns(t, fmt.Sprintf("pool w%d", k), seq, solve(true))
-			})
+			seq := solve()
+			compareRuns(t, "seq rerun", seq, solve())
 			if seq.Stats.DelayedMsgs == 0 {
 				t.Errorf("plan injected nothing: %+v", seq.Stats)
 			}

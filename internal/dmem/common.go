@@ -55,10 +55,6 @@ type Config struct {
 	// Target, when positive, stops the run early once the global residual
 	// norm falls to Target or below (checked at step boundaries).
 	Target float64
-	// Parallel runs rank phases on the shared kernel pool (as wide as
-	// GOMAXPROCS) instead of inline; results are bit-identical (see the
-	// engine-equivalence tests).
-	Parallel bool
 	// Faults, when non-nil, installs deterministic message delays on the
 	// simulated world (rma.FaultPlan). Nil is a perfect network. The plan is
 	// copied per run, so one plan value can drive many runs.

@@ -1,14 +1,12 @@
 package dmem
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"southwell/internal/parallel"
 	"southwell/internal/partition"
 	"southwell/internal/problem"
 	"southwell/internal/sparse"
@@ -530,28 +528,23 @@ func TestPiggyback2016Deadlocks(t *testing.T) {
 	}
 }
 
-func TestParallelEngineIdenticalHistory(t *testing.T) {
-	a := problem.FEM2D(24, 0.3, 9)
-	for name, run := range methods() {
-		s, b, x := buildCase(t, a.Clone(), 12, 9)
-		seq := run(s, b, x, Config{Steps: 25})
-		eachWidth(func(k int) {
-			s2, b2, x2 := buildCase(t, a.Clone(), 12, 9)
-			par := run(s2, b2, x2, Config{Steps: 25, Parallel: true})
-			compareRuns(t, fmt.Sprintf("%s/w%d", name, k), seq, par)
-		})
-	}
-}
-
-// eachWidth calls f with the shared pool — what Config.Parallel runs rank
-// phases on — resized to 2, 4 and 7 executor slots in turn, then restores
-// it, so the width-invariance tests bite at any host GOMAXPROCS.
-func eachWidth(f func(k int)) {
-	prev := parallel.Default().Workers()
-	defer parallel.SetDefaultWorkers(prev)
-	for _, k := range []int{2, 4, 7} {
-		parallel.SetDefaultWorkers(k)
-		f(k)
+// TestNaNStartIsADeadlock: a NaN in x0 reaches the norms, and no rank wins
+// a comparison against a NaN norm, so Distributed Southwell, Parallel
+// Southwell and pb16 stall and the watchdog stops them. The stop is a
+// deadlock, not convergence to zero.
+func TestNaNStartIsADeadlock(t *testing.T) {
+	for name, run := range map[string]method{
+		"DistributedSouthwell": DistributedSouthwell,
+		"ParallelSouthwell":    ParallelSouthwell,
+		"Piggyback2016":        Piggyback2016,
+	} {
+		s, b, x := buildCase(t, problem.Poisson2D(16, 16), 4, 1)
+		x[5] = math.NaN()
+		res := run(s, b, x, Config{Steps: 20})
+		if !res.Deadlocked || res.DeadlockStep == 0 {
+			t.Errorf("%s: stopped after %d steps at ‖r‖ = %g with Deadlocked = %v, DeadlockStep = %d",
+				name, len(res.History)-1, res.Final().ResNorm, res.Deadlocked, res.DeadlockStep)
+		}
 	}
 }
 

@@ -184,7 +184,7 @@ func norm2(v []float64) float64 {
 // holds). It returns the flop count for cost charging.
 //
 // The sweep runs in A's own numbering: on entry it copies r and extDelta
-// into its execution chunk's accumulator (runState.acc, n floats indexed by
+// into the run state's accumulator (runState.acc, n floats indexed by
 // global row) at the rank's rows and at the rows behind its ext slots
 // (runState.extGlob); each row is then one walk over its entries of A,
 // A.Col indexing the accumulator directly; on exit it copies them back and
@@ -202,7 +202,7 @@ func (rs *rankState) relaxSweep() float64 {
 	l, st := rs.l, rs.st
 	r, x, extDelta := rs.r, rs.x, rs.extDelta
 	m := len(r)
-	acc := st.acc[st.w.ChunkOf(int(rs.p))]
+	acc := st.acc
 	glob, diag := l.glob[rs.row0:][:m], l.diag[rs.row0:][:m]
 	ghosts := st.extGlob[rs.ext0:][:len(extDelta)]
 	for li, g := range glob {

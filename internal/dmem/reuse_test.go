@@ -47,8 +47,8 @@ func fresh(t testing.TB, l *Layout, local LocalSolver) *Setup {
 
 // TestSetupReuseInvisible: every solve on one Setup — whatever ran on its
 // parked run state before — equals the same call made on a fresh Setup. The
-// rows run in order on one state: every method, phases inline and on the
-// pool, a fault plan, a tracer (trace bytes compared too), a pinned variant,
+// rows run in order on one state: every method, a fault plan, a tracer
+// (trace bytes compared too), a pinned variant,
 // another system, an early stop, and DS again at the end.
 func TestSetupReuseInvisible(t *testing.T) {
 	ds := func(opts DistSWOptions) method {
@@ -72,7 +72,6 @@ func TestSetupReuseInvisible(t *testing.T) {
 				{name: "BJ", run: BlockJacobi},
 				{name: "Piggyback2016", run: Piggyback2016, cfg: Config{Steps: 500}},
 				{name: "DS dense", run: DistributedSouthwell, cfg: Config{Dense: true}},
-				{name: "DS pool", run: DistributedSouthwell, cfg: Config{Parallel: true}},
 				{name: "DS chaos", run: DistributedSouthwell, cfg: Config{Faults: fullChaosPlan(7)}},
 				{name: "DS traced", run: DistributedSouthwell, traced: true},
 				{name: "DS slack 0.1", run: ds(DistSWOptions{UpdateSlack: 0.1})},
@@ -140,8 +139,7 @@ func TestSetupConcurrentRuns(t *testing.T) {
 	s, l, b, x, _, _ := reuseCase(t, 24, 8, LocalDirect)
 	want := DistributedSouthwell(fresh(t, l, s.Local), b, x, Config{Steps: 15})
 	for _, procs := range []int{2, 4} {
-		prev, prevWidth := runtime.GOMAXPROCS(procs), parallel.Default().Workers()
-		parallel.SetDefaultWorkers(procs) // or the Parallel solves would run at the old width
+		prev := runtime.GOMAXPROCS(procs)
 		results := make([][3]*Result, 4)
 		var wg sync.WaitGroup
 		for g := range results {
@@ -149,13 +147,12 @@ func TestSetupConcurrentRuns(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := range results[g] {
-					results[g][i] = DistributedSouthwell(s, b, x, Config{Steps: 15, Parallel: g%2 == 1})
+					results[g][i] = DistributedSouthwell(s, b, x, Config{Steps: 15})
 				}
 			}(g)
 		}
 		wg.Wait()
 		runtime.GOMAXPROCS(prev)
-		parallel.SetDefaultWorkers(prevWidth)
 		for g := range results {
 			for _, got := range results[g] {
 				compareRuns(t, "concurrent", want, got)
@@ -167,14 +164,14 @@ func TestSetupConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestParkedStateHoldsNoGoroutines: a solve borrows the shared pool's
-// workers and starts none of its own, so a Setup with a parked state owns no
+// TestParkedStateHoldsNoGoroutines: a solve runs its phases on the calling
+// goroutine and starts none, so a Setup with a parked state owns no
 // goroutine.
 func TestParkedStateHoldsNoGoroutines(t *testing.T) {
 	s, l, b, x, _, _ := reuseCase(t, 24, 8, LocalGS)
-	DistributedSouthwell(fresh(t, l, s.Local), b, x, Config{Steps: 5, Parallel: true}) // start whatever outlives solves by design
+	DistributedSouthwell(fresh(t, l, s.Local), b, x, Config{Steps: 5}) // start whatever outlives solves by design
 	before := runtime.NumGoroutine()
-	DistributedSouthwell(s, b, x, Config{Steps: 5, Parallel: true})
+	DistributedSouthwell(s, b, x, Config{Steps: 5})
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after the solve returned, %d before it", n, before)
 	}
@@ -243,7 +240,7 @@ func TestPanickedSolveIsNotParked(t *testing.T) {
 				t.Fatal("solve did not panic")
 			}
 		}()
-		DistributedSouthwell(s, b, x, Config{Steps: 10, Parallel: true})
+		DistributedSouthwell(s, b, x, Config{Steps: 10})
 	}()
 	if s.parked != nil {
 		t.Fatal("a panicked solve parked its half-stepped state")

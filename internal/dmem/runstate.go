@@ -19,13 +19,11 @@ type runState struct {
 	states []*rankState
 	eng    stepEngine
 	norms  []float64 // local norms in rank order: norm2 of it is the global norm
-	// acc holds one accumulator per execution chunk of the world's phases
-	// (rma.World.ChunkOf), n floats indexed by global row: the ranks of a
-	// chunk sweep through it one after another (relaxSweep), and each leaves
-	// it all zero. acc[0] is also reset's scratch for b − Ax, which reset
-	// clears. reset adds the chunks a run's width needs; a LocalDirect run
-	// state sweeps nothing and keeps acc[0] alone.
-	acc [][]float64
+	// acc is the sweep accumulator, n floats indexed by global row: the
+	// ranks sweep through it one after another (relaxSweep), and each leaves
+	// it all zero. It is also reset's scratch for b − Ax, which reset
+	// clears.
+	acc []float64
 	// extGlob is the global id of the row behind every ext slot, flat in
 	// slot order (Layout.extRows): a sweep's ghost rows, and where reset
 	// reads each ghost's residual.
@@ -61,7 +59,7 @@ func newRunState(s *Setup) *runState {
 	}
 	st := &runState{
 		l: l, w: rma.NewWorld(p, rma.CostModel{}), states: make([]*rankState, p),
-		acc: [][]float64{make([]float64, l.A.N)}, norms: make([]float64, p),
+		acc: make([]float64, l.A.N), norms: make([]float64, p),
 		extGlob: l.extRows(), ext: s.ext,
 	}
 	st.hold = st.holdBody
@@ -129,14 +127,14 @@ func newRunState(s *Setup) *runState {
 // initial guess — exact residuals, exact neighbor norms and Γ̃ (setup
 // exchange, not counted), exact ghosts — the engine rewound to "every rank in
 // the set", and the world rewound to the default cost model with cfg's
-// engine, fault plan and tracer installed. extDelta, lastSentNorm, the
+// fault plan and tracer installed. extDelta, lastSentNorm, the
 // direct-solver scratch, the bodies' floats and every header field but slot
 // and the two offsets are written before they are read in any run, so they
-// are deliberately not cleared; every accumulator is all zero between
-// sweeps, so none is cleared but the first, which reset uses as scratch.
+// are deliberately not cleared; the accumulator is all zero between sweeps,
+// and reset clears what it wrote there as scratch.
 func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	l, w, e := st.l, st.w, &st.eng
-	res := st.acc[0] // b − Ax in A's numbering, until the ghosts have it
+	res := st.acc // b − Ax in A's numbering, until the ghosts have it
 	l.A.Residual(b, x, res)
 	e.list = e.list[:l.P]
 	for p, rs := range st.states {
@@ -178,14 +176,8 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	}
 
 	w.Reset(rma.DefaultCostModel())
-	w.Parallel = cfg.Parallel
 	w.InstallFaults(cfg.Faults, st.hold)
 	w.SetTracer(cfg.Trace)
-	// One accumulator per chunk this run's phases will have (the last rank
-	// is in the last chunk); a LocalDirect state sweeps nothing.
-	for st.ext == nil && len(st.acc) <= w.ChunkOf(l.P-1) {
-		st.acc = append(st.acc, make([]float64, l.A.N))
-	}
 }
 
 // body returns the header of message m in rank rs's window and the floats

@@ -3,7 +3,6 @@ package dmem
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,12 +17,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 
 // traceCase runs Distributed Southwell on a small fixed Poisson problem
 // with a fresh recorder and returns both.
-func traceCase(t *testing.T, parallel bool, steps int) (*Result, *obs.Recorder) {
+func traceCase(t *testing.T, steps int) (*Result, *obs.Recorder) {
 	t.Helper()
 	s, b, x := buildCase(t, problem.Poisson2D(12, 12), 4, 1)
 	rec := obs.NewRecorderCap(4, 4096)
 	rec.SetLabel("golden ds")
-	res := DistributedSouthwell(s, b, x, Config{Steps: steps, Parallel: parallel, Trace: rec})
+	res := DistributedSouthwell(s, b, x, Config{Steps: steps, Trace: rec})
 	return res, rec
 }
 
@@ -50,39 +49,6 @@ func TestTracingPreservesResults(t *testing.T) {
 	}
 }
 
-// TestTraceEngineByteIdentical: both world engines must yield the same
-// recorded stream — the exported trace and metrics files are compared as
-// raw bytes. Together with `make race` this pins the obs concurrency
-// contract: per-rank shards are written without locks, yet the pool
-// engine produces the sequential engine's bytes.
-func TestTraceEngineByteIdentical(t *testing.T) {
-	_, seqRec := traceCase(t, false, 8)
-	_, poolRec := traceCase(t, true, 8)
-
-	var seqTrace, poolTrace bytes.Buffer
-	if err := seqRec.WriteTrace(&seqTrace); err != nil {
-		t.Fatal(err)
-	}
-	if err := poolRec.WriteTrace(&poolTrace); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seqTrace.Bytes(), poolTrace.Bytes()) {
-		t.Error("trace export differs between engines")
-	}
-
-	var seqMet, poolMet bytes.Buffer
-	if err := seqRec.WriteMetrics(&seqMet); err != nil {
-		t.Fatal(err)
-	}
-	if err := poolRec.WriteMetrics(&poolMet); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seqMet.Bytes(), poolMet.Bytes()) {
-		t.Errorf("metrics export differs between engines:\n--- seq ---\n%s\n--- pool ---\n%s",
-			seqMet.String(), poolMet.String())
-	}
-}
-
 // TestTraceGolden pins the exact Chrome trace-event bytes of a small
 // Distributed Southwell run. Everything upstream is deterministic — the
 // partition, the simulated α-β-γ clock, the shortest-round-trip float
@@ -90,7 +56,7 @@ func TestTraceEngineByteIdentical(t *testing.T) {
 // export format changed; regenerate with `go test ./internal/dmem
 // -run TestTraceGolden -update` and review the diff.
 func TestTraceGolden(t *testing.T) {
-	_, rec := traceCase(t, false, 5)
+	_, rec := traceCase(t, 5)
 	var buf bytes.Buffer
 	if err := rec.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -153,8 +119,7 @@ func shardsOf(rec *obs.Recorder, p int) (control []obs.Event, ranks [][]obs.Even
 // Dense track whose only missing events are hold decisions and cost rows of
 // rank-phases that sent nothing and were written nothing. At least one rank
 // the wavefront never reaches logs nothing after step 1. On a perfect
-// network and under a delay plan; the traced unpinned run is repeated on the
-// pool at every width.
+// network and under a delay plan.
 func TestActiveTraceIsDenseTraceMinusSleepers(t *testing.T) {
 	const grid, p, steps = 48, 64, 8
 	for mname, run := range map[string]method{"DistributedSouthwell": DistributedSouthwell, "ParallelSouthwell": ParallelSouthwell} {
@@ -241,14 +206,6 @@ func TestActiveTraceIsDenseTraceMinusSleepers(t *testing.T) {
 				if missing == 0 || endAtOne == 0 {
 					t.Errorf("%d sleeper events left out, %d ranks silent after step 1: want both positive", missing, endAtOne)
 				}
-
-				eachWidth(func(k int) {
-					pool, prec := solve(Config{Parallel: true})
-					compareRuns(t, fmt.Sprintf("%s/w%d", name, k), active, pool)
-					if !reflect.DeepEqual(prec.Events(), arec.Events()) {
-						t.Errorf("width %d: traced unpinned run logs a different stream than inline", k)
-					}
-				})
 			})
 		}
 	}

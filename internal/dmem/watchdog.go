@@ -68,9 +68,11 @@ func (wd *watchdog) observe(w *rma.World, step, relaxedRanks int) bool {
 }
 
 // deadlockAt marks a watchdog stop at step — unless the run had in fact
-// converged to (numerical) zero and simply has nothing left to do.
+// converged to (numerical) zero and simply has nothing left to do. A NaN
+// norm is no convergence: no rank wins a comparison against it, so the run
+// stalls on it, and that stop is a deadlock too.
 func (res *Result) deadlockAt(step int) {
-	if res.Final().ResNorm > 1e-14 {
+	if !(res.Final().ResNorm <= 1e-14) {
 		res.Deadlocked = true
 		res.DeadlockStep = step
 	}

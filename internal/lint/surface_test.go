@@ -31,6 +31,7 @@ import (
 var unreadAllowed = map[string]string{
 	"krylov":                       "ROADMAP item 5 decides the package: earn a table or be deleted",
 	"core.DistOptions.Sched":       "only benchmarks/e2e writes it; ROADMAP item 1(b) removes it",
+	"core.DistOptions.Parallel":    "only benchmarks/e2e writes it; ROADMAP item 1(b) removes it with ds_mc",
 	"dmem.LocalSolver.String":      "called by fmt through fmt.Stringer",
 	"multigrid.GaussSeidel.Name":   "called through multigrid.Smoother",
 	"multigrid.GaussSeidel.Smooth": "called through multigrid.Smoother",

@@ -21,11 +21,11 @@
 //     overwritten and counted as dropped.
 //
 //  3. Determinism is structural. A rank's shard is written only by that
-//     rank's phase function (which rma runs identically at every width) or
-//     by the driving goroutine between phases, so each shard's event
-//     sequence — and therefore every exported byte — is bit-identical
-//     whether phases run inline or on the worker pool. Timestamps come from the
-//     simulated α-β-γ clock, never the wall clock.
+//     rank's phase function or by the driving goroutine between phases, and
+//     rma runs every phase function on the driving goroutine, so each
+//     shard's event sequence — and therefore every exported byte — is a
+//     function of the run. Timestamps come from the simulated α-β-γ clock,
+//     never the wall clock.
 //
 // Exporters: WriteTrace emits Chrome trace-event JSON (loads directly in
 // Perfetto / chrome://tracing, one track per simulated rank plus a runtime
@@ -281,8 +281,8 @@ func (r *Recorder) SetLabel(label string) {
 // SetPool records a kernel-pool occupancy snapshot for the metrics
 // summary. Call it after the run with the delta of parallel.Pool.Stats.
 // Kernel regions and blocks are pure functions of the workload, so they are
-// deterministic for any pool width; a run with Parallel set adds one region
-// of min(width, P) rank chunks per phase.
+// deterministic for any pool width; rank phases run on the calling
+// goroutine and add none.
 func (r *Recorder) SetPool(ps parallel.PoolStats) {
 	if r == nil {
 		return

@@ -1,6 +1,6 @@
 // Package parallel is the shared deterministic work-splitting layer for the
-// repository's numerical kernels and for internal/rma's rank phases: the
-// process's one persistent worker pool, contiguous row-range partitioners
+// repository's numerical kernels and set-up (partitioning, layout, local
+// factorization): the process's one persistent worker pool, contiguous row-range partitioners
 // (balanced by element count or by nonzero count), and a fixed-block
 // decomposition policy that makes parallel reductions bit-reproducible.
 //

@@ -3,11 +3,9 @@ package rma
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"southwell/internal/obs"
-	"southwell/internal/parallel"
 )
 
 // activeWorld builds a world plus the pieces of an active-subset ring
@@ -19,9 +17,8 @@ import (
 // real methods alternate two; the third lets a message held back one
 // boundary (the delay gate's plan) be read while its sender writes a buffer
 // other than the one it points into, since the gate's hold copies nothing.
-func activeWorld(p, stride int, parallel bool) (*World, func(int), []bool, []float64) {
+func activeWorld(p, stride int) (*World, func(int), []bool, []float64) {
 	w := NewWorld(p, DefaultCostModel())
-	w.Parallel = parallel
 	payloads := make([][3][2]benchPayload, p)
 	for r := range payloads {
 		for par := range payloads[r] {
@@ -82,130 +79,64 @@ func controlTrack(rec *obs.Recorder) []obs.Event {
 // bit-identity story: RunPhaseActive over a mask must leave the world in
 // exactly the state of a dense RunPhase whose body branches on the same
 // mask and charges idle[p] for skipped ranks — same stats, same simulated
-// clock, same landed messages. Checked inline and at every pool width, and
-// over everything the boundary overlays: nothing, a tracer (whose control
-// track — phase maxima, landings, fault actions — must then agree event for
-// event), a delay plan, and both.
+// clock, same landed messages. Checked over everything the boundary
+// overlays: nothing, a tracer (whose control track — phase maxima,
+// landings, fault actions — must then agree event for event), a delay
+// plan, and both.
 func TestRunPhaseActiveMatchesRunPhase(t *testing.T) {
 	const p, stride, rounds = 64, 4, 5
 	plan := chaosPlan(7)
-	for _, parallel := range []bool{false, true} {
-		for _, ov := range []struct {
-			name   string
-			traced bool
-			faults *FaultPlan
-		}{{"list", false, nil}, {"tracer", true, nil}, {"plan", false, plan}, {"tracer+plan", true, plan}} {
-			name := "seq/" + ov.name
-			if parallel {
-				name = "pool/" + ov.name
+	for _, ov := range []struct {
+		name   string
+		traced bool
+		faults *FaultPlan
+	}{{"list", false, nil}, {"tracer", true, nil}, {"plan", false, plan}, {"tracer+plan", true, plan}} {
+		t.Run("seq/"+ov.name, func(t *testing.T) {
+			wa, fa, active, idle := activeWorld(p, stride)
+			wd, fd, _, _ := activeWorld(p, stride)
+			var ra, rd *obs.Recorder
+			if ov.traced {
+				ra, rd = obs.NewRecorderCap(p, 256), obs.NewRecorderCap(p, 256)
+				wa.SetTracer(ra)
+				wd.SetTracer(rd)
 			}
-			t.Run(name, func(t *testing.T) {
-				atWidths(t, parallel, func(t *testing.T) {
-					wa, fa, active, idle := activeWorld(p, stride, parallel)
-					wd, fd, _, _ := activeWorld(p, stride, parallel)
-					var ra, rd *obs.Recorder
-					if ov.traced {
-						ra, rd = obs.NewRecorderCap(p, 256), obs.NewRecorderCap(p, 256)
-						wa.SetTracer(ra)
-						wd.SetTracer(rd)
+			wa.InstallFaults(ov.faults, nil)
+			wd.InstallFaults(ov.faults, nil)
+			lst := maskList(active)
+			dense := func(rank int) {
+				if active[rank] {
+					fd(rank)
+				} else {
+					wd.Charge(rank, idle[rank])
+				}
+			}
+			for i := 0; i < rounds; i++ {
+				wa.RunPhaseActive(active, lst, idle, fa)
+				wd.RunPhase(dense)
+				for r := 0; r < p; r++ {
+					ia, id := wa.Inbox(r), wd.Inbox(r)
+					if len(ia) != len(id) {
+						t.Fatalf("round %d rank %d: %d landings active vs %d dense", i, r, len(ia), len(id))
 					}
-					wa.InstallFaults(ov.faults, nil)
-					wd.InstallFaults(ov.faults, nil)
-					lst := maskList(active)
-					dense := func(rank int) {
-						if active[rank] {
-							fd(rank)
-						} else {
-							wd.Charge(rank, idle[rank])
+					for k := range ia {
+						if ia[k].From != id[k].From || ia[k].Tag != id[k].Tag {
+							t.Fatalf("round %d rank %d landing %d differs", i, r, k)
 						}
 					}
-					for i := 0; i < rounds; i++ {
-						wa.RunPhaseActive(active, lst, idle, fa)
-						wd.RunPhase(dense)
-						for r := 0; r < p; r++ {
-							ia, id := wa.Inbox(r), wd.Inbox(r)
-							if len(ia) != len(id) {
-								t.Fatalf("round %d rank %d: %d landings active vs %d dense", i, r, len(ia), len(id))
-							}
-							for k := range ia {
-								if ia[k].From != id[k].From || ia[k].Tag != id[k].Tag {
-									t.Fatalf("round %d rank %d landing %d differs", i, r, k)
-								}
-							}
-						}
-					}
-					if sa, sd := wa.Stats(), wd.Stats(); sa != sd {
-						t.Errorf("stats differ:\nactive %+v\ndense  %+v", sa, sd)
-					}
-					if ov.faults != nil && wa.Stats().DelayedMsgs == 0 {
-						t.Error("the plan held no message back: it missed the run")
-					}
-					if ca, cd := controlTrack(ra), controlTrack(rd); !reflect.DeepEqual(ca, cd) {
-						t.Errorf("control tracks differ: %d events active, %d dense", len(ca), len(cd))
-					} else if ov.traced && len(ca) < rounds {
-						t.Errorf("control track holds %d events, want at least one per phase", len(ca))
-					}
-				})
-			})
-		}
-	}
-}
-
-// TestChunkOfIsRunChunk: Put files a message in the staging array of the
-// chunk runChunk runs its origin in, for every rank at every chunk count —
-// the property that keeps a staging array to one goroutine and the arrays,
-// read in chunk order, in ascending origin.
-func TestChunkOfIsRunChunk(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 7, 37, 64, 4096} {
-		w := NewWorld(p, CostModel{})
-		for c := 1; c <= min(p, 64); c++ {
-			w.chunks = c
-			for b := range c {
-				for r := b * p / c; r < (b+1)*p/c; r++ {
-					if got := w.chunkOf(r); got != b {
-						t.Fatalf("P=%d, %d chunks: rank %d filed under chunk %d, runChunk runs it in %d", p, c, r, got, b)
-					}
 				}
 			}
-		}
-	}
-}
-
-// TestChunkOfBeforeAndInPhase: between phases ChunkOf answers for the phase
-// that would open now — one chunk inline, one per pool worker (at most P)
-// on the pool — and in that phase each rank's answer is unchanged and is the
-// chunk runChunk runs it in, so a caller can size scratch per chunk before a
-// phase and pick its own inside one.
-func TestChunkOfBeforeAndInPhase(t *testing.T) {
-	defer parallel.SetDefaultWorkers(parallel.Default().Workers())
-	for _, width := range []int{1, 2, 4, 7} {
-		parallel.SetDefaultWorkers(width)
-		for _, p := range []int{1, 3, 64} {
-			for _, par := range []bool{false, true} {
-				w := NewWorld(p, CostModel{})
-				w.Parallel = par
-				want := 1
-				if par {
-					want = min(width, p)
-				}
-				if n := w.ChunkOf(p-1) + 1; n != want {
-					t.Fatalf("width %d, P=%d, parallel=%v: %d chunks before the phase, want %d", width, p, par, n, want)
-				}
-				before, in := make([]int, p), make([]int, p)
-				for r := range before {
-					before[r] = w.ChunkOf(r)
-				}
-				w.RunPhase(func(r int) {
-					in[r] = w.ChunkOf(r)
-					if in[r] != w.chunkOf(r) {
-						t.Errorf("rank %d: ChunkOf %d, Put's chunk %d", r, in[r], w.chunkOf(r))
-					}
-				})
-				if !slices.Equal(before, in) {
-					t.Fatalf("width %d, P=%d, parallel=%v: chunks before the phase %v, in it %v", width, p, par, before, in)
-				}
+			if sa, sd := wa.Stats(), wd.Stats(); sa != sd {
+				t.Errorf("stats differ:\nactive %+v\ndense  %+v", sa, sd)
 			}
-		}
+			if ov.faults != nil && wa.Stats().DelayedMsgs == 0 {
+				t.Error("the plan held no message back: it missed the run")
+			}
+			if ca, cd := controlTrack(ra), controlTrack(rd); !reflect.DeepEqual(ca, cd) {
+				t.Errorf("control tracks differ: %d events active, %d dense", len(ca), len(cd))
+			} else if ov.traced && len(ca) < rounds {
+				t.Errorf("control track holds %d events, want at least one per phase", len(ca))
+			}
+		})
 	}
 }
 
@@ -214,8 +145,8 @@ func TestChunkOfBeforeAndInPhase(t *testing.T) {
 // engine's correctness induction bottoms out on.
 func TestRunPhaseActiveFullMaskIsRunPhase(t *testing.T) {
 	const p = 32
-	wa, fa, _, _ := activeWorld(p, 1, false)
-	wd, fd, _, _ := activeWorld(p, 1, false)
+	wa, fa, _, _ := activeWorld(p, 1)
+	wd, fd, _, _ := activeWorld(p, 1)
 	all := make([]bool, p)
 	for r := range all {
 		all[r] = true
@@ -231,8 +162,7 @@ func TestRunPhaseActiveFullMaskIsRunPhase(t *testing.T) {
 }
 
 // TestActiveAllocGate is the executing guard of the runtime's promise that
-// a steady-state phase allocates nothing, inline and at every pool width,
-// for the shapes a phase takes:
+// a steady-state phase allocates nothing, for the shapes a phase takes:
 //
 //   - ActivePhase: one RunPhaseActive with 1 rank in 16 active. The member
 //     list and idle vector ride on the world and a skipped rank is never
@@ -253,58 +183,49 @@ func TestRunPhaseActiveFullMaskIsRunPhase(t *testing.T) {
 //     every buffer's capacity, so a world rewound for its next run costs
 //     no allocation.
 func TestActiveAllocGate(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		name := "seq"
-		if parallel {
-			name = "pool"
+	t.Run("seq", func(t *testing.T) {
+		wa, fa, active, idle := activeWorld(256, 16)
+		lst := maskList(active)
+		wt, ft, _, _ := activeWorld(256, 16)
+		wt.SetTracer(obs.NewRecorderCap(256, 64))
+		wsa, fsa, _, _ := activeWorld(256, 16)
+		keep := func(*Message) {}
+		wsa.InstallFaults(DelayPlan(7, 1, 1), keep)
+		wd, fd, _, _ := activeWorld(256, 1)
+		ws, fs, _, _ := activeWorld(256, 1)
+		ws.InstallFaults(DelayPlan(7, 1, 1), keep)
+		for _, op := range []struct {
+			name string
+			f    func()
+		}{
+			{"ActivePhase", func() {
+				wa.RunPhaseActive(active, lst, idle, fa)
+				_ = wa.LiveInboxes() // what the dmem driver reads at every boundary
+			}},
+			{"TracedActivePhase", func() { wt.RunPhaseActive(active, lst, idle, ft) }},
+			{"DelayActivePhase", func() { wsa.RunPhaseActive(active, lst, idle, fsa) }},
+			{"DensePhase", func() { wd.RunPhase(fd) }},
+			{"DelayPhase", func() { ws.RunPhase(fs) }},
+			{"ResetThenPhase", func() {
+				wd.Reset(wd.Model)
+				wd.RunPhase(fd)
+			}},
+		} {
+			for i := 0; i < 4; i++ { // warm the staging and window arrays
+				op.f()
+			}
+			if got := testing.AllocsPerRun(50, op.f); got != 0 {
+				t.Errorf("%s allocates %.1f allocs/op in steady state, want 0", op.name, got)
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			atWidths(t, parallel, func(t *testing.T) {
-				wa, fa, active, idle := activeWorld(256, 16, parallel)
-				lst := maskList(active)
-				wt, ft, _, _ := activeWorld(256, 16, parallel)
-				wt.SetTracer(obs.NewRecorderCap(256, 64))
-				wsa, fsa, _, _ := activeWorld(256, 16, parallel)
-				keep := func(*Message) {}
-				wsa.InstallFaults(DelayPlan(7, 1, 1), keep)
-				wd, fd, _, _ := activeWorld(256, 1, parallel)
-				ws, fs, _, _ := activeWorld(256, 1, parallel)
-				ws.InstallFaults(DelayPlan(7, 1, 1), keep)
-				for _, op := range []struct {
-					name string
-					f    func()
-				}{
-					{"ActivePhase", func() {
-						wa.RunPhaseActive(active, lst, idle, fa)
-						_ = wa.LiveInboxes() // what the dmem driver reads at every boundary
-					}},
-					{"TracedActivePhase", func() { wt.RunPhaseActive(active, lst, idle, ft) }},
-					{"DelayActivePhase", func() { wsa.RunPhaseActive(active, lst, idle, fsa) }},
-					{"DensePhase", func() { wd.RunPhase(fd) }},
-					{"DelayPhase", func() { ws.RunPhase(fs) }},
-					{"ResetThenPhase", func() {
-						wd.Reset(wd.Model)
-						wd.Parallel = parallel
-						wd.RunPhase(fd)
-					}},
-				} {
-					for i := 0; i < 4; i++ { // warm staging rings, window buffers, the region descriptor
-						op.f()
-					}
-					if got := testing.AllocsPerRun(50, op.f); got != 0 {
-						t.Errorf("%s allocates %.1f allocs/op in steady state, want 0", op.name, got)
-					}
-				}
-			})
-		})
-	}
+	})
 }
 
 func BenchmarkActivePhases(b *testing.B) {
 	for _, p := range []int{256, 1024, 8192} {
 		for _, stride := range []int{1, 16} {
 			b.Run(fmt.Sprintf("P=%d/active=1in%d", p, stride), func(b *testing.B) {
-				w, f, active, idle := activeWorld(p, stride, false)
+				w, f, active, idle := activeWorld(p, stride)
 				lst := maskList(active)
 				w.RunPhaseActive(active, lst, idle, f)
 				w.RunPhaseActive(active, lst, idle, f)

@@ -15,10 +15,9 @@ type benchPayload struct {
 // runPhaseBench drives the engine with a neighbor-exchange pattern shaped
 // like one Distributed Southwell phase: every rank writes to its two ring
 // neighbors and reads its inbox from the previous phase.
-func runPhaseBench(b *testing.B, p int, parallel bool) {
+func runPhaseBench(b *testing.B, p int) {
 	b.Helper()
 	w := NewWorld(p, DefaultCostModel())
-	w.Parallel = parallel
 
 	// Persistent per-(rank,direction) payloads, as the solvers keep them.
 	payloads := make([][2]benchPayload, p)
@@ -55,12 +54,11 @@ func runPhaseBench(b *testing.B, p int, parallel bool) {
 // runProbeBench is the end-to-end benchmark's rma probe in-tree: 4096 ranks,
 // each Putting one 64-byte payload to each of its six ring neighbours at ±1,
 // ±2 and ±3 and reading its inbox, every phase. It reports ns per message.
-func runProbeBench(b *testing.B, parallel bool) {
+func runProbeBench(b *testing.B) {
 	const p, fan = 4096, 6
 	offsets := [fan]int{1, 2, 3, p - 1, p - 2, p - 3}
 	payload := new([8]float64)
 	w := NewWorld(p, DefaultCostModel())
-	w.Parallel = parallel
 	sink := make([]int, p)
 	phase := func(rank int) {
 		sink[rank] += len(w.Inbox(rank))
@@ -79,18 +77,8 @@ func runProbeBench(b *testing.B, parallel bool) {
 }
 
 func BenchmarkRunPhase(b *testing.B) {
-	engines := []struct {
-		name     string
-		parallel bool
-	}{{"seq", false}, {"pool", true}}
 	for _, p := range []int{256, 1024, 8192} {
-		for _, eng := range engines {
-			b.Run(fmt.Sprintf("P=%d/%s", p, eng.name), func(b *testing.B) {
-				runPhaseBench(b, p, eng.parallel)
-			})
-		}
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) { runPhaseBench(b, p) })
 	}
-	for _, eng := range engines {
-		b.Run("probe/P=4096/"+eng.name, func(b *testing.B) { runProbeBench(b, eng.parallel) })
-	}
+	b.Run("probe/P=4096", runProbeBench)
 }

@@ -12,10 +12,9 @@ import "southwell/internal/obs"
 // — never a window, a rank's cost, or a pass over all P ranks.
 //
 // Every random decision is drawn from a plan-owned splitmix64 PRNG inside
-// deliver(), which runs on the calling goroutine after the phase barrier —
-// so a chaos run is bit-reproducible from FaultPlan.Seed and identical at
-// every execution width (asserted by the chaos engine-equivalence tests).
-// No math/rand global state is touched.
+// deliver(), after the phase's ranks have run — so a chaos run is
+// bit-reproducible from FaultPlan.Seed (asserted by the run-twice chaos
+// tests). No math/rand global state is touched.
 
 // FaultPlan describes deterministic message delays for a World. The zero
 // value injects nothing. Install it with World.InstallFaults before the

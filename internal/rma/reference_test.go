@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"southwell/internal/obs"
-	"southwell/internal/parallel"
 )
 
 // The boundary as it was before deliver became a counting sort over flat
@@ -16,8 +15,9 @@ import (
 // shared arena — kept verbatim (names prefixed "old") as the oracle the
 // current boundary must equal landing for landing. oldWorld shadows the
 // World fields whose shape changed; its edits are the renames (the "old"
-// prefix, on the staging and arena fields too), and the removal of the fault
-// kinds the runtime no longer has (only delays remain).
+// prefix, on the staging and arena fields too), the removal of the fault
+// kinds the runtime no longer has (only delays remain), and the phase
+// runner, which is the runtime's inline loop.
 
 type oldWorld struct {
 	*World
@@ -95,7 +95,7 @@ func (w *oldWorld) oldInbox(rank int) []Message {
 }
 
 func (w *oldWorld) oldReset(model CostModel) {
-	w.Model, w.Parallel = model, false
+	w.Model = model
 	for p := range w.inbox {
 		// Slots past len were nil-ed when their phase was delivered.
 		clear(w.inbox[p])
@@ -122,15 +122,12 @@ func (w *oldWorld) oldRunPhaseActive(active []bool, actList []int32, idle []floa
 	if active == nil {
 		actList, idle = w.all, nil
 	}
-	w.f, w.active, w.actList, w.idle = f, active, actList, idle
-	var pool *parallel.Pool // nil runs the chunks inline, in ascending order
-	if w.Parallel {
-		pool = parallel.Default()
+	w.active, w.actList, w.idle = active, actList, idle
+	for _, p := range actList {
+		f(int(p))
 	}
-	w.chunks = max(1, min(pool.Workers(), w.P))
-	pool.Run(&w.task, w.chunks)
 	w.oldDeliver()
-	w.f, w.active, w.actList, w.idle = nil, nil, nil, nil
+	w.active, w.actList, w.idle = nil, nil, nil
 }
 
 func (w *oldWorld) oldDeliver() {
@@ -345,10 +342,9 @@ func oracleScript(seed int64, ph, p int, rank int, read func(int) []Message, put
 // origin, target, tag, size, payload pointer, order), the LiveInboxes order,
 // Stats, the messages in flight and SimTime to the bit — under no plan, a
 // delay plan and the heavy chaos plan (whose cost is the reference's pass
-// over all ranks against the analytic fold), inline and at pool widths 2, 4
-// and 7, with phases over every rank and over active subsets, traced (every
-// event equal) and untraced, and across a Reset taken right after a phase
-// that sent.
+// over all ranks against the analytic fold), with phases over every rank and
+// over active subsets, traced (every event equal) and untraced, and across a
+// Reset taken right after a phase that sent.
 func TestDeliveryMatchesReference(t *testing.T) {
 	const p, phases = 37, 24
 	plans := []struct {
@@ -367,51 +363,45 @@ func TestDeliveryMatchesReference(t *testing.T) {
 	for k, pc := range plans {
 		seed := int64(17 + k)
 		for _, traced := range []bool{false, true} {
-			for _, par := range []bool{false, true} {
-				name := fmt.Sprintf("%s/traced=%v/pool=%v", pc.name, traced, par)
-				t.Run(name, func(t *testing.T) {
-					atWidths(t, par, func(t *testing.T) {
-						w, o := NewWorld(p, DefaultCostModel()), newOldWorld(p, DefaultCostModel())
-						var rw, ro *obs.Recorder
-						start := func() {
-							w.Parallel, o.Parallel = par, par
-							w.InstallFaults(pc.plan, holdTok)
-							o.InstallFaults(pc.plan, holdTok)
-							if traced {
-								rw, ro = obs.NewRecorderCap(p, 1<<12), obs.NewRecorderCap(p, 1<<12)
-								w.SetTracer(rw)
-								o.SetTracer(ro)
-							}
+			t.Run(fmt.Sprintf("%s/traced=%v", pc.name, traced), func(t *testing.T) {
+				w, o := NewWorld(p, DefaultCostModel()), newOldWorld(p, DefaultCostModel())
+				var rw, ro *obs.Recorder
+				start := func() {
+					w.InstallFaults(pc.plan, holdTok)
+					o.InstallFaults(pc.plan, holdTok)
+					if traced {
+						rw, ro = obs.NewRecorderCap(p, 1<<12), obs.NewRecorderCap(p, 1<<12)
+						w.SetTracer(rw)
+						o.SetTracer(ro)
+					}
+				}
+				start()
+				for ph := 0; ph < phases; ph++ {
+					if ph == phases/2 {
+						// Reset right after a phase that sent: every window
+						// and count must start from nothing.
+						if len(w.LiveInboxes()) == 0 {
+							t.Fatal("no window is written before the Reset: the case tests nothing")
 						}
+						w.Reset(DefaultCostModel())
+						o.oldReset(DefaultCostModel())
 						start()
-						for ph := 0; ph < phases; ph++ {
-							if ph == phases/2 {
-								// Reset right after a phase that sent: every window
-								// and count must start from nothing.
-								if len(w.LiveInboxes()) == 0 {
-									t.Fatal("no window is written before the Reset: the case tests nothing")
-								}
-								w.Reset(DefaultCostModel())
-								o.oldReset(DefaultCostModel())
-								start()
-							}
-							fw := func(r int) { oracleScript(seed, ph, p, r, w.Inbox, w.Put) }
-							fo := func(r int) { oracleScript(seed, ph, p, r, o.oldInbox, o.oldPut) }
-							if ph%4 == 3 {
-								w.RunPhaseActive(active, list, idle, fw)
-								o.oldRunPhaseActive(active, list, idle, fo)
-							} else {
-								w.RunPhase(fw)
-								o.oldRunPhaseActive(nil, nil, nil, fo)
-							}
-							sameBoundary(t, ph, w, o)
-						}
-						if ew, eo := rw.Events(), ro.Events(); !reflect.DeepEqual(ew, eo) {
-							t.Errorf("trace events differ: %d against the reference's %d", len(ew), len(eo))
-						}
-					})
-				})
-			}
+					}
+					fw := func(r int) { oracleScript(seed, ph, p, r, w.Inbox, w.Put) }
+					fo := func(r int) { oracleScript(seed, ph, p, r, o.oldInbox, o.oldPut) }
+					if ph%4 == 3 {
+						w.RunPhaseActive(active, list, idle, fw)
+						o.oldRunPhaseActive(active, list, idle, fo)
+					} else {
+						w.RunPhase(fw)
+						o.oldRunPhaseActive(nil, nil, nil, fo)
+					}
+					sameBoundary(t, ph, w, o)
+				}
+				if ew, eo := rw.Events(), ro.Events(); !reflect.DeepEqual(ew, eo) {
+					t.Errorf("trace events differ: %d against the reference's %d", len(ew), len(eo))
+				}
+			})
 		}
 	}
 }

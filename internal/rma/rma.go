@@ -9,36 +9,30 @@
 // rank's local code, during which ranks Put messages toward target windows;
 // at the end of the phase all puts are delivered atomically, becoming
 // readable in the next phase. Delivery order is deterministic (ascending
-// origin rank) and results are bit-identical for every execution width.
+// origin rank).
 //
-// One engine executes a phase: the ranks are cut into contiguous chunks and
-// the chunks run as one region on internal/parallel's pool — the shared
-// pool (parallel.Default, as wide as GOMAXPROCS) when Parallel is set, the
-// nil pool otherwise, whose Run is the same chunks inline on the calling
-// goroutine. The sequential engine is therefore width 1 of the same lines,
-// and this package starts no goroutine. Because a rank's phase function
-// touches only that rank's counters and its chunk's staging array, and
-// messages become visible only at the phase boundary, every width executes
-// the same state machine (asserted by the engine-equivalence tests). A
-// phase function must not block: it occupies a slot of the pool the
-// numerical kernels share (DESIGN.md §9).
+// A phase runs every rank's phase function in ascending rank order on the
+// goroutine that called RunPhase or RunPhaseActive; this package starts no
+// goroutine. The simulated ranks are the parallelism the paper measures,
+// and its cost model prices them (DESIGN.md §9), so the host runs them one
+// after another.
 //
 // One boundary closes a phase (deliver). It walks the messages staged, the
 // ranks that ran and the windows that were written, never all P, and is
-// allocation-free at steady state. Messages live in two kinds of flat array:
-// Put appends to one staging array per execution chunk, and deliver moves
-// them into one window array by a counting sort — count the landings per
-// target, take a prefix over the written windows, scatter — so a window is a
-// range of that array, as an MPI window is a range of memory allocated once.
+// allocation-free at steady state. Messages live in two flat arrays: Put
+// appends to the staging array, and deliver moves them into the window
+// array by a counting sort — count the landings per target, take a prefix
+// over the written windows, scatter — so a window is a range of that array,
+// as an MPI window is a range of memory allocated once.
 // The arrays keep their capacity across phases, and payloads are expected to
 // be pointers to caller-owned buffers (boxing a pointer into the Payload
 // interface does not allocate). A Message is 32 bytes — ranks and sizes as
 // int32, which Put and NewWorld guard.
 //
 // A seeded fault-injection plan (faults.go) can delay delivery — hold
-// individual Puts back for extra boundaries — deterministically and
-// identically at every width, for the robustness studies. A plan or a tracer
-// adds landings and emit sites to that boundary; neither selects another one.
+// individual Puts back for extra boundaries — deterministically, for the
+// robustness studies. A plan or a tracer adds landings and emit sites to
+// that boundary; neither selects another one.
 //
 // The runtime also does the bookkeeping the paper reports: messages and
 // bytes per rank split by tag (solve updates vs explicit residual updates,
@@ -54,7 +48,6 @@ import (
 	"slices"
 
 	"southwell/internal/obs"
-	"southwell/internal/parallel"
 )
 
 // ErrClosed is the panic value of Put and RunPhase on a closed World:
@@ -102,8 +95,8 @@ func DefaultCostModel() CostModel {
 	return CostModel{Alpha: 1.5e-6, Beta: 1e-10, Gamma: 2.5e-10}
 }
 
-// Message is one Put: written once into its chunk's staging array by Put,
-// and copied once into the window array at the boundary.
+// Message is one Put: written once into the staging array by Put, and
+// copied once into the window array at the boundary.
 type Message struct {
 	Payload any
 	From    int32
@@ -114,16 +107,12 @@ type Message struct {
 
 // World is a set of P simulated ranks with windows and counters.
 type World struct {
-	P        int
-	Model    CostModel
-	Parallel bool // run phases on parallel.Default() instead of inline
+	P     int
+	Model CostModel
 
-	// stage holds the puts issued this phase, one array per execution chunk
-	// (Put appends to the array of the chunk running the origin). Chunks
-	// are contiguous ascending rank ranges walked in ascending order, so the
-	// arrays read in chunk order list the puts by ascending origin, each
-	// origin's in call order, at every width.
-	stage []stageBuf
+	// stage holds the puts issued this phase. Ranks run in ascending order,
+	// so it lists the puts by ascending origin, each origin's in call order.
+	stage []Message
 	// window holds every readable window: rank p's is window[inbox[p].lo :
 	// inbox[p].hi], and a rank whose window is empty has lo = hi = 0. No
 	// window outlives its phase, so deliver expires the windows read in the
@@ -164,17 +153,11 @@ type World struct {
 	trace *obs.Recorder
 
 	// chaos, when non-nil, is the installed fault-injection state (see
-	// faults.go). All chaos decisions are made in deliver on the calling
-	// goroutine, keeping every width bit-identical.
+	// faults.go). All chaos decisions are made in deliver.
 	chaos *chaosState
 
-	// The phase in flight (active.go): task is the one region descriptor,
-	// bound once to runChunk; the rest are the phase's arguments, set by
-	// RunPhaseActive before the region opens, read by every chunk and by
-	// the boundary, and dropped when it returns.
-	task    parallel.Task
-	chunks  int
-	f       func(rank int)
+	// The phase in flight (active.go): its arguments, set by RunPhaseActive,
+	// read by the boundary, and dropped when it returns.
 	active  []bool    // nil: every rank runs f
 	actList []int32   // the ranks that run f, ascending
 	idle    []float64 // per-rank flop charge for skipped ranks
@@ -190,7 +173,6 @@ func NewWorld(p int, model CostModel) *World {
 	w := &World{
 		P:         p,
 		Model:     model,
-		stage:     make([]stageBuf, 1),
 		inbox:     make([]inbound, p),
 		flops:     make([]float64, p),
 		msgs:      make([]int64, p),
@@ -201,15 +183,7 @@ func NewWorld(p int, model CostModel) *World {
 	for r := range w.all {
 		w.all[r] = int32(r)
 	}
-	w.task.F = w.runChunk
 	return w
-}
-
-// stageBuf is one chunk's staging array, padded to a cache line of its own:
-// the chunks of a phase append to theirs concurrently.
-type stageBuf struct {
-	msgs []Message
-	_    [40]byte // the 24-byte slice header padded to 64
 }
 
 // inbound is a rank's side of the boundary: its window's range of the
@@ -221,9 +195,9 @@ type inbound struct {
 }
 
 // slotsPerRank sizes a flat message array's first allocation: room for that
-// many messages per rank (per rank of its chunk, for a staging array). A run
-// whose phases send no more never grows one, so a repeat solve allocates
-// nothing here whichever method ran on the world before.
+// many messages per rank. A run whose phases send no more never grows one,
+// so a repeat solve allocates nothing here whichever method ran on the
+// world before.
 const slotsPerRank = 8
 
 // grow returns buf, contents kept, with room for n more messages: a first
@@ -244,12 +218,11 @@ func zeroed(buf []Message) []Message {
 
 // Put stages a one-sided write of payload into the window of rank `to`. It
 // becomes visible in to's inbox at the start of the next phase. Put must be
-// called from rank `from`'s phase function: it appends to the staging array
-// of the chunk running `from`, which no other goroutine touches. Payloads
-// should be pointers to caller-owned buffers: boxing a pointer does not
-// allocate, and the runtime never copies payload contents. It may keep a
-// reference in a spent slot of its flat arrays until a later boundary
-// overwrites the slot; Reset drops them all.
+// called from rank `from`'s phase function. Payloads should be pointers to
+// caller-owned buffers: boxing a pointer does not allocate, and the runtime
+// never copies payload contents. It may keep a reference in a spent slot of
+// its flat arrays until a later boundary overwrites the slot; Reset drops
+// them all.
 func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
 	if w.closed {
 		panic(ErrClosed)
@@ -260,11 +233,10 @@ func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
 	if bytes < 0 || bytes > math.MaxInt32 {
 		panic(fmt.Sprintf("rma: Put size %d bytes out of range (0..%d)", bytes, math.MaxInt32))
 	}
-	st := &w.stage[w.chunkOf(from)]
-	if len(st.msgs) == cap(st.msgs) {
-		st.msgs = grow(st.msgs, 1, slotsPerRank*w.P/max(1, w.chunks))
+	if len(w.stage) == cap(w.stage) {
+		w.stage = grow(w.stage, 1, slotsPerRank*w.P)
 	}
-	st.msgs = append(st.msgs, Message{Payload: payload, From: int32(from), To: int32(to), Bytes: int32(bytes), Tag: tag}) // staging arrays keep their capacity across phases (deliver truncates them)
+	w.stage = append(w.stage, Message{Payload: payload, From: int32(from), To: int32(to), Bytes: int32(bytes), Tag: tag}) // the staging array keeps its capacity across phases (deliver truncates it)
 	w.msgs[from]++
 	w.bytes[from] += int64(bytes)
 	if w.trace != nil {
@@ -323,9 +295,9 @@ func (w *World) PhaseIndex() int64 { return w.phases }
 // RunPhase executes one access epoch: f runs for every rank, then all
 // staged puts are delivered and the phase's simulated time is accounted.
 // It is RunPhaseActive over the world's identity list (active.go), so the
-// walk, the boundary, the width (w.Parallel) and the contract are the same:
-// f(p) may only touch rank p's state, and cross-rank data moves exclusively
-// through Put at the phase boundary.
+// walk, the boundary and the contract are the same: f(p) may only touch
+// rank p's state, and cross-rank data moves exclusively through Put at the
+// phase boundary.
 func (w *World) RunPhase(f func(rank int)) {
 	w.RunPhaseActive(nil, nil, nil, f)
 }
@@ -342,10 +314,8 @@ func (w *World) Close() { w.closed = true }
 // staging slot is zeroed, so the world retains nothing of the finished run.
 // A closed world is reopened. Must not race with a phase.
 func (w *World) Reset(model CostModel) {
-	w.Model, w.Parallel = model, false
-	for b := range w.stage {
-		w.stage[b].msgs = zeroed(w.stage[b].msgs)
-	}
+	w.Model = model
+	w.stage = zeroed(w.stage)
 	w.window = zeroed(w.window)
 	clear(w.inbox)
 	clear(w.flops)
@@ -361,13 +331,13 @@ func (w *World) Reset(model CostModel) {
 
 // deliver closes the phase in flight — the one phase boundary. It expires
 // the windows read in this phase, moves the staged puts into windows
-// (ascending origin rank: the staging arrays, read in chunk order, list
-// them so) and accumulates the phase's simulated time: the BSP h-relation
-// cost, per rank compute plus message costs counting both injections and
-// landings (a window write occupies the target's NIC even though the target
-// CPU is not involved), maximized over ranks.
+// (ascending origin rank: the staging array lists them so) and accumulates
+// the phase's simulated time: the BSP h-relation cost, per rank compute
+// plus message costs counting both injections and landings (a window write
+// occupies the target's NIC even though the target CPU is not involved),
+// maximized over ranks.
 //
-// The move is a counting sort in two flat passes over the staging arrays.
+// The move is a counting sort in two flat passes over the staging array.
 // The first decides and counts every landing, in landing order: it charges
 // the target and appends it to liveInbox on its first landing. A prefix over
 // liveInbox then lays the windows out in the window array — the windows read
@@ -383,8 +353,7 @@ func (w *World) Reset(model CostModel) {
 // same passes (faults.go): released delayed messages are landings ahead of
 // the staged ones, and each staged message is held back or landed in the
 // first pass. A tracer adds emit sites on the same walks, plus a second cost
-// walk so a rank's cost row carries the closed phase's clock. All of it runs
-// here, on the calling goroutine, so every width sees the same schedule.
+// walk so a rank's cost row carries the closed phase's clock.
 func (w *World) deliver() {
 	ch, landedBefore := w.chaos, w.delivered
 
@@ -396,7 +365,7 @@ func (w *World) deliver() {
 
 	// Pass 1: count. Under a plan the delayed messages due now land first,
 	// the oldest traffic, in staging order; and a message held back leaves
-	// its staging array here, so the second pass sees exactly the landings
+	// the staging array here, so the second pass sees exactly the landings
 	// counted.
 	var due []heldMsg
 	if ch != nil {
@@ -405,23 +374,20 @@ func (w *World) deliver() {
 			w.land(&due[i].m)
 		}
 	}
-	for b := range w.stage {
-		st := w.stage[b].msgs
-		n := 0
-		for i := range st {
-			m := &st[i]
-			w.totalMsgs[m.Tag]++
-			w.totalBytes[m.Tag] += int64(m.Bytes)
-			if ch == nil {
-				w.land(m)
-			} else if w.landFaulty(m) {
-				st[n] = *m
-				n++
-			}
+	st, n := w.stage, 0
+	for i := range st {
+		m := &st[i]
+		w.totalMsgs[m.Tag]++
+		w.totalBytes[m.Tag] += int64(m.Bytes)
+		if ch == nil {
+			w.land(m)
+		} else if w.landFaulty(m) {
+			st[n] = *m
+			n++
 		}
-		if ch != nil {
-			w.stage[b].msgs = st[:n]
-		}
+	}
+	if ch != nil {
+		st = st[:n]
 	}
 
 	// Prefix: the windows in liveInbox order.
@@ -440,18 +406,15 @@ func (w *World) deliver() {
 
 	// Pass 2: scatter, in pass 1's landing order.
 	if w.trace != nil {
-		w.traceLandings(due)
+		w.traceLandings(due, st)
 	}
 	for i := range due {
 		w.scatter(&due[i].m)
 	}
-	for b := range w.stage {
-		st := w.stage[b].msgs
-		for i := range st {
-			w.scatter(&st[i])
-		}
-		w.stage[b].msgs = st[:0]
+	for i := range st {
+		w.scatter(&st[i])
 	}
+	w.stage = st[:0]
 
 	maxCost := w.phaseCost(w.trace == nil)
 	w.simTime += maxCost
@@ -560,8 +523,7 @@ func (w *World) idleMax(idle []float64) float64 {
 }
 
 // emitFault records a fault-layer action on the control track. Fault
-// decisions are made on the driver goroutine in deliver, so these emits
-// are always race-free.
+// decisions are made in deliver, after the phase's ranks have run.
 func (w *World) emitFault(flag uint8, from, to int) {
 	if w.trace == nil {
 		return
@@ -601,7 +563,7 @@ func (w *World) scatter(m *Message) {
 // traceLandings logs the boundary's landings — the released delayed
 // messages, then the staged ones — in landing order, the order both passes
 // walk.
-func (w *World) traceLandings(due []heldMsg) {
+func (w *World) traceLandings(due []heldMsg, staged []Message) {
 	emit := func(m *Message) {
 		w.trace.Emit(obs.Event{
 			Kind:  obs.KindDeliver,
@@ -616,11 +578,8 @@ func (w *World) traceLandings(due []heldMsg) {
 	for i := range due {
 		emit(&due[i].m)
 	}
-	for b := range w.stage {
-		st := w.stage[b].msgs
-		for i := range st {
-			emit(&st[i])
-		}
+	for i := range staged {
+		emit(&staged[i])
 	}
 }
 

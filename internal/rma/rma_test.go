@@ -1,43 +1,11 @@
 package rma
 
 import (
-	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"testing"
-	"testing/quick"
-	"time"
 	"unsafe"
-
-	"southwell/internal/parallel"
 )
-
-// widths are the pool widths the width-invariance tests compare with
-// width 1 (phases inline); they do not depend on the host's GOMAXPROCS.
-var widths = []int{2, 4, 7}
-
-// setWidth resizes the shared pool to k executor slots until the test ends.
-func setWidth(t testing.TB, k int) {
-	prev := parallel.Default().Workers()
-	parallel.SetDefaultWorkers(k)
-	t.Cleanup(func() { parallel.SetDefaultWorkers(prev) })
-}
-
-// atWidths runs f once when the worlds it builds run inline, and once per
-// pool width — as a subtest, the shared pool resized — when they run on it.
-func atWidths(t *testing.T, parallel bool, f func(t *testing.T)) {
-	if !parallel {
-		f(t)
-		return
-	}
-	for _, k := range widths {
-		t.Run(fmt.Sprintf("w%d", k), func(t *testing.T) {
-			setWidth(t, k)
-			f(t)
-		})
-	}
-}
 
 func TestPutDeliveredNextPhase(t *testing.T) {
 	w := NewWorld(3, CostModel{})
@@ -70,65 +38,52 @@ func TestPutDeliveredNextPhase(t *testing.T) {
 // TestDeliveryOrderDeterministic pins the invariant the boundary builds by
 // construction and nothing re-checks at run time: a window holds its
 // landings in ascending origin rank, one sender's in the order it put them —
-// after a phase every rank ran and after one over a subset, inline and at
-// every pool width.
+// after a phase every rank ran and after one over a subset.
 func TestDeliveryOrderDeterministic(t *testing.T) {
 	const p = 64
-	for _, par := range []bool{false, true} {
-		atWidths(t, par, func(t *testing.T) {
-			w := NewWorld(p, CostModel{})
-			w.Parallel = par
-			send := func(rank int) {
-				for seq := 0; seq < 2; seq++ {
-					for _, d := range []int{1, 9, 30, p - 5} {
-						w.Put(rank, (rank+d)%p, TagSolve, 0, seq)
-					}
-				}
+	w := NewWorld(p, CostModel{})
+	send := func(rank int) {
+		for seq := 0; seq < 2; seq++ {
+			for _, d := range []int{1, 9, 30, p - 5} {
+				w.Put(rank, (rank+d)%p, TagSolve, 0, seq)
 			}
-			check := func(boundary string, senders int) {
-				t.Helper()
-				landed := 0
-				for r := 0; r < p; r++ {
-					in := w.Inbox(r)
-					landed += len(in)
-					for i := 1; i < len(in); i++ {
-						a, b := in[i-1], in[i]
-						if b.From < a.From || b.From == a.From && b.Payload.(int) < a.Payload.(int) {
-							t.Fatalf("%s: rank %d window out of order at %d: from %d seq %v after from %d seq %v",
-								boundary, r, i, b.From, b.Payload, a.From, a.Payload)
-						}
-					}
-				}
-				if landed != senders*8 {
-					t.Fatalf("%s: %d landings, want %d", boundary, landed, senders*8)
-				}
-			}
-			w.RunPhase(send)
-			check("after every rank", p)
-			active := make([]bool, p)
-			for r := range active {
-				active[r] = r%3 != 1
-			}
-			list := maskList(active)
-			w.RunPhaseActive(active, list, nil, send)
-			check("after a subset", len(list))
-		})
+		}
 	}
+	check := func(boundary string, senders int) {
+		t.Helper()
+		landed := 0
+		for r := 0; r < p; r++ {
+			in := w.Inbox(r)
+			landed += len(in)
+			for i := 1; i < len(in); i++ {
+				a, b := in[i-1], in[i]
+				if b.From < a.From || b.From == a.From && b.Payload.(int) < a.Payload.(int) {
+					t.Fatalf("%s: rank %d window out of order at %d: from %d seq %v after from %d seq %v",
+						boundary, r, i, b.From, b.Payload, a.From, a.Payload)
+				}
+			}
+		}
+		if landed != senders*8 {
+			t.Fatalf("%s: %d landings, want %d", boundary, landed, senders*8)
+		}
+	}
+	w.RunPhase(send)
+	check("after every rank", p)
+	active := make([]bool, p)
+	for r := range active {
+		active[r] = r%3 != 1
+	}
+	list := maskList(active)
+	w.RunPhaseActive(active, list, nil, send)
+	check("after a subset", len(list))
 }
 
-// TestWorldStartsNoGoroutine: phases borrow the shared pool's workers, so
-// a world's whole life — creation, parallel phases, Close — leaves the
-// goroutine count where it was once that pool is warm.
+// TestWorldStartsNoGoroutine: phases run on the calling goroutine, so a
+// world's whole life — creation, phases, Close — leaves the goroutine
+// count where it was.
 func TestWorldStartsNoGoroutine(t *testing.T) {
-	setWidth(t, 4)
-	// Workers of the pools earlier tests resized away may still be exiting.
-	before := -1
-	for n := runtime.NumGoroutine(); n != before; n = runtime.NumGoroutine() {
-		before = n
-		time.Sleep(10 * time.Millisecond)
-	}
+	before := runtime.NumGoroutine()
 	w := NewWorld(64, DefaultCostModel())
-	w.Parallel = true
 	for i := 0; i < 10; i++ {
 		w.RunPhase(func(rank int) { w.Put(rank, (rank+1)%64, TagSolve, 8, nil) })
 		if got := runtime.NumGoroutine(); got != before {
@@ -221,43 +176,4 @@ func TestPutPanicsOutOfRange(t *testing.T) {
 			c.f(NewWorld(2, CostModel{}))
 		}()
 	}
-}
-
-// Property: phases run inline and on the pool at every width deliver
-// identical message streams and identical stats for a randomized
-// communication pattern.
-func TestQuickEnginesEquivalent(t *testing.T) {
-	run := func(seed int64, parallel bool) ([][]int, Stats) {
-		w := NewWorld(8, DefaultCostModel())
-		w.Parallel = parallel
-		got := make([][]int, 8)
-		for phase := 0; phase < 5; phase++ {
-			w.RunPhase(func(rank int) {
-				for _, m := range w.Inbox(rank) {
-					got[rank] = append(got[rank], int(m.From)*1000+m.Payload.(int))
-				}
-				// Deterministic pseudo-random pattern per (seed, phase, rank).
-				h := seed + int64(phase*131) + int64(rank*17)
-				for k := 0; k < int(h%4+3)%4; k++ {
-					to := int((h + int64(k)*29) % 8)
-					if to < 0 {
-						to += 8
-					}
-					w.Put(rank, to, Tag(k%2), k*8, phase*10+k)
-					w.Charge(rank, float64(rank+k))
-				}
-			})
-		}
-		return got, w.Stats()
-	}
-	atWidths(t, true, func(t *testing.T) {
-		f := func(seed int64) bool {
-			seqGot, seqStats := run(seed, false)
-			parGot, parStats := run(seed, true)
-			return seqStats == parStats && reflect.DeepEqual(seqGot, parGot)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-			t.Error(err)
-		}
-	})
 }
