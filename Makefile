@@ -45,9 +45,9 @@ lint: vet
 # The runtime, method, pool and parallel-kernel tests under the race
 # detector. Rank phases run on the calling goroutine, so the rma and dmem
 # lines cover concurrent solves on one Setup (TestSetupConcurrentRuns: one
-# takes the parked run state, the others build their own) and the pooled
-# set-up (NewLayout, the local factorizations at pool widths 1, 2, 4 and
-# 7); the kernels' line proves them race-free and bit-identical at every
+# takes the parked run state, the others build their own), worlds running
+# at once (rma's wK rows) and the pooled set-up (NewLayout, the local
+# factorizations at pool widths 1, 2, 4 and 7); the kernels' line proves them race-free and bit-identical at every
 # pool width (DESIGN.md §6, §9). The partitioner is there for its per-call
 # workspace: concurrent Partition calls (bench set-ups under -par) must
 # share nothing. The runtime and the methods run at two and at four

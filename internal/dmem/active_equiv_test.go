@@ -16,9 +16,11 @@ import (
 
 // TestActiveDenseEquivalence is the step driver's core invariant: skipping
 // provably quiescent ranks must be invisible in results. Every input ×
-// method × fault setting runs once pinned (Config.Dense) and once with the
-// zero value (seq); both runs must be bit-identical — histories,
-// cumulative stats, watchdog verdicts, and solutions. Only the
+// method × fault setting runs once pinned (Config.Dense), and with the zero
+// value both on the same set-up (seq) and on set-ups built with the worker
+// pool at every width (pool: NewLayout and NewSetup run on the pool, rank
+// phases never do); all runs must be bit-identical to the first —
+// histories, cumulative stats, watchdog verdicts, and solutions. Only the
 // methods that promise quiescence may report an occupancy histogram: BJ and
 // Piggyback2016 never do. The inputs are a random initial guess, which keeps
 // nearly every rank busy, and the quick scaling study's point load, where
@@ -52,36 +54,52 @@ func TestActiveDenseEquivalence(t *testing.T) {
 	ms := methodsWithPB()
 	for _, in := range inputs {
 		for mname, run := range ms {
-			for _, chaos := range []bool{false, true} {
-				name := in.prefix + mname + "/seq"
-				if chaos {
-					name += "/chaos"
+			for _, par := range []bool{false, true} {
+				for _, chaos := range []bool{false, true} {
+					name := in.prefix + mname
+					if par {
+						name += "/pool"
+					} else {
+						name += "/seq"
+					}
+					if chaos {
+						name += "/chaos"
+					}
+					t.Run(name, func(t *testing.T) {
+						solve := func(cfg Config) *Result {
+							cfg.Steps = in.steps
+							if chaos {
+								cfg.Faults = fullChaosPlan(11) // fresh RNG state
+							}
+							s, b, x := in.build(t)
+							return run(s, b, x, cfg)
+						}
+						dense := solve(Config{Dense: true})
+						if dense.ActiveHist != nil {
+							t.Errorf("dense run reported an active histogram")
+						}
+						check := func(label string, active *Result) {
+							compareRuns(t, label, dense, active)
+							quiescent := mname == "DistributedSouthwell" || mname == "ParallelSouthwell"
+							if got := active.ActiveHist != nil; got != quiescent {
+								t.Errorf("%s: active histogram reported = %v, want %v", label, got, quiescent)
+							}
+						}
+						if !par {
+							active := solve(Config{})
+							check(name, active)
+							if in.mostlyAsleep && mname == "DistributedSouthwell" && !chaos {
+								if f := skippedFrac(active); f <= 0.5 {
+									t.Errorf("%.1f%% of rank-steps skipped, want more than half: not the point-load regime", 100*f)
+								}
+							}
+							return
+						}
+						eachWidth(func(k int) {
+							check(fmt.Sprintf("%s/w%d", name, k), solve(Config{}))
+						})
+					})
 				}
-				t.Run(name, func(t *testing.T) {
-					solve := func(cfg Config) *Result {
-						cfg.Steps = in.steps
-						if chaos {
-							cfg.Faults = fullChaosPlan(11) // fresh RNG state
-						}
-						s, b, x := in.build(t)
-						return run(s, b, x, cfg)
-					}
-					dense := solve(Config{Dense: true})
-					if dense.ActiveHist != nil {
-						t.Errorf("dense run reported an active histogram")
-					}
-					active := solve(Config{})
-					compareRuns(t, name, dense, active)
-					quiescent := mname == "DistributedSouthwell" || mname == "ParallelSouthwell"
-					if got := active.ActiveHist != nil; got != quiescent {
-						t.Errorf("%s: active histogram reported = %v, want %v", name, got, quiescent)
-					}
-					if in.mostlyAsleep && mname == "DistributedSouthwell" && !chaos {
-						if f := skippedFrac(active); f <= 0.5 {
-							t.Errorf("%.1f%% of rank-steps skipped, want more than half: not the point-load regime", 100*f)
-						}
-					}
-				})
 			}
 		}
 	}

@@ -1,12 +1,14 @@
 package dmem
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"southwell/internal/parallel"
 	"southwell/internal/partition"
 	"southwell/internal/problem"
 	"southwell/internal/sparse"
@@ -545,6 +547,34 @@ func TestNaNStartIsADeadlock(t *testing.T) {
 			t.Errorf("%s: stopped after %d steps at ‖r‖ = %g with Deadlocked = %v, DeadlockStep = %d",
 				name, len(res.History)-1, res.Final().ResNorm, res.Deadlocked, res.DeadlockStep)
 		}
+	}
+}
+
+// TestParallelEngineIdenticalHistory: a set-up built with the worker pool
+// at every width (NewLayout and NewSetup's factorization run on it) gives
+// the histories, stats and solution of one built at the default width, for
+// every method on an unstructured mesh.
+func TestParallelEngineIdenticalHistory(t *testing.T) {
+	a := problem.FEM2D(24, 0.3, 9)
+	for name, run := range methods() {
+		s, b, x := buildCase(t, a.Clone(), 12, 9)
+		seq := run(s, b, x, Config{Steps: 25})
+		eachWidth(func(k int) {
+			s2, b2, x2 := buildCase(t, a.Clone(), 12, 9)
+			compareRuns(t, fmt.Sprintf("%s/w%d", name, k), seq, run(s2, b2, x2, Config{Steps: 25}))
+		})
+	}
+}
+
+// eachWidth calls f with the shared pool — what NewLayout and NewSetup run
+// on; rank phases never do — resized to 2, 4 and 7 executor slots in turn,
+// then restores it, so the set-up width rows bite at any host GOMAXPROCS.
+func eachWidth(f func(k int)) {
+	prev := parallel.Default().Workers()
+	defer parallel.SetDefaultWorkers(prev)
+	for _, k := range []int{2, 4, 7} {
+		parallel.SetDefaultWorkers(k)
+		f(k)
 	}
 }
 

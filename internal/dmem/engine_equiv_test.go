@@ -1,18 +1,19 @@
 package dmem
 
 import (
+	"fmt"
 	"testing"
 
 	"southwell/internal/problem"
 )
 
-// TestEngineEquivalenceOnSuite is the DESIGN.md §6 ablation promoted to a
-// permanent invariant: the persistent worker-pool engine must produce
-// bit-identical StepStats histories (residual norms, message counts split
-// by tag, simulated time) to the sequential engine, for every method, on
-// real suite matrices. Run under -race via `make race` — the equivalence
-// plus the race detector together prove the pool introduces neither
-// nondeterminism nor data races.
+// TestEngineEquivalenceOnSuite: on real suite matrices, a set-up built with
+// the worker pool at every width (NewLayout and NewSetup run on it) must
+// give bit-identical StepStats histories (residual norms, message counts
+// split by tag, simulated time), stats and solutions to one built at the
+// default width, for every method. Run under -race via `make race` — the
+// equivalence plus the race detector together prove the pooled set-up
+// introduces neither nondeterminism nor data races.
 func TestEngineEquivalenceOnSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite runs are slow in -short mode")
@@ -28,9 +29,10 @@ func TestEngineEquivalenceOnSuite(t *testing.T) {
 			t.Run(name+"/"+mname, func(t *testing.T) {
 				s, b, x := buildCase(t, e.Gen(), ranks, 1)
 				seq := run(s, b, x, Config{Steps: steps})
-				s2, b2, x2 := buildCase(t, e.Gen(), ranks, 1)
-				par := run(s2, b2, x2, Config{Steps: steps, Parallel: true})
-				compareRuns(t, "pool", seq, par)
+				eachWidth(func(k int) {
+					s2, b2, x2 := buildCase(t, e.Gen(), ranks, 1)
+					compareRuns(t, fmt.Sprintf("pool w%d", k), seq, run(s2, b2, x2, Config{Steps: steps}))
+				})
 			})
 		}
 	}

@@ -178,7 +178,8 @@ func assertResidualsExact(t *testing.T, name string, l *Layout, b []float64, sta
 // delays of up to three steps, long enough to outlast a sender's next
 // relaxation; pb16 stalls within about eight steps, so it gets the rate that
 // still delays a few of its messages. Eight seeds per case; the boundaries
-// are counted over them.
+// are counted over them. The parallel=true rows build each set-up with the
+// worker pool at widths 2, 4 and 7 (NewLayout and NewSetup run on it).
 func TestResidualsConservedUnderFaults(t *testing.T) {
 	a := problem.FEM2D(16, 0.3, 13)
 	type delays struct {
@@ -198,29 +199,38 @@ func TestResidualsConservedUnderFaults(t *testing.T) {
 	}
 	for name, run := range methodsWithPB() {
 		for _, pl := range plans {
-			t.Run(name+"/"+pl.name, func(t *testing.T) {
-				defer func() { debugHook = nil }()
-				checked, afterDelay := 0, 0
-				for seed := int64(1); seed <= 8; seed++ {
-					s, b, x := buildCase(t, a.Clone(), 8, 13)
-					var delayed int64
-					debugHook = func(w *rma.World, states []*rankState) {
-						if w.InFlight() != 0 || len(w.LiveInboxes()) != 0 {
-							return
-						}
-						assertResidualsExact(t, fmt.Sprintf("seed %d, after phase %d", seed, w.PhaseIndex()), s.Layout, b, states)
-						checked++
-						if d := w.Stats().DelayedMsgs; d > delayed {
-							afterDelay++
-							delayed = d
+			for _, par := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/parallel=%v", name, pl.name, par), func(t *testing.T) {
+					defer func() { debugHook = nil }()
+					checked, afterDelay := 0, 0
+					seeds := func() {
+						for seed := int64(1); seed <= 8; seed++ {
+							s, b, x := buildCase(t, a.Clone(), 8, 13)
+							var delayed int64
+							debugHook = func(w *rma.World, states []*rankState) {
+								if w.InFlight() != 0 || len(w.LiveInboxes()) != 0 {
+									return
+								}
+								assertResidualsExact(t, fmt.Sprintf("seed %d, after phase %d", seed, w.PhaseIndex()), s.Layout, b, states)
+								checked++
+								if d := w.Stats().DelayedMsgs; d > delayed {
+									afterDelay++
+									delayed = d
+								}
+							}
+							run(s, b, x, Config{Steps: 30, Faults: pl.plan(seed, perMethod[name])})
 						}
 					}
-					run(s, b, x, Config{Steps: 30, Faults: pl.plan(seed, perMethod[name])})
-				}
-				if afterDelay < 3 {
-					t.Errorf("%d of %d drained boundaries followed a delayed delivery, want ≥ 3", afterDelay, checked)
-				}
-			})
+					if par {
+						eachWidth(func(int) { seeds() })
+					} else {
+						seeds()
+					}
+					if afterDelay < 3 {
+						t.Errorf("%d of %d drained boundaries followed a delayed delivery, want ≥ 3", afterDelay, checked)
+					}
+				})
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dmem
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -10,6 +11,36 @@ import (
 	"southwell/internal/problem"
 	"southwell/internal/spdirect"
 )
+
+// TestEngineEquivalenceWithSparseLocal extends the set-up width invariant
+// to the exact local solver: with LocalDirect (sparse LDLᵀ on every rank),
+// a set-up factorized on the worker pool at every width must give
+// bit-identical histories, statistics, and solutions to one built at the
+// default width on a real suite matrix, at 64 ranks and again at 256
+// (blocks of a few dozen rows). Run under -race via `make race`, this also
+// proves the concurrent setup factorization is race-free.
+func TestEngineEquivalenceWithSparseLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite runs are slow in -short mode")
+	}
+	e, ok := problem.SuiteByName("Hook_1498")
+	if !ok {
+		t.Fatal("unknown suite matrix Hook_1498")
+	}
+	const steps = 12
+	for _, ranks := range []int{64, 256} {
+		for mname, run := range methods() {
+			t.Run(mname, func(t *testing.T) {
+				s, b, x := buildCaseLocal(t, e.Gen(), ranks, 1, LocalDirect)
+				seq := run(s, b, x, Config{Steps: steps})
+				eachWidth(func(k int) {
+					s2, b2, x2 := buildCaseLocal(t, e.Gen(), ranks, 1, LocalDirect)
+					compareRuns(t, fmt.Sprintf("pool w%d", k), seq, run(s2, b2, x2, Config{Steps: steps}))
+				})
+			})
+		}
+	}
+}
 
 // factorAllRanks runs the concurrent setup factorization of a fresh layout
 // of matrix e.

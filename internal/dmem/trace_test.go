@@ -49,6 +49,35 @@ func TestTracingPreservesResults(t *testing.T) {
 	}
 }
 
+// TestTraceEngineByteIdentical: a set-up built with the worker pool at
+// every width must yield the recorded stream of one built at the default
+// width — the exported trace and metrics files are compared as raw bytes.
+func TestTraceEngineByteIdentical(t *testing.T) {
+	export := func(rec *obs.Recorder) (trace, metrics []byte) {
+		var tb, mb bytes.Buffer
+		if err := rec.WriteTrace(&tb); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.WriteMetrics(&mb); err != nil {
+			t.Fatal(err)
+		}
+		return tb.Bytes(), mb.Bytes()
+	}
+	_, seqRec := traceCase(t, 8)
+	seqTrace, seqMet := export(seqRec)
+	eachWidth(func(k int) {
+		_, poolRec := traceCase(t, 8)
+		poolTrace, poolMet := export(poolRec)
+		if !bytes.Equal(seqTrace, poolTrace) {
+			t.Errorf("width %d: trace export differs", k)
+		}
+		if !bytes.Equal(seqMet, poolMet) {
+			t.Errorf("width %d: metrics export differs:\n--- default width ---\n%s\n--- width %d ---\n%s",
+				k, seqMet, k, poolMet)
+		}
+	})
+}
+
 // TestTraceGolden pins the exact Chrome trace-event bytes of a small
 // Distributed Southwell run. Everything upstream is deterministic — the
 // partition, the simulated α-β-γ clock, the shortest-round-trip float

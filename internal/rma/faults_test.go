@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -194,12 +195,12 @@ func chaosPlan(seed int64) *FaultPlan {
 	return DelayPlan(seed, 0.5, 4)
 }
 
-// chaosRun drives a fixed communication pattern under a chaos plan and
+// chaosRun drives a fixed communication pattern of the seed under plan and
 // returns per-rank observed message streams and the final stats.
-func chaosRun(seed int64) ([][]int, Stats) {
+func chaosRun(seed int64, plan *FaultPlan) ([][]int, Stats) {
 	const P = 8
 	w := NewWorld(P, DefaultCostModel())
-	w.InstallFaults(chaosPlan(seed), nil)
+	w.InstallFaults(plan, nil)
 	got := make([][]int, P)
 	for phase := 0; phase < 12; phase++ {
 		w.RunPhase(func(rank int) {
@@ -220,21 +221,48 @@ func chaosRun(seed int64) ([][]int, Stats) {
 	return got, w.Stats()
 }
 
-// TestChaosDeterministic: identical FaultPlan seed ⇒ identical observed
-// message streams and stats across repeated runs.
-func TestChaosDeterministic(t *testing.T) {
+// TestChaosDeterministicAcrossEngines: identical FaultPlan seed ⇒ identical
+// observed message streams and stats across repeated runs, and one plan
+// installed in worlds running at once gives each of them the schedule it
+// gives a world alone (InstallFaults copies the plan; its PRNG is per
+// world).
+func TestChaosDeterministicAcrossEngines(t *testing.T) {
+	type result struct {
+		got   [][]int
+		stats Stats
+	}
 	f := func(seed int64) bool {
-		got1, stats1 := chaosRun(seed)
-		got2, stats2 := chaosRun(seed)
+		got1, stats1 := chaosRun(seed, chaosPlan(seed))
+		got2, stats2 := chaosRun(seed, chaosPlan(seed))
 		return stats1 == stats2 && reflect.DeepEqual(got1, got2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+	for _, k := range widths {
+		t.Run(fmt.Sprintf("w%d", k), func(t *testing.T) {
+			f := func(seed int64) bool {
+				alone, aloneStats := chaosRun(seed, chaosPlan(seed))
+				shared := chaosPlan(seed)
+				for _, r := range atOnce(k, func() result {
+					got, stats := chaosRun(seed, shared)
+					return result{got, stats}
+				}) {
+					if r.stats != aloneStats || !reflect.DeepEqual(r.got, alone) {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
 }
 
 func TestChaosActuallyInjects(t *testing.T) {
-	_, st := chaosRun(99)
+	_, st := chaosRun(99, chaosPlan(99))
 	if st.DelayedMsgs == 0 {
 		t.Errorf("plan injected nothing: %+v", st)
 	}

@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -344,7 +345,8 @@ func oracleScript(seed int64, ph, p int, rank int, read func(int) []Message, put
 // delay plan and the heavy chaos plan (whose cost is the reference's pass
 // over all ranks against the analytic fold), with phases over every rank and
 // over active subsets, traced (every event equal) and untraced, and across a
-// Reset taken right after a phase that sent.
+// Reset taken right after a phase that sent. The pool=true rows run the
+// same comparison in 2, 4 and 7 world pairs at once (atWidths).
 func TestDeliveryMatchesReference(t *testing.T) {
 	const p, phases = 37, 24
 	plans := []struct {
@@ -363,7 +365,7 @@ func TestDeliveryMatchesReference(t *testing.T) {
 	for k, pc := range plans {
 		seed := int64(17 + k)
 		for _, traced := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/traced=%v", pc.name, traced), func(t *testing.T) {
+			check := func() error {
 				w, o := NewWorld(p, DefaultCostModel()), newOldWorld(p, DefaultCostModel())
 				var rw, ro *obs.Recorder
 				start := func() {
@@ -381,7 +383,7 @@ func TestDeliveryMatchesReference(t *testing.T) {
 						// Reset right after a phase that sent: every window
 						// and count must start from nothing.
 						if len(w.LiveInboxes()) == 0 {
-							t.Fatal("no window is written before the Reset: the case tests nothing")
+							return errors.New("no window is written before the Reset: the case tests nothing")
 						}
 						w.Reset(DefaultCostModel())
 						o.oldReset(DefaultCostModel())
@@ -396,39 +398,47 @@ func TestDeliveryMatchesReference(t *testing.T) {
 						w.RunPhase(fw)
 						o.oldRunPhaseActive(nil, nil, nil, fo)
 					}
-					sameBoundary(t, ph, w, o)
+					if err := sameBoundary(ph, w, o); err != nil {
+						return err
+					}
 				}
 				if ew, eo := rw.Events(), ro.Events(); !reflect.DeepEqual(ew, eo) {
-					t.Errorf("trace events differ: %d against the reference's %d", len(ew), len(eo))
+					return fmt.Errorf("trace events differ: %d against the reference's %d", len(ew), len(eo))
 				}
-			})
+				return nil
+			}
+			for _, concurrent := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/traced=%v/pool=%v", pc.name, traced, concurrent), func(t *testing.T) {
+					atWidths(t, concurrent, check)
+				})
+			}
 		}
 	}
 }
 
-// sameBoundary fails the test where w's state after a boundary differs from
-// the reference's.
-func sameBoundary(t *testing.T, ph int, w *World, o *oldWorld) {
-	t.Helper()
+// sameBoundary returns how w's state after a boundary differs from the
+// reference's, or nil.
+func sameBoundary(ph int, w *World, o *oldWorld) error {
 	for r := 0; r < w.P; r++ {
 		got, want := w.Inbox(r), o.oldInbox(r)
 		if len(got) != len(want) {
-			t.Fatalf("phase %d rank %d: %d messages, reference %d", ph, r, len(got), len(want))
+			return fmt.Errorf("phase %d rank %d: %d messages, reference %d", ph, r, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("phase %d rank %d message %d: %+v, reference %+v", ph, r, i, got[i], want[i])
+				return fmt.Errorf("phase %d rank %d message %d: %+v, reference %+v", ph, r, i, got[i], want[i])
 			}
 		}
 	}
 	if !reflect.DeepEqual(w.LiveInboxes(), o.liveInbox) {
-		t.Fatalf("phase %d: LiveInboxes %v, reference %v", ph, w.LiveInboxes(), o.liveInbox)
+		return fmt.Errorf("phase %d: LiveInboxes %v, reference %v", ph, w.LiveInboxes(), o.liveInbox)
 	}
 	gs, ws := w.Stats(), o.Stats()
 	if gs != ws || math.Float64bits(gs.SimTime) != math.Float64bits(ws.SimTime) {
-		t.Fatalf("phase %d: stats %+v, reference %+v", ph, gs, ws)
+		return fmt.Errorf("phase %d: stats %+v, reference %+v", ph, gs, ws)
 	}
 	if w.InFlight() != o.InFlight() {
-		t.Fatalf("phase %d: %d in flight, reference %d", ph, w.InFlight(), o.InFlight())
+		return fmt.Errorf("phase %d: %d in flight, reference %d", ph, w.InFlight(), o.InFlight())
 	}
+	return nil
 }

@@ -1,9 +1,14 @@
 package rma
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"testing/quick"
+	"time"
 	"unsafe"
 )
 
@@ -35,54 +40,115 @@ func TestPutDeliveredNextPhase(t *testing.T) {
 	})
 }
 
+// widths are the numbers of worlds the isolation rows (wK subtests) run at
+// once.
+var widths = []int{2, 4, 7}
+
+// atOnce calls run from k goroutines released together and returns what
+// each call returned. A world shares nothing with another, so a run that
+// builds its own worlds must give each goroutine its single-goroutine
+// result; a buffer or a plan that two worlds wrote in common would show as
+// a difference, or as a data race under -race (`make race`).
+func atOnce[T any](k int, run func() T) []T {
+	out := make([]T, k)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			out[i] = run()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	return out
+}
+
+// atWidths runs the error-returning check once on the test's goroutine
+// when concurrent is false; otherwise, as subtest wK for every width K, on K
+// goroutines at once.
+func atWidths(t *testing.T, concurrent bool, check func() error) {
+	t.Helper()
+	if !concurrent {
+		if err := check(); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for _, k := range widths {
+		t.Run(fmt.Sprintf("w%d", k), func(t *testing.T) {
+			for i, err := range atOnce(k, check) {
+				if err != nil {
+					t.Errorf("world %d of %d: %v", i, k, err)
+				}
+			}
+		})
+	}
+}
+
 // TestDeliveryOrderDeterministic pins the invariant the boundary builds by
 // construction and nothing re-checks at run time: a window holds its
 // landings in ascending origin rank, one sender's in the order it put them —
-// after a phase every rank ran and after one over a subset.
+// after a phase every rank ran and after one over a subset, in one world
+// and in worlds running at once.
 func TestDeliveryOrderDeterministic(t *testing.T) {
 	const p = 64
-	w := NewWorld(p, CostModel{})
-	send := func(rank int) {
-		for seq := 0; seq < 2; seq++ {
-			for _, d := range []int{1, 9, 30, p - 5} {
-				w.Put(rank, (rank+d)%p, TagSolve, 0, seq)
-			}
-		}
-	}
-	check := func(boundary string, senders int) {
-		t.Helper()
-		landed := 0
-		for r := 0; r < p; r++ {
-			in := w.Inbox(r)
-			landed += len(in)
-			for i := 1; i < len(in); i++ {
-				a, b := in[i-1], in[i]
-				if b.From < a.From || b.From == a.From && b.Payload.(int) < a.Payload.(int) {
-					t.Fatalf("%s: rank %d window out of order at %d: from %d seq %v after from %d seq %v",
-						boundary, r, i, b.From, b.Payload, a.From, a.Payload)
+	check := func() error {
+		w := NewWorld(p, CostModel{})
+		send := func(rank int) {
+			for seq := 0; seq < 2; seq++ {
+				for _, d := range []int{1, 9, 30, p - 5} {
+					w.Put(rank, (rank+d)%p, TagSolve, 0, seq)
 				}
 			}
 		}
-		if landed != senders*8 {
-			t.Fatalf("%s: %d landings, want %d", boundary, landed, senders*8)
+		check := func(boundary string, senders int) error {
+			landed := 0
+			for r := 0; r < p; r++ {
+				in := w.Inbox(r)
+				landed += len(in)
+				for i := 1; i < len(in); i++ {
+					a, b := in[i-1], in[i]
+					if b.From < a.From || b.From == a.From && b.Payload.(int) < a.Payload.(int) {
+						return fmt.Errorf("%s: rank %d window out of order at %d: from %d seq %v after from %d seq %v",
+							boundary, r, i, b.From, b.Payload, a.From, a.Payload)
+					}
+				}
+			}
+			if landed != senders*8 {
+				return fmt.Errorf("%s: %d landings, want %d", boundary, landed, senders*8)
+			}
+			return nil
 		}
+		w.RunPhase(send)
+		if err := check("after every rank", p); err != nil {
+			return err
+		}
+		active := make([]bool, p)
+		for r := range active {
+			active[r] = r%3 != 1
+		}
+		list := maskList(active)
+		w.RunPhaseActive(active, list, nil, send)
+		return check("after a subset", len(list))
 	}
-	w.RunPhase(send)
-	check("after every rank", p)
-	active := make([]bool, p)
-	for r := range active {
-		active[r] = r%3 != 1
+	for _, concurrent := range []bool{false, true} {
+		atWidths(t, concurrent, check)
 	}
-	list := maskList(active)
-	w.RunPhaseActive(active, list, nil, send)
-	check("after a subset", len(list))
 }
 
 // TestWorldStartsNoGoroutine: phases run on the calling goroutine, so a
 // world's whole life — creation, phases, Close — leaves the goroutine
 // count where it was.
 func TestWorldStartsNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
+	// Goroutines of the tests that run worlds at once may still be exiting.
+	before := -1
+	for n := runtime.NumGoroutine(); n != before; n = runtime.NumGoroutine() {
+		before = n
+		time.Sleep(10 * time.Millisecond)
+	}
 	w := NewWorld(64, DefaultCostModel())
 	for i := 0; i < 10; i++ {
 		w.RunPhase(func(rank int) { w.Put(rank, (rank+1)%64, TagSolve, 8, nil) })
@@ -175,5 +241,53 @@ func TestPutPanicsOutOfRange(t *testing.T) {
 			}()
 			c.f(NewWorld(2, CostModel{}))
 		}()
+	}
+}
+
+// Property: worlds running the same randomized communication pattern at
+// once each deliver the message streams and stats of the pattern run in one
+// world alone.
+func TestQuickEnginesEquivalent(t *testing.T) {
+	type result struct {
+		got   [][]int
+		stats Stats
+	}
+	run := func(seed int64) result {
+		w := NewWorld(8, DefaultCostModel())
+		got := make([][]int, 8)
+		for phase := 0; phase < 5; phase++ {
+			w.RunPhase(func(rank int) {
+				for _, m := range w.Inbox(rank) {
+					got[rank] = append(got[rank], int(m.From)*1000+m.Payload.(int))
+				}
+				// Deterministic pseudo-random pattern per (seed, phase, rank).
+				h := seed + int64(phase*131) + int64(rank*17)
+				for k := 0; k < int(h%4+3)%4; k++ {
+					to := int((h + int64(k)*29) % 8)
+					if to < 0 {
+						to += 8
+					}
+					w.Put(rank, to, Tag(k%2), k*8, phase*10+k)
+					w.Charge(rank, float64(rank+k))
+				}
+			})
+		}
+		return result{got, w.Stats()}
+	}
+	for _, k := range widths {
+		t.Run(fmt.Sprintf("w%d", k), func(t *testing.T) {
+			f := func(seed int64) bool {
+				alone := run(seed)
+				for _, r := range atOnce(k, func() result { return run(seed) }) {
+					if r.stats != alone.stats || !reflect.DeepEqual(r.got, alone.got) {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
