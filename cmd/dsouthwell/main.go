@@ -23,7 +23,6 @@ import (
 	"southwell/internal/core"
 	"southwell/internal/dmem"
 	"southwell/internal/obs"
-	kernpool "southwell/internal/parallel"
 	"southwell/internal/problem"
 	"southwell/internal/rma"
 	"southwell/internal/sparse"
@@ -197,12 +196,10 @@ func main() {
 		PartSeed: *seed, Local: opts.local, Faults: opts.faults,
 	}
 	var rec *obs.Recorder
-	var poolBase kernpool.PoolStats
 	if *traceOut != "" || *metrics != "" {
 		rec = obs.NewRecorder(*ranks)
 		rec.SetLabel(fmt.Sprintf("%s %s p=%d", label, opts.method, *ranks))
 		opt.Trace = rec
-		poolBase = kernpool.Default().Stats()
 	}
 	res, err := core.SolveDistributed(a, b, x, opt)
 	if err != nil {
@@ -210,10 +207,6 @@ func main() {
 		os.Exit(1)
 	}
 	if rec != nil {
-		ps := kernpool.Default().Stats()
-		ps.Regions -= poolBase.Regions
-		ps.Blocks -= poolBase.Blocks
-		rec.SetPool(ps)
 		if err := writeObs(*traceOut, rec.WriteTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "dsouthwell: -trace: %v\n", err)
 			os.Exit(1)

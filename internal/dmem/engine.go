@@ -1,6 +1,7 @@
 package dmem
 
 import (
+	"math"
 	"slices"
 
 	"southwell/internal/obs"
@@ -104,10 +105,12 @@ func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, ste
 		e.endStep(step)
 		record(res, w, states, norm2(norms), step, relaxedRanks, cumRelax)
 		e.traceStep(step)
-		if wd.observe(w, step, relaxedRanks) {
-			// On a perfect network this fires at the first step without
-			// relaxations — nothing was sent, so no estimate can ever change;
-			// under faults it also waits out in-flight deliveries.
+		// The watchdog fires, on a perfect network, at the first step without
+		// relaxations — nothing was sent, so no estimate can ever change;
+		// under faults it also waits out in-flight deliveries. A NaN norm
+		// stops the run too: no later step can bring it back, and Block
+		// Jacobi, which relaxes unconditionally, would never go idle on it.
+		if wd.observe(w, step, relaxedRanks) || math.IsNaN(res.Final().ResNorm) {
 			res.deadlockAt(step)
 			break
 		}

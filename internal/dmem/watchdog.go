@@ -67,10 +67,10 @@ func (wd *watchdog) observe(w *rma.World, step, relaxedRanks int) bool {
 	return stop
 }
 
-// deadlockAt marks a watchdog stop at step — unless the run had in fact
-// converged to (numerical) zero and simply has nothing left to do. A NaN
-// norm is no convergence: no rank wins a comparison against it, so the run
-// stalls on it, and that stop is a deadlock too.
+// deadlockAt marks a watchdog or NaN stop at step — unless the run had in
+// fact converged to (numerical) zero and simply has nothing left to do. A
+// NaN norm is no convergence: no rank wins a comparison against it, so the
+// run stalls on it, and that stop is a deadlock too.
 func (res *Result) deadlockAt(step int) {
 	if !(res.Final().ResNorm <= 1e-14) {
 		res.Deadlocked = true

@@ -26,10 +26,9 @@ import (
 // unreadAllowed lists the exported names that have no non-test reader on
 // purpose, each with its reason: the test packages that read it, the
 // interface it is only called through, or the ROADMAP item that decides it.
-// A key covers itself and every member below it ("krylov" is the whole
-// package, "solvers.maxHeap" the type and its methods).
+// A key covers itself and every member below it ("solvers.maxHeap" is the
+// type and its methods).
 var unreadAllowed = map[string]string{
-	"krylov":                       "ROADMAP item 5 decides the package: earn a table or be deleted",
 	"core.DistOptions.Sched":       "only benchmarks/e2e writes it; ROADMAP item 1(b) removes it",
 	"core.DistOptions.Parallel":    "only benchmarks/e2e writes it; ROADMAP item 1(b) removes it with ds_mc",
 	"dmem.LocalSolver.String":      "called by fmt through fmt.Stringer",

@@ -61,7 +61,7 @@ func TestVCycleSolvesSystem(t *testing.T) {
 	for i := range x {
 		diff += (x[i] - xTrue[i]) * (x[i] - xTrue[i])
 	}
-	if math.Sqrt(diff) > 1e-6*sparse.Norm2(xTrue) {
+	if math.Sqrt(diff) > 1e-6*math.Sqrt(sparse.SumSquares(xTrue)) {
 		t.Errorf("V-cycle solution error %g", math.Sqrt(diff))
 	}
 }

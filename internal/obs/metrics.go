@@ -52,10 +52,6 @@ func (r *Recorder) WriteMetrics(w io.Writer) error {
 	if d := r.Dropped(); d > 0 {
 		fmt.Fprintf(bw, "events dropped to ring wrap: %d (tallies and tables remain exact)\n", d)
 	}
-	if r.pool.Regions > 0 {
-		fmt.Fprintf(bw, "kernel pool: %d regions, %d blocks, width %d\n",
-			r.pool.Regions, r.pool.Blocks, r.pool.Width)
-	}
 
 	// Per-step table. Message/byte columns are per-step deltas of the
 	// cumulative counters carried on KindStep.

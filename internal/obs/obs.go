@@ -33,11 +33,7 @@
 // per-rank tables and a stall histogram. See DESIGN.md §11.
 package obs
 
-import (
-	"math/bits"
-
-	"southwell/internal/parallel"
-)
+import "math/bits"
 
 // Kind classifies an Event. Per-kind field usage is documented on each
 // constant; unused fields are zero.
@@ -234,7 +230,6 @@ type Recorder struct {
 	tally   []RankTally
 	steps   []stepRecord
 	actives []activeRecord
-	pool    parallel.PoolStats
 	method  string // optional run label for the exporters
 }
 
@@ -276,18 +271,6 @@ func (r *Recorder) SetLabel(label string) {
 		return
 	}
 	r.method = label
-}
-
-// SetPool records a kernel-pool occupancy snapshot for the metrics
-// summary. Call it after the run with the delta of parallel.Pool.Stats.
-// Kernel regions and blocks are pure functions of the workload, so they are
-// deterministic for any pool width; rank phases run on the calling
-// goroutine and add none.
-func (r *Recorder) SetPool(ps parallel.PoolStats) {
-	if r == nil {
-		return
-	}
-	r.pool = ps
 }
 
 // shardFor maps an event rank to its shard index: out-of-range ranks

@@ -6,8 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"southwell/internal/parallel"
 )
 
 // put builds a minimal KindPut event; seq rides in I1 so tests can check
@@ -31,7 +29,6 @@ func TestNilSafety(t *testing.T) {
 	var r *Recorder
 	r.Emit(put(0, 1)) // must not panic
 	r.SetLabel("x")
-	r.SetPool(parallel.PoolStats{Regions: 1})
 	if r.Dropped() != 0 || r.Events() != nil {
 		t.Errorf("nil recorder leaks state: dropped=%d events=%v", r.Dropped(), r.Events())
 	}
@@ -178,7 +175,6 @@ func TestStallTally(t *testing.T) {
 func sampleRecorder() *Recorder {
 	r := NewRecorderCap(2, 32)
 	r.SetLabel("unit ds")
-	r.SetPool(parallel.PoolStats{Regions: 3, Blocks: 12, Width: 2})
 	r.Emit(Event{Kind: KindPut, Rank: 0, A: 1, Tag: 1, I1: 64, Ts: 0.5, Phase: 1})
 	r.Emit(Event{Kind: KindDeliver, Rank: 1, A: 0, Tag: 1, I1: 64, Ts: 0.5, Phase: 1})
 	r.Emit(Event{Kind: KindRankCost, Rank: 0, Ts: 1, Dur: 0.5, V1: 0.2, V2: 0.2, V3: 0.1, A: 1, B: 1, I1: 64, I2: 64, Phase: 1})
@@ -260,7 +256,6 @@ func TestWriteMetricsShape(t *testing.T) {
 		"# obs metrics — unit ds",
 		"ranks 2  steps 1  msgs 1",
 		"relax decisions 1/2 (active fraction 0.5000)",
-		"kernel pool: 3 regions, 12 blocks, width 2",
 		"# per-step",
 		"# per-rank",
 	} {

@@ -107,33 +107,6 @@ type Pool struct {
 	stop   chan struct{}
 	closed atomic.Bool
 	once   sync.Once
-
-	// Occupancy counters for the observability layer (PoolStats). Both are
-	// pure functions of the submitted regions — never of scheduling — so
-	// snapshots are deterministic. Updated with atomics: Run may be called
-	// concurrently.
-	regions atomic.Int64
-	blocks  atomic.Int64
-}
-
-// PoolStats is a snapshot of a pool's cumulative occupancy counters.
-type PoolStats struct {
-	Regions int64 // parallel regions executed (Run calls with work)
-	Blocks  int64 // blocks executed across all regions
-	Width   int   // executor slots, including the submitting goroutine
-}
-
-// Stats returns the pool's cumulative occupancy counters. Subtract two
-// snapshots to attribute a run's kernel activity.
-func (p *Pool) Stats() PoolStats {
-	if p == nil {
-		return PoolStats{Width: 1}
-	}
-	return PoolStats{
-		Regions: p.regions.Load(),
-		Blocks:  p.blocks.Load(),
-		Width:   p.width,
-	}
 }
 
 // NewPool creates a pool with the given number of executor slots; the
@@ -201,10 +174,6 @@ func (p *Pool) Run(t *Task, nblocks int) {
 	}
 	if t.F == nil {
 		panic("parallel: Run with nil Task.F")
-	}
-	if p != nil {
-		p.regions.Add(1)
-		p.blocks.Add(int64(nblocks))
 	}
 	if p == nil || p.width <= 1 || nblocks == 1 || p.closed.Load() {
 		for b := 0; b < nblocks; b++ {

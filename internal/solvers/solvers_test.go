@@ -24,7 +24,7 @@ func testSystem(t *testing.T, a *sparse.CSR, seed int64) (b, x []float64) {
 func exactNorm(a *sparse.CSR, b, x []float64) float64 {
 	r := make([]float64, a.N)
 	a.Residual(b, x, r)
-	return sparse.Norm2(r)
+	return math.Sqrt(sparse.SumSquares(r))
 }
 
 type runner func(a *sparse.CSR, b, x []float64, opt Options) *Trace

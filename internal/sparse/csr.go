@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"southwell/internal/parallel"
 )
 
 // MaxIndex is the largest dimension and the largest entry count a matrix
@@ -116,56 +114,35 @@ func (a *CSR) Diag() []float64 {
 	return d
 }
 
-// Transpose returns the transpose of the matrix, built by a per-shard
-// counting sort over NNZ-balanced source-row ranges: each shard counts its
-// entries per target row, a sequential pass lays out per-(target row,
-// shard) base offsets, and the shards scatter in parallel. Offsets are
-// ordered by shard and shards are contiguous source ranges, so entries of a
-// target row land in ascending source-row order — exactly the layout of the
-// sequential algorithm — for any worker count.
+// Transpose returns the transpose of the matrix, built by a counting sort:
+// entries of each target row land in ascending source-row order, so every
+// row of the result is sorted.
 func (a *CSR) Transpose() *CSR {
 	n := a.N
 	nnz := a.NNZ()
 	mustFit(n, nnz)
-	ns := parallel.Blocks(nnz, convShardGrain, maxConvShards)
 	t := &CSR{
 		N:      n,
 		RowPtr: make([]int32, n+1),
 		Col:    make([]int32, nnz),
 		Val:    make([]float64, nnz),
 	}
-	shards := parallel.SplitNNZ(a.RowPtr, ns, make([]parallel.Range, 0, ns))
-	cnt := make([]int32, ns*n)
-	runBlocks(ns, func(s int) {
-		c := cnt[s*n : (s+1)*n]
-		rg := shards[s]
-		for k := a.RowPtr[rg.Lo]; k < a.RowPtr[rg.Hi]; k++ {
-			c[a.Col[k]]++
-		}
-	})
-	pos := int32(0)
+	for _, j := range a.Col {
+		t.RowPtr[j+1]++
+	}
 	for j := 0; j < n; j++ {
-		t.RowPtr[j] = pos
-		for s := 0; s < ns; s++ {
-			v := cnt[s*n+j]
-			cnt[s*n+j] = pos
-			pos += v
+		t.RowPtr[j+1] += t.RowPtr[j]
+	}
+	next := slices.Clone(t.RowPtr[:n])
+	for i := 0; i < n; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			j := a.Col[k]
+			p := next[j]
+			next[j] = p + 1
+			t.Col[p] = int32(i)
+			t.Val[p] = a.Val[k]
 		}
 	}
-	t.RowPtr[n] = pos
-	runBlocks(ns, func(s int) {
-		off := cnt[s*n : (s+1)*n]
-		rg := shards[s]
-		for i := rg.Lo; i < rg.Hi; i++ {
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				j := a.Col[k]
-				p := off[j]
-				off[j] = p + 1
-				t.Col[p] = int32(i)
-				t.Val[p] = a.Val[k]
-			}
-		}
-	})
 	return t
 }
 

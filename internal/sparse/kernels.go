@@ -13,16 +13,16 @@ import (
 // determinism contract in package parallel. mulGrainNNZ sizes SpMV/residual
 // blocks by nonzeros (outputs are elementwise, so any split is bit-exact);
 // normGrainLen sizes reduction blocks by vector length, and is shared by
-// SumSquares, Norm2, and ResidualNorm2 so the fused kernel's partial-sum
-// grouping matches Norm2's exactly.
+// SumSquares and ResidualNorm2 so the fused kernel's partial-sum grouping
+// matches SumSquares' exactly.
 const (
 	mulGrainNNZ   = 32768
 	normGrainLen  = 16384
 	maxKernBlocks = 64
 
-	// Format conversions (COO.ToCSR, CSR.Transpose) shard by entry count.
-	// Each shard carries an n-sized counter array, so the shard cap is much
-	// lower than the kernel block cap.
+	// The format conversion (COO.ToCSR) shards by entry count. Each shard
+	// carries an n-sized counter array, so the shard cap is much lower than
+	// the kernel block cap.
 	convShardGrain = 65536
 	maxConvShards  = 8
 
@@ -153,7 +153,7 @@ func residRange(a *CSR, b, x, r []float64, lo, hi int) {
 
 // residSumSqRange is residRange fused with the block's partial Σ r_i²,
 // accumulated in ascending i — the same order sumSqRange uses, so the fused
-// kernel's partials equal Norm2's partials bit for bit.
+// kernel's partials equal SumSquares' partials bit for bit.
 func residSumSqRange(a *CSR, b, x, r []float64, lo, hi int) float64 {
 	s := 0.0
 	for i := lo; i < hi; i++ {
@@ -218,7 +218,7 @@ func (a *CSR) Residual(b, x, r []float64) {
 // matrix — the fused kernel every solver's convergence check wants, saving
 // a second sweep of r. The norm is reduced over length-balanced blocks
 // (fixed count, a function of N only) with per-block partials combined in
-// ascending block order, so the result equals Norm2(r) after Residual
+// ascending block order, so the result equals √SumSquares(r) after Residual
 // exactly, and is bit-identical for any worker count including 1.
 // Steady-state calls allocate nothing.
 func (a *CSR) ResidualNorm2(b, x, r []float64) float64 {

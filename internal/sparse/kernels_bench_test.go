@@ -59,7 +59,7 @@ func BenchmarkKernels(b *testing.B) {
 				{"MulVec", func() { a.MulVec(x, y) }},
 				{"Residual", func() { a.Residual(rhs, x, r) }},
 				{"ResidualNorm2", func() { _ = a.ResidualNorm2(rhs, x, r) }},
-				{"Norm2", func() { _ = sparse.Norm2(r) }},
+				{"SumSquares", func() { _ = sparse.SumSquares(r) }},
 			}
 			for _, k := range kernels {
 				b.Run(k.name, func(b *testing.B) {
@@ -75,20 +75,13 @@ func BenchmarkKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkSetup measures the concurrent setup paths: FEM assembly
-// (problem generation + COO→CSR conversion) and Transpose.
+// BenchmarkSetup measures the concurrent setup path: FEM assembly
+// (problem generation + COO→CSR conversion).
 func BenchmarkSetup(b *testing.B) {
-	a, _, _, _, _ := benchSystem()
 	b.Run("FEM2D-100k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = problem.FEM2D(318, 0.35, 1)
-		}
-	})
-	b.Run("Transpose-100k", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = a.Transpose()
 		}
 	})
 }
@@ -117,7 +110,6 @@ func TestKernelAllocGate(t *testing.T) {
 		{"MulVec", func() { a.MulVec(x, y) }},
 		{"Residual", func() { a.Residual(rhs, x, r) }},
 		{"ResidualNorm2", func() { _ = a.ResidualNorm2(rhs, x, r) }},
-		{"Norm2", func() { _ = sparse.Norm2(r) }},
 		{"SumSquares", func() { _ = sparse.SumSquares(r) }},
 	} {
 		k.f() // warm the scratch free list outside the measurement

@@ -1,6 +1,6 @@
 // Property tests for the parallel kernel layer: every kernel must be
 // bit-identical to its one-worker result for worker counts {1, 2, 4, 7},
-// and the fused ResidualNorm2 must equal Residual followed by Norm2
+// and the fused ResidualNorm2 must equal Residual followed by √SumSquares
 // exactly. External test package so FEM matrices from internal/problem can
 // be used without an import cycle.
 package sparse_test
@@ -148,11 +148,11 @@ func TestFusedResidualNormExact(t *testing.T) {
 			b := randVec(rng, a.N)
 			r1 := make([]float64, a.N)
 			a.Residual(b, x, r1)
-			want := sparse.Norm2(r1)
+			want := math.Sqrt(sparse.SumSquares(r1))
 			r2 := make([]float64, a.N)
 			got := a.ResidualNorm2(b, x, r2)
 			if got != want {
-				t.Errorf("%s width %d: ResidualNorm2 = %x, Residual+Norm2 = %x", name, w, got, want)
+				t.Errorf("%s width %d: ResidualNorm2 = %x, √SumSquares(Residual) = %x", name, w, got, want)
 			}
 			for i := range r1 {
 				if r1[i] != r2[i] {
@@ -235,7 +235,7 @@ func TestGatherKernelsMatchReference(t *testing.T) {
 			wantY, wantR := make([]float64, a.N), make([]float64, a.N)
 			mulRef(a, x, wantY)
 			residRef(a, b, x, wantR)
-			wantNorm := sparse.Norm2(wantR)
+			wantNorm := math.Sqrt(sparse.SumSquares(wantR))
 			withWorkers(t, func(t *testing.T, w int) {
 				y, r, rn := make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)
 				a.MulVec(x, y)
@@ -253,7 +253,7 @@ func TestGatherKernelsMatchReference(t *testing.T) {
 					}
 				}
 				if math.Float64bits(norm) != math.Float64bits(wantNorm) {
-					t.Fatalf("%s/%s width %d: ResidualNorm2 = %x, Norm2 of the reference residual %x", name, xname, w, norm, wantNorm)
+					t.Fatalf("%s/%s width %d: ResidualNorm2 = %x, √SumSquares of the reference residual %x", name, xname, w, norm, wantNorm)
 				}
 			})
 		}
@@ -361,8 +361,8 @@ func TestToCSRMatchesReferenceAcrossWorkers(t *testing.T) {
 	}
 }
 
-// refTranspose is the sequential counting-sort transpose the parallel
-// version must reproduce exactly.
+// refTranspose is the counting-sort transpose CSR.Transpose must reproduce
+// exactly.
 func refTranspose(a *sparse.CSR) *sparse.CSR {
 	n := a.N
 	t := &sparse.CSR{
@@ -392,14 +392,11 @@ func refTranspose(a *sparse.CSR) *sparse.CSR {
 
 func TestTransposeMatchesReferenceAcrossWorkers(t *testing.T) {
 	for name, a := range testMatrices(t) {
-		want := refTranspose(a)
-		withWorkers(t, func(t *testing.T, w int) {
-			got := a.Transpose()
-			if err := got.Validate(); err != nil {
-				t.Fatalf("%s width %d: invalid transpose: %v", name, w, err)
-			}
-			csrEqualExact(t, name, got, want)
-		})
+		got := a.Transpose()
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: invalid transpose: %v", name, err)
+		}
+		csrEqualExact(t, name, got, refTranspose(a))
 	}
 }
 
