@@ -188,7 +188,10 @@ bench-smoke:
 # reads DIFFERS against a parent whose scaling still printed host
 # wall-clock), the whole trace of the same run under a delay plan, which
 # pins the fault overlay's trace events, and a run stopped by -target
-# before its step budget, which pins the target test. The failure message
+# before its step budget, which pins the target test. Last is the
+# pointload2k workload's shape, Poisson 256x256 on 2048 ranks of 32 rows:
+# recursive bisection partitions it, and every relaxation reads a_ii from
+# its 5-point row of A. The failure message
 # counts the lines that ran. Not part of verify: it needs a second
 # checkout.
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
@@ -225,7 +228,8 @@ identity:
 		"dsouthwell $(IDENTITY_SOLVE) -trace /dev/stdout" \
 		"benchtables -quick scaling" \
 		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3 -trace /dev/stdout" \
-		"dsouthwell $(IDENTITY_SOLVE) -target 0.3"; \
+		"dsouthwell $(IDENTITY_SOLVE) -target 0.3" \
+		"dsouthwell -grid 256 -n 2048 -sweep_max 20"; \
 	do \
 		lines=$$((lines + 1)); \
 		$$out/old/$$line >$$out/old.txt 2>&1 || echo "exit $$?" >>$$out/old.txt; \

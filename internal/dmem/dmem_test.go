@@ -268,9 +268,13 @@ func TestLayoutRejectsAsymmetricCoupling(t *testing.T) {
 
 // TestLayoutRejectsUnusableDiagonal: every relaxation divides by its rows'
 // diagonal entries, so NewLayout refuses a row whose diagonal is missing,
-// zero, NaN or infinite, naming the lowest such row. The first case is a
-// 4×4 path with no diagonal on rows 1 and 2 at P = 2, which used to run to
-// ‖r‖ = +Inf and X = [0 0 +Inf +Inf] without an error.
+// zero, NaN or infinite, or stored as two entries, naming the lowest such
+// row. The first case is a 4×4 path with no diagonal on rows 1 and 2 at
+// P = 2, which used to run to ‖r‖ = +Inf and X = [0 0 +Inf +Inf] without an
+// error. The last is built by hand, since COO.ToCSR sums duplicates: row 2
+// holds its diagonal 2 as 1 and 1, and a layout that kept one of them as
+// a_ii used to let the sweep subtract both entries' products while the
+// maintained residual went out of step with b − Ax.
 func TestLayoutRejectsUnusableDiagonal(t *testing.T) {
 	path := func(diag [4]float64, keep [4]bool) *sparse.CSR {
 		coo := sparse.NewCOO(4, 10)
@@ -295,6 +299,10 @@ func TestLayoutRejectsUnusableDiagonal(t *testing.T) {
 		{"zero", path([4]float64{2, 2, 2, 0}, all), "dmem: row 3 has a missing, zero or non-finite diagonal entry (0)"},
 		{"nan", path([4]float64{2, math.NaN(), 2, 2}, all), "dmem: row 1 has a missing, zero or non-finite diagonal entry (NaN)"},
 		{"inf", path([4]float64{2, 2, math.Inf(-1), math.Inf(1)}, all), "dmem: row 2 has a missing, zero or non-finite diagonal entry (-Inf)"},
+		{"twice", &sparse.CSR{N: 4,
+			RowPtr: []int32{0, 2, 5, 9, 11},
+			Col:    []int32{0, 1, 0, 1, 2, 1, 2, 2, 3, 2, 3},
+			Val:    []float64{2, -1, -1, 2, -1, -1, 1, 1, -1, -1, 2}}, "dmem: row 2 has 2 diagonal entries"},
 	} {
 		if _, err := NewLayout(tc.a, []int{0, 0, 1, 1}, 2); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: NewLayout error %v, want %q", tc.name, err, tc.want)

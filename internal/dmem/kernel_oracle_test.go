@@ -51,14 +51,11 @@ func (rs *rankState) relaxDirectRef() float64 {
 
 // direct64 is the benchmark's direct64 workload as a Setup: Flan_1565
 // scaled, partition seed 1, 64 ranks, sparse LDLᵀ on every rank. Shared by
-// the oracle and BenchmarkLocalSolveCycled; both only read it. layout is the
-// layout NewLayout returned, which the direct Setup's own copy is without
-// the local couplings.
+// the oracle and BenchmarkLocalSolveCycled; both only read it.
 var direct64 struct {
-	once   sync.Once
-	layout *Layout
-	setup  *Setup
-	b, x   []float64
+	once  sync.Once
+	setup *Setup
+	b, x  []float64
 }
 
 func direct64Setup(tb testing.TB) (*Setup, []float64, []float64) {
@@ -69,7 +66,7 @@ func direct64Setup(tb testing.TB) (*Setup, []float64, []float64) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		direct64.layout, direct64.setup, direct64.b, direct64.x = gs.Layout, s, b, x
+		direct64.setup, direct64.b, direct64.x = s, b, x
 	})
 	if direct64.setup == nil {
 		tb.Fatal("direct64 set-up failed in an earlier test")
@@ -128,14 +125,9 @@ func firstBitDiff(a, b []float64) int {
 // want — two run states of one Setup, reset alike — for every residual
 // variant, twice in a row (the second call starts from what the first left),
 // and requires r, x, extDelta and the charged flops to agree bit for bit.
-// The reference reads its operands from view, the layout s was built from
-// (a direct Setup's own keeps no local couplings).
-func checkRelaxOracle(t *testing.T, s *Setup, view *Layout, b, x0 []float64, kernel, ref func(*rankState) float64) {
+func checkRelaxOracle(t *testing.T, s *Setup, b, x0 []float64, kernel, ref func(*rankState) float64) {
 	t.Helper()
 	got, want := newRunState(s), newRunState(s)
-	for _, w := range want.states {
-		w.l = view
-	}
 	for v, vname := range residualVariants {
 		got.reset(b, x0, Config{}, stepSpec{})
 		want.reset(b, x0, Config{}, stepSpec{})
@@ -181,22 +173,21 @@ func TestRelaxKernelsMatchReference(t *testing.T) {
 	direct, directRef := (*rankState).relaxDirect, (*rankState).relaxDirectRef
 
 	s64, b, x := direct64Setup(t)
-	l64 := direct64.layout
-	t.Run("direct64/direct", func(t *testing.T) { checkRelaxOracle(t, s64, l64, b, x, direct, directRef) })
-	gs64, err := NewSetup(l64, LocalGS)
+	t.Run("direct64/direct", func(t *testing.T) { checkRelaxOracle(t, s64, b, x, direct, directRef) })
+	gs64, err := NewSetup(s64.Layout, LocalGS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Run("direct64/sweep", func(t *testing.T) { checkRelaxOracle(t, gs64, l64, b, x, sweep, sweepRef) })
+	t.Run("direct64/sweep", func(t *testing.T) { checkRelaxOracle(t, gs64, b, x, sweep, sweepRef) })
 
 	s, b, x := buildCase(t, suiteMatrix(t, "Flan_1565"), 256, 1)
-	t.Run("suite256/sweep", func(t *testing.T) { checkRelaxOracle(t, s, s.Layout, b, x, sweep, sweepRef) })
+	t.Run("suite256/sweep", func(t *testing.T) { checkRelaxOracle(t, s, b, x, sweep, sweepRef) })
 
 	s, b, x = buildCase(t, problem.Poisson2D(5, 5), 12, 1)
-	t.Run("tiny/sweep", func(t *testing.T) { checkRelaxOracle(t, s, s.Layout, b, x, sweep, sweepRef) })
+	t.Run("tiny/sweep", func(t *testing.T) { checkRelaxOracle(t, s, b, x, sweep, sweepRef) })
 	exact, err := NewSetup(s.Layout, LocalDirect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Run("tiny/direct", func(t *testing.T) { checkRelaxOracle(t, exact, s.Layout, b, x, direct, directRef) })
+	t.Run("tiny/direct", func(t *testing.T) { checkRelaxOracle(t, exact, b, x, direct, directRef) })
 }

@@ -29,13 +29,13 @@ import (
 // corresponds to the paper's setup phase (METIS partition + neighbor
 // discovery), which is not part of the measured solve.
 //
-// It reads the matrix itself, A, for every value and every column: beside
-// it the layout keeps the rows in rank order, their diagonal, and the
+// It reads the matrix itself, A, for every value and every column, a_ii
+// included: beside it the layout keeps the rows in rank order and the
 // exchange plans, each kind of array one flat allocation, and nothing per
-// entry of A. Four offset tables of P+1 entries give the range of each kind
-// that rank p holds:
+// entry of A and no float. Four offset tables of P+1 entries give the range
+// of each kind that rank p holds:
 //
-//	rows       [rowOff[p], rowOff[p+1])  glob, diag
+//	rows       [rowOff[p], rowOff[p+1])  glob
 //	neighbors  [nbrOff[p], nbrOff[p+1])  nbrs, nbrExtOff, nbrBndOff
 //	ext slots  [extOff[p], extOff[p+1])  (numbered only: z and extDelta in the run state)
 //	boundary   [bndOff[p], bndOff[p+1])  myRows
@@ -55,12 +55,11 @@ type Layout struct {
 	rowOff, nbrOff, extOff, bndOff []int32
 
 	// Rows: glob[i] is the global id of rank-ordered row i, which is local
-	// row i − rowOff[p] of its owner p, and diag[i] its diagonal entry,
-	// nonzero and finite (a relaxation divides by it). A relaxation walks
-	// A's own columns, in A's numbering (relaxSweep), so no entry of A needs
-	// an index of the layout's.
+	// row i − rowOff[p] of its owner p. A relaxation walks A's own columns,
+	// in A's numbering, and divides by the row's one entry in column g
+	// (relaxSweep), so no entry of A needs an index or a copy of the
+	// layout's.
 	glob []int32
-	diag []float64
 
 	// Neighbors. Position k of rank p, k in [nbrOff[p], nbrOff[p+1]), is
 	// its (k − nbrOff[p])-th neighbor in ascending rank order: nbrs[k] is
@@ -119,9 +118,10 @@ func fitsIndex(what string, n int) error {
 // NewLayout distributes a (structurally symmetric) matrix over P ranks
 // according to part. It validates the partition, the symmetry assumption
 // the relaxation kernels rely on, and every row's diagonal entry, which a
-// relaxation divides by: an error names the lowest row whose diagonal is
-// missing, zero or not finite. The layout keeps a and reads its values on
-// every relaxation, so a must not change after NewLayout.
+// relaxation reads from A and divides by: an error names the lowest row
+// whose diagonal is missing, zero, not finite or stored twice. The layout
+// keeps a and reads its values on every relaxation, so a must not change
+// after NewLayout.
 //
 // It makes two passes over the ranks, so every array is allocated once at
 // its exact size: the first counts what each rank holds, the second fills
@@ -129,8 +129,10 @@ func fitsIndex(what string, n int) error {
 // within these passes (each writes only its own ranges from the read-only
 // matrix and partition), so rank blocks fan out over the shared pool; block
 // boundaries never influence the output, so the layout is identical for any
-// worker count. A third pass, one walk over every (rank, neighbor) pair,
-// checks that the exchange plans pair up across ranks.
+// worker count. Pass 2 also checks each rank's diagonal entries, keeping
+// per rank block only the lowest row without a usable one. A third pass,
+// one walk over every (rank, neighbor) pair, checks that the exchange plans
+// pair up across ranks.
 func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	if err := fitsIndex("n", a.N); err != nil {
 		return nil, err
@@ -191,7 +193,6 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	// pass 3 checks the owners' boundary rows against; it dies with this
 	// call (a run state derives the same ids from the plans, extRows).
 	nNbr := l.nbrOff[p]
-	l.diag = make([]float64, a.N)
 	l.nbrs = make([]int32, nNbr)
 	l.nbrExtOff, l.nbrBndOff = make([]int32, nNbr+1), make([]int32, nNbr+1)
 	l.myRows = make([]int32, l.bndOff[p])
@@ -201,6 +202,7 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		nbrBuf := make([]int32, 2*sc.maxSlots) // a rank has at most as many neighbors as ext slots
 		sc.pos, sc.extNbr, sc.lastRow = make([]int32, a.N), nbrBuf[:sc.maxSlots], nbrBuf[sc.maxSlots:]
 		sc.keys = make([]int64, 0, max(sc.maxSlots, sc.maxBnd))
+		sc.badDiag = -1
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
 			l.fillRank(part, extGlob, pr, sc)
 		}
@@ -217,18 +219,34 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 			return nil, err
 		}
 	}
-	// Every diagonal entry divides a relaxation. bad is the rank-ordered
-	// index of the lowest row without a usable one.
-	bad := -1
-	for i, d := range l.diag {
-		if (!(math.Abs(d) > 0) || math.IsInf(d, 0)) && (bad < 0 || l.glob[i] < l.glob[bad]) {
-			bad = i
+	// Every diagonal entry divides a relaxation: name the lowest row without
+	// exactly one usable entry.
+	bad := int32(-1)
+	for b := range scratch {
+		if g := scratch[b].badDiag; g >= 0 && (bad < 0 || g < bad) {
+			bad = g
 		}
 	}
 	if bad >= 0 {
-		return nil, fmt.Errorf("dmem: row %d has a missing, zero or non-finite diagonal entry (%g)", l.glob[bad], l.diag[bad])
+		return nil, diagonalError(a, int(bad))
 	}
 	return l, nil
+}
+
+// diagonalError describes row g's unusable diagonal: two or more entries
+// in column g, or one that is missing, zero or not finite.
+func diagonalError(a *sparse.CSR, g int) error {
+	cols, vals := a.Row(g)
+	d, n := 0.0, 0
+	for k, c := range cols {
+		if int(c) == g {
+			d, n = vals[k], n+1
+		}
+	}
+	if n > 1 {
+		return fmt.Errorf("dmem: row %d has %d diagonal entries", g, n)
+	}
+	return fmt.Errorf("dmem: row %d has a missing, zero or non-finite diagonal entry (%g)", g, d)
 }
 
 // rankBlockCount bounds the rank fan-out so at most a handful of
@@ -248,7 +266,8 @@ func rankBlockCount(p int) int {
 // ext-slot index of the current rank; extNbr, each of its ext slots'
 // neighbor position; lastRow, per neighbor position the last row found
 // coupling into it; keys, the sort keys the ext slots come out of, then the
-// (neighbor position, row) pairs the boundary rows do.
+// (neighbor position, row) pairs the boundary rows do. badDiag is the
+// lowest global row of the block whose diagonal is unusable, −1 if none.
 type layoutScratch struct {
 	stamp                int32
 	seen                 []int32
@@ -256,6 +275,7 @@ type layoutScratch struct {
 	maxSlots, maxBnd     int
 	pos, extNbr, lastRow []int32
 	keys                 []int64
+	badDiag              int32
 }
 
 // countRank is pass 1 for rank pr: it writes its neighbor, ext-slot and
@@ -317,9 +337,11 @@ func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch
 		l.nbrExtOff[nk+1] = e0 + int32(e) + 1
 	}
 
-	// Diagonal entries of the rank's rows; bnd[j] (zero from make) counts the
-	// distinct rows coupling into neighbor position j, lastRow[j] being the
-	// last one, and pairs lists each (j, row) as it is met, rows ascending.
+	// Each row's diagonal entries: a row without exactly one, nonzero and
+	// finite, goes to badDiag if it is the block's lowest so far; bnd[j]
+	// (zero from make) counts the distinct rows coupling into neighbor
+	// position j, lastRow[j] being the last one, and pairs lists each
+	// (j, row) as it is met, rows ascending.
 	pairs := keys[:0]
 	bnd, lastRow := l.nbrBndOff[n0+1:n1+1], sc.lastRow[:n1-n0]
 	for j := range lastRow {
@@ -328,10 +350,11 @@ func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch
 	for i := r0; i < r1; i++ {
 		g := l.glob[i]
 		cols, vals := l.A.Row(int(g))
+		nd, d := 0, 0.0
 		for k, c := range cols {
 			if part[c] == pr {
 				if c == g {
-					l.diag[i] = vals[k]
+					nd, d = nd+1, vals[k]
 				}
 				continue
 			}
@@ -340,6 +363,10 @@ func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch
 				bnd[j]++
 				pairs = append(pairs, int64(j)<<32|int64(i-r0))
 			}
+		}
+		usable := nd == 1 && math.Abs(d) > 0 && !math.IsInf(d, 0)
+		if !usable && (sc.badDiag < 0 || g < sc.badDiag) {
+			sc.badDiag = g
 		}
 	}
 	// Boundary rows, grouped by neighbor, ascending: bnd[j] becomes the

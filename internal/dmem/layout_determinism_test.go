@@ -60,9 +60,6 @@ func TestLayoutDeterministic(t *testing.T) {
 		t.Fatalf("nbrExtOff ends at %d, not extOff's %d, or bndOff/nbrBndOff do not span myRows (%d)",
 			l.nbrExtOff[nNbr], l.extOff[l.P], len(l.myRows))
 	}
-	if len(l.diag) != a.N {
-		t.Fatalf("diag (%d) is not aligned to A's %d rows", len(l.diag), a.N)
-	}
 	for p := range l.P {
 		n0 := l.nbrOff[p]
 		if l.nbrOff[p] > l.nbrOff[p+1] || l.nbrExtOff[n0] != l.extOff[p] || l.nbrBndOff[n0] != l.bndOff[p] {

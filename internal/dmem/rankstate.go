@@ -192,9 +192,11 @@ func norm2(v []float64) float64 {
 // each of them is one location of r or extDelta, so every location sees
 // the update sequence it would see in place. The entry copy assigns, so a
 // -0 survives it and nothing the accumulator held before is read; the
-// clear on exit leaves it all zero between sweeps. The row's own entry takes
-// a_ii·d on the way and is then set to zero: the diagonal contribution
-// r_li − a_ii·d, exactly.
+// clear on exit leaves it all zero between sweeps. a_ii is read where A
+// stores it, the row's one entry in column g (NewLayout refuses a row with
+// none or two, or with one that is zero or not finite): a scan of the row
+// finds it before the walk. The row's own entry takes a_ii·d on the way and
+// is then set to zero: the diagonal contribution r_li − a_ii·d, exactly.
 //
 // Operands are locals cut once per row (DESIGN.md §10, "Kernel form"); the
 // visit order and the one a -= b*c expression per update may not change.
@@ -203,7 +205,7 @@ func (rs *rankState) relaxSweep() float64 {
 	r, x, extDelta := rs.r, rs.x, rs.extDelta
 	m := len(r)
 	acc := st.acc
-	glob, diag := l.glob[rs.row0:][:m], l.diag[rs.row0:][:m]
+	glob := l.glob[rs.row0:][:m]
 	ghosts := st.extGlob[rs.ext0:][:len(extDelta)]
 	for li, g := range glob {
 		acc[g] = r[li]
@@ -213,11 +215,15 @@ func (rs *rankState) relaxSweep() float64 {
 	}
 	rowPtr, col, val := l.A.RowPtr, l.A.Col, l.A.Val
 	for li, g := range glob {
-		d := acc[g] / diag[li]
-		x[li] += d
 		lo, hi := rowPtr[g], rowPtr[g+1]
 		cols := col[lo:hi]
 		vals := val[lo:hi][:len(cols)]
+		kd := 0
+		for cols[kd] != g {
+			kd++
+		}
+		d := acc[g] / vals[kd]
+		x[li] += d
 		for k, c := range cols {
 			acc[c] -= vals[k] * d
 		}

@@ -51,19 +51,21 @@ func (l *Layout) targets(at, ext []int32, p int) (m int32) {
 // (local row/column indices, each row's diagonal first, then its local
 // couplings in source column order) for the sparse factorization: the
 // entries of the rank's rows of A whose columns are rows of p, numbered by
-// at (targets). The block of a structurally symmetric matrix restricted to
-// one rank's rows is itself structurally symmetric, which is exactly what
-// spdirect.Factorize requires.
+// at (targets). The diagonal is the row's one entry whose target is li
+// (NewLayout refuses a row with two), so each row has a slot reserved for
+// it in front that the walk fills when it meets that entry. The block of a
+// structurally symmetric matrix restricted to one rank's rows is itself
+// structurally symmetric, which is exactly what spdirect.Factorize
+// requires.
 func localBlockCSR(l *Layout, at, ext []int32, p int) (rowPtr, col []int32, val []float64) {
 	m := l.targets(at, ext, p)
 	glob := l.rows(p)
-	diag := l.diag[l.rowOff[p]:l.rowOff[p+1]]
 	rowPtr = make([]int32, m+1)
 	for li, g := range glob {
-		n := int32(1)
+		n := int32(0)
 		cols, _ := l.A.Row(int(g))
 		for _, c := range cols {
-			if t := at[c]; t < m && t != int32(li) {
+			if at[c] < m {
 				n++
 			}
 		}
@@ -71,13 +73,13 @@ func localBlockCSR(l *Layout, at, ext []int32, p int) (rowPtr, col []int32, val 
 	}
 	col = make([]int32, rowPtr[m])
 	val = make([]float64, rowPtr[m])
-	w := 0
 	for li, g := range glob {
-		col[w], val[w] = int32(li), diag[li]
-		w++
+		w := rowPtr[li] + 1 // rowPtr[li] is the diagonal's
 		cols, vals := l.A.Row(int(g))
 		for k, c := range cols {
-			if t := at[c]; t < m && t != int32(li) {
+			if t := at[c]; t == int32(li) {
+				col[rowPtr[li]], val[rowPtr[li]] = t, vals[k]
+			} else if t < m {
 				col[w], val[w] = t, vals[k]
 				w++
 			}
@@ -124,9 +126,7 @@ func factorAll(l *Layout, ext []int32) ([]*spdirect.Factor, error) {
 // Every Setup counts each rank's off-diagonal entries once (nnz), so a
 // relaxation's flop charge is O(1). A LocalDirect Setup keeps, beside its
 // factors, only the external couplings its scatter reads (ext, an ext-only
-// CSR), and its Layout keeps no diagonal (diag): its factors are the local
-// blocks, and nothing after the factorization reads it. Build any other
-// Setup from the Layout NewLayout returned, never from a direct Setup's.
+// CSR). Layout is the caller's own, shared, never a copy.
 type Setup struct {
 	Layout *Layout
 	Local  LocalSolver
@@ -140,13 +140,11 @@ type Setup struct {
 }
 
 // NewSetup builds the reusable setup for the given layout and local-solver
-// mode, factoring all ranks in parallel for LocalDirect. Any mode but
-// LocalGS and LocalDirect is an error, and so is a layout whose diagonal a
-// direct Setup dropped. l itself is never modified.
+// mode, factoring all ranks in parallel for LocalDirect, whose factors take
+// each row's a_ii from A (localBlockCSR). Any mode but LocalGS and
+// LocalDirect is an error. The Setup keeps l itself, which it never
+// modifies, so any number of Setups can share one layout.
 func NewSetup(l *Layout, mode LocalSolver) (*Setup, error) {
-	if l.diag == nil {
-		return nil, fmt.Errorf("dmem: layout has no diagonal (a LocalDirect Setup's): build the Setup from the Layout NewLayout returned")
-	}
 	s := &Setup{Layout: l, Local: mode, nnz: offDiagonalCounts(l)}
 	switch mode {
 	case LocalGS:
@@ -157,11 +155,6 @@ func NewSetup(l *Layout, mode LocalSolver) (*Setup, error) {
 			return nil, err
 		}
 		s.factors, s.ext = factors, newExtCouplings(l, ext)
-		// The factors are the local blocks and ext the rest: keep everything
-		// else of the layout, shallowly, and leave the caller's untouched.
-		direct := *l
-		direct.diag = nil
-		s.Layout = &direct
 	default:
 		return nil, fmt.Errorf("dmem: unknown local solver %v (want LocalGS or LocalDirect)", mode)
 	}
