@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates fuzz examples results-check bench-e2e bench-smoke identity verify bench clean
+.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates fuzz examples results-check bench-e2e bench-smoke identity bench-pairs verify bench clean
 
 build:
 	$(GO) build ./...
@@ -242,6 +242,41 @@ identity:
 		fi; \
 	done; \
 	test $$differ -eq 0 || { echo "identity: $$differ of $$lines lines differ"; exit 1; }
+
+# Alternating end-to-end pairs against another checkout (a performance
+# change's acceptance check; the house rule is at least ten pairs):
+#   make bench-pairs PARENT=/path/to/checkout-of-the-parent-commit PAIRS=10 SEED=701
+# builds benchmarks/e2e once in each tree, then runs PAIRS pairs of
+# `-workload WORKLOAD -trace 0 -seconds SECONDS -seed SEED+i -out ...`,
+# i = 0 ... PAIRS-1, the parent first on odd i and the change first on even
+# i, each binary from its own tree (so each report's manifest names its own
+# commit). The reports go to two temporary directories, parent/ and
+# change/, which are kept and printed for the per-pair values; last comes
+# `-compare parent change`. Not part of verify: it takes PAIRS x 2 runs of
+# about 30 s with the defaults.
+PAIRS ?= 10
+SEED ?= 1
+WORKLOAD ?= all
+SECONDS ?= 3
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<checkout of the parent commit> [PAIRS=10 SEED=1 WORKLOAD=all SECONDS=3]"; exit 2; }
+	@set -e; out=$$(mktemp -d); here=$$(pwd); \
+	$(GO) build -o $$out/bin/change ./benchmarks/e2e; \
+	(cd "$(PARENT)" && $(GO) build -o $$out/bin/parent ./benchmarks/e2e); \
+	mkdir -p $$out/parent $$out/change; \
+	run() { \
+		if [ $$1 = parent ]; then dir="$(PARENT)"; else dir=$$here; fi; \
+		(cd "$$dir" && $$out/bin/$$1 -workload $(WORKLOAD) -trace 0 -seconds $(SECONDS) -seed $$2 -out $$out/$$1/$$2.json >/dev/null); \
+	}; \
+	i=0; while [ $$i -lt $(PAIRS) ]; do \
+		seed=$$(($(SEED) + i)); \
+		if [ $$((i % 2)) -eq 1 ]; then run parent $$seed; run change $$seed; \
+		else run change $$seed; run parent $$seed; fi; \
+		echo "bench-pairs: pair $$((i + 1)) of $(PAIRS) (seed $$seed) done"; \
+		i=$$((i + 1)); \
+	done; \
+	echo "bench-pairs: reports in $$out/parent and $$out/change"; \
+	$(GO) run ./benchmarks/e2e -compare $$out/parent $$out/change
 
 verify: build lint test race chaos-smoke partition-pin alloc-gates fuzz examples results-check bench-smoke
 

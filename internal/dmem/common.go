@@ -3,6 +3,7 @@ package dmem
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"southwell/internal/obs"
 	"southwell/internal/rma"
@@ -211,17 +212,6 @@ func winsOver(np float64, p int, nq float64, q int) bool {
 	return p < q
 }
 
-// gatherX assembles the global solution vector.
-func gatherX(l *Layout, states []*rankState) []float64 {
-	x := make([]float64, l.A.N)
-	for p, rs := range states {
-		for li, g := range l.rows(p) {
-			x[g] = rs.x[li]
-		}
-	}
-	return x
-}
-
 // payload bytes: 8 per float plus a small header.
 func msgBytes(floats int) int { return 8*floats + 16 }
 
@@ -262,10 +252,12 @@ func record(res *Result, w *rma.World, states []*rankState, norm float64, step, 
 	}
 }
 
-// finish fills the summary fields of a result.
-func finish(res *Result, l *Layout, w *rma.World, states []*rankState) {
+// finish fills the summary fields of a result. X is a copy of the run
+// state's iterate, already in A's numbering.
+func finish(res *Result, st *runState) {
+	l, w := st.l, st.w
 	res.Stats = w.Stats()
-	res.X = gatherX(l, states)
+	res.X = slices.Clone(st.x)
 	if steps := len(res.History) - 1; steps > 0 {
 		sum := 0.0
 		for _, h := range res.History[1:] {

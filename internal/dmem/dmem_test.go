@@ -274,7 +274,11 @@ func TestLayoutRejectsAsymmetricCoupling(t *testing.T) {
 // error. The last is built by hand, since COO.ToCSR sums duplicates: row 2
 // holds its diagonal 2 as 1 and 1, and a layout that kept one of them as
 // a_ii used to let the sweep subtract both entries' products while the
-// maintained residual went out of step with b − Ax.
+// maintained residual went out of step with b − Ax. A non-finite entry off
+// the diagonal is refused the same way, since a zero start takes r₀ = b
+// without reading A, which only a finite A makes exact: NaN in row 1's
+// coupling to rank 1 and −Inf in row 3's coupling inside rank 1 each used
+// to pass NewLayout and run to non-finite residuals.
 func TestLayoutRejectsUnusableDiagonal(t *testing.T) {
 	path := func(diag [4]float64, keep [4]bool) *sparse.CSR {
 		coo := sparse.NewCOO(4, 10)
@@ -284,6 +288,25 @@ func TestLayoutRejectsUnusableDiagonal(t *testing.T) {
 			}
 			if i > 0 {
 				coo.AddSym(i, i-1, -1)
+			}
+		}
+		return coo.ToCSR()
+	}
+	// coupled is the path with every diagonal 2 and every coupling −1 but
+	// row i's entry in column j, which is v (its mirror stays −1).
+	coupled := func(i, j int, v float64) *sparse.CSR {
+		coo := sparse.NewCOO(4, 10)
+		for r := range 4 {
+			coo.Add(r, r, 2)
+			for _, c := range []int{r - 1, r + 1} {
+				if c < 0 || c > 3 {
+					continue
+				}
+				if r == i && c == j {
+					coo.Add(r, c, v)
+				} else {
+					coo.Add(r, c, -1)
+				}
 			}
 		}
 		return coo.ToCSR()
@@ -303,6 +326,8 @@ func TestLayoutRejectsUnusableDiagonal(t *testing.T) {
 			RowPtr: []int32{0, 2, 5, 9, 11},
 			Col:    []int32{0, 1, 0, 1, 2, 1, 2, 2, 3, 2, 3},
 			Val:    []float64{2, -1, -1, 2, -1, -1, 1, 1, -1, -1, 2}}, "dmem: row 2 has 2 diagonal entries"},
+		{"offdiag-nan", coupled(1, 2, math.NaN()), "dmem: row 1 has a non-finite entry (NaN) in column 2"},
+		{"offdiag-inf", coupled(3, 2, math.Inf(-1)), "dmem: row 3 has a non-finite entry (-Inf) in column 2"},
 	} {
 		if _, err := NewLayout(tc.a, []int{0, 0, 1, 1}, 2); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: NewLayout error %v, want %q", tc.name, err, tc.want)

@@ -116,7 +116,7 @@ func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, ste
 		}
 	}
 	res.ActiveHist = e.hist
-	finish(res, l, w, states)
+	finish(res, st)
 	return res
 }
 

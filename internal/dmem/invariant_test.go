@@ -143,14 +143,13 @@ func TestAccumulatorsZeroEveryStep(t *testing.T) {
 }
 
 // assertResidualsExact fails the test unless the gathered local residuals
-// equal b − A·x for the gathered local solutions to 1e-9 in every row.
+// equal b − A·x for the run state's iterate to 1e-9 in every row.
 func assertResidualsExact(t *testing.T, name string, l *Layout, b []float64, states []*rankState) {
 	t.Helper()
-	xg := make([]float64, l.A.N)
+	xg := states[0].st.x // the iterate is kept in A's numbering
 	rg := make([]float64, l.A.N)
 	for p, rs := range states {
 		for li, g := range l.rows(p) {
-			xg[g] = rs.x[li]
 			rg[g] = rs.r[li]
 		}
 	}
@@ -248,6 +247,86 @@ func TestSimTimeMonotone(t *testing.T) {
 			}
 			if res.History[i].TotalMsgs() < res.History[i-1].TotalMsgs() {
 				t.Errorf("%s: message count decreased at step %d", name, i)
+			}
+		}
+	}
+}
+
+// TestZeroStartIsExact: at a zero start reset takes r₀ = b without reading
+// A. With x₀ of +0 and −0 entries and b of −0, subnormal and ordinary
+// entries, every rank's r, z and norm equal, bit for bit, A.Residual(b, x₀)
+// gathered through the layout's per-rank view (Layout.Rank: the rank's rows,
+// and its ghost rows read from the neighbors' side), which shares no code
+// with the shortcut; the iterate keeps x₀'s bits, −0 included, and the
+// accumulator is left all zero. The same x₀ with one entry set to 1 takes
+// the residual path and must agree the same way. GS and direct Setups, two
+// layouts each.
+func TestZeroStartIsExact(t *testing.T) {
+	type shape struct {
+		name string
+		gen  func() *sparse.CSR
+		p    int
+	}
+	for _, sh := range []shape{
+		{"poisson12/P8", func() *sparse.CSR { return problem.Poisson2D(12, 12) }, 8},
+		{"Flan_1565/P64", func() *sparse.CSR { return suiteMatrix(t, "Flan_1565") }, 64},
+	} {
+		for _, local := range []LocalSolver{LocalGS, LocalDirect} {
+			s, _, _ := buildCaseLocal(t, sh.gen(), sh.p, 1, local)
+			l, n := s.Layout, s.Layout.A.N
+			b, x0 := make([]float64, n), make([]float64, n)
+			for i := range n {
+				switch i % 5 {
+				case 0:
+					b[i] = math.Copysign(0, -1)
+				case 1:
+					b[i] = 5e-324 * float64(i%3+1)
+				case 2:
+					b[i] = -1e-310
+				default:
+					b[i] = float64(i%7) - 3.5
+				}
+				if i%3 == 0 {
+					x0[i] = math.Copysign(0, -1)
+				}
+			}
+			nonzero := slices.Clone(x0)
+			nonzero[n/2] = 1
+			for _, c := range []struct {
+				name string
+				x0   []float64
+			}{{"zero", x0}, {"nonzero", nonzero}} {
+				name := fmt.Sprintf("%s/%s/%s", sh.name, local, c.name)
+				want := make([]float64, n)
+				l.A.Residual(b, c.x0, want)
+				st := newRunState(s)
+				st.reset(b, c.x0, Config{}, stepSpec{})
+				if i := firstBitDiff(st.x, c.x0); i >= 0 {
+					t.Fatalf("%s: x[%d] = %x, x₀ holds %x", name, i, math.Float64bits(st.x[i]), math.Float64bits(c.x0[i]))
+				}
+				for g, f := range st.acc {
+					if math.Float64bits(f) != 0 {
+						t.Fatalf("%s: reset left %g in the accumulator at row %d", name, f, g)
+					}
+				}
+				for p, rs := range st.states {
+					rd := l.Rank(p)
+					sum := 0.0
+					for li, g := range rd.Glob {
+						if math.Float64bits(rs.r[li]) != math.Float64bits(want[g]) {
+							t.Fatalf("%s rank %d: r[%d] = %x, b − Ax₀ holds %x at row %d", name, p, li, math.Float64bits(rs.r[li]), math.Float64bits(want[g]), g)
+						}
+						sum += want[g] * want[g]
+					}
+					if norm := math.Sqrt(sum); math.Float64bits(rs.norm) != math.Float64bits(norm) || math.Float64bits(st.norms[p]) != math.Float64bits(norm) {
+						t.Fatalf("%s rank %d: norm %g (table %g), want %g", name, p, rs.norm, st.norms[p], norm)
+					}
+					for k, g := range rd.ExtGlob {
+						if math.Float64bits(rs.z[k]) != math.Float64bits(want[g]) {
+							t.Fatalf("%s rank %d: z[%d] = %x, b − Ax₀ holds %x at row %d", name, p, k, math.Float64bits(rs.z[k]), math.Float64bits(want[g]), g)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -12,7 +12,8 @@ import (
 // Reference oracles: the two relaxation kernels exactly as they were written
 // before their operands moved into locals (DESIGN.md §10, "Kernel form").
 // They index through rs and the rank's RankData view on every nonzero — slow
-// and obviously right.
+// and obviously right. The one change since is where x lives: the run
+// state's iterate in A's numbering, at the row's global id (rd.Glob).
 // Do not tidy them: their value is that they are not the code under test.
 
 // relaxSweepRef is the pre-rewrite relaxSweep.
@@ -20,7 +21,7 @@ func (rs *rankState) relaxSweepRef() float64 {
 	rd := rs.l.Rank(int(rs.p))
 	for li := range rs.r {
 		d := rs.r[li] / rd.Diag[li]
-		rs.x[li] += d
+		rs.st.x[rd.Glob[li]] += d
 		rs.r[li] = 0
 		for k := rd.LocPtr[li]; k < rd.LocPtr[li+1]; k++ {
 			rs.r[rd.LocCol[k]] -= rd.LocVal[k] * d
@@ -40,7 +41,7 @@ func (rs *rankState) relaxDirectRef() float64 {
 	d := make([]float64, len(rs.r))
 	rs.direct.f.SolveWith(rs.r, d, rs.direct.scratch)
 	for li := range rs.r {
-		rs.x[li] += d[li]
+		rs.st.x[rd.Glob[li]] += d[li]
 		rs.r[li] = 0
 		for k := rd.ExtPtr[li]; k < rd.ExtPtr[li+1]; k++ {
 			rs.extDelta[rd.ExtCol[k]] -= rd.ExtVal[k] * d[li]
@@ -124,7 +125,9 @@ func firstBitDiff(a, b []float64) int {
 // checkRelaxOracle runs kernel on every rank of got and ref on every rank of
 // want — two run states of one Setup, reset alike — for every residual
 // variant, twice in a row (the second call starts from what the first left),
-// and requires r, x, extDelta and the charged flops to agree bit for bit.
+// and requires r, extDelta, the charged flops and the whole iterate (n
+// floats in A's numbering, so a write outside the rank's rows shows too) to
+// agree bit for bit.
 func checkRelaxOracle(t *testing.T, s *Setup, b, x0 []float64, kernel, ref func(*rankState) float64) {
 	t.Helper()
 	got, want := newRunState(s), newRunState(s)
@@ -134,6 +137,7 @@ func checkRelaxOracle(t *testing.T, s *Setup, b, x0 []float64, kernel, ref func(
 		rng := rand.New(rand.NewSource(int64(v) + 1))
 		for p, g := range got.states {
 			w := want.states[p]
+			rows := s.Layout.rows(p)
 			applyResidualVariant(g.r, v, rng)
 			copy(w.r, g.r)
 			// extDelta accumulates: start it from arbitrary values, not zero.
@@ -148,14 +152,14 @@ func checkRelaxOracle(t *testing.T, s *Setup, b, x0 []float64, kernel, ref func(
 				for _, c := range []struct {
 					name      string
 					got, want []float64
-				}{{"r", g.r, w.r}, {"x", g.x, w.x}, {"extDelta", g.extDelta, w.extDelta}} {
+				}{{"r", g.r, w.r}, {"x", got.x, want.x}, {"extDelta", g.extDelta, w.extDelta}} {
 					if i := firstBitDiff(c.got, c.want); i >= 0 {
 						t.Fatalf("%s rank %d pass %d: %s[%d] = %x, reference %x", vname, p, pass, c.name, i, c.got[i], c.want[i])
 					}
 				}
 				// A direct solve leaves r = 0; give the second pass work.
-				for i := range g.r {
-					g.r[i] += g.x[i]
+				for li, gr := range rows {
+					g.r[li] += got.x[gr]
 				}
 				copy(w.r, g.r)
 			}

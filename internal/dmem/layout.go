@@ -117,11 +117,13 @@ func fitsIndex(what string, n int) error {
 
 // NewLayout distributes a (structurally symmetric) matrix over P ranks
 // according to part. It validates the partition, the symmetry assumption
-// the relaxation kernels rely on, and every row's diagonal entry, which a
-// relaxation reads from A and divides by: an error names the lowest row
-// whose diagonal is missing, zero, not finite or stored twice. The layout
-// keeps a and reads its values on every relaxation, so a must not change
-// after NewLayout.
+// the relaxation kernels rely on, every row's diagonal entry, which a
+// relaxation reads from A and divides by, and every entry's finiteness,
+// which a zero start relies on (runState.reset takes r₀ = b there): an
+// error names the lowest row whose diagonal is missing, zero, not finite or
+// stored twice, or that holds a non-finite entry. The layout keeps a and
+// reads its values on every relaxation, so a must not change after
+// NewLayout.
 //
 // It makes two passes over the ranks, so every array is allocated once at
 // its exact size: the first counts what each rank holds, the second fills
@@ -129,10 +131,10 @@ func fitsIndex(what string, n int) error {
 // within these passes (each writes only its own ranges from the read-only
 // matrix and partition), so rank blocks fan out over the shared pool; block
 // boundaries never influence the output, so the layout is identical for any
-// worker count. Pass 2 also checks each rank's diagonal entries, keeping
-// per rank block only the lowest row without a usable one. A third pass,
-// one walk over every (rank, neighbor) pair, checks that the exchange plans
-// pair up across ranks.
+// worker count. Pass 2 also checks each rank's entries, keeping per rank
+// block only the lowest row with an unusable diagonal or a non-finite
+// entry. A third pass, one walk over every (rank, neighbor) pair, checks
+// that the exchange plans pair up across ranks.
 func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	if err := fitsIndex("n", a.N); err != nil {
 		return nil, err
@@ -202,7 +204,7 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		nbrBuf := make([]int32, 2*sc.maxSlots) // a rank has at most as many neighbors as ext slots
 		sc.pos, sc.extNbr, sc.lastRow = make([]int32, a.N), nbrBuf[:sc.maxSlots], nbrBuf[sc.maxSlots:]
 		sc.keys = make([]int64, 0, max(sc.maxSlots, sc.maxBnd))
-		sc.badDiag = -1
+		sc.badRow = -1
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
 			l.fillRank(part, extGlob, pr, sc)
 		}
@@ -219,23 +221,24 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 			return nil, err
 		}
 	}
-	// Every diagonal entry divides a relaxation: name the lowest row without
-	// exactly one usable entry.
+	// Every diagonal entry divides a relaxation, and every entry is finite:
+	// name the lowest row that breaks either.
 	bad := int32(-1)
 	for b := range scratch {
-		if g := scratch[b].badDiag; g >= 0 && (bad < 0 || g < bad) {
+		if g := scratch[b].badRow; g >= 0 && (bad < 0 || g < bad) {
 			bad = g
 		}
 	}
 	if bad >= 0 {
-		return nil, diagonalError(a, int(bad))
+		return nil, rowError(a, int(bad))
 	}
 	return l, nil
 }
 
-// diagonalError describes row g's unusable diagonal: two or more entries
-// in column g, or one that is missing, zero or not finite.
-func diagonalError(a *sparse.CSR, g int) error {
+// rowError describes what makes row g unusable: its diagonal — two or more
+// entries in column g, or one that is missing, zero or not finite — or
+// else its first non-finite entry.
+func rowError(a *sparse.CSR, g int) error {
 	cols, vals := a.Row(g)
 	d, n := 0.0, 0
 	for k, c := range cols {
@@ -246,8 +249,19 @@ func diagonalError(a *sparse.CSR, g int) error {
 	if n > 1 {
 		return fmt.Errorf("dmem: row %d has %d diagonal entries", g, n)
 	}
-	return fmt.Errorf("dmem: row %d has a missing, zero or non-finite diagonal entry (%g)", g, d)
+	if !usableDiagonal(n, d) {
+		return fmt.Errorf("dmem: row %d has a missing, zero or non-finite diagonal entry (%g)", g, d)
+	}
+	k := slices.IndexFunc(vals, func(v float64) bool { return !finite(v) })
+	return fmt.Errorf("dmem: row %d has a non-finite entry (%g) in column %d", g, vals[k], cols[k])
 }
+
+// usableDiagonal reports whether a row whose column g holds n entries, the
+// last d, can be divided by: exactly one, nonzero and finite.
+func usableDiagonal(n int, d float64) bool { return n == 1 && math.Abs(d) > 0 && finite(d) }
+
+// finite reports whether v is neither infinite nor NaN.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
 // rankBlockCount bounds the rank fan-out so at most a handful of
 // extraction scratches (one per block, each two a.N-long int32 arrays) are
@@ -266,8 +280,9 @@ func rankBlockCount(p int) int {
 // ext-slot index of the current rank; extNbr, each of its ext slots'
 // neighbor position; lastRow, per neighbor position the last row found
 // coupling into it; keys, the sort keys the ext slots come out of, then the
-// (neighbor position, row) pairs the boundary rows do. badDiag is the
-// lowest global row of the block whose diagonal is unusable, −1 if none.
+// (neighbor position, row) pairs the boundary rows do. badRow is the
+// lowest global row of the block whose diagonal is unusable or that holds
+// a non-finite entry, −1 if none.
 type layoutScratch struct {
 	stamp                int32
 	seen                 []int32
@@ -275,7 +290,7 @@ type layoutScratch struct {
 	maxSlots, maxBnd     int
 	pos, extNbr, lastRow []int32
 	keys                 []int64
-	badDiag              int32
+	badRow               int32
 }
 
 // countRank is pass 1 for rank pr: it writes its neighbor, ext-slot and
@@ -337,11 +352,11 @@ func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch
 		l.nbrExtOff[nk+1] = e0 + int32(e) + 1
 	}
 
-	// Each row's diagonal entries: a row without exactly one, nonzero and
-	// finite, goes to badDiag if it is the block's lowest so far; bnd[j]
-	// (zero from make) counts the distinct rows coupling into neighbor
-	// position j, lastRow[j] being the last one, and pairs lists each
-	// (j, row) as it is met, rows ascending.
+	// Each row's entries: a row without exactly one diagonal entry, nonzero
+	// and finite, or with any entry not finite, goes to badRow if it is the
+	// block's lowest so far; bnd[j] (zero from make) counts the distinct
+	// rows coupling into neighbor position j, lastRow[j] being the last one,
+	// and pairs lists each (j, row) as it is met, rows ascending.
 	pairs := keys[:0]
 	bnd, lastRow := l.nbrBndOff[n0+1:n1+1], sc.lastRow[:n1-n0]
 	for j := range lastRow {
@@ -350,8 +365,9 @@ func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch
 	for i := r0; i < r1; i++ {
 		g := l.glob[i]
 		cols, vals := l.A.Row(int(g))
-		nd, d := 0, 0.0
+		nd, d, fin := 0, 0.0, true
 		for k, c := range cols {
+			fin = fin && finite(vals[k])
 			if part[c] == pr {
 				if c == g {
 					nd, d = nd+1, vals[k]
@@ -364,9 +380,8 @@ func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch
 				pairs = append(pairs, int64(j)<<32|int64(i-r0))
 			}
 		}
-		usable := nd == 1 && math.Abs(d) > 0 && !math.IsInf(d, 0)
-		if !usable && (sc.badDiag < 0 || g < sc.badDiag) {
-			sc.badDiag = g
+		if !(fin && usableDiagonal(nd, d)) && (sc.badRow < 0 || g < sc.badRow) {
+			sc.badRow = g
 		}
 	}
 	// Boundary rows, grouped by neighbor, ascending: bnd[j] becomes the

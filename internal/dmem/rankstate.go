@@ -14,13 +14,14 @@ type rankState struct {
 	// there (Layout.rowOff/nbrOff/extOff[p], kept because every kernel cuts
 	// its slices at them). m, the degree and the ext count are len(r),
 	// len(gamma) and len(z). st is the run state the rank belongs to: its
-	// kernels read the ext slots' global ids and the accumulators
-	// (relaxSweep) and the Setup's external couplings (relaxDirect) there.
+	// kernels add their corrections to the iterate there (runState.x, in
+	// A's numbering: the rank's share is its rows), read the ext slots'
+	// global ids and the accumulator (relaxSweep) and the Setup's external
+	// couplings (relaxDirect).
 	l                   *Layout
 	st                  *runState
 	p, row0, nbr0, ext0 int32
 
-	x    []float64
 	r    []float64 // exact local residual
 	norm float64   // exact local ‖r_p‖₂ (kept current at phase boundaries)
 
@@ -121,17 +122,19 @@ func (rs *rankState) relaxLocal() float64 {
 // relaxDirect solves the local block exactly: x_p += A_pp^{-1} r_p, which
 // zeroes the local residual and accumulates -A_qp d into extDelta. The
 // solve runs in place, so d overwrites r and each row reads its d before
-// zeroing it. The charged cost is the factorization's actual solve cost,
-// O(nnz(L)), plus the coupling scatter and the solution update.
+// zeroing it; x_p is the rank's rows of the iterate, in A's numbering. The
+// charged cost is the factorization's actual solve cost, O(nnz(L)), plus
+// the coupling scatter and the solution update.
 func (rs *rankState) relaxDirect() float64 {
-	r, x, extDelta := rs.r, rs.x, rs.extDelta
+	r, x, extDelta := rs.r, rs.st.x, rs.extDelta
 	m := len(r)
 	rs.direct.f.SolveWith(r, r, rs.direct.scratch)
 	// Operands are locals cut once per row (DESIGN.md §10, "Kernel form").
 	ext := rs.st.ext
+	glob := rs.l.glob[rs.row0:][:m]
 	extPtr, extCol, extVal := ext.ptr[rs.row0:][:m+1], ext.col, ext.val
 	for li, dl := range r {
-		x[li] += dl
+		x[glob[li]] += dl
 		r[li] = 0
 		lo, hi := extPtr[li], extPtr[li+1]
 		cols := extCol[lo:hi]
@@ -187,24 +190,26 @@ func norm2(v []float64) float64 {
 // into the run state's accumulator (runState.acc, n floats indexed by
 // global row) at the rank's rows and at the rows behind its ext slots
 // (runState.extGlob); each row is then one walk over its entries of A,
-// A.Col indexing the accumulator directly; on exit it copies them back and
-// zeroes what it touched. The rank's rows couple only to those rows, and
-// each of them is one location of r or extDelta, so every location sees
-// the update sequence it would see in place. The entry copy assigns, so a
-// -0 survives it and nothing the accumulator held before is read; the
-// clear on exit leaves it all zero between sweeps. a_ii is read where A
-// stores it, the row's one entry in column g (NewLayout refuses a row with
-// none or two, or with one that is zero or not finite): a scan of the row
-// finds it before the walk. The row's own entry takes a_ii·d on the way and
-// is then set to zero: the diagonal contribution r_li − a_ii·d, exactly.
+// A.Col indexing the accumulator directly, and adds its correction to the
+// iterate (runState.x) at the same global row; on exit it copies r and
+// extDelta back and zeroes what it touched. The rank's rows couple only to
+// those rows, and each of them is one location of r or extDelta, so every
+// location sees the update sequence it would see in place. The entry copy
+// assigns, so a -0 survives it and nothing the accumulator held before is
+// read; the clear on exit leaves it all zero between sweeps. a_ii is read
+// where A stores it, the row's one entry in column g (NewLayout refuses a
+// row with none or two, or with one that is zero or not finite): a scan of
+// the row finds it before the walk. The row's own entry takes a_ii·d on the
+// way and is then set to zero: the diagonal contribution r_li − a_ii·d,
+// exactly.
 //
 // Operands are locals cut once per row (DESIGN.md §10, "Kernel form"); the
 // visit order and the one a -= b*c expression per update may not change.
 func (rs *rankState) relaxSweep() float64 {
 	l, st := rs.l, rs.st
-	r, x, extDelta := rs.r, rs.x, rs.extDelta
+	r, extDelta := rs.r, rs.extDelta
 	m := len(r)
-	acc := st.acc
+	x, acc := st.x, st.acc
 	glob := l.glob[rs.row0:][:m]
 	ghosts := st.extGlob[rs.ext0:][:len(extDelta)]
 	for li, g := range glob {
@@ -214,7 +219,7 @@ func (rs *rankState) relaxSweep() float64 {
 		acc[g] = extDelta[s]
 	}
 	rowPtr, col, val := l.A.RowPtr, l.A.Col, l.A.Val
-	for li, g := range glob {
+	for _, g := range glob {
 		lo, hi := rowPtr[g], rowPtr[g+1]
 		cols := col[lo:hi]
 		vals := val[lo:hi][:len(cols)]
@@ -223,7 +228,7 @@ func (rs *rankState) relaxSweep() float64 {
 			kd++
 		}
 		d := acc[g] / vals[kd]
-		x[li] += d
+		x[g] += d
 		for k, c := range cols {
 			acc[c] -= vals[k] * d
 		}

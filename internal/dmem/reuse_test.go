@@ -48,7 +48,8 @@ func fresh(t testing.TB, l *Layout, local LocalSolver) *Setup {
 // parked run state before — equals the same call made on a fresh Setup. The
 // rows run in order on one state: every method, a fault plan, a tracer
 // (trace bytes compared too), a pinned variant,
-// another system, an early stop, and DS again at the end.
+// another system, a zero start (r₀ = b, read without A), an early stop, and
+// DS again at the end.
 func TestSetupReuseInvisible(t *testing.T) {
 	ds := func(opts DistSWOptions) method {
 		return func(s *Setup, b, x []float64, cfg Config) *Result {
@@ -64,6 +65,7 @@ func TestSetupReuseInvisible(t *testing.T) {
 				run    method
 				cfg    Config
 				other  bool // solve the second system
+				zero   bool // ... from x₀ = 0
 				traced bool
 			}{
 				{name: "DS", run: DistributedSouthwell},
@@ -75,6 +77,8 @@ func TestSetupReuseInvisible(t *testing.T) {
 				{name: "DS traced", run: DistributedSouthwell, traced: true},
 				{name: "DS slack 0.1", run: ds(DistSWOptions{UpdateSlack: 0.1})},
 				{name: "DS other system", run: DistributedSouthwell, other: true},
+				{name: "DS zero start", run: DistributedSouthwell, other: true, zero: true},
+				{name: "PS zero start", run: ParallelSouthwell, other: true, zero: true},
 				{name: "DS target", run: DistributedSouthwell, cfg: Config{Target: 0.5}},
 				{name: "DS again", run: DistributedSouthwell},
 			} {
@@ -85,6 +89,9 @@ func TestSetupReuseInvisible(t *testing.T) {
 				rb, rx := b, x
 				if row.other {
 					rb, rx = b2, x2
+				}
+				if row.zero {
+					rx = make([]float64, len(x2))
 				}
 				var recs [2]*obs.Recorder
 				var res [2]*Result
@@ -560,10 +567,12 @@ func TestPayloadIsAHeader(t *testing.T) {
 
 // TestRunStateRefusesOversizedSlab: bodies name their floats by int32
 // offset, so newRunState refuses a slab of 2³¹ floats or more before it
-// allocates anything.
+// allocates anything. The slab holds one float per row (r; the iterate is
+// a vector of its own), so n = 2³¹ is the smallest layout without
+// neighbors that overflows it.
 func TestRunStateRefusesOversizedSlab(t *testing.T) {
 	zero := []int32{0}
-	l := &Layout{A: &sparse.CSR{N: 1 << 30}, rowOff: zero, nbrOff: zero, extOff: zero, bndOff: zero}
+	l := &Layout{A: &sparse.CSR{N: 1 << 31}, rowOff: zero, nbrOff: zero, extOff: zero, bndOff: zero}
 	defer func() {
 		err, _ := recover().(error)
 		if err == nil || err.Error() != "dmem: the run state's floats = 2147483648 does not fit the layout's 32-bit indices" {

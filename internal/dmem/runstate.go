@@ -1,6 +1,7 @@
 package dmem
 
 import (
+	"fmt"
 	"slices"
 
 	"southwell/internal/rma"
@@ -19,10 +20,14 @@ type runState struct {
 	states []*rankState
 	eng    stepEngine
 	norms  []float64 // local norms in rank order: norm2 of it is the global norm
+	// x is the iterate, n floats in A's numbering: reset copies x₀ in, each
+	// relaxation adds its corrections at the rows it owns, and finish hands
+	// the caller a copy. No rank keeps a local copy.
+	x []float64
 	// acc is the sweep accumulator, n floats indexed by global row: the
 	// ranks sweep through it one after another (relaxSweep), and each leaves
-	// it all zero. It is also reset's scratch for b − Ax, which reset
-	// clears.
+	// it all zero. It is also reset's scratch for b − Ax when x₀ is not
+	// zero, which reset clears.
 	acc []float64
 	// extGlob is the global id of the row behind every ext slot, flat in
 	// slot order (Layout.extRows): a sweep's ghost rows, and where reset
@@ -45,21 +50,22 @@ type runState struct {
 func newRunState(s *Setup) *runState {
 	l := s.Layout
 	p := l.P
-	// Vectors, ghost rows and Γ/Γ̃, then the message bodies' floats: a solve
-	// bnd and a res bnd per boundary row (a solve body's deltas are the
-	// sender's extDelta row for that neighbor). Bodies name them by int32
-	// offset, so the slab must fit one.
+	// Residuals, ghost rows and Γ/Γ̃, then the message bodies' floats: a
+	// solve bnd and a res bnd per boundary row (a solve body's deltas are
+	// the sender's extDelta row for that neighbor). Bodies name them by
+	// int32 offset, so the slab must fit one.
 	nd := int(l.nbrOff[p])
-	nf := 2*l.A.N + 2*int(l.extOff[p]) + 2*nd + 2*int(l.bndOff[p])
+	nf := l.A.N + 2*int(l.extOff[p]) + 2*nd + 2*int(l.bndOff[p])
 	if s.factors != nil {
 		nf += l.A.N // direct.scratch: m each
 	}
 	if err := fitsIndex("the run state's floats", nf); err != nil {
 		panic(err)
 	}
+	vecs := make([]float64, 2*l.A.N) // x and acc
 	st := &runState{
 		l: l, w: rma.NewWorld(p, rma.CostModel{}), states: make([]*rankState, p),
-		acc: make([]float64, l.A.N), norms: make([]float64, p),
+		x: vecs[:l.A.N:l.A.N], acc: vecs[l.A.N:], norms: make([]float64, p),
 		extGlob: l.extRows(), ext: s.ext,
 	}
 	st.hold = st.holdBody
@@ -98,11 +104,11 @@ func newRunState(s *Setup) *runState {
 		m, deg, ext := int(l.rowOff[pr+1]-r0), int(l.nbrOff[pr+1]-n0), int(l.extOff[pr+1]-e0)
 		lo, hi := int(n0), int(n0)+deg
 		rs := &slab[pr]
-		x, z, r := take(m), take(ext), take(m)
+		z, r := take(ext), take(m)
 		d0 := int32(at) - e0 // extDelta's offset, less the rank's first ext slot
 		*rs = rankState{
 			l: l, st: st, p: int32(pr), row0: r0, nbr0: n0, ext0: e0,
-			x: x, r: r, z: z, extDelta: take(ext), nnz: s.nnz[pr],
+			r: r, z: z, extDelta: take(ext), nnz: s.nnz[pr],
 			gamma: take(deg), gammaTilde: take(deg),
 			seqSeen: st.seqSeen[lo:hi:hi], sentTo: st.sentTo[lo:hi:hi],
 			solve: takeBodies(deg), res: takeBodies(deg),
@@ -123,23 +129,35 @@ func newRunState(s *Setup) *runState {
 	return st
 }
 
-// reset is the only initializer of a run: rank states from the global
-// initial guess — exact residuals, exact neighbor norms and Γ̃ (setup
-// exchange, not counted), exact ghosts — the engine rewound to "every rank in
-// the set", and the world rewound to the default cost model with cfg's
-// fault plan and tracer installed. extDelta, lastSentNorm, the
-// direct-solver scratch, the bodies' floats and every header field but slot
-// and the two offsets are written before they are read in any run, so they
-// are deliberately not cleared; the accumulator is all zero between sweeps,
-// and reset clears what it wrote there as scratch.
+// reset is the only initializer of a run: the iterate from the global
+// initial guess, rank states from its residual — exact residuals, exact
+// neighbor norms and Γ̃ (setup exchange, not counted), exact ghosts — the
+// engine rewound to "every rank in the set", and the world rewound to the
+// default cost model with cfg's fault plan and tracer installed. extDelta,
+// lastSentNorm, the direct-solver scratch, the bodies' floats and every
+// header field but slot and the two offsets are written before they are
+// read in any run, so they are deliberately not cleared; the accumulator is
+// all zero between sweeps, and reset clears what it wrote there as scratch.
+//
+// At a zero start (every entry of x₀ ±0) r₀ is b itself, read in place
+// without reading A: each row of A·x₀ then sums to +0, since NewLayout
+// refuses a non-finite entry of A, and b_i − (+0) is b_i, −0 and
+// subnormals included. Any other x₀ takes b − A·x₀ into the accumulator.
 func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	l, w, e := st.l, st.w, &st.eng
-	res := st.acc // b − Ax in A's numbering, until the ghosts have it
-	l.A.Residual(b, x, res)
+	if len(b) != l.A.N || len(x) != l.A.N {
+		panic(fmt.Sprintf("dmem: len(b) = %d and len(x) = %d, want n = %d", len(b), len(x), l.A.N))
+	}
+	copy(st.x, x)
+	res := b // b − Ax in A's numbering, until the ghosts have it
+	zeroStart := allZero(x)
+	if !zeroStart {
+		res = st.acc
+		l.A.Residual(b, x, res)
+	}
 	e.list = e.list[:l.P]
 	for p, rs := range st.states {
 		for li, g := range l.rows(p) {
-			rs.x[li] = x[g]
 			rs.r[li] = res[g]
 		}
 		rs.norm = rs.computeNorm()
@@ -158,7 +176,9 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 		}
 		rs.lastTold = rs.norm
 	}
-	clear(res)
+	if !zeroStart {
+		clear(res)
+	}
 	for p := range e.list {
 		e.list[p] = int32(p) // step 1 runs every rank: no hold has been observed yet
 	}
@@ -178,6 +198,16 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 	w.Reset(rma.DefaultCostModel())
 	w.InstallFaults(cfg.Faults, st.hold)
 	w.SetTracer(cfg.Trace)
+}
+
+// allZero reports whether every entry of v is +0 or −0.
+func allZero(v []float64) bool {
+	for _, f := range v {
+		if f != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // body returns the header of message m in rank rs's window and the floats

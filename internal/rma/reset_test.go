@@ -89,19 +89,47 @@ func dirtyWorld(t *testing.T, p int, rec *obs.Recorder) *World {
 	return w
 }
 
+// peakWorld returns a world whose largest phase is not its last: ten puts
+// per rank (past the arrays' first allocation of eight), then one put in
+// all, so a Reset that cleared only what the last boundary wrote would
+// leave the first phase's messages in the slots behind it.
+func peakWorld(t *testing.T, p int, rec *obs.Recorder) *World {
+	t.Helper()
+	w := NewWorld(p, DefaultCostModel())
+	w.SetTracer(rec)
+	w.RunPhase(func(rank int) {
+		for i := range 10 {
+			w.Put(rank, (rank+1+i)%p, TagSolve, 8, int64(i))
+		}
+	})
+	w.RunPhase(func(rank int) {
+		if rank == 0 {
+			w.Put(0, 1, TagResidual, 8, int64(-1))
+		}
+	})
+	if len(w.window) != 1 || len(w.stage) != 0 || cap(w.window) < 10*p {
+		t.Fatalf("peak world: window %d of %d, stage %d: the reset test would prove nothing", len(w.window), cap(w.window), len(w.stage))
+	}
+	return w
+}
+
 // TestResetIsAFreshWorld: a world that ran something else, was closed and
 // Reset, is indistinguishable from a NewWorld — same windows in the same
 // order, same counters, SimTime to the bit — with and without a fault plan,
-// and it keeps nothing of its previous run.
+// and it keeps nothing of its previous run: every slot of both message
+// arrays' capacity is the zero Message, also after a run whose largest
+// phase was not its last (peak).
 func TestResetIsAFreshWorld(t *testing.T) {
 	const p = 9
 	model := DefaultCostModel()
 	for _, tc := range []struct {
 		name   string
 		faults *FaultPlan
+		dirty  func(t *testing.T, p int, rec *obs.Recorder) *World
 	}{
-		{"seq", nil},
-		{"chaos", chaosPlan(5)},
+		{"seq", nil, dirtyWorld},
+		{"chaos", chaosPlan(5), dirtyWorld},
+		{"peak", nil, peakWorld},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fresh := NewWorld(p, model)
@@ -109,7 +137,7 @@ func TestResetIsAFreshWorld(t *testing.T) {
 			want := resetScript(fresh, 11)
 
 			rec := obs.NewRecorder(p)
-			w := dirtyWorld(t, p, rec)
+			w := tc.dirty(t, p, rec)
 			w.Reset(model)
 			events := len(rec.Events())
 			if w.Tracer() != nil || w.InFlight() != 0 || !w.FaultsQuiescent() {

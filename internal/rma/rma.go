@@ -121,6 +121,11 @@ type World struct {
 	// overwrites them or Reset zeroes them.
 	window []Message
 	inbox  []inbound
+	// written bounds the slots of stage and window that may hold a message:
+	// the most either array held at any boundary since the last Reset
+	// (deliver raises it), so Reset clears that many and not their whole
+	// capacity.
+	written int
 
 	flops []float64 // per-rank compute charged this phase
 	msgs  []int64   // per-rank messages sent this phase
@@ -209,10 +214,10 @@ func grow(buf []Message, n, floor int) []Message {
 	return slices.Grow(buf, n)
 }
 
-// zeroed returns buf emptied, every slot of its capacity zeroed.
-func zeroed(buf []Message) []Message {
-	buf = buf[:cap(buf)]
-	clear(buf)
+// zeroed returns buf emptied, its first n slots (at most its capacity)
+// zeroed.
+func zeroed(buf []Message, n int) []Message {
+	clear(buf[:min(n, cap(buf))])
 	return buf[:0]
 }
 
@@ -311,12 +316,18 @@ func (w *World) Close() { w.closed = true }
 // keeping every buffer's capacity, so one world serves many runs. Clock and
 // counters are zeroed (fault schedules are keyed on the phase index). The
 // tracer and fault plan are dropped, and every message still in a window or
-// staging slot is zeroed, so the world retains nothing of the finished run.
-// A closed world is reopened. Must not race with a phase.
+// staging slot is zeroed, so the world retains nothing of the finished run:
+// the slots written since the last Reset — as many as the larger of the
+// high-water mark deliver keeps (written) and the arrays' current lengths,
+// which counts puts staged after the last boundary — so a repeat solve's
+// Reset costs what its run sent, not the arrays' capacity. A closed world
+// is reopened. Must not race with a phase.
 func (w *World) Reset(model CostModel) {
 	w.Model = model
-	w.stage = zeroed(w.stage)
-	w.window = zeroed(w.window)
+	n := max(w.written, len(w.stage), len(w.window))
+	w.stage = zeroed(w.stage, n)
+	w.window = zeroed(w.window, n)
+	w.written = 0
 	clear(w.inbox)
 	clear(w.flops)
 	clear(w.msgs)
@@ -396,6 +407,7 @@ func (w *World) deliver() {
 		panic(fmt.Sprintf("rma: %d landings at one boundary exceed the int32 window range", total))
 	}
 	w.window = grow(w.window[:0], total, slotsPerRank*w.P)[:total]
+	w.written = max(w.written, len(w.stage), total)
 	at := int32(0)
 	for _, p := range w.liveInbox {
 		in := &w.inbox[p]
