@@ -11,12 +11,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The suite runs at one, two, four and eight scheduler threads: the kernels
-# and the set-up run on the shared worker pool, and bit-identity across
-# pool widths is the repo's central promise. The width tests resize the
-# pool to 2, 4 and 7 themselves, but goroutines only really run
-# concurrently above one thread (the retained-window aliasing bug passed at
-# GOMAXPROCS=1), and concurrent solves on one Setup only race above one.
+# The suite runs at one, two, four and eight scheduler threads: the set-up
+# fans out over parallel.For, and bit-identity across its widths is the
+# repo's central promise. The width tests set For's width to 2, 4 and 7
+# themselves, but goroutines only really run concurrently above one thread
+# (the retained-window aliasing bug passed at GOMAXPROCS=1), and concurrent
+# solves on one Setup only race above one.
 # -count=1 because the test cache does not key on GOMAXPROCS: without it
 # the second to fourth line print "(cached)".
 test:
@@ -42,13 +42,15 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) test -count=1 -run '^($(LINT_TESTS))$$' ./internal/lint/
 
-# The runtime, method, pool and parallel-kernel tests under the race
+# The runtime, method, parallel.For and set-up tests under the race
 # detector. Rank phases run on the calling goroutine, so the rma and dmem
 # lines cover concurrent solves on one Setup (TestSetupConcurrentRuns: one
 # takes the parked run state, the others build their own), worlds running
-# at once (rma's wK rows) and the pooled set-up (NewLayout, the local
-# factorizations at pool widths 1, 2, 4 and 7); the kernels' line proves them race-free and bit-identical at every
-# pool width (DESIGN.md §6, §9). The partitioner is there for its per-call
+# at once (rma's wK rows) and the set-up on parallel.For (NewLayout, the
+# local factorizations at widths 1, 2, 4 and 7). The third line holds For's
+# own tests and ToCSR's shards at every width (DESIGN.md §6, §9), and the
+# FEM2D line the one For caller the others do not reach: FEM assembly at
+# widths 1, 2, 4 and 7. The partitioner is there for its per-call
 # workspace: concurrent Partition calls (bench set-ups under -par) must
 # share nothing. The runtime and the methods run at two and at four
 # scheduler threads explicitly, whatever the host has: the retained-window
@@ -60,6 +62,7 @@ race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
 	$(GO) test -race ./internal/parallel/... ./internal/sparse/... ./internal/spdirect/... ./internal/obs/... ./internal/partition/...
+	$(GO) test -race -count=1 -run 'FEM2D' ./internal/problem/
 	$(GO) test -race -count=1 -run 'Memo|ParDriver|SetupCache|SetupShared' ./internal/bench/
 
 # End-to-end fault-injection smoke: both binaries on a small problem with
@@ -92,8 +95,9 @@ partition-pin:
 # outright breakage fails verify without a long bench run. BenchmarkDenseLU
 # is deliberately not matched -- its O(n^3) factor would add minutes. The
 # set-up's retained-heap ceiling also runs alone at one scheduler thread,
-# three times: there a pool worker may not wake before a region ends, the
-# reading a finished region's closure once inflated.
+# three times: there a width-2 region's second goroutine starts only after
+# the caller has run every block, the case in which a finished region's
+# closure once stayed reachable and inflated the reading.
 alloc-gates:
 	$(GO) test -run 'AllocGate|AllocCeiling' ./internal/...
 	GOMAXPROCS=1 $(GO) test -count=3 -run '^TestSetupRetainedAllocCeiling$$' ./internal/dmem

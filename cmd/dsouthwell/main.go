@@ -105,7 +105,12 @@ func validate(ranks, sweepMax, grid int, solver, locSolver string, target, chaos
 	return o, nil
 }
 
-func main() {
+func main() { os.Exit(dsouthwell()) }
+
+// dsouthwell runs the command and returns its exit status. Every error
+// returns here rather than calling os.Exit, so the deferred profile writers
+// flush -cpuprofile and -memprofile on a failed run too.
+func dsouthwell() int {
 	var (
 		matName  = flag.String("mat", "", "synthetic suite matrix name (see -list)")
 		matFile  = flag.String("mat_file", "", "MatrixMarket file to load instead")
@@ -130,18 +135,18 @@ func main() {
 	opts, err := validate(*ranks, *sweepMax, *grid, *solver, *locSolve, *target, *chaos, *chaosSd, *traceOut, *metrics)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -165,17 +170,17 @@ func main() {
 		for _, e := range problem.Suite() {
 			fmt.Printf("%-12s %9d %11d  %s\n", e.Name, e.PaperN, e.PaperNNZ, e.Kind)
 		}
-		return
+		return 0
 	}
 
 	a, label, err := loadMatrix(*matName, *matFile, *grid)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	if _, err := sparse.Scale(a); err != nil {
 		fmt.Fprintf(os.Stderr, "dsouthwell: scaling: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	var b, x []float64
@@ -204,16 +209,16 @@ func main() {
 	res, err := core.SolveDistributed(a, b, x, opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	if rec != nil {
 		if err := writeObs(*traceOut, rec.WriteTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "dsouthwell: -trace: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := writeObs(*metrics, rec.WriteMetrics); err != nil {
 			fmt.Fprintf(os.Stderr, "dsouthwell: -metrics: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -241,6 +246,7 @@ func main() {
 	if res.Deadlocked {
 		fmt.Printf("DEADLOCKED at step %d (stagnation watchdog)\n", res.DeadlockStep)
 	}
+	return 0
 }
 
 // writeObs writes one observability export to path (no-op when empty).

@@ -147,3 +147,35 @@ func TestLocSolverAutoExits2(t *testing.T) {
 		}
 	}
 }
+
+// TestProfilesSurviveErrorExit: a run that fails after the profiles start
+// (here an unknown -mat) still exits 1 with a CPU and a heap profile
+// written, not a 0-byte CPU profile and no heap profile.
+func TestProfilesSurviveErrorExit(t *testing.T) {
+	const child = "DSOUTHWELL_TEST_PROFILE_DIR"
+	if dir := os.Getenv(child); dir != "" {
+		os.Args = []string{"dsouthwell", "-cpuprofile", filepath.Join(dir, "cpu"),
+			"-memprofile", filepath.Join(dir, "mem"), "-mat", "nosuch"}
+		main()
+		return
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestProfilesSurviveErrorExit$")
+	cmd.Env = append(os.Environ(), child+"="+dir)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("dsouthwell -mat nosuch: err = %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "nosuch") {
+		t.Errorf("dsouthwell -mat nosuch: message does not name the matrix:\n%s", out)
+	}
+	for _, name := range []string{"cpu", "mem"} {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Errorf("%s profile: %v", name, err)
+		} else if fi.Size() == 0 {
+			t.Errorf("%s profile is empty", name)
+		}
+	}
+}

@@ -258,12 +258,7 @@ func runSuite(cfg Config, name string, method core.DistMethod, ranks, steps int)
 		opt.Setup = setup
 		// Trace hook: any table/figure run can dump its per-rank timeline.
 		// Memoized runs skip this path, so each run key is exported exactly
-		// once (by whichever call executed the world). No kernel-pool snapshot
-		// is attached here: the pool counters are process-global, so a per-run
-		// delta is only well-defined when exactly one run is in flight — under
-		// the -par prefetch driver it would absorb concurrent runs' regions
-		// and the exported bytes would stop being a pure function of the run
-		// (cmd/dsouthwell, which solves exactly once per process, keeps it).
+		// once (by whichever call executed the world).
 		var rec *obs.Recorder
 		if cfg.TraceDir != "" || cfg.MetricsDir != "" {
 			rec = obs.NewRecorder(ranks)

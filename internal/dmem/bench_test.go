@@ -123,7 +123,7 @@ func BenchmarkLocalSolveCycled(b *testing.B) {
 
 // BenchmarkNewLayout times NewLayout on the end-to-end benchmark's four
 // shapes (e2eShapes: matrix, partition and rank count as the benchmark
-// builds them), at the shared pool's width.
+// builds them), at parallel.Workers().
 func BenchmarkNewLayout(b *testing.B) {
 	for _, c := range e2eShapes() {
 		b.Run(c.name, func(b *testing.B) {

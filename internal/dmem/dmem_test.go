@@ -600,11 +600,11 @@ func TestParallelEngineIdenticalHistory(t *testing.T) {
 	}
 }
 
-// eachWidth calls f with the shared pool — what NewLayout and NewSetup run
-// on; rank phases never do — resized to 2, 4 and 7 executor slots in turn,
-// then restores it, so the set-up width rows bite at any host GOMAXPROCS.
+// eachWidth calls f with parallel.For — what NewLayout and NewSetup run
+// on; rank phases never do — at widths 2, 4 and 7 in turn, then restores
+// the width, so the set-up width rows bite at any host GOMAXPROCS.
 func eachWidth(f func(k int)) {
-	prev := parallel.Default().Workers()
+	prev := parallel.Workers()
 	defer parallel.SetDefaultWorkers(prev)
 	for _, k := range []int{2, 4, 7} {
 		parallel.SetDefaultWorkers(k)

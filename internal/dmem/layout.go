@@ -129,7 +129,7 @@ func fitsIndex(what string, n int) error {
 // its exact size: the first counts what each rank holds, the second fills
 // the flat arrays at the offsets the counts give. Ranks are independent
 // within these passes (each writes only its own ranges from the read-only
-// matrix and partition), so rank blocks fan out over the shared pool; block
+// matrix and partition), so rank blocks fan out over parallel.For; block
 // boundaries never influence the output, so the layout is identical for any
 // worker count. Pass 2 also checks each rank's entries, keeping per rank
 // block only the lowest row with an unusable diagonal or a non-finite
@@ -172,19 +172,17 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	nb := rankBlockCount(p)
 	blocks := parallel.SplitN(p, nb, make([]parallel.Range, 0, nb))
 	scratch := make([]layoutScratch, nb)
-	var task parallel.Task
 
 	// Pass 1: per rank the neighbors, ext slots and boundary entries; then
 	// prefix sums turn counts into offsets.
-	task.F = func(b int) {
+	parallel.For(nb, func(b int) {
 		sc := &scratch[b]
 		sc.seen, sc.nbrSeen, sc.rowSeen = make([]int32, a.N), make([]int32, p), make([]int32, p)
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
 			l.countRank(part, pr, sc)
 		}
 		sc.nbrSeen, sc.rowSeen = nil, nil
-	}
-	parallel.Default().Run(&task, nb)
+	})
 	for pr := range p {
 		l.nbrOff[pr+1] += l.nbrOff[pr]
 		l.extOff[pr+1] += l.extOff[pr]
@@ -199,7 +197,7 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	l.nbrExtOff, l.nbrBndOff = make([]int32, nNbr+1), make([]int32, nNbr+1)
 	l.myRows = make([]int32, l.bndOff[p])
 	extGlob := make([]int32, l.extOff[p])
-	task.F = func(b int) {
+	parallel.For(nb, func(b int) {
 		sc := &scratch[b]
 		nbrBuf := make([]int32, 2*sc.maxSlots) // a rank has at most as many neighbors as ext slots
 		sc.pos, sc.extNbr, sc.lastRow = make([]int32, a.N), nbrBuf[:sc.maxSlots], nbrBuf[sc.maxSlots:]
@@ -208,8 +206,7 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
 			l.fillRank(part, extGlob, pr, sc)
 		}
-	}
-	parallel.Default().Run(&task, nb)
+	})
 
 	// Pass 3: the plans pair up (needs every rank's neighbors and ext rows).
 	// One walk in rank order, cur[q] being where it stands in q's neighbors,
@@ -267,7 +264,7 @@ func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 // extraction scratches (one per block, each two a.N-long int32 arrays) are
 // live at once.
 func rankBlockCount(p int) int {
-	return max(1, min(2*parallel.Default().Workers(), p))
+	return max(1, min(2*parallel.Workers(), p))
 }
 
 // layoutScratch is one rank block's extraction state for one NewLayout

@@ -372,7 +372,7 @@ func liveHeap() uint64 {
 // 0.50 / 2.24 / 1.20 / 0.35 MB (27 mallocs; 324 032 / 371 968 / 3 444 288
 // bytes a call) while it kept a copy of each row's diagonal.
 func TestLayoutAllocCeiling(t *testing.T) {
-	defer parallel.SetDefaultWorkers(parallel.Default().Workers())
+	defer parallel.SetDefaultWorkers(parallel.Workers())
 	parallel.SetDefaultWorkers(1)
 	const maxMallocs = 26
 	grid := problem.Poisson2D(100, 100)
@@ -441,15 +441,15 @@ func TestLayoutRetainedAllocCeiling(t *testing.T) {
 // TestSetupRetainedAllocCeiling: what NewLayout + NewSetup keep once the
 // caller drops its layout — the live heap after a GC, minus before — on the
 // benchmark's four shapes, with LocalDirect on direct64 as the benchmark
-// runs it, at pool widths 1 and 2. A direct Setup keeps each local block
+// runs it, at parallel.For widths 1 and 2. A direct Setup keeps each local block
 // once, as its factor: with the layout's split-CSR copy of the blocks as
 // well, direct64 read 12 371 672 bytes at both widths. Each ceiling is the
 // reading + 1 %, so the layout a Setup keeps (the caller's own) cannot
 // bring the targets or a diagonal back, nor a copy of A's values. With that copy (split CSR) the GS shapes read 5 395 696 /
 // 7 135 144 / 4 890 536 bytes at width 1. Run alone at one scheduler
 // thread, width 2 once read 7 458 776 on pointload2k: a finished region's
-// queued pool entry kept NewLayout's scratch alive (the pool now queues a
-// handle that Run clears). With the layout's target per entry of A the GS
+// queued pool entry kept NewLayout's scratch alive (parallel.For now joins
+// its goroutines before it returns). With the layout's target per entry of A the GS
 // shapes read 2 144 400 / 3 907 512 / 2 523 064 at width 1 and 2 143 928 /
 // 3 907 608 / 2 523 072 at width 2; direct64 did not move when it went.
 // With the layout's copy of each row's diagonal, which a direct Setup
@@ -463,7 +463,7 @@ func TestSetupRetainedAllocCeiling(t *testing.T) {
 		"pointload2k": {687_880, 687_976},
 		"direct64":    {8_493_288, 8_493_288},
 	}
-	defer parallel.SetDefaultWorkers(parallel.Default().Workers())
+	defer parallel.SetDefaultWorkers(parallel.Workers())
 	for w, width := range []int{1, 2} {
 		parallel.SetDefaultWorkers(width)
 		for _, c := range e2eShapes() {

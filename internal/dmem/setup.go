@@ -88,8 +88,8 @@ func localBlockCSR(l *Layout, at, ext []int32, p int) (rowPtr, col []int32, val 
 	return rowPtr, col, val
 }
 
-// factorAll factors every rank's diagonal block concurrently on the shared
-// kernel pool. Each rank's factor is a pure sequential function of its own
+// factorAll factors every rank's diagonal block concurrently over
+// parallel.For. Each rank's factor is a pure sequential function of its own
 // block written to its own slot, so worker count never influences a bit of
 // the result; the lowest failing rank wins error reporting for
 // determinism. Each rank block numbers its ranks' rows in a scratch of its
@@ -100,14 +100,12 @@ func factorAll(l *Layout, ext []int32) ([]*spdirect.Factor, error) {
 	errs := make([]error, p)
 	nb := rankBlockCount(p)
 	blocks := parallel.SplitN(p, nb, make([]parallel.Range, 0, nb))
-	var task parallel.Task
-	task.F = func(b int) {
+	parallel.For(nb, func(b int) {
 		at := make([]int32, l.A.N)
 		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
 			factors[pr], errs[pr] = spdirect.Factorize(localBlockCSR(l, at, ext, pr))
 		}
-	}
-	parallel.Default().Run(&task, nb)
+	})
 	for pr, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("dmem: local block of rank %d not factorizable: %w", pr, err)

@@ -52,7 +52,7 @@ func factorAllRanks(t *testing.T, e problem.SuiteEntry, ranks int) *Setup {
 
 // TestLocalFactorWidthInvariant pins the determinism contract of the
 // concurrent setup factorization: the factors NewSetup produces are
-// bit-identical at every kernel-pool width, entry by entry (pattern, L
+// bit-identical at every parallel.For width, entry by entry (pattern, L
 // values, pivots).
 func TestLocalFactorWidthInvariant(t *testing.T) {
 	e, ok := problem.SuiteByName("Hook_1498")
@@ -60,7 +60,7 @@ func TestLocalFactorWidthInvariant(t *testing.T) {
 		t.Fatal("unknown suite matrix Hook_1498")
 	}
 	const ranks = 48
-	orig := parallel.Default().Workers()
+	orig := parallel.Workers()
 	defer parallel.SetDefaultWorkers(orig)
 
 	parallel.SetDefaultWorkers(1)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"weak"
 )
 
@@ -68,109 +69,70 @@ func TestSplitN(t *testing.T) {
 	}
 }
 
-func TestSplitNNZ(t *testing.T) {
-	// A skewed row-pointer: row i has i nonzeros.
-	n := 100
-	rp := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		rp[i+1] = rp[i] + int32(i)
-	}
-	for _, nb := range []int{1, 2, 4, 7, 64, 200} {
-		rs := SplitNNZ(rp, nb, nil)
-		if len(rs) != nb {
-			t.Fatalf("SplitNNZ nb=%d: %d ranges", nb, len(rs))
-		}
-		checkCover(t, rs, n)
-	}
+// widths are the For widths the sweeping tests below run at.
+var widths = []int{1, 2, 4, 7}
 
-	// Balance: with the skewed matrix and 4 blocks, each block's nonzero
-	// count should be within one max-row of the ideal quarter.
-	rs := SplitNNZ(rp, 4, nil)
-	total := int(rp[n])
-	for _, r := range rs {
-		nnz := int(rp[r.Hi] - rp[r.Lo])
-		if diff := nnz - total/4; diff > n || diff < -n {
-			t.Errorf("block %v has %d nnz, ideal %d", r, nnz, total/4)
-		}
-	}
-
-	// Degenerate inputs.
-	checkCover(t, SplitNNZ([]int32{0}, 3, nil), 0)
-	checkCover(t, SplitNNZ(nil, 3, nil), 0)
-	// All nonzeros in one row.
-	rp2 := []int32{0, 0, 1000, 1000}
-	checkCover(t, SplitNNZ(rp2, 4, nil), 3)
+// atWidth runs f with For's width set to w, restoring the width after.
+func atWidth(w int, f func()) {
+	defer SetDefaultWorkers(Workers())
+	SetDefaultWorkers(w)
+	f()
 }
 
-func TestSplitNNZReuse(t *testing.T) {
-	rp := []int32{0, 2, 4, 6, 8}
-	buf := make([]Range, 0, 8)
-	a := SplitNNZ(rp, 4, buf)
-	b := SplitNNZ(rp, 4, a[:0])
-	if &a[0] != &b[0] {
-		t.Error("SplitNNZ did not reuse the passed storage")
-	}
-	checkCover(t, b, 4)
-}
-
-// runCounts runs a region on the pool and verifies every block executes
+// runCounts runs a region through For and verifies every block executes
 // exactly once.
-func runCounts(t *testing.T, p *Pool, nblocks int) {
+func runCounts(t *testing.T, nblocks int) {
 	t.Helper()
 	counts := make([]int32, nblocks)
-	var task Task
-	task.F = func(b int) { atomic.AddInt32(&counts[b], 1) }
-	p.Run(&task, nblocks)
+	For(nblocks, func(b int) { atomic.AddInt32(&counts[b], 1) })
 	for b, c := range counts {
 		if c != 1 {
-			t.Fatalf("width %d, nblocks %d: block %d ran %d times", p.Workers(), nblocks, b, c)
+			t.Fatalf("width %d, nblocks %d: block %d ran %d times", Workers(), nblocks, b, c)
 		}
 	}
 }
 
+// TestPoolRun: at every width, a region runs each of its blocks once.
 func TestPoolRun(t *testing.T) {
-	for _, w := range []int{1, 2, 4, 7} {
-		p := NewPool(w)
-		for _, nb := range []int{1, 2, 3, 8, 64, 200} {
-			runCounts(t, p, nb)
-		}
-		p.Close()
+	for _, w := range widths {
+		atWidth(w, func() {
+			for _, nb := range []int{1, 2, 3, 8, 64, 200} {
+				runCounts(t, nb)
+			}
+		})
 	}
 }
 
+// TestPoolRunReuseTask passes one f to a hundred regions in a row: For
+// keeps no state between calls, so each region's sum starts from zero.
 func TestPoolRunReuseTask(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
+	defer SetDefaultWorkers(Workers())
+	SetDefaultWorkers(4)
 	var sum int64
-	var task Task
-	task.F = func(b int) { atomic.AddInt64(&sum, int64(b)) }
+	f := func(b int) { atomic.AddInt64(&sum, int64(b)) }
 	for iter := 0; iter < 100; iter++ {
 		atomic.StoreInt64(&sum, 0)
-		p.Run(&task, 32)
+		For(32, f)
 		if got := atomic.LoadInt64(&sum); got != 31*32/2 {
 			t.Fatalf("iter %d: sum = %d, want %d", iter, got, 31*32/2)
 		}
 	}
 }
 
-// TestPoolRunReuseTaskResize reuses one Task across regions of very
-// different block counts, large to small, on a wide pool. This is the
-// kernel-scratch recycling pattern (e.g. multigrid fine vs coarse levels):
-// a helper goroutine left over from a large region must never claim a block
-// index of the old region after Run resets the Task for a smaller one —
-// counts is sized to the current region, so any stale claim panics or
-// double-counts.
+// TestPoolRunReuseTaskResize passes one f to regions of very different
+// block counts, large to small, at width 7. counts is sized to the current
+// region, so a goroutine of an earlier region still claiming blocks after
+// For returned would index past it or double-count.
 func TestPoolRunReuseTaskResize(t *testing.T) {
-	p := NewPool(7)
-	defer p.Close()
+	defer SetDefaultWorkers(Workers())
+	SetDefaultWorkers(7)
 	sizes := []int{257, 3, 64, 1, 200, 2, 31}
 	var counts []int32
-	var task Task
-	task.F = func(b int) { atomic.AddInt32(&counts[b], 1) }
+	f := func(b int) { atomic.AddInt32(&counts[b], 1) }
 	for iter := 0; iter < 500; iter++ {
 		nb := sizes[iter%len(sizes)]
 		counts = make([]int32, nb)
-		p.Run(&task, nb)
+		For(nb, f)
 		for b, c := range counts {
 			if c != 1 {
 				t.Fatalf("iter %d nb=%d: block %d ran %d times", iter, nb, b, c)
@@ -179,116 +141,142 @@ func TestPoolRunReuseTaskResize(t *testing.T) {
 	}
 }
 
-func TestPoolRunAfterClose(t *testing.T) {
-	p := NewPool(4)
-	p.Close()
-	p.Close() // idempotent
-	runCounts(t, p, 50)
+// TestForWidthOneRunsInline: at width 1, and for a single block at any
+// width, For calls f on the calling goroutine in ascending block order and
+// starts no goroutine.
+func TestForWidthOneRunsInline(t *testing.T) {
+	for _, c := range []struct{ w, nb int }{{1, 1}, {1, 9}, {4, 1}, {7, 1}} {
+		atWidth(c.w, func() {
+			base := runtime.NumGoroutine()
+			var order []int
+			For(c.nb, func(b int) {
+				if g := runtime.NumGoroutine(); g > base {
+					t.Errorf("width %d, %d blocks: %d goroutines inside the region, %d before", c.w, c.nb, g, base)
+				}
+				order = append(order, b)
+			})
+			for b := 0; b < c.nb; b++ {
+				if len(order) != c.nb || order[b] != b {
+					t.Fatalf("width %d, %d blocks: ran %v, want 0..%d ascending", c.w, c.nb, order, c.nb-1)
+				}
+			}
+		})
+	}
 }
 
-func TestNilPool(t *testing.T) {
-	var p *Pool
-	if p.Workers() != 1 {
-		t.Errorf("nil pool Workers = %d", p.Workers())
+// TestForLeavesNoGoroutine: after For returns, the goroutine count is back
+// where it was. A goroutine that has signalled its end may still be on its
+// way out when For returns, so the count gets a second to settle; one that
+// For left parked or running never does. Goroutines of earlier tests may
+// still be leaving when the baseline is read, so the count may also end
+// below it.
+func TestForLeavesNoGoroutine(t *testing.T) {
+	for _, w := range widths {
+		atWidth(w, func() {
+			base := runtime.NumGoroutine()
+			for _, nb := range []int{2, 7, 64} {
+				runCounts(t, nb)
+			}
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if g := runtime.NumGoroutine(); g > base {
+				t.Errorf("width %d: %d goroutines after For returned, %d before", w, g, base)
+			}
+		})
 	}
-	runCounts(t, p, 10)
-	p.Close()
 }
 
 func TestRunNilFuncPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Run with nil F did not panic")
+			t.Error("For with nil f did not panic")
 		}
 	}()
-	NewPool(2).Run(&Task{}, 3)
+	For(3, nil)
 }
 
 func TestRunZeroBlocks(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	var task Task
-	task.F = func(int) { t.Error("block ran for nblocks=0") }
-	p.Run(&task, 0)
-	p.Run(&task, -3)
+	for _, w := range widths {
+		atWidth(w, func() {
+			For(0, func(int) { t.Error("block ran for nblocks=0") })
+			For(-3, func(int) { t.Error("block ran for nblocks=-3") })
+		})
+	}
 }
 
-// TestFinishedRegionKeepsNothing: at one scheduler thread a width-2 pool's
-// worker does not wake before the submitter has run every block itself, so
-// the region's entry is still queued when Run returns. That entry must not
-// keep the closure, or the buffer it captures, reachable once the caller
-// drops its Task.
+// TestFinishedRegionKeepsNothing: once For returns, nothing of the region
+// keeps its closure, or the buffer the closure captures, reachable. At one
+// scheduler thread a width-2 region's second goroutine does not start
+// before the caller has run every block itself, the case in which a queued
+// hand-off could have outlived the region.
 func TestFinishedRegionKeepsNothing(t *testing.T) {
+	defer SetDefaultWorkers(Workers())
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	p := NewPool(2)
-	defer p.Close()
+	SetDefaultWorkers(2)
 	buf := weak.Make(func() *[1 << 16]byte {
 		buf := new([1 << 16]byte)
-		var task Task
-		task.F = func(b int) { buf[b]++ }
-		p.Run(&task, 4)
+		For(4, func(b int) { buf[b]++ })
 		return buf
 	}())
 	runtime.GC()
 	if buf.Value() != nil {
-		t.Error("a finished region's closure keeps its captured buffer reachable through the pool")
+		t.Error("a finished region's closure keeps its captured buffer reachable")
 	}
 }
 
-// TestConcurrentRun drives many regions from competing goroutines through
-// one pool; with the race detector this exercises the saturated-pool path
-// where submitters finish their own blocks.
+// TestConcurrentRun drives regions from eight competing goroutines at
+// every width; with the race detector this exercises concurrent callers,
+// each with its own block counter and goroutines.
 func TestConcurrentRun(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			counts := make([]int32, 40)
-			var task Task
-			task.F = func(b int) { atomic.AddInt32(&counts[b], 1) }
-			for iter := 0; iter < 50; iter++ {
-				for i := range counts {
-					counts[i] = 0
-				}
-				p.Run(&task, len(counts))
-				for b := range counts {
-					if counts[b] != 1 {
-						t.Errorf("block %d ran %d times", b, counts[b])
-						return
+	for _, w := range widths {
+		atWidth(w, func() {
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					counts := make([]int32, 40)
+					for iter := 0; iter < 50; iter++ {
+						for i := range counts {
+							counts[i] = 0
+						}
+						For(len(counts), func(b int) { atomic.AddInt32(&counts[b], 1) })
+						for b := range counts {
+							if counts[b] != 1 {
+								t.Errorf("width %d: block %d ran %d times", w, b, counts[b])
+								return
+							}
+						}
 					}
-				}
+				}()
 			}
-		}()
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }
 
 func TestSetDefaultWorkers(t *testing.T) {
-	orig := Default().Workers()
-	defer SetDefaultWorkers(orig)
-
+	defer SetDefaultWorkers(Workers())
 	SetDefaultWorkers(3)
-	if got := Default().Workers(); got != 3 {
+	if got := Workers(); got != 3 {
 		t.Fatalf("Workers = %d after SetDefaultWorkers(3)", got)
 	}
-	p := Default()
-	SetDefaultWorkers(3) // same width: keep the pool
-	if Default() != p {
-		t.Error("SetDefaultWorkers with unchanged width replaced the pool")
-	}
 	SetDefaultWorkers(1)
-	if got := Default().Workers(); got != 1 {
+	if got := Workers(); got != 1 {
 		t.Fatalf("Workers = %d after SetDefaultWorkers(1)", got)
 	}
-	runCounts(t, Default(), 10)
+	SetDefaultWorkers(0)
+	if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Workers = %d after SetDefaultWorkers(0), want GOMAXPROCS = %d", got, want)
+	}
+	runCounts(t, 10)
 }
 
 // TestDeterministicReduction is the contract in miniature: a blocked
-// partial-sum reduction combined in block order gives the same bits for
-// every pool width.
+// partial-sum reduction combined in block order gives the same bits at
+// every width.
 func TestDeterministicReduction(t *testing.T) {
 	n := 100000
 	xs := make([]float64, n)
@@ -302,17 +290,15 @@ func TestDeterministicReduction(t *testing.T) {
 	nb := Blocks(n, 1024, 64)
 	ranges := SplitN(n, nb, nil)
 
-	reduce := func(p *Pool) float64 {
+	reduce := func() float64 {
 		partial := make([]float64, nb)
-		var task Task
-		task.F = func(b int) {
+		For(nb, func(b int) {
 			s := 0.0
 			for _, x := range xs[ranges[b].Lo:ranges[b].Hi] {
 				s += x * x
 			}
 			partial[b] = s
-		}
-		p.Run(&task, nb)
+		})
 		sum := 0.0
 		for _, s := range partial {
 			sum += s
@@ -321,10 +307,9 @@ func TestDeterministicReduction(t *testing.T) {
 	}
 
 	var ref float64
-	for i, w := range []int{1, 2, 4, 7} {
-		p := NewPool(w)
-		got := reduce(p)
-		p.Close()
+	for i, w := range widths {
+		var got float64
+		atWidth(w, func() { got = reduce() })
 		if i == 0 {
 			ref = got
 			continue

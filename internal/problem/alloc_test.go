@@ -18,7 +18,7 @@ import (
 // sparse.Add — Poisson2D(256,256) allocated 20 326 624 bytes in 69
 // mallocs and Flan_1565 17 442 488 in 55.
 func TestGeneratorAllocCeiling(t *testing.T) {
-	defer parallel.SetDefaultWorkers(parallel.Default().Workers())
+	defer parallel.SetDefaultWorkers(parallel.Workers())
 	parallel.SetDefaultWorkers(1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	flan, _ := SuiteByName("Flan_1565")

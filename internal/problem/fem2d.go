@@ -137,16 +137,14 @@ func assembleBlocked(n, items, entriesPerItem int, emit func(c *sparse.COO, item
 	}
 	blocks := parallel.SplitN(items, nb, make([]parallel.Range, 0, nb))
 	parts := make([]*sparse.COO, nb)
-	var task parallel.Task
-	task.F = func(b int) {
+	parallel.For(nb, func(b int) {
 		rg := blocks[b]
 		c := sparse.NewCOO(n, (rg.Hi-rg.Lo)*entriesPerItem)
 		for item := rg.Lo; item < rg.Hi; item++ {
 			emit(c, item)
 		}
 		parts[b] = c
-	}
-	parallel.Default().Run(&task, nb)
+	})
 	if nb == 1 {
 		return parts[0].ToCSR()
 	}

@@ -75,7 +75,7 @@ func (c *COO) ToCSR() *CSR {
 
 	// Phase 1: per-shard row counts.
 	cnt := make([]int32, ns*n)
-	runBlocks(ns, func(s int) {
+	parallel.For(ns, func(s int) {
 		cn := cnt[s*n : (s+1)*n]
 		rg := shards[s]
 		for e := rg.Lo; e < rg.Hi; e++ {
@@ -100,7 +100,7 @@ func (c *COO) ToCSR() *CSR {
 	// Phase 3: stable parallel scatter into row-grouped order.
 	tmpCol := make([]int32, m)
 	tmpVal := make([]float64, m)
-	runBlocks(ns, func(s int) {
+	parallel.For(ns, func(s int) {
 		off := cnt[s*n : (s+1)*n]
 		rg := shards[s]
 		for e := rg.Lo; e < rg.Hi; e++ {
@@ -119,7 +119,7 @@ func (c *COO) ToCSR() *CSR {
 	kept := make([]int32, n+1)
 	nrb := parallel.Blocks(n, rowBlockGrain, maxKernBlocks)
 	rowBlocks := parallel.SplitN(n, nrb, make([]parallel.Range, 0, nrb))
-	runBlocks(nrb, func(b int) {
+	parallel.For(nrb, func(b int) {
 		rg := rowBlocks[b]
 		for i := rg.Lo; i < rg.Hi; i++ {
 			cols := tmpCol[rowStart[i]:rowStart[i+1]]
@@ -167,7 +167,7 @@ func (c *COO) ToCSR() *CSR {
 		Col:    make([]int32, kept[n]),
 		Val:    make([]float64, kept[n]),
 	}
-	runBlocks(nrb, func(b int) {
+	parallel.For(nrb, func(b int) {
 		rg := rowBlocks[b]
 		for i := rg.Lo; i < rg.Hi; i++ {
 			copy(a.Col[kept[i]:kept[i+1]], tmpCol[rowStart[i]:])

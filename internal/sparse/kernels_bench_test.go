@@ -1,12 +1,9 @@
 package sparse_test
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
-	"southwell/internal/parallel"
 	"southwell/internal/problem"
 	"southwell/internal/sparse"
 )
@@ -37,46 +34,33 @@ func benchSystem() (*sparse.CSR, []float64, []float64, []float64, []float64) {
 }
 
 // BenchmarkKernels measures the steady-state numerical kernels on the
-// 100k-row FEM matrix at one worker and at GOMAXPROCS workers. allocs_op
-// is asserted by TestKernelAllocGate; ns_op demonstrates the multi-core
-// win.
+// 100k-row FEM matrix. They run on the calling goroutine, so the reading
+// does not depend on parallel.Workers; allocs_op is asserted by
+// TestKernelAllocGate.
 func BenchmarkKernels(b *testing.B) {
 	a, x, y, rhs, r := benchSystem()
-	orig := parallel.Default().Workers()
-	defer parallel.SetDefaultWorkers(orig)
-
-	widths := []int{1}
-	if g := runtime.GOMAXPROCS(0); g > 1 {
-		widths = append(widths, g)
+	kernels := []struct {
+		name string
+		f    func()
+	}{
+		{"MulVec", func() { a.MulVec(x, y) }},
+		{"Residual", func() { a.Residual(rhs, x, r) }},
+		{"ResidualNorm2", func() { _ = a.ResidualNorm2(rhs, x, r) }},
+		{"SumSquares", func() { _ = sparse.SumSquares(r) }},
 	}
-	for _, w := range widths {
-		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			parallel.SetDefaultWorkers(w)
-			kernels := []struct {
-				name string
-				f    func()
-			}{
-				{"MulVec", func() { a.MulVec(x, y) }},
-				{"Residual", func() { a.Residual(rhs, x, r) }},
-				{"ResidualNorm2", func() { _ = a.ResidualNorm2(rhs, x, r) }},
-				{"SumSquares", func() { _ = sparse.SumSquares(r) }},
-			}
-			for _, k := range kernels {
-				b.Run(k.name, func(b *testing.B) {
-					k.f() // warm the scratch free list
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						k.f()
-					}
-				})
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.f()
 			}
 		})
 	}
 }
 
 // BenchmarkSetup measures the concurrent setup path: FEM assembly
-// (problem generation + COO→CSR conversion).
+// (problem generation + COO→CSR conversion) over parallel.For at
+// GOMAXPROCS.
 func BenchmarkSetup(b *testing.B) {
 	b.Run("FEM2D-100k", func(b *testing.B) {
 		b.ReportAllocs()
@@ -88,9 +72,9 @@ func BenchmarkSetup(b *testing.B) {
 
 // TestKernelAllocGate is the machine-independent regression gate: each
 // steady-state kernel must allocate nothing. The matrix is large enough
-// that every kernel takes its blocked multi-shard path.
+// that both reductions sum more than one block.
 func TestKernelAllocGate(t *testing.T) {
-	a := problem.FEM2D(150, 0.35, 1) // 22201 rows: blocked paths everywhere
+	a := problem.FEM2D(150, 0.35, 1) // 22201 rows: two reduction blocks
 	x := make([]float64, a.N)
 	rhs := make([]float64, a.N)
 	y := make([]float64, a.N)
@@ -99,10 +83,6 @@ func TestKernelAllocGate(t *testing.T) {
 		x[i] = float64(i%13) / 13
 		rhs[i] = float64(i%7) / 7
 	}
-	orig := parallel.Default().Workers()
-	defer parallel.SetDefaultWorkers(orig)
-	parallel.SetDefaultWorkers(4)
-
 	for _, k := range []struct {
 		name string
 		f    func()
@@ -112,7 +92,6 @@ func TestKernelAllocGate(t *testing.T) {
 		{"ResidualNorm2", func() { _ = a.ResidualNorm2(rhs, x, r) }},
 		{"SumSquares", func() { _ = sparse.SumSquares(r) }},
 	} {
-		k.f() // warm the scratch free list outside the measurement
 		if got := testing.AllocsPerRun(20, k.f); got != 0 {
 			t.Errorf("%s allocates %.1f/op in steady state, want 0", k.name, got)
 		}

@@ -1,8 +1,9 @@
-// Property tests for the parallel kernel layer: every kernel must be
-// bit-identical to its one-worker result for worker counts {1, 2, 4, 7},
-// and the fused ResidualNorm2 must equal Residual followed by √SumSquares
-// exactly. External test package so FEM matrices from internal/problem can
-// be used without an import cycle.
+// Property tests for the kernels and the format conversion: every kernel
+// must be bit-identical to a reference loop written out here, the fused
+// ResidualNorm2 must equal Residual followed by √SumSquares exactly, and
+// ToCSR, which shards over parallel.For, must give the same bits at widths
+// {1, 2, 4, 7}. External test package so FEM matrices from internal/problem
+// can be used without an import cycle.
 package sparse_test
 
 import (
@@ -17,11 +18,11 @@ import (
 
 var kernelWidths = []int{1, 2, 4, 7}
 
-// withWorkers runs f with the shared pool at each width in kernelWidths,
+// withWorkers runs f with parallel.For at each width in kernelWidths,
 // restoring the original width afterwards.
 func withWorkers(t *testing.T, f func(t *testing.T, w int)) {
 	t.Helper()
-	orig := parallel.Default().Workers()
+	orig := parallel.Workers()
 	defer parallel.SetDefaultWorkers(orig)
 	for _, w := range kernelWidths {
 		parallel.SetDefaultWorkers(w)
@@ -93,6 +94,27 @@ func refMulVec(a *sparse.CSR, x []float64) []float64 {
 	return y
 }
 
+// sumSquaresRef is SumSquares' reduction written out: ⌈n/16384⌉ blocks
+// (at most 64) of near-equal length, each summed in ascending i, the block
+// sums added in block order. TestFusedResidualNormExact and the results/
+// figures depend on this grouping.
+func sumSquaresRef(x []float64) float64 {
+	n := len(x)
+	nb := min(max(1, (n+16383)/16384), 64)
+	sum := 0.0
+	for b := range nb {
+		s := 0.0
+		for _, v := range x[b*n/nb : (b+1)*n/nb] {
+			s += v * v
+		}
+		sum += s
+	}
+	return sum
+}
+
+// TestKernelsBitIdenticalAcrossWorkers: the kernels run on the calling
+// goroutine, so no width can change them; each reproduces its reference
+// loop (mulRef, residRef, sumSquaresRef) bit for bit.
 func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	mats := testMatrices(t)
 	rng := rand.New(rand.NewSource(99))
@@ -100,67 +122,60 @@ func TestKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		x := randVec(rng, a.N)
 		b := randVec(rng, a.N)
 
-		// References at one worker.
-		parallel.SetDefaultWorkers(1)
 		refY := make([]float64, a.N)
-		a.MulVec(x, refY)
+		mulRef(a, x, refY)
 		refR := make([]float64, a.N)
-		a.Residual(b, x, refR)
-		refRN := make([]float64, a.N)
-		refNorm := a.ResidualNorm2(b, x, refRN)
-		refSS := sparse.SumSquares(refR)
+		residRef(a, b, x, refR)
+		refSS := sumSquaresRef(refR)
+		refNorm := math.Sqrt(refSS)
 
-		withWorkers(t, func(t *testing.T, w int) {
-			y := make([]float64, a.N)
-			a.MulVec(x, y)
-			r := make([]float64, a.N)
-			a.Residual(b, x, r)
-			rn := make([]float64, a.N)
-			norm := a.ResidualNorm2(b, x, rn)
-			ss := sparse.SumSquares(r)
-			for i := range y {
-				if y[i] != refY[i] {
-					t.Fatalf("%s width %d: MulVec[%d] = %x, want %x", name, w, i, y[i], refY[i])
-				}
-				if r[i] != refR[i] {
-					t.Fatalf("%s width %d: Residual[%d] = %x, want %x", name, w, i, r[i], refR[i])
-				}
-				if rn[i] != refRN[i] {
-					t.Fatalf("%s width %d: ResidualNorm2 r[%d] = %x, want %x", name, w, i, rn[i], refRN[i])
-				}
+		y := make([]float64, a.N)
+		a.MulVec(x, y)
+		r := make([]float64, a.N)
+		a.Residual(b, x, r)
+		rn := make([]float64, a.N)
+		norm := a.ResidualNorm2(b, x, rn)
+		ss := sparse.SumSquares(r)
+		for i := range y {
+			if y[i] != refY[i] {
+				t.Fatalf("%s: MulVec[%d] = %x, want %x", name, i, y[i], refY[i])
 			}
-			if norm != refNorm {
-				t.Fatalf("%s width %d: ResidualNorm2 = %x, want %x", name, w, norm, refNorm)
+			if r[i] != refR[i] {
+				t.Fatalf("%s: Residual[%d] = %x, want %x", name, i, r[i], refR[i])
 			}
-			if ss != refSS {
-				t.Fatalf("%s width %d: SumSquares = %x, want %x", name, w, ss, refSS)
+			if rn[i] != refR[i] {
+				t.Fatalf("%s: ResidualNorm2 r[%d] = %x, want %x", name, i, rn[i], refR[i])
 			}
-		})
+		}
+		if norm != refNorm {
+			t.Fatalf("%s: ResidualNorm2 = %x, want %x", name, norm, refNorm)
+		}
+		if ss != refSS {
+			t.Fatalf("%s: SumSquares = %x, want %x", name, ss, refSS)
+		}
 	}
 }
 
 func TestFusedResidualNormExact(t *testing.T) {
 	mats := testMatrices(t)
 	rng := rand.New(rand.NewSource(3))
-	withWorkers(t, func(t *testing.T, w int) {
-		for name, a := range mats {
-			x := randVec(rng, a.N)
-			b := randVec(rng, a.N)
-			r1 := make([]float64, a.N)
-			a.Residual(b, x, r1)
-			want := math.Sqrt(sparse.SumSquares(r1))
-			r2 := make([]float64, a.N)
-			got := a.ResidualNorm2(b, x, r2)
-			if got != want {
-				t.Errorf("%s width %d: ResidualNorm2 = %x, √SumSquares(Residual) = %x", name, w, got, want)
-			}
-			for i := range r1 {
-				if r1[i] != r2[i] {
-					t.Fatalf("%s width %d: r[%d] differs: %x vs %x", name, w, i, r1[i], r2[i])
-				}
+	for name, a := range mats {
+		x := randVec(rng, a.N)
+		b := randVec(rng, a.N)
+		r1 := make([]float64, a.N)
+		a.Residual(b, x, r1)
+		want := math.Sqrt(sparse.SumSquares(r1))
+		r2 := make([]float64, a.N)
+		got := a.ResidualNorm2(b, x, r2)
+		if got != want {
+			t.Errorf("%s: ResidualNorm2 = %x, √SumSquares(Residual) = %x", name, got, want)
+		}
+		for i := range r1 {
+			if r1[i] != r2[i] {
+				t.Fatalf("%s: r[%d] differs: %x vs %x", name, i, r1[i], r2[i])
 			}
 		}
-	})
+	}
 }
 
 func TestKernelsCorrectness(t *testing.T) {
@@ -191,8 +206,8 @@ func TestKernelsCorrectness(t *testing.T) {
 	}
 }
 
-// mulRef and residRef are mulRange and residRange as they were written before
-// rowDot cut each row into local slices (DESIGN.md §10, "Kernel form"):
+// mulRef and residRef are MulVec's and Residual's row loops as they were
+// written before rowDot cut each row into local slices (DESIGN.md §10, "Kernel form"):
 // every operand indexed through a on every nonzero. Compared bitwise.
 func mulRef(a *sparse.CSR, x, y []float64) {
 	for i := 0; i < a.N; i++ {
@@ -215,7 +230,7 @@ func residRef(a *sparse.CSR, b, x, r []float64) {
 }
 
 // TestGatherKernelsMatchReference: MulVec, Residual and ResidualNorm2
-// reproduce the reference loops bit for bit at every pool width, on ordinary
+// reproduce the reference loops bit for bit, on ordinary
 // vectors and on vectors with exact zeros, −0, denormals, ±Inf and NaN.
 func TestGatherKernelsMatchReference(t *testing.T) {
 	mats := testMatrices(t)
@@ -236,26 +251,24 @@ func TestGatherKernelsMatchReference(t *testing.T) {
 			mulRef(a, x, wantY)
 			residRef(a, b, x, wantR)
 			wantNorm := math.Sqrt(sparse.SumSquares(wantR))
-			withWorkers(t, func(t *testing.T, w int) {
-				y, r, rn := make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)
-				a.MulVec(x, y)
-				a.Residual(b, x, r)
-				norm := a.ResidualNorm2(b, x, rn)
-				for i := range y {
-					if math.Float64bits(y[i]) != math.Float64bits(wantY[i]) {
-						t.Fatalf("%s/%s width %d: MulVec[%d] = %x, reference %x", name, xname, w, i, y[i], wantY[i])
-					}
-					if math.Float64bits(r[i]) != math.Float64bits(wantR[i]) {
-						t.Fatalf("%s/%s width %d: Residual[%d] = %x, reference %x", name, xname, w, i, r[i], wantR[i])
-					}
-					if math.Float64bits(rn[i]) != math.Float64bits(wantR[i]) {
-						t.Fatalf("%s/%s width %d: ResidualNorm2 r[%d] = %x, reference %x", name, xname, w, i, rn[i], wantR[i])
-					}
+			y, r, rn := make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)
+			a.MulVec(x, y)
+			a.Residual(b, x, r)
+			norm := a.ResidualNorm2(b, x, rn)
+			for i := range y {
+				if math.Float64bits(y[i]) != math.Float64bits(wantY[i]) {
+					t.Fatalf("%s/%s: MulVec[%d] = %x, reference %x", name, xname, i, y[i], wantY[i])
 				}
-				if math.Float64bits(norm) != math.Float64bits(wantNorm) {
-					t.Fatalf("%s/%s width %d: ResidualNorm2 = %x, √SumSquares of the reference residual %x", name, xname, w, norm, wantNorm)
+				if math.Float64bits(r[i]) != math.Float64bits(wantR[i]) {
+					t.Fatalf("%s/%s: Residual[%d] = %x, reference %x", name, xname, i, r[i], wantR[i])
 				}
-			})
+				if math.Float64bits(rn[i]) != math.Float64bits(wantR[i]) {
+					t.Fatalf("%s/%s: ResidualNorm2 r[%d] = %x, reference %x", name, xname, i, rn[i], wantR[i])
+				}
+			}
+			if math.Float64bits(norm) != math.Float64bits(wantNorm) {
+				t.Fatalf("%s/%s: ResidualNorm2 = %x, √SumSquares of the reference residual %x", name, xname, norm, wantNorm)
+			}
 		}
 	}
 }

@@ -45,7 +45,8 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 
 	// Skip comments, find size line.
 	var rows, cols, nnz int
-	for sc.Scan() {
+	sized := false
+	for !sized && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
@@ -53,7 +54,13 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
 			return nil, fmt.Errorf("sparse: bad MatrixMarket size line %q: %v", line, err)
 		}
-		break
+		sized = true
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("sparse: reading MatrixMarket: %v", err)
+	}
+	if !sized {
+		return nil, fmt.Errorf("sparse: MatrixMarket stream ends before its size line")
 	}
 	if rows != cols {
 		return nil, fmt.Errorf("sparse: non-square MatrixMarket matrix %dx%d", rows, cols)

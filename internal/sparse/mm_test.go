@@ -92,6 +92,8 @@ func TestMatrixMarketErrors(t *testing.T) {
 		"bad value":      "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 xyz\n",
 		"bad row index":  "%%MatrixMarket matrix coordinate real general\n2 2 1\nq 1 1\n",
 		"truncated line": "%%MatrixMarket matrix coordinate real general\n2 2 1\n1\n",
+		"no size line":   "%%MatrixMarket matrix coordinate real general\n% only a comment\n\n",
+		"header only":    "%%MatrixMarket matrix coordinate real general\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
@@ -104,8 +106,8 @@ func TestMatrixMarketErrors(t *testing.T) {
 // matrix returned passes Validate. The committed seed corpus
 // (testdata/fuzz/FuzzReadMatrixMarket) holds headers declaring a negative
 // entry count, negative dimensions and 4·10⁹ entries, a pattern file, a
-// symmetric file, and duplicates that sum to +Inf; plain `go test` runs the
-// seeds. A header may legally declare up to 2³¹−1 rows, and the matrix then
+// symmetric file, duplicates that sum to +Inf, and a stream that ends
+// before its size line; plain `go test` runs the seeds. A header may legally declare up to 2³¹−1 rows, and the matrix then
 // takes memory in proportion, so a -fuzz run needs a memory limit.
 func FuzzReadMatrixMarket(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

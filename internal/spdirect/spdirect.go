@@ -24,9 +24,9 @@
 // symbolic pass visits columns in ascending order, and the numeric pass
 // accumulates in elimination-tree postorder fixed by the pattern. Two
 // factorizations of the same block are bit-identical no matter which
-// worker of a pool runs them, which is what lets internal/dmem fan
-// per-rank factorizations out over internal/parallel and still produce
-// bit-identical results at every pool width.
+// goroutine runs them, which is what lets internal/dmem fan per-rank
+// factorizations out over internal/parallel and still produce
+// bit-identical results at every width.
 //
 // Concurrency: a Factor is read-only once Factorize returns, so one Factor
 // serves any number of concurrent solves as long as each caller owns its
