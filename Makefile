@@ -11,11 +11,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The suite runs at one, two, four and eight scheduler threads: the set-up
-# fans out over parallel.For, and bit-identity across its widths is the
-# repo's central promise. The width tests set For's width to 2, 4 and 7
-# themselves, but goroutines only really run concurrently above one thread
-# (the retained-window aliasing bug passed at GOMAXPROCS=1), and concurrent
+# The suite runs at one, two, four and eight scheduler threads: dmem's
+# set-up (NewLayout's passes, the local factorizations) fans out over
+# parallel.For, and bit-identity across its widths is the repo's central
+# promise. The width tests set For's width to 2, 4 and 7 themselves, but
+# goroutines only really run concurrently above one thread (the
+# retained-window aliasing bug passed at GOMAXPROCS=1), and concurrent
 # solves on one Setup only race above one.
 # -count=1 because the test cache does not key on GOMAXPROCS: without it
 # the second to fourth line print "(cached)".
@@ -47,22 +48,22 @@ lint: vet
 # lines cover concurrent solves on one Setup (TestSetupConcurrentRuns: one
 # takes the parked run state, the others build their own), worlds running
 # at once (rma's wK rows) and the set-up on parallel.For (NewLayout, the
-# local factorizations at widths 1, 2, 4 and 7). The third line holds For's
-# own tests and ToCSR's shards at every width (DESIGN.md §6, §9), and the
-# FEM2D line the one For caller the others do not reach: FEM assembly at
-# widths 1, 2, 4 and 7. The partitioner is there for its per-call
-# workspace: concurrent Partition calls (bench set-ups under -par) must
-# share nothing. The runtime and the methods run at two and at four
-# scheduler threads explicitly, whatever the host has: the retained-window
-# aliasing bug only showed above one thread. The last line is the
+# local factorizations at widths 1, 2, 4 and 7), For's only callers. The
+# third line holds For's own tests (DESIGN.md §6, §9); spdirect's
+# Factorize is what factorAll runs in For's blocks. The partitioner is
+# there for its per-call workspace: concurrent Partition calls (bench
+# set-ups under -par) must share nothing. internal/sparse and
+# internal/problem start no goroutine, so neither is on the list. The
+# runtime and the methods run at two and at four scheduler threads
+# explicitly, whatever the host has: the retained-window aliasing bug only
+# showed above one thread. The last line is the
 # experiment driver's own goroutines (-par workers meeting in the memo,
 # runs sharing one setup) — by name, because the whole package under the
 # race detector takes about a minute.
 race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
-	$(GO) test -race ./internal/parallel/... ./internal/sparse/... ./internal/spdirect/... ./internal/obs/... ./internal/partition/...
-	$(GO) test -race -count=1 -run 'FEM2D' ./internal/problem/
+	$(GO) test -race ./internal/parallel/... ./internal/spdirect/... ./internal/obs/... ./internal/partition/...
 	$(GO) test -race -count=1 -run 'Memo|ParDriver|SetupCache|SetupShared' ./internal/bench/
 
 # End-to-end fault-injection smoke: both binaries on a small problem with

@@ -115,8 +115,10 @@ func firstNonFinite(v []float64) int {
 
 // SolveScalar runs a scalar method on A x = b, updating x in place, and
 // returns the convergence trace; Distributed Southwell's records carry its
-// message counts. A must be structurally symmetric: every method reads row
-// i to propagate a relaxation through column i.
+// message counts. A must pass Validate, every row must hold one nonzero,
+// finite diagonal entry (CSR.RowError: every relaxation divides by it),
+// and A must be structurally symmetric: every method reads row i to
+// propagate a relaxation through column i.
 func SolveScalar(a *sparse.CSR, b, x []float64, opt ScalarOptions) (*solvers.Trace, error) {
 	if err := checkSystem(a, b, x); err != nil {
 		return nil, err
@@ -143,6 +145,14 @@ func SolveScalar(a *sparse.CSR, b, x []float64, opt ScalarOptions) (*solvers.Tra
 	}
 	if !(opt.TargetNorm >= 0) { // NaN fails too
 		return nil, fmt.Errorf("core: TargetNorm = %g, want >= 0", opt.TargetNorm)
+	}
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	for i := range a.N {
+		if err := a.RowError(i); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
 	if !a.IsStructurallySymmetric() {
 		return nil, fmt.Errorf("core: the matrix is not structurally symmetric")

@@ -66,6 +66,43 @@ func TestSolveScalarRejectsAsymmetric(t *testing.T) {
 	}
 }
 
+// TestSolveScalarRejectsUnusableDiagonal: every scalar relaxation divides
+// by a_ii, so SolveScalar refuses a matrix that Validate refuses or whose
+// row lacks exactly one nonzero, finite diagonal entry, naming the lowest
+// bad row, for every method. Each system is structurally symmetric. The
+// missing and zero diagonals used to run to NaN traces with a nil error;
+// row 1 of "twice" holds its diagonal 2 as two entries of 1, which made
+// scalar DS report ‖r‖ = 0.109 while ‖b − Ax‖ was 8.23.
+func TestSolveScalarRejectsUnusableDiagonal(t *testing.T) {
+	path := func(d [3]float64) *sparse.CSR {
+		return &sparse.CSR{N: 3, RowPtr: []int32{0, 2, 5, 7}, Col: []int32{0, 1, 0, 1, 2, 1, 2},
+			Val: []float64{d[0], -1, -1, d[1], -1, -1, d[2]}}
+	}
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+		want string
+	}{
+		{"missing", &sparse.CSR{N: 3, RowPtr: []int32{0, 2, 4, 6}, Col: []int32{0, 1, 0, 2, 1, 2},
+			Val: []float64{2, -1, -1, -1, -1, 2}}, "core: row 1 has a missing, zero or non-finite diagonal entry (0)"},
+		{"zero", path([3]float64{2, 0, 0}), "core: row 1 has a missing, zero or non-finite diagonal entry (0)"},
+		{"nan", path([3]float64{2, 2, math.NaN()}), "sparse: row 2 col 2: non-finite value"},
+		{"twice", &sparse.CSR{N: 3, RowPtr: []int32{0, 2, 6, 8}, Col: []int32{0, 1, 0, 1, 1, 2, 1, 2},
+			Val: []float64{2, -1, -1, 1, 1, -1, -1, 2}}, "sparse: row 1: columns not strictly increasing at position 4"},
+	} {
+		for _, m := range ScalarMethods() {
+			x := []float64{1, 2, 3}
+			_, err := SolveScalar(tc.a, []float64{1, 1, 1}, x, ScalarOptions{Method: m, MaxRelax: 12})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s/%s: err = %v, want %q", tc.name, m, err, tc.want)
+			}
+			if x[0] != 1 || x[1] != 2 || x[2] != 3 {
+				t.Errorf("%s/%s: x = %v: the rejected solve moved it", tc.name, m, x)
+			}
+		}
+	}
+}
+
 func TestSolveDistributedMethods(t *testing.T) {
 	for _, m := range []DistMethod{BlockJacobi, ParallelSWD, DistSWD, Piggyback2016} {
 		a := problem.Poisson2D(16, 16)

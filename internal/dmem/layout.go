@@ -170,7 +170,6 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	}
 
 	nb := rankBlockCount(p)
-	blocks := parallel.SplitN(p, nb, make([]parallel.Range, 0, nb))
 	scratch := make([]layoutScratch, nb)
 
 	// Pass 1: per rank the neighbors, ext slots and boundary entries; then
@@ -178,7 +177,7 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	parallel.For(nb, func(b int) {
 		sc := &scratch[b]
 		sc.seen, sc.nbrSeen, sc.rowSeen = make([]int32, a.N), make([]int32, p), make([]int32, p)
-		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
+		for pr := b * p / nb; pr < (b+1)*p/nb; pr++ {
 			l.countRank(part, pr, sc)
 		}
 		sc.nbrSeen, sc.rowSeen = nil, nil
@@ -203,7 +202,7 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		sc.pos, sc.extNbr, sc.lastRow = make([]int32, a.N), nbrBuf[:sc.maxSlots], nbrBuf[sc.maxSlots:]
 		sc.keys = make([]int64, 0, max(sc.maxSlots, sc.maxBnd))
 		sc.badRow = -1
-		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
+		for pr := b * p / nb; pr < (b+1)*p/nb; pr++ {
 			l.fillRank(part, extGlob, pr, sc)
 		}
 	})
@@ -227,38 +226,10 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		}
 	}
 	if bad >= 0 {
-		return nil, rowError(a, int(bad))
+		return nil, fmt.Errorf("dmem: %w", a.RowError(int(bad)))
 	}
 	return l, nil
 }
-
-// rowError describes what makes row g unusable: its diagonal — two or more
-// entries in column g, or one that is missing, zero or not finite — or
-// else its first non-finite entry.
-func rowError(a *sparse.CSR, g int) error {
-	cols, vals := a.Row(g)
-	d, n := 0.0, 0
-	for k, c := range cols {
-		if int(c) == g {
-			d, n = vals[k], n+1
-		}
-	}
-	if n > 1 {
-		return fmt.Errorf("dmem: row %d has %d diagonal entries", g, n)
-	}
-	if !usableDiagonal(n, d) {
-		return fmt.Errorf("dmem: row %d has a missing, zero or non-finite diagonal entry (%g)", g, d)
-	}
-	k := slices.IndexFunc(vals, func(v float64) bool { return !finite(v) })
-	return fmt.Errorf("dmem: row %d has a non-finite entry (%g) in column %d", g, vals[k], cols[k])
-}
-
-// usableDiagonal reports whether a row whose column g holds n entries, the
-// last d, can be divided by: exactly one, nonzero and finite.
-func usableDiagonal(n int, d float64) bool { return n == 1 && math.Abs(d) > 0 && finite(d) }
-
-// finite reports whether v is neither infinite nor NaN.
-func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
 // rankBlockCount bounds the rank fan-out so at most a handful of
 // extraction scratches (one per block, each two a.N-long int32 arrays) are
@@ -349,11 +320,12 @@ func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch
 		l.nbrExtOff[nk+1] = e0 + int32(e) + 1
 	}
 
-	// Each row's entries: a row without exactly one diagonal entry, nonzero
-	// and finite, or with any entry not finite, goes to badRow if it is the
-	// block's lowest so far; bnd[j] (zero from make) counts the distinct
-	// rows coupling into neighbor position j, lastRow[j] being the last one,
-	// and pairs lists each (j, row) as it is met, rows ascending.
+	// Each row's entries: a row that A.RowError refuses (its diagonal not
+	// exactly one entry, nonzero and finite, or any entry not finite) goes
+	// to badRow if it is the block's lowest so far; bnd[j] (zero from make)
+	// counts the distinct rows coupling into neighbor position j,
+	// lastRow[j] being the last one, and pairs lists each (j, row) as it is
+	// met, rows ascending.
 	pairs := keys[:0]
 	bnd, lastRow := l.nbrBndOff[n0+1:n1+1], sc.lastRow[:n1-n0]
 	for j := range lastRow {
@@ -361,14 +333,9 @@ func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch
 	}
 	for i := r0; i < r1; i++ {
 		g := l.glob[i]
-		cols, vals := l.A.Row(int(g))
-		nd, d, fin := 0, 0.0, true
-		for k, c := range cols {
-			fin = fin && finite(vals[k])
+		cols, _ := l.A.Row(int(g))
+		for _, c := range cols {
 			if part[c] == pr {
-				if c == g {
-					nd, d = nd+1, vals[k]
-				}
 				continue
 			}
 			if j := sc.extNbr[sc.pos[c]]; lastRow[j] != i {
@@ -377,7 +344,7 @@ func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch
 				pairs = append(pairs, int64(j)<<32|int64(i-r0))
 			}
 		}
-		if !(fin && usableDiagonal(nd, d)) && (sc.badRow < 0 || g < sc.badRow) {
+		if (sc.badRow < 0 || g < sc.badRow) && l.A.RowError(int(g)) != nil {
 			sc.badRow = g
 		}
 	}

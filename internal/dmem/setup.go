@@ -99,10 +99,9 @@ func factorAll(l *Layout, ext []int32) ([]*spdirect.Factor, error) {
 	factors := make([]*spdirect.Factor, p)
 	errs := make([]error, p)
 	nb := rankBlockCount(p)
-	blocks := parallel.SplitN(p, nb, make([]parallel.Range, 0, nb))
 	parallel.For(nb, func(b int) {
 		at := make([]int32, l.A.N)
-		for pr := blocks[b].Lo; pr < blocks[b].Hi; pr++ {
+		for pr := b * p / nb; pr < (b+1)*p/nb; pr++ {
 			factors[pr], errs[pr] = spdirect.Factorize(localBlockCSR(l, at, ext, pr))
 		}
 	})

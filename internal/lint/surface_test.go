@@ -284,8 +284,9 @@ var fileName = regexp.MustCompile(`\.(go|md|txt|json|ya?ml|mod|sh)$`)
 // exactly one package of the module: a field or method of it, unexported
 // ones included, or a method declared on it in that package's _test.go
 // files; a longer span (`Layout.A.RowPtr`) walks the types of its fields,
-// each element but the last a field of the one before. A span ending in a
-// file extension (`workspace.go`) is a file name. A lower-case second element after a package is a benchmark metric
+// each element but the last a field of the one before, and so does a
+// package's type with two or more members (`dmem.Layout.A.RowPtr`). A span
+// ending in a file extension (`workspace.go`) is a file name. A lower-case second element after a package is a benchmark metric
 // name (`dmem.active_speedup`), not Go, and is skipped; so is everything
 // inside fenced code blocks. A span that starts with `make
 // <word>` names a Makefile target, and one that starts with a command's
@@ -326,11 +327,24 @@ func TestDocGoNamesResolve(t *testing.T) {
 			if bareTestName.MatchString(span.text) && !tests[span.text] {
 				t.Errorf("%s:%d: `%s`: no such function in the module's _test.go files", doc, span.line, span.text)
 			}
-			if m := typeMember.FindStringSubmatch(span.text); m != nil && !fileName.MatchString(span.text) && byName[m[1]] == nil && len(typeOwners[m[1]]) == 1 {
-				if why := resolveTypeMember(typeOwners[m[1]][0], m[1], strings.Split(m[2][1:], ".")); why != "" {
-					t.Errorf("%s:%d: `%s`: %s", doc, span.line, span.text, why)
+			if m := typeMember.FindStringSubmatch(span.text); m != nil && !fileName.MatchString(span.text) {
+				elems := strings.Split(m[2][1:], ".")
+				if p := byName[m[1]]; p != nil && len(elems) >= 3 && ast.IsExported(elems[0]) {
+					why := "no such package-level type"
+					if _, ok := p.types.Scope().Lookup(elems[0]).(*types.TypeName); ok {
+						why = resolveTypeMember(p, elems[0], elems[1:])
+					}
+					if why != "" {
+						t.Errorf("%s:%d: `%s`: %s", doc, span.line, span.text, why)
+					}
+					continue
 				}
-				continue
+				if byName[m[1]] == nil && len(typeOwners[m[1]]) == 1 {
+					if why := resolveTypeMember(typeOwners[m[1]][0], m[1], elems); why != "" {
+						t.Errorf("%s:%d: `%s`: %s", doc, span.line, span.text, why)
+					}
+					continue
+				}
 			}
 			m := docGoName.FindStringSubmatch(span.text)
 			if m == nil || byName[m[1]] == nil || !ast.IsExported(m[2]) {

@@ -1,24 +1,13 @@
-// Package parallel is the deterministic work-splitting layer of the
-// repository's set-up (the layout's two passes, the local factorizations,
-// FEM assembly and the COO→CSR conversion): one fork-join primitive, For,
-// contiguous row-range partitioners, and a fixed-block decomposition policy
-// that makes parallel results bit-reproducible.
-//
-// The determinism contract has two parts:
-//
-//  1. Block decomposition is a pure function of the workload (Blocks and
-//     SplitN take only sizes). It never depends on the worker count,
-//     GOMAXPROCS, or scheduling.
-//
-//  2. For executes every block exactly once, each block touching only its
-//     own outputs (disjoint slices, or one partial-result slot per block).
-//     The caller then combines per-block results sequentially in ascending
-//     block order.
-//
-// Together these make every region built on this package produce
-// bit-identical results for any worker count, including one: changing the
-// worker count only changes which goroutine runs a block, never the block
-// boundaries or the combining order.
+// Package parallel is the fork-join primitive of the two set-up regions
+// that pay for it: dmem's NewLayout passes and its local factorizations.
+// For runs every block of a region once, each block touching only its own
+// outputs (disjoint slices, or one slot per block). A region built on it
+// gives the same bits at every width, one included, when no output depends
+// on where the block boundaries fall (dmem's rank blocks: each rank is
+// computed alone, and a per-block minimum is taken over all blocks), or
+// when the caller fixes the boundaries without reference to the width and
+// combines per-block results in ascending block order. The width then only
+// changes which goroutine runs a block.
 package parallel
 
 import (
@@ -85,35 +74,4 @@ func For(nb int, f func(b int)) {
 	}
 	run()
 	wg.Wait()
-}
-
-// Range is a half-open contiguous block [Lo, Hi) of row (or item) indices.
-type Range struct{ Lo, Hi int }
-
-// Blocks returns the fixed block count for a workload of `work` units at
-// `grain` units per block, clamped to [1, maxBlocks]. The count depends
-// only on the workload — never on the worker count — so any reduction over
-// the blocks is invariant under the width.
-func Blocks(work, grain, maxBlocks int) int {
-	if work <= 0 || grain <= 0 {
-		return 1
-	}
-	nb := (work + grain - 1) / grain
-	if maxBlocks >= 1 && nb > maxBlocks {
-		nb = maxBlocks
-	}
-	return nb
-}
-
-// SplitN partitions [0, n) into nb contiguous ranges of near-equal length,
-// appending to out (pass out[:0] to reuse storage). Ranges may be empty
-// when nb > n; together they always cover [0, n) exactly, in order.
-func SplitN(n, nb int, out []Range) []Range {
-	if nb < 1 {
-		nb = 1
-	}
-	for b := 0; b < nb; b++ {
-		out = append(out, Range{Lo: b * n / nb, Hi: (b + 1) * n / nb})
-	}
-	return out
 }

@@ -9,66 +9,6 @@ import (
 	"weak"
 )
 
-func TestBlocks(t *testing.T) {
-	cases := []struct {
-		work, grain, max, want int
-	}{
-		{0, 100, 8, 1},
-		{-5, 100, 8, 1},
-		{1, 100, 8, 1},
-		{100, 100, 8, 1},
-		{101, 100, 8, 2},
-		{1000, 100, 8, 8},
-		{1000, 100, 0, 10}, // maxBlocks < 1 means unbounded
-		{50, 0, 8, 1},
-	}
-	for _, c := range cases {
-		if got := Blocks(c.work, c.grain, c.max); got != c.want {
-			t.Errorf("Blocks(%d,%d,%d) = %d, want %d", c.work, c.grain, c.max, got, c.want)
-		}
-	}
-}
-
-// checkCover asserts the ranges tile [0, n) exactly, in order.
-func checkCover(t *testing.T, rs []Range, n int) {
-	t.Helper()
-	prev := 0
-	for i, r := range rs {
-		if r.Lo != prev {
-			t.Fatalf("range %d starts at %d, want %d (ranges %v)", i, r.Lo, prev, rs)
-		}
-		if r.Hi < r.Lo {
-			t.Fatalf("range %d is negative: %v", i, r)
-		}
-		prev = r.Hi
-	}
-	if prev != n {
-		t.Fatalf("ranges end at %d, want %d (ranges %v)", prev, n, rs)
-	}
-}
-
-func TestSplitN(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-		for _, nb := range []int{1, 2, 3, 7, 16, 100} {
-			rs := SplitN(n, nb, nil)
-			if len(rs) != nb {
-				t.Fatalf("SplitN(%d,%d): %d ranges", n, nb, len(rs))
-			}
-			checkCover(t, rs, n)
-			// Near-equal: lengths differ by at most 1.
-			lo, hi := n, 0
-			for _, r := range rs {
-				if l := r.Hi - r.Lo; l < lo {
-					lo = l
-				} else if l > hi {
-					hi = l
-				}
-			}
-			_ = lo
-		}
-	}
-}
-
 // widths are the For widths the sweeping tests below run at.
 var widths = []int{1, 2, 4, 7}
 
@@ -274,9 +214,9 @@ func TestSetDefaultWorkers(t *testing.T) {
 	runCounts(t, 10)
 }
 
-// TestDeterministicReduction is the contract in miniature: a blocked
-// partial-sum reduction combined in block order gives the same bits at
-// every width.
+// TestDeterministicReduction is the contract in miniature: a partial-sum
+// reduction over a fixed block count, combined in block order, gives the
+// same bits at every width.
 func TestDeterministicReduction(t *testing.T) {
 	n := 100000
 	xs := make([]float64, n)
@@ -287,14 +227,13 @@ func TestDeterministicReduction(t *testing.T) {
 		v = v*1.0000001 + 1e-7
 		xs[i] = v
 	}
-	nb := Blocks(n, 1024, 64)
-	ranges := SplitN(n, nb, nil)
+	const nb = 64
 
 	reduce := func() float64 {
 		partial := make([]float64, nb)
 		For(nb, func(b int) {
 			s := 0.0
-			for _, x := range xs[ranges[b].Lo:ranges[b].Hi] {
+			for _, x := range xs[b*n/nb : (b+1)*n/nb] {
 				s += x * x
 			}
 			partial[b] = s

@@ -3,7 +3,6 @@ package problem
 import (
 	"math/rand"
 
-	"southwell/internal/parallel"
 	"southwell/internal/sparse"
 )
 
@@ -56,10 +55,11 @@ func FEM2D(m int, distort float64, seed int64) *sparse.CSR {
 		}
 	}
 
-	// Element assembly fans out over cell rows (nodes and numbering above
-	// are read-only by now); each cell contributes two triangles of up to 9
-	// entries each, so blocks are pre-sized at 18 entries per cell.
-	assemble := func(c *sparse.COO, v0, v1, v2 int) {
+	// Element assembly: each cell contributes two triangles of up to 9
+	// entries each, summed where they meet by ToCSR, so the builder is
+	// pre-sized at 18 entries per cell.
+	c := sparse.NewCOO(ni, 18*m*m)
+	assemble := func(v0, v1, v2 int) {
 		x0, y0 := xs[v0], ys[v0]
 		x1, y1 := xs[v1], ys[v1]
 		x2, y2 := xs[v2], ys[v2]
@@ -86,21 +86,22 @@ func FEM2D(m int, distort float64, seed int64) *sparse.CSR {
 			}
 		}
 	}
-	return assembleBlocked(ni, m, 18*m, func(c *sparse.COO, iy int) {
+	for iy := 0; iy < m; iy++ {
 		for ix := 0; ix < m; ix++ {
 			a := node(ix, iy)
 			b := node(ix+1, iy)
 			cN := node(ix, iy+1)
 			d := node(ix+1, iy+1)
 			if (ix+iy)%2 == 0 { // alternate the cell diagonal
-				assemble(c, a, b, d)
-				assemble(c, a, d, cN)
+				assemble(a, b, d)
+				assemble(a, d, cN)
 			} else {
-				assemble(c, a, b, cN)
-				assemble(c, b, d, cN)
+				assemble(a, b, cN)
+				assemble(b, d, cN)
 			}
 		}
-	})
+	}
+	return c.ToCSR()
 }
 
 // Fig2FEM returns the finite element problem used for Figures 2 and 5,
@@ -111,52 +112,4 @@ func FEM2D(m int, distort float64, seed int64) *sparse.CSR {
 // method behaviour (see DESIGN.md).
 func Fig2FEM() *sparse.CSR {
 	return FEM2D(56, 0.35, 20170713)
-}
-
-// FEM2D's elements sum duplicate entries, so it assembles through COO
-// builders. Assembly fans out over element rows in entry-balanced blocks;
-// each block gets its own exactly-pre-sized COO builder, and the per-block
-// builders are concatenated in ascending block order before conversion.
-const (
-	asmGrainEntries = 32768
-	maxAsmBlocks    = 64
-)
-
-// assembleBlocked builds an n×n matrix by running emit(c, item) for every
-// item in [0, items) and converting the combined builder to CSR. Items are
-// cut into contiguous blocks (a pure function of the workload, never the
-// worker count), each block emits into a private builder pre-sized at
-// entriesPerItem entries per item, and blocks are concatenated in block
-// order — so the entry sequence is identical to the sequential loop and
-// the assembled matrix is bit-identical for any worker count. emit must
-// touch only its own builder and read-only shared state.
-func assembleBlocked(n, items, entriesPerItem int, emit func(c *sparse.COO, item int)) *sparse.CSR {
-	nb := parallel.Blocks(items*entriesPerItem, asmGrainEntries, maxAsmBlocks)
-	if nb > items && items > 0 {
-		nb = items
-	}
-	blocks := parallel.SplitN(items, nb, make([]parallel.Range, 0, nb))
-	parts := make([]*sparse.COO, nb)
-	parallel.For(nb, func(b int) {
-		rg := blocks[b]
-		c := sparse.NewCOO(n, (rg.Hi-rg.Lo)*entriesPerItem)
-		for item := rg.Lo; item < rg.Hi; item++ {
-			emit(c, item)
-		}
-		parts[b] = c
-	})
-	if nb == 1 {
-		return parts[0].ToCSR()
-	}
-	total := 0
-	for _, p := range parts {
-		total += p.NNZ()
-	}
-	c := sparse.NewCOO(n, total)
-	for _, p := range parts {
-		c.Rows = append(c.Rows, p.Rows...)
-		c.Cols = append(c.Cols, p.Cols...)
-		c.Vals = append(c.Vals, p.Vals...)
-	}
-	return c.ToCSR()
 }

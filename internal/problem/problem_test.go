@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"southwell/internal/parallel"
 	"southwell/internal/sparse"
 )
 
@@ -192,36 +191,6 @@ func TestFEM2DDeterministic(t *testing.T) {
 	for k := range a.Val {
 		if a.Val[k] != b.Val[k] {
 			t.Fatal("FEM2D values not deterministic")
-		}
-	}
-}
-
-// TestFEM2DWidthInvariant: FEM2D(150) assembles in several blocks over
-// parallel.For and converts in several ToCSR shards, and the matrix is the
-// same bits at widths 1, 2, 4 and 7.
-func TestFEM2DWidthInvariant(t *testing.T) {
-	const m = 150
-	if nb := parallel.Blocks(m*18*m, asmGrainEntries, maxAsmBlocks); nb < 2 {
-		t.Fatalf("FEM2D(%d) assembles in %d block(s); the test needs several", m, nb)
-	}
-	defer parallel.SetDefaultWorkers(parallel.Workers())
-	parallel.SetDefaultWorkers(1)
-	ref := FEM2D(m, 0.35, 7)
-	for _, w := range []int{2, 4, 7} {
-		parallel.SetDefaultWorkers(w)
-		a := FEM2D(m, 0.35, 7)
-		if a.N != ref.N || a.NNZ() != ref.NNZ() {
-			t.Fatalf("width %d: n=%d nnz=%d, width 1 n=%d nnz=%d", w, a.N, a.NNZ(), ref.N, ref.NNZ())
-		}
-		for i := range a.RowPtr {
-			if a.RowPtr[i] != ref.RowPtr[i] {
-				t.Fatalf("width %d: RowPtr[%d] = %d, width 1 %d", w, i, a.RowPtr[i], ref.RowPtr[i])
-			}
-		}
-		for k := range a.Col {
-			if a.Col[k] != ref.Col[k] || math.Float64bits(a.Val[k]) != math.Float64bits(ref.Val[k]) {
-				t.Fatalf("width %d: entry %d = (%d, %x), width 1 (%d, %x)", w, k, a.Col[k], a.Val[k], ref.Col[k], ref.Val[k])
-			}
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-
-	"southwell/internal/parallel"
-)
+import "fmt"
 
 // COO is a coordinate-format builder for sparse matrices. Entries may be
 // added in any order; duplicates are summed when converting to CSR. Its
@@ -56,123 +52,77 @@ func (c *COO) NNZ() int { return len(c.Rows) }
 // the diagonal, which is always kept so iterative methods can divide by a
 // stored a_ii). It panics when more than MaxIndex entries were added.
 //
-// The conversion is a stable per-shard counting sort instead of a
-// comparison sort: the entry list is cut into a fixed number of contiguous
-// shards (a function of the entry count only), each shard counts its
-// entries per row, a sequential pass lays out per-(row, shard) base
-// offsets, and the shards scatter in parallel. Because offsets are ordered
-// by shard and shards are contiguous, every row receives its entries in
-// global insertion order; a stable per-row sort by column then keeps
-// duplicates adjacent in insertion order, making the summation order — and
-// therefore the result — well defined and bit-identical for any worker
-// count.
+// The conversion is a stable counting sort: the entries are counted per
+// row and scattered into row-grouped order in insertion order; a stable
+// sort of each row by column then keeps duplicates adjacent in insertion
+// order, which makes the summation order — and so the result — well
+// defined. Each row is compacted in place, and what survives is copied into
+// exact-size arrays.
 func (c *COO) ToCSR() *CSR {
 	n := c.N
 	m := len(c.Rows)
 	mustFit(n, m)
-	ns := parallel.Blocks(m, convShardGrain, maxConvShards)
-	shards := parallel.SplitN(m, ns, make([]parallel.Range, 0, ns))
 
-	// Phase 1: per-shard row counts.
-	cnt := make([]int32, ns*n)
-	parallel.For(ns, func(s int) {
-		cn := cnt[s*n : (s+1)*n]
-		rg := shards[s]
-		for e := rg.Lo; e < rg.Hi; e++ {
-			cn[c.Rows[e]]++
-		}
-	})
-
-	// Phase 2 (sequential): convert counts to per-(row, shard) base offsets
-	// in row-major, shard-minor order, recording each row's start.
-	rowStart := make([]int32, n+1)
-	pos := int32(0)
-	for i := 0; i < n; i++ {
-		rowStart[i] = pos
-		for s := 0; s < ns; s++ {
-			v := cnt[s*n+i]
-			cnt[s*n+i] = pos
-			pos += v
-		}
+	// ptr[i] counts row i's entries, then (prefix sum) is where row i
+	// starts. The scatter advances it over the row, so afterwards ptr[i] is
+	// where row i ends.
+	ptr := make([]int32, n+1)
+	for _, i := range c.Rows {
+		ptr[i]++
 	}
-	rowStart[n] = pos
-
-	// Phase 3: stable parallel scatter into row-grouped order.
+	pos := int32(0)
+	for i := range n {
+		ptr[i], pos = pos, pos+ptr[i]
+	}
 	tmpCol := make([]int32, m)
 	tmpVal := make([]float64, m)
-	parallel.For(ns, func(s int) {
-		off := cnt[s*n : (s+1)*n]
-		rg := shards[s]
-		for e := rg.Lo; e < rg.Hi; e++ {
-			i := c.Rows[e]
-			p := off[i]
-			off[i] = p + 1
-			tmpCol[p] = c.Cols[e]
-			tmpVal[p] = c.Vals[e]
-		}
-	})
-
-	// Phase 4: per-row stable sort by column, duplicate summation in
-	// insertion order, zero dropping, and in-place compaction. Rows are
-	// independent, so row blocks run in parallel. kept[i+1] holds row i's
-	// surviving entry count and becomes RowPtr after a prefix sum.
-	kept := make([]int32, n+1)
-	nrb := parallel.Blocks(n, rowBlockGrain, maxKernBlocks)
-	rowBlocks := parallel.SplitN(n, nrb, make([]parallel.Range, 0, nrb))
-	parallel.For(nrb, func(b int) {
-		rg := rowBlocks[b]
-		for i := rg.Lo; i < rg.Hi; i++ {
-			cols := tmpCol[rowStart[i]:rowStart[i+1]]
-			vals := tmpVal[rowStart[i]:rowStart[i+1]]
-			// Stable insertion sort: rows are short (bounded by the
-			// stencil/element valence), and stability keeps duplicate
-			// entries in insertion order.
-			for p := 1; p < len(cols); p++ {
-				cj, vj := cols[p], vals[p]
-				q := p - 1
-				for q >= 0 && cols[q] > cj {
-					cols[q+1] = cols[q]
-					vals[q+1] = vals[q]
-					q--
-				}
-				cols[q+1] = cj
-				vals[q+1] = vj
-			}
-			w := 0
-			for k := 0; k < len(cols); {
-				j := cols[k]
-				v := vals[k]
-				for k++; k < len(cols) && cols[k] == j; k++ {
-					v += vals[k]
-				}
-				if v != 0 || int(j) == i {
-					cols[w] = j
-					vals[w] = v
-					w++
-				}
-			}
-			kept[i+1] = int32(w)
-		}
-	})
-
-	// Phase 5 (sequential): prefix sum of kept counts.
-	for i := 0; i < n; i++ {
-		kept[i+1] += kept[i]
+	for e, i := range c.Rows {
+		p := ptr[i]
+		ptr[i] = p + 1
+		tmpCol[p] = c.Cols[e]
+		tmpVal[p] = c.Vals[e]
 	}
 
-	// Phase 6: parallel compaction into the final arrays.
-	a := &CSR{
-		N:      n,
-		RowPtr: kept,
-		Col:    make([]int32, kept[n]),
-		Val:    make([]float64, kept[n]),
-	}
-	parallel.For(nrb, func(b int) {
-		rg := rowBlocks[b]
-		for i := rg.Lo; i < rg.Hi; i++ {
-			copy(a.Col[kept[i]:kept[i+1]], tmpCol[rowStart[i]:])
-			copy(a.Val[kept[i]:kept[i+1]], tmpVal[rowStart[i]:])
+	// Per row: stable sort by column, duplicate summation, zero dropping
+	// and compaction to w. Row i spans [lo, ptr[i]); its end is read before
+	// ptr[i] becomes RowPtr[i] = w, and w never passes lo, so the
+	// compaction overwrites only entries already read.
+	w, lo := int32(0), int32(0)
+	for i := range n {
+		hi := ptr[i]
+		ptr[i] = w
+		cols, vals := tmpCol[lo:hi], tmpVal[lo:hi]
+		lo = hi
+		// Stable insertion sort: rows are short (bounded by the
+		// stencil/element valence), and stability keeps duplicate entries
+		// in insertion order.
+		for p := 1; p < len(cols); p++ {
+			cj, vj := cols[p], vals[p]
+			q := p - 1
+			for q >= 0 && cols[q] > cj {
+				cols[q+1] = cols[q]
+				vals[q+1] = vals[q]
+				q--
+			}
+			cols[q+1] = cj
+			vals[q+1] = vj
 		}
-	})
+		for k := 0; k < len(cols); {
+			j := cols[k]
+			v := vals[k]
+			for k++; k < len(cols) && cols[k] == j; k++ {
+				v += vals[k]
+			}
+			if v != 0 || int(j) == i {
+				tmpCol[w] = j
+				tmpVal[w] = v
+				w++
+			}
+		}
+	}
+	ptr[n] = w
+	a := &CSR{N: n, RowPtr: ptr, Col: make([]int32, w), Val: make([]float64, w)}
+	copy(a.Col, tmpCol)
+	copy(a.Val, tmpVal)
 	return a
 }

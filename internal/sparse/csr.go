@@ -221,3 +221,34 @@ func (a *CSR) Validate() error {
 	}
 	return nil
 }
+
+// RowError returns why row i cannot be relaxed, or nil. A relaxation
+// divides by a_ii, so the row must hold exactly one entry in column i,
+// nonzero and finite, and every entry of it must be finite. The error names
+// the diagonal first — two or more entries in column i, or one that is
+// missing, zero or not finite — and else the row's first non-finite entry.
+// Its text has no package prefix: each caller adds its own.
+func (a *CSR) RowError(i int) error {
+	cols, vals := a.Row(i)
+	vals = vals[:len(cols)]
+	d, n, fin := 0.0, 0, true
+	for k, c := range cols {
+		fin = fin && finite(vals[k])
+		if int(c) == i {
+			d, n = vals[k], n+1
+		}
+	}
+	switch {
+	case n > 1:
+		return fmt.Errorf("row %d has %d diagonal entries", i, n)
+	case !(n == 1 && math.Abs(d) > 0 && finite(d)):
+		return fmt.Errorf("row %d has a missing, zero or non-finite diagonal entry (%g)", i, d)
+	case !fin:
+		k := slices.IndexFunc(vals, func(v float64) bool { return !finite(v) })
+		return fmt.Errorf("row %d has a non-finite entry (%g) in column %d", i, vals[k], cols[k])
+	}
+	return nil
+}
+
+// finite reports whether v is neither infinite nor NaN.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }

@@ -3,33 +3,22 @@ package sparse
 import (
 	"fmt"
 	"math"
-
-	"southwell/internal/parallel"
 )
 
-// Block-decomposition policy. normGrainLen sizes the two reductions'
-// blocks by vector length, shared by SumSquares and ResidualNorm2 so the
-// fused kernel's partial-sum grouping matches SumSquares' exactly; the
-// grouping is a function of the length only. The remaining constants shard
-// the set-up's format conversion (COO.ToCSR) over parallel.For.
+// normGrainLen and maxKernBlocks fix the two reductions' grouping:
+// SumSquares and ResidualNorm2 sum ⌈n/normGrainLen⌉ blocks of a length-n
+// vector (at most maxKernBlocks), so the fused kernel's partial sums match
+// SumSquares' exactly. The grouping is a function of the length only.
 const (
 	normGrainLen  = 16384
 	maxKernBlocks = 64
-
-	// ToCSR shards by entry count. Each shard carries an n-sized counter
-	// array, so the shard cap is much lower than the row-block cap.
-	convShardGrain = 65536
-	maxConvShards  = 8
-
-	// Per-row cleanup passes in ToCSR block by row count.
-	rowBlockGrain = 8192
 )
 
 // blockSum returns Σ part(lo, hi) over the length-keyed blocks of [0, n),
 // summed in ascending block order: the fixed grouping that makes
 // ResidualNorm2 and √SumSquares agree bit for bit.
 func blockSum(n int, part func(lo, hi int) float64) float64 {
-	nb := parallel.Blocks(n, normGrainLen, maxKernBlocks)
+	nb := min(maxKernBlocks, max(1, (n+normGrainLen-1)/normGrainLen))
 	sum := 0.0
 	for b := range nb {
 		sum += part(b*n/nb, (b+1)*n/nb)

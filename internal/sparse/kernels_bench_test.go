@@ -35,8 +35,7 @@ func benchSystem() (*sparse.CSR, []float64, []float64, []float64, []float64) {
 
 // BenchmarkKernels measures the steady-state numerical kernels on the
 // 100k-row FEM matrix. They run on the calling goroutine, so the reading
-// does not depend on parallel.Workers; allocs_op is asserted by
-// TestKernelAllocGate.
+// does not depend on -cpu; allocs_op is asserted by TestKernelAllocGate.
 func BenchmarkKernels(b *testing.B) {
 	a, x, y, rhs, r := benchSystem()
 	kernels := []struct {
@@ -58,9 +57,9 @@ func BenchmarkKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkSetup measures the concurrent setup path: FEM assembly
-// (problem generation + COO→CSR conversion) over parallel.For at
-// GOMAXPROCS.
+// BenchmarkSetup measures FEM assembly on the 100k-row shape: problem
+// generation into one COO and its conversion to CSR, both on the calling
+// goroutine (TestGeneratorAllocCeiling pins its allocations).
 func BenchmarkSetup(b *testing.B) {
 	b.Run("FEM2D-100k", func(b *testing.B) {
 		b.ReportAllocs()

@@ -1,9 +1,9 @@
 // Property tests for the kernels and the format conversion: every kernel
 // must be bit-identical to a reference loop written out here, the fused
 // ResidualNorm2 must equal Residual followed by √SumSquares exactly, and
-// ToCSR, which shards over parallel.For, must give the same bits at widths
-// {1, 2, 4, 7}. External test package so FEM matrices from internal/problem
-// can be used without an import cycle.
+// ToCSR must reproduce refToCSR, the documented semantics written out, bit
+// for bit. External test package so FEM matrices from internal/problem can
+// be used without an import cycle.
 package sparse_test
 
 import (
@@ -11,24 +11,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"southwell/internal/parallel"
 	"southwell/internal/problem"
 	"southwell/internal/sparse"
 )
-
-var kernelWidths = []int{1, 2, 4, 7}
-
-// withWorkers runs f with parallel.For at each width in kernelWidths,
-// restoring the original width afterwards.
-func withWorkers(t *testing.T, f func(t *testing.T, w int)) {
-	t.Helper()
-	orig := parallel.Workers()
-	defer parallel.SetDefaultWorkers(orig)
-	for _, w := range kernelWidths {
-		parallel.SetDefaultWorkers(w)
-		f(t, w)
-	}
-}
 
 // testMatrices returns the named matrix set of the issue: random (with
 // duplicate and zero insertions), tridiagonal (large enough to exercise
@@ -358,19 +343,23 @@ func randomCOO(rng *rand.Rand, n, epr int) *sparse.COO {
 	return c
 }
 
+// TestToCSRMatchesReferenceAcrossWorkers: ToCSR runs on the calling
+// goroutine, so one width reaches all of it; it reproduces refToCSR bit
+// for bit on a small and a big builder (200 000 entries) with duplicates,
+// explicit zeros and cancelling pairs, and returns exact-size arrays.
 func TestToCSRMatchesReferenceAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	small := randomCOO(rng, 200, 6)
-	big := randomCOO(rng, 20000, 10) // > convShardGrain entries: multi-shard
+	big := randomCOO(rng, 20000, 10)
 	for name, c := range map[string]*sparse.COO{"small": small, "big": big} {
-		want := refToCSR(c)
-		withWorkers(t, func(t *testing.T, w int) {
-			got := c.ToCSR()
-			if err := got.Validate(); err != nil {
-				t.Fatalf("%s width %d: invalid CSR: %v", name, w, err)
-			}
-			csrEqualExact(t, name, got, want)
-		})
+		got := c.ToCSR()
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: invalid CSR: %v", name, err)
+		}
+		csrEqualExact(t, name, got, refToCSR(c))
+		if cap(got.Col) != len(got.Col) || cap(got.Val) != len(got.Val) {
+			t.Errorf("%s: Col/Val capacity %d/%d, length %d", name, cap(got.Col), cap(got.Val), len(got.Col))
+		}
 	}
 }
 
