@@ -196,7 +196,11 @@ bench-smoke:
 # before its step budget, which pins the target test. Last is the
 # pointload2k workload's shape, Poisson 256x256 on 2048 ranks of 32 rows:
 # recursive bisection partitions it, and every relaxation reads a_ii from
-# its 5-point row of A. The failure message
+# its 5-point row of A, then the many-small-parts shape again under a
+# delay plan for 40 steps: the short chaos line above stops at step 5,
+# before any starvation re-announce can fire, and this one fires 49 of
+# them on 1 024 ranks while some ranks sleep, so it pins the starvation
+# clock and its wakeup calendar. The failure message
 # counts the lines that ran. Not part of verify: it needs a second
 # checkout.
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
@@ -234,7 +238,8 @@ identity:
 		"benchtables -quick scaling" \
 		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3 -trace /dev/stdout" \
 		"dsouthwell $(IDENTITY_SOLVE) -target 0.3" \
-		"dsouthwell -grid 256 -n 2048 -sweep_max 20"; \
+		"dsouthwell -grid 256 -n 2048 -sweep_max 20" \
+		"dsouthwell $(IDENTITY_SMALL) -chaos 0.3 -sweep_max 40"; \
 	do \
 		lines=$$((lines + 1)); \
 		$$out/old/$$line >$$out/old.txt 2>&1 || echo "exit $$?" >>$$out/old.txt; \

@@ -209,8 +209,9 @@ type DistOptions struct {
 }
 
 // SolveDistributed runs the selected distributed method on opt.Setup, or on
-// a setup it builds: A partitioned over opt.Ranks simulated processes, laid
-// out, and its local blocks factored for opt.Local. The returned result
+// a setup it builds: A checked by Validate, partitioned over opt.Ranks
+// simulated processes, laid out, and its local blocks factored for
+// opt.Local. A Setup passed in is not checked again. The returned result
 // carries the per-step history, communication statistics, and the gathered
 // solution.
 func SolveDistributed(a *sparse.CSR, b, x []float64, opt DistOptions) (*dmem.Result, error) {
@@ -254,6 +255,9 @@ func SolveDistributed(a *sparse.CSR, b, x []float64, opt DistOptions) (*dmem.Res
 			return nil, fmt.Errorf("core: Setup was built for local solver %v, want %v", s.Local, opt.Local)
 		}
 	} else {
+		if err := a.Validate(); err != nil {
+			return nil, err
+		}
 		l, err := dmem.NewLayout(a, partition.Partition(a, opt.Ranks, partition.Options{Seed: opt.PartSeed}), opt.Ranks)
 		if err != nil {
 			return nil, err

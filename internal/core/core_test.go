@@ -152,8 +152,9 @@ func TestSolveDistributedCustomPartition(t *testing.T) {
 }
 
 // TestSolveRejectsMismatchedSystem: both entry points take their system from
-// outside the program and return an error for a nil matrix or a vector of
-// the wrong length instead of panicking inside a kernel.
+// outside the program and return an error for a nil matrix, a matrix that
+// Validate refuses or a vector of the wrong length instead of panicking
+// inside a kernel or the partitioner.
 func TestSolveRejectsMismatchedSystem(t *testing.T) {
 	a := problem.Poisson2D(8, 8)
 	b, x := scaledSystem(t, a, 6)
@@ -166,11 +167,15 @@ func TestSolveRejectsMismatchedSystem(t *testing.T) {
 		{"short b", a, b[:3], x},
 		{"short x", a, b, x[:5]},
 		{"long b", a, append(b[:len(b):len(b)], 0), x},
+		{"short RowPtr", &sparse.CSR{N: 2, RowPtr: []int32{0, 1}, Col: []int32{0}, Val: []float64{1}}, make([]float64, 2), make([]float64, 2)},
+		{"row past nnz", &sparse.CSR{N: 4, RowPtr: []int32{0, 5, 3, 3, 3}, Col: []int32{0, 1, 2}, Val: []float64{1, 2, 3}}, make([]float64, 4), make([]float64, 4)},
 	} {
 		if _, err := SolveScalar(c.a, c.b, c.x, ScalarOptions{Method: GaussSeidel}); err == nil {
 			t.Errorf("SolveScalar, %s: accepted", c.name)
 		}
-		if _, err := SolveDistributed(c.a, c.b, c.x, DistOptions{Method: DistSWD, Ranks: 4}); err == nil {
+		// Two ranks: at four the two-row matrix is refused for an empty
+		// rank before its rows are read.
+		if _, err := SolveDistributed(c.a, c.b, c.x, DistOptions{Method: DistSWD, Ranks: 2}); err == nil {
 			t.Errorf("SolveDistributed, %s: accepted", c.name)
 		}
 	}

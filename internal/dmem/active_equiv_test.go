@@ -272,7 +272,7 @@ func TestSyncListMatchesInSet(t *testing.T) {
 	e := &stepEngine{list: make([]int32, 0, p), admitted: make([]int32, 0, p), inSet: make([]bool, p), sawMail: make([]bool, p)}
 	for round := range 200 {
 		for _, q := range rng.Perm(p)[:rng.Intn(p/4+1)] {
-			e.admit(q, round, false)
+			e.admit(q, false)
 		}
 		e.syncList()
 		var want []int32

@@ -207,3 +207,86 @@ func TestHeldBodyKeepsSendersFloats(t *testing.T) {
 		}
 	}
 }
+
+// TestStarvationRefreshRecount pins the starvation re-announce's threshold:
+// every rank's refresh steps, read from the trace, must equal a recount from
+// the same trace's relaxations and landings. A rank has starved s−1−q steps
+// at phase 2 of step s, where q is the last step through s−1 in which it
+// relaxed or read mail (0 before the first); it re-announces once that
+// reaches half the watchdog's patience, rounded up, and a re-announce in
+// step s restarts its count at s−1. A landing at the boundary of phase φ is
+// read in phase φ+1, which belongs to the step whose phases the KindStep
+// records bracket. The recount runs on the pinned run and on the active
+// one, where a sleeping rank's re-announce must come from the calendar.
+func TestStarvationRefreshRecount(t *testing.T) {
+	const p, steps, patience = 16, 60, 6
+	const refreshAfter = (patience + 1) / 2
+	for _, dense := range []bool{true, false} {
+		s, b, x := buildCase(t, problem.Poisson2D(24, 24), p, 3)
+		rec := obs.NewRecorderCap(p, 1<<16)
+		res := DistributedSouthwell(s, b, x, Config{Steps: steps, Faults: rma.DelayPlan(5, 0.35, 12), Trace: rec, Dense: dense, watchdog: patience})
+		if rec.Dropped() != 0 {
+			t.Fatalf("dense %v: the recorder dropped %d events", dense, rec.Dropped())
+		}
+		ran := len(res.History) - 1
+		stepEnd := make([]int64, ran+1) // phases completed by the end of step s
+		active := make([][]bool, ran+1) // [s][p]: relaxed or read mail in step s
+		refreshed := make([][]bool, ran+1)
+		for s := range active {
+			active[s], refreshed[s] = make([]bool, p), make([]bool, p)
+		}
+		events := rec.Events()
+		for _, e := range events {
+			if e.Kind == obs.KindStep {
+				stepEnd[e.Step] = e.Phase
+			}
+		}
+		stepOf := func(phase int64) int {
+			for s := 1; s <= ran; s++ {
+				if phase < stepEnd[s] {
+					return s
+				}
+			}
+			return ran + 1 // read after the run
+		}
+		slept := false
+		for _, e := range events {
+			switch {
+			case e.Kind == obs.KindDecision && e.Flag&obs.FlagRelaxed != 0:
+				active[e.Step][e.Rank] = true
+			case e.Kind == obs.KindDeliver:
+				if s := stepOf(e.Phase + 1); s <= ran {
+					active[s][e.Rank] = true
+				}
+			case e.Kind == obs.KindResSend && e.Flag&obs.FlagRefresh != 0:
+				refreshed[e.Step][e.Rank] = true
+			case e.Kind == obs.KindActiveSet && e.B > 0:
+				slept = true
+			}
+		}
+		fired := 0
+		for q := range p {
+			quiet := 0
+			for s := 1; s <= ran; s++ {
+				want := s-1-quiet >= refreshAfter
+				if refreshed[s][q] != want {
+					t.Errorf("dense %v: rank %d step %d: refresh %v, the recount (quiet since step %d) says %v", dense, q, s, refreshed[s][q], quiet, want)
+				}
+				if want {
+					quiet = s - 1
+					fired++
+				}
+				if active[s][q] {
+					quiet = s
+				}
+			}
+		}
+		t.Logf("dense %v: %d steps, %d re-announces", dense, ran, fired)
+		if fired < 10 {
+			t.Errorf("dense %v: %d re-announces in %d steps, want at least 10", dense, fired, ran)
+		}
+		if !dense && !slept {
+			t.Error("no rank slept: the calendar was not exercised")
+		}
+	}
+}

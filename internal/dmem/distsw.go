@@ -36,7 +36,7 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 		panic(fmt.Sprintf("dmem: UpdateSlack = %g, want >= 0", opts.UpdateSlack))
 	}
 	return solve(s, b, x, cfg, func(st *runState, step *int) stepSpec {
-		w, states := st.w, st.states
+		w, states, e := st.w, st.states, &st.eng
 
 		// absorb drains rank p's window — callable from any phase. Residual
 		// deltas are always applied: they are additive and exact regardless of
@@ -123,8 +123,6 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 			}
 		}
 
-		chaotic := cfg.Faults != nil
-		refreshAfter := cfg.refreshAfter()
 		// Phase 1: absorb any late deliveries; decide from estimates;
 		// relax; write updates.
 		phase1 := func(p int) {
@@ -179,9 +177,9 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 			// exact residual state to every neighbor, making the estimates
 			// exact again, so Distributed Southwell stays deadlock-free on
 			// any eventually-quiescent network.
-			refresh := chaotic && rs.starved >= refreshAfter
+			refresh := e.starving(rs, *step)
 			if refresh {
-				rs.starved = 0
+				rs.quietSince = *step - 1
 			}
 			// Deadlock-risk detection (Algorithm 3, lines 27-30).
 			for j, q := range rs.nbrs() {
@@ -208,8 +206,8 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 		// identically until its state changes, and its phase-2 trigger
 		// self-extinguishes (a fired send sets Γ̃[j] = ‖r‖, closing the
 		// trigger for any slack >= 0). The starvation re-announce is the one
-		// per-step poll; the driver converts it to step stamps plus a wakeup
-		// calendar.
+		// per-step poll; the driver keeps it as one stamp per rank plus a
+		// wakeup calendar.
 		return stepSpec{
 			name:       "Distributed Southwell",
 			phases:     []func(int){phase1, phase2, phase3},

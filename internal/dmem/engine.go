@@ -11,9 +11,9 @@ import (
 // The step driver (DESIGN.md §14). In the paper all methods are one program
 // shape — a parallel step is two or three one-sided access epochs — and
 // differ only in what a rank does inside an epoch. solve owns everything
-// else: the run state (world, rank states), the step loop (reset relax flags
-// → run the step's epochs → tally → starvation rule → record → trace →
-// watchdog → target) and the result summary. A method supplies a stepSpec.
+// else: the run state (world, rank states), the step loop (run the step's
+// epochs → endStep's one walk over the members → record → trace → watchdog
+// → target) and the result summary. A method supplies a stepSpec.
 //
 // The driver steps an active set. Distributed and Parallel Southwell relax
 // only local residual-norm maxima, so at paper scale most ranks spend most
@@ -34,12 +34,13 @@ import (
 // guard variable to its threshold) — for as long as the state stays
 // unchanged. State can change only through its own relaxation (it is
 // asleep), a landed message (the boundary scans catch every landing,
-// including chaos-delayed deliveries), or the starvation clock (converted from a per-step poll into a stamped
-// counter plus a wakeup calendar). Waking a clean rank is always safe: its
-// executed step is an exact no-op beyond the idle charge, so running any
-// superset of the minimal active set is bit-identical. Running all ranks is
-// the paper's pseudocode as written; it is not a second code path but the
-// case "no rank ever sleeps" (Config.pinned).
+// including chaos-delayed deliveries), or the starvation clock (one stamp
+// per rank, rankState.quietSince, plus a wakeup calendar for sleepers).
+// Waking a clean rank is always safe: its executed step is an exact no-op
+// beyond the idle charge, so running any superset of the minimal active set
+// is bit-identical. Running all ranks is the paper's pseudocode as written;
+// it is not a second code path but the case "no rank ever sleeps"
+// (Config.pinned).
 
 // stepSpec is what a method hands the driver: its name, the step's access
 // epochs in order, and two promises.
@@ -52,7 +53,8 @@ import (
 // step.
 //
 // starvation marks a method whose ranks keep the starvation re-announce
-// clock (rankState.starved); it ticks only under a fault plan.
+// clock (rankState.quietSince, read through stepEngine.starving); its rule
+// is live only under a fault plan.
 type stepSpec struct {
 	name       string
 	phases     []func(rank int)
@@ -96,13 +98,9 @@ func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, ste
 	// The target is tested before every step, the first included: a solve
 	// that starts at or below it runs no step and sends nothing.
 	for step = 1; step <= cfg.steps() && !cfg.reached(res.Final().ResNorm); step++ {
-		// Relax flags are reset here, on the driving goroutine, before any
-		// epoch of the step runs.
-		e.resetRelaxed()
 		e.runStep(step, spec.phases)
-		relaxedRanks, rows := e.tally(norms)
+		relaxedRanks, rows := e.endStep(step, norms)
 		cumRelax += rows
-		e.endStep(step)
 		record(res, w, states, norm2(norms), step, relaxedRanks, cumRelax)
 		e.traceStep(step)
 		// The watchdog fires, on a perfect network, at the first step without
@@ -128,13 +126,13 @@ type stepEngine struct {
 	states []*rankState
 	pinned bool // no rank ever sleeps: list is all ranks for the whole run
 
-	starve       bool // starvation rule + (unpinned) stamps and wakeup calendar
+	starve       bool // starvation rule (starving) + (unpinned) wakeup calendar
 	refreshAfter int
 
 	// list is the ascending member list — the view every per-step walk
-	// (phase dispatch, flag reset, norm tally, sleep scan) runs over. When
-	// ranks may sleep it mirrors inSet: admit appends to admitted, syncList
-	// merges those into list lazily, and endStep compacts removals in place.
+	// (phase dispatch, endStep) runs over. When ranks may sleep it mirrors
+	// inSet: admit appends to admitted, scanMail merges those into list at
+	// every boundary (syncList), and endStep compacts removals in place.
 	// Both have capacity P: only a non-member is admitted, so together they
 	// never hold more than P ranks.
 	list     []int32
@@ -151,11 +149,8 @@ type stepEngine struct {
 	hist     []int // per-step phase-1 active counts → Result.ActiveHist
 }
 
-// admit ensures rank p executes the step's remaining phases, reconciling
-// its lazily-stamped starvation counter on the sleep→active edge so the
-// phase-2 refresh test reads exactly the value the per-step rule would
-// have accumulated by the end of step-1.
-func (e *stepEngine) admit(p, step int, mail bool) {
+// admit ensures rank p executes the step's remaining phases.
+func (e *stepEngine) admit(p int, mail bool) {
 	if mail {
 		e.sawMail[p] = true
 	}
@@ -164,49 +159,42 @@ func (e *stepEngine) admit(p, step int, mail bool) {
 	}
 	e.inSet[p] = true
 	e.admitted = append(e.admitted, int32(p))
-	if e.starve {
-		// While asleep the rank neither relaxed nor received, so the
-		// per-step rule would have incremented starved once per step since
-		// the stamp.
-		rs := e.states[p]
-		rs.starved += (step - 1) - rs.starveStamp
-		rs.starveStamp = step - 1
-	}
 }
 
-// scanMail admits every rank with a nonempty window. Run after every
-// delivery boundary: it is what wakes sleepers for landed traffic —
-// neighbor sends and chaos-delayed releases look the same here. A skipped
-// rank never drains its window (the next boundary would discard it), so a
-// nonempty window forces execution.
-func (e *stepEngine) scanMail(step int) {
+// scanMail admits every rank with a nonempty window and merges the ranks
+// admitted since the last boundary into the member list, so the list is
+// current after every boundary. Run after every delivery boundary: it is
+// what wakes sleepers for landed traffic — neighbor sends and chaos-delayed
+// releases look the same here. A skipped rank never drains its window (the
+// next boundary would discard it), so a nonempty window forces execution.
+func (e *stepEngine) scanMail() {
 	// LiveInboxes is exactly the set of nonempty windows, so the scan is
 	// O(receivers), not O(P).
 	for _, p := range e.w.LiveInboxes() {
-		e.admit(int(p), step, true)
+		e.admit(int(p), true)
 	}
+	e.syncList()
 }
 
 // beginStep opens a step: fire calendar wakeups due now, wake ranks with
 // landed mail, and record the phase-1 active count. Stale calendar entries
-// (the rank was woken by mail meanwhile and its clock reset) wake a clean
+// (the rank was woken by mail meanwhile and its stamp moved) wake a clean
 // rank, which is a bit-identical no-op.
 func (e *stepEngine) beginStep(step int) {
 	if due, ok := e.calendar[step]; ok {
 		delete(e.calendar, step)
 		for _, p := range due {
-			e.admit(int(p), step, false)
+			e.admit(int(p), false)
 		}
 	}
-	e.scanMail(step)
-	e.syncList()
+	e.scanMail()
 	e.hist = append(e.hist, len(e.list))
 }
 
-// syncList merges the ranks admitted since its last call into the member
-// list: it sorts them and merges the two ascending lists backward, in place,
-// in O(members + admitted · log admitted) — never O(P), however often a
-// step admits.
+// syncList merges the ranks admitted since the last boundary into the
+// member list: it sorts them and merges the two ascending lists backward,
+// in place, in O(members + admitted · log admitted) — never O(P), however
+// often a step admits.
 func (e *stepEngine) syncList() {
 	a := e.admitted
 	if len(a) == 0 {
@@ -227,35 +215,6 @@ func (e *stepEngine) syncList() {
 	e.admitted = a[:0]
 }
 
-// resetRelaxed clears the per-step relax flags. Only current members can
-// carry a stale flag: a rank is put to sleep only at the end of a step it
-// did not relax in, and nothing sets the flag while it sleeps — so the
-// O(P) pointer walk shrinks to the member list.
-func (e *stepEngine) resetRelaxed() {
-	e.syncList()
-	for _, p := range e.list {
-		e.states[p].relaxed = false
-	}
-}
-
-// tally accumulates the step's relaxed-rank count and row total over the
-// member set, refreshing each member's local-norm slot on the way (norms
-// feeds the global norm, see runState.norms). Sleeping ranks
-// need no visit on either count: they cannot hold a relax flag, and
-// quiescence means an unchanged norm, so their slot is already current.
-func (e *stepEngine) tally(norms []float64) (relaxedRanks, rows int) {
-	e.syncList()
-	for _, p := range e.list {
-		rs := e.states[p]
-		norms[p] = rs.norm
-		if rs.relaxed {
-			relaxedRanks++
-			rows += len(rs.r)
-		}
-	}
-	return
-}
-
 // runStep executes the step's access epochs. Pinned, every rank runs every
 // epoch (RunPhase is RunPhaseActive over the world's list of all ranks).
 // Otherwise each epoch runs over the active set (idle is the
@@ -273,57 +232,58 @@ func (e *stepEngine) runStep(step int, phases []func(rank int)) {
 	e.beginStep(step)
 	idle := e.idleDeg
 	for _, f := range phases {
-		e.syncList()
 		e.w.RunPhaseActive(e.inSet, e.list, idle, f)
-		e.scanMail(step)
+		e.scanMail()
 		idle = nil
 	}
 }
 
-// endStep closes a step. Starvation-clocked methods apply the per-step
-// starvation rule to every executed rank (sleepers accumulate lazily via
-// the stamp). Then, unless pinned, executed ranks that changed state stay
-// active and quiescent ones go to sleep, with the sleeper's refresh wakeup
-// scheduled at the first step whose phase 2 would fire it.
-func (e *stepEngine) endStep(step int) {
-	e.syncList() // the last phase's mail scan may have admitted ranks
-	if e.starve {
-		for _, p := range e.list {
-			rs := e.states[p]
-			if rs.relaxed || rs.gotMsg {
-				rs.starved = 0
-			} else {
-				rs.starved++
-			}
-			rs.gotMsg = false
-			rs.starveStamp = step
-		}
-	}
-	if e.pinned {
-		return
-	}
+// endStep closes a step in one walk over the members. For each it
+// refreshes the local-norm slot (norms feeds the global norm, see
+// runState.norms), counts a relaxed rank and its rows, and stamps the
+// starvation clock if the rank relaxed or read mail. Unless pinned, a rank
+// that changed state stays active and a quiescent one goes to sleep, with
+// its refresh wakeup on the calendar at the first step whose phase 2 would
+// fire it. Last it clears the rank's step flags, so nothing reads a stale
+// one at the next phase 1. Sleeping ranks need no visit: they hold no flag,
+// and quiescence means an unchanged norm, so their slot is already current.
+func (e *stepEngine) endStep(step int, norms []float64) (relaxedRanks, rows int) {
 	kept := e.list[:0]
 	for _, p32 := range e.list {
 		p := int(p32)
 		rs := e.states[p]
-		if rs.relaxed || e.sawMail[p] {
-			e.sawMail[p] = false
+		norms[p] = rs.norm
+		if rs.relaxed {
+			relaxedRanks++
+			rows += len(rs.r)
+		}
+		if rs.relaxed || rs.gotMsg {
+			rs.quietSince = step
+		}
+		if e.pinned || rs.relaxed || e.sawMail[p] {
 			kept = append(kept, p32) // in-place compaction keeps order
-			continue                 // state changed: next step's decision must be evaluated
-		}
-		e.inSet[p] = false
-		if e.starve {
-			// Refresh fires in phase 2 of step u once starved at the end of
-			// u-1 reaches refreshAfter; asleep, starved grows by one per
-			// step from its stamped value.
-			due := step + e.refreshAfter - rs.starved + 1
-			if due <= step {
-				due = step + 1
+		} else {
+			e.inSet[p] = false
+			if e.starve {
+				// The rank has starved step − quietSince steps now, one more
+				// each step it sleeps; the refresh fires in phase 2 of step u
+				// once u−1−quietSince reaches refreshAfter.
+				due := max(rs.quietSince+e.refreshAfter+1, step+1)
+				e.calendar[due] = append(e.calendar[due], p32)
 			}
-			e.calendar[due] = append(e.calendar[due], int32(p))
 		}
+		rs.relaxed, rs.gotMsg, e.sawMail[p] = false, false, false
 	}
 	e.list = kept
+	return relaxedRanks, rows
+}
+
+// starving reports whether rank rs, in phase 2 of step, has neither relaxed
+// nor read mail for refreshAfter steps through step−1: the DS starvation
+// re-announce's rule, live only for a starvation-clocked method under a
+// fault plan.
+func (e *stepEngine) starving(rs *rankState, step int) bool {
+	return e.starve && step-1-rs.quietSince >= e.refreshAfter
 }
 
 // traceStep mirrors the step's active-set occupancy onto the trace's

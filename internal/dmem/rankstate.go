@@ -45,22 +45,22 @@ type rankState struct {
 
 	extDelta []float64 // scratch, per ext row
 	// nnz is the rank's off-diagonal count as NewSetup recorded it, for the
-	// relaxations' flop charge. It sits in the padding before starved.
-	nnz     int32
-	relaxed bool // relaxed in the current step
-	// Starvation tracking, used only under fault injection (DS): gotMsg is
-	// set by the absorb paths when any message is read, and
-	// starved counts consecutive steps with neither a relaxation nor a
-	// receipt. A starving rank re-announces its exact residual state so
-	// fault-desynced Γ/Γ̃ estimates become exact again (see distsw.go).
+	// relaxations' flop charge. It sits in the padding before quietSince.
+	nnz int32
+	// relaxed and gotMsg are the step's flags, cleared by stepEngine.endStep:
+	// relaxed is set when the rank relaxes, gotMsg (DS) when an absorb reads
+	// any message.
+	relaxed bool
 	gotMsg  bool
-	starved int
-	// starveStamp is the step through which starved is materialized: a
-	// sleeping rank's counter would grow by one per step, so its true value
-	// at the end of step s is starved + (s - starveStamp), reconciled when
-	// the rank wakes (stepEngine.admit). Always the last completed step for
-	// a rank that executed it; unused on a perfect network.
-	starveStamp int
+	// quietSince is the starvation clock, read only under a fault plan
+	// (DS): the last step in which the rank relaxed or read mail, 0 before
+	// the first, so at the end of step s it has starved s − quietSince
+	// steps. A starving rank re-announces its exact residual state so
+	// fault-desynced Γ/Γ̃ estimates become exact again (distsw.go,
+	// stepEngine.starving); a re-announce in step u restarts the clock at
+	// u − 1. A sleeping rank's stamp stays current: it neither relaxes nor
+	// reads mail.
+	quietSince int
 
 	// Message bodies, per neighbor — the send buffers themselves: a pointer
 	// to one crosses the simulated network, so the steady-state message path

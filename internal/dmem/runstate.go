@@ -162,7 +162,7 @@ func (st *runState) reset(b, x []float64, cfg Config, spec stepSpec) {
 		}
 		rs.norm = rs.computeNorm()
 		st.norms[p] = rs.norm
-		rs.relaxed, rs.gotMsg, rs.starved, rs.starveStamp = false, false, 0, 0
+		rs.relaxed, rs.gotMsg, rs.quietSince = false, false, 0
 		e.inSet[p], e.sawMail[p] = true, false
 	}
 	// Ghosts: each ext slot's row of b − Ax, the value its owner's r holds.

@@ -11,7 +11,8 @@ import (
 // relaxed, no message was staged, and no message landed — and stops the
 // run when
 //
-//   - the step was idle and the fault layer is quiescent: the state
+//   - the step was idle and the fault layer holds no delayed message
+//     (rma.World.InFlight is 0, always so without a plan): the state
 //     machine is deterministic, so every later step would repeat this one
 //     exactly (on a perfect network this is precisely the 2016 piggyback
 //     deadlock rule: a step without relaxations stages and lands nothing);
@@ -48,7 +49,7 @@ func (wd *watchdog) observe(w *rma.World, step, relaxedRanks int) bool {
 		return false
 	}
 	wd.idle++
-	stop := w.FaultsQuiescent() || wd.idle >= wd.window
+	stop := w.InFlight() == 0 || wd.idle >= wd.window
 	if tr := w.Tracer(); tr != nil {
 		flag := obs.FlagWatchdogIdle
 		if stop {

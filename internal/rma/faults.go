@@ -113,12 +113,6 @@ func (w *World) InFlight() int {
 	return len(w.chaos.held)
 }
 
-// FaultsQuiescent reports that the fault layer can no longer change the
-// course of the run on its own: no delayed message is in flight. Always
-// true without an installed plan. Methods use it to distinguish "provably
-// stuck" from "waiting on the network".
-func (w *World) FaultsQuiescent() bool { return w.InFlight() == 0 }
-
 // landFaulty decides the fate of one staged message at a delivery boundary:
 // captured as delayed (it returns false: the message leaves staging, and the
 // hold function runs on its copy in the held list) or landed. The copy is

@@ -12,13 +12,12 @@ import (
 // every rank read from its window in every phase, and the world's counters
 // and queries at the end.
 type resetTrace struct {
-	seen      [][]int64
-	live      []int32
-	stats     Stats
-	phases    int64
-	now       float64
-	inFlight  int
-	quiescent bool
+	seen     [][]int64
+	live     []int32
+	stats    Stats
+	phases   int64
+	now      float64
+	inFlight int
 }
 
 // resetScript drives one fixed sequence of Put / Charge / RunPhase /
@@ -57,7 +56,7 @@ func resetScript(w *World, seed int64) resetTrace {
 	}
 	tr.live = append(tr.live, w.LiveInboxes()...)
 	tr.stats, tr.phases, tr.now = w.Stats(), w.PhaseIndex(), w.Now()
-	tr.inFlight, tr.quiescent = w.InFlight(), w.FaultsQuiescent()
+	tr.inFlight = w.InFlight()
 	return tr
 }
 
@@ -140,9 +139,8 @@ func TestResetIsAFreshWorld(t *testing.T) {
 			w := tc.dirty(t, p, rec)
 			w.Reset(model)
 			events := len(rec.Events())
-			if w.Tracer() != nil || w.InFlight() != 0 || !w.FaultsQuiescent() {
-				t.Errorf("after Reset: tracer %v, %d in flight, quiescent %v",
-					w.Tracer(), w.InFlight(), w.FaultsQuiescent())
+			if w.Tracer() != nil || w.InFlight() != 0 {
+				t.Errorf("after Reset: tracer %v, %d in flight", w.Tracer(), w.InFlight())
 			}
 			if w.Stats() != (Stats{}) || w.Now() != 0 || w.PhaseIndex() != 0 || len(w.LiveInboxes()) != 0 {
 				t.Errorf("after Reset: stats %+v now %g phase %d live %v",
@@ -178,9 +176,9 @@ func TestResetIsAFreshWorld(t *testing.T) {
 					t.Errorf("Stats.%s = %d, want %d", name, gs.Field(i).Int(), ws.Field(i).Int())
 				}
 			}
-			if got.phases != want.phases || got.inFlight != want.inFlight || got.quiescent != want.quiescent {
-				t.Errorf("phases/inFlight/quiescent %d/%d/%v, want %d/%d/%v",
-					got.phases, got.inFlight, got.quiescent, want.phases, want.inFlight, want.quiescent)
+			if got.phases != want.phases || got.inFlight != want.inFlight {
+				t.Errorf("phases/inFlight %d/%d, want %d/%d",
+					got.phases, got.inFlight, want.phases, want.inFlight)
 			}
 			if !reflect.DeepEqual(got.live, want.live) {
 				t.Errorf("LiveInboxes %v, want %v", got.live, want.live)

@@ -66,11 +66,11 @@ func GaussSeidel(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 // parallel step relaxes all rows of a single color.
 func MulticolorGS(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 	c := color.Greedy(a)
-	return MulticolorGSWith(a, b, x, c, opt)
+	return multicolorGSWith(a, b, x, c, opt)
 }
 
-// MulticolorGSWith is MulticolorGS with a caller-provided coloring.
-func MulticolorGSWith(a *sparse.CSR, b, x []float64, c color.Coloring, opt Options) *Trace {
+// multicolorGSWith is MulticolorGS with a caller-provided coloring.
+func multicolorGSWith(a *sparse.CSR, b, x []float64, c color.Coloring, opt Options) *Trace {
 	tr := &Trace{Method: "MC GS"}
 	n := a.N
 	s := newState(a, b, x)

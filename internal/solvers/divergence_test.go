@@ -54,7 +54,7 @@ func TestMulticolorGSWithExplicitColoring(t *testing.T) {
 	}
 	c := color.Greedy(a)
 	b, x := problem.RandomBSystem(a, 32)
-	tr := MulticolorGSWith(a, b, x, c, Options{MaxRelax: a.N})
+	tr := multicolorGSWith(a, b, x, c, Options{MaxRelax: a.N})
 	if tr.NumSteps() != c.NumColors {
 		t.Errorf("one sweep = %d steps, want %d colors", tr.NumSteps(), c.NumColors)
 	}

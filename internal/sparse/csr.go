@@ -204,6 +204,9 @@ func (a *CSR) Validate() error {
 		if hi < lo {
 			return fmt.Errorf("sparse: row %d has negative length", i)
 		}
+		if int(hi) > len(a.Col) {
+			return fmt.Errorf("sparse: row %d ends at %d, past nnz = %d", i, hi, len(a.Col))
+		}
 		prev := int32(-1)
 		for k := lo; k < hi; k++ {
 			j := a.Col[k]

@@ -66,6 +66,9 @@ func TestCSRValidateCatchesCorruption(t *testing.T) {
 		{"unsorted cols", func(a *CSR) { a.Col[1], a.Col[2] = a.Col[2], a.Col[1] }},
 		{"nan value", func(a *CSR) { a.Val[0] = math.NaN() }},
 		{"nnz mismatch", func(a *CSR) { a.RowPtr[a.N]++ }},
+		{"row past nnz", func(a *CSR) {
+			*a = CSR{N: 4, RowPtr: []int32{0, 5, 3, 3, 3}, Col: []int32{0, 1, 2}, Val: []float64{1, 2, 3}}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
