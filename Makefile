@@ -51,27 +51,28 @@ lint: vet
 # local factorizations at widths 1, 2, 4 and 7), For's only callers. The
 # third line holds For's own tests (DESIGN.md §6, §9); spdirect's
 # Factorize is what factorAll runs in For's blocks. The partitioner is
-# there for its per-call workspace: concurrent Partition calls (bench
-# set-ups under -par) must share nothing. internal/sparse and
+# there for its per-call workspace: concurrent Partition calls (the
+# set-ups of one bench run set) must share nothing. internal/sparse and
 # internal/problem start no goroutine, so neither is on the list. The
 # runtime and the methods run at two and at four scheduler threads
 # explicitly, whatever the host has: the retained-window aliasing bug only
 # showed above one thread. The last line is the
-# experiment driver's own goroutines (-par workers meeting in the memo,
-# runs sharing one setup) — by name, because the whole package under the
-# race detector takes about a minute.
+# experiment driver's run sets on parallel.For (blocks meeting in the memo,
+# runs sharing one setup, tables and trace exports at widths 1 and 4) — by
+# name, because the whole package under the race detector takes about a
+# minute.
 race:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/rma/... ./internal/dmem/...
 	$(GO) test -race ./internal/parallel/... ./internal/spdirect/... ./internal/obs/... ./internal/partition/...
-	$(GO) test -race -count=1 -run 'Memo|ParDriver|SetupCache|SetupShared' ./internal/bench/
+	$(GO) test -race -count=1 -run 'Memo|RunSet|ParDriver|TraceExportDriver|SetupCache|SetupShared' ./internal/bench/
 
 # End-to-end fault-injection smoke: both binaries on a small problem with
 # delay faults. Exercises flag validation, the chaos table, and the
 # watchdog verdict path outside the unit tests.
 chaos-smoke: build
 	$(GO) run ./cmd/dsouthwell -grid 40 -n 16 -sweep_max 15 -chaos 0.3 >/dev/null
-	$(GO) run ./cmd/benchtables -quick -ranks 32 -steps 40 -par 4 chaos >/dev/null
+	$(GO) run ./cmd/benchtables -quick -ranks 32 -steps 40 chaos >/dev/null
 
 # Partitioner pin, by name so a failure is labelled: the golden part-vector
 # hashes (every results/*.txt table sits on these partitions), the oracles
@@ -171,8 +172,9 @@ bench-smoke:
 # builds dsouthwell and benchtables from both trees, runs the fixed list of
 # CLI lines below in each and `cmp`s the outputs. Every line runs: one that
 # differs prints DIFFERS and the first 40 lines of its diff, and the target
-# fails at the end if any line differed. The table lines run the lazy
-# sequential driver and the -par 8 prefetch driver. The fig7/fig8/fig9 line
+# fails at the end if any line differed. The table line runs the
+# experiment driver's run sets, spread over GOMAXPROCS goroutines; the
+# output is the same at every width. The fig7/fig8/fig9 line
 # is the one that reaches Figures 7-9, and the fig2/fig5/fig6 line the one
 # that reaches the scalar solvers (internal/solvers, and the multigrid
 # smoother built on scalar Distributed Southwell). The -x_zeros line is the
@@ -217,7 +219,6 @@ identity:
 	for line in \
 		"benchtables $(IDENTITY_TABLES)" \
 		"benchtables -quick fig7 fig8 fig9" \
-		"benchtables -par 8 $(IDENTITY_TABLES)" \
 		"benchtables -quick fig2 fig5 fig6" \
 		"dsouthwell $(IDENTITY_SOLVE)" \
 		"dsouthwell $(IDENTITY_SOLVE) -x_zeros" \

@@ -14,21 +14,22 @@
 //	-ranks N       simulated process count for suite experiments (default 256)
 //	-steps N       parallel-step budget override (default: per-experiment)
 //	-quick         shrunken configuration (smoke test)
-//	-seed S        initial guess / partition seed (default 1)
+//	-seed S        initial guess / partition seed (default 1; 0 is refused)
 //	-out DIR       write one file per experiment into DIR instead of stdout
-//	-par N         run up to N suite runs concurrently (default GOMAXPROCS;
-//	               output is identical for every value)
 //	-loc_solver S  local subdomain solver for every run: gs (default),
 //	               direct (sparse LDLT), or its artifact name pardiso
 //	-chaos P       inject delay faults: each message delayed 1-3 phases with
 //	               probability P (deterministic per -chaos-seed)
-//	-chaos-seed S  fault-injection seed (default 1)
+//	-chaos-seed S  fault-injection seed (default 1; 0 is refused)
 //	-trace DIR     write one Chrome trace-event JSON (Perfetto) per suite
 //	               run into DIR
 //	-metrics DIR   write one plain-text metrics summary per suite run into
 //	               DIR
 //	-cpuprofile F  write a pprof CPU profile to F
 //	-memprofile F  write a pprof heap profile to F on exit
+//
+// Suite runs spread over GOMAXPROCS goroutines (set GOMAXPROCS=N to change
+// that); the output is identical at every width.
 package main
 
 import (
@@ -84,7 +85,10 @@ func validateOutDir(flagName, path string) error {
 
 // validate rejects nonsensical flag combinations before any experiment
 // starts, so misuse fails with one line instead of a deep panic.
-func validate(ranks, steps, par int, chaos float64, trace, metrics string) error {
+func validate(ranks, steps int, seed, chaosSeed int64, chaos float64, out, trace, metrics string) error {
+	if err := validateOutDir("-out", out); err != nil {
+		return err
+	}
 	if err := validateOutDir("-trace", trace); err != nil {
 		return err
 	}
@@ -97,8 +101,12 @@ func validate(ranks, steps, par int, chaos float64, trace, metrics string) error
 	if steps < 0 {
 		return fmt.Errorf("-steps %d: must be >= 1 (or 0 for the per-experiment default)", steps)
 	}
-	if par < 0 {
-		return fmt.Errorf("-par %d: must be >= 1 (or 0 for sequential)", par)
+	// The experiments read a zero seed as "unset" and run seed 1 instead.
+	if seed == 0 {
+		return fmt.Errorf("-seed 0: must be nonzero")
+	}
+	if chaosSeed == 0 {
+		return fmt.Errorf("-chaos-seed 0: must be nonzero")
 	}
 	if !(chaos >= 0 && chaos <= 1) { // NaN fails too
 		return fmt.Errorf("-chaos %g: must be a probability in [0, 1]", chaos)
@@ -110,19 +118,18 @@ func main() {
 	ranks := flag.Int("ranks", 0, "simulated process count (0 = default 256)")
 	steps := flag.Int("steps", 0, "parallel-step budget (0 = per-experiment default)")
 	quick := flag.Bool("quick", false, "shrunken smoke-test configuration")
-	seed := flag.Int64("seed", 1, "initial-guess and partition seed")
+	seed := flag.Int64("seed", 1, "initial-guess and partition seed (nonzero)")
 	outDir := flag.String("out", "", "write one file per experiment into this directory")
-	par := flag.Int("par", runtime.GOMAXPROCS(0), "max concurrent suite runs (1 = sequential)")
 	locSolver := flag.String("loc_solver", "gs", "local subdomain solver for every run: gs, direct (sparse LDLT), or pardiso (= direct)")
 	chaos := flag.Float64("chaos", 0, "inject delay faults into every run: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (chaos runs are bit-reproducible per seed)")
+	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed, nonzero (chaos runs are bit-reproducible per seed)")
 	traceDir := flag.String("trace", "", "write one Chrome trace-event JSON per suite run into this directory (open in Perfetto)")
 	metricsDir := flag.String("metrics", "", "write one plain-text metrics summary per suite run into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write pprof heap profile to this file on exit")
 	flag.Parse()
 
-	if err := validate(*ranks, *steps, *par, *chaos, *traceDir, *metricsDir); err != nil {
+	if err := validate(*ranks, *steps, *seed, *chaosSeed, *chaos, *outDir, *traceDir, *metricsDir); err != nil {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		os.Exit(2)
 	}
@@ -145,7 +152,7 @@ func main() {
 	}
 
 	cfg := bench.Config{Ranks: *ranks, Steps: *steps, Quick: *quick, Seed: *seed,
-		Par: *par, ChaosSeed: *chaosSeed, Local: local,
+		ChaosSeed: *chaosSeed, Local: local,
 		TraceDir: *traceDir, MetricsDir: *metricsDir}
 	if *chaos > 0 {
 		cfg.Faults = rma.DelayPlan(*chaosSeed, *chaos, 3)

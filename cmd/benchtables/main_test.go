@@ -20,25 +20,30 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Every case but the seed rows sets both seeds to their default, 1, so
+	// it fails on the one flag it names.
 	cases := []struct {
-		ranks, steps, par int
-		chaos             float64
-		trace, metrics    string
-		want              string
+		ranks, steps        int
+		seed, chaosSeed     int64
+		chaos               float64
+		out, trace, metrics string
+		want                string
 	}{
-		{ranks: -1, want: "-ranks"},
-		{steps: -5, want: "-steps"},
-		{par: -2, want: "-par"},
-		{chaos: -0.5, want: "-chaos"},
-		{chaos: 2, want: "-chaos"},
-		{chaos: math.NaN(), want: "-chaos"},
-		{trace: file, want: "-trace"},
-		{metrics: file, want: "-metrics"},
+		{ranks: -1, seed: 1, chaosSeed: 1, want: "-ranks"},
+		{steps: -5, seed: 1, chaosSeed: 1, want: "-steps"},
+		{seed: 0, chaosSeed: 1, want: "-seed"},
+		{seed: 1, chaosSeed: 0, want: "-chaos-seed"},
+		{chaos: -0.5, seed: 1, chaosSeed: 1, want: "-chaos"},
+		{chaos: 2, seed: 1, chaosSeed: 1, want: "-chaos"},
+		{chaos: math.NaN(), seed: 1, chaosSeed: 1, want: "-chaos"},
+		{out: file, seed: 1, chaosSeed: 1, want: "-out"},
+		{trace: file, seed: 1, chaosSeed: 1, want: "-trace"},
+		{metrics: file, seed: 1, chaosSeed: 1, want: "-metrics"},
 	}
 	for _, tc := range cases {
-		err := validate(tc.ranks, tc.steps, tc.par, tc.chaos, tc.trace, tc.metrics)
+		err := validate(tc.ranks, tc.steps, tc.seed, tc.chaosSeed, tc.chaos, tc.out, tc.trace, tc.metrics)
 		if err == nil {
-			t.Errorf("validate(%d,%d,%d,%g): accepted", tc.ranks, tc.steps, tc.par, tc.chaos)
+			t.Errorf("validate(%+v): accepted", tc)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
@@ -48,23 +53,32 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 			t.Errorf("error is not one line: %q", err)
 		}
 	}
+	// The binary refuses them with exit status 2 before any experiment runs.
+	for _, args := range [][]string{{"-seed", "0"}, {"-chaos-seed", "0"}, {"-out", file}} {
+		out, code := runMain(t, append(args, "table4")...)
+		if code != 2 || !strings.Contains(out, args[0]+" ") {
+			t.Errorf("benchtables %s: exit status %d, want 2 naming the flag\n%s", strings.Join(args, " "), code, out)
+		}
+	}
 }
 
 func TestValidateAcceptsGoodFlags(t *testing.T) {
 	tmp := t.TempDir()
 	for _, tc := range []struct {
-		ranks, steps, par int
-		chaos             float64
-		trace, metrics    string
+		ranks, steps        int
+		seed, chaosSeed     int64
+		chaos               float64
+		out, trace, metrics string
 	}{
-		{}, // all defaults
-		{256, 120, 8, 0.5, "", ""},
-		{ranks: 1, chaos: 1},               // boundary values
-		{trace: tmp, metrics: tmp},         // existing directory is fine
-		{trace: filepath.Join(tmp, "new")}, // missing directory: created later
+		{seed: 1, chaosSeed: 1}, // all defaults
+		{256, 120, 7, 42, 0.5, "", "", ""},
+		{ranks: 1, seed: -3, chaosSeed: -1, chaos: 1},               // boundary values; a negative seed is a seed
+		{seed: 1, chaosSeed: 1, out: tmp, trace: tmp, metrics: tmp}, // existing directory is fine
+		{seed: 1, chaosSeed: 1, out: filepath.Join(tmp, "new")},     // missing directory: created later
+		{seed: 1, chaosSeed: 1, trace: filepath.Join(tmp, "new")},
 	} {
-		if err := validate(tc.ranks, tc.steps, tc.par, tc.chaos, tc.trace, tc.metrics); err != nil {
-			t.Errorf("validate(%d,%d,%d,%g): %v", tc.ranks, tc.steps, tc.par, tc.chaos, err)
+		if err := validate(tc.ranks, tc.steps, tc.seed, tc.chaosSeed, tc.chaos, tc.out, tc.trace, tc.metrics); err != nil {
+			t.Errorf("validate(%+v): %v", tc, err)
 		}
 	}
 }
@@ -134,10 +148,11 @@ func TestScalingIsABenchTable(t *testing.T) {
 }
 
 // TestVerboseFlagIsGone: the flag package must reject each retired flag
-// (exit status 2) before any experiment runs: -v, and the two engine
-// switches that never changed a result, -goroutines and -active.
+// (exit status 2) before any experiment runs: -v, the two engine switches
+// that never changed a result, -goroutines and -active, and the run-set
+// width -par (GOMAXPROCS sets it).
 func TestVerboseFlagIsGone(t *testing.T) {
-	for _, arg := range []string{"-v", "-goroutines", "-active=false"} {
+	for _, arg := range []string{"-v", "-goroutines", "-active=false", "-par=4"} {
 		out, code := runMain(t, arg, "fig6")
 		if code != 2 {
 			t.Errorf("benchtables %s: exit status %d, want 2\n%s", arg, code, out)

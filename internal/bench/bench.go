@@ -7,9 +7,10 @@
 // reads a clock. See DESIGN.md §4 for the experiment index and
 // EXPERIMENTS.md for recorded paper-vs-measured comparisons.
 //
-// Config.Par fans independent (matrix, method) runs out over bounded
-// workers. Runs are memoized by key and each world is deterministic, so
-// table output does not depend on it.
+// Each experiment names its suite runs once (runSet), and they run one per
+// block of parallel.For, at parallel.Workers() wide. Runs are memoized by
+// key and each world is deterministic, so table output does not depend on
+// the width.
 package bench
 
 import (
@@ -23,6 +24,7 @@ import (
 	"southwell/internal/core"
 	"southwell/internal/dmem"
 	"southwell/internal/obs"
+	"southwell/internal/parallel"
 	"southwell/internal/partition"
 	"southwell/internal/problem"
 	"southwell/internal/rma"
@@ -45,11 +47,6 @@ type Config struct {
 	Quick bool
 	// Seed drives initial guesses and partitions.
 	Seed int64
-	// Par bounds how many suite runs execute concurrently: the table and
-	// figure drivers fan their (matrix, method, ranks) runs out over Par
-	// worker goroutines, each running its own simulated world. 0 or 1 runs
-	// sequentially. Output is identical for every value of Par.
-	Par int
 	// Local selects the subdomain solver for suite runs (default
 	// dmem.LocalGS, the paper's setting).
 	Local dmem.LocalSolver
@@ -93,13 +90,6 @@ func (c Config) stepsOr(def int) int {
 	return def
 }
 
-func (c Config) par() int {
-	if c.Par > 1 {
-		return c.Par
-	}
-	return 1
-}
-
 // Target is the paper's accuracy target for Tables 2-3 and Figure 8.
 const Target = 0.1
 
@@ -114,8 +104,7 @@ func (c Config) suiteNames() []string {
 // runKey caches distributed runs shared between tables. Every
 // result-changing setting is part of the key: matrix, method, ranks, step
 // budget, seed, local solver, and the fault plan (by value, as a string, so
-// equal plans behind different pointers share an entry). Par is excluded:
-// it does not change results.
+// equal plans behind different pointers share an entry).
 type runKey struct {
 	name   string
 	method core.DistMethod
@@ -317,84 +306,39 @@ func exportRun(cfg Config, key runKey, rec *obs.Recorder) error {
 	return write(cfg.MetricsDir, ".metrics.txt", rec.WriteMetrics)
 }
 
-// runJob identifies one suite run for the concurrent driver.
-type runJob struct {
-	name   string
-	method core.DistMethod
-	ranks  int
-	steps  int
+// suiteRuns holds the results of one runSet call in block order.
+type suiteRuns struct {
+	names, ranks int
+	res          []*dmem.Result
 }
 
-// suiteJobs is the cross product methods × names × rankCounts at a fixed
-// step budget. The method varies slowest, so neighbouring jobs — the ones
-// concurrent prefetch workers hold at the same time — are different
-// (matrix, ranks) cells and build their setups in parallel instead of one
-// worker waiting on the other's memo entry.
-func suiteJobs(names []string, methods []core.DistMethod, rankCounts []int, steps int) []runJob {
-	jobs := make([]runJob, 0, len(names)*len(rankCounts)*len(methods))
-	for _, m := range methods {
-		for _, name := range names {
-			for _, r := range rankCounts {
-				jobs = append(jobs, runJob{name: name, method: m, ranks: r, steps: steps})
-			}
-		}
-	}
-	return jobs
+// at returns the run of the n-th name at the r-th rank count under the
+// m-th method, indexed as in the runSet call that made s.
+func (s suiteRuns) at(n, r, m int) *dmem.Result {
+	return s.res[(m*s.names+n)*s.ranks+r]
 }
 
-// prefetch executes the given runs with up to cfg.par() concurrent worlds,
-// populating the run memo so the table printers read results in their own
-// (deterministic) order. Runs already memoized (Tables 2-4 overlap on the
-// to-target step budget) return at once, and workers that meet on one
-// (matrix, ranks) cell share its setup through the memo. With Par <= 1 the
-// printers compute lazily through runSuite instead.
-func prefetch(cfg Config, jobs []runJob) error {
-	if cfg.par() <= 1 {
-		return nil
-	}
-	return forEachPar(cfg.par(), len(jobs), func(i int) error {
-		_, err := runSuite(cfg, jobs[i].name, jobs[i].method, jobs[i].ranks, jobs[i].steps)
-		return err
+// runSet runs the cross product names × rankCounts × methods at one step
+// budget through runSuite's memo, one run per parallel.For block, and
+// returns every result or the error of the lowest-index failing run. The
+// method varies slowest in block order, so the blocks running at one time
+// are different (matrix, ranks) cells and build their setups in parallel
+// instead of one waiting on the other's memo entry. Runs already memoized
+// (Tables 2-4 overlap on the to-target budget) return at once.
+func runSet(cfg Config, names []string, methods []core.DistMethod, rankCounts []int, steps int) (suiteRuns, error) {
+	s := suiteRuns{names: len(names), ranks: len(rankCounts),
+		res: make([]*dmem.Result, len(methods)*len(names)*len(rankCounts))}
+	errs := make([]error, len(s.res))
+	parallel.For(len(s.res), func(j int) {
+		m, n, r := j/(s.names*s.ranks), j/s.ranks%s.names, j%s.ranks
+		s.res[j], errs[j] = runSuite(cfg, names[n], methods[m], rankCounts[r], steps)
 	})
-}
-
-// forEachPar runs fn(i) for i in [0, n) over up to par worker goroutines
-// and returns the lowest-index error, if any.
-func forEachPar(par, n int, fn func(i int) error) error {
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return suiteRuns{}, err
 		}
 	}
-	return nil
+	return s, nil
 }
 
 // ResetCaches clears memoized matrices, partitions, setups and runs (for

@@ -11,6 +11,7 @@ import (
 
 	"southwell/internal/core"
 	"southwell/internal/dmem"
+	"southwell/internal/parallel"
 	"southwell/internal/rma"
 )
 
@@ -117,31 +118,39 @@ func TestRunSuiteUnknownMatrix(t *testing.T) {
 	}
 }
 
-// TestParDriverDeterministic checks that the bounded-concurrency driver
-// leaves table output bit-identical to the sequential path.
+// atWidth runs f with parallel.For's width set to w, restoring it after.
+func atWidth(w int, f func()) {
+	defer parallel.SetDefaultWorkers(parallel.Workers())
+	parallel.SetDefaultWorkers(w)
+	f()
+}
+
+// TestParDriverDeterministic checks that table output is bit-identical
+// whether the run sets go one at a time (width 1) or four at once.
 func TestParDriverDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite runs are slow in -short mode")
 	}
-	render := func(cfg Config) string {
+	render := func(w int) string {
 		ResetCaches()
 		defer ResetCaches()
 		var buf bytes.Buffer
-		if err := Table4(&buf, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if err := Table3(&buf, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if err := Scaling(&buf, cfg); err != nil {
-			t.Fatal(err)
-		}
+		atWidth(w, func() {
+			cfg := quickCfg()
+			if err := Table4(&buf, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := Table3(&buf, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := Scaling(&buf, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 		return buf.String()
 	}
-	seq := render(quickCfg())
-	parCfg := quickCfg()
-	parCfg.Par = 4
-	par := render(parCfg)
+	seq := render(1)
+	par := render(4)
 	if seq != par {
 		t.Errorf("parallel driver changed table output:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
 	}
@@ -197,33 +206,34 @@ func TestTraceHook(t *testing.T) {
 		t.Errorf("metrics summary missing per-rank table:\n%s", mt)
 	}
 	// No kernel-pool line from suite runs: the pool counters are
-	// process-global, so a per-run delta under the -par prefetch driver
-	// would absorb concurrent runs and the file would differ between
-	// sequential and concurrent drivers.
+	// process-global, so a per-run delta taken while a run set spreads over
+	// several goroutines would absorb concurrent runs and the file would
+	// differ between widths.
 	if strings.Contains(string(mt), "kernel pool") {
 		t.Errorf("suite metrics carries a kernel-pool snapshot (driver-concurrency dependent):\n%s", mt)
 	}
 }
 
 // TestTraceExportDriverInvariant: the exported trace and metrics bytes
-// for one run key must not depend on the suite driver's concurrency.
+// for one run key must not depend on the width the run set spreads over.
 func TestTraceExportDriverInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow in -short mode")
 	}
-	export := func(par int) (trace, metrics []byte) {
+	export := func(w int) (trace, metrics []byte) {
 		t.Helper()
 		ResetCaches()
 		defer ResetCaches()
 		dir := t.TempDir()
 		cfg := quickCfg()
-		cfg.Par = par
 		cfg.TraceDir = dir
 		cfg.MetricsDir = dir
 		var buf bytes.Buffer
-		if err := Table2(&buf, cfg); err != nil {
-			t.Fatal(err)
-		}
+		atWidth(w, func() {
+			if err := Table2(&buf, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 		base := fmt.Sprintf("af_5_k101_ds_p%d_s%d", cfg.ranks(), cfg.stepsOr(60))
 		tj, err := os.ReadFile(filepath.Join(dir, base+".trace.json"))
 		if err != nil {
@@ -235,13 +245,13 @@ func TestTraceExportDriverInvariant(t *testing.T) {
 		}
 		return tj, mt
 	}
-	seqTrace, seqMet := export(0)
+	seqTrace, seqMet := export(1)
 	parTrace, parMet := export(4)
 	if !bytes.Equal(seqTrace, parTrace) {
-		t.Error("trace export differs between sequential and concurrent drivers")
+		t.Error("trace export differs between widths 1 and 4")
 	}
 	if !bytes.Equal(seqMet, parMet) {
-		t.Error("metrics export differs between sequential and concurrent drivers")
+		t.Error("metrics export differs between widths 1 and 4")
 	}
 }
 

@@ -58,21 +58,18 @@ func Chaos(out io.Writer, cfg Config) error {
 		fprintf(out, " | %14s", string(m))
 	}
 	fprintf(out, "\n")
-	for _, lv := range chaosLevels {
-		c := cfg.withDelay(lv)
-		if err := prefetch(c, suiteJobs(c.suiteNames(), methods, []int{ranks}, steps)); err != nil {
+	levels := make([]suiteRuns, len(chaosLevels))
+	for l, lv := range chaosLevels {
+		var err error
+		if levels[l], err = runSet(cfg.withDelay(lv), cfg.suiteNames(), methods, []int{ranks}, steps); err != nil {
 			return err
 		}
 	}
-	for _, name := range cfg.suiteNames() {
-		for _, lv := range chaosLevels {
-			c := cfg.withDelay(lv)
+	for n, name := range cfg.suiteNames() {
+		for l, lv := range chaosLevels {
 			fprintf(out, "%-12s p=%.2f,k=%-3d", name, lv.prob, lv.max)
-			for _, m := range methods {
-				res, err := runSuite(c, name, m, ranks, steps)
-				if err != nil {
-					return err
-				}
+			for i := range methods {
+				res := levels[l].at(n, 0, i)
 				s, ok := res.StepsToNorm(Target)
 				verdict := "ok"
 				if res.Deadlocked {

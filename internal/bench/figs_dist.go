@@ -25,18 +25,15 @@ func fig7Matrices(quick bool) []string {
 func Fig7(w io.Writer, cfg Config) error {
 	ranks := cfg.ranks()
 	steps := cfg.stepsOr(50)
-	if err := prefetch(cfg, suiteJobs(fig7Matrices(cfg.Quick), tableMethods, []int{ranks}, steps)); err != nil {
+	rs, err := runSet(cfg, fig7Matrices(cfg.Quick), tableMethods, []int{ranks}, steps)
+	if err != nil {
 		return err
 	}
 	fprintf(w, "# Figure 7: residual norm vs time/comm/step, %d ranks, %d steps\n", ranks, steps)
 	fprintf(w, "# matrix method step sim_time comm_cost residual_norm\n")
-	for _, name := range fig7Matrices(cfg.Quick) {
-		for _, m := range tableMethods {
-			res, err := runSuite(cfg, name, m, ranks, steps)
-			if err != nil {
-				return err
-			}
-			for _, h := range res.History {
+	for n, name := range fig7Matrices(cfg.Quick) {
+		for i, m := range tableMethods {
+			for _, h := range rs.at(n, 0, i).History {
 				fprintf(w, "%-12s %-3s %3d %10.6f %10.2f %12.5g\n",
 					name, methodTag(m), h.Step, h.SimTime,
 					float64(h.TotalMsgs())/float64(ranks), h.ResNorm)
@@ -82,19 +79,17 @@ func fig89Matrices(quick bool) []string {
 // that never reached the target (usually Block Jacobi divergence).
 func Fig8(w io.Writer, cfg Config) error {
 	steps := cfg.stepsOr(60)
-	if err := prefetch(cfg, suiteJobs(fig89Matrices(cfg.Quick), tableMethods, scalingRanks(cfg.Quick), steps)); err != nil {
+	rs, err := runSet(cfg, fig89Matrices(cfg.Quick), tableMethods, scalingRanks(cfg.Quick), steps)
+	if err != nil {
 		return err
 	}
 	fprintf(w, "# Figure 8: sim wall-clock time to ||r||=%.1f vs ranks (budget %d steps)\n", Target, steps)
 	fprintf(w, "%-12s %6s | %10s %10s %10s\n", "matrix", "ranks", "BJ", "PS", "DS")
-	for _, name := range fig89Matrices(cfg.Quick) {
-		for _, p := range scalingRanks(cfg.Quick) {
+	for n, name := range fig89Matrices(cfg.Quick) {
+		for r, p := range scalingRanks(cfg.Quick) {
 			var cells [3]string
-			for i, m := range tableMethods {
-				res, err := runSuite(cfg, name, m, p, steps)
-				if err != nil {
-					return err
-				}
+			for i := range tableMethods {
+				res := rs.at(n, r, i)
 				if _, ok := res.StepsToNorm(Target); ok {
 					tm, _ := res.InterpAtNorm(Target, func(h dmem.StepStats) float64 { return h.SimTime })
 					cells[i] = dagger(tm, true, "%10.5f")
@@ -114,20 +109,17 @@ func Fig8(w io.Writer, cfg Config) error {
 // with more ranks while Parallel and Distributed Southwell degrade mildly.
 func Fig9(w io.Writer, cfg Config) error {
 	steps := cfg.stepsOr(50)
-	if err := prefetch(cfg, suiteJobs(fig89Matrices(cfg.Quick), tableMethods, scalingRanks(cfg.Quick), steps)); err != nil {
+	rs, err := runSet(cfg, fig89Matrices(cfg.Quick), tableMethods, scalingRanks(cfg.Quick), steps)
+	if err != nil {
 		return err
 	}
 	fprintf(w, "# Figure 9: residual norm after %d steps vs ranks\n", steps)
 	fprintf(w, "%-12s %6s | %12s %12s %12s\n", "matrix", "ranks", "BJ", "PS", "DS")
-	for _, name := range fig89Matrices(cfg.Quick) {
-		for _, p := range scalingRanks(cfg.Quick) {
+	for n, name := range fig89Matrices(cfg.Quick) {
+		for r, p := range scalingRanks(cfg.Quick) {
 			var vals [3]float64
-			for i, m := range tableMethods {
-				res, err := runSuite(cfg, name, m, p, steps)
-				if err != nil {
-					return err
-				}
-				vals[i] = res.Final().ResNorm
+			for i := range tableMethods {
+				vals[i] = rs.at(n, r, i).Final().ResNorm
 			}
 			fprintf(w, "%-12s %6d | %12.5g %12.5g %12.5g\n", name, p, vals[0], vals[1], vals[2])
 		}
@@ -141,16 +133,14 @@ func Fig9(w io.Writer, cfg Config) error {
 // point.
 func Deadlock(w io.Writer, cfg Config) error {
 	ranks := cfg.ranks()
-	if err := prefetch(cfg, suiteJobs(cfg.suiteNames(), []core.DistMethod{core.Piggyback2016}, []int{ranks}, 500)); err != nil {
+	rs, err := runSet(cfg, cfg.suiteNames(), []core.DistMethod{core.Piggyback2016}, []int{ranks}, 500)
+	if err != nil {
 		return err
 	}
 	fprintf(w, "# Deadlock study: 2016 piggyback variant vs Distributed Southwell, %d ranks\n", ranks)
 	fprintf(w, "%-12s | %9s %12s | %12s\n", "matrix", "dl_step", "dl_norm", "DS norm@same")
-	for _, name := range cfg.suiteNames() {
-		pb, err := runSuite(cfg, name, core.Piggyback2016, ranks, 500)
-		if err != nil {
-			return err
-		}
+	for n, name := range cfg.suiteNames() {
+		pb := rs.at(n, 0, 0)
 		if !pb.Deadlocked {
 			fprintf(w, "%-12s | %9s %12.5g | %12s\n", name, "none", pb.Final().ResNorm, "-")
 			continue

@@ -27,7 +27,8 @@ func Scaling(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	if err := prefetch(cfg, suiteJobs([]string{name}, tableMethods, ladder, steps)); err != nil {
+	rs, err := runSet(cfg, []string{name}, tableMethods, ladder, steps)
+	if err != nil {
 		return err
 	}
 	fprintf(w, "# Scaling study: %s (n=%d, nnz=%d), %d steps/run, seed %d\n", name, a.N, a.NNZ(), steps, cfg.seed())
@@ -35,12 +36,9 @@ func Scaling(w io.Writer, cfg Config) error {
 	fprintf(w, "# nearly full here — see the point-load experiment below for the regime active-set\n")
 	fprintf(w, "# stepping is built for. Host time and memory: BENCHMARK.json (wide4k, pointload2k).\n")
 	fprintf(w, "%7s  %-6s  %10s  %12s  %10s\n", "P", "method", "final||r||", "simtime(s)", "msgs")
-	for _, p := range ladder {
-		for _, m := range tableMethods {
-			res, err := runSuite(cfg, name, m, p, steps)
-			if err != nil {
-				return err
-			}
+	for r, p := range ladder {
+		for i, m := range tableMethods {
+			res := rs.at(0, r, i)
 			fprintf(w, "%7d  %-6s  %10.3e  %12.4f  %10d\n",
 				p, m, res.Final().ResNorm, res.Stats.SimTime, res.Stats.TotalMsgs())
 			if s := activeSummary(res); s != "" {

@@ -208,36 +208,47 @@ func TestSetupSharedAcrossMethodsNoMutation(t *testing.T) {
 	}
 }
 
-// TestPrefetchLogsCacheSkips: a second prefetch over the same jobs runs no
-// solve — every cell still holds the result the first one stored. (The
-// name predates the removal of the verbose log it used to read.)
-func TestPrefetchLogsCacheSkips(t *testing.T) {
+// TestRunSetRerunsNothing: a run set's at(n, r, m) is the memoized run of
+// names[n] at rankCounts[r] under methods[m], and a second call over the
+// same set runs no solve — every cell still holds the result the first one
+// stored.
+func TestRunSetRerunsNothing(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
-	cfg := Config{Ranks: 16, Seed: 1, Par: 2}
-	jobs := suiteJobs([]string{"af_5_k101"}, []core.DistMethod{core.BlockJacobi, core.DistSWD}, []int{16}, 5)
-	results := func() []*dmem.Result {
-		t.Helper()
-		if err := prefetch(cfg, jobs); err != nil {
-			t.Fatal(err)
-		}
-		if n := memoLen(&runs); n != len(jobs) {
-			t.Fatalf("prefetch left %d memoized runs, want %d", n, len(jobs))
-		}
-		out := make([]*dmem.Result, len(jobs))
-		for i, j := range jobs {
-			r, err := runSuite(cfg, j.name, j.method, j.ranks, j.steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = r
-		}
-		return out
+	cfg := Config{Seed: 1}
+	names := []string{"af_5_k101", "msdoor"}
+	methods := []core.DistMethod{core.BlockJacobi, core.DistSWD}
+	rankCounts := []int{8, 16}
+	const steps = 5
+	first, err := runSet(cfg, names, methods, rankCounts, steps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := results()
-	for i, r := range results() {
-		if r != first[i] {
-			t.Errorf("second prefetch re-ran %s %s", jobs[i].name, jobs[i].method)
+	want := len(names) * len(methods) * len(rankCounts)
+	if n := memoLen(&runs); n != want {
+		t.Fatalf("run set left %d memoized runs, want %d", n, want)
+	}
+	again, err := runSet(cfg, names, methods, rankCounts, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, name := range names {
+		for r, p := range rankCounts {
+			for m, method := range methods {
+				cell, err := runSuite(cfg, name, method, p, steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first.at(n, r, m) != cell {
+					t.Errorf("at(%d, %d, %d) is not the run of %s %s P=%d", n, r, m, name, method, p)
+				}
+				if again.at(n, r, m) != cell {
+					t.Errorf("second run set re-ran %s %s P=%d", name, method, p)
+				}
+			}
 		}
+	}
+	if n := memoLen(&runs); n != want {
+		t.Errorf("memo holds %d runs after the second set, want %d", n, want)
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"southwell/internal/core"
@@ -9,64 +10,40 @@ import (
 
 // BenchmarkSuiteDS measures cold Distributed Southwell runs over the quick
 // suite (the three-matrix smoke configuration) — the unit of work every
-// table row performs. The par variant exercises the bounded-concurrency
-// driver (prefetch).
+// table row performs — as one run set at width 1 and at width 4.
 func BenchmarkSuiteDS(b *testing.B) {
-	for _, v := range []struct {
-		name string
-		par  int
-	}{
-		{"seq", 1},
-		{"par4", 4},
-	} {
-		b.Run(v.name, func(b *testing.B) {
+	for _, w := range []int{1, 4} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			cfg := quickCfg()
-			cfg.Par = v.par
-			jobs := suiteJobs(cfg.suiteNames(), []core.DistMethod{core.DistSWD}, []int{cfg.ranks()}, 50)
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ResetCaches()
-				if err := prefetch(cfg, jobs); err != nil {
-					b.Fatal(err)
-				}
-				for _, j := range jobs {
-					if _, err := runSuite(cfg, j.name, j.method, j.ranks, j.steps); err != nil {
+			atWidth(w, func() {
+				for i := 0; i < b.N; i++ {
+					ResetCaches()
+					if _, err := runSet(cfg, cfg.suiteNames(), []core.DistMethod{core.DistSWD}, []int{cfg.ranks()}, 50); err != nil {
 						b.Fatal(err)
 					}
 				}
-			}
+			})
 		})
 	}
 }
 
-// TestForEachPar checks the bounded fan-out helper: every index runs
-// exactly once and the lowest-index error wins.
-func TestForEachPar(t *testing.T) {
-	for _, par := range []int{0, 1, 3, 8, 100} {
-		hits := make([]int, 37)
-		if err := forEachPar(par, len(hits), func(i int) error {
-			hits[i]++
-			return nil
-		}); err != nil {
-			t.Fatalf("par=%d: %v", par, err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("par=%d: index %d ran %d times", par, i, h)
+// TestRunSetLowestIndexError: a run set with failing runs returns the error
+// of the lowest-index one at every width, whichever finishes first. Every
+// run of "nope2" and "nope1" fails; block order puts "nope2" first, so its
+// error must win though its name sorts after the other.
+func TestRunSetLowestIndexError(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
+	cfg := Config{Seed: 1}
+	names := []string{"af_5_k101", "nope2", "nope1"}
+	methods := []core.DistMethod{core.BlockJacobi, core.DistSWD}
+	for _, w := range []int{1, 2, 4, 7} {
+		atWidth(w, func() {
+			_, err := runSet(cfg, names, methods, []int{8}, 3)
+			if err == nil || !strings.Contains(err.Error(), `"nope2"`) {
+				t.Errorf("width %d: got %v, want the error of nope2, the lowest failing index", w, err)
 			}
-		}
-	}
-	wantErr := fmt.Errorf("boom")
-	err := forEachPar(4, 10, func(i int) error {
-		if i == 3 || i == 7 {
-			return fmt.Errorf("boom at %d", i)
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("error swallowed")
-	}
-	if err.Error() != "boom at 3" {
-		t.Fatalf("want lowest-index error, got %v (not %v-style)", err, wantErr)
+		})
 	}
 }

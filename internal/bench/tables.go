@@ -60,7 +60,8 @@ func atTarget(res *dmem.Result) toTargetStats {
 func Table2(w io.Writer, cfg Config) error {
 	ranks := cfg.ranks()
 	steps := cfg.stepsOr(60)
-	if err := prefetch(cfg, suiteJobs(cfg.suiteNames(), tableMethods, []int{ranks}, steps)); err != nil {
+	rs, err := runSet(cfg, cfg.suiteNames(), tableMethods, []int{ranks}, steps)
+	if err != nil {
 		return err
 	}
 	fprintf(w, "# Table 2: reducing ||r||2 to %.1f with %d simulated ranks, budget %d steps\n", Target, ranks, steps)
@@ -68,14 +69,10 @@ func Table2(w io.Writer, cfg Config) error {
 		"Matrix", "Wall-clock time (sim s)", "Communication cost", "Parallel steps", "Relaxations/n", "Active processes")
 	fprintf(w, "%-12s | %8s %8s %9s | %9s %9s %9s | %7s %7s %7s | %6s %6s %6s | %6s %6s %6s\n",
 		"", "BJ", "PS", "DS", "BJ", "PS", "DS", "BJ", "PS", "DS", "BJ", "PS", "DS", "BJ", "PS", "DS")
-	for _, name := range cfg.suiteNames() {
+	for n, name := range cfg.suiteNames() {
 		var st [3]toTargetStats
-		for i, m := range tableMethods {
-			res, err := runSuite(cfg, name, m, ranks, steps)
-			if err != nil {
-				return err
-			}
-			st[i] = atTarget(res)
+		for i := range tableMethods {
+			st[i] = atTarget(rs.at(n, 0, i))
 		}
 		fprintf(w, "%-12s | %8s %8s %9s | %9s %9s %9s | %7s %7s %7s | %6s %6s %6s | %6s %6s %6s\n",
 			name,
@@ -96,23 +93,22 @@ func Table2(w io.Writer, cfg Config) error {
 func Table3(w io.Writer, cfg Config) error {
 	ranks := cfg.ranks()
 	steps := cfg.stepsOr(60)
-	if err := prefetch(cfg, suiteJobs(cfg.suiteNames(), []core.DistMethod{core.ParallelSWD, core.DistSWD}, []int{ranks}, steps)); err != nil {
+	methods := []core.DistMethod{core.ParallelSWD, core.DistSWD}
+	rs, err := runSet(cfg, cfg.suiteNames(), methods, []int{ranks}, steps)
+	if err != nil {
 		return err
 	}
 	fprintf(w, "# Table 3: communication breakdown at ||r||2 = %.1f, %d ranks\n", Target, ranks)
 	fprintf(w, "%-12s | %21s | %21s\n", "Matrix", "Solve comm", "Res comm")
 	fprintf(w, "%-12s | %10s %10s | %10s %10s\n", "", "PS", "DS", "PS", "DS")
-	for _, name := range cfg.suiteNames() {
+	for n, name := range cfg.suiteNames() {
 		type split struct {
 			ok         bool
 			solve, res float64
 		}
 		var sp [2]split
-		for i, m := range []core.DistMethod{core.ParallelSWD, core.DistSWD} {
-			r, err := runSuite(cfg, name, m, ranks, steps)
-			if err != nil {
-				return err
-			}
+		for i := range methods {
+			r := rs.at(n, 0, i)
 			if _, ok := r.StepsToNorm(Target); ok {
 				sp[i].ok = true
 				s, _ := r.InterpAtNorm(Target, func(h dmem.StepStats) float64 { return float64(h.SolveMsgs) })
@@ -134,20 +130,17 @@ func Table3(w io.Writer, cfg Config) error {
 func Table4(w io.Writer, cfg Config) error {
 	ranks := cfg.ranks()
 	steps := cfg.stepsOr(50)
-	if err := prefetch(cfg, suiteJobs(cfg.suiteNames(), tableMethods, []int{ranks}, steps)); err != nil {
+	rs, err := runSet(cfg, cfg.suiteNames(), tableMethods, []int{ranks}, steps)
+	if err != nil {
 		return err
 	}
 	fprintf(w, "# Table 4: per-parallel-step means over %d steps, %d ranks\n", steps, ranks)
 	fprintf(w, "%-12s | %29s | %27s\n", "Matrix", "Wall-clock time (sim s)", "Communication cost")
 	fprintf(w, "%-12s | %9s %9s %9s | %8s %8s %8s\n", "", "BJ", "PS", "DS", "BJ", "PS", "DS")
-	for _, name := range cfg.suiteNames() {
+	for n, name := range cfg.suiteNames() {
 		var times, comms [3]float64
-		for i, m := range tableMethods {
-			res, err := runSuite(cfg, name, m, ranks, steps)
-			if err != nil {
-				return err
-			}
-			fin := res.Final()
+		for i := range tableMethods {
+			fin := rs.at(n, 0, i).Final()
 			nsteps := float64(fin.Step)
 			times[i] = fin.SimTime / nsteps
 			comms[i] = float64(fin.TotalMsgs()) / float64(ranks) / nsteps

@@ -1,10 +1,12 @@
-// Package parallel is the fork-join primitive of the two set-up regions
-// that pay for it: dmem's NewLayout passes and its local factorizations.
-// For runs every block of a region once, each block touching only its own
-// outputs (disjoint slices, or one slot per block). A region built on it
-// gives the same bits at every width, one included, when no output depends
-// on where the block boundaries fall (dmem's rank blocks: each rank is
-// computed alone, and a per-block minimum is taken over all blocks), or
+// Package parallel is the repository's one fork-join primitive. It has two
+// users: dmem's set-up (the NewLayout passes and the local factorizations)
+// and the experiment driver internal/bench, whose run sets spread one
+// suite run per block. For runs every block of a region once, each block
+// touching only its own outputs (disjoint slices, or one slot per block).
+// A region built on it gives the same bits at every width, one included,
+// when no output depends on where the block boundaries fall (dmem's rank
+// blocks: each rank is computed alone, and a per-block minimum is taken
+// over all blocks; bench's runs: each is its own deterministic world), or
 // when the caller fixes the boundaries without reference to the width and
 // combines per-block results in ascending block order. The width then only
 // changes which goroutine runs a block.
@@ -44,6 +46,12 @@ func SetDefaultWorkers(n int) {
 // an atomic counter; For joins every goroutine before it returns, so
 // nothing of a region — goroutine or closure — outlives the call. At width
 // 1, or with one block, f runs inline in ascending block order.
+//
+// A block may wait on work that another block has already started, such as
+// a sync.Once build shared through a memo: the block that started it is
+// running on its own goroutine and finishes it. A block must never wait on
+// a block not yet claimed — at width 1 that block runs only after the
+// waiter returns. f may itself call For.
 func For(nb int, f func(b int)) {
 	if nb <= 0 {
 		return

@@ -258,3 +258,54 @@ func TestDeterministicReduction(t *testing.T) {
 		}
 	}
 }
+
+// TestForBlocksShareOnceBuilds: blocks that meet on a sync.Once build, the
+// way the experiment driver's run sets meet in its memo, finish at every
+// width, and each build runs once. A build runs a nested region of its
+// own, as a set-up build does, and yields so the other blocks of its key
+// arrive while it is still running and wait on it.
+func TestForBlocksShareOnceBuilds(t *testing.T) {
+	const keys, nb = 5, 60
+	for _, w := range widths {
+		atWidth(w, func() {
+			var onces [keys]sync.Once
+			var builds [keys]atomic.Int32
+			var built [keys]int64
+			seen := make([]int64, nb)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				For(nb, func(b int) {
+					k := b % keys
+					onces[k].Do(func() {
+						builds[k].Add(1)
+						parts := make([]int64, 8)
+						For(len(parts), func(i int) {
+							runtime.Gosched()
+							parts[i] = int64(k*8 + i)
+						})
+						for _, p := range parts {
+							built[k] += p
+						}
+					})
+					seen[b] = built[k]
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("width %d: blocks sharing Once builds did not finish", w)
+			}
+			for k := range builds {
+				if n := builds[k].Load(); n != 1 {
+					t.Errorf("width %d: build %d ran %d times", w, k, n)
+				}
+			}
+			for b, v := range seen {
+				if k := b % keys; v != int64(64*k+28) {
+					t.Errorf("width %d: block %d saw build %d as %d, want %d", w, b, k, v, 64*k+28)
+				}
+			}
+		})
+	}
+}

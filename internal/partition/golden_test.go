@@ -138,9 +138,9 @@ func TestPartitionDegenerateSizes(t *testing.T) {
 }
 
 // TestPartitionConcurrentCalls: two Partition calls running at once on
-// different matrices return what each returns alone (bench runs set-ups
-// concurrently under -par; the workspace belongs to one call). Run with
-// -race.
+// different matrices return what each returns alone (bench builds the
+// set-ups of one run set concurrently; the workspace belongs to one call).
+// Run with -race.
 func TestPartitionConcurrentCalls(t *testing.T) {
 	a, b := problem.FEM2D(40, 0.3, 2), problem.Poisson2D(60, 60)
 	wantA := Partition(a, 13, Options{Seed: 1})
