@@ -1,6 +1,6 @@
 # Tier-1 verification for the southwell repo. `make verify` is the gate:
 # build + vet + full test suite + race-mode runtime/method tests + a chaos
-# smoke run of both binaries + 20 s of fuzzing + the examples run + results/
+# smoke run of both binaries + 30 s of fuzzing + the examples run + results/
 # regenerated and compared + a brief run of the end-to-end benchmark's four
 # workloads.
 
@@ -110,14 +110,18 @@ alloc-gates:
 # FuzzFactorize (spdirect's input contract: no panic, malformed input an
 # error, a non-SPD pivot ErrNotPositiveDefinite, a diagonally dominant
 # block solved to 1e-10, and every factor's solve bit-identical to the
-# reference solve) for 20 s, and FuzzDelayPlan (every method under any
+# reference solve) for 15 s, FuzzDelayPlan (every method under any
 # delay plan: no panic, finite norms, active == Dense, and b and x0 scaled
-# by 2^7 give the same run scaled) for 10 s. FuzzReadMatrixMarket stays seed-only (tier-1 runs its
+# by 2^7 give the same run scaled) for 10 s, and FuzzMirrors (the
+# structural-symmetry walk refuses exactly the patterns that differ from
+# their transpose, names an entry without a mirror, and pairs every entry
+# with its transpose) for 5 s. FuzzReadMatrixMarket stays seed-only (tier-1 runs its
 # seeds): a legal header may declare 2^31-1 rows, so a -fuzz run could run
 # the host out of memory.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzFactorize$$' -fuzztime 20s ./internal/spdirect/
+	$(GO) test -run '^$$' -fuzz '^FuzzFactorize$$' -fuzztime 15s ./internal/spdirect/
 	$(GO) test -run '^$$' -fuzz '^FuzzDelayPlan$$' -fuzztime 10s ./internal/dmem/
+	$(GO) test -run '^$$' -fuzz '^FuzzMirrors$$' -fuzztime 5s ./internal/sparse/
 
 # The four examples/ programs are the API's only documentation that
 # compiles; `go build ./...` only builds them, so run each (about 3 s in

@@ -179,3 +179,29 @@ func TestProfilesSurviveErrorExit(t *testing.T) {
 		}
 	}
 }
+
+// TestAsymmetricMatrixExits1: a general Matrix Market file whose entry
+// (1,2) has no (2,1) (testdata/asymmetric.mtx, 1-based) is refused with
+// exit status 1 and a message naming the entry, 0-based, at one rank and at
+// two under Block Jacobi. It used to run to exit 0, reporting a residual
+// norm of 1.6e-19 and 1.7e-12.
+func TestAsymmetricMatrixExits1(t *testing.T) {
+	const child = "DSOUTHWELL_TEST_ASYMMETRIC_ARGS"
+	if args := os.Getenv(child); args != "" {
+		os.Args = append([]string{"dsouthwell", "-mat_file", filepath.Join("testdata", "asymmetric.mtx")}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, args := range []string{"-n 1", "-n 2 -solver bj"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestAsymmetricMatrixExits1$")
+		cmd.Env = append(os.Environ(), child+"="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("dsouthwell %s: err = %v, want exit status 1\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "entry (0, 1) has no mirror (1, 0)") {
+			t.Errorf("dsouthwell %s: message does not name the entry:\n%s", args, out)
+		}
+	}
+}

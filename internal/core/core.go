@@ -15,7 +15,9 @@
 //
 // Problems come from the synthetic suite (problem.Suite), the generators in
 // internal/problem, or any symmetric positive definite matrix supplied by
-// the caller (e.g. read with sparse.ReadMatrixMarket).
+// the caller (e.g. read with sparse.ReadMatrixMarket). Both entry points
+// refuse, as an error, a matrix whose pattern is not structurally symmetric
+// (sparse.CSR.Mirrors): every method reads row i as column i.
 package core
 
 import (
@@ -154,8 +156,8 @@ func SolveScalar(a *sparse.CSR, b, x []float64, opt ScalarOptions) (*solvers.Tra
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	if !a.IsStructurallySymmetric() {
-		return nil, fmt.Errorf("core: the matrix is not structurally symmetric")
+	if err := a.Mirrors(nil, nil); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return run(a, b, x, solvers.Options{MaxRelax: opt.MaxRelax, TargetNorm: opt.TargetNorm}), nil
 }
@@ -209,7 +211,8 @@ type DistOptions struct {
 }
 
 // SolveDistributed runs the selected distributed method on opt.Setup, or on
-// a setup it builds: A checked by Validate, partitioned over opt.Ranks
+// a setup it builds: A checked by Validate and for a structurally symmetric
+// pattern (sparse.CSR.Mirrors), partitioned over opt.Ranks
 // simulated processes, laid out, and its local blocks factored for
 // opt.Local. A Setup passed in is not checked again. The returned result
 // carries the per-step history, communication statistics, and the gathered
@@ -257,6 +260,9 @@ func SolveDistributed(a *sparse.CSR, b, x []float64, opt DistOptions) (*dmem.Res
 	} else {
 		if err := a.Validate(); err != nil {
 			return nil, err
+		}
+		if err := a.Mirrors(nil, nil); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
 		l, err := dmem.NewLayout(a, partition.Partition(a, opt.Ranks, partition.Options{Seed: opt.PartSeed}), opt.Ranks)
 		if err != nil {

@@ -56,8 +56,9 @@ func TestSolveScalarRejectsAsymmetric(t *testing.T) {
 		t.Run(string(m), func(t *testing.T) {
 			x := []float64{1, 2, 3}
 			_, err := SolveScalar(a, make([]float64, a.N), x, ScalarOptions{Method: m})
-			if err == nil || !strings.Contains(err.Error(), "not structurally symmetric") {
-				t.Errorf("err = %v, want one naming the asymmetry", err)
+			const want = "core: entry (0, 2) has no mirror (2, 0): the matrix is not structurally symmetric"
+			if err == nil || err.Error() != want {
+				t.Errorf("err = %v, want %q", err, want)
 			}
 			if x[0] != 1 || x[1] != 2 || x[2] != 3 {
 				t.Errorf("x = %v: the rejected solve moved it", x)
@@ -122,6 +123,34 @@ func TestSolveDistributedMethods(t *testing.T) {
 	}
 	if _, err := SolveDistributed(a, b, x, DistOptions{Method: DistSWD}); err == nil {
 		t.Error("zero ranks accepted")
+	}
+}
+
+// TestSolveDistributedRejectsAsymmetric: every distributed method relaxes
+// row i and pushes the correction along row i as if it were column i, so
+// SolveDistributed refuses a pattern that is not structurally symmetric,
+// before partitioning, naming an entry without a mirror. The 4×4
+// tridiagonal system below stores (0, 1) but not (1, 0); with b = 1..4 and
+// x₀ = 0 it used to run at P = 1 and P = 2 to a reported ‖r‖ below 1e-18
+// under every method, while ‖b − Ax‖ was 0.923 under LocalGS and 0.488
+// under LocalDirect.
+func TestSolveDistributedRejectsAsymmetric(t *testing.T) {
+	a := &sparse.CSR{N: 4, RowPtr: []int32{0, 2, 4, 7, 9}, Col: []int32{0, 1, 1, 2, 1, 2, 3, 2, 3},
+		Val: []float64{4, -1, 4, -1, -1, 4, -1, -1, 4}}
+	if err := a.Validate(); err != nil {
+		t.Fatalf("the test matrix itself is malformed: %v", err)
+	}
+	const want = "core: entry (0, 1) has no mirror (1, 0): the matrix is not structurally symmetric"
+	for _, m := range []DistMethod{BlockJacobi, ParallelSWD, DistSWD, Piggyback2016} {
+		for _, p := range []int{1, 2} {
+			for _, local := range []dmem.LocalSolver{dmem.LocalGS, dmem.LocalDirect} {
+				x := make([]float64, a.N)
+				_, err := SolveDistributed(a, []float64{1, 2, 3, 4}, x, DistOptions{Method: m, Ranks: p, Local: local})
+				if err == nil || err.Error() != want {
+					t.Errorf("%s/P=%d/%v: err = %v, want %q", m, p, local, err, want)
+				}
+			}
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 					}
 					rs.seqSeen[j] = pl.seq
 					// Crossing correction only when this rank itself relaxed
-					// this step and wrote to j (so lastSentNorm, solve[j].bnd
+					// this step and wrote to j (so lastTold, solve[j].bnd
 					// and extDelta describe this step's send). Fault-free this
 					// is exactly the phase-2 sentTo condition; under faults
 					// sentTo[j] can also mean an explicit update was sent,
@@ -97,7 +97,7 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 								nb := b0 + deltas[k]
 								adjMine += nb*nb - b0*b0
 							}
-							rs.gammaTilde[j] = sqrtNonNeg(rs.lastSentNorm*rs.lastSentNorm + adjMine)
+							rs.gammaTilde[j] = sqrtNonNeg(rs.lastTold*rs.lastTold + adjMine)
 						}
 					} else {
 						copy(z, bnd)
@@ -138,7 +138,7 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 			clear(rs.extDelta)
 			flops := rs.relaxLocal()
 			rs.norm = rs.computeNorm()
-			rs.lastSentNorm = rs.norm
+			rs.lastTold = rs.norm
 			w.Charge(p, flops+2*float64(len(rs.r)))
 			for j, q := range rs.nbrs() {
 				// Local, communication-free improvement of the estimate of

@@ -212,7 +212,9 @@ func TestLayoutRejectsBadPartition(t *testing.T) {
 }
 
 // asymmetricLayouts are structurally asymmetric matrices over the ranks part
-// names, one per check in addressRank, with the error NewLayout must return.
+// names, each missing a mirror across two ranks, one per check the per-rank
+// layout made (oldAddressRank), with the error NewLayout must return: the
+// entry its mirror walk meets first without one.
 var asymmetricLayouts = []struct {
 	name string
 	a    *sparse.CSR
@@ -226,13 +228,13 @@ var asymmetricLayouts = []struct {
 		name: "skip", part: []int{0, 1, 2},
 		a: &sparse.CSR{N: 3, RowPtr: []int32{0, 1, 3, 6}, Col: []int32{0, 1, 2, 0, 1, 2},
 			Val: []float64{1, 1, 0.5, 0.5, 0.5, 1}},
-		want: "dmem: asymmetric coupling: rank 2 couples into rank 0 but not back",
+		want: "dmem: entry (2, 0) has no mirror (0, 2): the matrix is not structurally symmetric",
 	},
 	{
 		// Row 0 reaches rank 1's row; nothing of rank 1 reaches rank 0.
 		name: "rank", part: []int{0, 1},
 		a:    &sparse.CSR{N: 2, RowPtr: []int32{0, 2, 3}, Col: []int32{0, 1, 1}, Val: []float64{1, 0.5, 1}},
-		want: "dmem: asymmetric coupling: rank 0 couples into rank 1 but not back",
+		want: "dmem: entry (0, 1) has no mirror (1, 0): the matrix is not structurally symmetric",
 	},
 	{
 		// The ranks are mutual neighbors (0→2 and 3→1), but no entry is
@@ -240,7 +242,7 @@ var asymmetricLayouts = []struct {
 		name: "row", part: []int{0, 0, 1, 1},
 		a: &sparse.CSR{N: 4, RowPtr: []int32{0, 2, 3, 4, 6}, Col: []int32{0, 2, 1, 2, 1, 3},
 			Val: []float64{1, 0.5, 1, 1, 0.5, 1}},
-		want: "dmem: asymmetric coupling: row 0 couples into rank 1 but not back",
+		want: "dmem: entry (0, 2) has no mirror (2, 0): the matrix is not structurally symmetric",
 	},
 	{
 		// Every boundary row of rank 0 is ghosted back (0↔2), but rank 1
@@ -248,20 +250,45 @@ var asymmetricLayouts = []struct {
 		name: "count", part: []int{0, 0, 1},
 		a: &sparse.CSR{N: 3, RowPtr: []int32{0, 2, 3, 6}, Col: []int32{0, 2, 1, 0, 1, 2},
 			Val: []float64{1, 0.5, 1, 0.5, 0.5, 1}},
-		want: "dmem: asymmetric coupling: rank 1 ghosts 2 rows of rank 0 but only 1 couple into it",
+		want: "dmem: entry (2, 1) has no mirror (1, 2): the matrix is not structurally symmetric",
 	},
 }
 
 // TestLayoutRejectsAsymmetricCoupling: NewLayout takes its matrix from
-// outside, and the exchange plans pair up only on a structurally symmetric
-// one. One hand-built matrix per check in addressRank.
+// outside, and every relaxation reads row i as column i, which only a
+// structurally symmetric pattern allows; across ranks the exchange plans
+// also pair up only on one. The hand-built matrices above miss a mirror
+// across two ranks; the 4×4 tridiagonal "inside" rows miss (1, 0) within
+// one rank, at P = 1 and at P = 2 with rows 0 and 1 on rank 0. NewLayout
+// used to check only couplings between ranks: with b = 1..4 and x₀ = 0
+// every method ran the inside rows to a reported ‖r‖ below 1e-18 while
+// ‖b − Ax‖ was 0.923 under LocalGS and 0.488 under LocalDirect. No Setup
+// is built for either local solver.
 func TestLayoutRejectsAsymmetricCoupling(t *testing.T) {
-	for _, tc := range asymmetricLayouts {
+	inside := &sparse.CSR{N: 4, RowPtr: []int32{0, 2, 4, 7, 9}, Col: []int32{0, 1, 1, 2, 1, 2, 3, 2, 3},
+		Val: []float64{4, -1, 4, -1, -1, 4, -1, -1, 4}}
+	const insideWant = "dmem: entry (0, 1) has no mirror (1, 0): the matrix is not structurally symmetric"
+	cases := append(slices.Clone(asymmetricLayouts), []struct {
+		name string
+		a    *sparse.CSR
+		part []int
+		want string
+	}{
+		{name: "inside/P1", a: inside, part: []int{0, 0, 0, 0}, want: insideWant},
+		{name: "inside/P2", a: inside, part: []int{0, 0, 1, 1}, want: insideWant},
+	}...)
+	for _, tc := range cases {
 		if err := tc.a.Validate(); err != nil {
 			t.Fatalf("%s: the test matrix itself is malformed: %v", tc.name, err)
 		}
-		if _, err := NewLayout(tc.a, tc.part, slices.Max(tc.part)+1); err == nil || err.Error() != tc.want {
-			t.Errorf("%s: NewLayout error %v, want %q", tc.name, err, tc.want)
+		for _, local := range []LocalSolver{LocalGS, LocalDirect} {
+			l, err := NewLayout(tc.a, tc.part, slices.Max(tc.part)+1)
+			if err == nil {
+				_, err = NewSetup(l, local)
+			}
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s/%v: set-up error %v, want %q", tc.name, local, err, tc.want)
+			}
 		}
 	}
 }

@@ -116,14 +116,16 @@ func fitsIndex(what string, n int) error {
 }
 
 // NewLayout distributes a (structurally symmetric) matrix over P ranks
-// according to part. It validates the partition, the symmetry assumption
-// the relaxation kernels rely on, every row's diagonal entry, which a
-// relaxation reads from A and divides by, and every entry's finiteness,
-// which a zero start relies on (runState.reset takes r₀ = b there): an
-// error names the lowest row whose diagonal is missing, zero, not finite or
-// stored twice, or that holds a non-finite entry. The layout keeps a and
-// reads its values on every relaxation, so a must not change after
-// NewLayout.
+// according to part. It validates the partition; the structural symmetry
+// that the relaxations rely on and that makes the exchange plans pair up
+// (sparse.CSR.Mirrors, one walk before the passes: an error names an entry
+// whose mirror is absent, inside a rank or across two); every row's
+// diagonal entry, which a relaxation reads from A and divides by; and every
+// entry's finiteness, which a zero start relies on (runState.reset takes
+// r₀ = b there): an error names the lowest row whose diagonal is missing,
+// zero, not finite or stored twice, or that holds a non-finite entry. The
+// layout keeps a and reads its values on every relaxation, so a must not
+// change after NewLayout.
 //
 // It makes two passes over the ranks, so every array is allocated once at
 // its exact size: the first counts what each rank holds, the second fills
@@ -133,8 +135,7 @@ func fitsIndex(what string, n int) error {
 // boundaries never influence the output, so the layout is identical for any
 // worker count. Pass 2 also checks each rank's entries, keeping per rank
 // block only the lowest row with an unusable diagonal or a non-finite
-// entry. A third pass, one walk over every (rank, neighbor) pair, checks
-// that the exchange plans pair up across ranks.
+// entry.
 func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	if err := fitsIndex("n", a.N); err != nil {
 		return nil, err
@@ -160,9 +161,12 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		}
 		l.rowOff[pr+1] += l.rowOff[pr]
 	}
-	// Rows in rank order, a counting sort of the partition. next is pass
-	// 3's cursor later.
+	// Every relaxation reads row i as column i. The walk's cursor is glob,
+	// before the counting sort fills it with the rows in rank order.
 	l.glob = make([]int32, a.N)
+	if err := a.Mirrors(l.glob, nil); err != nil {
+		return nil, fmt.Errorf("dmem: %w", err)
+	}
 	next := slices.Clone(l.rowOff[:p])
 	for g, pr := range part {
 		l.glob[next[pr]] = int32(g)
@@ -188,14 +192,11 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		l.bndOff[pr+1] += l.bndOff[pr]
 	}
 
-	// Pass 2: fill. extGlob, the global ids behind every ext slot, is what
-	// pass 3 checks the owners' boundary rows against; it dies with this
-	// call (a run state derives the same ids from the plans, extRows).
+	// Pass 2: fill.
 	nNbr := l.nbrOff[p]
 	l.nbrs = make([]int32, nNbr)
 	l.nbrExtOff, l.nbrBndOff = make([]int32, nNbr+1), make([]int32, nNbr+1)
 	l.myRows = make([]int32, l.bndOff[p])
-	extGlob := make([]int32, l.extOff[p])
 	parallel.For(nb, func(b int) {
 		sc := &scratch[b]
 		nbrBuf := make([]int32, 2*sc.maxSlots) // a rank has at most as many neighbors as ext slots
@@ -203,20 +204,10 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		sc.keys = make([]int64, 0, max(sc.maxSlots, sc.maxBnd))
 		sc.badRow = -1
 		for pr := b * p / nb; pr < (b+1)*p/nb; pr++ {
-			l.fillRank(part, extGlob, pr, sc)
+			l.fillRank(part, pr, sc)
 		}
 	})
 
-	// Pass 3: the plans pair up (needs every rank's neighbors and ext rows).
-	// One walk in rank order, cur[q] being where it stands in q's neighbors,
-	// so the error reported is the first pair's, deterministically.
-	cur := next
-	copy(cur, l.nbrOff[:p])
-	for pr := range p {
-		if err := l.addressRank(pr, cur, extGlob); err != nil {
-			return nil, err
-		}
-	}
 	// Every diagonal entry divides a relaxation, and every entry is finite:
 	// name the lowest row that breaks either.
 	bad := int32(-1)
@@ -294,7 +285,7 @@ func (l *Layout) countRank(part []int, pr int, sc *layoutScratch) {
 // they are grouped by owner and ascending within one, and the owners met on
 // the way are the neighbor ranks; the boundary rows out of a counting sort
 // by neighbor position, in which rows arrive in ascending order.
-func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch) {
+func (l *Layout) fillRank(part []int, pr int, sc *layoutScratch) {
 	r0, r1 := l.rowOff[pr], l.rowOff[pr+1]
 	n0, n1, e0, b0 := l.nbrOff[pr], l.nbrOff[pr+1], l.extOff[pr], l.bndOff[pr]
 	sc.stamp++
@@ -316,7 +307,7 @@ func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch
 			l.nbrs[nk] = int32(key >> 32)
 		}
 		g := int32(uint32(key))
-		extGlob[e0+int32(e)], sc.pos[g], sc.extNbr[e] = g, int32(e), nk-n0
+		sc.pos[g], sc.extNbr[e] = int32(e), nk-n0
 		l.nbrExtOff[nk+1] = e0 + int32(e) + 1
 	}
 
@@ -361,43 +352,4 @@ func (l *Layout) fillRank(part []int, extGlob []int32, pr int, sc *layoutScratch
 		l.myRows[bnd[j]] = int32(uint32(jr))
 		bnd[j]++
 	}
-}
-
-// addressRank checks that every coupling of rank pr is returned: the
-// exchange plans pair up only on a structurally symmetric matrix. Ranks are
-// visited in ascending order and visit their neighbors q in ascending order,
-// so pr's position in q's list is where q's cursor stands once it has passed
-// the lower ranks q lists that did not list q back (their error comes when q
-// is visited); q's ghosts of pr's rows and pr's boundary rows toward q are
-// both ascending, so they pair up in one merge.
-func (l *Layout) addressRank(pr int, cur, extGlob []int32) error {
-	glob := l.rows(pr)
-	for k := l.nbrOff[pr]; k < l.nbrOff[pr+1]; k++ {
-		q := l.nbrs[k]
-		kq, end := cur[q], l.nbrOff[q+1]
-		for kq < end && l.nbrs[kq] < int32(pr) {
-			kq++
-		}
-		if kq == end || l.nbrs[kq] != int32(pr) {
-			return fmt.Errorf("dmem: asymmetric coupling: rank %d couples into rank %d but not back", pr, q)
-		}
-		cur[q] = kq + 1
-		mine := extGlob[l.nbrExtOff[kq]:l.nbrExtOff[kq+1]] // q's ghosts of this rank's rows, ascending
-		bnd := l.myRows[l.nbrBndOff[k]:l.nbrBndOff[k+1]]
-		if len(mine) > len(bnd) {
-			return fmt.Errorf("dmem: asymmetric coupling: rank %d ghosts %d rows of rank %d but only %d couple into it", q, len(mine), pr, len(bnd))
-		}
-		m := 0
-		for _, li := range bnd {
-			g := glob[li]
-			for m < len(mine) && mine[m] < g {
-				m++
-			}
-			if m == len(mine) || mine[m] != g {
-				return fmt.Errorf("dmem: asymmetric coupling: row %d couples into rank %d but not back", g, q)
-			}
-			m++
-		}
-	}
-	return nil
 }

@@ -28,13 +28,14 @@ type rankState struct {
 	gamma      []float64 // per neighbor: (estimate of) neighbor's norm
 	gammaTilde []float64 // per neighbor: neighbor's estimate of my norm (DS)
 	z          []float64 // per ext row: ghost residual estimate (DS)
-	lastTold   float64   // last norm broadcast to neighbors (PS)
 	sentTo     []bool    // per neighbor: wrote to them in the last send phase
-	// Crossing-correction state (DS): the norm this rank sent when it last
-	// relaxed; with the boundary residuals still where solve[j].bnd names
-	// them it mirrors the estimate a crossing neighbor computes from them
-	// (keeping Γ̃ exact; DESIGN.md §5).
-	lastSentNorm float64
+	// lastTold is a norm this rank sent its neighbors. PS: the last one,
+	// the announce trigger, set by every relaxation and announce (pb16 sets
+	// it and never reads it). DS: the crossing-correction state, the norm
+	// sent by this step's relaxation; with the boundary residuals still where
+	// solve[j].bnd names them it mirrors the estimate a crossing neighbor
+	// computes from them (keeping Γ̃ exact; DESIGN.md §5).
+	lastTold float64
 	// seqSeen is, per neighbor, the newest payload sequence number whose
 	// estimates were absorbed. Under fault injection a delayed message can
 	// arrive after fresher information; its residual deltas are still

@@ -134,7 +134,7 @@ func newRunState(s *Setup) *runState {
 // neighbor norms and Γ̃ (setup exchange, not counted), exact ghosts — the
 // engine rewound to "every rank in the set", and the world rewound to the
 // default cost model with cfg's fault plan and tracer installed. extDelta,
-// lastSentNorm, the direct-solver scratch, the bodies' floats and every
+// the direct-solver scratch, the bodies' floats and every
 // header field but slot and the two offsets are written before they are
 // read in any run, so they are deliberately not cleared; the accumulator is
 // all zero between sweeps, and reset clears what it wrote there as scratch.

@@ -327,14 +327,7 @@ func (r *Recorder) Emit(e Event) {
 	case KindDecision:
 		if e.Flag&FlagRelaxed != 0 {
 			t.Relaxed++
-			if t.curStall > 0 {
-				b := bits.Len64(uint64(t.curStall)) - 1
-				if b >= stallBuckets {
-					b = stallBuckets - 1
-				}
-				t.Stalls[b]++
-				t.curStall = 0
-			}
+			foldStall(t)
 		} else {
 			t.Held++
 			t.curStall++
@@ -395,8 +388,9 @@ func (r *Recorder) Tally(p int) RankTally {
 	return t
 }
 
-// foldStall folds an ongoing hold streak into the completed histogram so
-// exports taken mid-run (or of runs ending in a stall) count it.
+// foldStall folds an ongoing hold streak into the completed histogram: Emit
+// calls it when a relaxation ends the streak, and Tally so exports taken
+// mid-run (or of runs ending in a stall) count it.
 func foldStall(t *RankTally) {
 	if t.curStall > 0 {
 		b := bits.Len64(uint64(t.curStall)) - 1

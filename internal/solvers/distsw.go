@@ -1,10 +1,8 @@
 package solvers
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"southwell/internal/sparse"
 )
@@ -34,8 +32,12 @@ type distSW struct {
 func newDistSW(a *sparse.CSR, b, x []float64, opt Options) *distSW {
 	s := newState(a, b, x)
 	nnz := a.NNZ()
+	mirror := make([]int32, nnz)
+	if err := a.Mirrors(nil, mirror); err != nil {
+		panic("solvers: " + err.Error())
+	}
 	d := &distSW{
-		state: s, diag: a.Diag(), mirror: mirrors(a),
+		state: s, diag: a.Diag(), mirror: mirror,
 		z: make([]float64, nnz), gt: make([]float64, nnz), sent: make([]float64, nnz),
 		wrote: make([]bool, nnz), sentR: make([]float64, a.N),
 		selected: make([]int, 0, a.N), budget: opt.maxRelax(a.N),
@@ -50,33 +52,6 @@ func newDistSW(a *sparse.CSR, b, x []float64, opt Options) *distSW {
 		d.rng = rand.New(rand.NewSource(opt.Seed))
 	}
 	return d
-}
-
-// mirrors returns, for each stored entry (i, j) of a, the position of (j, i).
-// One pass over the rows in order: the rows holding column j are met in
-// ascending order, which is the column order of row j, so one cursor per row
-// finds every mirror. It panics naming the first entry without one.
-func mirrors(a *sparse.CSR) []int32 {
-	mirror := make([]int32, a.NNZ())
-	next := slices.Clone(a.RowPtr[:a.N]) // next[j]: row j's first unclaimed entry
-	unmatched := func(i, j int32) {
-		panic(fmt.Sprintf("solvers: entry (%d, %d) has no mirror (%d, %d): the matrix is not structurally symmetric", i, j, j, i))
-	}
-	for i := range int32(a.N) {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.Col[k]
-			m := next[j]
-			switch {
-			case m < a.RowPtr[j+1] && a.Col[m] < i: // row Col[m] passed without claiming it
-				unmatched(j, a.Col[m])
-			case m == a.RowPtr[j+1] || a.Col[m] != i:
-				unmatched(i, j)
-			}
-			mirror[k] = m
-			next[j]++
-		}
-	}
-	return mirror
 }
 
 // DistributedSouthwell runs the scalar form of Distributed Southwell

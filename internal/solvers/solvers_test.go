@@ -169,42 +169,17 @@ func TestDistSWGammaTildeInvariant(t *testing.T) {
 	}
 }
 
-// TestDistSWMirrors: mirror pairs every stored entry with its transpose,
-// and a missing transpose panics with the entry's name.
-func TestDistSWMirrors(t *testing.T) {
-	a := problem.FEM2D(6, 0.3, 3)
-	m := mirrors(a)
-	for i := range int32(a.N) {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.Col[k]
-			if mk := m[k]; mk < a.RowPtr[j] || mk >= a.RowPtr[j+1] || a.Col[mk] != i || m[mk] != k {
-				t.Fatalf("entry (%d, %d) at %d: mirror %d", i, j, k, mk)
-			}
+// TestDistSWPanicsOnAsymmetric: called directly, scalar DS refuses a
+// pattern whose entry (0, 2) has no (2, 0) with a panic naming the entry
+// (core.SolveScalar returns the same refusal as an error).
+func TestDistSWPanicsOnAsymmetric(t *testing.T) {
+	a := &sparse.CSR{N: 3, RowPtr: []int32{0, 2, 3, 4}, Col: []int32{0, 2, 1, 2}, Val: []float64{1, 1, 1, 1}}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "solvers: entry (0, 2) has no mirror (2, 0)") {
+			t.Errorf("panic %q, want one naming entry (0, 2)", msg)
 		}
-	}
-	for _, c := range []struct {
-		name string
-		a    *sparse.CSR
-		want string
-	}{
-		// (0, 2) has no (2, 0).
-		{"above", &sparse.CSR{N: 3, RowPtr: []int32{0, 2, 3, 4}, Col: []int32{0, 2, 1, 2}, Val: []float64{1, 1, 1, 1}}, "entry (0, 2)"},
-		// (2, 0) has no (0, 2): row 0 has no entry left for it.
-		{"below", &sparse.CSR{N: 3, RowPtr: []int32{0, 1, 2, 4}, Col: []int32{0, 1, 0, 2}, Val: []float64{1, 1, 1, 1}}, "entry (2, 0)"},
-		// (0, 1) has no (1, 0).
-		{"right", &sparse.CSR{N: 3, RowPtr: []int32{0, 3, 4, 6}, Col: []int32{0, 1, 2, 1, 0, 2}, Val: []float64{1, 1, 1, 1, 1, 1}}, "entry (0, 1)"},
-		// (2, 0) has no (0, 2): row 1 finds row 2's cursor stuck on it.
-		{"unclaimed", &sparse.CSR{N: 3, RowPtr: []int32{0, 1, 3, 6}, Col: []int32{0, 1, 2, 0, 1, 2}, Val: []float64{1, 1, 1, 1, 1, 1}}, "entry (2, 0)"},
-	} {
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
-					t.Errorf("%s: panic %q, want one naming %s", c.name, msg, c.want)
-				}
-			}()
-			mirrors(c.a)
-		}()
-	}
+	}()
+	DistributedSouthwell(a, make([]float64, 3), make([]float64, 3), Options{})
 }
 
 // Figure 5 shape: Distributed Southwell closely matches Parallel Southwell

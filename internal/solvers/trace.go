@@ -7,7 +7,9 @@
 // propagating a relaxation to neighboring residuals) with nonzero diagonal;
 // the paper additionally scales systems to unit diagonal, but these
 // routines divide by a_ii and work for any symmetric matrix with nonzero
-// diagonal.
+// diagonal. They do not check it: core.SolveScalar refuses a structurally
+// asymmetric pattern (sparse.CSR.Mirrors), and Distributed Southwell, which
+// reads each entry's mirror position from the same walk, panics on one.
 //
 // Every solver maintains the residual vector incrementally and returns a
 // Trace: one record per parallel step, carrying the cumulative relaxation

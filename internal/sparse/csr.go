@@ -114,68 +114,71 @@ func (a *CSR) Diag() []float64 {
 	return d
 }
 
-// Transpose returns the transpose of the matrix, built by a counting sort:
-// entries of each target row land in ascending source-row order, so every
-// row of the result is sorted.
-func (a *CSR) Transpose() *CSR {
-	n := a.N
-	nnz := a.NNZ()
-	mustFit(n, nnz)
-	t := &CSR{
-		N:      n,
-		RowPtr: make([]int32, n+1),
-		Col:    make([]int32, nnz),
-		Val:    make([]float64, nnz),
+// Mirrors checks the one structural property every relaxation here relies
+// on: each stored entry (i, j) has a stored mirror (j, i), so row i can be
+// read as column i. It walks the rows once, in order, with no transpose.
+// The rows holding column j are met in ascending order, which is the column
+// order of row j, so one cursor per row, starting at the row's first entry,
+// claims its mirrors in turn. A cursor left on an entry whose column the
+// walk has passed, or one that does not stand on column i when row i asks,
+// marks an entry without a mirror, and the error names it. A walk that ends
+// without an error has advanced the cursors nnz times without passing a
+// row's end, so every entry was claimed: it needs no end check.
+//
+// cursor is the walk's scratch, at least n long, overwritten (nil allocates
+// it). When mirror is non-nil (nnz long) it receives, for the entry (i, j)
+// at position k, the position of (j, i). a must pass Validate: the walk
+// relies on in-range, strictly increasing columns.
+func (a *CSR) Mirrors(cursor, mirror []int32) error {
+	if cursor == nil {
+		cursor = make([]int32, a.N)
 	}
-	for _, j := range a.Col {
-		t.RowPtr[j+1]++
-	}
-	for j := 0; j < n; j++ {
-		t.RowPtr[j+1] += t.RowPtr[j]
-	}
-	next := slices.Clone(t.RowPtr[:n])
-	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.Col[k]
-			p := next[j]
-			next[j] = p + 1
-			t.Col[p] = int32(i)
-			t.Val[p] = a.Val[k]
-		}
-	}
-	return t
+	return mirrorWalk(a.RowPtr, a.Col, cursor[:a.N], mirror)
 }
 
-// IsStructurallySymmetric reports whether the nonzero pattern is symmetric.
-func (a *CSR) IsStructurallySymmetric() bool {
-	t := a.Transpose()
-	for i := range a.Col {
-		if a.Col[i] != t.Col[i] {
-			return false
+// mirrorWalk is Mirrors' walk, next being the n cursors. It takes a's
+// arrays as slices so the loop holds them in registers: as a method reading
+// them through a it ran about a quarter slower.
+func mirrorWalk(rowPtr, col, next, mirror []int32) error {
+	copy(next, rowPtr) // next[j]: row j's first unclaimed entry
+	lo := int32(0)
+	for i := range int32(len(next)) {
+		hi := rowPtr[i+1]
+		for k, j := range col[lo:hi] {
+			m := next[j]
+			if m >= rowPtr[j+1] || col[m] != i {
+				return noMirror(rowPtr, col, i, j, m)
+			}
+			if mirror != nil {
+				mirror[lo+int32(k)] = m
+			}
+			next[j] = m + 1
 		}
+		lo = hi
 	}
-	for i := range a.RowPtr {
-		if a.RowPtr[i] != t.RowPtr[i] {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
-// IsSymmetric reports whether the matrix is numerically symmetric to within
-// absolute tolerance tol on every entry.
+// noMirror is Mirrors' error when row i, at its entry in column j, finds
+// row j's cursor at m not on column i. If the cursor stands on a column the
+// walk has passed, that row never claimed it, and the entry there lacks a
+// mirror; otherwise (j, i) is absent.
+func noMirror(rowPtr, col []int32, i, j, m int32) error {
+	if m < rowPtr[j+1] && col[m] < i {
+		i, j = j, col[m]
+	}
+	return fmt.Errorf("entry (%d, %d) has no mirror (%d, %d): the matrix is not structurally symmetric", i, j, j, i)
+}
+
+// IsSymmetric reports whether the matrix is structurally symmetric and every
+// entry is within absolute tolerance tol of its mirror.
 func (a *CSR) IsSymmetric(tol float64) bool {
-	t := a.Transpose()
-	if len(t.Col) != len(a.Col) {
+	mirror := make([]int32, a.NNZ())
+	if a.Mirrors(nil, mirror) != nil {
 		return false
 	}
-	for i := range a.RowPtr {
-		if a.RowPtr[i] != t.RowPtr[i] {
-			return false
-		}
-	}
-	for k := range a.Col {
-		if a.Col[k] != t.Col[k] || math.Abs(a.Val[k]-t.Val[k]) > tol {
+	for k, m := range mirror {
+		if math.Abs(a.Val[k]-a.Val[m]) > tol {
 			return false
 		}
 	}

@@ -363,45 +363,6 @@ func TestToCSRMatchesReferenceAcrossWorkers(t *testing.T) {
 	}
 }
 
-// refTranspose is the counting-sort transpose CSR.Transpose must reproduce
-// exactly.
-func refTranspose(a *sparse.CSR) *sparse.CSR {
-	n := a.N
-	t := &sparse.CSR{
-		N:      n,
-		RowPtr: make([]int32, n+1),
-		Col:    make([]int32, a.NNZ()),
-		Val:    make([]float64, a.NNZ()),
-	}
-	for _, j := range a.Col {
-		t.RowPtr[j+1]++
-	}
-	for i := 0; i < n; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	next := make([]int32, n)
-	copy(next, t.RowPtr[:n])
-	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.Col[k]
-			t.Col[next[j]] = int32(i)
-			t.Val[next[j]] = a.Val[k]
-			next[j]++
-		}
-	}
-	return t
-}
-
-func TestTransposeMatchesReferenceAcrossWorkers(t *testing.T) {
-	for name, a := range testMatrices(t) {
-		got := a.Transpose()
-		if err := got.Validate(); err != nil {
-			t.Fatalf("%s: invalid transpose: %v", name, err)
-		}
-		csrEqualExact(t, name, got, refTranspose(a))
-	}
-}
-
 func TestDiagLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for name, a := range testMatrices(t) {

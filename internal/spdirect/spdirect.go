@@ -74,7 +74,9 @@ func (f *Factor) SolveFlops() float64 {
 // Rows need not be sorted. The structure must be symmetric (every (i,j)
 // present with (j,i)) — only the upper triangle of the permuted matrix is
 // consumed, so an asymmetric structure silently factors the wrong matrix;
-// internal/dmem's layout construction guarantees symmetry and validates it.
+// dmem.NewLayout refuses a matrix whose pattern is not structurally
+// symmetric (sparse.CSR.Mirrors), inside a rank as well as across ranks, so
+// every local block it hands here is symmetric.
 // Malformed row pointers or columns are an error, and so is a non-positive
 // pivot (ErrNotPositiveDefinite).
 func Factorize(rowPtr, col []int32, val []float64) (*Factor, error) {
