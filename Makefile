@@ -110,18 +110,22 @@ alloc-gates:
 # FuzzFactorize (spdirect's input contract: no panic, malformed input an
 # error, a non-SPD pivot ErrNotPositiveDefinite, a diagonally dominant
 # block solved to 1e-10, and every factor's solve bit-identical to the
-# reference solve) for 15 s, FuzzDelayPlan (every method under any
+# reference solve) for 10 s, FuzzDelayPlan (every method under any
 # delay plan: no panic, finite norms, active == Dense, and b and x0 scaled
-# by 2^7 give the same run scaled) for 10 s, and FuzzMirrors (the
+# by 2^7 give the same run scaled) for 10 s, FuzzMirrors (the
 # structural-symmetry walk refuses exactly the patterns that differ from
 # their transpose, names an entry without a mirror, and pairs every entry
-# with its transpose) for 5 s. FuzzReadMatrixMarket stays seed-only (tier-1 runs its
+# with its transpose) for 5 s, and FuzzLayoutGate (raw, mostly malformed
+# matrices: neither sparse.CSR.Relaxable nor NewLayout panics, and NewLayout
+# refuses exactly what the gate refuses, with its text) for 5 s.
+# FuzzReadMatrixMarket stays seed-only (tier-1 runs its
 # seeds): a legal header may declare 2^31-1 rows, so a -fuzz run could run
 # the host out of memory.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzFactorize$$' -fuzztime 15s ./internal/spdirect/
+	$(GO) test -run '^$$' -fuzz '^FuzzFactorize$$' -fuzztime 10s ./internal/spdirect/
 	$(GO) test -run '^$$' -fuzz '^FuzzDelayPlan$$' -fuzztime 10s ./internal/dmem/
 	$(GO) test -run '^$$' -fuzz '^FuzzMirrors$$' -fuzztime 5s ./internal/sparse/
+	$(GO) test -run '^$$' -fuzz '^FuzzLayoutGate$$' -fuzztime 5s ./internal/dmem/
 
 # The four examples/ programs are the API's only documentation that
 # compiles; `go build ./...` only builds them, so run each (about 3 s in

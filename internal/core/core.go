@@ -16,8 +16,8 @@
 // Problems come from the synthetic suite (problem.Suite), the generators in
 // internal/problem, or any symmetric positive definite matrix supplied by
 // the caller (e.g. read with sparse.ReadMatrixMarket). Both entry points
-// refuse, as an error, a matrix whose pattern is not structurally symmetric
-// (sparse.CSR.Mirrors): every method reads row i as column i.
+// refuse, as an error, a matrix that sparse.CSR.Relaxable refuses: every
+// method divides by a_ii and reads row i as column i.
 package core
 
 import (
@@ -117,10 +117,10 @@ func firstNonFinite(v []float64) int {
 
 // SolveScalar runs a scalar method on A x = b, updating x in place, and
 // returns the convergence trace; Distributed Southwell's records carry its
-// message counts. A must pass Validate, every row must hold one nonzero,
-// finite diagonal entry (CSR.RowError: every relaxation divides by it),
-// and A must be structurally symmetric: every method reads row i to
-// propagate a relaxation through column i.
+// message counts. A must pass sparse.CSR.Relaxable, the one check of what
+// every method needs of it (well formed and finite, a nonzero diagonal
+// entry in every row, a structurally symmetric pattern); its error comes
+// back prefixed "core: ".
 func SolveScalar(a *sparse.CSR, b, x []float64, opt ScalarOptions) (*solvers.Trace, error) {
 	if err := checkSystem(a, b, x); err != nil {
 		return nil, err
@@ -148,15 +148,7 @@ func SolveScalar(a *sparse.CSR, b, x []float64, opt ScalarOptions) (*solvers.Tra
 	if !(opt.TargetNorm >= 0) { // NaN fails too
 		return nil, fmt.Errorf("core: TargetNorm = %g, want >= 0", opt.TargetNorm)
 	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	for i := range a.N {
-		if err := a.RowError(i); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	if err := a.Mirrors(nil, nil); err != nil {
+	if err := a.Relaxable(nil); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return run(a, b, x, solvers.Options{MaxRelax: opt.MaxRelax, TargetNorm: opt.TargetNorm}), nil
@@ -211,10 +203,10 @@ type DistOptions struct {
 }
 
 // SolveDistributed runs the selected distributed method on opt.Setup, or on
-// a setup it builds: A checked by Validate and for a structurally symmetric
-// pattern (sparse.CSR.Mirrors), partitioned over opt.Ranks
-// simulated processes, laid out, and its local blocks factored for
-// opt.Local. A Setup passed in is not checked again. The returned result
+// a setup it builds: A checked by sparse.CSR.Relaxable before partitioning
+// (its error prefixed "core: ", as in SolveScalar), partitioned over
+// opt.Ranks simulated processes, laid out, and its local blocks factored
+// for opt.Local. A Setup passed in is not checked again. The returned result
 // carries the per-step history, communication statistics, and the gathered
 // solution.
 func SolveDistributed(a *sparse.CSR, b, x []float64, opt DistOptions) (*dmem.Result, error) {
@@ -258,10 +250,7 @@ func SolveDistributed(a *sparse.CSR, b, x []float64, opt DistOptions) (*dmem.Res
 			return nil, fmt.Errorf("core: Setup was built for local solver %v, want %v", s.Local, opt.Local)
 		}
 	} else {
-		if err := a.Validate(); err != nil {
-			return nil, err
-		}
-		if err := a.Mirrors(nil, nil); err != nil {
+		if err := a.Relaxable(nil); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		l, err := dmem.NewLayout(a, partition.Partition(a, opt.Ranks, partition.Options{Seed: opt.PartSeed}), opt.Ranks)

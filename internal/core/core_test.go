@@ -85,11 +85,11 @@ func TestSolveScalarRejectsUnusableDiagonal(t *testing.T) {
 		want string
 	}{
 		{"missing", &sparse.CSR{N: 3, RowPtr: []int32{0, 2, 4, 6}, Col: []int32{0, 1, 0, 2, 1, 2},
-			Val: []float64{2, -1, -1, -1, -1, 2}}, "core: row 1 has a missing, zero or non-finite diagonal entry (0)"},
-		{"zero", path([3]float64{2, 0, 0}), "core: row 1 has a missing, zero or non-finite diagonal entry (0)"},
-		{"nan", path([3]float64{2, 2, math.NaN()}), "sparse: row 2 col 2: non-finite value"},
+			Val: []float64{2, -1, -1, -1, -1, 2}}, "core: row 1 has no diagonal entry"},
+		{"zero", path([3]float64{2, 0, 0}), "core: row 1 has a zero diagonal entry"},
+		{"nan", path([3]float64{2, 2, math.NaN()}), "core: row 2 col 2: non-finite value"},
 		{"twice", &sparse.CSR{N: 3, RowPtr: []int32{0, 2, 6, 8}, Col: []int32{0, 1, 0, 1, 1, 2, 1, 2},
-			Val: []float64{2, -1, -1, 1, 1, -1, -1, 2}}, "sparse: row 1: columns not strictly increasing at position 4"},
+			Val: []float64{2, -1, -1, 1, 1, -1, -1, 2}}, "core: row 1: columns not strictly increasing at position 4"},
 	} {
 		for _, m := range ScalarMethods() {
 			x := []float64{1, 2, 3}

@@ -195,7 +195,27 @@ func TestGhostRowsMatch(t *testing.T) {
 	}
 }
 
+// TestLayoutRejectsBadPartition: NewLayout returns an error, and does not
+// panic, on a partition it cannot lay out, on P < 1 and on a nil matrix.
+// P = −1 used to panic slicing its offset tables, P = 0 over an empty
+// matrix to return a layout of no ranks, and a nil matrix to be
+// dereferenced.
 func TestLayoutRejectsBadPartition(t *testing.T) {
+	empty := &sparse.CSR{N: 0, RowPtr: []int32{0}}
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+		p    int
+		want string
+	}{
+		{"P=-1", empty, -1, "dmem: P = -1, want >= 1"},
+		{"P=0", empty, 0, "dmem: P = 0, want >= 1"},
+		{"nil", nil, 2, "dmem: nil matrix"},
+	} {
+		if _, err := NewLayout(c.a, nil, c.p); err == nil || err.Error() != c.want {
+			t.Errorf("%s: NewLayout error %v, want %q", c.name, err, c.want)
+		}
+	}
 	a := problem.Poisson2D(4, 4)
 	if _, err := NewLayout(a, []int{0, 1}, 2); err == nil {
 		t.Error("short partition accepted")
@@ -296,7 +316,8 @@ func TestLayoutRejectsAsymmetricCoupling(t *testing.T) {
 // TestLayoutRejectsUnusableDiagonal: every relaxation divides by its rows'
 // diagonal entries, so NewLayout refuses a row whose diagonal is missing,
 // zero, NaN or infinite, or stored as two entries, naming the lowest such
-// row. The first case is a 4×4 path with no diagonal on rows 1 and 2 at
+// row (the rule is sparse.CSR.Relaxable's: a NaN or infinite value and a
+// repeated column are refused as malformed). The first case is a 4×4 path with no diagonal on rows 1 and 2 at
 // P = 2, which used to run to ‖r‖ = +Inf and X = [0 0 +Inf +Inf] without an
 // error. The last is built by hand, since COO.ToCSR sums duplicates: row 2
 // holds its diagonal 2 as 1 and 1, and a layout that kept one of them as
@@ -345,16 +366,16 @@ func TestLayoutRejectsUnusableDiagonal(t *testing.T) {
 		a    *sparse.CSR
 		want string
 	}{
-		{"missing", path(ok, [4]bool{true, false, false, true}), "dmem: row 1 has a missing, zero or non-finite diagonal entry (0)"},
-		{"zero", path([4]float64{2, 2, 2, 0}, all), "dmem: row 3 has a missing, zero or non-finite diagonal entry (0)"},
-		{"nan", path([4]float64{2, math.NaN(), 2, 2}, all), "dmem: row 1 has a missing, zero or non-finite diagonal entry (NaN)"},
-		{"inf", path([4]float64{2, 2, math.Inf(-1), math.Inf(1)}, all), "dmem: row 2 has a missing, zero or non-finite diagonal entry (-Inf)"},
+		{"missing", path(ok, [4]bool{true, false, false, true}), "dmem: row 1 has no diagonal entry"},
+		{"zero", path([4]float64{2, 2, 2, 0}, all), "dmem: row 3 has a zero diagonal entry"},
+		{"nan", path([4]float64{2, math.NaN(), 2, 2}, all), "dmem: row 1 col 1: non-finite value"},
+		{"inf", path([4]float64{2, 2, math.Inf(-1), math.Inf(1)}, all), "dmem: row 2 col 2: non-finite value"},
 		{"twice", &sparse.CSR{N: 4,
 			RowPtr: []int32{0, 2, 5, 9, 11},
 			Col:    []int32{0, 1, 0, 1, 2, 1, 2, 2, 3, 2, 3},
-			Val:    []float64{2, -1, -1, 2, -1, -1, 1, 1, -1, -1, 2}}, "dmem: row 2 has 2 diagonal entries"},
-		{"offdiag-nan", coupled(1, 2, math.NaN()), "dmem: row 1 has a non-finite entry (NaN) in column 2"},
-		{"offdiag-inf", coupled(3, 2, math.Inf(-1)), "dmem: row 3 has a non-finite entry (-Inf) in column 2"},
+			Val:    []float64{2, -1, -1, 2, -1, -1, 1, 1, -1, -1, 2}}, "dmem: row 2: columns not strictly increasing at position 7"},
+		{"offdiag-nan", coupled(1, 2, math.NaN()), "dmem: row 1 col 2: non-finite value"},
+		{"offdiag-inf", coupled(3, 2, math.Inf(-1)), "dmem: row 3 col 2: non-finite value"},
 	} {
 		if _, err := NewLayout(tc.a, []int{0, 0, 1, 1}, 2); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: NewLayout error %v, want %q", tc.name, err, tc.want)

@@ -115,17 +115,16 @@ func fitsIndex(what string, n int) error {
 	return nil
 }
 
-// NewLayout distributes a (structurally symmetric) matrix over P ranks
-// according to part. It validates the partition; the structural symmetry
-// that the relaxations rely on and that makes the exchange plans pair up
-// (sparse.CSR.Mirrors, one walk before the passes: an error names an entry
-// whose mirror is absent, inside a rank or across two); every row's
-// diagonal entry, which a relaxation reads from A and divides by; and every
-// entry's finiteness, which a zero start relies on (runState.reset takes
-// r₀ = b there): an error names the lowest row whose diagonal is missing,
-// zero, not finite or stored twice, or that holds a non-finite entry. The
-// layout keeps a and reads its values on every relaxation, so a must not
-// change after NewLayout.
+// NewLayout distributes a matrix over P ranks according to part. It
+// validates P and the partition, then refuses, before the passes, any
+// matrix sparse.CSR.Relaxable refuses: one that is malformed, holds a
+// non-finite value, lacks a nonzero diagonal entry in some row (a
+// relaxation reads a_ii from A and divides by it) or is not structurally
+// symmetric (every relaxation reads row i as column i, and only then do
+// the exchange plans pair up), its error prefixed "dmem: ". Finite entries
+// are also what a zero start relies on (runState.reset takes r₀ = b
+// there). The layout keeps a and reads its values on every relaxation, so
+// a must not change after NewLayout.
 //
 // It makes two passes over the ranks, so every array is allocated once at
 // its exact size: the first counts what each rank holds, the second fills
@@ -133,15 +132,13 @@ func fitsIndex(what string, n int) error {
 // within these passes (each writes only its own ranges from the read-only
 // matrix and partition), so rank blocks fan out over parallel.For; block
 // boundaries never influence the output, so the layout is identical for any
-// worker count. Pass 2 also checks each rank's entries, keeping per rank
-// block only the lowest row with an unusable diagonal or a non-finite
-// entry.
+// worker count.
 func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
-	if err := fitsIndex("n", a.N); err != nil {
-		return nil, err
+	if a == nil {
+		return nil, fmt.Errorf("dmem: nil matrix")
 	}
-	if err := fitsIndex("nnz", a.NNZ()); err != nil {
-		return nil, err
+	if p < 1 {
+		return nil, fmt.Errorf("dmem: P = %d, want >= 1", p)
 	}
 	if len(part) != a.N {
 		return nil, fmt.Errorf("dmem: partition length %d != n %d", len(part), a.N)
@@ -161,10 +158,10 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		}
 		l.rowOff[pr+1] += l.rowOff[pr]
 	}
-	// Every relaxation reads row i as column i. The walk's cursor is glob,
-	// before the counting sort fills it with the rows in rank order.
+	// The gate's mirror walk takes glob as its cursor, before the counting
+	// sort fills it with the rows in rank order.
 	l.glob = make([]int32, a.N)
-	if err := a.Mirrors(l.glob, nil); err != nil {
+	if err := a.Relaxable(l.glob); err != nil {
 		return nil, fmt.Errorf("dmem: %w", err)
 	}
 	next := slices.Clone(l.rowOff[:p])
@@ -202,23 +199,10 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 		nbrBuf := make([]int32, 2*sc.maxSlots) // a rank has at most as many neighbors as ext slots
 		sc.pos, sc.extNbr, sc.lastRow = make([]int32, a.N), nbrBuf[:sc.maxSlots], nbrBuf[sc.maxSlots:]
 		sc.keys = make([]int64, 0, max(sc.maxSlots, sc.maxBnd))
-		sc.badRow = -1
 		for pr := b * p / nb; pr < (b+1)*p/nb; pr++ {
 			l.fillRank(part, pr, sc)
 		}
 	})
-
-	// Every diagonal entry divides a relaxation, and every entry is finite:
-	// name the lowest row that breaks either.
-	bad := int32(-1)
-	for b := range scratch {
-		if g := scratch[b].badRow; g >= 0 && (bad < 0 || g < bad) {
-			bad = g
-		}
-	}
-	if bad >= 0 {
-		return nil, fmt.Errorf("dmem: %w", a.RowError(int(bad)))
-	}
 	return l, nil
 }
 
@@ -239,9 +223,7 @@ func rankBlockCount(p int) int {
 // ext-slot index of the current rank; extNbr, each of its ext slots'
 // neighbor position; lastRow, per neighbor position the last row found
 // coupling into it; keys, the sort keys the ext slots come out of, then the
-// (neighbor position, row) pairs the boundary rows do. badRow is the
-// lowest global row of the block whose diagonal is unusable or that holds
-// a non-finite entry, −1 if none.
+// (neighbor position, row) pairs the boundary rows do.
 type layoutScratch struct {
 	stamp                int32
 	seen                 []int32
@@ -249,7 +231,6 @@ type layoutScratch struct {
 	maxSlots, maxBnd     int
 	pos, extNbr, lastRow []int32
 	keys                 []int64
-	badRow               int32
 }
 
 // countRank is pass 1 for rank pr: it writes its neighbor, ext-slot and
@@ -311,20 +292,16 @@ func (l *Layout) fillRank(part []int, pr int, sc *layoutScratch) {
 		l.nbrExtOff[nk+1] = e0 + int32(e) + 1
 	}
 
-	// Each row's entries: a row that A.RowError refuses (its diagonal not
-	// exactly one entry, nonzero and finite, or any entry not finite) goes
-	// to badRow if it is the block's lowest so far; bnd[j] (zero from make)
-	// counts the distinct rows coupling into neighbor position j,
-	// lastRow[j] being the last one, and pairs lists each (j, row) as it is
-	// met, rows ascending.
+	// Each row's entries: bnd[j] (zero from make) counts the distinct rows
+	// coupling into neighbor position j, lastRow[j] being the last one, and
+	// pairs lists each (j, row) as it is met, rows ascending.
 	pairs := keys[:0]
 	bnd, lastRow := l.nbrBndOff[n0+1:n1+1], sc.lastRow[:n1-n0]
 	for j := range lastRow {
 		lastRow[j] = -1
 	}
 	for i := r0; i < r1; i++ {
-		g := l.glob[i]
-		cols, _ := l.A.Row(int(g))
+		cols, _ := l.A.Row(int(l.glob[i]))
 		for _, c := range cols {
 			if part[c] == pr {
 				continue
@@ -334,9 +311,6 @@ func (l *Layout) fillRank(part []int, pr int, sc *layoutScratch) {
 				bnd[j]++
 				pairs = append(pairs, int64(j)<<32|int64(i-r0))
 			}
-		}
-		if (sc.badRow < 0 || g < sc.badRow) && l.A.RowError(int(g)) != nil {
-			sc.badRow = g
 		}
 	}
 	// Boundary rows, grouped by neighbor, ascending: bnd[j] becomes the

@@ -389,7 +389,9 @@ func sameBits(a, b []float64) bool {
 
 // TestLayoutRejectsIndexOverflow: the layout's indices are 32 bits, so a
 // count that reaches 2³¹ is an error — from the helper, and from NewLayout
-// before it allocates anything of that size.
+// before it allocates anything of that size: no part vector here is that
+// long, and with one that long the gate (sparse.CSR.Relaxable) refuses n
+// and nnz past 2³¹−1.
 func TestLayoutRejectsIndexOverflow(t *testing.T) {
 	if err := fitsIndex("n", math.MaxInt32); err != nil {
 		t.Errorf("fitsIndex(2³¹−1) = %v, want nil", err)
@@ -397,7 +399,7 @@ func TestLayoutRejectsIndexOverflow(t *testing.T) {
 	if err := fitsIndex("nnz", math.MaxInt32+1); err == nil || err.Error() != "dmem: nnz = 2147483648 does not fit the layout's 32-bit indices" {
 		t.Errorf("fitsIndex(2³¹) = %v", err)
 	}
-	if _, err := NewLayout(&sparse.CSR{N: math.MaxInt32 + 1}, nil, 1); err == nil || err.Error() != "dmem: n = 2147483648 does not fit the layout's 32-bit indices" {
+	if _, err := NewLayout(&sparse.CSR{N: math.MaxInt32 + 1}, nil, 1); err == nil || err.Error() != "dmem: partition length 0 != n 2147483648" {
 		t.Errorf("NewLayout on n = 2³¹: %v", err)
 	}
 }

@@ -27,13 +27,14 @@ import (
 const MaxIndex = math.MaxInt32
 
 // checkSize reports, as an error, a dimension or entry count that is
-// negative or does not fit the matrix's 32-bit indices.
+// negative or does not fit the matrix's 32-bit indices. Its text has no
+// package prefix: Relaxable's callers add their own, the rest "sparse: ".
 func checkSize(n, nnz int) error {
 	if n < 0 || n > MaxIndex {
-		return fmt.Errorf("sparse: n = %d outside the 32-bit index range [0, %d]", n, MaxIndex)
+		return fmt.Errorf("n = %d outside the 32-bit index range [0, %d]", n, MaxIndex)
 	}
 	if nnz < 0 || nnz > MaxIndex {
-		return fmt.Errorf("sparse: nnz = %d outside the 32-bit index range [0, %d]", nnz, MaxIndex)
+		return fmt.Errorf("nnz = %d outside the 32-bit index range [0, %d]", nnz, MaxIndex)
 	}
 	return nil
 }
@@ -43,7 +44,7 @@ func checkSize(n, nnz int) error {
 // a dimension mismatch is.
 func mustFit(n, nnz int) {
 	if err := checkSize(n, nnz); err != nil {
-		panic(err)
+		panic(fmt.Errorf("sparse: %w", err))
 	}
 }
 
@@ -190,71 +191,74 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 // strictly increasing column indices, and finite values. It returns a
 // descriptive error for the first violation found.
 func (a *CSR) Validate() error {
+	if err := a.wellFormed(); err != nil {
+		return fmt.Errorf("sparse: %w", err)
+	}
+	return nil
+}
+
+// Relaxable is the one check of what every method here needs of A: each
+// relaxes row i as x_i += r_i/a_ii and pushes the change down column i as
+// if it were row i. So a must be well formed (Validate:
+// among the rest, every value finite and a row's columns strictly
+// increasing, so no row stores column i twice), each row must hold a
+// nonzero diagonal entry, and the pattern must be structurally symmetric
+// (Mirrors, whose walk gets cursor, n long, as scratch; nil allocates it).
+// The error names the first violation, in that order and rows ascending
+// within each. Its text has no package prefix: each caller adds its own.
+func (a *CSR) Relaxable(cursor []int32) error {
+	if err := a.wellFormed(); err != nil {
+		return err
+	}
+	for i := range a.N {
+		cols, vals := a.Row(i)
+		k, ok := slices.BinarySearch(cols, int32(i))
+		if !ok {
+			return fmt.Errorf("row %d has no diagonal entry", i)
+		}
+		if vals[k] == 0 {
+			return fmt.Errorf("row %d has a zero diagonal entry", i)
+		}
+	}
+	return a.Mirrors(cursor, nil)
+}
+
+// wellFormed is Validate's walk, its text without the package prefix.
+func (a *CSR) wellFormed() error {
 	if err := checkSize(a.N, len(a.Col)); err != nil {
 		return err
 	}
 	if len(a.RowPtr) != a.N+1 {
-		return fmt.Errorf("sparse: RowPtr length %d, want %d", len(a.RowPtr), a.N+1)
+		return fmt.Errorf("RowPtr length %d, want %d", len(a.RowPtr), a.N+1)
 	}
 	if a.RowPtr[0] != 0 {
-		return errors.New("sparse: RowPtr[0] != 0")
+		return errors.New("RowPtr[0] != 0")
 	}
 	if int(a.RowPtr[a.N]) != len(a.Col) || len(a.Col) != len(a.Val) {
-		return fmt.Errorf("sparse: nnz mismatch: RowPtr[N]=%d len(Col)=%d len(Val)=%d", a.RowPtr[a.N], len(a.Col), len(a.Val))
+		return fmt.Errorf("nnz mismatch: RowPtr[N]=%d len(Col)=%d len(Val)=%d", a.RowPtr[a.N], len(a.Col), len(a.Val))
 	}
 	for i := 0; i < a.N; i++ {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		if hi < lo {
-			return fmt.Errorf("sparse: row %d has negative length", i)
+			return fmt.Errorf("row %d has negative length", i)
 		}
 		if int(hi) > len(a.Col) {
-			return fmt.Errorf("sparse: row %d ends at %d, past nnz = %d", i, hi, len(a.Col))
+			return fmt.Errorf("row %d ends at %d, past nnz = %d", i, hi, len(a.Col))
 		}
 		prev := int32(-1)
 		for k := lo; k < hi; k++ {
 			j := a.Col[k]
 			if j < 0 || int(j) >= a.N {
-				return fmt.Errorf("sparse: row %d: column %d out of range", i, j)
+				return fmt.Errorf("row %d: column %d out of range", i, j)
 			}
 			if j <= prev {
-				return fmt.Errorf("sparse: row %d: columns not strictly increasing at position %d", i, k)
+				return fmt.Errorf("row %d: columns not strictly increasing at position %d", i, k)
 			}
 			prev = j
 			if math.IsNaN(a.Val[k]) || math.IsInf(a.Val[k], 0) {
-				return fmt.Errorf("sparse: row %d col %d: non-finite value", i, j)
+				return fmt.Errorf("row %d col %d: non-finite value", i, j)
 			}
 		}
 	}
 	return nil
 }
-
-// RowError returns why row i cannot be relaxed, or nil. A relaxation
-// divides by a_ii, so the row must hold exactly one entry in column i,
-// nonzero and finite, and every entry of it must be finite. The error names
-// the diagonal first — two or more entries in column i, or one that is
-// missing, zero or not finite — and else the row's first non-finite entry.
-// Its text has no package prefix: each caller adds its own.
-func (a *CSR) RowError(i int) error {
-	cols, vals := a.Row(i)
-	vals = vals[:len(cols)]
-	d, n, fin := 0.0, 0, true
-	for k, c := range cols {
-		fin = fin && finite(vals[k])
-		if int(c) == i {
-			d, n = vals[k], n+1
-		}
-	}
-	switch {
-	case n > 1:
-		return fmt.Errorf("row %d has %d diagonal entries", i, n)
-	case !(n == 1 && math.Abs(d) > 0 && finite(d)):
-		return fmt.Errorf("row %d has a missing, zero or non-finite diagonal entry (%g)", i, d)
-	case !fin:
-		k := slices.IndexFunc(vals, func(v float64) bool { return !finite(v) })
-		return fmt.Errorf("row %d has a non-finite entry (%g) in column %d", i, vals[k], cols[k])
-	}
-	return nil
-}
-
-// finite reports whether v is neither infinite nor NaN.
-func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }

@@ -403,10 +403,10 @@ func TestMatrixRejectsIndexOverflow(t *testing.T) {
 		n, nnz int
 		want   string
 	}{
-		{MaxIndex + 1, 0, nBig},
-		{0, MaxIndex + 1, nnzBig},
-		{-1, 0, "sparse: n = -1 outside the 32-bit index range [0, 2147483647]"},
-		{3, -2, "sparse: nnz = -2 outside the 32-bit index range [0, 2147483647]"},
+		{MaxIndex + 1, 0, "n = 2147483648 outside the 32-bit index range [0, 2147483647]"},
+		{0, MaxIndex + 1, "nnz = 2147483648 outside the 32-bit index range [0, 2147483647]"},
+		{-1, 0, "n = -1 outside the 32-bit index range [0, 2147483647]"},
+		{3, -2, "nnz = -2 outside the 32-bit index range [0, 2147483647]"},
 	} {
 		if err := checkSize(c.n, c.nnz); err == nil || err.Error() != c.want {
 			t.Errorf("checkSize(%d, %d) = %v, want %q", c.n, c.nnz, err, c.want)

@@ -66,7 +66,7 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		return nil, fmt.Errorf("sparse: non-square MatrixMarket matrix %dx%d", rows, cols)
 	}
 	if err := checkSize(rows, nnz); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sparse: %w", err)
 	}
 
 	capHint := min(nnz, mmCapHint)
@@ -121,7 +121,7 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		return nil, fmt.Errorf("sparse: MatrixMarket declared %d entries, found %d", nnz, read)
 	}
 	if err := checkSize(rows, coo.NNZ()); err != nil { // a symmetric file's expansion
-		return nil, err
+		return nil, fmt.Errorf("sparse: %w", err)
 	}
 	a := coo.ToCSR()
 	if err := a.Validate(); err != nil {
