@@ -116,8 +116,10 @@ alloc-gates:
 # structural-symmetry walk refuses exactly the patterns that differ from
 # their transpose, names an entry without a mirror, and pairs every entry
 # with its transpose) for 5 s, and FuzzLayoutGate (raw, mostly malformed
-# matrices: neither sparse.CSR.Relaxable nor NewLayout panics, and NewLayout
-# refuses exactly what the gate refuses, with its text) for 5 s.
+# matrices: neither sparse.CSR.Relaxable, NewLayout nor core.SolveScalar
+# under one scalar method panics, both refuse exactly what the gate refuses,
+# with its text, and an accepted scalar solve returns a well-numbered
+# trace) for 5 s.
 # FuzzReadMatrixMarket stays seed-only (tier-1 runs its
 # seeds): a legal header may declare 2^31-1 rows, so a -fuzz run could run
 # the host out of memory.

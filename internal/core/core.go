@@ -117,10 +117,12 @@ func firstNonFinite(v []float64) int {
 
 // SolveScalar runs a scalar method on A x = b, updating x in place, and
 // returns the convergence trace; Distributed Southwell's records carry its
-// message counts. A must pass sparse.CSR.Relaxable, the one check of what
-// every method needs of it (well formed and finite, a nonzero diagonal
-// entry in every row, a structurally symmetric pattern); its error comes
-// back prefixed "core: ".
+// message counts. Every method runs on the one step loop of package
+// solvers, which stops when a step relaxes and changes nothing: an empty
+// system (n = 0) returns an empty trace. A must pass sparse.CSR.Relaxable,
+// the one check of what every method needs of it (well formed and finite,
+// a nonzero diagonal entry in every row, a structurally symmetric
+// pattern); its error comes back prefixed "core: ".
 func SolveScalar(a *sparse.CSR, b, x []float64, opt ScalarOptions) (*solvers.Trace, error) {
 	if err := checkSystem(a, b, x); err != nil {
 		return nil, err

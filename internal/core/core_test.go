@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"southwell/internal/dmem"
 	"southwell/internal/partition"
@@ -99,6 +100,51 @@ func TestSolveScalarRejectsUnusableDiagonal(t *testing.T) {
 			}
 			if x[0] != 1 || x[1] != 2 || x[2] != 3 {
 				t.Errorf("%s/%s: x = %v: the rejected solve moved it", tc.name, m, x)
+			}
+		}
+	}
+}
+
+// TestSolveScalarEmptySystem: an n = 0 system passes the gate (it has no
+// row to refuse), so every scalar method must stop at once with an empty
+// trace. GS and MCGS used to spin in their outer loops and SW indexed the
+// empty heap. Each call runs under a deadline, so a spin fails the test
+// instead of hanging it.
+func TestSolveScalarEmptySystem(t *testing.T) {
+	read, err := sparse.ReadMatrixMarket(strings.NewReader("%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+	}{{"literal", &sparse.CSR{N: 0, RowPtr: []int32{0}}}, {"MatrixMarket", read}} {
+		name, a := c.name, c.a
+		for _, m := range ScalarMethods() {
+			done := make(chan string, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						done <- fmt.Sprintf("panic: %v", p)
+					}
+				}()
+				tr, err := SolveScalar(a, nil, nil, ScalarOptions{Method: m})
+				switch {
+				case err != nil:
+					done <- fmt.Sprintf("err = %v", err)
+				case tr.NumSteps() != 0:
+					done <- fmt.Sprintf("%d steps, want 0", tr.NumSteps())
+				default:
+					done <- ""
+				}
+			}()
+			select {
+			case msg := <-done:
+				if msg != "" {
+					t.Errorf("%s, %s: %s", name, m, msg)
+				}
+			case <-time.After(3 * time.Second):
+				t.Errorf("%s, %s: no return within 3 s", name, m)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package dmem_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"southwell/internal/core"
@@ -191,9 +192,18 @@ func encodeCSR(t testing.TB, a *sparse.CSR, part []int, p int) []byte {
 // values, missing or zero diagonals, asymmetric patterns — under a valid
 // partition. Neither the gate nor NewLayout may panic, and NewLayout must
 // refuse exactly what the gate refuses, with the gate's text behind
-// "dmem: ". The seeds are the refusal table's rows and the base path.
+// "dmem: ". The same matrix goes through core.SolveScalar under one scalar
+// method, chosen by len(data) mod 6, with b = 1…n, x₀ = 0 and a budget of
+// 2n relaxations: it must return, refuse exactly what the gate refuses
+// with the gate's text behind "core: " and x untouched, and otherwise
+// number its records 1…k with relaxations summing to the final count. The
+// seeds are the refusal table's rows and the base path, padded once to
+// each method.
 func FuzzLayoutGate(f *testing.F) {
-	f.Add(encodeCSR(f, pathCSR(), gatePart, 2))
+	base := encodeCSR(f, pathCSR(), gatePart, 2)
+	for pad := range len(core.ScalarMethods()) {
+		f.Add(append(slices.Clone(base), make([]byte, pad)...))
+	}
 	for _, tc := range refusals {
 		data := encodeCSR(f, tc.a(), gatePart, 2)
 		if a, _, _ := fuzzCSR(data); a.Relaxable(nil) == nil || a.Relaxable(nil).Error() != tc.want {
@@ -210,6 +220,34 @@ func FuzzLayoutGate(f *testing.F) {
 			t.Fatalf("the gate accepts, NewLayout refuses: %v", err)
 		case gate != nil && (err == nil || err.Error() != "dmem: "+gate.Error()):
 			t.Fatalf("NewLayout error %v, want %q", err, "dmem: "+gate.Error())
+		}
+
+		methods := core.ScalarMethods()
+		m := methods[len(data)%len(methods)]
+		b, x := make([]float64, a.N), make([]float64, a.N)
+		for i := range b {
+			b[i] = float64(i + 1)
+		}
+		tr, err := core.SolveScalar(a, b, x, core.ScalarOptions{Method: m, MaxRelax: 2 * a.N})
+		switch {
+		case gate == nil && err != nil:
+			t.Fatalf("%s: the gate accepts, SolveScalar refuses: %v", m, err)
+		case gate != nil && (err == nil || err.Error() != "core: "+gate.Error()):
+			t.Fatalf("%s: SolveScalar error %v, want %q", m, err, "core: "+gate.Error())
+		case gate != nil && slices.ContainsFunc(x, func(v float64) bool { return v != 0 }):
+			t.Fatalf("%s: the refused solve moved x to %v", m, x)
+		case gate != nil:
+			return
+		}
+		sum := 0
+		for k, rec := range tr.Steps {
+			if rec.Step != k+1 {
+				t.Fatalf("%s: record %d numbered %d", m, k, rec.Step)
+			}
+			sum += rec.Relaxations
+		}
+		if sum != tr.Final().CumRelax {
+			t.Fatalf("%s: relaxations sum to %d, final count %d", m, sum, tr.Final().CumRelax)
 		}
 	})
 }

@@ -29,22 +29,23 @@ import (
 // A key covers itself and every member below it ("solvers.maxHeap" is the
 // type and its methods).
 var unreadAllowed = map[string]string{
-	"core.DistOptions.Sched":       "only benchmarks/e2e writes it; ROADMAP item 1(b) removes it",
-	"core.DistOptions.Parallel":    "only benchmarks/e2e writes it; ROADMAP item 1(b) removes it with ds_mc",
-	"dmem.LocalSolver.String":      "called by fmt through fmt.Stringer",
-	"multigrid.GaussSeidel.Name":   "called through multigrid.Smoother",
-	"multigrid.GaussSeidel.Smooth": "called through multigrid.Smoother",
-	"multigrid.DistSW.Name":        "called through multigrid.Smoother",
-	"multigrid.DistSW.Smooth":      "called through multigrid.Smoother",
-	"solvers.maxHeap":              "container/heap calls Len, Less, Swap, Push and Pop through heap.Interface",
-	"solvers.StepRecord.SolveMsgs": "read by dmem's P = n oracle (scalar_oracle_test.go) and solvers' tests",
-	"solvers.StepRecord.ResMsgs":   "read by dmem's P = n oracle (scalar_oracle_test.go) and solvers' tests",
-	"problem.Biharmonic2D":         "a test matrix of problem's and solvers' tests",
-	"sparse.CSR.Clone":             "read by sparse's and dmem's tests",
-	"sparse.CSR.IsSymmetric":       "read by sparse's and problem's tests",
-	"sparse.COO.AddSym":            "read by sparse's, color's, partition's and dmem's tests",
-	"dmem.Setup.Factor":            "read by dmem's and bench's setup tests",
-	"bench.ResetCaches":            "read by bench's tests and the root package's benchmarks",
+	"core.DistOptions.Sched":         "only benchmarks/e2e writes it; ROADMAP item 1(b) removes it",
+	"core.DistOptions.Parallel":      "only benchmarks/e2e writes it; ROADMAP item 1(b) removes it with ds_mc",
+	"dmem.LocalSolver.String":        "called by fmt through fmt.Stringer",
+	"multigrid.GaussSeidel.Name":     "called through multigrid.Smoother",
+	"multigrid.GaussSeidel.Smooth":   "called through multigrid.Smoother",
+	"multigrid.DistSW.Name":          "called through multigrid.Smoother",
+	"multigrid.DistSW.Smooth":        "called through multigrid.Smoother",
+	"solvers.maxHeap":                "container/heap calls Len, Less, Swap, Push and Pop through heap.Interface",
+	"solvers.StepRecord.Relaxations": "read by dmem's P = n oracle (scalar_oracle_test.go), solvers' tests and FuzzLayoutGate",
+	"solvers.StepRecord.SolveMsgs":   "read by dmem's P = n oracle (scalar_oracle_test.go) and solvers' tests",
+	"solvers.StepRecord.ResMsgs":     "read by dmem's P = n oracle (scalar_oracle_test.go) and solvers' tests",
+	"problem.Biharmonic2D":           "a test matrix of problem's and solvers' tests",
+	"sparse.CSR.Clone":               "read by sparse's and dmem's tests",
+	"sparse.CSR.IsSymmetric":         "read by sparse's and problem's tests",
+	"sparse.COO.AddSym":              "read by sparse's, color's, partition's and dmem's tests",
+	"dmem.Setup.Factor":              "read by dmem's and bench's setup tests",
+	"bench.ResetCaches":              "read by bench's tests and the root package's benchmarks",
 }
 
 func TestExportedNamesHaveReaders(t *testing.T) {

@@ -25,8 +25,6 @@ type distSW struct {
 	selected    []int
 	budget      int        // MaxRelax, for ExactBudget
 	rng         *rand.Rand // ExactBudget's final-step subset; nil otherwise
-
-	solveMsgs, resMsgs int
 }
 
 func newDistSW(a *sparse.CSR, b, x []float64, opt Options) *distSW {
@@ -66,31 +64,17 @@ func newDistSW(a *sparse.CSR, b, x []float64, opt Options) *distSW {
 // (relaxation) or residual (explicit update) communication. The matrix must
 // be structurally symmetric; it panics otherwise.
 func DistributedSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
-	tr := &Trace{Method: "Dist SW"}
 	d := newDistSW(a, b, x, opt)
-	for !opt.reached(d.norm()) {
+	lastRelaxed := true
+	return d.run("Dist SW", opt, func() (int, bool) {
 		relaxed := d.step()
-		// No relaxation was possible: either converged, or stagnated while
-		// estimates were being corrected. Continue only if estimates
-		// changed; with Γ̃ exactness the very next step must relax, so a
-		// second empty step means the residual is zero.
-		if relaxed == 0 && (d.norm() == 0 || tr.NumSteps() > 0 && tr.Final().Relaxations == 0) {
-			return tr
-		}
-		rec := StepRecord{
-			Step:        len(tr.Steps) + 1,
-			Relaxations: relaxed,
-			CumRelax:    d.relax,
-			ResNorm:     d.norm(),
-			SolveMsgs:   d.solveMsgs,
-			ResMsgs:     d.resMsgs,
-		}
-		tr.Steps = append(tr.Steps, rec)
-		if opt.done(rec, a.N) {
-			return tr
-		}
-	}
-	return tr
+		// A step that relaxed nothing moved only estimates: it counts if
+		// ‖r‖ ≠ 0 and the step before relaxed. With Γ̃ exact the step after
+		// it must relax, so a second empty step means the residual is zero.
+		moved := d.norm() != 0 && lastRelaxed
+		lastRelaxed = relaxed > 0
+		return relaxed, moved
+	})
 }
 
 // step runs one parallel step and returns the number of rows it relaxed.

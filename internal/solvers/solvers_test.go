@@ -87,13 +87,13 @@ func TestSouthwellBeatsGSAtLowAccuracy(t *testing.T) {
 	x2 := append([]float64(nil), x1...)
 	sw := SequentialSouthwell(a, b, x1, Options{MaxRelax: 3 * a.N, TargetNorm: 0.6})
 	gs := GaussSeidel(a, b, x2, Options{MaxRelax: 3 * a.N, TargetNorm: 0.6})
-	swRelax, ok1 := sw.RelaxAtNorm(0.6)
-	gsRelax, ok2 := gs.RelaxAtNorm(0.6)
+	swRec, ok1 := sw.AtNorm(0.6)
+	gsRec, ok2 := gs.AtNorm(0.6)
 	if !ok1 || !ok2 {
 		t.Fatalf("targets not reached: sw=%v gs=%v", ok1, ok2)
 	}
-	if float64(swRelax) > 0.75*float64(gsRelax) {
-		t.Errorf("SW took %d relaxations vs GS %d; want clear win", swRelax, gsRelax)
+	if float64(swRec.CumRelax) > 0.75*float64(gsRec.CumRelax) {
+		t.Errorf("SW took %d relaxations vs GS %d; want clear win", swRec.CumRelax, gsRec.CumRelax)
 	}
 }
 
@@ -190,13 +190,13 @@ func TestDistSWTracksParSWAtLowAccuracy(t *testing.T) {
 	x2 := append([]float64(nil), x1...)
 	ds := DistributedSouthwell(a, b, x1, Options{MaxRelax: 3 * a.N, TargetNorm: 0.6})
 	ps := ParallelSouthwell(a, b, x2, Options{MaxRelax: 3 * a.N, TargetNorm: 0.6})
-	dsRelax, ok1 := ds.RelaxAtNorm(0.6)
-	psRelax, ok2 := ps.RelaxAtNorm(0.6)
+	dsRec, ok1 := ds.AtNorm(0.6)
+	psRec, ok2 := ps.AtNorm(0.6)
 	if !ok1 || !ok2 {
 		t.Fatalf("targets not reached: ds=%v ps=%v", ok1, ok2)
 	}
-	if float64(dsRelax) > 1.4*float64(psRelax) {
-		t.Errorf("DistSW %d relaxations vs ParSW %d at norm 0.6", dsRelax, psRelax)
+	if float64(dsRec.CumRelax) > 1.4*float64(psRec.CumRelax) {
+		t.Errorf("DistSW %d relaxations vs ParSW %d at norm 0.6", dsRec.CumRelax, psRec.CumRelax)
 	}
 }
 
@@ -314,12 +314,13 @@ func TestTraceHelpers(t *testing.T) {
 	if tr.Final() != (StepRecord{}) {
 		t.Error("empty Final not zero")
 	}
-	if _, ok := tr.RelaxAtNorm(0.5); ok {
-		t.Error("empty RelaxAtNorm should fail")
+	if _, ok := tr.AtNorm(0.5); ok {
+		t.Error("empty AtNorm should fail")
 	}
-	tr.Steps = append(tr.Steps, StepRecord{Step: 1, Relaxations: 3, CumRelax: 3, ResNorm: 0.4})
-	if got, ok := tr.RelaxAtNorm(0.5); !ok || got != 3 {
-		t.Errorf("RelaxAtNorm = %d, %v", got, ok)
+	tr.Steps = append(tr.Steps, StepRecord{Step: 1, Relaxations: 3, CumRelax: 3, ResNorm: 0.6},
+		StepRecord{Step: 2, Relaxations: 3, CumRelax: 6, ResNorm: 0.4}, StepRecord{Step: 3, Relaxations: 3, CumRelax: 9, ResNorm: 0.3})
+	if got, ok := tr.AtNorm(0.5); !ok || got != tr.Steps[1] {
+		t.Errorf("AtNorm = %+v, %v; want the first record at or below 0.5", got, ok)
 	}
 }
 

@@ -31,7 +31,6 @@ func (h *maxHeap) Pop() any { panic("solvers: maxHeap holds every row") }
 // indexed heap so each relaxation costs O(deg · log n). Every relaxation is
 // its own parallel step.
 func SequentialSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
-	tr := &Trace{Method: "SW"}
 	n := a.N
 	s := newState(a, b, x)
 	h := &maxHeap{prio: make([]float64, n), keys: make([]int, n), pos: make([]int, n)}
@@ -39,25 +38,20 @@ func SequentialSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 		h.prio[i], h.keys[i], h.pos[i] = math.Abs(v), i, i
 	}
 	heap.Init(h)
-	for !opt.reached(s.norm()) {
-		i := h.keys[0]
-		if h.prio[i] == 0 {
+	return s.run("SW", opt, func() (int, bool) {
+		if n == 0 || h.prio[h.keys[0]] == 0 {
 			// Residual exactly zero: nothing to relax.
-			return tr
+			return 0, false
 		}
+		i := h.keys[0]
 		s.relaxRow(i)
 		cols, _ := a.Row(i)
 		for _, j := range cols {
 			h.prio[j] = math.Abs(s.r[j])
 			heap.Fix(h, h.pos[j])
 		}
-		rec := StepRecord{Step: len(tr.Steps) + 1, Relaxations: 1, CumRelax: s.relax, ResNorm: s.norm()}
-		tr.Steps = append(tr.Steps, rec)
-		if opt.done(rec, n) {
-			return tr
-		}
-	}
-	return tr
+		return 1, false
+	})
 }
 
 // parallelSouthwellCriterion reports whether row i should relax given its
@@ -78,11 +72,10 @@ func winsOver(ri float64, i int, rj float64, j int) bool {
 // within its neighborhood (the Parallel Southwell criterion, evaluated with
 // exact residuals).
 func ParallelSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
-	tr := &Trace{Method: "Par SW"}
 	n := a.N
 	s := newState(a, b, x)
 	selected := make([]int, 0, n)
-	for !opt.reached(s.norm()) {
+	return s.run("Par SW", opt, func() (int, bool) {
 		selected = selected[:0]
 		for i := 0; i < n; i++ {
 			ri := math.Abs(s.r[i])
@@ -104,25 +97,12 @@ func ParallelSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 				selected = append(selected, i)
 			}
 		}
-		if len(selected) == 0 {
-			// All residuals zero (or isolated ties resolved away): done.
-			return tr
-		}
 		// The selected set is independent, so relaxing sequentially equals
-		// relaxing simultaneously.
+		// relaxing simultaneously. An empty one (all residuals zero) ends
+		// the run.
 		for _, i := range selected {
 			s.relaxRow(i)
 		}
-		rec := StepRecord{
-			Step:        len(tr.Steps) + 1,
-			Relaxations: len(selected),
-			CumRelax:    s.relax,
-			ResNorm:     s.norm(),
-		}
-		tr.Steps = append(tr.Steps, rec)
-		if opt.done(rec, n) {
-			return tr
-		}
-	}
-	return tr
+		return len(selected), false
+	})
 }

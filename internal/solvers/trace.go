@@ -11,13 +11,23 @@
 // asymmetric pattern (sparse.CSR.Mirrors), and Distributed Southwell, which
 // reads each entry's mirror position from the same walk, panics on one.
 //
+// The methods differ only in which rows a parallel step relaxes: each
+// supplies that step, and one loop (state.run) drives them all. It asks
+// the target before every step, ends the run when a step relaxes and
+// changes nothing, records the step and then asks the budgets.
+//
 // Every solver maintains the residual vector incrementally and returns a
 // Trace: one record per parallel step, carrying the cumulative relaxation
 // count and residual norm — exactly the data plotted in Figures 2 and 5 —
-// and, for Distributed Southwell, the cumulative message counts.
+// and, for Distributed Southwell, the cumulative message counts. An empty
+// system (n = 0) returns an empty trace.
 package solvers
 
-import "southwell/internal/sparse"
+import (
+	"math"
+
+	"southwell/internal/sparse"
+)
 
 // StepRecord is the state at the end of one parallel step.
 type StepRecord struct {
@@ -50,15 +60,15 @@ func (t *Trace) Final() StepRecord {
 // NumSteps returns the number of parallel steps taken.
 func (t *Trace) NumSteps() int { return len(t.Steps) }
 
-// RelaxAtNorm returns the smallest cumulative relaxation count at which the
-// residual norm fell to target or below, and ok=false if it never did.
-func (t *Trace) RelaxAtNorm(target float64) (int, bool) {
+// AtNorm returns the first record whose residual norm is at or below
+// target, and ok=false if none is.
+func (t *Trace) AtNorm(target float64) (StepRecord, bool) {
 	for _, s := range t.Steps {
 		if s.ResNorm <= target {
-			return s.CumRelax, true
+			return s, true
 		}
 	}
-	return 0, false
+	return StepRecord{}, false
 }
 
 // Options controls solver termination. The zero value means "run one sweep
@@ -93,18 +103,21 @@ func (o Options) done(rec StepRecord, n int) bool {
 	return rec.CumRelax >= o.maxRelax(n) || o.MaxSteps > 0 && rec.Step >= o.MaxSteps
 }
 
-// reached reports whether a residual norm meets the target; every scalar
-// loop asks it before each step, the first included.
+// reached reports whether a residual norm meets the target; the step loop
+// asks it before each step, the first included.
 func (o Options) reached(norm float64) bool {
 	return o.TargetNorm > 0 && norm <= o.TargetNorm
 }
 
-// state carries the vectors every scalar solver updates.
+// state carries the vectors every scalar solver updates and the counts its
+// records report.
 type state struct {
 	a      *sparse.CSR
 	x, r   []float64
 	normSq float64
 	relax  int // cumulative relaxations
+	// Cumulative messages; only Distributed Southwell sends any.
+	solveMsgs, resMsgs int
 }
 
 func newState(a *sparse.CSR, b, x []float64) *state {
@@ -114,10 +127,39 @@ func newState(a *sparse.CSR, b, x []float64) *state {
 	return s
 }
 
+// run is the step loop of every scalar method; step is one parallel step
+// of the method and reports how many rows it relaxed and, if none, whether
+// it still changed something worth a record. Before each step, the first
+// included, run asks the target. A step that relaxed and moved nothing
+// ends the run unrecorded (an empty system, a zero residual, nothing
+// selected); any other gets one record, and then the budgets are asked.
+func (s *state) run(method string, opt Options, step func() (relaxed int, moved bool)) *Trace {
+	tr := &Trace{Method: method}
+	for !opt.reached(s.norm()) {
+		relaxed, moved := step()
+		if relaxed == 0 && !moved {
+			break
+		}
+		rec := StepRecord{
+			Step:        len(tr.Steps) + 1,
+			Relaxations: relaxed,
+			CumRelax:    s.relax,
+			ResNorm:     s.norm(),
+			SolveMsgs:   s.solveMsgs,
+			ResMsgs:     s.resMsgs,
+		}
+		tr.Steps = append(tr.Steps, rec)
+		if opt.done(rec, s.a.N) {
+			break
+		}
+	}
+	return tr
+}
+
 // relaxRow relaxes row i: x_i += r_i/a_ii and propagates the change to all
 // residuals coupled to column i (row i, by symmetry), keeping normSq
-// current. It returns the applied update d.
-func (s *state) relaxRow(i int) float64 {
+// current.
+func (s *state) relaxRow(i int) {
 	cols, vals := s.a.Row(i)
 	var aii float64
 	for k, j := range cols {
@@ -134,12 +176,11 @@ func (s *state) relaxRow(i int) float64 {
 		s.normSq += s.r[j]*s.r[j] - old*old
 	}
 	s.relax++
-	return d
 }
 
 func (s *state) norm() float64 {
 	if s.normSq <= 0 {
 		return 0
 	}
-	return sqrt(s.normSq)
+	return math.Sqrt(s.normSq)
 }
