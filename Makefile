@@ -212,7 +212,10 @@ bench-smoke:
 # delay plan for 40 steps: the short chaos line above stops at step 5,
 # before any starvation re-announce can fire, and this one fires 49 of
 # them on 1 024 ranks while some ranks sleep, so it pins the starvation
-# clock and its wakeup calendar. The failure message
+# clock and its wakeup calendar; and the same 40-step delay run under
+# Parallel Southwell, the only line that runs PS under a delay plan outside
+# the three-matrix chaos table, so it pins the shared inbox reader's
+# stale-estimate guard on a method other than DS. The failure message
 # counts the lines that ran. Not part of verify: it needs a second
 # checkout.
 IDENTITY_TABLES = -quick table2 table3 table4 deadlock ablation chaos
@@ -250,7 +253,8 @@ identity:
 		"dsouthwell $(IDENTITY_SOLVE) -chaos 0.3 -trace /dev/stdout" \
 		"dsouthwell $(IDENTITY_SOLVE) -target 0.3" \
 		"dsouthwell -grid 256 -n 2048 -sweep_max 20" \
-		"dsouthwell $(IDENTITY_SMALL) -chaos 0.3 -sweep_max 40"; \
+		"dsouthwell $(IDENTITY_SMALL) -chaos 0.3 -sweep_max 40" \
+		"dsouthwell $(IDENTITY_SMALL) -solver ps -chaos 0.3 -sweep_max 40"; \
 	do \
 		lines=$$((lines + 1)); \
 		$$out/old/$$line >$$out/old.txt 2>&1 || echo "exit $$?" >>$$out/old.txt; \

@@ -83,9 +83,31 @@ func validateOutDir(flagName, path string) error {
 	return nil
 }
 
+// validateOutFile checks an output-file flag up front: the path must not
+// be an existing directory and its parent directory must exist, so a typo
+// fails before the experiments run instead of after them.
+func validateOutFile(flagName, path string) error {
+	if path == "" {
+		return nil
+	}
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+		return fmt.Errorf("%s %q: is a directory, want a file path", flagName, path)
+	}
+	if dir := filepath.Dir(path); dir != "." {
+		fi, err := os.Stat(dir)
+		if err != nil {
+			return fmt.Errorf("%s %q: parent directory %q does not exist", flagName, path, dir)
+		}
+		if !fi.IsDir() {
+			return fmt.Errorf("%s %q: parent %q is not a directory", flagName, path, dir)
+		}
+	}
+	return nil
+}
+
 // validate rejects nonsensical flag combinations before any experiment
 // starts, so misuse fails with one line instead of a deep panic.
-func validate(ranks, steps int, seed, chaosSeed int64, chaos float64, out, trace, metrics string) error {
+func validate(ranks, steps int, seed, chaosSeed int64, chaos float64, out, trace, metrics, cpuProfile, memProfile string) error {
 	if err := validateOutDir("-out", out); err != nil {
 		return err
 	}
@@ -94,6 +116,15 @@ func validate(ranks, steps int, seed, chaosSeed int64, chaos float64, out, trace
 	}
 	if err := validateOutDir("-metrics", metrics); err != nil {
 		return err
+	}
+	if err := validateOutFile("-cpuprofile", cpuProfile); err != nil {
+		return err
+	}
+	if err := validateOutFile("-memprofile", memProfile); err != nil {
+		return err
+	}
+	if cpuProfile != "" && cpuProfile == memProfile {
+		return fmt.Errorf("-cpuprofile and -memprofile %q: must be different files", cpuProfile)
 	}
 	if ranks < 0 {
 		return fmt.Errorf("-ranks %d: must be >= 1 (or 0 for the default)", ranks)
@@ -129,7 +160,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write pprof heap profile to this file on exit")
 	flag.Parse()
 
-	if err := validate(*ranks, *steps, *seed, *chaosSeed, *chaos, *outDir, *traceDir, *metricsDir); err != nil {
+	if err := validate(*ranks, *steps, *seed, *chaosSeed, *chaos, *outDir, *traceDir, *metricsDir, *cpuProfile, *memProfile); err != nil {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		os.Exit(2)
 	}
@@ -163,11 +194,16 @@ func main() {
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
-	writeMemProfile(*memProfile)
+	code := 0
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-		os.Exit(1)
+		code = 1
 	}
+	if err := writeMemProfile(*memProfile); err != nil {
+		fmt.Fprintf(os.Stderr, "benchtables: -memprofile: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
 }
 
 func run(cfg bench.Config, args []string, outDir string) error {
@@ -231,19 +267,20 @@ func run(cfg bench.Config, args []string, outDir string) error {
 	return nil
 }
 
-// writeMemProfile dumps a heap profile after a final GC, pprof-compatible.
-func writeMemProfile(path string) {
+// writeMemProfile dumps a heap profile after a final GC, pprof-compatible
+// (a no-op when path is empty).
+func writeMemProfile(path string) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-		return
+		return err
 	}
-	defer f.Close()
 	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
+		f.Close()
+		return err
 	}
+	return f.Close()
 }

@@ -27,6 +27,7 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		seed, chaosSeed     int64
 		chaos               float64
 		out, trace, metrics string
+		cpuProf, memProf    string
 		want                string
 	}{
 		{ranks: -1, seed: 1, chaosSeed: 1, want: "-ranks"},
@@ -39,9 +40,15 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{out: file, seed: 1, chaosSeed: 1, want: "-out"},
 		{trace: file, seed: 1, chaosSeed: 1, want: "-trace"},
 		{metrics: file, seed: 1, chaosSeed: 1, want: "-metrics"},
+		{cpuProf: tmp, seed: 1, chaosSeed: 1, want: "-cpuprofile"},
+		{memProf: tmp, seed: 1, chaosSeed: 1, want: "-memprofile"},
+		{cpuProf: filepath.Join(tmp, "no", "cpu.prof"), seed: 1, chaosSeed: 1, want: "-cpuprofile"},
+		{memProf: filepath.Join(tmp, "no", "mem.prof"), seed: 1, chaosSeed: 1, want: "-memprofile"},
+		{memProf: filepath.Join(file, "mem.prof"), seed: 1, chaosSeed: 1, want: "-memprofile"},
+		{cpuProf: file, memProf: file, seed: 1, chaosSeed: 1, want: "-memprofile"},
 	}
 	for _, tc := range cases {
-		err := validate(tc.ranks, tc.steps, tc.seed, tc.chaosSeed, tc.chaos, tc.out, tc.trace, tc.metrics)
+		err := validate(tc.ranks, tc.steps, tc.seed, tc.chaosSeed, tc.chaos, tc.out, tc.trace, tc.metrics, tc.cpuProf, tc.memProf)
 		if err == nil {
 			t.Errorf("validate(%+v): accepted", tc)
 			continue
@@ -54,7 +61,8 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		}
 	}
 	// The binary refuses them with exit status 2 before any experiment runs.
-	for _, args := range [][]string{{"-seed", "0"}, {"-chaos-seed", "0"}, {"-out", file}} {
+	for _, args := range [][]string{{"-seed", "0"}, {"-chaos-seed", "0"}, {"-out", file},
+		{"-memprofile", filepath.Join(tmp, "no", "mem.prof")}, {"-cpuprofile", filepath.Join(tmp, "no", "cpu.prof")}} {
 		out, code := runMain(t, append(args, "table4")...)
 		if code != 2 || !strings.Contains(out, args[0]+" ") {
 			t.Errorf("benchtables %s: exit status %d, want 2 naming the flag\n%s", strings.Join(args, " "), code, out)
@@ -77,7 +85,7 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 		{seed: 1, chaosSeed: 1, out: filepath.Join(tmp, "new")},     // missing directory: created later
 		{seed: 1, chaosSeed: 1, trace: filepath.Join(tmp, "new")},
 	} {
-		if err := validate(tc.ranks, tc.steps, tc.seed, tc.chaosSeed, tc.chaos, tc.out, tc.trace, tc.metrics); err != nil {
+		if err := validate(tc.ranks, tc.steps, tc.seed, tc.chaosSeed, tc.chaos, tc.out, tc.trace, tc.metrics, "", ""); err != nil {
 			t.Errorf("validate(%+v): %v", tc, err)
 		}
 	}
@@ -109,6 +117,22 @@ func TestParseLocSolver(t *testing.T) {
 				t.Errorf("benchtables -loc_solver %s: message does not name %q:\n%s", bad, want, out)
 			}
 		}
+	}
+}
+
+// TestMemProfileWriteFailureExits1: a -memprofile path that passes the
+// up-front check but cannot be created when the experiments end (a
+// dangling symlink) makes benchtables exit 1 naming the flag, after the
+// tables were printed. It used to exit 0.
+func TestMemProfileWriteFailureExits1(t *testing.T) {
+	dir := t.TempDir()
+	dangling := filepath.Join(dir, "mem.prof")
+	if err := os.Symlink(filepath.Join(dir, "gone", "mem.prof"), dangling); err != nil {
+		t.Skipf("cannot make a symlink: %v", err)
+	}
+	out, code := runMain(t, "-quick", "-memprofile", dangling, "fig6")
+	if code != 1 || !strings.Contains(out, "-memprofile") || !strings.Contains(out, "==== fig6 ====") {
+		t.Errorf("benchtables -memprofile %s: exit status %d, want 1 naming the flag after the table\n%s", dangling, code, out)
 	}
 }
 

@@ -60,19 +60,22 @@ func validateOutFile(flagName, path string) error {
 // validate checks every flag value up front, so misuse fails with a
 // one-line message and exit status 2 instead of a deep panic or a
 // confusing error mid-run.
-func validate(ranks, sweepMax, grid int, solver, locSolver string, target, chaos float64, chaosSeed int64, trace, metrics string) (options, error) {
+func validate(ranks, sweepMax, grid int, solver, locSolver string, target, chaos float64, chaosSeed int64, trace, metrics, cpuProf, memProf string) (options, error) {
 	var o options
 	if ranks <= 0 {
 		return o, fmt.Errorf("-n %d: need at least 1 simulated rank", ranks)
 	}
-	if err := validateOutFile("-trace", trace); err != nil {
-		return o, err
-	}
-	if err := validateOutFile("-metrics", metrics); err != nil {
-		return o, err
-	}
-	if trace != "" && trace == metrics {
-		return o, fmt.Errorf("-trace and -metrics %q: must be different files", trace)
+	// Each output file is checked, and no two may name the same file: each
+	// would overwrite the other's output.
+	named := map[string]string{}
+	for _, f := range [][2]string{{"-trace", trace}, {"-metrics", metrics}, {"-cpuprofile", cpuProf}, {"-memprofile", memProf}} {
+		if err := validateOutFile(f[0], f[1]); err != nil {
+			return o, err
+		}
+		if prev, ok := named[f[1]]; ok && f[1] != "" {
+			return o, fmt.Errorf("%s and %s %q: must be different files", prev, f[0], f[1])
+		}
+		named[f[1]] = f[0]
 	}
 	if sweepMax <= 0 {
 		return o, fmt.Errorf("-sweep_max %d: need at least 1 parallel step", sweepMax)
@@ -109,8 +112,9 @@ func main() { os.Exit(dsouthwell()) }
 
 // dsouthwell runs the command and returns its exit status. Every error
 // returns here rather than calling os.Exit, so the deferred profile writers
-// flush -cpuprofile and -memprofile on a failed run too.
-func dsouthwell() int {
+// flush -cpuprofile and -memprofile on a failed run too; a heap profile that
+// cannot be written turns a successful run's status into 1.
+func dsouthwell() (code int) {
 	var (
 		matName  = flag.String("mat", "", "synthetic suite matrix name (see -list)")
 		matFile  = flag.String("mat_file", "", "MatrixMarket file to load instead")
@@ -132,7 +136,7 @@ func dsouthwell() int {
 	)
 	flag.Parse()
 
-	opts, err := validate(*ranks, *sweepMax, *grid, *solver, *locSolve, *target, *chaos, *chaosSd, *traceOut, *metrics)
+	opts, err := validate(*ranks, *sweepMax, *grid, *solver, *locSolve, *target, *chaos, *chaosSd, *traceOut, *metrics, *cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
 		return 2
@@ -152,15 +156,9 @@ func dsouthwell() int {
 	}
 	if *memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
+			if err := writeHeapProfile(*memProf); err != nil {
+				fmt.Fprintf(os.Stderr, "dsouthwell: -memprofile: %v\n", err)
+				code = 1
 			}
 		}()
 	}
@@ -247,6 +245,20 @@ func dsouthwell() int {
 		fmt.Printf("DEADLOCKED at step %d (stagnation watchdog)\n", res.DeadlockStep)
 	}
 	return 0
+}
+
+// writeHeapProfile writes a pprof heap profile to path after a final GC.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeObs writes one observability export to path (no-op when empty).

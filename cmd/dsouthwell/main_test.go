@@ -24,6 +24,8 @@ type flagCase struct {
 	chaos     float64
 	trace     string
 	metrics   string
+	cpuProf   string
+	memProf   string
 }
 
 func good() flagCase {
@@ -31,7 +33,7 @@ func good() flagCase {
 }
 
 func (c flagCase) run() (options, error) {
-	return validate(c.ranks, c.sweepMax, c.grid, c.solver, c.locSolver, c.target, c.chaos, 1, c.trace, c.metrics)
+	return validate(c.ranks, c.sweepMax, c.grid, c.solver, c.locSolver, c.target, c.chaos, 1, c.trace, c.metrics, c.cpuProf, c.memProf)
 }
 
 func TestValidateRejectsBadFlags(t *testing.T) {
@@ -59,6 +61,13 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{func(c *flagCase) { c.trace = "no/such/dir/t.json" }, "-trace"},
 		{func(c *flagCase) { c.metrics = "no/such/dir/m.txt" }, "-metrics"},
 		{func(c *flagCase) { c.trace, c.metrics = "same.out", "same.out" }, "-metrics"},
+		{func(c *flagCase) { c.cpuProf = "." }, "-cpuprofile"},
+		{func(c *flagCase) { c.memProf = "." }, "-memprofile"},
+		{func(c *flagCase) { c.cpuProf = "no/such/dir/cpu.prof" }, "-cpuprofile"},
+		{func(c *flagCase) { c.memProf = "no/such/dir/mem.prof" }, "-memprofile"},
+		{func(c *flagCase) { c.trace, c.cpuProf = "same.out", "same.out" }, "-cpuprofile"},
+		{func(c *flagCase) { c.metrics, c.memProf = "same.out", "same.out" }, "-memprofile"},
+		{func(c *flagCase) { c.cpuProf, c.memProf = "same.out", "same.out" }, "-memprofile"},
 	}
 	for _, tc := range cases {
 		c := good()
@@ -176,6 +185,47 @@ func TestProfilesSurviveErrorExit(t *testing.T) {
 			t.Errorf("%s profile: %v", name, err)
 		} else if fi.Size() == 0 {
 			t.Errorf("%s profile is empty", name)
+		}
+	}
+}
+
+// TestMemProfileFailureExits: a -memprofile path whose directory is missing
+// is refused up front with exit status 2 naming the flag, before anything
+// runs; one that passes the check but cannot be created when the run ends
+// (a dangling symlink) turns the run's status into 1. Both used to run the
+// whole job and exit 0.
+func TestMemProfileFailureExits(t *testing.T) {
+	const child = "DSOUTHWELL_TEST_MEMPROFILE"
+	if path := os.Getenv(child); path != "" {
+		os.Args = []string{"dsouthwell", "-grid", "10", "-n", "4", "-sweep_max", "2", "-memprofile", path}
+		main()
+		return
+	}
+	dir := t.TempDir()
+	dangling := filepath.Join(dir, "mem.prof")
+	if err := os.Symlink(filepath.Join(dir, "gone", "mem.prof"), dangling); err != nil {
+		t.Skipf("cannot make a symlink: %v", err)
+	}
+	for _, tc := range []struct {
+		path string
+		code int
+		ran  bool
+	}{
+		{filepath.Join(dir, "no", "such", "mem.prof"), 2, false},
+		{dangling, 1, true},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMemProfileFailureExits$")
+		cmd.Env = append(os.Environ(), child+"="+tc.path)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
+			t.Errorf("dsouthwell -memprofile %s: err = %v, want exit status %d\n%s", tc.path, err, tc.code, out)
+		}
+		if !strings.Contains(string(out), "-memprofile") {
+			t.Errorf("dsouthwell -memprofile %s: message does not name the flag:\n%s", tc.path, out)
+		}
+		if ran := strings.Contains(string(out), "residual norm:"); ran != tc.ran {
+			t.Errorf("dsouthwell -memprofile %s: solve ran = %v, want %v\n%s", tc.path, ran, tc.ran, out)
 		}
 	}
 }

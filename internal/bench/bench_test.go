@@ -327,8 +327,9 @@ func TestRunCacheKeyedByConfig(t *testing.T) {
 }
 
 // TestChaosOutput: the robustness table renders every method column and the
-// paper's dichotomy — Distributed Southwell "ok" on every row, the 2016
-// piggyback variant detected as stagnated under faults.
+// paper's dichotomy — Distributed and Parallel Southwell never stopped by
+// the watchdog, the 2016 piggyback variant detected as stagnated under
+// faults.
 func TestChaosOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow in -short mode")
@@ -356,6 +357,9 @@ func TestChaosOutput(t *testing.T) {
 			t.Fatalf("chaos row has %d cells, want 5: %q", len(cells), line)
 		}
 		rows++
+		if strings.Contains(cells[2], "dl@") {
+			t.Errorf("Parallel Southwell tripped the watchdog: %q", line)
+		}
 		if strings.Contains(cells[3], "dl@") {
 			t.Errorf("Distributed Southwell tripped the watchdog: %q", line)
 		}

@@ -79,10 +79,12 @@ func TestPerfectNetworkHasZeroFaultCounters(t *testing.T) {
 
 // TestChaosDichotomyOnSuite is the paper's §2.4 dichotomy extended to an
 // imperfect network (the acceptance invariant of the fault-injection
-// layer): under delay faults on the Quick suite, Distributed Southwell
-// still reaches the paper's 0.1 target without ever tripping the
+// layer): under delay faults on the Quick suite, Distributed and Parallel
+// Southwell still reach the paper's 0.1 target without ever tripping the
 // stagnation watchdog, while the 2016 piggyback variant stagnates and is
-// detected.
+// detected. Parallel Southwell's row holds its stale-estimate guard: a late
+// body's norm written over a fresher one leaves Γ stuck above a neighbor's
+// true norm, and the watchdog stops the run.
 func TestChaosDichotomyOnSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite runs are slow in -short mode")
@@ -96,12 +98,17 @@ func TestChaosDichotomyOnSuite(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			s, b, x := buildCase(t, e.Gen(), ranks, 1)
-			ds := DistributedSouthwell(s, b, x, Config{Steps: steps, Faults: plan})
-			if ds.Deadlocked {
-				t.Errorf("DS tripped the watchdog at step %d under delay-only faults", ds.DeadlockStep)
-			}
-			if _, reached := ds.StepsToNorm(0.1); !reached {
-				t.Errorf("DS did not reach 0.1 in %d steps (final %g)", steps, ds.Final().ResNorm)
+			for _, m := range []struct {
+				name string
+				run  method
+			}{{"DS", DistributedSouthwell}, {"PS", ParallelSouthwell}} {
+				res := m.run(s, b, x, Config{Steps: steps, Faults: plan})
+				if res.Deadlocked {
+					t.Errorf("%s tripped the watchdog at step %d under delay-only faults", m.name, res.DeadlockStep)
+				}
+				if _, reached := res.StepsToNorm(0.1); !reached {
+					t.Errorf("%s did not reach 0.1 in %d steps (final %g)", m.name, steps, res.Final().ResNorm)
+				}
 			}
 			s2, b2, x2 := buildCase(t, e.Gen(), ranks, 1)
 			pb := Piggyback2016(s2, b2, x2, Config{Steps: steps, Faults: plan})

@@ -35,139 +35,76 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 	if !(opts.UpdateSlack >= 0) {
 		panic(fmt.Sprintf("dmem: UpdateSlack = %g, want >= 0", opts.UpdateSlack))
 	}
-	return solve(s, b, x, cfg, func(st *runState, step *int) stepSpec {
+	return solve(s, b, x, cfg, func(st *runState) stepSpec {
 		w, states, e := st.w, st.states, &st.eng
 
-		// absorb drains rank p's window — callable from any phase. Residual
-		// deltas are always applied: they are additive and exact regardless of
-		// arrival order or lateness. Ghost refreshes and the Γ/Γ̃ estimates are
-		// guarded by the payload sequence number, so a delayed message cannot
-		// overwrite fresher information with stale values. On a perfect
-		// network phase-1 windows are empty and every sequence number is
-		// fresh, so this reduces exactly to the paper's phase-2/phase-3 reads.
-		absorb := func(p int) {
-			rs := states[p]
-			changed := false
-			in := w.Inbox(p)
-			for i := range in {
-				rs.gotMsg = true
-				pl, bnd, deltas := st.body(rs, &in[i])
-				j := int(pl.slot)
-				switch in[i].Tag {
-				case rma.TagSolve:
-					rs.applyDeltas(j, deltas)
-					changed = true
-					if pl.seq < rs.seqSeen[j] {
-						continue // keep the deltas, drop the stale estimates
-					}
-					rs.seqSeen[j] = pl.seq
-					// Crossing correction only when this rank itself relaxed
-					// this step and wrote to j (so lastTold, solve[j].bnd
-					// and extDelta describe this step's send). Fault-free this
-					// is exactly the phase-2 sentTo condition; under faults
-					// sentTo[j] can also mean an explicit update was sent,
-					// which has no crossing.
-					z, delta := rs.ghost(j)
-					if rs.relaxed && rs.sentTo[j] {
-						// Crossing relaxations: the sender's ghost refresh and
-						// norm predate this rank's own deltas to it, so re-apply
-						// them on top (the "better estimate than doing nothing"
-						// of §3). The sender mirrors this arithmetic when it
-						// processes this rank's message, and Γ̃ is recomputed
-						// from the values this rank sent, so Γ̃ stays exactly
-						// equal to the sender's corrected estimate.
-						adj := 0.0
-						for k, b0 := range bnd {
-							nz := b0 + delta[k]
-							adj += nz*nz - b0*b0
-							if !opts.NoGhostEstimate {
-								z[k] = nz
-							} else {
-								z[k] = b0
-							}
-						}
-						if opts.NoGhostEstimate {
-							rs.gamma[j] = pl.norm
-							// Γ̃ keeps the value set at send time: the sender
-							// applies no correction either in this mode.
-						} else {
-							rs.gamma[j] = sqrtNonNeg(pl.norm*pl.norm + adj)
-							adjMine := 0.0
-							for k, b0 := range st.floats[rs.solve[j].bnd:][:len(deltas)] {
-								nb := b0 + deltas[k]
-								adjMine += nb*nb - b0*b0
-							}
-							rs.gammaTilde[j] = sqrtNonNeg(rs.lastTold*rs.lastTold + adjMine)
-						}
-					} else {
-						copy(z, bnd)
-						rs.gamma[j] = pl.norm
-						rs.gammaTilde[j] = pl.estRecv
-					}
-				case rma.TagResidual:
-					if pl.seq < rs.seqSeen[j] {
-						continue
-					}
-					rs.seqSeen[j] = pl.seq
-					z, _ := rs.ghost(j)
-					copy(z, bnd)
-					rs.gamma[j] = pl.norm
-					if !rs.sentTo[j] {
-						rs.gammaTilde[j] = pl.estRecv
-					}
+		// The estimate rule, for a body no older than the newest read from
+		// its sender j: the sender's boundary residuals refresh the ghost row,
+		// its norm sets Γ[j], and its estimate of this rank's norm sets Γ̃[j].
+		estimate := func(rs *rankState, tag rma.Tag, pl *payload, bnd, deltas []float64) {
+			j := int(pl.slot)
+			z, _ := rs.ghost(j)
+			copy(z, bnd)
+			rs.gamma[j] = pl.norm
+			// A crossing: j's solve body meets this rank's own, sent this step
+			// (so lastTold, solve[j].bnd and extDelta describe that send).
+			// Fault-free this is exactly the phase-2 sentTo condition; under
+			// faults sentTo[j] can also mean an explicit update was sent,
+			// which has no crossing.
+			crossing := tag == rma.TagSolve && rs.relaxed && rs.sentTo[j]
+			switch {
+			case crossing && !opts.NoGhostEstimate:
+				// The sender's ghost refresh and norm predate this rank's own
+				// deltas to it, so re-apply them on top (the "better estimate
+				// than doing nothing" of §3). The sender mirrors this
+				// arithmetic when it processes this rank's message, and Γ̃ is
+				// recomputed from the values this rank sent, so Γ̃ stays
+				// exactly equal to the sender's corrected estimate.
+				rs.updateGhostAndGamma(j, true)
+				adjMine := 0.0
+				for k, b0 := range st.floats[rs.solve[j].bnd:][:len(deltas)] {
+					nb := b0 + deltas[k]
+					adjMine += nb*nb - b0*b0
 				}
-			}
-			if changed {
-				rs.norm = rs.computeNorm()
-				w.Charge(p, 2*float64(len(rs.r)))
+				rs.gammaTilde[j] = sqrtNonNeg(rs.lastTold*rs.lastTold + adjMine)
+			case !crossing && !(tag == rma.TagResidual && rs.sentTo[j]):
+				// Γ̃[j] takes the sender's estimate unless this rank's own
+				// write to j in the last send phase is newer — an explicit
+				// update, or a crossing under NoGhostEstimate, where the
+				// sender corrects nothing either — and keeps the value set at
+				// that send.
+				rs.gammaTilde[j] = pl.estRecv
 			}
 		}
 
 		// Phase 1: absorb any late deliveries; decide from estimates;
 		// relax; write updates.
 		phase1 := func(p int) {
-			absorb(p)
 			rs := states[p]
-			wins := rs.winsAll()
-			w.Charge(p, float64(len(rs.gamma)))
-			traceDecision(w, *step, p, rs, wins)
-			if !wins {
+			rs.absorb(estimate)
+			if !rs.decide() {
 				return
 			}
-			rs.relaxed = true
-			clear(rs.extDelta)
-			flops := rs.relaxLocal()
-			rs.norm = rs.computeNorm()
-			rs.lastTold = rs.norm
-			w.Charge(p, flops+2*float64(len(rs.r)))
-			for j, q := range rs.nbrs() {
+			rs.relax()
+			for j := range rs.nbrs() {
 				// Local, communication-free improvement of the estimate of
-				// q's norm using the ghost layer (skippable for ablation).
-				z, delta := rs.ghost(j)
-				if opts.NoGhostEstimate {
-					for k, d := range delta {
-						z[k] += d
-					}
-				} else {
-					rs.updateGhostAndGamma(j)
-				}
-				w.Charge(p, 2*float64(len(z)))
+				// the neighbor's norm using the ghost layer (skippable for
+				// ablation).
+				_, delta := rs.ghost(j)
+				rs.updateGhostAndGamma(j, !opts.NoGhostEstimate)
+				w.Charge(p, 2*float64(len(delta)))
 				rs.gammaTilde[j] = rs.norm
 				rs.sentTo[j] = true
-				pl := &rs.solve[j]
-				nb := rs.gatherBnd(j, st.floats[pl.bnd:])
-				pl.norm, pl.estRecv, pl.seq = rs.norm, rs.gamma[j], 2*int32(*step)
-				w.Put(p, int(q), rma.TagSolve, msgBytes(len(delta)+nb+2), pl)
+				nb := rs.gatherBnd(j, st.floats[rs.solve[j].bnd:])
+				rs.send(j, rma.TagSolve, len(delta)+nb+2)
 			}
 		}
 		// Phase 2: absorb writes; detect deadlock risk; write explicit
 		// residual updates where needed.
 		phase2 := func(p int) {
-			absorb(p)
 			rs := states[p]
-			for j := range rs.sentTo {
-				rs.sentTo[j] = false
-			}
+			rs.absorb(estimate)
+			clear(rs.sentTo)
 			// Starvation re-announce (fault injection only): delayed or
 			// crossing messages can desync the Γ̃ mirror arithmetic from the
 			// neighbor's actual estimate, and a mutual overestimate cycle
@@ -177,30 +114,26 @@ func DistributedSouthwellOpt(s *Setup, b, x []float64, cfg Config, opts DistSWOp
 			// exact residual state to every neighbor, making the estimates
 			// exact again, so Distributed Southwell stays deadlock-free on
 			// any eventually-quiescent network.
-			refresh := e.starving(rs, *step)
+			refresh := e.starving(rs, st.step)
 			if refresh {
-				rs.quietSince = *step - 1
+				rs.quietSince = st.step - 1
 			}
 			// Deadlock-risk detection (Algorithm 3, lines 27-30).
 			for j, q := range rs.nbrs() {
 				if refresh || rs.gammaTilde[j] > rs.norm*(1+opts.UpdateSlack) {
-					traceResSend(w, *step, p, int(q), rs.gammaTilde[j], rs, refresh)
+					traceResSend(rs, int(q), rs.gammaTilde[j], refresh)
 					rs.gammaTilde[j] = rs.norm
 					rs.sentTo[j] = true
-					pl := &rs.res[j]
-					nb := rs.gatherBnd(j, st.floats[pl.bnd:])
-					pl.norm, pl.estRecv, pl.seq = rs.norm, rs.gamma[j], 2*int32(*step)+1
-					w.Put(p, int(q), rma.TagResidual, msgBytes(nb+2), pl)
+					nb := rs.gatherBnd(j, st.floats[rs.res[j].bnd:])
+					rs.send(j, rma.TagResidual, nb+2)
 				}
 			}
 		}
 		// Phase 3: absorb explicit updates.
 		phase3 := func(p int) {
-			absorb(p)
 			rs := states[p]
-			for j := range rs.sentTo {
-				rs.sentTo[j] = false
-			}
+			rs.absorb(estimate)
+			clear(rs.sentTo)
 		}
 		// Quiescent: a rank that held with an empty window re-decides
 		// identically until its state changes, and its phase-2 trigger

@@ -72,7 +72,7 @@ func (c Config) pinned(spec stepSpec) bool {
 // solve runs one method to completion on a run state of s (runstate.go): the
 // one parked on it, or a new one, parked again only on normal return — a
 // panic mid-solve leaves the slot empty.
-func solve(s *Setup, b, x []float64, cfg Config, build func(st *runState, step *int) stepSpec) *Result {
+func solve(s *Setup, b, x []float64, cfg Config, build func(st *runState) stepSpec) *Result {
 	st := s.takeRunState()
 	res := st.run(b, x, cfg, build)
 	st.park(s)
@@ -81,13 +81,12 @@ func solve(s *Setup, b, x []float64, cfg Config, build func(st *runState, step *
 
 // run resets the state and steps it to the end of the solve. build is called
 // once and returns the method's stepSpec; the phase closures it builds reach
-// the world and rank states through st and read the current step through the
-// pointer (sequence numbers, trace events), so the driver re-dispatches the
-// same closures every step without allocating.
-func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, step *int) stepSpec) *Result {
+// the world, the rank states and the current step (runState.step) through
+// st, so the driver re-dispatches the same closures every step without
+// allocating.
+func (st *runState) run(b, x []float64, cfg Config, build func(st *runState) stepSpec) *Result {
 	l, w, states, e, norms := st.l, st.w, st.states, &st.eng, st.norms
-	var step int
-	spec := build(st, &step)
+	spec := build(st)
 	st.reset(b, x, cfg, spec)
 	// History is sized once at the loop's maximum, as e.hist is: a record
 	// per step plus step 0.
@@ -97,7 +96,8 @@ func (st *runState) run(b, x []float64, cfg Config, build func(st *runState, ste
 	cumRelax := 0
 	// The target is tested before every step, the first included: a solve
 	// that starts at or below it runs no step and sends nothing.
-	for step = 1; step <= cfg.steps() && !cfg.reached(res.Final().ResNorm); step++ {
+	for step := 1; step <= cfg.steps() && !cfg.reached(res.Final().ResNorm); step++ {
+		st.step = step
 		e.runStep(step, spec.phases)
 		relaxedRanks, rows := e.endStep(step, norms)
 		cumRelax += rows

@@ -31,56 +31,28 @@ func Piggyback2016(s *Setup, b, x []float64, cfg Config) *Result {
 }
 
 func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Result {
-	return solve(s, b, x, cfg, func(st *runState, step *int) stepSpec {
-		w, states := st.w, st.states
-
-		// absorb drains rank p's window in any phase: deltas are always applied
-		// (additive, exact regardless of arrival order), and the norm is taken
-		// only when at least as fresh as what was already absorbed. Reduces to
-		// the paper's phase-2/phase-3 reads on a perfect network.
-		absorb := func(p int) {
-			rs := states[p]
-			changed := false
-			in := w.Inbox(p)
-			for i := range in {
-				pl, _, deltas := st.body(rs, &in[i])
-				j := int(pl.slot)
-				if in[i].Tag == rma.TagSolve {
-					rs.applyDeltas(j, deltas)
-					changed = true
-				}
-				if pl.seq >= rs.seqSeen[j] {
-					rs.seqSeen[j] = pl.seq
-					rs.gamma[j] = pl.norm
-				}
-			}
-			if changed {
-				rs.norm = rs.computeNorm()
-				w.Charge(p, 2*float64(len(rs.r)))
-			}
+	return solve(s, b, x, cfg, func(st *runState) stepSpec {
+		states := st.states
+		// The estimate rule: Γ ← the sender's exact norm, from a body of
+		// either tag. Reduces to the paper's phase-2/phase-3 reads on a
+		// perfect network.
+		estimate := func(rs *rankState, _ rma.Tag, pl *payload, _, _ []float64) {
+			rs.gamma[pl.slot] = pl.norm
 		}
+		absorb := func(p int) { states[p].absorb(estimate) }
 
-		// Phase 1: absorb late deliveries; decide and relax.
+		// Phase 1: absorb late deliveries; decide and relax; write deltas
+		// and the new norm.
 		phase1 := func(p int) {
-			absorb(p)
 			rs := states[p]
-			wins := rs.winsAll()
-			w.Charge(p, float64(len(rs.gamma)))
-			traceDecision(w, *step, p, rs, wins)
-			if !wins {
+			rs.absorb(estimate)
+			if !rs.decide() {
 				return
 			}
-			rs.relaxed = true
-			clear(rs.extDelta)
-			flops := rs.relaxLocal()
-			rs.norm = rs.computeNorm()
-			rs.lastTold = rs.norm
-			w.Charge(p, flops+2*float64(len(rs.r)))
-			for j, q := range rs.nbrs() {
+			rs.relax()
+			for j := range rs.nbrs() {
 				_, delta := rs.ghost(j)
-				pl := &rs.solve[j]
-				pl.norm, pl.seq = rs.norm, 2*int32(*step)
-				w.Put(p, int(q), rma.TagSolve, msgBytes(len(delta)+1), pl)
+				rs.send(j, rma.TagSolve, len(delta)+1)
 			}
 		}
 		if !announce {
@@ -90,18 +62,16 @@ func parallelSouthwell(s *Setup, b, x []float64, cfg Config, announce bool) *Res
 		}
 		// Phase 2: absorb writes; announce changed norms (Algorithm 2, line 20).
 		phase2 := func(p int) {
-			absorb(p)
 			rs := states[p]
+			rs.absorb(estimate)
 			// Bit-exact by design: any change at all to the norm since the
 			// last announcement must be broadcast — a tolerance here would let
 			// stale Γ entries persist.
 			if rs.norm != rs.lastTold {
-				traceResSend(w, *step, p, -1, rs.lastTold, rs, false)
+				traceResSend(rs, -1, rs.lastTold, false)
 				rs.lastTold = rs.norm
-				for j, q := range rs.nbrs() {
-					pl := &rs.res[j]
-					pl.norm, pl.seq = rs.norm, 2*int32(*step)+1
-					w.Put(p, int(q), rma.TagResidual, msgBytes(1), pl)
+				for j := range rs.nbrs() {
+					rs.send(j, rma.TagResidual, 1)
 				}
 			}
 		}

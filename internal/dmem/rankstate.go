@@ -3,6 +3,7 @@ package dmem
 import (
 	"math"
 
+	"southwell/internal/rma"
 	"southwell/internal/spdirect"
 )
 
@@ -37,11 +38,11 @@ type rankState struct {
 	// computes from them (keeping Γ̃ exact; DESIGN.md §5).
 	lastTold float64
 	// seqSeen is, per neighbor, the newest payload sequence number whose
-	// estimates were absorbed. Under fault injection a delayed message can
-	// arrive after fresher information; its residual deltas are still
-	// applied (they are additive and exact regardless of order), but its
-	// stale Γ/Γ̃/ghost values must not overwrite newer ones. Always zero on
-	// a perfect network (messages arrive in order, never late).
+	// estimates were read (read's stale-estimate guard). Under fault
+	// injection a delayed message can arrive after fresher information; its
+	// residual deltas still land, but its stale Γ/Γ̃/ghost values must not
+	// overwrite newer ones. On a perfect network no body is ever older than
+	// one already read.
 	seqSeen []int32
 
 	extDelta []float64 // scratch, per ext row
@@ -49,8 +50,7 @@ type rankState struct {
 	// relaxations' flop charge. It sits in the padding before quietSince.
 	nnz int32
 	// relaxed and gotMsg are the step's flags, cleared by stepEngine.endStep:
-	// relaxed is set when the rank relaxes, gotMsg (DS) when an absorb reads
-	// any message.
+	// relaxLocal sets relaxed, read sets gotMsg when it reads any message.
 	relaxed bool
 	gotMsg  bool
 	// quietSince is the starvation clock, read only under a fault plan
@@ -96,7 +96,7 @@ type rankState struct {
 type payload struct {
 	norm    float64
 	estRecv float64
-	seq     int32 // sender sequence number (stale-estimate guard; see seqSeen)
+	seq     int32 // sender sequence number, stamped by send (stale-estimate guard; see seqSeen)
 	slot    int32 // the sender's position among the receiver's neighbors (newRunState assigns it)
 	bnd     int32 // offset of the boundary residual values in the slab
 	deltas  int32 // offset of the residual deltas in the slab (solve bodies)
@@ -111,9 +111,107 @@ type heldBody struct {
 	bnd, deltas []float64
 }
 
-// relaxLocal dispatches to the configured local solver and returns the
-// flop count to charge.
+// estimateRule is what a method takes from a body beyond its deltas: the
+// estimates it keeps of the sender, neighbor pl.slot (Γ, and for DS Γ̃ and
+// the ghost row). rankState.read calls it for every body of either tag that
+// is no older than the newest it has read from that sender.
+type estimateRule func(rs *rankState, tag rma.Tag, pl *payload, bnd, deltas []float64)
+
+// read drains the rank's window: the one inbox walk of every method,
+// callable from any phase. A solve body's residual deltas always land: they
+// are additive and exact in any order and at any lateness. The estimates are
+// guarded by the payload sequence number: a body older than the newest
+// already read from its sender goes no further, so a delayed message cannot
+// overwrite fresher values; every other body goes to estimate (nil: the
+// method keeps none). On a perfect network every body is fresh, and this is
+// exactly the paper's reads. It reports whether a solve body landed, which
+// changed r.
+func (rs *rankState) read(estimate estimateRule) (landed bool) {
+	st := rs.st
+	in := st.w.Inbox(int(rs.p))
+	if len(in) > 0 {
+		rs.gotMsg = true
+	}
+	for i := range in {
+		m := &in[i]
+		pl, bnd, deltas := st.body(rs, m)
+		j := int(pl.slot)
+		if m.Tag == rma.TagSolve {
+			for k, li := range rs.myBnd(j) {
+				rs.r[li] += deltas[k]
+			}
+			landed = true
+		}
+		if pl.seq < rs.seqSeen[j] {
+			continue
+		}
+		rs.seqSeen[j] = pl.seq
+		if estimate != nil {
+			estimate(rs, m.Tag, pl, bnd, deltas)
+		}
+	}
+	return landed
+}
+
+// absorb is read for the Southwell methods, which decide from an exact own
+// norm: when a solve body landed, the norm is recomputed and charged.
+func (rs *rankState) absorb(estimate estimateRule) {
+	if rs.read(estimate) {
+		rs.renorm()
+	}
+}
+
+// renorm recomputes the exact local norm and charges its flops.
+func (rs *rankState) renorm() {
+	rs.norm = rs.computeNorm()
+	rs.st.w.Charge(int(rs.p), 2*float64(len(rs.r)))
+}
+
+// send writes this rank's body toward neighbor j — solve[j] for a solve
+// body, res[j] for an explicit update — with the rank's norm and its
+// estimate of j's, stamped with the sequence number read's guard compares
+// (2·step for a solve body, 2·step+1 for an explicit update, which is sent
+// later in the step), and puts it on the wire as floats floats (msgBytes):
+// each method counts only the fields its reads use.
+func (rs *rankState) send(j int, tag rma.Tag, floats int) {
+	pl, seq := &rs.solve[j], 2*int32(rs.st.step)
+	if tag == rma.TagResidual {
+		pl, seq = &rs.res[j], seq+1
+	}
+	pl.norm, pl.estRecv, pl.seq = rs.norm, rs.gamma[j], seq
+	rs.st.w.Put(int(rs.p), int(rs.l.nbrs[int(rs.nbr0)+j]), tag, msgBytes(floats), pl)
+}
+
+// decide is the Southwell relax decision: a nonzero norm that beats every
+// neighbor's (estimated) norm under winsOver, charged one flop per neighbor
+// — the unconditional decision scan (stepSpec.quiescent) — and traced.
+func (rs *rankState) decide() bool {
+	nbrs := rs.nbrs()
+	wins := rs.norm > 0
+	for j := 0; wins && j < len(nbrs); j++ {
+		wins = winsOver(rs.norm, int(rs.p), rs.gamma[j], int(nbrs[j]))
+	}
+	rs.st.w.Charge(int(rs.p), float64(len(rs.gamma)))
+	traceDecision(rs, wins)
+	return wins
+}
+
+// relax is the Southwell relaxation: relaxLocal, then the new exact norm,
+// which the sends that follow tell the neighbors (lastTold), charged with the
+// relaxation's flops.
+func (rs *rankState) relax() {
+	flops := rs.relaxLocal()
+	rs.norm = rs.computeNorm()
+	rs.lastTold = rs.norm
+	rs.st.w.Charge(int(rs.p), flops+2*float64(len(rs.r)))
+}
+
+// relaxLocal marks the rank relaxed, clears extDelta and relaxes the local
+// block with the configured local solver; it returns the flop count to
+// charge.
 func (rs *rankState) relaxLocal() float64 {
+	rs.relaxed = true
+	clear(rs.extDelta)
 	if rs.direct.f != nil {
 		return rs.relaxDirect()
 	}
@@ -275,33 +373,12 @@ func (rs *rankState) gatherBnd(j int, out []float64) int {
 	return len(rows)
 }
 
-// winsAll is the relax decision every Southwell variant makes: a nonzero
-// norm that beats every neighbor's (estimated) norm under winsOver.
-func (rs *rankState) winsAll() bool {
-	if !(rs.norm > 0) {
-		return false
-	}
-	for j, q := range rs.nbrs() {
-		if !winsOver(rs.norm, int(rs.p), rs.gamma[j], int(q)) {
-			return false
-		}
-	}
-	return true
-}
-
-// applyDeltas adds incoming residual deltas from neighbor j to the local
-// boundary rows (same static ordering on both sides; see layout tests).
-func (rs *rankState) applyDeltas(j int, deltas []float64) {
-	for k, li := range rs.myBnd(j) {
-		rs.r[li] += deltas[k]
-	}
-}
-
 // updateGhostAndGamma applies this rank's own extDelta contribution to the
 // ghost layer for neighbor j and adjusts the norm estimate Γ[j] by the
 // boundary energy change — the communication-free estimate improvement at
-// the heart of Distributed Southwell (§3).
-func (rs *rankState) updateGhostAndGamma(j int) {
+// the heart of Distributed Southwell (§3). With ghostEstimate false only the
+// ghost row moves (the NoGhostEstimate ablation).
+func (rs *rankState) updateGhostAndGamma(j int, ghostEstimate bool) {
 	adj := 0.0
 	z, delta := rs.ghost(j)
 	for k, old := range z {
@@ -309,9 +386,7 @@ func (rs *rankState) updateGhostAndGamma(j int) {
 		adj += nw*nw - old*old
 		z[k] = nw
 	}
-	g2 := rs.gamma[j]*rs.gamma[j] + adj
-	if g2 < 0 {
-		g2 = 0
+	if ghostEstimate {
+		rs.gamma[j] = sqrtNonNeg(rs.gamma[j]*rs.gamma[j] + adj)
 	}
-	rs.gamma[j] = math.Sqrt(g2)
 }

@@ -20,6 +20,7 @@ type runState struct {
 	states []*rankState
 	eng    stepEngine
 	norms  []float64 // local norms in rank order: norm2 of it is the global norm
+	step   int       // the step run is in: sequence numbers and trace events read it
 	// x is the iterate, n floats in A's numbering: reset copies x₀ in, each
 	// relaxation adds its corrections at the rows it owns, and finish hands
 	// the caller a copy. No rank keeps a local copy.
@@ -134,9 +135,9 @@ func newRunState(s *Setup) *runState {
 // neighbor norms and Γ̃ (setup exchange, not counted), exact ghosts — the
 // engine rewound to "every rank in the set", and the world rewound to the
 // default cost model with cfg's fault plan and tracer installed. extDelta,
-// the direct-solver scratch, the bodies' floats and every
-// header field but slot and the two offsets are written before they are
-// read in any run, so they are deliberately not cleared; the accumulator is
+// the direct-solver scratch, the bodies' floats, every header field but slot
+// and the two offsets (send stamps them) and step are written before they
+// are read in any run, so they are deliberately not cleared; the accumulator is
 // all zero between sweeps, and reset clears what it wrote there as scratch.
 //
 // At a zero start (every entry of x₀ ±0) r₀ is b itself, read in place

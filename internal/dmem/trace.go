@@ -1,26 +1,24 @@
 package dmem
 
-import (
-	"southwell/internal/obs"
-	"southwell/internal/rma"
-)
+import "southwell/internal/obs"
 
 // Algorithm-level trace hooks. Each is called from a rank's phase function
 // on every step, traced or not, so the Tracer() nil test is all that
 // inlines into the caller; the emit runs out of line, only when tracing is
 // on.
 
-// traceDecision emits rank p's relax/hold decision for one step. Called
-// from rank p's phase function, so it writes only p's recorder shard (the
-// obs.Recorder concurrency contract); the max-Γ scan runs only when tracing
-// is on.
-func traceDecision(w *rma.World, step, p int, rs *rankState, relaxed bool) {
-	if w.Tracer() != nil {
-		emitDecision(w, step, p, rs, relaxed)
+// traceDecision emits rank rs's relax/hold decision for the current step.
+// Called from the rank's phase function, so it writes only its recorder
+// shard (the obs.Recorder concurrency contract); the max-Γ scan runs only
+// when tracing is on.
+func traceDecision(rs *rankState, relaxed bool) {
+	if rs.st.w.Tracer() != nil {
+		emitDecision(rs, relaxed)
 	}
 }
 
-func emitDecision(w *rma.World, step, p int, rs *rankState, relaxed bool) {
+func emitDecision(rs *rankState, relaxed bool) {
+	w := rs.st.w
 	maxG := 0.0
 	for _, g := range rs.gamma {
 		if g > maxG {
@@ -29,8 +27,8 @@ func emitDecision(w *rma.World, step, p int, rs *rankState, relaxed bool) {
 	}
 	e := obs.Event{
 		Kind:  obs.KindDecision,
-		Rank:  int32(p),
-		Step:  int32(step),
+		Rank:  rs.p,
+		Step:  int32(rs.st.step),
 		V1:    rs.norm,
 		V2:    maxG,
 		Ts:    w.Now(),
@@ -42,21 +40,22 @@ func emitDecision(w *rma.World, step, p int, rs *rankState, relaxed bool) {
 	w.Tracer().Emit(e)
 }
 
-// traceResSend emits an explicit residual update from rank p toward
+// traceResSend emits an explicit residual update from rank rs toward
 // neighbor rank `to` (-1 = all neighbors). trigger is the value that fired
-// the send — Γ̃[j] for the deadlock-risk rule, the announced norm for the
-// Parallel Southwell broadcast.
-func traceResSend(w *rma.World, step, p, to int, trigger float64, rs *rankState, refresh bool) {
-	if w.Tracer() != nil {
-		emitResSend(w, step, p, to, trigger, rs, refresh)
+// the send — Γ̃[j] for the deadlock-risk rule, the last announced norm for
+// the Parallel Southwell broadcast.
+func traceResSend(rs *rankState, to int, trigger float64, refresh bool) {
+	if rs.st.w.Tracer() != nil {
+		emitResSend(rs, to, trigger, refresh)
 	}
 }
 
-func emitResSend(w *rma.World, step, p, to int, trigger float64, rs *rankState, refresh bool) {
+func emitResSend(rs *rankState, to int, trigger float64, refresh bool) {
+	w := rs.st.w
 	e := obs.Event{
 		Kind:  obs.KindResSend,
-		Rank:  int32(p),
-		Step:  int32(step),
+		Rank:  rs.p,
+		Step:  int32(rs.st.step),
 		A:     int32(to),
 		V1:    trigger,
 		V2:    rs.norm,

@@ -54,10 +54,11 @@ func SequentialSouthwell(a *sparse.CSR, b, x []float64, opt Options) *Trace {
 	})
 }
 
-// parallelSouthwellCriterion reports whether row i should relax given its
-// own magnitude ri and the magnitudes held for its neighborhood: ri must be
-// maximal, with exact ties broken toward the lower index so that the
-// relaxed set stays independent and at least one row always qualifies.
+// winsOver is the Parallel Southwell criterion for one pair: whether row i,
+// of magnitude ri, beats neighbor j, of magnitude rj as i holds it. A row
+// relaxes when it beats every neighbor; exact ties go to the lower index, so
+// that the relaxed set stays independent and at least one row always
+// qualifies.
 func winsOver(ri float64, i int, rj float64, j int) bool {
 	// Bit-exact by design: both rows evaluate the same pair, so the
 	// tie-break must agree exactly or the relaxed set loses independence.
