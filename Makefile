@@ -1,8 +1,10 @@
-# Tier-1 verification for the southwell repo. `make verify` is the gate:
-# build + vet + full test suite + race-mode runtime/method tests + a chaos
-# smoke run of both binaries + 30 s of fuzzing + the examples run + results/
-# regenerated and compared + a brief run of the end-to-end benchmark's four
-# workloads.
+# Tier-1 verification for the southwell repo. `make verify` is the gate,
+# eleven targets in this order: build, lint (vet + gofmt + the
+# internal/lint tests), test (the full suite at four scheduler widths),
+# race (race-mode runtime/method tests), chaos-smoke (a chaos run of both
+# binaries), partition-pin, alloc-gates, fuzz (30 s of fuzzing), examples,
+# results-check (results/ regenerated and compared) and bench-smoke (a
+# brief run of the end-to-end benchmark's four workloads).
 
 GO ?= go
 

@@ -38,10 +38,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 
 	"southwell/internal/bench"
+	"southwell/internal/cli"
 	"southwell/internal/dmem"
 	"southwell/internal/rma"
 )
@@ -71,60 +70,12 @@ var experiments = []struct {
 // allExcluded experiments must be requested by name.
 var allExcluded = map[string]bool{"scaling": true}
 
-// validateOutDir checks an output-directory flag up front: an existing
-// path must be a directory (a missing one is created on first write).
-func validateOutDir(flagName, path string) error {
-	if path == "" {
-		return nil
-	}
-	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
-		return fmt.Errorf("%s %q: exists and is not a directory", flagName, path)
-	}
-	return nil
-}
-
-// validateOutFile checks an output-file flag up front: the path must not
-// be an existing directory and its parent directory must exist, so a typo
-// fails before the experiments run instead of after them.
-func validateOutFile(flagName, path string) error {
-	if path == "" {
-		return nil
-	}
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return fmt.Errorf("%s %q: is a directory, want a file path", flagName, path)
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		fi, err := os.Stat(dir)
-		if err != nil {
-			return fmt.Errorf("%s %q: parent directory %q does not exist", flagName, path, dir)
-		}
-		if !fi.IsDir() {
-			return fmt.Errorf("%s %q: parent %q is not a directory", flagName, path, dir)
-		}
-	}
-	return nil
-}
-
 // validate rejects nonsensical flag combinations before any experiment
 // starts, so misuse fails with one line instead of a deep panic.
 func validate(ranks, steps int, seed, chaosSeed int64, chaos float64, out, trace, metrics, cpuProfile, memProfile string) error {
-	if err := validateOutDir("-out", out); err != nil {
+	if err := cli.CheckOutputs([][2]string{{"-cpuprofile", cpuProfile}, {"-memprofile", memProfile}},
+		[][2]string{{"-out", out}, {"-trace", trace}, {"-metrics", metrics}}); err != nil {
 		return err
-	}
-	if err := validateOutDir("-trace", trace); err != nil {
-		return err
-	}
-	if err := validateOutDir("-metrics", metrics); err != nil {
-		return err
-	}
-	if err := validateOutFile("-cpuprofile", cpuProfile); err != nil {
-		return err
-	}
-	if err := validateOutFile("-memprofile", memProfile); err != nil {
-		return err
-	}
-	if cpuProfile != "" && cpuProfile == memProfile {
-		return fmt.Errorf("-cpuprofile and -memprofile %q: must be different files", cpuProfile)
 	}
 	if ranks < 0 {
 		return fmt.Errorf("-ranks %d: must be >= 1 (or 0 for the default)", ranks)
@@ -170,16 +121,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-			os.Exit(1)
-		}
+	stop, err := cli.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
+		os.Exit(1)
 	}
 
 	cfg := bench.Config{Ranks: *ranks, Steps: *steps, Quick: *quick, Seed: *seed,
@@ -190,17 +135,14 @@ func main() {
 	}
 	err = run(cfg, flag.Args(), *outDir)
 
-	// Flush profiles before exiting, even on experiment failure.
-	if *cpuProfile != "" {
-		pprof.StopCPUProfile()
-	}
 	code := 0
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		code = 1
 	}
-	if err := writeMemProfile(*memProfile); err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: -memprofile: %v\n", err)
+	// Flush the profiles before exiting, even on experiment failure.
+	if err := stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		code = 1
 	}
 	os.Exit(code)
@@ -237,50 +179,19 @@ func run(cfg bench.Config, args []string, outDir string) error {
 		if !want[e.name] {
 			continue
 		}
-		var w io.Writer = os.Stdout
-		var f *os.File
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			var err error
-			f, err = os.Create(filepath.Join(outDir, e.name+".txt"))
-			if err != nil {
-				return err
-			}
-			w = f
-		} else {
+		if outDir == "" {
 			fmt.Printf("==== %s ====\n", e.name)
+			if err := e.run(os.Stdout, cfg); err != nil {
+				return fmt.Errorf("%s: %v", e.name, err)
+			}
+			fmt.Println()
+			continue
 		}
-		if err := e.run(w, cfg); err != nil {
+		path := filepath.Join(outDir, e.name+".txt")
+		if err := cli.WriteFile(path, func(w io.Writer) error { return e.run(w, cfg) }); err != nil {
 			return fmt.Errorf("%s: %v", e.name, err)
 		}
-		if f != nil {
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", filepath.Join(outDir, e.name+".txt"))
-		} else {
-			fmt.Println()
-		}
+		fmt.Printf("wrote %s\n", path)
 	}
 	return nil
-}
-
-// writeMemProfile dumps a heap profile after a final GC, pprof-compatible
-// (a no-op when path is empty).
-func writeMemProfile(path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -15,20 +15,13 @@ import (
 )
 
 func TestValidateRejectsBadFlags(t *testing.T) {
-	tmp := t.TempDir()
-	file := filepath.Join(tmp, "plain.txt")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	// Every case but the seed rows sets both seeds to their default, 1, so
 	// it fails on the one flag it names.
 	cases := []struct {
-		ranks, steps        int
-		seed, chaosSeed     int64
-		chaos               float64
-		out, trace, metrics string
-		cpuProf, memProf    string
-		want                string
+		ranks, steps    int
+		seed, chaosSeed int64
+		chaos           float64
+		want            string
 	}{
 		{ranks: -1, seed: 1, chaosSeed: 1, want: "-ranks"},
 		{steps: -5, seed: 1, chaosSeed: 1, want: "-steps"},
@@ -37,18 +30,9 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{chaos: -0.5, seed: 1, chaosSeed: 1, want: "-chaos"},
 		{chaos: 2, seed: 1, chaosSeed: 1, want: "-chaos"},
 		{chaos: math.NaN(), seed: 1, chaosSeed: 1, want: "-chaos"},
-		{out: file, seed: 1, chaosSeed: 1, want: "-out"},
-		{trace: file, seed: 1, chaosSeed: 1, want: "-trace"},
-		{metrics: file, seed: 1, chaosSeed: 1, want: "-metrics"},
-		{cpuProf: tmp, seed: 1, chaosSeed: 1, want: "-cpuprofile"},
-		{memProf: tmp, seed: 1, chaosSeed: 1, want: "-memprofile"},
-		{cpuProf: filepath.Join(tmp, "no", "cpu.prof"), seed: 1, chaosSeed: 1, want: "-cpuprofile"},
-		{memProf: filepath.Join(tmp, "no", "mem.prof"), seed: 1, chaosSeed: 1, want: "-memprofile"},
-		{memProf: filepath.Join(file, "mem.prof"), seed: 1, chaosSeed: 1, want: "-memprofile"},
-		{cpuProf: file, memProf: file, seed: 1, chaosSeed: 1, want: "-memprofile"},
 	}
 	for _, tc := range cases {
-		err := validate(tc.ranks, tc.steps, tc.seed, tc.chaosSeed, tc.chaos, tc.out, tc.trace, tc.metrics, tc.cpuProf, tc.memProf)
+		err := validate(tc.ranks, tc.steps, tc.seed, tc.chaosSeed, tc.chaos, "", "", "", "", "")
 		if err == nil {
 			t.Errorf("validate(%+v): accepted", tc)
 			continue
@@ -60,12 +44,32 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 			t.Errorf("error is not one line: %q", err)
 		}
 	}
-	// The binary refuses them with exit status 2 before any experiment runs.
-	for _, args := range [][]string{{"-seed", "0"}, {"-chaos-seed", "0"}, {"-out", file},
-		{"-memprofile", filepath.Join(tmp, "no", "mem.prof")}, {"-cpuprofile", filepath.Join(tmp, "no", "cpu.prof")}} {
-		out, code := runMain(t, append(args, "table4")...)
-		if code != 2 || !strings.Contains(out, args[0]+" ") {
-			t.Errorf("benchtables %s: exit status %d, want 2 naming the flag\n%s", strings.Join(args, " "), code, out)
+	// The binary refuses them with exit status 2 before any experiment
+	// runs, naming every flag involved. The output paths go through
+	// cli.CheckOutputs (its own test holds every refusal): one row per
+	// check, each flag named at least once. The two shared paths used to
+	// pass the check, run and exit 1 (-out x -cpuprofile x leaving a CPU
+	// profile at x).
+	tmp := t.TempDir()
+	file := filepath.Join(tmp, "plain.txt")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	x, y := filepath.Join(tmp, "x"), filepath.Join(tmp, "y")
+	for _, args := range [][]string{{"-seed", "0"}, {"-chaos-seed", "0"},
+		{"-out", file}, {"-metrics", file}, {"-cpuprofile", tmp},
+		{"-memprofile", filepath.Join(tmp, "no", "mem.prof")}, {"-memprofile", filepath.Join(file, "mem.prof")},
+		{"-out", x, "-cpuprofile", x}, {"-trace", y, "-memprofile", y}} {
+		out, code := runMain(t, append(append([]string{"-quick"}, args...), "table4")...)
+		for i := 0; i < len(args); i += 2 {
+			if code != 2 || !strings.Contains(out, args[i]+" ") || strings.Contains(out, "====") {
+				t.Errorf("benchtables %s: exit status %d, want 2 naming %s before any experiment\n%s", strings.Join(args, " "), code, args[i], out)
+			}
+		}
+	}
+	for _, path := range []string{x, y} {
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("%s: a refused shared path was written", path)
 		}
 	}
 }

@@ -14,12 +14,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 
+	"southwell/internal/cli"
 	"southwell/internal/core"
 	"southwell/internal/dmem"
 	"southwell/internal/obs"
@@ -35,28 +32,6 @@ type options struct {
 	faults *rma.FaultPlan
 }
 
-// validateOutFile checks an output-file flag up front: the path must not
-// be an existing directory and its parent directory must exist, so a typo
-// fails before the run instead of after minutes of simulation.
-func validateOutFile(flagName, path string) error {
-	if path == "" {
-		return nil
-	}
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return fmt.Errorf("%s %q: is a directory, want a file path", flagName, path)
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		fi, err := os.Stat(dir)
-		if err != nil {
-			return fmt.Errorf("%s %q: parent directory %q does not exist", flagName, path, dir)
-		}
-		if !fi.IsDir() {
-			return fmt.Errorf("%s %q: parent %q is not a directory", flagName, path, dir)
-		}
-	}
-	return nil
-}
-
 // validate checks every flag value up front, so misuse fails with a
 // one-line message and exit status 2 instead of a deep panic or a
 // confusing error mid-run.
@@ -65,17 +40,8 @@ func validate(ranks, sweepMax, grid int, solver, locSolver string, target, chaos
 	if ranks <= 0 {
 		return o, fmt.Errorf("-n %d: need at least 1 simulated rank", ranks)
 	}
-	// Each output file is checked, and no two may name the same file: each
-	// would overwrite the other's output.
-	named := map[string]string{}
-	for _, f := range [][2]string{{"-trace", trace}, {"-metrics", metrics}, {"-cpuprofile", cpuProf}, {"-memprofile", memProf}} {
-		if err := validateOutFile(f[0], f[1]); err != nil {
-			return o, err
-		}
-		if prev, ok := named[f[1]]; ok && f[1] != "" {
-			return o, fmt.Errorf("%s and %s %q: must be different files", prev, f[0], f[1])
-		}
-		named[f[1]] = f[0]
+	if err := cli.CheckOutputs([][2]string{{"-trace", trace}, {"-metrics", metrics}, {"-cpuprofile", cpuProf}, {"-memprofile", memProf}}, nil); err != nil {
+		return o, err
 	}
 	if sweepMax <= 0 {
 		return o, fmt.Errorf("-sweep_max %d: need at least 1 parallel step", sweepMax)
@@ -142,26 +108,17 @@ func dsouthwell() (code int) {
 		return 2
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := cli.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
+		return 1
 	}
-	if *memProf != "" {
-		defer func() {
-			if err := writeHeapProfile(*memProf); err != nil {
-				fmt.Fprintf(os.Stderr, "dsouthwell: -memprofile: %v\n", err)
-				code = 1
-			}
-		}()
-	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
+			code = 1
+		}
+	}()
 
 	if *list {
 		fmt.Printf("%-12s %9s %11s  %s\n", "name", "paper n", "paper nnz", "kind")
@@ -209,12 +166,14 @@ func dsouthwell() (code int) {
 		fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
 		return 1
 	}
-	if rec != nil {
-		if err := writeObs(*traceOut, rec.WriteTrace); err != nil {
+	if *traceOut != "" {
+		if err := cli.WriteFile(*traceOut, rec.WriteTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "dsouthwell: -trace: %v\n", err)
 			return 1
 		}
-		if err := writeObs(*metrics, rec.WriteMetrics); err != nil {
+	}
+	if *metrics != "" {
+		if err := cli.WriteFile(*metrics, rec.WriteMetrics); err != nil {
 			fmt.Fprintf(os.Stderr, "dsouthwell: -metrics: %v\n", err)
 			return 1
 		}
@@ -245,36 +204,6 @@ func dsouthwell() (code int) {
 		fmt.Printf("DEADLOCKED at step %d (stagnation watchdog)\n", res.DeadlockStep)
 	}
 	return 0
-}
-
-// writeHeapProfile writes a pprof heap profile to path after a final GC.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeObs writes one observability export to path (no-op when empty).
-func writeObs(path string, fn func(io.Writer) error) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func loadMatrix(name, file string, grid int) (*sparse.CSR, string, error) {

@@ -56,18 +56,6 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{func(c *flagCase) { c.chaos = -0.1 }, "-chaos"},
 		{func(c *flagCase) { c.chaos = 1.5 }, "-chaos"},
 		{func(c *flagCase) { c.chaos = math.NaN() }, "-chaos"},
-		{func(c *flagCase) { c.trace = "." }, "-trace"},
-		{func(c *flagCase) { c.metrics = "." }, "-metrics"},
-		{func(c *flagCase) { c.trace = "no/such/dir/t.json" }, "-trace"},
-		{func(c *flagCase) { c.metrics = "no/such/dir/m.txt" }, "-metrics"},
-		{func(c *flagCase) { c.trace, c.metrics = "same.out", "same.out" }, "-metrics"},
-		{func(c *flagCase) { c.cpuProf = "." }, "-cpuprofile"},
-		{func(c *flagCase) { c.memProf = "." }, "-memprofile"},
-		{func(c *flagCase) { c.cpuProf = "no/such/dir/cpu.prof" }, "-cpuprofile"},
-		{func(c *flagCase) { c.memProf = "no/such/dir/mem.prof" }, "-memprofile"},
-		{func(c *flagCase) { c.trace, c.cpuProf = "same.out", "same.out" }, "-cpuprofile"},
-		{func(c *flagCase) { c.metrics, c.memProf = "same.out", "same.out" }, "-memprofile"},
-		{func(c *flagCase) { c.cpuProf, c.memProf = "same.out", "same.out" }, "-memprofile"},
 	}
 	for _, tc := range cases {
 		c := good()
@@ -83,6 +71,30 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		if strings.Contains(err.Error(), "\n") {
 			t.Errorf("%+v: error is not one line: %q", c, err)
 		}
+	}
+	// The output paths go through cli.CheckOutputs (its own test holds
+	// every refusal): one row per check, each flag named once, refused by
+	// the binary with exit status 2 before anything runs.
+	tmp := t.TempDir()
+	file := filepath.Join(tmp, "plain.txt")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-trace", tmp},
+		{"-metrics", filepath.Join(tmp, "no", "m.txt")},
+		{"-cpuprofile", filepath.Join(file, "cpu.prof")},
+		{"-memprofile", filepath.Join(tmp, "same.out"), "-trace", filepath.Join(tmp, ".", "same.out")},
+	} {
+		out, code := runMain(t, append(args, "-grid", "10", "-n", "4", "-sweep_max", "2")...)
+		for i := 0; i < len(args); i += 2 {
+			if code != 2 || !strings.Contains(out, args[i]+" ") || strings.Contains(out, "matrix:") {
+				t.Errorf("dsouthwell %s: exit status %d, want 2 naming %s before the solve\n%s", strings.Join(args, " "), code, args[i], out)
+			}
+		}
+	}
+	if _, err := os.Stat(filepath.Join(tmp, "same.out")); err == nil {
+		t.Error("a refused shared path was written")
 	}
 }
 
@@ -137,21 +149,12 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 // TestLocSolverAutoExits2: the retired -loc_solver auto is rejected like any
 // unknown value, with exit status 2 and a message naming the valid ones.
 func TestLocSolverAutoExits2(t *testing.T) {
-	const child = "DSOUTHWELL_TEST_MAIN"
-	if os.Getenv(child) == "1" {
-		os.Args = []string{"dsouthwell", "-loc_solver", "auto"}
-		main()
-		return
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestLocSolverAutoExits2$")
-	cmd.Env = append(os.Environ(), child+"=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Errorf("dsouthwell -loc_solver auto: err = %v, want exit status 2\n%s", err, out)
+	out, code := runMain(t, "-loc_solver", "auto")
+	if code != 2 {
+		t.Errorf("dsouthwell -loc_solver auto: exit status %d, want 2\n%s", code, out)
 	}
 	for _, want := range []string{"-loc_solver", "gs", "direct", "pardiso"} {
-		if !strings.Contains(string(out), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("dsouthwell -loc_solver auto: message does not name %q:\n%s", want, out)
 		}
 	}
@@ -161,22 +164,12 @@ func TestLocSolverAutoExits2(t *testing.T) {
 // (here an unknown -mat) still exits 1 with a CPU and a heap profile
 // written, not a 0-byte CPU profile and no heap profile.
 func TestProfilesSurviveErrorExit(t *testing.T) {
-	const child = "DSOUTHWELL_TEST_PROFILE_DIR"
-	if dir := os.Getenv(child); dir != "" {
-		os.Args = []string{"dsouthwell", "-cpuprofile", filepath.Join(dir, "cpu"),
-			"-memprofile", filepath.Join(dir, "mem"), "-mat", "nosuch"}
-		main()
-		return
-	}
 	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestProfilesSurviveErrorExit$")
-	cmd.Env = append(os.Environ(), child+"="+dir)
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("dsouthwell -mat nosuch: err = %v, want exit status 1\n%s", err, out)
+	out, code := runMain(t, "-cpuprofile", filepath.Join(dir, "cpu"), "-memprofile", filepath.Join(dir, "mem"), "-mat", "nosuch")
+	if code != 1 {
+		t.Fatalf("dsouthwell -mat nosuch: exit status %d, want 1\n%s", code, out)
 	}
-	if !strings.Contains(string(out), "nosuch") {
+	if !strings.Contains(out, "nosuch") {
 		t.Errorf("dsouthwell -mat nosuch: message does not name the matrix:\n%s", out)
 	}
 	for _, name := range []string{"cpu", "mem"} {
@@ -195,12 +188,6 @@ func TestProfilesSurviveErrorExit(t *testing.T) {
 // (a dangling symlink) turns the run's status into 1. Both used to run the
 // whole job and exit 0.
 func TestMemProfileFailureExits(t *testing.T) {
-	const child = "DSOUTHWELL_TEST_MEMPROFILE"
-	if path := os.Getenv(child); path != "" {
-		os.Args = []string{"dsouthwell", "-grid", "10", "-n", "4", "-sweep_max", "2", "-memprofile", path}
-		main()
-		return
-	}
 	dir := t.TempDir()
 	dangling := filepath.Join(dir, "mem.prof")
 	if err := os.Symlink(filepath.Join(dir, "gone", "mem.prof"), dangling); err != nil {
@@ -214,17 +201,14 @@ func TestMemProfileFailureExits(t *testing.T) {
 		{filepath.Join(dir, "no", "such", "mem.prof"), 2, false},
 		{dangling, 1, true},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestMemProfileFailureExits$")
-		cmd.Env = append(os.Environ(), child+"="+tc.path)
-		out, err := cmd.CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
-			t.Errorf("dsouthwell -memprofile %s: err = %v, want exit status %d\n%s", tc.path, err, tc.code, out)
+		out, code := runMain(t, "-grid", "10", "-n", "4", "-sweep_max", "2", "-memprofile", tc.path)
+		if code != tc.code {
+			t.Errorf("dsouthwell -memprofile %s: exit status %d, want %d\n%s", tc.path, code, tc.code, out)
 		}
-		if !strings.Contains(string(out), "-memprofile") {
+		if !strings.Contains(out, "-memprofile") {
 			t.Errorf("dsouthwell -memprofile %s: message does not name the flag:\n%s", tc.path, out)
 		}
-		if ran := strings.Contains(string(out), "residual norm:"); ran != tc.ran {
+		if ran := strings.Contains(out, "residual norm:"); ran != tc.ran {
 			t.Errorf("dsouthwell -memprofile %s: solve ran = %v, want %v\n%s", tc.path, ran, tc.ran, out)
 		}
 	}
@@ -236,22 +220,42 @@ func TestMemProfileFailureExits(t *testing.T) {
 // two under Block Jacobi. It used to run to exit 0, reporting a residual
 // norm of 1.6e-19 and 1.7e-12.
 func TestAsymmetricMatrixExits1(t *testing.T) {
-	const child = "DSOUTHWELL_TEST_ASYMMETRIC_ARGS"
-	if args := os.Getenv(child); args != "" {
-		os.Args = append([]string{"dsouthwell", "-mat_file", filepath.Join("testdata", "asymmetric.mtx")}, strings.Fields(args)...)
+	for _, args := range [][]string{{"-n", "1"}, {"-n", "2", "-solver", "bj"}} {
+		out, code := runMain(t, append([]string{"-mat_file", filepath.Join("testdata", "asymmetric.mtx")}, args...)...)
+		if code != 1 {
+			t.Errorf("dsouthwell %s: exit status %d, want 1\n%s", strings.Join(args, " "), code, out)
+		}
+		if !strings.Contains(out, "entry (0, 1) has no mirror (1, 0)") {
+			t.Errorf("dsouthwell %s: message does not name the entry:\n%s", strings.Join(args, " "), out)
+		}
+	}
+}
+
+// mainArgs, set in a child's environment, makes the test binary run
+// dsouthwell with these space-separated arguments instead of the tests.
+const mainArgs = "DSOUTHWELL_TEST_MAIN_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(mainArgs); ok {
+		os.Args = append([]string{"dsouthwell"}, strings.Fields(args)...)
 		main()
-		return
 	}
-	for _, args := range []string{"-n 1", "-n 2 -solver bj"} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestAsymmetricMatrixExits1$")
-		cmd.Env = append(os.Environ(), child+"="+args)
-		out, err := cmd.CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("dsouthwell %s: err = %v, want exit status 1\n%s", args, err, out)
-		}
-		if !strings.Contains(string(out), "entry (0, 1) has no mirror (1, 0)") {
-			t.Errorf("dsouthwell %s: message does not name the entry:\n%s", args, out)
-		}
+	os.Exit(m.Run())
+}
+
+// runMain re-executes the test binary as dsouthwell with args and returns
+// its combined output and exit status.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), mainArgs+"="+strings.Join(args, " "))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return string(out), exit.ExitCode()
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), 0
 }

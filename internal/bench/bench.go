@@ -17,10 +17,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"path/filepath"
 	"sync"
 
+	"southwell/internal/cli"
 	"southwell/internal/core"
 	"southwell/internal/dmem"
 	"southwell/internal/obs"
@@ -283,27 +283,15 @@ func traceBase(key runKey) string {
 // exportRun writes a run's trace and/or metrics files per the config.
 func exportRun(cfg Config, key runKey, rec *obs.Recorder) error {
 	base := traceBase(key)
-	write := func(dir, suffix string, fn func(io.Writer) error) error {
-		if dir == "" {
-			return nil
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+	if cfg.TraceDir != "" {
+		if err := cli.WriteFile(filepath.Join(cfg.TraceDir, base+".trace.json"), rec.WriteTrace); err != nil {
 			return err
 		}
-		f, err := os.Create(filepath.Join(dir, base+suffix))
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
 	}
-	if err := write(cfg.TraceDir, ".trace.json", rec.WriteTrace); err != nil {
-		return err
+	if cfg.MetricsDir != "" {
+		return cli.WriteFile(filepath.Join(cfg.MetricsDir, base+".metrics.txt"), rec.WriteMetrics)
 	}
-	return write(cfg.MetricsDir, ".metrics.txt", rec.WriteMetrics)
+	return nil
 }
 
 // suiteRuns holds the results of one runSet call in block order.

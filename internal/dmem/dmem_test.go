@@ -3,6 +3,7 @@ package dmem
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -199,7 +200,8 @@ func TestGhostRowsMatch(t *testing.T) {
 // panic, on a partition it cannot lay out, on P < 1 and on a nil matrix.
 // P = −1 used to panic slicing its offset tables, P = 0 over an empty
 // matrix to return a layout of no ranks, and a nil matrix to be
-// dereferenced.
+// dereferenced. P > n fails in under 1 MB: P = 2²⁴ over 16 rows used to
+// allocate 256 MB of offsets before finding rank 16 empty.
 func TestLayoutRejectsBadPartition(t *testing.T) {
 	empty := &sparse.CSR{N: 0, RowPtr: []int32{0}}
 	for _, c := range []struct {
@@ -228,6 +230,18 @@ func TestLayoutRejectsBadPartition(t *testing.T) {
 	allZero := make([]int, a.N)
 	if _, err := NewLayout(a, allZero, 2); err == nil {
 		t.Error("empty rank accepted")
+	}
+	// P > n is refused before anything grows with P: the offset table of
+	// 2²⁴ ranks alone would be 256 MB.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewLayout(a, allZero, 1<<24)
+	runtime.ReadMemStats(&after)
+	if want := "dmem: P = 16777216 > n = 16: some rank would own no rows"; err == nil || err.Error() != want {
+		t.Errorf("P = 2^24 over 16 rows: NewLayout error %v, want %q", err, want)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("P = 2^24 over 16 rows: NewLayout allocated %d bytes before its error, want < 1 MB", grew)
 	}
 }
 

@@ -140,6 +140,10 @@ func NewLayout(a *sparse.CSR, part []int, p int) (*Layout, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("dmem: P = %d, want >= 1", p)
 	}
+	// Refused before the offset table, which grows with P, is allocated.
+	if p > a.N {
+		return nil, fmt.Errorf("dmem: P = %d > n = %d: some rank would own no rows", p, a.N)
+	}
 	if len(part) != a.N {
 		return nil, fmt.Errorf("dmem: partition length %d != n %d", len(part), a.N)
 	}

@@ -235,20 +235,23 @@ type Recorder struct {
 
 // NewRecorder creates a recorder for a world of p ranks with
 // defaultShardCap(p) events of capacity per rank.
-func NewRecorder(p int) *Recorder { return NewRecorderCap(p, defaultShardCap(p)) }
+func NewRecorder(p int) *Recorder { return newRecorder(p, defaultShardCap(p)) }
 
-// defaultShardCap is DefaultShardCap, or eventBudget/p if that is less.
-func defaultShardCap(p int) int { return min(DefaultShardCap, eventBudget/max(p, 1)) }
+// defaultShardCap is DefaultShardCap, or eventBudget/p if that is less,
+// but at least one slot: the explicit cap's floor of 16 would double the
+// budget above 2¹⁶ ranks.
+func defaultShardCap(p int) int { return max(1, min(DefaultShardCap, eventBudget/max(p, 1))) }
 
 // NewRecorderCap creates a recorder with perRank ring capacity per rank
 // shard (minimum 16); the control shard gets 4× that. All buffers are
 // allocated here — recording never allocates.
-func NewRecorderCap(p, perRank int) *Recorder {
+func NewRecorderCap(p, perRank int) *Recorder { return newRecorder(p, max(perRank, 16)) }
+
+// newRecorder allocates a recorder of p ranks with exactly perRank slots
+// per rank ring.
+func newRecorder(p, perRank int) *Recorder {
 	if p < 1 {
 		p = 1
-	}
-	if perRank < 16 {
-		perRank = 16
 	}
 	r := &Recorder{
 		ranks:   p,

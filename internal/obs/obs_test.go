@@ -94,13 +94,17 @@ func TestDefaultRingBounded(t *testing.T) {
 			t.Errorf("P=%d: %d rank slots in total, want the budget of %d rounded down to a multiple of P", p, total, eventBudget)
 		}
 	}
-	r := NewRecorder(4096)
-	slots := 0
-	for i := range r.shards {
-		slots += len(r.shards[i].buf)
-	}
-	if perRank := eventBudget / 4096; slots != eventBudget+4*perRank {
-		t.Errorf("NewRecorder(4096) holds %d slots, want the budget of %d plus a control shard of %d", slots, eventBudget, 4*perRank)
+	// Above 2¹⁶ ranks the rings hold fewer than NewRecorderCap's floor of
+	// 16 slots; P = 2¹⁷ used to hold 2²¹ rank slots, twice the budget.
+	for _, p := range []int{4096, 1 << 17} {
+		r := NewRecorder(p)
+		slots := 0
+		for i := range r.shards {
+			slots += len(r.shards[i].buf)
+		}
+		if perRank := eventBudget / p; slots != eventBudget+4*perRank {
+			t.Errorf("NewRecorder(%d) holds %d slots, want the budget of %d plus a control shard of %d", p, slots, eventBudget, 4*perRank)
+		}
 	}
 }
 
