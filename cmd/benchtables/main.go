@@ -6,8 +6,10 @@
 //	benchtables [flags] <experiment>...
 //
 // where each experiment is one of: fig2 fig5 fig6 fig7 fig8 fig9 table2
-// table3 table4 deadlock ablation chaos scaling all ("all" excludes
-// scaling, the paper-scale 8192-rank study — request it by name).
+// table3 table4 deadlock ablation chaos scaling, or all of them ("all").
+// Every suite run relaxes each block with one Gauss-Seidel sweep, the
+// paper's setting; the ablation table's second half compares it with the
+// exact local solve, which dsouthwell -loc_solver direct runs on its own.
 //
 // Flags:
 //
@@ -16,8 +18,6 @@
 //	-quick         shrunken configuration (smoke test)
 //	-seed S        initial guess / partition seed (default 1; 0 is refused)
 //	-out DIR       write one file per experiment into DIR instead of stdout
-//	-loc_solver S  local subdomain solver for every run: gs (default),
-//	               direct (sparse LDLT), or its artifact name pardiso
 //	-chaos P       inject delay faults: each message delayed 1-3 phases with
 //	               probability P (deterministic per -chaos-seed)
 //	-chaos-seed S  fault-injection seed (default 1; 0 is refused)
@@ -41,7 +41,6 @@ import (
 
 	"southwell/internal/bench"
 	"southwell/internal/cli"
-	"southwell/internal/dmem"
 	"southwell/internal/rma"
 )
 
@@ -61,14 +60,8 @@ var experiments = []struct {
 	{"deadlock", bench.Deadlock},
 	{"ablation", bench.Ablation},
 	{"chaos", bench.Chaos},
-	// scaling is explicit-only (excluded from "all"): the driver keeps every
-	// setup it builds, and the 8192-rank rungs would add about 0.3 GB to the
-	// 1 GB "all" already peaks at.
 	{"scaling", bench.Scaling},
 }
-
-// allExcluded experiments must be requested by name.
-var allExcluded = map[string]bool{"scaling": true}
 
 // validate rejects nonsensical flag combinations before any experiment
 // starts, so misuse fails with one line instead of a deep panic.
@@ -102,7 +95,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrunken smoke-test configuration")
 	seed := flag.Int64("seed", 1, "initial-guess and partition seed (nonzero)")
 	outDir := flag.String("out", "", "write one file per experiment into this directory")
-	locSolver := flag.String("loc_solver", "gs", "local subdomain solver for every run: gs, direct (sparse LDLT), or pardiso (= direct)")
 	chaos := flag.Float64("chaos", 0, "inject delay faults into every run: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed, nonzero (chaos runs are bit-reproducible per seed)")
 	traceDir := flag.String("trace", "", "write one Chrome trace-event JSON per suite run into this directory (open in Perfetto)")
@@ -115,11 +107,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		os.Exit(2)
 	}
-	local, err := dmem.ParseLocalSolver(*locSolver)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-		os.Exit(2)
-	}
 
 	stop, err := cli.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -128,8 +115,7 @@ func main() {
 	}
 
 	cfg := bench.Config{Ranks: *ranks, Steps: *steps, Quick: *quick, Seed: *seed,
-		ChaosSeed: *chaosSeed, Local: local,
-		TraceDir: *traceDir, MetricsDir: *metricsDir}
+		ChaosSeed: *chaosSeed, TraceDir: *traceDir, MetricsDir: *metricsDir}
 	if *chaos > 0 {
 		cfg.Faults = rma.DelayPlan(*chaosSeed, *chaos, 3)
 	}
@@ -157,9 +143,7 @@ func run(cfg bench.Config, args []string, outDir string) error {
 	for _, a := range args {
 		if a == "all" {
 			for _, e := range experiments {
-				if !allExcluded[e.name] {
-					want[e.name] = true
-				}
+				want[e.name] = true
 			}
 			continue
 		}

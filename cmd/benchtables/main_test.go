@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"southwell/internal/bench"
-	"southwell/internal/dmem"
 )
 
 func TestValidateRejectsBadFlags(t *testing.T) {
@@ -49,17 +48,18 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 	// cli.CheckOutputs (its own test holds every refusal): one row per
 	// check, each flag named at least once. The two shared paths used to
 	// pass the check, run and exit 1 (-out x -cpuprofile x leaving a CPU
-	// profile at x).
+	// profile at x), and a profile inside -out's directory ran and exited 0
+	// with the profile written over the table's file.
 	tmp := t.TempDir()
 	file := filepath.Join(tmp, "plain.txt")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	x, y := filepath.Join(tmp, "x"), filepath.Join(tmp, "y")
+	x, y, table := filepath.Join(tmp, "x"), filepath.Join(tmp, "y"), filepath.Join(tmp, "table4.txt")
 	for _, args := range [][]string{{"-seed", "0"}, {"-chaos-seed", "0"},
 		{"-out", file}, {"-metrics", file}, {"-cpuprofile", tmp},
 		{"-memprofile", filepath.Join(tmp, "no", "mem.prof")}, {"-memprofile", filepath.Join(file, "mem.prof")},
-		{"-out", x, "-cpuprofile", x}, {"-trace", y, "-memprofile", y}} {
+		{"-out", x, "-cpuprofile", x}, {"-trace", y, "-memprofile", y}, {"-out", tmp, "-cpuprofile", table}} {
 		out, code := runMain(t, append(append([]string{"-quick"}, args...), "table4")...)
 		for i := 0; i < len(args); i += 2 {
 			if code != 2 || !strings.Contains(out, args[i]+" ") || strings.Contains(out, "====") {
@@ -67,7 +67,7 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 			}
 		}
 	}
-	for _, path := range []string{x, y} {
+	for _, path := range []string{x, y, table} {
 		if _, err := os.Stat(path); err == nil {
 			t.Errorf("%s: a refused shared path was written", path)
 		}
@@ -91,35 +91,6 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 	} {
 		if err := validate(tc.ranks, tc.steps, tc.seed, tc.chaosSeed, tc.chaos, tc.out, tc.trace, tc.metrics, "", ""); err != nil {
 			t.Errorf("validate(%+v): %v", tc, err)
-		}
-	}
-}
-
-// TestParseLocSolver: gs, direct and pardiso parse; any other value, the
-// retired auto included, makes benchtables exit 2 naming the valid ones.
-func TestParseLocSolver(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want dmem.LocalSolver
-	}{
-		{"gs", dmem.LocalGS},
-		{"direct", dmem.LocalDirect},
-		{"pardiso", dmem.LocalDirect},
-	} {
-		got, err := dmem.ParseLocalSolver(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseLocalSolver(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	for _, bad := range []string{"ilu", "auto"} {
-		out, code := runMain(t, "-loc_solver", bad, "fig6")
-		if code != 2 {
-			t.Errorf("benchtables -loc_solver %s: exit status %d, want 2\n%s", bad, code, out)
-		}
-		for _, want := range []string{"-loc_solver", "gs", "direct", "pardiso"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("benchtables -loc_solver %s: message does not name %q:\n%s", bad, want, out)
-			}
 		}
 	}
 }
@@ -151,36 +122,39 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 }
 
 // TestScalingIsABenchTable: the scaling experiment writes exactly what
-// bench.Scaling prints (no private harness in this command), and "all" still
-// leaves it out.
+// bench.Scaling prints (no private harness in this command), by name and
+// as one of "all", which writes one file per experiment.
 func TestScalingIsABenchTable(t *testing.T) {
 	cfg := bench.Config{Quick: true, Seed: 1}
-	dir := t.TempDir()
-	if err := run(cfg, []string{"scaling"}, dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "scaling.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want bytes.Buffer
 	if err := bench.Scaling(&want, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("benchtables scaling is not bench.Scaling:\n%s\n--- want ---\n%s", got, want.Bytes())
-	}
-	if !allExcluded["scaling"] {
-		t.Error("scaling is no longer excluded from all")
+	for _, arg := range []string{"scaling", "all"} {
+		dir := t.TempDir()
+		if err := run(cfg, []string{arg}, dir); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "scaling.txt"))
+		if err != nil {
+			t.Fatalf("benchtables %s: %v", arg, err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("benchtables %s: scaling.txt is not bench.Scaling:\n%s\n--- want ---\n%s", arg, got, want.Bytes())
+		}
+		if files, _ := os.ReadDir(dir); arg == "all" && len(files) != len(experiments) {
+			t.Errorf("benchtables all wrote %d files, want %d", len(files), len(experiments))
+		}
 	}
 }
 
 // TestVerboseFlagIsGone: the flag package must reject each retired flag
 // (exit status 2) before any experiment runs: -v, the two engine switches
-// that never changed a result, -goroutines and -active, and the run-set
-// width -par (GOMAXPROCS sets it).
+// that never changed a result, -goroutines and -active, the run-set width
+// -par (GOMAXPROCS sets it), and the driver-wide -loc_solver (every suite
+// run relaxes with one Gauss-Seidel sweep; dsouthwell keeps the flag).
 func TestVerboseFlagIsGone(t *testing.T) {
-	for _, arg := range []string{"-v", "-goroutines", "-active=false", "-par=4"} {
+	for _, arg := range []string{"-v", "-goroutines", "-active=false", "-par=4", "-loc_solver=gs"} {
 		out, code := runMain(t, arg, "fig6")
 		if code != 2 {
 			t.Errorf("benchtables %s: exit status %d, want 2\n%s", arg, code, out)

@@ -133,6 +133,11 @@ func dsouthwell() (code int) {
 		fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
 		return 1
 	}
+	// Every rank must own a row; validate cannot tell before the matrix loads.
+	if *ranks > a.N {
+		fmt.Fprintf(os.Stderr, "dsouthwell: -n %d: more ranks than the %d rows of %s\n", *ranks, a.N, label)
+		return 2
+	}
 	if _, err := sparse.Scale(a); err != nil {
 		fmt.Fprintf(os.Stderr, "dsouthwell: scaling: %v\n", err)
 		return 1

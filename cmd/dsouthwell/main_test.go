@@ -74,7 +74,9 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 	}
 	// The output paths go through cli.CheckOutputs (its own test holds
 	// every refusal): one row per check, each flag named once, refused by
-	// the binary with exit status 2 before anything runs.
+	// the binary with exit status 2 before anything runs. The last row
+	// asks for more ranks than the grid's 100 rows, which only the loaded
+	// matrix can tell; it used to print the header, then exit 1.
 	tmp := t.TempDir()
 	file := filepath.Join(tmp, "plain.txt")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
@@ -85,8 +87,9 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{"-metrics", filepath.Join(tmp, "no", "m.txt")},
 		{"-cpuprofile", filepath.Join(file, "cpu.prof")},
 		{"-memprofile", filepath.Join(tmp, "same.out"), "-trace", filepath.Join(tmp, ".", "same.out")},
+		{"-n", "101"},
 	} {
-		out, code := runMain(t, append(args, "-grid", "10", "-n", "4", "-sweep_max", "2")...)
+		out, code := runMain(t, append([]string{"-grid", "10", "-n", "4", "-sweep_max", "2"}, args...)...)
 		for i := 0; i < len(args); i += 2 {
 			if code != 2 || !strings.Contains(out, args[i]+" ") || strings.Contains(out, "matrix:") {
 				t.Errorf("dsouthwell %s: exit status %d, want 2 naming %s before the solve\n%s", strings.Join(args, " "), code, args[i], out)
@@ -114,6 +117,10 @@ func TestValidateAcceptsGoodFlags(t *testing.T) {
 	}
 	if o.method != core.Piggyback2016 || o.local != dmem.LocalDirect {
 		t.Errorf("aliases misparsed: %+v", o)
+	}
+	c.locSolver = "direct"
+	if o, err = c.run(); err != nil || o.local != dmem.LocalDirect {
+		t.Errorf("-loc_solver direct misparsed: %+v, %v", o, err)
 	}
 
 	c = good()

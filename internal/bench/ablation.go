@@ -49,7 +49,7 @@ func Ablation(w io.Writer, cfg Config) error {
 		"matrix", "variant", "solve/p", "res/p", "relax/n", "active", "final ||r||")
 	for _, name := range names {
 		for _, v := range variants {
-			res, err := run(name, cfg.Local, v.opts)
+			res, err := run(name, dmem.LocalGS, v.opts)
 			if err != nil {
 				return err
 			}

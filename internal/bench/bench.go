@@ -47,9 +47,6 @@ type Config struct {
 	Quick bool
 	// Seed drives initial guesses and partitions.
 	Seed int64
-	// Local selects the subdomain solver for suite runs (default
-	// dmem.LocalGS, the paper's setting).
-	Local dmem.LocalSolver
 	// Faults, when non-nil, injects deterministic message delays into every
 	// suite run (see rma.FaultPlan). Chaos varies plans per run by adjusting
 	// this field on its per-run config copies.
@@ -103,15 +100,15 @@ func (c Config) suiteNames() []string {
 
 // runKey caches distributed runs shared between tables. Every
 // result-changing setting is part of the key: matrix, method, ranks, step
-// budget, seed, local solver, and the fault plan (by value, as a string, so
-// equal plans behind different pointers share an entry).
+// budget, seed, and the fault plan (by value, as a string, so equal plans
+// behind different pointers share an entry). Every suite run relaxes with
+// one Gauss-Seidel sweep (dmem.LocalGS, the paper's setting).
 type runKey struct {
 	name   string
 	method core.DistMethod
 	ranks  int
 	steps  int
 	seed   int64
-	local  dmem.LocalSolver
 	chaos  string
 }
 
@@ -163,10 +160,10 @@ func (c *memo[K, V]) reset() {
 }
 
 var (
-	matrices   memo[string, *sparse.CSR]
-	partitions memo[setupKey, []int] // keyed with local zeroed: a partition does not depend on it
-	setups     memo[setupKey, *dmem.Setup]
-	runs       memo[runKey, *dmem.Result]
+	matrices memo[string, *sparse.CSR]
+	layouts  memo[setupKey, *dmem.Layout] // keyed with local zeroed: a layout does not depend on it
+	setups   memo[setupKey, *dmem.Setup]
+	runs     memo[runKey, *dmem.Result]
 )
 
 // matrixFor builds (and memoizes) a scaled suite matrix.
@@ -193,19 +190,18 @@ type setupKey struct {
 }
 
 // setupFor builds (and memoizes) the shared (partition, layout, local
-// factorization) preprocessing of one suite cell. The partition is its own
-// memo entry so the local-solver variants of a cell share it.
+// factorization) preprocessing of one suite cell. The layout is its own
+// memo entry, so the local-solver variants of a cell share one.
 func setupFor(name string, ranks int, seed int64, local dmem.LocalSolver) (*dmem.Setup, error) {
 	key := setupKey{name: name, ranks: ranks, seed: seed, local: local}
 	return setups.get(key, func() (*dmem.Setup, error) {
-		a, err := matrixFor(name)
-		if err != nil {
-			return nil, err
-		}
-		part, _ := partitions.get(setupKey{name: name, ranks: ranks, seed: seed}, func() ([]int, error) {
-			return partition.Partition(a, ranks, partition.Options{Seed: seed}), nil
+		l, err := layouts.get(setupKey{name: name, ranks: ranks, seed: seed}, func() (*dmem.Layout, error) {
+			a, err := matrixFor(name)
+			if err != nil {
+				return nil, err
+			}
+			return dmem.NewLayout(a, partition.Partition(a, ranks, partition.Options{Seed: seed}), ranks)
 		})
-		l, err := dmem.NewLayout(a, part, ranks)
 		if err != nil {
 			return nil, err
 		}
@@ -217,16 +213,16 @@ func setupFor(name string, ranks int, seed int64, local dmem.LocalSolver) (*dmem
 func (c Config) keyFor(name string, method core.DistMethod, ranks, steps int) runKey {
 	return runKey{
 		name: name, method: method, ranks: ranks, steps: steps,
-		seed: c.seed(), local: c.Local, chaos: chaosKey(c.Faults),
+		seed: c.seed(), chaos: chaosKey(c.Faults),
 	}
 }
 
 // distOptions is where a Config becomes solver options: every run of every
-// experiment sees the same local solver and fault plan.
+// experiment sees the same fault plan.
 func (c Config) distOptions(method core.DistMethod, ranks, steps int) core.DistOptions {
 	return core.DistOptions{
 		Method: method, Ranks: ranks, Steps: steps, PartSeed: c.seed(),
-		Local: c.Local, Faults: c.Faults,
+		Faults: c.Faults,
 	}
 }
 
@@ -237,7 +233,7 @@ func (c Config) distOptions(method core.DistMethod, ranks, steps int) core.DistO
 func runSuite(cfg Config, name string, method core.DistMethod, ranks, steps int) (*dmem.Result, error) {
 	key := cfg.keyFor(name, method, ranks, steps)
 	return runs.get(key, func() (*dmem.Result, error) {
-		setup, err := setupFor(name, ranks, cfg.seed(), cfg.Local)
+		setup, err := setupFor(name, ranks, cfg.seed(), dmem.LocalGS)
 		if err != nil {
 			return nil, err
 		}
@@ -329,11 +325,11 @@ func runSet(cfg Config, names []string, methods []core.DistMethod, rankCounts []
 	return s, nil
 }
 
-// ResetCaches clears memoized matrices, partitions, setups and runs (for
+// ResetCaches clears memoized matrices, layouts, setups and runs (for
 // benchmarks that must measure cold work).
 func ResetCaches() {
 	matrices.reset()
-	partitions.reset()
+	layouts.reset()
 	setups.reset()
 	runs.reset()
 }

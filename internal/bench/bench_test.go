@@ -268,9 +268,30 @@ func TestAblationOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow in -short mode")
 	}
+	ResetCaches()
+	defer ResetCaches()
+	cfg := quickCfg()
 	var buf bytes.Buffer
-	if err := Ablation(&buf, quickCfg()); err != nil {
+	if err := Ablation(&buf, cfg); err != nil {
 		t.Fatal(err)
+	}
+	// Its gs and direct setups of a cell share one layout: one per matrix.
+	names := cfg.suiteNames()
+	if n := memoLen(&layouts); n != len(names) {
+		t.Errorf("quick ablation built %d layouts, want one per matrix (%d)", n, len(names))
+	}
+	for _, name := range names {
+		gs, err := setupFor(name, cfg.ranks(), cfg.seed(), dmem.LocalGS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := setupFor(name, cfg.ranks(), cfg.seed(), dmem.LocalDirect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gs.Layout != direct.Layout {
+			t.Errorf("%s: gs and direct setups hold different layouts", name)
+		}
 	}
 	for _, label := range []string{"paper", "no-ghost", "slack-0.5"} {
 		if !strings.Contains(buf.String(), label) {
@@ -290,10 +311,9 @@ func TestAblationOutput(t *testing.T) {
 }
 
 // TestRunCacheKeyedByConfig: every result-changing config field must reach
-// the cache key. Historically Local and the fault plan were
-// omitted, so e.g. a Gauss-Seidel run poisoned the cache for a later
-// direct-solver table. Two runs differing in exactly one such field must
-// not share a cache entry.
+// the cache key. Historically the fault plan was omitted, so a
+// perfect-network run answered for a later chaos table. Two runs differing
+// in exactly one such field must not share a cache entry.
 func TestRunCacheKeyedByConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow in -short mode")
@@ -311,11 +331,6 @@ func TestRunCacheKeyedByConfig(t *testing.T) {
 	}
 	ref := run(base)
 
-	local := base
-	local.Local = dmem.LocalDirect
-	if run(local) == ref {
-		t.Error("configs differing only in Local share a cache entry")
-	}
 	chaos := base
 	chaos.Faults = rma.DelayPlan(1, 0.25, 3)
 	if run(chaos) == ref {

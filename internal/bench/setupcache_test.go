@@ -63,7 +63,7 @@ func TestSetupCacheKeys(t *testing.T) {
 		}
 	}
 	// Seed-matching GS and Direct setups share the layout-defining inputs
-	// but not the factorizations; they still share the cached partition.
+	// but not the factorizations.
 	direct, _ := setupFor("af_5_k101", 16, 1, dmem.LocalDirect)
 	if base.Factor(0) != nil {
 		t.Error("LocalGS setup carries factorizations")
@@ -151,11 +151,18 @@ func TestSetupSharedAcrossMethodsNoMutation(t *testing.T) {
 	const name, ranks, steps = "af_5_k101", 24, 8
 	methods := []core.DistMethod{core.BlockJacobi, core.ParallelSWD, core.DistSWD}
 
-	// Private baselines: fresh setup per run.
+	// Private baselines: core.SolveDistributed builds a fresh layout and
+	// LocalDirect setup for each run.
+	a, err := matrixFor(name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	baseline := map[core.DistMethod]*dmem.Result{}
 	for _, m := range methods {
-		ResetCaches()
-		r, err := runSuite(Config{Ranks: ranks, Seed: 1, Local: dmem.LocalDirect}, name, m, ranks, steps)
+		b, x := problem.ZeroBSystem(a, 1)
+		r, err := core.SolveDistributed(a, b, x, core.DistOptions{
+			Method: m, Ranks: ranks, Steps: steps, PartSeed: 1, Local: dmem.LocalDirect,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

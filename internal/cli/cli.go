@@ -20,7 +20,9 @@ import (
 // directory flag must not name an existing non-directory; a missing one is
 // created on first write. No file flag may share a path, after
 // filepath.Clean, with any other flag, directories included: one output
-// would overwrite the other, or fail late. Directory flags may share one,
+// would overwrite the other, or fail late. Nor may a file flag sit directly
+// in a directory flag's directory, where it could be one of that flag's
+// files (-out d -cpuprofile d/fig6.txt). Directory flags may share one,
 // since each writes files of its own suffix.
 func CheckOutputs(files, dirs [][2]string) error {
 	for _, d := range dirs {
@@ -49,6 +51,11 @@ func CheckOutputs(files, dirs [][2]string) error {
 		for _, o := range append(files[:i:i], dirs...) {
 			if o[1] != "" && filepath.Clean(o[1]) == filepath.Clean(path) {
 				return fmt.Errorf("%s and %s %q: must be different paths", o[0], flag, path)
+			}
+		}
+		for _, d := range dirs {
+			if d[1] != "" && filepath.Clean(d[1]) == filepath.Dir(path) {
+				return fmt.Errorf("%s %q: inside the %s directory %q, whose files it could overwrite", flag, path, d[0], d[1])
 			}
 		}
 	}

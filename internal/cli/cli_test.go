@@ -31,10 +31,13 @@ func TestCheckOutputs(t *testing.T) {
 		{"equal after Clean", pairs{{"-cpuprofile", "x"}, {"-memprofile", "./x"}}, nil, []string{"-cpuprofile", "-memprofile"}},
 		{"file shares a missing dir's path", pairs{{"-cpuprofile", "x"}}, pairs{{"-out", "x"}}, []string{"-out", "-cpuprofile"}},
 		{"file shares an existing dir's path", pairs{{"-memprofile", tmp}}, pairs{{"-trace", tmp}}, []string{"-memprofile"}},
+		{"file in a dir flag's directory", pairs{{"-cpuprofile", filepath.Join(tmp, "fig6.txt")}}, pairs{{"-out", tmp}}, []string{"-out", "-cpuprofile"}},
+		{"file in a dir flag's directory after Clean", pairs{{"-memprofile", tmp + "/./m.prof"}}, pairs{{"-trace", tmp + "/"}}, []string{"-trace", "-memprofile"}},
 
 		{"all unset", pairs{{"-cpuprofile", ""}, {"-memprofile", ""}}, pairs{{"-out", ""}, {"-trace", ""}}, nil},
 		{"dirs share a path", nil, pairs{{"-out", tmp}, {"-trace", tmp}, {"-metrics", filepath.Join(tmp, "new")}}, nil},
-		{"distinct files, one existing", pairs{{"-trace", file}, {"-metrics", filepath.Join(tmp, "m.txt")}, {"-cpuprofile", "cpu.prof"}}, pairs{{"-out", tmp}}, nil},
+		{"distinct files, one existing", pairs{{"-trace", file}, {"-metrics", filepath.Join(tmp, "m.txt")}, {"-cpuprofile", "cpu.prof"}}, pairs{{"-out", filepath.Join(tmp, "out")}}, nil},
+		{"file in a subdirectory of a dir flag", pairs{{"-cpuprofile", filepath.Join(tmp, "cpu.prof")}}, pairs{{"-out", filepath.Dir(tmp)}}, nil},
 	} {
 		err := CheckOutputs(tc.files, tc.dirs)
 		switch {
