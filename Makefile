@@ -1,14 +1,14 @@
 # Tier-1 verification for the southwell repo. `make verify` is the gate,
-# eleven targets in this order: build, lint (vet + gofmt + the
-# internal/lint tests), test (the full suite at four scheduler widths),
-# race (race-mode runtime/method tests), chaos-smoke (a chaos run of both
-# binaries), partition-pin, alloc-gates, fuzz (30 s of fuzzing), examples,
-# results-check (results/ regenerated and compared) and bench-smoke (a
-# brief run of the end-to-end benchmark's four workloads).
+# ten targets in this order: build, lint (vet + gofmt + the internal/lint
+# tests), test (the full suite at four scheduler widths), race (race-mode
+# runtime/method tests), chaos-smoke (a chaos run of both binaries),
+# alloc-gates, fuzz (30 s of fuzzing), examples, results-check (results/
+# regenerated and compared) and bench-smoke (a brief run of the end-to-end
+# benchmark's four workloads).
 
 GO ?= go
 
-.PHONY: build test vet lint race chaos-smoke partition-pin alloc-gates fuzz examples results-check bench-e2e bench-smoke identity bench-pairs verify bench clean
+.PHONY: build test vet lint race chaos-smoke alloc-gates fuzz examples results-check bench-e2e bench-smoke identity bench-pairs verify bench clean
 
 build:
 	$(GO) build ./...
@@ -37,9 +37,12 @@ vet:
 # second, nearly all of it `go list`): the three determinism rules (no map
 # range and no wall clock or global math/rand under internal/, no exact
 # float comparison in any non-test file; each finding prints as
-# file:line:col), the rules run on planted sources, and the exported-name
-# and doc-name checks. They are ordinary tests, so tier-1 runs them too.
-LINT_TESTS = TestMapOrder|TestDeterminism|TestFloatCompare|TestMapOrderPlanted|TestDeterminismPlanted|TestFloatComparePlanted|TestExportedNamesHaveReaders|TestDocGoNamesResolve
+# file:line:col), the rules run on planted sources, the exported-name and
+# doc-name checks, and the check that every -run, -bench and -fuzz pattern
+# in this file names a function of the module (go test passes silently on
+# a pattern that matches nothing). They are ordinary tests, so tier-1 runs
+# them too.
+LINT_TESTS = TestMapOrder|TestDeterminism|TestFloatCompare|TestMapOrderPlanted|TestDeterminismPlanted|TestFloatComparePlanted|TestExportedNamesHaveReaders|TestDocGoNamesResolve|TestMakefilePatternsMatch
 lint: vet
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
@@ -76,18 +79,6 @@ chaos-smoke: build
 	$(GO) run ./cmd/dsouthwell -grid 40 -n 16 -sweep_max 15 -chaos 0.3 >/dev/null
 	$(GO) run ./cmd/benchtables -quick -ranks 32 -steps 40 chaos >/dev/null
 
-# Partitioner pin, by name so a failure is labelled: the golden part-vector
-# hashes (every results/*.txt table sits on these partitions), the oracles
-# that hold refine, induce and the recursion to the implementations the
-# hashes were first taken on (kept verbatim in reference_test.go), the
-# coarsen-once front end's bypass (recursive bisection byte for byte
-# wherever it keeps no coarse level), its quality against recursive
-# bisection (edge cut and imbalance over the suite at P = 256 and the
-# benchmark shapes) and the k-way refinement's invariants. The malloc/byte
-# ceiling of one Partition call runs under alloc-gates.
-partition-pin:
-	$(GO) test -run 'TestPartitionGolden|TestRefineMatchesReference|TestRefineSkipsNaNGain|TestInduceMatchesReference|TestPartitionMatchesReference|TestMultilevelBypassIsBisection|TestMultilevelQuality|TestKWayRefineInvariants' ./internal/partition/
-
 # Allocation gates: every promise of the form "the steady-state path
 # allocates nothing" is a plain Go test asserting testing.AllocsPerRun == 0
 # (kernels, LDL' SolveWith, obs off/on/emit, phases dense, active,
@@ -96,12 +87,11 @@ partition-pin:
 # solve; DESIGN.md §8 maps each hot-path root to its gate. Then one iteration of each
 # micro-benchmark those gates share set-up with, and of the two set-up
 # benchmarks (BenchmarkPartition, BenchmarkNewLayout: the e2e shapes), so an
-# outright breakage fails verify without a long bench run. BenchmarkDenseLU
-# is deliberately not matched -- its O(n^3) factor would add minutes. The
-# set-up's retained-heap ceiling also runs alone at one scheduler thread,
-# three times: there a width-2 region's second goroutine starts only after
-# the caller has run every block, the case in which a finished region's
-# closure once stayed reachable and inflated the reading.
+# outright breakage fails verify without a long bench run. The set-up's
+# retained-heap ceiling also runs alone at one scheduler thread, three
+# times: there a width-2 region's second goroutine starts only after the
+# caller has run every block, the case in which a finished region's closure
+# once stayed reachable and inflated the reading.
 alloc-gates:
 	$(GO) test -run 'AllocGate|AllocCeiling' ./internal/...
 	GOMAXPROCS=1 $(GO) test -count=3 -run '^TestSetupRetainedAllocCeiling$$' ./internal/dmem
@@ -305,7 +295,7 @@ bench-pairs:
 	echo "bench-pairs: reports in $$out/parent and $$out/change"; \
 	$(GO) run ./benchmarks/e2e -compare $$out/parent $$out/change
 
-verify: build lint test race chaos-smoke partition-pin alloc-gates fuzz examples results-check bench-smoke
+verify: build lint test race chaos-smoke alloc-gates fuzz examples results-check bench-smoke
 
 # Micro-benchmarks for the phase engine, message path, numerical kernels,
 # sparse local solver and tracing. Single-shot and machine-dependent: for

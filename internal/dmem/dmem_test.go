@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -52,6 +53,39 @@ func suiteMatrix(t testing.TB, name string) *sparse.CSR {
 	return e.Build()
 }
 
+// layoutShape is a matrix, its partition and the rank count.
+type layoutShape struct {
+	name string
+	a    *sparse.CSR
+	part []int
+	p    int
+}
+
+// e2eShapes are the end-to-end benchmark's four layouts: Flan_1565 at
+// P = 256 (suite256), 4096 (wide4k) and 64 (direct64), and Poisson2D(256²)
+// at P = 2048 (pointload2k), each matrix scaled and partitioned with seed 1.
+// Built once per test binary; callers only read them.
+var e2eShapes = sync.OnceValue(func() []layoutShape {
+	e, ok := problem.SuiteByName("Flan_1565")
+	if !ok {
+		panic("no suite matrix Flan_1565")
+	}
+	flan := e.Build()
+	pois := problem.Poisson2D(256, 256)
+	if _, err := sparse.Scale(pois); err != nil {
+		panic(err)
+	}
+	var shapes []layoutShape
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+		p    int
+	}{{"suite256", flan, 256}, {"wide4k", flan, 4096}, {"pointload2k", pois, 2048}, {"direct64", flan, 64}} {
+		shapes = append(shapes, layoutShape{c.name, c.a, partition.Partition(c.a, c.p, partition.Options{Seed: 1}), c.p})
+	}
+	return shapes
+})
+
 // TestLayoutExchangePlansMatch is the layout contract the message path rests
 // on, stated from A and the part vector alone. For every rank p and neighbor
 // position j, with q = nbrs(p)[j]:
@@ -64,19 +98,13 @@ func suiteMatrix(t testing.TB, name string) *sparse.CSR {
 //   - a reset ghost layer holds b − Ax at those rows, bit for bit.
 //
 // So a message body needs no index, and the plans can be recomputed from A
-// and the part vector. Checked on a grid, on a suite matrix and on the
-// benchmark's wide4k shape (parts of 1-7 rows, single-neighbor ranks).
+// and the part vector. Checked on a grid and on the benchmark's four shapes
+// (wide4k: parts of 1-7 rows, single-neighbor ranks).
 func TestLayoutExchangePlansMatch(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		a    *sparse.CSR
-		p    int
-	}{
-		{"Poisson2D/7", problem.Poisson2D(16, 16), 7},
-		{"Flan_1565/256", suiteMatrix(t, "Flan_1565"), 256},
-		{"Flan_1565/4096", suiteMatrix(t, "Flan_1565"), 4096},
-	} {
-		part := partition.Partition(c.a, c.p, partition.Options{Seed: 1})
+	grid := problem.Poisson2D(16, 16)
+	shapes := append([]layoutShape{{"Poisson2D/7", grid, partition.Partition(grid, 7, partition.Options{Seed: 1}), 7}}, e2eShapes()...)
+	for _, c := range shapes {
+		part := c.part
 		l, err := NewLayout(c.a, part, c.p)
 		if err != nil {
 			t.Fatal(err)
@@ -245,10 +273,28 @@ func TestLayoutRejectsBadPartition(t *testing.T) {
 	}
 }
 
+// TestLayoutRejectsIndexOverflow: the layout's indices are 32 bits, so a
+// count that reaches 2³¹ is an error — from the helper, and from NewLayout
+// before it allocates anything of that size: no part vector here is that
+// long, and with one that long the gate (sparse.CSR.Relaxable) refuses n
+// and nnz past 2³¹−1.
+func TestLayoutRejectsIndexOverflow(t *testing.T) {
+	if err := fitsIndex("n", math.MaxInt32); err != nil {
+		t.Errorf("fitsIndex(2³¹−1) = %v, want nil", err)
+	}
+	if err := fitsIndex("nnz", math.MaxInt32+1); err == nil || err.Error() != "dmem: nnz = 2147483648 does not fit the layout's 32-bit indices" {
+		t.Errorf("fitsIndex(2³¹) = %v", err)
+	}
+	if _, err := NewLayout(&sparse.CSR{N: math.MaxInt32 + 1}, nil, 1); err == nil || err.Error() != "dmem: partition length 0 != n 2147483648" {
+		t.Errorf("NewLayout on n = 2³¹: %v", err)
+	}
+}
+
 // asymmetricLayouts are structurally asymmetric matrices over the ranks part
 // names, each missing a mirror across two ranks, one per check the per-rank
-// layout made (oldAddressRank), with the error NewLayout must return: the
-// entry its mirror walk meets first without one.
+// layout NewLayout replaced made when it paired up the exchange plans, with
+// the error NewLayout must return: the entry its mirror walk meets first
+// without one.
 var asymmetricLayouts = []struct {
 	name string
 	a    *sparse.CSR

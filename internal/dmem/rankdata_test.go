@@ -2,10 +2,10 @@ package dmem
 
 import "slices"
 
-// Layout's per-rank view, for the oracles in layout_oracle_test.go and
-// kernel_oracle_test.go; no non-test code reads a rank as a value.
+// Layout's per-rank view, for the kernel oracles in kernel_oracle_test.go
+// and TestZeroStartIsExact; no non-test code reads a rank as a value.
 
-// RankData is a rank's share of a Layout as a value, which the oracles compare:
+// RankData is a rank's share of a Layout as a value, which those tests read:
 // a local matrix in split-CSR form with local row, local column and ext
 // slot indices, and the exchange plans per neighbor position j. SlotInNbr
 // and ExtGlob are built from the neighbors' ranges, and the split CSR

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -360,6 +361,119 @@ func TestDocGoNamesResolve(t *testing.T) {
 
 // makeTarget is a Makefile rule line; it captures the target.
 var makeTarget = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
+
+var (
+	// makeVar is a Makefile variable assignment; it captures name and value.
+	makeVar = regexp.MustCompile(`(?m)^([A-Za-z_][A-Za-z0-9_]*)\s*[?:]?=\s*(.*)$`)
+	// testFlag is a go test selection flag and its pattern, quoted or not.
+	testFlag = regexp.MustCompile(`-(run|bench|fuzz)\s+('[^']*'|"[^"]*"|\S+)`)
+)
+
+// TestMakefilePatternsMatch fails on a -run, -bench or -fuzz pattern in the
+// Makefile with an alternative that matches no function of the module: go
+// test runs nothing for it and still passes. The Makefile's own $(VAR)s
+// are expanded and $$ read as $; the pattern's top-level element (up to a
+// subtest '/') loses its ^( )$ anchors and is split at its top-level |, and
+// each alternative, anchored as the pattern was, must match a Test, Fuzz or
+// Example function (-run), a Benchmark (-bench) or a Fuzz function (-fuzz).
+// The no-test pattern ^$ is exempt.
+func TestMakefilePatternsMatch(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join(moduleRoot, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := map[string]string{}
+	for _, m := range makeVar.FindAllStringSubmatch(string(src), -1) {
+		vars[m[1]] = m[2]
+	}
+	funcs := moduleTestFuncs(t)
+	kinds := map[string][]string{"run": {"Test", "Fuzz", "Example"}, "bench": {"Benchmark"}, "fuzz": {"Fuzz"}}
+	checked := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		for _, m := range testFlag.FindAllStringSubmatch(line, -1) {
+			pat := strings.Trim(m[2], `'"`)
+			for name, val := range vars {
+				pat = strings.ReplaceAll(pat, "$("+name+")", val)
+			}
+			pat = strings.ReplaceAll(pat, "$$", "$")
+			if pat == "^$" {
+				continue
+			}
+			for _, alt := range patternAlternatives(pat) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("Makefile:%d: -%s %s: %v", i+1, m[1], m[2], err)
+					continue
+				}
+				checked++
+				matched := false
+				for f := range funcs {
+					matched = matched || re.MatchString(f) && slices.ContainsFunc(kinds[m[1]], func(k string) bool { return strings.HasPrefix(f, k) })
+				}
+				if !matched {
+					t.Errorf("Makefile:%d: -%s %s: %q matches no %s function of the module", i+1, m[1], m[2], alt, strings.Join(kinds[m[1]], ", "))
+				}
+			}
+		}
+	}
+	if checked < 10 {
+		t.Errorf("only %d pattern alternatives found in the Makefile: the check is nearly vacuous", checked)
+	}
+}
+
+// patternAlternatives splits a go test pattern's top-level element at its
+// top-level |, each alternative anchored as the element was.
+func patternAlternatives(pat string) []string {
+	if i := strings.IndexByte(pat, '/'); i >= 0 {
+		pat = pat[:i]
+	}
+	pre, post := "", ""
+	if s, ok := strings.CutPrefix(pat, "^"); ok {
+		pat, pre = s, "^"
+	}
+	if s, ok := strings.CutSuffix(pat, "$"); ok {
+		pat, post = s, "$"
+	}
+	if strings.HasPrefix(pat, "(") && strings.HasSuffix(pat, ")") && closingParen(pat) == len(pat)-1 {
+		pat = pat[1 : len(pat)-1]
+	}
+	var alts []string
+	depth, start := 0, 0
+	for i, c := range pat {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case '|':
+			if depth == 0 {
+				alts = append(alts, pre+"(?:"+pat[start:i]+")"+post)
+				start = i + 1
+			}
+		}
+	}
+	return append(alts, pre+"(?:"+pat[start:]+")"+post)
+}
+
+// closingParen returns the index of the parenthesis that closes the one
+// pat opens with, or −1.
+func closingParen(pat string) int {
+	depth := 0
+	for i, c := range pat {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			if depth--; depth == 0 {
+				return i
+			}
+		}
+	}
+	return -1
+}
 
 // cmdFlags returns the flags each command under cmd/ defines, by command
 // name: the first constant string argument of every call into package flag.

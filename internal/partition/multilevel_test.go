@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -221,4 +222,53 @@ func TestKWayRefineInvariants(t *testing.T) {
 	if moves == 0 {
 		t.Error("no pass moved a vertex")
 	}
+}
+
+// edge is one entry of a row under construction: neighbour and weight.
+type edge struct {
+	u int32
+	w float64
+}
+
+// graphOf builds a graph from its rows, every vertex of weight vw[i].
+func graphOf(rows [][]edge, vw []int32) *graph {
+	g := &graph{n: len(rows), xadj: make([]int32, len(rows)+1), vw: vw}
+	for i, r := range rows {
+		for _, e := range r {
+			g.adj = append(g.adj, e.u)
+			g.ew = append(g.ew, e.w)
+		}
+		g.xadj[i+1] = int32(len(g.adj))
+	}
+	return g
+}
+
+// randomGraph is an undirected graph on n vertices in comps components
+// (an edge joins only vertices equal mod comps), every seventh vertex
+// isolated, about a quarter of the edges entered twice in both rows,
+// weights that include 0 and −0, vertex weights 1–3, and each row in random
+// entry order.
+func randomGraph(rng *rand.Rand, n, comps int) *graph {
+	weights := []float64{0, math.Copysign(0, -1), 1, 0.5, 2.25, 1e-3}
+	rows := make([][]edge, n)
+	for range 3 * n {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v || u%comps != v%comps || u%7 == 6 || v%7 == 6 {
+			continue
+		}
+		w := rng.Float64()
+		if rng.Intn(2) == 0 {
+			w = weights[rng.Intn(len(weights))]
+		}
+		for range 1 + rng.Intn(4)/3 {
+			rows[u] = append(rows[u], edge{int32(v), w})
+			rows[v] = append(rows[v], edge{int32(u), w})
+		}
+	}
+	vw := make([]int32, n)
+	for i, r := range rows {
+		rng.Shuffle(len(r), func(a, b int) { r[a], r[b] = r[b], r[a] })
+		vw[i] = int32(1 + rng.Intn(3))
+	}
+	return graphOf(rows, vw)
 }
