@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 func randomSPD(n int, rng *rand.Rand) *Matrix {
@@ -70,6 +71,46 @@ func TestCholeskySolve(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestQuickLUCholeskyAgree: on random SPD matrices of sizes 2 to 16, the
+// Cholesky factor is an LU factorization of A with U = Lᵀ: L is lower
+// triangular with a positive diagonal and L Lᵀ reproduces A to roundoff.
+func TestQuickLUCholeskyAgree(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(15)
+		a := randomSPD(n, rng)
+		c, err := FactorCholesky(a)
+		if err != nil {
+			return false
+		}
+		scale := 0.0
+		for _, v := range a.Data {
+			scale = max(scale, math.Abs(v))
+		}
+		for i := 0; i < n; i++ {
+			if !(c.l.At(i, i) > 0) {
+				return false
+			}
+			for j := 0; j < n; j++ {
+				if j > i && c.l.At(i, j) != 0 {
+					return false
+				}
+				s := 0.0
+				for k := 0; k < n; k++ {
+					s += c.l.At(i, k) * c.l.At(j, k)
+				}
+				if math.Abs(s-a.At(i, j)) > 1e-12*scale {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }
 
